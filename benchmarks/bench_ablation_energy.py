@@ -26,7 +26,7 @@ def test_energy_per_prediction(benchmark):
     def sweep():
         # Fresh evaluator per round: time the models, not the memo.
         rows = []
-        for result in run_sweep(grid, evaluator=Evaluator(), workers=4):
+        for result in run_sweep(grid, evaluator=Evaluator()):
             rows.append(
                 {
                     "model": result.scenario.full_name,

@@ -39,7 +39,7 @@ def test_wordlength_bram_sweep(benchmark):
 
     def sweep():
         # Fresh evaluator per round: time the models, not the memo.
-        results = run_sweep(grid, evaluator=Evaluator(), workers=4)
+        results = run_sweep(grid, evaluator=Evaluator())
         tiles = {
             # BRAM demand is a tile count; int() undoes ResourceVector's
             # float arithmetic for display.

@@ -33,7 +33,6 @@ def sweep_architectures() -> None:
     results = sweep(
         scenario_grid(models=TABLE5_MODELS, depths=SUPPORTED_DEPTHS),
         evaluator=EVALUATOR,
-        workers=4,
     )
     rows = [
         {

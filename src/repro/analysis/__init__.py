@@ -8,7 +8,7 @@ from .accuracy_model import (
     accuracy_table,
 )
 from .figures import figure5_series, figure6_series, merge_measured_accuracy
-from .report import format_records, format_series, format_table
+from .report import format_records, format_series, format_table, json_safe
 from .tables import (
     table1_records,
     table2_records,
@@ -29,6 +29,7 @@ __all__ = [
     "format_table",
     "format_records",
     "format_series",
+    "json_safe",
     "table1_records",
     "table2_records",
     "table3_records",

@@ -1,10 +1,29 @@
-"""Plain-text table rendering used by the examples and benchmarks."""
+"""Plain-text table rendering used by the examples and benchmarks, plus the
+JSON sanitiser every structured report passes through."""
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Sequence
 
-__all__ = ["format_table", "format_records", "format_series"]
+__all__ = ["format_table", "format_records", "format_series", "json_safe"]
+
+
+def json_safe(value: object) -> object:
+    """Recursively replace non-finite floats with ``None`` (JSON null).
+
+    Finite values pass through untouched (identity on nominal reports), so
+    this only rewrites the NaN/inf sentinels that degenerate runs produce
+    (e.g. warm-up guards that leave nothing measured).
+    """
+
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return value
 
 
 def _format_cell(value) -> str:

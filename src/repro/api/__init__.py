@@ -12,7 +12,7 @@ and design-space grids run through :func:`sweep`:
 
 >>> from repro.api import scenario_grid, sweep
 >>> results = sweep(scenario_grid(models=("rODENet-3",), depths=(20, 56),
-...                               n_units=(8, 16)), workers=4)
+...                               n_units=(8, 16)))
 >>> len(results)
 4
 
@@ -72,7 +72,6 @@ these objects; see the package README for the quickstart.
 from .accuracy import AccuracyPoint, AccuracySweepResult, accuracy_sweep
 from .rtl import export_rtl
 from .batch import BatchResult, pareto_indices, sweep_batch
-from .cache import ResultCache
 from .evaluator import TRAINING_PROJECTION_KEYS, Evaluator
 from .result import Result
 from .scenario import (
@@ -125,7 +124,6 @@ __all__ = [
     "SweepError",
     "sweep_batch",
     "BatchResult",
-    "ResultCache",
     "pareto_indices",
     "accuracy_sweep",
     "export_rtl",

@@ -31,10 +31,9 @@ The result is a :class:`BatchResult` — a columnar table with ``to_csv`` /
 ``to_json`` export, flat ``records()``, lossless ``to_results()``
 reconstruction and Pareto-front extraction over any two metric columns.
 
-Scenarios the vector path cannot handle (e.g. :class:`Scenario` subclasses
-that override derived behaviour) fall back to the loop engine, fanned out
-over a ``ProcessPoolExecutor``.  An optional persistent
-:class:`~repro.api.cache.ResultCache` makes repeated sweeps incremental.
+Scenarios the vector path cannot handle (:class:`Scenario` subclasses,
+which may override derived behaviour) are evaluated in-process with the loop
+engine and spliced into the same columns.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ import csv
 import dataclasses
 import io
 import json
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -569,7 +566,7 @@ class BatchResult:
 
         Accepts exactly the :meth:`repro.api.result.Result.as_dict` /
         :meth:`row_dict` structure — the interchange format shared with the
-        loop engine, the process-pool fallback and the on-disk cache.
+        loop engine.
         """
 
         scenarios = list(scenarios)
@@ -781,7 +778,7 @@ def _vectorizable(scenario: Scenario) -> bool:
 
     The kernels reproduce exactly the behaviour of :class:`Scenario` proper,
     so subclasses (which may override derived properties the vector path
-    would not see) take the loop-engine fallback.  Any registered board is
+    would not see) take the loop engine.  Any registered board is
     vectorizable: every board-derived quantity (clocks, fabric totals and
     delay scale, wattages) is broadcast from its :class:`BoardSpec` as a
     per-scenario column, so the board axis needs no fallback.
@@ -791,7 +788,7 @@ def _vectorizable(scenario: Scenario) -> bool:
 
 
 def _evaluate_rows(scenarios: Sequence[Scenario]) -> List[Dict]:
-    """Loop-engine evaluation of a chunk (runs inside a pool worker)."""
+    """Loop-engine evaluation of the scenarios the vector path cannot take."""
 
     from .evaluator import Evaluator
 
@@ -799,28 +796,12 @@ def _evaluate_rows(scenarios: Sequence[Scenario]) -> List[Dict]:
     return [evaluator.evaluate(s).as_dict() for s in scenarios]
 
 
-def sweep_batch(
-    scenarios: Iterable[Scenario],
-    cache=None,
-    fallback_workers: Optional[int] = None,
-    vectorizable: Callable[[Scenario], bool] = _vectorizable,
-) -> BatchResult:
+def sweep_batch(scenarios: Iterable[Scenario]) -> BatchResult:
     """Evaluate scenarios with the vectorized engine; rows in input order.
 
-    Parameters
-    ----------
-    scenarios:
-        The design points to evaluate (any iterable of scenarios).
-    cache:
-        Optional :class:`repro.api.cache.ResultCache`.  Rows found in the
-        cache are not recomputed; freshly computed rows are stored, so
-        repeated/overlapping sweeps are incremental.
-    fallback_workers:
-        Process-pool width for scenarios the vector path cannot handle
-        (default: ``os.cpu_count()``).  The fallback evaluates with the loop
-        engine, so results are identical either way.
-    vectorizable:
-        Predicate selecting the vector path (exposed for testing).
+    :class:`Scenario` subclasses are evaluated in-process with the loop
+    engine, so results are identical to :func:`repro.api.sweep.sweep`
+    either way.
     """
 
     points = list(scenarios)
@@ -828,73 +809,29 @@ def sweep_batch(
     if n == 0:
         return BatchResult([], {key: [] for key in FLAT_COLUMNS})
 
-    rows: List[Optional[Dict]] = [None] * n
-    if cache is not None:
-        for i, scenario in enumerate(points):
-            rows[i] = cache.get(scenario)
-    pending = [i for i in range(n) if rows[i] is None]
-    vector_idx = [i for i in pending if vectorizable(points[i])]
-    fallback_idx = [i for i in pending if not vectorizable(points[i])]
+    vector_idx: List[int] = []
+    fallback_idx: List[int] = []
+    for i, scenario in enumerate(points):
+        (vector_idx if _vectorizable(scenario) else fallback_idx).append(i)
+    if not fallback_idx:
+        return BatchResult(points, _compute_columns(points))
+    vector_columns = _compute_columns([points[i] for i in vector_idx]) if vector_idx else None
+    rows = _evaluate_rows([points[i] for i in fallback_idx])
 
-    fresh: Optional[BatchResult] = None
-    if vector_idx:
-        fresh = BatchResult(
-            [points[i] for i in vector_idx],
-            _compute_columns([points[i] for i in vector_idx]),
-        )
-        # Fast path: everything came straight from the vector engine.
-        if cache is None and len(vector_idx) == n:
-            return fresh
-    if fallback_idx:
-        fallback_points = [points[i] for i in fallback_idx]
-        try:
-            # Scenarios defined in __main__ / a notebook cannot cross a
-            # process boundary (the class is pickled by reference and a
-            # spawned worker cannot resolve it); detect that up front and
-            # evaluate in-process instead of crashing the sweep.
-            portable = type(fallback_points[0]).__module__ != "__main__"
-            if portable:
-                pickle.loads(pickle.dumps(fallback_points[0]))
-        except Exception:
-            portable = False
-        if portable:
-            chunk = 32
-            groups = [fallback_idx[k : k + chunk] for k in range(0, len(fallback_idx), chunk)]
-            with ProcessPoolExecutor(max_workers=fallback_workers) as pool:
-                for group, result in zip(
-                    groups, pool.map(_evaluate_rows, [[points[i] for i in g] for g in groups])
-                ):
-                    for i, row in zip(group, result):
-                        rows[i] = row
-        else:
-            for i, row in zip(fallback_idx, _evaluate_rows(fallback_points)):
-                rows[i] = row
-    if cache is not None:
-        for j, i in enumerate(vector_idx):
-            cache.put(points[i], fresh.row_dict(j))
-        for i in fallback_idx:
-            cache.put(points[i], rows[i])
-
-    # Merge: splice the vector engine's columns with the cached/fallback rows
-    # (kept columnar — no per-row rebuild of the freshly computed part).
+    # Splice the vector engine's columns with the loop-engine rows (kept
+    # columnar — no per-row rebuild of the vectorized part).
     columns: Dict[str, List] = {}
-    row_idx = [i for i in range(n) if rows[i] is not None]
     for key in FLAT_COLUMNS:
         col: List = [None] * n
-        if fresh is not None:
-            fcol = fresh._columns[key]
+        if vector_columns is not None:
             for j, i in enumerate(vector_idx):
-                col[i] = fcol[j]
-        if key in SCENARIO_KEYS:
-            for i in row_idx:
-                col[i] = rows[i]["scenario"][key]
-        else:
-            section = _SECTION_OF[key]
-            if key in LIST_COLUMNS:
-                for i in row_idx:
-                    col[i] = list(rows[i][section][key])
+                col[i] = vector_columns[key][j]
+        for i, row in zip(fallback_idx, rows):
+            if key in SCENARIO_KEYS:
+                col[i] = row["scenario"][key]
+            elif key in LIST_COLUMNS:
+                col[i] = list(row[_SECTION_OF[key]][key])
             else:
-                for i in row_idx:
-                    col[i] = rows[i][section][key]
+                col[i] = row[_SECTION_OF[key]][key]
         columns[key] = col
     return BatchResult(points, columns)

@@ -1,34 +1,24 @@
-"""Design-space sweeps: evaluate many scenarios, optionally in parallel.
+"""Design-space sweeps: the per-scenario loop engine.
 
 :func:`sweep` is the grid engine behind the ``repro-odenet sweep``
 subcommand, ``examples/design_space.py`` and the ablation benchmarks.  It
 takes any iterable of scenarios (usually from
-:func:`repro.api.scenario.scenario_grid`), shares one memoizing
-:class:`~repro.api.evaluator.Evaluator` across all of them and fans the
-evaluations out over a ``concurrent.futures`` thread pool.
-
-Determinism: results are returned in the input scenario order regardless of
-``workers``, and the models themselves are pure functions of the scenario,
-so ``workers=1`` and ``workers=8`` produce identical result lists.  Threads
-(not processes) are the right pool here — the analytical models are small
-closed-form computations and the win is overlapping thousands of scenario
-evaluations, not bypassing the GIL for one heavy kernel; results also stay
-shared in the evaluator's in-process cache.
+:func:`repro.api.scenario.scenario_grid`) and evaluates them one by one with
+a shared, memoizing :class:`~repro.api.evaluator.Evaluator`; results come
+back in input order.
 
 This loop engine is also the *conformance oracle* for the vectorized paths:
 :mod:`repro.api.batch` (and, since phase 2, the closed-form BRAM/timing
 plan kernels inside it) is pinned field-for-field against ``sweep`` by
 ``tests/api/test_batch.py`` and ``tests/api/test_batch_plans.py``.  Prefer
-:func:`repro.api.batch.sweep_batch` for large grids; prefer ``sweep`` when a
-scenario subclass overrides derived behaviour or when debugging a single
-design point end to end.
+:func:`repro.api.batch.sweep_batch` for large grids; prefer ``sweep`` when
+debugging a single design point end to end.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional, Sequence
 
 from .evaluator import Evaluator
@@ -41,9 +31,9 @@ __all__ = ["sweep", "SweepError", "results_to_csv", "results_to_json", "results_
 class SweepError(RuntimeError):
     """A scenario evaluation failed inside a sweep.
 
-    Worker-pool tracebacks lose the loop context, so the error message names
-    the failing scenario explicitly — including its position in the grid,
-    which is what you need to resume or bisect a long sweep.  The original
+    The error message names the failing scenario explicitly — including its
+    position in the grid, which is what you need to resume or bisect a long
+    sweep.  The original
     exception is chained as ``__cause__``; the design point and its grid
     position are available as :attr:`scenario` and :attr:`index`.
     """
@@ -69,7 +59,6 @@ class SweepError(RuntimeError):
 def sweep(
     scenarios: Iterable[Scenario],
     evaluator: Optional[Evaluator] = None,
-    workers: int = 1,
 ) -> List[Result]:
     """Evaluate every scenario; results come back in input order.
 
@@ -80,27 +69,16 @@ def sweep(
         evaluator's memo without recomputation.
     evaluator:
         An existing evaluator to reuse (and warm); a fresh one otherwise.
-    workers:
-        Thread-pool width.  ``1`` evaluates inline; higher values overlap
-        scenario evaluations and still return a deterministic ordering.
     """
 
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
     ev = evaluator if evaluator is not None else Evaluator()
-    points = list(scenarios)
-
-    def evaluate(item: "tuple[int, Scenario]") -> Result:
-        index, scenario = item
+    results = []
+    for index, scenario in enumerate(scenarios):
         try:
-            return ev.evaluate(scenario)
+            results.append(ev.evaluate(scenario))
         except Exception as exc:
             raise SweepError(scenario, exc, index=index) from exc
-
-    if workers == 1 or len(points) <= 1:
-        return [evaluate(item) for item in enumerate(points)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, enumerate(points)))
+    return results
 
 
 def results_to_records(results: Sequence[Result]) -> List[dict]:

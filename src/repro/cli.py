@@ -44,13 +44,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from .analysis import format_records, format_series
+from .analysis import format_records, format_series, json_safe
 from .api import (
     SCENARIO_MODELS,
     TRAINING_PROJECTION_KEYS,
     BatchResult,
     Evaluator,
-    ResultCache,
     Scenario,
     fraction_bits_for,
     scenario_grid,
@@ -289,6 +288,25 @@ def _parse_board_names(value, flag: str) -> List[str]:
     return names
 
 
+def _parse_auto_count(value: str, flag: str) -> int:
+    """Parse an ``N``-or-``auto`` count flag; ``auto`` maps to 0 (sized later)."""
+
+    if value == "auto":
+        return 0
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be a non-negative integer or 'auto' (got {value!r})"
+        ) from None
+
+
+def _to_json(data: object) -> str:
+    """Strict JSON for every CLI emission: non-finite floats become null."""
+
+    return json.dumps(json_safe(data), indent=2, allow_nan=False)
+
+
 def _configure_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", nargs="?", default="rODENet-3", choices=MODEL_CHOICES)
     p.add_argument("--depth", type=int, default=56)
@@ -335,19 +353,12 @@ def _configure_sweep(p: argparse.ArgumentParser) -> None:
         help="board axis: registered board names, space- and/or comma-separated "
         "(see the 'boards' subcommand; default: PYNQ-Z2 only)",
     )
-    p.add_argument("--workers", type=int, default=1, help="thread-pool width for the loop engine")
     p.add_argument(
         "--engine",
         choices=("loop", "batch"),
         default="loop",
         help="per-scenario loop engine (default) or the vectorized batch engine "
         "(identical results, much faster on large grids)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent result-cache directory (batch engine): repeated sweeps "
-        "only evaluate scenarios not seen before",
     )
     p.add_argument("--format", choices=("table", "csv", "json", "pareto"), default="table")
     p.add_argument(
@@ -362,11 +373,6 @@ def _configure_sweep(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--maximize-x", action="store_true", help="maximize (not minimize) the x metric")
     p.add_argument("--maximize-y", action="store_true", help="maximize (not minimize) the y metric")
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print cache diagnostics to stderr (with --cache-dir: hit-rate and footprint)",
-    )
 
 
 @command("sweep", help="design-space grid over variants/depths/units/formats", configure=_configure_sweep)
@@ -388,28 +394,13 @@ def _cmd_sweep(args, evaluator: Evaluator) -> CommandOutput:
     if args.boards is not None:
         axes["boards"] = _parse_board_names(args.boards, flag="--boards")
     grid = scenario_grid(**axes)
-    if args.cache_dir is not None and args.engine != "batch":
-        raise ValueError("--cache-dir requires --engine batch")
-    if args.engine == "batch" and args.workers != 1:
-        raise ValueError("--workers applies to the loop engine; drop it with --engine batch")
     loop_rows = None
     if args.engine == "batch":
-        cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None
-        table = sweep_batch(grid, cache=cache)
-        if args.verbose and cache is not None:
-            # Diagnostics go to stderr so every --format (json/csv included)
-            # stays machine-readable on stdout.
-            stats = cache.stats()
-            print(
-                f"[cache] {stats['hits']} hits / {stats['misses']} misses "
-                f"({100.0 * stats['hit_rate']:.1f}% hit rate), "
-                f"{stats['entries']} entries, {stats['bytes']} bytes on disk",
-                file=sys.stderr,
-            )
+        table = sweep_batch(grid)
     else:
         # The engines are field-for-field identical, so the loop results feed
         # the same columnar table and share one output path.
-        results = run_sweep(grid, evaluator=evaluator, workers=args.workers)
+        results = run_sweep(grid, evaluator=evaluator)
         loop_rows = [r.as_dict() for r in results]
         table = BatchResult.from_rows(grid, loop_rows)
     if args.format == "pareto":
@@ -529,26 +520,8 @@ def _parse_mix(entries, scenario) -> List:
     configure=_configure_sim,
 )
 def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
-    from .sim import SimScenario, max_replicas, simulate
+    from .sim import SimScenario, simulate
 
-    if args.replicas == "auto":
-        replicas = 0
-    else:
-        try:
-            replicas = int(args.replicas)
-        except ValueError:
-            raise ValueError(
-                f"--replicas must be a non-negative integer or 'auto' (got {args.replicas!r})"
-            )
-    if args.ps_cores == "auto":
-        ps_cores = 0
-    else:
-        try:
-            ps_cores = int(args.ps_cores)
-        except ValueError:
-            raise ValueError(
-                f"--ps-cores must be a non-negative integer or 'auto' (got {args.ps_cores!r})"
-            )
     boards = _parse_board_names(args.board, flag="--board")
     scenario = SimScenario(
         model=args.model,
@@ -563,11 +536,11 @@ def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
         n_requests=args.requests,
         duration_s=args.duration,
         trace=tuple(args.trace) if args.trace is not None else None,
-        replicas=replicas,
+        replicas=_parse_auto_count(args.replicas, "--replicas"),
         policy=args.policy,
         batch_size=args.batch_size,
         seed=args.seed,
-        ps_cores=ps_cores,
+        ps_cores=_parse_auto_count(args.ps_cores, "--ps-cores"),
         dma_channels=args.dma_channels,
         warmup_s=args.warmup,
         slo_s=args.slo_ms / 1000.0 if args.slo_ms is not None else None,
@@ -583,7 +556,7 @@ def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
     if args.format == "csv":
         text = report.to_csv()
     elif args.format == "json":
-        text = json.dumps(report.as_dict(), indent=2)
+        text = _to_json(report.as_dict())
     else:
         text = report.render()
     return CommandOutput(text, report.as_dict())
@@ -607,7 +580,7 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
     if args.format == "csv":
         text = study.to_csv()
     elif args.format == "json":
-        text = json.dumps(study.as_dict(), indent=2)
+        text = _to_json(study.as_dict())
     else:
         text = study.render()
     return CommandOutput(text, study.as_dict())
@@ -699,15 +672,6 @@ def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
         simulate_fleet,
     )
 
-    if args.replicas == "auto":
-        replicas = 0
-    else:
-        try:
-            replicas = int(args.replicas)
-        except ValueError:
-            raise ValueError(
-                f"--replicas must be a non-negative integer or 'auto' (got {args.replicas!r})"
-            )
     scenario = FleetScenario(
         boards=parse_board_groups(args.boards),
         classes=(
@@ -722,7 +686,7 @@ def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
         arrival_rate_hz=args.rate,
         n_requests=args.requests,
         duration_s=args.duration,
-        replicas=replicas,
+        replicas=_parse_auto_count(args.replicas, "--replicas"),
         routing=args.routing,
         admission=args.admission,
         slo_s=args.slo_ms / 1000.0 if args.slo_ms is not None else None,
@@ -735,7 +699,7 @@ def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
     )
     report = simulate_fleet(scenario, shards=args.shards, evaluator=evaluator)
     if args.format == "json":
-        text = json.dumps(report.as_dict(), indent=2)
+        text = _to_json(report.as_dict())
     else:
         text = report.render()
     return CommandOutput(text, report.as_dict())
@@ -820,10 +784,6 @@ def _configure_optimize(p: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1,
         help="process-pool width for stage-2 evaluations (never changes the numbers)",
     )
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persistent result cache for the screening sweep",
-    )
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
 
@@ -873,7 +833,6 @@ def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
     if args.count is not None:
         fixed["count"] = args.count
 
-    cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None
     report = optimize(
         SearchSpace(axes=axes, fixed=fixed),
         objective=args.objective,
@@ -881,7 +840,6 @@ def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
         fidelity=args.fidelity,
         budget=args.budget,
         seed=args.seed,
-        cache=cache,
         workers=args.workers,
         evaluator=evaluator,
     )
@@ -949,7 +907,7 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
             writer.writerow(list(row.values()))
         text = buf.getvalue().rstrip("\n")
     elif args.format == "json":
-        text = json.dumps(reports, indent=2)
+        text = _to_json(reports)
     else:
         text = format_records(rows, title=title)
     return CommandOutput(text, reports)
@@ -1240,7 +1198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
-        print(json.dumps(output.data, indent=2))
+        print(_to_json(output.data))
     else:
         print(output.text)
     return 0

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.metrics import LatencyStats, QuantileSketch, _json_safe
+from ..analysis.report import json_safe
+from ..sim.metrics import LatencyStats, QuantileSketch
 
 __all__ = ["ClassCell", "BoardCell", "CellResult", "FleetReport", "merge_cells"]
 
@@ -108,7 +109,7 @@ class FleetReport:
             out["autoscale"] = dict(self.autoscale)
         if self.board_reports is not None:
             out["board_reports"] = [dict(r) for r in self.board_reports]
-        return _json_safe(out)
+        return json_safe(out)
 
     def render(self) -> str:
         """Multi-section plain-text report (the ``fleet`` subcommand output)."""

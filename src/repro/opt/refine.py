@@ -317,7 +317,6 @@ def optimize(
     fidelity: str = "analytic",
     budget: Optional[float] = None,
     seed: int = 0,
-    cache=None,
     workers: int = 1,
     evaluator: Optional[Evaluator] = None,
     faults: Optional[Sequence[object]] = None,
@@ -353,9 +352,6 @@ def optimize(
         Run seed.  Each candidate's runs draw from
         ``default_rng((seed, sha256(candidate.key)))`` — bit-identical
         reruns for any worker count.
-    cache:
-        Optional :class:`~repro.api.cache.ResultCache` for the screening
-        sweep.
     workers:
         Process-pool width for stage-2 evaluations (1 = inline).
     faults:
@@ -413,7 +409,7 @@ def optimize(
         space, obj, cons, fidelity, budget, seed, workers, evaluator, modes, fault_samples
     )
     candidates = search.candidates
-    table, analytic = screen_space(space, candidates, cache=cache)
+    table, analytic = screen_space(space, candidates)
 
     analytic_fidelity = fidelity == "analytic"
     for candidate, metrics in zip(candidates, analytic):

@@ -18,9 +18,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import format_records
+from ..analysis import format_records, json_safe
 from ..api.batch import BatchResult, pareto_indices
-from ..sim.metrics import _json_safe
 
 __all__ = ["CandidateRecord", "OptReport"]
 
@@ -135,7 +134,7 @@ class OptReport:
         }
         if self.note is not None:
             out["note"] = self.note
-        return _json_safe(out)
+        return json_safe(out)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)

@@ -1,9 +1,9 @@
 """Stage 1: screen the full space on the vectorized batch engine.
 
 One :func:`repro.api.batch.sweep_batch` call evaluates every candidate's
-analytic design point (~70x faster than looping, cacheable through
-:class:`~repro.api.cache.ResultCache`), and this module turns the columnar
-table into per-candidate metric dictionaries plus *sound* pruning decisions:
+analytic design point (~70x faster than looping), and this module turns
+the columnar table into per-candidate metric dictionaries plus *sound*
+pruning decisions:
 
 * **Structural metrics** (fabric usage, fits/timing flags, parameter sizes,
   accuracy, board price) are exact at screening for every fidelity — a
@@ -126,7 +126,6 @@ def analytic_metrics(table: BatchResult, i: int) -> Dict[str, Optional[float]]:
 def screen_space(
     space: SearchSpace,
     candidates: Sequence[Candidate],
-    cache=None,
 ) -> Tuple[BatchResult, List[Dict[str, Optional[float]]]]:
     """Batch-evaluate every candidate's design point; one metric dict each.
 
@@ -146,7 +145,7 @@ def screen_space(
             unique_index[s] = idx
             unique_scenarios.append(s)
         rows.append(idx)
-    table = sweep_batch(unique_scenarios, cache=cache)
+    table = sweep_batch(unique_scenarios)
     per_row = [analytic_metrics(table, i) for i in range(len(table))]
     return table, [per_row[i] for i in rows]
 

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.report import json_safe
 from ..fpga.device import ResourceVector
 from ..fpga.power import PowerModelConfig, pl_power_kernel
 
@@ -429,22 +430,6 @@ def slo_summary(requests: Sequence[object], slo_s: float) -> Dict[str, object]:
     }
 
 
-def _json_safe(value: object) -> object:
-    """Recursively replace non-finite floats with ``None`` (JSON null).
-
-    Finite values pass through untouched (identity on nominal reports), so
-    this only rewrites the NaN sentinels the warm-up guards produce.
-    """
-
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class SimReport:
     """Structured outcome of one serving simulation."""
@@ -520,7 +505,7 @@ class SimReport:
             out["faults"] = dict(self.faults)
         if self.note is not None:
             out["note"] = self.note
-        return _json_safe(out)
+        return json_safe(out)
 
     def flat_dict(self) -> Dict[str, object]:
         """One CSV-safe row (scenario knobs, then scalar metrics)."""

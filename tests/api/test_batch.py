@@ -1,4 +1,4 @@
-"""Batch-evaluation engine: loop-engine equivalence, Pareto, cache, fallback."""
+"""Batch-evaluation engine: loop-engine equivalence, Pareto, subclass fallback."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.api import (
     BatchResult,
     Evaluator,
-    ResultCache,
     Scenario,
     pareto_indices,
     results_to_csv,
@@ -20,7 +19,6 @@ from repro.api import (
     sweep_batch,
 )
 from repro.api.batch import FLAT_COLUMNS
-from repro.api.cache import scenario_key
 from repro.core import SUPPORTED_DEPTHS
 from repro.core.execution_model import TABLE5_MODELS
 
@@ -177,85 +175,14 @@ class TestPareto:
         assert front.column("overall_speedup").max() == batch.column("overall_speedup").max()
 
 
-class TestCache:
-    def test_cache_populates_and_hits(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        grid = scenario_grid(models=("rODENet-3",), depths=(20, 56), n_units=(8, 16))
-        first = sweep_batch(grid, cache=cache)
-        assert len(cache) == len(grid)
-        second = sweep_batch(grid, cache=cache)
-        assert second.to_results() == first.to_results()
-
-    def test_cached_rows_equal_loop_engine(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        grid = random_grid(12, seed=11)
-        sweep_batch(grid, cache=cache)  # populate
-        cached = sweep_batch(grid, cache=cache)  # served from disk
-        assert cached.to_results() == sweep(grid, Evaluator())
-
-    def test_incremental_sweep_only_adds_new_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        small = scenario_grid(models=("rODENet-3",), depths=(20, 56))
-        sweep_batch(small, cache=cache)
-        assert len(cache) == 2
-        large = scenario_grid(models=("rODENet-3",), depths=SUPPORTED_DEPTHS)
-        merged = sweep_batch(large, cache=cache)
-        assert len(cache) == 4
-        assert merged.to_results() == sweep(large, Evaluator())
-
-    def test_schema_stale_entry_counts_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        scenario = Scenario()
-        sweep_batch([scenario], cache=cache)
-        payload = cache.get(scenario)
-        del payload["energy"]["energy_ratio"]  # simulate an older schema
-        cache.put(scenario, payload)
-        assert cache.get(scenario) is None
-        again = sweep_batch([scenario], cache=cache)  # recomputes, no KeyError
-        assert again.to_results() == sweep([scenario], Evaluator())
-
-    def test_corrupt_entry_is_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        scenario = Scenario()
-        sweep_batch([scenario], cache=cache)
-        path = cache._path(scenario_key(scenario))
-        path.write_text("{not json", encoding="utf-8")
-        assert cache.get(scenario) is None
-        again = sweep_batch([scenario], cache=cache)
-        assert again.to_results() == sweep([scenario], Evaluator())
-
-    def test_distinct_scenarios_have_distinct_keys(self):
-        assert scenario_key(Scenario(depth=20)) != scenario_key(Scenario(depth=56))
-        assert scenario_key(Scenario()) == scenario_key(Scenario())
-
-    def test_subclass_never_collides_with_base_scenario(self, tmp_path):
-        # A subclass may override derived behaviour, so a cached base-Scenario
-        # result must never be served for it (and vice versa).
-        assert scenario_key(Scenario()) != scenario_key(PassthroughScenario())
-        cache = ResultCache(tmp_path / "cache")
-        sweep_batch([Scenario()], cache=cache)
-        assert cache.get(PassthroughScenario()) is None
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        sweep_batch([Scenario()], cache=cache)
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-
-
 class TestProcessPoolFallback:
+    """Subclass rows are evaluated in-process by the loop engine."""
+
     def test_subclass_scenarios_fall_back_and_match_loop(self):
         plain = scenario_grid(models=("rODENet-3",), depths=(20, 56))
         subclassed = [PassthroughScenario(model="Hybrid-3", depth=d) for d in (20, 56)]
         mixed = [plain[0], subclassed[0], plain[1], subclassed[1]]
-        batch = sweep_batch(mixed, fallback_workers=2)
+        batch = sweep_batch(mixed)
         loop = sweep(mixed, Evaluator())
         assert batch.to_results() == loop
         assert [r["model"] for r in batch.records()] == [s.model for s in mixed]
-
-    def test_forced_fallback_matches_vector_path(self):
-        grid = scenario_grid(models=("rODENet-3", "ResNet"), depths=(20, 56))
-        vector = sweep_batch(grid)
-        forced = sweep_batch(grid, vectorizable=lambda s: False, fallback_workers=1)
-        assert forced.to_results() == vector.to_results()

@@ -1,4 +1,4 @@
-"""Design-space sweep engine: determinism, parallel fan-out, serialisation."""
+"""Design-space sweep engine: ordering, memoization, errors, serialisation."""
 
 from __future__ import annotations
 
@@ -26,23 +26,11 @@ def test_sweep_returns_results_in_input_order():
     assert [r.scenario for r in results] == scenarios
 
 
-def test_sweep_workers_1_vs_4_identical():
-    scenarios = scenario_grid(**GRID)
-    serial = sweep(scenarios, evaluator=Evaluator(), workers=1)
-    parallel = sweep(scenarios, evaluator=Evaluator(), workers=4)
-    assert [r.as_dict() for r in serial] == [r.as_dict() for r in parallel]
-
-
 def test_sweep_memoizes_duplicates():
     ev = Evaluator()
-    results = sweep([Scenario(), Scenario(), Scenario()], evaluator=ev, workers=2)
+    results = sweep([Scenario(), Scenario(), Scenario()], evaluator=ev)
     assert ev.cached_result_count == 1
     assert results[0] is results[1] is results[2]
-
-
-def test_sweep_rejects_bad_workers():
-    with pytest.raises(ValueError, match="workers"):
-        sweep([Scenario()], workers=0)
 
 
 class _ExplodingEvaluator(Evaluator):
@@ -72,11 +60,11 @@ def test_sweep_error_names_the_failing_scenario():
     assert "scenario #2" in str(excinfo.value)
 
 
-def test_sweep_error_surfaces_from_worker_threads():
+def test_sweep_error_index_of_the_last_scenario():
     scenarios = scenario_grid(**GRID)
     poison = scenarios[-1]
     with pytest.raises(SweepError, match=poison.full_name) as excinfo:
-        sweep(scenarios, evaluator=_ExplodingEvaluator(poison), workers=4)
+        sweep(scenarios, evaluator=_ExplodingEvaluator(poison))
     assert excinfo.value.index == len(scenarios) - 1
 
 

@@ -1,4 +1,4 @@
-"""Tests of the ``sim`` CLI subcommand (and the sweep --verbose satellite)."""
+"""Tests of the ``sim`` CLI subcommand."""
 
 from __future__ import annotations
 
@@ -101,43 +101,11 @@ class TestSimCommand:
             (["sim", "rODENet-3", "--arrivals", "trace"], "trace"),
             (["sim", "rODENet-3", "--rate", "0"], "arrival_rate_hz"),
             (["sim", "rODENet-3", "--mix", "bogus"], "--mix"),
+            (["sim", "rODENet-3", "--ps-cores", "many"], "--ps-cores"),
+            (["fleet", "--replicas", "many"], "--replicas"),
         ],
     )
     def test_bad_arguments_exit_cleanly(self, capsys, argv, fragment):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error:" in err and fragment in err
-
-
-class TestSweepVerboseCache:
-    def test_verbose_reports_hit_rate_on_stderr(self, capsys, tmp_path):
-        args = [
-            "sweep", "--engine", "batch", "--models", "rODENet-3", "--depths", "20",
-            "--n-units", "8", "16", "--cache-dir", str(tmp_path / "cache"), "--verbose",
-        ]
-        assert main(list(args)) == 0
-        cold = capsys.readouterr()
-        assert "[cache]" in cold.err
-        assert "0 hits / 2 misses (0.0% hit rate)" in cold.err
-        assert "2 entries" in cold.err
-        assert main(list(args)) == 0
-        warm = capsys.readouterr()
-        assert "2 hits / 0 misses (100.0% hit rate)" in warm.err
-
-    def test_verbose_keeps_json_stdout_parseable(self, capsys, tmp_path):
-        assert main([
-            "sweep", "--engine", "batch", "--models", "rODENet-3", "--depths", "20",
-            "--cache-dir", str(tmp_path / "cache"), "--verbose", "--format", "json",
-        ]) == 0
-        captured = capsys.readouterr()
-        json.loads(captured.out)  # stdout stays pure JSON
-        assert "[cache]" in captured.err
-
-    def test_without_verbose_no_cache_line(self, capsys, tmp_path):
-        assert main([
-            "sweep", "--engine", "batch", "--models", "rODENet-3",
-            "--depths", "20", "--cache-dir", str(tmp_path / "cache"),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "[cache]" not in captured.out
-        assert "[cache]" not in captured.err

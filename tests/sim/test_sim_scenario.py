@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario
-from repro.api.cache import scenario_key
 from repro.sim import SimScenario
 
 
@@ -90,13 +89,6 @@ class TestViews:
         assert s.replace(policy="round_robin").policy == "round_robin"
         with pytest.raises(ValueError, match="unknown policy"):
             s.replace(policy="nope")
-
-    def test_cache_key_differs_from_plain_scenario(self):
-        """Subclass results must never collide with plain-scenario entries."""
-
-        plain = Scenario()
-        sim = SimScenario()
-        assert scenario_key(plain) != scenario_key(sim)
 
     def test_sim_knobs_change_the_hash(self):
         assert SimScenario(seed=0) != SimScenario(seed=1)
