@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..analysis.report import json_safe
 from ..fixedpoint.errors import error_report, odeblock_error_bound
 from ..fixedpoint.qformat import QFormat
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
@@ -204,34 +205,38 @@ def _measure_chunk(
     z: np.ndarray,
     geometry: BlockGeometry,
     weights: BlockWeights,
-    fmt: QFormat,
-    collect_ref: bool,
-) -> Dict[str, object]:
-    """Error accumulators of one (format, chunk) cell.
+    formats: Sequence[QFormat],
+) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """Reference stats and one error accumulator per format, for one chunk.
 
-    Returns running-sum statistics (count, Σerr², Σref², max |err|, the
-    representable count) instead of finished metrics, so the parent can
-    reduce chunks in a fixed order and finalise once — streaming
-    accumulation with peak memory bounded by the chunk, not the sweep.
+    The float reference does not depend on the format, so it runs once and
+    every format's datapath is measured against it.  Each accumulator holds
+    running sums (count, Σerr², Σref², max |err|, the representable count)
+    instead of finished metrics, so the parent can reduce chunks in a fixed
+    order and finalise once — streaming accumulation with peak memory
+    bounded by the chunk, not the sweep.
     """
 
     stages = _float_forward(weights, z, stride=geometry.stride)
     reference = stages["output"]
-    hw = HardwareODEBlock(geometry, weights, qformat=fmt)
-    error = hw.dynamics_batch(z) - reference
-    out: Dict[str, object] = {
-        "n": int(reference.size),
-        "sse": float(np.sum(np.square(error))),
-        "ssr": float(np.sum(np.square(reference))),
-        "max_abs": float(np.max(np.abs(error))),
-        # The representable *count* (not the overflow fraction): the legacy
-        # formula is ``1.0 - representable.mean()`` and only the count form
-        # reproduces it bit-for-bit after reduction.
-        "repr_count": int(np.sum(fmt.representable(reference))),
-    }
-    if collect_ref:
-        out["ref_stats"] = _reference_stats(z, stages)
-    return out
+    ssr = float(np.sum(np.square(reference)))
+    accumulators: List[Dict[str, object]] = []
+    for fmt in formats:
+        hw = HardwareODEBlock(geometry, weights, qformat=fmt)
+        error = hw.dynamics_batch(z) - reference
+        accumulators.append(
+            {
+                "n": int(reference.size),
+                "sse": float(np.sum(np.square(error))),
+                "ssr": ssr,
+                "max_abs": float(np.max(np.abs(error))),
+                # The representable *count* (not the overflow fraction): the
+                # legacy formula is ``1.0 - representable.mean()`` and only the
+                # count form reproduces it bit-for-bit after reduction.
+                "repr_count": int(np.sum(fmt.representable(reference))),
+            }
+        )
+    return _reference_stats(z, stages), accumulators
 
 
 def _finalize_error_stats(acc: Dict[str, object]) -> Dict[str, float]:
@@ -292,9 +297,9 @@ def _init_sweep_worker(geometry: BlockGeometry, weights: BlockWeights, formats: 
 
 
 def _measure_chunk_shm(
-    shm_name: str, shape: Tuple[int, ...], fmt_index: int, collect_ref: bool
-) -> Dict[str, object]:
-    """Module-level worker (picklable): measure one (format, chunk) cell.
+    shm_name: str, shape: Tuple[int, ...]
+) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """Module-level worker (picklable): measure one chunk in every format.
 
     Attaches the chunk's shared-memory block read-only, copies it into
     worker-local memory (so the parent may recycle the block as soon as all
@@ -311,11 +316,7 @@ def _measure_chunk_shm(
     finally:
         shm.close()
     return _measure_chunk(
-        z,
-        _WORKER_CONTEXT["geometry"],
-        _WORKER_CONTEXT["weights"],
-        _WORKER_CONTEXT["formats"][fmt_index],
-        collect_ref,
+        z, _WORKER_CONTEXT["geometry"], _WORKER_CONTEXT["weights"], _WORKER_CONTEXT["formats"]
     )
 
 
@@ -423,9 +424,10 @@ class AccuracySweepResult:
         return buf.getvalue().rstrip("\n")
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            {"reproducibility": self.reproducibility, "points": self.records()}, indent=indent
-        )
+        """Strict RFC 8259 JSON: non-finite values (an error-free ``sqnr_db``) become null."""
+
+        payload = {"reproducibility": self.reproducibility, "points": self.records()}
+        return json.dumps(json_safe(payload), indent=indent, allow_nan=False)
 
     def pareto_front(
         self,
@@ -556,14 +558,10 @@ def accuracy_sweep(
         weights = BlockWeights.random(geometry, np.random.default_rng(seed), scale=weight_scale)
         bounds = _chunk_bounds(images, chunk_size)
         n_chunks = len(bounds)
-        cells, ref_chunks = _run_sharded(
-            geometry, weights, format_list, bounds, seed, input_scale, workers
-        )
-        ref_stats = _merge_reference_stats([ref_chunks[c] for c in range(n_chunks)])
+        chunks = _run_sharded(geometry, weights, format_list, bounds, seed, input_scale, workers)
+        ref_stats = _merge_reference_stats([ref for ref, _ in chunks])
         fmt_stats = [
-            _finalize_error_stats(
-                _reduce_error_stats([cells[(i, c)] for c in range(n_chunks)])
-            )
+            _finalize_error_stats(_reduce_error_stats([accs[i] for _, accs in chunks]))
             for i in range(len(format_list))
         ]
 
@@ -624,31 +622,30 @@ def _run_sharded(
     seed: int,
     input_scale: float,
     workers: int,
-) -> Tuple[Dict[Tuple[int, int], Dict[str, object]], Dict[int, Dict[str, object]]]:
-    """Measure every (format, chunk) cell, inline or across a process pool.
+) -> List[Tuple[Dict[str, object], List[Dict[str, object]]]]:
+    """Measure every chunk, inline or across a process pool (one task each).
 
-    Returns the accumulator of each cell plus the per-chunk reference stats
-    (collected once per chunk, on the first format's task).  The parent
-    always reduces in ascending chunk order, so the two execution modes —
-    and any worker count — produce bit-identical sweeps.
+    Returns each chunk's ``(ref_stats, per-format accumulators)`` in
+    ascending chunk order, which is the order the parent reduces in, so the
+    two execution modes — and any worker count — produce bit-identical
+    sweeps.
     """
 
-    cells: Dict[Tuple[int, int], Dict[str, object]] = {}
-    ref_chunks: Dict[int, Dict[str, object]] = {}
-
     if workers == 1:
-        for c, (lo, hi) in enumerate(bounds):
-            z = _chunk_inputs(seed, c, hi - lo, geometry, input_scale)
-            for i, fmt in enumerate(format_list):
-                res = _measure_chunk(z, geometry, weights, fmt, collect_ref=(i == 0))
-                if i == 0:
-                    ref_chunks[c] = res.pop("ref_stats")
-                cells[(i, c)] = res
-        return cells, ref_chunks
+        return [
+            _measure_chunk(
+                _chunk_inputs(seed, c, hi - lo, geometry, input_scale),
+                geometry,
+                weights,
+                format_list,
+            )
+            for c, (lo, hi) in enumerate(bounds)
+        ]
 
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import shared_memory
 
+    chunks = []
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_sweep_worker,
@@ -658,27 +655,19 @@ def _run_sharded(
         # in shared memory at once, so peak memory stays bounded by
         # ``workers * chunk_size`` images however large the sweep is.
         for wave_start in range(0, len(bounds), workers):
-            wave = range(wave_start, min(wave_start + workers, len(bounds)))
             shms = []
-            futures = {}
+            futures = []
             try:
-                for c in wave:
+                for c in range(wave_start, min(wave_start + workers, len(bounds))):
                     lo, hi = bounds[c]
                     z = _chunk_inputs(seed, c, hi - lo, geometry, input_scale)
                     shm = shared_memory.SharedMemory(create=True, size=z.nbytes)
                     shms.append(shm)
                     np.ndarray(z.shape, dtype=np.float64, buffer=shm.buf)[...] = z
-                    for i in range(len(format_list)):
-                        futures[(i, c)] = pool.submit(
-                            _measure_chunk_shm, shm.name, z.shape, i, i == 0
-                        )
-                for (i, c), future in futures.items():
-                    res = future.result()
-                    if i == 0:
-                        ref_chunks[c] = res.pop("ref_stats")
-                    cells[(i, c)] = res
+                    futures.append(pool.submit(_measure_chunk_shm, shm.name, z.shape))
+                chunks.extend(future.result() for future in futures)
             finally:
                 for shm in shms:
                     shm.close()
                     shm.unlink()
-    return cells, ref_chunks
+    return chunks

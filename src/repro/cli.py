@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -1197,10 +1198,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         # surface as clean CLI errors rather than tracebacks.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
-        print(_to_json(output.data))
-    else:
-        print(output.text)
+    text = _to_json(output.data) if getattr(args, "json", False) else output.text
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``... | head``).  Point stdout at
+        # devnull so the interpreter's exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -11,6 +11,7 @@ implementation rather than floating point.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -95,44 +96,34 @@ def fx_div(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATU
 
 
 def fx_sqrt(a: IntArray, fmt: QFormat) -> np.ndarray:
-    """Fixed-point square root via integer Newton iteration.
+    """Fixed-point square root: ``floor(sqrt(a << fraction_bits))``, saturated.
 
     Models the square-root unit of the batch-normalisation datapath.  The
-    input must be non-negative (it is a variance plus epsilon).  The result
-    satisfies ``|sqrt_fx(x) - sqrt(x)| <= resolution`` for representable x.
+    input must be non-negative (it is a variance plus epsilon).  Since
+    ``sqrt(v / S) * S == sqrt(v * S)``, the result is the floor integer square
+    root of the radicand ``a << fraction_bits`` — what the RTL ``isqrt64``
+    computes — and satisfies ``|sqrt_fx(x) - sqrt(x)| <= resolution`` for
+    representable x.
+
+    A radicand below 2**52 is exact in float64 and IEEE ``sqrt`` is correctly
+    rounded, so one array ``floor(sqrt(...))`` gives the exact floor for all
+    of them at once.  Wider radicands (word lengths past ~52 bits) take the
+    exact :func:`math.isqrt` per element.  Scalars return a 0-d array.
     """
 
-    a64 = np.atleast_1d(np.asarray(a, dtype=np.int64))
+    a64 = np.asarray(a, dtype=np.int64)
     if np.any(a64 < 0):
         raise ValueError("fx_sqrt requires non-negative inputs")
-    # sqrt(v / S) * S == sqrt(v * S); compute integer sqrt of (v << f).
-    radicand = a64.astype(object) << fmt.fraction_bits  # python ints: no overflow
-    result = np.empty_like(a64)
-    flat_rad = radicand.reshape(-1)
-    flat_res = result.reshape(-1)
-    for i, value in enumerate(flat_rad):
-        flat_res[i] = _isqrt(int(value))
-    out = _apply_overflow(result, fmt, OverflowMode.SATURATE)
-    if np.isscalar(a) or np.asarray(a).ndim == 0:
-        return out.reshape(()).astype(np.int64)
-    return out.reshape(np.asarray(a).shape)
-
-
-def _isqrt(value: int) -> int:
-    """Integer square root (floor)."""
-
-    if value < 0:
-        raise ValueError("negative value")
-    return int(np.floor(np.sqrt(value))) if value < (1 << 52) else _isqrt_newton(value)
-
-
-def _isqrt_newton(value: int) -> int:
-    x = value
-    y = (x + 1) // 2
-    while y < x:
-        x = y
-        y = (x + value // x) // 2
-    return x
+    shift = fmt.fraction_bits
+    flat = a64.reshape(-1)
+    # a << shift < 2**52 exactly when a <= (2**52 - 1) >> shift.
+    narrow_max = ((1 << 52) - 1) >> shift
+    radicand = np.minimum(flat, narrow_max) << shift
+    result = np.floor(np.sqrt(radicand.astype(np.float64))).astype(np.int64)
+    wide = flat > narrow_max
+    if wide.any():
+        result[wide] = [math.isqrt(int(v) << shift) for v in flat[wide]]
+    return _apply_overflow(result, fmt, OverflowMode.SATURATE).reshape(a64.shape)
 
 
 def fx_relu(a: IntArray, fmt: QFormat) -> np.ndarray:

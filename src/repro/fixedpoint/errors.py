@@ -165,7 +165,7 @@ def batch_norm_error_bound(
 
     Propagates the input error through the dynamic-statistics datapath: mean
     (truncating divide), variance (truncating multiply + divide), sigma
-    (integer Newton square root, error <= one resolution step), the
+    (floor integer square root, error <= one resolution step), the
     normalising division and the gamma/beta affine step.  ``centered_max``
     bounds ``|x - mean|`` and ``sigma_min`` is a lower bound on the true
     ``sqrt(var + eps)``; both may be *per-channel arrays* — pairing each

@@ -14,7 +14,7 @@ reduced per image, never across the batch (enforced by
 The integer arithmetic follows the hardware conventions: products are
 computed at double width and renormalised by an arithmetic right shift,
 accumulation happens in a wide accumulator, and the variance/σ path uses the
-integer divide and Newton square-root units from
+integer divide and floor square-root units from
 :mod:`repro.fixedpoint.arithmetic`.
 """
 
@@ -153,21 +153,24 @@ def hw_batch_norm(
     eps_fx = fmt.to_fixed(eps)
 
     if dynamic_stats:
+        # One centred tensor feeds both the variance and the normalisation.
         flat = raw.reshape(n, c, -1)
-        mean = fx.fx_mean(flat, fmt, axis=2)
-        var = fx.fx_var(flat, fmt, axis=2)
+        mean = fx.fx_mean(flat, fmt, axis=2, keepdims=True)
+        centered_flat = fx.fx_sub(flat, mean, fmt)
+        var = fx.fx_mean(fx.fx_mul(centered_flat, centered_flat, fmt), fmt, axis=2)
+        centered = centered_flat.reshape(raw.shape)
     else:
         if running_mean is None or running_var is None:
             raise ValueError("running statistics required when dynamic_stats=False")
         mean = np.broadcast_to(running_mean.raw, (n, c))
         var = np.broadcast_to(running_var.raw, (n, c))
+        centered = fx.fx_sub(raw, mean.reshape(n, c, 1, 1), fmt)
 
     std = fx.fx_sqrt(fx.fx_add(var, eps_fx, fmt), fmt)
     # A hardware divider cannot divide by zero; clamp σ to one LSB (relevant
     # only for very narrow word lengths where small variances quantise to 0).
     std = np.maximum(std, 1)
 
-    centered = fx.fx_sub(raw, mean.reshape(n, c, 1, 1), fmt)
     normalized = fx.fx_div(centered, std.reshape(n, c, 1, 1), fmt)
     scaled = fx.fx_mul(normalized, gamma.raw.reshape(1, c, 1, 1), fmt)
     shifted = fx.fx_add(scaled, beta.raw.reshape(1, c, 1, 1), fmt)

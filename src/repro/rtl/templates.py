@@ -14,7 +14,8 @@ operation, so the emitted RTL computes bit-for-bit what
 * ``fx_mean`` — wide wrapping accumulator, one truncating division by the
   element count;
 * ``fx_sqrt`` — floor integer square root of ``value << fraction_bits`` via
-  the classic bit-by-bit algorithm (identical to the Python ``_isqrt``);
+  the classic bit-by-bit algorithm (the same exact floor as
+  :func:`~repro.fixedpoint.arithmetic.fx_sqrt`);
 * conv MAC    — 64-bit wrapping accumulation (numpy's int64 matmul wraps on
   overflow exactly like a 64-bit two's-complement adder), single
   renormalising shift, saturation.

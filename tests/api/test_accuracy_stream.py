@@ -25,7 +25,7 @@ from repro.api.accuracy import (
     accuracy_sweep,
 )
 from repro.cli import main
-from repro.fixedpoint import Q16
+from repro.fixedpoint import Q16, QFormat
 from repro.fixedpoint.errors import error_report
 from repro.fpga import BlockWeights, HardwareODEBlock
 from repro.fpga.geometry import block_geometry
@@ -62,8 +62,7 @@ class TestChunkPlumbing:
         rng = np.random.default_rng(0)
         weights = BlockWeights.random(geometry, rng, scale=0.1)
         z = rng.normal(0.0, 0.5, size=(3, 16, 32, 32))
-        acc = _measure_chunk(z, geometry, weights, Q16, collect_ref=True)
-        ref_stats = acc.pop("ref_stats")
+        ref_stats, (acc,) = _measure_chunk(z, geometry, weights, [Q16])
         stats = _finalize_error_stats(_reduce_error_stats([acc]))
 
         from repro.api.accuracy import _float_forward
@@ -75,6 +74,19 @@ class TestChunkPlumbing:
         assert stats["rms_error"] == report.rms_error
         assert stats["sqnr_db"] == report.sqnr_db
         assert stats["overflow_fraction"] == report.overflow_fraction
+        assert ref_stats["input_max"] == float(np.max(np.abs(z)))
+
+    def test_one_chunk_measures_every_format_against_one_reference(self):
+        geometry = block_geometry("layer1")
+        rng = np.random.default_rng(2)
+        weights = BlockWeights.random(geometry, rng, scale=0.1)
+        z = rng.normal(0.0, 0.5, size=(2, 16, 32, 32))
+        formats = [QFormat(32, 20), QFormat(8, 4)]
+        ref_stats, accs = _measure_chunk(z, geometry, weights, formats)
+        assert len(accs) == len(formats)
+        for fmt, acc in zip(formats, accs):
+            _, (alone,) = _measure_chunk(z, geometry, weights, [fmt])
+            assert acc == alone
         assert ref_stats["input_max"] == float(np.max(np.abs(z)))
 
     def test_merge_reference_stats_is_exact_maxmin_reduction(self):
@@ -106,6 +118,30 @@ class TestWorkerInvariance:
         serial = chunked_sweep(workers=1)
         sharded = chunked_sweep(workers=4)
         assert serial.records() == sharded.records()
+
+    def test_workers_1_equals_workers_2_with_saturating_formats(self):
+        formats = [(32, 20), (8, 4), (4, 2)]
+        serial = chunked_sweep(formats=formats, images=7, chunk_size=3, workers=1)
+        sharded = chunked_sweep(formats=formats, images=7, chunk_size=3, workers=2)
+        assert serial.records() == sharded.records()
+        assert max(p.overflow_fraction for p in serial.points) > 0.0
+
+    def test_float_reference_runs_once_per_chunk(self, monkeypatch):
+        """The reference is format-independent: n_chunks runs, not formats x chunks."""
+
+        from repro.api import accuracy
+
+        calls = []
+        original = accuracy._float_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(accuracy, "_float_forward", counting)
+        result = chunked_sweep(formats=[(32, 20), (16, 8), (12, 6)], images=10, chunk_size=4)
+        assert result.chunks == 3
+        assert len(calls) == result.chunks
 
     def test_chunked_results_are_deterministic_across_runs(self):
         assert chunked_sweep().records() == chunked_sweep().records()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,88 @@ class TestSqrt:
         root = fx_sqrt(to_fx(value), F)
         squared = to_float(fx_mul(root, root, F))
         assert squared == pytest.approx(value, abs=max(4 * F.resolution, 4 * F.resolution * np.sqrt(value)))
+
+
+def exact_sqrt(values, fmt):
+    """The RTL ``isqrt64`` semantics: floor sqrt of ``v << f``, saturated."""
+
+    return [min(math.isqrt(int(v) << fmt.fraction_bits), fmt.max_int) for v in values]
+
+
+@st.composite
+def qformats(draw):
+    word_length = draw(st.integers(4, 64))
+    return QFormat(word_length, draw(st.integers(0, word_length - 1)))
+
+
+class TestSqrtConformance:
+    """fx_sqrt is the exact floor isqrt on both sides of the 2**52 float split."""
+
+    @given(qformats(), st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_isqrt_any_input(self, fmt, values):
+        assert fx_sqrt(np.array(values), fmt).tolist() == exact_sqrt(values, fmt)
+
+    @given(qformats(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_isqrt_representable_input(self, fmt, data):
+        values = data.draw(st.lists(st.integers(0, fmt.max_int), min_size=1, max_size=16))
+        assert fx_sqrt(np.array(values), fmt).tolist() == exact_sqrt(values, fmt)
+
+    def test_every_format_at_the_float_split(self):
+        """Radicands just below, at and above 2**52 for every (word, fraction) pair."""
+
+        for word_length in range(4, 65):
+            for fraction_bits in range(word_length):
+                fmt = QFormat(word_length, fraction_bits)
+                split = ((1 << 52) - 1) >> fraction_bits
+                values = [v for v in (0, 1, split - 1, split, split + 1, fmt.max_int) if v >= 0]
+                assert fx_sqrt(np.array(values), fmt).tolist() == exact_sqrt(values, fmt)
+
+    def test_perfect_square_boundaries_past_2_26(self):
+        """k**2 - 1, k**2 and k**2 + 1 for k up to and past 2**26 (radicand 2**52)."""
+
+        fmt = QFormat(64, 0)
+        rng = np.random.default_rng(0)
+        ks = set(range(1, 2048))
+        ks |= set(range(2**26 - 512, 2**26 + 512))
+        ks |= {2**j + d for j in range(1, 31) for d in (-1, 0, 1)}
+        ks |= {int(k) for k in rng.integers(2**20, 2**31, size=2000)}
+        ks = sorted(ks)
+        values = [k * k + d for k in ks for d in (-1, 0, 1)]
+        result = fx_sqrt(np.array(values), fmt).tolist()
+        expected = [k - 1 if d < 0 else k for k in ks for d in (-1, 0, 1)]
+        assert result == expected
+        assert max(values) > 2**52 > min(values)
+
+    @pytest.mark.parametrize(
+        "value, shape",
+        [
+            (7, ()),
+            (np.int64(7), ()),
+            (np.array(7), ()),
+            (np.array([7]), (1,)),
+            (np.arange(24).reshape(2, 3, 4), (2, 3, 4)),
+            (np.zeros((0, 3), dtype=np.int64), (0, 3)),
+        ],
+    )
+    def test_shape_and_dtype_preserved(self, value, shape):
+        out = fx_sqrt(value, F)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == shape and out.dtype == np.int64
+
+    def test_wide_path_keeps_shape(self):
+        fmt = QFormat(64, 40)
+        values = np.array([[0, 1 << 40], [1 << 50, 3]])
+        out = fx_sqrt(values, fmt)
+        assert out.shape == (2, 2) and out.dtype == np.int64
+        assert out.tolist() == [exact_sqrt(row, fmt) for row in values.tolist()]
+
+    def test_negative_rejected_on_both_paths(self):
+        with pytest.raises(ValueError):
+            fx_sqrt(np.array([4, -1]), F)
+        with pytest.raises(ValueError):
+            fx_sqrt(np.array([1 << 50, -1]), QFormat(64, 40))
 
 
 class TestStatistics:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fixedpoint import FxArray, Q20
+from repro.fixedpoint import FxArray, Q20, QFormat
+from repro.fixedpoint import arithmetic as fx
 from repro.fpga.ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -111,6 +112,43 @@ class TestHwBatchNorm:
             Tensor(x[None]), Parameter(gamma), Parameter(beta), mean.copy(), var.copy(), training=False
         ).data[0]
         np.testing.assert_allclose(hw, sw, atol=5e-3)
+
+
+def legacy_dynamic_batch_norm(x: FxArray, gamma: FxArray, beta: FxArray, eps: float = 1e-5):
+    """The original composition: fx_mean -> fx_var -> fx_sub -> fx_div -> fx_mul -> fx_add."""
+
+    fmt = x.fmt
+    raw = x.raw if x.ndim == 4 else x.raw[None, ...]
+    n, c = raw.shape[:2]
+    flat = raw.reshape(n, c, -1)
+    mean = fx.fx_mean(flat, fmt, axis=2)
+    var = fx.fx_var(flat, fmt, axis=2)
+    std = np.maximum(fx.fx_sqrt(fx.fx_add(var, fmt.to_fixed(eps), fmt), fmt), 1)
+    centered = fx.fx_sub(raw, mean.reshape(n, c, 1, 1), fmt)
+    normalized = fx.fx_div(centered, std.reshape(n, c, 1, 1), fmt)
+    scaled = fx.fx_mul(normalized, gamma.raw.reshape(1, c, 1, 1), fmt)
+    shifted = fx.fx_add(scaled, beta.raw.reshape(1, c, 1, 1), fmt)
+    return shifted if x.ndim == 4 else shifted[0]
+
+
+class TestHwBatchNormBitIdentity:
+    """The single-pass statistics equal the legacy composition bit for bit."""
+
+    @pytest.mark.parametrize(
+        "fmt, scale",
+        [(Q20, 2.0), (QFormat(16, 8), 4.0), (QFormat(6, 4), 3.0), (QFormat(4, 2), 3.0)],
+        ids=["Q20", "Q8-16bit", "Q6.4-saturating", "Q4.2-saturating"],
+    )
+    @pytest.mark.parametrize("shape", [(5, 6, 6), (3, 5, 4, 4)], ids=["image", "batch"])
+    def test_matches_legacy_composition(self, rng, fmt, scale, shape):
+        x = FxArray.from_float(rng.normal(0.5, scale, size=shape), fmt)
+        c = shape[-3]
+        gamma = FxArray.from_float(rng.normal(1.0, 0.5, size=c), fmt)
+        beta = FxArray.from_float(rng.normal(0.0, 0.5, size=c), fmt)
+        out = hw_batch_norm(x, gamma, beta, dynamic_stats=True)
+        expected = legacy_dynamic_batch_norm(x, gamma, beta)
+        assert out.raw.dtype == np.int64
+        np.testing.assert_array_equal(out.raw, expected)
 
 
 class TestReluAndResidual:

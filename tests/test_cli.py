@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,6 +183,16 @@ STRICT_JSON_INVOCATIONS = {
 }
 
 
+#: ``--format json`` invocations (a path that bypasses the ``--json`` encoder).
+FORMAT_JSON_INVOCATIONS = {
+    "sim-fmea-degenerate": STRICT_JSON_INVOCATIONS["sim-fmea-degenerate"],
+    # A zero input makes the datapath error-free: sqnr_db is +inf.
+    "accuracy-sweep-error-free": [
+        "accuracy-sweep", "--formats", "32:20", "--images", "2", "--input-scale", "0",
+    ],
+}
+
+
 def _reject_constant(token: str):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -196,10 +210,50 @@ class TestStrictJson:
         out = run_cli(capsys, *argv, "--json")
         json.loads(out, parse_constant=_reject_constant)
 
-    def test_format_json_is_strict_too(self, capsys):
-        argv = STRICT_JSON_INVOCATIONS["sim-fmea-degenerate"]
-        out = run_cli(capsys, *argv, "--format", "json")
+    @pytest.mark.parametrize("case", sorted(FORMAT_JSON_INVOCATIONS))
+    def test_format_json_is_strict_too(self, capsys, case):
+        out = run_cli(capsys, *FORMAT_JSON_INVOCATIONS[case], "--format", "json")
         json.loads(out, parse_constant=_reject_constant)
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: every write raises."""
+
+    def __init__(self, fd: int) -> None:
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+class TestClosedStdout:
+    """``repro-odenet ... | head`` ends quietly, without a traceback."""
+
+    ARGV = ["accuracy-sweep", "--formats", "32:20", "--images", "2", "--format", "json"]
+
+    def test_broken_pipe_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+            assert main(self.ARGV) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_real_process(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *self.ARGV],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestEvalCommand:
