@@ -12,10 +12,11 @@ Three measurements, each value-checked before timing is trusted:
    before NumPy is imported).
 
 2. **Sharded accuracy_sweep scaling** — the streamed sweep at 1, 2 and 4
-   workers over the same chunk grid (one pool task per chunk: the float
-   reference runs once and every format is measured against it, and BN's
-   square root is one vectorised floor isqrt, not a per-element Newton
-   loop).  Worker-count invariance is asserted
+   workers over the same chunk grid (one pool task per chunk: the worker
+   draws the chunk's inputs from its ``default_rng((seed, chunk))``
+   stream, the float reference runs once and every format is measured
+   against it, and BN's square root is one vectorised floor isqrt, not a
+   per-element Newton loop).  Worker-count invariance is asserted
    (records bit-identical across worker counts); the wall-clock curve is
    reported.
 

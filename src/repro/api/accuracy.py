@@ -28,13 +28,16 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._pool import ordered_map
 from ..analysis.report import strict_json
-from ..fixedpoint.errors import error_report, odeblock_error_bound
+from ..fixedpoint.errors import odeblock_error_bound
 from ..fixedpoint.qformat import QFormat
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
 from ..fpga.bram import bram_fits_kernel, bram_tiles_kernel
@@ -59,6 +62,22 @@ DEFAULT_FORMAT_LADDER: Tuple[Tuple[int, int], ...] = (
 BN_EPS = 1e-5
 
 FormatLike = Union[QFormat, Tuple[int, int]]
+
+
+def _positive_int(name: str, value: object, hint: str = "") -> int:
+    """``value`` as an int, else a named ``ValueError``.
+
+    ``operator.index`` accepts Python and NumPy integers but rejects ``2.5``
+    instead of truncating it.
+    """
+
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = 0
+    if number < 1:
+        raise ValueError(f"{name} must be a positive integer{hint} (got {value!r})")
+    return number
 
 
 def _as_qformat(fmt: FormatLike) -> QFormat:
@@ -229,22 +248,41 @@ def _measure_chunk(
                 "sse": float(np.sum(np.square(error))),
                 "ssr": ssr,
                 "max_abs": float(np.max(np.abs(error))),
-                # The representable *count* (not the overflow fraction): the
-                # legacy formula is ``1.0 - representable.mean()`` and only the
-                # count form reproduces it bit-for-bit after reduction.
+                # The representable *count* (not the overflow fraction):
+                # ``error_report`` computes ``1.0 - representable.mean()`` and
+                # only the count form reproduces it bit-for-bit after reduction.
                 "repr_count": int(np.sum(fmt.representable(reference))),
             }
         )
     return _reference_stats(z, stages), accumulators
 
 
+def _measure_seeded_chunk(
+    seed: int,
+    input_scale: float,
+    geometry: BlockGeometry,
+    weights: BlockWeights,
+    formats: Sequence[QFormat],
+    chunk: Tuple[int, int],
+) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """Draw one ``(chunk index, n_images)`` chunk's inputs and measure them.
+
+    A chunk's inputs are a pure function of ``(seed, chunk)``, so a pool
+    worker draws its own and the parent never holds input arrays.
+    """
+
+    index, n_images = chunk
+    z = _chunk_inputs(seed, index, n_images, geometry, input_scale)
+    return _measure_chunk(z, geometry, weights, formats)
+
+
 def _finalize_error_stats(acc: Dict[str, object]) -> Dict[str, float]:
     """Finished metrics from reduced accumulators, matching ``error_report``.
 
     ``np.mean`` is ``np.sum / n`` (same pairwise reduction), so on a single
-    chunk these formulas are bit-identical to the legacy whole-batch
-    :func:`repro.fixedpoint.errors.error_report` path; the zero-power edge
-    cases mirror :func:`repro.fixedpoint.errors.sqnr_db` exactly.
+    chunk these formulas are bit-identical to the whole-batch
+    :func:`repro.fixedpoint.errors.error_report` reference; the zero-power
+    edge cases mirror :func:`repro.fixedpoint.errors.sqnr_db` exactly.
     """
 
     n = acc["n"]
@@ -275,48 +313,6 @@ def _reduce_error_stats(chunks: Sequence[Dict[str, object]]) -> Dict[str, object
         total["max_abs"] = max(total["max_abs"], acc["max_abs"])
         total["repr_count"] += acc["repr_count"]
     return total
-
-
-# -- process-pool sharding ----------------------------------------------------------------
-
-_WORKER_CONTEXT: Dict[str, object] = {}
-
-
-def _init_sweep_worker(geometry: BlockGeometry, weights: BlockWeights, formats: List[QFormat]) -> None:
-    """Pool initializer: ship the small, constant state once per worker.
-
-    Only the weights (a few hundred KB) and the geometry/format descriptors
-    are pickled; feature maps travel through ``multiprocessing.shared_memory``
-    and are never serialised.
-    """
-
-    _WORKER_CONTEXT["geometry"] = geometry
-    _WORKER_CONTEXT["weights"] = weights
-    _WORKER_CONTEXT["formats"] = formats
-
-
-def _measure_chunk_shm(
-    shm_name: str, shape: Tuple[int, ...]
-) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
-    """Module-level worker (picklable): measure one chunk in every format.
-
-    Attaches the chunk's shared-memory block read-only, copies it into
-    worker-local memory (so the parent may recycle the block as soon as all
-    readers finish) and runs :func:`_measure_chunk`.
-    """
-
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        z = np.array(
-            np.ndarray(shape, dtype=np.float64, buffer=shm.buf), dtype=np.float64, copy=True
-        )
-    finally:
-        shm.close()
-    return _measure_chunk(
-        z, _WORKER_CONTEXT["geometry"], _WORKER_CONTEXT["weights"], _WORKER_CONTEXT["formats"]
-    )
 
 
 # -- result container --------------------------------------------------------------------
@@ -493,25 +489,27 @@ def accuracy_sweep(
         pushes narrow formats into saturation, which is exactly the regime
         the ``overflow_fraction`` column reports on.
     workers:
-        Process count for the sharded sweep.  ``workers > 1`` requires
-        ``chunk_size`` (chunking defines the shard grid); the numbers are
-        **worker-count-invariant** — workers only move wall-clock time.
+        Worker processes over the chunks (1 = inline).  ``workers > 1``
+        requires ``chunk_size`` (chunking defines the work items); each
+        worker draws its chunk's inputs from the chunk's seeded stream, so
+        the numbers are **worker-count-invariant** — workers only move
+        wall-clock time.
     chunk_size:
         Images per streamed chunk.  ``None`` (the default) keeps the legacy
-        single-batch path, bit-identical to earlier releases.  Setting it
-        switches to streaming accumulation: inputs come from per-chunk
-        ``default_rng((seed, chunk))`` streams, error statistics accumulate
-        as running sums, and peak memory is bounded by the chunk size —
-        dataset-scale sweeps fit in RAM.
+        single-stream inputs, bit-identical to earlier releases: weights and
+        the whole batch come from one ``default_rng(seed)`` stream and are
+        measured as one chunk.  Setting it switches to streaming
+        accumulation: inputs come from per-chunk ``default_rng((seed,
+        chunk))`` streams, error statistics accumulate as running sums, and
+        peak memory is bounded by the chunk size — dataset-scale sweeps fit
+        in RAM.  ``images``, ``workers`` and ``chunk_size`` must be integers
+        (NumPy integers included); anything else is a ``ValueError``.
     """
 
-    if images < 1:
-        raise ValueError("images must be a positive integer")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
-    if chunk_size is not None and int(chunk_size) < 1:
-        raise ValueError("chunk_size must be a positive integer (or None for the legacy path)")
+    images = _positive_int("images", images)
+    workers = _positive_int("workers", workers)
+    if chunk_size is not None:
+        chunk_size = _positive_int("chunk_size", chunk_size, " (or None for the legacy path)")
     if workers > 1 and chunk_size is None:
         raise ValueError(
             "workers > 1 requires chunk_size: the chunk grid defines the shards "
@@ -528,41 +526,27 @@ def accuracy_sweep(
         raise ValueError("n_units must be a non-empty sequence of positive integers")
 
     if chunk_size is None:
-        # Legacy single-batch path: weights and inputs drawn from one
-        # ``default_rng(seed)`` stream, whole batch measured in one shot.
-        # Bit-identical to every release before the streaming mode existed.
+        # Legacy single-stream inputs: weights, then the whole batch, from
+        # one ``default_rng(seed)`` stream, measured as a single chunk.
         rng = np.random.default_rng(seed)
         weights = BlockWeights.random(geometry, rng, scale=weight_scale)
         z = rng.normal(
             0.0, input_scale, size=(images, geometry.in_channels, geometry.height, geometry.width)
         )
-        stages = _float_forward(weights, z, stride=geometry.stride)
-        reference = stages["output"]
-        ref_stats = _reference_stats(z, stages)
-        fmt_stats: List[Dict[str, float]] = []
-        for fmt in format_list:
-            hw = HardwareODEBlock(geometry, weights, n_units=unit_list[0], qformat=fmt, board=board)
-            report = error_report(reference, hw.dynamics_batch(z), fmt)
-            fmt_stats.append(
-                {
-                    "max_abs_error": report.max_abs_error,
-                    "rms_error": report.rms_error,
-                    "sqnr_db": report.sqnr_db,
-                    "overflow_fraction": report.overflow_fraction,
-                }
-            )
-        n_chunks = 1
+        chunks = [_measure_chunk(z, geometry, weights, format_list)]
     else:
-        chunk_size = int(chunk_size)
         weights = BlockWeights.random(geometry, np.random.default_rng(seed), scale=weight_scale)
-        bounds = _chunk_bounds(images, chunk_size)
-        n_chunks = len(bounds)
-        chunks = _run_sharded(geometry, weights, format_list, bounds, seed, input_scale, workers)
-        ref_stats = _merge_reference_stats([ref for ref, _ in chunks])
-        fmt_stats = [
-            _finalize_error_stats(_reduce_error_stats([accs[i] for _, accs in chunks]))
-            for i in range(len(format_list))
-        ]
+        task = partial(_measure_seeded_chunk, seed, input_scale, geometry, weights, format_list)
+        items = [(c, hi - lo) for c, (lo, hi) in enumerate(_chunk_bounds(images, chunk_size))]
+        # Results come back in ascending chunk order — the order the
+        # accumulators reduce in — for any worker count.
+        chunks = ordered_map(task, items, workers)
+    n_chunks = len(chunks)
+    ref_stats = _merge_reference_stats([ref for ref, _ in chunks])
+    fmt_stats = [
+        _finalize_error_stats(_reduce_error_stats([accs[i] for _, accs in chunks]))
+        for i in range(len(format_list))
+    ]
 
     # Cost/feasibility columns are closed-form kernels over the unit axis,
     # with every board-derived constant (AXI clock, fabric delay scale,
@@ -612,61 +596,3 @@ def accuracy_sweep(
         chunks=n_chunks,
     )
 
-
-def _run_sharded(
-    geometry: BlockGeometry,
-    weights: BlockWeights,
-    format_list: List[QFormat],
-    bounds: List[Tuple[int, int]],
-    seed: int,
-    input_scale: float,
-    workers: int,
-) -> List[Tuple[Dict[str, object], List[Dict[str, object]]]]:
-    """Measure every chunk, inline or across a process pool (one task each).
-
-    Returns each chunk's ``(ref_stats, per-format accumulators)`` in
-    ascending chunk order, which is the order the parent reduces in, so the
-    two execution modes — and any worker count — produce bit-identical
-    sweeps.
-    """
-
-    if workers == 1:
-        return [
-            _measure_chunk(
-                _chunk_inputs(seed, c, hi - lo, geometry, input_scale),
-                geometry,
-                weights,
-                format_list,
-            )
-            for c, (lo, hi) in enumerate(bounds)
-        ]
-
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    chunks = []
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_sweep_worker,
-        initargs=(geometry, weights, format_list),
-    ) as pool:
-        # Wave-per-chunk scheduling: at most ``workers`` chunks of input live
-        # in shared memory at once, so peak memory stays bounded by
-        # ``workers * chunk_size`` images however large the sweep is.
-        for wave_start in range(0, len(bounds), workers):
-            shms = []
-            futures = []
-            try:
-                for c in range(wave_start, min(wave_start + workers, len(bounds))):
-                    lo, hi = bounds[c]
-                    z = _chunk_inputs(seed, c, hi - lo, geometry, input_scale)
-                    shm = shared_memory.SharedMemory(create=True, size=z.nbytes)
-                    shms.append(shm)
-                    np.ndarray(z.shape, dtype=np.float64, buffer=shm.buf)[...] = z
-                    futures.append(pool.submit(_measure_chunk_shm, shm.name, z.shape))
-                chunks.extend(future.result() for future in futures)
-            finally:
-                for shm in shms:
-                    shm.close()
-                    shm.unlink()
-    return chunks

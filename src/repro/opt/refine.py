@@ -25,18 +25,20 @@ Determinism: every candidate owns an RNG stream derived as
 ``default_rng((seed, sha256(candidate.key)))`` — independent of enumeration
 order, worker count and rung — and all tie-breaking (halving ranks, best
 selection) falls back to the candidate key.  Seeded runs are bit-identical
-for any ``workers`` value.
+for any ``workers`` value: stage-2 cohorts fan out through
+:func:`repro._pool.ordered_map`, which returns results in cohort order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._pool import ordered_map
 from ..api.evaluator import Evaluator
 from .constraints import Constraint, Objective, parse_constraint, parse_objective
 from .report import CandidateRecord, OptReport
@@ -128,26 +130,20 @@ def _fleet_metrics(report) -> Dict[str, Optional[float]]:
     return out
 
 
-def _evaluate_payload(payload) -> Dict[str, Optional[float]]:
-    """Evaluate one (fidelity, scenario, faults...) payload.
-
-    Module-level so a :class:`ProcessPoolExecutor` can pickle it; each pool
-    worker builds its own :class:`Evaluator` (pure memoization — results are
-    identical to the inline path).
-    """
-
-    fidelity, scenario, modes, fault_samples, fault_seed = payload
-    return _evaluate_scenario(fidelity, scenario, Evaluator(), modes, fault_samples, fault_seed)
-
-
 def _evaluate_scenario(
     fidelity: str,
-    scenario,
     evaluator: Evaluator,
     modes,
     fault_samples: int,
-    fault_seed: int,
+    job: Tuple[object, int],
 ) -> Dict[str, Optional[float]]:
+    """Metrics of one ``(scenario, fault_seed)`` job at ``fidelity``.
+
+    ``simulate`` and friends are resolved at call time, so a profiler that
+    wraps ``repro.sim.simulate`` sees every evaluation.
+    """
+
+    scenario, fault_seed = job
     if fidelity == "fleet":
         from ..fleet import simulate_fleet
 
@@ -220,13 +216,13 @@ class _Search:
 
     # -- evaluation fan-out ------------------------------------------------------------
 
-    def _payload(self, candidate: Candidate, fraction: float):
+    def _job(self, candidate: Candidate, fraction: float):
         sim_seed, fault_seed = candidate_seeds(self.seed, candidate.key)
         if self.fidelity == "fleet":
             scenario = self.space.fleet_scenario(candidate, seed=sim_seed, fraction=fraction)
         else:
             scenario = self.space.sim_scenario(candidate, seed=sim_seed, fraction=fraction)
-        return (self.fidelity, scenario, self.modes, self.fault_samples, fault_seed)
+        return scenario, fault_seed
 
     def evaluate(
         self, cohort: Sequence[Candidate], fraction: float
@@ -237,17 +233,10 @@ class _Search:
         process pool, so the worker count never changes the outcome.
         """
 
-        payloads = [self._payload(c, fraction) for c in cohort]
-        if self.workers > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(_evaluate_payload, payloads))
-        else:
-            results = [
-                _evaluate_scenario(
-                    self.fidelity, scenario, self.evaluator, modes, samples, fault_seed
-                )
-                for (_, scenario, modes, samples, fault_seed) in payloads
-            ]
+        task = partial(
+            _evaluate_scenario, self.fidelity, self.evaluator, self.modes, self.fault_samples
+        )
+        results = ordered_map(task, [self._job(c, fraction) for c in cohort], self.workers)
         for candidate, metrics in zip(cohort, results):
             record = self.records[self.index[candidate.key]]
             record.cost += fraction

@@ -55,21 +55,32 @@ class TestChunkPlumbing:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_streamed_accumulators_match_error_report_on_one_chunk(self):
-        """Single-chunk streaming == the legacy whole-batch formulas, bitwise."""
+    @pytest.mark.parametrize(
+        "fmt, input_scale",
+        [
+            pytest.param(Q16, 0.5, id="16:8"),
+            # Saturating formats: overflow_fraction > 0 and a large error.
+            pytest.param(QFormat(6, 4), 4.0, id="6:4-saturating"),
+            pytest.param(QFormat(4, 2), 4.0, id="4:2-saturating"),
+            # All-zero inputs: the sqnr_db edge cases.
+            pytest.param(Q16, 0.0, id="16:8-zero-input"),
+        ],
+    )
+    def test_streamed_accumulators_match_error_report_on_one_chunk(self, fmt, input_scale):
+        """Single-chunk streaming == the whole-batch ``error_report`` formulas, bitwise."""
 
         geometry = block_geometry("layer1")
         rng = np.random.default_rng(0)
         weights = BlockWeights.random(geometry, rng, scale=0.1)
-        z = rng.normal(0.0, 0.5, size=(3, 16, 32, 32))
-        ref_stats, (acc,) = _measure_chunk(z, geometry, weights, [Q16])
+        z = rng.normal(0.0, input_scale, size=(3, 16, 32, 32))
+        ref_stats, (acc,) = _measure_chunk(z, geometry, weights, [fmt])
         stats = _finalize_error_stats(_reduce_error_stats([acc]))
 
         from repro.api.accuracy import _float_forward
 
         stages = _float_forward(weights, z, stride=geometry.stride)
-        hw = HardwareODEBlock(geometry, weights, qformat=Q16)
-        report = error_report(stages["output"], hw.dynamics_batch(z), Q16)
+        hw = HardwareODEBlock(geometry, weights, qformat=fmt)
+        report = error_report(stages["output"], hw.dynamics_batch(z), fmt)
         assert stats["max_abs_error"] == report.max_abs_error
         assert stats["rms_error"] == report.rms_error
         assert stats["sqnr_db"] == report.sqnr_db
@@ -164,11 +175,31 @@ class TestValidationAndEcho:
         with pytest.raises(ValueError, match="requires chunk_size"):
             accuracy_sweep(block="layer1", images=4, workers=2)
 
-    def test_bad_worker_and_chunk_values(self):
-        with pytest.raises(ValueError, match="workers"):
-            accuracy_sweep(block="layer1", images=4, workers=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            accuracy_sweep(block="layer1", images=4, chunk_size=0)
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            pytest.param({"workers": 0}, "workers", id="workers=0"),
+            pytest.param({"chunk_size": 0}, "chunk_size", id="chunk_size=0"),
+            pytest.param({"images": 0}, "images", id="images=0"),
+            # Non-integers raise instead of truncating: chunk_size=2.5 would
+            # otherwise run as 2 and change the seeded numbers.
+            pytest.param({"workers": 2.5, "chunk_size": 2}, "workers", id="workers=2.5"),
+            pytest.param({"chunk_size": 2.5}, "chunk_size", id="chunk_size=2.5"),
+            pytest.param({"images": 2.5}, "images", id="images=2.5"),
+            pytest.param({"images": "4"}, "images", id="images=str"),
+        ],
+    )
+    def test_bad_worker_and_chunk_values(self, bad, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            accuracy_sweep(**{"block": "layer1", "images": 4, **bad})
+
+    def test_numpy_integers_are_accepted(self):
+        counts = dict(images=np.int64(10), chunk_size=np.int32(4), workers=np.int64(1))
+        result = chunked_sweep(**counts)
+        assert result.records() == chunked_sweep().records()
+        echo = result.reproducibility
+        assert (echo["images"], echo["chunk_size"], echo["workers"]) == (10, 4, 1)
+        assert all(type(echo[key]) is int for key in ("images", "chunk_size", "workers"))
 
     def test_reproducibility_echo_fields(self):
         result = chunked_sweep(images=10, chunk_size=4, workers=2)

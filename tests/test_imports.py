@@ -29,7 +29,11 @@ SUBSYSTEMS = (
     "repro.opt", "repro.rtl", "repro.sim", "repro.train",
 )
 
-#: CLI argv -> the subsystems that call imports (every other one must stay out).
+#: Modules only a process pool needs: no serial CLI call may load them.
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+#: CLI argv -> the subsystems that call imports (every other one, and every
+#: pool module, must stay out).
 CALLS = {
     "eval": (["eval", "rODENet-3", "--depth", "56", "--json"], set()),
     "table1": (["table1"], set()),
@@ -45,16 +49,26 @@ CALLS = {
         ["accuracy-sweep", "--images", "1", "--formats", "16:8", "--json"],
         {"repro.api.accuracy", "repro.api.batch", "repro.fpga.odeblock_hw"},
     ),
+    "optimize-sim": (
+        [
+            "optimize", "--objective", "min:energy_per_request_J",
+            "--constraint", "p95_ms<=250", "--fidelity", "sim", "--requests", "100",
+            "--n-units", "16", "32", "--replicas", "1", "2",
+            "--arrivals", "poisson", "--rate", "0.5", "--seed", "0", "--json",
+        ],
+        {"repro.api.batch", "repro.fleet", "repro.opt", "repro.sim"},
+    ),
 }
 
 
 def _fresh_modules(code: str) -> set:
-    """The ``repro`` modules a fresh interpreter holds after running ``code``."""
+    """The ``repro`` and pool modules a fresh interpreter holds after running ``code``."""
 
     probe = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        f"    if m.startswith('repro') or m in {POOL_MODULES!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -76,7 +90,7 @@ class TestFreshInterpreter:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0"
         )
-        assert {m for m in SUBSYSTEMS if m in loaded} == needed
+        assert {m for m in SUBSYSTEMS + POOL_MODULES if m in loaded} == needed
 
     def test_shadowing_names_survive_a_direct_submodule_import(self):
         # ``sweep``, ``accuracy_model`` and ``odeint`` are both a submodule and
