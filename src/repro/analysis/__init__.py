@@ -10,7 +10,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".figures": ("figure5_series", "figure6_series", "merge_measured_accuracy"),
         ".report": (
-            "format_records", "format_series", "format_table", "json_safe", "strict_json",
+            "csv_text", "format_records", "format_series", "format_table", "json_safe",
+            "strict_json",
         ),
         ".tables": (
             "table1_records", "table2_records", "table3_records", "table4_records",

@@ -1,13 +1,18 @@
 """Plain-text table rendering used by the examples and benchmarks, plus the
-strict JSON serialiser every structured report passes through."""
+strict JSON serialiser and the CSV writer every structured report passes
+through."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from typing import Dict, Iterable, List, Mapping, Sequence
 
-__all__ = ["format_table", "format_records", "format_series", "json_safe", "strict_json"]
+__all__ = [
+    "csv_text", "format_table", "format_records", "format_series", "json_safe", "strict_json",
+]
 
 
 def json_safe(value: object) -> object:
@@ -31,6 +36,18 @@ def strict_json(data: object, indent: int = 2) -> str:
     """RFC 8259 JSON: non-finite floats become null, never bare NaN/Infinity."""
 
     return json.dumps(json_safe(data), indent=indent, allow_nan=False)
+
+
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """CSV document of ``rows`` (the header is the first row).
+
+    Lines end in ``"\n"`` and the trailing newline is stripped, so no rows
+    give ``""``.
+    """
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 def _format_cell(value) -> str:

@@ -26,8 +26,7 @@ other two-column) frontier, mirroring :class:`repro.api.batch.BatchResult`.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -36,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._pool import ordered_map
-from ..analysis.report import strict_json
+from ..analysis.report import csv_text, strict_json
 from ..fixedpoint.errors import odeblock_error_bound
 from ..fixedpoint.qformat import QFormat
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
@@ -411,12 +410,7 @@ class AccuracySweepResult:
     def to_csv(self) -> str:
         if not self.points:
             return ""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(COLUMNS))
-        for point in self.points:
-            writer.writerow(list(point.as_dict().values()))
-        return buf.getvalue().rstrip("\n")
+        return csv_text([COLUMNS, *(p.as_dict().values() for p in self.points)])
 
     def to_json(self, indent: int = 2) -> str:
         """Strict RFC 8259 JSON: non-finite values (an error-free ``sqnr_db``) become null."""
@@ -510,6 +504,8 @@ def accuracy_sweep(
     workers = _positive_int("workers", workers)
     if chunk_size is not None:
         chunk_size = _positive_int("chunk_size", chunk_size, " (or None for the legacy path)")
+    if not 0 <= input_scale < math.inf:
+        raise ValueError(f"input_scale must be non-negative and finite (got {input_scale!r})")
     if workers > 1 and chunk_size is None:
         raise ValueError(
             "workers > 1 requires chunk_size: the chunk grid defines the shards "

@@ -38,15 +38,14 @@ engine and spliced into the same columns.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.accuracy_model import accuracy_model
-from ..analysis.report import strict_json
+from ..analysis.report import csv_text, strict_json
 from ..core.execution_model import (
     ExecutionTimeModel,
     PAPER_OFFLOAD_TARGETS,
@@ -684,11 +683,7 @@ class BatchResult:
 
         if not len(self):
             return ""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(FLAT_COLUMNS))
-        writer.writerows(self._flat_rows())
-        return buf.getvalue().rstrip("\n")
+        return csv_text(itertools.chain([FLAT_COLUMNS], self._flat_rows()))
 
     def to_json(self, indent: int = 2) -> str:
         """JSON array of nested result dictionaries (loop-engine layout)."""

@@ -20,13 +20,11 @@ subcommands and the benchmark harness emit.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from ..analysis.report import strict_json
+from ..analysis.report import csv_text, strict_json
 from .scenario import Scenario
 
 __all__ = ["Result"]
@@ -121,16 +119,12 @@ class Result:
     def csv_header(self) -> str:
         """CSV header line matching :meth:`to_csv_row` (no trailing newline)."""
 
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(list(self.flat_dict().keys()))
-        return buf.getvalue()
+        return csv_text([self.flat_dict().keys()])
 
     def to_csv_row(self) -> str:
         """One CSV data line (no trailing newline)."""
 
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(list(self.flat_dict().values()))
-        return buf.getvalue()
+        return csv_text([self.flat_dict().values()])
 
     # -- rendering ---------------------------------------------------------------------
 

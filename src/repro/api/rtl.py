@@ -76,6 +76,8 @@ def export_rtl(
     a skip, not a failure, when it does not).
     """
 
+    if vectors < 0:
+        raise ValueError(f"vectors must be non-negative, 0 for none (got {vectors!r})")
     board_spec = _resolve_board(board)
     qf = _resolve_qformat(qformat)
     out = Path(out_dir)

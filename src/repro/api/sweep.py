@@ -17,10 +17,9 @@ debugging a single design point end to end.
 
 from __future__ import annotations
 
-import io
 from typing import Iterable, List, Optional, Sequence
 
-from ..analysis.report import strict_json
+from ..analysis.report import csv_text, strict_json
 from .evaluator import Evaluator
 from .result import Result
 from .scenario import Scenario
@@ -92,13 +91,7 @@ def results_to_csv(results: Sequence[Result]) -> str:
 
     if not results:
         return ""
-    buf = io.StringIO()
-    buf.write(results[0].csv_header())
-    buf.write("\n")
-    for result in results:
-        buf.write(result.to_csv_row())
-        buf.write("\n")
-    return buf.getvalue().rstrip("\n")
+    return "\n".join([results[0].csv_header(), *(r.to_csv_row() for r in results)])
 
 
 def results_to_json(results: Sequence[Result], indent: int = 2) -> str:

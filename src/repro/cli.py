@@ -28,7 +28,10 @@ rtl            ODEBlock Verilog emission + vectors + structural/sim checks
 ============  ==========================================================
 
 Every sub-command accepts ``--json`` to emit the structured result instead
-of the formatted text tables.
+of the formatted text tables.  Handlers return lazily built views of their
+result and :func:`main` prints exactly one: ``--json`` (or ``--format
+json``) the strict-JSON payload, ``--format csv`` the CSV document, and
+otherwise the text table.
 
 The commands are registered with the :func:`command` decorator and all of
 them are served by one :class:`repro.api.Evaluator`, so adding a new
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ._lazy import lazy_exports
-from .analysis import format_records, format_series, strict_json
+from .analysis import csv_text, format_records, format_series, strict_json
 from .api import (
     SCENARIO_MODELS,
     TRAINING_PROJECTION_KEYS,
@@ -56,7 +59,7 @@ from .api import (
 )
 from .api import sweep as run_sweep
 from .api.sweep import SweepError
-from .core import SUPPORTED_DEPTHS
+from .core import OFFLOADABLE_LAYER_NAMES, SUPPORTED_DEPTHS
 from .ode.solvers import available_methods
 from .platform import BOARDS, PYNQ_Z2
 
@@ -74,10 +77,15 @@ MODEL_CHOICES: List[str] = list(SCENARIO_MODELS)
 
 @dataclass(frozen=True)
 class CommandOutput:
-    """What a handler returns: rendered text plus the structured payload."""
+    """What a handler returns: builders of its views, called only when printed.
 
-    text: str
-    data: object
+    ``text`` builds the text table, ``data`` the structured payload and
+    ``csv`` (for sub-commands offering ``--format csv``) the CSV document.
+    """
+
+    text: Callable[[], str]
+    data: Callable[[], object]
+    csv: Optional[Callable[[], str]] = None
 
 
 @dataclass(frozen=True)
@@ -114,16 +122,20 @@ def registered_commands() -> Dict[str, CliCommand]:
 # -- table commands ---------------------------------------------------------------------
 
 
+def _records_output(records: List[Dict[str, object]], title: str) -> CommandOutput:
+    """A list of flat records, shown as one titled table."""
+
+    return CommandOutput(lambda: format_records(records, title=title), lambda: records)
+
+
 @command("table1", help="PYNQ-Z2 board specification")
 def _cmd_table1(args, evaluator: Evaluator) -> CommandOutput:
-    records = evaluator.table1_records()
-    return CommandOutput(format_records(records, title="Table 1: PYNQ-Z2 specification"), records)
+    return _records_output(evaluator.table1_records(), "Table 1: PYNQ-Z2 specification")
 
 
 @command("table2", help="ODENet layer structure / parameter sizes")
 def _cmd_table2(args, evaluator: Evaluator) -> CommandOutput:
-    records = evaluator.table2_records()
-    return CommandOutput(format_records(records, title="Table 2: ODENet structure"), records)
+    return _records_output(evaluator.table2_records(), "Table 2: ODENet structure")
 
 
 def _configure_table3(p: argparse.ArgumentParser) -> None:
@@ -133,7 +145,7 @@ def _configure_table3(p: argparse.ArgumentParser) -> None:
 @command("table3", help="FPGA resource utilisation", configure=_configure_table3)
 def _cmd_table3(args, evaluator: Evaluator) -> CommandOutput:
     records = evaluator.table3_records(include_estimates=not args.no_estimates)
-    return CommandOutput(format_records(records, title="Table 3: resource utilisation"), records)
+    return _records_output(records, "Table 3: resource utilisation")
 
 
 def _configure_table4(p: argparse.ArgumentParser) -> None:
@@ -142,8 +154,7 @@ def _configure_table4(p: argparse.ArgumentParser) -> None:
 
 @command("table4", help="variant structures", configure=_configure_table4)
 def _cmd_table4(args, evaluator: Evaluator) -> CommandOutput:
-    records = evaluator.table4_records(args.depth)
-    return CommandOutput(format_records(records, title=f"Table 4 (N={args.depth})"), records)
+    return _records_output(evaluator.table4_records(args.depth), f"Table 4 (N={args.depth})")
 
 
 def _configure_table5(p: argparse.ArgumentParser) -> None:
@@ -155,7 +166,7 @@ def _configure_table5(p: argparse.ArgumentParser) -> None:
 def _cmd_table5(args, evaluator: Evaluator) -> CommandOutput:
     depths = (args.depth,) if args.depth else SUPPORTED_DEPTHS
     records = evaluator.table5_records(depths=depths, n_units=args.n_units)
-    return CommandOutput(format_records(records, title="Table 5"), records)
+    return _records_output(records, "Table 5")
 
 
 # -- figure commands --------------------------------------------------------------------
@@ -164,7 +175,9 @@ def _cmd_table5(args, evaluator: Evaluator) -> CommandOutput:
 @command("figure5", help="parameter size vs depth")
 def _cmd_figure5(args, evaluator: Evaluator) -> CommandOutput:
     series = evaluator.figure5_series()
-    return CommandOutput(format_series(series, title="Figure 5: parameter size [kB]"), series)
+    return CommandOutput(
+        lambda: format_series(series, title="Figure 5: parameter size [kB]"), lambda: series
+    )
 
 
 def _configure_figure6(p: argparse.ArgumentParser) -> None:
@@ -175,10 +188,11 @@ def _configure_figure6(p: argparse.ArgumentParser) -> None:
 @command("figure6", help="accuracy vs depth (paper-scale model)", configure=_configure_figure6)
 def _cmd_figure6(args, evaluator: Evaluator) -> CommandOutput:
     if args.points:
-        records = evaluator.accuracy_table()
-        return CommandOutput(format_records(records, title="Figure 6 points"), records)
+        return _records_output(evaluator.accuracy_table(), "Figure 6 points")
     series = evaluator.figure6_series(paper_only=args.paper_only)
-    return CommandOutput(format_series(series, title="Figure 6: accuracy [%]"), series)
+    return CommandOutput(
+        lambda: format_series(series, title="Figure 6: accuracy [%]"), lambda: series
+    )
 
 
 # -- platform commands ------------------------------------------------------------------
@@ -204,8 +218,7 @@ def _cmd_boards(args, evaluator: Evaluator) -> CommandOutput:
                 "price_usd": b.price_usd,
             }
         )
-    text = format_records(records, title=f"Registered boards ({len(records)})")
-    return CommandOutput(text, records)
+    return _records_output(records, f"Registered boards ({len(records)})")
 
 
 # -- scenario commands ------------------------------------------------------------------
@@ -220,13 +233,17 @@ def _configure_offload(p: argparse.ArgumentParser) -> None:
 @command("offload", help="offload plan for one architecture", configure=_configure_offload)
 def _cmd_offload(args, evaluator: Evaluator) -> CommandOutput:
     result = evaluator.evaluate(Scenario(model=args.model, depth=args.depth, n_units=args.n_units))
-    lines = [f"Offload plan for {args.model}-{args.depth} (conv_x{args.n_units})"]
-    lines.append(f"  targets          : {', '.join(result.resources['targets']) or '(none)'}")
-    lines.append(f"  PL resources     : {result.resource_vector()}")
-    lines.append(f"  fits XC7Z020     : {result.resources['fits_device']}")
-    lines.append(f"  meets 100 MHz    : {result.resources['meets_timing']}")
-    lines.append(f"  expected speedup : {result.timing['overall_speedup']:.2f}x")
-    return CommandOutput("\n".join(lines), result.as_dict())
+
+    def text() -> str:
+        lines = [f"Offload plan for {args.model}-{args.depth} (conv_x{args.n_units})"]
+        lines.append(f"  targets          : {', '.join(result.resources['targets']) or '(none)'}")
+        lines.append(f"  PL resources     : {result.resource_vector()}")
+        lines.append(f"  fits XC7Z020     : {result.resources['fits_device']}")
+        lines.append(f"  meets 100 MHz    : {result.resources['meets_timing']}")
+        lines.append(f"  expected speedup : {result.timing['overall_speedup']:.2f}x")
+        return "\n".join(lines)
+
+    return CommandOutput(text, result.as_dict)
 
 
 def _configure_energy(p: argparse.ArgumentParser) -> None:
@@ -238,10 +255,8 @@ def _configure_energy(p: argparse.ArgumentParser) -> None:
 @command("energy", help="per-prediction energy with vs without the PL", configure=_configure_energy)
 def _cmd_energy(args, evaluator: Evaluator) -> CommandOutput:
     result = evaluator.evaluate(Scenario(model=args.model, depth=args.depth, n_units=args.n_units))
-    text = format_records(
-        [dict(result.energy)], title=f"Energy per prediction: {args.model}-{args.depth}"
-    )
-    return CommandOutput(text, result.as_dict())
+    title = f"Energy per prediction: {args.model}-{args.depth}"
+    return CommandOutput(lambda: format_records([dict(result.energy)], title=title), result.as_dict)
 
 
 def _configure_training(p: argparse.ArgumentParser) -> None:
@@ -251,17 +266,15 @@ def _configure_training(p: argparse.ArgumentParser) -> None:
 
 @command("training", help="projected training cost (future work)", configure=_configure_training)
 def _cmd_training(args, evaluator: Evaluator) -> CommandOutput:
-    rows = []
-    data = []
-    for name in args.models:
-        result = evaluator.evaluate(Scenario(model=name, depth=args.depth))
-        row = dict(result.training)
-        for key in TRAINING_PROJECTION_KEYS:
-            row[key] = round(row[key], 3)
-        rows.append(row)
-        data.append(result.as_dict())
-    text = format_records(rows, title=f"Projected training cost at N={args.depth} (future-work model)")
-    return CommandOutput(text, data)
+    results = [evaluator.evaluate(Scenario(model=name, depth=args.depth)) for name in args.models]
+    rows = [
+        {**r.training, **{key: round(r.training[key], 3) for key in TRAINING_PROJECTION_KEYS}}
+        for r in results
+    ]
+    title = f"Projected training cost at N={args.depth} (future-work model)"
+    return CommandOutput(
+        lambda: format_records(rows, title=title), lambda: [r.as_dict() for r in results]
+    )
 
 
 def _add_scenario_knobs(p: argparse.ArgumentParser) -> None:
@@ -324,7 +337,7 @@ def _cmd_eval(args, evaluator: Evaluator) -> CommandOutput:
         board=args.board,
     )
     result = evaluator.evaluate(scenario)
-    return CommandOutput(result.render(), result.as_dict())
+    return CommandOutput(result.render, result.as_dict)
 
 
 def _configure_sweep(p: argparse.ArgumentParser) -> None:
@@ -392,37 +405,26 @@ def _cmd_sweep(args, evaluator: Evaluator) -> CommandOutput:
     if args.boards is not None:
         axes["boards"] = _parse_board_names(args.boards, flag="--boards")
     grid = scenario_grid(**axes)
-    loop_rows = None
     if args.engine == "batch":
         table = _cli.sweep_batch(grid)
     else:
         # The engines are field-for-field identical, so the loop results feed
         # the same columnar table and share one output path.
         results = run_sweep(grid, evaluator=evaluator)
-        loop_rows = [r.as_dict() for r in results]
-        table = _cli.BatchResult.from_rows(grid, loop_rows)
+        table = _cli.BatchResult.from_rows(grid, [r.as_dict() for r in results])
+    title = f"Design-space sweep ({len(table)} scenarios)"
     if args.format == "pareto":
         front = _pareto_front_or_error(
             table, args.pareto_x, args.pareto_y, args.maximize_x, args.maximize_y
         )
-        text = format_records(
-            front.records(),
-            title=(
-                f"Pareto front over ({args.pareto_x}, {args.pareto_y}): "
-                f"{len(front)} of {len(table)} scenarios"
-            ),
+        title = (
+            f"Pareto front over ({args.pareto_x}, {args.pareto_y}): "
+            f"{len(front)} of {len(table)} scenarios"
         )
-        return CommandOutput(text, front.as_dicts())
-    data = loop_rows if loop_rows is not None else table.as_dicts()
-    if args.format == "csv":
-        text = table.to_csv()
-    elif args.format == "json":
-        text = table.to_json()
-    else:
-        text = format_records(
-            table.records(), title=f"Design-space sweep ({len(table)} scenarios)"
-        )
-    return CommandOutput(text, data)
+        table = front
+    return CommandOutput(
+        lambda: format_records(table.records(), title=title), table.as_dicts, table.to_csv
+    )
 
 
 def _configure_sim(p: argparse.ArgumentParser) -> None:
@@ -506,8 +508,14 @@ def _parse_mix(entries, scenario) -> List:
         parts = entry.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad --mix entry '{entry}'; expected MODEL:DEPTH[:WEIGHT]")
-        model, depth = parts[0], int(parts[1])
-        weight = float(parts[2]) if len(parts) == 3 else 1.0
+        try:
+            depth = int(parts[1])
+            weight = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise ValueError(
+                f"bad --mix entry '{entry}'; DEPTH must be an integer and WEIGHT a number"
+            ) from None
+        model = parts[0]
         mix.append((scenario.design_point.replace(model=model, depth=depth), weight))
     return mix
 
@@ -551,13 +559,7 @@ def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
     if args.faults is not None:
         return _sim_fmea(scenario, args, evaluator, mix)
     report = simulate(scenario, evaluator=evaluator, mix=mix)
-    if args.format == "csv":
-        text = report.to_csv()
-    elif args.format == "json":
-        text = strict_json(report.as_dict())
-    else:
-        text = report.render()
-    return CommandOutput(text, report.as_dict())
+    return CommandOutput(report.render, report.as_dict, report.to_csv)
 
 
 def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
@@ -575,13 +577,7 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
         fault_seed=args.fault_seed,
         mix=mix,
     )
-    if args.format == "csv":
-        text = study.to_csv()
-    elif args.format == "json":
-        text = strict_json(study.as_dict())
-    else:
-        text = study.render()
-    return CommandOutput(text, study.as_dict())
+    return CommandOutput(study.render, study.as_dict, study.to_csv)
 
 
 def _configure_fleet(p: argparse.ArgumentParser) -> None:
@@ -696,11 +692,7 @@ def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
         exact=args.exact,
     )
     report = simulate_fleet(scenario, shards=args.shards, evaluator=evaluator)
-    if args.format == "json":
-        text = strict_json(report.as_dict())
-    else:
-        text = report.render()
-    return CommandOutput(text, report.as_dict())
+    return CommandOutput(report.render, report.as_dict)
 
 
 @command("faults", help="the registered fault modes usable with sim --faults")
@@ -720,11 +712,7 @@ def _cmd_faults(args, evaluator: Evaluator) -> CommandOutput:
                 "effect": mode.summary,
             }
         )
-    text = format_records(
-        records,
-        title="Fault-mode registry (spec syntax: KIND[:RATE[:PARAM]])",
-    )
-    return CommandOutput(text, records)
+    return _records_output(records, "Fault-mode registry (spec syntax: KIND[:RATE[:PARAM]])")
 
 
 def _configure_optimize(p: argparse.ArgumentParser) -> None:
@@ -841,13 +829,7 @@ def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
         workers=args.workers,
         evaluator=evaluator,
     )
-    if args.format == "json":
-        text = report.to_json()
-    elif args.format == "csv":
-        text = report.to_csv()
-    else:
-        text = report.render()
-    return CommandOutput(text, report.as_dict())
+    return CommandOutput(report.render, report.as_dict, report.to_csv)
 
 
 def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluator) -> CommandOutput:
@@ -860,16 +842,20 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
 
     from .sim import simulate
 
-    rows: List[Dict[str, object]] = []
-    reports: List[Dict[str, object]] = []
-    for name in boards:
-        report = simulate(
+    reports = [
+        simulate(
             scenario.replace(board=name),
             evaluator=evaluator,
             mix=_parse_mix(args.mix, scenario.replace(board=name)) if args.mix else None,
         )
+        for name in boards
+    ]
+
+    rows: List[Dict[str, object]] = []
+    for name, report in zip(boards, reports):
         s = report.scenario
         lat = report.latency
+        energy = report.energy["energy_per_request_J"]
         rows.append(
             {
                 "board": name,
@@ -882,33 +868,18 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
                 "p99_s": round(lat.percentiles[99], 6),
                 "util_ps": round(report.utilization["ps"], 3),
                 "util_pl": round(report.utilization["accelerator_mean"], 3),
-                "energy_per_req_J": (
-                    round(report.energy["energy_per_request_J"], 4)
-                    if report.energy["energy_per_request_J"] is not None
-                    else None
-                ),
+                "energy_per_req_J": round(energy, 4) if energy is not None else None,
             }
         )
-        reports.append(report.as_dict())
     title = (
         f"Cross-board serving: {scenario.model}-{scenario.depth} under one "
         f"{scenario.arrival} trace (seed {scenario.seed})"
     )
-    if args.format == "csv":
-        import csv as _csv
-        import io
-
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(rows[0].keys()))
-        for row in rows:
-            writer.writerow(list(row.values()))
-        text = buf.getvalue().rstrip("\n")
-    elif args.format == "json":
-        text = strict_json(reports)
-    else:
-        text = format_records(rows, title=title)
-    return CommandOutput(text, reports)
+    return CommandOutput(
+        lambda: format_records(rows, title=title),
+        lambda: [report.as_dict() for report in reports],
+        lambda: csv_text([rows[0].keys(), *(row.values() for row in rows)]),
+    )
 
 
 def _configure_timing(p: argparse.ArgumentParser) -> None:
@@ -936,14 +907,15 @@ def _cmd_timing(args, evaluator: Evaluator) -> CommandOutput:
         reports = evaluator.timing_reports(args.n_units, target_hz=target_hz, board=args.board)
     except KeyError as exc:
         raise ValueError(exc.args[0] if exc.args else str(exc)) from exc
-    lines = ["Timing closure (critical-path model)"]
-    lines.extend(str(report) for report in reports)
-    return CommandOutput("\n".join(lines), [report.as_dict() for report in reports])
+    return CommandOutput(
+        lambda: "\n".join(["Timing closure (critical-path model)", *map(str, reports)]),
+        lambda: [report.as_dict() for report in reports],
+    )
 
 
 def _configure_accuracy_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--block", choices=("layer1", "layer2_2", "layer3_2"), default="layer3_2",
+        "--block", choices=OFFLOADABLE_LAYER_NAMES, default="layer3_2",
         help="PL block whose datapath is swept",
     )
     p.add_argument(
@@ -1015,46 +987,32 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
         workers=args.workers,
         chunk_size=args.chunk_size,
     )
-    repro_line = "reproducibility: " + ", ".join(
-        f"{key}={value}" for key, value in result.reproducibility.items()
-    )
+    title = f"Accuracy-vs-format sweep: {args.block}, {args.images} images"
     if args.format == "pareto":
-        try:
-            front = result.pareto_front(args.pareto_x, args.pareto_y)
-        except KeyError as exc:
-            raise ValueError(f"unknown pareto metric: {exc.args[0] if exc.args else exc}")
-        text = format_records(
-            front.records(),
-            title=(
-                f"Accuracy/latency Pareto front over ({args.pareto_x}, {args.pareto_y}): "
-                f"{len(front)} of {len(result)} points"
-            ),
+        front = _pareto_front_or_error(result, args.pareto_x, args.pareto_y, False, False)
+        title = (
+            f"Accuracy/latency Pareto front over ({args.pareto_x}, {args.pareto_y}): "
+            f"{len(front)} of {len(result)} points"
         )
-        return CommandOutput(
-            "\n".join([text, repro_line]),
-            {"reproducibility": front.reproducibility, "points": front.records()},
+        result = front
+
+    def text() -> str:
+        repro_line = "reproducibility: " + ", ".join(
+            f"{key}={value}" for key, value in result.reproducibility.items()
         )
-    if args.format == "csv":
-        text = result.to_csv()
-    elif args.format == "json":
-        text = result.to_json()
-    else:
-        text = "\n".join(
-            [
-                format_records(
-                    result.records(),
-                    title=f"Accuracy-vs-format sweep: {args.block}, {args.images} images",
-                ),
-                repro_line,
-            ]
-        )
-    return CommandOutput(text, {"reproducibility": result.reproducibility, "points": result.records()})
+        return "\n".join([format_records(result.records(), title=title), repro_line])
+
+    return CommandOutput(
+        text,
+        lambda: {"reproducibility": result.reproducibility, "points": result.records()},
+        result.to_csv,
+    )
 
 
 def _configure_rtl(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--block", default="layer3_2",
-        help="offloadable block geometry to emit (layer1/layer2_2/layer3_2)",
+        "--block", choices=OFFLOADABLE_LAYER_NAMES, default="layer3_2",
+        help="offloadable block geometry to emit",
     )
     p.add_argument("--board", default="PYNQ-Z2", help="board whose spec sizes the design")
     p.add_argument(
@@ -1109,6 +1067,10 @@ def _cmd_rtl(args, evaluator: Evaluator) -> CommandOutput:
         check=args.check,
         simulate=args.simulate,
     )
+    return CommandOutput(lambda: _render_rtl_summary(summary), lambda: summary)
+
+
+def _render_rtl_summary(summary: Dict[str, object]) -> str:
     lines = [
         f"RTL bundle: {summary['out_dir']}",
         f"  block     {summary['block']['name']} "
@@ -1135,11 +1097,12 @@ def _cmd_rtl(args, evaluator: Evaluator) -> CommandOutput:
                 f"  simulate  {'PASS' if sim['passed'] else 'FAIL'} "
                 f"({sim['vectors']} vectors, {sim['words']} words)"
             )
-    return CommandOutput("\n".join(lines), summary)
+    return "\n".join(lines)
 
 
-def _pareto_front_or_error(table: BatchResult, x: str, y: str, maximize_x: bool, maximize_y: bool):
-    """Extract a Pareto front, mapping metric mistakes to clean CLI errors."""
+def _pareto_front_or_error(table, x: str, y: str, maximize_x: bool, maximize_y: bool):
+    """Extract a Pareto front (of a sweep or an accuracy sweep), mapping
+    metric mistakes to clean CLI errors."""
 
     try:
         return table.pareto_front(x, y, maximize_x=maximize_x, maximize_y=maximize_y)
@@ -1182,20 +1145,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cmd = _REGISTRY[args.command]
-    evaluator = Evaluator()
+    fmt = getattr(args, "format", None)
     try:
-        output = cmd.handler(args, evaluator)
-    except SweepError as exc:
-        # A design point blew up mid-grid: name it (and its index) cleanly
-        # instead of dumping a worker-pool traceback.
+        output = cmd.handler(args, Evaluator())
+        if args.json or fmt == "json":
+            text = strict_json(output.data())
+        elif fmt == "csv":
+            text = output.csv()
+        else:
+            text = output.text()
+    except (SweepError, ValueError) as exc:
+        # Validation errors (bad depth, n_units, workers, ...) and a design
+        # point that blew up mid-grid (named with its index) surface as clean
+        # CLI errors rather than tracebacks.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # Scenario/sweep validation errors (bad depth, n_units, workers, ...)
-        # surface as clean CLI errors rather than tracebacks.
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    text = strict_json(output.data) if getattr(args, "json", False) else output.text
     try:
         print(text)
         sys.stdout.flush()

@@ -32,6 +32,7 @@ in the registry but it never fires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -90,10 +91,14 @@ class FaultMode:
     summary = "abstract base mode"
 
     def __post_init__(self) -> None:
-        if self.rate_per_hour < 0:
-            raise ValueError(f"rate_per_hour must be non-negative (got {self.rate_per_hour})")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive or None (got {self.duration_s})")
+        if not 0 <= self.rate_per_hour < math.inf:
+            raise ValueError(
+                f"rate_per_hour must be non-negative and finite (got {self.rate_per_hour})"
+            )
+        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be positive and finite, or None (got {self.duration_s})"
+            )
 
     # -- protocol ----------------------------------------------------------------------
 

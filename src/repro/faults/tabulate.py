@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.report import format_records
+from ..analysis.report import csv_text, format_records
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
 from ..sim.metrics import SimReport
@@ -68,16 +68,9 @@ class FmeaStudy:
     def to_csv(self) -> str:
         """Header + one row per fault mode (the ``--format csv`` output)."""
 
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if self.rows:
-            writer.writerow(list(self.rows[0].keys()))
-            for row in self.rows:
-                writer.writerow(list(row.values()))
-        return buf.getvalue().rstrip("\n")
+        if not self.rows:
+            return ""
+        return csv_text([self.rows[0].keys(), *(row.values() for row in self.rows)])
 
     def render(self) -> str:
         """Plain-text FMEA table plus the nominal baseline line."""

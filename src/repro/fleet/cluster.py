@@ -25,14 +25,14 @@ round-trips through ``as_dict``/``from_dict``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..api.scenario import Scenario
 from ..platform import list_boards
 from ..sim.policies import POLICY_NAMES
-from ..sim.scenario import SimScenario
-from ..sim.workload import ARRIVAL_KINDS
+from ..sim.scenario import SimScenario, check_traffic
 
 __all__ = [
     "ROUTING_NAMES",
@@ -116,12 +116,14 @@ class TrafficClass:
     def __post_init__(self) -> None:
         if not str(self.name):
             raise ValueError("traffic class name must be non-empty")
-        if not self.weight > 0:
-            raise ValueError(f"traffic class weight must be positive (got {self.weight!r})")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(
+                f"traffic class weight must be positive and finite (got {self.weight!r})"
+            )
         if self.kind not in CLASS_KINDS:
             raise ValueError(f"unknown traffic kind '{self.kind}'; expected one of {CLASS_KINDS}")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive (or None)")
+        if self.slo_s is not None and not 0 < self.slo_s < math.inf:
+            raise ValueError(f"slo_s must be positive and finite, or None (got {self.slo_s!r})")
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -217,27 +219,7 @@ class FleetScenario:
         names = [c.name for c in classes]
         if len(set(names)) != len(names):
             raise ValueError(f"traffic class names must be unique (got {names})")
-
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(
-                f"unknown arrival process '{self.arrival}'; expected one of {ARRIVAL_KINDS}"
-            )
-        if self.arrival == "trace":
-            if not self.trace:
-                raise ValueError("arrival='trace' needs at least one trace timestamp")
-            object.__setattr__(self, "trace", tuple(float(t) for t in self.trace))
-        else:
-            if self.trace is not None:
-                raise ValueError(
-                    f"a trace was given but arrival='{self.arrival}'; "
-                    "pass arrival='trace' to replay it"
-                )
-            if self.arrival_rate_hz <= 0:
-                raise ValueError("arrival_rate_hz must be positive")
-        if self.n_requests is not None and self.n_requests < 1:
-            raise ValueError("n_requests must be a positive integer (or None)")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive (or None)")
+        check_traffic(self)
 
         if not isinstance(self.replicas, int) or self.replicas < 0:
             raise ValueError("replicas must be a non-negative integer (0 = per-board auto)")
@@ -247,11 +229,12 @@ class FleetScenario:
             raise ValueError(
                 f"unknown admission '{self.admission}'; expected one of {ADMISSION_NAMES}"
             )
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive (or None)")
 
-        if self.autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be positive")
+        if not 0 < self.autoscale_interval_s < math.inf:
+            raise ValueError(
+                "autoscale_interval_s must be positive and finite "
+                f"(got {self.autoscale_interval_s!r})"
+            )
         if not 0.0 < self.autoscale_low < self.autoscale_high <= 1.0:
             raise ValueError(
                 "autoscale bands must satisfy 0 < low < high <= 1 "

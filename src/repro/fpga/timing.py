@@ -13,6 +13,7 @@ while remaining a smooth, monotone model usable in the parallelism ablation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
@@ -166,6 +167,8 @@ class TimingModel:
         """Full timing report against the target clock (default 100 MHz)."""
 
         target = target_hz if target_hz is not None else self.config.target_clock_hz
+        if not 0 < target < math.inf:
+            raise ValueError(f"target_hz must be positive and finite (got {target!r})")
         path = self.critical_path_ns(n_units)
         return TimingReport(
             n_units=n_units,

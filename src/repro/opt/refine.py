@@ -378,8 +378,8 @@ def optimize(
     if budget is None:
         budget = max(1.0, 0.2 * space.size)
     budget = float(budget)
-    if budget <= 0:
-        raise ValueError(f"budget must be positive (got {budget!r})")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite (got {budget!r})")
     if evaluator is None:
         evaluator = Evaluator()
 

@@ -12,12 +12,10 @@ exception), and Pareto fronts over the fully-evaluated candidates reuse
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.report import format_records, json_safe, strict_json
+from ..analysis.report import csv_text, format_records, json_safe, strict_json
 from ..api.batch import BatchResult, pareto_indices
 
 __all__ = ["CandidateRecord", "OptReport"]
@@ -161,12 +159,7 @@ class OptReport:
         rows = self._trace_rows()
         if not rows:
             return ""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(rows[0].keys()))
-        for row in rows:
-            writer.writerow(list(row.values()))
-        return buf.getvalue().rstrip("\n")
+        return csv_text([rows[0].keys(), *(row.values() for row in rows)])
 
     def render(self) -> str:
         """Multi-section plain text (the ``optimize`` subcommand output)."""

@@ -25,6 +25,7 @@ constant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -271,6 +272,8 @@ def emit_odeblock(
         n_units = default_n_units(board, geometry, qformat)
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
+    if not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite (got {step_size!r})")
     if weights is None:
         weights = random_block_weights(
             geometry, time_concat=time_concat, seed=seed, scale=weight_scale

@@ -198,6 +198,9 @@ def generate_vectors(
     checked against the same vectors.
     """
 
+    for name, count in (("images", images), ("iterations", iterations)):
+        if count < 1:
+            raise ValueError(f"{name} must be a positive integer (got {count!r})")
     hw_block = HardwareODEBlock(
         block,
         weights,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.report import json_safe
+from ..analysis.report import csv_text, json_safe
 from ..fpga.device import ResourceVector
 from ..fpga.power import PowerModelConfig, pl_power_kernel
 
@@ -508,7 +508,11 @@ class SimReport:
         return json_safe(out)
 
     def flat_dict(self) -> Dict[str, object]:
-        """One CSV-safe row (scenario knobs, then scalar metrics)."""
+        """One CSV-safe row (scenario knobs, then scalar metrics).
+
+        Unmeasured (non-finite) values are ``None``, as in :meth:`as_dict`,
+        so CSV leaves their cells empty.
+        """
 
         row: Dict[str, object] = dict(self.scenario)
         row.pop("trace", None)
@@ -538,20 +542,13 @@ class SimReport:
             row["fault_corrupted_requests"] = self.faults.get("corrupted_requests", 0)
             row["fault_replica_downtime_s"] = self.faults.get("replica_downtime_s", 0.0)
         row["events_processed"] = self.events_processed
-        return row
+        return json_safe(row)
 
     def to_csv(self) -> str:
         """Header + one data row (the ``sim --format csv`` output)."""
 
-        import csv
-        import io
-
         row = self.flat_dict()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(row.keys()))
-        writer.writerow(list(row.values()))
-        return buf.getvalue().rstrip("\n")
+        return csv_text([row.keys(), row.values()])
 
     # -- rendering ---------------------------------------------------------------------
 

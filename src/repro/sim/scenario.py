@@ -23,6 +23,7 @@ budget" (resolved by :func:`repro.sim.runner.simulate` via
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -30,7 +31,41 @@ from ..api.scenario import Scenario
 from .policies import POLICY_NAMES
 from .workload import ARRIVAL_KINDS
 
-__all__ = ["SimScenario"]
+__all__ = ["SimScenario", "check_traffic"]
+
+
+def check_traffic(scenario) -> None:
+    """Validate the traffic knobs :class:`SimScenario` and the fleet's
+    ``FleetScenario`` share, naming the field at fault.
+
+    Rates, horizons and SLOs must be positive and finite (NaN and inf fail
+    too).  A trace is stored as a tuple of floats.
+    """
+
+    if scenario.arrival not in ARRIVAL_KINDS:
+        raise ValueError(
+            f"unknown arrival process '{scenario.arrival}'; expected one of {ARRIVAL_KINDS}"
+        )
+    if scenario.arrival == "trace":
+        if not scenario.trace:
+            raise ValueError("arrival='trace' needs at least one trace timestamp")
+        object.__setattr__(scenario, "trace", tuple(float(t) for t in scenario.trace))
+    else:
+        if scenario.trace is not None:
+            raise ValueError(
+                f"a trace was given but arrival='{scenario.arrival}'; "
+                "pass arrival='trace' to replay it"
+            )
+        if not 0 < scenario.arrival_rate_hz < math.inf:
+            raise ValueError(
+                f"arrival_rate_hz must be positive and finite (got {scenario.arrival_rate_hz!r})"
+            )
+    if scenario.n_requests is not None and scenario.n_requests < 1:
+        raise ValueError("n_requests must be a positive integer (or None)")
+    for name in ("duration_s", "slo_s"):
+        value = getattr(scenario, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, or None (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -82,26 +117,7 @@ class SimScenario(Scenario):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(
-                f"unknown arrival process '{self.arrival}'; expected one of {ARRIVAL_KINDS}"
-            )
-        if self.arrival == "trace":
-            if not self.trace:
-                raise ValueError("arrival='trace' needs at least one trace timestamp")
-            object.__setattr__(self, "trace", tuple(float(t) for t in self.trace))
-        else:
-            if self.trace is not None:
-                raise ValueError(
-                    f"a trace was given but arrival='{self.arrival}'; "
-                    "pass arrival='trace' to replay it"
-                )
-            if self.arrival_rate_hz <= 0:
-                raise ValueError("arrival_rate_hz must be positive")
-        if self.n_requests is not None and self.n_requests < 1:
-            raise ValueError("n_requests must be a positive integer (or None)")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive (or None)")
+        check_traffic(self)
         if not isinstance(self.replicas, int) or self.replicas < 0:
             raise ValueError("replicas must be a non-negative integer (0 = auto-size)")
         if self.policy not in POLICY_NAMES:
@@ -112,10 +128,8 @@ class SimScenario(Scenario):
             raise ValueError("ps_cores must be a non-negative integer (0 = the board's cores)")
         if self.dma_channels < 1:
             raise ValueError("dma_channels must be a positive integer")
-        if self.warmup_s < 0:
-            raise ValueError("warmup_s must be non-negative")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive (or None)")
+        if not 0 <= self.warmup_s < math.inf:
+            raise ValueError(f"warmup_s must be non-negative and finite (got {self.warmup_s!r})")
         if not isinstance(self.exact, bool):
             raise ValueError("exact must be a boolean")
 

@@ -22,6 +22,7 @@ Three concerns live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -210,8 +211,8 @@ def arrival_times(
         if trace is None:
             raise ValueError("trace arrivals need an explicit list of timestamps")
         times = [float(t) for t in trace]
-        if any(t < 0 for t in times) or times != sorted(times):
-            raise ValueError("trace timestamps must be sorted and non-negative")
+        if not all(0 <= t < math.inf for t in times) or times != sorted(times):
+            raise ValueError("trace timestamps must be finite, sorted and non-negative")
     else:
         if rate_hz is None or rate_hz <= 0:
             raise ValueError(f"{kind} arrivals need a positive rate_hz")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import export_rtl
 from repro.cli import main
+from repro.rtl import iverilog_available
 
 
 def test_cli_emit_and_check(tmp_path, capsys):
@@ -56,6 +57,29 @@ def test_cli_simulate_skips_cleanly_without_iverilog(tmp_path, capsys, monkeypat
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["simulation"]["skipped"] is True
+
+
+@pytest.mark.skipif(not iverilog_available(), reason="iverilog/vvp not on PATH")
+@pytest.mark.parametrize(
+    "design",
+    [
+        ["--block", "layer3_2", "--qformat", "12:6"],
+        ["--block", "layer2_2", "--board", "ZCU104", "--qformat", "16:8"],
+    ],
+    ids=["layer3_2-12:6", "layer2_2-ZCU104-16:8"],
+)
+def test_cli_simulate_passes_conformance(tmp_path, capsys, design):
+    rc = main(
+        [
+            "rtl", *design, "--n-units", "16", "--out", str(tmp_path / "b"),
+            "--vectors", "1", "--iterations", "1", "--check", "--simulate", "--json",
+        ]
+    )
+    assert rc == 0
+    sim = json.loads(capsys.readouterr().out)["simulation"]
+    assert sim["skipped"] is False, "simulation unexpectedly skipped"
+    assert sim["passed"] is True, "conformance FAILED"
+    assert sim["words"] > 0
 
 
 def test_cli_bad_qformat_is_exit_2(tmp_path, capsys):

@@ -183,16 +183,19 @@ STRICT_JSON_INVOCATIONS = {
 }
 
 
-#: ``--format json`` invocations (a path that bypasses the ``--json`` encoder).
+#: Every subcommand offering ``--format json``; it must print what ``--json`` prints.
 FORMAT_JSON_INVOCATIONS = {
+    "sweep": STRICT_JSON_INVOCATIONS["sweep"] + ["--engine", "batch"],
+    "sweep-loop": STRICT_JSON_INVOCATIONS["sweep"] + ["--engine", "loop"],
+    "sim": STRICT_JSON_INVOCATIONS["sim"],
     "sim-fmea-degenerate": STRICT_JSON_INVOCATIONS["sim-fmea-degenerate"],
+    "sim-boards": STRICT_JSON_INVOCATIONS["sim-boards"],
+    "fleet": STRICT_JSON_INVOCATIONS["fleet"],
+    "optimize": STRICT_JSON_INVOCATIONS["optimize"],
     # A zero input makes the datapath error-free: sqnr_db is +inf.
     "accuracy-sweep-error-free": [
         "accuracy-sweep", "--formats", "32:20", "--images", "2", "--input-scale", "0",
     ],
-    # Library ``to_json`` methods (BatchResult, OptReport) serialise these.
-    "sweep": STRICT_JSON_INVOCATIONS["sweep"] + ["--engine", "batch"],
-    "optimize": STRICT_JSON_INVOCATIONS["optimize"],
 }
 
 
@@ -215,8 +218,74 @@ class TestStrictJson:
 
     @pytest.mark.parametrize("case", sorted(FORMAT_JSON_INVOCATIONS))
     def test_format_json_is_strict_too(self, capsys, case):
+        """``--format json`` prints the bytes ``--json`` prints."""
+
         out = run_cli(capsys, *FORMAT_JSON_INVOCATIONS[case], "--format", "json")
+        assert out == run_cli(capsys, *FORMAT_JSON_INVOCATIONS[case], "--json")
         json.loads(out, parse_constant=_reject_constant)
+
+
+class TestNamedErrors:
+    """Bad numbers and names exit 2 with an error naming the field."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            ("sim --rate nan", "arrival_rate_hz"),
+            ("sim --slo-ms nan", "slo_s"),
+            ("fleet --slo-ms nan", "slo_s"),
+            ("fleet --rate inf", "arrival_rate_hz"),
+            ("fleet --rate nan", "arrival_rate_hz"),
+            ("optimize --objective min:bram --budget nan", "budget"),
+            ("sim --duration nan", "duration_s"),
+            ("sim --faults --fault-duration nan", "duration_s"),
+            ("sim --arrivals trace --trace nan 1", "trace timestamps"),
+            ("accuracy-sweep --input-scale nan", "input_scale"),
+            ("accuracy-sweep --input-scale -1", "input_scale"),
+            ("timing --clock-mhz 0", "target_hz"),
+            ("timing --clock-mhz -5", "target_hz"),
+            ("sim --warmup nan", "warmup_s"),
+            ("fleet --duration inf", "duration_s"),
+            ("fleet --autoscale-interval nan", "autoscale_interval_s"),
+            ("fleet --classes a:inf", "weight"),
+            ("sim --faults replica_death:nan", "rate_per_hour"),
+            ("rtl --step-size nan --out {tmp}", "step_size"),
+            ("rtl --vectors -1 --out {tmp}", "vectors"),
+            ("rtl --vectors 1 --iterations 0 --out {tmp}", "iterations"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_number(self, capsys, tmp_path, argv, field):
+        assert main(argv.replace("{tmp}", str(tmp_path)).split()) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
+
+    def test_unknown_rtl_block(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rtl", "--block", "bogus", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_bad_mix_entry(self, capsys):
+        assert main(["sim", "--mix", "rODENet-3:x"]) == 2
+        assert "bad --mix entry 'rODENet-3:x'" in capsys.readouterr().err
+
+    def test_non_numeric_accuracy_pareto_metric(self, capsys):
+        argv = ["accuracy-sweep", "--images", "1", "--formats", "16:8",
+                "--format", "pareto", "--pareto-x", "block"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "pareto metrics must be numeric columns" in err and "--pareto-x block" in err
+
+
+class TestCsvFormat:
+    def test_unmeasured_sim_values_are_empty_cells(self, capsys):
+        out = run_cli(capsys, "sim", "--requests", "3", "--warmup", "100", "--format", "csv")
+        header, row = out.rstrip("\n").split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert "nan" not in row
+        assert cells["latency_p99_s"] == cells["energy_per_request_J"] == ""
+        data = json.loads(run_cli(capsys, "sim", "--requests", "3", "--warmup", "100", "--json"))
+        assert data["latency"]["p99_s"] is None
 
 
 class _ClosedPipe(io.StringIO):
