@@ -1,17 +1,26 @@
 #!/usr/bin/env python
-"""Benchmark: the fast bit-accurate forward path (split-limb GEMM + sharding).
+"""Benchmark: the fast bit-accurate forward path (gather, split-limb GEMM, sharding).
 
-Three measurements, each value-checked before timing is trusted:
+Four measurements, each value-checked before timing is trusted:
 
-1. **Exact GEMM kernel** — the Q20 32-bit CIFAR-scale conv GEMM of the
-   layer3_2 datapath (K = C*KH*KW + 1 = 577, N = 64 channels), run once
+1. **im2col gather** — the layer1 conv gather (32 images x 16 channels x
+   32x32, int64 -> float64 into an ``out=`` buffer), run once through
+   :func:`repro.nn.im2col.im2col` (channel-last: a zero-padded NHWC copy,
+   then runs of KW*C contiguous elements) and once through a bench-local
+   copy of the former channel-first gather (runs of KW elements).  The
+   columns must be equal up to the ``(C, KH, KW)`` -> ``(KH, KW, C)``
+   permutation and the channel-last gather >= 2x faster (asserted in every
+   mode).
+
+2. **Exact GEMM kernel** — the Q20 32-bit CIFAR-scale conv GEMM of the
+   layer3_2 datapath (K = KH*KW*C + 1 = 577, N = 64 channels), run once
    through NumPy's ``int64`` matmul (no BLAS backend, generic inner loop)
    and once through the split-limb :class:`repro.fpga.PlannedGemm`.  The
    results must be **bit-identical** and the split-limb path >= 5x faster
    single-core (asserted in every mode; BLAS threads are pinned to 1
    before NumPy is imported).
 
-2. **Sharded accuracy_sweep scaling** — the streamed sweep at 1, 2 and 4
+3. **Sharded accuracy_sweep scaling** — the streamed sweep at 1, 2 and 4
    workers over the same chunk grid (one pool task per chunk: the worker
    draws the chunk's inputs from its ``default_rng((seed, chunk))``
    stream, the float reference runs once and every format is measured
@@ -20,7 +29,7 @@ Three measurements, each value-checked before timing is trusted:
    (records bit-identical across worker counts); the wall-clock curve is
    reported.
 
-3. **Bounded-memory streaming** (full mode) — ``accuracy_sweep`` over
+4. **Bounded-memory streaming** (full mode) — ``accuracy_sweep`` over
    >= 1,024 CIFAR-scale images x 4 Q-formats under ``tracemalloc``: peak
    traced allocation must stay bounded by the chunk size, far below the
    whole-batch footprint the legacy path would need.
@@ -49,6 +58,7 @@ import numpy as np  # noqa: E402
 from repro.api.accuracy import accuracy_sweep  # noqa: E402
 from repro.fpga.gemm import PlannedGemm, _magnitude  # noqa: E402
 from repro.fpga.ops import DEFAULT_ROW_CHUNK  # noqa: E402
+from repro.nn.im2col import conv_output_size, im2col  # noqa: E402
 
 #: The layer3_2 conv GEMM shape with the time-concat channel: 64 output
 #: channels over 8x8 maps, K = 64*9 + 1.
@@ -57,6 +67,75 @@ N_CHANNELS = 64
 ROWS_PER_IMAGE = 64
 
 SWEEP_FORMATS = [(32, 20), (24, 12), (16, 8), (12, 6)]
+
+#: The layer1 conv input of one forward chunk: 32 images x 16 channels x 32x32.
+GATHER_SHAPE = (32, 16, 32, 32)
+#: Asserted floor of the channel-last gather over the channel-first one.
+MIN_GATHER_SPEEDUP = 2.0
+#: Timed calls per gather (best-of); one call costs 3-20 ms.
+GATHER_REPEATS = 20
+
+
+def channel_first_im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+                         out: np.ndarray) -> np.ndarray:
+    """The former gather: columns ordered (C, KH, KW), copied in runs of KW."""
+
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sn, sc, sh, sw = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+    )
+    np.copyto(out.reshape(n, out_h, out_w, c, kh, kw), patches.transpose(0, 4, 5, 1, 2, 3))
+    return out
+
+
+def bench_gather(repeats: int, min_speedup: float) -> int:
+    """Channel-last im2col vs the former channel-first gather at layer1 geometry."""
+
+    rng = np.random.default_rng(0)
+    n, c, h, w = GATHER_SHAPE
+    x = rng.integers(-(2**31), 2**31, size=GATHER_SHAPE, dtype=np.int64)
+    rows = n * h * w
+    new_out = np.empty((rows, 9 * c), dtype=np.float64)
+    old_out = np.empty_like(new_out)
+    print(f"gather shape            : {GATHER_SHAPE} int64 -> ({rows} x {9 * c}) float64")
+
+    def best_of(gather) -> float:
+        # Each path runs back to back into its own buffer, so both are timed
+        # with their 37.7 MB destination equally warm: interleaving them
+        # makes each evict the other's buffer and measures the memory bus
+        # (about 2x on a contended host) instead of the gather.
+        gather()  # warm-up off the clock: first-touch page faults land here
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            gather()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    new_best = best_of(lambda: im2col(x, 3, 3, 1, 1, out=new_out))
+    old_best = best_of(lambda: channel_first_im2col(x, 3, 3, 1, 1, old_out))
+
+    permuted = old_out.reshape(rows, c, 3, 3).transpose(0, 2, 3, 1).reshape(rows, -1)
+    identical = np.array_equal(new_out, permuted)
+    speedup = old_best / new_best
+    print(f"channel-first gather    : {old_best:8.4f} s")
+    print(f"channel-last gather     : {new_best:8.4f} s")
+    print(f"gather speedup          : {speedup:8.1f} x")
+    print(f"same columns, permuted  : {identical}")
+    if not identical:
+        print("FAIL: channel-last columns are not a permutation of the channel-first ones",
+              file=sys.stderr)
+        return 1
+    if speedup < min_speedup:
+        print(f"FAIL: gather speedup {speedup:.1f}x below the required {min_speedup:.0f}x",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def bench_kernel(images: int, repeats: int, min_speedup: float) -> int:
@@ -75,8 +154,9 @@ def bench_kernel(images: int, repeats: int, min_speedup: float) -> int:
           f"{gemm.plan.n_limbs} limb(s) x {gemm.plan.limb_bits} bits")
 
     # The conv pipeline materialises the left operand in the plan's dtype for
-    # free (im2col's fused gather+cast writes float64 directly), so the
-    # kernel comparison feeds each path its own natural operand layout.
+    # free (im2col casts into its padded channel-last copy and gathers
+    # float64 directly), so the kernel comparison feeds each path its own
+    # natural operand layout.
     a_planned = a.astype(gemm.a_dtype)
     got = np.empty((m, N_CHANNELS), dtype=np.int64)
 
@@ -193,10 +273,12 @@ def main(argv=None) -> int:
         help="required single-core kernel speedup (default: 5, asserted in every mode)",
     )
     args = parser.parse_args(argv)
+    rc = bench_gather(repeats=GATHER_REPEATS, min_speedup=MIN_GATHER_SPEEDUP)
+    print()
     if args.quick:
-        rc = bench_kernel(images=256, repeats=2, min_speedup=args.min_speedup)
+        rc = rc or bench_kernel(images=256, repeats=2, min_speedup=args.min_speedup)
         return rc or bench_sweep_scaling(images=64, chunk_size=16, worker_counts=(1, 2))
-    rc = bench_kernel(images=2048, repeats=args.repeats, min_speedup=args.min_speedup)
+    rc = rc or bench_kernel(images=2048, repeats=args.repeats, min_speedup=args.min_speedup)
     rc = rc or bench_sweep_scaling(images=1024, chunk_size=64, worker_counts=(1, 2, 4))
     return rc or bench_bounded_memory(images=1024, chunk_size=64, budget_mb=256.0)
 

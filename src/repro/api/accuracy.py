@@ -47,6 +47,7 @@ from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from ..fpga.timing import TimingModel
 from ..nn.im2col import conv_output_size, im2col
 from .batch import pareto_indices
+from .scenario import check_seed
 
 __all__ = ["AccuracyPoint", "AccuracySweepResult", "accuracy_sweep", "DEFAULT_FORMAT_LADDER"]
 
@@ -90,14 +91,14 @@ def _as_qformat(fmt: FormatLike) -> QFormat:
 
 
 def _float_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 1) -> np.ndarray:
-    """Float64 batched 3x3 convolution (same im2col lowering as the datapath)."""
+    """Float64 batched convolution (the datapath's channel-last im2col lowering)."""
 
     n, _, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
-    out = cols @ weight.reshape(c_out, -1).T
+    out = cols @ weight.transpose(0, 2, 3, 1).reshape(c_out, -1).T
     return out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
 
@@ -502,6 +503,7 @@ def accuracy_sweep(
 
     images = _positive_int("images", images)
     workers = _positive_int("workers", workers)
+    check_seed("seed", seed)
     if chunk_size is not None:
         chunk_size = _positive_int("chunk_size", chunk_size, " (or None for the legacy path)")
     if not 0 <= input_scale < math.inf:

@@ -24,6 +24,7 @@ axes (the design-space grid the ``repro-odenet sweep`` subcommand runs).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ __all__ = [
     "Scenario",
     "scenario_grid",
     "fraction_bits_for",
+    "check_seed",
     "SCENARIO_MODELS",
     "DEFAULT_FRACTION_BITS",
     "BOARDS",
@@ -188,6 +190,21 @@ class Scenario:
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**data)
+
+
+def check_seed(name: str, value: object) -> None:
+    """Reject a seed that is not a non-negative integer, naming the field.
+
+    NumPy's own message ("expected non-negative integer") names neither the
+    field nor the value.
+    """
+
+    try:
+        valid = operator.index(value) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be a non-negative integer (got {value!r})")
 
 
 def fraction_bits_for(word_length: int, fraction_bits: Optional[int] = None) -> int:

@@ -558,7 +558,7 @@ def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
     mix = _parse_mix(args.mix, scenario) if args.mix else None
     if args.faults is not None:
         return _sim_fmea(scenario, args, evaluator, mix)
-    report = simulate(scenario, evaluator=evaluator, mix=mix)
+    report = simulate(scenario, evaluator=evaluator, mix=mix, fault_seed=args.fault_seed)
     return CommandOutput(report.render, report.as_dict, report.to_csv)
 
 
@@ -847,6 +847,7 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
             scenario.replace(board=name),
             evaluator=evaluator,
             mix=_parse_mix(args.mix, scenario.replace(board=name)) if args.mix else None,
+            fault_seed=args.fault_seed,
         )
         for name in boards
     ]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.report import csv_text, format_records
 from ..api.evaluator import Evaluator
-from ..api.scenario import Scenario
+from ..api.scenario import Scenario, check_seed
 from ..sim.metrics import SimReport
 from ..sim.runner import as_sim_scenario, simulate
 from ..sim.scenario import SimScenario
@@ -134,6 +134,7 @@ def run_fmea(
     only zero-rate modes, the study degenerates to exactly the nominal run.
     """
 
+    check_seed("fault_seed", fault_seed)
     ev = evaluator if evaluator is not None else Evaluator()
     sim_scenario = as_sim_scenario(scenario)
     if sim_scenario.slo_s is None:

@@ -36,9 +36,10 @@ often need just one or two limbs.
 
 :class:`PlannedGemm` is the hot-loop interface: plan once against a fixed
 right-hand operand (a conv weight matrix), then run many left-hand chunks
-through it — :func:`repro.fpga.ops.hw_conv2d` feeds it ``im2col`` chunks
-written directly in the dtype the plan wants (float64 for the BLAS path),
-so the expanded patch matrix is materialised exactly once per chunk.
+through it — :func:`repro.fpga.ops.hw_conv2d` feeds it channel-last
+``im2col`` chunks (columns ordered ``(KH, KW, C)``) written directly in the
+dtype the plan wants (float64 for the BLAS path), so the expanded patch
+matrix is materialised exactly once per chunk.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def plan_gemm(a_max: int, b_max: int, k: int, max_limbs: int = MAX_LIMBS) -> Gem
     a_max, b_max:
         Largest absolute values of the left/right operand (exact ints).
     k:
-        Reduction depth (the shared dimension, ``C*KH*KW`` for im2col conv).
+        Reduction depth (the shared dimension, ``KH*KW*C`` for im2col conv).
     max_limbs:
         Limb budget before falling back to the int64 matmul.
 

@@ -106,6 +106,13 @@ class HardwareODEBlock:
         time_concat: bool = False,
         conv_row_chunk: Optional[int] = None,
     ) -> None:
+        # Double-width products (fx_mul, the conv accumulators) are computed
+        # in int64, so a wider word would wrap silently instead of saturating.
+        if qformat.word_length > 32:
+            raise ValueError(
+                "word_length must be at most 32 bits for the PL datapath "
+                f"(got {qformat.word_length}): its double-width products are int64"
+            )
         self.geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
         self.n_units = n_units
         self.qformat = qformat

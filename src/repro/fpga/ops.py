@@ -32,7 +32,7 @@ from .gemm import PlannedGemm, _magnitude
 __all__ = ["hw_conv2d", "hw_batch_norm", "hw_relu", "hw_residual_add", "DEFAULT_ROW_CHUNK"]
 
 #: im2col rows fed to one GEMM call: bounds the peak size of the expanded
-#: C*KH*KW patch matrix (at 16,384 rows the widest offloadable block,
+#: KH*KW*C patch matrix (at 16,384 rows the widest offloadable block,
 #: layer3_2 with K = 577, peaks at ~75 MB of float64) independently of the
 #: batch size N.
 DEFAULT_ROW_CHUNK = 16384
@@ -47,9 +47,10 @@ def hw_conv2d(
 ) -> FxArray:
     """Fixed-point 3x3 convolution of a single image or a batch.
 
-    Lowered to im2col + the exact split-limb GEMM of
-    :mod:`repro.fpga.gemm`: the weight matrix is decomposed once per call
-    (planned from the operands' actual magnitudes), image chunks stream
+    Lowered to channel-last im2col (columns ordered ``(KH, KW, C)``) + the
+    exact split-limb GEMM of :mod:`repro.fpga.gemm`: the kernel, reordered
+    to match, is decomposed once per call (planned from the operands'
+    actual magnitudes), image chunks stream
     through one BLAS call each, and the recombined int64 accumulator goes
     through the same ``>> fraction_bits`` renormalisation and clip as a MAC
     unit with a wide accumulator register.  Bit-identical to the plain
@@ -87,7 +88,9 @@ def hw_conv2d(
 
     # Plan the exact GEMM from actual magnitudes: weights are decomposed
     # once; every image chunk then runs as a single stacked-limb BLAS call.
-    w_mat = np.ascontiguousarray(weight.raw.reshape(c_out, k).T)
+    # The kernel is reordered to im2col's channel-last (KH, KW, C) columns;
+    # the GEMM is exact, so the reduction order cannot change an integer.
+    w_mat = np.ascontiguousarray(weight.raw.transpose(0, 2, 3, 1).reshape(c_out, k).T)
     gemm = PlannedGemm(w_mat, a_max=_magnitude(raw))
 
     if row_chunk is None:

@@ -74,8 +74,10 @@ def conv2d(
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x.data, kh, kw, stride, padding)  # (N*oh*ow, C_in*kh*kw)
-    w_mat = weight.data.reshape(c_out, -1)  # (C_out, C_in*kh*kw)
+    # Channel-last columns: the kernel is reordered to (C_out, kh, kw, C_in)
+    # so its flattened rows line up with im2col's (kh, kw, C_in) columns.
+    cols = im2col(x.data, kh, kw, stride, padding)  # (N*oh*ow, kh*kw*C_in)
+    w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, -1)  # (C_out, kh*kw*C_in)
 
     out = cols @ w_mat.T  # (N*oh*ow, C_out)
     if bias is not None:
@@ -88,12 +90,12 @@ def conv2d(
         # grad: (N, C_out, out_h, out_w)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)  # (N*oh*ow, C_out)
         if weight.requires_grad:
-            gw = grad_mat.T @ cols  # (C_out, C_in*kh*kw)
-            weight._accumulate(gw.reshape(weight.shape))
+            gw = grad_mat.T @ cols  # (C_out, kh*kw*C_in)
+            weight._accumulate(gw.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if x.requires_grad:
-            gcols = grad_mat @ w_mat  # (N*oh*ow, C_in*kh*kw)
+            gcols = grad_mat @ w_mat  # (N*oh*ow, kh*kw*C_in)
             gx = col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding)
             x._accumulate(gx)
 

@@ -7,7 +7,9 @@ lifting is done by BLAS (``@``) rather than Python loops, following the
 
 Layout convention: all feature maps are NCHW (batch, channel, height, width),
 matching the paper's description of 32x32/16x16/8x8 feature maps with 16/32/64
-channels.
+channels.  The column matrix is channel-last: one row per output pixel,
+columns ordered ``(KH, KW, C)``, so a ``(C_out, C, KH, KW)`` kernel pairs with
+it as ``weight.transpose(0, 2, 3, 1).reshape(C_out, -1)``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def im2col(
     dtype=None,
     out: np.ndarray = None,
 ) -> np.ndarray:
-    """Rearrange image patches into columns.
+    """Rearrange image patches into channel-last columns.
 
     Parameters
     ----------
@@ -46,12 +48,12 @@ def im2col(
     stride, padding:
         Convolution stride and symmetric zero padding.
     dtype:
-        Target dtype of the column matrix (default: ``x.dtype``).  The
-        gather and the cast happen in one fused copy, so e.g. the int64
-        fixed-point path can materialise float64 GEMM input directly
-        without first paying an int64 copy of the expanded matrix.
+        Target dtype of the column matrix (default: ``x.dtype``).  The cast
+        happens while ``x`` is copied into the small padded channel-last
+        buffer, so e.g. the int64 fixed-point path materialises float64
+        GEMM input directly without an int64 copy of the expanded matrix.
     out:
-        Preallocated ``(N * out_h * out_w, C * kernel_h * kernel_w)``
+        Preallocated ``(N * out_h * out_w, kernel_h * kernel_w * C)``
         C-contiguous destination — lets chunked callers reuse one buffer
         instead of allocating per chunk.  Mutually exclusive with ``dtype``
         disagreeing with ``out.dtype``.
@@ -59,27 +61,16 @@ def im2col(
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+        Array of shape ``(N * out_h * out_w, kernel_h * kernel_w * C)``;
+        row ``(n, i, j)`` holds the receptive field of output pixel
+        ``(i, j)`` of image ``n``, columns ordered ``(KH, KW, C)``.
     """
 
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
     rows = n * out_h * out_w
-    cols_per_row = c * kernel_h * kernel_w
-
-    if padding > 0:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
-
-    # Strided view: (N, C, KH, KW, out_h, out_w) without copying.
-    sn, sc, sh, sw = x.strides
-    shape = (n, c, kernel_h, kernel_w, out_h, out_w)
-    strides = (sn, sc, sh, sw, sh * stride, sw * stride)
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    cols_per_row = kernel_h * kernel_w * c
 
     if out is None:
         out = np.empty((rows, cols_per_row), dtype=x.dtype if dtype is None else dtype)
@@ -92,12 +83,25 @@ def im2col(
             raise ValueError(f"out dtype {out.dtype} conflicts with dtype={np.dtype(dtype)}")
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-    # One fused gather+cast: the expanded C*KH*KW matrix is materialised
-    # exactly once, already in the dtype the downstream GEMM wants.
-    np.copyto(
-        out.reshape(n, out_h, out_w, c, kernel_h, kernel_w),
-        patches.transpose(0, 4, 5, 1, 2, 3),
+
+    # One cast+transpose into a zero-padded NHWC buffer, 1/(KH*KW) the size
+    # of the column matrix (zero padding is exact in fixed point too).
+    # ``copyto`` keeps NumPy's same-kind casting rule, so e.g. float input
+    # into an integer ``out`` still raises instead of truncating.
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=out.dtype)
+    interior = padded[:, padding : padding + h, padding : padding + w]
+    np.copyto(interior, x.transpose(0, 2, 3, 1))
+
+    # Strided view (N, out_h, out_w, KH, KW, C) without copying: for a fixed
+    # kernel row the KW*C elements are contiguous, so the gather below
+    # copies runs of KW*C elements instead of KW.
+    sn, sh, sw, sc = padded.strides
+    patches = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(n, out_h, out_w, kernel_h, kernel_w, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
     )
+    np.copyto(out.reshape(n, out_h, out_w, kernel_h, kernel_w, c), patches)
     return out
 
 
@@ -114,7 +118,8 @@ def col2im(
     Parameters
     ----------
     cols:
-        Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+        Array of shape ``(N * out_h * out_w, kernel_h * kernel_w * C)``,
+        columns ordered ``(KH, KW, C)`` as :func:`im2col` writes them.
     input_shape:
         The original ``(N, C, H, W)`` shape.
 
@@ -128,19 +133,16 @@ def col2im(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
 
-    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
 
-    # Scatter-add each kernel offset back into the padded image.  The two
-    # small loops run kernel_h*kernel_w (= 9) times; the body is vectorised.
+    # Scatter-add each kernel offset back into the padded NHWC image.  The
+    # two small loops run kernel_h*kernel_w (= 9) times; the body is
+    # vectorised.
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+            padded[:, i:i_max:stride, j:j_max:stride] += cols[:, :, :, i, j]
 
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    return padded[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)

@@ -40,6 +40,7 @@ import numpy as np
 
 from .._pool import ordered_map
 from ..api.evaluator import Evaluator
+from ..api.scenario import check_seed
 from .constraints import Constraint, Objective, parse_constraint, parse_objective
 from .report import CandidateRecord, OptReport
 from .screen import (
@@ -375,6 +376,7 @@ def optimize(
             )
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer (got {workers!r})")
+    check_seed("seed", seed)
     if budget is None:
         budget = max(1.0, 0.2 * space.size)
     budget = float(budget)

@@ -217,8 +217,14 @@ class SearchSpace:
             raise ValueError(f"'{clash[0]}' is both an axis and a fixed knob")
         self.fixed: Dict[str, object] = fixed
         # Fail fast on an unsatisfiable joint assignment: the first candidate
-        # exercises Scenario validation for the fixed design knobs.
-        self.scenario(self.candidates()[0])
+        # exercises Scenario validation for the fixed design knobs, and its
+        # sim and fleet scenarios the fixed serving knobs (traffic through
+        # ``check_traffic``, ``count`` through ``BoardGroup``), whatever
+        # fidelity the space is later searched at.
+        first = self.candidates()[0]
+        self.scenario(first)
+        self.sim_scenario(first)
+        self.fleet_scenario(first)
 
     # -- enumeration -------------------------------------------------------------------
 

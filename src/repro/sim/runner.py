@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.evaluator import Evaluator
-from ..api.scenario import Scenario
+from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
 from ..fpga.device import ResourceVector
 from ..fpga.power import PowerModelConfig
@@ -212,6 +212,7 @@ def simulate(
         activation values); independent of the workload ``seed``.
     """
 
+    check_seed("fault_seed", fault_seed)
     sim_scenario = as_sim_scenario(scenario)
     ev = evaluator if evaluator is not None else Evaluator()
     injections = _normalize_faults(faults)

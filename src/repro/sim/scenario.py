@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..api.scenario import Scenario
+from ..api.scenario import Scenario, check_seed
 from .policies import POLICY_NAMES
 from .workload import ARRIVAL_KINDS
 
@@ -39,8 +39,11 @@ def check_traffic(scenario) -> None:
     ``FleetScenario`` share, naming the field at fault.
 
     Rates, horizons and SLOs must be positive and finite (NaN and inf fail
-    too).  A trace is stored as a tuple of floats.
+    too), and the seed a non-negative integer.  A trace is stored as a
+    tuple of floats.
     """
+
+    check_seed("seed", scenario.seed)
 
     if scenario.arrival not in ARRIVAL_KINDS:
         raise ValueError(

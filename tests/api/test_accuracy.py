@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import Evaluator, accuracy_sweep
-from repro.api.accuracy import COLUMNS, DEFAULT_FORMAT_LADDER, AccuracySweepResult
+from repro.api.accuracy import COLUMNS, DEFAULT_FORMAT_LADDER, AccuracySweepResult, _float_conv
 from repro.cli import main
 from repro.fixedpoint import Q16, Q20, QFormat
 from repro.fpga import HardwareODEBlock, BlockWeights
@@ -171,6 +171,36 @@ class TestAccuracySweepCli:
     def test_unknown_pareto_metric_is_clean_error(self, capsys):
         assert main(["accuracy-sweep", "--images", "2", "--format", "pareto", "--pareto-x", "nope"]) == 2
         assert "unknown pareto metric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--formats", "32:20", "40:24", "48:30"],
+            ["--formats", "40:24", "--input-scale", "100"],
+        ],
+        ids=["ladder-past-32", "hot-40-bit"],
+    )
+    def test_word_lengths_above_32_exit_2(self, capsys, argv):
+        # Wider words wrap their int64 products: rows used to come back
+        # silently wrong (or die in fx_sqrt) instead of being refused.
+        assert main(["accuracy-sweep", "--images", "2", *argv]) == 2
+        assert "word_length must be at most 32 bits" in capsys.readouterr().err
+
+
+class TestFloatReference:
+    """The float64 reference conv against a direct, im2col-free convolution."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_float_conv_matches_direct_conv(self, rng, conv_oracle, kernel, stride, padding):
+        x = rng.normal(size=(3, 5, 7, 7))
+        w = rng.normal(size=(4, 5, kernel, kernel))
+        np.testing.assert_allclose(
+            _float_conv(x, w, stride, padding),
+            conv_oracle(x, w, stride, padding),
+            rtol=1e-12, atol=1e-12,
+        )
 
 
 class TestTimingCli:

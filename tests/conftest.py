@@ -51,3 +51,32 @@ def gradcheck():
     """Expose the numeric-gradient helper as a fixture."""
 
     return numeric_gradient
+
+
+def direct_conv(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Direct NCHW convolution: a sum over the KH x KW shifted input slices.
+
+    No im2col and so no column order: kernel tap ``(i, j)`` multiplies the
+    strided slice of the zero-padded input it sees.  int64 operands
+    accumulate in int64, wrapping modulo 2**64 like a 64-bit accumulator.
+    """
+
+    n, _, h, width = x.shape
+    c_out, _, kh, kw = w.shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (width + 2 * padding - kw) // stride + 1
+    pad = (padding, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), pad, pad))
+    acc = np.zeros((n, c_out, out_h, out_w), dtype=np.result_type(x, w))
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+            acc += np.einsum("nchw,oc->nohw", window, w[:, :, i, j])
+    return acc
+
+
+@pytest.fixture
+def conv_oracle():
+    """Expose the direct (im2col-free) convolution as a fixture."""
+
+    return direct_conv

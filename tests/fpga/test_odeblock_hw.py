@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fixedpoint import Q16, Q20
+from repro.fixedpoint import Q16, Q20, QFormat
 from repro.fpga import BlockWeights, HardwareODEBlock, LAYER3_2
 from repro.fpga.geometry import BlockGeometry
 
@@ -108,6 +108,14 @@ class TestExecution:
         out20 = HardwareODEBlock(small_geometry, weights, qformat=Q20).dynamics(z)
         out16 = HardwareODEBlock(small_geometry, weights, qformat=Q16).dynamics(z)
         assert np.max(np.abs(out20 - out16)) > 0
+
+
+class TestWordLengthLimit:
+    @pytest.mark.parametrize("word_length", [33, 40, 48, 64])
+    def test_words_past_32_bits_are_rejected(self, small_geometry, rng, word_length):
+        weights = BlockWeights.random(small_geometry, rng)
+        with pytest.raises(ValueError, match="word_length must be at most 32 bits"):
+            HardwareODEBlock(small_geometry, weights, qformat=QFormat(word_length, 16))
 
 
 class TestTimeConcat:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.fixedpoint import FxArray, Q20, QFormat
 from repro.fixedpoint import arithmetic as fx
+from repro.fpga.gemm import _magnitude, plan_gemm
 from repro.fpga.ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -58,6 +59,58 @@ class TestHwConv2d:
         w = FxArray.from_float(rng.normal(size=(2, 2, 3, 3)), Q16)
         with pytest.raises(ValueError, match="formats must match"):
             hw_conv2d(x, w)
+
+
+#: (kernel, stride, padding) grid of the layout-free conv conformance tests.
+CONV_GEOMETRIES = [
+    pytest.param(k, s, p, id=f"k{k}-s{s}-p{p}") for k in (1, 3) for s in (1, 2) for p in (0, 1)
+]
+
+
+def _direct_hw_conv(conv_oracle, x: FxArray, w: FxArray, stride: int, padding: int) -> np.ndarray:
+    """The MAC-unit semantics on a direct int64 conv: renormalise, then clip."""
+
+    acc = conv_oracle(x.raw, w.raw, stride, padding) >> x.fmt.fraction_bits
+    return np.clip(acc, x.fmt.min_int, x.fmt.max_int)
+
+
+class TestHwConv2dConformance:
+    """hw_conv2d against a direct convolution that never builds columns.
+
+    These pin the datapath independently of im2col's column order.
+    """
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    @pytest.mark.parametrize(
+        "fmt,scale,time_concat",
+        [
+            pytest.param(Q20, 0.5, False, id="Q20"),
+            pytest.param(QFormat(4, 2), 3.0, False, id="Q4.2-saturating"),
+            pytest.param(Q20, 0.5, True, id="Q20-time-concat"),
+        ],
+    )
+    def test_bit_identical_to_direct_conv(
+        self, rng, conv_oracle, kernel, stride, padding, fmt, scale, time_concat
+    ):
+        x = FxArray.from_float(rng.normal(0, scale, size=(3, 4, 7, 7)), fmt)
+        if time_concat:
+            # The constant integration-time plane HardwareODEBlock appends.
+            t_plane = np.full((3, 1, 7, 7), int(fmt.to_fixed(0.25)), dtype=np.int64)
+            x = FxArray(np.concatenate([x.raw, t_plane], axis=1), fmt)
+        w = FxArray.from_float(rng.normal(0, 0.3, size=(5, x.shape[1], kernel, kernel)), fmt)
+        got = hw_conv2d(x, w, stride=stride, padding=padding)
+        assert np.array_equal(got.raw, _direct_hw_conv(conv_oracle, x, w, stride, padding))
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    def test_int64_fallback_wraps_like_direct_conv(self, rng, conv_oracle, kernel, stride, padding):
+        # 62-bit operands: no limb split is exact, so the GEMM falls back to
+        # the int64 matmul and the accumulator wraps modulo 2**64.
+        fmt = QFormat(64, 32)
+        x = FxArray(rng.integers(-(2**61), 2**61, size=(2, 3, 6, 6), dtype=np.int64), fmt)
+        w = FxArray(rng.integers(-(2**61), 2**61, size=(4, 3, kernel, kernel), dtype=np.int64), fmt)
+        assert plan_gemm(_magnitude(x.raw), _magnitude(w.raw), 3 * kernel * kernel).split == "int64"
+        got = hw_conv2d(x, w, stride=stride, padding=padding)
+        assert np.array_equal(got.raw, _direct_hw_conv(conv_oracle, x, w, stride, padding))
 
 
 class TestHwBatchNorm:

@@ -83,6 +83,45 @@ class TestConv2d:
         assert w.grad[idx] == pytest.approx(_numeric_grad(loss_value, w.data, idx), rel=1e-4)
 
 
+#: (kernel, stride, padding) grid of the layout-free conformance tests.
+CONV_GEOMETRIES = [
+    pytest.param(k, s, p, id=f"k{k}-s{s}-p{p}") for k in (1, 3) for s in (1, 2) for p in (0, 1)
+]
+
+
+class TestConv2dConformance:
+    """conv2d and its gradients against a direct, im2col-free convolution."""
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    def test_forward_matches_direct_conv(self, rng, conv_oracle, kernel, stride, padding):
+        x = rng.normal(size=(2, 3, 7, 7))
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        out = F.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        np.testing.assert_allclose(
+            out.data, conv_oracle(x, w, stride, padding), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    def test_gradients_match_finite_differences(
+        self, rng, conv_oracle, gradcheck, kernel, stride, padding
+    ):
+        # A loss linear in each entry makes central differences exact up to
+        # rounding, so every entry of both gradients (the input's through
+        # col2im) is checked, not a sample.
+        x = rng.normal(size=(2, 3, 5, 5))
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        probe = rng.normal(size=conv_oracle(x, w, stride, padding).shape)
+        xt, wt = Tensor(x, requires_grad=True), Parameter(w)
+        (F.conv2d(xt, wt, stride=stride, padding=padding) * Tensor(probe)).sum().backward()
+
+        def loss():
+            return float(np.sum(conv_oracle(x, w, stride, padding) * probe))
+
+        for tensor, array in ((xt, x), (wt, w)):
+            numeric = gradcheck(loss, array, list(np.ndindex(array.shape))).reshape(array.shape)
+            np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
 class TestBatchNorm:
     def test_training_normalises_batch(self, rng):
         x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(8, 4, 6, 6)))

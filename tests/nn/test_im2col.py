@@ -64,7 +64,9 @@ class TestIm2Col:
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 3, 3))
         cols = im2col(x, 3, 3, stride=1, padding=1)
-        out = (cols @ w.reshape(4, -1).T).reshape(2, 6, 6, 4).transpose(0, 3, 1, 2)
+        # Columns are channel-last (KH, KW, C): the kernel is reordered to match.
+        w_mat = w.transpose(0, 2, 3, 1).reshape(4, -1)
+        out = (cols @ w_mat.T).reshape(2, 6, 6, 4).transpose(0, 3, 1, 2)
         # Direct (slow) convolution for reference.
         padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         ref = np.zeros_like(out)
@@ -77,7 +79,7 @@ class TestIm2Col:
 
 
 class TestIm2ColDtypeOut:
-    """The fused gather+cast path feeding the split-limb GEMM."""
+    """The gather+cast path feeding the split-limb GEMM."""
 
     def test_dtype_casts_in_one_copy(self):
         x = np.arange(2 * 3 * 5 * 5, dtype=np.int64).reshape(2, 3, 5, 5)
@@ -118,6 +120,11 @@ class TestIm2ColDtypeOut:
         buf = np.empty((16, 36), dtype=np.float64)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
             im2col(x, 3, 3, stride=1, padding=1, out=buf)
+
+    def test_float_into_integer_out_raises(self):
+        x = np.ones((1, 2, 4, 4))
+        with pytest.raises(TypeError, match="same_kind"):
+            im2col(x, 3, 3, stride=1, padding=1, out=np.empty((16, 18), dtype=np.int64))
 
     def test_default_path_unchanged(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)

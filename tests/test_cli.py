@@ -225,6 +225,9 @@ class TestStrictJson:
         json.loads(out, parse_constant=_reject_constant)
 
 
+SEED_ERROR = "seed must be a non-negative integer (got -1)"
+
+
 class TestNamedErrors:
     """Bad numbers and names exit 2 with an error naming the field."""
 
@@ -258,6 +261,30 @@ class TestNamedErrors:
         assert main(argv.replace("{tmp}", str(tmp_path)).split()) == 2
         err = capsys.readouterr().err
         assert "error:" in err and field in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param("sim --requests 5 --seed -1", SEED_ERROR, id="sim-seed"),
+            pytest.param("fleet --requests 40 --seed -1", SEED_ERROR, id="fleet-seed"),
+            pytest.param("accuracy-sweep --images 1 --seed -1", SEED_ERROR, id="accuracy-seed"),
+            pytest.param("sim --requests 5 --fault-seed -1", "fault_" + SEED_ERROR,
+                         id="sim-fault-seed"),
+            pytest.param("sim --requests 5 --faults --fault-samples 1 --fault-seed -1",
+                         "fault_" + SEED_ERROR, id="fmea-fault-seed"),
+            pytest.param("optimize --objective min:bram --seed -1", SEED_ERROR,
+                         id="optimize-seed"),
+            pytest.param("optimize --objective min:bram --rate nan", "arrival_rate_hz",
+                         id="optimize-analytic-rate"),
+            pytest.param("optimize --objective min:bram --count -1",
+                         "board count must be a positive integer", id="optimize-analytic-count"),
+        ],
+    )
+    def test_bad_seed_or_unused_serving_knob(self, capsys, argv, message):
+        # optimize checks its fixed serving knobs whatever the fidelity, so
+        # the analytic default refuses them too instead of ignoring them.
+        assert main(argv.split()) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_rtl_block(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
