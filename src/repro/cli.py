@@ -15,6 +15,7 @@ table4         variant structures for a chosen depth
 table5         execution times and speedups
 figure5        parameter size vs depth series
 figure6        accuracy vs depth series (paper-scale model)
+boards         registered PS+PL boards (the platform registry)
 offload        offload plan for one architecture (resources/timing/speedup)
 energy         per-prediction energy with vs without the PL offload
 training       projected training cost (future-work analysis)
@@ -22,6 +23,8 @@ eval           full structured report for one scenario
 sweep          design-space grid (variants x depths x MAC units x ...)
 sim            discrete-event serving simulation (arrivals/replicas/policies)
 fleet          multi-board cluster serving (balancer/SLO admission/autoscale)
+faults         registered fault modes usable with ``sim --faults``
+optimize       constrained design-space search (screen + successive halving)
 timing         timing-closure sweep over MAC-unit counts
 accuracy-sweep accuracy-vs-Q-format-vs-latency frontier of the PL datapath
 rtl            ODEBlock Verilog emission + vectors + structural/sim checks
@@ -32,6 +35,12 @@ of the formatted text tables.  Handlers return lazily built views of their
 result and :func:`main` prints exactly one: ``--json`` (or ``--format
 json``) the strict-JSON payload, ``--format csv`` the CSV document, and
 otherwise the text table.
+
+Every flag is declared once, in :data:`FLAGS`; a sub-command lists the flags
+it takes with :func:`flags`, overriding only what differs for it (a default,
+the choices, ``nargs``).  A flag feeding a scenario field stores under that
+field's name (``--rate`` -> ``arrival_rate_hz``), so handlers build their
+scenario from the parsed namespace and set only the values that need parsing.
 
 The commands are registered with the :func:`command` decorator and all of
 them are served by one :class:`repro.api.Evaluator`, so adding a new
@@ -44,7 +53,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
 from ._lazy import lazy_exports
@@ -68,11 +77,174 @@ from .platform import BOARDS, PYNQ_Z2
 __getattr__ = lazy_exports(__name__, {".api.batch": ("BatchResult", "sweep_batch")})[0]
 _cli = sys.modules[__name__]
 
-__all__ = ["build_parser", "main", "command", "registered_commands"]
+__all__ = ["FLAGS", "build_parser", "command", "flags", "main", "registered_commands"]
 
 #: Model names accepted by the scenario-driven sub-commands (the single
 #: source of truth is what :class:`repro.api.Scenario` validates against).
 MODEL_CHOICES: List[str] = list(SCENARIO_MODELS)
+
+_SOLVERS = available_methods()
+_SERVED_ARRIVALS = ("poisson", "deterministic")
+
+#: Every CLI flag, declared once: option string -> argparse keywords.  A flag
+#: feeding a scenario field stores under the field's name (its ``dest``).
+FLAGS: Dict[str, Dict[str, object]] = {
+    # -- design point ---------------------------------------------------------
+    "model": dict(choices=MODEL_CHOICES),
+    "--model": dict(choices=MODEL_CHOICES, default="rODENet-3"),
+    "--models": dict(nargs="*", default=None, choices=MODEL_CHOICES,
+                     help="model variants (sweep default: all Table-5 rows)"),
+    "--depth": dict(type=int, default=56, choices=SUPPORTED_DEPTHS),
+    "--depths": dict(nargs="*", type=int, default=list(SUPPORTED_DEPTHS)),
+    "--n-units": dict(type=int, default=16, help="parallel MAC units of the PL design"),
+    "--wordlength": dict(dest="word_length", type=int, default=32,
+                         help="fixed-point word length in bits"),
+    "--wordlengths": dict(dest="word_lengths", nargs="*", type=int, default=[32],
+                          help="word lengths, each at its conventional fraction bits"),
+    "--fraction-bits": dict(type=int, default=None, help="fixed-point fraction bits for every "
+                            "word length (default: the conventional Q-format)"),
+    "--qformats": dict(nargs="*", default=None, metavar="WL:FB",
+                       help="explicit Q-format axis, e.g. 16:8 16:10 (replaces --wordlengths)"),
+    "--formats": dict(nargs="*", default=None, metavar="WL:FB",
+                      help="explicit Q-formats, e.g. 16:8 12:6 (default: the built-in ladder)"),
+    "--qformat": dict(default="32:20", metavar="WL:FB",
+                      help="fixed-point format of the datapath (default: the paper's Q20)"),
+    "--solver": dict(choices=_SOLVERS, default="euler"),
+    "--solvers": dict(nargs="*", choices=_SOLVERS, default=["euler"]),
+    "--board": dict(default=PYNQ_Z2.name, help="registered board (see 'boards'); sim also "
+                    "takes a comma-separated list to compare boards under one trace"),
+    "--boards": dict(nargs="*", default=None, metavar="BOARD[,BOARD...]",
+                     help="board axis: registered names, space- and/or comma-separated "
+                     "(sweep default: PYNQ-Z2; optimize default: every board)"),
+    "--block": dict(choices=OFFLOADABLE_LAYER_NAMES, default="layer3_2",
+                    help="offloadable PL block"),
+    # -- serving traffic and hardware -----------------------------------------
+    "--arrivals": dict(dest="arrival", choices=(*_SERVED_ARRIVALS, "trace"), default="poisson",
+                       help="request arrival process"),
+    "--rate": dict(dest="arrival_rate_hz", type=float, default=1.0,
+                   help="offered arrival rate [req/s]"),
+    "--requests": dict(dest="n_requests", type=int, default=None,
+                       help="requests to offer (default: the full trace, or the whole "
+                       "--duration, else 100 for sim and 1000 for fleet)"),
+    "--duration": dict(dest="duration_s", type=float, default=None,
+                       help="stop offering arrivals after this much simulated time [s]"),
+    "--trace": dict(nargs="*", type=float, default=None,
+                    help="explicit arrival timestamps (with --arrivals trace)"),
+    "--replicas": dict(default="1", help="PL replicas (per board), or 'auto' to size them "
+                       "from the fabric budget"),
+    "--policy": dict(choices=("fifo", "batched", "round_robin"), default="fifo"),
+    "--policies": dict(nargs="*", default=None, help="dispatch policies to search over"),
+    "--batch-size": dict(type=int, default=4, help="max batch per replica (--policy batched)"),
+    "--batch-sizes": dict(nargs="*", type=int, default=None),
+    "--ps-cores": dict(default="1", help="PS cores serving software phases, or 'auto' for the "
+                       "board's core count"),
+    "--dma-channels": dict(type=int, default=1, help="concurrent AXI DMA bursts"),
+    "--warmup": dict(dest="warmup_s", type=float, default=0.0,
+                     help="transient trim: requests arriving before this simulated time [s] "
+                     "leave the percentiles, utilisation and energy"),
+    "--mix": dict(nargs="*", default=None, metavar="MODEL:DEPTH[:WEIGHT]",
+                  help="weighted per-request architecture mix sharing the same PL hardware"),
+    "--slo-ms": dict(type=float, default=None, help="per-request latency SLO [ms] (fleet: for "
+                     "latency classes without their own)"),
+    "--seed": dict(type=int, default=0, help="PRNG seed (equal seeds rerun bit-identically)"),
+    # -- fault injection ------------------------------------------------------
+    "--faults": dict(nargs="*", default=None, metavar="KIND[:RATE[:PARAM]]",
+                     help="run an FMEA over these fault modes (bare: the whole default "
+                     "domain; see the 'faults' subcommand)"),
+    "--fault-samples": dict(type=int, default=3, help="sampled injection times per fault mode"),
+    "--fault-sampling": dict(choices=("even", "quadrature"), default="even",
+                             help="injection-time sampling rule"),
+    "--fault-seed": dict(type=int, default=0, help="fault RNG seed (bit-flip positions)"),
+    "--fault-duration": dict(type=float, default=None,
+                             help="seconds until each fault self-clears (default: permanent)"),
+    # -- fleet ----------------------------------------------------------------
+    "--classes": dict(default=None, metavar="NAME[:WEIGHT[:KIND[:SLO]]],...",
+                      help="traffic classes, e.g. 'interactive:0.8:latency:50ms,nightly:0.2'"),
+    "--routing": dict(choices=("least_loaded", "round_robin", "weighted"),
+                      default="least_loaded", help="balancer routing policy"),
+    "--admission": dict(choices=("none", "slo"), default="slo", help="'slo' rejects "
+                        "latency-class requests whose predicted sojourn breaks their SLO"),
+    "--autoscale": dict(action="store_true", help="power boards up/down on windowed utilisation"),
+    "--autoscale-interval": dict(dest="autoscale_interval_s", type=float, default=60.0,
+                                 help="autoscale control interval [simulated s]"),
+    "--cells": dict(type=int, default=1, help="shared-nothing cells the inventory and traffic "
+                    "are dealt into (changes the numbers)"),
+    "--shards": dict(type=int, default=1,
+                     help="worker processes executing the cells (never changes the numbers)"),
+    "--fidelity": dict(choices=("fast", "event"), default="fast", help="'fast' = analytic "
+                       "balancer kernel; 'event' = replay through the transaction-level sim"),
+    "--exact": dict(action="store_true", help="keep exact per-request latencies (no sketches)"),
+    # -- optimizer ------------------------------------------------------------
+    "--objective": dict(default=None, metavar="[min:|max:]METRIC",
+                        help="metric to optimize (required), e.g. 'min:p99_ms'"),
+    "--constraint": dict(action="append", default=[], metavar="METRIC_OP_VALUE",
+                         help="bound every candidate must meet, e.g. 'p99_ms<=5' (repeatable)"),
+    "--budget": dict(type=float, default=None, help="evaluation budget in full-evaluation "
+                     "units (default: 20%% of the exhaustive grid)"),
+    "--count": dict(type=int, default=None, help="boards per candidate at --fidelity fleet"),
+    "--workers": dict(type=int, default=1, help="worker processes (never changes the "
+                      "numbers; accuracy-sweep needs --chunk-size)"),
+    # -- outputs --------------------------------------------------------------
+    "--format": dict(choices=("table", "csv", "json", "pareto"), default="table"),
+    "--engine": dict(choices=("loop", "batch"), default="loop", help="per-scenario loop or "
+                     "the vectorized batch engine (identical results)"),
+    "--pareto-x": dict(default="total_w_pl_s",
+                      help="x metric of --format pareto (default: %(default)s)"),
+    "--pareto-y": dict(default="energy_with_pl_J",
+                      help="y metric of --format pareto (default: %(default)s)"),
+    "--maximize-x": dict(action="store_true", help="maximize (not minimize) the x metric"),
+    "--maximize-y": dict(action="store_true", help="maximize (not minimize) the y metric"),
+    # -- single-command flags -------------------------------------------------
+    "--no-estimates": dict(action="store_true", help="omit the analytical model columns"),
+    "--paper-only": dict(action="store_true", help="only values quoted verbatim by the paper"),
+    "--points": dict(action="store_true", help="list every point with its source"),
+    "--clock-mhz": dict(type=float, default=None, help="target PL clock [MHz] (default: the "
+                        "board's)"),
+    "--images": dict(type=int, default=8, help="images per batched forward pass"),
+    "--input-scale": dict(type=float, default=0.5,
+                          help="input magnitude (large values saturate narrow formats)"),
+    "--chunk-size": dict(type=int, default=None, metavar="IMAGES", help="images per streamed "
+                         "chunk (default: one batch)"),
+    "--out": dict(default="rtl_out", help="bundle output directory"),
+    "--vectors": dict(type=int, default=0, metavar="IMAGES",
+                      help="testbench vectors for this many stimulus images per iteration"),
+    "--iterations": dict(type=int, default=2, help="Euler iterations per vector image"),
+    "--time-concat": dict(action="store_true", help="emit the time-concat input channel"),
+    "--step-size": dict(type=float, default=1.0, help="Euler step size h"),
+    "--check": dict(action="store_true", help="run the structural checker on the bundle"),
+    "--simulate": dict(action="store_true",
+                       help="run the iverilog testbench (skipped when not installed)"),
+}
+
+
+def _bare(flag: str) -> str:
+    """A flag's name as an identifier: ``--n-units`` -> ``n_units``."""
+
+    return flag.lstrip("-").replace("-", "_")
+
+
+def flags(*names: str, **overrides: Dict[str, object]):
+    """A ``configure`` adding the named :data:`FLAGS` in order.
+
+    ``overrides`` is keyed by the bare flag name (``n_units`` for
+    ``--n-units``) and holds only the keywords that differ for this command.
+    """
+
+    def configure(p: argparse.ArgumentParser) -> None:
+        for name in names:
+            kwargs = {**FLAGS[name], **overrides.get(_bare(name), {})}
+            if isinstance(kwargs.get("default"), list):
+                kwargs["default"] = list(kwargs["default"])  # fresh per parser
+            p.add_argument(name, **kwargs)
+
+    return configure
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Names a flag's metavar after the flag, not its dest (a scenario field)."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return _bare(action.option_strings[0]).upper()
 
 
 @dataclass(frozen=True)
@@ -119,6 +291,20 @@ def registered_commands() -> Dict[str, CliCommand]:
     return dict(_REGISTRY)
 
 
+def _scenario(cls, args: argparse.Namespace, **parsed):
+    """``cls`` built from the namespace entries named after its fields.
+
+    ``parsed`` holds the values that needed parsing and takes precedence.
+    """
+
+    names = {f.name for f in fields(cls)}
+    return cls(**{**{k: v for k, v in vars(args).items() if k in names}, **parsed})
+
+
+def _slo_s(slo_ms: Optional[float]) -> Optional[float]:
+    return slo_ms / 1000.0 if slo_ms is not None else None
+
+
 # -- table commands ---------------------------------------------------------------------
 
 
@@ -138,31 +324,22 @@ def _cmd_table2(args, evaluator: Evaluator) -> CommandOutput:
     return _records_output(evaluator.table2_records(), "Table 2: ODENet structure")
 
 
-def _configure_table3(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-estimates", action="store_true", help="omit the analytical model columns")
-
-
-@command("table3", help="FPGA resource utilisation", configure=_configure_table3)
+@command("table3", help="FPGA resource utilisation", configure=flags("--no-estimates"))
 def _cmd_table3(args, evaluator: Evaluator) -> CommandOutput:
     records = evaluator.table3_records(include_estimates=not args.no_estimates)
     return _records_output(records, "Table 3: resource utilisation")
 
 
-def _configure_table4(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=56, choices=SUPPORTED_DEPTHS)
-
-
-@command("table4", help="variant structures", configure=_configure_table4)
+@command("table4", help="variant structures", configure=flags("--depth"))
 def _cmd_table4(args, evaluator: Evaluator) -> CommandOutput:
     return _records_output(evaluator.table4_records(args.depth), f"Table 4 (N={args.depth})")
 
 
-def _configure_table5(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=None, choices=SUPPORTED_DEPTHS)
-    p.add_argument("--n-units", type=int, default=16, help="MAC units of the PL design")
-
-
-@command("table5", help="execution times and speedups", configure=_configure_table5)
+@command(
+    "table5",
+    help="execution times and speedups",
+    configure=flags("--depth", "--n-units", depth=dict(default=None)),
+)
 def _cmd_table5(args, evaluator: Evaluator) -> CommandOutput:
     depths = (args.depth,) if args.depth else SUPPORTED_DEPTHS
     records = evaluator.table5_records(depths=depths, n_units=args.n_units)
@@ -180,12 +357,11 @@ def _cmd_figure5(args, evaluator: Evaluator) -> CommandOutput:
     )
 
 
-def _configure_figure6(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--paper-only", action="store_true", help="only values quoted verbatim by the paper")
-    p.add_argument("--points", action="store_true", help="list every point with its source")
-
-
-@command("figure6", help="accuracy vs depth (paper-scale model)", configure=_configure_figure6)
+@command(
+    "figure6",
+    help="accuracy vs depth (paper-scale model)",
+    configure=flags("--paper-only", "--points"),
+)
 def _cmd_figure6(args, evaluator: Evaluator) -> CommandOutput:
     if args.points:
         return _records_output(evaluator.accuracy_table(), "Figure 6 points")
@@ -223,16 +399,19 @@ def _cmd_boards(args, evaluator: Evaluator) -> CommandOutput:
 
 # -- scenario commands ------------------------------------------------------------------
 
+#: ``eval`` and ``sim`` take an optional model and leave the depth check to
+#: :class:`repro.api.Scenario` (whose error names the family rule).
+_FREE_POINT = dict(model=dict(nargs="?", default="rODENet-3"), depth=dict(choices=None))
+_SCENARIO_KNOBS = ("--wordlength", "--fraction-bits", "--solver", "--board")
 
-def _configure_offload(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", choices=MODEL_CHOICES)
-    p.add_argument("--depth", type=int, default=56, choices=SUPPORTED_DEPTHS)
-    p.add_argument("--n-units", type=int, default=16)
 
-
-@command("offload", help="offload plan for one architecture", configure=_configure_offload)
+@command(
+    "offload",
+    help="offload plan for one architecture",
+    configure=flags("model", "--depth", "--n-units"),
+)
 def _cmd_offload(args, evaluator: Evaluator) -> CommandOutput:
-    result = evaluator.evaluate(Scenario(model=args.model, depth=args.depth, n_units=args.n_units))
+    result = evaluator.evaluate(_scenario(Scenario, args))
 
     def text() -> str:
         lines = [f"Offload plan for {args.model}-{args.depth} (conv_x{args.n_units})"]
@@ -246,25 +425,22 @@ def _cmd_offload(args, evaluator: Evaluator) -> CommandOutput:
     return CommandOutput(text, result.as_dict)
 
 
-def _configure_energy(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", choices=MODEL_CHOICES)
-    p.add_argument("--depth", type=int, default=56, choices=SUPPORTED_DEPTHS)
-    p.add_argument("--n-units", type=int, default=16)
-
-
-@command("energy", help="per-prediction energy with vs without the PL", configure=_configure_energy)
+@command(
+    "energy",
+    help="per-prediction energy with vs without the PL",
+    configure=flags("model", "--depth", "--n-units"),
+)
 def _cmd_energy(args, evaluator: Evaluator) -> CommandOutput:
-    result = evaluator.evaluate(Scenario(model=args.model, depth=args.depth, n_units=args.n_units))
+    result = evaluator.evaluate(_scenario(Scenario, args))
     title = f"Energy per prediction: {args.model}-{args.depth}"
     return CommandOutput(lambda: format_records([dict(result.energy)], title=title), result.as_dict)
 
 
-def _configure_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=56, choices=SUPPORTED_DEPTHS)
-    p.add_argument("--models", nargs="*", default=["ResNet", "rODENet-3"], choices=MODEL_CHOICES)
-
-
-@command("training", help="projected training cost (future work)", configure=_configure_training)
+@command(
+    "training",
+    help="projected training cost (future work)",
+    configure=flags("--depth", "--models", models=dict(default=["ResNet", "rODENet-3"])),
+)
 def _cmd_training(args, evaluator: Evaluator) -> CommandOutput:
     results = [evaluator.evaluate(Scenario(model=name, depth=args.depth)) for name in args.models]
     rows = [
@@ -274,24 +450,6 @@ def _cmd_training(args, evaluator: Evaluator) -> CommandOutput:
     title = f"Projected training cost at N={args.depth} (future-work model)"
     return CommandOutput(
         lambda: format_records(rows, title=title), lambda: [r.as_dict() for r in results]
-    )
-
-
-def _add_scenario_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--wordlength", type=int, default=32, help="fixed-point word length in bits")
-    p.add_argument(
-        "--fraction-bits",
-        type=int,
-        default=None,
-        help="fixed-point fraction bits (defaults to the conventional Q-format)",
-    )
-    p.add_argument("--solver", choices=available_methods(), default="euler")
-    p.add_argument(
-        "--board",
-        default=PYNQ_Z2.name,
-        help="target board from the platform registry (see the 'boards' subcommand); "
-        "the sim subcommand also accepts a comma-separated list to compare boards "
-        "under the same trace",
     )
 
 
@@ -318,80 +476,32 @@ def _parse_auto_count(value: str, flag: str) -> int:
         ) from None
 
 
-def _configure_eval(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", nargs="?", default="rODENet-3", choices=MODEL_CHOICES)
-    p.add_argument("--depth", type=int, default=56)
-    p.add_argument("--n-units", type=int, default=16)
-    _add_scenario_knobs(p)
-
-
-@command("eval", help="full structured report for one scenario", configure=_configure_eval)
+@command(
+    "eval",
+    help="full structured report for one scenario",
+    configure=flags("model", "--depth", "--n-units", *_SCENARIO_KNOBS, **_FREE_POINT),
+)
 def _cmd_eval(args, evaluator: Evaluator) -> CommandOutput:
-    scenario = Scenario(
-        model=args.model,
-        depth=args.depth,
-        n_units=args.n_units,
-        word_length=args.wordlength,
-        fraction_bits=fraction_bits_for(args.wordlength, args.fraction_bits),
-        solver=args.solver,
-        board=args.board,
-    )
-    result = evaluator.evaluate(scenario)
+    fraction_bits = fraction_bits_for(args.word_length, args.fraction_bits)
+    result = evaluator.evaluate(_scenario(Scenario, args, fraction_bits=fraction_bits))
     return CommandOutput(result.render, result.as_dict)
 
 
-def _configure_sweep(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--models", nargs="*", default=None, choices=MODEL_CHOICES,
-                   help="variants to sweep (default: all Table-5 rows)")
-    p.add_argument("--depths", nargs="*", type=int, default=list(SUPPORTED_DEPTHS))
-    p.add_argument("--n-units", nargs="*", type=int, default=[16])
-    p.add_argument("--wordlengths", nargs="*", type=int, default=[32])
-    p.add_argument(
-        "--fraction-bits",
-        type=int,
-        default=None,
-        help="fraction bits applied to every --wordlengths value "
-        "(default: the conventional Q-format per word length)",
-    )
-    p.add_argument(
-        "--qformats", nargs="*", default=None, metavar="WL:FB",
-        help="explicit Q-format axis, e.g. 16:8 16:10 12:6 (replaces "
-        "--wordlengths; lets both knobs vary independently)",
-    )
-    p.add_argument("--solvers", nargs="*", choices=available_methods(), default=["euler"])
-    p.add_argument(
-        "--boards", nargs="*", default=None, metavar="BOARD[,BOARD...]",
-        help="board axis: registered board names, space- and/or comma-separated "
-        "(see the 'boards' subcommand; default: PYNQ-Z2 only)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("loop", "batch"),
-        default="loop",
-        help="per-scenario loop engine (default) or the vectorized batch engine "
-        "(identical results, much faster on large grids)",
-    )
-    p.add_argument("--format", choices=("table", "csv", "json", "pareto"), default="table")
-    p.add_argument(
-        "--pareto-x",
-        default="total_w_pl_s",
-        help="x metric of the Pareto front (--format pareto; default: total_w_pl_s)",
-    )
-    p.add_argument(
-        "--pareto-y",
-        default="energy_with_pl_J",
-        help="y metric of the Pareto front (--format pareto; default: energy_with_pl_J)",
-    )
-    p.add_argument("--maximize-x", action="store_true", help="maximize (not minimize) the x metric")
-    p.add_argument("--maximize-y", action="store_true", help="maximize (not minimize) the y metric")
-
-
-@command("sweep", help="design-space grid over variants/depths/units/formats", configure=_configure_sweep)
+@command(
+    "sweep",
+    help="design-space grid over variants/depths/units/formats",
+    configure=flags(
+        "--models", "--depths", "--n-units", "--wordlengths", "--fraction-bits", "--qformats",
+        "--solvers", "--boards", "--engine", "--format", "--pareto-x", "--pareto-y",
+        "--maximize-x", "--maximize-y",
+        n_units=dict(nargs="*", default=[16]),
+    ),
+)
 def _cmd_sweep(args, evaluator: Evaluator) -> CommandOutput:
     axes = dict(
         depths=args.depths,
         n_units=args.n_units,
-        word_lengths=args.wordlengths,
+        word_lengths=args.word_lengths,
         fraction_bits=args.fraction_bits,
         solvers=args.solvers,
     )
@@ -427,79 +537,6 @@ def _cmd_sweep(args, evaluator: Evaluator) -> CommandOutput:
     )
 
 
-def _configure_sim(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", nargs="?", default="rODENet-3", choices=MODEL_CHOICES)
-    p.add_argument("--depth", type=int, default=56)
-    p.add_argument("--n-units", type=int, default=16)
-    _add_scenario_knobs(p)
-    p.add_argument(
-        "--arrivals", choices=("poisson", "deterministic", "trace"), default="poisson",
-        help="request arrival process",
-    )
-    p.add_argument("--rate", type=float, default=1.0, help="mean arrival rate [req/s]")
-    p.add_argument(
-        "--requests", type=int, default=None,
-        help="number of requests to offer (default: the full trace, or the whole "
-        "--duration, or 100 when neither bounds the run)",
-    )
-    p.add_argument(
-        "--duration", type=float, default=None,
-        help="stop offering arrivals after this much simulated time [s]",
-    )
-    p.add_argument(
-        "--trace", nargs="*", type=float, default=None,
-        help="explicit arrival timestamps (with --arrivals trace)",
-    )
-    p.add_argument(
-        "--replicas", default="1",
-        help="PL accelerator replicas, or 'auto' to size from the resource budget",
-    )
-    p.add_argument("--policy", choices=("fifo", "batched", "round_robin"), default="fifo")
-    p.add_argument("--batch-size", type=int, default=4, help="max batch per replica (--policy batched)")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (Poisson arrivals, mix sampling)")
-    p.add_argument(
-        "--ps-cores", default="1",
-        help="PS cores serving software phases, or 'auto' for the board's core count",
-    )
-    p.add_argument("--dma-channels", type=int, default=1, help="concurrent AXI DMA bursts")
-    p.add_argument(
-        "--warmup", type=float, default=0.0,
-        help="drop requests arriving before this simulated time from the latency "
-        "percentiles and measure utilisation/energy from there on (transient trim)",
-    )
-    p.add_argument(
-        "--mix", nargs="*", default=None, metavar="MODEL:DEPTH[:WEIGHT]",
-        help="weighted per-request architecture mix sharing the same PL hardware",
-    )
-    p.add_argument(
-        "--slo-ms", type=float, default=None,
-        help="per-request latency SLO [ms]; the report gains an SLO-violation "
-        "summary (late or corrupted completions count)",
-    )
-    p.add_argument(
-        "--faults", nargs="*", default=None, metavar="KIND[:RATE[:PARAM]]",
-        help="run an FMEA over these fault modes (bare --faults uses the whole "
-        "default domain; see the 'faults' subcommand for the registry)",
-    )
-    p.add_argument(
-        "--fault-samples", type=int, default=3,
-        help="sampled injection times per fault mode (--faults)",
-    )
-    p.add_argument(
-        "--fault-sampling", choices=("even", "quadrature"), default="even",
-        help="injection-time sampling rule (--faults)",
-    )
-    p.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="fault RNG seed (bit-flip positions), independent of --seed",
-    )
-    p.add_argument(
-        "--fault-duration", type=float, default=None,
-        help="seconds until each injected fault self-clears (default: permanent)",
-    )
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-
-
 def _parse_mix(entries, scenario) -> List:
     """Parse ``--mix MODEL:DEPTH[:WEIGHT]`` into (scenario, weight) pairs."""
 
@@ -523,33 +560,28 @@ def _parse_mix(entries, scenario) -> List:
 @command(
     "sim",
     help="discrete-event simulation of multi-request PS+PL serving",
-    configure=_configure_sim,
+    configure=flags(
+        "model", "--depth", "--n-units", *_SCENARIO_KNOBS, "--arrivals", "--rate",
+        "--requests", "--duration", "--trace", "--replicas", "--policy", "--batch-size",
+        "--seed", "--ps-cores", "--dma-channels", "--warmup", "--mix", "--slo-ms", "--faults",
+        "--fault-samples", "--fault-sampling", "--fault-seed", "--fault-duration", "--format",
+        **_FREE_POINT,
+        format=dict(choices=("table", "json", "csv")),
+    ),
 )
 def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
     from .sim import SimScenario, simulate
 
     boards = _parse_board_names(args.board, flag="--board")
-    scenario = SimScenario(
-        model=args.model,
-        depth=args.depth,
-        n_units=args.n_units,
-        word_length=args.wordlength,
-        fraction_bits=fraction_bits_for(args.wordlength, args.fraction_bits),
-        solver=args.solver,
+    scenario = _scenario(
+        SimScenario,
+        args,
+        fraction_bits=fraction_bits_for(args.word_length, args.fraction_bits),
         board=boards[0],
-        arrival=args.arrivals,
-        arrival_rate_hz=args.rate,
-        n_requests=args.requests,
-        duration_s=args.duration,
         trace=tuple(args.trace) if args.trace is not None else None,
         replicas=_parse_auto_count(args.replicas, "--replicas"),
-        policy=args.policy,
-        batch_size=args.batch_size,
-        seed=args.seed,
         ps_cores=_parse_auto_count(args.ps_cores, "--ps-cores"),
-        dma_channels=args.dma_channels,
-        warmup_s=args.warmup,
-        slo_s=args.slo_ms / 1000.0 if args.slo_ms is not None else None,
+        slo_s=_slo_s(args.slo_ms),
     )
     if len(boards) > 1:
         if args.faults is not None:
@@ -580,83 +612,23 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
     return CommandOutput(study.render, study.as_dict, study.to_csv)
 
 
-def _configure_fleet(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--boards", default="pynq-z2:4", metavar="NAME[:COUNT],...",
-        help="fleet inventory, e.g. 'pynq-z2:8,zcu104:4' (case-insensitive names)",
-    )
-    p.add_argument(
-        "--classes", default=None, metavar="NAME[:WEIGHT[:KIND[:SLO]]],...",
-        help="traffic classes, e.g. 'interactive:0.8:latency:50ms,nightly:0.2:batch'",
-    )
-    p.add_argument("--model", choices=MODEL_CHOICES, default="rODENet-3")
-    p.add_argument("--depth", type=int, choices=SUPPORTED_DEPTHS, default=56)
-    p.add_argument("--n-units", type=int, default=16, help="parallel MAC units per replica")
-    p.add_argument(
-        "--arrivals", choices=("poisson", "deterministic"), default="poisson",
-        help="request arrival process",
-    )
-    p.add_argument("--rate", type=float, default=10.0, help="offered arrival rate [req/s]")
-    p.add_argument(
-        "--requests", type=int, default=None,
-        help="number of requests to offer (default: the whole --duration, or "
-        "1000 when neither bounds the run)",
-    )
-    p.add_argument(
-        "--duration", type=float, default=None,
-        help="stop offering arrivals after this much simulated time [s]",
-    )
-    p.add_argument(
-        "--replicas", default="auto",
-        help="PL replicas per board, or 'auto' to size each board from its fabric",
-    )
-    p.add_argument(
-        "--routing", choices=("least_loaded", "round_robin", "weighted"),
-        default="least_loaded", help="balancer routing policy",
-    )
-    p.add_argument(
-        "--admission", choices=("none", "slo"), default="slo",
-        help="admission control: 'slo' rejects latency-class requests whose "
-        "predicted sojourn breaks their SLO",
-    )
-    p.add_argument(
-        "--slo-ms", type=float, default=None,
-        help="default SLO for latency classes without their own [ms]",
-    )
-    p.add_argument(
-        "--autoscale", action="store_true",
-        help="reactive power scaling: boards power up/down on windowed utilisation",
-    )
-    p.add_argument(
-        "--autoscale-interval", type=float, default=60.0,
-        help="autoscale control interval [simulated s]",
-    )
-    p.add_argument(
-        "--cells", type=int, default=1,
-        help="shared-nothing cells the inventory and traffic are dealt into "
-        "(part of the scenario — changes the numbers)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes executing the cells (never changes the numbers)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument(
-        "--fidelity", choices=("fast", "event"), default="fast",
-        help="'fast' = analytic balancer kernel; 'event' = replay each board's "
-        "assigned trace through the full transaction-level simulator",
-    )
-    p.add_argument(
-        "--exact", action="store_true",
-        help="keep exact per-request latencies (never spill the streaming sketches)",
-    )
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-
 @command(
     "fleet",
     help="multi-board cluster serving behind a balancer (SLO admission, autoscale)",
-    configure=_configure_fleet,
+    configure=flags(
+        "--boards", "--classes", "--model", "--depth", "--n-units", "--arrivals", "--rate",
+        "--requests", "--duration", "--replicas", "--routing", "--admission", "--slo-ms",
+        "--autoscale", "--autoscale-interval", "--cells", "--shards", "--seed", "--fidelity",
+        "--exact", "--format",
+        boards=dict(
+            nargs=None, default="pynq-z2:4", metavar="NAME[:COUNT],...",
+            help="fleet inventory, e.g. 'pynq-z2:8,zcu104:4' (case-insensitive names)",
+        ),
+        arrivals=dict(choices=_SERVED_ARRIVALS),
+        rate=dict(default=10.0),
+        replicas=dict(default="auto"),
+        format=dict(choices=("table", "json")),
+    ),
 )
 def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
     from .fleet import (
@@ -666,30 +638,17 @@ def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
         simulate_fleet,
     )
 
-    scenario = FleetScenario(
+    scenario = _scenario(
+        FleetScenario,
+        args,
         boards=parse_board_groups(args.boards),
         classes=(
             parse_traffic_classes(args.classes)
             if args.classes is not None
             else FleetScenario().classes
         ),
-        model=args.model,
-        depth=args.depth,
-        n_units=args.n_units,
-        arrival=args.arrivals,
-        arrival_rate_hz=args.rate,
-        n_requests=args.requests,
-        duration_s=args.duration,
         replicas=_parse_auto_count(args.replicas, "--replicas"),
-        routing=args.routing,
-        admission=args.admission,
-        slo_s=args.slo_ms / 1000.0 if args.slo_ms is not None else None,
-        autoscale=args.autoscale,
-        autoscale_interval_s=args.autoscale_interval,
-        cells=args.cells,
-        seed=args.seed,
-        fidelity=args.fidelity,
-        exact=args.exact,
+        slo_s=_slo_s(args.slo_ms),
     )
     report = simulate_fleet(scenario, shards=args.shards, evaluator=evaluator)
     return CommandOutput(report.render, report.as_dict)
@@ -715,68 +674,40 @@ def _cmd_faults(args, evaluator: Evaluator) -> CommandOutput:
     return _records_output(records, "Fault-mode registry (spec syntax: KIND[:RATE[:PARAM]])")
 
 
-def _configure_optimize(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--objective", default=None, metavar="[min:|max:]METRIC",
-        help="metric to optimize (required), e.g. 'board_price_usd', "
-        "'min:p99_ms', 'max:throughput_rps'",
-    )
-    p.add_argument(
-        "--constraint", action="append", default=[], metavar="METRIC_OP_VALUE",
-        help="bound every acceptable candidate must meet, e.g. 'p99_ms<=5' "
-        "(repeatable)",
-    )
-    p.add_argument(
-        "--fidelity", choices=("analytic", "sim", "fleet", "faults"), default="analytic",
-        help="what one evaluation is: the analytic batch row, a simulate() run, "
-        "a simulate_fleet() run of --count boards, or a run_fmea() study",
-    )
-    p.add_argument(
-        "--budget", type=float, default=None,
-        help="evaluation budget in full-evaluation units "
-        "(default: 20%% of the exhaustive grid)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="run seed (bit-identical reruns)")
-    # search axes (an axis flag with several values becomes a searched axis)
-    p.add_argument("--models", nargs="*", default=None, choices=MODEL_CHOICES)
-    p.add_argument("--depths", nargs="*", type=int, default=None, choices=SUPPORTED_DEPTHS)
-    p.add_argument("--n-units", nargs="*", type=int, default=None)
-    p.add_argument("--qformats", nargs="*", default=None, metavar="WL:FB")
-    p.add_argument("--solvers", nargs="*", default=None, choices=available_methods())
-    p.add_argument(
-        "--boards", nargs="*", default=None,
-        help="boards to search over (default: every registered board)",
-    )
-    p.add_argument(
-        "--replicas", nargs="*", type=int, default=None,
-        help="PL replica counts to search over (serving fidelities)",
-    )
-    p.add_argument("--policies", nargs="*", default=None, help="dispatch policies to search over")
-    p.add_argument("--batch-sizes", nargs="*", type=int, default=None)
-    # fixed serving knobs (identical for every candidate)
-    p.add_argument(
-        "--arrivals", choices=("poisson", "deterministic"), default=None,
-        help="arrival process for sim/fleet/faults evaluations",
-    )
-    p.add_argument("--rate", type=float, default=None, help="offered arrival rate [req/s]")
-    p.add_argument("--requests", type=int, default=None, help="requests per full-length run")
-    p.add_argument("--duration", type=float, default=None, help="full-length run horizon [s]")
-    p.add_argument("--slo-ms", type=float, default=None, help="latency SLO [ms]")
-    p.add_argument(
-        "--count", type=int, default=None,
-        help="boards per candidate at --fidelity fleet",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width for stage-2 evaluations (never changes the numbers)",
-    )
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+#: ``optimize`` search-axis flags (by dest) -> :class:`repro.opt.SearchSpace`
+#: axis names; an axis flag with several values becomes a searched axis.
+_OPT_AXES = {
+    "models": "model", "depths": "depth", "n_units": "n_units", "qformats": "qformat",
+    "solvers": "solver", "boards": "board", "replicas": "replicas", "policies": "policy",
+    "batch_sizes": "batch_size",
+}
 
 
 @command(
     "optimize",
     help="constrained design-space search (screen + successive halving), not a sweep",
-    configure=_configure_optimize,
+    configure=flags(
+        "--objective", "--constraint", "--fidelity", "--budget", "--seed",
+        *(f"--{dest.replace('_', '-')}" for dest in _OPT_AXES),
+        "--arrivals", "--rate", "--requests", "--duration", "--slo-ms", "--count", "--workers",
+        "--format",
+        fidelity=dict(
+            choices=("analytic", "sim", "fleet", "faults"), default="analytic",
+            help="what one evaluation is: the analytic batch row, a simulate() run, "
+            "a simulate_fleet() run of --count boards, or a run_fmea() study",
+        ),
+        depths=dict(default=None, choices=SUPPORTED_DEPTHS),
+        n_units=dict(nargs="*", default=None),
+        solvers=dict(default=None),
+        boards=dict(metavar=None),
+        replicas=dict(
+            nargs="*", type=int, default=None,
+            help="PL replica counts to search over (serving fidelities)",
+        ),
+        arrivals=dict(choices=_SERVED_ARRIVALS, default=None),
+        rate=dict(default=None),
+        format=dict(choices=("table", "json", "csv")),
+    ),
 )
 def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
     from .opt import SearchSpace, optimize
@@ -784,43 +715,22 @@ def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
     if args.objective is None:
         raise ValueError("optimize needs --objective (e.g. --objective min:p99_ms)")
     axes: Dict[str, object] = {}
-    if args.models:
-        axes["model"] = args.models
-    if args.depths:
-        axes["depth"] = args.depths
-    if args.n_units:
-        axes["n_units"] = args.n_units
-    if args.qformats:
-        axes["qformat"] = _parse_formats(args.qformats, flag="--qformats")
-    if args.solvers:
-        axes["solver"] = args.solvers
-    if args.boards is not None:
-        axes["board"] = _parse_board_names(args.boards, "--boards")
-    else:
-        axes["board"] = list(BOARDS)
-    if args.replicas:
-        axes["replicas"] = args.replicas
-    if args.policies:
-        axes["policy"] = args.policies
-    if args.batch_sizes:
-        axes["batch_size"] = args.batch_sizes
-
-    fixed: Dict[str, object] = {}
-    if args.arrivals is not None:
-        fixed["arrival"] = args.arrivals
-    if args.rate is not None:
-        fixed["arrival_rate_hz"] = args.rate
-    if args.requests is not None:
-        fixed["n_requests"] = args.requests
-    if args.duration is not None:
-        fixed["duration_s"] = args.duration
-    if args.slo_ms is not None:
-        fixed["slo_s"] = args.slo_ms / 1000.0
-    if args.count is not None:
-        fixed["count"] = args.count
-
+    for dest, axis in _OPT_AXES.items():
+        values = getattr(args, dest)
+        if dest == "boards":
+            axes[axis] = list(BOARDS) if values is None else _parse_board_names(values, "--boards")
+        elif values:
+            axes[axis] = _parse_formats(values, flag="--qformats") if dest == "qformats" else values
+    fixed = {
+        "arrival": args.arrival,
+        "arrival_rate_hz": args.arrival_rate_hz,
+        "n_requests": args.n_requests,
+        "duration_s": args.duration_s,
+        "slo_s": _slo_s(args.slo_ms),
+        "count": args.count,
+    }
     report = optimize(
-        SearchSpace(axes=axes, fixed=fixed),
+        SearchSpace(axes=axes, fixed={k: v for k, v in fixed.items() if v is not None}),
         objective=args.objective,
         constraints=args.constraint,
         fidelity=args.fidelity,
@@ -883,23 +793,15 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
     )
 
 
-def _configure_timing(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--n-units", nargs="*", type=int, default=[1, 4, 8, 16, 32],
-        help="MAC-unit counts to analyze",
-    )
-    p.add_argument(
-        "--clock-mhz", type=float, default=None,
-        help="target PL clock in MHz (default: the board's PL clock)",
-    )
-    p.add_argument(
-        "--board", default=None,
-        help="registered board whose fabric scale / clock target to analyze "
-        "(default: the reference PYNQ-Z2)",
-    )
-
-
-@command("timing", help="timing-closure sweep over MAC-unit counts", configure=_configure_timing)
+@command(
+    "timing",
+    help="timing-closure sweep over MAC-unit counts",
+    configure=flags(
+        "--n-units", "--clock-mhz", "--board",
+        n_units=dict(nargs="*", default=[1, 4, 8, 16, 32]),
+        board=dict(default=None),
+    ),
+)
 def _cmd_timing(args, evaluator: Evaluator) -> CommandOutput:
     if any(n < 1 for n in args.n_units):
         raise ValueError("--n-units entries must be positive integers")
@@ -912,42 +814,6 @@ def _cmd_timing(args, evaluator: Evaluator) -> CommandOutput:
         lambda: "\n".join(["Timing closure (critical-path model)", *map(str, reports)]),
         lambda: [report.as_dict() for report in reports],
     )
-
-
-def _configure_accuracy_sweep(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--block", choices=OFFLOADABLE_LAYER_NAMES, default="layer3_2",
-        help="PL block whose datapath is swept",
-    )
-    p.add_argument(
-        "--formats", nargs="*", default=None, metavar="WL:FB",
-        help="explicit Q-formats, e.g. 16:8 12:6 (default: the built-in ladder)",
-    )
-    p.add_argument(
-        "--wordlengths", nargs="*", type=int, default=None,
-        help="word lengths resolved to their conventional fraction bits "
-        "(alternative to --formats)",
-    )
-    p.add_argument("--n-units", nargs="*", type=int, default=[16])
-    p.add_argument("--images", type=int, default=8, help="images per batched forward pass")
-    p.add_argument("--seed", type=int, default=0, help="weight/input generator seed")
-    p.add_argument(
-        "--input-scale", type=float, default=0.5,
-        help="input magnitude (larger values push narrow formats into saturation)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the sharded sweep (requires --chunk-size; "
-        "results are worker-count-invariant)",
-    )
-    p.add_argument(
-        "--chunk-size", type=int, default=None, metavar="IMAGES",
-        help="images per streamed chunk (per-chunk seeded streams, bounded "
-        "peak memory; default: the legacy single-batch path)",
-    )
-    p.add_argument("--format", choices=("table", "csv", "json", "pareto"), default="table")
-    p.add_argument("--pareto-x", default="latency_s", help="x metric of --format pareto")
-    p.add_argument("--pareto-y", default="rms_error", help="y metric of --format pareto")
 
 
 def _parse_formats(entries, flag: str = "--formats") -> List:
@@ -968,16 +834,23 @@ def _parse_formats(entries, flag: str = "--formats") -> List:
 @command(
     "accuracy-sweep",
     help="accuracy-vs-Q-format-vs-latency frontier of the PL datapath",
-    configure=_configure_accuracy_sweep,
+    configure=flags(
+        "--block", "--formats", "--wordlengths", "--n-units", "--images", "--seed",
+        "--input-scale", "--workers", "--chunk-size", "--format", "--pareto-x", "--pareto-y",
+        wordlengths=dict(default=None),
+        n_units=dict(nargs="*", default=[16]),
+        pareto_x=dict(default="latency_s"),
+        pareto_y=dict(default="rms_error"),
+    ),
 )
 def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
-    if args.formats is not None and args.wordlengths is not None:
+    if args.formats is not None and args.word_lengths is not None:
         raise ValueError("pass either --formats or --wordlengths, not both")
     formats = None
     if args.formats is not None:
         formats = _parse_formats(args.formats)
-    elif args.wordlengths is not None:
-        formats = [(wl, fraction_bits_for(wl)) for wl in args.wordlengths]
+    elif args.word_lengths is not None:
+        formats = [(wl, fraction_bits_for(wl)) for wl in args.word_lengths]
     result = evaluator.accuracy_sweep(
         block=args.block,
         formats=formats,
@@ -1010,43 +883,17 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
     )
 
 
-def _configure_rtl(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--block", choices=OFFLOADABLE_LAYER_NAMES, default="layer3_2",
-        help="offloadable block geometry to emit",
-    )
-    p.add_argument("--board", default="PYNQ-Z2", help="board whose spec sizes the design")
-    p.add_argument(
-        "--qformat", default="32:20", metavar="WL:FB",
-        help="fixed-point format of the datapath (default: the paper's Q20)",
-    )
-    p.add_argument(
-        "--n-units", type=int, default=None,
-        help="MAC-unit count (default: largest conv_xN that fits the board and closes timing)",
-    )
-    p.add_argument("--out", default="rtl_out", help="bundle output directory")
-    p.add_argument(
-        "--vectors", type=int, default=0, metavar="IMAGES",
-        help="dump testbench vectors for this many stimulus images per iteration",
-    )
-    p.add_argument("--iterations", type=int, default=2, help="Euler iterations per vector image")
-    p.add_argument("--seed", type=int, default=0, help="weight/stimulus PRNG seed")
-    p.add_argument("--time-concat", action="store_true", help="emit the time-concat input channel")
-    p.add_argument("--step-size", type=float, default=1.0, help="Euler step size h")
-    p.add_argument(
-        "--check", action="store_true",
-        help="run the pure-Python structural checker on the emitted bundle",
-    )
-    p.add_argument(
-        "--simulate", action="store_true",
-        help="run the iverilog conformance testbench (skipped when not installed)",
-    )
-
-
 @command(
     "rtl",
     help="emit the ODEBlock Verilog bundle (+ vectors, structural check, simulation)",
-    configure=_configure_rtl,
+    configure=flags(
+        "--block", "--board", "--qformat", "--n-units", "--out", "--vectors", "--iterations",
+        "--seed", "--time-concat", "--step-size", "--check", "--simulate",
+        n_units=dict(
+            default=None,
+            help="MAC-unit count (default: largest conv_xN that fits the board and closes timing)",
+        ),
+    ),
 )
 def _cmd_rtl(args, evaluator: Evaluator) -> CommandOutput:
     from .api.rtl import export_rtl
@@ -1129,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _REGISTRY.values():
-        p = sub.add_parser(cmd.name, help=cmd.help)
+        p = sub.add_parser(cmd.name, help=cmd.help, formatter_class=_HelpFormatter)
         if cmd.configure is not None:
             cmd.configure(p)
         p.add_argument(

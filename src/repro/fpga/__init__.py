@@ -40,9 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".resources": (
             "PUBLISHED_TABLE3", "ResourceEstimate", "ResourceEstimator", "published_table3",
         ),
-        ".scheduler": (
-            "DatapathScheduler", "ScheduleTrace", "UnitTrace", "schedule_cycles_kernel",
-        ),
         ".timing": (
             "DEFAULT_TIMING_MODEL", "TimingModel", "TimingModelConfig", "TimingReport",
             "critical_path_ns_kernel", "fmax_hz_kernel", "meets_timing_kernel", "slack_ns_kernel",

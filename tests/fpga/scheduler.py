@@ -14,6 +14,9 @@ issue rate, no pipeline fill/drain modelling) but it is derived from the
 *structure* of the datapath rather than from the fitted constants, so
 agreement between the two models (see ``tests/fpga/test_scheduler.py``)
 increases confidence that the calibrated constants mean what they claim.
+
+Nothing outside the tests runs it, so it lives here as their oracle:
+``test_scheduler.py`` and ``test_plan_kernels.py`` import it as ``scheduler``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .geometry import BlockGeometry
+from repro.fpga.geometry import BlockGeometry
 
 __all__ = ["ScheduleTrace", "UnitTrace", "DatapathScheduler", "schedule_cycles_kernel"]
 

@@ -27,7 +27,6 @@ from repro.fpga import (
     LAYER3_2,
     ZYNQ_XC7Z020,
     BRAM36_BYTES,
-    DatapathScheduler,
     TimingModel,
     bram_fits_kernel,
     bram_tiles_kernel,
@@ -35,12 +34,12 @@ from repro.fpga import (
     fmax_hz_kernel,
     meets_timing_kernel,
     plan_block_allocation,
-    schedule_cycles_kernel,
     slack_ns_kernel,
     tiles_for_bytes,
     tiles_for_bytes_kernel,
 )
 from repro.fpga.geometry import BlockGeometry
+from scheduler import DatapathScheduler, schedule_cycles_kernel
 
 GEOMETRIES = (LAYER1, LAYER2_2, LAYER3_2)
 

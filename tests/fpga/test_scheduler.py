@@ -14,9 +14,9 @@ from repro.fpga import (
     LAYER2_2,
     LAYER3_2,
     PAPER_LAYER3_2_CYCLES,
-    DatapathScheduler,
     OdeBlockCycleModel,
 )
+from scheduler import DatapathScheduler
 
 
 class TestChannelAssignment:

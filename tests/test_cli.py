@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -143,6 +144,60 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="duplicate"):
             command("table1")(lambda args, ev: None)
+
+    def test_module_docstring_lists_every_command(self):
+        import repro.cli
+
+        for name in registered_commands():
+            assert f"\n{name} " in repro.cli.__doc__, name
+
+
+def _flag_surface(name: str) -> list:
+    """A subcommand's argv contract: every action but its help text."""
+
+    parser = argparse.ArgumentParser()
+    configure = registered_commands()[name].configure
+    if configure is not None:
+        configure(parser)
+    return [
+        {
+            "option_strings": list(action.option_strings) or [action.dest],
+            "nargs": action.nargs,
+            "default": action.default,
+            "choices": None if action.choices is None else list(action.choices),
+            "type": None if action.type is None else action.type.__name__,
+            "action": type(action).__name__,
+            "metavar": action.metavar,
+            "required": action.required,
+            "const": action.const,
+        }
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+
+
+class TestFlagContract:
+    """Flags, defaults and choices stay what ``golden/cli_flags.json`` pins."""
+
+    GOLDEN = json.loads((GOLDEN_DIR / "cli_flags.json").read_text())
+
+    def test_every_subcommand_is_pinned(self):
+        assert set(self.GOLDEN) == set(registered_commands())
+
+    @pytest.mark.parametrize("name", sorted(registered_commands()))
+    def test_flag_surface_matches_golden(self, name):
+        assert json.loads(json.dumps(_flag_surface(name))) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(registered_commands()))
+    def test_help_lists_every_flag(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for entry in self.GOLDEN[name]:
+            if entry["option_strings"][0].startswith("-"):
+                assert entry["option_strings"][0] in out
+        assert "--json" in out
 
 
 class TestJsonFlag:

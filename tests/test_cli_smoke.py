@@ -1,8 +1,9 @@
-"""JSON-schema smoke checks of the CLI: one end-to-end call per subsystem.
+"""Smoke checks of the CLI: one end-to-end call per subsystem.
 
-Each test runs the argv of a CI smoke step in-process through
-:func:`repro.cli.main` and checks the sections and invariants a consumer of
-the ``--json`` payload relies on.
+Each test runs, in-process through :func:`repro.cli.main`, the argv CI once
+ran as a separate smoke step.  The ``--json`` calls check the sections and
+invariants a consumer of the payload relies on; the text calls check the
+headline each table prints.
 """
 
 from __future__ import annotations
@@ -128,3 +129,59 @@ def test_rtl_json_schema(capsys, tmp_path):
         assert "rtl_manifest.json" in report["files"]
         if n_vec:
             assert report["vectors"]["images"] == n_vec
+
+
+def run_text(capsys, *argv: str) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_eval_text(capsys):
+    out = run_text(capsys, "eval", "rODENet-3", "--depth", "56")
+    assert "Scenario rODENet-3-56" in out and "2.65682" in out  # overall speedup
+
+
+def test_sweep_csv_and_batch_pareto_text(capsys):
+    rows = run_text(
+        capsys, "sweep", "--models", "rODENet-3", "--depths", "20", "56",
+        "--n-units", "8", "16", "--format", "csv",
+    ).splitlines()
+    assert rows[0].startswith("model,") and len(rows) == 1 + 4
+    out = run_text(
+        capsys, "sweep", "--engine", "batch", "--models", "rODENet-3", "Hybrid-3",
+        "--depths", "20", "56", "--n-units", "4", "8", "16",
+        "--format", "pareto", "--pareto-x", "total_w_pl_s", "--pareto-y", "bram",
+    )
+    assert "Pareto front over (total_w_pl_s, bram)" in out and "of 12 scenarios" in out
+
+
+def test_cross_board_sweep_and_sim_text(capsys):
+    rows = run_text(
+        capsys, "sweep", "--engine", "batch", "--models", "rODENet-3", "--depths", "20", "56",
+        "--boards", "PYNQ-Z2,Zybo-Z7-20,Ultra96-V2", "--format", "csv",
+    ).splitlines()
+    assert len(rows) == 1 + 2 * 3
+    out = run_text(
+        capsys, "sim", "rODENet-1", "--depth", "20", "--rate", "3", "--requests", "20",
+        "--replicas", "auto", "--ps-cores", "auto", "--board", "PYNQ-Z2,ZCU104", "--warmup", "1.0",
+    )
+    assert "Cross-board serving" in out and "PYNQ-Z2" in out and "ZCU104" in out
+
+
+def test_timing_and_accuracy_pareto_text(capsys):
+    out = run_text(capsys, "timing", "--n-units", "1", "8", "16", "32")
+    assert "FAILED" in out  # conv_x32 misses 100 MHz on the PYNQ-Z2
+    out = run_text(
+        capsys, "accuracy-sweep", "--images", "2", "--wordlengths", "32", "16", "8",
+        "--format", "pareto",
+    )
+    assert "Pareto front over (latency_s, rms_error)" in out
+
+
+def test_optimize_sim_fidelity_text(capsys):
+    out = run_text(
+        capsys, "optimize", "--objective", "min:p95_ms", "--fidelity", "sim",
+        "--boards", "pynq-z2", "zcu104", "--n-units", "16", "32", "--arrivals", "deterministic",
+        "--rate", "1", "--requests", "20", "--budget", "5", "--seed", "3",
+    )
+    assert "at fidelity=sim" in out and "Fully evaluated candidates" in out
