@@ -86,9 +86,7 @@ __all__ = ["BatchResult", "sweep_batch", "pareto_indices"]
 # then each section's keys in section order, duplicates ("model", "N")
 # emitted once.
 
-SCENARIO_KEYS: Tuple[str, ...] = (
-    "model", "depth", "n_units", "word_length", "fraction_bits", "solver", "board", "pl_clock_hz",
-)
+SCENARIO_KEYS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(Scenario))
 PARAMETER_KEYS: Tuple[str, ...] = (
     "variant", "qformat", "param_count", "param_bytes", "accuracy_pct", "accuracy_stable",
 )

@@ -13,9 +13,13 @@ and training studies — is a function of the same handful of knobs:
 
 A :class:`Scenario` bundles those knobs into one frozen, hashable, validated
 value object.  Hashability is what makes design-space sweeps cheap: the
-:class:`repro.api.evaluator.Evaluator` memoizes per scenario, and
-:func:`repro.api.sweep.sweep` fans thousands of scenarios out over a worker
-pool without re-deriving anything.
+:class:`repro.api.evaluator.Evaluator` memoizes per scenario, so a sweep
+that revisits a design point never re-derives it.
+
+The dataclass fields are the one scenario schema: :func:`field_dict` and
+:func:`from_field_dict` serialise every scenario type (this one,
+``SimScenario`` and ``FleetScenario``) by field name, and
+:func:`shared_fields` copies knobs between them the same way.
 
 Use :func:`scenario_grid` to build the cartesian product of several knob
 axes (the design-space grid the ``repro-odenet sweep`` subcommand runs).
@@ -26,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
 from ..core.execution_model import PAPER_OFFLOAD_TARGETS, TABLE5_MODELS
 from ..core.variants import SUPPORTED_DEPTHS, VARIANT_NAMES, variant_spec
@@ -39,6 +43,10 @@ __all__ = [
     "scenario_grid",
     "fraction_bits_for",
     "check_seed",
+    "check_count",
+    "field_dict",
+    "from_field_dict",
+    "shared_fields",
     "SCENARIO_MODELS",
     "DEFAULT_FRACTION_BITS",
     "BOARDS",
@@ -55,6 +63,8 @@ SCENARIO_MODELS: Tuple[str, ...] = tuple(VARIANT_NAMES) + ("ODENet-3",)
 DEFAULT_FRACTION_BITS: Dict[int, int] = {32: 20, 16: 8, 12: 6, 8: 4}
 
 _CANONICAL_MODELS = {name.lower(): name for name in SCENARIO_MODELS}
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -172,24 +182,56 @@ class Scenario:
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "depth": self.depth,
-            "n_units": self.n_units,
-            "word_length": self.word_length,
-            "fraction_bits": self.fraction_bits,
-            "solver": self.solver,
-            "board": self.board,
-            "pl_clock_hz": self.pl_clock_hz,
-        }
+        return field_dict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Scenario":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        return cls(**data)
+    def from_dict(cls, data: Mapping[str, object]) -> "Scenario":
+        return from_field_dict(cls, data)
+
+
+def _plain(value: object) -> object:
+    if dataclasses.is_dataclass(value):
+        return field_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def field_dict(obj: object) -> Dict[str, object]:
+    """A dataclass as a JSON-ready dict: fields in declaration order, nested
+    dataclasses as dicts and tuples as lists."""
+
+    return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def from_field_dict(cls: Type[T], data: Mapping[str, object]) -> T:
+    """Build dataclass ``cls`` from a :func:`field_dict`, naming unknown keys
+    (the constructor turns lists back into tuples and nested dataclasses)."""
+
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+    return cls(**data)
+
+
+def shared_fields(source: object, cls: type, exclude: Sequence[str] = ()) -> Dict[str, object]:
+    """``source``'s values for the fields dataclass ``cls`` also declares."""
+
+    names = {f.name for f in dataclasses.fields(cls)}.difference(exclude)
+    return {f.name: getattr(source, f.name) for f in dataclasses.fields(source) if f.name in names}
+
+
+def check_count(name: str, value: object, minimum: int = 0, note: str = "") -> None:
+    """Reject a value that is not an integer of at least ``minimum`` (0 or
+    1), naming the field; ``note`` is appended to the message."""
+
+    try:
+        valid = operator.index(value) >= minimum
+    except TypeError:
+        valid = False
+    if not valid:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer{note}")
 
 
 def check_seed(name: str, value: object) -> None:
@@ -199,12 +241,7 @@ def check_seed(name: str, value: object) -> None:
     field nor the value.
     """
 
-    try:
-        valid = operator.index(value) >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be a non-negative integer (got {value!r})")
+    check_count(name, value, 0, f" (got {value!r})")
 
 
 def fraction_bits_for(word_length: int, fraction_bits: Optional[int] = None) -> int:

@@ -19,7 +19,8 @@ a :class:`FleetScenario` describes a heterogeneous *cluster* drawn from the
 
 Everything follows the frozen/validated contract of the rest of the API:
 construction fails fast with a helpful ``ValueError``, and the scenario
-round-trips through ``as_dict``/``from_dict``.
+round-trips through ``as_dict``/``from_dict`` (board groups and traffic
+classes as nested dicts).
 """
 
 from __future__ import annotations
@@ -27,12 +28,17 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from ..api.scenario import Scenario
+from ..api.scenario import (
+    Scenario,
+    check_count,
+    field_dict,
+    from_field_dict,
+    shared_fields,
+)
 from ..platform import list_boards
-from ..sim.policies import POLICY_NAMES
-from ..sim.scenario import SimScenario, check_traffic
+from ..sim.scenario import SimScenario, check_serving, check_traffic
 
 __all__ = [
     "ROUTING_NAMES",
@@ -62,6 +68,10 @@ CLASS_KINDS: Tuple[str, ...] = ("latency", "batch")
 #: :func:`repro.sim.simulate` (the identity-test and deep-dive path).
 FIDELITY_NAMES: Tuple[str, ...] = ("fast", "event")
 
+#: Fleet traffic knobs a board's event-fidelity SimScenario does not inherit:
+#: it replays the trace the balancer assigned it, whole.
+_FLEET_TRAFFIC: Tuple[str, ...] = ("arrival_rate_hz", "n_requests", "duration_s")
+
 
 def canonical_board(name: str) -> str:
     """Resolve a board name case-insensitively against the registry.
@@ -88,11 +98,7 @@ class BoardGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "board", canonical_board(self.board))
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ValueError(f"board count must be a positive integer (got {self.count!r})")
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"board": self.board, "count": self.count}
+        check_count("board count", self.count, 1, f" (got {self.count!r})")
 
 
 @dataclass(frozen=True)
@@ -124,16 +130,6 @@ class TrafficClass:
             raise ValueError(f"unknown traffic kind '{self.kind}'; expected one of {CLASS_KINDS}")
         if self.slo_s is not None and not 0 < self.slo_s < math.inf:
             raise ValueError(f"slo_s must be positive and finite, or None (got {self.slo_s!r})")
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "kind": self.kind,
-            "slo_s": self.slo_s,
-            "model": self.model,
-            "depth": self.depth,
-        }
 
 
 @dataclass(frozen=True)
@@ -207,13 +203,15 @@ class FleetScenario:
         if not self.boards:
             raise ValueError("a fleet needs at least one board group")
         boards = tuple(
-            b if isinstance(b, BoardGroup) else BoardGroup(**dict(b)) for b in self.boards
+            b if isinstance(b, BoardGroup) else from_field_dict(BoardGroup, b)
+            for b in self.boards
         )
         object.__setattr__(self, "boards", boards)
         if not self.classes:
             raise ValueError("a fleet needs at least one traffic class")
         classes = tuple(
-            c if isinstance(c, TrafficClass) else TrafficClass(**dict(c)) for c in self.classes
+            c if isinstance(c, TrafficClass) else from_field_dict(TrafficClass, c)
+            for c in self.classes
         )
         object.__setattr__(self, "classes", classes)
         names = [c.name for c in classes]
@@ -221,8 +219,7 @@ class FleetScenario:
             raise ValueError(f"traffic class names must be unique (got {names})")
         check_traffic(self)
 
-        if not isinstance(self.replicas, int) or self.replicas < 0:
-            raise ValueError("replicas must be a non-negative integer (0 = per-board auto)")
+        check_count("replicas", self.replicas, 0, " (0 = per-board auto)")
         if self.routing not in ROUTING_NAMES:
             raise ValueError(f"unknown routing '{self.routing}'; expected one of {ROUTING_NAMES}")
         if self.admission not in ADMISSION_NAMES:
@@ -242,11 +239,9 @@ class FleetScenario:
             )
         if self.boot_s < 0:
             raise ValueError("boot_s must be non-negative")
-        if not isinstance(self.min_powered, int) or self.min_powered < 1:
-            raise ValueError("min_powered must be a positive integer")
+        check_count("min_powered", self.min_powered, 1)
 
-        if not isinstance(self.cells, int) or self.cells < 1:
-            raise ValueError("cells must be a positive integer")
+        check_count("cells", self.cells, 1)
         if self.cells > self.total_boards:
             raise ValueError(
                 f"cells={self.cells} exceeds the {self.total_boards}-board inventory "
@@ -278,16 +273,7 @@ class FleetScenario:
                     "per-class model/depth overrides require fidelity='fast' "
                     "(event-fidelity boards serve one physical datapath)"
                 )
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy '{self.policy}'; expected one of {POLICY_NAMES}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if not isinstance(self.ps_cores, int) or self.ps_cores < 0:
-            raise ValueError("ps_cores must be a non-negative integer (0 = the board's cores)")
-        if self.dma_channels < 1:
-            raise ValueError("dma_channels must be a positive integer")
-        if not isinstance(self.exact, bool):
-            raise ValueError("exact must be a boolean")
+        check_serving(self)
 
         # Fail fast on invalid design points: every (class, board) pair must
         # be a constructible Scenario (unknown models/depths/boards surface
@@ -324,15 +310,11 @@ class FleetScenario:
     def design_point(self, cls: Optional[TrafficClass] = None, board: Optional[str] = None) -> Scenario:
         """The plain scenario a class's requests execute on a given board."""
 
-        return Scenario(
-            model=(cls.model if cls is not None and cls.model is not None else self.model),
-            depth=(cls.depth if cls is not None and cls.depth is not None else self.depth),
-            n_units=self.n_units,
-            word_length=self.word_length,
-            fraction_bits=self.fraction_bits,
-            solver=self.solver,
-            board=board if board is not None else self.boards[0].board,
-        )
+        knobs = shared_fields(self, Scenario)
+        for name in ("model", "depth"):
+            if getattr(cls, name, None) is not None:
+                knobs[name] = getattr(cls, name)
+        return Scenario(board=board if board is not None else self.boards[0].board, **knobs)
 
     def board_sim_scenario(
         self, board: str, trace: Sequence[float], replicas: int,
@@ -340,51 +322,19 @@ class FleetScenario:
     ) -> SimScenario:
         """The per-board :class:`SimScenario` of the event-fidelity path."""
 
-        return SimScenario(
-            model=self.model,
-            depth=self.depth,
-            n_units=self.n_units,
-            word_length=self.word_length,
-            fraction_bits=self.fraction_bits,
-            solver=self.solver,
-            board=board,
-            arrival="trace",
-            trace=tuple(trace),
-            replicas=replicas,
-            policy=self.policy,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            ps_cores=self.ps_cores,
-            dma_channels=self.dma_channels,
-            exact=self.exact,
-            slo_s=slo_s,
-        )
+        knobs = shared_fields(self, SimScenario, exclude=_FLEET_TRAFFIC)
+        knobs.update(arrival="trace", trace=tuple(trace), replicas=replicas, slo_s=slo_s)
+        return SimScenario(board=board, **knobs)
 
     def replace(self, **changes: object) -> "FleetScenario":
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "boards": [g.as_dict() for g in self.boards],
-            "classes": [c.as_dict() for c in self.classes],
-        }
-        for f in dataclasses.fields(self):
-            if f.name in ("boards", "classes"):
-                continue
-            value = getattr(self, f.name)
-            if f.name == "trace" and value is not None:
-                value = list(value)
-            out[f.name] = value
-        return out
+        return field_dict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FleetScenario":
-        data = dict(data)
-        data["boards"] = tuple(BoardGroup(**dict(g)) for g in data.get("boards", ()))
-        data["classes"] = tuple(TrafficClass(**dict(c)) for c in data.get("classes", ()))
-        if data.get("trace") is not None:
-            data["trace"] = tuple(data["trace"])
-        return cls(**data)
+    def from_dict(cls, data: Mapping[str, object]) -> "FleetScenario":
+        return from_field_dict(cls, data)
 
 
 # -- CLI-facing parsers ------------------------------------------------------------------

@@ -88,8 +88,9 @@ def _clean(value: object) -> Optional[float]:
     return None if math.isnan(out) else out
 
 
-def _sim_metrics(report) -> Dict[str, Optional[float]]:
-    """A :class:`~repro.sim.metrics.SimReport` as optimizer metric names."""
+def _serving_metrics(report, extra: Dict[str, Optional[float]]) -> Dict[str, Optional[float]]:
+    """The metric names a sim and a fleet report share, ``extra`` before the
+    latency percentiles."""
 
     lat = report.latency
     out: Dict[str, Optional[float]] = {
@@ -99,12 +100,21 @@ def _sim_metrics(report) -> Dict[str, Optional[float]]:
         "energy_per_request_J": _clean(report.energy.get("energy_per_request_J")),
         "total_energy_J": _clean(report.energy.get("total_energy_J")),
         "watts": _clean(report.energy.get("average_power_W")),
-        "util_ps": _clean(report.utilization.get("ps")),
-        "util_pl": _clean(report.utilization.get("accelerator_mean")),
-        "queue_mean": _clean(report.queue.get("mean_depth")),
+        **extra,
     }
     for q, value in lat.percentiles.items():
         out[f"p{q}_ms"] = _clean(value * 1e3 if lat.count else None)
+    return out
+
+
+def _sim_metrics(report) -> Dict[str, Optional[float]]:
+    """A :class:`~repro.sim.metrics.SimReport` as optimizer metric names."""
+
+    out = _serving_metrics(report, {
+        "util_ps": _clean(report.utilization.get("ps")),
+        "util_pl": _clean(report.utilization.get("accelerator_mean")),
+        "queue_mean": _clean(report.queue.get("mean_depth")),
+    })
     if report.slo is not None:
         out["slo_violation_fraction"] = _clean(report.slo.get("violation_fraction"))
     return out
@@ -113,22 +123,9 @@ def _sim_metrics(report) -> Dict[str, Optional[float]]:
 def _fleet_metrics(report) -> Dict[str, Optional[float]]:
     """A :class:`~repro.fleet.report.FleetReport` as optimizer metric names."""
 
-    lat = report.latency
     offered = report.requests.get("offered", 0)
-    out: Dict[str, Optional[float]] = {
-        "mean_ms": _clean(lat.mean * 1e3 if lat.count else None),
-        "max_ms": _clean(lat.maximum * 1e3 if lat.count else None),
-        "throughput_rps": _clean(report.throughput_rps),
-        "energy_per_request_J": _clean(report.energy.get("energy_per_request_J")),
-        "total_energy_J": _clean(report.energy.get("total_energy_J")),
-        "watts": _clean(report.energy.get("average_power_W")),
-        "rejected_fraction": _clean(
-            report.requests.get("rejected", 0) / offered if offered else None
-        ),
-    }
-    for q, value in lat.percentiles.items():
-        out[f"p{q}_ms"] = _clean(value * 1e3 if lat.count else None)
-    return out
+    rejected = report.requests.get("rejected", 0) / offered if offered else None
+    return _serving_metrics(report, {"rejected_fraction": _clean(rejected)})
 
 
 def _evaluate_scenario(
@@ -515,10 +512,10 @@ def optimize(
                     cohort = [candidate for candidate, _ in ranked[:keep]]
 
         # Local neighborhood walk around the incumbent at full fidelity.
-        incumbent = _current_best(search)
+        incumbent = _best_record(search)
         while incumbent is not None and search.affordable(1.0):
             improved = False
-            for neighbor in space.neighbors(incumbent):
+            for neighbor in space.neighbors(search.candidates[search.index[incumbent.key]]):
                 record = search.records[search.index[neighbor.key]]
                 if record.status in ("feasible", "infeasible", "pruned"):
                     continue
@@ -528,14 +525,14 @@ def optimize(
                 search.finalize(neighbor, metrics, "neighborhood")
                 if record.feasible and search.rank_key(
                     True, record.objective, neighbor.key
-                ) < _incumbent_rank(search, incumbent):
-                    incumbent = neighbor
+                ) < search.rank_key(True, incumbent.objective, incumbent.key):
+                    incumbent = record
                     improved = True
                     break
             if not improved:
                 break
 
-    best_record = _select_best(search)
+    best_record = _best_record(search)
     best = None
     note = None
     if best_record is not None:
@@ -570,34 +567,8 @@ def optimize(
     )
 
 
-def _current_best(search: _Search) -> Optional[Candidate]:
-    """The feasible candidate with the best objective so far (or None)."""
+def _best_record(search: _Search) -> Optional[CandidateRecord]:
+    """The feasible record with the best objective so far (or None)."""
 
-    best_key = None
-    best_rank = None
-    for record in search.records:
-        if record.feasible and record.objective is not None:
-            rank = search.rank_key(True, record.objective, record.key)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_key = record.key
-    if best_key is None:
-        return None
-    return search.candidates[search.index[best_key]]
-
-
-def _incumbent_rank(search: _Search, incumbent: Candidate):
-    record = search.records[search.index[incumbent.key]]
-    return search.rank_key(True, record.objective, record.key)
-
-
-def _select_best(search: _Search) -> Optional[CandidateRecord]:
-    best = None
-    best_rank = None
-    for record in search.records:
-        if record.feasible and record.objective is not None:
-            rank = search.rank_key(True, record.objective, record.key)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = record
-    return best
+    feasible = [r for r in search.records if r.feasible and r.objective is not None]
+    return min(feasible, key=lambda r: search.rank_key(True, r.objective, r.key), default=None)

@@ -20,6 +20,7 @@ boards of the candidate's type).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -51,13 +52,10 @@ AXIS_ORDER: Tuple[str, ...] = (
     "cells",
 )
 
-#: Axes that only exist for serving fidelities (sim / fleet / faults); the
-#: analytic design point ignores them.
-SERVING_AXES: Tuple[str, ...] = ("replicas", "policy", "batch_size", "cells")
-
-#: Fixed (non-searched) knobs a space accepts.  Design knobs flow into every
-#: scenario; traffic/system knobs only into the serving fidelities; ``count``
-#: is the fleet inventory size (boards of the candidate's type per cell set).
+#: Fixed (non-searched) knobs a space accepts.  Each flows, by field name,
+#: into every realised scenario type that has it (``pl_clock_hz`` only into
+#: the design point and the sim scenario, ``routing`` only into the fleet);
+#: ``count`` is the fleet inventory size (boards of the candidate's type).
 FIXED_KEYS: Tuple[str, ...] = (
     "pl_clock_hz",
     "arrival",
@@ -72,21 +70,6 @@ FIXED_KEYS: Tuple[str, ...] = (
     "count",
     "routing",
     "admission",
-)
-
-#: Fixed knobs that are part of the analytic design point.
-_DESIGN_FIXED: Tuple[str, ...] = ("pl_clock_hz",)
-
-#: Fixed knobs forwarded to :class:`SimScenario` (beyond the design point).
-_SIM_FIXED: Tuple[str, ...] = (
-    "arrival", "arrival_rate_hz", "n_requests", "duration_s", "slo_s",
-    "warmup_s", "ps_cores", "dma_channels", "exact",
-)
-
-#: Fixed knobs forwarded to :class:`FleetScenario`.
-_FLEET_FIXED: Tuple[str, ...] = (
-    "arrival", "arrival_rate_hz", "n_requests", "duration_s", "slo_s",
-    "routing", "admission", "ps_cores", "dma_channels", "exact",
 )
 
 
@@ -270,24 +253,20 @@ class SearchSpace:
 
     # -- candidate -> scenario builders ------------------------------------------------
 
-    def _design_kwargs(self, candidate: Candidate) -> Dict[str, object]:
-        kwargs: Dict[str, object] = {}
-        for name in ("model", "depth", "n_units", "solver", "board"):
-            value = candidate.get(name)
-            if value is not None:
-                kwargs[name] = value
-        qf = candidate.get("qformat")
-        if qf is not None:
-            kwargs["word_length"], kwargs["fraction_bits"] = qf
-        for key in _DESIGN_FIXED:
-            if key in self.fixed:
-                kwargs[key] = self.fixed[key]
-        return kwargs
+    def _kwargs(self, candidate: Candidate, cls: type) -> Dict[str, object]:
+        """The candidate's axis values and the fixed knobs that ``cls`` has."""
+
+        values = dict(candidate.values)
+        if "qformat" in values:
+            values["word_length"], values["fraction_bits"] = values.pop("qformat")
+        values.update(self.fixed)
+        names = {f.name for f in dataclasses.fields(cls)}
+        return {name: value for name, value in values.items() if name in names}
 
     def scenario(self, candidate: Candidate) -> Scenario:
         """The candidate's analytic design point (serving axes ignored)."""
 
-        return Scenario(**self._design_kwargs(candidate))
+        return Scenario(**self._kwargs(candidate, Scenario))
 
     def _scale_stop(self, kwargs: Dict[str, object], fraction: float, default_n: int) -> None:
         """Scale the run's stop condition by ``fraction`` (halving rungs)."""
@@ -314,14 +293,7 @@ class SearchSpace:
         the fixed knobs.
         """
 
-        kwargs = self._design_kwargs(candidate)
-        for key in _SIM_FIXED:
-            if key in self.fixed:
-                kwargs[key] = self.fixed[key]
-        for name in ("replicas", "policy", "batch_size"):
-            value = candidate.get(name)
-            if value is not None:
-                kwargs[name] = value
+        kwargs = self._kwargs(candidate, SimScenario)
         self._scale_stop(kwargs, fraction, default_n=100)
         return SimScenario(seed=seed, **kwargs)
 
@@ -330,20 +302,10 @@ class SearchSpace:
     ) -> FleetScenario:
         """The candidate as a homogeneous fleet of ``fixed["count"]`` boards."""
 
-        design = self._design_kwargs(candidate)
-        board = design.pop("board", PYNQ_Z2.name)
-        design.pop("pl_clock_hz", None)  # FleetScenario has no PL-clock override
-        count = int(self.fixed.get("count", 1))
-        kwargs: Dict[str, object] = dict(design)
-        for key in _FLEET_FIXED:
-            if key in self.fixed:
-                kwargs[key] = self.fixed[key]
-        for name in ("replicas", "policy", "batch_size", "cells"):
-            value = candidate.get(name)
-            if value is not None:
-                kwargs[name] = value
+        kwargs = self._kwargs(candidate, FleetScenario)
         self._scale_stop(kwargs, fraction, default_n=1000)
-        return FleetScenario(boards=(BoardGroup(board, count),), seed=seed, **kwargs)
+        group = BoardGroup(candidate.get("board", PYNQ_Z2.name), int(self.fixed.get("count", 1)))
+        return FleetScenario(boards=(group,), seed=seed, **kwargs)
 
     # -- serialisation -----------------------------------------------------------------
 

@@ -13,25 +13,23 @@ contract) with the traffic and system knobs of a multi-request run:
 * the ``seed`` making stochastic runs reproducible.
 
 Being a Scenario subclass, it flows through the existing machinery: the
-evaluator memoizes its analytic report, the result cache keys it by concrete
-type (no collisions with plain scenarios) and the batch engine routes it
-through the loop fallback.  ``replicas=0`` means "size from the resource
-budget" (resolved by :func:`repro.sim.runner.simulate` via
-:func:`repro.sim.policies.max_replicas`).
+evaluator memoizes its analytic report, the batch engine routes it through
+the loop fallback, and ``as_dict``/``from_dict`` serialise it by field name.
+``replicas=0`` means "size from the resource budget" (resolved by
+:func:`repro.sim.runner.simulate` via :func:`repro.sim.policies.max_replicas`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..api.scenario import Scenario, check_seed
+from ..api.scenario import Scenario, check_count, check_seed, shared_fields
 from .policies import POLICY_NAMES
 from .workload import ARRIVAL_KINDS
 
-__all__ = ["SimScenario", "check_traffic"]
+__all__ = ["SimScenario", "check_serving", "check_traffic"]
 
 
 def check_traffic(scenario) -> None:
@@ -39,8 +37,8 @@ def check_traffic(scenario) -> None:
     ``FleetScenario`` share, naming the field at fault.
 
     Rates, horizons and SLOs must be positive and finite (NaN and inf fail
-    too), and the seed a non-negative integer.  A trace is stored as a
-    tuple of floats.
+    too), ``n_requests`` a positive integer and the seed a non-negative
+    integer.  A trace is stored as a tuple of floats.
     """
 
     check_seed("seed", scenario.seed)
@@ -63,12 +61,26 @@ def check_traffic(scenario) -> None:
             raise ValueError(
                 f"arrival_rate_hz must be positive and finite (got {scenario.arrival_rate_hz!r})"
             )
-    if scenario.n_requests is not None and scenario.n_requests < 1:
-        raise ValueError("n_requests must be a positive integer (or None)")
+    if scenario.n_requests is not None:
+        check_count("n_requests", scenario.n_requests, 1, " (or None)")
     for name in ("duration_s", "slo_s"):
         value = getattr(scenario, name)
         if value is not None and not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, or None (got {value!r})")
+
+
+def check_serving(scenario) -> None:
+    """Validate the per-board serving knobs :class:`SimScenario` and the
+    fleet's ``FleetScenario`` share (dispatch policy, batch size, PS cores,
+    DMA channels, exact latencies), naming the field at fault."""
+
+    if scenario.policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy '{scenario.policy}'; expected one of {POLICY_NAMES}")
+    check_count("batch_size", scenario.batch_size, 1)
+    check_count("ps_cores", scenario.ps_cores, 0, " (0 = the board's cores)")
+    check_count("dma_channels", scenario.dma_channels, 1)
+    if not isinstance(scenario.exact, bool):
+        raise ValueError("exact must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -121,20 +133,10 @@ class SimScenario(Scenario):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_traffic(self)
-        if not isinstance(self.replicas, int) or self.replicas < 0:
-            raise ValueError("replicas must be a non-negative integer (0 = auto-size)")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy '{self.policy}'; expected one of {POLICY_NAMES}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if not isinstance(self.ps_cores, int) or self.ps_cores < 0:
-            raise ValueError("ps_cores must be a non-negative integer (0 = the board's cores)")
-        if self.dma_channels < 1:
-            raise ValueError("dma_channels must be a positive integer")
+        check_count("replicas", self.replicas, 0, " (0 = auto-size)")
+        check_serving(self)
         if not 0 <= self.warmup_s < math.inf:
             raise ValueError(f"warmup_s must be non-negative and finite (got {self.warmup_s!r})")
-        if not isinstance(self.exact, bool):
-            raise ValueError("exact must be a boolean")
 
     # -- views -------------------------------------------------------------------------
 
@@ -142,35 +144,4 @@ class SimScenario(Scenario):
     def design_point(self) -> Scenario:
         """The underlying plain scenario (the analytic models' key)."""
 
-        return Scenario(
-            **{f.name: getattr(self, f.name) for f in dataclasses.fields(Scenario)}
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        out = super().as_dict()
-        out.update(
-            {
-                "arrival": self.arrival,
-                "arrival_rate_hz": self.arrival_rate_hz,
-                "n_requests": self.n_requests,
-                "duration_s": self.duration_s,
-                "trace": list(self.trace) if self.trace is not None else None,
-                "replicas": self.replicas,
-                "policy": self.policy,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-                "ps_cores": self.ps_cores,
-                "dma_channels": self.dma_channels,
-                "warmup_s": self.warmup_s,
-                "slo_s": self.slo_s,
-                "exact": self.exact,
-            }
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimScenario":
-        data = dict(data)
-        if data.get("trace") is not None:
-            data["trace"] = tuple(data["trace"])
-        return super().from_dict(data)  # type: ignore[return-value]
+        return Scenario(**shared_fields(self, Scenario))

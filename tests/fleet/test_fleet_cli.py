@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fleet import parse_board_groups, parse_traffic_classes
+from repro.fleet import BoardGroup, FleetScenario, parse_board_groups, parse_traffic_classes
+from repro.platform import get_board
+from repro.sim import SimScenario
 
 
 def run_cli(capsys, *argv) -> str:
@@ -73,6 +75,44 @@ class TestFleetCommand:
         )
         assert "[autoscale]" in out
         assert "power-ups" in out
+
+    def test_event_board_scenarios_inherit_serving_knobs_not_traffic(self, capsys):
+        payload = json.loads(run_cli(
+            capsys, "fleet", "--boards", "pynq-z2:2,zcu104:1", "--rate", "5",
+            "--requests", "40", "--fidelity", "event", "--json",
+        ))
+        fleet = payload["scenario"]
+        reports = payload["board_reports"]
+        assert [r["scenario"]["board"] for r in reports] == ["PYNQ-Z2", "PYNQ-Z2", "ZCU104"]
+        for report in reports:
+            scenario = report["scenario"]
+            for key in ("policy", "batch_size", "dma_channels", "exact"):
+                assert scenario[key] == fleet[key], key
+            # ps_cores=0 means "the board's cores"; the report carries the
+            # resolved count.
+            assert fleet["ps_cores"] == 0
+            assert scenario["ps_cores"] == get_board(scenario["board"]).ps_cores
+            # Each board replays its assigned trace whole: the fleet's
+            # offered-traffic knobs must not leak into it.
+            assert scenario["arrival"] == "trace"
+            assert scenario["n_requests"] is None
+            assert scenario["duration_s"] is None
+            assert scenario["arrival_rate_hz"] == SimScenario().arrival_rate_hz
+            assert report["requests"]["offered"] == len(scenario["trace"])
+        assert sum(r["requests"]["offered"] for r in reports) == 40
+
+    def test_event_board_scenario_copies_every_serving_knob(self):
+        fleet = FleetScenario(
+            boards=(BoardGroup("PYNQ-Z2", 2),), arrival_rate_hz=3.0, n_requests=9,
+            duration_s=50.0, policy="batched", batch_size=2, ps_cores=2,
+            dma_channels=2, exact=True, seed=5, fidelity="event",
+        )
+        board = fleet.board_sim_scenario("PYNQ-Z2", (0.0, 0.5), replicas=1, slo_s=0.4)
+        assert board == SimScenario(
+            model=fleet.model, depth=fleet.depth, board="PYNQ-Z2", arrival="trace",
+            trace=(0.0, 0.5), replicas=1, policy="batched", batch_size=2, seed=5,
+            ps_cores=2, dma_channels=2, exact=True, slo_s=0.4,
+        )
 
 
 class TestFleetCliErrors:
