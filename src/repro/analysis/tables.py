@@ -100,12 +100,26 @@ def table5_records(
 ) -> List[Dict[str, object]]:
     """Table 5: execution times and speedups of the seven architectures.
 
-    Delegates to the scenario engine (:class:`repro.api.Evaluator`) so the
-    table, the CLI and the design-space sweeps all share one code path.  The
+    One row per model x depth, each the
+    :meth:`repro.api.Evaluator.execution_report` of that design point, so the
+    table, ``eval`` and the design-space sweeps share one timing path.  The
     import is local to keep :mod:`repro.analysis` importable before
     :mod:`repro.api` during package initialisation.
     """
 
-    from ..api import Evaluator
+    from ..api import Evaluator, Scenario
 
-    return Evaluator().table5_records(depths=depths, models=models, n_units=n_units)
+    evaluator = Evaluator()
+    records: List[Dict[str, object]] = []
+    for model in models:
+        for depth in depths:
+            report = evaluator.execution_report(Scenario(model=model, depth=depth, n_units=n_units))
+            rec = report.as_dict()
+            rec["target_wo_pl_s"] = " / ".join(f"{t:.2f}" for t in report.target_without_pl) or "-"
+            rec["ratio_of_target_pct"] = " / ".join(f"{t:.2f}" for t in report.target_ratio_percent) or "-"
+            rec["target_w_pl_s"] = " / ".join(f"{t:.2f}" for t in report.target_with_pl) or "-"
+            rec["total_wo_pl_s"] = round(report.total_without_pl, 3)
+            rec["total_w_pl_s"] = round(report.total_with_pl, 3)
+            rec["overall_speedup"] = round(report.overall_speedup, 2)
+            records.append(rec)
+    return records

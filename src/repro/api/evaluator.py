@@ -1,4 +1,4 @@
-"""The :class:`Evaluator` facade: ``Scenario -> Result`` in one call.
+"""The :class:`Evaluator`: ``Scenario -> Result`` in one call.
 
 Historically every consumer hand-assembled the analytical models —
 :class:`~repro.core.execution_model.ExecutionTimeModel`,
@@ -9,32 +9,28 @@ Historically every consumer hand-assembled the analytical models —
 evaluator owns that wiring: it lazily constructs each model the first time a
 scenario needs it, shares instances across scenarios that agree on the
 relevant knobs (board, clock, MAC units, Q-format), and memoizes the final
-:class:`~repro.api.result.Result` per scenario.
+:class:`~repro.api.result.Result` per scenario.  Models and per-scenario
+products live in one memo keyed by what they depend on.
 
-The evaluator is safe to share across threads: the underlying models are
-queried read-only (``n_units`` overrides are passed per call, never written
-back) and all caches use atomic ``setdefault`` insertion, so
-:func:`repro.api.sweep.sweep` can fan one evaluator out over a worker pool.
-
-It is also the single engine behind the CLI: the table/figure convenience
-methods delegate to :mod:`repro.analysis` so every subcommand goes through
-one object.
+The paper's tables and figures are built by :mod:`repro.analysis`; Table 5
+reads its rows from :meth:`Evaluator.execution_report`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Tuple, TypeVar
 
-from ..core.execution_model import TABLE5_MODELS, ExecutionTimeModel, ExecutionTimeReport
+from ..core.execution_model import ExecutionTimeModel, ExecutionTimeReport
 from ..core.offload import OffloadDecision, OffloadPlanner
 from ..core.parameter_model import variant_parameter_bytes, variant_parameter_count
 from ..core.training_model import TrainingTimeModel
-from ..core.variants import SUPPORTED_DEPTHS
 from ..fpga.power import PowerModel
 from .result import Result
 from .scenario import Scenario
 
 __all__ = ["Evaluator"]
+
+T = TypeVar("T")
 
 #: ``training`` section keys that hold epoch/full-run projections (the CLI
 #: rounds exactly these, mirroring the original ``training`` subcommand).
@@ -46,97 +42,86 @@ TRAINING_PROJECTION_KEYS: Tuple[str, ...] = (
     "step_speedup",
 )
 
+_MISSING = object()
+
 
 class Evaluator:
-    """Construct, cache and query the analytical models per scenario."""
+    """Construct, memoize and query the analytical models per scenario."""
 
     def __init__(self) -> None:
-        self._execution_models: Dict[Tuple, ExecutionTimeModel] = {}
-        self._planners: Dict[Tuple, OffloadPlanner] = {}
-        self._power_models: Dict[Tuple, PowerModel] = {}
-        self._training_models: Dict[Tuple, TrainingTimeModel] = {}
-        self._reports: Dict[Scenario, ExecutionTimeReport] = {}
-        self._decisions: Dict[Scenario, OffloadDecision] = {}
-        self._baselines: Dict[Tuple, ExecutionTimeReport] = {}
-        self._results: Dict[Scenario, Result] = {}
+        self._memo: Dict[Tuple, object] = {}
+
+    def _memoized(self, key: Tuple, build: Callable[..., T], *args: object) -> T:
+        """``build(*args)``, computed once per ``key``."""
+
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = build(*args)
+        return value
 
     # -- lazy model construction -----------------------------------------------------
 
-    def _hw_key(self, scenario: Scenario) -> Tuple:
-        return (scenario.board, scenario.pl_clock_hz, scenario.n_units)
+    @staticmethod
+    def _hw_key(kind: str, scenario: Scenario) -> Tuple:
+        return (kind, scenario.board, scenario.pl_clock_hz, scenario.n_units)
 
     def _execution_model(self, scenario: Scenario) -> ExecutionTimeModel:
-        key = self._hw_key(scenario)
-        try:
-            return self._execution_models[key]
-        except KeyError:
-            model = ExecutionTimeModel(scenario.board_spec, n_units=scenario.n_units)
-            return self._execution_models.setdefault(key, model)
+        return self._memoized(
+            self._hw_key("execution_model", scenario),
+            lambda: ExecutionTimeModel(scenario.board_spec, n_units=scenario.n_units),
+        )
 
     def _planner(self, scenario: Scenario) -> OffloadPlanner:
-        key = self._hw_key(scenario) + (scenario.word_length, scenario.fraction_bits)
-        try:
-            return self._planners[key]
-        except KeyError:
-            planner = OffloadPlanner(
+        key = self._hw_key("planner", scenario) + (scenario.word_length, scenario.fraction_bits)
+        return self._memoized(
+            key,
+            lambda: OffloadPlanner(
                 board=scenario.board_spec,
                 n_units=scenario.n_units,
                 execution_model=self._execution_model(scenario),
                 qformat=scenario.qformat,
-            )
-            return self._planners.setdefault(key, planner)
+            ),
+        )
 
     def _power_model(self, scenario: Scenario) -> PowerModel:
-        key = self._hw_key(scenario)
-        try:
-            return self._power_models[key]
-        except KeyError:
-            model = PowerModel(
-                execution_model=self._execution_model(scenario),
-                board=scenario.board_spec,
-            )
-            return self._power_models.setdefault(key, model)
+        return self._memoized(
+            self._hw_key("power_model", scenario),
+            lambda: PowerModel(
+                execution_model=self._execution_model(scenario), board=scenario.board_spec
+            ),
+        )
 
     def _training_model(self, scenario: Scenario) -> TrainingTimeModel:
-        key = self._hw_key(scenario)
-        try:
-            return self._training_models[key]
-        except KeyError:
-            model = TrainingTimeModel(execution_model=self._execution_model(scenario))
-            return self._training_models.setdefault(key, model)
+        return self._memoized(
+            self._hw_key("training_model", scenario),
+            lambda: TrainingTimeModel(execution_model=self._execution_model(scenario)),
+        )
 
     # -- evaluation --------------------------------------------------------------------
 
     def evaluate(self, scenario: Scenario) -> Result:
         """Full structured result for one scenario (memoized per scenario)."""
 
-        try:
-            return self._results[scenario]
-        except KeyError:
-            pass
-        return self._results.setdefault(scenario, self._compute(scenario))
+        return self._memoized(("result", scenario), self._compute, scenario)
 
     def execution_report(self, scenario: Scenario) -> ExecutionTimeReport:
         """The Table-5 execution-time report underlying a scenario's result.
 
-        Computed (and cached) on its own, without building the energy or
+        Computed (and memoized) on its own, without building the energy or
         training sections — callers that only need timing (e.g. Table 5) pay
         only for timing.
         """
 
-        try:
-            return self._reports[scenario]
-        except KeyError:
-            pass
-        planner = self._planner(scenario)
-        targets = planner.proposed_targets(scenario.model, scenario.depth)
-        report = self._execution_model(scenario).report(
+        return self._memoized(("report", scenario), self._execution_report, scenario)
+
+    def _execution_report(self, scenario: Scenario) -> ExecutionTimeReport:
+        targets = self._planner(scenario).proposed_targets(scenario.model, scenario.depth)
+        return self._execution_model(scenario).report(
             scenario.model,
             scenario.depth,
             offload_targets=targets,
             solver_stages=scenario.solver_stages,
         )
-        return self._reports.setdefault(scenario, report)
 
     def offload_decision(self, scenario: Scenario) -> OffloadDecision:
         """The offload plan for a scenario (targets, resources, feasibility).
@@ -145,18 +130,16 @@ class Evaluator:
         same solver-aware execution report the result's timing section uses.
         """
 
-        try:
-            return self._decisions[scenario]
-        except KeyError:
-            pass
+        return self._memoized(("decision", scenario), self._offload_decision, scenario)
+
+    def _offload_decision(self, scenario: Scenario) -> OffloadDecision:
         report = self.execution_report(scenario)
-        decision = self._planner(scenario).plan(
+        return self._planner(scenario).plan(
             scenario.model,
             scenario.depth,
             targets=report.offload_targets,
             report=report,
         )
-        return self._decisions.setdefault(scenario, decision)
 
     def _resnet_baseline(self, scenario: Scenario) -> ExecutionTimeReport:
         """Software ResNet-N reference, shared across a depth's scenarios.
@@ -165,14 +148,12 @@ class Evaluator:
         PL, so every parallelism scenario at one depth shares one baseline.
         """
 
-        key = (scenario.board, scenario.pl_clock_hz, scenario.depth)
-        try:
-            return self._baselines[key]
-        except KeyError:
-            report = self._execution_model(scenario).report(
+        return self._memoized(
+            ("baseline", scenario.board, scenario.pl_clock_hz, scenario.depth),
+            lambda: self._execution_model(scenario).report(
                 "ResNet", scenario.depth, offload_targets=(), solver_stages=1
-            )
-            return self._baselines.setdefault(key, report)
+            ),
+        )
 
     def _compute(self, scenario: Scenario) -> Result:
         # One report serves the timing section, the energy comparison and the
@@ -255,110 +236,3 @@ class Evaluator:
         section = report.as_dict()
         section.update(model.epoch_table((scenario.model,), scenario.depth)[scenario.model])
         return section
-
-    # -- table/figure facade (delegates to repro.analysis) ----------------------------
-
-    def table1_records(self) -> List[Dict[str, object]]:
-        from ..analysis.tables import table1_records
-
-        return table1_records()
-
-    def table2_records(self) -> List[Dict[str, object]]:
-        from ..analysis.tables import table2_records
-
-        return table2_records()
-
-    def table3_records(self, include_estimates: bool = True) -> List[Dict[str, object]]:
-        from ..analysis.tables import table3_records
-
-        return table3_records(include_estimates=include_estimates)
-
-    def table4_records(self, depth: int = 56) -> List[Dict[str, object]]:
-        from ..analysis.tables import table4_records
-
-        return table4_records(depth)
-
-    def table5_records(
-        self,
-        depths: Sequence[int] = SUPPORTED_DEPTHS,
-        models: Sequence[str] = TABLE5_MODELS,
-        n_units: int = 16,
-    ) -> List[Dict[str, object]]:
-        """Table 5 rows, built from the scenario engine (one row per model x depth)."""
-
-        records: List[Dict[str, object]] = []
-        for model in models:
-            for depth in depths:
-                scenario = Scenario(model=model, depth=depth, n_units=n_units)
-                report = self.execution_report(scenario)
-                rec = report.as_dict()
-                rec["target_wo_pl_s"] = " / ".join(f"{t:.2f}" for t in report.target_without_pl) or "-"
-                rec["ratio_of_target_pct"] = " / ".join(f"{t:.2f}" for t in report.target_ratio_percent) or "-"
-                rec["target_w_pl_s"] = " / ".join(f"{t:.2f}" for t in report.target_with_pl) or "-"
-                rec["total_wo_pl_s"] = round(report.total_without_pl, 3)
-                rec["total_w_pl_s"] = round(report.total_with_pl, 3)
-                rec["overall_speedup"] = round(report.overall_speedup, 2)
-                records.append(rec)
-        return records
-
-    def figure5_series(self) -> Dict[str, Dict[int, float]]:
-        from ..analysis.figures import figure5_series
-
-        return figure5_series()
-
-    def figure6_series(self, paper_only: bool = False) -> Dict[str, Dict[int, float]]:
-        from ..analysis.figures import figure6_series
-
-        return figure6_series(paper_only=paper_only)
-
-    def accuracy_table(self) -> List[Dict[str, object]]:
-        from ..analysis.accuracy_model import accuracy_table
-
-        return accuracy_table()
-
-    def accuracy_sweep(self, *args, **kwargs):
-        """Accuracy-vs-Q-format sweep of the bit-accurate PL datapath.
-
-        Delegates to :func:`repro.api.accuracy.accuracy_sweep` (see there for
-        the parameters), keeping the CLI's one-evaluator-serves-everything
-        contract.
-        """
-
-        from .accuracy import accuracy_sweep
-
-        return accuracy_sweep(*args, **kwargs)
-
-    def timing_reports(
-        self,
-        unit_counts: Sequence[int] = (1, 4, 8, 16, 32),
-        target_hz: float | None = None,
-        board: str | None = None,
-    ) -> List:
-        """Timing-closure reports over a MAC-unit sweep (the CLI ``timing`` table).
-
-        ``board`` selects a registered board's fabric scale and clock target
-        (default: the reference PYNQ-Z2); an explicit ``target_hz`` still
-        overrides the board's clock.
-        """
-
-        from ..platform import get_board
-        from ..fpga.timing import TimingModel
-
-        model = (
-            TimingModel.for_board(get_board(board)) if board is not None else TimingModel()
-        )
-        return [model.analyze(n, target_hz=target_hz) for n in unit_counts]
-
-    # -- cache introspection (useful in tests and tuning) ------------------------------
-
-    @property
-    def cached_result_count(self) -> int:
-        return len(self._results)
-
-    def clear_cache(self) -> None:
-        """Drop memoized results/reports (constructed models are kept)."""
-
-        self._results.clear()
-        self._reports.clear()
-        self._decisions.clear()
-        self._baselines.clear()

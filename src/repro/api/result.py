@@ -45,9 +45,8 @@ def _flatten_value(value: object) -> object:
 class Result:
     """Structured outcome of evaluating one scenario.
 
-    Results are memoized and shared (also across sweep worker threads), so
-    the sections are wrapped read-only at construction; use :meth:`as_dict`
-    for a mutable copy.
+    Results are memoized and shared, so the sections are wrapped read-only
+    at construction; use :meth:`as_dict` for a mutable copy.
     """
 
     scenario: Scenario

@@ -31,11 +31,6 @@ def _resolve_board(board: Union[str, BoardSpec]) -> BoardSpec:
     try:
         return get_board(board)
     except KeyError:
-        # Tolerate case and separator variants: "pynq_z2" -> "PYNQ-Z2".
-        norm = str(board).lower().replace("_", "-")
-        for name, spec in BOARDS.items():
-            if name.lower().replace("_", "-") == norm:
-                return spec
         raise ValueError(
             f"unknown board '{board}'; available boards: {', '.join(sorted(BOARDS))}"
         ) from None

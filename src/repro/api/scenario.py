@@ -44,6 +44,7 @@ __all__ = [
     "fraction_bits_for",
     "check_seed",
     "check_count",
+    "check_board",
     "field_dict",
     "from_field_dict",
     "shared_fields",
@@ -116,15 +117,8 @@ class Scenario:
             )
         object.__setattr__(self, "solver", solver_key)
 
-        try:
-            spec = get_board(self.board)
-        except KeyError:
-            # Mirror BramPlan.region()'s style: name the miss, list what is
-            # registered (ValueError here — construction-argument validation).
-            available = ", ".join(list_boards()) or "(none)"
-            raise ValueError(
-                f"unknown board '{self.board}'; registered boards: {available}"
-            ) from None
+        spec = check_board(self.board)
+        object.__setattr__(self, "board", spec.name)
         if self.pl_clock_hz is None:
             object.__setattr__(self, "pl_clock_hz", spec.pl_clock_hz)
         elif self.pl_clock_hz <= 0:
@@ -242,6 +236,18 @@ def check_seed(name: str, value: object) -> None:
     """
 
     check_count(name, value, 0, f" (got {value!r})")
+
+
+def check_board(name: str) -> BoardSpec:
+    """The registered board ``name`` resolves to (see
+    :func:`repro.platform.get_board`), or a :class:`ValueError` naming the
+    miss and listing the registry."""
+
+    try:
+        return get_board(name)
+    except KeyError:
+        available = ", ".join(list_boards()) or "(none)"
+        raise ValueError(f"unknown board '{name}'; registered boards: {available}") from None
 
 
 def fraction_bits_for(word_length: int, fraction_bits: Optional[int] = None) -> int:

@@ -42,10 +42,12 @@ the choices, ``nargs``).  A flag feeding a scenario field stores under that
 field's name (``--rate`` -> ``arrival_rate_hz``), so handlers build their
 scenario from the parsed namespace and set only the values that need parsing.
 
-The commands are registered with the :func:`command` decorator and all of
-them are served by one :class:`repro.api.Evaluator`, so adding a new
-analysis is a matter of writing a handler that maps parsed arguments to
-scenarios — no dispatch chain to extend.
+The commands are registered with the :func:`command` decorator.  Each
+handler gets a fresh :class:`repro.api.Evaluator` for its scenarios and
+calls the rest of the library (:mod:`repro.analysis`, the simulator, the
+optimizer, ...) directly, so adding a new analysis is a matter of writing a
+handler that maps parsed arguments to scenarios — no dispatch chain to
+extend.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
 from ._lazy import lazy_exports
-from .analysis import csv_text, format_records, format_series, strict_json
+from .analysis import csv_text, format_records, format_series, json_safe, strict_json
 from .api import (
     SCENARIO_MODELS,
     TRAINING_PROJECTION_KEYS,
@@ -316,23 +318,31 @@ def _records_output(records: List[Dict[str, object]], title: str) -> CommandOutp
 
 @command("table1", help="PYNQ-Z2 board specification")
 def _cmd_table1(args, evaluator: Evaluator) -> CommandOutput:
-    return _records_output(evaluator.table1_records(), "Table 1: PYNQ-Z2 specification")
+    from .analysis.tables import table1_records
+
+    return _records_output(table1_records(), "Table 1: PYNQ-Z2 specification")
 
 
 @command("table2", help="ODENet layer structure / parameter sizes")
 def _cmd_table2(args, evaluator: Evaluator) -> CommandOutput:
-    return _records_output(evaluator.table2_records(), "Table 2: ODENet structure")
+    from .analysis.tables import table2_records
+
+    return _records_output(table2_records(), "Table 2: ODENet structure")
 
 
 @command("table3", help="FPGA resource utilisation", configure=flags("--no-estimates"))
 def _cmd_table3(args, evaluator: Evaluator) -> CommandOutput:
-    records = evaluator.table3_records(include_estimates=not args.no_estimates)
+    from .analysis.tables import table3_records
+
+    records = table3_records(include_estimates=not args.no_estimates)
     return _records_output(records, "Table 3: resource utilisation")
 
 
 @command("table4", help="variant structures", configure=flags("--depth"))
 def _cmd_table4(args, evaluator: Evaluator) -> CommandOutput:
-    return _records_output(evaluator.table4_records(args.depth), f"Table 4 (N={args.depth})")
+    from .analysis.tables import table4_records
+
+    return _records_output(table4_records(args.depth), f"Table 4 (N={args.depth})")
 
 
 @command(
@@ -341,8 +351,10 @@ def _cmd_table4(args, evaluator: Evaluator) -> CommandOutput:
     configure=flags("--depth", "--n-units", depth=dict(default=None)),
 )
 def _cmd_table5(args, evaluator: Evaluator) -> CommandOutput:
+    from .analysis.tables import table5_records
+
     depths = (args.depth,) if args.depth else SUPPORTED_DEPTHS
-    records = evaluator.table5_records(depths=depths, n_units=args.n_units)
+    records = table5_records(depths=depths, n_units=args.n_units)
     return _records_output(records, "Table 5")
 
 
@@ -351,7 +363,9 @@ def _cmd_table5(args, evaluator: Evaluator) -> CommandOutput:
 
 @command("figure5", help="parameter size vs depth")
 def _cmd_figure5(args, evaluator: Evaluator) -> CommandOutput:
-    series = evaluator.figure5_series()
+    from .analysis.figures import figure5_series
+
+    series = figure5_series()
     return CommandOutput(
         lambda: format_series(series, title="Figure 5: parameter size [kB]"), lambda: series
     )
@@ -363,9 +377,12 @@ def _cmd_figure5(args, evaluator: Evaluator) -> CommandOutput:
     configure=flags("--paper-only", "--points"),
 )
 def _cmd_figure6(args, evaluator: Evaluator) -> CommandOutput:
+    from .analysis.accuracy_model import accuracy_table
+    from .analysis.figures import figure6_series
+
     if args.points:
-        return _records_output(evaluator.accuracy_table(), "Figure 6 points")
-    series = evaluator.figure6_series(paper_only=args.paper_only)
+        return _records_output(accuracy_table(), "Figure 6 points")
+    series = figure6_series(paper_only=args.paper_only)
     return CommandOutput(
         lambda: format_series(series, title="Figure 6: accuracy [%]"), lambda: series
     )
@@ -763,13 +780,13 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
     ]
 
     rows: List[Dict[str, object]] = []
-    for name, report in zip(boards, reports):
+    for report in reports:
         s = report.scenario
         lat = report.latency
         energy = report.energy["energy_per_request_J"]
         rows.append(
             {
-                "board": name,
+                "board": s["board"],
                 "replicas": s["replicas"],
                 "ps_cores": s["ps_cores"],
                 "completed": report.requests["completed"],
@@ -789,7 +806,7 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
     return CommandOutput(
         lambda: format_records(rows, title=title),
         lambda: [report.as_dict() for report in reports],
-        lambda: csv_text([rows[0].keys(), *(row.values() for row in rows)]),
+        lambda: csv_text([rows[0].keys(), *(json_safe(row).values() for row in rows)]),
     )
 
 
@@ -803,13 +820,17 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
     ),
 )
 def _cmd_timing(args, evaluator: Evaluator) -> CommandOutput:
+    from .fpga.timing import TimingModel
+    from .platform import get_board
+
     if any(n < 1 for n in args.n_units):
         raise ValueError("--n-units entries must be positive integers")
     target_hz = args.clock_mhz * 1e6 if args.clock_mhz is not None else None
     try:
-        reports = evaluator.timing_reports(args.n_units, target_hz=target_hz, board=args.board)
+        model = TimingModel.for_board(get_board(args.board or PYNQ_Z2.name))
     except KeyError as exc:
-        raise ValueError(exc.args[0] if exc.args else str(exc)) from exc
+        raise ValueError(exc.args[0]) from exc
+    reports = [model.analyze(n, target_hz=target_hz) for n in args.n_units]
     return CommandOutput(
         lambda: "\n".join(["Timing closure (critical-path model)", *map(str, reports)]),
         lambda: [report.as_dict() for report in reports],
@@ -844,6 +865,8 @@ def _parse_formats(entries, flag: str = "--formats") -> List:
     ),
 )
 def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
+    from .api.accuracy import accuracy_sweep
+
     if args.formats is not None and args.word_lengths is not None:
         raise ValueError("pass either --formats or --wordlengths, not both")
     formats = None
@@ -851,7 +874,7 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
         formats = _parse_formats(args.formats)
     elif args.word_lengths is not None:
         formats = [(wl, fraction_bits_for(wl)) for wl in args.word_lengths]
-    result = evaluator.accuracy_sweep(
+    result = accuracy_sweep(
         block=args.block,
         formats=formats,
         n_units=args.n_units,

@@ -31,7 +31,7 @@ from ..fpga.device import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
 from ..hwsw.ps_model import PsModelConfig, SoftwareCostModel
 from .network_spec import LAYER_ORDER, layer_geometry
-from .variants import SUPPORTED_DEPTHS, BlockRealization, VariantSpec, variant_spec
+from .variants import BlockRealization, VariantSpec, variant_spec
 
 __all__ = [
     "LayerTimeEntry",
@@ -309,15 +309,6 @@ class ExecutionTimeModel:
             layers=tuple(entries),
             overhead_seconds=self.software_model.per_image_overhead(),
         )
-
-    def table5(
-        self,
-        depths: Sequence[int] = SUPPORTED_DEPTHS,
-        models: Sequence[str] = TABLE5_MODELS,
-    ) -> List[ExecutionTimeReport]:
-        """All rows of Table 5 (7 models x 4 depths by default)."""
-
-        return [self.report(m, d) for m in models for d in depths]
 
     def speedup_vs_resnet(self, model_name: str, depth: int) -> float:
         """Speedup of an offloaded model over the pure-software ResNet-N baseline.

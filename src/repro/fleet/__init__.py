@@ -31,8 +31,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".balancer": ("BATCH_SPILL_FACTOR", "Balancer", "BoardServer"),
         ".cluster": (
             "ADMISSION_NAMES", "CLASS_KINDS", "FIDELITY_NAMES", "ROUTING_NAMES", "BoardGroup",
-            "FleetScenario", "TrafficClass", "canonical_board", "parse_board_groups",
-            "parse_traffic_classes",
+            "FleetScenario", "TrafficClass", "parse_board_groups", "parse_traffic_classes",
         ),
         ".report": ("BoardCell", "CellResult", "ClassCell", "FleetReport", "merge_cells"),
         ".runner": ("resolve_board_replicas", "resolve_slos", "run_cell"),

@@ -32,12 +32,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.scenario import (
     Scenario,
+    check_board,
     check_count,
     field_dict,
     from_field_dict,
     shared_fields,
 )
-from ..platform import list_boards
 from ..sim.scenario import SimScenario, check_serving, check_traffic
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "BoardGroup",
     "TrafficClass",
     "FleetScenario",
-    "canonical_board",
     "parse_board_groups",
     "parse_traffic_classes",
 ]
@@ -73,22 +72,6 @@ FIDELITY_NAMES: Tuple[str, ...] = ("fast", "event")
 _FLEET_TRAFFIC: Tuple[str, ...] = ("arrival_rate_hz", "n_requests", "duration_s")
 
 
-def canonical_board(name: str) -> str:
-    """Resolve a board name case-insensitively against the registry.
-
-    The registry itself is case-sensitive ("PYNQ-Z2"); fleet specs come from
-    command lines where ``pynq-z2:8`` is the natural spelling.
-    """
-
-    registered = list_boards()
-    by_fold = {b.lower(): b for b in registered}
-    hit = by_fold.get(str(name).lower())
-    if hit is None:
-        available = ", ".join(registered) or "(none)"
-        raise ValueError(f"unknown board '{name}'; registered boards: {available}")
-    return hit
-
-
 @dataclass(frozen=True)
 class BoardGroup:
     """A homogeneous slice of the fleet inventory: ``count`` boards of one type."""
@@ -97,7 +80,7 @@ class BoardGroup:
     count: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "board", canonical_board(self.board))
+        object.__setattr__(self, "board", check_board(self.board).name)
         check_count("board count", self.count, 1, f" (got {self.count!r})")
 
 

@@ -25,9 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..api.scenario import Scenario
+from ..api.scenario import Scenario, check_board
 from ..fixedpoint.qformat import QFormat
-from ..fleet.cluster import BoardGroup, FleetScenario, canonical_board
+from ..fleet.cluster import BoardGroup, FleetScenario
 from ..ode.solvers import available_methods
 from ..platform import PYNQ_Z2
 from ..sim.policies import POLICY_NAMES
@@ -152,7 +152,7 @@ def _validate_axis(name: str, values: Sequence[object]) -> Tuple[object, ...]:
                 )
             value = str(value).lower()
         elif name == "board":
-            value = canonical_board(str(value))
+            value = check_board(str(value)).name
         if value in out:
             raise ValueError(f"axis '{name}' repeats value {value!r}")
         out.append(value)

@@ -41,20 +41,28 @@ def register_board(board: BoardSpec, replace: bool = False) -> BoardSpec:
 
 
 def get_board(name: str) -> BoardSpec:
-    """Look a board up by name.
+    """Look a board up by name, ignoring case and treating ``_`` as ``-``.
 
-    Raises :class:`KeyError` naming every registered board (mirroring
+    ``"zcu104"`` and ``"pynq_z2"`` resolve to the registered ``ZCU104`` and
+    ``PYNQ-Z2``; the returned spec carries the canonical name.  Raises
+    :class:`KeyError` naming every registered board (mirroring
     :meth:`repro.fpga.bram.BramPlan.region`), so a typo in a sweep axis is
     self-explaining.
     """
 
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        available = ", ".join(list_boards()) or "(none)"
-        raise KeyError(
-            f"no board named '{name}'; registered boards: {available}"
-        ) from None
+    spec = _REGISTRY.get(name)
+    if spec is not None:
+        return spec
+    folded = _fold(name)
+    for registered, spec in _REGISTRY.items():
+        if _fold(registered) == folded:
+            return spec
+    available = ", ".join(list_boards()) or "(none)"
+    raise KeyError(f"no board named '{name}'; registered boards: {available}")
+
+
+def _fold(name: object) -> str:
+    return str(name).lower().replace("_", "-")
 
 
 def list_boards() -> Tuple[str, ...]:

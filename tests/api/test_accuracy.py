@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Evaluator, accuracy_sweep
-from repro.api.accuracy import COLUMNS, DEFAULT_FORMAT_LADDER, AccuracySweepResult, _float_conv
+from repro.api import accuracy_sweep
+from repro.api.accuracy import COLUMNS, DEFAULT_FORMAT_LADDER, _float_conv
 from repro.cli import main
 from repro.fixedpoint import Q16, Q20, QFormat
 from repro.fpga import HardwareODEBlock, BlockWeights
@@ -100,11 +100,6 @@ class TestAccuracySweepApi:
     def test_qformat_instances_accepted(self):
         result = small_sweep(formats=[Q20, QFormat(10, 7)])
         assert [r["qformat"] for r in result.records()] == [Q20.name, QFormat(10, 7).name]
-
-    def test_evaluator_facade_delegates(self):
-        result = Evaluator().accuracy_sweep(block="layer3_2", formats=[(16, 8)], images=2)
-        assert isinstance(result, AccuracySweepResult)
-        assert len(result) == 1
 
     def test_csv_and_json_round_trip(self):
         result = small_sweep(formats=[(16, 8), (8, 4)])

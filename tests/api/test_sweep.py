@@ -29,8 +29,8 @@ def test_sweep_returns_results_in_input_order():
 def test_sweep_memoizes_duplicates():
     ev = Evaluator()
     results = sweep([Scenario(), Scenario(), Scenario()], evaluator=ev)
-    assert ev.cached_result_count == 1
     assert results[0] is results[1] is results[2]
+    assert ev.evaluate(Scenario()) is results[0]
 
 
 class _ExplodingEvaluator(Evaluator):

@@ -123,10 +123,6 @@ class TestModelMechanics:
         assert len(report.target_with_pl) == 3
         assert report.overall_speedup > model.report("ODENet-3", 56).overall_speedup
 
-    def test_table5_row_count(self, model):
-        rows = model.table5()
-        assert len(rows) == len(TABLE5_MODELS) * 4
-
     def test_layer_entry_lookup(self, model):
         report = model.report("rODENet-3", 20)
         entry = report.layer_entry("layer3_2")

@@ -16,8 +16,9 @@ from repro.cli import build_parser, main, registered_commands
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: Default invocation of each pre-registry subcommand, matched against the
-#: golden captures taken from the seed CLI (byte-identical port guarantee).
+#: Golden capture name -> argv.  The default invocation of each pre-registry
+#: subcommand was captured from the seed CLI (byte-identical port guarantee);
+#: the flagged table/figure/timing invocations pin their options the same way.
 GOLDEN_INVOCATIONS = {
     "table1": ["table1"],
     "table2": ["table2"],
@@ -29,6 +30,12 @@ GOLDEN_INVOCATIONS = {
     "offload": ["offload", "rODENet-3"],
     "energy": ["energy", "rODENet-3"],
     "training": ["training"],
+    "table3_no_estimates": ["table3", "--no-estimates"],
+    "table5_depth32_n8": ["table5", "--depth", "32", "--n-units", "8"],
+    "figure6_paper_only": ["figure6", "--paper-only"],
+    "figure6_points": ["figure6", "--points"],
+    "timing": ["timing"],
+    "timing_zcu104_n32_50mhz": ["timing", "--n-units", "32", "--clock-mhz", "50", "--board", "ZCU104"],
 }
 
 
@@ -136,7 +143,7 @@ class TestRegistry:
 
     def test_all_nine_seed_commands_present_plus_new_ones(self):
         names = set(registered_commands())
-        assert set(GOLDEN_INVOCATIONS) <= names
+        assert {argv[0] for argv in GOLDEN_INVOCATIONS.values()} <= names
         assert {"eval", "sweep"} <= names
 
     def test_duplicate_registration_rejected(self):
@@ -540,11 +547,19 @@ class TestBoardAxis:
         err = capsys.readouterr().err
         assert "unknown board 'DE10-Nano'" in err and "PYNQ-Z2" in err
 
-    def test_eval_board_knob(self, capsys):
-        out = run_cli(capsys, "eval", "rODENet-3", "--board", "ZCU104", "--json")
+    @pytest.mark.parametrize(
+        "spelling, board, clock_hz",
+        [
+            pytest.param("ZCU104", "ZCU104", 200e6, id="ZCU104"),
+            pytest.param("zcu104", "ZCU104", 200e6, id="zcu104"),
+            pytest.param("pynq_z2", "PYNQ-Z2", 100e6, id="pynq_z2"),
+        ],
+    )
+    def test_eval_board_knob(self, capsys, spelling, board, clock_hz):
+        out = run_cli(capsys, "eval", "rODENet-3", "--board", spelling, "--json")
         data = json.loads(out)
-        assert data["scenario"]["board"] == "ZCU104"
-        assert data["scenario"]["pl_clock_hz"] == 200e6
+        assert data["scenario"]["board"] == board
+        assert data["scenario"]["pl_clock_hz"] == clock_hz
 
     def test_timing_board_knob(self, capsys):
         pynq = run_cli(capsys, "timing", "--n-units", "32")

@@ -166,6 +166,13 @@ def test_cross_board_sweep_and_sim_text(capsys):
         "--replicas", "auto", "--ps-cores", "auto", "--board", "PYNQ-Z2,ZCU104", "--warmup", "1.0",
     )
     assert "Cross-board serving" in out and "PYNQ-Z2" in out and "ZCU104" in out
+    # A warm-up that trims every request leaves the measured cells empty, as
+    # the single-board CSV does, never "nan".
+    rows = run_text(
+        capsys, "sim", "rODENet-1", "--depth", "20", "--rate", "3", "--requests", "5",
+        "--warmup", "1000", "--board", "PYNQ-Z2,ZCU104", "--format", "csv",
+    ).splitlines()
+    assert rows[1:] == ["PYNQ-Z2,1,1,5,,,,,,,", "ZCU104,1,1,5,,,,,,,"]
 
 
 def test_timing_and_accuracy_pareto_text(capsys):
