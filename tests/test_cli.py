@@ -18,7 +18,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Golden capture name -> argv.  The default invocation of each pre-registry
 #: subcommand was captured from the seed CLI (byte-identical port guarantee);
-#: the flagged table/figure/timing invocations pin their options the same way.
+#: the flagged table/figure/timing invocations pin their options the same way,
+#: and the sim / FMEA / fleet captures pin the serving-report renderers.
 GOLDEN_INVOCATIONS = {
     "table1": ["table1"],
     "table2": ["table2"],
@@ -36,6 +37,27 @@ GOLDEN_INVOCATIONS = {
     "figure6_points": ["figure6", "--points"],
     "timing": ["timing"],
     "timing_zcu104_n32_50mhz": ["timing", "--n-units", "32", "--clock-mhz", "50", "--board", "ZCU104"],
+    "sim_batched_rate8": [
+        "sim", "rODENet-3", "--depth", "20", "--replicas", "2", "--policy", "batched",
+        "--ps-cores", "2", "--rate", "8", "--requests", "200", "--seed", "1",
+    ],
+    "sim_warmup_slo": [
+        "sim", "rODENet-1", "--depth", "20", "--rate", "3", "--requests", "50",
+        "--warmup", "5", "--slo-ms", "900",
+    ],
+    "sim_fmea": [
+        "sim", "rODENet-3", "--depth", "20", "--replicas", "2", "--rate", "2", "--requests", "40",
+        "--faults", "replica_death", "dma_corruption", "--fault-samples", "2",
+    ],
+    "fleet_classes_autoscale": [
+        "fleet", "--boards", "pynq-z2:4,zcu104:2",
+        "--classes", "interactive:0.8:latency:50ms,nightly:0.2:batch",
+        "--requests", "500", "--rate", "20", "--autoscale", "--autoscale-interval", "5",
+    ],
+    "fleet_event_one_board": [
+        "fleet", "--boards", "pynq-z2:1", "--fidelity", "event", "--admission", "none",
+        "--requests", "100", "--rate", "1",
+    ],
 }
 
 
