@@ -151,25 +151,8 @@ def run_fmea(
     rows: List[Dict[str, object]] = []
     sample_records: List[Dict[str, object]] = []
     for mode in modes:
-        occurrences = mode.rate_per_hour * horizon / 3600.0
-        if mode.rate_per_hour <= 0:
-            rows.append(
-                {
-                    "mode": mode.kind,
-                    "rate_per_hour": mode.rate_per_hour,
-                    "samples": 0,
-                    "expected_occurrences": 0.0,
-                    "violation_fraction": nom_frac,
-                    "d_violation_fraction": 0.0,
-                    "expected_slo_violation": 0.0,
-                    "d_p95_ms": 0.0,
-                    "d_mean_ms": 0.0,
-                    "d_energy_J": 0.0,
-                    "corrupted_mean": 0.0,
-                }
-            )
-            continue
-        times, weights = injection_times(horizon, n_samples, method)
+        samples = n_samples if mode.rate_per_hour > 0 else 0
+        times, weights = injection_times(horizon, n_samples, method) if samples else ((), ())
         frac = p95 = mean = energy = corrupted = 0.0
         for t_inject, weight in zip(times, weights):
             report = simulate(
@@ -197,18 +180,27 @@ def run_fmea(
                     "corrupted_requests": report.faults["corrupted_requests"],
                 }
             )
+        if samples:
+            d_frac, d_p95, d_mean, d_energy = (
+                frac - nom_frac, p95 - nom_p95, mean - nom_mean, energy - nom_energy
+            )
+        else:
+            # Listed, never fired: the nominal fraction and exact zero deltas,
+            # even when a nominal value is NaN.
+            frac, d_frac, d_p95, d_mean, d_energy = nom_frac, 0.0, 0.0, 0.0, 0.0
+        occurrences = mode.rate_per_hour * horizon / 3600.0 if samples else 0.0
         rows.append(
             {
                 "mode": mode.kind,
                 "rate_per_hour": mode.rate_per_hour,
-                "samples": n_samples,
+                "samples": samples,
                 "expected_occurrences": occurrences,
                 "violation_fraction": frac,
-                "d_violation_fraction": frac - nom_frac,
-                "expected_slo_violation": occurrences * max(0.0, frac - nom_frac),
-                "d_p95_ms": (p95 - nom_p95) * 1e3,
-                "d_mean_ms": (mean - nom_mean) * 1e3,
-                "d_energy_J": energy - nom_energy,
+                "d_violation_fraction": d_frac,
+                "expected_slo_violation": occurrences * max(0.0, d_frac),
+                "d_p95_ms": d_p95 * 1e3,
+                "d_mean_ms": d_mean * 1e3,
+                "d_energy_J": d_energy,
                 "corrupted_mean": corrupted,
             }
         )

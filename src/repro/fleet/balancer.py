@@ -29,6 +29,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..sim.metrics import energy_section, ps_energy_j
+
 __all__ = ["BATCH_SPILL_FACTOR", "BoardServer", "Balancer"]
 
 #: A batch request spills off the cheapest board when its backlog exceeds
@@ -155,8 +157,8 @@ class BoardServer:
         if self.powered:
             self.powered_seconds += max(horizon, self.powered_since) - self.powered_since
 
-    def energy_j(self) -> Dict[str, float]:
-        """PS + PL joules over this board's powered time.
+    def energy_j(self) -> Dict[str, Optional[float]]:
+        """This board's energy section over its powered time.
 
         The fast model has no per-core occupancy trace; the PS ledger charges
         active watts for the accumulated software seconds and idle watts for
@@ -164,11 +166,9 @@ class BoardServer:
         """
 
         ps_busy = min(self.ps_busy_seconds, self.powered_seconds)
-        ps_j = self.ps_active_w * ps_busy + self.ps_idle_w * max(
-            0.0, self.powered_seconds - ps_busy
-        )
+        ps_j = ps_energy_j(self.ps_active_w, self.ps_idle_w, ps_busy, 1, self.powered_seconds)
         pl_j = self.pl_w * self.powered_seconds
-        return {"ps_energy_J": ps_j, "pl_energy_J": pl_j, "total_energy_J": ps_j + pl_j}
+        return energy_section(ps_j, pl_j, sum(self.served), self.powered_seconds)
 
     def utilization(self) -> float:
         """Mean slot occupancy over powered time (NaN when never powered)."""

@@ -9,13 +9,12 @@ so float sums are bit-identical for any shard count) into the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.report import json_safe
-from ..sim.metrics import LatencyStats, QuantileSketch
+from ..sim.metrics import QuantileSketch, ServingReport, energy_section, text_row
 
 __all__ = ["ClassCell", "BoardCell", "CellResult", "FleetReport", "merge_cells"]
 
@@ -68,89 +67,42 @@ class CellResult:
     board_reports: Optional[List[Dict[str, object]]] = None
 
 
-@dataclass(frozen=True)
-class FleetReport:
+@dataclass(frozen=True, kw_only=True)
+class FleetReport(ServingReport):
     """The merged outcome of one fleet simulation."""
 
-    scenario: Dict[str, object]
-    requests: Dict[str, int]
-    horizon_s: float
-    throughput_rps: float
-    latency: LatencyStats
-    wait: LatencyStats
+    JSON_KEYS = (
+        "scenario", "requests", "horizon_s", "throughput_rps", "latency", "wait", "classes",
+        "boards", "energy", "cells", "shards", "events_processed", "autoscale", "board_reports",
+    )
+    COUNTED = ("offered", "rejected", "completed")
+
     classes: List[Dict[str, object]]
     boards: List[Dict[str, object]]
-    energy: Dict[str, object]
     cells: int
     shards: int
-    events_processed: int
     autoscale: Optional[Dict[str, object]] = None
     board_reports: Optional[List[Dict[str, object]]] = None
-    #: The merged sketches behind ``latency``/``wait`` (not serialised).
-    latency_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
-    wait_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "scenario": dict(self.scenario),
-            "requests": dict(self.requests),
-            "horizon_s": self.horizon_s,
-            "throughput_rps": self.throughput_rps,
-            "latency": self.latency.as_dict(),
-            "wait": self.wait.as_dict(),
-            "classes": [dict(c) for c in self.classes],
-            "boards": [dict(b) for b in self.boards],
-            "energy": dict(self.energy),
-            "cells": self.cells,
-            "shards": self.shards,
-            "events_processed": self.events_processed,
-        }
-        if self.autoscale is not None:
-            out["autoscale"] = dict(self.autoscale)
-        if self.board_reports is not None:
-            out["board_reports"] = [dict(r) for r in self.board_reports]
-        return json_safe(out)
 
     def render(self) -> str:
         """Multi-section plain-text report (the ``fleet`` subcommand output)."""
 
         s = self.scenario
-        lines: List[str] = []
-        inventory = ", ".join(f"{g['count']}x {g['board']}" for g in s["boards"])
-        lines.append(
-            f"Fleet serving: {inventory} | {len(self.classes)} class(es), "
-            f"routing={s['routing']}, admission={s['admission']}, "
-            f"autoscale={'on' if s['autoscale'] else 'off'}, "
-            f"fidelity={s['fidelity']}"
-        )
-        lines.append("[requests]")
-        lines.append(f"  offered            : {self.requests['offered']}")
-        lines.append(f"  rejected           : {self.requests['rejected']}")
-        lines.append(f"  completed          : {self.requests['completed']}")
-        lines.append(f"  horizon            : {self.horizon_s:.4g} s")
-        lines.append(f"  throughput         : {self.throughput_rps:.4g} req/s")
-        lat = self.latency
-        lines.append("[latency]")
-        lines.append(f"  mean               : {lat.mean:.6g} s")
-        for q in sorted(lat.percentiles):
-            lines.append(f"  {f'p{q}'.ljust(19)}: {lat.percentiles[q]:.6g} s")
-        lines.append(f"  max                : {lat.maximum:.6g} s")
-        lines.append(f"  mean queueing wait : {self.wait.mean:.6g} s")
-        lines.append("[classes]")
+        middle = ["[classes]"]
         for c in self.classes:
             slo = f", slo={c['slo_s']:.4g} s" if c["slo_s"] is not None else ""
             p99 = c["latency"]["p99_s"]
             p99_text = f"{p99:.6g} s" if p99 is not None and np.isfinite(p99) else "n/a"
-            lines.append(
+            middle.append(
                 f"  {c['name']:<12} ({c['kind']}): offered {c['offered']}, "
                 f"rejected {c['rejected']}, violations {c['violations']}{slo}, "
                 f"p99 {p99_text}"
             )
-        lines.append("[boards]")
+        middle.append("[boards]")
         for b in self.boards:
             util = b["utilization"]
             util_text = f"{100.0 * util:.1f} %" if util is not None and np.isfinite(util) else "n/a"
-            lines.append(
+            middle.append(
                 f"  {b['count']}x {b['board']:<12}: {b['replicas_per_board']} replica(s) "
                 f"each, served {b['served']}, util {util_text}, "
                 f"powered {b['powered_fraction'] * 100.0:.1f} %, "
@@ -158,26 +110,26 @@ class FleetReport:
             )
         if self.autoscale is not None:
             a = self.autoscale
-            lines.append("[autoscale]")
-            lines.append(
-                f"  power-ups          : {a['power_ups']} "
-                f"(power-downs {a['power_downs']}, final powered {a['final_powered']})"
-            )
-        lines.append("[energy]")
-        lines.append(f"  PS                 : {self.energy['ps_energy_J']:.6g} J")
-        lines.append(f"  PL                 : {self.energy['pl_energy_J']:.6g} J")
-        per_request = self.energy["energy_per_request_J"]
-        lines.append(
-            "  per request        : "
-            + (f"{per_request:.6g} J" if per_request is not None else "n/a (0 completed)")
+            middle += [
+                "[autoscale]",
+                text_row(
+                    "power-ups",
+                    f"{a['power_ups']} (power-downs {a['power_downs']}, "
+                    f"final powered {a['final_powered']})",
+                ),
+            ]
+        inventory = ", ".join(f"{g['count']}x {g['board']}" for g in s["boards"])
+        return self._render(
+            f"Fleet serving: {inventory} | {len(self.classes)} class(es), "
+            f"routing={s['routing']}, admission={s['admission']}, "
+            f"autoscale={'on' if s['autoscale'] else 'off'}, "
+            f"fidelity={s['fidelity']}",
+            middle,
+            [
+                f"[reproducibility] seed={s['seed']}  cells={self.cells}  "
+                f"shards={self.shards} (shard count never changes the numbers)"
+            ],
         )
-        lines.append(f"  average power      : {self.energy['average_power_W']:.6g} W")
-        lines.append(
-            f"[reproducibility] seed={s['seed']}  cells={self.cells}  "
-            f"shards={self.shards} (shard count never changes the numbers)"
-        )
-        lines.append(f"[engine] {self.events_processed} events processed")
-        return "\n".join(lines)
 
 
 def merge_cells(
@@ -270,16 +222,12 @@ def merge_cells(
         )
         boards.append(g)
 
-    ps_j = sum(g["ps_energy_J"] for g in boards)
-    pl_j = sum(g["pl_energy_J"] for g in boards)
-    total_j = ps_j + pl_j
-    energy = {
-        "ps_energy_J": ps_j,
-        "pl_energy_J": pl_j,
-        "total_energy_J": total_j,
-        "energy_per_request_J": total_j / completed if completed else None,
-        "average_power_W": total_j / horizon if horizon > 0 else 0.0,
-    }
+    energy = energy_section(
+        sum(g["ps_energy_J"] for g in boards),
+        sum(g["pl_energy_J"] for g in boards),
+        completed,
+        horizon,
+    )
 
     autoscale: Optional[Dict[str, object]] = None
     if any(r.autoscale is not None for r in results):

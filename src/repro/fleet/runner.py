@@ -27,7 +27,7 @@ import numpy as np
 from ..api.evaluator import Evaluator
 from ..fpga.power import PowerModelConfig, pl_power_kernel
 from ..platform import get_board
-from ..sim.metrics import QuantileSketch
+from ..sim.metrics import QuantileSketch, energy_section
 from ..sim.policies import max_replicas
 from ..sim.workload import arrival_times, build_service_plan
 from .autoscale import AutoscaleController, AutoscalePolicy
@@ -349,7 +349,7 @@ def _event_fidelity_result(
                 BoardCell(
                     index=b.index, group=b.group, name=b.name, replicas=b.replicas,
                     served=0, busy_seconds=0.0, powered_seconds=0.0,
-                    energy={"ps_energy_J": 0.0, "pl_energy_J": 0.0, "total_energy_J": 0.0},
+                    energy=energy_section(0.0, 0.0, 0, 0.0),
                     utilization=float("nan"), powered_final=True,
                 )
             )
@@ -376,11 +376,7 @@ def _event_fidelity_result(
                 * int(report.scenario["replicas"])
                 * float(report.horizon_s),
                 powered_seconds=float(report.horizon_s),
-                energy={
-                    "ps_energy_J": report.energy["ps_energy_J"],
-                    "pl_energy_J": report.energy["pl_energy_J"],
-                    "total_energy_J": report.energy["total_energy_J"],
-                },
+                energy=report.energy,
                 utilization=float(report.utilization["accelerator_mean"]),
                 powered_final=True,
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +29,12 @@ from ..fpga.power import PowerModelConfig, pl_power_kernel
 __all__ = [
     "LatencyStats",
     "QuantileSketch",
+    "ServingReport",
     "SimReport",
     "latency_stats",
+    "energy_section",
     "energy_summary",
+    "ps_energy_j",
     "slo_summary",
     "windowed_mean",
 ]
@@ -370,6 +373,36 @@ class QuantileSketch:
         )
 
 
+def ps_energy_j(
+    ps_active_w: float, ps_idle_w: float, busy_core_seconds: float, cores: int, seconds: float
+) -> float:
+    """PS joules over ``seconds``: active watts for the mean core occupancy
+    (busy core-seconds over ``cores``), idle watts for the remainder.  With
+    one core this is exactly the analytic model's busy/idle split."""
+
+    busy = busy_core_seconds / cores if cores else 0.0
+    return ps_active_w * busy + ps_idle_w * max(0.0, seconds - busy)
+
+
+def energy_section(
+    ps_j: float, pl_j: float, completed: int, seconds: float
+) -> Dict[str, Optional[float]]:
+    """The five-key energy section every serving report carries.
+
+    Per-request energy is ``None`` (JSON null) when nothing completed, and
+    average power is ``None`` over an empty window: nothing was measured.
+    """
+
+    total = ps_j + pl_j
+    return {
+        "ps_energy_J": ps_j,
+        "pl_energy_J": pl_j,
+        "total_energy_J": total,
+        "energy_per_request_J": total / completed if completed else None,
+        "average_power_W": total / seconds if seconds > 0 else 0.0,
+    }
+
+
 def energy_summary(
     horizon_s: float,
     ps_busy_core_seconds: float,
@@ -379,35 +412,22 @@ def energy_summary(
     completed: int,
     config: Optional[PowerModelConfig] = None,
     replica_downtime_s: float = 0.0,
-) -> Dict[str, float]:
-    """Energy of the run, with the analytic power model's constants.
+) -> Dict[str, Optional[float]]:
+    """Energy of one simulated board, with the analytic power model's constants.
 
-    The PS subsystem draws ``ps_active_w`` scaled by its mean core
-    occupancy and ``ps_idle_w`` for the remainder (with one core this is
-    exactly the analytic model's busy/idle split); each PL replica draws its
+    The PS is priced by :func:`ps_energy_j`; each PL replica draws its
     static + dynamic power for the whole horizon.  ``replica_downtime_s``
     (summed across replicas) credits back the power a dead replica did not
     draw — a failed accelerator is modelled as fully unpowered.
     """
 
     cfg = config or PowerModelConfig()
-    busy_equivalent = ps_busy_core_seconds / ps_cores if ps_cores else 0.0
-    ps_j = cfg.ps_active_w * busy_equivalent + cfg.ps_idle_w * max(
-        0.0, horizon_s - busy_equivalent
-    )
+    ps_j = ps_energy_j(cfg.ps_active_w, cfg.ps_idle_w, ps_busy_core_seconds, ps_cores, horizon_s)
     pl_w = float(pl_power_kernel(replica_resources.dsp, replica_resources.bram, cfg))
     pl_j = n_replicas * pl_w * horizon_s
     if replica_downtime_s:
         pl_j -= pl_w * replica_downtime_s
-    total = ps_j + pl_j
-    return {
-        "ps_energy_J": ps_j,
-        "pl_energy_J": pl_j,
-        "total_energy_J": total,
-        # None (JSON null) when nothing completed — inf is not valid JSON.
-        "energy_per_request_J": total / completed if completed else None,
-        "average_power_W": total / horizon_s if horizon_s > 0 else 0.0,
-    }
+    return energy_section(ps_j, pl_j, completed, horizon_s)
 
 
 def slo_summary(requests: Sequence[object], slo_s: float) -> Dict[str, object]:
@@ -430,9 +450,26 @@ def slo_summary(requests: Sequence[object], slo_s: float) -> Dict[str, object]:
     }
 
 
-@dataclass(frozen=True)
-class SimReport:
-    """Structured outcome of one serving simulation."""
+def text_row(label: object, text: object) -> str:
+    """One ``  label              : text`` line of a rendered report."""
+
+    return f"  {label:<19}: {text}"
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServingReport:
+    """What the sim and fleet reports share: traffic counts, the latency and
+    queueing-wait distributions, the energy section and the event count.
+
+    A subclass names its JSON keys in order (``JSON_KEYS``; a field that is
+    ``None`` is left out) and the request counters its text shows
+    (``COUNTED``); its ``render`` passes only its own sections to
+    :meth:`_render`, which writes the shared ``[requests]``, ``[latency]``,
+    ``[energy]`` and ``[engine]`` lines.
+    """
+
+    JSON_KEYS: ClassVar[Tuple[str, ...]]
+    COUNTED: ClassVar[Tuple[str, ...]]
 
     scenario: Dict[str, object]
     requests: Dict[str, int]
@@ -440,12 +477,75 @@ class SimReport:
     throughput_rps: float
     latency: LatencyStats
     wait: LatencyStats
+    energy: Dict[str, Optional[float]]
+    events_processed: int
+    #: The streaming sketches behind ``latency``/``wait`` — carried so the
+    #: fleet layer can merge distributions without re-simulating.
+    #: Excluded from serialisation and from report equality.
+    latency_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
+    wait_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
+
+    def as_dict(self) -> Dict[str, object]:
+        out: Dict[str, object] = {}
+        for key in self.JSON_KEYS:
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = value.as_dict() if isinstance(value, LatencyStats) else value
+        return json_safe(out)
+
+    def _render(
+        self, title: str, middle: List[str], tail: List[str], latency_head: Sequence[str] = ()
+    ) -> str:
+        """The text report: ``title``, the shared ``[requests]`` and ``[latency]``
+        sections (``latency_head`` first), the report's own ``middle`` sections,
+        ``[energy]``, its own ``tail`` sections and the ``[engine]`` line."""
+
+        lat, energy = self.latency, self.energy
+        per_request = energy["energy_per_request_J"]
+        power = energy["average_power_W"]
+        return "\n".join(
+            [
+                title,
+                "[requests]",
+                *(text_row(key, self.requests[key]) for key in self.COUNTED),
+                text_row("horizon", f"{self.horizon_s:.4g} s"),
+                text_row("throughput", f"{self.throughput_rps:.4g} req/s"),
+                "[latency]",
+                *latency_head,
+                text_row("mean", f"{lat.mean:.6g} s"),
+                *(text_row(f"p{q}", f"{lat.percentiles[q]:.6g} s") for q in sorted(lat.percentiles)),
+                text_row("max", f"{lat.maximum:.6g} s"),
+                text_row("mean queueing wait", f"{self.wait.mean:.6g} s"),
+                *middle,
+                "[energy]",
+                text_row("PS", f"{energy['ps_energy_J']:.6g} J"),
+                text_row("PL", f"{energy['pl_energy_J']:.6g} J"),
+                text_row(
+                    "per request",
+                    f"{per_request:.6g} J" if per_request is not None else "n/a (0 completed)",
+                ),
+                text_row("average power", f"{power:.6g} W" if power is not None else "n/a"),
+                *tail,
+                f"[engine] {self.events_processed} events processed",
+            ]
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimReport(ServingReport):
+    """Structured outcome of one serving simulation."""
+
+    JSON_KEYS = (
+        "scenario", "reproducibility", "requests", "horizon_s", "throughput_rps", "service_s",
+        "latency", "wait", "utilization", "queue", "energy", "bus", "batch_sizes",
+        "events_processed", "slo", "faults", "note",
+    )
+    COUNTED = ("offered", "completed")
+
     service_s: float
     utilization: Dict[str, object]
     queue: Dict[str, float]
-    energy: Dict[str, float]
     bus: Dict[str, float]
-    events_processed: int
     batch_sizes: Dict[str, float] = field(default_factory=dict)
     #: SLO-violation summary (:func:`slo_summary`), when the scenario set one.
     slo: Optional[Dict[str, object]] = None
@@ -454,13 +554,6 @@ class SimReport:
     faults: Optional[Dict[str, object]] = None
     #: Human-readable caveat, e.g. when warm-up trimming left nothing measured.
     note: Optional[str] = None
-    #: The streaming sketches behind ``latency``/``wait`` — carried so the
-    #: fleet layer can merge per-board distributions without re-simulating.
-    #: Excluded from serialisation and from report equality.
-    latency_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
-    wait_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
-
-    # -- serialisation -----------------------------------------------------------------
 
     @property
     def reproducibility(self) -> Dict[str, object]:
@@ -478,34 +571,6 @@ class SimReport:
         if self.faults is not None:
             out["fault_seed"] = self.faults.get("seed")
         return out
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "scenario": dict(self.scenario),
-            "reproducibility": self.reproducibility,
-            "requests": dict(self.requests),
-            "horizon_s": self.horizon_s,
-            "throughput_rps": self.throughput_rps,
-            "service_s": self.service_s,
-            "latency": self.latency.as_dict(),
-            "wait": self.wait.as_dict(),
-            "utilization": {
-                k: (list(v) if isinstance(v, (list, tuple)) else v)
-                for k, v in self.utilization.items()
-            },
-            "queue": dict(self.queue),
-            "energy": dict(self.energy),
-            "bus": dict(self.bus),
-            "batch_sizes": dict(self.batch_sizes),
-            "events_processed": self.events_processed,
-        }
-        if self.slo is not None:
-            out["slo"] = dict(self.slo)
-        if self.faults is not None:
-            out["faults"] = dict(self.faults)
-        if self.note is not None:
-            out["note"] = self.note
-        return json_safe(out)
 
     def flat_dict(self) -> Dict[str, object]:
         """One CSV-safe row (scenario knobs, then scalar metrics).
@@ -550,82 +615,67 @@ class SimReport:
         row = self.flat_dict()
         return csv_text([row.keys(), row.values()])
 
-    # -- rendering ---------------------------------------------------------------------
-
     def render(self) -> str:
         """Multi-section plain-text report (the ``sim`` subcommand output)."""
 
-        lat = self.latency
-        util = self.utilization
-        lines: List[str] = []
-        s = self.scenario
-        lines.append(
-            f"Simulated serving: {s['model']}-{s['depth']} on {s['board']} "
-            f"({s['replicas']} replica(s), policy={s['policy']}, arrivals={s['arrival']})"
-        )
-        lines.append("[requests]")
-        lines.append(f"  offered            : {self.requests['offered']}")
-        lines.append(f"  completed          : {self.requests['completed']}")
-        lines.append(f"  horizon            : {self.horizon_s:.4g} s")
-        lines.append(f"  throughput         : {self.throughput_rps:.4g} req/s")
-        lines.append("[latency]")
-        lines.append(f"  service (no load)  : {self.service_s:.6g} s")
-        lines.append(f"  mean               : {lat.mean:.6g} s")
-        for q in sorted(lat.percentiles):
-            lines.append(f"  {f'p{q}'.ljust(19)}: {lat.percentiles[q]:.6g} s")
-        lines.append(f"  max                : {lat.maximum:.6g} s")
-        lines.append(f"  mean queueing wait : {self.wait.mean:.6g} s")
-        lines.append("[utilization]")
-        lines.append(f"  ps cores           : {100.0 * util['ps']:.1f} %")
-        lines.append(f"  axi bus            : {100.0 * util['axi']:.1f} %")
-        for i, u in enumerate(util["accelerators"]):
-            lines.append(f"  pl replica {i:<8}: {100.0 * u:.1f} %")
-        lines.append("[queue]")
-        lines.append(f"  mean backlog       : {self.queue['mean_depth']:.3g}")
-        lines.append(f"  peak backlog       : {self.queue['peak_depth']:.0f}")
+        s, util = self.scenario, self.utilization
+        middle = [
+            "[utilization]",
+            text_row("ps cores", f"{100.0 * util['ps']:.1f} %"),
+            text_row("axi bus", f"{100.0 * util['axi']:.1f} %"),
+            *(text_row(f"pl replica {i:<8}", f"{100.0 * u:.1f} %")
+              for i, u in enumerate(util["accelerators"])),
+            "[queue]",
+            text_row("mean backlog", f"{self.queue['mean_depth']:.3g}"),
+            text_row("peak backlog", f"{self.queue['peak_depth']:.0f}"),
+        ]
         if self.batch_sizes:
-            lines.append(
-                f"  batches            : {self.batch_sizes['count']:.0f} "
-                f"(mean size {self.batch_sizes['mean']:.2f}, max {self.batch_sizes['max']:.0f})"
+            b = self.batch_sizes
+            middle.append(
+                text_row("batches", f"{b['count']:.0f} (mean size {b['mean']:.2f}, max {b['max']:.0f})")
             )
-        lines.append("[energy]")
-        lines.append(f"  PS                 : {self.energy['ps_energy_J']:.6g} J")
-        lines.append(f"  PL                 : {self.energy['pl_energy_J']:.6g} J")
-        per_request = self.energy["energy_per_request_J"]
-        lines.append(
-            "  per request        : "
-            + (f"{per_request:.6g} J" if per_request is not None else "n/a (0 completed)")
-        )
-        lines.append(f"  average power      : {self.energy['average_power_W']:.6g} W")
+        tail: List[str] = []
         if self.slo is not None:
             frac = self.slo["violation_fraction"]
-            lines.append("[slo]")
-            lines.append(f"  threshold          : {self.slo['slo_s']:.6g} s")
-            lines.append(
-                f"  violations         : {self.slo['violations']} of "
-                f"{self.slo['measured']} measured"
-                + (f" ({100.0 * frac:.1f} %)" if np.isfinite(frac) else " (n/a)")
-            )
+            tail += [
+                "[slo]",
+                text_row("threshold", f"{self.slo['slo_s']:.6g} s"),
+                text_row(
+                    "violations",
+                    f"{self.slo['violations']} of {self.slo['measured']} measured"
+                    + (f" ({100.0 * frac:.1f} %)" if np.isfinite(frac) else " (n/a)"),
+                ),
+            ]
         if self.faults is not None:
             f = self.faults
-            lines.append("[faults]")
+            tail.append("[faults]")
             for entry in f.get("injections", []):
                 cleared = entry.get("cleared_at")
-                lines.append(
-                    f"  {entry['mode']:<19}: injected at {entry['t_inject']:.4g} s"
-                    + (f", cleared at {cleared:.4g} s" if cleared is not None else ", permanent")
+                tail.append(
+                    text_row(
+                        entry["mode"],
+                        f"injected at {entry['t_inject']:.4g} s"
+                        + (f", cleared at {cleared:.4g} s" if cleared is not None else ", permanent"),
+                    )
                 )
-            lines.append(f"  re-dispatched      : {f.get('redispatched', 0)}")
-            lines.append(f"  ps fallback        : {f.get('ps_fallback_served', 0)}")
-            lines.append(f"  corrupted requests : {f.get('corrupted_requests', 0)}")
-            lines.append(f"  replica downtime   : {f.get('replica_downtime_s', 0.0):.4g} s")
+            tail += [
+                text_row("re-dispatched", f.get("redispatched", 0)),
+                text_row("ps fallback", f.get("ps_fallback_served", 0)),
+                text_row("corrupted requests", f.get("corrupted_requests", 0)),
+                text_row("replica downtime", f"{f.get('replica_downtime_s', 0.0):.4g} s"),
+            ]
         repro = self.reproducibility
-        lines.append(
+        tail.append(
             f"[reproducibility] seed={repro['seed']}  warmup={repro['warmup_s']:.4g} s  "
             f"replicas={repro['replicas']}  ps_cores={repro['ps_cores']}"
             + (f"  fault_seed={repro['fault_seed']}" if "fault_seed" in repro else "")
         )
         if self.note is not None:
-            lines.append(f"[note] {self.note}")
-        lines.append(f"[engine] {self.events_processed} events processed")
-        return "\n".join(lines)
+            tail.append(f"[note] {self.note}")
+        return self._render(
+            f"Simulated serving: {s['model']}-{s['depth']} on {s['board']} "
+            f"({s['replicas']} replica(s), policy={s['policy']}, arrivals={s['arrival']})",
+            middle,
+            tail,
+            latency_head=[text_row("service (no load)", f"{self.service_s:.6g} s")],
+        )

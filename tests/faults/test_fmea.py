@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,17 @@ class TestZeroFaultIdentity:
         assert row["d_p95_ms"] == 0.0
         assert study.samples == []
         assert study.expected_slo_violation == 0.0
+
+    def test_zero_rate_row_is_exact_zeros_against_an_unmeasured_nominal(self, evaluator):
+        # A warm-up past the last request leaves the nominal p95 NaN; a mode
+        # that never fired still reports exact zero deltas, not NaN.
+        s = scenario(slo_s=0.6, n_requests=3, warmup_s=1000.0)
+        study = run_fmea(s, [ReplicaDeath(rate_per_hour=0.0)], evaluator=evaluator)
+        assert math.isnan(study.nominal.latency.percentiles[95])
+        (row,) = study.rows
+        for key in ("expected_occurrences", "d_violation_fraction", "expected_slo_violation",
+                    "d_p95_ms", "d_mean_ms", "d_energy_J", "corrupted_mean"):
+            assert row[key] == 0.0, key
 
 
 class TestRunFmea:
