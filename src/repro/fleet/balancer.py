@@ -59,6 +59,7 @@ class BoardServer:
         "pl_w",
         "ps_active_w",
         "ps_idle_w",
+        "ps_cores",
         "energy_per_request",
         "last_finish",
     )
@@ -74,6 +75,7 @@ class BoardServer:
         pl_w: float,
         ps_active_w: float,
         ps_idle_w: float,
+        ps_cores: int = 1,
     ) -> None:
         self.index = index
         self.group = group
@@ -92,6 +94,7 @@ class BoardServer:
         self.pl_w = pl_w
         self.ps_active_w = ps_active_w
         self.ps_idle_w = ps_idle_w
+        self.ps_cores = ps_cores
         # The batch-routing cost: joules one request costs on this board,
         # charging the whole board's PL draw plus one active PS share for
         # its service time (a packing heuristic, not an energy report).
@@ -160,13 +163,15 @@ class BoardServer:
     def energy_j(self) -> Dict[str, Optional[float]]:
         """This board's energy section over its powered time.
 
-        The fast model has no per-core occupancy trace; the PS ledger charges
-        active watts for the accumulated software seconds and idle watts for
-        the remaining powered time (the analytic busy/idle split).
+        The fast model has no per-core occupancy trace; the PS is priced by
+        its mean core occupancy (software seconds over ``ps_cores``, as in
+        ``repro.sim``), capped at every core busy for the powered time.
         """
 
-        ps_busy = min(self.ps_busy_seconds, self.powered_seconds)
-        ps_j = ps_energy_j(self.ps_active_w, self.ps_idle_w, ps_busy, 1, self.powered_seconds)
+        ps_busy = min(self.ps_busy_seconds, self.ps_cores * self.powered_seconds)
+        ps_j = ps_energy_j(
+            self.ps_active_w, self.ps_idle_w, ps_busy, self.ps_cores, self.powered_seconds
+        )
         pl_j = self.pl_w * self.powered_seconds
         return energy_section(ps_j, pl_j, sum(self.served), self.powered_seconds)
 

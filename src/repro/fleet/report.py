@@ -10,7 +10,7 @@ so float sums are bit-identical for any shard count) into the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -45,9 +45,7 @@ class BoardCell:
     served: int
     busy_seconds: float
     powered_seconds: float
-    energy: Dict[str, float]
-    utilization: float
-    powered_final: bool
+    energy: Dict[str, Optional[float]]
 
 
 @dataclass

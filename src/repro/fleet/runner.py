@@ -27,7 +27,7 @@ import numpy as np
 from ..api.evaluator import Evaluator
 from ..fpga.power import PowerModelConfig, pl_power_kernel
 from ..platform import get_board
-from ..sim.metrics import QuantileSketch, energy_section
+from ..sim.metrics import QuantileSketch, energy_section, ps_energy_j
 from ..sim.policies import max_replicas
 from ..sim.workload import arrival_times, build_service_plan
 from .autoscale import AutoscaleController, AutoscalePolicy
@@ -166,6 +166,7 @@ def _build_boards(
                 pl_w=pl_w,
                 ps_active_w=cfg.ps_active_w,
                 ps_idle_w=cfg.ps_idle_w,
+                ps_cores=scenario.ps_cores or spec.ps_cores,
             )
         )
     return boards
@@ -305,8 +306,6 @@ def run_cell(
                 busy_seconds=b.busy_seconds,
                 powered_seconds=b.powered_seconds,
                 energy=b.energy_j(),
-                utilization=b.utilization(),
-                powered_final=b.powered,
             )
             for b in boards
         ],
@@ -329,59 +328,61 @@ def _event_fidelity_result(
     events: int,
     last_arrival: float,
 ) -> CellResult:
-    """Replay each board's admitted arrivals through ``repro.sim.simulate``."""
+    """Replay each board's admitted arrivals through ``repro.sim.simulate``.
+
+    Event fidelity rejects autoscale, so every board is powered for the
+    whole run: each is charged its replayed energy plus idle power from its
+    own horizon (0 without traffic) up to the fleet horizon.
+    """
 
     from ..sim.runner import simulate  # deferred: repro.sim is the heavy path
 
     cls = scenario.classes[0]  # event fidelity is single-class (validated)
     slo = slos[0]
+    reports = [
+        simulate(
+            scenario.board_sim_scenario(b.name, trace, replicas[b.name], slo_s=slo), evaluator=ev
+        )
+        if trace
+        else None
+        for b, trace in zip(boards, per_board_trace)
+    ]
+    replayed = [r for r in reports if r is not None]
+    horizon = max([last_arrival] + [float(r.horizon_s) for r in replayed])
     latency = QuantileSketch(exact=scenario.exact)
     wait = QuantileSketch(exact=scenario.exact)
-    violations = 0
-    completed = 0
-    horizon = last_arrival
-    board_cells: List[BoardCell] = []
-    board_reports: List[Dict[str, object]] = []
-    for b, trace in zip(boards, per_board_trace):
-        if not trace:
-            b.finalize(0.0)
-            board_cells.append(
-                BoardCell(
-                    index=b.index, group=b.group, name=b.name, replicas=b.replicas,
-                    served=0, busy_seconds=0.0, powered_seconds=0.0,
-                    energy=energy_section(0.0, 0.0, 0, 0.0),
-                    utilization=float("nan"), powered_final=True,
-                )
-            )
-            continue
-        sim_scenario = scenario.board_sim_scenario(
-            b.name, trace, replicas[b.name], slo_s=slo
-        )
-        report = simulate(sim_scenario, evaluator=ev)
+    for report in replayed:
         latency.merge(report.latency_sketch)
         wait.merge(report.wait_sketch)
-        completed += report.requests["completed"]
-        if report.slo is not None:
-            violations += int(report.slo["violations"])
-        horizon = max(horizon, float(report.horizon_s))
-        events += report.events_processed
+    completed = sum(r.requests["completed"] for r in replayed)
+    violations = sum(int(r.slo["violations"]) for r in replayed if r.slo is not None)
+    events += sum(r.events_processed for r in replayed)
+    board_cells: List[BoardCell] = []
+    for b, report in zip(boards, reports):
+        served, busy, own_horizon, ps_j, pl_j = 0, 0.0, 0.0, 0.0, 0.0
+        if report is not None:
+            served = report.requests["completed"]
+            own_horizon = float(report.horizon_s)
+            busy = float(report.utilization["accelerator_mean"]) * b.replicas * own_horizon
+            ps_j, pl_j = report.energy["ps_energy_J"], report.energy["pl_energy_J"]
+        idle = horizon - own_horizon
         board_cells.append(
             BoardCell(
                 index=b.index,
                 group=b.group,
                 name=b.name,
-                replicas=int(report.scenario["replicas"]),
-                served=report.requests["completed"],
-                busy_seconds=float(report.utilization["accelerator_mean"])
-                * int(report.scenario["replicas"])
-                * float(report.horizon_s),
-                powered_seconds=float(report.horizon_s),
-                energy=report.energy,
-                utilization=float(report.utilization["accelerator_mean"]),
-                powered_final=True,
+                replicas=b.replicas,
+                served=served,
+                busy_seconds=busy,
+                powered_seconds=horizon,
+                energy=energy_section(
+                    ps_j + ps_energy_j(b.ps_active_w, b.ps_idle_w, 0.0, b.ps_cores, idle),
+                    pl_j + b.pl_w * idle,
+                    served,
+                    horizon,
+                ),
             )
         )
-        board_reports.append(report.as_dict())
     total_offered = sum(offered)
     total_rejected = sum(rejected)
     return CellResult(
@@ -406,5 +407,5 @@ def _event_fidelity_result(
         horizon_s=horizon,
         events=events,
         autoscale=None,
-        board_reports=board_reports,
+        board_reports=[r.as_dict() for r in replayed],
     )

@@ -2,7 +2,9 @@
 
 The simulator produces raw material — per-request timestamps and
 time-weighted occupancy integrals — and this module condenses it into the
-:class:`SimReport` the CLI, benchmarks and tests consume:
+:class:`SimReport` the CLI, benchmarks and tests consume.  Its
+:class:`ServingReport` base and its energy ledger (:func:`ps_energy_j`,
+:func:`energy_section`) also back the fleet report:
 
 * latency percentiles (p50/p90/p95/p99) over the completed requests'
   sojourn times, plus the queueing-wait share;
@@ -389,8 +391,9 @@ def energy_section(
 ) -> Dict[str, Optional[float]]:
     """The five-key energy section every serving report carries.
 
-    Per-request energy is ``None`` (JSON null) when nothing completed, and
-    average power is ``None`` over an empty window: nothing was measured.
+    ``energy_per_request_J`` is ``None`` (JSON null) when nothing completed,
+    and ``average_power_W`` is ``None`` over an empty window: nothing was
+    measured.
     """
 
     total = ps_j + pl_j
@@ -399,7 +402,7 @@ def energy_section(
         "pl_energy_J": pl_j,
         "total_energy_J": total,
         "energy_per_request_J": total / completed if completed else None,
-        "average_power_W": total / seconds if seconds > 0 else 0.0,
+        "average_power_W": total / seconds if seconds > 0 else None,
     }
 
 
@@ -513,7 +516,10 @@ class ServingReport:
                 "[latency]",
                 *latency_head,
                 text_row("mean", f"{lat.mean:.6g} s"),
-                *(text_row(f"p{q}", f"{lat.percentiles[q]:.6g} s") for q in sorted(lat.percentiles)),
+                *(
+                    text_row(f"p{q}", f"{lat.percentiles[q]:.6g} s")
+                    for q in sorted(lat.percentiles)
+                ),
                 text_row("max", f"{lat.maximum:.6g} s"),
                 text_row("mean queueing wait", f"{self.wait.mean:.6g} s"),
                 *middle,
@@ -632,7 +638,9 @@ class SimReport(ServingReport):
         if self.batch_sizes:
             b = self.batch_sizes
             middle.append(
-                text_row("batches", f"{b['count']:.0f} (mean size {b['mean']:.2f}, max {b['max']:.0f})")
+                text_row(
+                    "batches", f"{b['count']:.0f} (mean size {b['mean']:.2f}, max {b['max']:.0f})"
+                )
             )
         tail: List[str] = []
         if self.slo is not None:
@@ -651,13 +659,8 @@ class SimReport(ServingReport):
             tail.append("[faults]")
             for entry in f.get("injections", []):
                 cleared = entry.get("cleared_at")
-                tail.append(
-                    text_row(
-                        entry["mode"],
-                        f"injected at {entry['t_inject']:.4g} s"
-                        + (f", cleared at {cleared:.4g} s" if cleared is not None else ", permanent"),
-                    )
-                )
+                until = f", cleared at {cleared:.4g} s" if cleared is not None else ", permanent"
+                tail.append(text_row(entry["mode"], f"injected at {entry['t_inject']:.4g} s{until}"))
             tail += [
                 text_row("re-dispatched", f.get("redispatched", 0)),
                 text_row("ps fallback", f.get("ps_fallback_served", 0)),

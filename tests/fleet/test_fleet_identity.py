@@ -57,9 +57,11 @@ class TestFleetOfOneIdentity:
         )
         sim_report = simulate(single)
 
-        # The merged distribution is the board's distribution, bit for bit.
+        # The merged distribution is the board's distribution, bit for bit,
+        # and so is the energy ledger.
         assert fleet_report.latency == sim_report.latency
         assert fleet_report.wait == sim_report.wait
+        assert fleet_report.energy == sim_report.energy
         assert fleet_report.requests["completed"] == sim_report.requests["completed"]
         assert fleet_report.requests["rejected"] == 0
 

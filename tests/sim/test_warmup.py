@@ -82,6 +82,12 @@ class TestWarmupTrimming:
         assert report.note is not None and "warm-up" in report.note
         assert report.as_dict()["throughput_rps"] is None
         assert "[note]" in report.render()
+        # An empty window has no average power either: null, an empty CSV
+        # cell and "n/a" in text, never 0 W.
+        assert report.as_dict()["energy"]["average_power_W"] is None
+        header, row = report.to_csv().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["average_power_W"] == ""
+        assert "  average power      : n/a" in report.render().splitlines()
         # Regression: the warm-up probe must not inflate the horizon — the
         # report still describes the real run, just with an empty window.
         assert report.horizon_s == pytest.approx(full.horizon_s)
