@@ -151,8 +151,8 @@ def run_fmea(
     rows: List[Dict[str, object]] = []
     sample_records: List[Dict[str, object]] = []
     for mode in modes:
-        samples = n_samples if mode.rate_per_hour > 0 else 0
-        times, weights = injection_times(horizon, n_samples, method) if samples else ((), ())
+        fired = mode.rate_per_hour > 0
+        times, weights = injection_times(horizon, n_samples, method) if fired else ((), ())
         frac = p95 = mean = energy = corrupted = 0.0
         for t_inject, weight in zip(times, weights):
             report = simulate(
@@ -180,7 +180,7 @@ def run_fmea(
                     "corrupted_requests": report.faults["corrupted_requests"],
                 }
             )
-        if samples:
+        if fired:
             d_frac, d_p95, d_mean, d_energy = (
                 frac - nom_frac, p95 - nom_p95, mean - nom_mean, energy - nom_energy
             )
@@ -188,12 +188,12 @@ def run_fmea(
             # Listed, never fired: the nominal fraction and exact zero deltas,
             # even when a nominal value is NaN.
             frac, d_frac, d_p95, d_mean, d_energy = nom_frac, 0.0, 0.0, 0.0, 0.0
-        occurrences = mode.rate_per_hour * horizon / 3600.0 if samples else 0.0
+        occurrences = mode.rate_per_hour * horizon / 3600.0 if fired else 0.0
         rows.append(
             {
                 "mode": mode.kind,
                 "rate_per_hour": mode.rate_per_hour,
-                "samples": samples,
+                "samples": n_samples if fired else 0,
                 "expected_occurrences": occurrences,
                 "violation_fraction": frac,
                 "d_violation_fraction": d_frac,

@@ -75,7 +75,7 @@ class BoardServer:
         pl_w: float,
         ps_active_w: float,
         ps_idle_w: float,
-        ps_cores: int = 1,
+        ps_cores: int,
     ) -> None:
         self.index = index
         self.group = group

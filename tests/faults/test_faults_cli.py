@@ -103,6 +103,7 @@ class TestErrors:
                  "--board", "PYNQ-Z2,ZCU104", "--faults"],
                 "one board at a time",
             ),
+            (list(BASE) + ["--faults", "replica_death", "--fault-samples", "0"], "n_samples"),
         ],
     )
     def test_bad_usage_exits_2(self, capsys, argv, fragment):

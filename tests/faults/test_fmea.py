@@ -112,6 +112,14 @@ class TestRunFmea:
         assert len(study.samples) == 2
         assert sum(s["weight"] for s in study.samples) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_a_firing_mode_needs_a_positive_sample_count(self, evaluator, n_samples):
+        # A mode that can fire is never skipped as "never fired": a sample
+        # count below one is an input error, not a risk-free row.
+        with pytest.raises(ValueError, match="n_samples"):
+            run_fmea(scenario(), [ReplicaDeath(rate_per_hour=60.0)],
+                     n_samples=n_samples, evaluator=evaluator)
+
     def test_expected_violation_decreases_with_replicas(self, evaluator):
         # The acceptance criterion: at a load one replica can carry, adding
         # replicas monotonically shrinks the expected SLO damage of a

@@ -18,6 +18,7 @@ def make_board(index: int = 0) -> BoardServer:
     return BoardServer(
         index=index, group=0, name="PYNQ-Z2", replicas=1,
         svc_s=(1.0,), ps_s=(0.1,), pl_w=2.0, ps_active_w=1.3, ps_idle_w=0.3,
+        ps_cores=2,
     )
 
 

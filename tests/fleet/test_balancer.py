@@ -19,6 +19,7 @@ def make_board(
     pl_w: float = 2.0,
     ps_active_w: float = 1.3,
     ps_idle_w: float = 0.3,
+    ps_cores: int = 1,
 ) -> BoardServer:
     return BoardServer(
         index=index,
@@ -30,6 +31,7 @@ def make_board(
         pl_w=pl_w,
         ps_active_w=ps_active_w,
         ps_idle_w=ps_idle_w,
+        ps_cores=ps_cores,
     )
 
 
@@ -70,6 +72,15 @@ class TestBoardServer:
         assert e["pl_energy_J"] == pytest.approx(2.0 * 10.0)
         assert e["ps_energy_J"] == pytest.approx(1.0 * 0.5 + 0.2 * 9.5)
         assert e["total_energy_J"] == pytest.approx(e["pl_energy_J"] + e["ps_energy_J"])
+
+    def test_ps_energy_follows_mean_core_occupancy(self):
+        # Half a second of software on a two-core PS is a quarter of a
+        # second of mean occupancy, as the single-board simulator prices it.
+        b = make_board(svc_s=(2.0,), ps_s=(0.5,), pl_w=2.0, ps_active_w=1.0,
+                       ps_idle_w=0.2, ps_cores=2)
+        b.assign(0.0, 0)
+        b.finalize(10.0)
+        assert b.energy_j()["ps_energy_J"] == pytest.approx(1.0 * 0.25 + 0.2 * 9.75)
 
     def test_utilization_nan_when_never_powered(self):
         b = make_board()

@@ -3,8 +3,10 @@
 Routing is the same analytic pass at both fidelities, so with admission off
 every board serves the same requests either way.  Both kernels then price
 each board through ``sim.metrics`` (PS by mean core occupancy, every board
-powered for the whole run), and their energy sections must agree to float
-rounding even where their latencies do not.
+powered for the whole run).  Where both runs end at the same instant their
+energy sections must agree to float rounding, even where their latencies do
+not; a fast run that ends later is charged a longer idle tail.  Every case
+below ends both runs together.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def test_fast_and_event_energy_agree(boards, n_requests):
     fast = simulate_fleet(scenario)
     event = simulate_fleet(scenario.replace(fidelity="event"))
     assert fast.requests["completed"] == event.requests["completed"] == n_requests
+    assert fast.horizon_s == pytest.approx(event.horizon_s, rel=1e-12)
     assert [b["powered_fraction"] for b in event.boards] == [1.0] * len(event.boards)
     assert fast.energy.keys() == event.energy.keys()
     for key, value in fast.energy.items():
