@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 from ..core.execution_model import TABLE5_MODELS
 from ..core.parameter_model import table2_structure
 from ..core.variants import SUPPORTED_DEPTHS, table4_rows
-from ..fpga.device import PYNQ_Z2, ZYNQ_XC7Z020
+from ..platform import PYNQ_Z2, ZYNQ_XC7Z020
 from ..fpga.resources import ResourceEstimator, published_table3
 
 __all__ = [

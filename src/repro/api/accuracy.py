@@ -41,7 +41,7 @@ from ..fixedpoint.qformat import QFormat
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
 from ..fpga.bram import bram_fits_kernel, bram_tiles_kernel
 from ..fpga.cycles import OdeBlockCycleModel
-from ..fpga.device import BoardSpec, PYNQ_Z2
+from ..platform import BoardSpec, PYNQ_Z2
 from ..fpga.geometry import BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from ..fpga.timing import TimingModel

@@ -30,10 +30,6 @@ by ``tests/api/test_batch.py``).
 The result is a :class:`BatchResult` — a columnar table with ``to_csv`` /
 ``to_json`` export, flat ``records()``, lossless ``to_results()``
 reconstruction and Pareto-front extraction over any two metric columns.
-
-Scenarios the vector path cannot handle (:class:`Scenario` subclasses,
-which may override derived behaviour) are evaluated in-process with the loop
-engine and spliced into the same columns.
 """
 
 from __future__ import annotations
@@ -775,65 +771,15 @@ def pareto_indices(xs, ys, maximize_x: bool = False, maximize_y: bool = False) -
 # -- engine entry point ------------------------------------------------------------------
 
 
-def _vectorizable(scenario: Scenario) -> bool:
-    """Whether the vector path can evaluate a scenario.
-
-    The kernels reproduce exactly the behaviour of :class:`Scenario` proper,
-    so subclasses (which may override derived properties the vector path
-    would not see) take the loop engine.  Any registered board is
-    vectorizable: every board-derived quantity (clocks, fabric totals and
-    delay scale, wattages) is broadcast from its :class:`BoardSpec` as a
-    per-scenario column, so the board axis needs no fallback.
-    """
-
-    return type(scenario) is Scenario
-
-
-def _evaluate_rows(scenarios: Sequence[Scenario]) -> List[Dict]:
-    """Loop-engine evaluation of the scenarios the vector path cannot take."""
-
-    from .evaluator import Evaluator
-
-    evaluator = Evaluator()
-    return [evaluator.evaluate(s).as_dict() for s in scenarios]
-
-
 def sweep_batch(scenarios: Iterable[Scenario]) -> BatchResult:
     """Evaluate scenarios with the vectorized engine; rows in input order.
 
-    :class:`Scenario` subclasses are evaluated in-process with the loop
-    engine, so results are identical to :func:`repro.api.sweep.sweep`
-    either way.
+    The columns are computed from :class:`Scenario` fields alone, so a
+    subclass row (a ``SimScenario`` in a mixed grid) gets exactly the
+    columns :func:`repro.api.sweep.sweep` returns for it.
     """
 
     points = list(scenarios)
-    n = len(points)
-    if n == 0:
+    if not points:
         return BatchResult([], {key: [] for key in FLAT_COLUMNS})
-
-    vector_idx: List[int] = []
-    fallback_idx: List[int] = []
-    for i, scenario in enumerate(points):
-        (vector_idx if _vectorizable(scenario) else fallback_idx).append(i)
-    if not fallback_idx:
-        return BatchResult(points, _compute_columns(points))
-    vector_columns = _compute_columns([points[i] for i in vector_idx]) if vector_idx else None
-    rows = _evaluate_rows([points[i] for i in fallback_idx])
-
-    # Splice the vector engine's columns with the loop-engine rows (kept
-    # columnar — no per-row rebuild of the vectorized part).
-    columns: Dict[str, List] = {}
-    for key in FLAT_COLUMNS:
-        col: List = [None] * n
-        if vector_columns is not None:
-            for j, i in enumerate(vector_idx):
-                col[i] = vector_columns[key][j]
-        for i, row in zip(fallback_idx, rows):
-            if key in SCENARIO_KEYS:
-                col[i] = row["scenario"][key]
-            elif key in LIST_COLUMNS:
-                col[i] = list(row[_SECTION_OF[key]][key])
-            else:
-                col[i] = row[_SECTION_OF[key]][key]
-        columns[key] = col
-    return BatchResult(points, columns)
+    return BatchResult(points, _compute_columns(points))

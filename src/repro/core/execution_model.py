@@ -27,7 +27,7 @@ from ..fpga.cycles import (
     conv_cycles_kernel,
     effective_units_kernel,
 )
-from ..fpga.device import PYNQ_Z2, BoardSpec
+from ..platform import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
 from ..hwsw.ps_model import PsModelConfig, SoftwareCostModel
 from .network_spec import LAYER_ORDER, layer_geometry

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fixedpoint.qformat import QFormat
-from ..fpga.device import PYNQ_Z2, BoardSpec, ResourceVector
+from ..platform import PYNQ_Z2, BoardSpec, ResourceVector
 from ..fpga.resources import ResourceEstimator
 from ..fpga.timing import TimingModel
 from .execution_model import ExecutionTimeModel, ExecutionTimeReport, PAPER_OFFLOAD_TARGETS

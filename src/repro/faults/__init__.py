@@ -33,7 +33,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ReplicaDeath", "default_fault_domain", "flip_bit", "make_fault_mode",
             "parse_fault_specs",
         ),
-        ".sample": ("SAMPLING_METHODS", "FaultSample", "injection_times", "sample_faults"),
+        ".sample": ("SAMPLING_METHODS", "injection_times"),
         ".tabulate": ("DEFAULT_SLO_FACTOR", "FmeaStudy", "run_fmea"),
     },
 )

@@ -5,7 +5,7 @@ depends on when it hits (a replica dying into an empty queue is free; dying
 under peak backlog is not), so each mode's injection time is sampled across
 the run and the observed deltas are combined with quadrature weights.  One
 :class:`~repro.sim.scenario.SimScenario` thus expands into a weighted set of
-fault scenarios — one :class:`FaultSample` per (mode, time) — each run
+fault scenarios — one ``(mode, t_inject)`` pair per sampled time — each run
 through the ordinary :func:`~repro.sim.runner.simulate` path.
 
 Two sampling rules are provided:
@@ -22,33 +22,14 @@ estimates the *time-averaged* effect of one occurrence of that mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .modes import FaultMode
-
-__all__ = ["SAMPLING_METHODS", "FaultSample", "injection_times", "sample_faults"]
+__all__ = ["SAMPLING_METHODS", "injection_times"]
 
 #: Supported time-sampling rules.
 SAMPLING_METHODS: Tuple[str, ...] = ("even", "quadrature")
-
-
-@dataclass(frozen=True)
-class FaultSample:
-    """One fault scenario: a mode injected at a sampled time, with weight."""
-
-    mode: FaultMode
-    t_inject: float
-    weight: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode.as_dict(),
-            "t_inject": self.t_inject,
-            "weight": self.weight,
-        }
 
 
 def injection_times(
@@ -76,28 +57,3 @@ def injection_times(
             f"unknown sampling method '{method}'; expected one of {SAMPLING_METHODS}"
         )
     return times, weights
-
-
-def sample_faults(
-    modes: Sequence[FaultMode],
-    horizon_s: float,
-    n_samples: int = 3,
-    method: str = "even",
-) -> List[FaultSample]:
-    """Expand fault modes into weighted single-fault scenarios.
-
-    Zero-rate modes produce no samples (they never fire); every produced
-    sample's time lies within ``(0, horizon_s)`` and each mode's weights sum
-    to one.
-    """
-
-    samples: List[FaultSample] = []
-    for mode in modes:
-        if mode.rate_per_hour <= 0:
-            continue
-        times, weights = injection_times(horizon_s, n_samples, method)
-        samples.extend(
-            FaultSample(mode=mode, t_inject=t, weight=w)
-            for t, w in zip(times, weights)
-        )
-    return samples

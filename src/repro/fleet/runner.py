@@ -175,7 +175,7 @@ def _build_boards(
 def _replica_resources(scenario: FleetScenario, board: str, evaluator: Evaluator):
     """Fabric resources of one replica's datapath (zero when nothing offloads)."""
 
-    from ..fpga.device import ResourceVector
+    from ..platform import ResourceVector
 
     decision = evaluator.offload_decision(scenario.design_point(board=board))
     return decision.resources if decision.targets else ResourceVector()

@@ -25,10 +25,9 @@ __all__ = ["simulate_fleet"]
 
 
 def simulate_fleet(
-    scenario: Optional[FleetScenario] = None,
+    scenario: FleetScenario,
     shards: int = 1,
     evaluator: Optional[Evaluator] = None,
-    **overrides: object,
 ) -> FleetReport:
     """Simulate a multi-board fleet and return the merged :class:`FleetReport`.
 
@@ -36,16 +35,9 @@ def simulate_fleet(
     cells; it never changes the numbers.  With ``shards <= 1`` (or a
     single-cell scenario) everything runs inline; either way every cell
     sees the one memoised :class:`~repro.api.evaluator.Evaluator` (a pool
-    worker gets its own copy, which memoises the same values).  Keyword
-    overrides build/adjust the scenario, mirroring :func:`repro.api.simulate`::
-
-        simulate_fleet(boards=(BoardGroup("PYNQ-Z2", 8),), arrival_rate_hz=200.0)
+    worker gets its own copy, which memoises the same values).
     """
 
-    if scenario is None:
-        scenario = FleetScenario(**overrides)
-    elif overrides:
-        scenario = scenario.replace(**overrides)
     if not isinstance(shards, int) or shards < 1:
         raise ValueError(f"shards must be a positive integer (got {shards!r})")
 

@@ -19,7 +19,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".cycles": (
             "PAPER_LAYER3_2_CYCLES", "CycleBreakdown", "CycleModelConfig", "OdeBlockCycleModel",
         ),
-        ".device": (
+        "..platform": (
             "PYNQ_Z2", "ZYNQ_XC7Z020", "BoardSpec", "FpgaDevice", "PowerProfile", "ResourceVector",
         ),
         ".geometry": (

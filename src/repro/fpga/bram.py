@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..fixedpoint.qformat import QFormat, Q20
-from .device import FpgaDevice, ZYNQ_XC7Z020
+from ..platform import FpgaDevice, ZYNQ_XC7Z020
 from .geometry import BlockGeometry
 
 __all__ = [

@@ -26,7 +26,7 @@ from ..fixedpoint import FxArray, QFormat, Q20
 from .axi import AxiTransferConfig, AxiTransferModel, TransferEstimate
 from .bram import BramPlan, plan_block_allocation
 from .cycles import CycleBreakdown, CycleModelConfig, OdeBlockCycleModel
-from .device import BoardSpec, PYNQ_Z2
+from ..platform import BoardSpec, PYNQ_Z2
 from .geometry import BlockGeometry, block_geometry
 from .ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
 from .resources import ResourceEstimate, ResourceEstimator
@@ -104,7 +104,6 @@ class HardwareODEBlock:
         dynamic_bn_stats: bool = True,
         cycle_config: Optional[CycleModelConfig] = None,
         time_concat: bool = False,
-        conv_row_chunk: Optional[int] = None,
     ) -> None:
         # Double-width products (fx_mul, the conv accumulators) are computed
         # in int64, so a wider word would wrap silently instead of saturating.
@@ -118,9 +117,6 @@ class HardwareODEBlock:
         self.qformat = qformat
         self.board = board
         self.dynamic_bn_stats = dynamic_bn_stats
-        #: im2col rows per GEMM chunk in the conv lowering (None = the
-        #: default bound); purely a host-memory knob, bit-identical always.
-        self.conv_row_chunk = conv_row_chunk
         #: When True the block implements ODE dynamics with the integration
         #: time concatenated as one extra (constant) input channel to both
         #: convolutions, matching the software ODEBlockFunction.
@@ -181,25 +177,21 @@ class HardwareODEBlock:
         transfer of float32 feature maps described by the paper.
         """
 
-        x = FxArray.from_float(np.asarray(z, dtype=np.float64), self.qformat)
-        out = self._forward_fixed(x, t)
-        return out.to_float()
+        return self.dynamics_batch(np.asarray(z, dtype=np.float64)[None], t)[0]
 
     def _with_time_channel(self, x: FxArray, t: float) -> FxArray:
         """Append the constant integration-time channel (time-concat mode).
 
-        Works for a single image ``(C, H, W)`` and a batch ``(N, C, H, W)``;
-        the constant plane is identical for every image, so batching stays
-        bit-exact.
+        The constant plane is identical for every image of the
+        ``(N, C, H, W)`` batch, so batching stays bit-exact.
         """
 
         if not self.time_concat:
             return x
-        h, w = x.shape[-2:]
+        n, _, h, w = x.shape
         t_fx = self.qformat.to_fixed(float(t))
-        plane_shape = (1, h, w) if x.ndim == 3 else (x.shape[0], 1, h, w)
-        t_plane = np.full(plane_shape, int(t_fx), dtype=np.int64)
-        return FxArray(np.concatenate([x.raw, t_plane], axis=-3), self.qformat)
+        t_plane = np.full((n, 1, h, w), int(t_fx), dtype=np.int64)
+        return FxArray(np.concatenate([x.raw, t_plane], axis=1), self.qformat)
 
     def _forward_fixed(self, x: FxArray, t: float = 0.0) -> FxArray:
         h = hw_conv2d(
@@ -207,7 +199,6 @@ class HardwareODEBlock:
             self._conv1_w,
             stride=self.geometry.stride,
             padding=1,
-            row_chunk=self.conv_row_chunk,
         )
         h = hw_batch_norm(
             h,
@@ -223,7 +214,6 @@ class HardwareODEBlock:
             self._conv2_w,
             stride=1,
             padding=1,
-            row_chunk=self.conv_row_chunk,
         )
         h = hw_batch_norm(
             h,
@@ -323,15 +313,9 @@ class HardwareODEBlock:
         ``t_i = t0 + i·h``.  Returns ``(z_final, total_seconds, reports)``.
         """
 
-        reports = []
-        total = 0.0
-        state = np.asarray(z, dtype=np.float64)
-        for i in range(iterations):
-            t = t0 + i * step_size
-            state, report = self.execute(state, step_size=step_size, residual=True, t=t)
-            reports.append(report)
-            total += report.total_seconds
-        return state, total, reports
+        z = np.asarray(z, dtype=np.float64)
+        state, total, reports = self.run_iterations_batch(z[None], iterations, step_size, t0)
+        return state[0], total, reports
 
     def quantization_error(self, z: np.ndarray, reference_fn, t: float = 0.0) -> float:
         """Max abs difference between the fixed-point output and a float reference."""

@@ -43,19 +43,18 @@ def hw_conv2d(
     weight: FxArray,
     stride: int = 1,
     padding: int = 1,
-    row_chunk: Optional[int] = None,
 ) -> FxArray:
     """Fixed-point 3x3 convolution of a single image or a batch.
 
     Lowered to channel-last im2col (columns ordered ``(KH, KW, C)``) + the
     exact split-limb GEMM of :mod:`repro.fpga.gemm`: the kernel, reordered
     to match, is decomposed once per call (planned from the operands'
-    actual magnitudes), image chunks stream
-    through one BLAS call each, and the recombined int64 accumulator goes
-    through the same ``>> fraction_bits`` renormalisation and clip as a MAC
-    unit with a wide accumulator register.  Bit-identical to the plain
-    int64 matmul lowering for every input — including deliberately
-    wrapping ones — and to any chunk size.
+    actual magnitudes), image chunks of at most :data:`DEFAULT_ROW_CHUNK`
+    im2col rows stream through one BLAS call each, and the recombined int64
+    accumulator goes through the same ``>> fraction_bits`` renormalisation
+    and clip as a MAC unit with a wide accumulator register.  Bit-identical
+    to the plain int64 matmul lowering for every input — including
+    deliberately wrapping ones — and to per-image calls.
 
     Parameters
     ----------
@@ -64,9 +63,6 @@ def hw_conv2d(
         ``(N, C_in, H, W)``.
     weight:
         Kernel of shape ``(C_out, C_in, KH, KW)``.
-    row_chunk:
-        im2col rows per GEMM chunk (default :data:`DEFAULT_ROW_CHUNK`);
-        peak memory is bounded by the chunk, not by ``N * out_h * out_w``.
     """
 
     if x.ndim not in (3, 4):
@@ -93,11 +89,7 @@ def hw_conv2d(
     w_mat = np.ascontiguousarray(weight.raw.transpose(0, 2, 3, 1).reshape(c_out, k).T)
     gemm = PlannedGemm(w_mat, a_max=_magnitude(raw))
 
-    if row_chunk is None:
-        row_chunk = DEFAULT_ROW_CHUNK
-    if row_chunk < 1:
-        raise ValueError("row_chunk must be a positive integer")
-    images_per_chunk = min(n, max(1, row_chunk // rows_per_image))
+    images_per_chunk = min(n, max(1, DEFAULT_ROW_CHUNK // rows_per_image))
 
     out_mat = np.empty((n * rows_per_image, c_out), dtype=np.int64)
     cols_buf = np.empty((images_per_chunk * rows_per_image, k), dtype=gemm.a_dtype)

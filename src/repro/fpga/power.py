@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..platform import BoardSpec, DEFAULT_BOARD
-from .device import ResourceVector
+from ..platform import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard (lazy import at runtime)
     from ..core.execution_model import ExecutionTimeModel, ExecutionTimeReport

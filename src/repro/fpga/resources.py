@@ -26,7 +26,7 @@ import numpy as np
 
 from ..fixedpoint.qformat import QFormat, Q20
 from .bram import BramPlan, bram_tiles_kernel, plan_block_allocation
-from .device import FpgaDevice, ResourceVector, ZYNQ_XC7Z020
+from ..platform import FpgaDevice, ResourceVector, ZYNQ_XC7Z020
 from .geometry import BlockGeometry, OFFLOADABLE_BLOCKS, block_geometry
 
 __all__ = [

@@ -31,7 +31,7 @@ from ..core.odeblock import ODEBlock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime uses lazy import)
     from ..core.execution_model import ExecutionTimeModel
 from ..fixedpoint import Q20, QFormat
-from ..fpga.device import PYNQ_Z2, BoardSpec
+from ..platform import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from ..nn.tensor import Tensor, no_grad

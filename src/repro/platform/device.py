@@ -7,8 +7,7 @@ the board to a first-class value object so the same analytical models can be
 evaluated for any PS + PL SoC:
 
 * :class:`ResourceVector` / :class:`FpgaDevice` — programmable-logic fabric
-  totals and arithmetic over them (unchanged from the seed's
-  ``repro.fpga.device``, which now re-exports from here);
+  totals and arithmetic over them;
 * :class:`PowerProfile` — the documented-not-measured power constants of one
   board (PS active/idle watts, PL static and dynamic coefficients);
 * :class:`BoardSpec` — one board: fabric, PS/PL clocks, cores, DRAM, power

@@ -82,12 +82,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def _fire(self) -> None:
-        self.processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for fn in callbacks:
-            fn(self._value)
-
 
 class Timeout(Event):
     """An event that fires a fixed delay after its creation."""
@@ -248,66 +242,29 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------------------
 
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next queued event (``None`` when empty)."""
+    def run(self) -> None:
+        """Fire events until the queue is empty.
 
-        return self._heap[0][0] if self._heap else None
-
-    def step(self) -> None:
-        """Pop and fire the next event, advancing the clock to it."""
-
-        time, _, event = heapq.heappop(self._heap)
-        assert time >= self.now, "simulated clock may never go backwards"
-        self.now = time
-        self.events_processed += 1
-        event._fire()
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Fire events until the queue is empty (or the clock would pass ``until``).
-
-        With ``until`` given, events at exactly ``until`` still fire; the
-        first event strictly beyond it stays queued and the clock stops at
-        ``until``.
-
-        The loop inlines :meth:`step` and :meth:`Event._fire` with local
-        bindings — this is the hottest code in the whole package (see
-        ``benchmarks/bench_sim_throughput.py``), and the heap invariant
-        already guarantees the clock monotonicity ``step`` asserts.
+        Popping an event advances the clock to it and runs its callbacks in
+        registration order, with local bindings: this is the hottest code in
+        the whole package (see ``benchmarks/bench_sim_throughput.py``), and
+        the heap invariant guarantees the clock never moves backwards.
         """
 
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run until {until}: clock is already at {self.now}")
         heap = self._heap
         pop = heapq.heappop
         processed = self.events_processed
         try:
-            if until is None:
-                while heap:
-                    time, _, event = pop(heap)
-                    self.now = time
-                    processed += 1
-                    event.processed = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        value = event._value
-                        for fn in callbacks:
-                            fn(value)
-            else:
-                while heap:
-                    if heap[0][0] > until:
-                        self.now = until
-                        return
-                    time, _, event = pop(heap)
-                    self.now = time
-                    processed += 1
-                    event.processed = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        value = event._value
-                        for fn in callbacks:
-                            fn(value)
-                self.now = until
+            while heap:
+                time, _, event = pop(heap)
+                self.now = time
+                processed += 1
+                event.processed = True
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    value = event._value
+                    for fn in callbacks:
+                        fn(value)
         finally:
             self.events_processed = processed

@@ -25,7 +25,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.report import csv_text, json_safe
-from ..fpga.device import ResourceVector
+from ..platform import ResourceVector
 from ..fpga.power import PowerModelConfig, pl_power_kernel
 
 __all__ = [
@@ -659,8 +659,8 @@ class SimReport(ServingReport):
             tail.append("[faults]")
             for entry in f.get("injections", []):
                 cleared = entry.get("cleared_at")
-                until = f", cleared at {cleared:.4g} s" if cleared is not None else ", permanent"
-                tail.append(text_row(entry["mode"], f"injected at {entry['t_inject']:.4g} s{until}"))
+                lasts = f", cleared at {cleared:.4g} s" if cleared is not None else ", permanent"
+                tail.append(text_row(entry["mode"], f"injected at {entry['t_inject']:.4g} s{lasts}"))
             tail += [
                 text_row("re-dispatched", f.get("redispatched", 0)),
                 text_row("ps fallback", f.get("ps_fallback_served", 0)),

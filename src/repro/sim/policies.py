@@ -379,7 +379,7 @@ def max_replicas(
 ) -> int:
     """How many copies of the scenario's PL datapath fit the board's FPGA.
 
-    Uses the same per-instance :class:`~repro.fpga.device.ResourceVector`
+    Uses the same per-instance :class:`~repro.platform.ResourceVector`
     the offload planner prices (all offload targets at the scenario's
     ``n_units`` and Q-format) and packs copies until the device overflows.
     Scenarios with no offload target get one (idle) replica.

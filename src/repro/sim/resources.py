@@ -26,7 +26,7 @@ from collections import deque
 from typing import Deque, Dict, Generator, Optional
 
 from ..fpga.axi import AxiTransferModel
-from ..fpga.device import ResourceVector
+from ..platform import ResourceVector
 from .engine import Event, Simulator
 
 __all__ = ["LevelMonitor", "Resource", "AxiBus", "Accelerator"]
@@ -53,9 +53,6 @@ class LevelMonitor:
         self._level = level
         self.peak = max(self.peak, level)
 
-    def add(self, delta: int) -> None:
-        self.set(self._level + delta)
-
     def finalize(self, horizon: Optional[float] = None) -> float:
         """Close the integral at ``horizon`` (default: now) and return it."""
 
@@ -73,9 +70,6 @@ class LevelMonitor:
         """
 
         return self.integral + self._level * (self.sim.now - self._since)
-
-    def mean(self, horizon: float) -> float:
-        return self.integral / horizon if horizon > 0 else 0.0
 
 
 class Resource:
@@ -147,13 +141,6 @@ class Resource:
         yield self.request()
         yield self.sim.timeout(seconds)
         self.release()
-
-    def utilization(self, horizon: float) -> float:
-        """Mean occupancy over ``horizon``, as a fraction of capacity."""
-
-        if horizon <= 0:
-            return 0.0
-        return self.busy.mean(horizon) / self.capacity
 
 
 class AxiBus(Resource):
@@ -236,6 +223,3 @@ class Accelerator:
         # energy model credits back the dead replica's PL power draw).
         self.down = LevelMonitor(sim)
         self.served = 0
-
-    def utilization(self, horizon: float) -> float:
-        return self.busy.mean(horizon) if horizon > 0 else 0.0

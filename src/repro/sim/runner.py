@@ -32,7 +32,7 @@ import numpy as np
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
-from ..fpga.device import ResourceVector
+from ..platform import ResourceVector
 from ..fpga.power import PowerModelConfig
 from .engine import Simulator
 from .metrics import (
@@ -121,23 +121,13 @@ def _request_process(
 
 
 def _normalize_faults(faults: Optional[Sequence[object]]) -> List[Tuple[object, float]]:
-    """Accept fault samples, ``(mode, t)`` pairs or bare modes (t = 0)."""
+    """Check ``(mode, t_inject)`` pairs; the time becomes a float."""
 
-    if not faults:
-        return []
     out: List[Tuple[object, float]] = []
-    for entry in faults:
-        if hasattr(entry, "mode") and hasattr(entry, "t_inject"):
-            mode, t = entry.mode, float(entry.t_inject)
-        elif isinstance(entry, tuple) and len(entry) == 2:
-            mode, t = entry[0], float(entry[1])
-        elif hasattr(entry, "inject"):
-            mode, t = entry, 0.0
-        else:
-            raise TypeError(
-                f"fault entry {entry!r} is neither a FaultSample, a (mode, time) "
-                "pair nor a fault mode"
-            )
+    for entry in faults or ():
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            raise TypeError(f"fault entry {entry!r} is not a (mode, t_inject) pair")
+        mode, t = entry[0], float(entry[1])
         if t < 0:
             raise ValueError(f"fault injection time must be non-negative (got {t})")
         out.append((mode, t))
@@ -202,9 +192,8 @@ def simulate(
         they must agree on board, clock, MAC units and Q-format with the
         main scenario (the replicas are physical datapaths).
     faults:
-        Optional fault injections: :class:`~repro.faults.sample.FaultSample`
-        objects, ``(mode, t_inject)`` pairs, or bare fault modes (injected at
-        t = 0).  An empty sequence is *exactly* the nominal run — every hook
+        Optional fault injections as ``(mode, t_inject)`` pairs.  An empty
+        sequence is *exactly* the nominal run — every hook
         is an inert conditional, so ``simulate(s)`` and
         ``simulate(s, faults=[])`` are bit-identical.
     fault_seed:
@@ -366,8 +355,10 @@ def simulate(
     bus_busy = bus.busy.finalize(horizon)
     for acc in accelerators:
         acc.busy.finalize(horizon)
+    # A warm-up at or past the horizon leaves an empty window: its probe read
+    # the down integrals beyond the horizon, so no downtime is booked.
     replica_downtime = 0.0
-    if injections:
+    if injections and warmup < horizon:
         replica_downtime = sum(
             acc.down.finalize(horizon) - marks.get(f"{acc.name}_down", 0.0)
             for acc in accelerators

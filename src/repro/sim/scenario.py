@@ -13,8 +13,9 @@ contract) with the traffic and system knobs of a multi-request run:
 * the ``seed`` making stochastic runs reproducible.
 
 Being a Scenario subclass, it flows through the existing machinery: the
-evaluator memoizes its analytic report, the batch engine routes it through
-the loop fallback, and ``as_dict``/``from_dict`` serialise it by field name.
+evaluator memoizes its analytic report, the batch engine evaluates it from
+its :class:`Scenario` fields, and ``as_dict``/``from_dict`` serialise it by
+field name.
 ``replicas=0`` means "size from the resource budget" (resolved by
 :func:`repro.sim.runner.simulate` via :func:`repro.sim.policies.max_replicas`).
 """

@@ -1,4 +1,4 @@
-"""Batch-evaluation engine: loop-engine equivalence, Pareto, subclass fallback."""
+"""Batch-evaluation engine: loop-engine equivalence, Pareto, subclass rows."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from repro.core.execution_model import TABLE5_MODELS
 
 
 class PassthroughScenario(Scenario):
-    """A Scenario subclass: must take the loop-engine fallback path."""
+    """A Scenario subclass: evaluated from its Scenario fields like any row."""
 
 
 def random_grid(n: int, seed: int = 0) -> list:
@@ -202,14 +202,20 @@ class TestPareto:
         assert front.column("overall_speedup").max() == batch.column("overall_speedup").max()
 
 
-class TestProcessPoolFallback:
-    """Subclass rows are evaluated in-process by the loop engine."""
+class TestSubclassRows:
+    """Subclass rows take the one vector path and match the loop engine."""
 
-    def test_subclass_scenarios_fall_back_and_match_loop(self):
+    def test_subclass_scenarios_match_loop(self):
+        from repro.sim import SimScenario
+
         plain = scenario_grid(models=("rODENet-3",), depths=(20, 56))
         subclassed = [PassthroughScenario(model="Hybrid-3", depth=d) for d in (20, 56)]
-        mixed = [plain[0], subclassed[0], plain[1], subclassed[1]]
+        served = [
+            SimScenario(model="rODENet-1", depth=20, n_units=8, board="ZCU104"),
+            SimScenario(model="ResNet", depth=32, arrival_rate_hz=5.0),
+        ]
+        mixed = [plain[0], subclassed[0], served[0], plain[1], subclassed[1], served[1]]
         batch = sweep_batch(mixed)
-        loop = sweep(mixed, Evaluator())
-        assert batch.to_results() == loop
+        assert batch.to_results() == sweep(mixed)
         assert [r["model"] for r in batch.records()] == [s.model for s in mixed]
+        assert batch.scenarios == mixed

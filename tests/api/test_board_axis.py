@@ -108,12 +108,6 @@ class TestCrossBoardConformance:
         batch = sweep_batch(grid)
         assert batch.to_results() == loop
 
-    def test_all_boards_take_the_vector_path(self):
-        from repro.api.batch import _vectorizable
-
-        for name in ALL_BOARDS:
-            assert _vectorizable(Scenario(board=name))
-
 
 class TestCrossBoardPhysics:
     """The board axis must produce *ordered* physics, not just numbers."""

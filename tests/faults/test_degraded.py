@@ -41,16 +41,25 @@ class TestResourcePrimitives:
 
         sim.process(hold(1.0))
         sim.process(hold(2.0))
-        sim.run(until=0.5)
-        res.set_capacity(1)
-        # Both holders keep running over capacity; no user is evicted.
-        assert res.users == 2
-        blocked = res.request()
-        sim.run(until=1.5)
-        # One release only drains the over-capacity pool; the waiter holds.
-        assert res.users == 1 and not blocked.triggered
+        seen = {}
+
+        def shrink():
+            res.set_capacity(1)
+            # Both holders keep running over capacity; no user is evicted.
+            seen["users_at_shrink"] = res.users
+            seen["blocked"] = res.request()
+
+        def probe():
+            # One release only drains the over-capacity pool; the waiter holds.
+            seen["users_at_probe"] = res.users
+            seen["triggered_at_probe"] = seen["blocked"].triggered
+
+        sim.schedule(0.5, shrink)
+        sim.schedule(1.5, probe)
         sim.run()
-        assert blocked.processed
+        assert seen["users_at_shrink"] == 2
+        assert seen["users_at_probe"] == 1 and not seen["triggered_at_probe"]
+        assert seen["blocked"].processed
 
     def test_set_capacity_grow_wakes_waiters(self):
         sim = Simulator()
@@ -120,6 +129,16 @@ class TestReplicaDeath:
         nominal = simulate(scenario(replicas=1), evaluator=evaluator)
         assert report.latency.maximum > nominal.latency.maximum
 
+    def test_warmup_past_the_run_books_no_downtime(self, evaluator):
+        # The warm-up outlasts the run, so the window is empty: a replica
+        # that died inside the run must not book downtime or PL energy.
+        s = SimScenario(model="rODENet-3", depth=20, n_requests=2, warmup_s=100.0)
+        nominal = simulate(s, evaluator=evaluator)
+        report = simulate(s, evaluator=evaluator, faults=[(ReplicaDeath(), 1.0)])
+        assert report.horizon_s < s.warmup_s
+        assert report.faults["replica_downtime_s"] == 0.0
+        assert report.energy == nominal.energy
+
     def test_transient_death_revives_after_duration(self, evaluator):
         mode = ReplicaDeath(rate_per_hour=60.0, duration_s=2.0)
         report = simulate(scenario(), evaluator=evaluator, faults=[(mode, 1.0)])
@@ -178,10 +197,20 @@ class TestOtherModes:
         def corrupted(fault_seed):
             report = simulate(
                 scenario(), evaluator=evaluator,
-                faults=[DmaCorruption(rate_per_hour=6.0)], fault_seed=fault_seed,
+                faults=[(DmaCorruption(rate_per_hour=6.0), 0.0)], fault_seed=fault_seed,
             )
             return report.faults["corrupted_requests"]
 
         assert corrupted(0) == corrupted(0)  # reproducible
         seeds = {corrupted(s) for s in range(6)}
         assert len(seeds) > 1  # and actually seed-dependent
+
+
+class TestFaultEntries:
+    def test_a_bare_mode_is_rejected_with_the_pair_form(self, evaluator):
+        with pytest.raises(TypeError, match=r"\(mode, t_inject\) pair"):
+            simulate(scenario(), evaluator=evaluator, faults=[ReplicaDeath()])
+
+    def test_a_negative_time_is_rejected(self, evaluator):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate(scenario(), evaluator=evaluator, faults=[(ReplicaDeath(), -1.0)])

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (
-    SAMPLING_METHODS,
-    FaultSample,
-    ReplicaDeath,
-    default_fault_domain,
-    injection_times,
-    sample_faults,
-)
+from repro.faults import SAMPLING_METHODS, injection_times
 
 horizons = st.floats(min_value=1e-3, max_value=1e5, allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=1, max_value=12)
@@ -40,16 +33,6 @@ def test_times_lie_strictly_inside_the_horizon(horizon, n, method):
     assert len(set(times)) == n
 
 
-@settings(max_examples=100, deadline=None)
-@given(horizons, counts, methods)
-def test_zero_rate_modes_never_fire(horizon, n, method):
-    modes = [ReplicaDeath(rate_per_hour=0.0), ReplicaDeath(rate_per_hour=1.0)]
-    samples = sample_faults(modes, horizon, n, method)
-    assert len(samples) == n  # only the live-rate mode expands
-    assert all(s.mode.rate_per_hour > 0 for s in samples)
-    assert sum(s.weight for s in samples) == pytest.approx(1.0)
-
-
 class TestSamplingRules:
     def test_even_is_the_midpoint_rule(self):
         times, weights = injection_times(10.0, 4, "even")
@@ -67,18 +50,6 @@ class TestSamplingRules:
         times, weights = injection_times(2.0, 2, "quadrature")
         estimate = sum(w * t**3 for t, w in zip(times, weights))
         assert estimate == pytest.approx(2.0**3 / 4.0)
-
-    def test_default_domain_expansion_is_per_mode(self):
-        samples = sample_faults(default_fault_domain(), 30.0, n_samples=3)
-        assert len(samples) == 3 * len(default_fault_domain())
-        assert all(isinstance(s, FaultSample) for s in samples)
-
-    def test_sample_serialises(self):
-        (s, *_) = sample_faults([ReplicaDeath(rate_per_hour=2.0)], 10.0, 1)
-        d = s.as_dict()
-        assert d["mode"]["kind"] == "replica_death"
-        assert d["t_inject"] == pytest.approx(5.0)
-        assert d["weight"] == 1.0
 
 
 class TestValidation:

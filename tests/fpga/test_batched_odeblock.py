@@ -17,7 +17,7 @@ import pytest
 from repro.fixedpoint import FxArray, Q8, Q16, Q20, QFormat
 from repro.fpga import BlockWeights, HardwareODEBlock
 from repro.fpga.geometry import LAYER1, BlockGeometry
-from repro.fpga.ops import hw_batch_norm, hw_conv2d
+from repro.fpga.ops import DEFAULT_ROW_CHUNK, hw_batch_norm, hw_conv2d
 
 
 def small_geometry(channels: int = 8, size: int = 4) -> BlockGeometry:
@@ -174,6 +174,26 @@ class TestBatchedForward:
         batched = block.dynamics_batch(z)
         singles = np.stack([block.dynamics(z[i]) for i in range(2)])
         assert np.array_equal(batched, singles)
+
+
+class TestChunkBoundary:
+    """A layer1 batch one image past a full GEMM chunk spans two chunks."""
+
+    N = DEFAULT_ROW_CHUNK // (LAYER1.height * LAYER1.width) + 1
+
+    def test_conv_across_the_chunk_boundary_equals_singles(self):
+        rng = np.random.default_rng(5)
+        x = FxArray.from_float(make_batch(LAYER1, self.N, scale=0.3), Q20)
+        w = FxArray.from_float(rng.normal(0, 0.1, size=(16, 16, 3, 3)), Q20)
+        batched = hw_conv2d(x, w)
+        for i in range(self.N):
+            assert np.array_equal(batched.raw[i], hw_conv2d(x[i], w).raw)
+
+    def test_dynamics_across_the_chunk_boundary_equals_singles(self):
+        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16)
+        z = make_batch(LAYER1, self.N, scale=0.3)
+        singles = np.stack([block.dynamics(z[i]) for i in range(self.N)])
+        assert np.array_equal(block.dynamics_batch(z), singles)
 
 
 class TestSaturationEdgeCases:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.fpga.device import ResourceVector
+from repro.platform import ResourceVector
 from repro.fpga.power import PowerModelConfig
 from repro.sim import SimScenario, energy_summary, latency_stats, simulate
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.fpga.axi import AxiTransferConfig, AxiTransferModel
 from repro.sim import AxiBus, Resource, Simulator
+from repro.sim.metrics import windowed_mean
 
 
 class TestResource:
@@ -59,7 +60,9 @@ class TestResource:
         sim.process(user())
         sim.run()
         assert sim.now == 6.0
-        assert res.utilization(sim.now) == pytest.approx(0.5)
+        # Three busy seconds over a six-second run: half occupied.
+        assert res.busy.finalize(sim.now) == pytest.approx(3.0)
+        assert windowed_mean(res.busy.integral, 0.0, sim.now) == pytest.approx(0.5)
 
     def test_queue_depth_peak(self):
         sim = Simulator()
