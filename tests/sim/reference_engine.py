@@ -1,0 +1,270 @@
+"""Discrete-event simulation kernel: :class:`Event`, :class:`Process`, :class:`Simulator`.
+
+The analytical models answer "how long does *one* prediction take"; the
+simulator answers what happens when *many* predictions contend for the PS
+core, the AXI bus and the PL accelerators.  This module is the substrate: a
+minimal, deterministic event-queue kernel in the style of SimPy (and of the
+propagation loop in fmdtools), with exactly the three primitives the serving
+models need:
+
+* :class:`Event` — a one-shot occurrence carrying an optional value.  Other
+  parties register callbacks; :meth:`Event.succeed` schedules the firing at
+  the current simulated time.
+* :class:`Process` — a Python generator driven by the simulator.  Each
+  ``yield`` hands back an event to wait for (a :class:`Timeout`, a resource
+  grant, another process); the generator resumes with the event's value when
+  it fires.  A process is itself an event that succeeds with the generator's
+  return value, so processes can wait on each other.
+* :class:`Simulator` — the clock and the event queue.  Events are ordered by
+  ``(time, insertion sequence)``: the clock never moves backwards, and ties
+  fire in FIFO order, which is what makes runs bit-reproducible (the
+  hypothesis suite in ``tests/sim/test_engine.py`` pins both properties).
+
+The kernel is intentionally tiny — no interrupts, no event failure values,
+no real-time pacing — because every serving scenario in :mod:`repro.sim` is
+expressible with timeouts, FIFO resources and ``all_of`` joins, and a small
+kernel is a fast one (see ``benchmarks/bench_sim_throughput.py``).
+"""
+
+from __future__ import annotations
+
+import heapq
+from itertools import count
+from typing import Callable, Generator, List, Optional, Sequence
+
+__all__ = ["Event", "Timeout", "Process", "Simulator"]
+
+
+class Event:
+    """A one-shot occurrence in simulated time.
+
+    An event starts *pending*; :meth:`succeed` marks it triggered and puts it
+    on the queue at the current time; when the simulator pops it, it becomes
+    *processed* and its callbacks run (in registration order) with the
+    event's value.
+    """
+
+    __slots__ = ("sim", "callbacks", "triggered", "processed", "_value")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        self.callbacks: List[Callable[[object], None]] = []
+        self.triggered = False
+        self.processed = False
+        self._value: object = None
+
+    @property
+    def value(self) -> object:
+        return self._value
+
+    def succeed(self, value: object = None) -> "Event":
+        """Trigger the event; it fires at the current simulated time."""
+
+        if self.triggered:
+            raise RuntimeError("event already triggered")
+        self.triggered = True
+        self._value = value
+        self.sim._push(self)
+        return self
+
+    def add_callback(self, fn: Callable[[object], None]) -> None:
+        """Run ``fn(value)`` when the event fires.
+
+        Registering on an already-processed event still works: the callback
+        fires at the current time (a fresh queue entry), so waiting on e.g. a
+        process that already finished does not deadlock.
+        """
+
+        if self.processed:
+            late = Event(self.sim)
+            late.callbacks.append(fn)
+            late.succeed(self._value)
+        else:
+            self.callbacks.append(fn)
+
+
+class Timeout(Event):
+    """An event that fires a fixed delay after its creation."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
+        if delay < 0:
+            raise ValueError(f"timeout delay must be non-negative (got {delay})")
+        super().__init__(sim)
+        self.delay = delay
+        self.triggered = True
+        self._value = value
+        sim._push(self, delay)
+
+
+class Process(Event):
+    """A generator-based process; also the event of its own completion.
+
+    ``delay`` schedules the first resume at ``now + delay`` instead of "now"
+    — one queue entry where an explicit start-event + first-yield timeout
+    pair would cost two (the request-spawning fast path).  ``_sink``, when
+    given, collects the start entry instead of pushing it (the bulk
+    scheduling hook of :meth:`Simulator.process_batch`).
+    """
+
+    __slots__ = ("generator",)
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        generator: Generator,
+        delay: float = 0.0,
+        _sink: Optional[List] = None,
+    ) -> None:
+        if delay < 0:
+            raise ValueError(f"process start delay must be non-negative (got {delay})")
+        super().__init__(sim)
+        self.generator = generator
+        # Kick off at the scheduled time (FIFO-ordered with everything else
+        # scheduled for that instant), not synchronously inside the caller.
+        start = Event(sim)
+        start.callbacks.append(self._resume)
+        start.triggered = True
+        if _sink is None:
+            sim._push(start, delay)
+        else:
+            _sink.append((sim.now + delay, next(sim._seq), start))
+
+    def _resume(self, value: object) -> None:
+        try:
+            target = self.generator.send(value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        if not isinstance(target, Event):
+            raise TypeError(
+                f"process yielded {target!r}; processes must yield Event objects"
+            )
+        target.add_callback(self._resume)
+
+
+class Simulator:
+    """The event queue and the simulated clock.
+
+    ``now`` only moves forward, and events scheduled for the same instant
+    fire in the order they were scheduled (a global insertion sequence breaks
+    ties), so a simulation is a pure function of its inputs.
+    """
+
+    def __init__(self) -> None:
+        self.now: float = 0.0
+        self.events_processed: int = 0
+        self._heap: List = []
+        self._seq = count()
+
+    # -- scheduling --------------------------------------------------------------------
+
+    def _push(self, event: Event, delay: float = 0.0) -> None:
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
+
+    def event(self) -> Event:
+        return Event(self)
+
+    def timeout(self, delay: float, value: object = None) -> Timeout:
+        return Timeout(self, delay, value)
+
+    def process(self, generator: Generator) -> Process:
+        return Process(self, generator)
+
+    def process_at(self, delay: float, generator: Generator) -> Process:
+        """Spawn a process whose first resume happens at ``now + delay``.
+
+        Equivalent to a process opening with ``yield sim.timeout(delay)``
+        but one queue entry cheaper — the arrival fast path.
+        """
+
+        return Process(self, generator, delay=delay)
+
+    def process_batch(self, pairs: Sequence) -> List[Process]:
+        """Spawn many delayed processes with one bulk heap rebuild.
+
+        ``pairs`` is an iterable of ``(delay, generator)``.  Start entries
+        are collected and the heap is rebuilt once (O(n + heap) instead of n
+        pushes at O(log) each) — the event-batching entry point the runner
+        uses to schedule whole arrival processes.  Sequence numbers are
+        drawn in input order, so FIFO tie-breaking is identical to spawning
+        the processes one by one.
+        """
+
+        entries: List = []
+        procs = [Process(self, gen, delay, _sink=entries) for delay, gen in pairs]
+        if entries:
+            self._heap.extend(entries)
+            heapq.heapify(self._heap)
+        return procs
+
+    def schedule(self, delay: float, fn: Callable[[], None]) -> Timeout:
+        """Run ``fn()`` at ``now + delay`` (a one-shot timed callback).
+
+        The hook the fault injector uses: a fault mode's injection and
+        clearing are ordinary timed events on the one queue, so they
+        interleave deterministically with every other event (FIFO tie-break
+        included) and keep fault runs bit-reproducible.
+        """
+
+        timed = self.timeout(delay)
+        timed.add_callback(lambda _value: fn())
+        return timed
+
+    def all_of(self, events: Sequence[Event]) -> Event:
+        """An event firing once every given event has fired.
+
+        Its value is the list of the constituent values in input order
+        (events already processed contribute immediately).
+        """
+
+        done = Event(self)
+        events = list(events)
+        if not events:
+            done.succeed([])
+            return done
+        remaining = [len(events)]
+        values: List[object] = [None] * len(events)
+
+        def arm(index: int, event: Event) -> None:
+            def on_fire(value: object) -> None:
+                values[index] = value
+                remaining[0] -= 1
+                if remaining[0] == 0:
+                    done.succeed(values)
+
+            event.add_callback(on_fire)
+
+        for i, ev in enumerate(events):
+            arm(i, ev)
+        return done
+
+    # -- execution ---------------------------------------------------------------------
+
+    def run(self) -> None:
+        """Fire events until the queue is empty.
+
+        Popping an event advances the clock to it and runs its callbacks in
+        registration order, with local bindings: this is the hottest code in
+        the whole package (see ``benchmarks/bench_sim_throughput.py``), and
+        the heap invariant guarantees the clock never moves backwards.
+        """
+
+        heap = self._heap
+        pop = heapq.heappop
+        processed = self.events_processed
+        try:
+            while heap:
+                time, _, event = pop(heap)
+                self.now = time
+                processed += 1
+                event.processed = True
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    value = event._value
+                    for fn in callbacks:
+                        fn(value)
+        finally:
+            self.events_processed = processed

@@ -49,6 +49,16 @@ GOLDEN_INVOCATIONS = {
         "sim", "rODENet-3", "--depth", "20", "--replicas", "2", "--rate", "2", "--requests", "40",
         "--faults", "replica_death", "dma_corruption", "--fault-samples", "2",
     ],
+    # The two contended policies no other golden covers; deterministic
+    # arrivals are where exact event-time ties are most likely.
+    "sim_round_robin_rate8": [
+        "sim", "rODENet-3", "--depth", "20", "--replicas", "2", "--policy", "round_robin",
+        "--rate", "8", "--requests", "300",
+    ],
+    "sim_fifo_deterministic_rate8": [
+        "sim", "rODENet-3", "--depth", "20", "--arrivals", "deterministic", "--policy", "fifo",
+        "--replicas", "2", "--rate", "8", "--requests", "200",
+    ],
     "fleet_classes_autoscale": [
         "fleet", "--boards", "pynq-z2:4,zcu104:2",
         "--classes", "interactive:0.8:latency:50ms,nightly:0.2:batch",
