@@ -29,10 +29,14 @@ kernel is a fast one (see ``benchmarks/bench_sim_throughput.py``).
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import count
 from typing import Callable, Generator, List, Optional, Sequence
 
 __all__ = ["Event", "Timeout", "Process", "Simulator"]
+
+_heappush = heapq.heappush
+_INF = float("inf")
 
 
 class Event:
@@ -41,21 +45,24 @@ class Event:
     An event starts *pending*; :meth:`succeed` marks it triggered and puts it
     on the queue at the current time; when the simulator pops it, it becomes
     *processed* and its callbacks run (in registration order) with the
-    event's value.
+    event's value.  A processed event's ``callbacks`` is ``None``.
     """
 
-    __slots__ = ("sim", "callbacks", "triggered", "processed", "_value")
+    __slots__ = ("sim", "callbacks", "triggered", "_value")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.callbacks: List[Callable[[object], None]] = []
+        self.callbacks: Optional[List[Callable[[object], None]]] = []
         self.triggered = False
-        self.processed = False
         self._value: object = None
 
     @property
     def value(self) -> object:
         return self._value
+
+    @property
+    def processed(self) -> bool:
+        return self.callbacks is None
 
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event; it fires at the current simulated time."""
@@ -64,7 +71,8 @@ class Event:
             raise RuntimeError("event already triggered")
         self.triggered = True
         self._value = value
-        self.sim._push(self)
+        sim = self.sim
+        _heappush(sim._heap, (sim.now, next(sim._seq), self))
         return self
 
     def add_callback(self, fn: Callable[[object], None]) -> None:
@@ -75,7 +83,7 @@ class Event:
         process that already finished does not deadlock.
         """
 
-        if self.processed:
+        if self.callbacks is None:
             late = Event(self.sim)
             late.callbacks.append(fn)
             late.succeed(self._value)
@@ -89,23 +97,26 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"timeout delay must be non-negative (got {delay})")
-        super().__init__(sim)
-        self.delay = delay
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be non-negative and finite (got {delay})")
+        self.sim = sim
+        self.callbacks = []
         self.triggered = True
         self._value = value
-        sim._push(self, delay)
+        self.delay = delay
+        _heappush(sim._heap, (sim.now + delay, next(sim._seq), self))
 
 
 class Process(Event):
     """A generator-based process; also the event of its own completion.
 
-    ``delay`` schedules the first resume at ``now + delay`` instead of "now"
-    — one queue entry where an explicit start-event + first-yield timeout
-    pair would cost two (the request-spawning fast path).  ``_sink``, when
-    given, collects the start entry instead of pushing it (the bulk
-    scheduling hook of :meth:`Simulator.process_batch`).
+    The process itself is its start entry on the queue: :meth:`Simulator.run`
+    resumes a popped, untriggered process instead of firing it (a triggered
+    one is its completion).  ``delay`` schedules that first resume at ``now
+    + delay`` instead of "now" — one queue entry where a start entry + first
+    -yield timeout pair would cost two (the request-spawning fast path).
+    ``_sink``, when given, collects the start entry instead of pushing it
+    (the bulk scheduling hook of :meth:`Simulator.process_batch`).
     """
 
     __slots__ = ("generator",)
@@ -117,19 +128,22 @@ class Process(Event):
         delay: float = 0.0,
         _sink: Optional[List] = None,
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"process start delay must be non-negative (got {delay})")
-        super().__init__(sim)
+        if not 0.0 <= delay < _INF:
+            raise ValueError(
+                f"process start delay must be non-negative and finite (got {delay})"
+            )
+        self.sim = sim
+        self.callbacks = []
+        self.triggered = False
+        self._value = None
         self.generator = generator
         # Kick off at the scheduled time (FIFO-ordered with everything else
         # scheduled for that instant), not synchronously inside the caller.
-        start = Event(sim)
-        start.callbacks.append(self._resume)
-        start.triggered = True
+        entry = (sim.now + delay, next(sim._seq), self)
         if _sink is None:
-            sim._push(start, delay)
+            _heappush(sim._heap, entry)
         else:
-            _sink.append((sim.now + delay, next(sim._seq), start))
+            _sink.append(entry)
 
     def _resume(self, value: object) -> None:
         try:
@@ -141,7 +155,20 @@ class Process(Event):
             raise TypeError(
                 f"process yielded {target!r}; processes must yield Event objects"
             )
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            target.add_callback(self._resume)
+        else:
+            callbacks.append(self._resume)
+
+
+def _join(done: Event, values: List[object], remaining: List[int], index: int, value: object) -> None:
+    """One constituent of :meth:`Simulator.all_of` fired."""
+
+    values[index] = value
+    remaining[0] -= 1
+    if not remaining[0]:
+        done.succeed(values)
 
 
 class Simulator:
@@ -159,9 +186,6 @@ class Simulator:
         self._seq = count()
 
     # -- scheduling --------------------------------------------------------------------
-
-    def _push(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
 
     def event(self) -> Event:
         return Event(self)
@@ -216,7 +240,8 @@ class Simulator:
         """An event firing once every given event has fired.
 
         Its value is the list of the constituent values in input order
-        (events already processed contribute immediately).
+        (events already processed contribute one queue entry later, like
+        any late callback).
         """
 
         done = Event(self)
@@ -224,20 +249,10 @@ class Simulator:
         if not events:
             done.succeed([])
             return done
-        remaining = [len(events)]
         values: List[object] = [None] * len(events)
-
-        def arm(index: int, event: Event) -> None:
-            def on_fire(value: object) -> None:
-                values[index] = value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.succeed(values)
-
-            event.add_callback(on_fire)
-
-        for i, ev in enumerate(events):
-            arm(i, ev)
+        remaining = [len(events)]
+        for i, event in enumerate(events):
+            event.add_callback(partial(_join, done, values, remaining, i))
         return done
 
     # -- execution ---------------------------------------------------------------------
@@ -245,10 +260,12 @@ class Simulator:
     def run(self) -> None:
         """Fire events until the queue is empty.
 
-        Popping an event advances the clock to it and runs its callbacks in
-        registration order, with local bindings: this is the hottest code in
-        the whole package (see ``benchmarks/bench_sim_throughput.py``), and
-        the heap invariant guarantees the clock never moves backwards.
+        Popping an entry advances the clock to it.  A triggered event is
+        marked processed and its callbacks run in registration order; an
+        untriggered one is a process's start entry and resumes it.  Local
+        bindings throughout: this is the hottest code in the whole package
+        (see ``benchmarks/bench_sim_throughput.py``), and the heap invariant
+        guarantees the clock never moves backwards.
         """
 
         heap = self._heap
@@ -256,15 +273,15 @@ class Simulator:
         processed = self.events_processed
         try:
             while heap:
-                time, _, event = pop(heap)
-                self.now = time
+                self.now, _, event = pop(heap)
                 processed += 1
-                event.processed = True
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
+                if event.triggered:
+                    callbacks = event.callbacks
+                    event.callbacks = None
                     value = event._value
                     for fn in callbacks:
                         fn(value)
+                else:
+                    event._resume(None)
         finally:
             self.events_processed = processed

@@ -25,11 +25,11 @@ board's FPGA alongside each other.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, List, Optional, Sequence
+from typing import Deque, Generator, Iterable, List, Optional, Sequence
 
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
-from .engine import Event, Simulator
+from .engine import Event, Process, Simulator, Timeout
 from .resources import Accelerator, AxiBus, LevelMonitor
 from .workload import PlExecution, Request
 
@@ -194,13 +194,13 @@ class Dispatcher:
 
     @property
     def queued(self) -> int:
-        return len(self.shared) + sum(len(q) for q in self.per_replica)
+        return len(self.shared) + sum(map(len, self.per_replica))
 
     def submit(self, request: Request, plx: PlExecution) -> Event:
         """Queue one block invocation; the returned event fires when its
         output feature map is back in PS memory."""
 
-        execution = Execution(request, plx, self.sim.event())
+        execution = Execution(request, plx, Event(self.sim))
         execution.submitted = self.sim.now
         if self.alive_count == 0:
             self._fallback(execution)
@@ -280,32 +280,7 @@ class Dispatcher:
     # -- replica service loop ----------------------------------------------------------
 
     def _worker(self, acc: Accelerator) -> Generator:
-        while self.alive[acc.index]:
-            batch = self.policy.take(self, acc)
-            if not batch:
-                wake = self.sim.event()
-                self._idle[acc.index] = wake
-                yield wake
-                if not self.alive[acc.index]:
-                    return
-                continue
-            self.pending.set(self.queued)
-            self.batch_sizes.append(len(batch))
-            for execution in batch:
-                execution.request.pl_wait += self.sim.now - execution.submitted
-            self._inflight[acc.index] = list(batch)
-            acc.busy.set(1)
-            yield from self._serve(acc, batch)
-            if not self.alive[acc.index]:
-                # Killed mid-batch: fail_replica() already zeroed the busy
-                # monitor and re-dispatched the unfinished invocations.
-                return
-            self._inflight[acc.index] = []
-            acc.busy.set(0)
-            acc.served += len(batch)
-
-    def _serve(self, acc: Accelerator, batch: List[Execution]) -> Generator:
-        """Serve a batch back-to-back with double-buffered DMA.
+        """One replica's service loop: serve each batch back-to-back.
 
         While invocation *i* computes, a concurrent DMA process writes back
         invocation *i−1*'s output and prefetches invocation *i+1*'s input; an
@@ -316,48 +291,69 @@ class Dispatcher:
         Every completion is routed through :meth:`_finish`, which is a no-op
         once the replica died (the invocation was re-dispatched; letting the
         orphaned service finish it would double-fire its ``done`` event), and
-        the generator aborts at the first resume point after a kill.
+        the loop ends at the first resume point after a kill (fail_replica()
+        already zeroed the busy monitor and re-dispatched the unfinished
+        invocations).
         """
 
         sim = self.sim
-        yield from self._transfer_in(batch[0])
-        if not self.alive[acc.index]:
-            return
-        previous: Optional[Execution] = None
-        for i, execution in enumerate(batch):
-            upcoming = batch[i + 1] if i + 1 < len(batch) else None
-            compute = sim.process(self._compute(execution))
-            overlap = sim.process(self._overlap_dma(acc, previous, upcoming))
-            yield sim.all_of((compute, overlap))
-            if not self.alive[acc.index]:
+        alive = self.alive
+        index = acc.index
+        while alive[index]:
+            batch = self.policy.take(self, acc)
+            if not batch:
+                wake = Event(sim)
+                self._idle[index] = wake
+                yield wake
+                continue
+            self.pending.set(self.queued)
+            self.batch_sizes.append(len(batch))
+            for execution in batch:
+                execution.request.pl_wait += sim.now - execution.submitted
+            self._inflight[index] = list(batch)
+            acc.busy.set(1)
+            yield from self._transfer_in(batch[0])
+            previous: Optional[Execution] = None
+            for i, execution in enumerate(batch):
+                if not alive[index]:
+                    return
+                upcoming = batch[i + 1] if i + 1 < len(batch) else None
+                compute = Process(sim, self._compute(execution))
+                overlap = Process(sim, self._overlap_dma(acc, previous, upcoming))
+                yield sim.all_of((compute, overlap))
+                previous = execution
+            if not alive[index]:
                 return
-            previous = execution
-        yield from self._transfer_out(previous)
-        self._finish(acc, previous)
+            yield from self._transfer_out(previous)
+            self._finish(acc, previous)
+            if not alive[index]:
+                return
+            self._inflight[index] = []
+            acc.busy.set(0)
+            acc.served += len(batch)
 
     def _finish(self, acc: Accelerator, execution: Execution) -> None:
         if self.alive[acc.index] and not execution.done.triggered:
             execution.done.succeed(None)
 
     def _compute(self, execution: Execution) -> Generator:
-        yield self.sim.timeout(execution.plx.compute_seconds)
+        yield Timeout(self.sim, execution.plx.compute_seconds)
 
     # Bursts are priced with the execution's *stored* transfer times (from
     # the model that built the service plan), so the simulated DMA always
     # matches the analytic (DMA in + compute + DMA out) decomposition even
-    # under a non-default transfer model.
+    # under a non-default transfer model.  Both return the bus's fragment
+    # for the caller to ``yield from`` at once (no wrapper generator level).
 
-    def _transfer_in(self, execution: Execution) -> Generator:
+    def _transfer_in(self, execution: Execution) -> Iterable[Event]:
         if self.corruptor is not None:
             self.corruptor(execution.request)
-        yield from self.bus.transfer(
-            execution.plx.words_in, execution.plx.transfer_in_seconds
-        )
+        plx = execution.plx
+        return self.bus.transfer(plx.words_in, plx.transfer_in_seconds)
 
-    def _transfer_out(self, execution: Execution) -> Generator:
-        yield from self.bus.transfer(
-            execution.plx.words_out, execution.plx.transfer_out_seconds
-        )
+    def _transfer_out(self, execution: Execution) -> Iterable[Event]:
+        plx = execution.plx
+        return self.bus.transfer(plx.words_out, plx.transfer_out_seconds)
 
     def _overlap_dma(
         self,

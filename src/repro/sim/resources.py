@@ -23,17 +23,19 @@ utilisation and queue-depth statistics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, Optional
+from typing import Deque, Dict, Generator, Iterable, Optional
 
 from ..fpga.axi import AxiTransferModel
 from ..platform import ResourceVector
-from .engine import Event, Simulator
+from .engine import Event, Simulator, Timeout
 
 __all__ = ["LevelMonitor", "Resource", "AxiBus", "Accelerator"]
 
 
 class LevelMonitor:
     """Time-weighted statistics of an integer level (occupancy, queue depth)."""
+
+    __slots__ = ("sim", "_level", "_since", "integral", "peak")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -51,7 +53,8 @@ class LevelMonitor:
         self.integral += self._level * (now - self._since)
         self._since = now
         self._level = level
-        self.peak = max(self.peak, level)
+        if level > self.peak:
+            self.peak = level
 
     def finalize(self, horizon: Optional[float] = None) -> float:
         """Close the integral at ``horizon`` (default: now) and return it."""
@@ -89,11 +92,11 @@ class Resource:
     def request(self) -> Event:
         """An event that fires when one unit of the resource is granted."""
 
-        grant = self.sim.event()
+        grant = Event(self.sim)
         if self.users < self.capacity:
             self.users += 1
             self.busy.set(self.users)
-            grant.succeed(None)
+            grant.succeed()
         else:
             self._waiting.append(grant)
             self.queue_depth.set(len(self._waiting))
@@ -139,7 +142,7 @@ class Resource:
         """Process fragment: acquire one unit, hold it, release it."""
 
         yield self.request()
-        yield self.sim.timeout(seconds)
+        yield Timeout(self.sim, seconds)
         self.release()
 
 
@@ -175,8 +178,13 @@ class AxiBus(Resource):
         self.slowdown = slowdown
         return previous
 
-    def transfer(self, words: int, seconds: Optional[float] = None) -> Generator:
+    def transfer(self, words: int, seconds: Optional[float] = None) -> Iterable[Event]:
         """Process fragment: move ``words`` over the bus (one DMA burst).
+
+        Books the burst when called and returns the :meth:`use` fragment
+        that holds a channel for it (no wrapper generator: callers ``yield
+        from`` the result immediately, so the booking lands at the same
+        simulated instant).
 
         ``seconds`` lets the caller price the burst with the model that built
         its service plan (the dispatcher passes the :class:`PlExecution`'s
@@ -188,13 +196,13 @@ class AxiBus(Resource):
         """
 
         if words == 0:
-            return
+            return ()
         self.words_moved += words
         self.transfers += 1
         seconds = self.model.transfer_seconds(words) if seconds is None else seconds
         if self.slowdown != 1.0:
             seconds = seconds * self.slowdown
-        yield from self.use(seconds)
+        return self.use(seconds)
 
     def as_dict(self) -> Dict[str, float]:
         return {

@@ -34,7 +34,7 @@ from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
 from ..platform import ResourceVector
 from ..fpga.power import PowerModelConfig
-from .engine import Simulator
+from .engine import Simulator, Timeout
 from .metrics import (
     QuantileSketch,
     SimReport,
@@ -112,7 +112,7 @@ def _request_process(
             asked = sim.now
             yield ps.request()
             request.ps_wait += sim.now - asked
-            yield sim.timeout(segment.seconds)
+            yield Timeout(sim, segment.seconds)
             ps.release()
         else:
             yield dispatcher.submit(request, segment)
