@@ -1,21 +1,29 @@
 #!/usr/bin/env python
 """Benchmark: discrete-event engine throughput and serving saturation curves.
 
-Two measurements:
+Four measurements:
 
 1. **Engine events/sec** — a microbenchmark of the raw kernel (timeout chains
    through many concurrent processes, the dominant event pattern in serving
    runs).  The engine must sustain at least 100k events/sec (asserted unless
    ``--quick``), which keeps even million-event serving studies interactive.
 
-2. **Saturation throughput** — Poisson serving runs of rODENet-3-20 at
+2. **Serving-mix events/sec** — whole :func:`repro.sim.simulate` runs of the
+   perfbench ``serve`` op1 mix: rODENet-3-20 on a PYNQ-Z2, 2 replicas,
+   batched (4), 2 PS cores, 300 Poisson requests at 2, 8 and 12 req/s.
+   Every event here passes through resources, monitors, the dispatcher and
+   ``all_of`` joins, not just timeouts.  Prints ns/event and asserts at
+   least 250k events/sec (half that under ``--quick``), best of a few
+   passes so a noisy host does not fail it.
+
+3. **Saturation throughput** — Poisson serving runs of rODENet-3-20 at
    increasing arrival rates for 1 and 2 PL replicas, printing delivered
    throughput and p95 latency per point.  The knee — where p95 departs from
    the no-load service time — is the number the analytic model cannot
    produce; the curve printed here is the quantitative answer to "how much
    traffic can one board take?".
 
-3. **Fleet throughput** (``--fleet``) — a day-length (86 400 s) Poisson trace
+4. **Fleet throughput** (``--fleet``) — a day-length (86 400 s) Poisson trace
    of more than a million requests over a mixed 8x PYNQ-Z2 + 4x ZCU104
    fleet through :func:`repro.fleet.simulate_fleet`.  Asserts the fast
    kernel's events/sec floor (the tentpole claim: million-request day
@@ -41,6 +49,10 @@ from repro.sim import SimScenario, Simulator, simulate
 
 MIN_EVENTS_PER_SEC = 100_000.0
 
+#: The serving mix's floor (full run; --quick uses half).  A 2-CPU host
+#: sustains about 320-360k events/sec on it.
+MIN_SERVING_EVENTS_PER_SEC = 250_000.0
+
 #: The fleet kernel's asserted floor (full run; --quick uses half).  The
 #: reference container sustains ~350k events/sec on the day-length trace.
 MIN_FLEET_EVENTS_PER_SEC = 100_000.0
@@ -64,6 +76,39 @@ def bench_engine(n_processes: int, hops: int) -> float:
     sim.run()
     elapsed = time.perf_counter() - start
     return sim.events_processed / elapsed
+
+
+def bench_serving_mix(passes: int) -> float:
+    """Events/sec of ``simulate`` on the serve op1 mix (best of ``passes``)."""
+
+    evaluator = Evaluator()
+    scenarios = [
+        SimScenario(
+            model="rODENet-3",
+            depth=20,
+            board="PYNQ-Z2",
+            replicas=2,
+            policy="batched",
+            batch_size=4,
+            ps_cores=2,
+            arrival_rate_hz=rate,
+            n_requests=300,
+            seed=1,
+        )
+        for rate in (2.0, 8.0, 12.0)
+    ]
+    for scenario in scenarios:  # warm the evaluator's plans
+        simulate(scenario, evaluator=evaluator)
+    best = float("inf")
+    for _ in range(passes):
+        start = time.perf_counter()
+        events = sum(simulate(s, evaluator=evaluator).events_processed for s in scenarios)
+        best = min(best, time.perf_counter() - start)
+    print(
+        f"serving mix: {events:,} events -> {1e9 * best / events:,.0f} ns/event, "
+        f"{events / best:,.0f} events/sec"
+    )
+    return events / best
 
 
 def bench_saturation(rates, replicas_list, n_requests: int) -> None:
@@ -183,6 +228,11 @@ def main(argv=None) -> int:
     print(f"engine: {n_processes} processes x {hops} hops -> {eps:,.0f} events/sec")
     if not args.quick and eps < MIN_EVENTS_PER_SEC:
         print(f"FAIL: engine below {MIN_EVENTS_PER_SEC:,.0f} events/sec", file=sys.stderr)
+        return 1
+
+    floor = MIN_SERVING_EVENTS_PER_SEC / 2 if args.quick else MIN_SERVING_EVENTS_PER_SEC
+    if bench_serving_mix(passes=3) < floor:
+        print(f"FAIL: serving mix below {floor:,.0f} events/sec", file=sys.stderr)
         return 1
 
     bench_saturation(rates, replicas_list, n_requests)

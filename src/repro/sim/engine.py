@@ -24,6 +24,18 @@ The kernel is intentionally tiny — no interrupts, no event failure values,
 no real-time pacing — because every serving scenario in :mod:`repro.sim` is
 expressible with timeouts, FIFO resources and ``all_of`` joins, and a small
 kernel is a fast one (see ``benchmarks/bench_sim_throughput.py``).
+
+**The queue-sequence contract.**  Speed work on this module may make each
+queue entry cheaper (fewer objects, frames and generator levels per event)
+but must keep the sequence of entries pushed onto the heap unchanged: the
+same entries, at the same simulated times, in the same insertion order,
+with none fused, dropped or added — every zero-delay hop (a grant, a
+process start or completion, an ``all_of`` join, a late callback) included.
+Two things depend on it.  Ties fire FIFO by insertion sequence, so moving
+or removing an entry can reorder same-instant events and change a report;
+and ``events_processed`` is printed by the serving reports, so the text
+goldens pin the exact count.  ``tests/sim/test_kernel_oracle.py`` checks
+the contract against a reference copy of the kernel.
 """
 
 from __future__ import annotations
@@ -99,6 +111,8 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
         if not 0.0 <= delay < _INF:
             raise ValueError(f"timeout delay must be non-negative and finite (got {delay})")
+        # The Event slots are set here rather than through super().__init__:
+        # one frame less on the commonest event.
         self.sim = sim
         self.callbacks = []
         self.triggered = True
@@ -112,11 +126,11 @@ class Process(Event):
 
     The process itself is its start entry on the queue: :meth:`Simulator.run`
     resumes a popped, untriggered process instead of firing it (a triggered
-    one is its completion).  ``delay`` schedules that first resume at ``now
-    + delay`` instead of "now" — one queue entry where a start entry + first
-    -yield timeout pair would cost two (the request-spawning fast path).
-    ``_sink``, when given, collects the start entry instead of pushing it
-    (the bulk scheduling hook of :meth:`Simulator.process_batch`).
+    one is its completion).  ``delay`` schedules that first resume at
+    ``now + delay`` instead of "now" — one queue entry where a start entry
+    and a first-yield timeout would cost two (the request-spawning fast
+    path).  ``_sink``, when given, collects the start entry instead of
+    pushing it (the bulk scheduling hook of :meth:`Simulator.process_batch`).
     """
 
     __slots__ = ("generator",)
@@ -162,7 +176,9 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-def _join(done: Event, values: List[object], remaining: List[int], index: int, value: object) -> None:
+def _join(
+    done: Event, values: List[object], remaining: List[int], index: int, value: object
+) -> None:
     """One constituent of :meth:`Simulator.all_of` fired."""
 
     values[index] = value

@@ -24,6 +24,7 @@ ground the simulator opens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -128,8 +129,10 @@ def _normalize_faults(faults: Optional[Sequence[object]]) -> List[Tuple[object, 
         if not (isinstance(entry, tuple) and len(entry) == 2):
             raise TypeError(f"fault entry {entry!r} is not a (mode, t_inject) pair")
         mode, t = entry[0], float(entry[1])
-        if t < 0:
-            raise ValueError(f"fault injection time must be non-negative (got {t})")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(
+                f"fault entry {entry!r}: injection time must be non-negative and finite"
+            )
         out.append((mode, t))
     return out
 

@@ -212,5 +212,6 @@ class TestFaultEntries:
             simulate(scenario(), evaluator=evaluator, faults=[ReplicaDeath()])
 
     def test_a_negative_time_is_rejected(self, evaluator):
-        with pytest.raises(ValueError, match="non-negative"):
-            simulate(scenario(), evaluator=evaluator, faults=[(ReplicaDeath(), -1.0)])
+        for t_inject in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="injection time must be non-negative"):
+                simulate(scenario(), evaluator=evaluator, faults=[(ReplicaDeath(), t_inject)])

@@ -8,6 +8,8 @@ reproducible.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,8 +91,10 @@ def test_process_timeout_chain_advances_by_sum(ds):
 
 class TestEvents:
     def test_negative_timeout_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Simulator().timeout(-1.0)
+        # A NaN or infinite time would corrupt the heap order or the clock.
+        for delay in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                Simulator().timeout(delay)
 
     def test_event_fires_with_value(self):
         sim = Simulator()
@@ -234,8 +238,11 @@ class TestDelayedProcesses:
         assert slow.events_processed == 3
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Simulator().process_at(-0.5, _noop())
+        for delay in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                Simulator().process_at(delay, _noop())
+            with pytest.raises(ValueError, match="non-negative"):
+                Simulator().process_batch([(delay, _noop())])
 
     def test_batch_interleaves_with_existing_events(self):
         sim = Simulator()
