@@ -25,17 +25,13 @@ no real-time pacing — because every serving scenario in :mod:`repro.sim` is
 expressible with timeouts, FIFO resources and ``all_of`` joins, and a small
 kernel is a fast one (see ``benchmarks/bench_sim_throughput.py``).
 
-**The queue-sequence contract.**  Speed work on this module may make each
-queue entry cheaper (fewer objects, frames and generator levels per event)
-but must keep the sequence of entries pushed onto the heap unchanged: the
-same entries, at the same simulated times, in the same insertion order,
-with none fused, dropped or added — every zero-delay hop (a grant, a
-process start or completion, an ``all_of`` join, a late callback) included.
-Two things depend on it.  Ties fire FIFO by insertion sequence, so moving
-or removing an entry can reorder same-instant events and change a report;
-and ``events_processed`` is printed by the serving reports, so the text
-goldens pin the exact count.  ``tests/sim/test_kernel_oracle.py`` checks
-the contract against a reference copy of the kernel.
+**Contract:** speed work may make each queue entry cheaper, but the heap
+must receive the same entries at the same times in the same insertion
+order — none fused, dropped or added, zero-delay hops included.  Ties fire
+FIFO by insertion sequence, so a moved entry can reorder same-instant
+events and change a report, and the serving goldens print
+``events_processed``.  ``tests/sim/test_kernel_oracle.py`` checks this
+against a reference copy of the kernel.
 """
 
 from __future__ import annotations
@@ -111,8 +107,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
         if not 0.0 <= delay < _INF:
             raise ValueError(f"timeout delay must be non-negative and finite (got {delay})")
-        # The Event slots are set here rather than through super().__init__:
-        # one frame less on the commonest event.
+        # Event's slots are set here, not via super().__init__ (one frame less).
         self.sim = sim
         self.callbacks = []
         self.triggered = True
@@ -143,9 +138,7 @@ class Process(Event):
         _sink: Optional[List] = None,
     ) -> None:
         if not 0.0 <= delay < _INF:
-            raise ValueError(
-                f"process start delay must be non-negative and finite (got {delay})"
-            )
+            raise ValueError(f"process start delay must be non-negative and finite (got {delay})")
         self.sim = sim
         self.callbacks = []
         self.triggered = False
@@ -176,9 +169,7 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-def _join(
-    done: Event, values: List[object], remaining: List[int], index: int, value: object
-) -> None:
+def _join(done: Event, values: List, remaining: List[int], index: int, value: object) -> None:
     """One constituent of :meth:`Simulator.all_of` fired."""
 
     values[index] = value

@@ -342,8 +342,7 @@ class Dispatcher:
     # Bursts are priced with the execution's *stored* transfer times (from
     # the model that built the service plan), so the simulated DMA always
     # matches the analytic (DMA in + compute + DMA out) decomposition even
-    # under a non-default transfer model.  Both return the bus's fragment
-    # for the caller to ``yield from`` at once (no wrapper generator level).
+    # under a non-default transfer model.  Both return the bus's fragment.
 
     def _transfer_in(self, execution: Execution) -> Iterable[Event]:
         if self.corruptor is not None:

@@ -182,9 +182,7 @@ class AxiBus(Resource):
         """Process fragment: move ``words`` over the bus (one DMA burst).
 
         Books the burst when called and returns the :meth:`use` fragment
-        that holds a channel for it (no wrapper generator: callers ``yield
-        from`` the result immediately, so the booking lands at the same
-        simulated instant).
+        holding a channel for it; callers ``yield from`` it at once.
 
         ``seconds`` lets the caller price the burst with the model that built
         its service plan (the dispatcher passes the :class:`PlExecution`'s

@@ -130,9 +130,7 @@ def _normalize_faults(faults: Optional[Sequence[object]]) -> List[Tuple[object, 
             raise TypeError(f"fault entry {entry!r} is not a (mode, t_inject) pair")
         mode, t = entry[0], float(entry[1])
         if not 0.0 <= t < math.inf:
-            raise ValueError(
-                f"fault entry {entry!r}: injection time must be non-negative and finite"
-            )
+            raise ValueError(f"fault {entry!r}: injection time must be non-negative and finite")
         out.append((mode, t))
     return out
 
