@@ -13,7 +13,7 @@ Four measurements:
    batched (4), 2 PS cores, 300 Poisson requests at 2, 8 and 12 req/s.
    Every event here passes through resources, monitors, the dispatcher and
    ``all_of`` joins, not just timeouts.  Prints ns/event and asserts at
-   least 250k events/sec (half that under ``--quick``), best of a few
+   least 250k events/sec (half that under ``--quick``), best of three
    passes so a noisy host does not fail it.
 
 3. **Saturation throughput** — Poisson serving runs of rODENet-3-20 at
@@ -78,8 +78,8 @@ def bench_engine(n_processes: int, hops: int) -> float:
     return sim.events_processed / elapsed
 
 
-def bench_serving_mix(passes: int) -> float:
-    """Events/sec of ``simulate`` on the serve op1 mix (best of ``passes``)."""
+def bench_serving_mix() -> float:
+    """Events/sec of ``simulate`` on the serve op1 mix (best of three passes)."""
 
     evaluator = Evaluator()
     scenarios = [
@@ -100,7 +100,7 @@ def bench_serving_mix(passes: int) -> float:
     for scenario in scenarios:  # warm the evaluator's plans
         simulate(scenario, evaluator=evaluator)
     best = float("inf")
-    for _ in range(passes):
+    for _ in range(3):
         start = time.perf_counter()
         events = sum(simulate(s, evaluator=evaluator).events_processed for s in scenarios)
         best = min(best, time.perf_counter() - start)
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         return 1
 
     floor = MIN_SERVING_EVENTS_PER_SEC / 2 if args.quick else MIN_SERVING_EVENTS_PER_SEC
-    if bench_serving_mix(passes=3) < floor:
+    if bench_serving_mix() < floor:
         print(f"FAIL: serving mix below {floor:,.0f} events/sec", file=sys.stderr)
         return 1
 
