@@ -13,7 +13,7 @@ Four measurements:
    batched (4), 2 PS cores, 300 Poisson requests at 2, 8 and 12 req/s.
    Every event here passes through resources, monitors, the dispatcher and
    ``all_of`` joins, not just timeouts.  Prints ns/event and asserts at
-   least 250k events/sec (half that under ``--quick``), best of three
+   least 250k events/sec (half that under ``--quick``), best of five
    passes so a noisy host does not fail it.
 
 3. **Saturation throughput** — Poisson serving runs of rODENet-3-20 at
@@ -79,7 +79,7 @@ def bench_engine(n_processes: int, hops: int) -> float:
 
 
 def bench_serving_mix() -> float:
-    """Events/sec of ``simulate`` on the serve op1 mix (best of three passes)."""
+    """Events/sec of ``simulate`` on the serve op1 mix (best of five passes)."""
 
     evaluator = Evaluator()
     scenarios = [
@@ -100,7 +100,7 @@ def bench_serving_mix() -> float:
     for scenario in scenarios:  # warm the evaluator's plans
         simulate(scenario, evaluator=evaluator)
     best = float("inf")
-    for _ in range(3):
+    for _ in range(5):
         start = time.perf_counter()
         events = sum(simulate(s, evaluator=evaluator).events_processed for s in scenarios)
         best = min(best, time.perf_counter() - start)

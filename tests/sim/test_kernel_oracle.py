@@ -12,11 +12,12 @@ processes, ``all_of`` joins (some over already-processed events),
 
 from __future__ import annotations
 
-import reference_engine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import engine
+
+import reference_engine
 
 DELAYS = st.sampled_from((0.0, 0.0, 0.5, 1.0, 1.0, 2.5))
 INDEX = st.integers(min_value=0, max_value=50)
