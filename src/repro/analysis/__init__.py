@@ -7,8 +7,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".accuracy_model": (
             "PAPER_ACCURACY", "AccuracyPoint", "accuracy_gap", "accuracy_model", "accuracy_table",
+            "figure6_series",
         ),
-        ".figures": ("figure5_series", "figure6_series", "merge_measured_accuracy"),
+        "..core.parameter_model": ("figure5_series",),
+        ".figures": ("merge_measured_accuracy",),
         ".report": (
             "csv_text", "format_records", "format_series", "format_table", "json_safe",
             "strict_json",

@@ -1,39 +1,20 @@
-"""Series generators for the paper's figures.
+"""Figure 6 with measured results: paper-scale accuracy merged with the
+small-scale proxy accuracy of the functional training path.
 
-* Figure 5 — total parameter size of each architecture versus depth N.
-* Figure 6 — CIFAR-100 accuracy of each architecture versus depth N
-  (paper-scale values from the calibrated accuracy model, optionally merged
-  with measured small-scale proxy results from the functional training path).
-
-Both functions return ``{variant -> {N -> value}}`` mappings, which
-:func:`repro.analysis.report.format_series` renders as text and the
-benchmarks consume directly.
+The figure series themselves have one definition each:
+:func:`repro.core.parameter_model.figure5_series` (Figure 5, parameter size
+versus depth) and :func:`repro.analysis.accuracy_model.figure6_series`
+(Figure 6, CIFAR-100 accuracy versus depth); :mod:`repro.analysis` exports
+both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
-from ..core.parameter_model import parameter_size_series
-from ..core.variants import SUPPORTED_DEPTHS, VARIANT_NAMES
-from .accuracy_model import figure6_series as _paper_accuracy_series
+from .accuracy_model import figure6_series
 
-__all__ = ["figure5_series", "figure6_series", "merge_measured_accuracy"]
-
-
-def figure5_series(
-    variants: Sequence[str] = VARIANT_NAMES,
-    depths: Sequence[int] = SUPPORTED_DEPTHS,
-) -> Dict[str, Dict[int, float]]:
-    """Parameter size (kB) per architecture and depth — the Figure 5 data."""
-
-    return parameter_size_series(variants, depths)
-
-
-def figure6_series(paper_only: bool = False) -> Dict[str, Dict[int, float]]:
-    """Paper-scale accuracy (%) per architecture and depth — the Figure 6 data."""
-
-    return _paper_accuracy_series(paper_only=paper_only)
+__all__ = ["merge_measured_accuracy"]
 
 
 def merge_measured_accuracy(

@@ -27,17 +27,17 @@ other two-column) frontier, mirroring :class:`repro.api.batch.BatchResult`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._checks import check_count, check_seed
 from .._pool import ordered_map
 from ..analysis.report import csv_text, strict_json
 from ..fixedpoint.errors import odeblock_error_bound
-from ..fixedpoint.qformat import QFormat
+from ..fixedpoint.qformat import QFormat, QFormatLike
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
 from ..fpga.bram import bram_fits_kernel, bram_tiles_kernel
 from ..fpga.cycles import OdeBlockCycleModel
@@ -47,7 +47,6 @@ from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from ..fpga.timing import TimingModel
 from ..nn.im2col import conv_output_size, im2col
 from .batch import pareto_indices
-from .scenario import check_seed
 
 __all__ = ["AccuracyPoint", "AccuracySweepResult", "accuracy_sweep", "DEFAULT_FORMAT_LADDER"]
 
@@ -60,32 +59,6 @@ DEFAULT_FORMAT_LADDER: Tuple[Tuple[int, int], ...] = (
 )
 
 BN_EPS = 1e-5
-
-FormatLike = Union[QFormat, Tuple[int, int]]
-
-
-def _positive_int(name: str, value: object, hint: str = "") -> int:
-    """``value`` as an int, else a named ``ValueError``.
-
-    ``operator.index`` accepts Python and NumPy integers but rejects ``2.5``
-    instead of truncating it.
-    """
-
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = 0
-    if number < 1:
-        raise ValueError(f"{name} must be a positive integer{hint} (got {value!r})")
-    return number
-
-
-def _as_qformat(fmt: FormatLike) -> QFormat:
-    if isinstance(fmt, QFormat):
-        return fmt
-    word_length, fraction_bits = fmt
-    return QFormat(int(word_length), int(fraction_bits))
-
 
 # -- the float64 reference pipeline ------------------------------------------------------
 
@@ -449,7 +422,7 @@ class AccuracySweepResult:
 
 def accuracy_sweep(
     block: Union[str, BlockGeometry] = "layer3_2",
-    formats: Optional[Sequence[FormatLike]] = None,
+    formats: Optional[Sequence[QFormatLike]] = None,
     n_units: Sequence[int] = (16,),
     images: int = 8,
     seed: int = 0,
@@ -466,9 +439,9 @@ def accuracy_sweep(
     block:
         The offloadable block (name or geometry) whose datapath is swept.
     formats:
-        Q-formats to evaluate — :class:`QFormat` instances or
-        ``(word_length, fraction_bits)`` pairs (default:
-        :data:`DEFAULT_FORMAT_LADDER`).
+        Q-formats to evaluate — :class:`QFormat` instances,
+        ``(word_length, fraction_bits)`` pairs or ``"WL:FB"`` strings (see
+        :meth:`QFormat.parse`; default: :data:`DEFAULT_FORMAT_LADDER`).
     n_units:
         MAC-unit counts; they move the latency/feasibility columns, not the
         numerics (the datapath arithmetic is unit-count independent).
@@ -501,11 +474,11 @@ def accuracy_sweep(
         (NumPy integers included); anything else is a ``ValueError``.
     """
 
-    images = _positive_int("images", images)
-    workers = _positive_int("workers", workers)
-    check_seed("seed", seed)
+    images = check_count("images", images, 1)
+    workers = check_count("workers", workers, 1)
+    seed = check_seed("seed", seed)
     if chunk_size is not None:
-        chunk_size = _positive_int("chunk_size", chunk_size, " (or None for the legacy path)")
+        chunk_size = check_count("chunk_size", chunk_size, 1, " (or None for the legacy path)")
     if not 0 <= input_scale < math.inf:
         raise ValueError(f"input_scale must be non-negative and finite (got {input_scale!r})")
     if workers > 1 and chunk_size is None:
@@ -518,9 +491,9 @@ def accuracy_sweep(
         formats = DEFAULT_FORMAT_LADDER
     elif not formats:
         raise ValueError("formats must be a non-empty sequence (or None for the default ladder)")
-    format_list = [_as_qformat(f) for f in formats]
-    unit_list = [int(u) for u in n_units]
-    if not unit_list or min(unit_list) < 1:
+    format_list = [QFormat.parse(f) for f in formats]
+    unit_list = [check_count("n_units", u, 1) for u in n_units]
+    if not unit_list:
         raise ValueError("n_units must be a non-empty sequence of positive integers")
 
     if chunk_size is None:

@@ -51,7 +51,7 @@ from ..core.network_spec import LAYER_ORDER, OFFLOADABLE_LAYER_NAMES, layer_geom
 from ..core.offload import OffloadPlanner
 from ..core.parameter_model import variant_parameter_count
 from ..core.training_model import TrainingCostConfig
-from ..core.variants import BlockRealization, variant_spec
+from ..core.variants import BlockRealization, table4_variant, variant_spec
 from ..fixedpoint.qformat import QFormat
 from ..fpga.bram import bram_tiles_kernel
 from ..fpga.power import (
@@ -185,7 +185,7 @@ class _BatchContext:
             return self._variant_cache[key]
         except KeyError:
             pass
-        variant = "ODENet" if model == "ODENet-3" else model
+        variant = table4_variant(model)
         spec = variant_spec(variant, depth)
         targets = tuple(self.planner.proposed_targets(model, depth))
         train_targets = tuple(PAPER_OFFLOAD_TARGETS.get(model, ()))

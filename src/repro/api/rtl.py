@@ -11,38 +11,19 @@ so the same call works in CI with or without iverilog installed.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
-from ..fixedpoint import Q20, QFormat
+from .._checks import check_count
+from ..fixedpoint.qformat import Q20, QFormat, QFormatLike
 from ..fpga.geometry import BlockGeometry
 from ..platform import BoardSpec
-from ..platform.registry import BOARDS, get_board
 from ..rtl.check import check_bundle
 from ..rtl.emit import TB_FILE, emit_odeblock, emit_testbench, random_block_weights
 from ..rtl.simrun import iverilog_available, run_conformance
 from ..rtl.vectors import generate_vectors, write_vector_files
+from .scenario import check_board
 
 __all__ = ["export_rtl"]
-
-
-def _resolve_board(board: Union[str, BoardSpec]) -> BoardSpec:
-    if isinstance(board, BoardSpec):
-        return board
-    try:
-        return get_board(board)
-    except KeyError:
-        raise ValueError(
-            f"unknown board '{board}'; available boards: {', '.join(sorted(BOARDS))}"
-        ) from None
-
-
-def _resolve_qformat(qformat: Union[QFormat, Tuple[int, int], None]) -> QFormat:
-    if qformat is None:
-        return Q20
-    if isinstance(qformat, QFormat):
-        return qformat
-    word, frac = qformat
-    return QFormat(int(word), int(frac))
 
 
 def export_rtl(
@@ -50,7 +31,7 @@ def export_rtl(
     *,
     block: Union[str, BlockGeometry] = "layer3_2",
     board: Union[str, BoardSpec] = "pynq_z2",
-    qformat: Union[QFormat, Tuple[int, int], None] = None,
+    qformat: Optional[QFormatLike] = None,
     n_units: Optional[int] = None,
     time_concat: bool = False,
     step_size: float = 1.0,
@@ -68,13 +49,13 @@ def export_rtl(
     iteration from the batched FxArray engine plus the matching testbench;
     ``check=True`` runs the pure-Python structural checker; ``simulate=True``
     drives iverilog over the vectors when the toolchain exists (and reports
-    a skip, not a failure, when it does not).
+    a skip, not a failure, when it does not).  ``qformat`` is anything
+    :meth:`QFormat.parse` accepts (default: the paper's Q20).
     """
 
-    if vectors < 0:
-        raise ValueError(f"vectors must be non-negative, 0 for none (got {vectors!r})")
-    board_spec = _resolve_board(board)
-    qf = _resolve_qformat(qformat)
+    vectors = check_count("vectors", vectors, 0, " (0 for none)")
+    board_spec = board if isinstance(board, BoardSpec) else check_board(board)
+    qf = Q20 if qformat is None else QFormat.parse(qformat)
     out = Path(out_dir)
 
     bundle = emit_odeblock(

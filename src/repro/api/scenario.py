@@ -28,13 +28,13 @@ axes (the design-space grid the ``repro-odenet sweep`` subcommand runs).
 from __future__ import annotations
 
 import dataclasses
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
+from .._checks import check_count, check_seed
 from ..core.execution_model import PAPER_OFFLOAD_TARGETS, TABLE5_MODELS
-from ..core.variants import SUPPORTED_DEPTHS, VARIANT_NAMES, variant_spec
-from ..fixedpoint.qformat import QFormat
+from ..core.variants import SUPPORTED_DEPTHS, VARIANT_NAMES, table4_variant, variant_spec
+from ..fixedpoint.qformat import QFormat, QFormatLike
 from ..platform import BOARDS, BoardSpec, PYNQ_Z2, get_board, list_boards
 from ..ode.solvers import available_methods, get_solver
 
@@ -97,18 +97,17 @@ class Scenario:
 
         # Depth validation (divisibility and execution-budget checks) is
         # delegated to the Table-4 construction, the single source of truth.
+        object.__setattr__(self, "depth", check_count("depth", self.depth, 1))
         variant_spec(self.variant, self.depth)
 
         # No upper bound: the cycle model caps effective parallelism by the
         # block's output channels, and oversizing only wastes resources —
         # both are findings a sweep should surface, not reject.
-        if not isinstance(self.n_units, int) or self.n_units < 1:
-            raise ValueError(
-                f"n_units must be a positive integer (got {self.n_units!r})"
-            )
+        object.__setattr__(self, "n_units", check_count("n_units", self.n_units, 1))
 
-        # QFormat.__post_init__ validates word/fraction lengths.
-        QFormat(self.word_length, self.fraction_bits)
+        fmt = QFormat(self.word_length, self.fraction_bits)
+        object.__setattr__(self, "word_length", fmt.word_length)
+        object.__setattr__(self, "fraction_bits", fmt.fraction_bits)
 
         solver_key = str(self.solver).lower()
         if solver_key not in available_methods():
@@ -130,7 +129,7 @@ class Scenario:
     def variant(self) -> str:
         """The underlying Table-4 variant name ("ODENet-3" rows use ODENet)."""
 
-        return "ODENet" if self.model == "ODENet-3" else self.model
+        return table4_variant(self.model)
 
     @property
     def full_name(self) -> str:
@@ -215,29 +214,6 @@ def shared_fields(source: object, cls: type, exclude: Sequence[str] = ()) -> Dic
     return {f.name: getattr(source, f.name) for f in dataclasses.fields(source) if f.name in names}
 
 
-def check_count(name: str, value: object, minimum: int = 0, note: str = "") -> None:
-    """Reject a value that is not an integer of at least ``minimum`` (0 or
-    1), naming the field; ``note`` is appended to the message."""
-
-    try:
-        valid = operator.index(value) >= minimum
-    except TypeError:
-        valid = False
-    if not valid:
-        kind = "positive" if minimum else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer{note}")
-
-
-def check_seed(name: str, value: object) -> None:
-    """Reject a seed that is not a non-negative integer, naming the field.
-
-    NumPy's own message ("expected non-negative integer") names neither the
-    field nor the value.
-    """
-
-    check_count(name, value, 0, f" (got {value!r})")
-
-
 def check_board(name: str) -> BoardSpec:
     """The registered board ``name`` resolves to (see
     :func:`repro.platform.get_board`), or a :class:`ValueError` naming the
@@ -275,7 +251,7 @@ def scenario_grid(
     word_lengths: Sequence[int] = (32,),
     solvers: Sequence[str] = ("euler",),
     fraction_bits: Optional[int] = None,
-    qformats: Optional[Sequence[Tuple[int, int]]] = None,
+    qformats: Optional[Sequence[QFormatLike]] = None,
     boards: Optional[Sequence[str]] = None,
     **common,
 ) -> List[Scenario]:
@@ -289,8 +265,9 @@ def scenario_grid(
     its conventional fraction length, or to a single explicit
     ``fraction_bits``) or — for sweeps that vary both knobs independently,
     e.g. the million-key plan-kernel grids — from ``qformats``, an explicit
-    sequence of ``(word_length, fraction_bits)`` pairs that then replaces
-    the ``word_lengths`` axis.
+    sequence of Q-formats (each a :class:`QFormat`, a ``(word_length,
+    fraction_bits)`` pair or a ``"WL:FB"`` string, see :meth:`QFormat.parse`)
+    that then replaces the ``word_lengths`` axis.
 
     ``boards`` makes the platform a sweep axis: every registered board name
     (see :func:`repro.platform.list_boards`) is crossed with the other
@@ -301,7 +278,7 @@ def scenario_grid(
     if qformats is not None:
         if fraction_bits is not None:
             raise ValueError("pass either qformats or fraction_bits, not both")
-        format_axis = [(int(wl), int(fb)) for wl, fb in qformats]
+        format_axis = [(f.word_length, f.fraction_bits) for f in map(QFormat.parse, qformats)]
     else:
         format_axis = [(wl, fraction_bits_for(wl, fraction_bits)) for wl in word_lengths]
     if boards is not None:

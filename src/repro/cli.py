@@ -58,6 +58,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
+from ._checks import check_count
 from ._lazy import lazy_exports
 from .analysis import csv_text, format_records, format_series, json_safe, strict_json
 from .api import (
@@ -363,7 +364,7 @@ def _cmd_table5(args, evaluator: Evaluator) -> CommandOutput:
 
 @command("figure5", help="parameter size vs depth")
 def _cmd_figure5(args, evaluator: Evaluator) -> CommandOutput:
-    from .analysis.figures import figure5_series
+    from .core.parameter_model import figure5_series
 
     series = figure5_series()
     return CommandOutput(
@@ -377,8 +378,7 @@ def _cmd_figure5(args, evaluator: Evaluator) -> CommandOutput:
     configure=flags("--paper-only", "--points"),
 )
 def _cmd_figure6(args, evaluator: Evaluator) -> CommandOutput:
-    from .analysis.accuracy_model import accuracy_table
-    from .analysis.figures import figure6_series
+    from .analysis.accuracy_model import accuracy_table, figure6_series
 
     if args.points:
         return _records_output(accuracy_table(), "Figure 6 points")
@@ -488,9 +488,9 @@ def _parse_auto_count(value: str, flag: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValueError(
-            f"{flag} must be a non-negative integer or 'auto' (got {value!r})"
-        ) from None
+        # Not a number: check_count refuses it, naming the flag.  A negative
+        # number is the scenario's to refuse.
+        return check_count(flag, value, 0, " or 'auto'")
 
 
 @command(
@@ -838,18 +838,15 @@ def _cmd_timing(args, evaluator: Evaluator) -> CommandOutput:
 
 
 def _parse_formats(entries, flag: str = "--formats") -> List:
-    """Parse ``WL:FB`` entries into (word_length, fraction_bits) pairs."""
+    """Parse ``WL:FB`` entries into :class:`QFormat` values, naming ``flag``
+    on a bad entry."""
 
-    pairs = []
-    for entry in entries:
-        parts = entry.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"bad {flag} entry '{entry}'; expected WL:FB (e.g. 16:8)")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"bad {flag} entry '{entry}'; expected integers WL:FB")
-    return pairs
+    from .fixedpoint.qformat import QFormat
+
+    try:
+        return [QFormat.parse(entry) for entry in entries]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 @command(

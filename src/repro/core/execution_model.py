@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._checks import check_count
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
 from ..fpga.cycles import (
     CycleModelConfig,
@@ -31,7 +32,7 @@ from ..platform import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
 from ..hwsw.ps_model import PsModelConfig, SoftwareCostModel
 from .network_spec import LAYER_ORDER, layer_geometry
-from .variants import BlockRealization, VariantSpec, variant_spec
+from .variants import BlockRealization, VariantSpec, table4_variant, variant_spec
 
 __all__ = [
     "LayerTimeEntry",
@@ -91,12 +92,6 @@ TABLE5_MODELS: Tuple[str, ...] = (
     "ODENet-3",
     "Hybrid-3",
 )
-
-
-def _variant_for_row(row_name: str) -> str:
-    """Map a Table-5 row name to the underlying Table-4 variant name."""
-
-    return "ODENet" if row_name == "ODENet-3" else row_name
 
 
 @dataclass(frozen=True)
@@ -274,10 +269,8 @@ class ExecutionTimeModel:
         ``stages`` times per step (Euler, the paper's choice, is 1).
         """
 
-        if solver_stages < 1:
-            raise ValueError("solver_stages must be a positive integer")
-        variant_name = _variant_for_row(model_name)
-        spec = variant_spec(variant_name, depth)
+        solver_stages = check_count("solver_stages", solver_stages, 1)
+        spec = variant_spec(table4_variant(model_name), depth)
         if offload_targets is None:
             offload_targets = PAPER_OFFLOAD_TARGETS.get(model_name, ())
         targets = tuple(offload_targets)

@@ -139,7 +139,5 @@ def parameter_reduction_percent(variant: str, depth: int, baseline: str = "ResNe
     return 100.0 * (1.0 - target / base)
 
 
-def figure5_series() -> Dict[str, Dict[int, float]]:
-    """Alias of :func:`parameter_size_series` named after the paper's figure."""
-
-    return parameter_size_series()
+#: :func:`parameter_size_series` under the paper's figure name.
+figure5_series = parameter_size_series

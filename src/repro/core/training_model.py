@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .execution_model import ExecutionTimeModel, PAPER_OFFLOAD_TARGETS
 from .network_spec import LAYER_ORDER, layer_geometry
-from .variants import variant_spec
+from .variants import table4_variant, variant_spec
 
 __all__ = ["TrainingCostConfig", "TrainingTimeReport", "TrainingTimeModel"]
 
@@ -132,8 +132,7 @@ class TrainingTimeModel:
 
         from .parameter_model import variant_parameter_count
 
-        variant = "ODENet" if model_name == "ODENet-3" else model_name
-        params = variant_parameter_count(variant, depth)
+        params = variant_parameter_count(table4_variant(model_name), depth)
         sw = self.execution_model.software_model
         return sw.work_time(0.0, elements=params, passes=self.config.optimizer_passes)
 
@@ -147,8 +146,7 @@ class TrainingTimeModel:
     ) -> TrainingTimeReport:
         """Training-step timing for one architecture (per image)."""
 
-        variant = "ODENet" if model_name == "ODENet-3" else model_name
-        spec = variant_spec(variant, depth)
+        spec = variant_spec(table4_variant(model_name), depth)
         if offload_targets is None:
             offload_targets = PAPER_OFFLOAD_TARGETS.get(model_name, ())
         targets = tuple(offload_targets)

@@ -39,6 +39,7 @@ __all__ = [
     "VARIANT_NAMES",
     "SUPPORTED_DEPTHS",
     "variant_spec",
+    "table4_variant",
     "all_variant_specs",
     "table4_rows",
 ]
@@ -96,6 +97,14 @@ VARIANT_NAMES: Tuple[str, ...] = (
 
 #: Depths evaluated in the paper.
 SUPPORTED_DEPTHS: Tuple[int, ...] = (20, 32, 44, 56)
+
+
+def table4_variant(model: str) -> str:
+    """The Table-4 variant a Table-5 row name runs: the row "ODENet-3"
+    (ODENet-N with only layer3_2 offloaded) is the ODENet variant; every
+    other name is already a variant name."""
+
+    return "ODENet" if model == "ODENet-3" else model
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Type
 
+from .._checks import check_count
 from ..fixedpoint.qformat import QFormat
 from ..fpga.axi import AxiTransferModel
 
@@ -179,10 +180,8 @@ class AxiDegradation(FaultMode):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.burst_bits < 1:
-            raise ValueError(f"burst_bits must be a positive integer (got {self.burst_bits})")
-        if self.reference_words < 1:
-            raise ValueError("reference_words must be a positive integer")
+        for name in ("burst_bits", "reference_words"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
 
     def slowdown_factor(self, model: AxiTransferModel) -> float:
         """Degraded-to-nominal transfer-time ratio under ``model``."""
@@ -223,8 +222,7 @@ class PsCoreLoss(FaultMode):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.cores_lost < 1:
-            raise ValueError(f"cores_lost must be a positive integer (got {self.cores_lost})")
+        object.__setattr__(self, "cores_lost", check_count("cores_lost", self.cores_lost, 1))
 
     def inject(self, system) -> object:
         previous = system.ps.capacity

@@ -26,6 +26,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .._checks import check_count
+
 __all__ = ["SAMPLING_METHODS", "injection_times"]
 
 #: Supported time-sampling rules.
@@ -43,8 +45,7 @@ def injection_times(
 
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be positive (got {horizon_s})")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be a positive integer (got {n_samples})")
+    n_samples = check_count("n_samples", n_samples, 1)
     if method == "even":
         times = [(i + 0.5) * horizon_s / n_samples for i in range(n_samples)]
         weights = [1.0 / n_samples] * n_samples

@@ -134,7 +134,7 @@ def run_fmea(
     only zero-rate modes, the study degenerates to exactly the nominal run.
     """
 
-    check_seed("fault_seed", fault_seed)
+    fault_seed = check_seed("fault_seed", fault_seed)
     ev = evaluator if evaluator is not None else Evaluator()
     sim_scenario = as_sim_scenario(scenario)
     if sim_scenario.slo_s is None:

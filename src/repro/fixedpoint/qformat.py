@@ -12,11 +12,13 @@ and the word-length ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
-__all__ = ["QFormat", "Q20", "Q16", "Q12", "Q8", "OverflowMode"]
+from .._checks import check_count
+
+__all__ = ["QFormat", "QFormatLike", "Q20", "Q16", "Q12", "Q8", "OverflowMode"]
 
 
 class OverflowMode:
@@ -44,10 +46,34 @@ class QFormat:
     fraction_bits: int = 20
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "word_length", check_count("word_length", self.word_length, 1))
+        object.__setattr__(self, "fraction_bits", check_count("fraction_bits", self.fraction_bits))
         if self.word_length < 2 or self.word_length > 64:
             raise ValueError("word_length must be between 2 and 64 bits")
         if not (0 <= self.fraction_bits < self.word_length):
             raise ValueError("fraction_bits must satisfy 0 <= f < word_length")
+
+    @classmethod
+    def parse(cls, spec: QFormatLike) -> QFormat:
+        """``spec`` as a :class:`QFormat`: a QFormat passes through, and a
+        ``(word_length, fraction_bits)`` pair or a ``"WL:FB"`` string is
+        built and validated.  Anything else is a :class:`ValueError` that
+        names ``spec``."""
+
+        if isinstance(spec, QFormat):
+            return spec
+        try:
+            parts = [int(p) for p in spec.split(":")] if isinstance(spec, str) else list(spec)
+        except (TypeError, ValueError):
+            parts = []
+        if len(parts) != 2:
+            raise ValueError(
+                f"bad Q-format {spec!r}; expected WL:FB (e.g. 16:8) or a (WL, FB) pair of integers"
+            )
+        try:
+            return cls(*parts)
+        except ValueError as exc:
+            raise ValueError(f"bad Q-format {spec!r}: {exc}") from None
 
     # -- derived quantities ----------------------------------------------------
 
@@ -143,6 +169,9 @@ class QFormat:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
+
+#: What :meth:`QFormat.parse` accepts.
+QFormatLike = Union[QFormat, Tuple[int, int], str]
 
 #: The paper's production format: 32-bit word, 20 fractional bits.
 Q20 = QFormat(32, 20)

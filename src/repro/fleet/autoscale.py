@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from .._checks import check_count
 from .balancer import BoardServer
 
 __all__ = ["AutoscalePolicy", "AutoscaleController"]
@@ -51,8 +52,7 @@ class AutoscalePolicy:
             )
         if self.boot_s < 0:
             raise ValueError("boot_s must be non-negative")
-        if self.min_powered < 1:
-            raise ValueError("min_powered must be a positive integer")
+        object.__setattr__(self, "min_powered", check_count("min_powered", self.min_powered, 1))
 
 
 class AutoscaleController:

@@ -81,7 +81,7 @@ class BoardGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "board", check_board(self.board).name)
-        check_count("board count", self.count, 1, f" (got {self.count!r})")
+        object.__setattr__(self, "count", check_count("board count", self.count, 1))
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,9 @@ class FleetScenario:
             raise ValueError(f"traffic class names must be unique (got {names})")
         check_traffic(self)
 
-        check_count("replicas", self.replicas, 0, " (0 = per-board auto)")
+        object.__setattr__(
+            self, "replicas", check_count("replicas", self.replicas, 0, " (0 = per-board auto)")
+        )
         if self.routing not in ROUTING_NAMES:
             raise ValueError(f"unknown routing '{self.routing}'; expected one of {ROUTING_NAMES}")
         if self.admission not in ADMISSION_NAMES:
@@ -222,9 +224,8 @@ class FleetScenario:
             )
         if self.boot_s < 0:
             raise ValueError("boot_s must be non-negative")
-        check_count("min_powered", self.min_powered, 1)
-
-        check_count("cells", self.cells, 1)
+        for name in ("min_powered", "cells"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         if self.cells > self.total_boards:
             raise ValueError(
                 f"cells={self.cells} exceeds the {self.total_boards}-board inventory "
@@ -260,7 +261,11 @@ class FleetScenario:
 
         # Fail fast on invalid design points: every (class, board) pair must
         # be a constructible Scenario (unknown models/depths/boards surface
-        # here, not deep inside a worker process).
+        # here, not deep inside a worker process).  The fleet keeps the
+        # integer design knobs as the Scenario stores them.
+        design = self.design_point()
+        for name in ("depth", "n_units", "word_length", "fraction_bits"):
+            object.__setattr__(self, name, getattr(design, name))
         for group in boards:
             for cls in classes:
                 self.design_point(cls, group.board)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
+from .._checks import check_count
 from .._pool import ordered_map
 from ..api.evaluator import Evaluator
 from .cluster import FleetScenario
@@ -38,8 +39,7 @@ def simulate_fleet(
     worker gets its own copy, which memoises the same values).
     """
 
-    if not isinstance(shards, int) or shards < 1:
-        raise ValueError(f"shards must be a positive integer (got {shards!r})")
+    shards = check_count("shards", shards, 1)
 
     ev = evaluator if evaluator is not None else Evaluator()
     # ``run_cell`` is looked up here, at call time, so a wrapper patched onto

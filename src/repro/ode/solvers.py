@@ -20,6 +20,8 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._checks import check_count
+
 __all__ = [
     "ButcherTableau",
     "EULER",
@@ -157,8 +159,7 @@ class FixedGridSolver:
         to integrate backwards in time.
         """
 
-        if num_steps <= 0:
-            raise ValueError("num_steps must be a positive integer")
+        num_steps = check_count("num_steps", num_steps, 1)
         h = (t1 - t0) / num_steps
         z = z0
         trajectory = [z0]

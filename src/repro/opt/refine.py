@@ -38,9 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._checks import check_count, check_seed
 from .._pool import ordered_map
 from ..api.evaluator import Evaluator
-from ..api.scenario import check_seed
 from .constraints import Constraint, Objective, parse_constraint, parse_objective
 from .report import CandidateRecord, OptReport
 from .screen import (
@@ -371,9 +371,8 @@ def optimize(
                 "metric 'slo_violation_fraction' needs an SLO: pass "
                 "fixed={'slo_s': ...} on the search space"
             )
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer (got {workers!r})")
-    check_seed("seed", seed)
+    workers = check_count("workers", workers, 1)
+    seed = check_seed("seed", seed)
     if budget is None:
         budget = max(1.0, 0.2 * space.size)
     budget = float(budget)

@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .._checks import check_count
 from ..api.scenario import Scenario, check_board
 from ..fixedpoint.qformat import QFormat
 from ..fleet.cluster import BoardGroup, FleetScenario
@@ -118,27 +119,12 @@ def _validate_axis(name: str, values: Sequence[object]) -> Tuple[object, ...]:
     out: List[object] = []
     for value in values:
         if name == "qformat":
-            if isinstance(value, str):
-                wl, _, fb = value.partition(":")
-                if not _:
-                    raise ValueError(
-                        f"axis 'qformat' value '{value}' must be 'WL:FB' (e.g. '16:8')"
-                    )
-            else:
-                wl, fb = value  # raises on a malformed pair
-            QFormat(int(wl), int(fb))
-            value = (int(wl), int(fb))
+            fmt = QFormat.parse(value)
+            value = (fmt.word_length, fmt.fraction_bits)
         elif name in ("depth", "n_units", "batch_size", "cells"):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    f"axis '{name}' values must be positive integers (got {value!r})"
-                )
+            value = check_count(f"axis '{name}' value", value, 1)
         elif name == "replicas":
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"axis 'replicas' values must be non-negative integers "
-                    f"(0 = auto-size; got {value!r})"
-                )
+            value = check_count("axis 'replicas' value", value, 0, " (0 = auto-size)")
         elif name == "policy":
             if value not in POLICY_NAMES:
                 raise ValueError(

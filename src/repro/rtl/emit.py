@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._checks import check_count
 from ..fixedpoint import Q20, QFormat
 from ..fpga.bram import plan_block_allocation
 from ..fpga.export import WeightImageHeader, _dtype_for, export_block_weights
@@ -270,8 +271,7 @@ def emit_odeblock(
         )
     if n_units is None:
         n_units = default_n_units(board, geometry, qformat)
-    if n_units < 1:
-        raise ValueError("n_units must be at least 1")
+    n_units = check_count("n_units", n_units, 1)
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite (got {step_size!r})")
     if weights is None:

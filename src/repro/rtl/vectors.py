@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._checks import check_count
 from ..fixedpoint import QFormat
 from ..fpga.geometry import BlockGeometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
@@ -198,9 +199,8 @@ def generate_vectors(
     checked against the same vectors.
     """
 
-    for name, count in (("images", images), ("iterations", iterations)):
-        if count < 1:
-            raise ValueError(f"{name} must be a positive integer (got {count!r})")
+    images = check_count("images", images, 1)
+    iterations = check_count("iterations", iterations, 1)
     hw_block = HardwareODEBlock(
         block,
         weights,

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Generator, Iterable, List, Optional, Sequence
 
+from .._checks import check_count
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
 from .engine import Event, Process, Simulator, Timeout
@@ -100,9 +101,7 @@ class BatchedPolicy(DispatchPolicy):
     name = "batched"
 
     def __init__(self, batch_size: int = 4) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer (got {batch_size})")
-        self.batch_size = batch_size
+        self.batch_size = check_count("batch_size", batch_size, 1)
 
 
 class RoundRobinPolicy(DispatchPolicy):

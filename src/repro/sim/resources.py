@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generator, Iterable, Optional
 
+from .._checks import check_count
 from ..fpga.axi import AxiTransferModel
 from ..platform import ResourceVector
 from .engine import Event, Simulator, Timeout
@@ -79,10 +80,8 @@ class Resource:
     """A counted resource with a strict-FIFO wait queue."""
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be a positive integer (got {capacity})")
         self.sim = sim
-        self.capacity = capacity
+        self.capacity = check_count("capacity", capacity, 1)
         self.name = name
         self.users = 0
         self._waiting: Deque[Event] = deque()
@@ -110,9 +109,7 @@ class Resource:
         the freed units straight to the longest-waiting requests.
         """
 
-        if capacity < 1:
-            raise ValueError(f"capacity must be a positive integer (got {capacity})")
-        self.capacity = capacity
+        self.capacity = check_count("capacity", capacity, 1)
         while self._waiting and self.users < self.capacity:
             self.users += 1
             self.busy.set(self.users)

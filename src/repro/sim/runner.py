@@ -202,7 +202,7 @@ def simulate(
         activation values); independent of the workload ``seed``.
     """
 
-    check_seed("fault_seed", fault_seed)
+    fault_seed = check_seed("fault_seed", fault_seed)
     sim_scenario = as_sim_scenario(scenario)
     ev = evaluator if evaluator is not None else Evaluator()
     injections = _normalize_faults(faults)

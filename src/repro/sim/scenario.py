@@ -39,10 +39,11 @@ def check_traffic(scenario) -> None:
 
     Rates, horizons and SLOs must be positive and finite (NaN and inf fail
     too), ``n_requests`` a positive integer and the seed a non-negative
-    integer.  A trace is stored as a tuple of floats.
+    integer, both stored as plain ints.  A trace is stored as a tuple of
+    floats.
     """
 
-    check_seed("seed", scenario.seed)
+    object.__setattr__(scenario, "seed", check_seed("seed", scenario.seed))
 
     if scenario.arrival not in ARRIVAL_KINDS:
         raise ValueError(
@@ -63,7 +64,8 @@ def check_traffic(scenario) -> None:
                 f"arrival_rate_hz must be positive and finite (got {scenario.arrival_rate_hz!r})"
             )
     if scenario.n_requests is not None:
-        check_count("n_requests", scenario.n_requests, 1, " (or None)")
+        n_requests = check_count("n_requests", scenario.n_requests, 1, " (or None)")
+        object.__setattr__(scenario, "n_requests", n_requests)
     for name in ("duration_s", "slo_s"):
         value = getattr(scenario, name)
         if value is not None and not 0 < value < math.inf:
@@ -73,13 +75,17 @@ def check_traffic(scenario) -> None:
 def check_serving(scenario) -> None:
     """Validate the per-board serving knobs :class:`SimScenario` and the
     fleet's ``FleetScenario`` share (dispatch policy, batch size, PS cores,
-    DMA channels, exact latencies), naming the field at fault."""
+    DMA channels, exact latencies), naming the field at fault and storing
+    the counts as plain ints."""
 
     if scenario.policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy '{scenario.policy}'; expected one of {POLICY_NAMES}")
-    check_count("batch_size", scenario.batch_size, 1)
-    check_count("ps_cores", scenario.ps_cores, 0, " (0 = the board's cores)")
-    check_count("dma_channels", scenario.dma_channels, 1)
+    for name, minimum, note in (
+        ("batch_size", 1, ""),
+        ("ps_cores", 0, " (0 = the board's cores)"),
+        ("dma_channels", 1, ""),
+    ):
+        object.__setattr__(scenario, name, check_count(name, getattr(scenario, name), minimum, note))
     if not isinstance(scenario.exact, bool):
         raise ValueError("exact must be a boolean")
 
@@ -134,7 +140,9 @@ class SimScenario(Scenario):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_traffic(self)
-        check_count("replicas", self.replicas, 0, " (0 = auto-size)")
+        object.__setattr__(
+            self, "replicas", check_count("replicas", self.replicas, 0, " (0 = auto-size)")
+        )
         check_serving(self)
         if not 0 <= self.warmup_s < math.inf:
             raise ValueError(f"warmup_s must be non-negative and finite (got {self.warmup_s!r})")

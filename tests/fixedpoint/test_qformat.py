@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario, accuracy_sweep, export_rtl, scenario_grid
 from repro.fixedpoint import Q8, Q12, Q16, Q20, OverflowMode, QFormat
+from repro.opt import SearchSpace
 
 
 class TestQ20Paper:
@@ -43,6 +45,41 @@ class TestQFormatValidation:
             QFormat(16, 16)
         with pytest.raises(ValueError):
             QFormat(16, -1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda tmp: QFormat(16.5, 8), r"word_length .* \(got 16\.5\)", id="QFormat"),
+            pytest.param(lambda tmp: Scenario(word_length=16.0, fraction_bits=8),
+                         r"word_length .* \(got 16\.0\)", id="Scenario"),
+            pytest.param(lambda tmp: accuracy_sweep(block="layer1", images=1, formats=[(16.5, 8)]),
+                         r"bad Q-format \(16\.5, 8\)", id="accuracy_sweep"),
+            pytest.param(lambda tmp: export_rtl(tmp, block="layer1", qformat=(16.9, 8), check=False),
+                         r"bad Q-format \(16\.9, 8\)", id="export_rtl"),
+            pytest.param(lambda tmp: scenario_grid(qformats=[(16.5, 8)]),
+                         r"bad Q-format \(16\.5, 8\)", id="scenario_grid"),
+            pytest.param(lambda tmp: SearchSpace(axes={"qformat": ["16:x"]}),
+                         "bad Q-format '16:x'; expected WL:FB", id="space-16:x"),
+            pytest.param(lambda tmp: SearchSpace(axes={"qformat": ["16:8:2"]}),
+                         "bad Q-format '16:8:2'; expected WL:FB", id="space-16:8:2"),
+        ],
+    )
+    def test_non_integer_or_malformed_format_is_named(self, tmp_path, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(tmp_path)
+
+    @pytest.mark.parametrize(
+        "spec", [Q16, (16, 8), (np.int64(16), np.int32(8)), "16:8"], ids=repr
+    )
+    def test_parse_accepts_every_spelling(self, spec):
+        fmt = QFormat.parse(spec)
+        assert fmt == Q16 and type(fmt.word_length) is type(fmt.fraction_bits) is int
+
+    def test_accuracy_sweep_accepts_wl_fb_strings(self):
+        def sweep(formats):
+            return accuracy_sweep(block="layer1", images=1, formats=formats).records()
+
+        assert sweep(["16:8"]) == sweep([(16, 8)])
 
     def test_is_hashable_and_frozen(self):
         assert hash(QFormat(32, 20)) == hash(Q20)

@@ -51,7 +51,7 @@ class TestConstruction:
         assert keys == ["qformat=16:8", "qformat=32:20"]
 
     def test_malformed_qformat_string_is_named(self):
-        with pytest.raises(ValueError, match="'16-8' must be 'WL:FB'"):
+        with pytest.raises(ValueError, match="bad Q-format '16-8'; expected WL:FB"):
             SearchSpace(axes={"qformat": ["16-8"]})
 
 

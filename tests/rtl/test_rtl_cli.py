@@ -95,7 +95,7 @@ def test_cli_simulate_without_vectors_is_exit_2(tmp_path, capsys):
 def test_cli_unknown_board_is_exit_2(tmp_path, capsys):
     rc = main(["rtl", "--board", "nonexistent", "--out", str(tmp_path / "b")])
     assert rc == 2
-    assert "available boards" in capsys.readouterr().err
+    assert "registered boards" in capsys.readouterr().err
 
 
 def test_export_rtl_board_name_is_case_insensitive(tmp_path):

@@ -4,7 +4,7 @@ its knobs by dataclass field name.
 Covers :class:`~repro.api.Scenario`, :class:`~repro.sim.SimScenario` and
 :class:`~repro.fleet.FleetScenario` together: the ``as_dict`` key order (JSON
 key order follows field declaration order), the ``from_dict`` round trip and
-its unknown-field check, integer-only serving counts, and the optimizer's
+its unknown-field check, integer-only counts stored as plain ints, and the optimizer's
 fixed knobs, which reach a scenario only through a field of the same name.
 """
 
@@ -16,10 +16,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis import strict_json
 from repro.api import Scenario
-from repro.fleet import BoardGroup, FleetScenario, TrafficClass
+from repro.fleet import BoardGroup, FleetScenario, TrafficClass, simulate_fleet
 from repro.opt.space import FIXED_KEYS
-from repro.sim import SimScenario
+from repro.sim import SimScenario, simulate
 
 SCENARIO_KEYS = [
     "model", "depth", "n_units", "word_length", "fraction_bits", "solver", "board",
@@ -119,8 +120,19 @@ class TestIntegerCounts:
             cls(**kwargs)
 
     def test_integer_like_values_are_accepted(self):
-        s = SimScenario(batch_size=np.int64(2), n_requests=np.int64(5))
-        assert s.batch_size == 2 and s.n_requests == 5
+        # NumPy counts are stored as plain ints, so the run's report (which
+        # echoes the scenario) is strict JSON.
+        for cls, counts in [
+            (SimScenario, dict(batch_size=np.int64(2), n_requests=np.int64(5))),
+            (SimScenario, dict(replicas=np.int64(2), n_requests=np.int64(5), seed=np.int64(3))),
+            (FleetScenario, dict(n_units=np.int64(8), n_requests=np.int64(5), seed=np.int64(3))),
+        ]:
+            s = cls(**counts)
+            assert {k: (type(getattr(s, k)), getattr(s, k)) for k in counts} == {
+                k: (int, int(v)) for k, v in counts.items()
+            }
+            report = simulate(s) if cls is SimScenario else simulate_fleet(s)
+            strict_json(report.as_dict())
 
 
 class TestFixedKeys:
