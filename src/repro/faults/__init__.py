@@ -34,6 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "parse_fault_specs",
         ),
         ".sample": ("SAMPLING_METHODS", "injection_times"),
-        ".tabulate": ("DEFAULT_SLO_FACTOR", "FmeaStudy", "run_fmea"),
+        ".tabulate": ("FmeaStudy", "run_fmea"),
+        "..sim.scenario": ("DEFAULT_SLO_FACTOR",),
     },
 )

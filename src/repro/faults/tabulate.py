@@ -20,25 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.report import csv_text, format_records
+from ..analysis.report import Report, format_records
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario, check_seed
 from ..sim.metrics import SimReport
 from ..sim.runner import as_sim_scenario, simulate
-from ..sim.scenario import SimScenario
+from ..sim.scenario import DEFAULT_SLO_FACTOR
 from ..sim.workload import build_service_plan
 from .modes import FaultMode
 from .sample import injection_times
 
-__all__ = ["DEFAULT_SLO_FACTOR", "FmeaStudy", "run_fmea"]
-
-#: Default SLO when the scenario sets none: this multiple of the no-load
-#: service time (the latency-knee convention used across the examples).
-DEFAULT_SLO_FACTOR = 2.0
+__all__ = ["FmeaStudy", "run_fmea"]
 
 
 @dataclass(frozen=True)
-class FmeaStudy:
+class FmeaStudy(Report):
     """Outcome of one FMEA: nominal baseline + per-mode expected losses."""
 
     scenario: Dict[str, object]
@@ -65,12 +61,10 @@ class FmeaStudy:
             "expected_slo_violation": self.expected_slo_violation,
         }
 
-    def to_csv(self) -> str:
-        """Header + one row per fault mode (the ``--format csv`` output)."""
+    def records(self) -> List[Dict[str, object]]:
+        """The CSV view (``--format csv``): one row per fault mode."""
 
-        if not self.rows:
-            return ""
-        return csv_text([self.rows[0].keys(), *(row.values() for row in self.rows)])
+        return self.rows
 
     def render(self) -> str:
         """Plain-text FMEA table plus the nominal baseline line."""

@@ -29,6 +29,7 @@ from ..fpga.power import PowerModelConfig, pl_power_kernel
 from ..platform import get_board
 from ..sim.metrics import QuantileSketch, energy_section, ps_energy_j
 from ..sim.policies import max_replicas
+from ..sim.scenario import DEFAULT_SLO_FACTOR
 from ..sim.workload import arrival_times, build_service_plan
 from .autoscale import AutoscaleController, AutoscalePolicy
 from .balancer import Balancer, BoardServer
@@ -39,10 +40,6 @@ __all__ = ["run_cell", "resolve_slos", "resolve_board_replicas"]
 
 #: Rate-driven fleets with no explicit bound default to this many requests.
 DEFAULT_FLEET_REQUESTS = 1000
-
-#: A latency class with no explicit SLO gets twice its no-load service time
-#: on the fastest board of the fleet (the serving-study knee convention).
-DEFAULT_SLO_FACTOR = 2.0
 
 
 def resolve_board_replicas(

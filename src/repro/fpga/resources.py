@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
-import numpy as np
-
 from ..fixedpoint.qformat import QFormat, Q20
-from .bram import BramPlan, bram_tiles_kernel, plan_block_allocation
+from .bram import BramPlan, plan_block_allocation
 from ..platform import FpgaDevice, ResourceVector, ZYNQ_XC7Z020
 from .geometry import BlockGeometry, OFFLOADABLE_BLOCKS, block_geometry
 
@@ -177,38 +175,6 @@ class ResourceEstimator:
         return ResourceEstimate(
             block=geometry.name, n_units=n_units, resources=resources, bram_plan=plan
         )
-
-    def estimate_batch(
-        self,
-        block: str | BlockGeometry,
-        n_units,
-        bytes_per_value=None,
-    ) -> Dict[str, np.ndarray]:
-        """Resource arrays of one block over whole ``n_units``/Q-format axes.
-
-        ``n_units`` and ``bytes_per_value`` may be scalars or broadcastable
-        arrays; the result holds one array per resource class plus the
-        device fits mask.  Element-for-element identical to looping
-        :meth:`estimate` over the axes (same kernels in both paths).
-        """
-
-        geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
-        bpv = self.qformat.bytes_per_value if bytes_per_value is None else bytes_per_value
-        c = self.config
-        units = np.asarray(n_units, dtype=np.int64)
-        bram = np.broadcast_to(
-            np.asarray(bram_tiles_kernel(geometry, bpv)), np.broadcast_shapes(units.shape, np.shape(bpv))
-        )
-        dsp = dsp_count_kernel(units, c.dsp_base, c.dsp_per_unit)
-        lut = lut_count_kernel(
-            units, geometry.out_channels, c.lut_base, c.lut_per_unit, c.lut_per_unit_per_channel
-        )
-        ff = ff_count_kernel(
-            units, geometry.out_channels, c.ff_base, c.ff_per_unit, c.ff_per_unit_per_channel
-        )
-        d = self.device
-        fits = (bram <= d.bram36) & (dsp <= d.dsp) & (lut <= d.lut) & (ff <= d.ff)
-        return {"bram": bram, "dsp": dsp, "lut": lut, "ff": ff, "fits_device": fits}
 
     def estimate_combination(
         self, blocks: Iterable[str | BlockGeometry], n_units: int = 16

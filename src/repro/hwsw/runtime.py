@@ -167,9 +167,7 @@ class HwSwRuntime:
             logits = model.fc(pooled)
 
         modeled = self.execution_model.report(
-            model.spec.name if model.spec.name != "ODENet" else "ODENet-3",
-            model.spec.depth,
-            offload_targets=self.partition.pl_layers,
+            model.spec.name, model.spec.depth, offload_targets=self.partition.pl_layers
         )
         report.modeled_total_without_pl = modeled.total_without_pl * report.batch_size
         report.modeled_total_with_pl = modeled.total_with_pl * report.batch_size

@@ -7,16 +7,18 @@ it was pruned or halved, the budget it consumed and every metric known about
 it.  ``best`` is the constrained optimum (or ``None`` with a ``note`` line
 when the whole space is infeasible — JSON null semantics, never an
 exception), and Pareto fronts over the fully-evaluated candidates reuse
-:func:`repro.api.batch.pareto_indices`.
+:func:`repro.analysis.report.pareto_indices`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..analysis.report import csv_text, format_records, json_safe, strict_json
-from ..api.batch import BatchResult, pareto_indices
+from ..analysis.report import Report, format_records, json_safe, pareto_indices
+
+if TYPE_CHECKING:
+    from ..api.batch import BatchResult
 
 __all__ = ["CandidateRecord", "OptReport"]
 
@@ -63,7 +65,7 @@ class CandidateRecord:
 
 
 @dataclass
-class OptReport:
+class OptReport(Report):
     """The full outcome of one :func:`repro.opt.optimize` run."""
 
     fidelity: str
@@ -133,10 +135,9 @@ class OptReport:
             out["note"] = self.note
         return json_safe(out)
 
-    def to_json(self, indent: int = 2) -> str:
-        return strict_json(self.as_dict(), indent=indent)
+    def records(self) -> List[Dict[str, object]]:
+        """The CSV view: one trace row per candidate (enumeration order)."""
 
-    def _trace_rows(self) -> List[Dict[str, object]]:
         rows: List[Dict[str, object]] = []
         for c in self.candidates:
             row: Dict[str, object] = dict(c.values)
@@ -152,14 +153,6 @@ class OptReport:
             )
             rows.append(row)
         return rows
-
-    def to_csv(self) -> str:
-        """Header + one trace row per candidate (enumeration order)."""
-
-        rows = self._trace_rows()
-        if not rows:
-            return ""
-        return csv_text([rows[0].keys(), *(row.values() for row in rows)])
 
     def render(self) -> str:
         """Multi-section plain text (the ``optimize`` subcommand output)."""

@@ -36,7 +36,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".resources": ("Accelerator", "AxiBus", "LevelMonitor", "Resource"),
         ".runner": ("SimSystem", "as_sim_scenario", "simulate"),
-        ".scenario": ("SimScenario",),
+        ".scenario": ("DEFAULT_SLO_FACTOR", "SimScenario"),
         ".workload": (
             "ARRIVAL_KINDS", "PlExecution", "PsSegment", "Request", "ServicePlan", "arrival_times",
             "build_service_plan", "sample_mix",

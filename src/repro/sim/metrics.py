@@ -24,7 +24,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.report import csv_text, json_safe
+from ..analysis.report import Report, json_safe
 from ..platform import ResourceVector
 from ..fpga.power import PowerModelConfig, pl_power_kernel
 
@@ -460,7 +460,7 @@ def text_row(label: object, text: object) -> str:
 
 
 @dataclass(frozen=True, kw_only=True)
-class ServingReport:
+class ServingReport(Report):
     """What the sim and fleet reports share: traffic counts, the latency and
     queueing-wait distributions, the energy section and the event count.
 
@@ -615,11 +615,10 @@ class SimReport(ServingReport):
         row["events_processed"] = self.events_processed
         return json_safe(row)
 
-    def to_csv(self) -> str:
-        """Header + one data row (the ``sim --format csv`` output)."""
+    def records(self) -> List[Dict[str, object]]:
+        """The CSV view (``sim --format csv``): the one :meth:`flat_dict` row."""
 
-        row = self.flat_dict()
-        return csv_text([row.keys(), row.values()])
+        return [self.flat_dict()]
 
     def render(self) -> str:
         """Multi-section plain-text report (the ``sim`` subcommand output)."""

@@ -30,7 +30,12 @@ from ..api.scenario import Scenario, check_count, check_seed, shared_fields
 from .policies import POLICY_NAMES
 from .workload import ARRIVAL_KINDS
 
-__all__ = ["SimScenario", "check_serving", "check_traffic"]
+__all__ = ["DEFAULT_SLO_FACTOR", "SimScenario", "check_serving", "check_traffic"]
+
+#: A run with no explicit SLO is judged against this multiple of its no-load
+#: service time (the latency-knee convention of ``examples/serving_study.py``);
+#: the FMEA tabulator and the fleet's latency classes both apply it.
+DEFAULT_SLO_FACTOR = 2.0
 
 
 def check_traffic(scenario) -> None:
@@ -127,8 +132,8 @@ class SimScenario(Scenario):
     warmup_s: float = 0.0
     #: Per-request latency SLO (seconds).  When set, the report carries an
     #: SLO-violation summary (late or corrupted completions); ``None`` skips
-    #: it.  The FMEA tabulator defaults a missing SLO to twice the no-load
-    #: service time (the knee convention of ``examples/serving_study.py``).
+    #: it.  The FMEA tabulator defaults a missing SLO to
+    #: :data:`DEFAULT_SLO_FACTOR` times the no-load service time.
     slo_s: Optional[float] = None
     #: Keep every per-request latency verbatim (``np.percentile`` over the
     #: full array) instead of letting the streaming

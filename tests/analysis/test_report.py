@@ -1,11 +1,12 @@
-"""Tests for the plain-text table renderer and the strict JSON serialiser."""
+"""Tests for the plain-text table renderer, the strict JSON serialiser and the
+:class:`Report` base."""
 
 from __future__ import annotations
 
 import json
 import math
 
-from repro.analysis import format_records, format_series, format_table, strict_json
+from repro.analysis import Report, format_records, format_series, format_table, strict_json
 
 
 class TestFormatTable:
@@ -77,3 +78,41 @@ class TestStrictJson:
         data = {"rows": [{"x": 0.1, "n": 3, "ok": True, "t": None}]}
         assert strict_json(data) == json.dumps(data, indent=2)
         assert strict_json(data, indent=None) == json.dumps(data)
+
+
+class _Rows(Report):
+    """A minimal tabular report: ``rows`` are its records and its columns."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def as_dict(self):
+        return {"rows": self.rows}
+
+    def records(self):
+        return self.rows
+
+    def column(self, name):
+        return [row[name] for row in self.rows]
+
+    def take(self, indices):
+        return _Rows([self.rows[i] for i in indices])
+
+
+class TestReportBase:
+    def test_to_json_is_strict_json_of_as_dict(self):
+        report = _Rows([{"x": math.nan}])
+        assert report.to_json() == strict_json({"rows": [{"x": None}]})
+        assert report.to_json(indent=None) == '{"rows": [{"x": null}]}'
+
+    def test_to_csv_takes_the_header_from_the_first_record(self):
+        assert _Rows([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]).to_csv() == "a,b\n1,x\n2,y"
+
+    def test_no_records_is_empty_csv(self):
+        assert _Rows([]).to_csv() == ""
+
+    def test_pareto_front_goes_through_column_and_take(self):
+        rows = [{"t": 3.0, "e": 1.0}, {"t": 1.0, "e": 3.0}, {"t": 2.0, "e": 2.0}, {"t": 3.0, "e": 3.0}]
+        front = _Rows(rows).pareto_front("t", "e")
+        assert front.rows == [rows[1], rows[2], rows[0]]
+        assert _Rows(rows).pareto_front("t", "e", maximize_x=True, maximize_y=True).rows == [rows[3]]

@@ -13,12 +13,11 @@ from repro.api import (
     Evaluator,
     Scenario,
     pareto_indices,
-    results_to_csv,
-    results_to_json,
     scenario_grid,
     sweep,
     sweep_batch,
 )
+from repro.analysis import csv_text, strict_json
 from repro.api.batch import FLAT_COLUMNS
 from repro.core import SUPPORTED_DEPTHS
 from repro.core.execution_model import TABLE5_MODELS
@@ -74,8 +73,9 @@ class TestEquivalence:
         grid = scenario_grid(models=("rODENet-3", "ResNet"), depths=(20, 56), n_units=(8, 16))
         loop = sweep(grid, Evaluator())
         batch = sweep_batch(grid)
-        assert batch.to_csv() == results_to_csv(loop)
-        assert batch.to_json() == results_to_json(loop)
+        flat = [r.flat_dict() for r in loop]
+        assert batch.to_csv() == csv_text([flat[0].keys(), *(row.values() for row in flat)])
+        assert batch.to_json() == strict_json([r.as_dict() for r in loop])
 
     def test_records_match_loop_flat_dicts(self):
         grid = scenario_grid(models=("ODENet", "Hybrid-3"), depths=(20, 44), solvers=("rk4",))
@@ -103,7 +103,7 @@ class TestEquivalence:
         def reject(token):
             raise ValueError(token)
 
-        for text in (table.to_json(), results_to_json([degenerate]), degenerate.to_json()):
+        for text in (table.to_json(), strict_json([degenerate.as_dict()]), degenerate.to_json()):
             data = json.loads(text, parse_constant=reject)
             row = data[0] if isinstance(data, list) else data
             assert row["timing"]["overall_speedup"] is None

@@ -132,8 +132,7 @@ class TestResultViews:
         assert data["timing"]["overall_speedup"] == pytest.approx(2.66, abs=0.01)
 
     def test_csv_row_aligns_with_header(self, headline):
-        header = headline.csv_header().split(",")
-        row = headline.to_csv_row().split(",")
+        header, row = (line.split(",") for line in headline.to_csv().split("\n"))
         assert len(header) == len(row)
         assert "bram" in header and "overall_speedup" in header and "energy_ratio" in header
 

@@ -9,10 +9,8 @@ import pytest
 from repro.api import (
     Evaluator,
     Scenario,
+    BatchResult,
     SweepError,
-    results_to_csv,
-    results_to_json,
-    results_to_records,
     scenario_grid,
     sweep,
 )
@@ -78,11 +76,16 @@ def test_sweep_error_pickles_with_index():
     assert "scenario #7" in str(clone)
 
 
+def _table(grid):
+    """Loop results tabulated the way the CLI's loop engine does."""
+
+    return BatchResult.from_rows(grid, [r.as_dict() for r in sweep(grid)])
+
+
 def test_csv_output_one_row_per_scenario():
-    results = sweep(scenario_grid(**GRID))
-    text = results_to_csv(results)
-    lines = text.splitlines()
-    assert len(lines) == 1 + len(results)
+    grid = scenario_grid(**GRID)
+    lines = _table(grid).to_csv().splitlines()
+    assert len(lines) == 1 + len(grid)
     header = lines[0].split(",")
     for column in ("model", "depth", "n_units", "bram", "dsp",
                    "total_w_pl_s", "overall_speedup", "energy_ratio"):
@@ -92,16 +95,15 @@ def test_csv_output_one_row_per_scenario():
 
 
 def test_csv_empty_results():
-    assert results_to_csv([]) == ""
+    assert _table([]).to_csv() == ""
 
 
 def test_json_output_parses():
-    results = sweep(scenario_grid(models=("rODENet-3",), depths=(56,)))
-    data = json.loads(results_to_json(results))
+    data = json.loads(_table(scenario_grid(models=("rODENet-3",), depths=(56,))).to_json())
     assert len(data) == 1
     assert data[0]["scenario"]["model"] == "rODENet-3"
 
 
 def test_records_are_flat():
-    records = results_to_records(sweep(scenario_grid(models=("rODENet-3",), depths=(56,))))
+    records = _table(scenario_grid(models=("rODENet-3",), depths=(56,))).records()
     assert all(not isinstance(v, (dict, list)) for v in records[0].values())

@@ -112,38 +112,6 @@ class TestBramKernels:
         assert all(a <= b for a, b in zip(tiles, tiles[1:]))
 
 
-class TestResourceEstimateBatch:
-    @given(
-        st.sampled_from(GEOMETRIES),
-        st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=8),
-        st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_estimate_batch_matches_scalar_estimates(self, geometry, units, bpv):
-        from repro.fpga import ResourceEstimator
-
-        estimator = ResourceEstimator(qformat=QFormat(8 * bpv, 8 * bpv - 1))
-        batch = estimator.estimate_batch(geometry, np.asarray(units))
-        for i, n in enumerate(units):
-            scalar = estimator.estimate(geometry, n_units=n)
-            assert int(batch["bram"][i]) == scalar.resources.bram
-            assert int(batch["dsp"][i]) == scalar.resources.dsp
-            assert float(batch["lut"][i]) == scalar.resources.lut
-            assert float(batch["ff"][i]) == scalar.resources.ff
-            assert bool(batch["fits_device"][i]) == scalar.fits(ZYNQ_XC7Z020)
-
-    def test_estimate_batch_broadcasts_format_axis(self):
-        from repro.fpga import ResourceEstimator
-
-        estimator = ResourceEstimator()
-        batch = estimator.estimate_batch(LAYER3_2, 16, bytes_per_value=np.array([1, 2, 4, 8]))
-        expected = [
-            plan_block_allocation(LAYER3_2, n_units=16, qformat=QFormat(8 * b, 3)).total_tiles
-            for b in (1, 2, 4, 8)
-        ]
-        assert batch["bram"].tolist() == expected
-
-
 class TestTimingKernels:
     @given(st.lists(st.integers(min_value=1, max_value=4096), min_size=2, max_size=32))
     @settings(max_examples=60, deadline=None)

@@ -47,7 +47,7 @@ CALLS = {
     ),
     "accuracy-sweep": (
         ["accuracy-sweep", "--images", "1", "--formats", "16:8", "--json"],
-        {"repro.api.accuracy", "repro.api.batch", "repro.fpga.odeblock_hw"},
+        {"repro.api.accuracy", "repro.fpga.odeblock_hw"},
     ),
     "optimize-sim": (
         [

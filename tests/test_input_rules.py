@@ -3,7 +3,7 @@
 Integer counts go through :func:`repro._checks.check_count` (Python and NumPy
 integers pass and are stored as plain ints, anything else is a named
 ``ValueError``), and the Table-5 row "ODENet-3" maps to its Table-4 variant in
-one function.  The source scan keeps copies of either rule from growing back.
+one function (no other code maps the names, in either direction).  The source scan keeps copies of either rule from growing back.
 """
 
 from __future__ import annotations
@@ -79,14 +79,31 @@ def _compares_odenet3(node: ast.AST) -> bool:
     )
 
 
-def test_table5_row_maps_to_its_variant_in_one_function():
-    trees = {name: ast.parse(text) for name, text in _sources().items()}
-    compares = [node for tree in trees.values() for node in ast.walk(tree) if _compares_odenet3(node)]
-    functions = [
+def _maps_table5_name(node: ast.AST) -> bool:
+    """A conditional or dict literal pairing "ODENet" with "ODENet-3": the
+    row-to-variant map or its reverse."""
+
+    if not isinstance(node, (ast.IfExp, ast.If, ast.Dict)):
+        return False
+    names = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+    return {"ODENet", "ODENet-3"} <= names
+
+
+def _functions_with(trees, predicate):
+    return [
         (name, fn.name)
         for name, tree in trees.items()
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and any(map(_compares_odenet3, ast.walk(fn)))
+        if isinstance(fn, ast.FunctionDef) and any(map(predicate, ast.walk(fn)))
     ]
+
+
+def test_table5_row_maps_to_its_variant_in_one_function():
+    trees = {name: ast.parse(text) for name, text in _sources().items()}
+    compares = [node for tree in trees.values() for node in ast.walk(tree) if _compares_odenet3(node)]
+    maps = [node for tree in trees.values() for node in ast.walk(tree) if _maps_table5_name(node)]
     assert len(compares) == 1
-    assert functions == [("repro/core/variants.py", "table4_variant")]
+    assert len(maps) == 1
+    owner = [("repro/core/variants.py", "table4_variant")]
+    assert _functions_with(trees, _compares_odenet3) == owner
+    assert _functions_with(trees, _maps_table5_name) == owner
