@@ -34,7 +34,7 @@ def train_one(variant: str, depth: int, train_set, test_set, epochs: int, width:
         batch_size=32,
     )
     start = time.time()
-    trainer = Trainer(model, train_set, test_set, schedule=schedule, augment=False, seed=1)
+    trainer = Trainer(model, train_set, test_set, schedule=schedule, seed=1)
     history = trainer.fit()
     _, test_acc = evaluate(model, test_set)
     paper = accuracy_model(variant, depth)

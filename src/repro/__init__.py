@@ -7,7 +7,7 @@ The package is organised as the paper's system is:
   (Table 2 / Figure 5), the execution-time model (Table 5) and the offload
   planner.
 * :mod:`repro.nn` — NumPy autograd CNN substrate (the PyTorch stand-in).
-* :mod:`repro.ode` — ODE solvers (Euler / RK2 / RK4 / adaptive) and the
+* :mod:`repro.ode` — fixed-grid ODE solvers (Euler / RK2 / RK4) and the
   adjoint method (the torchdiffeq stand-in).
 * :mod:`repro.fixedpoint` — 32-bit Q20 fixed-point arithmetic.
 * :mod:`repro.fpga` — the simulated PYNQ-Z2 / Zynq XC7Z020: cycle model,

@@ -18,7 +18,7 @@ code can filter on the source if it only wants ground-truth anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["AccuracyPoint", "PAPER_ACCURACY", "accuracy_model", "figure6_series", "accuracy_table"]
 
@@ -127,13 +127,3 @@ def accuracy_table() -> List[Dict[str, object]]:
     """All accuracy points as dictionaries (for report rendering)."""
 
     return [p.as_dict() for p in PAPER_ACCURACY]
-
-
-def accuracy_gap(variant: str, depth: int, baseline: str = "ResNet") -> float:
-    """Accuracy loss of a variant versus the baseline at the same depth.
-
-    Section 4.3 quotes e.g. a 5.48-point gap for rODENet-3-20 and a 2.16-point
-    gap for Hybrid-3-56; this helper reproduces those comparisons.
-    """
-
-    return accuracy_model(baseline, depth).accuracy_percent - accuracy_model(variant, depth).accuracy_percent

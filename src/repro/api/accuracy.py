@@ -222,8 +222,9 @@ def _measure_chunk(
                 "ssr": ssr,
                 "max_abs": float(np.max(np.abs(error))),
                 # The representable *count* (not the overflow fraction):
-                # ``error_report`` computes ``1.0 - representable.mean()`` and
-                # only the count form reproduces it bit-for-bit after reduction.
+                # the ``error_report`` reference (tests/error_reference.py)
+                # computes ``1.0 - representable.mean()`` and only the count
+                # form reproduces it bit-for-bit after reduction.
                 "repr_count": int(np.sum(fmt.representable(reference))),
             }
         )
@@ -254,8 +255,8 @@ def _finalize_error_stats(acc: Dict[str, object]) -> Dict[str, float]:
 
     ``np.mean`` is ``np.sum / n`` (same pairwise reduction), so on a single
     chunk these formulas are bit-identical to the whole-batch
-    :func:`repro.fixedpoint.errors.error_report` reference; the zero-power
-    edge cases mirror :func:`repro.fixedpoint.errors.sqnr_db` exactly.
+    ``error_report`` reference in ``tests/error_reference.py``; the
+    zero-power edge cases mirror its ``sqnr_db`` exactly.
     """
 
     n = acc["n"]
@@ -565,4 +566,3 @@ def accuracy_sweep(
         chunk_size=chunk_size,
         chunks=n_chunks,
     )
-

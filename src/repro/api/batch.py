@@ -550,10 +550,6 @@ class BatchResult(Report):
     def __len__(self) -> int:
         return len(self.scenarios)
 
-    @property
-    def column_names(self) -> Tuple[str, ...]:
-        return FLAT_COLUMNS
-
     def column(self, name: str) -> np.ndarray:
         """One column as a NumPy array (object-dtype for list/str columns)."""
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
 from .._checks import check_count, check_seed
-from ..core.execution_model import PAPER_OFFLOAD_TARGETS, TABLE5_MODELS
+from ..core.execution_model import TABLE5_MODELS
 from ..core.variants import SUPPORTED_DEPTHS, VARIANT_NAMES, table4_variant, variant_spec
 from ..fixedpoint.qformat import QFormat, QFormatLike
 from ..platform import BOARDS, BoardSpec, PYNQ_Z2, get_board, list_boards
@@ -153,10 +153,6 @@ class Scenario:
         """Dynamics evaluations per solver step (1 for Euler, 4 for RK4)."""
 
         return get_solver(self.solver).stages_per_step
-
-    @property
-    def paper_offload_targets(self) -> Tuple[str, ...]:
-        return PAPER_OFFLOAD_TARGETS.get(self.model, ())
 
     # -- conversion ------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".training_model": ("TrainingCostConfig", "TrainingTimeModel", "TrainingTimeReport"),
         ".variants": (
             "SUPPORTED_DEPTHS", "VARIANT_NAMES", "BlockRealization", "LayerPlan", "VariantSpec",
-            "all_variant_specs", "table4_rows", "table4_variant", "variant_spec",
+            "table4_rows", "table4_variant", "variant_spec",
         ),
     },
 )

@@ -15,7 +15,7 @@ would be too slow to train on a CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -130,14 +130,6 @@ class OdeNetModel(nn.Module):
         if layer not in mapping:
             raise KeyError(f"unknown stage '{layer}'")
         return mapping[layer]
-
-    def describe(self) -> Dict[str, str]:
-        """Human-readable summary of how each layer group is realised."""
-
-        out = {}
-        for plan in self.spec:
-            out[plan.layer] = f"{plan.realization} ({plan.as_table_cell()})"
-        return out
 
 
 def build_network(

@@ -15,7 +15,7 @@ resulting total, and the overall speedup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._checks import check_count
@@ -32,7 +32,7 @@ from ..platform import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
 from ..hwsw.ps_model import PsModelConfig, SoftwareCostModel
 from .network_spec import LAYER_ORDER, layer_geometry
-from .variants import BlockRealization, VariantSpec, table4_variant, variant_spec
+from .variants import BlockRealization, table4_variant, variant_spec
 
 __all__ = [
     "LayerTimeEntry",
@@ -169,12 +169,6 @@ class ExecutionTimeReport:
         if not self.offload_targets:
             return 1.0
         return self.total_without_pl / self.total_with_pl
-
-    def layer_entry(self, layer: str) -> LayerTimeEntry:
-        for e in self.layers:
-            if e.layer == layer:
-                return e
-        raise KeyError(f"no layer '{layer}' in report for {self.model}-{self.depth}")
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -313,13 +307,3 @@ class ExecutionTimeModel:
         resnet = self.report("ResNet", depth)
         target = self.report(model_name, depth)
         return resnet.total_without_pl / target.total_with_pl
-
-    def parallelism_sweep(
-        self,
-        model_name: str,
-        depth: int,
-        unit_counts: Sequence[int] = (1, 4, 8, 16, 32),
-    ) -> Dict[int, ExecutionTimeReport]:
-        """Speedup sensitivity to the MAC-unit count (ablation E9)."""
-
-        return {n: self.report(model_name, depth, n_units=n) for n in unit_counts}

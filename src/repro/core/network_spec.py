@@ -85,14 +85,6 @@ class LayerGeometry:
     def out_elements(self) -> int:
         return self.out_channels * self.out_height * self.out_width
 
-    @property
-    def in_height(self) -> int:
-        return self.out_height * self.stride
-
-    @property
-    def in_width(self) -> int:
-        return self.out_width * self.stride
-
     # -- MAC counts ------------------------------------------------------------
 
     @property

@@ -22,12 +22,11 @@ Three module classes implement this:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
 from ..nn.tensor import Tensor
 from ..ode import get_solver, odeint_adjoint
 from ..ode.solvers import FixedGridSolver
@@ -155,12 +154,6 @@ class ODEBlock(nn.Module):
     @property
     def solver(self) -> FixedGridSolver:
         return get_solver(self.method)
-
-    @property
-    def executions_per_forward(self) -> int:
-        """Dynamics evaluations per forward pass (steps x solver stages)."""
-
-        return self.num_steps * self.solver.stages_per_step
 
     def forward(self, x: Tensor) -> Tensor:
         func = self.dynamics

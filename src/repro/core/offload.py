@@ -13,7 +13,7 @@ execution-time model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..fixedpoint.qformat import QFormat
 from ..platform import PYNQ_Z2, BoardSpec, ResourceVector
@@ -21,7 +21,7 @@ from ..fpga.resources import ResourceEstimator
 from ..fpga.timing import TimingModel
 from .execution_model import ExecutionTimeModel, ExecutionTimeReport, PAPER_OFFLOAD_TARGETS
 from .network_spec import OFFLOADABLE_LAYER_NAMES, layer_geometry
-from .variants import VariantSpec, variant_spec
+from .variants import variant_spec
 
 __all__ = ["OffloadDecision", "OffloadPlanner"]
 
@@ -38,22 +38,6 @@ class OffloadDecision:
     fits_device: bool
     meets_timing: bool
     expected_speedup: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.fits_device and self.meets_timing
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "N": self.depth,
-            "targets": list(self.targets),
-            "n_units": self.n_units,
-            "resources": self.resources.as_dict(),
-            "fits_device": self.fits_device,
-            "meets_timing": self.meets_timing,
-            "expected_speedup": self.expected_speedup,
-        }
 
 
 class OffloadPlanner:
@@ -169,18 +153,3 @@ class OffloadPlanner:
         if not feasible:
             raise RuntimeError("no parallelism configuration is feasible for these targets")
         return max(feasible)
-
-    def feasibility_matrix(self, n_units: Optional[int] = None) -> Dict[str, bool]:
-        """Section 3.2's four cases: which offload combinations fit the device."""
-
-        n = n_units if n_units is not None else self.n_units
-        cases = {
-            "layer1": ("layer1",),
-            "layer2_2": ("layer2_2",),
-            "layer1+layer2_2": ("layer1", "layer2_2"),
-            "layer3_2": ("layer3_2",),
-        }
-        return {
-            name: self.resources_for_targets(targets, n).fits(self.board.fpga)
-            for name, targets in cases.items()
-        }

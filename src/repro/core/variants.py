@@ -28,7 +28,7 @@ plain block, an ODEBlock, or removed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .network_spec import LAYER_ORDER, NETWORK_LAYERS
 
@@ -40,7 +40,6 @@ __all__ = [
     "SUPPORTED_DEPTHS",
     "variant_spec",
     "table4_variant",
-    "all_variant_specs",
     "table4_rows",
 ]
 
@@ -71,12 +70,6 @@ class LayerPlan:
         """Total number of block executions contributed by this layer group."""
 
         return self.stacked_blocks * self.executions_per_block
-
-    @property
-    def uses_time_concat(self) -> bool:
-        """ODEBlocks concatenate t as an extra conv input channel."""
-
-        return self.realization == BlockRealization.ODEBLOCK
 
     def as_table_cell(self) -> str:
         """Format as Table 4 does ("#stacked / #executions")."""
@@ -142,16 +135,6 @@ class VariantSpec:
             for p in self.layers
             if NETWORK_LAYERS[p.layer].kind in ("block", "downsample_block")
         )
-
-    @property
-    def ode_layers(self) -> List[str]:
-        """Layer groups realised as ODEBlocks."""
-
-        return [p.layer for p in self.layers if p.realization == BlockRealization.ODEBLOCK]
-
-    @property
-    def removed_layers(self) -> List[str]:
-        return [p.layer for p in self.layers if p.realization == BlockRealization.REMOVED]
 
     def heavily_used_layers(self) -> List[str]:
         """ODEBlock layers executed more than once (the natural offload targets)."""
@@ -239,17 +222,6 @@ def variant_spec(name: str, depth: int) -> VariantSpec:
             f"budget ({baseline_executions}) cannot be divided evenly across its ODEBlocks"
         )
     return spec
-
-
-def all_variant_specs(depths: Tuple[int, ...] = SUPPORTED_DEPTHS) -> Dict[str, VariantSpec]:
-    """All variant specifications for the requested depths, keyed by full name."""
-
-    specs: Dict[str, VariantSpec] = {}
-    for name in VARIANT_NAMES:
-        for depth in depths:
-            spec = variant_spec(name, depth)
-            specs[spec.full_name] = spec
-    return specs
 
 
 def table4_rows(depth: int) -> Dict[str, Dict[str, str]]:

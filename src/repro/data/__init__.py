@@ -1,12 +1,10 @@
-"""Dataset substrate: synthetic CIFAR-100 substitute, real-CIFAR loader, batching."""
+"""Dataset substrate: synthetic CIFAR-100 substitute and batching."""
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".augment": ("random_crop", "random_horizontal_flip", "standard_cifar_augment"),
-        ".cifar": ("cifar100_available", "load_cifar100"),
         ".loader": ("DataLoader",),
         ".synthetic": ("SyntheticDataset", "make_synthetic_cifar", "train_test_split"),
     },

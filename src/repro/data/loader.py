@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .augment import standard_cifar_augment
 from .synthetic import SyntheticDataset
 
 __all__ = ["DataLoader"]
@@ -23,12 +22,10 @@ class DataLoader:
         Mini-batch size; the final partial batch is kept by default.
     shuffle:
         Reshuffle the sample order at the start of every epoch.
-    augment:
-        Apply the standard CIFAR pad-crop / flip augmentation to each batch.
     drop_last:
         Drop the final batch when it is smaller than ``batch_size``.
     seed:
-        Seed of the shuffling / augmentation RNG (reproducible epochs).
+        Seed of the shuffling RNG (reproducible epochs).
     """
 
     def __init__(
@@ -36,7 +33,6 @@ class DataLoader:
         dataset: SyntheticDataset,
         batch_size: int = 32,
         shuffle: bool = True,
-        augment: bool = False,
         drop_last: bool = False,
         seed: int = 0,
     ) -> None:
@@ -45,15 +41,8 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.augment = augment
         self.drop_last = drop_last
         self._rng = np.random.default_rng(seed)
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
@@ -62,8 +51,4 @@ class DataLoader:
             idx = order[start : start + self.batch_size]
             if self.drop_last and len(idx) < self.batch_size:
                 break
-            images = self.dataset.images[idx]
-            labels = self.dataset.labels[idx]
-            if self.augment:
-                images = standard_cifar_augment(images, rng=self._rng)
-            yield images, labels
+            yield self.dataset.images[idx], self.dataset.labels[idx]

@@ -21,7 +21,7 @@ CIFAR-100, but relative behaviour between architectures is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class SyntheticDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, index) -> Tuple[np.ndarray, int]:
-        return self.images[index], int(self.labels[index])
-
-    @property
-    def image_shape(self) -> Tuple[int, int, int]:
-        return tuple(self.images.shape[1:])  # type: ignore[return-value]
-
     def subset(self, indices) -> "SyntheticDataset":
         indices = np.asarray(indices)
         return SyntheticDataset(
@@ -73,9 +66,6 @@ class SyntheticDataset:
             num_classes=self.num_classes,
             name=self.name,
         )
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
 
 
 def make_synthetic_cifar(

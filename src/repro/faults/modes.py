@@ -110,18 +110,9 @@ class FaultMode:
         raise NotImplementedError
 
     def param_dict(self) -> Dict[str, object]:
-        """Mode-specific parameters (merged into :meth:`as_dict`)."""
+        """Mode-specific parameters (``repro faults`` lists them per mode)."""
 
-        return {}
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "kind": self.kind,
-            "rate_per_hour": self.rate_per_hour,
-            "duration_s": self.duration_s,
-        }
-        out.update(self.param_dict())
-        return out
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

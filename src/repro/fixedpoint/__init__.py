@@ -5,10 +5,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".errors": (
-            "QuantizationReport", "analyze_quantization", "error_report", "sqnr_db",
-            "sweep_wordlengths",
-        ),
         ".fxarray": ("FxArray",),
         ".qformat": ("Q8", "Q12", "Q16", "Q20", "OverflowMode", "QFormat"),
     },

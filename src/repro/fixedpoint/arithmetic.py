@@ -22,7 +22,6 @@ __all__ = [
     "fx_add",
     "fx_sub",
     "fx_mul",
-    "fx_mac",
     "fx_div",
     "fx_sqrt",
     "fx_relu",
@@ -68,18 +67,6 @@ def fx_mul(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATU
     product = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
     result = product >> fmt.fraction_bits
     return _apply_overflow(result, fmt, mode)
-
-
-def fx_mac(
-    acc: IntArray,
-    a: IntArray,
-    b: IntArray,
-    fmt: QFormat,
-    mode: str = OverflowMode.SATURATE,
-) -> np.ndarray:
-    """Multiply-accumulate: ``acc + a*b`` (one clock of a MAC unit)."""
-
-    return fx_add(acc, fx_mul(a, b, fmt, mode), fmt, mode)
 
 
 def fx_div(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATURATE) -> np.ndarray:

@@ -1,26 +1,21 @@
-"""Quantisation-error analysis utilities.
+"""Analytic quantisation-error bounds of the ODEBlock datapath.
 
-Used by the word-length ablation (EXPERIMENTS.md, E11) to quantify how the
-choice of fixed-point format affects numerical fidelity of the ODEBlock
-datapath, supporting the paper's footnote that 16-bit or smaller formats
-would fit more layers into BRAM at some accuracy cost.
+The accuracy-vs-format sweep (:func:`repro.api.accuracy.accuracy_sweep`)
+reports them next to the measured error, quantifying how the choice of
+fixed-point format affects numerical fidelity — the paper's footnote that
+16-bit or smaller formats would fit more layers into BRAM at some accuracy
+cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 import numpy as np
 
 from .qformat import QFormat
 
 __all__ = [
-    "QuantizationReport",
-    "analyze_quantization",
-    "error_report",
-    "sweep_wordlengths",
-    "sqnr_db",
     "conv_error_bound",
     "batch_norm_error_bound",
     "odeblock_error_bound",
@@ -28,96 +23,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantizationReport:
-    """Summary statistics of quantising a signal with a given format."""
-
-    fmt: QFormat
-    max_abs_error: float
-    mean_abs_error: float
-    rms_error: float
-    sqnr_db: float
-    overflow_fraction: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "word_length": self.fmt.word_length,
-            "fraction_bits": self.fmt.fraction_bits,
-            "max_abs_error": self.max_abs_error,
-            "mean_abs_error": self.mean_abs_error,
-            "rms_error": self.rms_error,
-            "sqnr_db": self.sqnr_db,
-            "overflow_fraction": self.overflow_fraction,
-        }
-
-
-def sqnr_db(signal: np.ndarray, error: np.ndarray) -> float:
-    """Signal-to-quantisation-noise ratio in decibels."""
-
-    signal_power = float(np.mean(np.square(signal)))
-    noise_power = float(np.mean(np.square(error)))
-    if noise_power == 0.0:
-        return float("inf")
-    if signal_power == 0.0:
-        return float("-inf")
-    return 10.0 * np.log10(signal_power / noise_power)
-
-
-def analyze_quantization(values: np.ndarray, fmt: QFormat) -> QuantizationReport:
-    """Quantise ``values`` with ``fmt`` and report error statistics."""
-
-    values = np.asarray(values, dtype=np.float64)
-    quantized = fmt.quantize(values)
-    error = quantized - values
-    representable = fmt.representable(values)
-    return QuantizationReport(
-        fmt=fmt,
-        max_abs_error=float(np.max(np.abs(error))) if values.size else 0.0,
-        mean_abs_error=float(np.mean(np.abs(error))) if values.size else 0.0,
-        rms_error=float(np.sqrt(np.mean(np.square(error)))) if values.size else 0.0,
-        sqnr_db=sqnr_db(values, error),
-        overflow_fraction=float(1.0 - representable.mean()) if values.size else 0.0,
-    )
-
-
-def error_report(reference: np.ndarray, actual: np.ndarray, fmt: QFormat) -> QuantizationReport:
-    """Error statistics of an *already-computed* signal against a reference.
-
-    Unlike :func:`analyze_quantization` (which quantises the input itself),
-    this compares two given signals — e.g. a fixed-point datapath's output
-    versus its float64 reference — and reports the same statistics.  The
-    overflow fraction counts reference values outside the format's
-    representable range (the saturation regime).  Used by the
-    accuracy-vs-format sweep (:func:`repro.api.accuracy.accuracy_sweep`).
-    """
-
-    reference = np.asarray(reference, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if reference.shape != actual.shape:
-        raise ValueError(f"shape mismatch: {reference.shape} vs {actual.shape}")
-    error = actual - reference
-    representable = fmt.representable(reference)
-    return QuantizationReport(
-        fmt=fmt,
-        max_abs_error=float(np.max(np.abs(error))) if reference.size else 0.0,
-        mean_abs_error=float(np.mean(np.abs(error))) if reference.size else 0.0,
-        rms_error=float(np.sqrt(np.mean(np.square(error)))) if reference.size else 0.0,
-        sqnr_db=sqnr_db(reference, error),
-        overflow_fraction=float(1.0 - representable.mean()) if reference.size else 0.0,
-    )
-
-
-def sweep_wordlengths(
-    values: np.ndarray,
-    formats: Sequence[QFormat],
-) -> Dict[str, QuantizationReport]:
-    """Analyse quantisation of the same signal under several formats."""
-
-    return {fmt.name: analyze_quantization(values, fmt) for fmt in formats}
-
-
-# -- analytic error bounds of the ODEBlock datapath --------------------------------------
-#
 # These bound the deviation of the bit-accurate fixed-point pipeline
 # (:mod:`repro.fpga.ops` / :class:`repro.fpga.odeblock_hw.HardwareODEBlock`)
 # from an exact floating-point execution of the same mathematics, by

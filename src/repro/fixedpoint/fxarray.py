@@ -1,15 +1,13 @@
 """Vectorised fixed-point array type.
 
 :class:`FxArray` wraps an integer NumPy array together with its
-:class:`~repro.fixedpoint.qformat.QFormat` and overloads arithmetic so that
-quantised tensors can be manipulated with normal operator syntax.  It is the
-data type flowing through the simulated PL datapath in
-:mod:`repro.fpga.ops` and :mod:`repro.fpga.odeblock_hw`.
+:class:`~repro.fixedpoint.qformat.QFormat`.  It is the data type flowing
+through the simulated PL datapath in :mod:`repro.fpga.ops` and
+:mod:`repro.fpga.odeblock_hw`, which compute on the raw integer words with
+:mod:`repro.fixedpoint.arithmetic`.
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 import numpy as np
 
@@ -17,8 +15,6 @@ from . import arithmetic as fx
 from .qformat import OverflowMode, QFormat, Q20
 
 __all__ = ["FxArray"]
-
-Number = Union[int, float, np.ndarray, "FxArray"]
 
 
 class FxArray:
@@ -36,8 +32,6 @@ class FxArray:
         self.fmt = fmt
         self.overflow = overflow
 
-    # -- constructors -----------------------------------------------------------
-
     @classmethod
     def from_float(
         cls,
@@ -49,174 +43,18 @@ class FxArray:
 
         return cls(fmt.to_fixed(values, overflow), fmt, overflow)
 
-    @classmethod
-    def zeros(cls, shape, fmt: QFormat = Q20) -> "FxArray":
-        return cls(np.zeros(shape, dtype=np.int64), fmt)
-
-    @classmethod
-    def stack(cls, arrays: "list[FxArray]") -> "FxArray":
-        """Stack same-format arrays along a new leading (batch) axis.
-
-        The inverse of :meth:`split`; used to assemble multi-image batches
-        for the batched PL datapath without re-quantising.
-        """
-
-        if not arrays:
-            raise ValueError("cannot stack an empty list of FxArrays")
-        fmt = arrays[0].fmt
-        for a in arrays[1:]:
-            if a.fmt != fmt:
-                raise ValueError(f"format mismatch: {fmt.name} vs {a.fmt.name}")
-        return cls(np.stack([a.raw for a in arrays]), fmt, arrays[0].overflow)
-
-    def split(self) -> "list[FxArray]":
-        """Split along the leading axis into per-item arrays (no copies)."""
-
-        return [FxArray(self.raw[i], self.fmt, self.overflow) for i in range(len(self.raw))]
-
-    # -- conversion -------------------------------------------------------------
-
     def to_float(self) -> np.ndarray:
         """Dequantise back to float64."""
 
         return self.fmt.to_float(self.raw)
-
-    def astype(self, fmt: QFormat) -> "FxArray":
-        """Re-quantise to another format (via the real value)."""
-
-        return FxArray.from_float(self.to_float(), fmt, self.overflow)
-
-    # -- array protocol ----------------------------------------------------------
 
     @property
     def shape(self):
         return self.raw.shape
 
     @property
-    def size(self) -> int:
-        return self.raw.size
-
-    @property
     def ndim(self) -> int:
         return self.raw.ndim
 
-    def reshape(self, *shape) -> "FxArray":
-        return FxArray(self.raw.reshape(*shape), self.fmt, self.overflow)
-
-    def __getitem__(self, index) -> "FxArray":
-        return FxArray(np.asarray(self.raw[index]), self.fmt, self.overflow)
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FxArray(shape={self.shape}, fmt={self.fmt.name})"
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _coerce(self, other: Number) -> np.ndarray:
-        if isinstance(other, FxArray):
-            if other.fmt != self.fmt:
-                raise ValueError(
-                    f"format mismatch: {self.fmt.name} vs {other.fmt.name}"
-                )
-            return other.raw
-        return self.fmt.to_fixed(other, self.overflow)
-
-    # -- arithmetic ------------------------------------------------------------------
-
-    def __add__(self, other: Number) -> "FxArray":
-        return FxArray(fx.fx_add(self.raw, self._coerce(other), self.fmt, self.overflow), self.fmt, self.overflow)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Number) -> "FxArray":
-        return FxArray(fx.fx_sub(self.raw, self._coerce(other), self.fmt, self.overflow), self.fmt, self.overflow)
-
-    def __rsub__(self, other: Number) -> "FxArray":
-        return FxArray(fx.fx_sub(self._coerce(other), self.raw, self.fmt, self.overflow), self.fmt, self.overflow)
-
-    def __mul__(self, other: Number) -> "FxArray":
-        return FxArray(fx.fx_mul(self.raw, self._coerce(other), self.fmt, self.overflow), self.fmt, self.overflow)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Number) -> "FxArray":
-        return FxArray(fx.fx_div(self.raw, self._coerce(other), self.fmt, self.overflow), self.fmt, self.overflow)
-
-    def __neg__(self) -> "FxArray":
-        return FxArray(fx.fx_sub(0, self.raw, self.fmt, self.overflow), self.fmt, self.overflow)
-
-    # -- element-wise functions ---------------------------------------------------------
-
     def relu(self) -> "FxArray":
         return FxArray(fx.fx_relu(self.raw, self.fmt), self.fmt, self.overflow)
-
-    def sqrt(self) -> "FxArray":
-        return FxArray(fx.fx_sqrt(self.raw, self.fmt), self.fmt, self.overflow)
-
-    def mean(self, axis=None) -> "FxArray":
-        return FxArray(np.asarray(fx.fx_mean(self.raw, self.fmt, axis=axis)), self.fmt, self.overflow)
-
-    def var(self, axis=None) -> "FxArray":
-        return FxArray(np.asarray(fx.fx_var(self.raw, self.fmt, axis=axis)), self.fmt, self.overflow)
-
-    def sum(self, axis=None) -> "FxArray":
-        total = self.raw.sum(axis=axis, dtype=np.int64)
-        clipped = np.clip(total, self.fmt.min_int, self.fmt.max_int)
-        return FxArray(np.asarray(clipped), self.fmt, self.overflow)
-
-    def matmul(self, other: "FxArray") -> "FxArray":
-        """Fixed-point matrix product ``self @ other``.
-
-        Accumulation happens in a wide accumulator before a single
-        renormalisation (the DSP48 MAC behaviour).  2-D operands route
-        through the exact split-limb GEMM of :mod:`repro.fpga.gemm`, which
-        is bit-identical to the plain int64 matmul but runs at BLAS speed
-        whenever the operands' actual magnitudes admit a mantissa-exact
-        limb decomposition.
-        """
-
-        if not isinstance(other, FxArray):
-            raise TypeError("matmul expects an FxArray operand")
-        if self.fmt != other.fmt:
-            raise ValueError("operand formats must match")
-        a = self.raw.astype(np.int64)
-        b = other.raw.astype(np.int64)
-        if a.ndim == 2 and b.ndim == 2:
-            from ..fpga.gemm import gemm_exact  # local: fpga imports fixedpoint
-
-            acc = gemm_exact(a, b)
-        else:
-            acc = a @ b
-        renorm = acc >> self.fmt.fraction_bits
-        clipped = np.clip(renorm, self.fmt.min_int, self.fmt.max_int)
-        return FxArray(clipped, self.fmt, self.overflow)
-
-    __matmul__ = matmul
-
-    def matmul_float(self, weights: np.ndarray) -> "FxArray":
-        """Multiply-accumulate against a float weight matrix.
-
-        The weights are quantised to the array's format first; accumulation
-        happens in a wide accumulator before renormalisation (the DSP48 MAC
-        behaviour).
-        """
-
-        w_fx = self.fmt.to_fixed(weights, self.overflow)
-        return self.matmul(FxArray(w_fx.T, self.fmt, self.overflow))
-
-    # -- comparisons --------------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:  # type: ignore[override]
-        if not isinstance(other, FxArray):
-            return NotImplemented
-        return self.fmt == other.fmt and np.array_equal(self.raw, other.raw)
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("FxArray is unhashable")
-
-    def max_abs_error(self, reference: np.ndarray) -> float:
-        """Maximum absolute error of the dequantised values vs a float reference."""
-
-        return float(np.max(np.abs(self.to_float() - np.asarray(reference))))

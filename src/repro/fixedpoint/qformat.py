@@ -78,12 +78,6 @@ class QFormat:
     # -- derived quantities ----------------------------------------------------
 
     @property
-    def integer_bits(self) -> int:
-        """Number of integer (non-sign, non-fraction) bits."""
-
-        return self.word_length - self.fraction_bits - 1
-
-    @property
     def scale(self) -> int:
         """Integer representation of 1.0 (i.e. ``2**fraction_bits``)."""
 
@@ -116,10 +110,6 @@ class QFormat:
         return self.max_int / self.scale
 
     @property
-    def range(self) -> Tuple[float, float]:
-        return (self.min_value, self.max_value)
-
-    @property
     def bytes_per_value(self) -> int:
         """Storage bytes per value (rounded up to whole bytes)."""
 
@@ -149,25 +139,11 @@ class QFormat:
 
         return np.asarray(fixed, dtype=np.float64) / self.scale
 
-    def quantize(self, values, mode: str = OverflowMode.SATURATE) -> np.ndarray:
-        """Round-trip real values through the fixed-point representation."""
-
-        return self.to_float(self.to_fixed(values, mode))
-
-    def quantization_error(self, values) -> np.ndarray:
-        """Element-wise quantisation error ``quantize(x) - x``."""
-
-        values = np.asarray(values, dtype=np.float64)
-        return self.quantize(values) - values
-
     def representable(self, values) -> np.ndarray:
         """Boolean mask of values that fit in the representable range."""
 
         values = np.asarray(values, dtype=np.float64)
         return (values >= self.min_value) & (values <= self.max_value)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
 
 
 #: What :meth:`QFormat.parse` accepts.

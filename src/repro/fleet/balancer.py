@@ -175,12 +175,6 @@ class BoardServer:
         pl_j = self.pl_w * self.powered_seconds
         return energy_section(ps_j, pl_j, sum(self.served), self.powered_seconds)
 
-    def utilization(self) -> float:
-        """Mean slot occupancy over powered time (NaN when never powered)."""
-
-        denom = self.replicas * self.powered_seconds
-        return self.busy_seconds / denom if denom > 0 else float("nan")
-
 
 class Balancer:
     """Per-class routing over one cell's boards."""

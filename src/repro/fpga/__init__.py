@@ -28,10 +28,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".export": (
             "WeightImageError", "WeightImageHeader", "WeightImageMagicError",
-            "WeightImageVersionError", "export_block_weights", "import_block_weights",
+            "WeightImageVersionError", "export_block_weights",
         ),
         ".gemm": (
-            "FLOAT_MANTISSA_BITS", "MAX_LIMBS", "GemmPlan", "PlannedGemm", "gemm_exact",
+            "FLOAT_MANTISSA_BITS", "MAX_LIMBS", "GemmPlan", "PlannedGemm",
             "plan_gemm",
         ),
         ".odeblock_hw": ("BlockWeights", "HardwareExecutionReport", "HardwareODEBlock"),

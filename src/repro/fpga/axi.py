@@ -13,7 +13,6 @@ beat) for the transfer-sensitivity ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -68,14 +67,6 @@ class TransferEstimate:
     cycles: float
     seconds: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "words_in": self.words_in,
-            "words_out": self.words_out,
-            "cycles": self.cycles,
-            "seconds": self.seconds,
-        }
-
 
 class AxiTransferModel:
     """Estimate PS<->PL transfer cost for ODEBlock offloading."""
@@ -112,18 +103,6 @@ class AxiTransferModel:
         return TransferEstimate(
             words_in=words_in,
             words_out=words_out,
-            cycles=cycles,
-            seconds=cycles / self.config.clock_hz,
-        )
-
-    def weights_load(self, geometry: BlockGeometry) -> TransferEstimate:
-        """One-time weight upload into BRAM (not part of the per-image time)."""
-
-        words = geometry.weight_count + geometry.bn_parameter_count
-        cycles = self.transfer_cycles(words)
-        return TransferEstimate(
-            words_in=words,
-            words_out=0,
             cycles=cycles,
             seconds=cycles / self.config.clock_hz,
         )

@@ -115,20 +115,8 @@ class BramPlan:
     regions: List[BramRegion] = field(default_factory=list)
 
     @property
-    def total_bytes(self) -> int:
-        return sum(r.num_bytes for r in self.regions)
-
-    @property
     def total_tiles(self) -> int:
         return sum(r.tiles for r in self.regions)
-
-    def fits(self, device: FpgaDevice = ZYNQ_XC7Z020) -> bool:
-        """Whether the plan fits in the device's BRAM."""
-
-        return self.total_tiles <= device.bram36
-
-    def utilization_percent(self, device: FpgaDevice = ZYNQ_XC7Z020) -> float:
-        return 100.0 * self.total_tiles / device.bram36
 
     def region(self, name: str) -> BramRegion:
         for r in self.regions:

@@ -24,7 +24,7 @@ counts within ~1 % (see ``tests/fpga/test_cycles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -131,15 +131,6 @@ class CycleBreakdown:
             )
         )
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "conv_cycles": self.conv_cycles,
-            "bn_cycles": self.bn_cycles,
-            "relu_cycles": self.relu_cycles,
-            "overhead_cycles": self.overhead_cycles,
-            "total_cycles": self.total,
-        }
-
 
 class OdeBlockCycleModel:
     """Cycle model for a single building block executed on the PL part."""
@@ -194,10 +185,3 @@ class OdeBlockCycleModel:
         """Execution time of one block at a given PL clock."""
 
         return self.block_cycles(geometry, n_units).time_seconds(clock_hz)
-
-    def parallelism_sweep(
-        self, geometry: BlockGeometry, unit_counts=(1, 4, 8, 16, 32)
-    ) -> Dict[int, CycleBreakdown]:
-        """Cycle breakdowns over a sweep of MAC-unit counts (paper's conv_xN)."""
-
-        return {n: self.block_cycles(geometry, n) for n in unit_counts}

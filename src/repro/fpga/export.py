@@ -9,24 +9,22 @@ implements that packaging step for the simulated flow:
   a flat little-endian byte image laid out exactly like the BRAM plan of
   :func:`repro.fpga.bram.plan_block_allocation` (conv1 weights, conv2
   weights, BN parameters), preceded by a small self-describing header;
-* :func:`import_block_weights` parses such an image back into float weights,
-  so a round trip through the deployment format is lossless up to the Q-format
-  quantisation (verified by the tests).
+* :class:`WeightImageHeader` parses the header back (the RTL emitter reads
+  its BRAM init files from the image this way).
 
-The same image can be consumed by :class:`repro.fpga.odeblock_hw.HardwareODEBlock`
-(via ``BlockWeights``), keeping a single source of truth for the layout.
+The tests read whole images back into float weights to show the round trip
+is lossless up to the Q-format quantisation.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..fixedpoint import QFormat, Q20
-from .geometry import BlockGeometry, block_geometry
 from .odeblock_hw import BlockWeights
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "WeightImageMagicError",
     "WeightImageVersionError",
     "export_block_weights",
-    "import_block_weights",
 ]
 
 #: Magic number identifying a weight image ("ODEW" little-endian).
@@ -118,10 +115,6 @@ class WeightImageHeader:
         )
 
     @property
-    def qformat(self) -> QFormat:
-        return QFormat(self.word_length, self.fraction_bits)
-
-    @property
     def size(self) -> int:
         return _HEADER_STRUCT.size
 
@@ -189,49 +182,3 @@ def export_block_weights(
         fixed = qformat.to_fixed(np.asarray(array, dtype=np.float64))
         pieces.append(fixed.astype(dtype).tobytes())
     return b"".join(pieces)
-
-
-def import_block_weights(image: bytes) -> Tuple[BlockWeights, WeightImageHeader]:
-    """Parse a weight image back into float weights (dequantised)."""
-
-    header = WeightImageHeader.unpack(image)
-    fmt = header.qformat
-    dtype = _dtype_for(fmt)
-    conv_in = header.in_channels + (1 if header.time_concat else 0)
-    conv_shape = (header.out_channels, conv_in, header.kernel, header.kernel)
-    conv_count = int(np.prod(conv_shape))
-    c = header.out_channels
-
-    offset = header.size
-    itemsize = dtype.itemsize
-
-    def take(count: int, shape) -> np.ndarray:
-        nonlocal offset
-        raw = np.frombuffer(image, dtype=dtype, count=count, offset=offset)
-        offset += count * itemsize
-        return fmt.to_float(raw.astype(np.int64)).reshape(shape)
-
-    conv1 = take(conv_count, conv_shape)
-    conv2 = take(conv_count, conv_shape)
-    bn1_gamma = take(c, (c,))
-    bn1_beta = take(c, (c,))
-    bn1_mean = take(c, (c,))
-    bn1_var = take(c, (c,))
-    bn2_gamma = take(c, (c,))
-    bn2_beta = take(c, (c,))
-    bn2_mean = take(c, (c,))
-    bn2_var = take(c, (c,))
-
-    weights = BlockWeights(
-        conv1_weight=conv1,
-        bn1_gamma=bn1_gamma,
-        bn1_beta=bn1_beta,
-        conv2_weight=conv2,
-        bn2_gamma=bn2_gamma,
-        bn2_beta=bn2_beta,
-        bn1_mean=bn1_mean,
-        bn1_var=bn1_var,
-        bn2_mean=bn2_mean,
-        bn2_var=bn2_var,
-    )
-    return weights, header

@@ -2,9 +2,9 @@
 
 NumPy has no BLAS backend for integer matrix multiplication, so the
 ``int64`` matmul at the heart of the bit-accurate forward path
-(:func:`repro.fpga.ops.hw_conv2d`, :meth:`repro.fixedpoint.FxArray.matmul`)
-runs through a slow generic inner loop.  This module reaches BLAS speed
-without sacrificing a single bit by decomposing **one** operand into
+(:func:`repro.fpga.ops.hw_conv2d`) runs through a slow generic inner loop.
+This module reaches BLAS speed without sacrificing a single bit by
+decomposing **one** operand into
 two's-complement limbs sized so that every partial product *and* its whole
 K-term accumulation is an integer below :data:`FLOAT_MANTISSA_LIMIT` — i.e.
 exactly representable in a float64 mantissa.  Each limb GEMM then runs
@@ -54,7 +54,6 @@ __all__ = [
     "MAX_LIMBS",
     "GemmPlan",
     "plan_gemm",
-    "gemm_exact",
     "PlannedGemm",
 ]
 
@@ -95,10 +94,6 @@ class GemmPlan:
     a_bits: int
     b_bits: int
     k_bits: int
-
-    @property
-    def uses_blas(self) -> bool:
-        return self.split != "int64"
 
     @property
     def a_dtype(self) -> np.dtype:
@@ -237,25 +232,3 @@ class PlannedGemm:
                 )
             return acc
         return np.asarray(a, dtype=np.int64) @ self._b
-
-
-def gemm_exact(a: np.ndarray, b: np.ndarray, max_limbs: int = MAX_LIMBS) -> np.ndarray:
-    """Exact ``a @ b`` of two int64 matrices, bit-identical to ``a @ b``.
-
-    Plans from the operands' actual magnitudes, runs the 1–``max_limbs``
-    split-limb BLAS GEMMs when the exactness bound can be met, and falls
-    back to the plain int64 matmul otherwise — so the output (including any
-    deliberate int64 wraparound) never differs from ``a @ b`` by a single
-    bit, it only arrives faster.
-    """
-
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"gemm_exact expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    planned = PlannedGemm(b, a_max=_magnitude(a), max_limbs=max_limbs)
-    if planned.plan.split == "b":
-        return planned(a.astype(np.float64))
-    return planned(a)

@@ -105,15 +105,6 @@ class BlockGeometry:
 
         return 4 * self.out_channels * self.num_batch_norms
 
-    def weight_bytes(self, bytes_per_value: int = 4) -> int:
-        """Weight storage in bytes (paper: 32-bit values, i.e. 4 bytes)."""
-
-        return (self.weight_count + self.bn_parameter_count) * bytes_per_value
-
-    def feature_map_bytes(self, bytes_per_value: int = 4) -> int:
-        """Bytes of one feature-map buffer (output-sized)."""
-
-        return self.output_elements * bytes_per_value
 
 
 LAYER1 = BlockGeometry(name="layer1", in_channels=16, out_channels=16, height=32, width=32)

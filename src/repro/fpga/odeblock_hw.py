@@ -17,8 +17,8 @@ offloaded layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class HardwareExecutionReport:
     @property
     def total_seconds(self) -> float:
         return self.compute_seconds + self.transfer_seconds
-
-    def as_dict(self) -> Dict[str, float]:
-        out = {
-            "compute_seconds": self.compute_seconds,
-            "transfer_seconds": self.transfer_seconds,
-            "total_seconds": self.total_seconds,
-        }
-        out.update(self.cycles.as_dict())
-        return out
 
 
 class HardwareODEBlock:
@@ -316,10 +307,3 @@ class HardwareODEBlock:
         z = np.asarray(z, dtype=np.float64)
         state, total, reports = self.run_iterations_batch(z[None], iterations, step_size, t0)
         return state[0], total, reports
-
-    def quantization_error(self, z: np.ndarray, reference_fn, t: float = 0.0) -> float:
-        """Max abs difference between the fixed-point output and a float reference."""
-
-        hw_out = self.dynamics(z, t)
-        ref_out = np.asarray(reference_fn(z))
-        return float(np.max(np.abs(hw_out - ref_out)))

@@ -115,20 +115,6 @@ class EnergyEstimate:
     def total_energy_j(self) -> float:
         return self.ps_energy_j + self.pl_energy_j
 
-    @property
-    def average_power_w(self) -> float:
-        return self.total_energy_j / self.seconds if self.seconds else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "model": self.model,
-            "N": self.depth,
-            "seconds": self.seconds,
-            "ps_energy_J": self.ps_energy_j,
-            "pl_energy_J": self.pl_energy_j,
-            "total_energy_J": self.total_energy_j,
-            "average_power_W": self.average_power_w,
-        }
 
 
 class PowerModel:
@@ -189,12 +175,6 @@ class PowerModel:
             ps_energy_j=ps_energy,
             pl_energy_j=pl_energy,
         )
-
-    def compare(self, model_name: str, depth: int, resources: ResourceVector) -> Dict[str, float]:
-        """Energy with vs without the PL offload for one architecture."""
-
-        report = self.execution_model.report(model_name, depth)
-        return self.compare_report(report, resources)
 
     def compare_report(self, report: "ExecutionTimeReport", resources: ResourceVector) -> Dict[str, float]:
         """Energy comparison for an already-computed execution-time report.

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Tuple
 from ..fixedpoint.qformat import QFormat, Q20
 from .bram import BramPlan, plan_block_allocation
 from ..platform import FpgaDevice, ResourceVector, ZYNQ_XC7Z020
-from .geometry import BlockGeometry, OFFLOADABLE_BLOCKS, block_geometry
+from .geometry import BlockGeometry, block_geometry
 
 __all__ = [
     "ResourceEstimate",
@@ -98,9 +98,6 @@ class ResourceEstimate:
     n_units: int
     resources: ResourceVector
     bram_plan: BramPlan
-
-    def utilization(self, device: FpgaDevice = ZYNQ_XC7Z020) -> Dict[str, float]:
-        return self.resources.utilization(device)
 
     def fits(self, device: FpgaDevice = ZYNQ_XC7Z020) -> bool:
         return self.resources.fits(device)
@@ -189,11 +186,3 @@ class ResourceEstimator:
         for block in blocks:
             total = total + self.estimate(block, n_units=n_units).resources
         return total
-
-    def feasible_blocks(self, n_units: int = 16) -> Dict[str, bool]:
-        """Which single-block configurations fit on the device."""
-
-        return {
-            name: self.estimate(name, n_units=n_units).fits(self.device)
-            for name in OFFLOADABLE_BLOCKS
-        }

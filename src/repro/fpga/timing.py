@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
@@ -205,19 +205,6 @@ class TimingModel:
             "slack_ns": slack_ns_kernel(path, target),
             "meets_timing": meets_timing_kernel(path, target),
         }
-
-    def sweep(self, unit_counts: Iterable[int] = (1, 4, 8, 16, 32)) -> Dict[int, TimingReport]:
-        """Timing reports for a sweep of MAC-unit counts."""
-
-        return {n: self.analyze(n) for n in unit_counts}
-
-    def max_units_meeting_timing(self, candidates: Iterable[int] = (1, 2, 4, 8, 16, 32, 64)) -> int:
-        """Largest candidate unit count that closes timing at the target clock."""
-
-        feasible = [n for n in candidates if self.analyze(n).meets_timing]
-        if not feasible:
-            raise RuntimeError("no candidate parallelism meets timing")
-        return max(feasible)
 
 
 #: Shared default instance (constants per the module docstring).

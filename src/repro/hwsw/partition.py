@@ -9,10 +9,10 @@ instances) and which stay on the PS part (as the software modules of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from ..core.network_spec import LAYER_ORDER, OFFLOADABLE_LAYER_NAMES
+from ..core.network_spec import OFFLOADABLE_LAYER_NAMES
 
 __all__ = ["Partition"]
 
@@ -32,12 +32,6 @@ class Partition:
                 )
 
     @classmethod
-    def software_only(cls) -> "Partition":
-        """Everything on the PS part (the paper's pure-software baseline)."""
-
-        return cls(pl_layers=())
-
-    @classmethod
     def offload(cls, *layers: str) -> "Partition":
         """Offload the named layer groups to the PL part."""
 
@@ -45,10 +39,3 @@ class Partition:
 
     def runs_on_pl(self, layer: str) -> bool:
         return layer in self.pl_layers
-
-    def placement(self) -> Dict[str, str]:
-        """Layer -> "PL" / "PS" map over the whole network."""
-
-        return {
-            layer: ("PL" if self.runs_on_pl(layer) else "PS") for layer in LAYER_ORDER
-        }

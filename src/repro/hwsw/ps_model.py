@@ -30,7 +30,6 @@ constants were fitted on) are deliberately not modelled — see ROADMAP.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..platform import BoardSpec, DEFAULT_BOARD
 
@@ -127,12 +126,3 @@ class SoftwareCostModel:
         """Fixed per-image software overhead in seconds."""
 
         return self.config.per_image_overhead_s
-
-    def describe(self) -> Dict[str, float]:
-        cfg = self.config
-        return {
-            "clock_mhz": cfg.clock_hz / 1e6,
-            "cycles_per_mac": cfg.cycles_per_mac,
-            "cycles_per_element": cfg.cycles_per_element,
-            "per_image_overhead_s": cfg.per_image_overhead_s,
-        }

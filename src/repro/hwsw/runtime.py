@@ -53,10 +53,6 @@ class PredictionReport:
     modeled_total_with_pl: float = 0.0
 
     @property
-    def pl_seconds(self) -> float:
-        return self.pl_compute_seconds + self.pl_transfer_seconds
-
-    @property
     def modeled_speedup(self) -> float:
         if self.modeled_total_with_pl == 0.0:
             return 1.0

@@ -13,12 +13,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".layers": (
-            "AvgPool2d", "BatchNorm2d", "Conv2d", "Flatten", "GlobalAvgPool2d", "Identity",
-            "Linear", "Module", "Parameter", "ReLU", "Sequential",
+            "BatchNorm2d", "Conv2d", "GlobalAvgPool2d", "Identity", "Linear", "Module",
+            "Parameter", "Sequential",
         ),
-        ".loss": ("CrossEntropyLoss", "MSELoss", "accuracy", "top_k_accuracy"),
-        ".optim": ("SGD", "Adam", "CosineAnnealingLR", "MultiStepLR", "StepLR"),
-        ".tensor": ("Tensor", "as_tensor", "is_grad_enabled", "no_grad"),
+        ".loss": ("CrossEntropyLoss", "MSELoss", "accuracy"),
+        ".optim": ("SGD", "Adam", "MultiStepLR"),
+        ".tensor": ("Tensor", "as_tensor", "no_grad"),
     },
     submodules=("functional", "init"),
 )

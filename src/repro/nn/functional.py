@@ -13,7 +13,7 @@ cross-entropy are needed by the pre/post-processing steps (conv1 / fc).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -23,15 +23,10 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "conv2d",
     "batch_norm2d",
-    "relu",
     "linear",
-    "avg_pool2d",
     "global_avg_pool2d",
-    "max_pool2d",
-    "softmax",
     "log_softmax",
     "cross_entropy",
-    "dropout",
 ]
 
 
@@ -182,12 +177,6 @@ def batch_norm2d(
 # ---------------------------------------------------------------------------
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-
-    return as_tensor(x).relu()
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine transform ``x @ weight.T + bias`` (torch.nn.Linear semantics)."""
 
@@ -198,19 +187,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Non-overlapping average pooling (kernel == stride by default)."""
-
-    x = as_tensor(x)
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    if h % stride or w % stride:
-        raise ValueError("avg_pool2d requires input divisible by the stride")
-    out_h, out_w = h // stride, w // stride
-    reshaped = x.reshape(n, c, out_h, stride, out_w, stride)
-    return reshaped.mean(axis=(3, 5))
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Global average pooling producing an ``(N, C)`` tensor (paper's fc step)."""
 
@@ -218,42 +194,9 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3))
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Non-overlapping max pooling."""
-
-    x = as_tensor(x)
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    if h % stride or w % stride:
-        raise ValueError("max_pool2d requires input divisible by the stride")
-    out_h, out_w = h // stride, w // stride
-    reshaped = x.reshape(n, c, out_h, stride, out_w, stride)
-    return reshaped.max(axis=5).max(axis=3)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout (identity in evaluation mode)."""
-
-    x = as_tensor(x)
-    if not training or p <= 0.0:
-        return x
-    rng = rng or np.random.default_rng()
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(mask)
-
-
 # ---------------------------------------------------------------------------
 # Classification losses
 # ---------------------------------------------------------------------------
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax."""
-
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

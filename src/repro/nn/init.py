@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "kaiming_normal",
-    "kaiming_uniform",
-    "xavier_uniform",
     "uniform_fan_in",
     "zeros",
     "ones",
@@ -45,24 +43,6 @@ def kaiming_normal(shape, rng: Optional[np.random.Generator] = None) -> np.ndarr
     fan_in, _ = _fan_in_out(tuple(shape))
     std = math.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """He uniform initialisation (gain for ReLU)."""
-
-    rng = rng or np.random.default_rng()
-    fan_in, _ = _fan_in_out(tuple(shape))
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Glorot uniform initialisation."""
-
-    rng = rng or np.random.default_rng()
-    fan_in, fan_out = _fan_in_out(tuple(shape))
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def uniform_fan_in(shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:

@@ -23,11 +23,8 @@ __all__ = [
     "Sequential",
     "Conv2d",
     "BatchNorm2d",
-    "ReLU",
     "Linear",
     "GlobalAvgPool2d",
-    "AvgPool2d",
-    "Flatten",
     "Identity",
 ]
 
@@ -87,25 +84,12 @@ class Module:
         for mod_name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{mod_name}.")
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for module in self._modules.values():
-            yield from module.modules()
-
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
     # -- parameter accounting ------------------------------------------------------
 
     def num_parameters(self) -> int:
         """Total number of scalar trainable parameters."""
 
         return sum(p.size for p in self.parameters())
-
-    def parameter_bytes(self, bytes_per_param: int = 4) -> int:
-        """Parameter memory footprint assuming ``bytes_per_param`` (paper: 4)."""
-
-        return self.num_parameters() * bytes_per_param
 
     # -- train / eval --------------------------------------------------------------
 
@@ -117,10 +101,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     # -- state dict -----------------------------------------------------------------
 
@@ -164,25 +144,13 @@ class Sequential(Module):
             setattr(self, name, module)
             self._order.append(name)
 
-    def append(self, module: Module) -> "Sequential":
-        name = f"m{len(self._order)}"
-        setattr(self, name, module)
-        self._order.append(name)
-        return self
-
-    def __iter__(self):
-        return (getattr(self, name) for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return getattr(self, self._order[index])
-
     def forward(self, x: Tensor) -> Tensor:
         for name in self._order:
             x = getattr(self, name)(x)
         return x
+
+    def __len__(self) -> int:
+        return len(self._order)
 
 
 class Conv2d(Module):
@@ -215,12 +183,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def extra_repr(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Conv2d({self.in_channels}, {self.out_channels}, "
-            f"k={self.kernel_size}, s={self.stride}, p={self.padding})"
-        )
-
 
 class BatchNorm2d(Module):
     """Per-channel batch normalisation with running statistics."""
@@ -246,13 +208,6 @@ class BatchNorm2d(Module):
             momentum=self.momentum,
             eps=self.eps,
         )
-
-
-class ReLU(Module):
-    """Rectified linear activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
 
 
 class Linear(Module):
@@ -286,25 +241,6 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class AvgPool2d(Module):
-    """Fixed-window average pooling."""
-
-    def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride or kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel, self.stride)
-
-
-class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
 
 class Identity(Module):

@@ -7,14 +7,12 @@ Neural-ODE regression example and for the adjoint-method unit tests.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import functional as F
 from .tensor import Tensor, as_tensor
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "accuracy", "top_k_accuracy"]
+__all__ = ["CrossEntropyLoss", "MSELoss", "accuracy"]
 
 
 class CrossEntropyLoss:
@@ -41,13 +39,3 @@ def accuracy(logits, targets: np.ndarray) -> float:
     predictions = data.argmax(axis=1)
     targets = np.asarray(targets)
     return float((predictions == targets).mean())
-
-
-def top_k_accuracy(logits, targets: np.ndarray, k: int = 5) -> float:
-    """Top-k accuracy (the CIFAR-100 literature often reports top-5 as well)."""
-
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    targets = np.asarray(targets)
-    top_k = np.argsort(-data, axis=1)[:, :k]
-    hits = (top_k == targets[:, None]).any(axis=1)
-    return float(hits.mean())

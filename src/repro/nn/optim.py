@@ -3,20 +3,18 @@
 The paper trains every architecture with SGD, L2 regularisation of 1e-4, 200
 epochs, and a learning rate that starts at 0.01 and is divided by 10 at
 epochs 100 and 150 (Section 4.3).  :class:`SGD` plus :class:`MultiStepLR`
-reproduce that recipe exactly; :class:`CosineAnnealingLR` is provided for the
-ablation experiments.
+reproduce that recipe exactly.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "LRScheduler", "MultiStepLR", "StepLR", "CosineAnnealingLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "LRScheduler", "MultiStepLR"]
 
 
 class Optimizer:
@@ -149,30 +147,3 @@ class MultiStepLR(LRScheduler):
     def get_lr(self, epoch: int) -> float:
         passed = sum(1 for m in self.milestones if epoch >= m)
         return self.base_lr * (self.gamma ** passed)
-
-
-class StepLR(LRScheduler):
-    """Divide the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine-annealed learning rate over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self, epoch: int) -> float:
-        epoch = min(epoch, self.t_max)
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1.0 + math.cos(math.pi * epoch / self.t_max)
-        )

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
+__all__ = ["Tensor", "no_grad", "as_tensor"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
@@ -56,12 +56,6 @@ class no_grad:
     def __exit__(self, *exc) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-
-    return _GRAD_ENABLED
 
 
 # ---------------------------------------------------------------------------
@@ -130,39 +124,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -269,9 +235,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other).__sub__(self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
         data = self.data * other.data
@@ -283,29 +246,6 @@ class Tensor:
         return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data ** 2))
-
-        return Tensor._make(data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other).__truediv__(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(data, (self,), backward)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
@@ -334,24 +274,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    # -- comparisons (no gradient) -------------------------------------------
-
-    def __gt__(self, other: ArrayLike) -> np.ndarray:
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data > other
-
-    def __lt__(self, other: ArrayLike) -> np.ndarray:
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data < other
-
-    def __ge__(self, other: ArrayLike) -> np.ndarray:
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data >= other
-
-    def __le__(self, other: ArrayLike) -> np.ndarray:
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data <= other
-
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -373,42 +295,7 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            expanded = data
-            g = grad
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(np.asarray(data), axis=axis)
-                g = np.expand_dims(g, axis=axis)
-            mask = (self.data == expanded).astype(np.float64)
-            # Split gradient equally among ties (matches numpy semantics well
-            # enough for ReLU-style use; exact tie handling is unimportant).
-            denom = mask.sum(axis=axis, keepdims=True)
-            denom = np.where(denom == 0, 1.0, denom)
-            self._accumulate(mask * g / denom)
-
-        return Tensor._make(data, (self,), backward)
-
     # -- shape manipulation ----------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        original = self.data.shape
-        data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-
-        return Tensor._make(data, (self,), backward)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -426,11 +313,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return self.transpose()
-
-    def flatten(self, start_dim: int = 0) -> "Tensor":
-        shape = self.data.shape
-        new_shape = shape[:start_dim] + (-1,)
-        return self.reshape(new_shape)
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
@@ -483,14 +365,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / data)
-
-        return Tensor._make(data, (self,), backward)
-
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
 
@@ -499,49 +373,7 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward)
-
-    # -- convenience constructors ------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [as_tensor(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            pieces = np.split(grad, len(tensors), axis=axis)
-            for t, piece in zip(tensors, pieces):
-                t._accumulate(np.squeeze(piece, axis=axis))
-
-        return Tensor._make(data, tensors, backward)
+    # -- joining ---------------------------------------------------------------------
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":

@@ -1,9 +1,9 @@
-"""ODE solver substrate: fixed-grid and adaptive solvers plus the adjoint method.
+"""ODE solver substrate: fixed-grid solvers plus the adjoint method.
 
 This package plays the role of ``torchdiffeq`` in the original work: it
-provides ``ODESolve`` (Equation 4 of the paper), a torchdiffeq-style
-``odeint`` front end, adaptive reference solvers, and adjoint-method
-gradients (Equations 7–9).
+provides ``ODESolve`` (Equation 4 of the paper) as the fixed-grid
+solvers' ``integrate``, a torchdiffeq-style ``odeint`` front end, and
+adjoint-method gradients (Equations 7–9).
 """
 
 from .._lazy import lazy_exports
@@ -11,14 +11,11 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".adaptive": (
-            "AdaptiveResult", "AdaptiveSolver", "adaptive_integrate", "dopri5", "heun_euler",
-        ),
         ".adjoint": ("adjoint_backward", "odeint_adjoint", "vjp"),
-        ".odeint": ("odeint", "odesolve"),
+        ".odeint": ("odeint",),
         ".solvers": (
             "EULER", "HEUN", "MIDPOINT", "RK4", "ButcherTableau", "FixedGridSolver",
-            "available_methods", "get_solver", "solver_order", "steps_for_interval",
+            "available_methods", "get_solver", "solver_order",
         ),
     },
 )

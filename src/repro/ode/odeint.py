@@ -1,68 +1,34 @@
 """Public ``odeint`` API (torchdiffeq-compatible surface).
 
-Two entry points are provided:
-
-* :func:`odesolve` — the paper's ``ODESolve(z(t0), t0, t1, f)`` (Equation 4):
-  integrate once from ``t0`` to ``t1`` with a fixed number of steps.  Works on
-  NumPy arrays and autograd Tensors; when the input is a Tensor the graph is
-  recorded (backprop through the solver).
-* :func:`odeint` — evaluate the solution at a sequence of time points, like
-  ``torchdiffeq.odeint(func, y0, t)``, returning the stacked trajectory.
+:func:`odeint` evaluates the solution at a sequence of time points, like
+``torchdiffeq.odeint(func, y0, t)``, returning the stacked trajectory.  The
+paper's single ``ODESolve(z(t0), t0, t1, f)`` (Equation 4) is
+``get_solver(method).integrate``.
 
 Use :func:`repro.ode.adjoint.odeint_adjoint` for constant-memory gradients.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..nn.tensor import Tensor
-from .adaptive import adaptive_integrate
-from .solvers import FixedGridSolver, get_solver, steps_for_interval
+from .solvers import get_solver
 
-__all__ = ["odesolve", "odeint"]
+__all__ = ["odeint"]
 
-State = Union[np.ndarray, Tensor]
-DynamicsFn = Callable[[State, float], State]
-
-
-def odesolve(
-    func: DynamicsFn,
-    z0: State,
-    t0: float,
-    t1: float,
-    method: str = "euler",
-    num_steps: int | None = None,
-    step_size: float | None = None,
-) -> State:
-    """Integrate ``dz/dt = f(z, t)`` from ``t0`` to ``t1``.
-
-    Exactly one of ``num_steps`` / ``step_size`` may be given; by default a
-    single step is taken (which for the Euler method is one ResNet building
-    block, per the paper's Section 2.3 correspondence).
-    """
-
-    if num_steps is not None and step_size is not None:
-        raise ValueError("pass either num_steps or step_size, not both")
-    if num_steps is None:
-        num_steps = (
-            steps_for_interval(t0, t1, step_size) if step_size is not None else 1
-        )
-    solver = get_solver(method)
-    return solver.integrate(func, z0, t0, t1, num_steps)
+DynamicsFn = Callable[[np.ndarray, float], np.ndarray]
 
 
 def odeint(
     func: DynamicsFn,
-    y0: State,
+    y0: np.ndarray,
     t: Sequence[float],
     method: str = "euler",
     steps_per_interval: int = 1,
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
-):
+) -> np.ndarray:
     """Evaluate the ODE solution at every time in ``t``.
 
     Parameters
@@ -70,23 +36,24 @@ def odeint(
     func:
         Dynamics ``f(y, t)``.
     y0:
-        Initial state (NumPy array or Tensor).
+        Initial state (NumPy array).
     t:
         Monotonic sequence of evaluation times; ``t[0]`` is the initial time.
     method:
-        ``euler`` / ``midpoint`` / ``heun`` / ``rk4`` for fixed-grid
-        integration, or ``rk12`` / ``rk45`` for adaptive integration
-        (adaptive methods require NumPy-array states).
+        A fixed-grid method of :func:`repro.ode.solvers.available_methods`;
+        any other name is :func:`~repro.ode.solvers.get_solver`'s
+        ``ValueError``.
     steps_per_interval:
         Number of fixed steps between consecutive requested times.
 
     Returns
     -------
-    Tensor or numpy.ndarray
-        Stacked states with shape ``(len(t), *y0.shape)``; a Tensor when the
-        input was a Tensor (so gradients flow), else an ndarray.
+    numpy.ndarray
+        Stacked states with shape ``(len(t), *y0.shape)``.
     """
 
+    if isinstance(y0, Tensor):
+        raise TypeError("odeint integrates NumPy arrays; use odeint_adjoint for Tensor gradients")
     times = [float(x) for x in t]
     if len(times) < 2:
         raise ValueError("odeint requires at least two time points")
@@ -94,27 +61,10 @@ def odeint(
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("odeint time points must be strictly monotonic")
 
-    method_l = method.lower()
-    is_tensor = isinstance(y0, Tensor)
-
-    if method_l in ("rk12", "rk45", "dopri5", "heun_euler", "adaptive_heun"):
-        if is_tensor:
-            raise TypeError("adaptive methods operate on NumPy arrays, not Tensors")
-        y = np.asarray(y0, dtype=np.float64)
-        outputs = [y.copy()]
-        for ta, tb in zip(times[:-1], times[1:]):
-            result = adaptive_integrate(func, y, ta, tb, method=method_l, rtol=rtol, atol=atol)
-            y = result.y
-            outputs.append(y.copy())
-        return np.stack(outputs, axis=0)
-
-    solver: FixedGridSolver = get_solver(method_l)
-    state: State = y0
+    solver = get_solver(method)
+    state = y0
     outputs = [state]
     for ta, tb in zip(times[:-1], times[1:]):
         state = solver.integrate(func, state, ta, tb, steps_per_interval)
         outputs.append(state)
-
-    if is_tensor:
-        return Tensor.stack(outputs, axis=0)
-    return np.stack([np.asarray(o) for o in outputs], axis=0)
+    return np.stack(outputs, axis=0)

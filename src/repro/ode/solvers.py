@@ -16,7 +16,7 @@ backpropagation-through-the-solver (the non-adjoint training mode) works.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "get_solver",
     "available_methods",
     "solver_order",
-    "steps_for_interval",
 ]
 
 State = Union[np.ndarray, "Tensor"]  # noqa: F821 - Tensor imported lazily
@@ -108,14 +107,6 @@ class FixedGridSolver:
         self.tableau = tableau
 
     @property
-    def name(self) -> str:
-        return self.tableau.name
-
-    @property
-    def order(self) -> int:
-        return self.tableau.order
-
-    @property
     def stages_per_step(self) -> int:
         """Number of dynamics-function evaluations per step.
 
@@ -183,12 +174,3 @@ def get_solver(method: str) -> FixedGridSolver:
             f"unknown ODE solver '{method}'; available: {', '.join(available_methods())}"
         )
     return FixedGridSolver(_TABLEAUS[key])
-
-
-def steps_for_interval(t0: float, t1: float, step_size: float) -> int:
-    """Number of fixed steps of (approximately) ``step_size`` covering [t0, t1]."""
-
-    span = abs(t1 - t0)
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
-    return max(1, int(round(span / step_size)))

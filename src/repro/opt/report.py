@@ -85,9 +85,6 @@ class OptReport(Report):
 
     # -- views -------------------------------------------------------------------------
 
-    def by_status(self, status: str) -> List[CandidateRecord]:
-        return [c for c in self.candidates if c.status == status]
-
     def evaluated(self) -> List[CandidateRecord]:
         """Candidates with full-fidelity metrics (feasible/infeasible/best)."""
 

@@ -88,21 +88,6 @@ class FpgaDevice:
     ff: int
     bram36_bytes: int = 4096  # usable data bytes per BRAM36 tile
 
-    @property
-    def bram_bytes_total(self) -> int:
-        """Total BRAM capacity in bytes."""
-
-        return self.bram36 * self.bram36_bytes
-
-    def headroom(self, used: ResourceVector) -> ResourceVector:
-        """Remaining resources after ``used`` is placed."""
-
-        return ResourceVector(
-            bram=self.bram36 - used.bram,
-            dsp=self.dsp - used.dsp,
-            lut=self.lut - used.lut,
-            ff=self.ff - used.ff,
-        )
 
 
 @dataclass(frozen=True)

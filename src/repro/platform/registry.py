@@ -83,9 +83,6 @@ class _RegistryView(Mapping):
     def __len__(self) -> int:
         return len(_REGISTRY)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"BOARDS({list(_REGISTRY)})"
-
 
 #: Live name -> BoardSpec mapping (reflects later ``register_board`` calls).
 BOARDS: Mapping[str, BoardSpec] = _RegistryView()

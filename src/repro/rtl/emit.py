@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -170,12 +170,6 @@ class RtlBundle:
             path.write_text(text)
             written.append(path)
         return written
-
-    @property
-    def verilog_sources(self) -> List[str]:
-        """The synthesisable sources in compile order (no testbench)."""
-
-        return [n for n in SOURCE_FILES if n != "fx_ops.vh"]
 
 
 def _rom_images(

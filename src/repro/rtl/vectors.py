@@ -27,7 +27,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -122,38 +122,6 @@ class VectorSet:
             pieces.append(np.asarray(rec.stimulus, dtype="<i8").tobytes())
             pieces.append(np.asarray(rec.expected, dtype="<i8").tobytes())
         return b"".join(pieces)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "VectorSet":
-        """Parse a :meth:`to_bytes` image back (inverse, bit-exact)."""
-
-        magic, version, word, frac, c, h, w, tc, n = _VECTOR_HEADER.unpack(
-            data[: _VECTOR_HEADER.size]
-        )
-        if magic != _VECTOR_MAGIC:
-            raise ValueError(f"not a testbench-vector image (magic {magic!r})")
-        if version != _VECTOR_VERSION:
-            raise ValueError(f"unsupported vector image version {version}")
-        chw = c * h * w
-        offset = _VECTOR_HEADER.size
-        records = []
-        for _ in range(n):
-            t_fx = int(np.frombuffer(data, dtype="<i8", count=1, offset=offset)[0])
-            offset += 8
-            stim = np.frombuffer(data, dtype="<i8", count=chw, offset=offset).astype(np.int64)
-            offset += 8 * chw
-            exp = np.frombuffer(data, dtype="<i8", count=chw, offset=offset).astype(np.int64)
-            offset += 8 * chw
-            records.append(VectorRecord(stimulus=stim, t_fx=t_fx, expected=exp))
-        return cls(
-            qformat=QFormat(word, frac),
-            channels=c,
-            height=h,
-            width=w,
-            time_concat=bool(tc),
-            step_size=1.0,  # not stored; informational only
-            records=tuple(records),
-        )
 
     def manifest(self) -> Dict:
         """Deterministic JSON-able description of the vector set."""

@@ -64,14 +64,6 @@ class Event:
         self.triggered = False
         self._value: object = None
 
-    @property
-    def value(self) -> object:
-        return self._value
-
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
-
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event; it fires at the current simulated time."""
 
@@ -194,23 +186,11 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------------------
 
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def process_at(self, delay: float, generator: Generator) -> Process:
-        """Spawn a process whose first resume happens at ``now + delay``.
-
-        Equivalent to a process opening with ``yield sim.timeout(delay)``
-        but one queue entry cheaper — the arrival fast path.
-        """
-
-        return Process(self, generator, delay=delay)
 
     def process_batch(self, pairs: Sequence) -> List[Process]:
         """Spawn many delayed processes with one bulk heap rebuild.

@@ -191,18 +191,6 @@ class QuantileSketch:
     # -- ingest ------------------------------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        """Whether quantiles still come from the verbatim sample buffer."""
-
-        return self._samples is not None
-
-    @property
-    def samples(self) -> Optional[Tuple[float, ...]]:
-        """The exact buffer (``None`` once spilled) — the reference oracle."""
-
-        return tuple(self._samples) if self._samples is not None else None
-
-    @property
     def bins_used(self) -> int:
         return len(self._bins) if self._bins is not None else 0
 
@@ -223,10 +211,6 @@ class QuantileSketch:
         else:
             key = self._key(v)
             self._bins[key] = self._bins.get(key, 0) + 1
-
-    def extend(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.insert(v)
 
     # -- binning -----------------------------------------------------------------------
 
@@ -290,9 +274,6 @@ class QuantileSketch:
         return self
 
     # -- quantiles ---------------------------------------------------------------------
-
-    def percentile(self, q: float) -> float:
-        return self.percentiles([q])[0]
 
     def percentiles(self, qs: Sequence[float]) -> List[float]:
         """Estimates of ``np.percentile(values, qs)`` (NaN when empty)."""

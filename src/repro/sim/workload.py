@@ -127,10 +127,6 @@ class ServicePlan:
     def ps_seconds(self) -> float:
         return sum(s.seconds for s in self.segments if isinstance(s, PsSegment))
 
-    @property
-    def pl_executions(self) -> int:
-        return sum(1 for s in self.segments if isinstance(s, PlExecution))
-
 
 def build_service_plan(
     scenario: Scenario,

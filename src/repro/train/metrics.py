@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 __all__ = ["EpochMetrics", "TrainingHistory", "RunningAverage"]
 
@@ -37,20 +35,6 @@ class EpochMetrics:
     test_accuracy: Optional[float] = None
     learning_rate: Optional[float] = None
 
-    def as_dict(self) -> Dict[str, float]:
-        out = {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-        }
-        if self.test_loss is not None:
-            out["test_loss"] = self.test_loss
-        if self.test_accuracy is not None:
-            out["test_accuracy"] = self.test_accuracy
-        if self.learning_rate is not None:
-            out["learning_rate"] = self.learning_rate
-        return out
-
 
 @dataclass
 class TrainingHistory:
@@ -61,34 +45,8 @@ class TrainingHistory:
     def append(self, metrics: EpochMetrics) -> None:
         self.epochs.append(metrics)
 
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    def __iter__(self):
-        return iter(self.epochs)
-
     @property
     def final(self) -> EpochMetrics:
         if not self.epochs:
             raise ValueError("history is empty")
         return self.epochs[-1]
-
-    @property
-    def best_test_accuracy(self) -> float:
-        accs = [e.test_accuracy for e in self.epochs if e.test_accuracy is not None]
-        if not accs:
-            raise ValueError("no test accuracy recorded")
-        return max(accs)
-
-    def series(self, key: str) -> np.ndarray:
-        """Extract one metric as an array (NaN where missing)."""
-
-        values = [e.as_dict().get(key, np.nan) for e in self.epochs]
-        return np.asarray(values, dtype=np.float64)
-
-    def improved(self) -> bool:
-        """Whether the train loss decreased between the first and last epoch."""
-
-        if len(self.epochs) < 2:
-            return False
-        return self.epochs[-1].train_loss < self.epochs[0].train_loss

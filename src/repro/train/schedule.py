@@ -9,9 +9,9 @@ epoch becomes 100 and 150."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
-from ..nn.optim import SGD, MultiStepLR, Optimizer
+from ..nn.optim import SGD, MultiStepLR
 
 __all__ = ["PaperTrainingSchedule", "make_paper_optimizer"]
 
@@ -27,27 +27,6 @@ class PaperTrainingSchedule:
     milestones: Tuple[int, ...] = (100, 150)
     gamma: float = 0.1
     batch_size: int = 128
-
-    def scaled(self, factor: float) -> "PaperTrainingSchedule":
-        """A proportionally shortened schedule for small-scale functional runs.
-
-        ``factor=0.1`` gives 20 epochs with milestones at 10 and 15 — the
-        same shape as the paper's schedule, compressed.
-        """
-
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        epochs = max(1, int(round(self.epochs * factor)))
-        milestones = tuple(max(1, int(round(m * factor))) for m in self.milestones)
-        return PaperTrainingSchedule(
-            epochs=epochs,
-            base_lr=self.base_lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            milestones=milestones,
-            gamma=self.gamma,
-            batch_size=self.batch_size,
-        )
 
 
 def make_paper_optimizer(parameters, schedule: PaperTrainingSchedule | None = None):

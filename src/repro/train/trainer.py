@@ -11,10 +11,7 @@ the adjoint method).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from ..data.loader import DataLoader
 from ..data.synthetic import SyntheticDataset
@@ -32,7 +29,7 @@ def evaluate(model: Module, dataset: SyntheticDataset, batch_size: int = 64) -> 
     model.eval()
     criterion = CrossEntropyLoss()
     loss_avg, acc_avg = RunningAverage(), RunningAverage()
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False, augment=False)
+    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     with no_grad():
         for images, labels in loader:
             logits = model(Tensor(images))
@@ -53,10 +50,7 @@ class Trainer:
         In-memory datasets (test_set optional).
     schedule:
         Training hyper-parameters; defaults to the paper's 200-epoch recipe —
-        pass ``PaperTrainingSchedule().scaled(0.05)`` or an explicit short
-        schedule for functional runs.
-    augment:
-        Apply the standard CIFAR augmentation to training batches.
+        pass an explicit short schedule for functional runs.
     """
 
     def __init__(
@@ -65,7 +59,6 @@ class Trainer:
         train_set: SyntheticDataset,
         test_set: Optional[SyntheticDataset] = None,
         schedule: Optional[PaperTrainingSchedule] = None,
-        augment: bool = False,
         seed: int = 0,
         on_epoch_end: Optional[Callable[[EpochMetrics], None]] = None,
     ) -> None:
@@ -73,7 +66,6 @@ class Trainer:
         self.train_set = train_set
         self.test_set = test_set
         self.schedule = schedule or PaperTrainingSchedule()
-        self.augment = augment
         self.seed = seed
         self.on_epoch_end = on_epoch_end
         self.criterion = CrossEntropyLoss()
@@ -91,7 +83,6 @@ class Trainer:
             self.train_set,
             batch_size=self.schedule.batch_size,
             shuffle=True,
-            augment=self.augment,
             seed=self.seed + epoch,
         )
         loss_avg, acc_avg = RunningAverage(), RunningAverage()

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import PAPER_ACCURACY, accuracy_gap, accuracy_model, accuracy_table
+from repro.analysis import PAPER_ACCURACY, accuracy_model, accuracy_table
 from repro.core import SUPPORTED_DEPTHS, VARIANT_NAMES
+
+
+def accuracy_gap(variant: str, depth: int) -> float:
+    """Accuracy loss of ``variant`` versus ResNet at the same depth (Section 4.3)."""
+
+    return (
+        accuracy_model("ResNet", depth).accuracy_percent
+        - accuracy_model(variant, depth).accuracy_percent
+    )
 
 
 class TestQuotedValues:
@@ -30,7 +39,6 @@ class TestQuotedValues:
     def test_quoted_gaps(self):
         """Section 4.3: 5.48-point gap at N=20, 5.70 at N=32 for rODENet-3;
         2.16-point worst-case gap for Hybrid-3; 0.98 at N=56."""
-
         assert accuracy_gap("rODENet-3", 20) == pytest.approx(5.48, abs=0.01)
         assert accuracy_gap("rODENet-3", 32) == pytest.approx(5.70, abs=0.01)
         assert accuracy_gap("Hybrid-3", 44) == pytest.approx(2.16, abs=0.01)

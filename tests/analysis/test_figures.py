@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import figure5_series, figure6_series, merge_measured_accuracy
+from repro.analysis import figure5_series, figure6_series
 from repro.core import SUPPORTED_DEPTHS, VARIANT_NAMES
 
 
@@ -44,17 +44,3 @@ class TestFigure6:
         for depth in (20, 32):
             best = max(series[v][depth] for v in VARIANT_NAMES)
             assert series["ResNet"][depth] == best
-
-
-class TestMergeMeasured:
-    def test_merge_structure(self):
-        measured = {"rODENet-3": {20: 55.0}}
-        merged = merge_measured_accuracy(measured)
-        entry = merged["rODENet-3"][20]
-        assert entry["measured"] == 55.0
-        assert entry["paper"] == pytest.approx(62.54)
-
-    def test_merge_handles_variant_missing_from_paper(self):
-        merged = merge_measured_accuracy({"CustomNet": {20: 10.0}})
-        assert merged["CustomNet"][20]["paper"] is None
-        assert merged["CustomNet"][20]["measured"] == 10.0

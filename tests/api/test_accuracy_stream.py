@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+from error_reference import error_report
 
 from repro.api.accuracy import (
     AccuracySweepResult,
@@ -26,7 +27,6 @@ from repro.api.accuracy import (
 )
 from repro.cli import main
 from repro.fixedpoint import Q16, QFormat
-from repro.fixedpoint.errors import error_report
 from repro.fpga import BlockWeights, HardwareODEBlock
 from repro.fpga.geometry import block_geometry
 

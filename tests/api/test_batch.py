@@ -18,7 +18,6 @@ from repro.api import (
     sweep_batch,
 )
 from repro.analysis import csv_text, strict_json
-from repro.api.batch import FLAT_COLUMNS
 from repro.core import SUPPORTED_DEPTHS
 from repro.core.execution_model import TABLE5_MODELS
 
@@ -120,7 +119,6 @@ class TestBatchResult:
     def test_len_and_columns(self):
         batch = sweep_batch(scenario_grid(models=("rODENet-3",), depths=(20, 56)))
         assert len(batch) == 2
-        assert batch.column_names == FLAT_COLUMNS
         speedups = batch.column("overall_speedup")
         assert speedups.shape == (2,)
         assert (speedups > 1.0).all()

@@ -41,7 +41,9 @@ class TestAgainstHandAssembledModels:
     def test_energy_matches_power_model(self, headline):
         execution = ExecutionTimeModel(n_units=16)
         decision = OffloadPlanner(n_units=16, execution_model=execution).plan("rODENet-3", 56)
-        comparison = PowerModel(execution_model=execution).compare("rODENet-3", 56, decision.resources)
+        comparison = PowerModel(execution_model=execution).compare_report(
+            execution.report("rODENet-3", 56), decision.resources
+        )
         assert headline.energy == comparison
 
     def test_training_matches_training_model(self, headline):

@@ -10,7 +10,6 @@ from repro.core import (
     SUPPORTED_DEPTHS,
     VARIANT_NAMES,
     BlockRealization,
-    all_variant_specs,
     table4_rows,
     variant_spec,
 )
@@ -90,24 +89,27 @@ class TestExecutionBudget:
 
 class TestRealizations:
     def test_ode_layers(self):
-        assert variant_spec("ODENet", 20).ode_layers == ["layer1", "layer2_2", "layer3_2"]
-        assert variant_spec("rODENet-3", 20).ode_layers == ["layer3_2"]
-        assert variant_spec("ResNet", 20).ode_layers == []
+        def ode_layers(name):
+            layers = variant_spec(name, 20).layers
+            return [p.layer for p in layers if p.realization == BlockRealization.ODEBLOCK]
+
+        assert ode_layers("ODENet") == ["layer1", "layer2_2", "layer3_2"]
+        assert ode_layers("rODENet-3") == ["layer3_2"]
+        assert ode_layers("ResNet") == []
 
     def test_removed_layers(self):
-        assert variant_spec("rODENet-1", 20).removed_layers == ["layer2_2", "layer3_2"]
-        assert variant_spec("rODENet-3", 20).removed_layers == ["layer2_2"]
-        assert variant_spec("Hybrid-3", 20).removed_layers == []
+        def removed_layers(name):
+            layers = variant_spec(name, 20).layers
+            return [p.layer for p in layers if p.realization == BlockRealization.REMOVED]
+
+        assert removed_layers("rODENet-1") == ["layer2_2", "layer3_2"]
+        assert removed_layers("rODENet-3") == ["layer2_2"]
+        assert removed_layers("Hybrid-3") == []
 
     def test_heavily_used_layers(self):
         assert variant_spec("rODENet-3", 56).heavily_used_layers() == ["layer3_2"]
         assert variant_spec("rODENet-1+2", 56).heavily_used_layers() == ["layer1", "layer2_2"]
         assert variant_spec("ResNet", 56).heavily_used_layers() == []
-
-    def test_time_concat_only_on_odeblocks(self):
-        spec = variant_spec("rODENet-3", 20)
-        assert spec.plan("layer3_2").uses_time_concat
-        assert not spec.plan("layer1").uses_time_concat
 
 
 class TestValidationAndHelpers:
@@ -130,11 +132,6 @@ class TestValidationAndHelpers:
         assert spec.full_name == "ODENet-32"
         with pytest.raises(KeyError):
             spec.plan("layer7")
-
-    def test_all_variant_specs_cover_grid(self):
-        specs = all_variant_specs()
-        assert len(specs) == len(VARIANT_NAMES) * len(SUPPORTED_DEPTHS)
-        assert "rODENet-3-56" in specs
 
     def test_table4_rows_shape(self):
         rows = table4_rows(56)

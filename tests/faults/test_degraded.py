@@ -59,17 +59,17 @@ class TestResourcePrimitives:
         sim.run()
         assert seen["users_at_shrink"] == 2
         assert seen["users_at_probe"] == 1 and not seen["triggered_at_probe"]
-        assert seen["blocked"].processed
+        assert seen["blocked"].callbacks is None
 
     def test_set_capacity_grow_wakes_waiters(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
         first, second = res.request(), res.request()
         sim.run()
-        assert first.processed and not second.triggered
+        assert first.callbacks is None and not second.triggered
         res.set_capacity(2)
         sim.run()
-        assert second.processed
+        assert second.callbacks is None
 
     def test_bus_degrade_token_protocol(self):
         sim = Simulator()

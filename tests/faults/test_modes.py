@@ -80,12 +80,6 @@ class TestModeValidation:
         with pytest.raises(Exception):
             mode.bit = 3
 
-    def test_as_dict_carries_kind_and_params(self):
-        d = AxiDegradation(rate_per_hour=2.5, burst_bits=4).as_dict()
-        assert d["kind"] == "axi_degraded"
-        assert d["rate_per_hour"] == 2.5
-        assert d["burst_bits"] == 4
-
 
 class TestAxiSlowdownFactor:
     def test_halving_the_burst_width_doubles_transfer_time(self):

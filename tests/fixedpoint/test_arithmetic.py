@@ -13,7 +13,6 @@ from repro.fixedpoint import Q8, Q20, QFormat
 from repro.fixedpoint.arithmetic import (
     fx_add,
     fx_div,
-    fx_mac,
     fx_mean,
     fx_mul,
     fx_relu,
@@ -51,7 +50,7 @@ class TestBasicOps:
 
     def test_mac(self):
         acc = to_fx(1.0)
-        out = fx_mac(acc, to_fx(2.0), to_fx(3.0), F)
+        out = fx_add(acc, fx_mul(to_fx(2.0), to_fx(3.0), F), F)
         assert to_float(out) == pytest.approx(7.0, abs=F.resolution)
 
     def test_add_saturates(self):

@@ -1,11 +1,13 @@
-"""Tests for the quantisation-error analysis utilities."""
+"""Tests for the whole-batch quantisation-error reference (``tests/error_reference.py``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.fixedpoint import Q8, Q16, Q20, analyze_quantization, sqnr_db, sweep_wordlengths
+from error_reference import analyze_quantization, sqnr_db, sweep_wordlengths
+
+from repro.fixedpoint import Q8, Q16, Q20
 
 
 class TestAnalyzeQuantization:

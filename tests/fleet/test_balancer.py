@@ -82,10 +82,6 @@ class TestBoardServer:
         b.finalize(10.0)
         assert b.energy_j()["ps_energy_J"] == pytest.approx(1.0 * 0.25 + 0.2 * 9.75)
 
-    def test_utilization_nan_when_never_powered(self):
-        b = make_board()
-        assert math.isnan(b.utilization())  # ledger never closed
-
     def test_finalize_without_traffic_counts_idle_power(self):
         b = make_board(pl_w=3.0, ps_idle_w=0.5)
         b.finalize(4.0)

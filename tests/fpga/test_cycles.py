@@ -83,14 +83,6 @@ class TestModelStructure:
             breakdown.conv_cycles + breakdown.bn_cycles + breakdown.relu_cycles + breakdown.overhead_cycles
         )
 
-    def test_as_dict(self):
-        d = OdeBlockCycleModel().block_cycles(LAYER1, 4).as_dict()
-        assert set(d) == {"conv_cycles", "bn_cycles", "relu_cycles", "overhead_cycles", "total_cycles"}
-
-    def test_parallelism_sweep_keys(self):
-        sweep = OdeBlockCycleModel().parallelism_sweep(LAYER3_2)
-        assert set(sweep) == {1, 4, 8, 16, 32}
-
     def test_custom_config_overhead(self):
         config = CycleModelConfig(invocation_overhead=1000.0, relu_cycles_per_element=1.0)
         model = OdeBlockCycleModel(config)

@@ -25,9 +25,6 @@ class TestZynqDevice:
         assert pct["lut"] == pytest.approx(2.79, abs=0.01)
         assert pct["ff"] == pytest.approx(0.78, abs=0.01)
 
-    def test_bram_capacity_bytes(self):
-        assert ZYNQ_XC7Z020.bram_bytes_total == 140 * 4096
-
 
 class TestPynqBoard:
     def test_table1_specification(self):
@@ -52,11 +49,6 @@ class TestResourceVector:
         huge = ResourceVector(bram=1000, dsp=10, lut=100, ff=100)
         assert small.fits(ZYNQ_XC7Z020)
         assert not huge.fits(ZYNQ_XC7Z020)
-
-    def test_headroom(self):
-        used = ResourceVector(bram=100, dsp=100, lut=1000, ff=1000)
-        left = ZYNQ_XC7Z020.headroom(used)
-        assert left.bram == 40 and left.dsp == 120
 
     def test_as_dict(self):
         d = ResourceVector(bram=1, dsp=2, lut=3, ff=4).as_dict()

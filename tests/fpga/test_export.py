@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from weight_image import import_block_weights
 
 from repro.fixedpoint import Q8, Q16, Q20
 from repro.fpga import (
@@ -12,7 +13,6 @@ from repro.fpga import (
     LAYER3_2,
     WeightImageHeader,
     export_block_weights,
-    import_block_weights,
 )
 from repro.fpga.geometry import BlockGeometry
 
@@ -35,10 +35,6 @@ class TestHeader:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="expected 0x4F444557"):
             WeightImageHeader.unpack(b"\x00" * 32)
-
-    def test_qformat_accessor(self):
-        header = WeightImageHeader(64, 64, 3, 16, 8, time_concat=False)
-        assert header.qformat == Q16
 
 
 class TestRoundTrip:

@@ -37,14 +37,6 @@ class TestBlockGeometries:
         assert LAYER3_2.weight_count == 2 * 64 * 64 * 9
         assert LAYER3_2.bn_parameter_count == 4 * 64 * 2
 
-    def test_weight_bytes_32bit(self):
-        # Weights of layer3_2: 2*64*64*9 + BN params, at 4 bytes each.
-        expected = (2 * 64 * 64 * 9 + 512) * 4
-        assert LAYER3_2.weight_bytes() == expected
-
-    def test_feature_map_bytes(self):
-        assert LAYER3_2.feature_map_bytes() == 64 * 8 * 8 * 4
-
     def test_lookup(self):
         assert block_geometry("layer1") is LAYER1
         with pytest.raises(KeyError):

@@ -14,6 +14,12 @@ from repro.nn import functional as F
 from repro.nn.layers import Parameter
 
 
+def _image(x: FxArray, i: int) -> FxArray:
+    """Image ``i`` of a batched FxArray."""
+
+    return FxArray(x.raw[i], x.fmt, x.overflow)
+
+
 def _float_conv_single_image(x, w, stride=1, padding=1):
     out = F.conv2d(Tensor(x[None, ...]), Tensor(w), stride=stride, padding=padding)
     return out.data[0]
@@ -39,7 +45,7 @@ class TestHwConv2d:
         batched = hw_conv2d(x, w)
         assert batched.shape == (3, 2, 4, 4)
         for i in range(3):
-            assert np.array_equal(batched.raw[i], hw_conv2d(x[i], w).raw)
+            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)
 
     def test_rejects_non_image_rank(self, rng):
         w = FxArray.from_float(rng.normal(size=(2, 2, 3, 3)))

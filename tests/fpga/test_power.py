@@ -37,12 +37,13 @@ class TestEnergyEstimates:
         estimate = power_model.energy_without_pl(report)
         assert estimate.pl_energy_j == 0.0
         assert estimate.ps_energy_j == pytest.approx(1.3 * report.total_without_pl)
-        assert estimate.average_power_w == pytest.approx(1.3)
+        assert estimate.total_energy_j / estimate.seconds == pytest.approx(1.3)
 
     def test_offloaded_energy_lower_for_rodenet3(self, power_model, layer3_2_resources):
         """The offload saves energy as well as time for rODENet-3-56."""
 
-        comparison = power_model.compare("rODENet-3", 56, layer3_2_resources)
+        report = ExecutionTimeModel().report("rODENet-3", 56)
+        comparison = power_model.compare_report(report, layer3_2_resources)
         assert comparison["energy_ratio"] > 2.0
         assert comparison["time_speedup"] == pytest.approx(2.66, abs=0.05)
 
@@ -50,18 +51,13 @@ class TestEnergyEstimates:
         """While the PL computes, the PS idles at ~0.3 W instead of 1.3 W, so
         the energy ratio is even better than the time speedup."""
 
-        comparison = power_model.compare("rODENet-3", 56, layer3_2_resources)
+        report = ExecutionTimeModel().report("rODENet-3", 56)
+        comparison = power_model.compare_report(report, layer3_2_resources)
         assert comparison["energy_ratio"] > comparison["time_speedup"]
 
     def test_resnet_comparison_is_neutral(self, power_model):
-        comparison = power_model.compare("ResNet", 56, ResourceVector())
+        report = ExecutionTimeModel().report("ResNet", 56)
+        comparison = power_model.compare_report(report, ResourceVector())
         # No offload target: identical time, small PL static overhead only.
         assert comparison["time_speedup"] == 1.0
         assert comparison["energy_ratio"] == pytest.approx(1.0, rel=0.2)
-
-    def test_energy_estimate_as_dict(self, power_model, layer3_2_resources):
-        report = ExecutionTimeModel().report("rODENet-3", 20)
-        estimate = power_model.energy_with_pl(report, layer3_2_resources)
-        d = estimate.as_dict()
-        assert d["total_energy_J"] == pytest.approx(d["ps_energy_J"] + d["pl_energy_J"])
-        assert d["average_power_W"] < 1.3  # mostly-idle PS pulls the average down

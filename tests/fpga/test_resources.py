@@ -71,8 +71,8 @@ class TestAnalyticalEstimates:
         """Section 3.2: each of the three layers fits individually."""
 
         estimator = ResourceEstimator()
-        feasible = estimator.feasible_blocks(n_units=16)
-        assert feasible == {"layer1": True, "layer2_2": True, "layer3_2": True}
+        for name in ("layer1", "layer2_2", "layer3_2"):
+            assert estimator.estimate(name, n_units=16).fits(ZYNQ_XC7Z020)
 
     def test_layer1_plus_layer2_2_combination_fits(self):
         """Section 3.2 case 3: layer1 and layer2_2 both on the PL."""
@@ -106,6 +106,6 @@ class TestAnalyticalEstimates:
 
     def test_utilization_accessor(self):
         est = ResourceEstimator().estimate("layer1", 16)
-        util = est.utilization()
+        util = est.resources.utilization(ZYNQ_XC7Z020)
         assert 0 < util["dsp"] < 100
         assert est.fits(ZYNQ_XC7Z020)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fpga import DEFAULT_TIMING_MODEL, TimingModel, TimingModelConfig
+from repro.fpga import DEFAULT_TIMING_MODEL, TimingModel
 
 
 class TestPaperTimingObservation:
@@ -18,7 +18,8 @@ class TestPaperTimingObservation:
         assert not DEFAULT_TIMING_MODEL.analyze(32).meets_timing
 
     def test_max_units_meeting_timing_is_16(self):
-        assert DEFAULT_TIMING_MODEL.max_units_meeting_timing() == 16
+        met = [n for n in (1, 2, 4, 8, 16, 32, 64) if DEFAULT_TIMING_MODEL.analyze(n).meets_timing]
+        assert max(met) == 16
 
 
 class TestTimingModelBehaviour:
@@ -46,15 +47,8 @@ class TestTimingModelBehaviour:
         assert model.analyze(32, target_hz=50e6).meets_timing
 
     def test_sweep_and_report_dict(self):
-        sweep = TimingModel().sweep((1, 16, 32))
-        assert set(sweep) == {1, 16, 32}
-        d = sweep[16].as_dict()
+        d = TimingModel().analyze(16).as_dict()
         assert {"n_units", "fmax_mhz", "meets_timing", "slack_ns"} <= set(d)
-
-    def test_no_feasible_configuration_raises(self):
-        config = TimingModelConfig(base_delay_ns=50.0)
-        with pytest.raises(RuntimeError):
-            TimingModel(config).max_units_meeting_timing(candidates=(8, 16))
 
 
 class TestTimingReportStr:

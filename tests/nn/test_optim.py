@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, CosineAnnealingLR, MultiStepLR, StepLR, Tensor
+from repro.nn import SGD, Adam, MultiStepLR, Tensor
 from repro.nn.layers import Parameter
 
 
@@ -115,28 +115,3 @@ class TestSchedulers:
         assert lrs[101] == pytest.approx(0.001)
         assert lrs[151] == pytest.approx(0.0001)
         assert lrs[200] == pytest.approx(0.0001)
-
-    def test_step_lr(self):
-        p = _quadratic_problem()
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        values = []
-        for _ in range(4):
-            sched.step()
-            values.append(opt.lr)
-        assert values == [1.0, 0.5, 0.5, 0.25]
-
-    def test_cosine_annealing_endpoints(self):
-        p = _quadratic_problem()
-        opt = SGD([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        assert sched.get_lr(0) == pytest.approx(1.0)
-        assert sched.get_lr(10) == pytest.approx(0.0, abs=1e-12)
-        assert sched.get_lr(5) == pytest.approx(0.5)
-
-    def test_cosine_monotone_decreasing(self):
-        p = _quadratic_problem()
-        opt = SGD([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=20)
-        values = [sched.get_lr(e) for e in range(21)]
-        assert all(a >= b for a, b in zip(values, values[1:]))

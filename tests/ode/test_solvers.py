@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ode import (
     EULER,
@@ -15,7 +13,6 @@ from repro.ode import (
     available_methods,
     get_solver,
     solver_order,
-    steps_for_interval,
 )
 
 
@@ -34,8 +31,8 @@ class TestSolverRegistry:
             assert name in methods
 
     def test_get_solver_case_insensitive(self):
-        assert get_solver("Euler").name == "euler"
-        assert get_solver("RK4").name == "rk4"
+        assert get_solver("Euler").tableau is EULER
+        assert get_solver("RK4").tableau is RK4
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError, match="unknown ODE solver"):
@@ -137,25 +134,3 @@ class TestResNetCorrespondence:
         # ODESolve with Euler, step size 1 over [0, M].
         z_ode = get_solver("euler").integrate(f, z0, 0.0, float(m), m)
         np.testing.assert_allclose(z_ode, z_resnet, rtol=1e-12)
-
-
-class TestStepsForInterval:
-    def test_basic(self):
-        assert steps_for_interval(0.0, 1.0, 0.1) == 10
-        assert steps_for_interval(1.0, 0.0, 0.25) == 4
-
-    def test_minimum_one_step(self):
-        assert steps_for_interval(0.0, 0.01, 1.0) == 1
-
-    def test_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            steps_for_interval(0.0, 1.0, 0.0)
-
-    @given(st.floats(0.1, 10.0), st.floats(0.01, 1.0))
-    @settings(max_examples=30, deadline=None)
-    def test_step_count_covers_interval(self, span, step):
-        steps = steps_for_interval(0.0, span, step)
-        assert steps >= 1
-        # The implied step size is within a factor ~2 of the request.
-        implied = span / steps
-        assert implied <= 2 * step + 1e-9

@@ -52,7 +52,7 @@ class TestSmallSpaceIsExact:
             fidelity="sim", budget=6.0, seed=5,
         )
         reference = exhaustive_sim(space, seed=5, metric="p95_ms")
-        pruned = report.by_status("pruned")
+        pruned = [c for c in report.candidates if c.status == "pruned"]
         assert pruned, "expected the latency lower bound to prune something"
         for record in pruned:
             assert reference[record.key] > bound_ms
@@ -110,13 +110,13 @@ class TestBudget:
             fixed=FIXED,
         )
         report = optimize(space, "min:p95_ms", fidelity="sim", budget=4.0, seed=7)
-        halved = report.by_status("halved")
+        halved = [c for c in report.candidates if c.status == "halved"]
         assert halved, "budget 4.0 over 8 candidates must force halving"
         for record in halved:
             assert record.rungs
             assert "ranked" in record.reason
             assert record.cost > 0
-        skipped = report.by_status("skipped")
+        skipped = [c for c in report.candidates if c.status == "skipped"]
         assert skipped, "the rung-0 cohort cannot admit all 8 candidates"
 
 

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from vector_image import read_vectors
 
-from repro.rtl import GOLDEN_CASES, VectorSet, golden_vectors
+from repro.rtl import GOLDEN_CASES, golden_vectors
 
 GOLDEN_ROOT = Path(__file__).parent / "goldens"
 
@@ -22,7 +23,7 @@ def test_golden_files_are_byte_identical_to_regeneration(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_binary_parses_back(name):
     data = (GOLDEN_ROOT / name / "vectors.bin").read_bytes()
-    vec = VectorSet.from_bytes(data)
+    vec = read_vectors(data)
     case = GOLDEN_CASES[name]
     assert vec.qformat == case.qformat
     assert len(vec.records) == case.images * case.iterations

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from vector_image import read_vectors
 
 from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry
 from repro.fpga.odeblock_hw import HardwareODEBlock
 from repro.rtl import (
-    VectorSet,
     generate_vectors,
     random_block_weights,
     write_vector_files,
@@ -78,7 +78,7 @@ def test_hex_encoding_is_twos_complement():
 
 def test_binary_round_trip_is_bit_exact():
     vec = _vectors()
-    back = VectorSet.from_bytes(vec.to_bytes())
+    back = read_vectors(vec.to_bytes())
     assert back.qformat == vec.qformat
     assert len(back.records) == len(vec.records)
     for a, b in zip(vec.records, back.records):
@@ -98,10 +98,10 @@ def test_from_bytes_rejects_bad_magic_and_version():
     data = bytearray(_vectors().to_bytes())
     bad = b"XXXX" + bytes(data[4:])
     with pytest.raises(ValueError, match="magic"):
-        VectorSet.from_bytes(bad)
+        read_vectors(bad)
     data[4] = 99
     with pytest.raises(ValueError, match="version"):
-        VectorSet.from_bytes(bytes(data))
+        read_vectors(bytes(data))
 
 
 def test_t_fx_advances_with_iterations():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.engine import Event, Timeout
+from repro.sim.engine import Event, Process, Timeout
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -83,9 +83,10 @@ def test_process_timeout_chain_advances_by_sum(ds):
             yield sim.timeout(d)
         return "done"
 
-    p = sim.process(proc())
+    finished = []
+    sim.process(proc()).add_callback(finished.append)
     sim.run()
-    assert p.processed and p.value == "done"
+    assert finished == ["done"]
     assert sim.now == pytest.approx(sum(ds))
 
 
@@ -98,7 +99,7 @@ class TestEvents:
 
     def test_event_fires_with_value(self):
         sim = Simulator()
-        ev = sim.event()
+        ev = Event(sim)
         seen = []
         ev.add_callback(seen.append)
         ev.succeed(42)
@@ -107,7 +108,7 @@ class TestEvents:
 
     def test_double_succeed_rejected(self):
         sim = Simulator()
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed()
         with pytest.raises(RuntimeError, match="already triggered"):
             ev.succeed()
@@ -116,10 +117,10 @@ class TestEvents:
         """A callback registered after the event fired runs (no deadlock)."""
 
         sim = Simulator()
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed("early")
         sim.run()
-        assert ev.processed
+        assert ev.callbacks is None
         late = []
         ev.add_callback(late.append)
         sim.run()
@@ -168,9 +169,20 @@ class TestProcesses:
 
     def test_all_of_empty_fires_immediately(self):
         sim = Simulator()
-        done = sim.all_of([])
+        fired = []
+        sim.all_of([]).add_callback(fired.append)
         sim.run()
-        assert done.processed and done.value == []
+        assert fired == [[]]
+
+
+def process_at(sim: Simulator, delay: float, generator) -> Process:
+    """Spawn a process whose first resume happens at ``now + delay``.
+
+    Equivalent to a process opening with ``yield sim.timeout(delay)`` but one
+    queue entry cheaper: the start delay ``process_batch`` gives each arrival.
+    """
+
+    return Process(sim, generator, delay=delay)
 
 
 def _noop():
@@ -179,7 +191,7 @@ def _noop():
 
 
 class TestDelayedProcesses:
-    """`process_at` / `process_batch`: the arrival fast path."""
+    """Delayed starts (`process_batch`, one `Process` each): the arrival fast path."""
 
     @settings(max_examples=100, deadline=None)
     @given(delays)
@@ -195,7 +207,7 @@ class TestDelayedProcesses:
                 sim.process_batch(pairs)
             else:
                 for d, gen in pairs:
-                    sim.process_at(d, gen)
+                    process_at(sim, d, gen)
             sim.run()
             return out
 
@@ -215,17 +227,18 @@ class TestDelayedProcesses:
             trace.append(sim.now)
             return "ok"
 
-        p = sim.process_at(3.0, job())
+        finished = []
+        process_at(sim, 3.0, job()).add_callback(finished.append)
         sim.run()
         assert trace == [3.0, 5.0]
-        assert p.processed and p.value == "ok"
+        assert finished == ["ok"]
 
     def test_process_at_is_cheaper_than_a_timeout_chain(self):
         # Delayed start + completion: 2 events.  The equivalent
         # `yield timeout(d)` process costs 3 (start, timeout, completion) —
         # the saving that makes million-request arrival scheduling cheap.
         fast = Simulator()
-        fast.process_at(1.0, _noop())
+        process_at(fast, 1.0, _noop())
         fast.run()
         assert fast.events_processed == 2
 
@@ -240,7 +253,7 @@ class TestDelayedProcesses:
     def test_negative_delay_rejected(self):
         for delay in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="non-negative"):
-                Simulator().process_at(delay, _noop())
+                process_at(Simulator(), delay, _noop())
             with pytest.raises(ValueError, match="non-negative"):
                 Simulator().process_batch([(delay, _noop())])
 

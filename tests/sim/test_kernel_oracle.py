@@ -67,10 +67,10 @@ def run_program(kernel, program):
         if kind == "timeout":
             event = sim.timeout(arg, tag)
         elif kind == "event":
-            event = sim.event()
+            event = kernel.Event(sim)
             sim.schedule(arg, lambda: event.succeed(tag))
         elif kind == "succeed":
-            event = sim.event().succeed(tag)
+            event = kernel.Event(sim).succeed(tag)
         elif kind == "history":
             event = pick(arg)
         elif kind == "child":
@@ -107,7 +107,7 @@ def run_program(kernel, program):
         if spawn == "process":
             history.append(sim.process(gen))
         elif spawn == "at":
-            history.append(sim.process_at(delay, gen))
+            history.append(kernel.Process(sim, gen, delay=delay))
         else:
             batch.append((delay, gen))
     history.extend(sim.process_batch(batch))

@@ -36,12 +36,17 @@ positive_values = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
 value_lists = st.lists(positive_values, min_size=1, max_size=400)
 
 
+def fill(sketch: QuantileSketch, values) -> None:
+    for value in values:
+        sketch.insert(value)
+
+
 def spilled_sketch(values) -> QuantileSketch:
     """A sketch forced onto the binned path regardless of stream size."""
 
     sketch = QuantileSketch(exact_threshold=0)
-    sketch.extend(values)
-    assert not sketch.is_exact
+    fill(sketch, values)
+    assert sketch._samples is None
     return sketch
 
 
@@ -99,14 +104,14 @@ class TestBinnedAccuracy:
         # is an interpolation (699.3...), not a bin edge.
         values = [1.0, 1.0, 1.0, 1000.0]
         truth = float(np.percentile(values, 90))
-        est = spilled_sketch(values).percentile(90)
+        est = spilled_sketch(values).percentiles([90])[0]
         assert est == pytest.approx(truth, rel=REL_TOL)
 
     def test_extremes_are_exact(self):
         values = [3.7, 0.002, 81.0, 0.5]
         sketch = spilled_sketch(values)
-        assert sketch.percentile(0) == min(values)
-        assert sketch.percentile(100) == max(values)
+        assert sketch.percentiles([0])[0] == min(values)
+        assert sketch.percentiles([100])[0] == max(values)
         stats = sketch.stats()
         assert stats.minimum == min(values)
         assert stats.maximum == max(values)
@@ -115,15 +120,15 @@ class TestBinnedAccuracy:
     def test_zeros_are_representable(self):
         values = [0.0] * 10 + [1.0] * 10
         sketch = spilled_sketch(values)
-        assert sketch.percentile(10) == 0.0
-        assert sketch.percentile(95) == pytest.approx(1.0, rel=REL_TOL)
+        assert sketch.percentiles([10])[0] == 0.0
+        assert sketch.percentiles([95])[0] == pytest.approx(1.0, rel=REL_TOL)
 
     def test_bounded_memory(self):
         rng = np.random.default_rng(3)
         sketch = QuantileSketch(exact_threshold=256)
-        sketch.extend(np.exp(rng.normal(size=50_000)))
-        assert not sketch.is_exact
-        assert sketch.samples is None
+        fill(sketch, np.exp(rng.normal(size=50_000)))
+        # Spilling frees the exact buffer; later inserts go to the bins only.
+        assert sketch._samples is None
         # Log-spaced bins over a lognormal: a few hundred, not 50k samples.
         assert sketch.bins_used < 5_000
 
@@ -163,26 +168,26 @@ class TestMergeInvariance:
 
     def test_exact_shards_merge_exactly(self):
         a = QuantileSketch()
-        a.extend([1.0, 5.0])
+        fill(a, [1.0, 5.0])
         b = QuantileSketch()
-        b.extend([2.0, 9.0])
+        fill(b, [2.0, 9.0])
         merged = a.merge(b)
-        assert merged.is_exact
+        assert merged._samples is not None
         assert merged.stats() == latency_stats([1.0, 5.0, 2.0, 9.0])
 
     def test_merging_past_the_threshold_spills(self):
         a = QuantileSketch(exact_threshold=3)
-        a.extend([1.0, 2.0])
+        fill(a, [1.0, 2.0])
         b = QuantileSketch(exact_threshold=3)
-        b.extend([3.0, 4.0])
-        assert not a.merge(b).is_exact
+        fill(b, [3.0, 4.0])
+        assert a.merge(b)._samples is None
 
     def test_exact_flag_never_spills_on_merge_of_exact_shards(self):
         a = QuantileSketch(exact=True)
-        a.extend(range(1, 10_001))
+        fill(a, range(1, 10_001))
         b = QuantileSketch(exact=True)
-        b.extend(range(1, 10_001))
-        assert a.merge(b).is_exact
+        fill(b, range(1, 10_001))
+        assert a.merge(b)._samples is not None
 
     def test_incompatible_resolutions_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -201,14 +206,14 @@ class TestExactPath:
     @given(st.lists(positive_values, min_size=1, max_size=200))
     def test_stats_bit_identical_to_latency_stats(self, values):
         sketch = QuantileSketch()  # default threshold far above 200
-        sketch.extend(values)
-        assert sketch.is_exact
+        fill(sketch, values)
+        assert sketch._samples is not None
         assert sketch.stats() == latency_stats(values)
 
     def test_exact_true_never_spills(self):
         sketch = QuantileSketch(exact=True, exact_threshold=8)
-        sketch.extend(float(i) for i in range(1, 100_000))
-        assert sketch.is_exact
+        fill(sketch, (float(i) for i in range(1, 100_000)))
+        assert sketch._samples is not None
         assert sketch.count == 99_999
 
     def test_empty_sketch_is_nan_not_zero(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.train import EpochMetrics, RunningAverage, TrainingHistory
@@ -24,15 +23,6 @@ class TestRunningAverage:
         assert avg.average == 3.5
 
 
-class TestEpochMetrics:
-    def test_as_dict_includes_optional_fields_only_when_present(self):
-        minimal = EpochMetrics(epoch=1, train_loss=2.0, train_accuracy=0.1)
-        assert "test_loss" not in minimal.as_dict()
-        full = EpochMetrics(1, 2.0, 0.1, test_loss=1.5, test_accuracy=0.2, learning_rate=0.01)
-        d = full.as_dict()
-        assert d["test_accuracy"] == 0.2 and d["learning_rate"] == 0.01
-
-
 class TestTrainingHistory:
     def _history(self):
         h = TrainingHistory()
@@ -42,32 +32,9 @@ class TestTrainingHistory:
 
     def test_len_iter_final(self):
         h = self._history()
-        assert len(h) == 3
         assert h.final.epoch == 3
-        assert [e.epoch for e in h] == [1, 2, 3]
-
-    def test_best_test_accuracy(self):
-        assert self._history().best_test_accuracy == pytest.approx(0.55)
-
-    def test_series_extraction(self):
-        series = self._history().series("train_loss")
-        np.testing.assert_allclose(series, [2.0, 1.5, 1.0])
-
-    def test_series_missing_key_is_nan(self):
-        h = TrainingHistory()
-        h.append(EpochMetrics(1, 1.0, 0.5))
-        assert np.isnan(h.series("test_loss")[0])
-
-    def test_improved(self):
-        assert self._history().improved()
-        assert not TrainingHistory().improved()
+        assert [e.epoch for e in h.epochs] == [1, 2, 3]
 
     def test_empty_history_final_raises(self):
         with pytest.raises(ValueError):
             TrainingHistory().final
-
-    def test_empty_best_accuracy_raises(self):
-        h = TrainingHistory()
-        h.append(EpochMetrics(1, 1.0, 0.5))
-        with pytest.raises(ValueError):
-            h.best_test_accuracy

@@ -19,20 +19,6 @@ class TestPaperSchedule:
         assert s.milestones == (100, 150)
         assert s.gamma == 0.1
 
-    def test_scaled_schedule_preserves_shape(self):
-        s = PaperTrainingSchedule().scaled(0.1)
-        assert s.epochs == 20
-        assert s.milestones == (10, 15)
-        assert s.base_lr == 0.01  # LR magnitudes are not scaled
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PaperTrainingSchedule().scaled(0.0)
-
-    def test_scaled_minimum_one_epoch(self):
-        s = PaperTrainingSchedule().scaled(0.001)
-        assert s.epochs >= 1
-        assert all(m >= 1 for m in s.milestones)
 
 
 class TestMakePaperOptimizer:

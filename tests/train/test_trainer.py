@@ -18,7 +18,6 @@ def _linear_probe(num_classes: int, image_shape):
     return nn.Sequential(
         nn.Conv2d(channels, 4, 3, 1, 1, rng=rng),
         nn.BatchNorm2d(4),
-        nn.ReLU(),
         nn.GlobalAvgPool2d(),
         nn.Linear(4, num_classes, rng=rng),
     )
@@ -32,15 +31,15 @@ def short_schedule():
 class TestTrainer:
     def test_loss_decreases_on_tiny_dataset(self, tiny_split, short_schedule):
         train_set, test_set = tiny_split
-        model = _linear_probe(train_set.num_classes, train_set.image_shape)
+        model = _linear_probe(train_set.num_classes, train_set.images.shape[1:])
         trainer = Trainer(model, train_set, test_set, schedule=short_schedule, seed=0)
         history = trainer.fit()
-        assert len(history) == 3
-        assert history.improved()
+        assert len(history.epochs) == 3
+        assert history.final.train_loss < history.epochs[0].train_loss
 
     def test_history_records_lr_and_test_metrics(self, tiny_split, short_schedule):
         train_set, test_set = tiny_split
-        model = _linear_probe(train_set.num_classes, train_set.image_shape)
+        model = _linear_probe(train_set.num_classes, train_set.images.shape[1:])
         trainer = Trainer(model, train_set, test_set, schedule=short_schedule)
         history = trainer.fit()
         first = history.epochs[0]
@@ -52,7 +51,7 @@ class TestTrainer:
     def test_epoch_callback_invoked(self, tiny_split, short_schedule):
         train_set, _ = tiny_split
         seen = []
-        model = _linear_probe(train_set.num_classes, train_set.image_shape)
+        model = _linear_probe(train_set.num_classes, train_set.images.shape[1:])
         trainer = Trainer(
             model, train_set, schedule=short_schedule, on_epoch_end=lambda m: seen.append(m.epoch)
         )
@@ -61,13 +60,13 @@ class TestTrainer:
 
     def test_explicit_epoch_count_overrides_schedule(self, tiny_split, short_schedule):
         train_set, _ = tiny_split
-        model = _linear_probe(train_set.num_classes, train_set.image_shape)
+        model = _linear_probe(train_set.num_classes, train_set.images.shape[1:])
         history = Trainer(model, train_set, schedule=short_schedule).fit(epochs=1)
-        assert len(history) == 1
+        assert len(history.epochs) == 1
 
     def test_evaluate_returns_loss_and_accuracy(self, tiny_split):
         train_set, test_set = tiny_split
-        model = _linear_probe(train_set.num_classes, train_set.image_shape)
+        model = _linear_probe(train_set.num_classes, train_set.images.shape[1:])
         loss, acc = evaluate(model, test_set)
         assert loss > 0
         assert 0.0 <= acc <= 1.0
@@ -83,4 +82,4 @@ class TestTrainer:
         schedule = PaperTrainingSchedule(epochs=2, base_lr=0.05, milestones=(10,), batch_size=16)
         trainer = Trainer(model, train_set, schedule=schedule, seed=1)
         history = trainer.fit()
-        assert history.improved()
+        assert history.final.train_loss < history.epochs[0].train_loss
