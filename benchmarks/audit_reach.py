@@ -23,9 +23,10 @@ never started is reported by its outermost unreached body.  Those listed in
 ``audit_reach_keep.txt`` (``path::qualname`` glob + reason) are expected:
 paths gated by platform or by an error, abstract hooks, library API the CLI
 does not call, and names the benchmark harness patches.  Any other
-unreached function, or any driven call that does not exit 0, makes the
-audit exit 1.  Reach is per function: a branch no driver takes inside a
-reached function does not show.
+unreached function, any keep-list entry that matches no unreached function
+(its function went or became reached: delete the entry), or any driven call
+that does not exit 0, makes the audit exit 1.  Reach is per function: a
+branch no driver takes inside a reached function does not show.
 
 Run from the repository root (about 25 s on a 2-CPU host):
 
@@ -338,14 +339,15 @@ def main() -> int:
     n_lines = sum(fn.lines for fn in outermost)
     print(f"\n{len(functions)} functions, {len(outermost)} outermost unreached "
           f"({n_lines} lines), {len(unlisted)} not on {KEEP_LIST.name}")
-    for pattern in sorted(set(keep) - used):
-        print(f"note: keep-list entry matches nothing unreached: {pattern}")
+    stale = sorted(set(keep) - used)
+    for pattern in stale:
+        print(f"FAIL: keep-list entry matches nothing unreached: {pattern}", file=sys.stderr)
     for failure in failures:
         print(f"FAIL: entrypoint did not exit 0: {failure}", file=sys.stderr)
     if unlisted:
         print(f"FAIL: {len(unlisted)} unreached function(s) not on the keep-list",
               file=sys.stderr)
-    return 1 if failures or unlisted else 0
+    return 1 if failures or unlisted or stale else 0
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .._pool import ordered_map
 from ..analysis.report import Report, format_records
 from ..fixedpoint.errors import odeblock_error_bound
 from ..fixedpoint.qformat import QFormat, QFormatLike
-from ..fpga.axi import AxiTransferConfig, AxiTransferModel
+from ..fpga.axi import AxiTransferModel
 from ..fpga.bram import bram_fits_kernel, bram_tiles_kernel
 from ..fpga.cycles import OdeBlockCycleModel
 from ..platform import BoardSpec, PYNQ_Z2
@@ -523,10 +523,8 @@ def accuracy_sweep(
     # with every board-derived constant (AXI clock, fabric delay scale,
     # timing target) taken from the board spec.
     cycle_model = OdeBlockCycleModel()
-    transfer_s = (
-        AxiTransferModel(AxiTransferConfig.for_board(board)).block_round_trip(geometry).seconds
-    )
-    timing = TimingModel.for_board(board).analyze_batch(unit_list, target_hz=board.pl_clock_hz)
+    transfer_s = AxiTransferModel(board).block_round_trip(geometry).seconds
+    timing = TimingModel(board).analyze_batch(unit_list, target_hz=board.pl_clock_hz)
 
     points: List[AccuracyPoint] = []
     for fmt, stats in zip(format_list, fmt_stats):

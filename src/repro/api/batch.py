@@ -50,25 +50,20 @@ from ..core.execution_model import (
 from ..core.network_spec import LAYER_ORDER, OFFLOADABLE_LAYER_NAMES, layer_geometry
 from ..core.offload import OffloadPlanner
 from ..core.parameter_model import variant_parameter_count
-from ..core.training_model import TrainingCostConfig
+from ..core.training_model import EPOCHS, IMAGES_PER_EPOCH, OPTIMIZER_PASSES, TRAINING_FACTOR
 from ..core.variants import BlockRealization, table4_variant, variant_spec
 from ..fixedpoint.qformat import QFormat
 from ..fpga.bram import bram_tiles_kernel
-from ..fpga.power import (
-    PowerModelConfig,
-    energy_without_pl_kernel,
-    pl_power_kernel,
-    ps_energy_with_pl_kernel,
+from ..fpga.power import energy_without_pl_kernel, pl_power_kernel, ps_energy_with_pl_kernel
+from ..fpga.resources import dsp_count_kernel, ff_count_kernel, lut_count_kernel
+from ..platform import PowerProfile, get_board
+from ..fpga.timing import critical_path_ns_kernel, fabric_delays_ns_kernel, meets_timing_kernel
+from ..hwsw.ps_model import (
+    PS_CYCLES_PER_ELEMENT,
+    PS_CYCLES_PER_MAC,
+    per_image_overhead_kernel,
+    work_time_kernel,
 )
-from ..fpga.resources import (
-    ResourceModelConfig,
-    dsp_count_kernel,
-    ff_count_kernel,
-    lut_count_kernel,
-)
-from ..platform import DEFAULT_BOARD, PowerProfile, get_board
-from ..fpga.timing import TimingModel, critical_path_ns_kernel, meets_timing_kernel
-from ..hwsw.ps_model import work_time_kernel
 from ..ode.solvers import get_solver
 from .result import Result, _flatten_value
 from .scenario import Scenario
@@ -150,17 +145,7 @@ class _BatchContext:
     def __init__(self) -> None:
         self.execution_model = ExecutionTimeModel()
         self.planner = OffloadPlanner(execution_model=self.execution_model)
-        self.timing_model = TimingModel()
-        self.resource_config = ResourceModelConfig()
-        self.power_config = PowerModelConfig()
-        self.training_config = TrainingCostConfig()
         ps = self.execution_model.software_model
-        self.ps_config = ps.config
-        self.cycle_config = self.execution_model.cycle_model.config
-        #: Reference per-image overhead (seconds at the reference PS clock);
-        #: scaled per board by the clock ratio, exactly like
-        #: :meth:`repro.hwsw.ps_model.PsModelConfig.for_board`.
-        self.base_overhead = ps.per_image_overhead()
         #: Clock-free PS cycles of one layer-group execution.
         self.software_cycles: Dict[str, float] = {}
         for layer in LAYER_ORDER:
@@ -253,9 +238,8 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     boards = [get_board(name) for name in bd_keys]
     ps_clock = np.array([b.ps_clock_hz for b in boards], dtype=np.float64)[bd_codes]
     fabric_scale = np.array([b.fabric_delay_scale for b in boards], dtype=np.float64)[bd_codes]
-    # Per-image overhead scales with the PS clock, exactly like
-    # PsModelConfig.for_board (ratio is exactly 1.0 on the reference board).
-    overhead = ctx.base_overhead * (DEFAULT_BOARD.ps_clock_hz / ps_clock)
+    # The scalar SoftwareCostModel runs the same kernel per board.
+    overhead = per_image_overhead_kernel(ps_clock)
 
     def broadcast(values, dtype=None) -> np.ndarray:
         """Per-unique (model, depth) values -> a per-scenario column."""
@@ -272,7 +256,6 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     )
 
     # -- per-layer time columns (the Table-5 row, vectorized) ---------------------------
-    rc = ctx.resource_config
     exec0_cols: Dict[str, np.ndarray] = {}
     sw_per_exec: Dict[str, np.ndarray] = {}
     sw_cols: Dict[str, np.ndarray] = {}
@@ -292,7 +275,7 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
             offl = target_table[md_codes, i]
             transfer_seconds = ctx.transfer_cycles[layer] / clock
             pl_per_exec = pl_layer_seconds_kernel(
-                ctx.geometries[layer], units, clock, ctx.cycle_config, transfer_seconds
+                ctx.geometries[layer], units, clock, transfer_seconds
             )
             acc_col = np.where(offl, execs * pl_per_exec, sw_col)
             pl_cols[layer] = pl_per_exec
@@ -321,7 +304,7 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     speedup_vs_resnet = baseline / total_w
 
     # -- resources ---------------------------------------------------------------------
-    dsp_per_layer = dsp_count_kernel(units, rc.dsp_base, rc.dsp_per_unit)
+    dsp_per_layer = dsp_count_kernel(units)
     res = {k: np.zeros(n, dtype=np.float64) for k in ("bram", "dsp", "lut", "ff")}
     for i, layer in enumerate(OFFLOADABLE_LAYER_NAMES):
         offl = offl_cols[layer]
@@ -331,16 +314,8 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
         # per value, never on n_units (banking only redistributes words).
         res["bram"] = res["bram"] + np.where(offl, bram_tiles_kernel(geom, bpv), 0.0)
         res["dsp"] = res["dsp"] + np.where(offl, dsp_per_layer, 0.0)
-        res["lut"] = res["lut"] + np.where(
-            offl,
-            lut_count_kernel(units, geom.out_channels, rc.lut_base, rc.lut_per_unit, rc.lut_per_unit_per_channel),
-            0.0,
-        )
-        res["ff"] = res["ff"] + np.where(
-            offl,
-            ff_count_kernel(units, geom.out_channels, rc.ff_base, rc.ff_per_unit, rc.ff_per_unit_per_channel),
-            0.0,
-        )
+        res["lut"] = res["lut"] + np.where(offl, lut_count_kernel(units, geom.out_channels), 0.0)
+        res["ff"] = res["ff"] + np.where(offl, ff_count_kernel(units, geom.out_channels), 0.0)
     totals = {
         "bram": np.array([b.fpga.bram36 for b in boards], dtype=np.float64)[bd_codes],
         "dsp": np.array([b.fpga.dsp for b in boards], dtype=np.float64)[bd_codes],
@@ -355,24 +330,16 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
         & (res["ff"] <= totals["ff"])
     )
     # Closed-form timing closure over the n_units x clock x board axes; the
-    # per-board fabric scale multiplies both delay constants, exactly like
-    # TimingModelConfig.for_board, so scalar and batch paths agree
-    # bit-for-bit.
-    timing_cfg = ctx.timing_model.config
-    critical_path = critical_path_ns_kernel(
-        units,
-        timing_cfg.base_delay_ns * fabric_scale,
-        timing_cfg.per_level_delay_ns * fabric_scale,
-    )
+    # scalar TimingModel scales its delays with the same kernel, so both
+    # paths agree bit-for-bit.
+    critical_path = critical_path_ns_kernel(units, *fabric_delays_ns_kernel(fabric_scale))
     meets = meets_timing_kernel(critical_path, clock)
 
     # -- energy ------------------------------------------------------------------------
-    # Per-board wattage columns wearing the PowerModelConfig interface: the
-    # kernels only read the config's attributes, so arrays broadcast through
-    # the same formulas the scalar PowerModel runs.  Fields are enumerated
-    # from PowerProfile (whose names PowerModelConfig must mirror — a new
-    # profile coefficient without its twin raises TypeError here).
-    power_cfg = PowerModelConfig(
+    # A PowerProfile of per-scenario wattage columns: the kernels only read
+    # the profile's attributes, so arrays broadcast through the same
+    # formulas the scalar PowerModel runs.
+    power = PowerProfile(
         **{
             f.name: np.array([getattr(b.power, f.name) for b in boards])[bd_codes]
             for f in dataclasses.fields(PowerProfile)
@@ -381,45 +348,40 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     pl_busy = np.zeros(n, dtype=np.float64)
     for layer in OFFLOADABLE_LAYER_NAMES:
         pl_busy = pl_busy + np.where(offl_cols[layer], acc_cols[layer], 0.0)
-    energy_without = energy_without_pl_kernel(total_wo, power_cfg) + 0.0
-    ps_energy = ps_energy_with_pl_kernel(total_w, pl_busy, power_cfg)
-    pl_energy = pl_power_kernel(res["dsp"], res["bram"], power_cfg) * total_w
+    energy_without = energy_without_pl_kernel(total_wo, power) + 0.0
+    ps_energy = ps_energy_with_pl_kernel(total_w, pl_busy, power)
+    pl_energy = pl_power_kernel(res["dsp"], res["bram"], power) * total_w
     energy_with = ps_energy + pl_energy
     energy_ratio = np.where(energy_with != 0.0, energy_without / energy_with, np.inf)
 
     # -- training (the future-work projection) -----------------------------------------
-    tc = ctx.training_config
-    factor = 1.0 + tc.backward_mac_factor
     train_sw = overhead + np.zeros(n, dtype=np.float64)
     train_off = overhead + np.zeros(n, dtype=np.float64)
     target_sw = np.zeros(n, dtype=np.float64)
     for i, layer in enumerate(LAYER_ORDER):
-        sw_train = exec0_cols[layer] * (sw_per_exec[layer] * factor)
+        sw_train = exec0_cols[layer] * (sw_per_exec[layer] * TRAINING_FACTOR)
         train_sw = train_sw + sw_train
         if layer in OFFLOADABLE_LAYER_NAMES:
             train_offl = train_target_table[md_codes, i]
-            pl_train = exec0_cols[layer] * (pl_cols[layer] * factor)
+            pl_train = exec0_cols[layer] * (pl_cols[layer] * TRAINING_FACTOR)
             train_off = train_off + np.where(train_offl, pl_train, sw_train)
             target_sw = target_sw + np.where(train_offl, sw_train, 0.0)
         else:
             train_off = train_off + sw_train
     param_count = broadcast([f["param_count"] for f in facts], np.int64)
-    ps_cfg = ctx.ps_config
     update = work_time_kernel(
-        0.0, param_count, tc.optimizer_passes,
-        ps_cfg.cycles_per_mac, ps_cfg.cycles_per_element, ps_clock,
+        0.0, param_count, OPTIMIZER_PASSES, PS_CYCLES_PER_MAC, PS_CYCLES_PER_ELEMENT, ps_clock
     )
     train_sw = train_sw + update
     train_off = train_off + update
     target_share = 100.0 * target_sw / train_sw
     step_speedup = train_sw / train_off
-    images = tc.images_per_epoch
-    epoch_sw = train_sw * images
-    epoch_off = train_off * images
+    epoch_sw = train_sw * IMAGES_PER_EPOCH
+    epoch_off = train_off * IMAGES_PER_EPOCH
     epoch_hours_sw = epoch_sw / 3600.0
     epoch_hours_off = epoch_off / 3600.0
-    full_days_sw = epoch_sw * tc.epochs / 3600.0 / 24.0
-    full_days_off = epoch_off * tc.epochs / 3600.0 / 24.0
+    full_days_sw = epoch_sw * EPOCHS / 3600.0 / 24.0
+    full_days_off = epoch_off * EPOCHS / 3600.0 / 24.0
 
     # -- parameters --------------------------------------------------------------------
     qnames = [QFormat(wl, fb).name for wl, fb in qf_keys]

@@ -86,9 +86,7 @@ class Evaluator:
     def _power_model(self, scenario: Scenario) -> PowerModel:
         return self._memoized(
             self._hw_key("power_model", scenario),
-            lambda: PowerModel(
-                execution_model=self._execution_model(scenario), board=scenario.board_spec
-            ),
+            lambda: PowerModel(scenario.board_spec),
         )
 
     def _training_model(self, scenario: Scenario) -> TrainingTimeModel:

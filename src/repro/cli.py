@@ -832,7 +832,7 @@ def _cmd_timing(args, evaluator: Evaluator) -> CommandOutput:
         raise ValueError("--n-units entries must be positive integers")
     target_hz = args.clock_mhz * 1e6 if args.clock_mhz is not None else None
     try:
-        model = TimingModel.for_board(get_board(args.board or PYNQ_Z2.name))
+        model = TimingModel(get_board(args.board or PYNQ_Z2.name))
     except KeyError as exc:
         raise ValueError(exc.args[0]) from exc
     reports = [model.analyze(n, target_hz=target_hz) for n in args.n_units]

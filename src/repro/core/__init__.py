@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "figure5_series", "parameter_reduction_percent", "parameter_size_series",
             "table2_structure", "variant_parameter_bytes", "variant_parameter_count",
         ),
-        ".training_model": ("TrainingCostConfig", "TrainingTimeModel", "TrainingTimeReport"),
+        ".training_model": ("TrainingTimeModel", "TrainingTimeReport"),
         ".variants": (
             "SUPPORTED_DEPTHS", "VARIANT_NAMES", "BlockRealization", "LayerPlan", "VariantSpec",
             "table4_rows", "table4_variant", "variant_spec",

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._checks import check_count
-from ..fpga.axi import AxiTransferConfig, AxiTransferModel
+from ..fpga.axi import AxiTransferModel
 from ..fpga.cycles import (
-    CycleModelConfig,
     OdeBlockCycleModel,
     bn_cycles_kernel,
     block_seconds_kernel,
@@ -30,7 +29,7 @@ from ..fpga.cycles import (
 )
 from ..platform import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
-from ..hwsw.ps_model import PsModelConfig, SoftwareCostModel
+from ..hwsw.ps_model import SoftwareCostModel
 from .network_spec import LAYER_ORDER, layer_geometry
 from .variants import BlockRealization, table4_variant, variant_spec
 
@@ -44,31 +43,20 @@ __all__ = [
 ]
 
 
-def pl_layer_seconds_kernel(
-    geometry: BlockGeometry,
-    n_units,
-    clock_hz,
-    cycle_config: CycleModelConfig,
-    transfer_seconds,
-):
+def pl_layer_seconds_kernel(geometry: BlockGeometry, n_units, clock_hz, transfer_seconds):
     """Array-capable kernel: PL time of one block execution (compute + DMA).
 
     ``n_units``, ``clock_hz`` and ``transfer_seconds`` may be scalars or NumPy
-    arrays; the geometry and cycle-model constants are per-layer scalars.  The
+    arrays; the geometry is a per-layer scalar.  The
     scalar :meth:`ExecutionTimeModel.pl_layer_seconds` and the batch engine
     (:mod:`repro.api.batch`) both evaluate exactly this expression, keeping
     the two paths bit-identical.
     """
 
     units = effective_units_kernel(n_units, geometry.out_channels)
-    conv = conv_cycles_kernel(geometry.total_macs, units, cycle_config.cycles_per_mac)
-    bn = bn_cycles_kernel(geometry.bn_elements, cycle_config.bn_cycles_per_element)
-    if cycle_config.relu_cycles_per_element == 0.0:
-        relu = 0.0
-    else:
-        relu = geometry.output_elements * cycle_config.relu_cycles_per_element / units
-    compute = block_seconds_kernel(conv, bn, relu, cycle_config.invocation_overhead, clock_hz)
-    return compute + transfer_seconds
+    conv = conv_cycles_kernel(geometry.total_macs, units)
+    bn = bn_cycles_kernel(geometry.bn_elements)
+    return block_seconds_kernel(conv, bn, clock_hz) + transfer_seconds
 
 
 #: Offload target(s) used for each Table-5 row ("Offload target" column).
@@ -187,24 +175,14 @@ class ExecutionTimeReport:
 class ExecutionTimeModel:
     """Build Table-5 style execution-time reports."""
 
-    def __init__(
-        self,
-        board: BoardSpec = PYNQ_Z2,
-        n_units: int = 16,
-        ps_config: Optional[PsModelConfig] = None,
-        cycle_config: Optional[CycleModelConfig] = None,
-        axi_config: Optional[AxiTransferConfig] = None,
-        include_transfer: bool = True,
-    ) -> None:
+    def __init__(self, board: BoardSpec = PYNQ_Z2, n_units: int = 16) -> None:
         self.board = board
         self.n_units = n_units
-        self.include_transfer = include_transfer
-        # Board-derived defaults: the PS software model runs at the board's
-        # PS clock and the AXI transfers are counted against the board's PL
-        # clock (one source of truth per clock).  Explicit configs still win.
-        self.software_model = SoftwareCostModel(ps_config or PsModelConfig.for_board(board))
-        self.cycle_model = OdeBlockCycleModel(cycle_config)
-        self.transfer_model = AxiTransferModel(axi_config or AxiTransferConfig.for_board(board))
+        # The PS software model runs at the board's PS clock and the AXI
+        # transfers are counted against the board's PL clock.
+        self.software_model = SoftwareCostModel(board)
+        self.cycle_model = OdeBlockCycleModel()
+        self.transfer_model = AxiTransferModel(board)
 
     # -- per-layer costs --------------------------------------------------------------
 
@@ -231,16 +209,8 @@ class ExecutionTimeModel:
         units = self.cycle_model.effective_units(
             fpga_geom, self.n_units if n_units is None else n_units
         )
-        transfer = (
-            self.transfer_model.block_round_trip(fpga_geom).seconds
-            if self.include_transfer
-            else 0.0
-        )
-        return float(
-            pl_layer_seconds_kernel(
-                fpga_geom, units, self.board.pl_clock_hz, self.cycle_model.config, transfer
-            )
-        )
+        transfer = self.transfer_model.block_round_trip(fpga_geom).seconds
+        return float(pl_layer_seconds_kernel(fpga_geom, units, self.board.pl_clock_hz, transfer))
 
     # -- reports -----------------------------------------------------------------------
 

@@ -56,7 +56,7 @@ class OffloadPlanner:
             self.resource_estimator = ResourceEstimator(board.fpga, qformat=qformat)
         else:
             self.resource_estimator = ResourceEstimator(board.fpga)
-        self.timing_model = TimingModel.for_board(board)
+        self.timing_model = TimingModel(board)
         self.execution_model = execution_model or ExecutionTimeModel(board, n_units=n_units)
 
     # -- target selection -----------------------------------------------------------

@@ -31,28 +31,29 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .execution_model import ExecutionTimeModel, PAPER_OFFLOAD_TARGETS
-from .network_spec import LAYER_ORDER, layer_geometry
+from .network_spec import LAYER_ORDER
 from .variants import table4_variant, variant_spec
 
-__all__ = ["TrainingCostConfig", "TrainingTimeReport", "TrainingTimeModel"]
+__all__ = ["TrainingTimeReport", "TrainingTimeModel"]
 
 
-@dataclass(frozen=True)
-class TrainingCostConfig:
-    """Multipliers relating training work to prediction work."""
+# -- multipliers relating training work to prediction work ---------------------------------
 
-    #: Backward-pass MACs relative to forward MACs (dL/dx plus dL/dW).
-    backward_mac_factor: float = 2.0
+#: Backward-pass MACs relative to forward MACs (dL/dx plus dL/dW).
+BACKWARD_MAC_FACTOR = 2.0
 
-    #: Extra element-wise passes per parameter for the SGD + momentum +
-    #: weight-decay update (read grad, update velocity, write weight).
-    optimizer_passes: float = 3.0
+#: Training work relative to prediction work for one layer execution.
+TRAINING_FACTOR = 1.0 + BACKWARD_MAC_FACTOR
 
-    #: CIFAR-100 training-set size (images per epoch).
-    images_per_epoch: int = 50_000
+#: Extra element-wise passes per parameter for the SGD + momentum +
+#: weight-decay update (read grad, update velocity, write weight).
+OPTIMIZER_PASSES = 3.0
 
-    #: The paper's epoch count (Section 4.3).
-    epochs: int = 200
+#: CIFAR-100 training-set size (images per epoch).
+IMAGES_PER_EPOCH = 50_000
+
+#: The paper's epoch count (Section 4.3).
+EPOCHS = 200
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,12 @@ class TrainingTimeReport:
     def step_speedup(self) -> float:
         return self.step_seconds_software / self.step_seconds_offloaded
 
-    def epoch_seconds(self, offloaded: bool, images_per_epoch: int) -> float:
+    def epoch_seconds(self, offloaded: bool) -> float:
         per_image = self.step_seconds_offloaded if offloaded else self.step_seconds_software
-        return per_image * images_per_epoch
+        return per_image * IMAGES_PER_EPOCH
 
-    def full_training_hours(self, offloaded: bool, config: "TrainingCostConfig") -> float:
-        return (
-            self.epoch_seconds(offloaded, config.images_per_epoch)
-            * config.epochs
-            / 3600.0
-        )
+    def full_training_hours(self, offloaded: bool) -> float:
+        return self.epoch_seconds(offloaded) * EPOCHS / 3600.0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -96,25 +93,15 @@ class TrainingTimeReport:
 class TrainingTimeModel:
     """Estimate per-example training time on the PS, with optional PL offload."""
 
-    def __init__(
-        self,
-        execution_model: Optional[ExecutionTimeModel] = None,
-        config: Optional[TrainingCostConfig] = None,
-    ) -> None:
+    def __init__(self, execution_model: Optional[ExecutionTimeModel] = None) -> None:
         self.execution_model = execution_model or ExecutionTimeModel()
-        self.config = config or TrainingCostConfig()
 
     # -- per-layer costs -------------------------------------------------------------
-
-    def _training_factor(self) -> float:
-        """Training work relative to prediction work for one layer execution."""
-
-        return 1.0 + self.config.backward_mac_factor
 
     def software_layer_training_seconds(self, layer: str) -> float:
         """Forward + backward software time of one layer-group execution."""
 
-        return self.execution_model.software_layer_seconds(layer) * self._training_factor()
+        return self.execution_model.software_layer_seconds(layer) * TRAINING_FACTOR
 
     def pl_layer_training_seconds(self, layer: str) -> float:
         """Forward + backward PL time of one offloaded layer-group execution.
@@ -125,7 +112,7 @@ class TrainingTimeModel:
         traversal.
         """
 
-        return self.execution_model.pl_layer_seconds(layer) * self._training_factor()
+        return self.execution_model.pl_layer_seconds(layer) * TRAINING_FACTOR
 
     def optimizer_seconds(self, model_name: str, depth: int) -> float:
         """Parameter-update cost of one SGD step (element-wise passes)."""
@@ -134,7 +121,7 @@ class TrainingTimeModel:
 
         params = variant_parameter_count(table4_variant(model_name), depth)
         sw = self.execution_model.software_model
-        return sw.work_time(0.0, elements=params, passes=self.config.optimizer_passes)
+        return sw.work_time(0.0, elements=params, passes=OPTIMIZER_PASSES)
 
     # -- reports ------------------------------------------------------------------------
 
@@ -188,10 +175,10 @@ class TrainingTimeModel:
         for name in models:
             report = self.report(name, depth)
             out[name] = {
-                "epoch_hours_software": report.epoch_seconds(False, self.config.images_per_epoch) / 3600.0,
-                "epoch_hours_offloaded": report.epoch_seconds(True, self.config.images_per_epoch) / 3600.0,
-                "full_run_days_software": report.full_training_hours(False, self.config) / 24.0,
-                "full_run_days_offloaded": report.full_training_hours(True, self.config) / 24.0,
+                "epoch_hours_software": report.epoch_seconds(False) / 3600.0,
+                "epoch_hours_offloaded": report.epoch_seconds(True) / 3600.0,
+                "full_run_days_software": report.full_training_hours(False) / 24.0,
+                "full_run_days_offloaded": report.full_training_hours(True) / 24.0,
                 "step_speedup": report.step_speedup,
             }
         return out

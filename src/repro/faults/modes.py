@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple, Type
 
 from .._checks import check_count
 from ..fixedpoint.qformat import QFormat
-from ..fpga.axi import AxiTransferModel
+from ..fpga.axi import BYTES_PER_WORD, AxiTransferModel
 
 __all__ = [
     "FaultMode",
@@ -147,52 +147,50 @@ class ReplicaDeath(FaultMode):
         return {"replica": self.replica}
 
 
+#: Reference burst length (words) for the degraded/nominal transfer-time ratio.
+_REFERENCE_WORDS = 1024
+
+
 @dataclass(frozen=True)
 class AxiDegradation(FaultMode):
     """The AXI link renegotiates to a narrower burst width.
 
-    Nominally every beat moves a full word (``8 * bytes_per_word`` bits);
+    Nominally every beat moves a full word (``8 * BYTES_PER_WORD`` bits);
     degraded, only ``burst_bits`` land per beat, so a word takes
-    ``word_bits / burst_bits`` beats.  The slowdown is priced through the
-    bus's own :class:`~repro.fpga.axi.AxiTransferModel` — the ratio of
-    degraded to nominal transfer time of a reference burst — so a different
-    nominal transfer model (setup cycles, slower clock) degrades
-    consistently.
+    ``word_bits / burst_bits`` beats.  The slowdown is priced through
+    :class:`~repro.fpga.axi.AxiTransferModel` — the ratio of degraded to
+    nominal transfer time of a reference burst.
     """
 
     #: Bits landing per bus beat after degradation (nominal: the full word).
     burst_bits: int = 8
-    #: Reference burst length (words) for the degraded/nominal time ratio;
-    #: only matters under nonzero per-transfer setup cycles.
-    reference_words: int = 1024
 
     kind = "axi_degraded"
     summary = "AXI bursts narrow; every DMA transfer slows down"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("burst_bits", "reference_words"):
-            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
+        object.__setattr__(
+            self, "burst_bits", check_count("burst_bits", self.burst_bits, 1)
+        )
 
-    def slowdown_factor(self, model: AxiTransferModel) -> float:
-        """Degraded-to-nominal transfer-time ratio under ``model``."""
+    def slowdown_factor(self) -> float:
+        """Degraded-to-nominal transfer-time ratio of the paper's AXI model."""
 
-        word_bits = 8 * model.config.bytes_per_word
+        word_bits = 8 * BYTES_PER_WORD
         if self.burst_bits >= word_bits:
             return 1.0
+        nominal = AxiTransferModel()
         degraded = AxiTransferModel(
-            replace(
-                model.config,
-                cycles_per_word=model.config.cycles_per_word * word_bits / self.burst_bits,
-            )
+            cycles_per_word=nominal.cycles_per_word * word_bits / self.burst_bits
         )
         return (
-            degraded.transfer_seconds(self.reference_words)
-            / model.transfer_seconds(self.reference_words)
+            degraded.transfer_seconds(_REFERENCE_WORDS)
+            / nominal.transfer_seconds(_REFERENCE_WORDS)
         )
 
     def inject(self, system) -> object:
-        return system.bus.degrade(self.slowdown_factor(system.bus.model) * system.bus.slowdown)
+        return system.bus.degrade(self.slowdown_factor() * system.bus.slowdown)
 
     def clear(self, system, token: object) -> None:
         system.bus.degrade(float(token))

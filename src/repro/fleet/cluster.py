@@ -45,6 +45,8 @@ __all__ = [
     "ADMISSION_NAMES",
     "CLASS_KINDS",
     "FIDELITY_NAMES",
+    "EVENT_ONLY_KNOBS",
+    "fast_fidelity_ignores",
     "BoardGroup",
     "TrafficClass",
     "FleetScenario",
@@ -66,6 +68,10 @@ CLASS_KINDS: Tuple[str, ...] = ("latency", "batch")
 #: each board's assigned trace through the full transaction-level
 #: :func:`repro.sim.simulate` (the identity-test and deep-dive path).
 FIDELITY_NAMES: Tuple[str, ...] = ("fast", "event")
+
+#: Board-level serving knobs only the event fidelity's repro.sim replay
+#: models; the fast kernel prices each board from its service time alone.
+EVENT_ONLY_KNOBS: Tuple[str, ...] = ("policy", "batch_size", "dma_channels")
 
 #: Fleet traffic knobs a board's event-fidelity SimScenario does not inherit:
 #: it replays the trace the balancer assigned it, whole.
@@ -258,6 +264,13 @@ class FleetScenario:
                     "(event-fidelity boards serve one physical datapath)"
                 )
         check_serving(self)
+        if self.fidelity == "fast":
+            for name in EVENT_ONLY_KNOBS:
+                if fast_fidelity_ignores(name, getattr(self, name)):
+                    raise ValueError(
+                        f"{name}={getattr(self, name)!r} requires fidelity='event' "
+                        "(the fast fleet kernel does not model it)"
+                    )
 
         # Fail fast on invalid design points: every (class, board) pair must
         # be a constructible Scenario (unknown models/depths/boards surface
@@ -323,6 +336,17 @@ class FleetScenario:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FleetScenario":
         return from_field_dict(cls, data)
+
+
+def fast_fidelity_ignores(name: str, value: object) -> bool:
+    """Whether the fast fleet kernel would silently ignore ``name=value``.
+
+    True for a knob of :data:`EVENT_ONLY_KNOBS` set to anything but its
+    :class:`FleetScenario` default, the only value the fast kernel's
+    result stands for.
+    """
+
+    return name in EVENT_ONLY_KNOBS and value != FleetScenario.__dataclass_fields__[name].default
 
 
 # -- CLI-facing parsers ------------------------------------------------------------------

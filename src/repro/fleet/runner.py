@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..api.evaluator import Evaluator
-from ..fpga.power import PowerModelConfig, pl_power_kernel
+from ..fpga.power import pl_power_kernel
 from ..platform import get_board
 from ..sim.metrics import QuantileSketch, energy_section, ps_energy_j
 from ..sim.policies import max_replicas
@@ -144,14 +144,14 @@ def _build_boards(
     boards: List[BoardServer] = []
     for index, group_index, name in scenario.cell_inventory(cell):
         spec = get_board(name)
-        cfg = PowerModelConfig.for_board(spec)
+        power = spec.power
         svc, ps = tables[name]
         n_rep = replicas[name]
         # The whole board's PL draw while powered: every instantiated
         # replica burns static + dynamic watts (its clock never gates) —
         # the same pricing as repro.sim's energy summary.
         resources = _replica_resources(scenario, name, evaluator)
-        pl_w = n_rep * float(pl_power_kernel(resources.dsp, resources.bram, cfg))
+        pl_w = n_rep * float(pl_power_kernel(resources.dsp, resources.bram, power))
         boards.append(
             BoardServer(
                 index=index,
@@ -161,8 +161,8 @@ def _build_boards(
                 svc_s=svc,
                 ps_s=ps,
                 pl_w=pl_w,
-                ps_active_w=cfg.ps_active_w,
-                ps_idle_w=cfg.ps_idle_w,
+                ps_active_w=power.ps_active_w,
+                ps_idle_w=power.ps_idle_w,
                 ps_cores=scenario.ps_cores or spec.ps_cores,
             )
         )

@@ -11,14 +11,12 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".axi": ("AxiTransferConfig", "AxiTransferModel", "TransferEstimate"),
+        ".axi": ("AxiTransferModel", "TransferEstimate"),
         ".bram": (
             "BRAM36_BYTES", "BramPlan", "BramRegion", "bram_fits_kernel", "bram_tiles_kernel",
             "plan_block_allocation", "tiles_for_bytes", "tiles_for_bytes_kernel",
         ),
-        ".cycles": (
-            "PAPER_LAYER3_2_CYCLES", "CycleBreakdown", "CycleModelConfig", "OdeBlockCycleModel",
-        ),
+        ".cycles": ("PAPER_LAYER3_2_CYCLES", "CycleBreakdown", "OdeBlockCycleModel"),
         "..platform": (
             "PYNQ_Z2", "ZYNQ_XC7Z020", "BoardSpec", "FpgaDevice", "PowerProfile", "ResourceVector",
         ),
@@ -36,13 +34,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".odeblock_hw": ("BlockWeights", "HardwareExecutionReport", "HardwareODEBlock"),
         ".ops": ("DEFAULT_ROW_CHUNK", "hw_batch_norm", "hw_conv2d", "hw_relu", "hw_residual_add"),
-        ".power": ("EnergyEstimate", "PowerModel", "PowerModelConfig"),
+        ".power": ("EnergyEstimate", "PowerModel"),
         ".resources": (
             "PUBLISHED_TABLE3", "ResourceEstimate", "ResourceEstimator", "published_table3",
         ),
         ".timing": (
-            "DEFAULT_TIMING_MODEL", "TimingModel", "TimingModelConfig", "TimingReport",
-            "critical_path_ns_kernel", "fmax_hz_kernel", "meets_timing_kernel", "slack_ns_kernel",
+            "TimingModel", "TimingReport", "critical_path_ns_kernel", "fmax_hz_kernel",
+            "meets_timing_kernel", "slack_ns_kernel",
         ),
     },
 )

@@ -35,6 +35,9 @@ __all__ = [
 #: not usable for packed 32-bit words).
 BRAM36_BYTES = 4096
 
+#: The full feature-map buffers held on chip: input, intermediate and output.
+FEATURE_MAP_BUFFERS = ("input_fmap", "intermediate_fmap", "output_fmap")
+
 
 # -- array-capable kernels ---------------------------------------------------------------
 #
@@ -45,39 +48,34 @@ BRAM36_BYTES = 4096
 # (pinned by ``tests/fpga/test_plan_kernels.py``).
 
 
-def tiles_for_bytes_kernel(num_bytes, tile_bytes: int = BRAM36_BYTES):
+def tiles_for_bytes_kernel(num_bytes):
     """BRAM36 tiles needed per byte count (ceil division; 0 bytes -> 0 tiles).
 
     Accepts scalars or integer arrays; the arithmetic stays in int64.
     """
 
     b = np.asarray(num_bytes, dtype=np.int64)
-    return -(-b // int(tile_bytes))
+    return -(-b // BRAM36_BYTES)
 
 
-def bram_tiles_kernel(
-    geometry: BlockGeometry,
-    bytes_per_value,
-    feature_map_buffers: int = 3,
-    tile_bytes: int = BRAM36_BYTES,
-):
+def bram_tiles_kernel(geometry: BlockGeometry, bytes_per_value):
     """Total BRAM36 tiles of one block's allocation plan, vectorized.
 
     ``bytes_per_value`` may be a scalar or an integer array (e.g. one entry
     per scenario of a word-length sweep).  Matches
     ``plan_block_allocation(geometry, qformat=...).total_tiles`` exactly:
     one capacity-driven region per convolution's weights, one for the BN
-    parameters and ``feature_map_buffers`` full feature-map buffers.  The
+    parameters and one per :data:`FEATURE_MAP_BUFFERS` entry.  The
     tile count is independent of ``n_units`` (banking redistributes words,
     it does not add tiles).
     """
 
     bpv = np.asarray(bytes_per_value, dtype=np.int64)
     per_conv_weights = geometry.weight_count // geometry.num_convs
-    conv_tiles = tiles_for_bytes_kernel(per_conv_weights * bpv, tile_bytes)
-    bn_tiles = tiles_for_bytes_kernel(geometry.bn_parameter_count * bpv, tile_bytes)
-    fmap_tiles = tiles_for_bytes_kernel(geometry.output_elements * bpv, tile_bytes)
-    return geometry.num_convs * conv_tiles + bn_tiles + feature_map_buffers * fmap_tiles
+    conv_tiles = tiles_for_bytes_kernel(per_conv_weights * bpv)
+    bn_tiles = tiles_for_bytes_kernel(geometry.bn_parameter_count * bpv)
+    fmap_tiles = tiles_for_bytes_kernel(geometry.output_elements * bpv)
+    return geometry.num_convs * conv_tiles + bn_tiles + len(FEATURE_MAP_BUFFERS) * fmap_tiles
 
 
 def bram_fits_kernel(total_tiles, device: FpgaDevice = ZYNQ_XC7Z020):
@@ -86,12 +84,12 @@ def bram_fits_kernel(total_tiles, device: FpgaDevice = ZYNQ_XC7Z020):
     return np.asarray(total_tiles, dtype=np.int64) <= device.bram36
 
 
-def tiles_for_bytes(num_bytes: int, tile_bytes: int = BRAM36_BYTES) -> int:
+def tiles_for_bytes(num_bytes: int) -> int:
     """Number of BRAM36 tiles needed to hold ``num_bytes`` of data."""
 
     if num_bytes < 0:
         raise ValueError("num_bytes must be non-negative")
-    return int(tiles_for_bytes_kernel(num_bytes, tile_bytes))
+    return int(tiles_for_bytes_kernel(num_bytes))
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,6 @@ def plan_block_allocation(
     geometry: BlockGeometry,
     n_units: int = 16,
     qformat: QFormat = Q20,
-    feature_map_buffers: int = 3,
 ) -> BramPlan:
     """Plan the BRAM allocation of one ODEBlock.
 
@@ -152,9 +149,6 @@ def plan_block_allocation(
     qformat:
         Fixed-point format of the stored values (32-bit Q20 by default; the
         word-length ablation passes narrower formats here).
-    feature_map_buffers:
-        Number of full feature-map buffers held on chip (input, intermediate
-        and output by default).
     """
 
     bpv = qformat.bytes_per_value
@@ -178,8 +172,7 @@ def plan_block_allocation(
     regions.append(BramRegion(name="bn_parameters", num_bytes=bn_bytes, tiles=tiles_for_bytes(bn_bytes)))
 
     fmap_bytes = geometry.output_elements * bpv
-    for i in range(feature_map_buffers):
-        name = ("input_fmap", "intermediate_fmap", "output_fmap")[i] if i < 3 else f"fmap_buffer_{i}"
+    for name in FEATURE_MAP_BUFFERS:
         regions.append(BramRegion(name=name, num_bytes=fmap_bytes, tiles=tiles_for_bytes(fmap_bytes)))
 
     return BramPlan(block=geometry.name, regions=regions)

@@ -10,12 +10,12 @@ cycles.
 
 The model here is:
 
-* convolution + ReLU cycles  =  ``total_MACs / n_units * cycles_per_mac``
-  (``cycles_per_mac`` = 5.0, the initiation interval of the multiply-add
+* convolution + ReLU cycles  =  ``total_MACs / n_units * CYCLES_PER_MAC``
+  (``CYCLES_PER_MAC`` = 5.0, the initiation interval of the multiply-add
   pipeline fitted to the published counts; parallelism is capped by the
   number of output channels, as the paper notes);
-* batch-normalisation cycles =  ``bn_elements * bn_cycles_per_element``
-  (``bn_cycles_per_element`` = 21, covering the mean / variance /
+* batch-normalisation cycles =  ``bn_elements * BN_CYCLES_PER_ELEMENT``
+  (``BN_CYCLES_PER_ELEMENT`` = 21, covering the mean / variance /
   square-root / normalise passes; independent of the MAC-unit count).
 
 With those two constants the model reproduces all five published cycle
@@ -33,7 +33,6 @@ from ..platform import DEFAULT_BOARD
 from .geometry import BlockGeometry
 
 __all__ = [
-    "CycleModelConfig",
     "CycleBreakdown",
     "OdeBlockCycleModel",
     "PAPER_LAYER3_2_CYCLES",
@@ -55,25 +54,15 @@ PAPER_LAYER3_2_CYCLES: Dict[int, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CycleModelConfig:
-    """Calibration constants of the PL cycle model."""
+#: Clock cycles per multiply-accumulate issued to one MAC unit.  Fitted to
+#: the published layer3_2 cycle counts (23.61e6 cycles / 4.72e6 MACs).  The
+#: published numbers are consistent with ReLU being fused into this
+#: convolution pipeline, so the ReLU step adds no cycles of its own.
+CYCLES_PER_MAC = 5.0
 
-    #: Clock cycles per multiply-accumulate issued to one MAC unit.  Fitted to
-    #: the published layer3_2 cycle counts (23.61e6 cycles / 4.72e6 MACs).
-    cycles_per_mac: float = 5.0
-
-    #: Clock cycles per feature-map element for one batch-normalisation pass
-    #: (mean + variance + sqrt + normalise), independent of MAC-unit count.
-    bn_cycles_per_element: float = 21.0
-
-    #: Cycles per output element for the ReLU step when executed standalone.
-    #: The published numbers are consistent with ReLU being fused into the
-    #: convolution pipeline, so this defaults to zero.
-    relu_cycles_per_element: float = 0.0
-
-    #: Fixed per-invocation control overhead (start/finish handshake).
-    invocation_overhead: float = 0.0
+#: Clock cycles per feature-map element for one batch-normalisation pass
+#: (mean + variance + sqrt + normalise), independent of MAC-unit count.
+BN_CYCLES_PER_ELEMENT = 21.0
 
 
 # -- array-capable kernels ---------------------------------------------------------------
@@ -91,22 +80,22 @@ def effective_units_kernel(n_units, out_channels):
     return np.minimum(n_units, out_channels)
 
 
-def conv_cycles_kernel(total_macs, units, cycles_per_mac):
+def conv_cycles_kernel(total_macs, units):
     """Cycles of both convolution steps given the *effective* unit count."""
 
-    return total_macs / units * cycles_per_mac
+    return total_macs / units * CYCLES_PER_MAC
 
 
-def bn_cycles_kernel(bn_elements, bn_cycles_per_element):
+def bn_cycles_kernel(bn_elements):
     """Cycles of both batch-normalisation steps (parallelism-independent)."""
 
-    return bn_elements * bn_cycles_per_element
+    return bn_elements * BN_CYCLES_PER_ELEMENT
 
 
-def block_seconds_kernel(conv_cycles, bn_cycles, relu_cycles, overhead_cycles, clock_hz):
+def block_seconds_kernel(conv_cycles, bn_cycles, clock_hz):
     """Wall-clock seconds of one block execution at a given PL clock."""
 
-    return (conv_cycles + bn_cycles + relu_cycles + overhead_cycles) / clock_hz
+    return (conv_cycles + bn_cycles) / clock_hz
 
 
 @dataclass(frozen=True)
@@ -115,28 +104,19 @@ class CycleBreakdown:
 
     conv_cycles: float
     bn_cycles: float
-    relu_cycles: float
-    overhead_cycles: float
 
     @property
     def total(self) -> float:
-        return self.conv_cycles + self.bn_cycles + self.relu_cycles + self.overhead_cycles
+        return self.conv_cycles + self.bn_cycles
 
     def time_seconds(self, clock_hz: float) -> float:
         """Wall-clock execution time at the given PL clock frequency."""
 
-        return float(
-            block_seconds_kernel(
-                self.conv_cycles, self.bn_cycles, self.relu_cycles, self.overhead_cycles, clock_hz
-            )
-        )
+        return float(block_seconds_kernel(self.conv_cycles, self.bn_cycles, clock_hz))
 
 
 class OdeBlockCycleModel:
     """Cycle model for a single building block executed on the PL part."""
-
-    def __init__(self, config: CycleModelConfig | None = None) -> None:
-        self.config = config or CycleModelConfig()
 
     def effective_units(self, geometry: BlockGeometry, n_units: int) -> int:
         """MAC-unit count actually usable for a block.
@@ -154,20 +134,12 @@ class OdeBlockCycleModel:
         """Cycles of both convolution steps with ``n_units`` MAC units."""
 
         units = self.effective_units(geometry, n_units)
-        return float(conv_cycles_kernel(geometry.total_macs, units, self.config.cycles_per_mac))
+        return float(conv_cycles_kernel(geometry.total_macs, units))
 
     def bn_cycles(self, geometry: BlockGeometry) -> float:
         """Cycles of both batch-normalisation steps (parallelism-independent)."""
 
-        return float(bn_cycles_kernel(geometry.bn_elements, self.config.bn_cycles_per_element))
-
-    def relu_cycles(self, geometry: BlockGeometry, n_units: int) -> float:
-        """Cycles of the ReLU step (zero when fused into the conv pipeline)."""
-
-        if self.config.relu_cycles_per_element == 0.0:
-            return 0.0
-        units = self.effective_units(geometry, n_units)
-        return geometry.output_elements * self.config.relu_cycles_per_element / units
+        return float(bn_cycles_kernel(geometry.bn_elements))
 
     def block_cycles(self, geometry: BlockGeometry, n_units: int) -> CycleBreakdown:
         """Full cycle breakdown of one ODEBlock execution."""
@@ -175,8 +147,6 @@ class OdeBlockCycleModel:
         return CycleBreakdown(
             conv_cycles=self.conv_cycles(geometry, n_units),
             bn_cycles=self.bn_cycles(geometry),
-            relu_cycles=self.relu_cycles(geometry, n_units),
-            overhead_cycles=self.config.invocation_overhead,
         )
 
     def block_time_seconds(

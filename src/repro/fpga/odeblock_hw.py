@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from ..fixedpoint import FxArray, QFormat, Q20
-from .axi import AxiTransferConfig, AxiTransferModel, TransferEstimate
+from .axi import AxiTransferModel, TransferEstimate
 from .bram import BramPlan, plan_block_allocation
-from .cycles import CycleBreakdown, CycleModelConfig, OdeBlockCycleModel
+from .cycles import CycleBreakdown, OdeBlockCycleModel
 from ..platform import BoardSpec, PYNQ_Z2
 from .geometry import BlockGeometry, block_geometry
 from .ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
@@ -93,7 +93,6 @@ class HardwareODEBlock:
         qformat: QFormat = Q20,
         board: BoardSpec = PYNQ_Z2,
         dynamic_bn_stats: bool = True,
-        cycle_config: Optional[CycleModelConfig] = None,
         time_concat: bool = False,
     ) -> None:
         # Double-width products (fx_mul, the conv accumulators) are computed
@@ -113,12 +112,10 @@ class HardwareODEBlock:
         #: convolutions, matching the software ODEBlockFunction.
         self.time_concat = time_concat
 
-        self.cycle_model = OdeBlockCycleModel(cycle_config)
-        # Board-derived defaults (for the reference board these equal the
-        # calibrated defaults bit-for-bit).
-        self.transfer_model = AxiTransferModel(AxiTransferConfig.for_board(board))
+        self.cycle_model = OdeBlockCycleModel()
+        self.transfer_model = AxiTransferModel(board)
         self.resource_estimator = ResourceEstimator(board.fpga, qformat)
-        self.timing_model = TimingModel.for_board(board)
+        self.timing_model = TimingModel(board)
 
         # Quantise and "store" the weights in BRAM.
         self._load_weights(weights)

@@ -7,9 +7,8 @@ question — *does the offload also save energy, or only time?* — using
 publicly documented figures.  The wattages live in each board's
 :class:`~repro.platform.device.PowerProfile` (PS active/idle draw, PL
 static power, per-DSP/per-BRAM dynamic coefficients at the board's default
-PL clock); :class:`PowerModelConfig` defaults to the reference PYNQ-Z2's
-profile and :meth:`PowerModelConfig.for_board` rebinds any registered
-board's.
+PL clock); the kernels below read them from the profile they are given,
+and :class:`PowerModel` takes its board's.
 
 These constants are deliberately conservative estimates (documented, not
 measured); the interesting outputs are the *ratios* between configurations,
@@ -19,18 +18,15 @@ paper.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
-from ..platform import BoardSpec, DEFAULT_BOARD
-from ..platform import ResourceVector
+from ..platform import BoardSpec, DEFAULT_BOARD, PowerProfile, ResourceVector
 
-if TYPE_CHECKING:  # pragma: no cover - import-cycle guard (lazy import at runtime)
-    from ..core.execution_model import ExecutionTimeModel, ExecutionTimeReport
+if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
+    from ..core.execution_model import ExecutionTimeReport
 
 __all__ = [
-    "PowerModelConfig",
     "EnergyEstimate",
     "PowerModel",
     "pl_power_kernel",
@@ -39,66 +35,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerModelConfig:
-    """Power constants (watts) of the PS + PL system.
-
-    The defaults come from the reference board's
-    :class:`~repro.platform.device.PowerProfile`; use :meth:`for_board` for
-    any other platform — board wattages live in :mod:`repro.platform`, not
-    here.
-    """
-
-    ps_active_w: float = DEFAULT_BOARD.power.ps_active_w
-    ps_idle_w: float = DEFAULT_BOARD.power.ps_idle_w
-    pl_static_w: float = DEFAULT_BOARD.power.pl_static_w
-    pl_dynamic_per_dsp_w: float = DEFAULT_BOARD.power.pl_dynamic_per_dsp_w
-    pl_dynamic_per_bram_w: float = DEFAULT_BOARD.power.pl_dynamic_per_bram_w
-    pl_dynamic_base_w: float = DEFAULT_BOARD.power.pl_dynamic_base_w
-
-    @classmethod
-    def for_board(cls, board: BoardSpec) -> "PowerModelConfig":
-        """The power constants of a board's documented profile.
-
-        Field names are shared with :class:`~repro.platform.device
-        .PowerProfile` one-for-one and must stay in sync: a coefficient
-        added to the profile needs a matching field here (the ``**asdict``
-        expansion raises a TypeError at the first evaluation otherwise,
-        so drift cannot pass silently).
-        """
-
-        return cls(**dataclasses.asdict(board.power))
-
-
 # -- array-capable kernels ---------------------------------------------------------------
 #
 # The scalar methods of :class:`PowerModel` and the batch-evaluation engine
 # (:mod:`repro.api.batch`) share these formulas; all inputs may be scalars or
-# NumPy arrays.
+# NumPy arrays.  ``power`` is a board's profile, or a profile whose fields
+# are per-scenario arrays (the batch engine's board axis).
 
 
-def pl_power_kernel(dsp, bram, config: PowerModelConfig):
+def pl_power_kernel(dsp, bram, power: PowerProfile):
     """Static + dynamic PL power for a set of active resources."""
 
     return (
-        config.pl_static_w
-        + config.pl_dynamic_base_w
-        + config.pl_dynamic_per_dsp_w * dsp
-        + config.pl_dynamic_per_bram_w * bram
+        power.pl_static_w
+        + power.pl_dynamic_base_w
+        + power.pl_dynamic_per_dsp_w * dsp
+        + power.pl_dynamic_per_bram_w * bram
     )
 
 
-def ps_energy_with_pl_kernel(seconds, pl_busy_seconds, config: PowerModelConfig):
+def ps_energy_with_pl_kernel(seconds, pl_busy_seconds, power: PowerProfile):
     """PS energy of an offloaded prediction (active while the PL is idle)."""
 
     ps_busy = seconds - pl_busy_seconds
-    return config.ps_active_w * ps_busy + config.ps_idle_w * pl_busy_seconds
+    return power.ps_active_w * ps_busy + power.ps_idle_w * pl_busy_seconds
 
 
-def energy_without_pl_kernel(seconds, config: PowerModelConfig):
+def energy_without_pl_kernel(seconds, power: PowerProfile):
     """Total energy of a pure-software prediction (PS busy throughout)."""
 
-    return config.ps_active_w * seconds
+    return power.ps_active_w * seconds
 
 
 @dataclass(frozen=True)
@@ -116,30 +82,18 @@ class EnergyEstimate:
         return self.ps_energy_j + self.pl_energy_j
 
 
-
 class PowerModel:
     """Estimate per-prediction energy with and without the PL offload."""
 
-    def __init__(
-        self,
-        config: Optional[PowerModelConfig] = None,
-        execution_model: Optional["ExecutionTimeModel"] = None,
-        board: Optional[BoardSpec] = None,
-    ) -> None:
-        # Imported lazily to avoid a circular import with repro.core.
-        from ..core.execution_model import ExecutionTimeModel
-
-        if config is None:
-            config = PowerModelConfig.for_board(board) if board is not None else PowerModelConfig()
-        self.config = config
-        self.execution_model = execution_model or ExecutionTimeModel(board or DEFAULT_BOARD)
+    def __init__(self, board: BoardSpec = DEFAULT_BOARD) -> None:
+        self.power = board.power
 
     # -- component powers ---------------------------------------------------------
 
     def pl_power_w(self, resources: ResourceVector) -> float:
         """Dynamic + static PL power for a given set of active resources."""
 
-        return float(pl_power_kernel(resources.dsp, resources.bram, self.config))
+        return float(pl_power_kernel(resources.dsp, resources.bram, self.power))
 
     # -- per-prediction energy -------------------------------------------------------
 
@@ -151,7 +105,7 @@ class PowerModel:
             model=report.model,
             depth=report.depth,
             seconds=seconds,
-            ps_energy_j=float(energy_without_pl_kernel(seconds, self.config)),
+            ps_energy_j=float(energy_without_pl_kernel(seconds, self.power)),
             pl_energy_j=0.0,
         )
 
@@ -166,7 +120,7 @@ class PowerModel:
 
         seconds = report.total_with_pl
         pl_busy = sum(report.target_with_pl)
-        ps_energy = float(ps_energy_with_pl_kernel(seconds, pl_busy, self.config))
+        ps_energy = float(ps_energy_with_pl_kernel(seconds, pl_busy, self.power))
         pl_energy = self.pl_power_w(resources) * seconds
         return EnergyEstimate(
             model=report.model,

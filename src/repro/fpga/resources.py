@@ -38,28 +38,46 @@ __all__ = [
 ]
 
 
+# -- calibration constants of the LUT/FF/DSP model ----------------------------------------
+#
+# The LUT and FF costs are modelled as a fixed control/BN part plus a
+# per-MAC-unit datapath part; the constants below are least-squares fits to
+# Table 3 (conv_x1..x16 across the three layers).
+
+DSP_BASE = 4
+DSP_PER_UNIT = 4
+LUT_BASE = 1000.0
+LUT_PER_UNIT = 500.0
+FF_BASE = 700.0
+FF_PER_UNIT = 220.0
+#: Extra LUT/FF per MAC unit for wide-channel blocks (layer3_2's 64-input
+#: adder tree is deeper, which shows up in its conv_x16 LUT count).
+LUT_PER_UNIT_PER_CHANNEL = 1.2
+FF_PER_UNIT_PER_CHANNEL = 0.6
+
+
 # -- array-capable kernels ---------------------------------------------------------------
 #
 # Shared by the scalar estimator methods below and the batch-evaluation engine
 # (:mod:`repro.api.batch`), which evaluates them over whole ``n_units`` axes.
 
 
-def dsp_count_kernel(n_units, dsp_base, dsp_per_unit):
+def dsp_count_kernel(n_units):
     """DSP48 slices: the shared BN divide/sqrt unit plus slices per MAC unit."""
 
-    return dsp_base + dsp_per_unit * n_units
+    return DSP_BASE + DSP_PER_UNIT * n_units
 
 
-def lut_count_kernel(n_units, out_channels, lut_base, lut_per_unit, lut_per_unit_per_channel):
+def lut_count_kernel(n_units, out_channels):
     """LUTs: fixed control/BN part plus a per-unit datapath part."""
 
-    return lut_base + n_units * (lut_per_unit + lut_per_unit_per_channel * out_channels)
+    return LUT_BASE + n_units * (LUT_PER_UNIT + LUT_PER_UNIT_PER_CHANNEL * out_channels)
 
 
-def ff_count_kernel(n_units, out_channels, ff_base, ff_per_unit, ff_per_unit_per_channel):
+def ff_count_kernel(n_units, out_channels):
     """Flip-flops: fixed control/BN part plus a per-unit datapath part."""
 
-    return ff_base + n_units * (ff_per_unit + ff_per_unit_per_channel * out_channels)
+    return FF_BASE + n_units * (FF_PER_UNIT + FF_PER_UNIT_PER_CHANNEL * out_channels)
 
 
 #: Table 3 of the paper: absolute counts for (layer, n_units) -> (BRAM, DSP, LUT, FF).
@@ -103,60 +121,23 @@ class ResourceEstimate:
         return self.resources.fits(device)
 
 
-@dataclass(frozen=True)
-class ResourceModelConfig:
-    """Calibration constants of the analytical LUT/FF/DSP model.
-
-    The LUT and FF costs are modelled as a fixed control/BN part plus a
-    per-MAC-unit datapath part; the constants below are least-squares fits to
-    Table 3 (conv_x1..x16 across the three layers).
-    """
-
-    dsp_base: int = 4
-    dsp_per_unit: int = 4
-    lut_base: float = 1000.0
-    lut_per_unit: float = 500.0
-    ff_base: float = 700.0
-    ff_per_unit: float = 220.0
-    #: Extra LUT/FF per MAC unit for wide-channel blocks (layer3_2's 64-input
-    #: adder tree is deeper, which shows up in its conv_x16 LUT count).
-    lut_per_unit_per_channel: float = 1.2
-    ff_per_unit_per_channel: float = 0.6
-
-
 class ResourceEstimator:
     """Analytical resource model for a PL ODEBlock instance."""
 
-    def __init__(
-        self,
-        device: FpgaDevice = ZYNQ_XC7Z020,
-        qformat: QFormat = Q20,
-        config: ResourceModelConfig | None = None,
-    ) -> None:
+    def __init__(self, device: FpgaDevice = ZYNQ_XC7Z020, qformat: QFormat = Q20) -> None:
         self.device = device
         self.qformat = qformat
-        self.config = config or ResourceModelConfig()
 
     def dsp_count(self, n_units: int) -> int:
         """DSP48 slices: 4 per multiply-add unit plus the BN divide/sqrt unit."""
 
-        return int(dsp_count_kernel(n_units, self.config.dsp_base, self.config.dsp_per_unit))
+        return int(dsp_count_kernel(n_units))
 
     def lut_count(self, geometry: BlockGeometry, n_units: int) -> float:
-        c = self.config
-        return float(
-            lut_count_kernel(
-                n_units, geometry.out_channels, c.lut_base, c.lut_per_unit, c.lut_per_unit_per_channel
-            )
-        )
+        return float(lut_count_kernel(n_units, geometry.out_channels))
 
     def ff_count(self, geometry: BlockGeometry, n_units: int) -> float:
-        c = self.config
-        return float(
-            ff_count_kernel(
-                n_units, geometry.out_channels, c.ff_base, c.ff_per_unit, c.ff_per_unit_per_channel
-            )
-        )
+        return float(ff_count_kernel(n_units, geometry.out_channels))
 
     def estimate(self, block: str | BlockGeometry, n_units: int = 16) -> ResourceEstimate:
         """Estimate the resources of one block implemented with ``n_units`` MACs."""

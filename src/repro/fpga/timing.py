@@ -22,10 +22,9 @@ import numpy as np
 from ..platform import BoardSpec, DEFAULT_BOARD
 
 __all__ = [
-    "TimingModelConfig",
     "TimingReport",
     "TimingModel",
-    "DEFAULT_TIMING_MODEL",
+    "fabric_delays_ns_kernel",
     "critical_path_ns_kernel",
     "fmax_hz_kernel",
     "slack_ns_kernel",
@@ -33,37 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimingModelConfig:
-    """Critical-path model constants."""
+#: Fixed delay of the MAC datapath (DSP48 multiply + BRAM read + control) on
+#: the 7-series fabric the model is calibrated on, ns.
+BASE_DELAY_NS = 5.0
 
-    #: Fixed delay of the MAC datapath (DSP48 multiply + BRAM read + control), ns.
-    base_delay_ns: float = 5.0
-
-    #: Additional delay per adder-tree level (log2 of the unit count), ns.
-    per_level_delay_ns: float = 1.2
-
-    #: Target clock used by the paper (default: the reference board's PL
-    #: clock — the single source of truth is ``BoardSpec.pl_clock_hz``).
-    target_clock_hz: float = DEFAULT_BOARD.pl_clock_hz
-
-    @classmethod
-    def for_board(cls, board: BoardSpec) -> "TimingModelConfig":
-        """The critical-path model re-targeted at a board.
-
-        Both delay constants scale by the board's ``fabric_delay_scale``
-        (UltraScale+ fabrics switch faster than the 7-series the constants
-        were calibrated on) and the target becomes the board's PL clock.
-        The reference board's scale is exactly 1.0, so its config equals
-        the calibrated defaults bit-for-bit.
-        """
-
-        base = cls()
-        return cls(
-            base_delay_ns=base.base_delay_ns * board.fabric_delay_scale,
-            per_level_delay_ns=base.per_level_delay_ns * board.fabric_delay_scale,
-            target_clock_hz=board.pl_clock_hz,
-        )
+#: Additional delay per adder-tree level (log2 of the unit count), ns.
+PER_LEVEL_DELAY_NS = 1.2
 
 
 # -- array-capable kernels ---------------------------------------------------------------
@@ -72,6 +46,19 @@ class TimingModelConfig:
 # closure over whole ``n_units`` x clock axes at once.  The scalar
 # :class:`TimingModel` methods delegate to the same kernels, so both paths
 # execute the same IEEE-754 operations and agree bit-for-bit.
+
+
+def fabric_delays_ns_kernel(fabric_delay_scale):
+    """The two delay constants re-targeted at a board's fabric.
+
+    Both scale by the board's ``fabric_delay_scale`` (UltraScale+ fabrics
+    switch faster than the 7-series the constants were calibrated on).  The
+    reference board's scale is exactly 1.0, so its delays equal the
+    calibrated constants bit-for-bit.  Returns ``(base_delay_ns,
+    per_level_delay_ns)``; the scale may be an array.
+    """
+
+    return BASE_DELAY_NS * fabric_delay_scale, PER_LEVEL_DELAY_NS * fabric_delay_scale
 
 
 def critical_path_ns_kernel(n_units, base_delay_ns, per_level_delay_ns):
@@ -136,27 +123,24 @@ class TimingReport:
 
 
 class TimingModel:
-    """Estimate fmax and timing closure versus MAC-unit count."""
+    """Estimate fmax and timing closure versus MAC-unit count.
 
-    def __init__(self, config: TimingModelConfig | None = None) -> None:
-        self.config = config or TimingModelConfig()
+    The delays scale by ``board``'s fabric and the default closure target is
+    its PL clock.
+    """
 
-    @classmethod
-    def for_board(cls, board: BoardSpec) -> "TimingModel":
-        """A timing model with the board's fabric scale and clock target."""
-
-        return cls(TimingModelConfig.for_board(board))
+    def __init__(self, board: BoardSpec = DEFAULT_BOARD) -> None:
+        self.base_delay_ns, self.per_level_delay_ns = fabric_delays_ns_kernel(
+            board.fabric_delay_scale
+        )
+        self.target_clock_hz = board.pl_clock_hz
 
     def critical_path_ns(self, n_units: int) -> float:
         """Critical-path delay of the conv datapath with ``n_units`` MAC units."""
 
         if n_units < 1:
             raise ValueError("n_units must be >= 1")
-        return float(
-            critical_path_ns_kernel(
-                n_units, self.config.base_delay_ns, self.config.per_level_delay_ns
-            )
-        )
+        return float(critical_path_ns_kernel(n_units, self.base_delay_ns, self.per_level_delay_ns))
 
     def fmax_hz(self, n_units: int) -> float:
         """Maximum achievable clock frequency."""
@@ -164,9 +148,9 @@ class TimingModel:
         return float(fmax_hz_kernel(self.critical_path_ns(n_units)))
 
     def analyze(self, n_units: int, target_hz: float | None = None) -> TimingReport:
-        """Full timing report against the target clock (default 100 MHz)."""
+        """Full timing report against the target clock (default: the board's PL clock)."""
 
-        target = target_hz if target_hz is not None else self.config.target_clock_hz
+        target = target_hz if target_hz is not None else self.target_clock_hz
         if not 0 < target < math.inf:
             raise ValueError(f"target_hz must be positive and finite (got {target!r})")
         path = self.critical_path_ns(n_units)
@@ -194,11 +178,9 @@ class TimingModel:
         target = (
             np.asarray(target_hz, dtype=np.float64)
             if target_hz is not None
-            else self.config.target_clock_hz
+            else self.target_clock_hz
         )
-        path = critical_path_ns_kernel(
-            units, self.config.base_delay_ns, self.config.per_level_delay_ns
-        )
+        path = critical_path_ns_kernel(units, self.base_delay_ns, self.per_level_delay_ns)
         return {
             "critical_path_ns": path,
             "fmax_hz": fmax_hz_kernel(path),
@@ -206,6 +188,3 @@ class TimingModel:
             "meets_timing": meets_timing_kernel(path, target),
         }
 
-
-#: Shared default instance (constants per the module docstring).
-DEFAULT_TIMING_MODEL = TimingModel()

@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".partition": ("Partition",),
-        ".ps_model": ("PsModelConfig", "SoftwareCostModel"),
+        ".ps_model": ("SoftwareCostModel",),
         ".runtime": ("HwSwRuntime", "PredictionReport"),
     },
 )

@@ -3,15 +3,15 @@
 Table 5's "w/o PL" columns are wall-clock times of a pure software execution
 on the PYNQ-Z2's Cortex-A9.  This module models that software cost as
 
-    time = (MACs · cycles_per_mac + elements · passes · cycles_per_element)
+    time = (MACs · PS_CYCLES_PER_MAC + elements · passes · PS_CYCLES_PER_ELEMENT)
            / f_PS  + per-image overhead
 
 where
 
-* ``cycles_per_mac``  (7.6)  covers the inner convolution loops,
-* ``cycles_per_element`` (64) covers one software pass over a feature map
+* ``PS_CYCLES_PER_MAC``  (7.6)  covers the inner convolution loops,
+* ``PS_CYCLES_PER_ELEMENT`` (64) covers one software pass over a feature map
   (batch-norm statistics/normalisation, ReLU, or the residual addition), and
-* ``per_image_overhead_s`` (0.028 s) covers framework bookkeeping, pooling,
+* ``PER_IMAGE_OVERHEAD_S`` (0.028 s) covers framework bookkeeping, pooling,
   softmax and data handling that do not scale with depth.
 
 The constants were fitted to the four published ResNet-N totals
@@ -20,20 +20,36 @@ against the per-layer "Target w/o PL" columns of Table 5; the model
 reproduces all of them within a few percent (see
 ``tests/hwsw/test_ps_model.py``).
 
-The clock comes from the board (:meth:`PsModelConfig.for_board`): the cycle
-counts are treated as board-independent work, executed at the board's PS
-clock, and the fixed per-image overhead scales inversely with that clock
-(it is CPU work too).  Per-ISA IPC differences (Cortex-A53 vs the A9 the
-constants were fitted on) are deliberately not modelled — see ROADMAP.md.
+The clock comes from the board: the cycle counts are treated as
+board-independent work, executed at the board's PS clock, and the fixed
+per-image overhead scales inversely with that clock (it is CPU work too;
+:func:`per_image_overhead_kernel`).  Per-ISA IPC differences (Cortex-A53 vs
+the A9 the constants were fitted on) are deliberately not modelled — see
+ROADMAP.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..platform import BoardSpec, DEFAULT_BOARD
 
-__all__ = ["PsModelConfig", "SoftwareCostModel", "work_time_kernel", "work_cycles_kernel"]
+__all__ = [
+    "SoftwareCostModel",
+    "work_time_kernel",
+    "work_cycles_kernel",
+    "per_image_overhead_kernel",
+]
+
+
+#: CPU cycles per convolution multiply-accumulate.
+PS_CYCLES_PER_MAC = 7.6
+
+#: CPU cycles per feature-map element for one element-wise pass
+#: (batch-norm, ReLU or residual add).
+PS_CYCLES_PER_ELEMENT = 64.0
+
+#: Fixed per-image overhead (framework bookkeeping, pooling, softmax) at the
+#: reference board's PS clock, s.
+PER_IMAGE_OVERHEAD_S = 0.028
 
 
 def work_cycles_kernel(macs, elements, passes, cycles_per_mac, cycles_per_element):
@@ -57,63 +73,36 @@ def work_time_kernel(macs, elements, passes, cycles_per_mac, cycles_per_element,
     return cycles / clock_hz
 
 
-@dataclass(frozen=True)
-class PsModelConfig:
-    """Calibration constants of the PS software-execution model."""
+def per_image_overhead_kernel(ps_clock_hz):
+    """Array-capable kernel: the per-image overhead at a board's PS clock.
 
-    #: PS clock frequency in Hz (default: the reference board's 650 MHz A9).
-    clock_hz: float = DEFAULT_BOARD.ps_clock_hz
+    The overhead scales by the reference-to-board clock ratio.  For the
+    reference board the ratio is exactly 1.0, so the result equals the
+    fitted constant bit-for-bit.
+    """
 
-    #: CPU cycles per convolution multiply-accumulate.
-    cycles_per_mac: float = 7.6
-
-    #: CPU cycles per feature-map element for one element-wise pass
-    #: (batch-norm, ReLU or residual add).
-    cycles_per_element: float = 64.0
-
-    #: Fixed per-image overhead (framework bookkeeping, pooling, softmax), s.
-    per_image_overhead_s: float = 0.028
-
-    @classmethod
-    def for_board(cls, board: BoardSpec) -> "PsModelConfig":
-        """Calibration constants re-clocked for a board.
-
-        The cycle costs are kept (board-independent work); the clock becomes
-        the board's PS clock, and the fixed overhead — CPU work too — scales
-        by the reference-to-board clock ratio.  For the reference board the
-        ratio is exactly 1.0, so the result equals the fitted defaults
-        bit-for-bit.
-        """
-
-        base = cls()
-        scale = DEFAULT_BOARD.ps_clock_hz / board.ps_clock_hz
-        return cls(
-            clock_hz=board.ps_clock_hz,
-            per_image_overhead_s=base.per_image_overhead_s * scale,
-        )
+    return PER_IMAGE_OVERHEAD_S * (DEFAULT_BOARD.ps_clock_hz / ps_clock_hz)
 
 
 class SoftwareCostModel:
-    """Estimate software execution time of convolutional work on the PS part."""
+    """Estimate software execution time of convolutional work on ``board``'s PS part."""
 
-    def __init__(self, config: PsModelConfig | None = None) -> None:
-        self.config = config or PsModelConfig()
+    def __init__(self, board: BoardSpec = DEFAULT_BOARD) -> None:
+        self.clock_hz = board.ps_clock_hz
 
     def work_cycles(self, macs: float, elements: float = 0.0, passes: float = 0.0) -> float:
         """Clock-independent PS cycles of ``macs`` MACs plus element passes."""
 
-        cfg = self.config
         return float(
-            work_cycles_kernel(macs, elements, passes, cfg.cycles_per_mac, cfg.cycles_per_element)
+            work_cycles_kernel(macs, elements, passes, PS_CYCLES_PER_MAC, PS_CYCLES_PER_ELEMENT)
         )
 
     def work_time(self, macs: float, elements: float = 0.0, passes: float = 0.0) -> float:
         """Seconds to execute ``macs`` MACs plus ``passes`` passes over ``elements``."""
 
-        cfg = self.config
         return float(
             work_time_kernel(
-                macs, elements, passes, cfg.cycles_per_mac, cfg.cycles_per_element, cfg.clock_hz
+                macs, elements, passes, PS_CYCLES_PER_MAC, PS_CYCLES_PER_ELEMENT, self.clock_hz
             )
         )
 
@@ -125,4 +114,4 @@ class SoftwareCostModel:
     def per_image_overhead(self) -> float:
         """Fixed per-image software overhead in seconds."""
 
-        return self.config.per_image_overhead_s
+        return float(per_image_overhead_kernel(self.clock_hz))

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .._checks import check_count
 from ..api.scenario import Scenario, check_board
 from ..fixedpoint.qformat import QFormat
-from ..fleet.cluster import BoardGroup, FleetScenario
+from ..fleet.cluster import EVENT_ONLY_KNOBS, BoardGroup, FleetScenario
 from ..ode.solvers import available_methods
 from ..platform import PYNQ_Z2
 from ..sim.policies import POLICY_NAMES
@@ -286,9 +286,18 @@ class SearchSpace:
     def fleet_scenario(
         self, candidate: Candidate, seed: int = 0, fraction: float = 1.0
     ) -> FleetScenario:
-        """The candidate as a homogeneous fleet of ``fixed["count"]`` boards."""
+        """The candidate as a homogeneous fleet of ``fixed["count"]`` boards.
+
+        The fleet runs at fast fidelity, which models none of
+        :data:`~repro.fleet.cluster.EVENT_ONLY_KNOBS`: they are left out here
+        (so a sim or faults search over them still validates eagerly), and
+        :func:`repro.opt.optimize` rejects a fleet search that sets one to a
+        value other than its fleet default.
+        """
 
         kwargs = self._kwargs(candidate, FleetScenario)
+        for name in EVENT_ONLY_KNOBS:
+            kwargs.pop(name, None)
         self._scale_stop(kwargs, fraction, default_n=1000)
         group = BoardGroup(candidate.get("board", PYNQ_Z2.name), int(self.fixed.get("count", 1)))
         return FleetScenario(boards=(group,), seed=seed, **kwargs)

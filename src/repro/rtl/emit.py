@@ -139,7 +139,7 @@ def default_n_units(
 
     geometry = geometry if isinstance(geometry, BlockGeometry) else block_geometry(geometry)
     estimator = ResourceEstimator(board.fpga, qformat)
-    timing = TimingModel.for_board(board)
+    timing = TimingModel(board)
     for n in _UNIT_CANDIDATES:
         fits = estimator.estimate(geometry, n_units=n).fits(board.fpga)
         closes = timing.analyze(n, target_hz=board.pl_clock_hz).meets_timing

@@ -25,8 +25,8 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.report import Report, json_safe
-from ..platform import ResourceVector
-from ..fpga.power import PowerModelConfig, pl_power_kernel
+from ..platform import PowerProfile, ResourceVector
+from ..fpga.power import pl_power_kernel
 
 __all__ = [
     "LatencyStats",
@@ -394,10 +394,10 @@ def energy_summary(
     replica_resources: ResourceVector,
     n_replicas: int,
     completed: int,
-    config: Optional[PowerModelConfig] = None,
+    power: PowerProfile,
     replica_downtime_s: float = 0.0,
 ) -> Dict[str, Optional[float]]:
-    """Energy of one simulated board, with the analytic power model's constants.
+    """Energy of one simulated board, priced with its ``power`` profile.
 
     The PS is priced by :func:`ps_energy_j`; each PL replica draws its
     static + dynamic power for the whole horizon.  ``replica_downtime_s``
@@ -405,9 +405,10 @@ def energy_summary(
     draw — a failed accelerator is modelled as fully unpowered.
     """
 
-    cfg = config or PowerModelConfig()
-    ps_j = ps_energy_j(cfg.ps_active_w, cfg.ps_idle_w, ps_busy_core_seconds, ps_cores, horizon_s)
-    pl_w = float(pl_power_kernel(replica_resources.dsp, replica_resources.bram, cfg))
+    ps_j = ps_energy_j(
+        power.ps_active_w, power.ps_idle_w, ps_busy_core_seconds, ps_cores, horizon_s
+    )
+    pl_w = float(pl_power_kernel(replica_resources.dsp, replica_resources.bram, power))
     pl_j = n_replicas * pl_w * horizon_s
     if replica_downtime_s:
         pl_j -= pl_w * replica_downtime_s

@@ -6,10 +6,11 @@ Transaction-level models of the pieces requests contend for:
   ``capacity`` = cores).  Grants are strictly first-come-first-served, with
   ties broken by submission order, so simulations are deterministic.
 * :class:`AxiBus` — the PS<->PL interconnect.  Each DMA burst occupies one of
-  ``channels`` for the transfer time given by the *same*
-  :class:`~repro.fpga.axi.AxiTransferModel` the analytic latency model uses,
-  so a contention-free simulation reproduces the analytic numbers exactly
-  and a loaded one shows genuine burst-level queueing.
+  ``channels`` for the transfer time that the *same*
+  :class:`~repro.fpga.axi.AxiTransferModel` the analytic latency model uses
+  priced into the service plan, so a contention-free simulation reproduces
+  the analytic numbers exactly and a loaded one shows genuine burst-level
+  queueing.
 * :class:`Accelerator` — one replicated PL ODEBlock instance.  It does not
   queue by itself (the :class:`~repro.sim.policies.Dispatcher` owns the
   queues); it carries the replica's resource footprint (for the energy
@@ -26,7 +27,6 @@ from collections import deque
 from typing import Deque, Dict, Generator, Iterable, Optional
 
 from .._checks import check_count
-from ..fpga.axi import AxiTransferModel
 from ..platform import ResourceVector
 from .engine import Event, Simulator, Timeout
 
@@ -146,15 +146,8 @@ class Resource:
 class AxiBus(Resource):
     """The PS<->PL AXI interconnect: ``channels`` concurrent DMA bursts."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        channels: int = 1,
-        model: Optional[AxiTransferModel] = None,
-        name: str = "axi",
-    ) -> None:
+    def __init__(self, sim: Simulator, channels: int = 1, name: str = "axi") -> None:
         super().__init__(sim, capacity=channels, name=name)
-        self.model = model or AxiTransferModel()
         self.words_moved = 0
         self.transfers = 0
         #: Multiplier on every burst's transfer time (1.0 = nominal).  The
@@ -175,17 +168,17 @@ class AxiBus(Resource):
         self.slowdown = slowdown
         return previous
 
-    def transfer(self, words: int, seconds: Optional[float] = None) -> Iterable[Event]:
+    def transfer(self, words: int, seconds: float) -> Iterable[Event]:
         """Process fragment: move ``words`` over the bus (one DMA burst).
 
         Books the burst when called and returns the :meth:`use` fragment
         holding a channel for it; callers ``yield from`` it at once.
 
-        ``seconds`` lets the caller price the burst with the model that built
-        its service plan (the dispatcher passes the :class:`PlExecution`'s
-        stored transfer times, keeping the simulated DMA and the analytic
-        decomposition consistent by construction); by default the bus's own
-        transfer model is used.  Zero-word transfers complete immediately
+        ``seconds`` is the burst's nominal time, priced by the model that
+        built the service plan (the dispatcher passes the
+        :class:`PlExecution`'s stored transfer times, keeping the simulated
+        DMA and the analytic decomposition consistent by construction).
+        Zero-word transfers complete immediately
         without touching the bus, mirroring
         :func:`repro.fpga.axi.transfer_cycles_kernel`.
         """
@@ -194,7 +187,6 @@ class AxiBus(Resource):
             return ()
         self.words_moved += words
         self.transfers += 1
-        seconds = self.model.transfer_seconds(words) if seconds is None else seconds
         if self.slowdown != 1.0:
             seconds = seconds * self.slowdown
         return self.use(seconds)

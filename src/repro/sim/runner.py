@@ -34,7 +34,6 @@ from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
 from ..platform import ResourceVector
-from ..fpga.power import PowerModelConfig
 from .engine import Simulator, Timeout
 from .metrics import (
     QuantileSketch,
@@ -449,7 +448,7 @@ def simulate(
             replica_resources=replica_resources,
             n_replicas=n_replicas,
             completed=len(measured),
-            config=PowerModelConfig.for_board(board),
+            power=board.power,
             replica_downtime_s=replica_downtime,
         ),
         bus=bus.as_dict(),

@@ -128,11 +128,7 @@ class ServicePlan:
         return sum(s.seconds for s in self.segments if isinstance(s, PsSegment))
 
 
-def build_service_plan(
-    scenario: Scenario,
-    evaluator: Optional[Evaluator] = None,
-    transfer_model: Optional[AxiTransferModel] = None,
-) -> ServicePlan:
+def build_service_plan(scenario: Scenario, evaluator: Optional[Evaluator] = None) -> ServicePlan:
     """Compile a scenario into its PS/PL segment sequence.
 
     The per-layer numbers come from the evaluator's own execution report
@@ -146,13 +142,8 @@ def build_service_plan(
 
     ev = evaluator if evaluator is not None else Evaluator()
     report = ev.execution_report(scenario)
-    if transfer_model is None:
-        # The board's PL clock prices the DMA bursts (one source of truth
-        # with the analytic models — see AxiTransferConfig.for_board).
-        from ..fpga.axi import AxiTransferConfig
-
-        transfer_model = AxiTransferModel(AxiTransferConfig.for_board(scenario.board_spec))
-    transfers = transfer_model
+    # The board's PL clock prices the DMA bursts, as in the analytic models.
+    transfers = AxiTransferModel(scenario.board_spec)
 
     segments: List[Union[PsSegment, PlExecution]] = []
     for entry in report.layers:

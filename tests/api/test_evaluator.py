@@ -41,7 +41,7 @@ class TestAgainstHandAssembledModels:
     def test_energy_matches_power_model(self, headline):
         execution = ExecutionTimeModel(n_units=16)
         decision = OffloadPlanner(n_units=16, execution_model=execution).plan("rODENet-3", 56)
-        comparison = PowerModel(execution_model=execution).compare_report(
+        comparison = PowerModel().compare_report(
             execution.report("rODENet-3", 56), decision.resources
         )
         assert headline.energy == comparison

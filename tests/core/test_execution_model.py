@@ -8,8 +8,10 @@ from repro.core import (
     PAPER_OFFLOAD_TARGETS,
     TABLE5_MODELS,
     ExecutionTimeModel,
+    layer_geometry,
     variant_spec,
 )
+from repro.core.execution_model import pl_layer_seconds_kernel
 
 
 #: Published Table 5 values used as calibration anchors:
@@ -135,9 +137,10 @@ class TestModelMechanics:
         assert speedups[0] < speedups[1] < speedups[2]
 
     def test_transfer_can_be_excluded(self):
-        with_transfer = ExecutionTimeModel(include_transfer=True).report("rODENet-3", 56)
-        without = ExecutionTimeModel(include_transfer=False).report("rODENet-3", 56)
-        assert without.total_with_pl < with_transfer.total_with_pl
+        model = ExecutionTimeModel()
+        geom = layer_geometry("layer3_2").fpga_geometry()
+        without = pl_layer_seconds_kernel(geom, 16, model.board.pl_clock_hz, 0.0)
+        assert without < model.pl_layer_seconds("layer3_2")
 
     def test_paper_offload_targets_mapping(self):
         assert PAPER_OFFLOAD_TARGETS["rODENet-1+2"] == ("layer1", "layer2_2")

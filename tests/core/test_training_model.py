@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ExecutionTimeModel, TrainingCostConfig, TrainingTimeModel
+from repro.core import ExecutionTimeModel, TrainingTimeModel
+from repro.core.training_model import BACKWARD_MAC_FACTOR, TRAINING_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +24,15 @@ class TestPerLayerCosts:
                 3.0 * exec_model.pl_layer_seconds(layer)
             )
 
-    def test_custom_backward_factor(self):
-        cheap = TrainingTimeModel(config=TrainingCostConfig(backward_mac_factor=1.0))
-        default = TrainingTimeModel()
-        assert cheap.software_layer_training_seconds("layer3_2") < default.software_layer_training_seconds("layer3_2")
+    def test_training_factor_is_forward_plus_backward(self, model):
+        assert TRAINING_FACTOR == 1.0 + BACKWARD_MAC_FACTOR
+        exec_model = model.execution_model
+        assert model.software_layer_training_seconds("layer3_2") == (
+            exec_model.software_layer_seconds("layer3_2") * TRAINING_FACTOR
+        )
+        assert model.pl_layer_training_seconds("layer3_2") == (
+            exec_model.pl_layer_seconds("layer3_2") * TRAINING_FACTOR
+        )
 
     def test_optimizer_cost_scales_with_parameters(self, model):
         assert model.optimizer_seconds("ResNet", 56) > model.optimizer_seconds("rODENet-3", 56)

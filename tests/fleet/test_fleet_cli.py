@@ -115,6 +115,22 @@ class TestFleetCommand:
         )
 
 
+class TestFastFidelityKnobs:
+    @pytest.mark.parametrize(
+        "knob", [dict(policy="batched"), dict(batch_size=8), dict(dma_channels=4)]
+    )
+    def test_fast_fidelity_rejects_event_only_knobs(self, knob):
+        # The fast kernel ignores them, so a non-default value would be a
+        # silent no-op; the error names the field.
+        (name,) = knob
+        with pytest.raises(ValueError, match=f"{name}=.*requires fidelity='event'"):
+            FleetScenario(**knob)
+
+    def test_defaults_and_event_fidelity_accept_them(self):
+        FleetScenario(policy="fifo", batch_size=4, dma_channels=1)
+        FleetScenario(policy="batched", batch_size=8, dma_channels=4, fidelity="event")
+
+
 class TestFleetCliErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fpga import LAYER1, LAYER3_2, AxiTransferConfig, AxiTransferModel
+from repro.fpga import LAYER1, LAYER3_2, AxiTransferModel
 
 
 class TestPaperAssumption:
@@ -40,17 +40,7 @@ class TestTransferModelBehaviour:
         with pytest.raises(ValueError):
             AxiTransferModel().transfer_cycles(-1)
 
-    def test_setup_cycles_added_per_transfer(self):
-        model = AxiTransferModel(AxiTransferConfig(setup_cycles=100.0))
-        est = model.block_round_trip(LAYER1)
-        assert est.cycles == LAYER1.input_elements + LAYER1.output_elements + 200.0
-
-    def test_directions_can_be_disabled(self):
-        model = AxiTransferModel()
-        only_out = model.block_round_trip(LAYER1, include_input=False)
-        assert only_out.words_in == 0 and only_out.words_out == LAYER1.output_elements
-
     def test_slower_assumption_scales_linearly(self):
-        fast = AxiTransferModel(AxiTransferConfig(cycles_per_word=1.0))
-        slow = AxiTransferModel(AxiTransferConfig(cycles_per_word=4.0))
+        fast = AxiTransferModel(cycles_per_word=1.0)
+        slow = AxiTransferModel(cycles_per_word=4.0)
         assert slow.block_round_trip(LAYER1).cycles == 4 * fast.block_round_trip(LAYER1).cycles

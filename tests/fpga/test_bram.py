@@ -83,8 +83,3 @@ class TestBlockAllocation:
         half = plan_block_allocation(LAYER3_2, qformat=Q16).total_tiles
         quarter = plan_block_allocation(LAYER3_2, qformat=Q8).total_tiles
         assert full > half > quarter
-
-    def test_extra_feature_map_buffers_increase_tiles(self):
-        base = plan_block_allocation(LAYER1, feature_map_buffers=3).total_tiles
-        more = plan_block_allocation(LAYER1, feature_map_buffers=4).total_tiles
-        assert more > base

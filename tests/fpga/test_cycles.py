@@ -12,7 +12,6 @@ from repro.fpga import (
     LAYER2_2,
     LAYER3_2,
     PAPER_LAYER3_2_CYCLES,
-    CycleModelConfig,
     OdeBlockCycleModel,
 )
 
@@ -80,15 +79,8 @@ class TestModelStructure:
     def test_breakdown_total_is_sum(self):
         breakdown = OdeBlockCycleModel().block_cycles(LAYER2_2, 8)
         assert breakdown.total == pytest.approx(
-            breakdown.conv_cycles + breakdown.bn_cycles + breakdown.relu_cycles + breakdown.overhead_cycles
+            breakdown.conv_cycles + breakdown.bn_cycles
         )
-
-    def test_custom_config_overhead(self):
-        config = CycleModelConfig(invocation_overhead=1000.0, relu_cycles_per_element=1.0)
-        model = OdeBlockCycleModel(config)
-        breakdown = model.block_cycles(LAYER3_2, 16)
-        assert breakdown.overhead_cycles == 1000.0
-        assert breakdown.relu_cycles > 0
 
     def test_bn_share_grows_with_parallelism(self):
         """With more MAC units, BN becomes the larger share (Amdahl)."""

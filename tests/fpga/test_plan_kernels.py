@@ -117,7 +117,7 @@ class TestTimingKernels:
     @settings(max_examples=60, deadline=None)
     def test_fmax_monotone_non_increasing_in_units(self, units):
         units = np.sort(np.asarray(units, dtype=np.int64))
-        cfg = TimingModel().config
+        cfg = TimingModel()
         fmax = fmax_hz_kernel(
             critical_path_ns_kernel(units, cfg.base_delay_ns, cfg.per_level_delay_ns)
         )
@@ -131,7 +131,7 @@ class TestTimingKernels:
     def test_kernels_match_scalar_analyze(self, n_units, target_hz):
         model = TimingModel()
         report = model.analyze(n_units, target_hz=target_hz)
-        cfg = model.config
+        cfg = model
         path = critical_path_ns_kernel(n_units, cfg.base_delay_ns, cfg.per_level_delay_ns)
         assert float(path) == report.critical_path_ns
         assert float(fmax_hz_kernel(path)) == report.fmax_hz
@@ -144,7 +144,7 @@ class TestTimingKernels:
     )
     @settings(max_examples=60, deadline=None)
     def test_slack_sign_agrees_with_closure(self, n_units, target_hz):
-        cfg = TimingModel().config
+        cfg = TimingModel()
         path = critical_path_ns_kernel(n_units, cfg.base_delay_ns, cfg.per_level_delay_ns)
         assert (float(slack_ns_kernel(path, target_hz)) >= 0) == bool(
             meets_timing_kernel(path, target_hz)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ExecutionTimeModel
-from repro.fpga import PowerModel, PowerModelConfig, ResourceEstimator, ResourceVector
+from repro.fpga import PowerModel, PowerProfile, ResourceEstimator, ResourceVector
+from repro.fpga.power import pl_power_kernel
 
 
 @pytest.fixture(scope="module")
@@ -22,13 +23,12 @@ class TestComponentPowers:
     def test_pl_power_scales_with_resources(self, power_model):
         small = power_model.pl_power_w(ResourceVector(bram=10, dsp=10, lut=0, ff=0))
         large = power_model.pl_power_w(ResourceVector(bram=100, dsp=200, lut=0, ff=0))
-        assert large > small > power_model.config.pl_static_w
+        assert large > small > power_model.power.pl_static_w
 
     def test_custom_config(self):
-        config = PowerModelConfig(ps_active_w=2.0, pl_static_w=0.0, pl_dynamic_base_w=0.0,
-                                  pl_dynamic_per_dsp_w=0.0, pl_dynamic_per_bram_w=0.0)
-        model = PowerModel(config)
-        assert model.pl_power_w(ResourceVector(bram=100, dsp=100)) == 0.0
+        power = PowerProfile(ps_active_w=2.0, pl_static_w=0.0, pl_dynamic_base_w=0.0,
+                             pl_dynamic_per_dsp_w=0.0, pl_dynamic_per_bram_w=0.0)
+        assert pl_power_kernel(100, 100, power) == 0.0
 
 
 class TestEnergyEstimates:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fpga import DEFAULT_TIMING_MODEL, TimingModel
+from repro.fpga import TimingModel
 
 
 class TestPaperTimingObservation:
@@ -12,13 +12,13 @@ class TestPaperTimingObservation:
 
     @pytest.mark.parametrize("n_units", [1, 4, 8, 16])
     def test_up_to_x16_meets_timing(self, n_units):
-        assert DEFAULT_TIMING_MODEL.analyze(n_units).meets_timing
+        assert TimingModel().analyze(n_units).meets_timing
 
     def test_x32_fails_timing(self):
-        assert not DEFAULT_TIMING_MODEL.analyze(32).meets_timing
+        assert not TimingModel().analyze(32).meets_timing
 
     def test_max_units_meeting_timing_is_16(self):
-        met = [n for n in (1, 2, 4, 8, 16, 32, 64) if DEFAULT_TIMING_MODEL.analyze(n).meets_timing]
+        met = [n for n in (1, 2, 4, 8, 16, 32, 64) if TimingModel().analyze(n).meets_timing]
         assert max(met) == 16
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ExecutionTimeModel, layer_geometry
-from repro.hwsw import PsModelConfig, SoftwareCostModel
+from repro.hwsw import SoftwareCostModel
+from repro.hwsw.ps_model import PS_CYCLES_PER_ELEMENT, PS_CYCLES_PER_MAC, work_time_kernel
 
 
 class TestSoftwareCostModel:
@@ -17,9 +18,8 @@ class TestSoftwareCostModel:
         assert model.work_time(2_000_000) == pytest.approx(2 * model.work_time(1_000_000))
 
     def test_elementwise_term(self):
-        cfg = PsModelConfig(cycles_per_mac=0.0, cycles_per_element=10.0, clock_hz=1e6)
-        model = SoftwareCostModel(cfg)
-        assert model.work_time(0, elements=100, passes=2) == pytest.approx(2e-3)
+        # 0 cycles per MAC, 10 cycles per element, 1 MHz clock.
+        assert work_time_kernel(0, 100, 2, 0.0, 10.0, 1e6) == pytest.approx(2e-3)
 
     def test_per_image_overhead(self):
         assert SoftwareCostModel().per_image_overhead() == pytest.approx(0.028)
@@ -60,9 +60,8 @@ class TestCalibrationAgainstResNetTotals:
         assert model.software_layer_seconds("layer2_1") < model.software_layer_seconds("layer2_2")
 
     def test_faster_clock_reduces_time(self):
-        slow = SoftwareCostModel(PsModelConfig(clock_hz=650e6))
-        fast = SoftwareCostModel(PsModelConfig(clock_hz=1300e6))
         geom = layer_geometry("layer3_2")
-        assert fast.block_time(geom.macs, geom.out_elements, 4) == pytest.approx(
-            slow.block_time(geom.macs, geom.out_elements, 4) / 2
+        work = (geom.macs, geom.out_elements, 4, PS_CYCLES_PER_MAC, PS_CYCLES_PER_ELEMENT)
+        assert work_time_kernel(*work, 1300e6) == pytest.approx(
+            work_time_kernel(*work, 650e6) / 2
         )

@@ -82,6 +82,28 @@ class TestErrors:
         assert "unknown metric 'p99_ms'" in err
         assert "fidelity=analytic" in err
 
+    @pytest.mark.parametrize(
+        "axis,named", [(["--policies", "fifo", "batched"], "'policy'"),
+                       (["--batch-sizes", "2", "8"], "'batch_size'")],
+    )
+    def test_fleet_fidelity_rejects_event_only_axes(self, capsys, axis, named):
+        err = run_cli_error(
+            capsys, "optimize", "--objective", "min:p99_ms", "--fidelity", "fleet",
+            "--models", "rODENet-3", "--depths", "20", "--boards", "PYNQ-Z2", *axis,
+        )
+        assert named in err
+        assert "fidelity=fleet" in err
+
+    def test_fleet_fidelity_accepts_default_only_axes(self, capsys):
+        # An axis holding only the fleet default is the fleet the fast
+        # kernel prices: it runs, as FleetScenario accepts it.
+        out = run_cli(
+            capsys, "optimize", "--objective", "min:p99_ms", "--fidelity", "fleet",
+            "--models", "rODENet-3", "--depths", "20", "--boards", "PYNQ-Z2",
+            "--policies", "fifo", "--batch-sizes", "4", "--requests", "20", "--budget", "1",
+        )
+        assert "[best]" in out
+
     def test_unknown_board_is_named(self, capsys):
         err = run_cli_error(
             capsys, "optimize", "--objective", "watts", "--boards", "DE10-Nano",

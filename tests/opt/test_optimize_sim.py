@@ -133,6 +133,31 @@ class TestFleetAndFaults:
         assert report.best is not None
         assert report.best["metrics"]["rejected_fraction"] is not None
 
+    @pytest.mark.parametrize(
+        "axes,fixed,named",
+        [
+            ({"policy": ["fifo", "batched"]}, {}, "axis 'policy'"),
+            ({"batch_size": [2, 8]}, {}, "axis 'batch_size'"),
+            ({"n_units": [16]}, {"dma_channels": 2}, "fixed knob 'dma_channels'"),
+        ],
+    )
+    def test_fleet_fidelity_rejects_knobs_the_fast_kernel_ignores(self, axes, fixed, named):
+        # The fast fleet kernel models none of them: searching one would
+        # rank identical fleets by per-candidate seed noise.
+        space = SearchSpace(axes=axes, fixed={**fixed, "n_requests": 20})
+        with pytest.raises(ValueError, match=named):
+            optimize(space, "min:p99_ms", fidelity="fleet")
+
+    def test_fleet_fidelity_accepts_the_fleet_defaults(self):
+        # The same rule as FleetScenario: a knob at its fleet default is
+        # the fleet the fast kernel prices, so it is not refused.
+        space = SearchSpace(
+            axes={"policy": ["fifo"], "batch_size": [4]},
+            fixed={"dma_channels": 1, "n_requests": 20},
+        )
+        report = optimize(space, "min:p99_ms", fidelity="fleet", budget=1.0, seed=3)
+        assert report.best is not None
+
     def test_faults_fidelity_exposes_expected_slo_violation(self):
         space = SearchSpace(
             axes={"n_units": [16, 32]},

@@ -121,6 +121,16 @@ class TestBuilders:
         assert fs.boards[0].count == 3
         assert fs.n_requests == 60
 
+    def test_event_only_axes_still_validate_for_sim_searches(self):
+        # The eager fleet check leaves out the knobs the fast fleet kernel
+        # does not model, so a sim search over them constructs.
+        space = SearchSpace(
+            axes={"policy": ["fifo", "batched"], "batch_size": [2, 8]},
+            fixed={"dma_channels": 2},
+        )
+        assert space.sim_scenario(space.candidates()[-1]).policy == "batched"
+        assert space.fleet_scenario(space.candidates()[-1]).policy == "fifo"
+
     def test_fleet_scenario_defaults_to_reference_board(self):
         space = SearchSpace(axes={"n_units": [16]})
         fs = space.fleet_scenario(space.candidates()[0])

@@ -21,10 +21,10 @@ from repro.platform import (
     list_boards,
     register_board,
 )
-from repro.fpga.axi import AxiTransferConfig
-from repro.fpga.timing import TimingModel, TimingModelConfig
-from repro.fpga.power import PowerModelConfig
-from repro.hwsw.ps_model import PsModelConfig
+from repro.fpga.axi import AxiTransferModel
+from repro.fpga.timing import BASE_DELAY_NS, PER_LEVEL_DELAY_NS, TimingModel
+from repro.fpga.power import PowerModel
+from repro.hwsw.ps_model import PER_IMAGE_OVERHEAD_S, SoftwareCostModel
 
 
 class TestRegistry:
@@ -94,7 +94,7 @@ class TestCatalog:
     def test_conv_x16_closes_timing_on_every_board(self, board: BoardSpec):
         # The paper's workhorse configuration must be feasible everywhere,
         # otherwise cross-board sweeps of the default scenario are vacuous.
-        model = TimingModel.for_board(board)
+        model = TimingModel(board)
         assert model.analyze(16).meets_timing
 
     def test_bigger_fabrics_strictly_dominate(self):
@@ -109,34 +109,36 @@ class TestSingleSourceOfTruth:
     """Satellite: every clock default derives from BoardSpec, nowhere else."""
 
     def test_axi_and_timing_share_the_board_pl_clock(self):
-        assert AxiTransferConfig().clock_hz == PYNQ_Z2.pl_clock_hz
-        assert TimingModelConfig().target_clock_hz == PYNQ_Z2.pl_clock_hz
-        assert AxiTransferConfig().clock_hz == TimingModelConfig().target_clock_hz
+        assert AxiTransferModel().clock_hz == PYNQ_Z2.pl_clock_hz
+        assert TimingModel().target_clock_hz == PYNQ_Z2.pl_clock_hz
 
     def test_ps_clock_default_derives_from_the_board(self):
-        assert PsModelConfig().clock_hz == PYNQ_Z2.ps_clock_hz
+        assert SoftwareCostModel().clock_hz == PYNQ_Z2.ps_clock_hz
 
     def test_power_defaults_derive_from_the_board_profile(self):
-        assert PowerModelConfig() == PowerModelConfig.for_board(PYNQ_Z2)
+        assert PowerModel().power == PYNQ_Z2.power
 
     @pytest.mark.parametrize("board", [ZYBO_Z7_20, ULTRA96_V2, ZCU104])
     def test_for_board_rebinds_every_constant(self, board: BoardSpec):
-        assert AxiTransferConfig.for_board(board).clock_hz == board.pl_clock_hz
-        timing = TimingModelConfig.for_board(board)
+        assert AxiTransferModel(board).clock_hz == board.pl_clock_hz
+        timing = TimingModel(board)
         assert timing.target_clock_hz == board.pl_clock_hz
         assert timing.base_delay_ns == pytest.approx(5.0 * board.fabric_delay_scale)
-        ps = PsModelConfig.for_board(board)
+        ps = SoftwareCostModel(board)
         assert ps.clock_hz == board.ps_clock_hz
         # Fixed overhead is CPU work: it shrinks as the PS clock grows.
-        assert ps.per_image_overhead_s == pytest.approx(
+        assert ps.per_image_overhead() == pytest.approx(
             0.028 * PYNQ_Z2.ps_clock_hz / board.ps_clock_hz
         )
-        assert PowerModelConfig.for_board(board).ps_active_w == board.power.ps_active_w
+        assert PowerModel(board).power.ps_active_w == board.power.ps_active_w
 
     def test_reference_board_configs_equal_the_calibrated_defaults(self):
         # Bit-for-bit: deriving from the reference board must not perturb a
-        # single default (the goldens depend on it).
-        assert PsModelConfig.for_board(PYNQ_Z2) == PsModelConfig()
-        assert AxiTransferConfig.for_board(PYNQ_Z2) == AxiTransferConfig()
-        assert TimingModelConfig.for_board(PYNQ_Z2) == TimingModelConfig()
-        assert PowerModelConfig.for_board(PYNQ_Z2) == PowerModelConfig()
+        # single calibration constant (the goldens depend on it).
+        assert SoftwareCostModel(PYNQ_Z2).per_image_overhead() == PER_IMAGE_OVERHEAD_S
+        timing = TimingModel(PYNQ_Z2)
+        assert (timing.base_delay_ns, timing.per_level_delay_ns) == (
+            BASE_DELAY_NS, PER_LEVEL_DELAY_NS,
+        )
+        assert AxiTransferModel(PYNQ_Z2).clock_hz == PYNQ_Z2.pl_clock_hz
+        assert PowerModel(PYNQ_Z2).power == DEFAULT_BOARD.power

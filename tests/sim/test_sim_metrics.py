@@ -7,8 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.platform import ResourceVector
-from repro.fpga.power import PowerModelConfig
+from repro.platform import PYNQ_Z2, ResourceVector
 from repro.sim import SimScenario, energy_summary, latency_stats, simulate
 
 
@@ -35,7 +34,7 @@ class TestLatencyStats:
 
 class TestEnergySummary:
     def test_single_core_matches_analytic_split(self):
-        cfg = PowerModelConfig()
+        cfg = PYNQ_Z2.power
         res = ResourceVector(bram=140, dsp=68, lut=1000, ff=1000)
         out = energy_summary(
             horizon_s=10.0,
@@ -44,7 +43,7 @@ class TestEnergySummary:
             replica_resources=res,
             n_replicas=1,
             completed=5,
-            config=cfg,
+            power=cfg,
         )
         expected_ps = cfg.ps_active_w * 6.0 + cfg.ps_idle_w * 4.0
         assert out["ps_energy_J"] == pytest.approx(expected_ps)
@@ -60,8 +59,8 @@ class TestEnergySummary:
 
     def test_replicas_scale_pl_energy(self):
         res = ResourceVector(bram=10, dsp=10, lut=0, ff=0)
-        one = energy_summary(5.0, 1.0, 1, res, 1, 1)
-        two = energy_summary(5.0, 1.0, 1, res, 2, 1)
+        one = energy_summary(5.0, 1.0, 1, res, 1, 1, PYNQ_Z2.power)
+        two = energy_summary(5.0, 1.0, 1, res, 2, 1, PYNQ_Z2.power)
         assert two["pl_energy_J"] == pytest.approx(2 * one["pl_energy_J"])
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fpga.axi import AxiTransferConfig, AxiTransferModel
+from repro.fpga.axi import AxiTransferModel
 from repro.sim import AxiBus, Resource, Simulator
 from repro.sim.metrics import windowed_mean
 
@@ -81,14 +81,14 @@ class TestAxiBus:
     def test_transfer_time_matches_model(self):
         sim = Simulator()
         bus = AxiBus(sim, channels=1)
-        model = AxiTransferModel()
+        seconds = AxiTransferModel().transfer_seconds(16384)
 
         def mover():
-            yield from bus.transfer(16384)
+            yield from bus.transfer(16384, seconds)
 
         sim.process(mover())
         sim.run()
-        assert sim.now == pytest.approx(model.transfer_seconds(16384))
+        assert sim.now == pytest.approx(seconds)
         assert bus.words_moved == 16384
         assert bus.transfers == 1
 
@@ -97,7 +97,7 @@ class TestAxiBus:
         bus = AxiBus(sim)
 
         def mover():
-            yield from bus.transfer(0)
+            yield from bus.transfer(0, 1.0)
 
         sim.process(mover())
         sim.run()
@@ -106,12 +106,11 @@ class TestAxiBus:
 
     def test_bursts_serialize_on_one_channel(self):
         sim = Simulator()
-        config = AxiTransferConfig(setup_cycles=100.0)
-        bus = AxiBus(sim, channels=1, model=AxiTransferModel(config))
-        per = bus.model.transfer_seconds(1000)
+        bus = AxiBus(sim, channels=1)
+        per = AxiTransferModel().transfer_seconds(1000)
 
         def mover():
-            yield from bus.transfer(1000)
+            yield from bus.transfer(1000, seconds=per)
 
         for _ in range(3):
             sim.process(mover())
@@ -121,10 +120,10 @@ class TestAxiBus:
     def test_two_channels_halve_the_makespan(self):
         sim = Simulator()
         bus = AxiBus(sim, channels=2)
-        per = bus.model.transfer_seconds(1000)
+        per = AxiTransferModel().transfer_seconds(1000)
 
         def mover():
-            yield from bus.transfer(1000)
+            yield from bus.transfer(1000, seconds=per)
 
         for _ in range(4):
             sim.process(mover())

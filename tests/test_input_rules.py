@@ -3,7 +3,10 @@
 Integer counts go through :func:`repro._checks.check_count` (Python and NumPy
 integers pass and are stored as plain ints, anything else is a named
 ``ValueError``), and the Table-5 row "ODENet-3" maps to its Table-4 variant in
-one function (no other code maps the names, in either direction).  The source scan keeps copies of either rule from growing back.
+one function (no other code maps the names, in either direction).  Each
+calibration constant and board value has one source: no ``*Config`` twin of
+the models' constants and no ``for_board`` copy of a board rule.  The source
+scan keeps copies of these rules from growing back.
 """
 
 from __future__ import annotations
@@ -107,3 +110,21 @@ def test_table5_row_maps_to_its_variant_in_one_function():
     owner = [("repro/core/variants.py", "table4_variant")]
     assert _functions_with(trees, _compares_odenet3) == owner
     assert _functions_with(trees, _maps_table5_name) == owner
+
+
+def test_model_constants_have_no_config_twins():
+    trees = {name: ast.parse(text) for name, text in _sources().items()}
+    configs = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+    ]
+    for_board = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "for_board"
+    ]
+    assert configs == [("repro/core/architectures.py", "OdeNetConfig")]
+    assert for_board == []
