@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Entrypoint reach audit: which ``src/`` functions no user path calls.
+"""Entrypoint reach audit: which ``src/`` functions no user path calls, and
+which defaulted parameters no user path sets.
 
 Drives every user entrypoint in one process under a function-level
 ``sys.setprofile`` hook and records each code object that starts running:
@@ -7,7 +8,9 @@ Drives every user entrypoint in one process under a function-level
 * the CLI argv tables of ``tests/test_cli.py`` (golden, strict-JSON and
   ``--format json``), each golden argv also with ``--json``, plus argv for
   the flags those tables leave out (CSV / Pareto views, optimizer and fleet
-  fidelities, routings, admission, cells/shards, ``--mix``, ``rtl --check``);
+  fidelities, successive halving, routings, admission, cells/shards,
+  ``--mix``, fault specs, ``rtl --check``), so that every flag of every
+  subcommand runs at a non-default value at least once;
 * every example under ``examples/`` (``--quick`` where offered);
 * the CI ``--quick`` benchmarks and the 13 paper-anchor pytest benchmarks.
 
@@ -18,17 +21,30 @@ through their correctness sections with the speed requirement waived,
 because the profiler slows the timed loops below their floors and a floor
 that stops a run early would make reach depend on the host's speed.
 
-Every function of ``src/repro`` (AST ``def``, nested ones included) that
-never started is reported by its outermost unreached body.  Those listed in
-``audit_reach_keep.txt`` (``path::qualname`` glob + reason) are expected:
-paths gated by platform or by an error, abstract hooks, library API the CLI
-does not call, and names the benchmark harness patches.  Any other
-unreached function, any keep-list entry that matches no unreached function
-(its function went or became reached: delete the entry), or any driven call
-that does not exit 0, makes the audit exit 1.  Reach is per function: a
-branch no driver takes inside a reached function does not show.
+Two passes read the one recording:
 
-Run from the repository root (about 25 s on a 2-CPU host):
+* **Functions.**  Every function of ``src/repro`` (AST ``def``, nested
+  ones included) that never started is reported by its outermost
+  unreached body.
+* **Parameters.**  For every parameter with a default of a reached
+  function, the same hook checks each call's bound value against the
+  default: ``is`` first, then ``==``; only a plain ``True`` from ``==``
+  counts as equal, so a value whose ``==`` is anything else (an array)
+  counts as set.  A parameter no call ever set is reported as
+  ``path::qualname(param)``.  Qualnames come from the AST map, so the
+  pass runs unchanged on Python 3.10 (no ``co_qualname``).
+
+Those listed in ``audit_reach_keep.txt`` (``path::qualname`` or
+``path::qualname(param)`` glob + reason) are expected: paths gated by
+platform or by an error, abstract hooks, library API the CLI does not
+call, names the benchmark harness patches, and parameters fed from a
+dataclass field.  Any other unreached function or never-set parameter,
+any keep-list entry that matches nothing (its function went or became
+reached, or its parameter went or is set: delete the entry), or any
+driven call that does not exit 0, makes the audit exit 1.  A branch no
+driver takes inside a reached function does not show.
+
+Run from the repository root (about 35 s on a 2-CPU host):
 
     PYTHONPATH=src python benchmarks/audit_reach.py
 """
@@ -38,11 +54,14 @@ from __future__ import annotations
 import ast
 import contextlib
 import fnmatch
+import gc
+import inspect
 import io
 import runpy
 import sys
 import tempfile
 import threading
+import types
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
@@ -83,12 +102,22 @@ EXAMPLES = (
     ("train_variants.py", ["--epochs", "1", "--samples", "64"]),
 )
 
-#: User-facing flags the ``tests/test_cli.py`` tables do not exercise.
+#: User-facing flags the ``tests/test_cli.py`` tables do not exercise, each
+#: at a non-default value at least once: a flag left at its default would
+#: make the parameter it feeds read as never set.
 EXTRA_ARGV = (
+    "table4 --depth 20",
+    "offload rODENet-3 --depth 20 --n-units 8",
+    "energy rODENet-3 --depth 20 --n-units 8",
+    "training --depth 20 --models ResNet ODENet",
+    "eval rODENet-3 --depth 20 --n-units 8",
     "sweep --models rODENet-3 --depths 20 56 --n-units 8 16 --format csv",
     "sweep --models rODENet-3 ODENet --depths 20 --boards PYNQ-Z2 ZCU104 --engine batch --format csv",
     "sweep --models rODENet-3 --depths 20 56 --qformats 16:8 32:20 --solvers euler rk4 --format pareto",
     "sweep --depths 20 --wordlengths 16 --fraction-bits 8 --maximize-y --format pareto",
+    "sweep --models rODENet-3 --depths 20 56 --n-units 8 16 --maximize-x --format pareto",
+    "sweep --models rODENet-3 --depths 20 --pareto-x bram --pareto-y overall_speedup "
+    "--maximize-y --format pareto",
     "sweep --models rODENet-3 --depths 20 --engine batch",
     "eval rODENet-1 --depth 20 --solver rk4 --wordlength 16 --fraction-bits 8 --board ZCU104",
     "sim rODENet-1 --depth 20 --rate 3 --requests 40 --replicas auto --policy batched --json",
@@ -98,8 +127,14 @@ EXTRA_ARGV = (
     "--fault-sampling quadrature --fault-samples 2 --fault-seed 3 --fault-duration 5",
     "sim rODENet-3 --depth 20 --rate 3 --requests 12 --slo-ms 400 --faults --fault-duration 5 "
     "--fault-samples 1 --format csv",
+    "sim rODENet-3 --depth 20 --rate 3 --requests 12 --slo-ms 400 --faults axi_degraded:0.5:16 "
+    "ps_core_loss:1:1 --ps-cores 2 --fault-samples 1",
     "sim rODENet-3 --depth 20 --rate 3 --requests 30 --mix rODENet-3:20:2 ResNet:20 --format csv",
+    "sim rODENet-3 --depth 20 --rate 3 --requests 12 --slo-ms 400 --mix rODENet-3:20 ResNet:20 "
+    "--faults --fault-samples 1",
     "sim rODENet-1 --depth 20 --arrivals trace --trace 0 0.1 0.2 0.5 --dma-channels 2",
+    "sim rODENet-1 --depth 20 --n-units 8 --wordlength 16 --fraction-bits 8 --solver rk4 "
+    "--policy batched --batch-size 2 --rate 3 --requests 20",
     "sim rODENet-1 --depth 20 --arrivals deterministic --duration 5 --rate 2 --policy round_robin "
     "--replicas 2 --format csv",
     "fleet --boards pynq-z2:4,zcu104:2 --classes interactive:0.8:latency:900ms,nightly:0.2:batch "
@@ -108,15 +143,24 @@ EXTRA_ARGV = (
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --fidelity event --routing round_robin",
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --routing weighted --admission none",
     "fleet --boards pynq-z2:2 --rate 5 --requests 60 --routing round_robin --exact --slo-ms 300",
+    "fleet --boards pynq-z2:2 --model rODENet-1 --depth 20 --n-units 8 --rate 3 --requests 40",
     "fleet --boards pynq-z2:2 --arrivals deterministic --duration 20 --rate 2 --replicas 1 "
     "--autoscale --autoscale-interval 5",
     "fleet --boards pynq-z2:3 --rate 3 --requests 300 --autoscale --autoscale-interval 2 "
     "--replicas 1",
     "optimize --objective watts --models rODENet-3 --depths 20 56 --qformats 16:8 32:20 --json",
+    "optimize --objective watts --models rODENet-3 --depths 20 --solvers euler rk4 --seed 3",
     "optimize --objective min:p99_ms --fidelity sim --models rODENet-3 --depths 20 --n-units 8 16 "
     "--boards PYNQ-Z2 ZCU104 --rate 3 --requests 20 --json",
     "optimize --objective min:p99_ms --fidelity fleet --models rODENet-3 --depths 20 "
     "--boards PYNQ-Z2 ZCU104 --count 3 --rate 5 --requests 60 --json",
+    # 16 candidates on a budget of 6: the successive-halving rungs run.
+    "optimize --objective min:p99_ms --fidelity sim --models rODENet-3 --depths 20 --n-units 8 16 "
+    "--boards PYNQ-Z2 ZCU104 --policies fifo batched --replicas 1 2 --rate 3 --requests 20 "
+    "--budget 6",
+    "optimize --objective min:p99_ms --fidelity fleet --models rODENet-3 --depths 20 56 "
+    "--n-units 8 16 --boards PYNQ-Z2 ZCU104 --replicas 1 2 --count 3 --rate 5 --requests 60 "
+    "--budget 6 --workers 2",
     "optimize --objective min:p99_ms --fidelity faults --models rODENet-3 --depths 20 "
     "--boards PYNQ-Z2 --rate 3 --requests 12 --slo-ms 400 --json",
     "optimize --objective min:p99_ms --fidelity sim --models rODENet-3 --depths 20 --n-units 8 "
@@ -125,8 +169,14 @@ EXTRA_ARGV = (
     "accuracy-sweep --block layer1 --images 2 --wordlengths 16 32 --format csv",
     "accuracy-sweep --block layer2_2 --images 2 --formats 16:8 12:6 --chunk-size 1 --format pareto",
     "accuracy-sweep --images 2 --formats 16:8 12:6 --n-units 8 16 --json",
+    "accuracy-sweep --block layer1 --images 2 --formats 16:8 --chunk-size 1 --workers 2",
+    "accuracy-sweep --images 2 --formats 16:8 12:6 --seed 3 --pareto-x rms_error "
+    "--pareto-y latency_s --format pareto",
     "rtl --block layer1 --qformat 16:8 --n-units 8 --out {tmp}/rtl --vectors 2 --check --json",
     "rtl --block layer1 --qformat 16:8 --out {tmp}/rtl3",
+    "rtl --block layer1 --board ZCU104 --qformat 16:8 --out {tmp}/rtl5 --check",
+    "rtl --block layer1 --qformat 16:8 --n-units 8 --out {tmp}/rtl6 --vectors 1 --step-size 0.5 "
+    "--time-concat --check",
     "rtl --block layer2_2 --qformat 12:6 --n-units 4 --out {tmp}/rtl2 --time-concat --step-size 0.5 "
     "--iterations 3 --seed 1 --check",
     "rtl --block layer1 --qformat 16:8 --n-units 8 --out {tmp}/rtl4 --vectors 1 --simulate --json",
@@ -140,10 +190,20 @@ class Function(NamedTuple):
     first: int  # first line (the first decorator's, as in ``co_firstlineno``)
     last: int
     parent: "Function | None"
+    defaulted: Tuple[str, ...]  # parameters with a default, in signature order
 
     @property
     def key(self) -> str:
         return f"{self.path}::{self.qualname}"
+
+    def param_key(self, name: str) -> str:
+        return f"{self.key}({name})"
+
+    @property
+    def site(self) -> Tuple[str, int]:
+        """``(co_filename, co_firstlineno)`` of the function's code."""
+
+        return str(PACKAGE / self.path), self.first
 
     @property
     def lines(self) -> int:
@@ -161,7 +221,13 @@ def src_functions() -> Dict[Tuple[str, int], Function]:
                 visit(child, filename, rel, f"{prefix}{child.name}.", parent)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                fn = Function(rel, prefix + child.name, first, child.end_lineno, parent)
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                fn = Function(rel, prefix + child.name, first, child.end_lineno, parent,
+                              tuple(arg.arg for arg in defaulted))
                 functions[(filename, first)] = fn
                 visit(child, filename, rel, f"{fn.qualname}.<locals>.", fn)
             else:
@@ -174,22 +240,111 @@ def src_functions() -> Dict[Tuple[str, int], Function]:
     return functions
 
 
-@contextlib.contextmanager
-def recording(started: set) -> Iterator[None]:
-    """Add ``(co_filename, co_firstlineno)`` of every started Python frame."""
+#: ``co_flags`` of functions whose frames resume: generators and coroutines.
+_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            started.add((code.co_filename, code.co_firstlineno))
 
-    threading.setprofile(profile)
-    sys.setprofile(profile)
+def _differs(value: object, default: object) -> bool:
+    """Whether a bound ``value`` counts as setting a parameter off ``default``.
+
+    ``is`` first, then ``==``; only a plain ``True`` from ``==`` counts as
+    equal, so a value whose ``==`` returns anything else (an array, an error)
+    counts as set.
+    """
+
+    if value is default:
+        return False
     try:
-        yield
-    finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        return (value == default) is not True
+    except Exception:
+        return True
+
+
+def _function_of(code) -> types.FunctionType:
+    """A function object of ``code`` (the defaults are on it, not on the code).
+
+    Called from the hook while a frame of ``code`` runs, so its function is
+    alive; one lookup per code object.
+    """
+
+    return next(ref for ref in gc.get_referrers(code)
+                if isinstance(ref, types.FunctionType) and ref.__code__ is code)
+
+
+def _defaults(fn: types.FunctionType) -> Dict[str, object]:
+    """Parameter name -> default value, positional and keyword-only."""
+
+    code = fn.__code__
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    named = dict(zip(positional[len(positional) - len(defaults):], defaults))
+    named.update(fn.__kwdefaults__ or {})
+    return named
+
+
+class Recorder:
+    """Function starts and parameter settings, seen by one profile hook.
+
+    ``started`` holds ``(co_filename, co_firstlineno)`` of every started
+    Python frame.  For each ``src/repro`` function with defaulted
+    parameters (``defaulted``: same key -> the function's name, which tells
+    it apart from a lambda or comprehension starting on its line),
+    ``unset`` maps that key to the parameters no call has yet bound off
+    their default.  A parameter leaves it the first time a call does, so a
+    hot function stops paying for the check once each of its parameters has
+    been seen set.  A generator or coroutine frame is checked on its first
+    resume only, before its body can rebind a parameter.
+    """
+
+    def __init__(self, defaulted: Dict[Tuple[str, int], str]) -> None:
+        self.defaulted = defaulted
+        self.started: set = set()
+        self.unset: Dict[Tuple[str, int], Dict[str, object]] = {}
+        self._watch: Dict[object, object] = {}  # code -> key, or None when not watched
+        self._first_resume: Dict[object, int] = {}
+
+    def _first_sight(self, code):
+        key = (code.co_filename, code.co_firstlineno)
+        self.started.add(key)
+        if self.defaulted.get(key) != code.co_name:
+            return None
+        if key not in self.unset:
+            self.unset[key] = _defaults(_function_of(code))
+        return key
+
+    def profile(self, frame, event, arg) -> None:
+        if event != "call":
+            return
+        code = frame.f_code
+        try:
+            key = self._watch[code]
+        except KeyError:
+            key = self._watch[code] = self._first_sight(code)
+        if key is None:
+            return
+        unset = self.unset[key]
+        if not unset:
+            self._watch[code] = None
+            return
+        if code.co_flags & _RESUMABLE:
+            # Every generator of one code starts at the same instruction, and
+            # the first frame this hook sees of that code is at it.
+            if self._first_resume.setdefault(code, frame.f_lasti) != frame.f_lasti:
+                return
+        values = frame.f_locals
+        for name in [name for name, default in unset.items()
+                     if _differs(values[name], default)]:
+            del unset[name]
+
+    @contextlib.contextmanager
+    def recording(self) -> Iterator[None]:
+        threading.setprofile(self.profile)
+        sys.setprofile(self.profile)
+        try:
+            yield
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
 
 
 def _quiet(fn: Callable[[], object]) -> object:
@@ -305,49 +460,77 @@ def read_keep_list() -> Dict[str, str]:
     return keep
 
 
+def _report(keys: List[str], keep: Dict[str, str], used: set,
+            notes: Dict[str, str]) -> List[str]:
+    """Print each key as keep / UNLISTED; the keys no keep-list pattern matches."""
+
+    unlisted = []
+    for key in keys:
+        match = next((pattern for pattern in keep if fnmatch.fnmatchcase(key, pattern)), None)
+        if match is None:
+            unlisted.append(key)
+        else:
+            used.add(match)
+        print(f"{'keep' if match else 'UNLISTED'}  {key}  {notes.get(key, '')}".rstrip())
+    return unlisted
+
+
 def main() -> int:
     functions = src_functions()
-    started: set = set()
+    recorder = Recorder({fn.site: fn.qualname.rpartition(".")[2]
+                         for fn in functions.values() if fn.defaulted})
     failures = []
     # One recording spans the imports too: registries and flag tables run
     # functions at import time, and that is reach like any other.
-    with tempfile.TemporaryDirectory() as tmp, recording(started):
+    with tempfile.TemporaryDirectory() as tmp, recorder.recording():
         for label, drive in drivers(tmp):
             code = drive()
             if code != 0:
                 failures.append(f"{label} (exit {code})")
 
     def unreached(fn: Function) -> bool:
-        return (str(PACKAGE / fn.path), fn.first) not in started
+        return fn.site not in recorder.started
 
     outermost = sorted(
         (fn for fn in functions.values()
          if unreached(fn) and (fn.parent is None or not unreached(fn.parent))),
         key=lambda fn: (fn.path, fn.first),
     )
+    # A parameter of a reached function that no call bound off its default.
+    never_set = [
+        fn.param_key(name)
+        for fn in sorted(functions.values(), key=lambda fn: (fn.path, fn.first))
+        if not unreached(fn)
+        for name in fn.defaulted
+        if name in recorder.unset.get(fn.site, fn.defaulted)
+    ]
     keep = read_keep_list()
-    used = set()
-    unlisted = []
-    for fn in outermost:
-        match = next((pattern for pattern in keep if fnmatch.fnmatchcase(fn.key, pattern)), None)
-        if match is None:
-            unlisted.append(fn)
-        else:
-            used.add(match)
-        print(f"{'keep' if match else 'UNLISTED'}  {fn.key}  ({fn.lines} lines)")
-
+    keep_functions = {p: r for p, r in keep.items() if not p.endswith(")")}
+    keep_params = {p: r for p, r in keep.items() if p.endswith(")")}
+    used: set = set()
+    unlisted = _report([fn.key for fn in outermost], keep_functions, used,
+                       {fn.key: f"({fn.lines} lines)" for fn in outermost})
     n_lines = sum(fn.lines for fn in outermost)
     print(f"\n{len(functions)} functions, {len(outermost)} outermost unreached "
-          f"({n_lines} lines), {len(unlisted)} not on {KEEP_LIST.name}")
+          f"({n_lines} lines), {len(unlisted)} not on {KEEP_LIST.name}\n")
+    unset = _report(never_set, keep_params, used, {})
+    n_defaulted = sum(len(fn.defaulted) for fn in functions.values() if not unreached(fn))
+    print(f"\n{n_defaulted} defaulted parameters of reached functions, {len(never_set)} "
+          f"never set, {len(unset)} not on {KEEP_LIST.name}")
+
     stale = sorted(set(keep) - used)
     for pattern in stale:
-        print(f"FAIL: keep-list entry matches nothing unreached: {pattern}", file=sys.stderr)
+        print(f"FAIL: keep-list entry matches nothing unreached or unset: {pattern}",
+              file=sys.stderr)
     for failure in failures:
         print(f"FAIL: entrypoint did not exit 0: {failure}", file=sys.stderr)
     if unlisted:
         print(f"FAIL: {len(unlisted)} unreached function(s) not on the keep-list",
               file=sys.stderr)
-    return 1 if failures or unlisted or stale else 0
+    if unset:
+        print(f"FAIL: {len(unset)} never-set parameter(s) not on the keep-list",
+              file=sys.stderr)
+    return 1 if failures or unlisted or unset or stale else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ PAPER_REDUCTIONS = [
 
 def test_figure5_regeneration(benchmark):
     series = benchmark(figure5_series)
-    print_report("Figure 5: parameter size [kB] of ResNet, ODENet and rODENet variants", format_series(series, x_label="N"))
+    print_report("Figure 5: parameter size [kB] of ResNet, ODENet and rODENet variants", format_series(series))
 
     # Shape: ResNet/Hybrid grow with N; ODE variants are flat; ResNet largest.
     for depth in SUPPORTED_DEPTHS:

@@ -27,7 +27,7 @@ from conftest import print_report
 
 def test_figure6_paper_scale_series(benchmark):
     series = benchmark(figure6_series)
-    print_report("Figure 6: CIFAR-100 accuracy [%] (calibrated paper-scale model)", format_series(series, x_label="N"))
+    print_report("Figure 6: CIFAR-100 accuracy [%] (calibrated paper-scale model)", format_series(series))
 
     # Qualitative shape asserted by the paper's Section 4.3.
     for depth in SUPPORTED_DEPTHS:
@@ -40,7 +40,7 @@ def test_figure6_paper_scale_series(benchmark):
 
 
 def _train_small(variant: str, train_set, test_set, epochs: int = 3) -> float:
-    model = build_network(variant, 20, num_classes=train_set.num_classes, base_width=4, seed=0)
+    model = build_network(variant, 20, num_classes=train_set.num_classes, base_width=4)
     schedule = PaperTrainingSchedule(epochs=epochs, base_lr=0.05, milestones=(epochs,), batch_size=32)
     Trainer(model, train_set, schedule=schedule, seed=0).fit()
     _, accuracy = evaluate(model, test_set)

@@ -26,7 +26,7 @@ def test_conv2d_forward_speed(benchmark, rng):
 
 
 def test_small_model_software_inference(benchmark, rng):
-    model = build_network("rODENet-3", 20, num_classes=10, base_width=8, seed=0)
+    model = build_network("rODENet-3", 20, num_classes=10, base_width=8)
     model.eval()
     x = Tensor(rng.normal(size=(4, 3, 32, 32)))
 
@@ -39,9 +39,9 @@ def test_small_model_software_inference(benchmark, rng):
 
 
 def test_hwsw_runtime_prediction(benchmark, rng):
-    model = build_network("rODENet-3", 20, num_classes=10, base_width=4, seed=0)
+    model = build_network("rODENet-3", 20, num_classes=10, base_width=4)
     model.eval()
-    runtime = HwSwRuntime(model, Partition.offload("layer3_2"), n_units=16)
+    runtime = HwSwRuntime(model, Partition.offload("layer3_2"))
     batch = rng.normal(0, 0.4, size=(1, 3, 16, 16))
 
     logits, report = benchmark(runtime.predict, batch)

@@ -64,7 +64,7 @@ def show_per_block_latency() -> None:
     axi = AxiTransferModel()
     rows = []
     for geom in (LAYER1, LAYER2_2, LAYER3_2):
-        compute = cycles.block_time_seconds(geom, 16, PYNQ_Z2.pl_clock_hz)
+        compute = cycles.block_time_seconds(geom, 16)
         transfer = axi.block_round_trip(geom).seconds
         rows.append(
             {

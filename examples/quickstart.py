@@ -75,10 +75,10 @@ def main() -> None:
 
     # ------------------------------------------------------------------ 5
     print("\n=== Co-execution prediction (reduced-width functional model) ===")
-    small = build_network("rODENet-3", 20, num_classes=10, base_width=4, seed=0)
+    small = build_network("rODENet-3", 20, num_classes=10, base_width=4)
     small.eval()
     print(f"  block executions per image: {count_block_executions(small)}")
-    runtime = HwSwRuntime(small, Partition.offload("layer3_2"), n_units=16)
+    runtime = HwSwRuntime(small, Partition.offload("layer3_2"))
     images = np.random.default_rng(0).normal(0, 0.5, size=(2, 3, 32, 32))
     logits, report = runtime.predict(images)
     fidelity = runtime.fidelity(images)

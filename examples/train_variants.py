@@ -25,7 +25,7 @@ from repro.train import PaperTrainingSchedule, Trainer, evaluate
 
 def train_one(variant: str, depth: int, train_set, test_set, epochs: int, width: int) -> dict:
     model = build_network(
-        variant, depth, num_classes=train_set.num_classes, base_width=width, seed=0
+        variant, depth, num_classes=train_set.num_classes, base_width=width
     )
     schedule = PaperTrainingSchedule(
         epochs=epochs,

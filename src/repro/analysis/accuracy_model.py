@@ -43,8 +43,8 @@ class AccuracyPoint:
         }
 
 
-def _p(variant: str, depth: int, acc: float, stable: bool = True) -> AccuracyPoint:
-    return AccuracyPoint(variant, depth, acc, stable, source="paper")
+def _p(variant: str, depth: int, acc: float) -> AccuracyPoint:
+    return AccuracyPoint(variant, depth, acc, True, source="paper")
 
 
 def _e(variant: str, depth: int, acc: float, stable: bool = True) -> AccuracyPoint:

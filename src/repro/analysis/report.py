@@ -34,10 +34,11 @@ def json_safe(value: object) -> object:
     return value
 
 
-def strict_json(data: object, indent: int = 2) -> str:
-    """RFC 8259 JSON: non-finite floats become null, never bare NaN/Infinity."""
+def strict_json(data: object) -> str:
+    """RFC 8259 JSON, indented by 2: non-finite floats become null, never
+    bare NaN/Infinity."""
 
-    return json.dumps(json_safe(data), indent=indent, allow_nan=False)
+    return json.dumps(json_safe(data), indent=2, allow_nan=False)
 
 
 def csv_text(rows: Iterable[Iterable[object]]) -> str:
@@ -72,8 +73,8 @@ class Report:
     def records(self) -> List[Mapping[str, object]]:
         return []
 
-    def to_json(self, indent: int = 2) -> str:
-        return strict_json(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return strict_json(self.as_dict())
 
     def to_csv(self) -> str:
         """Header + one line per record; ``""`` when there are no records."""
@@ -167,11 +168,11 @@ def format_records(records: Sequence[Mapping[str, object]], title: str | None = 
     return format_table(headers, rows, title=title)
 
 
-def format_series(series: Mapping[str, Mapping[int, float]], x_label: str = "N", title: str | None = None) -> str:
-    """Render a {name -> {x -> y}} mapping with one row per name."""
+def format_series(series: Mapping[str, Mapping[int, float]], title: str | None = None) -> str:
+    """Render a {name -> {N -> y}} mapping with one row per name."""
 
     xs = sorted({x for values in series.values() for x in values})
-    headers = [x_label] + [str(x) for x in xs]
+    headers = ["N"] + [str(x) for x in xs]
     rows = []
     for name, values in series.items():
         rows.append([name] + [_format_cell(values.get(x, "")) for x in xs])

@@ -52,7 +52,7 @@ def table3_records(include_estimates: bool = True) -> List[Dict[str, object]]:
     """
 
     estimator = ResourceEstimator(ZYNQ_XC7Z020)
-    published = published_table3(ZYNQ_XC7Z020)
+    published = published_table3()
     records: List[Dict[str, object]] = []
     for (layer, n_units), entry in published.items():
         record: Dict[str, object] = {
@@ -95,7 +95,6 @@ def table4_records(depth: int = 56) -> List[Dict[str, object]]:
 
 def table5_records(
     depths: Sequence[int] = SUPPORTED_DEPTHS,
-    models: Sequence[str] = TABLE5_MODELS,
     n_units: int = 16,
 ) -> List[Dict[str, object]]:
     """Table 5: execution times and speedups of the seven architectures.
@@ -111,7 +110,7 @@ def table5_records(
 
     evaluator = Evaluator()
     records: List[Dict[str, object]] = []
-    for model in models:
+    for model in TABLE5_MODELS:
         for depth in depths:
             report = evaluator.execution_report(Scenario(model=model, depth=depth, n_units=n_units))
             rec = report.as_dict()

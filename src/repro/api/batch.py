@@ -631,31 +631,19 @@ class BatchResult(Report):
                 columns[key] = [col[i] for i in idx]
         return BatchResult([self.scenarios[i] for i in idx], columns)
 
-    def pareto_fronts(
-        self,
-        x: str,
-        y: str,
-        by: str = "board",
-        maximize_x: bool = False,
-        maximize_y: bool = False,
-    ) -> Dict[object, "BatchResult"]:
-        """One Pareto front per distinct value of the ``by`` column.
+    def pareto_fronts(self, x: str, y: str) -> Dict[object, "BatchResult"]:
+        """One Pareto front (both metrics minimized) per board.
 
         The cross-board view: ``pareto_fronts("total_w_pl_s",
         "energy_with_pl_J")`` answers "which design points are undominated
-        *on each board*", keyed by board name (or any other grouping
-        column).  Groups appear in first-occurrence order.
+        *on each board*", keyed by board name.  Boards appear in
+        first-occurrence order.
         """
 
         members: Dict[object, List[int]] = {}
-        for i, group in enumerate(self.column(by)):
-            members.setdefault(_py(group), []).append(i)
-        return {
-            key: self.take(idx).pareto_front(
-                x, y, maximize_x=maximize_x, maximize_y=maximize_y
-            )
-            for key, idx in members.items()
-        }
+        for i, board in enumerate(self.column("board")):
+            members.setdefault(_py(board), []).append(i)
+        return {key: self.take(idx).pareto_front(x, y) for key, idx in members.items()}
 
 
 # -- engine entry point ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Union
 
 from .._checks import check_count
 from ..fixedpoint.qformat import Q20, QFormat, QFormatLike
-from ..fpga.geometry import BlockGeometry
+from ..fpga.geometry import BlockGeometry, block_geometry
 from ..platform import BoardSpec
 from ..rtl.check import check_bundle
 from ..rtl.emit import TB_FILE, emit_odeblock, emit_testbench, random_block_weights
@@ -38,8 +38,6 @@ def export_rtl(
     vectors: int = 0,
     iterations: int = 2,
     seed: int = 0,
-    weight_scale: float = 0.1,
-    input_scale: float = 0.5,
     check: bool = True,
     simulate: bool = False,
 ) -> Dict:
@@ -58,15 +56,16 @@ def export_rtl(
     qf = Q20 if qformat is None else QFormat.parse(qformat)
     out = Path(out_dir)
 
+    geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
+    weights = random_block_weights(geometry, time_concat=time_concat, seed=seed)
     bundle = emit_odeblock(
-        block,
+        geometry,
+        weights,
         qformat=qf,
         n_units=n_units,
         board=board_spec,
         time_concat=time_concat,
         step_size=step_size,
-        seed=seed,
-        weight_scale=weight_scale,
     )
     written = bundle.write(out)
 
@@ -87,9 +86,6 @@ def export_rtl(
     }
 
     if vectors > 0:
-        weights = random_block_weights(
-            bundle.geometry, time_concat=time_concat, seed=seed, scale=weight_scale
-        )
         vset = generate_vectors(
             bundle.geometry,
             weights,
@@ -97,7 +93,6 @@ def export_rtl(
             images=vectors,
             iterations=iterations,
             seed=seed + 1,
-            input_scale=input_scale,
             step_size=step_size,
             time_concat=time_concat,
             n_units=bundle.n_units,

@@ -16,10 +16,10 @@ value object.  Hashability is what makes design-space sweeps cheap: the
 :class:`repro.api.evaluator.Evaluator` memoizes per scenario, so a sweep
 that revisits a design point never re-derives it.
 
-The dataclass fields are the one scenario schema: :func:`field_dict` and
-:func:`from_field_dict` serialise every scenario type (this one,
-``SimScenario`` and ``FleetScenario``) by field name, and
-:func:`shared_fields` copies knobs between them the same way.
+The dataclass fields are the one scenario schema: :func:`field_dict`
+serialises every scenario type (this one, ``SimScenario`` and
+``FleetScenario``) by field name, and :func:`shared_fields` copies knobs
+between them the same way.
 
 Use :func:`scenario_grid` to build the cartesian product of several knob
 axes (the design-space grid the ``repro-odenet sweep`` subcommand runs).
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._checks import check_count, check_seed
 from ..core.execution_model import TABLE5_MODELS
@@ -46,7 +46,6 @@ __all__ = [
     "check_count",
     "check_board",
     "field_dict",
-    "from_field_dict",
     "shared_fields",
     "SCENARIO_MODELS",
     "DEFAULT_FRACTION_BITS",
@@ -64,8 +63,6 @@ SCENARIO_MODELS: Tuple[str, ...] = tuple(VARIANT_NAMES) + ("ODENet-3",)
 DEFAULT_FRACTION_BITS: Dict[int, int] = {32: 20, 16: 8, 12: 6, 8: 4}
 
 _CANONICAL_MODELS = {name.lower(): name for name in SCENARIO_MODELS}
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -173,10 +170,6 @@ class Scenario:
     def as_dict(self) -> Dict[str, object]:
         return field_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Scenario":
-        return from_field_dict(cls, data)
-
 
 def _plain(value: object) -> object:
     if dataclasses.is_dataclass(value):
@@ -191,16 +184,6 @@ def field_dict(obj: object) -> Dict[str, object]:
     dataclasses as dicts and tuples as lists."""
 
     return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-
-
-def from_field_dict(cls: Type[T], data: Mapping[str, object]) -> T:
-    """Build dataclass ``cls`` from a :func:`field_dict`, naming unknown keys
-    (the constructor turns lists back into tuples and nested dataclasses)."""
-
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    return cls(**data)
 
 
 def shared_fields(source: object, cls: type, exclude: Sequence[str] = ()) -> Dict[str, object]:

@@ -554,7 +554,7 @@ def _cmd_sweep(args, evaluator: Evaluator) -> Report:
     if args.format != "pareto":
         return table
     front = _pareto_front_or_error(
-        table, args.pareto_x, args.pareto_y, args.maximize_x, args.maximize_y
+        table, args.pareto_x, args.pareto_y, maximize_x=args.maximize_x, maximize_y=args.maximize_y
     )
     title = (
         f"Pareto front over ({args.pareto_x}, {args.pareto_y}): "
@@ -888,7 +888,7 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
     )
     title = f"Accuracy-vs-format sweep: {args.block}, {args.images} images"
     if args.format == "pareto":
-        front = _pareto_front_or_error(result, args.pareto_x, args.pareto_y, False, False)
+        front = _pareto_front_or_error(result, args.pareto_x, args.pareto_y)
         title = (
             f"Accuracy/latency Pareto front over ({args.pareto_x}, {args.pareto_y}): "
             f"{len(front)} of {len(result)} points"
@@ -967,12 +967,12 @@ def _render_rtl_summary(summary: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _pareto_front_or_error(table, x: str, y: str, maximize_x: bool, maximize_y: bool):
+def _pareto_front_or_error(table, x: str, y: str, **maximize: bool):
     """Extract a Pareto front (of a sweep or an accuracy sweep), mapping
     metric mistakes to clean CLI errors."""
 
     try:
-        return table.pareto_front(x, y, maximize_x=maximize_x, maximize_y=maximize_y)
+        return table.pareto_front(x, y, **maximize)
     except KeyError as exc:
         raise ValueError(
             f"unknown pareto metric: {exc.args[0] if exc.args else exc}"

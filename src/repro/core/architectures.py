@@ -38,7 +38,6 @@ class OdeNetConfig:
     in_channels: int = INPUT_CHANNELS
     base_width: int = 16
     ode_method: str = "euler"
-    use_adjoint: bool = False
     seed: int = 0
 
     @property
@@ -58,7 +57,7 @@ class OdeNetModel(nn.Module):
         c1, c2, c3 = config.stage_channels
 
         # Pre-processing (conv1): conv + BN + ReLU.
-        self.conv1 = nn.Conv2d(config.in_channels, c1, 3, stride=1, padding=1, rng=rng)
+        self.conv1 = nn.Conv2d(config.in_channels, c1, rng=rng)
         self.bn1 = nn.BatchNorm2d(c1)
 
         # Repeated stages.
@@ -88,7 +87,6 @@ class OdeNetModel(nn.Module):
                 channels,
                 num_steps=plan.executions_per_block,
                 method=cfg.ode_method,
-                use_adjoint=cfg.use_adjoint,
                 rng=rng,
             )
         if plan.realization == BlockRealization.SINGLE:
@@ -137,28 +135,18 @@ def build_network(
     depth: int,
     num_classes: int = NUM_CLASSES,
     base_width: int = 16,
-    ode_method: str = "euler",
-    use_adjoint: bool = False,
-    seed: int = 0,
-    in_channels: int = INPUT_CHANNELS,
 ) -> OdeNetModel:
     """Build an executable network for a named variant and depth.
 
     Parameters mirror the paper's configuration by default (CIFAR-100,
-    16/32/64 channels, Euler prediction); ``base_width`` and ``num_classes``
-    can be reduced for fast functional tests.
+    16/32/64 channels, Euler prediction, RGB input, initialisation seed 0);
+    ``base_width`` and ``num_classes`` can be reduced for fast functional
+    tests.
     """
 
     spec = variant_spec(variant, depth)
     config = OdeNetConfig(
-        variant=spec.name,
-        depth=depth,
-        num_classes=num_classes,
-        in_channels=in_channels,
-        base_width=base_width,
-        ode_method=ode_method,
-        use_adjoint=use_adjoint,
-        seed=seed,
+        variant=spec.name, depth=depth, num_classes=num_classes, base_width=base_width
     )
     return OdeNetModel(spec, config)
 

@@ -138,8 +138,10 @@ class LayerGeometry:
             return self.in_channels * self.out_channels + self.out_channels
         raise ValueError(f"unknown layer kind {self.kind}")
 
-    def parameter_bytes(self, as_odeblock: bool = False, bytes_per_param: int = 4) -> int:
-        return self.parameter_count(as_odeblock) * bytes_per_param
+    def parameter_bytes(self, as_odeblock: bool = False) -> int:
+        """32-bit parameters."""
+
+        return self.parameter_count(as_odeblock) * 4
 
     def parameter_kilobytes(self, as_odeblock: bool = False) -> float:
         return self.parameter_bytes(as_odeblock) / 1000.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.tensor import Tensor
-from ..ode import get_solver, odeint_adjoint
+from ..ode import get_solver
 from ..ode.solvers import FixedGridSolver
 
 __all__ = ["PlainBlock", "ODEBlockFunction", "ODEBlock"]
@@ -66,9 +66,9 @@ class PlainBlock(nn.Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.stride = stride
-        self.conv1 = nn.Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, rng=rng)
+        self.conv1 = nn.Conv2d(in_channels, out_channels, stride=stride, rng=rng)
         self.bn1 = nn.BatchNorm2d(out_channels)
-        self.conv2 = nn.Conv2d(out_channels, out_channels, 3, stride=1, padding=1, rng=rng)
+        self.conv2 = nn.Conv2d(out_channels, out_channels, rng=rng)
         self.bn2 = nn.BatchNorm2d(out_channels)
 
     def residual_function(self, x: Tensor) -> Tensor:
@@ -94,9 +94,9 @@ class ODEBlockFunction(nn.Module):
     def __init__(self, channels: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         self.channels = channels
-        self.conv1 = nn.Conv2d(channels + 1, channels, 3, stride=1, padding=1, rng=rng)
+        self.conv1 = nn.Conv2d(channels + 1, channels, rng=rng)
         self.bn1 = nn.BatchNorm2d(channels)
-        self.conv2 = nn.Conv2d(channels + 1, channels, 3, stride=1, padding=1, rng=rng)
+        self.conv2 = nn.Conv2d(channels + 1, channels, rng=rng)
         self.bn2 = nn.BatchNorm2d(channels)
 
     @staticmethod
@@ -124,12 +124,10 @@ class ODEBlock(nn.Module):
     method:
         ODE solver name (``euler`` in the paper's prediction configuration;
         ``rk4`` etc. for the solver ablation).
-    integration_time:
-        The interval [0, T] integrated over.  The paper's correspondence uses
-        a step size of 1 per block execution, i.e. T = M.
-    use_adjoint:
-        Train with the adjoint method (constant memory) instead of
-        backpropagating through the unrolled solver.
+
+    The block integrates over [0, M]: the paper's correspondence uses a step
+    size of 1 per block execution.  Training backpropagates through the
+    unrolled solver.
     """
 
     def __init__(
@@ -137,8 +135,6 @@ class ODEBlock(nn.Module):
         channels: int,
         num_steps: int,
         method: str = "euler",
-        integration_time: Optional[float] = None,
-        use_adjoint: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -147,8 +143,6 @@ class ODEBlock(nn.Module):
         self.channels = channels
         self.num_steps = num_steps
         self.method = method
-        self.integration_time = float(integration_time if integration_time is not None else num_steps)
-        self.use_adjoint = use_adjoint
         self.dynamics = ODEBlockFunction(channels, rng=rng)
 
     @property
@@ -156,20 +150,7 @@ class ODEBlock(nn.Module):
         return get_solver(self.method)
 
     def forward(self, x: Tensor) -> Tensor:
-        func = self.dynamics
-        if self.use_adjoint and self.training:
-            params = self.dynamics.parameters()
-            out = odeint_adjoint(
-                func,
-                x,
-                0.0,
-                self.integration_time,
-                num_steps=self.num_steps,
-                params=params,
-                method=self.method,
-            )
-        else:
-            out = self.solver.integrate(func, x, 0.0, self.integration_time, self.num_steps)
+        out = self.solver.integrate(self.dynamics, x, 0.0, float(self.num_steps), self.num_steps)
         return out.relu()
 
 

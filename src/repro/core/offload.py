@@ -65,26 +65,14 @@ class OffloadPlanner:
         """Offload targets for a model.
 
         The paper's pairing (:data:`PAPER_OFFLOAD_TARGETS`) is used when the
-        model name appears there; otherwise the heavily-executed ODEBlock
-        layers that are offloadable are proposed, falling back to the layer
-        group with the largest software share.
+        model name appears there (every Table 5 model); otherwise (ODENet) the
+        heavily-executed ODEBlock layers that are offloadable are proposed.
         """
 
         if model_name in PAPER_OFFLOAD_TARGETS:
             return PAPER_OFFLOAD_TARGETS[model_name]
         spec = variant_spec(model_name, depth)
-        heavy = [l for l in spec.heavily_used_layers() if l in OFFLOADABLE_LAYER_NAMES]
-        if heavy:
-            return tuple(heavy)
-        report = self.execution_model.report(model_name, depth, offload_targets=())
-        candidates = [
-            (e.software_seconds, e.layer)
-            for e in report.layers
-            if e.layer in OFFLOADABLE_LAYER_NAMES
-        ]
-        if not candidates:
-            return ()
-        return (max(candidates)[1],)
+        return tuple(l for l in spec.heavily_used_layers() if l in OFFLOADABLE_LAYER_NAMES)
 
     # -- feasibility -------------------------------------------------------------------
 
@@ -100,20 +88,18 @@ class OffloadPlanner:
         model_name: str,
         depth: int,
         targets: Optional[Sequence[str]] = None,
-        n_units: Optional[int] = None,
         report: Optional[ExecutionTimeReport] = None,
     ) -> OffloadDecision:
-        """Produce a full offload decision for one architecture.
+        """Produce a full offload decision for one architecture at the
+        planner's MAC-unit count.
 
-        ``n_units`` is an optional override; it defaults to the planner's
-        constructor value, so callers that configured the planner once do not
-        need to repeat the MAC-unit count here.  ``report`` lets a caller
-        that already holds the execution-time report for the chosen targets
-        (e.g. one with solver-stage scaling applied) supply it, so the
-        expected speedup is taken from that report instead of recomputing.
+        ``report`` lets a caller that already holds the execution-time
+        report for the chosen targets (e.g. one with solver-stage scaling
+        applied) supply it, so the expected speedup is taken from that
+        report instead of recomputing.
         """
 
-        n = n_units if n_units is not None else self.n_units
+        n = self.n_units
         chosen = tuple(targets) if targets is not None else self.proposed_targets(model_name, depth)
         resources = self.resources_for_targets(chosen, n) if chosen else ResourceVector()
         fits = resources.fits(self.board.fpga) if chosen else True
@@ -133,16 +119,13 @@ class OffloadPlanner:
             expected_speedup=report.overall_speedup,
         )
 
-    def max_feasible_parallelism(
-        self,
-        targets: Sequence[str],
-        candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-    ) -> int:
-        """Largest MAC-unit count for which the targets fit and timing closes."""
+    def max_feasible_parallelism(self, targets: Sequence[str]) -> int:
+        """Largest conv_xN MAC-unit count (1 to 64) for which the targets fit
+        and timing closes."""
 
         feasible = []
         max_channels = max(layer_geometry(t).fpga_geometry().out_channels for t in targets)
-        for n in candidates:
+        for n in (1, 2, 4, 8, 16, 32, 64):
             if n > max_channels:
                 continue
             if not self.timing_model.analyze(n, target_hz=self.board.pl_clock_hz).meets_timing:

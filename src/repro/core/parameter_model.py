@@ -20,7 +20,7 @@ reduction percentage quoted in Section 4.2 (36.24 %, 43.29 %, 79.54 %,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .network_spec import LAYER_ORDER, NETWORK_LAYERS, layer_geometry
 from .variants import BlockRealization, SUPPORTED_DEPTHS, VARIANT_NAMES, VariantSpec, variant_spec
@@ -117,24 +117,21 @@ def variant_parameter_bytes(spec_or_name, depth: int | None = None, bytes_per_pa
     return variant_parameter_count(spec_or_name, depth) * bytes_per_param
 
 
-def parameter_size_series(
-    variants: Sequence[str] = VARIANT_NAMES,
-    depths: Sequence[int] = SUPPORTED_DEPTHS,
-) -> Dict[str, Dict[int, float]]:
+def parameter_size_series() -> Dict[str, Dict[int, float]]:
     """Parameter size in kilobytes per variant and depth (the Figure 5 data)."""
 
     series: Dict[str, Dict[int, float]] = {}
-    for name in variants:
+    for name in VARIANT_NAMES:
         series[name] = {
-            depth: variant_parameter_bytes(name, depth) / 1000.0 for depth in depths
+            depth: variant_parameter_bytes(name, depth) / 1000.0 for depth in SUPPORTED_DEPTHS
         }
     return series
 
 
-def parameter_reduction_percent(variant: str, depth: int, baseline: str = "ResNet") -> float:
-    """Reduction of a variant's parameter size relative to the baseline, in percent."""
+def parameter_reduction_percent(variant: str, depth: int) -> float:
+    """Reduction of a variant's parameter size relative to ResNet, in percent."""
 
-    base = variant_parameter_bytes(baseline, depth)
+    base = variant_parameter_bytes("ResNet", depth)
     target = variant_parameter_bytes(variant, depth)
     return 100.0 * (1.0 - target / base)
 

@@ -125,18 +125,12 @@ class TrainingTimeModel:
 
     # -- reports ------------------------------------------------------------------------
 
-    def report(
-        self,
-        model_name: str,
-        depth: int,
-        offload_targets: Optional[Sequence[str]] = None,
-    ) -> TrainingTimeReport:
-        """Training-step timing for one architecture (per image)."""
+    def report(self, model_name: str, depth: int) -> TrainingTimeReport:
+        """Training-step timing for one architecture (per image), with the
+        paper's offload targets (:data:`PAPER_OFFLOAD_TARGETS`)."""
 
         spec = variant_spec(table4_variant(model_name), depth)
-        if offload_targets is None:
-            offload_targets = PAPER_OFFLOAD_TARGETS.get(model_name, ())
-        targets = tuple(offload_targets)
+        targets = PAPER_OFFLOAD_TARGETS.get(model_name, ())
 
         software_total = self.execution_model.software_model.per_image_overhead()
         offloaded_total = software_total

@@ -19,11 +19,9 @@ class DataLoader:
     dataset:
         The dataset to iterate (images + integer labels).
     batch_size:
-        Mini-batch size; the final partial batch is kept by default.
+        Mini-batch size; the final partial batch is kept.
     shuffle:
         Reshuffle the sample order at the start of every epoch.
-    drop_last:
-        Drop the final batch when it is smaller than ``batch_size``.
     seed:
         Seed of the shuffling RNG (reproducible epochs).
     """
@@ -33,7 +31,6 @@ class DataLoader:
         dataset: SyntheticDataset,
         batch_size: int = 32,
         shuffle: bool = True,
-        drop_last: bool = False,
         seed: int = 0,
     ) -> None:
         if batch_size < 1:
@@ -41,7 +38,6 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self._rng = np.random.default_rng(seed)
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -49,6 +45,4 @@ class DataLoader:
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
-            if self.drop_last and len(idx) < self.batch_size:
-                break
             yield self.dataset.images[idx], self.dataset.labels[idx]

@@ -28,9 +28,10 @@ import numpy as np
 __all__ = ["SyntheticDataset", "make_synthetic_cifar", "train_test_split"]
 
 
-def _smooth_field(rng: np.random.Generator, channels: int, size: int, smoothness: int = 4) -> np.ndarray:
-    """A low-frequency random field, used as a class prototype."""
+def _smooth_field(rng: np.random.Generator, channels: int, size: int) -> np.ndarray:
+    """A low-frequency random field (4x4 coarse grid), used as a class prototype."""
 
+    smoothness = 4
     coarse = rng.normal(0.0, 1.0, size=(channels, smoothness, smoothness))
     # Bilinear-ish upsampling via repetition + box blur to keep it dependency-free.
     reps = int(np.ceil(size / smoothness))
@@ -72,7 +73,6 @@ def make_synthetic_cifar(
     num_samples: int = 1000,
     num_classes: int = 100,
     image_size: int = 32,
-    channels: int = 3,
     difficulty: float = 0.5,
     seed: int = 0,
 ) -> SyntheticDataset:
@@ -84,8 +84,8 @@ def make_synthetic_cifar(
         Total number of images (balanced across classes as evenly as possible).
     num_classes:
         Number of classes (100 to mirror CIFAR-100; tests use 4–10).
-    image_size, channels:
-        Spatial size and channel count of each image.
+    image_size:
+        Spatial size of each (3-channel) image.
     difficulty:
         Noise-to-signal ratio in [0, ~2]; higher is harder.
     seed:
@@ -95,6 +95,7 @@ def make_synthetic_cifar(
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
     rng = np.random.default_rng(seed)
+    channels = 3
 
     prototypes = np.stack(
         [_smooth_field(rng, channels, image_size) for _ in range(num_classes)], axis=0

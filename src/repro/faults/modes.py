@@ -236,7 +236,7 @@ class DmaCorruption(FaultMode):
     the error magnitude reaches one integer unit (``2^(bit - fraction_bits)
     >= 1``) or when the corrupted activation, scaled by the MAC accumulation
     depth (:data:`ACCUM_TAPS`), is no longer representable, i.e. the
-    accumulator saturates (``OverflowMode.SATURATE`` clipping territory).
+    accumulator saturates (:meth:`QFormat.to_fixed` clipping territory).
     """
 
     #: Bit to flip (0 = LSB); ``None`` draws a uniform position per burst

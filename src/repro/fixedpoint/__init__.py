@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".fxarray": ("FxArray",),
-        ".qformat": ("Q8", "Q12", "Q16", "Q20", "OverflowMode", "QFormat"),
+        ".qformat": ("Q8", "Q12", "Q16", "Q20", "QFormat"),
     },
     submodules=("arithmetic",),
 )

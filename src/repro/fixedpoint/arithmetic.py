@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .qformat import OverflowMode, QFormat
+from .qformat import QFormat
 
 __all__ = [
     "fx_add",
@@ -32,30 +32,25 @@ __all__ = [
 IntArray = Union[int, np.ndarray]
 
 
-def _apply_overflow(values: np.ndarray, fmt: QFormat, mode: str) -> np.ndarray:
-    if mode == OverflowMode.SATURATE:
-        return np.clip(values, fmt.min_int, fmt.max_int)
-    if mode == OverflowMode.WRAP:
-        span = 1 << fmt.word_length
-        return np.mod(values - fmt.min_int, span) + fmt.min_int
-    raise ValueError(f"unknown overflow mode '{mode}'")
+def _saturate(values: np.ndarray, fmt: QFormat) -> np.ndarray:
+    return np.clip(values, fmt.min_int, fmt.max_int)
 
 
-def fx_add(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATURATE) -> np.ndarray:
+def fx_add(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
     """Fixed-point addition."""
 
     result = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return _apply_overflow(result, fmt, mode)
+    return _saturate(result, fmt)
 
 
-def fx_sub(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATURATE) -> np.ndarray:
+def fx_sub(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
     """Fixed-point subtraction."""
 
     result = np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)
-    return _apply_overflow(result, fmt, mode)
+    return _saturate(result, fmt)
 
 
-def fx_mul(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATURATE) -> np.ndarray:
+def fx_mul(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
     """Fixed-point multiplication with truncation of the extra fraction bits.
 
     A hardware multiplier produces a double-width product; shifting right by
@@ -66,10 +61,10 @@ def fx_mul(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATU
 
     product = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
     result = product >> fmt.fraction_bits
-    return _apply_overflow(result, fmt, mode)
+    return _saturate(result, fmt)
 
 
-def fx_div(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATURATE) -> np.ndarray:
+def fx_div(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
     """Fixed-point division (used to normalise by the standard deviation)."""
 
     a64 = np.asarray(a, dtype=np.int64)
@@ -79,7 +74,7 @@ def fx_div(a: IntArray, b: IntArray, fmt: QFormat, mode: str = OverflowMode.SATU
     numerator = a64 << fmt.fraction_bits
     # Truncating integer division toward zero, like a restoring divider.
     result = (np.sign(numerator) * np.sign(b64)) * (np.abs(numerator) // np.abs(b64))
-    return _apply_overflow(result, fmt, mode)
+    return _saturate(result, fmt)
 
 
 def fx_sqrt(a: IntArray, fmt: QFormat) -> np.ndarray:
@@ -110,7 +105,7 @@ def fx_sqrt(a: IntArray, fmt: QFormat) -> np.ndarray:
     wide = flat > narrow_max
     if wide.any():
         result[wide] = [math.isqrt(int(v) << shift) for v in flat[wide]]
-    return _apply_overflow(result, fmt, OverflowMode.SATURATE).reshape(a64.shape)
+    return _saturate(result, fmt).reshape(a64.shape)
 
 
 def fx_relu(a: IntArray, fmt: QFormat) -> np.ndarray:
@@ -139,7 +134,7 @@ def fx_mean(a: np.ndarray, fmt: QFormat, axis=None, keepdims: bool = False) -> n
     # total and the result are both in fixed representation, so a plain
     # truncating integer division by the (unscaled) element count suffices.
     result = (np.sign(total)) * (np.abs(total) // count)
-    return _apply_overflow(result, fmt, OverflowMode.SATURATE)
+    return _saturate(result, fmt)
 
 
 def fx_var(a: np.ndarray, fmt: QFormat, axis=None, keepdims: bool = False) -> np.ndarray:

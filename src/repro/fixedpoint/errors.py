@@ -64,9 +64,9 @@ def batch_norm_error_bound(
     input_error: float,
     centered_max,
     sigma_min,
-    gamma_max: float = 1.0,
 ) -> float:
-    """Worst-case output error of one fixed-point batch-normalisation.
+    """Worst-case output error of one fixed-point batch-normalisation with
+    ``|gamma| <= 1`` (the datapath's BN scales).
 
     Propagates the input error through the dynamic-statistics datapath: mean
     (truncating divide), variance (truncating multiply + divide), sigma
@@ -95,7 +95,7 @@ def batch_norm_error_bound(
     )
     gamma_error = r / 2.0
     scaled_error = (
-        gamma_max * normalized_error
+        normalized_error
         + normalized_max * gamma_error
         + gamma_error * normalized_error
         + r
@@ -134,8 +134,6 @@ def odeblock_error_bound(
     hidden_max: float,
     centered2_max: float,
     sigma2_min: float,
-    gamma1_max: float = 1.0,
-    gamma2_max: float = 1.0,
 ) -> OdeBlockErrorBound:
     """Analytic error bound of one ODEBlock dynamics evaluation.
 
@@ -150,10 +148,10 @@ def odeblock_error_bound(
 
     input_error = fmt.resolution / 2.0
     conv1 = conv_error_bound(fmt, fan_in1, weight1_max, input_max, input_error)
-    bn1 = batch_norm_error_bound(fmt, conv1, centered1_max, sigma1_min, gamma1_max)
+    bn1 = batch_norm_error_bound(fmt, conv1, centered1_max, sigma1_min)
     # ReLU is 1-Lipschitz: the error entering conv2 is at most bn1's.
     conv2 = conv_error_bound(fmt, fan_in2, weight2_max, hidden_max, bn1)
-    bn2 = batch_norm_error_bound(fmt, conv2, centered2_max, sigma2_min, gamma2_max)
+    bn2 = batch_norm_error_bound(fmt, conv2, centered2_max, sigma2_min)
     return OdeBlockErrorBound(
         fmt=fmt,
         input_error=input_error,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import arithmetic as fx
-from .qformat import OverflowMode, QFormat, Q20
+from .qformat import QFormat, Q20
 
 __all__ = ["FxArray"]
 
@@ -20,28 +20,17 @@ __all__ = ["FxArray"]
 class FxArray:
     """An n-dimensional fixed-point array."""
 
-    __slots__ = ("raw", "fmt", "overflow")
+    __slots__ = ("raw", "fmt")
 
-    def __init__(
-        self,
-        raw: np.ndarray,
-        fmt: QFormat = Q20,
-        overflow: str = OverflowMode.SATURATE,
-    ) -> None:
+    def __init__(self, raw: np.ndarray, fmt: QFormat = Q20) -> None:
         self.raw = np.asarray(raw, dtype=np.int64)
         self.fmt = fmt
-        self.overflow = overflow
 
     @classmethod
-    def from_float(
-        cls,
-        values,
-        fmt: QFormat = Q20,
-        overflow: str = OverflowMode.SATURATE,
-    ) -> "FxArray":
-        """Quantise floating-point ``values`` into an :class:`FxArray`."""
+    def from_float(cls, values, fmt: QFormat = Q20) -> "FxArray":
+        """Quantise floating-point ``values`` (saturating) into an :class:`FxArray`."""
 
-        return cls(fmt.to_fixed(values, overflow), fmt, overflow)
+        return cls(fmt.to_fixed(values), fmt)
 
     def to_float(self) -> np.ndarray:
         """Dequantise back to float64."""
@@ -57,4 +46,4 @@ class FxArray:
         return self.raw.ndim
 
     def relu(self) -> "FxArray":
-        return FxArray(fx.fx_relu(self.raw, self.fmt), self.fmt, self.overflow)
+        return FxArray(fx.fx_relu(self.raw, self.fmt), self.fmt)

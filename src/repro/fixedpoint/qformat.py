@@ -18,16 +18,7 @@ import numpy as np
 
 from .._checks import check_count
 
-__all__ = ["QFormat", "QFormatLike", "Q20", "Q16", "Q12", "Q8", "OverflowMode"]
-
-
-class OverflowMode:
-    """Overflow handling policies for fixed-point conversion."""
-
-    SATURATE = "saturate"
-    WRAP = "wrap"
-
-    ALL = (SATURATE, WRAP)
+__all__ = ["QFormat", "QFormatLike", "Q20", "Q16", "Q12", "Q8"]
 
 
 @dataclass(frozen=True)
@@ -121,18 +112,12 @@ class QFormat:
 
     # -- conversion --------------------------------------------------------------
 
-    def to_fixed(self, values, mode: str = OverflowMode.SATURATE) -> np.ndarray:
-        """Quantise real ``values`` to their integer fixed-point representation."""
+    def to_fixed(self, values) -> np.ndarray:
+        """Quantise real ``values`` to their integer fixed-point representation,
+        saturating at the representable range."""
 
         scaled = np.round(np.asarray(values, dtype=np.float64) * self.scale)
-        if mode == OverflowMode.SATURATE:
-            scaled = np.clip(scaled, self.min_int, self.max_int)
-        elif mode == OverflowMode.WRAP:
-            span = 1 << self.word_length
-            scaled = np.mod(scaled - self.min_int, span) + self.min_int
-        else:
-            raise ValueError(f"unknown overflow mode '{mode}'")
-        return scaled.astype(np.int64)
+        return np.clip(scaled, self.min_int, self.max_int).astype(np.int64)
 
     def to_float(self, fixed) -> np.ndarray:
         """Convert integer fixed-point representations back to floats."""

@@ -18,9 +18,8 @@ a :class:`FleetScenario` describes a heterogeneous *cluster* drawn from the
   them, so any ``--shards`` value yields bit-identical merged metrics.
 
 Everything follows the frozen/validated contract of the rest of the API:
-construction fails fast with a helpful ``ValueError``, and the scenario
-round-trips through ``as_dict``/``from_dict`` (board groups and traffic
-classes as nested dicts).
+construction fails fast with a helpful ``ValueError``, and ``as_dict``
+serialises the scenario (board groups and traffic classes as nested dicts).
 """
 
 from __future__ import annotations
@@ -28,14 +27,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..api.scenario import (
     Scenario,
     check_board,
     check_count,
     field_dict,
-    from_field_dict,
     shared_fields,
 )
 from ..sim.scenario import SimScenario, check_serving, check_traffic
@@ -191,17 +189,10 @@ class FleetScenario:
     def __post_init__(self) -> None:
         if not self.boards:
             raise ValueError("a fleet needs at least one board group")
-        boards = tuple(
-            b if isinstance(b, BoardGroup) else from_field_dict(BoardGroup, b)
-            for b in self.boards
-        )
-        object.__setattr__(self, "boards", boards)
+        object.__setattr__(self, "boards", tuple(self.boards))
         if not self.classes:
             raise ValueError("a fleet needs at least one traffic class")
-        classes = tuple(
-            c if isinstance(c, TrafficClass) else from_field_dict(TrafficClass, c)
-            for c in self.classes
-        )
+        classes = tuple(self.classes)
         object.__setattr__(self, "classes", classes)
         names = [c.name for c in classes]
         if len(set(names)) != len(names):
@@ -279,7 +270,7 @@ class FleetScenario:
         design = self.design_point()
         for name in ("depth", "n_units", "word_length", "fraction_bits"):
             object.__setattr__(self, name, getattr(design, name))
-        for group in boards:
+        for group in self.boards:
             for cls in classes:
                 self.design_point(cls, group.board)
 
@@ -332,10 +323,6 @@ class FleetScenario:
 
     def as_dict(self) -> Dict[str, object]:
         return field_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FleetScenario":
-        return from_field_dict(cls, data)
 
 
 def fast_fidelity_ignores(name: str, value: object) -> bool:

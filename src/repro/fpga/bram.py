@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..fixedpoint.qformat import QFormat, Q20
-from ..platform import FpgaDevice, ZYNQ_XC7Z020
+from ..platform import ZYNQ_XC7Z020
 from .geometry import BlockGeometry
 
 __all__ = [
@@ -78,10 +78,10 @@ def bram_tiles_kernel(geometry: BlockGeometry, bytes_per_value):
     return geometry.num_convs * conv_tiles + bn_tiles + len(FEATURE_MAP_BUFFERS) * fmap_tiles
 
 
-def bram_fits_kernel(total_tiles, device: FpgaDevice = ZYNQ_XC7Z020):
-    """Boolean fits/overflow mask of tile counts against a device's BRAM."""
+def bram_fits_kernel(total_tiles):
+    """Boolean fits/overflow mask of tile counts against the PYNQ-Z2's BRAM."""
 
-    return np.asarray(total_tiles, dtype=np.int64) <= device.bram36
+    return np.asarray(total_tiles, dtype=np.int64) <= ZYNQ_XC7Z020.bram36
 
 
 def tiles_for_bytes(num_bytes: int) -> int:

@@ -149,9 +149,7 @@ class OdeBlockCycleModel:
             bn_cycles=self.bn_cycles(geometry),
         )
 
-    def block_time_seconds(
-        self, geometry: BlockGeometry, n_units: int, clock_hz: float = DEFAULT_BOARD.pl_clock_hz
-    ) -> float:
-        """Execution time of one block at a given PL clock."""
+    def block_time_seconds(self, geometry: BlockGeometry, n_units: int) -> float:
+        """Execution time of one block at the PYNQ-Z2's PL clock."""
 
-        return self.block_cycles(geometry, n_units).time_seconds(clock_hz)
+        return self.block_cycles(geometry, n_units).time_seconds(DEFAULT_BOARD.pl_clock_hz)

@@ -107,7 +107,7 @@ class GemmPlan:
         return np.dtype(np.float64) if self.split == "b" else np.dtype(np.int64)
 
 
-def plan_gemm(a_max: int, b_max: int, k: int, max_limbs: int = MAX_LIMBS) -> GemmPlan:
+def plan_gemm(a_max: int, b_max: int, k: int) -> GemmPlan:
     """Choose the exact split for ``a @ b`` from actual operand magnitudes.
 
     Parameters
@@ -116,15 +116,14 @@ def plan_gemm(a_max: int, b_max: int, k: int, max_limbs: int = MAX_LIMBS) -> Gem
         Largest absolute values of the left/right operand (exact ints).
     k:
         Reduction depth (the shared dimension, ``KH*KW*C`` for im2col conv).
-    max_limbs:
-        Limb budget before falling back to the int64 matmul.
 
     The exactness bound per candidate: splitting ``b`` into ``lb``-bit limbs
     is exact iff ``a_bits + lb + k_bits <= 53`` (and symmetrically for
     ``a``), because every float64 partial sum is then an integer strictly
     below ``2**53``.  Between feasible candidates the one with fewer limb
     GEMMs wins; ties prefer splitting ``b`` (the small, reusable weight
-    operand in the conv lowering).
+    operand in the conv lowering).  A split needing more than
+    :data:`MAX_LIMBS` limbs falls back to the int64 matmul.
     """
 
     a_bits = int(a_max).bit_length()
@@ -137,7 +136,7 @@ def plan_gemm(a_max: int, b_max: int, k: int, max_limbs: int = MAX_LIMBS) -> Gem
             return None
         limb_bits = min(headroom, max(split_bits, 1))
         n_limbs = max(1, -(-split_bits // limb_bits))
-        if n_limbs > max_limbs:
+        if n_limbs > MAX_LIMBS:
             return None
         return GemmPlan(split, limb_bits, n_limbs, a_bits, b_bits, k_bits)
 
@@ -182,13 +181,13 @@ class PlannedGemm:
     (:func:`repro.nn.im2col.im2col` can write them directly).
     """
 
-    def __init__(self, b: np.ndarray, a_max: int, max_limbs: int = MAX_LIMBS) -> None:
+    def __init__(self, b: np.ndarray, a_max: int) -> None:
         b = np.asarray(b)
         if b.ndim != 2:
             raise ValueError(f"right operand must be 2-D, got shape {b.shape}")
         if b.dtype != np.int64:
             raise ValueError(f"right operand must be int64, got {b.dtype}")
-        self.plan = plan_gemm(a_max, _magnitude(b), b.shape[0], max_limbs=max_limbs)
+        self.plan = plan_gemm(a_max, _magnitude(b), b.shape[0])
         self._b = b if self.plan.split == "int64" else None
         self._b_float = b.astype(np.float64) if self.plan.split == "a" else None
         self._b_stack = (

@@ -26,7 +26,7 @@ from ..fixedpoint import FxArray, QFormat, Q20
 from .axi import AxiTransferModel, TransferEstimate
 from .bram import BramPlan, plan_block_allocation
 from .cycles import CycleBreakdown, OdeBlockCycleModel
-from ..platform import BoardSpec, PYNQ_Z2
+from ..platform import PYNQ_Z2
 from .geometry import BlockGeometry, block_geometry
 from .ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
 from .resources import ResourceEstimate, ResourceEstimator
@@ -83,7 +83,8 @@ class HardwareExecutionReport:
 
 
 class HardwareODEBlock:
-    """Simulated PL implementation of one ODEBlock (conv_xN configuration)."""
+    """Simulated PL implementation of one ODEBlock (conv_xN configuration)
+    on the PYNQ-Z2."""
 
     def __init__(
         self,
@@ -91,7 +92,6 @@ class HardwareODEBlock:
         weights: BlockWeights,
         n_units: int = 16,
         qformat: QFormat = Q20,
-        board: BoardSpec = PYNQ_Z2,
         dynamic_bn_stats: bool = True,
         time_concat: bool = False,
     ) -> None:
@@ -103,9 +103,12 @@ class HardwareODEBlock:
                 f"(got {qformat.word_length}): its double-width products are int64"
             )
         self.geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
+        if self.geometry.stride != 1:
+            raise ValueError(
+                "the PL datapath supports stride-1 blocks only (all offloadable blocks)"
+            )
         self.n_units = n_units
         self.qformat = qformat
-        self.board = board
         self.dynamic_bn_stats = dynamic_bn_stats
         #: When True the block implements ODE dynamics with the integration
         #: time concatenated as one extra (constant) input channel to both
@@ -113,9 +116,9 @@ class HardwareODEBlock:
         self.time_concat = time_concat
 
         self.cycle_model = OdeBlockCycleModel()
-        self.transfer_model = AxiTransferModel(board)
-        self.resource_estimator = ResourceEstimator(board.fpga, qformat)
-        self.timing_model = TimingModel(board)
+        self.transfer_model = AxiTransferModel(PYNQ_Z2)
+        self.resource_estimator = ResourceEstimator(PYNQ_Z2.fpga, qformat)
+        self.timing_model = TimingModel(PYNQ_Z2)
 
         # Quantise and "store" the weights in BRAM.
         self._load_weights(weights)
@@ -132,7 +135,7 @@ class HardwareODEBlock:
     def timing_report(self) -> TimingReport:
         """Timing closure report at the board's PL clock."""
 
-        return self.timing_model.analyze(self.n_units, target_hz=self.board.pl_clock_hz)
+        return self.timing_model.analyze(self.n_units, target_hz=PYNQ_Z2.pl_clock_hz)
 
     def cycle_breakdown(self) -> CycleBreakdown:
         """Cycles of one invocation (independent of the data)."""
@@ -157,15 +160,15 @@ class HardwareODEBlock:
 
     # -- execution -------------------------------------------------------------------
 
-    def dynamics(self, z: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Evaluate ``f(z, t, θ)`` (the five-step pipeline) in fixed point.
+    def dynamics(self, z: np.ndarray) -> np.ndarray:
+        """Evaluate ``f(z, 0, θ)`` (the five-step pipeline) in fixed point.
 
         Accepts and returns float arrays of shape ``(C, H, W)``; the
         quantisation to/from Q20 happens at the boundary, mirroring the DMA
         transfer of float32 feature maps described by the paper.
         """
 
-        return self.dynamics_batch(np.asarray(z, dtype=np.float64)[None], t)[0]
+        return self.dynamics_batch(np.asarray(z, dtype=np.float64)[None])[0]
 
     def _with_time_channel(self, x: FxArray, t: float) -> FxArray:
         """Append the constant integration-time channel (time-concat mode).
@@ -181,13 +184,8 @@ class HardwareODEBlock:
         t_plane = np.full((n, 1, h, w), int(t_fx), dtype=np.int64)
         return FxArray(np.concatenate([x.raw, t_plane], axis=1), self.qformat)
 
-    def _forward_fixed(self, x: FxArray, t: float = 0.0) -> FxArray:
-        h = hw_conv2d(
-            self._with_time_channel(x, t),
-            self._conv1_w,
-            stride=self.geometry.stride,
-            padding=1,
-        )
+    def _forward_fixed(self, x: FxArray, t: float) -> FxArray:
+        h = hw_conv2d(self._with_time_channel(x, t), self._conv1_w)
         h = hw_batch_norm(
             h,
             self._bn1_gamma,
@@ -197,12 +195,7 @@ class HardwareODEBlock:
             dynamic_stats=self.dynamic_bn_stats,
         )
         h = hw_relu(h)
-        h = hw_conv2d(
-            self._with_time_channel(h, t),
-            self._conv2_w,
-            stride=1,
-            padding=1,
-        )
+        h = hw_conv2d(self._with_time_channel(h, t), self._conv2_w)
         h = hw_batch_norm(
             h,
             self._bn2_gamma,
@@ -213,8 +206,8 @@ class HardwareODEBlock:
         )
         return h
 
-    def dynamics_batch(self, z: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Evaluate ``f(z, t, θ)`` for a whole ``(N, C, H, W)`` batch at once.
+    def dynamics_batch(self, z: np.ndarray) -> np.ndarray:
+        """Evaluate ``f(z, 0, θ)`` for a whole ``(N, C, H, W)`` batch at once.
 
         The batch is quantised once and flows through the datapath as one
         :class:`FxArray` tensor; the result is bit-identical to calling
@@ -226,31 +219,26 @@ class HardwareODEBlock:
         if z.ndim != 4:
             raise ValueError("dynamics_batch expects an (N, C, H, W) batch")
         x = FxArray.from_float(z, self.qformat)
-        return self._forward_fixed(x, t).to_float()
+        return self._forward_fixed(x, 0.0).to_float()
 
-    def execute(
-        self, z: np.ndarray, step_size: float = 1.0, residual: bool = True, t: float = 0.0
-    ) -> tuple:
+    def execute(self, z: np.ndarray) -> tuple:
         """Run one ODEBlock invocation: compute and account for its cost.
 
         Returns ``(z_next, HardwareExecutionReport)`` where ``z_next`` is
-        ``z + h·f(z, t)`` when ``residual`` is True (one Euler step) and plain
-        ``f(z, t)`` otherwise.
+        ``z + f(z, 0)``, one Euler step of size 1.
         """
 
         z = np.asarray(z, dtype=np.float64)
-        out, report = self.execute_batch(z[None], step_size=step_size, residual=residual, t=t)
+        out, report = self.execute_batch(z[None])
         return out[0], report
 
-    def execute_batch(
-        self, z: np.ndarray, step_size: float = 1.0, residual: bool = True, t: float = 0.0
-    ) -> tuple:
-        """Run one invocation per image of an ``(N, C, H, W)`` batch.
+    def execute_batch(self, z: np.ndarray, step_size: float = 1.0, t: float = 0.0) -> tuple:
+        """Run one Euler step ``z + h·f(z, t)`` per image of an ``(N, C, H, W)`` batch.
 
         Returns ``(z_next, report)`` where ``report`` accounts for **one**
         image (the PL processes images serially, so a batch of N costs
-        ``N * report.total_seconds``).  The outputs are bit-identical to N
-        :meth:`execute` calls; ``invocations`` advances by N.
+        ``N * report.total_seconds``).  The outputs are bit-identical to
+        running each image as its own batch; ``invocations`` advances by N.
         """
 
         z = np.asarray(z, dtype=np.float64)
@@ -258,23 +246,21 @@ class HardwareODEBlock:
             raise ValueError("execute_batch expects an (N, C, H, W) batch")
         x = FxArray.from_float(z, self.qformat)
         f_out = self._forward_fixed(x, t)
-        out = hw_residual_add(x, f_out, step_size) if residual else f_out
+        out = hw_residual_add(x, f_out, step_size)
 
         cycles = self.cycle_breakdown()
         transfer = self.transfer_model.block_round_trip(self.geometry)
         report = HardwareExecutionReport(
             cycles=cycles,
             transfer=transfer,
-            compute_seconds=cycles.time_seconds(self.board.pl_clock_hz),
+            compute_seconds=cycles.time_seconds(PYNQ_Z2.pl_clock_hz),
             transfer_seconds=transfer.seconds,
         )
         self.invocations += len(z)
         return out.to_float(), report
 
-    def run_iterations_batch(
-        self, z: np.ndarray, iterations: int, step_size: float = 1.0, t0: float = 0.0
-    ) -> tuple:
-        """Euler-iterate a whole batch: ``z <- z + h·f(z, t_i)`` per image.
+    def run_iterations_batch(self, z: np.ndarray, iterations: int) -> tuple:
+        """Euler-iterate a whole batch: ``z <- z + f(z, i)`` per image (step 1).
 
         Returns ``(z_final, total_seconds, reports)`` where ``total_seconds``
         covers all ``N * iterations`` serial invocations.  Bit-identical to
@@ -286,21 +272,18 @@ class HardwareODEBlock:
         state = np.asarray(z, dtype=np.float64)
         n = len(state)
         for i in range(iterations):
-            t = t0 + i * step_size
-            state, report = self.execute_batch(state, step_size=step_size, residual=True, t=t)
+            state, report = self.execute_batch(state, t=float(i))
             reports.append(report)
             total += n * report.total_seconds
         return state, total, reports
 
-    def run_iterations(
-        self, z: np.ndarray, iterations: int, step_size: float = 1.0, t0: float = 0.0
-    ) -> tuple:
+    def run_iterations(self, z: np.ndarray, iterations: int) -> tuple:
         """Execute the block ``iterations`` times (the ODENet repeated use).
 
-        Each iteration is one Euler step ``z <- z + h·f(z, t_i)`` with
-        ``t_i = t0 + i·h``.  Returns ``(z_final, total_seconds, reports)``.
+        Each iteration is one Euler step ``z <- z + f(z, i)`` of size 1.
+        Returns ``(z_final, total_seconds, reports)``.
         """
 
         z = np.asarray(z, dtype=np.float64)
-        state, total, reports = self.run_iterations_batch(z[None], iterations, step_size, t0)
+        state, total, reports = self.run_iterations_batch(z[None], iterations)
         return state[0], total, reports

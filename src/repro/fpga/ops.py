@@ -37,14 +37,13 @@ __all__ = ["hw_conv2d", "hw_batch_norm", "hw_relu", "hw_residual_add", "DEFAULT_
 #: batch size N.
 DEFAULT_ROW_CHUNK = 16384
 
+#: Batch-normalisation epsilon, added to the variance before the square root.
+BN_EPS = 1e-5
 
-def hw_conv2d(
-    x: FxArray,
-    weight: FxArray,
-    stride: int = 1,
-    padding: int = 1,
-) -> FxArray:
-    """Fixed-point 3x3 convolution of a single image or a batch.
+
+def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:
+    """Fixed-point 3x3 convolution (stride 1, zero padding 1) of a single
+    image or a batch.
 
     Lowered to channel-last im2col (columns ordered ``(KH, KW, C)``) + the
     exact split-limb GEMM of :mod:`repro.fpga.gemm`: the kernel, reordered
@@ -77,8 +76,8 @@ def hw_conv2d(
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: {c_in} vs {c_in_w}")
 
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
+    out_h = conv_output_size(h, kh, 1, 1)
+    out_w = conv_output_size(w, kw, 1, 1)
     rows_per_image = out_h * out_w
     k = c_in * kh * kw
 
@@ -99,9 +98,7 @@ def hw_conv2d(
         # im2col gathers straight into the GEMM's operand dtype: the
         # expanded patch matrix is materialised once, in one buffer reused
         # across chunks (zero padding is exact in fixed point).
-        cols = im2col(
-            raw[start:stop], kh, kw, stride, padding, out=cols_buf[:chunk_rows]
-        )
+        cols = im2col(raw[start:stop], kh, kw, 1, 1, out=cols_buf[:chunk_rows])
         acc = gemm(cols)
         # Wide accumulation followed by a single renormalisation, matching a
         # MAC unit with a wide accumulator register.  Integer arithmetic is
@@ -120,7 +117,6 @@ def hw_batch_norm(
     beta: FxArray,
     running_mean: Optional[FxArray] = None,
     running_var: Optional[FxArray] = None,
-    eps: float = 1e-5,
     dynamic_stats: bool = True,
 ) -> FxArray:
     """Fixed-point batch normalisation of a single image or a batch.
@@ -145,7 +141,7 @@ def hw_batch_norm(
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError("gamma/beta must have shape (C,)")
 
-    eps_fx = fmt.to_fixed(eps)
+    eps_fx = fmt.to_fixed(BN_EPS)
 
     if dynamic_stats:
         # One centred tensor feeds both the variance and the normalisation.

@@ -97,13 +97,14 @@ PUBLISHED_TABLE3: Dict[Tuple[str, int], ResourceVector] = {
 }
 
 
-def published_table3(device: FpgaDevice = ZYNQ_XC7Z020) -> Dict[Tuple[str, int], Dict[str, float]]:
-    """Table 3 as absolute counts plus utilisation percentages."""
+def published_table3() -> Dict[Tuple[str, int], Dict[str, float]]:
+    """Table 3 as absolute counts plus utilisation percentages of the
+    PYNQ-Z2's XC7Z020."""
 
     table: Dict[Tuple[str, int], Dict[str, float]] = {}
     for key, vec in PUBLISHED_TABLE3.items():
         entry = vec.as_dict()
-        entry.update({f"{k}_pct": v for k, v in vec.utilization(device).items()})
+        entry.update({f"{k}_pct": v for k, v in vec.utilization(ZYNQ_XC7Z020).items()})
         table[key] = entry
     return table
 

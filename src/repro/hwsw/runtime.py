@@ -18,20 +18,13 @@ cost?" (the modelled wall-clock of Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-
-from typing import TYPE_CHECKING
 
 from .. import nn
 from ..core.architectures import OdeNetModel
 from ..core.odeblock import ODEBlock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime uses lazy import)
-    from ..core.execution_model import ExecutionTimeModel
-from ..fixedpoint import Q20, QFormat
-from ..platform import PYNQ_Z2, BoardSpec
 from ..fpga.geometry import BlockGeometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from ..nn.tensor import Tensor, no_grad
@@ -60,26 +53,16 @@ class PredictionReport:
 
 
 class HwSwRuntime:
-    """Run an OdeNetModel with selected ODEBlock layers on the PL simulator."""
+    """Run an OdeNetModel with selected ODEBlock layers on the PL simulator
+    (a PYNQ-Z2 with 16 MAC units and the Q20 datapath)."""
 
-    def __init__(
-        self,
-        model: OdeNetModel,
-        partition: Partition,
-        board: BoardSpec = PYNQ_Z2,
-        n_units: int = 16,
-        qformat: QFormat = Q20,
-        execution_model: Optional["ExecutionTimeModel"] = None,
-    ) -> None:
+    def __init__(self, model: OdeNetModel, partition: Partition) -> None:
         # Imported lazily to avoid a circular import with repro.core.
         from ..core.execution_model import ExecutionTimeModel
 
         self.model = model
         self.partition = partition
-        self.board = board
-        self.n_units = n_units
-        self.qformat = qformat
-        self.execution_model = execution_model or ExecutionTimeModel(board, n_units=n_units)
+        self.execution_model = ExecutionTimeModel()
         self.hardware_blocks: Dict[str, HardwareODEBlock] = {}
         self._build_hardware_blocks()
 
@@ -120,15 +103,7 @@ class HwSwRuntime:
             bn2_mean=dyn.bn2.running_mean.copy(),
             bn2_var=dyn.bn2.running_var.copy(),
         )
-        return HardwareODEBlock(
-            geometry,
-            weights,
-            n_units=self.n_units,
-            qformat=self.qformat,
-            board=self.board,
-            dynamic_bn_stats=False,
-            time_concat=True,
-        )
+        return HardwareODEBlock(geometry, weights, dynamic_bn_stats=False, time_concat=True)
 
     # -- prediction ------------------------------------------------------------------
 
@@ -179,12 +154,9 @@ class HwSwRuntime:
             self.hardware_blocks[layer] = self._hardware_block_from(module, layer, height, width)
         hw_block = self.hardware_blocks[layer]
         ode: ODEBlock = module  # type: ignore[assignment]
-        step = ode.integration_time / ode.num_steps
         outputs: List[np.ndarray] = []
         for image in h.data:
-            state, seconds, reports = hw_block.run_iterations(
-                image, iterations=ode.num_steps, step_size=step
-            )
+            state, seconds, reports = hw_block.run_iterations(image, iterations=ode.num_steps)
             outputs.append(np.maximum(state, 0.0))  # trailing ReLU stays on the PS part
             report.pl_invocations[layer] = report.pl_invocations.get(layer, 0) + len(reports)
             report.pl_compute_seconds += sum(r.compute_seconds for r in reports)

@@ -35,14 +35,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D convolution in NCHW layout.
+def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Bias-free 2-D convolution in NCHW layout.
 
     Parameters
     ----------
@@ -50,8 +44,6 @@ def conv2d(
         Input tensor of shape ``(N, C_in, H, W)``.
     weight:
         Kernel tensor of shape ``(C_out, C_in, KH, KW)``.
-    bias:
-        Optional bias of shape ``(C_out,)``.
     stride, padding:
         Stride and symmetric zero padding (the paper uses 3x3 kernels with
         stride 1 or 2 and padding 1).
@@ -75,11 +67,7 @@ def conv2d(
     w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, -1)  # (C_out, kh*kw*C_in)
 
     out = cols @ w_mat.T  # (N*oh*ow, C_out)
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1)
     out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
         # grad: (N, C_out, out_h, out_w)
@@ -87,19 +75,23 @@ def conv2d(
         if weight.requires_grad:
             gw = grad_mat.T @ cols  # (C_out, kh*kw*C_in)
             weight._accumulate(gw.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=0))
         if x.requires_grad:
             gcols = grad_mat @ w_mat  # (N*oh*ow, kh*kw*C_in)
             gx = col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding)
             x._accumulate(gx)
 
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(out, (x, weight), backward)
 
 
 # ---------------------------------------------------------------------------
 # Batch normalisation
 # ---------------------------------------------------------------------------
+
+#: Weight of the newest batch in the running-statistics moving average.
+BN_MOMENTUM = 0.1
+
+#: Added to the variance before the square root.
+BN_EPS = 1e-5
 
 
 def batch_norm2d(
@@ -109,15 +101,14 @@ def batch_norm2d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalisation over an NCHW tensor.
 
     In training mode the batch statistics are used and ``running_mean`` /
-    ``running_var`` are updated in place (exponential moving average with the
-    given momentum).  In evaluation mode the running statistics are used,
-    which matches what the FPGA implementation stores in BRAM.
+    ``running_var`` are updated in place (exponential moving average with
+    momentum :data:`BN_MOMENTUM`).  In evaluation mode the running
+    statistics are used, which matches what the FPGA implementation stores
+    in BRAM.
     """
 
     x = as_tensor(x)
@@ -128,19 +119,19 @@ def batch_norm2d(
     if training:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
         # Unbiased variance for the running estimate (torch convention).
         unbiased = var * count / max(count - 1, 1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         mean = running_mean
         var = running_var
 
     mean_r = mean.reshape(1, c, 1, 1)
     var_r = var.reshape(1, c, 1, 1)
-    inv_std = 1.0 / np.sqrt(var_r + eps)
+    inv_std = 1.0 / np.sqrt(var_r + BN_EPS)
     x_hat = (x.data - mean_r) * inv_std
     out = gamma.data.reshape(1, c, 1, 1) * x_hat + beta.data.reshape(1, c, 1, 1)
 

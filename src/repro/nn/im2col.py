@@ -34,7 +34,6 @@ def im2col(
     stride: int = 1,
     padding: int = 0,
     *,
-    dtype=None,
     out: np.ndarray = None,
 ) -> np.ndarray:
     """Rearrange image patches into channel-last columns.
@@ -47,16 +46,14 @@ def im2col(
         Kernel spatial size.
     stride, padding:
         Convolution stride and symmetric zero padding.
-    dtype:
-        Target dtype of the column matrix (default: ``x.dtype``).  The cast
-        happens while ``x`` is copied into the small padded channel-last
-        buffer, so e.g. the int64 fixed-point path materialises float64
-        GEMM input directly without an int64 copy of the expanded matrix.
     out:
         Preallocated ``(N * out_h * out_w, kernel_h * kernel_w * C)``
         C-contiguous destination — lets chunked callers reuse one buffer
-        instead of allocating per chunk.  Mutually exclusive with ``dtype``
-        disagreeing with ``out.dtype``.
+        instead of allocating per chunk.  Its dtype is the column matrix's
+        (default: ``x.dtype``); the cast happens while ``x`` is copied into
+        the small padded channel-last buffer, so e.g. the int64 fixed-point
+        path materialises float64 GEMM input directly without an int64 copy
+        of the expanded matrix.
 
     Returns
     -------
@@ -73,14 +70,12 @@ def im2col(
     cols_per_row = kernel_h * kernel_w * c
 
     if out is None:
-        out = np.empty((rows, cols_per_row), dtype=x.dtype if dtype is None else dtype)
+        out = np.empty((rows, cols_per_row), dtype=x.dtype)
     else:
         if out.shape != (rows, cols_per_row):
             raise ValueError(
                 f"out has shape {out.shape}, expected {(rows, cols_per_row)}"
             )
-        if dtype is not None and out.dtype != np.dtype(dtype):
-            raise ValueError(f"out dtype {out.dtype} conflicts with dtype={np.dtype(dtype)}")
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
 

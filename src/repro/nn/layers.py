@@ -154,44 +154,32 @@ class Sequential(Module):
 
 
 class Conv2d(Module):
-    """3x3 (or general) convolution layer in NCHW layout."""
+    """Bias-free 3x3 convolution layer (zero padding 1) in NCHW layout."""
 
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
-        kernel_size: int = 3,
         stride: int = 1,
-        padding: int = 1,
-        bias: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
-        self.padding = padding
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        shape = (out_channels, in_channels, 3, 3)
         self.weight = Parameter(init.kaiming_normal(shape, rng), name="conv.weight")
-        self.bias: Optional[Parameter]
-        if bias:
-            self.bias = Parameter(init.zeros(out_channels), name="conv.bias")
-        else:
-            self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return F.conv2d(x, self.weight, stride=self.stride, padding=1)
 
 
 class BatchNorm2d(Module):
     """Per-channel batch normalisation with running statistics."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(init.ones(num_features), name="bn.gamma")
         self.beta = Parameter(init.zeros(num_features), name="bn.beta")
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -205,8 +193,6 @@ class BatchNorm2d(Module):
             self.running_mean,
             self.running_var,
             training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
 
@@ -217,7 +203,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -226,11 +211,7 @@ class Linear(Module):
         self.weight = Parameter(
             init.uniform_fan_in((out_features, in_features), rng), name="fc.weight"
         )
-        self.bias: Optional[Parameter]
-        if bias:
-            self.bias = Parameter(init.zeros(out_features), name="fc.bias")
-        else:
-            self.bias = None
+        self.bias = Parameter(init.zeros(out_features), name="fc.bias")
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)

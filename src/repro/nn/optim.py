@@ -46,12 +46,10 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.9,
         weight_decay: float = 1e-4,
-        nesterov: bool = False,
     ) -> None:
         super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
 
     def step(self) -> None:
@@ -67,28 +65,18 @@ class SGD(Optimizer):
                 v = self._velocity[i]
                 v *= self.momentum
                 v += grad
-                if self.nesterov:
-                    grad = grad + self.momentum * v
-                else:
-                    grad = v
+                grad = v
             p.data -= self.lr * grad
 
 
 class Adam(Optimizer):
-    """Adam optimiser (used by the spiral Neural-ODE example, not the paper)."""
+    """Adam optimiser (used by the spiral Neural-ODE example, not the paper)
+    with betas ``(0.9, 0.999)``, ``eps = 1e-8`` and no weight decay."""
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3) -> None:
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -101,8 +89,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad * grad
             m_hat = self._m[i] / b1t

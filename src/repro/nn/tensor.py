@@ -84,12 +84,12 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def as_tensor(value: ArrayLike, dtype=np.float64) -> "Tensor":
-    """Coerce ``value`` into a :class:`Tensor` (no copy when already one)."""
+def as_tensor(value: ArrayLike) -> "Tensor":
+    """Coerce ``value`` into a float64 :class:`Tensor` (no copy when already one)."""
 
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=dtype))
+    return Tensor(np.asarray(value, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +287,13 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         if axis is None:
             count = self.data.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     # -- shape manipulation ----------------------------------------------------
 
@@ -324,10 +324,10 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def pad(self, pad_width, constant: float = 0.0) -> "Tensor":
-        """Zero/constant padding with gradient support (NCHW friendly)."""
+    def pad(self, pad_width) -> "Tensor":
+        """Zero padding with gradient support (NCHW friendly)."""
 
-        data = np.pad(self.data, pad_width, mode="constant", constant_values=constant)
+        data = np.pad(self.data, pad_width)
         slices = tuple(
             slice(before, before + dim)
             for (before, _after), dim in zip(pad_width, self.data.shape)

@@ -154,18 +154,17 @@ def odeint_adjoint(
     num_steps: int,
     params: Sequence[Tensor],
     method: str = "euler",
-    backward_method: Optional[str] = None,
 ) -> Tensor:
     """Integrate ``dz/dt = f(z, t)`` with adjoint-method gradients.
 
     The forward pass runs without building an autograd graph (constant
-    memory); the backward pass integrates the augmented adjoint system.
+    memory); the backward pass integrates the augmented adjoint system with
+    the same solver.
     Gradients are accumulated into ``z0`` (if it requires grad) and into every
     tensor in ``params``.
     """
 
     solver = get_solver(method)
-    bwd_solver = get_solver(backward_method or method)
     z0 = z0 if isinstance(z0, Tensor) else Tensor(z0)
 
     def numpy_dynamics(z: np.ndarray, t: float) -> np.ndarray:
@@ -187,7 +186,7 @@ def odeint_adjoint(
             t1,
             num_steps,
             params,
-            solver=bwd_solver,
+            solver=solver,
         )
         z0._accumulate(grad_z0)
         for p, g in zip(params, grad_params):

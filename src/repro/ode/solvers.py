@@ -141,8 +141,7 @@ class FixedGridSolver:
         t0: float,
         t1: float,
         num_steps: int,
-        return_trajectory: bool = False,
-    ) -> Union[State, Tuple[State, List[State]]]:
+    ) -> State:
         """Integrate from ``t0`` to ``t1`` in ``num_steps`` equal steps.
 
         This is the paper's ``ODESolve(z(t0), t0, t1, f)``.  Negative
@@ -153,15 +152,10 @@ class FixedGridSolver:
         num_steps = check_count("num_steps", num_steps, 1)
         h = (t1 - t0) / num_steps
         z = z0
-        trajectory = [z0]
         t = t0
         for _ in range(num_steps):
             z = self.step(func, z, t, h)
             t += h
-            if return_trajectory:
-                trajectory.append(z)
-        if return_trajectory:
-            return z, trajectory
         return z
 
 

@@ -59,6 +59,9 @@ __all__ = ["FIDELITY_NAMES", "RUNG_FRACTIONS", "candidate_seeds", "optimize"]
 #: Evaluation fidelities, cheapest first.
 FIDELITY_NAMES: Tuple[str, ...] = ("analytic", "sim", "fleet", "faults")
 
+#: Injection-time samples per fault mode at ``fidelity="faults"``.
+FAULT_SAMPLES = 3
+
 #: Successive-halving rung lengths as fractions of the full run.
 RUNG_FRACTIONS: Tuple[float, ...] = (0.25, 0.5, 1.0)
 
@@ -133,7 +136,6 @@ def _evaluate_scenario(
     fidelity: str,
     evaluator: Evaluator,
     modes,
-    fault_samples: int,
     job: Tuple[object, int],
 ) -> Dict[str, Optional[float]]:
     """Metrics of one ``(scenario, fault_seed)`` job at ``fidelity``.
@@ -156,7 +158,7 @@ def _evaluate_scenario(
             scenario,
             modes,
             evaluator=evaluator,
-            n_samples=fault_samples,
+            n_samples=FAULT_SAMPLES,
             fault_seed=fault_seed,
         )
         out = _sim_metrics(study.nominal)
@@ -190,7 +192,6 @@ class _Search:
         workers: int,
         evaluator: Evaluator,
         modes,
-        fault_samples: int,
     ) -> None:
         self.space = space
         self.objective = objective
@@ -201,7 +202,6 @@ class _Search:
         self.workers = workers
         self.evaluator = evaluator
         self.modes = modes
-        self.fault_samples = fault_samples
         self.spent = 0.0
         self.evaluations = 0
         self.candidates = space.candidates()
@@ -232,9 +232,7 @@ class _Search:
         process pool, so the worker count never changes the outcome.
         """
 
-        task = partial(
-            _evaluate_scenario, self.fidelity, self.evaluator, self.modes, self.fault_samples
-        )
+        task = partial(_evaluate_scenario, self.fidelity, self.evaluator, self.modes)
         results = ordered_map(task, [self._job(c, fraction) for c in cohort], self.workers)
         for candidate, metrics in zip(cohort, results):
             record = self.records[self.index[candidate.key]]
@@ -307,8 +305,6 @@ def optimize(
     seed: int = 0,
     workers: int = 1,
     evaluator: Optional[Evaluator] = None,
-    faults: Optional[Sequence[object]] = None,
-    fault_samples: int = 3,
 ) -> OptReport:
     """Find the constrained optimum of a search space — search, not sweep.
 
@@ -328,8 +324,10 @@ def optimize(
         exhaustive constrained optimum), ``"sim"`` (one
         :func:`repro.sim.simulate` run), ``"fleet"`` (one
         :func:`repro.fleet.simulate_fleet` run of ``fixed["count"]``
-        boards), or ``"faults"`` (one :func:`repro.faults.run_fmea` study;
-        the metric set gains ``expected_slo_violation``).
+        boards), or ``"faults"`` (one :func:`repro.faults.run_fmea` study
+        over the whole registered fault domain, :data:`FAULT_SAMPLES`
+        injection times per mode; the metric set gains
+        ``expected_slo_violation``).
     budget:
         Evaluation budget in full-evaluation units (one unit = one
         full-length run at the chosen fidelity; a quarter-length halving
@@ -342,12 +340,6 @@ def optimize(
         reruns for any worker count.
     workers:
         Process-pool width for stage-2 evaluations (1 = inline).
-    faults:
-        Fault modes for ``fidelity="faults"``: ``KIND[:RATE[:PARAM]]`` spec
-        strings or :class:`~repro.faults.FaultMode` objects (default: the
-        whole registered domain).
-    fault_samples:
-        Injection-time samples per mode (``fidelity="faults"``).
     """
 
     obj = _resolve_objective(objective)
@@ -393,18 +385,11 @@ def optimize(
 
     modes = None
     if fidelity == "faults":
-        from ..faults import FaultMode, default_fault_domain, parse_fault_specs
+        from ..faults import default_fault_domain
 
-        if faults is None:
-            modes = list(default_fault_domain())
-        elif all(isinstance(m, FaultMode) for m in faults):
-            modes = list(faults)
-        else:
-            modes = parse_fault_specs([str(m) for m in faults])
+        modes = list(default_fault_domain())
 
-    search = _Search(
-        space, obj, cons, fidelity, budget, seed, workers, evaluator, modes, fault_samples
-    )
+    search = _Search(space, obj, cons, fidelity, budget, seed, workers, evaluator, modes)
     candidates = search.candidates
     table, analytic = screen_space(space, candidates)
 

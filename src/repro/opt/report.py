@@ -90,14 +90,9 @@ class OptReport(Report):
 
         return [c for c in self.candidates if c.status in ("feasible", "infeasible", "best")]
 
-    def pareto_front(
-        self,
-        x: str,
-        y: str,
-        maximize_x: bool = False,
-        maximize_y: bool = False,
-    ) -> List[CandidateRecord]:
-        """Undominated fully-evaluated candidates over metrics ``x``, ``y``."""
+    def pareto_front(self, x: str, y: str) -> List[CandidateRecord]:
+        """Undominated fully-evaluated candidates over metrics ``x``, ``y``
+        (both minimized)."""
 
         records = [
             c for c in self.evaluated()
@@ -105,12 +100,7 @@ class OptReport(Report):
         ]
         if not records:
             return []
-        idx = pareto_indices(
-            [c.metrics[x] for c in records],
-            [c.metrics[y] for c in records],
-            maximize_x=maximize_x,
-            maximize_y=maximize_y,
-        )
+        idx = pareto_indices([c.metrics[x] for c in records], [c.metrics[y] for c in records])
         return [records[i] for i in idx]
 
     # -- serialisation -----------------------------------------------------------------

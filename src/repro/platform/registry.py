@@ -22,20 +22,17 @@ __all__ = ["register_board", "get_board", "list_boards", "BOARDS"]
 _REGISTRY: Dict[str, BoardSpec] = {}
 
 
-def register_board(board: BoardSpec, replace: bool = False) -> BoardSpec:
+def register_board(board: BoardSpec) -> BoardSpec:
     """Add a board to the registry (returned unchanged, for chaining).
 
     Registering a second board under an existing name is almost always an
-    accident, so it raises unless ``replace=True`` is passed explicitly.
+    accident, so it raises.
     """
 
     if not isinstance(board, BoardSpec):
         raise TypeError(f"expected a BoardSpec (got {type(board).__name__})")
-    if board.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"board '{board.name}' is already registered; "
-            "pass replace=True to overwrite it"
-        )
+    if board.name in _REGISTRY:
+        raise ValueError(f"board '{board.name}' is already registered")
     _REGISTRY[board.name] = board
     return board
 

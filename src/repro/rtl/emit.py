@@ -38,6 +38,7 @@ from ..fpga.bram import plan_block_allocation
 from ..fpga.export import WeightImageHeader, _dtype_for, export_block_weights
 from ..fpga.geometry import BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights
+from ..fpga.ops import BN_EPS
 from ..fpga.resources import ResourceEstimator
 from ..fpga.timing import TimingModel
 from ..platform import PYNQ_Z2, BoardSpec
@@ -68,10 +69,6 @@ MANIFEST_VERSION = 1
 
 #: conv_xN candidates for the board-derived default unit count.
 _UNIT_CANDIDATES = (64, 32, 16, 8, 4, 2, 1)
-
-#: The BN epsilon of repro.fpga.ops.hw_batch_norm.
-_BN_EPS = 1e-5
-
 
 def _aw(depth: int) -> int:
     """Address width covering ``depth`` words (at least 1 bit)."""
@@ -241,7 +238,6 @@ def emit_odeblock(
     time_concat: bool = False,
     step_size: float = 1.0,
     seed: int = 0,
-    weight_scale: float = 0.1,
 ) -> RtlBundle:
     """Emit the Verilog bundle of one ODEBlock configuration.
 
@@ -269,9 +265,7 @@ def emit_odeblock(
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite (got {step_size!r})")
     if weights is None:
-        weights = random_block_weights(
-            geometry, time_concat=time_concat, seed=seed, scale=weight_scale
-        )
+        weights = random_block_weights(geometry, time_concat=time_concat, seed=seed)
 
     c = geometry.out_channels
     k = geometry.kernel
@@ -300,7 +294,7 @@ def emit_odeblock(
     aw_x = _aw(chw)
     aw_r = _aw(8 * c)
     h_fx = int(qformat.to_fixed(float(step_size)))
-    eps_fx = int(qformat.to_fixed(_BN_EPS))
+    eps_fx = int(qformat.to_fixed(BN_EPS))
     h_is_one = 1 if step_size == 1.0 else 0
 
     common = dict(

@@ -153,18 +153,16 @@ def generate_vectors(
     seed: int = 7,
     input_scale: float = 0.5,
     step_size: float = 1.0,
-    t0: float = 0.0,
     time_concat: bool = False,
     n_units: int = 4,
 ) -> VectorSet:
     """Dump stimulus/expected pairs from the batched FxArray engine.
 
-    The batch flows through :meth:`HardwareODEBlock.execute_batch` exactly
-    as :meth:`run_iterations_batch` drives it (``t_i = t0 + i*h``, residual
-    Euler update per step); the recorded raws are the quantised states at
-    each step boundary.  ``n_units`` never changes the numbers (the batch
-    engine is bit-exact in the unit count) — any emitted design point can be
-    checked against the same vectors.
+    The batch flows through :meth:`HardwareODEBlock.execute_batch` once per
+    step (``t_i = i*h``, residual Euler update); the recorded raws are the
+    quantised states at each step boundary.  ``n_units`` never changes the
+    numbers (the batch engine is bit-exact in the unit count) — any emitted
+    design point can be checked against the same vectors.
     """
 
     images = check_count("images", images, 1)
@@ -182,10 +180,10 @@ def generate_vectors(
 
     records: List[VectorRecord] = []
     for i in range(iterations):
-        t = t0 + i * step_size
+        t = i * step_size
         t_fx = int(qformat.to_fixed(float(t)))
         stim_raw = qformat.to_fixed(state)
-        state, _ = hw_block.execute_batch(state, step_size=step_size, residual=True, t=t)
+        state, _ = hw_block.execute_batch(state, step_size=step_size, t=t)
         exp_raw = qformat.to_fixed(state)
         for n in range(images):
             records.append(

@@ -96,14 +96,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float) -> None:
         if not 0.0 <= delay < _INF:
             raise ValueError(f"timeout delay must be non-negative and finite (got {delay})")
         # Event's slots are set here, not via super().__init__ (one frame less).
         self.sim = sim
         self.callbacks = []
         self.triggered = True
-        self._value = value
+        self._value = None
         self.delay = delay
         _heappush(sim._heap, (sim.now + delay, next(sim._seq), self))
 
@@ -186,8 +186,8 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------------------
 
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

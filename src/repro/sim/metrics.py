@@ -82,7 +82,7 @@ def windowed_mean(integral_end: float, integral_start: float, window_s: float) -
     return (integral_end - integral_start) / window_s
 
 
-def latency_stats(samples: Sequence[float], qs: Sequence[int] = PERCENTILES) -> LatencyStats:
+def latency_stats(samples: Sequence[float]) -> LatencyStats:
     """Percentile summary of a sample set.
 
     An empty sample set (e.g. a warm-up window covering the whole run) gives
@@ -92,24 +92,33 @@ def latency_stats(samples: Sequence[float], qs: Sequence[int] = PERCENTILES) -> 
 
     if not len(samples):
         nan = float("nan")
-        return LatencyStats(0, nan, nan, nan, {int(q): nan for q in qs})
+        return LatencyStats(0, nan, nan, nan, {q: nan for q in PERCENTILES})
     arr = np.asarray(samples, dtype=np.float64)
-    pct = np.percentile(arr, list(qs))
+    pct = np.percentile(arr, list(PERCENTILES))
     return LatencyStats(
         count=int(arr.size),
         mean=float(arr.mean()),
         minimum=float(arr.min()),
         maximum=float(arr.max()),
-        percentiles={int(q): float(v) for q, v in zip(qs, pct)},
+        percentiles={q: float(v) for q, v in zip(PERCENTILES, pct)},
     )
 
 
-#: Default guaranteed relative error of a spilled sketch (0.5 %, well inside
-#: the 1 % conformance bar pinned by ``tests/sim/test_sketch.py``).
-DEFAULT_RELATIVE_ERROR = 0.005
+#: Guaranteed relative error of a spilled sketch (0.5 %, well inside the 1 %
+#: conformance bar pinned by ``tests/sim/test_sketch.py``).
+RELATIVE_ERROR = 0.005
 
-#: Samples buffered exactly before a sketch spills to log-spaced bins.
+#: Samples buffered exactly before a sketch (not pinned exact) spills to
+#: log-spaced bins.
 DEFAULT_EXACT_THRESHOLD = 4096
+
+#: Values below this land in bin 0 and are reported as 0.
+MIN_POSITIVE = 1e-12
+
+#: Log of the bin growth factor ``gamma = (1 + RELATIVE_ERROR)**2``, and of
+#: the lower edge of bin 1.
+_LOG_GAMMA = math.log((1.0 + RELATIVE_ERROR) ** 2)
+_LOG_MIN = math.log(MIN_POSITIVE)
 
 
 class QuantileSketch:
@@ -120,73 +129,41 @@ class QuantileSketch:
     log-spaced bins (DDSketch-style) once the stream outgrows a small exact
     buffer.  Three properties make it safe to put on the nominal path:
 
-    * **Exact until it matters.**  The first ``exact_threshold`` samples are
-      buffered verbatim and quantiles delegate to :func:`latency_stats`
+    * **Exact until it matters.**  The first :data:`DEFAULT_EXACT_THRESHOLD`
+      samples are buffered verbatim and quantiles delegate to :func:`latency_stats`
       (``np.percentile``) — small runs, i.e. every existing test and every
       interactive ``sim`` invocation, are *bit-identical* to the stored-array
       path.  ``exact=True`` pins this mode forever (the escape hatch).
     * **Guaranteed error when spilled.**  Bins grow geometrically by
-      ``gamma = (1 + relative_error)**2`` and report their geometric
+      ``gamma = (1 + RELATIVE_ERROR)**2`` and report their geometric
       midpoint, so every sample's representative is within a factor
-      ``sqrt(gamma) = 1 + relative_error`` of its true value.  Quantiles
+      ``sqrt(gamma) = 1 + RELATIVE_ERROR`` of its true value.  Quantiles
       replicate ``np.percentile``'s linear interpolation over the binned
       order statistics: with rank ``r = q/100 * (n - 1)``, the estimate
       interpolates the representatives of order statistics ``floor(r)`` and
       ``ceil(r)`` — a convex combination of two values each within
-      ``relative_error`` of the truth stays within ``relative_error`` of the
+      ``RELATIVE_ERROR`` of the truth stays within ``RELATIVE_ERROR`` of the
       interpolated truth (all samples are non-negative).
     * **Merge-order invariance.**  Merging adds integer bin counts
       (commutative and associative) or concatenates exact buffers, so shard
       sketches merged in any order yield identical quantiles — the property
       the shared-nothing fleet shards rely on.
 
-    Memory is O(``exact_threshold`` + bins actually touched); a spilled
-    sketch covering twelve decades of seconds uses ~2800 bins.
+    Memory is O(:data:`DEFAULT_EXACT_THRESHOLD` + bins actually touched); a
+    spilled sketch covering twelve decades of seconds uses ~2800 bins.
     """
 
-    __slots__ = (
-        "relative_error",
-        "exact_threshold",
-        "min_positive",
-        "count",
-        "_sum",
-        "_min",
-        "_max",
-        "_samples",
-        "_bins",
-        "_log_gamma",
-        "_log_min",
-    )
+    __slots__ = ("exact_threshold", "count", "_sum", "_min", "_max", "_samples", "_bins")
 
-    def __init__(
-        self,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-        exact_threshold: Optional[int] = DEFAULT_EXACT_THRESHOLD,
-        exact: bool = False,
-        min_positive: float = 1e-12,
-    ) -> None:
-        if not 0.0 < relative_error < 1.0:
-            raise ValueError(f"relative_error must be in (0, 1) (got {relative_error})")
-        if min_positive <= 0.0:
-            raise ValueError(f"min_positive must be positive (got {min_positive})")
-        if exact:
-            exact_threshold = None  # never spill
-        elif exact_threshold is not None and exact_threshold < 0:
-            raise ValueError("exact_threshold must be non-negative (or None for never-spill)")
-        self.relative_error = float(relative_error)
-        self.exact_threshold = exact_threshold
-        self.min_positive = float(min_positive)
+    def __init__(self, exact: bool = False) -> None:
+        # None: never spill.
+        self.exact_threshold: Optional[int] = None if exact else DEFAULT_EXACT_THRESHOLD
         self.count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._samples: Optional[List[float]] = []
         self._bins: Optional[Dict[int, int]] = None
-        gamma = (1.0 + self.relative_error) ** 2
-        self._log_gamma = math.log(gamma)
-        self._log_min = math.log(self.min_positive)
-        if exact_threshold == 0:
-            self._spill()
 
     # -- ingest ------------------------------------------------------------------------
 
@@ -215,18 +192,18 @@ class QuantileSketch:
     # -- binning -----------------------------------------------------------------------
 
     def _key(self, v: float) -> int:
-        """Bin index: 0 collects values below ``min_positive`` (reported as 0)."""
+        """Bin index: 0 collects values below :data:`MIN_POSITIVE` (reported as 0)."""
 
-        if v < self.min_positive:
+        if v < MIN_POSITIVE:
             return 0
-        return max(1, int((math.log(v) - self._log_min) / self._log_gamma) + 1)
+        return max(1, int((math.log(v) - _LOG_MIN) / _LOG_GAMMA) + 1)
 
     def _representative(self, key: int) -> float:
         if key == 0:
             return 0.0
-        # Geometric midpoint of [min_positive * gamma^(k-1), * gamma^k),
+        # Geometric midpoint of [MIN_POSITIVE * gamma^(k-1), * gamma^k),
         # computed in log space so huge keys cannot overflow.
-        return math.exp(self._log_min + (key - 0.5) * self._log_gamma)
+        return math.exp(_LOG_MIN + (key - 0.5) * _LOG_GAMMA)
 
     def _spill(self) -> None:
         bins: Dict[int, int] = {}
@@ -246,12 +223,6 @@ class QuantileSketch:
         integers, so the merged quantiles are identical for any merge order.
         """
 
-        if (other.relative_error, other.min_positive) != (self.relative_error, self.min_positive):
-            raise ValueError(
-                "cannot merge sketches with different resolutions "
-                f"(relative_error {self.relative_error} vs {other.relative_error}, "
-                f"min_positive {self.min_positive} vs {other.min_positive})"
-            )
         self.count += other.count
         self._sum += other._sum
         self._min = min(self._min, other._min)
@@ -335,7 +306,7 @@ class QuantileSketch:
     def mean(self) -> float:
         return self._sum / self.count if self.count else float("nan")
 
-    def stats(self, qs: Sequence[int] = PERCENTILES) -> LatencyStats:
+    def stats(self) -> LatencyStats:
         """The :class:`LatencyStats` view of the stream.
 
         On the exact path this delegates to :func:`latency_stats` over the
@@ -343,16 +314,16 @@ class QuantileSketch:
         """
 
         if self.count == 0:
-            return latency_stats([], qs)
+            return latency_stats([])
         if self._samples is not None:
-            return latency_stats(self._samples, qs)
-        pct = self.percentiles(list(qs))
+            return latency_stats(self._samples)
+        pct = self.percentiles(list(PERCENTILES))
         return LatencyStats(
             count=self.count,
             mean=self.mean,
             minimum=self._min,
             maximum=self._max,
-            percentiles={int(q): v for q, v in zip(qs, pct)},
+            percentiles=dict(zip(PERCENTILES, pct)),
         )
 
 

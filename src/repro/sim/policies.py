@@ -366,12 +366,9 @@ class Dispatcher:
             yield from self._transfer_in(upcoming)
 
 
-def max_replicas(
-    scenario: Scenario,
-    evaluator: Optional[Evaluator] = None,
-    limit: int = 64,
-) -> int:
-    """How many copies of the scenario's PL datapath fit the board's FPGA.
+def max_replicas(scenario: Scenario, evaluator: Optional[Evaluator] = None) -> int:
+    """How many copies (at most 64) of the scenario's PL datapath fit the
+    board's FPGA.
 
     Uses the same per-instance :class:`~repro.platform.ResourceVector`
     the offload planner prices (all offload targets at the scenario's
@@ -386,6 +383,6 @@ def max_replicas(
     device = scenario.board_spec.fpga
     per_replica = decision.resources
     fit = 0
-    while fit < limit and per_replica.scale(fit + 1).fits(device):
+    while fit < 64 and per_replica.scale(fit + 1).fits(device):
         fit += 1
     return max(1, fit)

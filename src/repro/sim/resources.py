@@ -146,8 +146,8 @@ class Resource:
 class AxiBus(Resource):
     """The PS<->PL AXI interconnect: ``channels`` concurrent DMA bursts."""
 
-    def __init__(self, sim: Simulator, channels: int = 1, name: str = "axi") -> None:
-        super().__init__(sim, capacity=channels, name=name)
+    def __init__(self, sim: Simulator, channels: int = 1) -> None:
+        super().__init__(sim, capacity=channels, name="axi")
         self.words_moved = 0
         self.transfers = 0
         #: Multiplier on every burst's transfer time (1.0 = nominal).  The

@@ -14,8 +14,7 @@ contract) with the traffic and system knobs of a multi-request run:
 
 Being a Scenario subclass, it flows through the existing machinery: the
 evaluator memoizes its analytic report, the batch engine evaluates it from
-its :class:`Scenario` fields, and ``as_dict``/``from_dict`` serialise it by
-field name.
+its :class:`Scenario` fields, and ``as_dict`` serialises it by field name.
 ``replicas=0`` means "size from the resource budget" (resolved by
 :func:`repro.sim.runner.simulate` via :func:`repro.sim.policies.max_replicas`).
 """

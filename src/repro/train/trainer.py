@@ -11,7 +11,7 @@ the adjoint method).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..data.loader import DataLoader
 from ..data.synthetic import SyntheticDataset
@@ -60,14 +60,12 @@ class Trainer:
         test_set: Optional[SyntheticDataset] = None,
         schedule: Optional[PaperTrainingSchedule] = None,
         seed: int = 0,
-        on_epoch_end: Optional[Callable[[EpochMetrics], None]] = None,
     ) -> None:
         self.model = model
         self.train_set = train_set
         self.test_set = test_set
         self.schedule = schedule or PaperTrainingSchedule()
         self.seed = seed
-        self.on_epoch_end = on_epoch_end
         self.criterion = CrossEntropyLoss()
         self.optimizer, self.lr_scheduler = make_paper_optimizer(
             model.parameters(), self.schedule
@@ -110,14 +108,11 @@ class Trainer:
             learning_rate=lr,
         )
         self.history.append(metrics)
-        if self.on_epoch_end is not None:
-            self.on_epoch_end(metrics)
         return metrics
 
-    def fit(self, epochs: Optional[int] = None) -> TrainingHistory:
-        """Train for ``epochs`` (defaults to the schedule's epoch count)."""
+    def fit(self) -> TrainingHistory:
+        """Train for the schedule's epoch count."""
 
-        total = epochs if epochs is not None else self.schedule.epochs
-        for epoch in range(1, total + 1):
+        for epoch in range(1, self.schedule.epochs + 1):
             self.train_epoch(epoch)
         return self.history

@@ -186,14 +186,12 @@ class TestFloatReference:
     """The float64 reference conv against a direct, im2col-free convolution."""
 
     @pytest.mark.parametrize("kernel", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_float_conv_matches_direct_conv(self, rng, conv_oracle, kernel, stride, padding):
+    def test_float_conv_matches_direct_conv(self, rng, conv_oracle, kernel):
         x = rng.normal(size=(3, 5, 7, 7))
         w = rng.normal(size=(4, 5, kernel, kernel))
         np.testing.assert_allclose(
-            _float_conv(x, w, stride, padding),
-            conv_oracle(x, w, stride, padding),
+            _float_conv(x, w),
+            conv_oracle(x, w, 1, 1),
             rtol=1e-12, atol=1e-12,
         )
 

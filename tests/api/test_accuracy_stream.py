@@ -78,7 +78,7 @@ class TestChunkPlumbing:
 
         from repro.api.accuracy import _float_forward
 
-        stages = _float_forward(weights, z, stride=geometry.stride)
+        stages = _float_forward(weights, z)
         hw = HardwareODEBlock(geometry, weights, qformat=fmt)
         report = error_report(stages["output"], hw.dynamics_batch(z), fmt)
         assert stats["max_abs_error"] == report.max_abs_error
@@ -109,11 +109,11 @@ class TestChunkPlumbing:
 
         from repro.api.accuracy import _float_forward, _reference_stats
 
-        sa = _reference_stats(za, _float_forward(weights, za, stride=1))
-        sb = _reference_stats(zb, _float_forward(weights, zb, stride=1))
+        sa = _reference_stats(za, _float_forward(weights, za))
+        sb = _reference_stats(zb, _float_forward(weights, zb))
         whole = _reference_stats(
             np.concatenate([za, zb]),
-            _float_forward(weights, np.concatenate([za, zb]), stride=1),
+            _float_forward(weights, np.concatenate([za, zb])),
         )
         merged = _merge_reference_stats([sa, sb])
         assert merged["input_max"] == whole["input_max"]

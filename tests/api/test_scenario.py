@@ -81,14 +81,6 @@ class TestDerivedViews:
         with pytest.raises(ValueError):
             Scenario().replace(n_units=0)
 
-    def test_dict_round_trip(self):
-        s = Scenario(model="Hybrid-3", depth=44, n_units=8, solver="rk4")
-        assert Scenario.from_dict(s.as_dict()) == s
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown scenario fields"):
-            Scenario.from_dict({"model": "ResNet", "voltage": 1.0})
-
 
 class TestGrid:
     def test_default_grid_covers_table5(self):

@@ -20,7 +20,7 @@ def tiny_dataset():
     """A small 4-class synthetic dataset (shared across the session)."""
 
     return make_synthetic_cifar(
-        num_samples=64, num_classes=4, image_size=16, channels=3, difficulty=0.3, seed=7
+        num_samples=64, num_classes=4, image_size=16, difficulty=0.3, seed=7
     )
 
 

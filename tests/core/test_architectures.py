@@ -14,7 +14,7 @@ from repro.nn import CrossEntropyLoss, SGD, Tensor
 def small(variant, depth=20, **kwargs):
     """A reduced-width instance for fast functional tests."""
 
-    defaults = dict(num_classes=5, base_width=4, seed=1)
+    defaults = dict(num_classes=5, base_width=4)
     defaults.update(kwargs)
     return build_network(variant, depth, **defaults)
 
@@ -128,16 +128,6 @@ class TestTraining:
         out1 = model(x).data
         out2 = model(x).data
         np.testing.assert_allclose(out1, out2)
-
-    def test_adjoint_option_trains(self, rng):
-        model = small("rODENet-3", use_adjoint=True)
-        model.train()
-        x = Tensor(rng.normal(size=(4, 3, 16, 16)))
-        y = rng.integers(0, 5, size=4)
-        loss = CrossEntropyLoss()(model(x), y)
-        loss.backward()
-        grads = [p.grad for p in model.layer3_2.parameters()]
-        assert any(g is not None and np.any(g != 0) for g in grads)
 
     def test_features_output_channels(self, rng):
         model = small("ResNet")

@@ -52,7 +52,7 @@ class TestFeasibility:
         assert decision.expected_speedup == 1.0
 
     def test_conv_x32_plan_fails_timing(self, planner):
-        decision = planner.plan("rODENet-3", 56, n_units=32)
+        decision = OffloadPlanner(n_units=32).plan("rODENet-3", 56)
         assert not decision.meets_timing
 
     def test_max_feasible_parallelism_is_16(self, planner):
@@ -61,7 +61,7 @@ class TestFeasibility:
 
     def test_layer1_parallelism_capped_by_channels(self, planner):
         # layer1 has 16 output channels, so 32/64 units are never considered.
-        assert planner.max_feasible_parallelism(("layer1",), candidates=(16, 32, 64)) == 16
+        assert planner.max_feasible_parallelism(("layer1",)) == 16
 
     def test_resources_for_combined_targets_add_up(self, planner):
         single1 = planner.resources_for_targets(("layer1",))

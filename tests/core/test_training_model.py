@@ -75,8 +75,3 @@ class TestReports:
     def test_report_as_dict(self, model):
         d = model.report("rODENet-2", 32).as_dict()
         assert {"model", "N", "offload", "train_step_sw_s", "step_speedup"} <= set(d)
-
-    def test_custom_targets(self, model):
-        more = model.report("ODENet", 56, offload_targets=("layer1", "layer2_2", "layer3_2"))
-        fewer = model.report("ODENet-3", 56)
-        assert more.step_speedup > fewer.step_speedup

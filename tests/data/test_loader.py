@@ -20,19 +20,14 @@ class TestDataLoader:
         assert images.shape == (16, 3, 8, 8)
         assert labels.shape == (16,)
 
-    def test_len_with_and_without_drop_last(self, dataset):
-        assert len(list(DataLoader(dataset, batch_size=16))) == 4
-        assert len(list(DataLoader(dataset, batch_size=16, drop_last=True))) == 3
+    def test_len_keeps_the_partial_batch(self, dataset):
+        sizes = [len(labels) for _, labels in DataLoader(dataset, batch_size=16)]
+        assert sizes == [16, 16, 16, 2]
 
     def test_iterates_whole_dataset(self, dataset):
         loader = DataLoader(dataset, batch_size=16, shuffle=True)
         total = sum(len(labels) for _, labels in loader)
         assert total == 50
-
-    def test_drop_last_discards_partial_batch(self, dataset):
-        loader = DataLoader(dataset, batch_size=16, drop_last=True)
-        sizes = [len(labels) for _, labels in loader]
-        assert sizes == [16, 16, 16]
 
     def test_shuffle_changes_order_between_epochs(self, dataset):
         loader = DataLoader(dataset, batch_size=50, shuffle=True, seed=0)

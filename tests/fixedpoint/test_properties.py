@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.fixedpoint import FxArray, QFormat
 from repro.fixedpoint.arithmetic import fx_add, fx_mul, fx_relu, fx_sub
-from repro.fixedpoint.qformat import OverflowMode
 
 
 def _quantize(fmt: QFormat, values):
@@ -79,14 +78,7 @@ class TestQuantization:
     @settings(max_examples=100, deadline=None)
     @given(qformats(), st.lists(any_floats, min_size=1, max_size=8))
     def test_saturate_stays_within_word_length(self, fmt, values):
-        fixed = fmt.to_fixed(np.asarray(values), mode=OverflowMode.SATURATE)
-        assert np.all(fixed >= fmt.min_int)
-        assert np.all(fixed <= fmt.max_int)
-
-    @settings(max_examples=100, deadline=None)
-    @given(qformats(), st.lists(any_floats, min_size=1, max_size=8))
-    def test_wrap_stays_within_word_length(self, fmt, values):
-        fixed = fmt.to_fixed(np.asarray(values), mode=OverflowMode.WRAP)
+        fixed = fmt.to_fixed(np.asarray(values))
         assert np.all(fixed >= fmt.min_int)
         assert np.all(fixed <= fmt.max_int)
 
@@ -116,18 +108,18 @@ class TestQuantization:
 
 class TestArithmeticClosure:
     @settings(max_examples=100, deadline=None)
-    @given(format_and_raws(), st.sampled_from([OverflowMode.SATURATE, OverflowMode.WRAP]))
-    def test_add_closed_under_format(self, fmt_raws, mode):
+    @given(format_and_raws())
+    def test_add_closed_under_format(self, fmt_raws):
         fmt, raws = fmt_raws
-        result = fx_add(raws, raws[::-1].copy(), fmt, mode)
+        result = fx_add(raws, raws[::-1].copy(), fmt)
         assert np.all(result >= fmt.min_int)
         assert np.all(result <= fmt.max_int)
 
     @settings(max_examples=100, deadline=None)
-    @given(format_and_raws(), st.sampled_from([OverflowMode.SATURATE, OverflowMode.WRAP]))
-    def test_mul_closed_under_format(self, fmt_raws, mode):
+    @given(format_and_raws())
+    def test_mul_closed_under_format(self, fmt_raws):
         fmt, raws = fmt_raws
-        result = fx_mul(raws, raws[::-1].copy(), fmt, mode)
+        result = fx_mul(raws, raws[::-1].copy(), fmt)
         assert np.all(result >= fmt.min_int)
         assert np.all(result <= fmt.max_int)
 

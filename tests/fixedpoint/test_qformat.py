@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario, accuracy_sweep, export_rtl, scenario_grid
-from repro.fixedpoint import Q8, Q12, Q16, Q20, OverflowMode, QFormat
+from repro.fixedpoint import Q8, Q12, Q16, Q20, QFormat
 from repro.opt import SearchSpace
 
 
@@ -107,14 +107,6 @@ class TestConversion:
         quantised = _quantize(Q20, big)
         assert quantised[0] == pytest.approx(Q20.max_value)
         assert quantised[1] == pytest.approx(Q20.min_value)
-
-    def test_wrap_mode_wraps(self):
-        wrapped = Q20.to_fixed(Q20.max_value + 1.0, mode=OverflowMode.WRAP)
-        assert wrapped < 0  # two's-complement wrap-around
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Q20.to_fixed(1.0, mode="clamp")
 
     def test_representable_mask(self):
         values = np.array([0.0, 3000.0, -3000.0, 5.0])

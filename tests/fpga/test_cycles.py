@@ -45,21 +45,21 @@ class TestPaperCalibration:
         """~16.5 ms per execution, consistent with Table 5 (0.40 s / 24)."""
 
         model = OdeBlockCycleModel()
-        seconds = model.block_time_seconds(LAYER3_2, 16, clock_hz=100e6)
+        seconds = model.block_time_seconds(LAYER3_2, 16)
         assert seconds == pytest.approx(0.0165, rel=0.03)
 
     def test_conv_x16_layer1_time_at_100mhz(self):
         """~22 ms per execution, consistent with Table 5 (0.55 s / 25)."""
 
         model = OdeBlockCycleModel()
-        seconds = model.block_time_seconds(LAYER1, 16, clock_hz=100e6)
+        seconds = model.block_time_seconds(LAYER1, 16)
         assert seconds == pytest.approx(0.022, rel=0.05)
 
     def test_conv_x16_layer2_2_time_at_100mhz(self):
         """~18 ms per execution, consistent with Table 5 (0.44 s / 24)."""
 
         model = OdeBlockCycleModel()
-        seconds = model.block_time_seconds(LAYER2_2, 16, clock_hz=100e6)
+        seconds = model.block_time_seconds(LAYER2_2, 16)
         assert seconds == pytest.approx(0.0183, rel=0.05)
 
 

@@ -50,8 +50,8 @@ class TestExecution:
 
     def test_execute_without_residual_returns_dynamics(self, small_hw_block, rng):
         z = rng.normal(0, 0.3, size=(8, 4, 4))
-        f_only, _ = small_hw_block.execute(z, residual=False)
-        with_res, _ = small_hw_block.execute(z, residual=True)
+        f_only = small_hw_block.dynamics(z)
+        with_res, _ = small_hw_block.execute(z)
         np.testing.assert_allclose(with_res, z + f_only, atol=1e-4)
 
     def test_run_iterations_accumulates_time(self, small_hw_block, rng):
@@ -66,8 +66,8 @@ class TestExecution:
         z = rng.normal(0, 0.2, size=(8, 4, 4))
         manual = z.copy()
         for i in range(3):
-            manual, _ = small_hw_block.execute(manual, step_size=1.0, t=float(i))
-        chained, _, _ = small_hw_block.run_iterations(z, iterations=3, step_size=1.0)
+            manual = small_hw_block.execute_batch(manual[None], t=float(i))[0][0]
+        chained, _, _ = small_hw_block.run_iterations(z, iterations=3)
         np.testing.assert_allclose(chained, manual, atol=1e-9)
 
     def test_dynamic_bn_is_default(self, small_geometry, rng):
@@ -118,6 +118,12 @@ class TestWordLengthLimit:
             HardwareODEBlock(small_geometry, weights, qformat=QFormat(word_length, 16))
 
 
+def test_strided_blocks_are_rejected(rng):
+    strided = BlockGeometry("ds", 8, 8, 4, 4, stride=2)
+    with pytest.raises(ValueError, match="stride-1 blocks only"):
+        HardwareODEBlock(strided, BlockWeights.random(strided, rng))
+
+
 class TestTimeConcat:
     def test_time_concat_requires_wider_conv1(self, small_geometry, rng):
         c = small_geometry.out_channels
@@ -137,8 +143,8 @@ class TestTimeConcat:
             small_geometry, weights, time_concat=True, dynamic_bn_stats=False
         )
         z = rng.normal(0, 0.3, size=(c, 4, 4))
-        out_t0 = hw.dynamics(z, t=0.0)
-        out_t1 = hw.dynamics(z, t=1.0)
+        out_t0 = hw.execute_batch(z[None], t=0.0)[0][0]
+        out_t1 = hw.execute_batch(z[None], t=1.0)[0][0]
         assert out_t0.shape == z.shape
         # A non-zero time channel must change the output.
         assert np.max(np.abs(out_t0 - out_t1)) > 1e-6

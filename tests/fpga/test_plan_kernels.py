@@ -92,7 +92,7 @@ class TestBramKernels:
     @settings(max_examples=60, deadline=None)
     def test_fits_implies_within_capacity(self, fmt, geometry):
         tiles = bram_tiles_kernel(geometry, fmt.bytes_per_value)
-        if bool(bram_fits_kernel(tiles, ZYNQ_XC7Z020)):
+        if bool(bram_fits_kernel(tiles)):
             assert int(tiles) <= ZYNQ_XC7Z020.bram36
 
     def test_vectorized_over_format_axis(self):

@@ -13,7 +13,7 @@ from repro.hwsw import HwSwRuntime, Partition
 def small_model():
     """A reduced rODENet-3 model (ODEBlock on layer3_2) for fast execution."""
 
-    model = build_network("rODENet-3", 20, num_classes=5, base_width=4, seed=3)
+    model = build_network("rODENet-3", 20, num_classes=5, base_width=4)
     model.eval()
     return model
 
@@ -36,7 +36,7 @@ class TestConstruction:
 
 class TestPrediction:
     def test_logits_shape_and_report(self, small_model, batch):
-        runtime = HwSwRuntime(small_model, Partition.offload("layer3_2"), n_units=16)
+        runtime = HwSwRuntime(small_model, Partition.offload("layer3_2"))
         logits, report = runtime.predict(batch)
         assert logits.shape == (2, 5)
         assert report.batch_size == 2

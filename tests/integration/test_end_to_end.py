@@ -23,10 +23,10 @@ def trained_setup():
     """Train a reduced rODENet-3 on synthetic data (module-scoped: slow-ish)."""
 
     dataset = make_synthetic_cifar(
-        num_samples=96, num_classes=4, image_size=16, channels=3, difficulty=0.3, seed=21
+        num_samples=96, num_classes=4, image_size=16, difficulty=0.3, seed=21
     )
     train_set, test_set = train_test_split(dataset, test_fraction=0.25, seed=1)
-    model = build_network("rODENet-3", 20, num_classes=4, base_width=4, seed=5)
+    model = build_network("rODENet-3", 20, num_classes=4, base_width=4)
     schedule = PaperTrainingSchedule(epochs=4, base_lr=0.05, milestones=(3,), batch_size=24)
     trainer = Trainer(model, train_set, test_set, schedule=schedule, seed=2)
     history = trainer.fit()
@@ -41,7 +41,7 @@ class TestTrainOffloadPredict:
 
     def test_offloaded_inference_matches_software(self, trained_setup):
         model, _, test_set, _ = trained_setup
-        runtime = HwSwRuntime(model, Partition.offload("layer3_2"), n_units=16)
+        runtime = HwSwRuntime(model, Partition.offload("layer3_2"))
         images = test_set.images[:4]
         fidelity = runtime.fidelity(images)
         assert fidelity["top1_agreement"] == 1.0
@@ -49,7 +49,7 @@ class TestTrainOffloadPredict:
 
     def test_offloaded_accuracy_matches_software_accuracy(self, trained_setup):
         model, _, test_set, _ = trained_setup
-        runtime = HwSwRuntime(model, Partition.offload("layer3_2"), n_units=16)
+        runtime = HwSwRuntime(model, Partition.offload("layer3_2"))
         hw_logits, _ = runtime.predict(test_set.images)
         hw_acc = accuracy(hw_logits, test_set.labels)
         _, sw_acc = evaluate(model, test_set)
@@ -57,7 +57,7 @@ class TestTrainOffloadPredict:
 
     def test_modeled_speedup_reported(self, trained_setup):
         model, _, test_set, _ = trained_setup
-        runtime = HwSwRuntime(model, Partition.offload("layer3_2"), n_units=16)
+        runtime = HwSwRuntime(model, Partition.offload("layer3_2"))
         _, report = runtime.predict(test_set.images[:2])
         assert report.modeled_speedup > 1.5
 
@@ -75,7 +75,7 @@ class TestStateDictRoundTripAcrossSubsystems:
         np.savez(tmp_path / "weights.npz", **state)
 
         loaded = dict(np.load(tmp_path / "weights.npz"))
-        clone = build_network("rODENet-3", 20, num_classes=4, base_width=4, seed=99)
+        clone = build_network("rODENet-3", 20, num_classes=4, base_width=4)
         clone.load_state_dict(loaded)
         clone.eval(), model.eval()
         with no_grad():
@@ -89,7 +89,7 @@ class TestAllVariantsSmallScale:
     )
     def test_every_variant_takes_a_training_step(self, variant, tiny_split):
         train_set, _ = tiny_split
-        model = build_network(variant, 20, num_classes=train_set.num_classes, base_width=4, seed=0)
+        model = build_network(variant, 20, num_classes=train_set.num_classes, base_width=4)
         loader = DataLoader(train_set, batch_size=16, shuffle=True, seed=0)
         images, labels = next(iter(loader))
 

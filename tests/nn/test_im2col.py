@@ -81,14 +81,6 @@ class TestIm2Col:
 class TestIm2ColDtypeOut:
     """The gather+cast path feeding the split-limb GEMM."""
 
-    def test_dtype_casts_in_one_copy(self):
-        x = np.arange(2 * 3 * 5 * 5, dtype=np.int64).reshape(2, 3, 5, 5)
-        cols = im2col(x, 3, 3, stride=1, padding=1, dtype=np.float64)
-        assert cols.dtype == np.float64
-        np.testing.assert_array_equal(
-            cols, im2col(x, 3, 3, stride=1, padding=1).astype(np.float64)
-        )
-
     def test_out_buffer_is_filled_and_returned(self):
         x = np.arange(1 * 2 * 4 * 4, dtype=np.int64).reshape(1, 2, 4, 4)
         buf = np.full((16, 18), -1, dtype=np.float64)
@@ -108,12 +100,6 @@ class TestIm2ColDtypeOut:
         x = np.zeros((1, 2, 4, 4))
         with pytest.raises(ValueError, match="shape"):
             im2col(x, 3, 3, stride=1, padding=1, out=np.empty((15, 18)))
-
-    def test_out_dtype_conflict_raises(self):
-        x = np.zeros((1, 2, 4, 4))
-        buf = np.empty((16, 18), dtype=np.float32)
-        with pytest.raises(ValueError, match="dtype"):
-            im2col(x, 3, 3, stride=1, padding=1, dtype=np.float64, out=buf)
 
     def test_non_contiguous_out_raises(self):
         x = np.zeros((1, 2, 4, 4))

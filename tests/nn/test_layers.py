@@ -17,7 +17,7 @@ class _ReLU(nn.Module):
 class TestModuleSystem:
     def _small_net(self):
         return nn.Sequential(
-            nn.Conv2d(3, 4, 3, 1, 1),
+            nn.Conv2d(3, 4),
             nn.BatchNorm2d(4),
             _ReLU(),
             nn.GlobalAvgPool2d(),
@@ -82,19 +82,15 @@ class TestSequential:
 
 class TestConvLayer:
     def test_shapes_and_default_no_bias(self, rng):
-        conv = nn.Conv2d(3, 8, 3, stride=1, padding=1, rng=rng)
-        assert conv.bias is None
+        conv = nn.Conv2d(3, 8, stride=1, rng=rng)
+        assert conv.parameters() == [conv.weight]
         assert conv.weight.shape == (8, 3, 3, 3)
         out = conv(Tensor(rng.normal(size=(2, 3, 10, 10))))
         assert out.shape == (2, 8, 10, 10)
 
-    def test_bias_option(self, rng):
-        conv = nn.Conv2d(3, 8, bias=True, rng=rng)
-        assert conv.bias is not None and conv.bias.shape == (8,)
-
     def test_kaiming_init_scale(self):
         rng = np.random.default_rng(0)
-        conv = nn.Conv2d(16, 16, 3, rng=rng)
+        conv = nn.Conv2d(16, 16, rng=rng)
         std = conv.weight.data.std()
         expected = np.sqrt(2.0 / (16 * 9))
         assert std == pytest.approx(expected, rel=0.2)
@@ -121,10 +117,6 @@ class TestLinearAndMisc:
         lin = nn.Linear(10, 5, rng=rng)
         out = lin(Tensor(rng.normal(size=(3, 10))))
         assert out.shape == (3, 5)
-
-    def test_linear_no_bias(self, rng):
-        lin = nn.Linear(4, 2, bias=False, rng=rng)
-        assert lin.bias is None
 
     def test_identity_passthrough(self):
         x = Tensor(np.arange(5.0))

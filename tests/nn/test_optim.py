@@ -71,17 +71,6 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
 
-    def test_nesterov_differs_from_plain_momentum(self):
-        p1, p2 = _quadratic_problem(1.0), _quadratic_problem(1.0)
-        o1 = SGD([p1], lr=0.1, momentum=0.9, weight_decay=0.0, nesterov=False)
-        o2 = SGD([p2], lr=0.1, momentum=0.9, weight_decay=0.0, nesterov=True)
-        for opt, p in ((o1, p1), (o2, p2)):
-            for _ in range(3):
-                opt.zero_grad()
-                _quadratic_step(p)
-                opt.step()
-        assert p1.data[0] != pytest.approx(p2.data[0])
-
 
 class TestAdam:
     def test_converges_on_quadratic(self):

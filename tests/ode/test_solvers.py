@@ -99,17 +99,6 @@ class TestAccuracy:
         back = solver.integrate(linear_system(A), z1, 2.0, 0.0, 100)
         np.testing.assert_allclose(back, z0, atol=1e-6)
 
-    def test_trajectory_recording(self):
-        solver = get_solver("euler")
-        z1, traj = solver.integrate(
-            exponential_decay, np.array([1.0]), 0.0, 1.0, 10, return_trajectory=True
-        )
-        assert len(traj) == 11
-        np.testing.assert_allclose(traj[-1], z1)
-        # The trajectory must be monotonically decreasing for decay dynamics.
-        values = [t[0] for t in traj]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
     def test_invalid_num_steps(self):
         with pytest.raises(ValueError):
             get_solver("euler").integrate(exponential_decay, np.array([1.0]), 0.0, 1.0, 0)

@@ -41,10 +41,9 @@ class TestRegistry:
         with pytest.raises(KeyError, match="registered boards: PYNQ-Z2"):
             get_board("DE10-Nano")
 
-    def test_duplicate_registration_rejected_unless_replace(self):
+    def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_board(PYNQ_Z2)
-        assert register_board(PYNQ_Z2, replace=True) is PYNQ_Z2
         assert get_board("PYNQ-Z2") is PYNQ_Z2
 
     def test_register_board_type_checked(self):

@@ -159,8 +159,12 @@ class TestProcesses:
         sim = Simulator()
         results = []
 
+        a, b = Event(sim), Event(sim)
+        sim.schedule(3.0, lambda: a.succeed("a"))
+        sim.schedule(1.0, lambda: b.succeed("b"))
+
         def proc():
-            values = yield sim.all_of([sim.timeout(3.0, "a"), sim.timeout(1.0, "b")])
+            values = yield sim.all_of([a, b])
             results.append((sim.now, values))
 
         sim.process(proc())

@@ -65,7 +65,7 @@ def run_program(kernel, program):
     def wait_for(step, tag):
         kind, arg = step
         if kind == "timeout":
-            event = sim.timeout(arg, tag)
+            event = sim.timeout(arg)
         elif kind == "event":
             event = kernel.Event(sim)
             sim.schedule(arg, lambda: event.succeed(tag))

@@ -82,7 +82,6 @@ class TestViews:
         data = s.as_dict()
         assert data["policy"] == "batched"
         assert data["trace"] == [0.0, 0.5]
-        assert SimScenario.from_dict(data) == s
 
     def test_replace_revalidates(self):
         s = SimScenario()

@@ -6,7 +6,7 @@ replacement falsifiable.  Three pillars:
 
 * **1 % relative error vs ``np.percentile``** for p50/p90/p95/p99 across
   adversarial distributions — bimodal, heavy-tail, constant, tiny (n < 5) —
-  with the sketch *forced* to spill (``exact_threshold=0``), so the bound is
+  with the sketch *forced* to spill (spilled before its first insert), so the bound is
   exercised on the binned estimator, not the exact buffer.
 * **Merge-order invariance**: shard sketches merged in any order yield
   identical quantiles (the shared-nothing fleet merge depends on this).
@@ -26,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import PERCENTILES, QuantileSketch, latency_stats
+from repro.sim.metrics import (
+    DEFAULT_EXACT_THRESHOLD,
+    PERCENTILES,
+    QuantileSketch,
+    latency_stats,
+)
 
 #: The conformance bar from the issue: 1 % relative error against the exact
 #: oracle.  The default sketch resolution guarantees 0.5 %.
@@ -41,10 +46,18 @@ def fill(sketch: QuantileSketch, values) -> None:
         sketch.insert(value)
 
 
+def empty_spilled_sketch() -> QuantileSketch:
+    """An empty sketch already on the binned path, as after a spill."""
+
+    sketch = QuantileSketch()
+    sketch._spill()
+    return sketch
+
+
 def spilled_sketch(values) -> QuantileSketch:
     """A sketch forced onto the binned path regardless of stream size."""
 
-    sketch = QuantileSketch(exact_threshold=0)
+    sketch = empty_spilled_sketch()
     fill(sketch, values)
     assert sketch._samples is None
     return sketch
@@ -125,7 +138,7 @@ class TestBinnedAccuracy:
 
     def test_bounded_memory(self):
         rng = np.random.default_rng(3)
-        sketch = QuantileSketch(exact_threshold=256)
+        sketch = QuantileSketch()
         fill(sketch, np.exp(rng.normal(size=50_000)))
         # Spilling frees the exact buffer; later inserts go to the bins only.
         assert sketch._samples is None
@@ -141,11 +154,9 @@ class TestMergeInvariance:
     )
     def test_merge_order_does_not_change_quantiles(self, shards, rnd):
         def merged(order):
-            total = QuantileSketch(exact_threshold=0)
+            total = empty_spilled_sketch()
             for i in order:
-                shard = spilled_sketch(shards[i]) if shards[i] else QuantileSketch(
-                    exact_threshold=0
-                )
+                shard = spilled_sketch(shards[i]) if shards[i] else empty_spilled_sketch()
                 total.merge(shard)
             return total
 
@@ -160,7 +171,7 @@ class TestMergeInvariance:
     @given(st.lists(st.lists(positive_values, min_size=1, max_size=50), min_size=2, max_size=5))
     def test_merged_sketch_tracks_the_concatenated_stream(self, shards):
         values = [v for shard in shards for v in shard]
-        total = QuantileSketch(exact_threshold=0)
+        total = empty_spilled_sketch()
         for shard in shards:
             total.merge(spilled_sketch(shard))
         assert total.count == len(values)
@@ -176,10 +187,11 @@ class TestMergeInvariance:
         assert merged.stats() == latency_stats([1.0, 5.0, 2.0, 9.0])
 
     def test_merging_past_the_threshold_spills(self):
-        a = QuantileSketch(exact_threshold=3)
-        fill(a, [1.0, 2.0])
-        b = QuantileSketch(exact_threshold=3)
+        a = QuantileSketch()
+        fill(a, range(1, DEFAULT_EXACT_THRESHOLD))
+        b = QuantileSketch()
         fill(b, [3.0, 4.0])
+        assert a._samples is not None and b._samples is not None
         assert a.merge(b)._samples is None
 
     def test_exact_flag_never_spills_on_merge_of_exact_shards(self):
@@ -189,14 +201,10 @@ class TestMergeInvariance:
         fill(b, range(1, 10_001))
         assert a.merge(b)._samples is not None
 
-    def test_incompatible_resolutions_rejected(self):
-        with pytest.raises(ValueError, match="resolution"):
-            QuantileSketch().merge(QuantileSketch(relative_error=0.1))
-
     def test_merge_leaves_the_donor_untouched(self):
         donor = spilled_sketch([1.0, 2.0, 3.0])
         before = donor.percentiles(list(PERCENTILES))
-        QuantileSketch(exact_threshold=0).merge(donor)
+        empty_spilled_sketch().merge(donor)
         assert donor.count == 3
         assert donor.percentiles(list(PERCENTILES)) == before
 
@@ -211,7 +219,7 @@ class TestExactPath:
         assert sketch.stats() == latency_stats(values)
 
     def test_exact_true_never_spills(self):
-        sketch = QuantileSketch(exact=True, exact_threshold=8)
+        sketch = QuantileSketch(exact=True)
         fill(sketch, (float(i) for i in range(1, 100_000)))
         assert sketch._samples is not None
         assert sketch.count == 99_999
@@ -221,7 +229,7 @@ class TestExactPath:
         assert stats.count == 0
         assert math.isnan(stats.mean)
         assert all(math.isnan(v) for v in stats.percentiles.values())
-        assert all(math.isnan(v) for v in QuantileSketch(exact_threshold=0).percentiles([50]))
+        assert all(math.isnan(v) for v in empty_spilled_sketch().percentiles([50]))
 
     def test_rejects_invalid_samples(self):
         sketch = QuantileSketch()
