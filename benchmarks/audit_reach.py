@@ -15,11 +15,14 @@ Drives every user entrypoint in one process under a function-level
 * the CI ``--quick`` benchmarks and the 13 paper-anchor pytest benchmarks.
 
 Every driven call must succeed (exit 0): a silently rejected argv would
-hide the code it was meant to reach.  The two benchmarks with wall-clock
-floors (``bench_fx_forward.py``, ``bench_sim_throughput.py``) are driven
-through their correctness sections with the speed requirement waived,
-because the profiler slows the timed loops below their floors and a floor
-that stops a run early would make reach depend on the host's speed.
+hide the code it was meant to reach.  A call that raises is recorded as a
+failure and the remaining calls still run.  The three benchmarks with speed
+floors (``bench_fx_forward.py``, ``bench_sim_throughput.py`` and the export
+ratios of ``bench_sweep_engine.py``) are driven through their correctness
+sections with the speed requirement waived, because the profiler slows the
+timed loops below their floors (and a timed path more than its reference)
+and a floor that stops a run early would make reach depend on the host's
+speed.
 
 Two passes read the one recording:
 
@@ -63,7 +66,7 @@ import tempfile
 import threading
 import types
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -80,7 +83,6 @@ PAPER_ANCHORS = (
 
 #: CI's standalone ``--quick`` benchmarks without a wall-clock floor.
 QUICK_BENCHMARKS = (
-    ("bench_sweep_engine.py", ["--quick"]),
     ("bench_plan_kernels.py", ["--quick"]),
     ("bench_board_sweep.py", ["--quick"]),
     ("bench_fault_sweep.py", ["--quick"]),
@@ -413,6 +415,7 @@ def drivers(tmp: str) -> Iterator[Tuple[str, Callable[[], int]]]:
         yield f"benchmarks/{name} {' '.join(argv)}", (
             lambda name=name, argv=argv: _run_script(ROOT / "benchmarks" / name, argv))
 
+    yield "bench_sweep_engine engines/export (ratio floors waived)", _sweep_engine_sections
     yield "bench_fx_forward gather/kernel/sweep (speed floor waived)", _fx_forward_sections
     yield "bench_sim_throughput engine/mix/saturation + fleet (speed floor waived)", (
         _sim_throughput_sections)
@@ -422,6 +425,35 @@ def drivers(tmp: str) -> Iterator[Tuple[str, Callable[[], int]]]:
     anchors = [str(ROOT / "benchmarks" / name) for name in PAPER_ANCHORS]
     yield "pytest paper-anchor benchmarks", lambda: _exit_code(lambda: int(pytest.main(
         [*anchors, "-q", "--benchmark-disable", "-p", "no:cacheprovider"])))
+
+
+def run_drivers(driven: Iterable[Tuple[str, Callable[[], int]]]) -> List[str]:
+    """Run every driver, even past one that fails; a line per failure.
+
+    A driver that raises is recorded and the rest still run, so both
+    passes see the whole recording and print their summaries.
+    """
+
+    failures = []
+    for label, drive in driven:
+        try:
+            code = drive()
+        except Exception as exc:
+            failures.append(f"entrypoint raised {type(exc).__name__}: {exc} ({label})")
+            continue
+        if code != 0:
+            failures.append(f"entrypoint did not exit 0: {label} (exit {code})")
+    return failures
+
+
+def _sweep_engine_sections() -> int:
+    """``bench_sweep_engine.py --quick`` with its export ratio floors set to zero."""
+
+    sweep = _import_benchmark("bench_sweep_engine")
+    return _exit_code(
+        lambda: sweep.run(sweep.QUICK_AXES, repeats=1, min_speedup=None)
+        or sweep.bench_export(1, min_grid_ratio=0.0, min_csv_ratio=0.0)
+    )
 
 
 def _fx_forward_sections() -> int:
@@ -479,14 +511,10 @@ def main() -> int:
     functions = src_functions()
     recorder = Recorder({fn.site: fn.qualname.rpartition(".")[2]
                          for fn in functions.values() if fn.defaulted})
-    failures = []
     # One recording spans the imports too: registries and flag tables run
     # functions at import time, and that is reach like any other.
     with tempfile.TemporaryDirectory() as tmp, recorder.recording():
-        for label, drive in drivers(tmp):
-            code = drive()
-            if code != 0:
-                failures.append(f"{label} (exit {code})")
+        failures = run_drivers(drivers(tmp))
 
     def unreached(fn: Function) -> bool:
         return fn.site not in recorder.started
@@ -523,7 +551,7 @@ def main() -> int:
         print(f"FAIL: keep-list entry matches nothing unreached or unset: {pattern}",
               file=sys.stderr)
     for failure in failures:
-        print(f"FAIL: entrypoint did not exit 0: {failure}", file=sys.stderr)
+        print(f"FAIL: {failure}", file=sys.stderr)
     if unlisted:
         print(f"FAIL: {len(unlisted)} unreached function(s) not on the keep-list",
               file=sys.stderr)

@@ -35,7 +35,7 @@ reconstruction and Pareto-front extraction over any two metric columns.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import re
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -125,6 +125,27 @@ def _py(value):
     """NumPy scalar -> native Python scalar (no-op for everything else)."""
 
     return value.item() if isinstance(value, np.generic) else value
+
+
+#: The csv module writes a cell without these as is; csv_text decides the rest.
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _distinct_texts(col, is_list: bool) -> Tuple[List[str], Sequence[int]]:
+    """A column's distinct cell texts (``csv.writer``'s, unquoted), each row's index into them."""
+
+    if isinstance(col, np.ndarray) and col.dtype != object:
+        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+        uniq, index = np.unique(keys, return_inverse=True)
+        values: List = uniq.view(col.dtype).tolist()
+    else:
+        # -0.0 == 0.0 and True == 1 == 1.0 hash alike: a key adds types and a zero's text.
+        keys = ([(tuple(map(type, v)), tuple(v), 0 in v and repr(v)) for v in col] if is_list
+                else [(v.__class__, v, v == 0 and repr(v)) for v in col])
+        positions: Dict[tuple, int] = {}
+        index = [positions.setdefault(key, len(positions)) for key in keys]
+        values = [_flatten_value(key[1]) if is_list else _py(key[1]) for key in positions]
+    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values], index
 
 
 # -- per-unique-key facts ----------------------------------------------------------------
@@ -535,19 +556,14 @@ class BatchResult(Report):
         return row
 
     def records(self) -> List[Dict[str, object]]:
-        """Flat one-row-per-scenario dictionaries (table/CSV shaped)."""
-
-        return [dict(zip(FLAT_COLUMNS, row)) for row in self._flat_rows()]
-
-    def _flat_rows(self) -> Iterable[tuple]:
-        """Rows of :meth:`record` values, converted a whole column at a time."""
+        """Flat one-row-per-scenario dictionaries (table/CSV shaped), built column-wise."""
 
         columns = []
         for key in FLAT_COLUMNS:
             col = self._columns[key]
             values = col.tolist() if isinstance(col, np.ndarray) else [_py(v) for v in col]
             columns.append([_flatten_value(v) for v in values] if key in LIST_COLUMNS else values)
-        return zip(*columns)
+        return [dict(zip(FLAT_COLUMNS, row)) for row in zip(*columns)]
 
     # -- nested views -------------------------------------------------------------------
 
@@ -609,13 +625,21 @@ class BatchResult(Report):
     def to_csv(self) -> str:
         """CSV document (header + one row per scenario, loop-engine layout).
 
-        Column-wise rather than :meth:`Report.to_csv`'s row dicts: this is
-        the large-grid export path.
+        Byte-identical to :meth:`Report.to_csv`'s row dicts, but each
+        column's distinct values are formatted once (a NumPy column's by bit
+        pattern, so ``-0.0`` and ``0.0`` stay apart) and quoted through
+        ``csv_text`` only where the csv module would quote them.
         """
 
         if not len(self):
             return ""
-        return csv_text(itertools.chain([FLAT_COLUMNS], self._flat_rows()))
+        columns = []
+        for key in FLAT_COLUMNS:
+            texts, index = _distinct_texts(self._columns[key], key in LIST_COLUMNS)
+            if _CSV_QUOTED.search("".join(texts)):
+                texts = [csv_text([[t]]) if _CSV_QUOTED.search(t) else t for t in texts]
+            columns.append(np.array(texts, dtype=object)[index].tolist())
+        return "\n".join([csv_text([FLAT_COLUMNS]), *map(",".join, zip(*columns))])
 
     # -- selection ----------------------------------------------------------------------
 

@@ -28,6 +28,7 @@ axes (the design-space grid the ``repro-odenet sweep`` subcommand runs).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -252,6 +253,10 @@ def scenario_grid(
     (see :func:`repro.platform.list_boards`) is crossed with the other
     knobs.  It replaces a fixed ``board=...`` in ``common`` (passing both
     is an error).
+
+    Each axis value is validated once (a model with each depth: the depth
+    check depends on the variant) and the rows are assembled from canonical
+    values; the scenarios, or the error, match building each point alone.
     """
 
     if qformats is not None:
@@ -263,27 +268,33 @@ def scenario_grid(
     if boards is not None:
         if "board" in common:
             raise ValueError("pass either boards (an axis) or board (a fixed knob), not both")
-        board_axis: List[Optional[str]] = [str(b) for b in boards]
+        board_kws = [{"board": str(b)} for b in boards]
     else:
-        board_axis = [common.pop("board")] if "board" in common else [None]
-    grid: List[Scenario] = []
-    for model in models:
-        for depth in depths:
-            for units in n_units:
-                for wl, fb in format_axis:
-                    for solver in solvers:
-                        for board in board_axis:
-                            board_kw = {} if board is None else {"board": board}
-                            grid.append(
-                                Scenario(
-                                    model=model,
-                                    depth=depth,
-                                    n_units=units,
-                                    word_length=wl,
-                                    fraction_bits=fb,
-                                    solver=solver,
-                                    **board_kw,
-                                    **common,
-                                )
-                            )
-    return grid
+        board = common.pop("board", None)
+        board_kws = [{} if board is None else {"board": board}]
+    try:
+        pairs = [Scenario(model=m, depth=d, **common) for m in models for d in depths]
+        unit_axis = [Scenario(n_units=units, **common).n_units for units in n_units]
+        fmts = [Scenario(word_length=wl, fraction_bits=fb, **common) for wl, fb in format_axis]
+        solver_axis = [Scenario(solver=solver, **common).solver for solver in solvers]
+        points = [Scenario(**board_kw, **common) for board_kw in board_kws]
+    except (TypeError, ValueError):
+        # A bad value: build point by point, so the error is the first failing row's.
+        return [Scenario(model=m, depth=d, n_units=u, word_length=wl, fraction_bits=fb,
+                         solver=s, **board_kw, **common)
+                for m, d, u, (wl, fb), s, board_kw in itertools.product(
+                    models, depths, n_units, format_axis, solvers, board_kws)]
+    # A board check's scenario holds every other field too (``common`` or default).
+    return [_validated({**point.__dict__, "model": pair.model, "depth": pair.depth,
+                        "n_units": units, "word_length": fmt.word_length,
+                        "fraction_bits": fmt.fraction_bits, "solver": solver})
+            for pair, units, fmt, solver, point in itertools.product(
+                pairs, unit_axis, fmts, solver_axis, points)]
+
+
+def _validated(fields: Dict[str, object]) -> Scenario:
+    """A :class:`Scenario` of canonical field values, without ``__post_init__``."""
+
+    point = object.__new__(Scenario)
+    point.__dict__.update(fields)
+    return point

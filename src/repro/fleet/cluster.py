@@ -194,6 +194,11 @@ class FleetScenario:
             raise ValueError("a fleet needs at least one traffic class")
         classes = tuple(self.classes)
         object.__setattr__(self, "classes", classes)
+        for field, kind in (("boards", BoardGroup), ("classes", TrafficClass)):
+            for i, item in enumerate(getattr(self, field)):
+                if not isinstance(item, kind):
+                    raise ValueError(f"{field}[{i}] must be a {kind.__name__} "
+                                     f"(got {type(item).__name__})")
         names = [c.name for c in classes]
         if len(set(names)) != len(names):
             raise ValueError(f"traffic class names must be unique (got {names})")

@@ -17,7 +17,8 @@ from repro.api import (
     sweep,
     sweep_batch,
 )
-from repro.analysis import csv_text, strict_json
+from repro.analysis import Report, csv_text, strict_json
+from repro.api.batch import FLAT_COLUMNS
 from repro.core import SUPPORTED_DEPTHS
 from repro.core.execution_model import TABLE5_MODELS
 
@@ -153,6 +154,76 @@ class TestBatchResult:
         batch = sweep_batch(grid)
         rebuilt = BatchResult.from_rows(grid, batch.as_dicts())
         assert rebuilt.to_results() == batch.to_results()
+
+
+def _first_equal_value(table: BatchResult) -> str:
+    """CSV through a cache keyed by value alone: each cell is printed as the
+    first equal value its column held (the naive shortcut)."""
+
+    rows = table.records()
+    seen = {key: {} for key in rows[0]}
+    return csv_text([rows[0].keys(), *([seen[k].setdefault(v, v) for k, v in row.items()]
+                                       for row in rows)])
+
+
+def _crafted_table(**cells) -> BatchResult:
+    """A from_rows table of three rows; ``cells`` maps a column to its three values."""
+
+    grid = scenario_grid(models=("rODENet-3",), depths=(20, 32, 56))
+    rows = sweep_batch(grid).as_dicts()
+    section = {key: name for row in rows[:1] for name, part in row.items() for key in part}
+    for key, values in cells.items():
+        for row, value in zip(rows, values):
+            row[section[key]][key] = value
+    return BatchResult.from_rows(grid, rows)
+
+
+class TestCsvExport:
+    """``to_csv`` formats each distinct column value once, byte-identical to
+    the report base's row-dict path."""
+
+    def test_batch_tables_match_the_row_path(self):
+        for table in (
+            sweep_batch(random_grid(60, seed=5)),
+            sweep_batch(scenario_grid(models=TABLE5_MODELS, depths=(20, 56), n_units=(1, 8, 32),
+                                      word_lengths=(16, 32), boards=("PYNQ-Z2", "ZCU104"))),
+            sweep_batch(random_grid(10, seed=1)).take([3, 0, 3, 9]),
+        ):
+            assert table.to_csv() == Report.to_csv(table)
+
+    def test_from_rows_tables_match_the_row_path(self):
+        grid = random_grid(40, seed=9)
+        table = BatchResult.from_rows(grid, [r.as_dict() for r in sweep(grid, Evaluator())])
+        assert table.to_csv() == Report.to_csv(table) == sweep_batch(grid).to_csv()
+
+    def test_signed_zero_in_a_numpy_column(self):
+        table = sweep_batch(random_grid(4, seed=2))
+        table._columns["energy_ratio"] = np.array([0.0, -0.0, -0.0, 0.0])
+        assert table.to_csv() == Report.to_csv(table)
+        assert [r.split(",")[FLAT_COLUMNS.index("energy_ratio")] for r in table.to_csv().split("\n")[1:]] \
+            == ["0.0", "-0.0", "-0.0", "0.0"]
+
+    CRAFTED = dict(
+        total_w_pl_s=[0.0, -0.0, 0.0],
+        energy_ratio=[float("nan"), float("inf"), float("-inf")],
+        accuracy_pct=[None, 91.5, None],
+        fits_device=[True, 1, 1.0],
+        offload_target=['a,b', 'say "hi"', "two\nlines"],
+        offload=["carriage\rreturn", "", "plain"],
+        targets=[[], ["layer3_2"], []],
+        target_w_pl_s=[[0.0], [-0.0], [1, True]],
+    )
+
+    def test_crafted_cells_match_the_row_path(self):
+        table = _crafted_table(**self.CRAFTED)
+        assert table.to_csv() == Report.to_csv(table)
+
+    def test_crafted_cells_defeat_a_value_keyed_cache(self):
+        # The crafted table is a real check: a cache keyed by value alone
+        # would print -0.0 as 0.0 (and 1 as True).
+        for column in ("total_w_pl_s", "fits_device"):
+            table = _crafted_table(**{column: self.CRAFTED[column]})
+            assert table.to_csv() == Report.to_csv(table) != _first_equal_value(table)
 
 
 class TestPareto:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -534,6 +535,38 @@ class TestSweepCommand:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: The design-space export a user runs (3,584 rows: 7 models x 2 depths x
+#: 32 unit counts x 2 word lengths x 4 boards).
+EXPLORE_SWEEP_ARGV = [
+    "sweep", "--depths", "20", "56", "--n-units", *map(str, range(1, 33)),
+    "--wordlengths", "16", "32", "--boards", "PYNQ-Z2", "Zybo-Z7-20", "Ultra96-V2", "ZCU104",
+    "--engine", "batch", "--format", "csv",
+]
+SMALL_SWEEP_JSON_ARGV = [
+    "sweep", "--depths", "20", "56", "--n-units", "8", "16", "--boards", "PYNQ-Z2", "ZCU104",
+    "--format", "json",
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSweepBytes:
+    """Sweep exports stay byte for byte what they were before the grid and
+    the CSV export learned to do each distinct value's work once."""
+
+    def test_explore_sweep_csv(self, capsys):
+        out = run_cli(capsys, *EXPLORE_SWEEP_ARGV)
+        assert out.count("\n") == 3585
+        assert _sha256(out) == "dbf27cc9388b28b1054bd2e3705ce2138b2012da71c16aaf7f68f57d947af8ad"
+
+    @pytest.mark.parametrize("engine", ["batch", "loop"])
+    def test_small_sweep_json(self, capsys, engine):
+        out = run_cli(capsys, *SMALL_SWEEP_JSON_ARGV, "--engine", engine)
+        assert _sha256(out) == "3eef4c55195b6ee5d0d49990ddd73bd59db4edb7f51934fd8960d18dc4a9ee72"
 
 
 class TestBoardsCommand:
