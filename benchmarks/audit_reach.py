@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Entrypoint reach audit: which ``src/`` functions no user path calls, and
-which defaulted parameters no user path sets.
+which defaulted parameters and dataclass fields no user path sets.
 
 Drives every user entrypoint in one process under a function-level
 ``sys.setprofile`` hook and records each code object that starts running:
@@ -24,7 +24,7 @@ timed loops below their floors (and a timed path more than its reference)
 and a floor that stops a run early would make reach depend on the host's
 speed.
 
-Two passes read the one recording:
+Three passes read the one recording:
 
 * **Functions.**  Every function of ``src/repro`` (AST ``def``, nested
   ones included) that never started is reported by its outermost
@@ -36,16 +36,27 @@ Two passes read the one recording:
   counts as set.  A parameter no call ever set is reported as
   ``path::qualname(param)``.  Qualnames come from the AST map, so the
   pass runs unchanged on Python 3.10 (no ``co_qualname``).
+* **Fields.**  A dataclass's generated ``__init__`` has no file under
+  ``src/`` (``co_filename`` is ``"<string>"``), so the same hook watches it
+  as a function with defaults: every defaulted init field of a
+  ``src/repro`` dataclass that was constructed at least once is checked
+  against its default by the same rule (a ``default_factory`` field against
+  a fresh factory value), and is attributed to the class that declares it,
+  so a base-class field set through any subclass counts as set.  A field
+  no construction ever set is reported as ``path::Class(field)``;
+  ``init=False`` fields (run state filled in after construction) are not
+  init parameters and never show.
 
-Those listed in ``audit_reach_keep.txt`` (``path::qualname`` or
-``path::qualname(param)`` glob + reason) are expected: paths gated by
-platform or by an error, abstract hooks, library API the CLI does not
-call, names the benchmark harness patches, and parameters fed from a
-dataclass field.  Any other unreached function or never-set parameter,
-any keep-list entry that matches nothing (its function went or became
-reached, or its parameter went or is set: delete the entry), or any
-driven call that does not exit 0, makes the audit exit 1.  A branch no
-driver takes inside a reached function does not show.
+Those listed in ``audit_reach_keep.txt`` (``path::qualname``,
+``path::qualname(param)`` or ``path::Class(field)`` glob + reason) are
+expected: paths gated by platform or by an error, abstract hooks, library
+API the CLI does not call, names the benchmark harness patches, parameters
+fed from a dataclass field, and recipe fields.  Any other unreached
+function, never-set parameter or never-set field, any keep-list entry that
+matches nothing (its function went or became reached, or its parameter or
+field went or is set: delete the entry), or any driven call that does not
+exit 0, makes the audit exit 1.  Each pass prints one summary line.  A
+branch no driver takes inside a reached function does not show.
 
 Run from the repository root (about 35 s on a 2-CPU host):
 
@@ -56,6 +67,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import fnmatch
 import gc
 import inspect
@@ -131,6 +143,9 @@ EXTRA_ARGV = (
     "--fault-samples 1 --format csv",
     "sim rODENet-3 --depth 20 --rate 3 --requests 12 --slo-ms 400 --faults axi_degraded:0.5:16 "
     "ps_core_loss:1:1 --ps-cores 2 --fault-samples 1",
+    # Every fault mode's own parameter off its default.
+    "sim rODENet-3 --depth 20 --rate 3 --requests 12 --slo-ms 400 --replicas 2 --ps-cores 2 "
+    "--faults replica_death:0.5:1 dma_corruption:1:5 ps_core_loss:2:2 --fault-samples 1",
     "sim rODENet-3 --depth 20 --rate 3 --requests 30 --mix rODENet-3:20:2 ResNet:20 --format csv",
     "sim rODENet-3 --depth 20 --rate 3 --requests 12 --slo-ms 400 --mix rODENet-3:20 ResNet:20 "
     "--faults --fault-samples 1",
@@ -145,6 +160,7 @@ EXTRA_ARGV = (
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --fidelity event --routing round_robin",
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --routing weighted --admission none",
     "fleet --boards pynq-z2:2 --rate 5 --requests 60 --routing round_robin --exact --slo-ms 300",
+    "fleet --boards pynq-z2:2 --rate 5 --requests 60 --fidelity event --exact",
     "fleet --boards pynq-z2:2 --model rODENet-1 --depth 20 --n-units 8 --rate 3 --requests 40",
     "fleet --boards pynq-z2:2 --arrivals deterministic --duration 20 --rate 2 --replicas 1 "
     "--autoscale --autoscale-interval 5",
@@ -152,6 +168,9 @@ EXTRA_ARGV = (
     "--replicas 1",
     "optimize --objective watts --models rODENet-3 --depths 20 56 --qformats 16:8 32:20 --json",
     "optimize --objective watts --models rODENet-3 --depths 20 --solvers euler rk4 --seed 3",
+    "optimize --objective max:throughput_rps --models rODENet-3 --depths 20 56 --n-units 8 16",
+    # No candidate is feasible: the report carries its note instead of a winner.
+    "optimize --objective watts --models rODENet-3 --depths 20 --constraint latency_ms<=0.001",
     "optimize --objective min:p99_ms --fidelity sim --models rODENet-3 --depths 20 --n-units 8 16 "
     "--boards PYNQ-Z2 ZCU104 --rate 3 --requests 20 --json",
     "optimize --objective min:p99_ms --fidelity fleet --models rODENet-3 --depths 20 "
@@ -284,8 +303,32 @@ def _defaults(fn: types.FunctionType) -> Dict[str, object]:
     return named
 
 
+def field_key(cls: type, name: str) -> "str | None":
+    """``path::Class(field)`` of the class that declares ``cls``'s field
+    ``name`` (an inherited field belongs to its base); ``None`` when that
+    class is not defined under ``src/repro``."""
+
+    declaring = next(c for c in cls.__mro__ if name in c.__dict__.get("__annotations__", {}))
+    filename = getattr(sys.modules.get(declaring.__module__), "__file__", None)
+    if filename is None:
+        return None
+    try:
+        path = Path(filename).resolve().relative_to(PACKAGE)
+    except ValueError:
+        return None
+    return f"{path}::{declaring.__qualname__}({name})"
+
+
+def _is_dataclass_init(code) -> bool:
+    """Whether ``code`` is an ``__init__`` that ``@dataclass`` generated (it
+    compiles the method from a string, so no file under ``src/`` has it)."""
+
+    return code.co_filename == "<string>" and code.co_name == "__init__"
+
+
 class Recorder:
-    """Function starts and parameter settings, seen by one profile hook.
+    """Function starts, parameter settings and field settings, seen by one
+    profile hook.
 
     ``started`` holds ``(co_filename, co_firstlineno)`` of every started
     Python frame.  For each ``src/repro`` function with defaulted
@@ -296,23 +339,74 @@ class Recorder:
     hot function stops paying for the check once each of its parameters has
     been seen set.  A generator or coroutine frame is checked on its first
     resume only, before its body can rebind a parameter.
+
+    A dataclass's generated ``__init__`` is watched the same way, per
+    field: ``fields`` maps the :func:`field_key` of every defaulted init
+    field of a constructed ``src/repro`` dataclass to its default (a fresh
+    ``default_factory`` value for a factory field), and ``fields_unset``
+    holds those no construction has yet bound off it.  ``init=False``
+    fields are not parameters, so they never show.
     """
 
     def __init__(self, defaulted: Dict[Tuple[str, int], str]) -> None:
         self.defaulted = defaulted
         self.started: set = set()
         self.unset: Dict[Tuple[str, int], Dict[str, object]] = {}
-        self._watch: Dict[object, object] = {}  # code -> key, or None when not watched
+        self.fields: Dict[str, object] = {}
+        self.fields_unset: Dict[str, object] = {}
+        # code -> a function's key, an __init__'s watched fields, or None
+        self._watch: Dict[object, object] = {}
         self._first_resume: Dict[object, int] = {}
 
-    def _first_sight(self, code):
+    def _first_sight(self, frame):
+        code = frame.f_code
         key = (code.co_filename, code.co_firstlineno)
         self.started.add(key)
+        if _is_dataclass_init(code):
+            return self._init_fields(frame)
         if self.defaulted.get(key) != code.co_name:
             return None
         if key not in self.unset:
             self.unset[key] = _defaults(_function_of(code))
         return key
+
+    def _init_fields(self, frame) -> "List[Tuple[str, str, object]] | None":
+        """``(parameter, field key, signature default)`` for each defaulted
+        field the running dataclass ``__init__`` binds.
+
+        A factory field's signature default is the dataclass sentinel
+        standing for "not passed"; a passed value is compared with a fresh
+        factory value instead.
+        """
+
+        code = frame.f_code
+        owner = next((cls for cls in type(frame.f_locals[code.co_varnames[0]]).__mro__
+                      if getattr(cls.__dict__.get("__init__"), "__code__", None) is code), None)
+        if owner is None or not dataclasses.is_dataclass(owner):
+            return None
+        signature = _defaults(owner.__dict__["__init__"])
+        watched = []
+        for field in dataclasses.fields(owner):
+            key = field_key(owner, field.name) if field.name in signature else None
+            if key is None:
+                continue
+            if key not in self.fields:
+                default = (field.default_factory() if field.default is dataclasses.MISSING
+                           else field.default)
+                self.fields[key] = self.fields_unset[key] = default
+            watched.append((field.name, key, signature[field.name]))
+        return watched or None
+
+    def _set_fields(self, code, watched: List[Tuple[str, str, object]], values) -> None:
+        unset = self.fields_unset
+        for name, key, passed_default in watched:
+            if key in unset:
+                value = values[name]
+                if value is not passed_default and _differs(value, unset[key]):
+                    del unset[key]
+        watched[:] = [entry for entry in watched if entry[1] in unset]
+        if not watched:
+            self._watch[code] = None
 
     def profile(self, frame, event, arg) -> None:
         if event != "call":
@@ -321,8 +415,11 @@ class Recorder:
         try:
             key = self._watch[code]
         except KeyError:
-            key = self._watch[code] = self._first_sight(code)
+            key = self._watch[code] = self._first_sight(frame)
         if key is None:
+            return
+        if key.__class__ is list:
+            self._set_fields(code, key, frame.f_locals)
             return
         unset = self.unset[key]
         if not unset:
@@ -430,8 +527,8 @@ def drivers(tmp: str) -> Iterator[Tuple[str, Callable[[], int]]]:
 def run_drivers(driven: Iterable[Tuple[str, Callable[[], int]]]) -> List[str]:
     """Run every driver, even past one that fails; a line per failure.
 
-    A driver that raises is recorded and the rest still run, so both
-    passes see the whole recording and print their summaries.
+    A driver that raises is recorded and the rest still run, so every
+    pass sees the whole recording and prints its summary.
     """
 
     failures = []
@@ -534,17 +631,21 @@ def main() -> int:
     ]
     keep = read_keep_list()
     keep_functions = {p: r for p, r in keep.items() if not p.endswith(")")}
-    keep_params = {p: r for p, r in keep.items() if p.endswith(")")}
+    # A "(name)" entry names a parameter or a field; each pass matches its own keys.
+    keep_names = {p: r for p, r in keep.items() if p.endswith(")")}
     used: set = set()
     unlisted = _report([fn.key for fn in outermost], keep_functions, used,
                        {fn.key: f"({fn.lines} lines)" for fn in outermost})
     n_lines = sum(fn.lines for fn in outermost)
     print(f"\n{len(functions)} functions, {len(outermost)} outermost unreached "
           f"({n_lines} lines), {len(unlisted)} not on {KEEP_LIST.name}\n")
-    unset = _report(never_set, keep_params, used, {})
+    unset = _report(never_set, keep_names, used, {})
     n_defaulted = sum(len(fn.defaulted) for fn in functions.values() if not unreached(fn))
     print(f"\n{n_defaulted} defaulted parameters of reached functions, {len(never_set)} "
-          f"never set, {len(unset)} not on {KEEP_LIST.name}")
+          f"never set, {len(unset)} not on {KEEP_LIST.name}\n")
+    unset_fields = _report(sorted(recorder.fields_unset), keep_names, used, {})
+    print(f"\n{len(recorder.fields)} defaulted fields of constructed dataclasses, "
+          f"{len(recorder.fields_unset)} never set, {len(unset_fields)} not on {KEEP_LIST.name}")
 
     stale = sorted(set(keep) - used)
     for pattern in stale:
@@ -558,7 +659,10 @@ def main() -> int:
     if unset:
         print(f"FAIL: {len(unset)} never-set parameter(s) not on the keep-list",
               file=sys.stderr)
-    return 1 if failures or unlisted or unset or stale else 0
+    if unset_fields:
+        print(f"FAIL: {len(unset_fields)} never-set field(s) not on the keep-list",
+              file=sys.stderr)
+    return 1 if failures or unlisted or unset or unset_fields or stale else 0
 
 
 if __name__ == "__main__":

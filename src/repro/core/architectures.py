@@ -35,10 +35,7 @@ class OdeNetConfig:
     variant: str
     depth: int
     num_classes: int = NUM_CLASSES
-    in_channels: int = INPUT_CHANNELS
     base_width: int = 16
-    ode_method: str = "euler"
-    seed: int = 0
 
     @property
     def stage_channels(self) -> Tuple[int, int, int]:
@@ -53,11 +50,11 @@ class OdeNetModel(nn.Module):
         super().__init__()
         self.spec = spec
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(0)  # the initialisation seed
         c1, c2, c3 = config.stage_channels
 
         # Pre-processing (conv1): conv + BN + ReLU.
-        self.conv1 = nn.Conv2d(config.in_channels, c1, rng=rng)
+        self.conv1 = nn.Conv2d(INPUT_CHANNELS, c1, rng=rng)
         self.bn1 = nn.BatchNorm2d(c1)
 
         # Repeated stages.
@@ -79,16 +76,10 @@ class OdeNetModel(nn.Module):
         rng: np.random.Generator,
     ) -> nn.Module:
         plan = spec.plan(layer)
-        cfg = self.config
         if plan.realization == BlockRealization.REMOVED:
             return nn.Identity()
         if plan.realization == BlockRealization.ODEBLOCK:
-            return ODEBlock(
-                channels,
-                num_steps=plan.executions_per_block,
-                method=cfg.ode_method,
-                rng=rng,
-            )
+            return ODEBlock(channels, num_steps=plan.executions_per_block, rng=rng)
         if plan.realization == BlockRealization.SINGLE:
             return PlainBlock(channels, channels, stride=1, rng=rng)
         # STACKED: a sequence of distinct plain blocks.

@@ -54,7 +54,6 @@ class SyntheticDataset:
     images: np.ndarray  # (N, C, H, W) float32-ish in [-1, 1] roughly
     labels: np.ndarray  # (N,) int64
     num_classes: int
-    name: str = "synthetic-cifar"
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -65,7 +64,6 @@ class SyntheticDataset:
             images=self.images[indices],
             labels=self.labels[indices],
             num_classes=self.num_classes,
-            name=self.name,
         )
 
 

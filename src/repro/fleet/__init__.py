@@ -27,7 +27,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".autoscale": ("AutoscaleController", "AutoscalePolicy"),
+        ".autoscale": ("AutoscaleController",),
         ".balancer": ("BATCH_SPILL_FACTOR", "Balancer", "BoardServer"),
         ".cluster": (
             "ADMISSION_NAMES", "CLASS_KINDS", "FIDELITY_NAMES", "ROUTING_NAMES", "BoardGroup",

@@ -6,12 +6,12 @@ utilisation (service seconds committed in the window over powered slot
 capacity) and
 
 * powers **up** the first unpowered board in inventory order when the
-  window runs hot (``util > high``) — the board draws power immediately and
-  starts serving after ``boot_s`` (cold-start penalty);
+  window runs hot (``util >`` :data:`HIGH`) — the board draws power
+  immediately and starts serving after :data:`BOOT_S` (cold-start penalty);
 * powers **down** the last powered board in inventory order when the window
-  runs cold (``util < low``) and more than ``min_powered`` boards are up —
-  the board stops accepting work, drains its in-flight slots, and its power
-  ledger closes at the drain instant.
+  runs cold (``util <`` :data:`LOW`) and more than :data:`MIN_POWERED`
+  boards are up — the board stops accepting work, drains its in-flight
+  slots, and its power ledger closes at the drain instant.
 
 Energy is priced per board from its :class:`~repro.platform.device.PowerProfile`
 over exactly its powered seconds, so the report shows what the policy
@@ -24,45 +24,31 @@ stay bit-reproducible — no hidden wall-clock).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
-from .._checks import check_count
 from .balancer import BoardServer
 
-__all__ = ["AutoscalePolicy", "AutoscaleController"]
+__all__ = ["HIGH", "LOW", "BOOT_S", "MIN_POWERED", "AutoscaleController"]
 
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """The reactive band policy's knobs."""
-
-    interval_s: float = 60.0
-    high: float = 0.75
-    low: float = 0.30
-    boot_s: float = 5.0
-    min_powered: int = 1
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if not 0.0 < self.low < self.high <= 1.0:
-            raise ValueError(
-                f"bands must satisfy 0 < low < high <= 1 (got low={self.low}, high={self.high})"
-            )
-        if self.boot_s < 0:
-            raise ValueError("boot_s must be non-negative")
-        object.__setattr__(self, "min_powered", check_count("min_powered", self.min_powered, 1))
+#: Power a board up when the windowed utilisation exceeds this...
+HIGH = 0.75
+#: ...and down when it falls below this (with more than MIN_POWERED up).
+LOW = 0.30
+#: Boot delay: a powered-up board starts serving this long after the
+#: decision (and draws power from the decision instant).
+BOOT_S = 5.0
+#: Boards per cell that are never powered down.
+MIN_POWERED = 1
 
 
 class AutoscaleController:
-    """One cell's reactive power controller."""
+    """One cell's reactive power controller, deciding every ``interval_s``."""
 
-    __slots__ = ("boards", "policy", "events", "_last_busy")
+    __slots__ = ("boards", "interval_s", "events", "_last_busy")
 
-    def __init__(self, boards: List[BoardServer], policy: AutoscalePolicy) -> None:
+    def __init__(self, boards: List[BoardServer], interval_s: float) -> None:
         self.boards = boards
-        self.policy = policy
+        self.interval_s = interval_s
         self.events: List[Dict[str, object]] = []
         self._last_busy = 0.0
 
@@ -74,22 +60,22 @@ class AutoscaleController:
         """One control decision at simulated time ``now``."""
 
         powered_slots = sum(b.replicas for b in self.boards if b.powered)
-        capacity = powered_slots * self.policy.interval_s
+        capacity = powered_slots * self.interval_s
         busy = sum(b.busy_seconds for b in self.boards)
         window_busy = busy - self._last_busy
         self._last_busy = busy
         if capacity <= 0:
             return
         util = window_busy / capacity
-        if util > self.policy.high:
+        if util > HIGH:
             self._power_up(now, util)
-        elif util < self.policy.low and self.powered_count > self.policy.min_powered:
+        elif util < LOW and self.powered_count > MIN_POWERED:
             self._power_down(now, util)
 
     def _power_up(self, now: float, util: float) -> None:
         for board in self.boards:  # first unpowered, inventory order
             if not board.powered:
-                board.power_up(now, self.policy.boot_s)
+                board.power_up(now, BOOT_S)
                 self.events.append(
                     {"t": now, "action": "up", "board": board.index, "util": util}
                 )

@@ -3,7 +3,7 @@
 The fast fleet kernel does not replay every DMA burst — that is what
 ``fidelity="event"`` is for.  Each board is a multi-server station
 (:class:`BoardServer`): ``replicas`` slots, each serving one request at a
-time at the board's *analytic* per-class service time (the same
+time at the board's *analytic* service time (the same
 ``build_service_plan().total_seconds`` the transaction-level simulator is
 differentially pinned to).  A request costs one heap operation, so
 million-request day traces run in seconds.
@@ -27,7 +27,7 @@ presampled uniforms so runs stay deterministic) are the classic baselines.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.metrics import energy_section, ps_energy_j
 
@@ -70,8 +70,8 @@ class BoardServer:
         group: int,
         name: str,
         replicas: int,
-        svc_s: Sequence[float],
-        ps_s: Sequence[float],
+        svc_s: float,
+        ps_s: float,
         pl_w: float,
         ps_active_w: float,
         ps_idle_w: float,
@@ -81,8 +81,8 @@ class BoardServer:
         self.group = group
         self.name = name
         self.replicas = replicas
-        self.svc_s = list(svc_s)
-        self.ps_s = list(ps_s)
+        self.svc_s = svc_s
+        self.ps_s = ps_s
         self.free = [0.0] * replicas  # a heap of per-slot next-free instants
         self.powered = True
         self.available_from = 0.0
@@ -90,7 +90,7 @@ class BoardServer:
         self.powered_seconds = 0.0
         self.busy_seconds = 0.0
         self.ps_busy_seconds = 0.0
-        self.served = [0] * len(self.svc_s)
+        self.served = 0
         self.pl_w = pl_w
         self.ps_active_w = ps_active_w
         self.ps_idle_w = ps_idle_w
@@ -98,9 +98,7 @@ class BoardServer:
         # The batch-routing cost: joules one request costs on this board,
         # charging the whole board's PL draw plus one active PS share for
         # its service time (a packing heuristic, not an energy report).
-        self.energy_per_request = [
-            s * (pl_w + ps_active_w) for s in self.svc_s
-        ]
+        self.energy_per_request = svc_s * (pl_w + ps_active_w)
         self.last_finish = 0.0
 
     # -- serving -----------------------------------------------------------------------
@@ -115,16 +113,16 @@ class BoardServer:
             earliest = self.available_from
         return earliest
 
-    def assign(self, t: float, cls: int) -> Tuple[float, float]:
-        """Commit a class-``cls`` request arriving at ``t``; return (start, finish)."""
+    def assign(self, t: float) -> Tuple[float, float]:
+        """Commit a request arriving at ``t``; return (start, finish)."""
 
         start = self.predicted_start(t)
-        service = self.svc_s[cls]
+        service = self.svc_s
         finish = start + service
         heapq.heapreplace(self.free, finish)
         self.busy_seconds += service
-        self.ps_busy_seconds += self.ps_s[cls]
-        self.served[cls] += 1
+        self.ps_busy_seconds += self.ps_s
+        self.served += 1
         if finish > self.last_finish:
             self.last_finish = finish
         return start, finish
@@ -173,7 +171,7 @@ class BoardServer:
             self.ps_active_w, self.ps_idle_w, ps_busy, self.ps_cores, self.powered_seconds
         )
         pl_j = self.pl_w * self.powered_seconds
-        return energy_section(ps_j, pl_j, sum(self.served), self.powered_seconds)
+        return energy_section(ps_j, pl_j, self.served, self.powered_seconds)
 
 
 class Balancer:
@@ -186,17 +184,15 @@ class Balancer:
         self.routing = routing
         self._rr = 0
 
-    def route(
-        self, t: float, cls: int, kind: str, u: Optional[float] = None
-    ) -> Optional[BoardServer]:
+    def route(self, t: float, kind: str, u: Optional[float] = None) -> Optional[BoardServer]:
         """Pick the serving board for one request (``None`` if none is powered)."""
 
         if self.routing == "round_robin":
             return self._round_robin()
         if self.routing == "weighted":
-            return self._weighted(cls, u)
+            return self._weighted(u)
         if kind == "batch":
-            return self._cheapest(t, cls)
+            return self._cheapest(t)
         return self._least_loaded(t)
 
     def _least_loaded(self, t: float) -> Optional[BoardServer]:
@@ -210,13 +206,13 @@ class Balancer:
                 best, best_start = board, start
         return best
 
-    def _cheapest(self, t: float, cls: int) -> Optional[BoardServer]:
+    def _cheapest(self, t: float) -> Optional[BoardServer]:
         best = None
         best_cost = float("inf")
         for board in self.boards:
             if not board.powered:
                 continue
-            cost = board.energy_per_request[cls]
+            cost = board.energy_per_request
             if cost < best_cost:
                 best, best_cost = board, cost
         if best is None:
@@ -224,7 +220,7 @@ class Balancer:
         # Spill: bulk work must not starve behind itself on the one
         # efficient board while the rest of the fleet idles.
         wait = best.predicted_start(t) - t
-        if wait > BATCH_SPILL_FACTOR * best.svc_s[cls]:
+        if wait > BATCH_SPILL_FACTOR * best.svc_s:
             return self._least_loaded(t)
         return best
 
@@ -237,7 +233,7 @@ class Balancer:
                 return board
         return None
 
-    def _weighted(self, cls: int, u: Optional[float]) -> Optional[BoardServer]:
+    def _weighted(self, u: Optional[float]) -> Optional[BoardServer]:
         """Capacity-proportional choice: weight = replicas / service time."""
 
         weights = []
@@ -246,7 +242,7 @@ class Balancer:
             if not board.powered:
                 continue
             candidates.append(board)
-            weights.append(board.replicas / board.svc_s[cls])
+            weights.append(board.replicas / board.svc_s)
         if not candidates:
             return None
         if u is None:

@@ -7,10 +7,9 @@ a :class:`FleetScenario` describes a heterogeneous *cluster* drawn from the
 * :class:`BoardGroup` — "8× PYNQ-Z2" (the inventory, in deterministic
   order);
 * :class:`TrafficClass` — a named slice of the offered traffic with a
-  weight, a kind (``latency`` or ``batch``) and optionally its own SLO and
-  served architecture;
+  weight, a kind (``latency`` or ``batch``) and optionally its own SLO;
 * the balancer knobs — routing policy, SLO-aware admission control,
-  reactive autoscaling bands;
+  reactive autoscaling;
 * ``cells`` — the shared-nothing partitioning unit: the inventory is dealt
   round-robin into ``cells`` independent sub-clusters, each serving
   ``1/cells`` of the traffic with its own RNG stream.  Cells (not shards!)
@@ -36,15 +35,13 @@ from ..api.scenario import (
     field_dict,
     shared_fields,
 )
-from ..sim.scenario import SimScenario, check_serving, check_traffic
+from ..sim.scenario import SimScenario, check_traffic
 
 __all__ = [
     "ROUTING_NAMES",
     "ADMISSION_NAMES",
     "CLASS_KINDS",
     "FIDELITY_NAMES",
-    "EVENT_ONLY_KNOBS",
-    "fast_fidelity_ignores",
     "BoardGroup",
     "TrafficClass",
     "FleetScenario",
@@ -66,10 +63,6 @@ CLASS_KINDS: Tuple[str, ...] = ("latency", "batch")
 #: each board's assigned trace through the full transaction-level
 #: :func:`repro.sim.simulate` (the identity-test and deep-dive path).
 FIDELITY_NAMES: Tuple[str, ...] = ("fast", "event")
-
-#: Board-level serving knobs only the event fidelity's repro.sim replay
-#: models; the fast kernel prices each board from its service time alone.
-EVENT_ONLY_KNOBS: Tuple[str, ...] = ("policy", "batch_size", "dma_channels")
 
 #: Fleet traffic knobs a board's event-fidelity SimScenario does not inherit:
 #: it replays the trace the balancer assigned it, whole.
@@ -95,16 +88,14 @@ class TrafficClass:
     ``kind`` drives per-class routing and admission: ``latency`` traffic
     chases the shortest predicted start (and is subject to SLO admission
     control), ``batch`` traffic packs the most energy-efficient powered
-    boards and is never rejected.  ``model``/``depth`` optionally override
-    the served architecture (``fidelity="fast"`` only).
+    boards and is never rejected.  Every class is served by the fleet's one
+    architecture.
     """
 
     name: str
     weight: float = 1.0
     kind: str = "latency"
     slo_s: Optional[float] = None
-    model: Optional[str] = None
-    depth: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not str(self.name):
@@ -129,13 +120,12 @@ class FleetScenario:
     #: The offered traffic, split by weight across named classes.
     classes: Tuple[TrafficClass, ...] = (TrafficClass("interactive"),)
 
-    # -- served architecture (per-class overrides via TrafficClass) ---------
+    # -- served architecture (every class, every board) --------------------
     model: str = "rODENet-3"
     depth: int = 56
     n_units: int = 16
     word_length: int = 32
     fraction_bits: int = 20
-    solver: str = "euler"
 
     # -- offered traffic ----------------------------------------------------
     arrival: str = "poisson"
@@ -158,18 +148,9 @@ class FleetScenario:
     #: board of the fleet (the knee convention of ``examples/serving_study.py``).
     slo_s: Optional[float] = None
 
-    # -- autoscaling --------------------------------------------------------
+    # -- autoscaling (the band policy of ``fleet.autoscale``) ----------------
     autoscale: bool = False
     autoscale_interval_s: float = 60.0
-    #: Power a board up when windowed fleet utilisation exceeds this...
-    autoscale_high: float = 0.75
-    #: ...and down when it falls below this (with more than min_powered up).
-    autoscale_low: float = 0.30
-    #: Boot delay: a powered-up board starts serving this long after the
-    #: decision (and draws power from the decision instant).
-    boot_s: float = 5.0
-    #: Boards per cell that are never powered down.
-    min_powered: int = 1
 
     # -- partitioning / measurement ----------------------------------------
     #: Shared-nothing cells the inventory and traffic are dealt into.  Part
@@ -179,12 +160,6 @@ class FleetScenario:
     fidelity: str = "fast"
     #: Keep exact per-request latencies (never spill the sketches).
     exact: bool = False
-
-    # -- event-fidelity board-level knobs (passed through to repro.sim) -----
-    policy: str = "fifo"
-    batch_size: int = 4
-    ps_cores: int = 0
-    dma_channels: int = 1
 
     def __post_init__(self) -> None:
         if not self.boards:
@@ -219,15 +194,7 @@ class FleetScenario:
                 "autoscale_interval_s must be positive and finite "
                 f"(got {self.autoscale_interval_s!r})"
             )
-        if not 0.0 < self.autoscale_low < self.autoscale_high <= 1.0:
-            raise ValueError(
-                "autoscale bands must satisfy 0 < low < high <= 1 "
-                f"(got low={self.autoscale_low}, high={self.autoscale_high})"
-            )
-        if self.boot_s < 0:
-            raise ValueError("boot_s must be non-negative")
-        for name in ("min_powered", "cells"):
-            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
+        object.__setattr__(self, "cells", check_count("cells", self.cells, 1))
         if self.cells > self.total_boards:
             raise ValueError(
                 f"cells={self.cells} exceeds the {self.total_boards}-board inventory "
@@ -254,30 +221,18 @@ class FleetScenario:
                     "fidelity='event' requires exactly one traffic class (per-class "
                     "latency cannot be recovered from a board-level SimReport)"
                 )
-            if any(c.model is not None or c.depth is not None for c in classes):
-                raise ValueError(
-                    "per-class model/depth overrides require fidelity='fast' "
-                    "(event-fidelity boards serve one physical datapath)"
-                )
-        check_serving(self)
-        if self.fidelity == "fast":
-            for name in EVENT_ONLY_KNOBS:
-                if fast_fidelity_ignores(name, getattr(self, name)):
-                    raise ValueError(
-                        f"{name}={getattr(self, name)!r} requires fidelity='event' "
-                        "(the fast fleet kernel does not model it)"
-                    )
+        if not isinstance(self.exact, bool):
+            raise ValueError("exact must be a boolean")
 
-        # Fail fast on invalid design points: every (class, board) pair must
-        # be a constructible Scenario (unknown models/depths/boards surface
-        # here, not deep inside a worker process).  The fleet keeps the
-        # integer design knobs as the Scenario stores them.
+        # Fail fast on invalid design points: every board must run the
+        # design as a constructible Scenario (unknown models/depths/boards
+        # surface here, not deep inside a worker process).  The fleet keeps
+        # the integer design knobs as the Scenario stores them.
         design = self.design_point()
         for name in ("depth", "n_units", "word_length", "fraction_bits"):
             object.__setattr__(self, name, getattr(design, name))
         for group in self.boards:
-            for cls in classes:
-                self.design_point(cls, group.board)
+            self.design_point(group.board)
 
     # -- views -------------------------------------------------------------------------
 
@@ -304,41 +259,31 @@ class FleetScenario:
             if i % self.cells == cell
         )
 
-    def design_point(self, cls: Optional[TrafficClass] = None, board: Optional[str] = None) -> Scenario:
-        """The plain scenario a class's requests execute on a given board."""
+    def design_point(self, board: Optional[str] = None) -> Scenario:
+        """The plain scenario every request executes on a given board."""
 
-        knobs = shared_fields(self, Scenario)
-        for name in ("model", "depth"):
-            if getattr(cls, name, None) is not None:
-                knobs[name] = getattr(cls, name)
-        return Scenario(board=board if board is not None else self.boards[0].board, **knobs)
+        board = board if board is not None else self.boards[0].board
+        return Scenario(board=board, **shared_fields(self, Scenario))
 
     def board_sim_scenario(
         self, board: str, trace: Sequence[float], replicas: int,
         slo_s: Optional[float] = None,
     ) -> SimScenario:
-        """The per-board :class:`SimScenario` of the event-fidelity path."""
+        """The per-board :class:`SimScenario` of the event-fidelity path.
+
+        The board serves with every PS core it has (``ps_cores=0``) and the
+        simulator's default dispatch, as the fast kernel prices it.
+        """
 
         knobs = shared_fields(self, SimScenario, exclude=_FLEET_TRAFFIC)
         knobs.update(arrival="trace", trace=tuple(trace), replicas=replicas, slo_s=slo_s)
-        return SimScenario(board=board, **knobs)
+        return SimScenario(board=board, ps_cores=0, **knobs)
 
     def replace(self, **changes: object) -> "FleetScenario":
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> Dict[str, object]:
         return field_dict(self)
-
-
-def fast_fidelity_ignores(name: str, value: object) -> bool:
-    """Whether the fast fleet kernel would silently ignore ``name=value``.
-
-    True for a knob of :data:`EVENT_ONLY_KNOBS` set to anything but its
-    :class:`FleetScenario` default, the only value the fast kernel's
-    result stands for.
-    """
-
-    return name in EVENT_ONLY_KNOBS and value != FleetScenario.__dataclass_fields__[name].default
 
 
 # -- CLI-facing parsers ------------------------------------------------------------------

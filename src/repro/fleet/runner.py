@@ -31,9 +31,9 @@ from ..sim.metrics import QuantileSketch, energy_section, ps_energy_j
 from ..sim.policies import max_replicas
 from ..sim.scenario import DEFAULT_SLO_FACTOR
 from ..sim.workload import arrival_times, build_service_plan
-from .autoscale import AutoscaleController, AutoscalePolicy
+from .autoscale import AutoscaleController
 from .balancer import Balancer, BoardServer
-from .cluster import FleetScenario, TrafficClass
+from .cluster import FleetScenario
 from .report import BoardCell, CellResult, ClassCell
 
 __all__ = ["run_cell", "resolve_slos", "resolve_board_replicas"]
@@ -60,24 +60,16 @@ def resolve_board_replicas(
     return out
 
 
-def _service_tables(
+def _service_times(
     scenario: FleetScenario, evaluator: Evaluator
-) -> Dict[str, Tuple[List[float], List[float]]]:
-    """Per board type: (service seconds, PS seconds) for every traffic class."""
+) -> Dict[str, Tuple[float, float]]:
+    """Per board type: (service seconds, PS seconds) of one request."""
 
-    out: Dict[str, Tuple[List[float], List[float]]] = {}
+    out: Dict[str, Tuple[float, float]] = {}
     for group in scenario.boards:
-        if group.board in out:
-            continue
-        svc: List[float] = []
-        ps: List[float] = []
-        for cls in scenario.classes:
-            plan = build_service_plan(
-                scenario.design_point(cls, group.board), evaluator=evaluator
-            )
-            svc.append(plan.total_seconds)
-            ps.append(plan.ps_seconds)
-        out[group.board] = (svc, ps)
+        if group.board not in out:
+            plan = build_service_plan(scenario.design_point(group.board), evaluator=evaluator)
+            out[group.board] = (plan.total_seconds, plan.ps_seconds)
     return out
 
 
@@ -87,20 +79,19 @@ def resolve_slos(
     """The SLO each class is admitted/accounted against.
 
     Latency classes fall back to the scenario default, then to
-    ``DEFAULT_SLO_FACTOR`` times the class's no-load service on the fastest
-    board of the fleet.  Batch classes have no implicit SLO.
+    ``DEFAULT_SLO_FACTOR`` times the no-load service on the fastest board of
+    the fleet.  Batch classes have no implicit SLO.
     """
 
     ev = evaluator if evaluator is not None else Evaluator()
-    tables = _service_tables(scenario, ev)
+    fastest = min(svc for svc, _ in _service_times(scenario, ev).values())
     resolved: List[Optional[float]] = []
-    for ci, cls in enumerate(scenario.classes):
+    for cls in scenario.classes:
         if cls.slo_s is not None:
             resolved.append(cls.slo_s)
         elif scenario.slo_s is not None:
             resolved.append(scenario.slo_s)
         elif cls.kind == "latency":
-            fastest = min(tables[g.board][0][ci] for g in scenario.boards)
             resolved.append(DEFAULT_SLO_FACTOR * fastest)
         else:
             resolved.append(None)
@@ -139,13 +130,13 @@ def _build_boards(
     cell: int,
     evaluator: Evaluator,
     replicas: Dict[str, int],
-    tables: Dict[str, Tuple[List[float], List[float]]],
+    times: Dict[str, Tuple[float, float]],
 ) -> List[BoardServer]:
     boards: List[BoardServer] = []
     for index, group_index, name in scenario.cell_inventory(cell):
         spec = get_board(name)
         power = spec.power
-        svc, ps = tables[name]
+        svc, ps = times[name]
         n_rep = replicas[name]
         # The whole board's PL draw while powered: every instantiated
         # replica burns static + dynamic watts (its clock never gates) —
@@ -163,7 +154,7 @@ def _build_boards(
                 pl_w=pl_w,
                 ps_active_w=power.ps_active_w,
                 ps_idle_w=power.ps_idle_w,
-                ps_cores=scenario.ps_cores or spec.ps_cores,
+                ps_cores=spec.ps_cores,
             )
         )
     return boards
@@ -187,7 +178,7 @@ def run_cell(
     classes = scenario.classes
     n_classes = len(classes)
     replicas = resolve_board_replicas(scenario, ev)
-    tables = _service_tables(scenario, ev)
+    times = _service_times(scenario, ev)
     slos = resolve_slos(scenario, ev)
 
     rng = np.random.default_rng((scenario.seed, cell))
@@ -200,22 +191,13 @@ def run_cell(
         labels = np.zeros(n, dtype=np.intp)
     route_u = rng.random(n) if scenario.routing == "weighted" else None
 
-    boards = _build_boards(scenario, cell, ev, replicas, tables)
+    boards = _build_boards(scenario, cell, ev, replicas, times)
     balancer = Balancer(boards, scenario.routing)
     controller: Optional[AutoscaleController] = None
     next_tick = np.inf
     interval = scenario.autoscale_interval_s
     if scenario.autoscale:
-        controller = AutoscaleController(
-            boards,
-            AutoscalePolicy(
-                interval_s=interval,
-                high=scenario.autoscale_high,
-                low=scenario.autoscale_low,
-                boot_s=scenario.boot_s,
-                min_powered=scenario.min_powered,
-            ),
-        )
+        controller = AutoscaleController(boards, interval)
         next_tick = interval
 
     check_slo = scenario.admission == "slo"
@@ -243,16 +225,16 @@ def run_cell(
             events += 1
         c = int(labels[i])
         offered[c] += 1
-        board = balancer.route(t, c, kinds[c], route_u[i] if route_u is not None else None)
+        board = balancer.route(t, kinds[c], route_u[i] if route_u is not None else None)
         if board is None:
             rejected[c] += 1
             continue
         if check_slo and kinds[c] == "latency":
             slo = slos[c]
-            if slo is not None and (board.predicted_start(t) - t) + board.svc_s[c] > slo:
+            if slo is not None and (board.predicted_start(t) - t) + board.svc_s > slo:
                 rejected[c] += 1
                 continue
-        start, finish = board.assign(t, c)
+        start, finish = board.assign(t)
         events += 1
         if collect:
             per_board_trace[board_pos[board.index]].append(t)
@@ -299,7 +281,7 @@ def run_cell(
                 group=b.group,
                 name=b.name,
                 replicas=b.replicas,
-                served=sum(b.served),
+                served=b.served,
                 busy_seconds=b.busy_seconds,
                 powered_seconds=b.powered_seconds,
                 energy=b.energy_j(),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..fixedpoint.qformat import QFormat, Q20
 from ..platform import ZYNQ_XC7Z020
-from .geometry import BlockGeometry
+from .geometry import NUM_CONVS, BlockGeometry
 
 __all__ = [
     "BramRegion",
@@ -71,11 +71,11 @@ def bram_tiles_kernel(geometry: BlockGeometry, bytes_per_value):
     """
 
     bpv = np.asarray(bytes_per_value, dtype=np.int64)
-    per_conv_weights = geometry.weight_count // geometry.num_convs
+    per_conv_weights = geometry.weight_count // NUM_CONVS
     conv_tiles = tiles_for_bytes_kernel(per_conv_weights * bpv)
     bn_tiles = tiles_for_bytes_kernel(geometry.bn_parameter_count * bpv)
     fmap_tiles = tiles_for_bytes_kernel(geometry.output_elements * bpv)
-    return geometry.num_convs * conv_tiles + bn_tiles + len(FEATURE_MAP_BUFFERS) * fmap_tiles
+    return NUM_CONVS * conv_tiles + bn_tiles + len(FEATURE_MAP_BUFFERS) * fmap_tiles
 
 
 def bram_fits_kernel(total_tiles):
@@ -154,10 +154,10 @@ def plan_block_allocation(
     bpv = qformat.bytes_per_value
     regions: List[BramRegion] = []
 
-    per_conv_weights = geometry.weight_count // geometry.num_convs
+    per_conv_weights = geometry.weight_count // NUM_CONVS
     per_conv_bytes = per_conv_weights * bpv
     banks = max(1, min(n_units, geometry.out_channels))
-    for i in range(geometry.num_convs):
+    for i in range(NUM_CONVS):
         # Weight words are interleaved across `banks` banks for parallel
         # access.  The tile count is driven by capacity; banking mainly
         # affects how the words are distributed, so at least one tile per

@@ -1,17 +1,19 @@
 """Geometry of the convolutional building blocks implemented on the PL part.
 
-A :class:`BlockGeometry` captures everything the hardware model needs to know
-about one ODEBlock / ResNet building block: channel count, feature-map size,
-kernel size and stride.  The three blocks the paper implements on the FPGA
-(Section 3.1) are provided as constants:
+A :class:`BlockGeometry` captures what varies between the blocks the paper
+offloads: channel count and feature-map size.  Every such block is the same
+building block (Section 3.1): :data:`NUM_CONVS` :data:`KERNEL` x
+:data:`KERNEL` convolutions at stride :data:`STRIDE` and
+:data:`NUM_BATCH_NORMS` batch norms.  The three blocks the paper implements
+on the FPGA are provided as constants:
 
-=========  =========  ================  ======
-name       channels   feature map       stride
-=========  =========  ================  ======
-layer1     16         32 x 32           1
-layer2_2   32         16 x 16           1
-layer3_2   64         8 x 8             1
-=========  =========  ================  ======
+=========  =========  ================
+name       channels   feature map
+=========  =========  ================
+layer1     16         32 x 32
+layer2_2   32         16 x 16
+layer3_2   64         8 x 8
+=========  =========  ================
 
 (Table 2 lists the *output* size of each layer group; the strided
 down-sampling blocks layer2_1 / layer3_1 halve the spatial size, so the
@@ -24,6 +26,10 @@ from dataclasses import dataclass
 from typing import Dict
 
 __all__ = [
+    "KERNEL",
+    "STRIDE",
+    "NUM_CONVS",
+    "NUM_BATCH_NORMS",
     "BlockGeometry",
     "LAYER1",
     "LAYER2_2",
@@ -31,6 +37,16 @@ __all__ = [
     "OFFLOADABLE_BLOCKS",
     "block_geometry",
 ]
+
+
+#: Side of the square convolution kernel.
+KERNEL = 3
+#: Convolution stride: an offloaded block keeps its feature-map size.
+STRIDE = 1
+#: Convolutions per block.
+NUM_CONVS = 2
+#: Batch-normalisation steps per block.
+NUM_BATCH_NORMS = 2
 
 
 @dataclass(frozen=True)
@@ -42,18 +58,6 @@ class BlockGeometry:
     out_channels: int
     height: int
     width: int
-    kernel: int = 3
-    stride: int = 1
-    num_convs: int = 2
-    num_batch_norms: int = 2
-
-    @property
-    def out_height(self) -> int:
-        return self.height // self.stride
-
-    @property
-    def out_width(self) -> int:
-        return self.width // self.stride
 
     @property
     def input_elements(self) -> int:
@@ -65,46 +69,37 @@ class BlockGeometry:
     def output_elements(self) -> int:
         """Number of values in the output feature map."""
 
-        return self.out_channels * self.out_height * self.out_width
+        return self.out_channels * self.height * self.width
 
     @property
     def macs_per_conv(self) -> int:
         """Multiply-accumulate operations of one 3x3 convolution."""
 
-        return (
-            self.out_channels
-            * self.in_channels
-            * self.kernel
-            * self.kernel
-            * self.out_height
-            * self.out_width
-        )
+        return self.out_channels * self.in_channels * KERNEL * KERNEL * self.height * self.width
 
     @property
     def total_macs(self) -> int:
         """MACs of the whole block (both convolutions)."""
 
-        return self.macs_per_conv * self.num_convs
+        return self.macs_per_conv * NUM_CONVS
 
     @property
     def bn_elements(self) -> int:
         """Elements processed by the batch-normalisation steps (both BNs)."""
 
-        return self.output_elements * self.num_batch_norms
+        return self.output_elements * NUM_BATCH_NORMS
 
     @property
     def weight_count(self) -> int:
         """Number of weight parameters of the two convolutions."""
 
-        per_conv = self.out_channels * self.in_channels * self.kernel * self.kernel
-        return per_conv * self.num_convs
+        return self.out_channels * self.in_channels * KERNEL * KERNEL * NUM_CONVS
 
     @property
     def bn_parameter_count(self) -> int:
         """Gamma/beta (and running statistics) of the two BN steps."""
 
-        return 4 * self.out_channels * self.num_batch_norms
-
+        return 4 * self.out_channels * NUM_BATCH_NORMS
 
 
 LAYER1 = BlockGeometry(name="layer1", in_channels=16, out_channels=16, height=32, width=32)

@@ -27,7 +27,7 @@ from .axi import AxiTransferModel, TransferEstimate
 from .bram import BramPlan, plan_block_allocation
 from .cycles import CycleBreakdown, OdeBlockCycleModel
 from ..platform import PYNQ_Z2
-from .geometry import BlockGeometry, block_geometry
+from .geometry import KERNEL, BlockGeometry, block_geometry
 from .ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
 from .resources import ResourceEstimate, ResourceEstimator
 from .timing import TimingModel, TimingReport
@@ -56,8 +56,7 @@ class BlockWeights:
 
         rng = rng or np.random.default_rng(0)
         c = geometry.out_channels
-        k = geometry.kernel
-        shape = (c, geometry.in_channels, k, k)
+        shape = (c, geometry.in_channels, KERNEL, KERNEL)
         return cls(
             conv1_weight=rng.normal(0.0, scale, size=shape),
             bn1_gamma=np.ones(c),
@@ -103,10 +102,6 @@ class HardwareODEBlock:
                 f"(got {qformat.word_length}): its double-width products are int64"
             )
         self.geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
-        if self.geometry.stride != 1:
-            raise ValueError(
-                "the PL datapath supports stride-1 blocks only (all offloadable blocks)"
-            )
         self.n_units = n_units
         self.qformat = qformat
         self.dynamic_bn_stats = dynamic_bn_stats

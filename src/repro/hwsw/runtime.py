@@ -39,11 +39,11 @@ class PredictionReport:
 
     batch_size: int
     pl_layers: Tuple[str, ...]
-    pl_invocations: Dict[str, int] = field(default_factory=dict)
-    pl_compute_seconds: float = 0.0
-    pl_transfer_seconds: float = 0.0
-    modeled_total_without_pl: float = 0.0
-    modeled_total_with_pl: float = 0.0
+    pl_invocations: Dict[str, int] = field(default_factory=dict, init=False)
+    pl_compute_seconds: float = field(default=0.0, init=False)
+    pl_transfer_seconds: float = field(default=0.0, init=False)
+    modeled_total_without_pl: float = field(default=0.0, init=False)
+    modeled_total_with_pl: float = field(default=0.0, init=False)
 
     @property
     def modeled_speedup(self) -> float:

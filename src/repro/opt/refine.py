@@ -41,7 +41,8 @@ import numpy as np
 from .._checks import check_count, check_seed
 from .._pool import ordered_map
 from ..api.evaluator import Evaluator
-from ..fleet.cluster import fast_fidelity_ignores
+from ..fleet.cluster import FleetScenario
+from ..sim.scenario import SimScenario
 from .constraints import Constraint, Objective, parse_constraint, parse_objective
 from .report import CandidateRecord, OptReport
 from .screen import (
@@ -357,15 +358,13 @@ def optimize(
                 f"unknown metric '{metric}' in {where}; metrics at "
                 f"fidelity={fidelity}: {', '.join(known)}"
             )
-    if fidelity == "fleet":
-        settings = [("axis", n, v) for n, values in space.axes.items() for v in values]
-        settings += [("fixed knob", n, v) for n, v in space.fixed.items()]
-        for kind, name, value in settings:
-            if fast_fidelity_ignores(name, value):
-                raise ValueError(
-                    f"{kind} '{name}' value {value!r} is not modelled at fidelity=fleet "
-                    "(the fast fleet kernel ignores it); use fidelity=sim or drop it"
-                )
+    if fidelity != "analytic":
+        runs = FleetScenario if fidelity == "fleet" else SimScenario
+        for kind, name in space.unmodelled(runs):
+            raise ValueError(
+                f"{kind} '{name}' is not modelled at fidelity={fidelity} ({runs.__name__} "
+                "has no such field); drop it or search at another fidelity"
+            )
     referenced = {obj.metric} | {c.metric for c in cons}
     if fidelity == "sim" and "slo_violation_fraction" in referenced:
         if space.fixed.get("slo_s") is None:

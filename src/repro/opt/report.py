@@ -47,7 +47,7 @@ class CandidateRecord:
     objective: Optional[float]
     feasible: Optional[bool]
     metrics: Dict[str, Optional[float]]
-    rungs: List[Dict[str, object]] = field(default_factory=list)
+    rungs: List[Dict[str, object]] = field(default_factory=list, init=False)
 
     def as_dict(self) -> Dict[str, object]:
         return {

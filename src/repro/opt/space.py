@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .._checks import check_count
 from ..api.scenario import Scenario, check_board
 from ..fixedpoint.qformat import QFormat
-from ..fleet.cluster import EVENT_ONLY_KNOBS, BoardGroup, FleetScenario
+from ..fleet.cluster import BoardGroup, FleetScenario
 from ..ode.solvers import available_methods
 from ..platform import PYNQ_Z2
 from ..sim.policies import POLICY_NAMES
@@ -57,6 +57,8 @@ AXIS_ORDER: Tuple[str, ...] = (
 #: into every realised scenario type that has it (``pl_clock_hz`` only into
 #: the design point and the sim scenario, ``routing`` only into the fleet);
 #: ``count`` is the fleet inventory size (boards of the candidate's type).
+#: A serving fidelity refuses a knob its scenario type does not have
+#: (:meth:`SearchSpace.unmodelled`).
 FIXED_KEYS: Tuple[str, ...] = (
     "pl_clock_hz",
     "arrival",
@@ -72,6 +74,10 @@ FIXED_KEYS: Tuple[str, ...] = (
     "routing",
     "admission",
 )
+
+
+#: The scenario fields the ``qformat`` axis sets.
+_QFORMAT_FIELDS: Tuple[str, ...] = ("word_length", "fraction_bits")
 
 
 def _axis_value_str(name: str, value: object) -> str:
@@ -244,10 +250,25 @@ class SearchSpace:
 
         values = dict(candidate.values)
         if "qformat" in values:
-            values["word_length"], values["fraction_bits"] = values.pop("qformat")
+            values.update(zip(_QFORMAT_FIELDS, values.pop("qformat")))
         values.update(self.fixed)
         names = {f.name for f in dataclasses.fields(cls)}
         return {name: value for name, value in values.items() if name in names}
+
+    def unmodelled(self, cls: type) -> List[Tuple[str, str]]:
+        """``(kind, name)`` of every axis and fixed knob that sets no field
+        of ``cls``, the scenario type a serving fidelity runs.
+
+        ``qformat`` sets ``word_length`` and ``fraction_bits`` (as in
+        :meth:`_kwargs`); a fleet's ``board`` and ``count`` set its inventory.
+        """
+
+        names = {f.name for f in dataclasses.fields(cls)}
+        if cls is FleetScenario:
+            names |= {"board", "count"}
+        knobs = [("axis", name) for name in self.axes] + [("fixed knob", name) for name in self.fixed]
+        return [(kind, name) for kind, name in knobs
+                if not names.issuperset(_QFORMAT_FIELDS if name == "qformat" else (name,))]
 
     def scenario(self, candidate: Candidate) -> Scenario:
         """The candidate's analytic design point (serving axes ignored)."""
@@ -288,16 +309,12 @@ class SearchSpace:
     ) -> FleetScenario:
         """The candidate as a homogeneous fleet of ``fixed["count"]`` boards.
 
-        The fleet runs at fast fidelity, which models none of
-        :data:`~repro.fleet.cluster.EVENT_ONLY_KNOBS`: they are left out here
-        (so a sim or faults search over them still validates eagerly), and
-        :func:`repro.opt.optimize` rejects a fleet search that sets one to a
-        value other than its fleet default.
+        Knobs a fleet does not have are left out here (so a sim or faults
+        search over them still validates eagerly); :func:`repro.opt.optimize`
+        refuses them at fleet fidelity.
         """
 
         kwargs = self._kwargs(candidate, FleetScenario)
-        for name in EVENT_ONLY_KNOBS:
-            kwargs.pop(name, None)
         self._scale_stop(kwargs, fraction, default_n=1000)
         group = BoardGroup(candidate.get("board", PYNQ_Z2.name), int(self.fixed.get("count", 1)))
         return FleetScenario(boards=(group,), seed=seed, **kwargs)

@@ -86,8 +86,6 @@ class FpgaDevice:
     dsp: int
     lut: int
     ff: int
-    bram36_bytes: int = 4096  # usable data bytes per BRAM36 tile
-
 
 
 @dataclass(frozen=True)

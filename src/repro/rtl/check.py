@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Union
 
 from ..fixedpoint import QFormat
 from ..fpga.bram import plan_block_allocation
-from ..fpga.geometry import BlockGeometry
+from ..fpga.geometry import KERNEL, STRIDE, BlockGeometry
 from ..fpga.resources import ResourceEstimator
 from ..platform import PYNQ_Z2
 from ..platform.registry import BOARDS
@@ -107,14 +107,18 @@ def _load_manifest(bundle: Path) -> Dict:
 
 def _geometry_from(manifest: Dict) -> BlockGeometry:
     b = manifest["block"]
+    for key, fixed in (("kernel", KERNEL), ("stride", STRIDE)):
+        if b.get(key, fixed) != fixed:
+            raise ManifestError(
+                f"{MANIFEST_FILE} declares block {key}={b[key]!r}; "
+                f"every offloaded block has {key}={fixed}"
+            )
     return BlockGeometry(
         name=b["name"],
         in_channels=b["in_channels"],
         out_channels=b["out_channels"],
         height=b["height"],
         width=b["width"],
-        kernel=b.get("kernel", 3),
-        stride=b.get("stride", 1),
     )
 
 
@@ -176,7 +180,7 @@ def check_bundle(bundle_dir: Union[str, Path]) -> Dict:
     ) // bpv
     # The BRAM plan sizes the geometry's own channels; time concat adds one
     # input channel (C*K*K extra words per conv layer) on top of the plan.
-    extra = 2 * geometry.out_channels * geometry.kernel ** 2 if time_concat else 0
+    extra = 2 * geometry.out_channels * KERNEL ** 2 if time_concat else 0
     expected_conv_words = plan_conv_words + extra
     expected_bn_words = plan.region("bn_parameters").num_bytes // bpv
 

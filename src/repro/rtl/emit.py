@@ -36,7 +36,7 @@ from .._checks import check_count
 from ..fixedpoint import Q20, QFormat
 from ..fpga.bram import plan_block_allocation
 from ..fpga.export import WeightImageHeader, _dtype_for, export_block_weights
-from ..fpga.geometry import BlockGeometry, block_geometry
+from ..fpga.geometry import KERNEL, STRIDE, BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights
 from ..fpga.ops import BN_EPS
 from ..fpga.resources import ResourceEstimator
@@ -108,9 +108,8 @@ def random_block_weights(
 
     rng = np.random.default_rng(seed)
     c = geometry.out_channels
-    k = geometry.kernel
     c_in = geometry.in_channels + (1 if time_concat else 0)
-    shape = (c, c_in, k, k)
+    shape = (c, c_in, KERNEL, KERNEL)
     return BlockWeights(
         conv1_weight=rng.normal(0.0, scale, size=shape),
         bn1_gamma=np.ones(c),
@@ -223,7 +222,7 @@ def _cycle_guess(geometry: BlockGeometry, n_units: int, time_concat: bool) -> in
     hw = geometry.height * geometry.width
     chw = c * hw
     c_inc = geometry.in_channels + (1 if time_concat else 0)
-    conv = -(-c // min(n_units, c)) * hw * c_inc * geometry.kernel * geometry.kernel
+    conv = -(-c // min(n_units, c)) * hw * c_inc * KERNEL * KERNEL
     bn = c * (3 * hw + 8)
     return hw + 2 * (conv + chw + bn + 16) + 3 * chw + 64
 
@@ -244,16 +243,12 @@ def emit_odeblock(
     Parameters mirror :class:`~repro.fpga.odeblock_hw.HardwareODEBlock`;
     ``weights=None`` draws seeded random weights (tests/benches).  Raises
     :class:`ValueError` for configurations the emitter does not model
-    (stride > 1, word lengths above 32 bits, non-square kernels).
+    (``in_channels != out_channels``, word lengths above 32 bits).
     """
 
     geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
-    if geometry.stride != 1:
-        raise ValueError("RTL emission supports stride-1 blocks only (all offloadable blocks)")
     if geometry.in_channels != geometry.out_channels:
         raise ValueError("RTL emission requires in_channels == out_channels (residual block)")
-    if geometry.kernel % 2 == 0:
-        raise ValueError("RTL emission requires an odd kernel (same-size zero padding)")
     if qformat.word_length > 32:
         raise ValueError(
             "RTL emission supports word lengths up to 32 bits "
@@ -268,7 +263,7 @@ def emit_odeblock(
         weights = random_block_weights(geometry, time_concat=time_concat, seed=seed)
 
     c = geometry.out_channels
-    k = geometry.kernel
+    k = KERNEL
     pad = (k - 1) // 2
     h, w = geometry.height, geometry.width
     hw = h * w
@@ -384,7 +379,7 @@ def emit_odeblock(
             "height": h,
             "width": w,
             "kernel": k,
-            "stride": geometry.stride,
+            "stride": STRIDE,
         },
         "qformat": {"word_length": word, "fraction_bits": frac},
         "board": {"name": board.name, "pl_clock_hz": board.pl_clock_hz},

@@ -89,7 +89,7 @@ class SimSystem:
     #: Fault-dedicated RNG (separate stream from the workload's seed, so
     #: injecting a fault never perturbs arrivals or mix sampling).
     rng: np.random.Generator
-    counters: Dict[str, int] = field(default_factory=dict)
+    counters: Dict[str, int] = field(default_factory=dict, init=False)
 
 
 def _request_process(
@@ -288,7 +288,6 @@ def simulate(
             accelerators=accelerators,
             qformat=design.qformat,
             rng=np.random.default_rng(fault_seed),
-            counters={},
         )
         for mode, t_inject in injections:
             _arm_fault(sim, system, mode, t_inject, fault_log, fault_times)

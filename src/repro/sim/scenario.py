@@ -29,7 +29,7 @@ from ..api.scenario import Scenario, check_count, check_seed, shared_fields
 from .policies import POLICY_NAMES
 from .workload import ARRIVAL_KINDS
 
-__all__ = ["DEFAULT_SLO_FACTOR", "SimScenario", "check_serving", "check_traffic"]
+__all__ = ["DEFAULT_SLO_FACTOR", "SimScenario", "check_traffic"]
 
 #: A run with no explicit SLO is judged against this multiple of its no-load
 #: service time (the latency-knee convention of ``examples/serving_study.py``);
@@ -74,24 +74,6 @@ def check_traffic(scenario) -> None:
         value = getattr(scenario, name)
         if value is not None and not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, or None (got {value!r})")
-
-
-def check_serving(scenario) -> None:
-    """Validate the per-board serving knobs :class:`SimScenario` and the
-    fleet's ``FleetScenario`` share (dispatch policy, batch size, PS cores,
-    DMA channels, exact latencies), naming the field at fault and storing
-    the counts as plain ints."""
-
-    if scenario.policy not in POLICY_NAMES:
-        raise ValueError(f"unknown policy '{scenario.policy}'; expected one of {POLICY_NAMES}")
-    for name, minimum, note in (
-        ("batch_size", 1, ""),
-        ("ps_cores", 0, " (0 = the board's cores)"),
-        ("dma_channels", 1, ""),
-    ):
-        object.__setattr__(scenario, name, check_count(name, getattr(scenario, name), minimum, note))
-    if not isinstance(scenario.exact, bool):
-        raise ValueError("exact must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,16 @@ class SimScenario(Scenario):
         object.__setattr__(
             self, "replicas", check_count("replicas", self.replicas, 0, " (0 = auto-size)")
         )
-        check_serving(self)
+        if self.policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy '{self.policy}'; expected one of {POLICY_NAMES}")
+        for name, minimum, note in (
+            ("batch_size", 1, ""),
+            ("ps_cores", 0, " (0 = the board's cores)"),
+            ("dma_channels", 1, ""),
+        ):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), minimum, note))
+        if not isinstance(self.exact, bool):
+            raise ValueError("exact must be a boolean")
         if not 0 <= self.warmup_s < math.inf:
             raise ValueError(f"warmup_s must be non-negative and finite (got {self.warmup_s!r})")
 

@@ -23,7 +23,7 @@ Three concerns live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,13 +58,13 @@ class Request:
     index: int
     arrival: float
     scenario: Scenario
-    completed: Optional[float] = None
-    ps_wait: float = 0.0
-    pl_wait: float = 0.0
+    completed: Optional[float] = field(default=None, init=False)
+    ps_wait: float = field(default=0.0, init=False)
+    pl_wait: float = field(default=0.0, init=False)
     #: Set by the DMA-corruption fault mode when a bit flip lands in the
     #: request's activations badly enough to saturate the fixed-point
     #: accumulators; a corrupted completion counts as an SLO violation.
-    corrupted: bool = False
+    corrupted: bool = field(default=False, init=False)
 
     @property
     def latency(self) -> float:
@@ -243,16 +243,20 @@ def sample_mix(
 ) -> List[Scenario]:
     """Draw ``n`` per-request scenarios from a weighted mix (reproducibly).
 
-    Weights need not be normalised; they must be non-negative with a
-    positive sum.  A single-entry mix short-circuits to a constant stream.
+    Weights need not be normalised; they must be finite and non-negative
+    with a positive sum.  A single-entry mix short-circuits to a constant
+    stream.
     """
 
     if not mix:
         raise ValueError("mix must contain at least one (scenario, weight) entry")
     scenarios = [s for s, _ in mix]
     weights = np.asarray([float(w) for _, w in mix], dtype=np.float64)
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("mix weights must be non-negative with a positive sum")
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
+        raise ValueError(
+            f"mix weights must be finite and non-negative with a positive sum "
+            f"(got {[float(w) for w in weights]})"
+        )
     if len(mix) == 1:
         return [scenarios[0]] * n
     if rng is None:

@@ -40,7 +40,7 @@ class EpochMetrics:
 class TrainingHistory:
     """Sequence of epoch metrics for one training run."""
 
-    epochs: List[EpochMetrics] = field(default_factory=list)
+    epochs: List[EpochMetrics] = field(default_factory=list, init=False)
 
     def append(self, metrics: EpochMetrics) -> None:
         self.epochs.append(metrics)

@@ -6,40 +6,39 @@ import pytest
 
 from repro.fleet import (
     AutoscaleController,
-    AutoscalePolicy,
     BoardGroup,
     BoardServer,
     FleetScenario,
     simulate_fleet,
 )
+from repro.fleet.autoscale import BOOT_S, HIGH, LOW, MIN_POWERED
 
 
 def make_board(index: int = 0) -> BoardServer:
     return BoardServer(
         index=index, group=0, name="PYNQ-Z2", replicas=1,
-        svc_s=(1.0,), ps_s=(0.1,), pl_w=2.0, ps_active_w=1.3, ps_idle_w=0.3,
+        svc_s=1.0, ps_s=0.1, pl_w=2.0, ps_active_w=1.3, ps_idle_w=0.3,
         ps_cores=2,
     )
 
 
-def controller(n_boards: int = 3, **policy_knobs) -> AutoscaleController:
-    policy = AutoscalePolicy(**{"interval_s": 10.0, **policy_knobs})
+def controller(n_boards: int = 3) -> AutoscaleController:
     boards = [make_board(index=i) for i in range(n_boards)]
-    return AutoscaleController(boards, policy)
+    return AutoscaleController(boards, 10.0)
 
 
 class TestPolicyValidation:
     def test_bands_must_be_ordered(self):
-        with pytest.raises(ValueError, match="bands"):
-            AutoscalePolicy(high=0.3, low=0.75)
+        assert 0.0 < LOW < HIGH <= 1.0
+        assert BOOT_S >= 0.0
 
     def test_interval_positive(self):
         with pytest.raises(ValueError, match="interval"):
-            AutoscalePolicy(interval_s=0.0)
+            FleetScenario(autoscale=True, autoscale_interval_s=0.0)
 
     def test_min_powered_positive(self):
-        with pytest.raises(ValueError, match="min_powered"):
-            AutoscalePolicy(min_powered=0)
+        # A cell always keeps a board up to serve the next arrival.
+        assert isinstance(MIN_POWERED, int) and MIN_POWERED >= 1
 
 
 class TestController:
@@ -52,10 +51,10 @@ class TestController:
         assert not ctl.boards[2].powered
 
     def test_never_scales_below_min_powered(self):
-        ctl = controller(min_powered=2)
+        ctl = controller()
         for t in (10.0, 20.0, 30.0, 40.0):
             ctl.tick(t)
-        assert ctl.powered_count == 2
+        assert ctl.powered_count == MIN_POWERED
 
     def test_hot_window_powers_up_first_unpowered(self):
         ctl = controller()
@@ -63,16 +62,16 @@ class TestController:
         ctl.boards[1].power_down(0.0)
         # Saturate the one powered board's window.
         for _ in range(12):
-            ctl.boards[2].assign(0.0, 0)
+            ctl.boards[2].assign(0.0)
         ctl.tick(10.0)
         assert ctl.events[-1]["action"] == "up"
         assert ctl.events[-1]["board"] == 0  # first unpowered in inventory order
         assert ctl.boards[0].powered
 
     def test_window_is_differential_not_cumulative(self):
-        ctl = controller(n_boards=1, min_powered=1)
+        ctl = controller(n_boards=1)
         for _ in range(12):
-            ctl.boards[0].assign(0.0, 0)
+            ctl.boards[0].assign(0.0)
         ctl.tick(10.0)  # hot window (nothing to power up — sole board)
         ctl.tick(20.0)  # the same busy seconds must not count twice
         assert ctl._last_busy == ctl.boards[0].busy_seconds

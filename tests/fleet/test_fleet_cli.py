@@ -86,11 +86,9 @@ class TestFleetCommand:
         assert [r["scenario"]["board"] for r in reports] == ["PYNQ-Z2", "PYNQ-Z2", "ZCU104"]
         for report in reports:
             scenario = report["scenario"]
-            for key in ("policy", "batch_size", "dma_channels", "exact"):
-                assert scenario[key] == fleet[key], key
-            # ps_cores=0 means "the board's cores"; the report carries the
-            # resolved count.
-            assert fleet["ps_cores"] == 0
+            assert scenario["exact"] == fleet["exact"]
+            # Every board serves with all its PS cores; the report carries
+            # the resolved count.
             assert scenario["ps_cores"] == get_board(scenario["board"]).ps_cores
             # Each board replays its assigned trace whole: the fleet's
             # offered-traffic knobs must not leak into it.
@@ -104,14 +102,12 @@ class TestFleetCommand:
     def test_event_board_scenario_copies_every_serving_knob(self):
         fleet = FleetScenario(
             boards=(BoardGroup("PYNQ-Z2", 2),), arrival_rate_hz=3.0, n_requests=9,
-            duration_s=50.0, policy="batched", batch_size=2, ps_cores=2,
-            dma_channels=2, exact=True, seed=5, fidelity="event",
+            duration_s=50.0, n_units=8, exact=True, seed=5, fidelity="event",
         )
         board = fleet.board_sim_scenario("PYNQ-Z2", (0.0, 0.5), replicas=1, slo_s=0.4)
         assert board == SimScenario(
-            model=fleet.model, depth=fleet.depth, board="PYNQ-Z2", arrival="trace",
-            trace=(0.0, 0.5), replicas=1, policy="batched", batch_size=2, seed=5,
-            ps_cores=2, dma_channels=2, exact=True, slo_s=0.4,
+            model=fleet.model, depth=fleet.depth, n_units=8, board="PYNQ-Z2", arrival="trace",
+            trace=(0.0, 0.5), replicas=1, seed=5, ps_cores=0, exact=True, slo_s=0.4,
         )
 
 
@@ -120,15 +116,20 @@ class TestFastFidelityKnobs:
         "knob", [dict(policy="batched"), dict(batch_size=8), dict(dma_channels=4)]
     )
     def test_fast_fidelity_rejects_event_only_knobs(self, knob):
-        # The fast kernel ignores them, so a non-default value would be a
-        # silent no-op; the error names the field.
+        # Neither fidelity's fleet has a dispatch policy, batch size or DMA
+        # channel count to set: the name is refused, not silently ignored.
         (name,) = knob
-        with pytest.raises(ValueError, match=f"{name}=.*requires fidelity='event'"):
+        with pytest.raises(TypeError, match=name):
             FleetScenario(**knob)
 
     def test_defaults_and_event_fidelity_accept_them(self):
-        FleetScenario(policy="fifo", batch_size=4, dma_channels=1)
-        FleetScenario(policy="batched", batch_size=8, dma_channels=4, fidelity="event")
+        # An event-fidelity board serves with the simulator's defaults for
+        # them and every PS core it has, the board the fast kernel prices.
+        board = FleetScenario(fidelity="event").board_sim_scenario("PYNQ-Z2", (0.0,), 1)
+        defaults = SimScenario()
+        assert (board.policy, board.batch_size, board.dma_channels, board.ps_cores) == (
+            defaults.policy, defaults.batch_size, defaults.dma_channels, 0
+        )
 
 
 class TestFleetCliErrors:

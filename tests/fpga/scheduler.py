@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.fpga.geometry import BlockGeometry
+from repro.fpga.geometry import KERNEL, NUM_BATCH_NORMS, NUM_CONVS, BlockGeometry
 
 __all__ = ["ScheduleTrace", "UnitTrace", "DatapathScheduler", "schedule_cycles_kernel"]
 
@@ -51,15 +51,15 @@ def schedule_cycles_kernel(
     """
 
     units = np.minimum(np.maximum(np.asarray(n_units, dtype=np.int64), 1), geometry.out_channels)
-    pixels = geometry.out_height * geometry.out_width
+    pixels = geometry.height * geometry.width
     max_channels = -(-geometry.out_channels // units)  # most-loaded unit
     conv_cycles = np.zeros_like(units, dtype=np.float64)
-    for conv_index in range(geometry.num_convs):
+    for conv_index in range(NUM_CONVS):
         in_channels = geometry.in_channels if conv_index == 0 else geometry.out_channels
-        per_output_macs = in_channels * geometry.kernel * geometry.kernel
+        per_output_macs = in_channels * KERNEL * KERNEL
         conv_cycles = conv_cycles + max_channels * pixels * per_output_macs * issue_interval
     bn_cycles = (
-        geometry.num_batch_norms
+        NUM_BATCH_NORMS
         * geometry.output_elements
         * bn_passes
         * bn_cycles_per_element_pass
@@ -167,8 +167,8 @@ class DatapathScheduler:
     def simulate_conv_pass(self, geometry: BlockGeometry, n_units: int, in_channels: int) -> List[UnitTrace]:
         """Simulate one convolution step (all output pixels, all channels)."""
 
-        per_output_macs = in_channels * geometry.kernel * geometry.kernel
-        pixels = geometry.out_height * geometry.out_width
+        per_output_macs = in_channels * KERNEL * KERNEL
+        pixels = geometry.height * geometry.width
         traces = []
         for unit, channels in enumerate(self.assign_output_channels(geometry.out_channels, n_units)):
             macs = len(channels) * pixels * per_output_macs
@@ -199,13 +199,13 @@ class DatapathScheduler:
         # First convolution reads the block input; the second reads the
         # intermediate feature map (same channel count for the repeated
         # blocks the paper offloads).
-        for conv_index in range(geometry.num_convs):
+        for conv_index in range(NUM_CONVS):
             in_channels = geometry.in_channels if conv_index == 0 else geometry.out_channels
             pass_traces = self.simulate_conv_pass(geometry, n_units, in_channels)
             trace.conv_passes.append(pass_traces)
             trace.conv_cycles += max(t.busy_cycles for t in pass_traces)
 
-        trace.bn_cycles = geometry.num_batch_norms * self.simulate_bn_pass(geometry)
+        trace.bn_cycles = NUM_BATCH_NORMS * self.simulate_bn_pass(geometry)
         if not self.relu_fused:
             units = max(1, min(n_units, geometry.out_channels))
             trace.relu_cycles = geometry.output_elements / units

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fpga import LAYER1, LAYER2_2, LAYER3_2, OFFLOADABLE_BLOCKS, block_geometry
+from repro.fpga.geometry import KERNEL, NUM_BATCH_NORMS, NUM_CONVS, STRIDE
 
 
 class TestBlockGeometries:
@@ -14,9 +15,8 @@ class TestBlockGeometries:
         assert (LAYER1.in_channels, LAYER1.height) == (16, 32)
         assert (LAYER2_2.in_channels, LAYER2_2.height) == (32, 16)
         assert (LAYER3_2.in_channels, LAYER3_2.height) == (64, 8)
-        for geom in (LAYER1, LAYER2_2, LAYER3_2):
-            assert geom.kernel == 3 and geom.stride == 1
-            assert geom.num_convs == 2 and geom.num_batch_norms == 2
+        assert KERNEL == 3 and STRIDE == 1
+        assert NUM_CONVS == 2 and NUM_BATCH_NORMS == 2
 
     def test_all_blocks_have_equal_macs(self):
         """Channel doubling exactly offsets the spatial halving."""
@@ -43,8 +43,12 @@ class TestBlockGeometries:
             block_geometry("layer9")
 
     def test_strided_geometry_out_size(self):
+        # Every block runs at STRIDE 1, so the output keeps the input's
+        # feature-map size even where the channel count changes, and a
+        # geometry cannot be given another stride.
         from repro.fpga.geometry import BlockGeometry
 
-        strided = BlockGeometry("ds", 16, 32, 32, 32, stride=2)
-        assert strided.out_height == 16 and strided.out_width == 16
-        assert strided.output_elements == 32 * 16 * 16
+        geom = BlockGeometry("ds", 16, 32, 32, 32)
+        assert geom.output_elements == 32 * 32 * 32
+        with pytest.raises(TypeError, match="stride"):
+            BlockGeometry("ds", 16, 32, 32, 32, stride=2)

@@ -118,10 +118,11 @@ class TestWordLengthLimit:
             HardwareODEBlock(small_geometry, weights, qformat=QFormat(word_length, 16))
 
 
-def test_strided_blocks_are_rejected(rng):
-    strided = BlockGeometry("ds", 8, 8, 4, 4, stride=2)
-    with pytest.raises(ValueError, match="stride-1 blocks only"):
-        HardwareODEBlock(strided, BlockWeights.random(strided, rng))
+def test_strided_blocks_are_rejected():
+    # The PL datapath is stride-1 only, and a block geometry has no stride
+    # to set: a strided block cannot reach HardwareODEBlock at all.
+    with pytest.raises(TypeError, match="stride"):
+        BlockGeometry("ds", 8, 8, 4, 4, stride=2)
 
 
 class TestTimeConcat:

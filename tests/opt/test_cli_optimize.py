@@ -94,15 +94,14 @@ class TestErrors:
         assert named in err
         assert "fidelity=fleet" in err
 
-    def test_fleet_fidelity_accepts_default_only_axes(self, capsys):
-        # An axis holding only the fleet default is the fleet the fast
-        # kernel prices: it runs, as FleetScenario accepts it.
-        out = run_cli(
+    def test_fleet_fidelity_rejects_a_single_valued_event_only_axis(self, capsys):
+        # A fleet has no dispatch policy at all: one value is refused too.
+        err = run_cli_error(
             capsys, "optimize", "--objective", "min:p99_ms", "--fidelity", "fleet",
             "--models", "rODENet-3", "--depths", "20", "--boards", "PYNQ-Z2",
-            "--policies", "fifo", "--batch-sizes", "4", "--requests", "20", "--budget", "1",
+            "--policies", "fifo", "--requests", "20", "--budget", "1",
         )
-        assert "[best]" in out
+        assert "'policy'" in err and "fidelity=fleet" in err
 
     def test_unknown_board_is_named(self, capsys):
         err = run_cli_error(

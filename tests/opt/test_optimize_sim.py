@@ -148,12 +148,32 @@ class TestFleetAndFaults:
         with pytest.raises(ValueError, match=named):
             optimize(space, "min:p99_ms", fidelity="fleet")
 
-    def test_fleet_fidelity_accepts_the_fleet_defaults(self):
-        # The same rule as FleetScenario: a knob at its fleet default is
-        # the fleet the fast kernel prices, so it is not refused.
+    @pytest.mark.parametrize(
+        "fidelity,knob,value",
+        [
+            ("fleet", "pl_clock_hz", 50e6),
+            ("fleet", "warmup_s", 1e6),
+            ("fleet", "dma_channels", 1),  # even at the simulator's default
+            ("sim", "count", 2),
+            ("faults", "routing", "round_robin"),
+        ],
+    )
+    def test_a_knob_the_fidelity_does_not_run_is_refused(self, fidelity, knob, value):
+        # Screening prices the knob, so dropping it from the run would rank
+        # one design by the simulation of another.
+        fixed = {"arrival_rate_hz": 2.0, "n_requests": 40, "slo_s": 1.0, knob: value}
+        if fidelity == "fleet":
+            fixed["count"] = 2
+        space = SearchSpace(axes={"n_units": [8, 16]}, fixed=fixed)
+        with pytest.raises(ValueError, match=f"fixed knob '{knob}'.*fidelity={fidelity}"):
+            optimize(space, "min:p99_ms", fidelity=fidelity)
+
+    def test_fleet_fidelity_accepts_every_fleet_knob(self):
+        # qformat sets the datapath fields; board and count the inventory.
         space = SearchSpace(
-            axes={"policy": ["fifo"], "batch_size": [4]},
-            fixed={"dma_channels": 1, "n_requests": 20},
+            axes={"qformat": ["16:8"], "board": ["PYNQ-Z2"], "replicas": [1, 2], "cells": [1]},
+            fixed={"count": 2, "routing": "round_robin", "admission": "none",
+                   "exact": True, "n_requests": 20},
         )
         report = optimize(space, "min:p99_ms", fidelity="fleet", budget=1.0, seed=3)
         assert report.best is not None

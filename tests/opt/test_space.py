@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.fleet import FleetScenario
 from repro.opt import Candidate, SearchSpace
 from repro.opt.space import AXIS_ORDER
+from repro.sim import SimScenario
 
 
 class TestConstruction:
@@ -122,14 +124,17 @@ class TestBuilders:
         assert fs.n_requests == 60
 
     def test_event_only_axes_still_validate_for_sim_searches(self):
-        # The eager fleet check leaves out the knobs the fast fleet kernel
-        # does not model, so a sim search over them constructs.
+        # The eager fleet check leaves out the knobs a fleet does not have,
+        # so a sim search over them constructs.
         space = SearchSpace(
             axes={"policy": ["fifo", "batched"], "batch_size": [2, 8]},
             fixed={"dma_channels": 2},
         )
         assert space.sim_scenario(space.candidates()[-1]).policy == "batched"
-        assert space.fleet_scenario(space.candidates()[-1]).policy == "fifo"
+        assert space.unmodelled(SimScenario) == []
+        assert space.unmodelled(FleetScenario) == [
+            ("axis", "policy"), ("axis", "batch_size"), ("fixed knob", "dma_channels"),
+        ]
 
     def test_fleet_scenario_defaults_to_reference_board(self):
         space = SearchSpace(axes={"n_units": [16]})

@@ -62,6 +62,18 @@ def test_wrong_manifest_version_is_manifest_error(bundle_dir):
         check_bundle(bundle_dir)
 
 
+@pytest.mark.parametrize("key, value", [("kernel", 5), ("stride", 2)])
+def test_manifest_with_another_kernel_or_stride_is_manifest_error(bundle_dir, key, value):
+    # Every offloaded block is the paper's 3x3 stride-1 block: a manifest
+    # declaring another shape describes hardware the checker cannot model.
+    manifest = json.loads((bundle_dir / "rtl_manifest.json").read_text())
+    assert manifest["block"][key] in (3, 1)
+    manifest["block"][key] = value
+    (bundle_dir / "rtl_manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=f"{key}={value}"):
+        check_bundle(bundle_dir)
+
+
 def test_wrong_port_width_is_port_width_error(bundle_dir):
     top = bundle_dir / "odeblock_top.v"
     # Widen in_data from 16 to 32 bits: [15:0] -> [31:0].

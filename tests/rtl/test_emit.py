@@ -7,7 +7,7 @@ import pytest
 
 from repro.fixedpoint import Q20, QFormat
 from repro.fpga.bram import plan_block_allocation
-from repro.fpga.geometry import OFFLOADABLE_BLOCKS, BlockGeometry, block_geometry
+from repro.fpga.geometry import KERNEL, OFFLOADABLE_BLOCKS, BlockGeometry, block_geometry
 from repro.fpga.resources import ResourceEstimator
 from repro.platform import PYNQ_Z2, get_board
 from repro.rtl import (
@@ -137,7 +137,7 @@ def test_two_board_qformat_points_pass_structural_check(tmp_path):
 def test_time_concat_adds_input_channel_words(tmp_path):
     w = random_block_weights(TINY, time_concat=True, seed=1)
     bundle = emit_odeblock(TINY, w, qformat=Q16, n_units=2, time_concat=True)
-    c, k = TINY.out_channels, TINY.kernel
+    c, k = TINY.out_channels, KERNEL
     total = sum(
         info["words"] for info in bundle.manifest["roms"].values()
         if info["kind"] == "conv_weights"
@@ -168,11 +168,12 @@ def test_emit_rejects_unsupported_configs(kwargs, match):
 
 
 def test_emit_rejects_strided_blocks():
-    strided = BlockGeometry(
-        name="strided", in_channels=4, out_channels=4, height=4, width=4, stride=2
-    )
-    with pytest.raises(ValueError, match="stride"):
-        emit_odeblock(strided, qformat=Q16, n_units=1)
+    # The emitter serves stride-1 blocks only; the geometry has no stride to
+    # set, and every manifest records the fixed one.
+    with pytest.raises(TypeError, match="stride"):
+        BlockGeometry(name="strided", in_channels=4, out_channels=4, height=4, width=4, stride=2)
+    block = emit_odeblock(TINY, qformat=Q16, n_units=1).manifest["block"]
+    assert (block["kernel"], block["stride"]) == (3, 1)
 
 
 def test_emit_rejects_weight_shape_mismatch():

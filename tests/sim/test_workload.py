@@ -82,6 +82,14 @@ class TestMix:
         with pytest.raises(ValueError, match="at least one"):
             sample_mix([], 3)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("entries", [1, 2])
+    def test_non_finite_weights_rejected_like_negative_ones(self, weight, entries):
+        # A single-entry mix never samples, so it must be checked too.
+        mix = [(Scenario(), weight), (Scenario(model="ResNet", depth=20), 1.0)][:entries]
+        with pytest.raises(ValueError, match="mix weights must be finite and non-negative"):
+            sample_mix(mix, 3)
+
 
 class TestServicePlan:
     def test_plan_total_matches_analytic_latency(self):

@@ -391,6 +391,14 @@ class TestNamedErrors:
         assert main(["sim", "--mix", "rODENet-3:x"]) == 2
         assert "bad --mix entry 'rODENet-3:x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    @pytest.mark.parametrize("others", [[], ["ResNet:20"]])
+    def test_non_finite_mix_weight_is_named(self, capsys, weight, others):
+        argv = ["sim", "rODENet-3", "--depth", "20", "--requests", "5",
+                "--mix", f"rODENet-3:20:{weight}", *others]
+        assert main(argv) == 2
+        assert "mix weights must be finite" in capsys.readouterr().err
+
     def test_non_numeric_accuracy_pareto_metric(self, capsys):
         argv = ["accuracy-sweep", "--images", "1", "--formats", "16:8",
                 "--format", "pareto", "--pareto-x", "block"]

@@ -34,10 +34,9 @@ SIM_KEYS = SCENARIO_KEYS + [
 ]
 FLEET_KEYS = [
     "boards", "classes", "model", "depth", "n_units", "word_length", "fraction_bits",
-    "solver", "arrival", "arrival_rate_hz", "n_requests", "duration_s", "trace",
+    "arrival", "arrival_rate_hz", "n_requests", "duration_s", "trace",
     "replicas", "routing", "admission", "slo_s", "autoscale", "autoscale_interval_s",
-    "autoscale_high", "autoscale_low", "boot_s", "min_powered", "cells", "seed",
-    "fidelity", "exact", "policy", "batch_size", "ps_cores", "dma_channels",
+    "cells", "seed", "fidelity", "exact",
 ]
 
 
@@ -54,8 +53,7 @@ class TestAsDict:
         data = FleetScenario().as_dict()
         assert data["boards"] == [{"board": "PYNQ-Z2", "count": 4}]
         assert data["classes"] == [
-            {"name": "interactive", "weight": 1.0, "kind": "latency", "slo_s": None,
-             "model": None, "depth": None}
+            {"name": "interactive", "weight": 1.0, "kind": "latency", "slo_s": None}
         ]
 
 
@@ -86,15 +84,14 @@ class TestIntegerCounts:
             (SimScenario, "ps_cores", 1.5),
             (SimScenario, "replicas", 1.5),
             (SimScenario, "n_requests", 2.5),
-            (FleetScenario, "batch_size", 2.5),
-            (FleetScenario, "dma_channels", 1.5),
+            (FleetScenario, "replicas", 1.5),
             (FleetScenario, "n_requests", 2.5),
             (FleetScenario, "cells", 1.5),
         ],
         ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
     )
     def test_non_integer_is_rejected_by_name(self, cls, field, value):
-        kwargs = {field: value, "policy": "batched"}
+        kwargs = {field: value, **({"policy": "batched"} if cls is SimScenario else {})}
         with pytest.raises(ValueError, match=f"{field} must be a"):
             cls(**kwargs)
 
