@@ -565,11 +565,12 @@ def _fx_forward_sections() -> int:
 
 
 def _sim_throughput_sections() -> int:
-    """``bench_sim_throughput.py --quick`` and ``--fleet --quick``, no events/sec floor."""
+    """``bench_sim_throughput.py --quick`` and ``--fleet --quick``, floors waived."""
 
     sim = _import_benchmark("bench_sim_throughput")
-    # bench_fleet reads its floor from this constant at call time.
+    # bench_fleet reads its floors from these constants at call time.
     sim.MIN_FLEET_EVENTS_PER_SEC = 0.0
+    sim.MIN_EVENT_FLEET_REQUESTS_PER_SEC = 0.0
 
     def run() -> int:
         sim.bench_engine(200, 20)

@@ -25,13 +25,25 @@ no real-time pacing — because every serving scenario in :mod:`repro.sim` is
 expressible with timeouts, FIFO resources and ``all_of`` joins, and a small
 kernel is a fast one (see ``benchmarks/bench_sim_throughput.py``).
 
-**Contract:** speed work may make each queue entry cheaper, but the heap
-must receive the same entries at the same times in the same insertion
-order — none fused, dropped or added, zero-delay hops included.  Ties fire
-FIFO by insertion sequence, so a moved entry can reorder same-instant
-events and change a report, and the serving goldens print
-``events_processed``.  ``tests/sim/test_kernel_oracle.py`` checks this
-against a reference copy of the kernel.
+**Kernel contract:** speed work on this module may make each queue entry
+cheaper, but for a given model the heap must receive the same entries at
+the same times in the same insertion order — none fused, dropped or added,
+zero-delay hops included.  Ties fire FIFO by insertion sequence, so a moved
+entry can reorder same-instant events and change a report.
+``tests/sim/test_kernel_oracle.py`` checks this against a reference copy
+of the kernel.
+
+**Model contract:** the serving model (:mod:`~repro.sim.resources`,
+:mod:`~repro.sim.policies`, :mod:`~repro.sim.runner`) may post fewer
+entries — e.g. book a free resource in line rather than wait on a grant
+that fires at the same instant — only when every report field other than
+``events_processed`` stays bit-identical, as
+``tests/sim/test_report_identity.py`` pins against a fixture generated
+before such a change; the goldens then differ only in their ``[engine]``
+line.  A dropped zero-delay hop runs its continuation earlier within its
+instant, so where two chains meet at exactly the same float time the tie
+can resolve differently: the pinned runs are the evidence, not a proof
+over every input.
 """
 
 from __future__ import annotations

@@ -287,6 +287,13 @@ class Dispatcher:
         A batch of one reduces to the strictly sequential
         (DMA in, compute, DMA out) transaction of the analytic model.
 
+        Compute is a bare timeout, and the DMA process with its ``all_of``
+        join is only created when there is an output to write back or an
+        input to prefetch.  With free bus grants booked in line
+        (:meth:`~repro.sim.resources.Resource.try_acquire`), a lone
+        invocation costs five queue entries: the wake, the DMA-in, compute
+        and DMA-out timeouts, and its ``done`` event.
+
         Every completion is routed through :meth:`_finish`, which is a no-op
         once the replica died (the invocation was re-dispatched; letting the
         orphaned service finish it would double-fire its ``done`` event), and
@@ -317,9 +324,12 @@ class Dispatcher:
                 if not alive[index]:
                     return
                 upcoming = batch[i + 1] if i + 1 < len(batch) else None
-                compute = Process(sim, self._compute(execution))
-                overlap = Process(sim, self._overlap_dma(acc, previous, upcoming))
-                yield sim.all_of((compute, overlap))
+                compute = Timeout(sim, execution.plx.compute_seconds)
+                if previous is None and upcoming is None:
+                    yield compute
+                else:
+                    overlap = Process(sim, self._overlap_dma(acc, previous, upcoming))
+                    yield sim.all_of((compute, overlap))
                 previous = execution
             if not alive[index]:
                 return
@@ -334,9 +344,6 @@ class Dispatcher:
     def _finish(self, acc: Accelerator, execution: Execution) -> None:
         if self.alive[acc.index] and not execution.done.triggered:
             execution.done.succeed(None)
-
-    def _compute(self, execution: Execution) -> Generator:
-        yield Timeout(self.sim, execution.plx.compute_seconds)
 
     # Bursts are priced with the execution's *stored* transfer times (from
     # the model that built the service plan), so the simulated DMA always

@@ -104,14 +104,17 @@ def _request_process(
 
     The process is spawned *at* the request's arrival instant
     (:meth:`Simulator.process_batch`), so no leading arrival timeout is
-    needed — one queue entry per request instead of three.
+    needed — one queue entry per request instead of three.  A PS segment
+    books a free core in line (:meth:`Resource.try_acquire`), so only a
+    contended one waits on a grant event and accrues ``ps_wait``.
     """
 
     for segment in plan.segments:
         if isinstance(segment, PsSegment):
-            asked = sim.now
-            yield ps.request()
-            request.ps_wait += sim.now - asked
+            if not ps.try_acquire():
+                asked = sim.now
+                yield ps.request()
+                request.ps_wait += sim.now - asked
             yield Timeout(sim, segment.seconds)
             ps.release()
         else:

@@ -44,6 +44,28 @@ class TestResource:
         # Two at a time: 4 one-second holds finish in 2 seconds.
         assert sim.now == 2.0
 
+    def test_try_acquire_books_only_a_free_unit(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        assert res.try_acquire()
+        assert (res.users, res.busy.level) == (1, 1)
+        assert not res.try_acquire()
+        assert (res.users, res.queue_depth.level) == (1, 0)
+        # Nothing was queued: a free booking posts no grant event.
+        assert sim._heap == []
+
+    def test_uncontended_use_posts_only_its_timeout(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+
+        def user():
+            yield from res.use(1.0)
+
+        sim.process(user())
+        sim.run()
+        # Start, the hold's timeout and completion: no grant hop in between.
+        assert sim.events_processed == 3
+
     def test_release_of_idle_resource_rejected(self):
         res = Resource(Simulator(), capacity=1)
         with pytest.raises(RuntimeError, match="idle"):
