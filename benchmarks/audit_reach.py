@@ -159,8 +159,8 @@ EXTRA_ARGV = (
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --fidelity event --json",
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --fidelity event --routing round_robin",
     "fleet --boards pynq-z2:2,zcu104:1 --rate 5 --requests 60 --routing weighted --admission none",
-    "fleet --boards pynq-z2:2 --rate 5 --requests 60 --routing round_robin --exact --slo-ms 300",
-    "fleet --boards pynq-z2:2 --rate 5 --requests 60 --fidelity event --exact",
+    "fleet --boards pynq-z2:2 --rate 5 --requests 60 --routing round_robin --slo-ms 300",
+    "fleet --boards pynq-z2:2 --rate 5 --requests 60 --fidelity event",
     "fleet --boards pynq-z2:2 --model rODENet-1 --depth 20 --n-units 8 --rate 3 --requests 40",
     "fleet --boards pynq-z2:2 --arrivals deterministic --duration 20 --rate 2 --replicas 1 "
     "--autoscale --autoscale-interval 5",

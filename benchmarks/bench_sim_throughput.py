@@ -30,9 +30,9 @@ Four measurements:
    of more than a million requests over a mixed 8x PYNQ-Z2 + 4x ZCU104
    fleet through :func:`repro.fleet.simulate_fleet`.  Asserts the fast
    kernel's events/sec floor (the tentpole claim: million-request day
-   traces in seconds of wall clock) and that the streaming quantile
-   sketch's p50/p90/p95/p99 land within 1 % of the exact (stored-sample)
-   percentiles on the same run.  It then replays a mixed 16x PYNQ-Z2 +
+   traces in seconds of wall clock) and that the report's latency
+   statistics are exactly :func:`~repro.sim.metrics.latency_stats` over
+   its stored samples, one per completed request.  It then replays a mixed 16x PYNQ-Z2 +
    8x ZCU104 fleet at ``fidelity="event"`` (30 req/s, one class, 8,000
    requests; 4,000 under ``--quick``) and asserts at least 1,250
    requests/sec (half under ``--quick``).
@@ -52,7 +52,7 @@ import time
 from typing import Tuple
 
 from repro.api import Evaluator
-from repro.sim import SimScenario, Simulator, simulate
+from repro.sim import SimScenario, Simulator, latency_stats, simulate
 
 MIN_EVENTS_PER_SEC = 100_000.0
 
@@ -75,9 +75,6 @@ MIN_FLEET_EVENTS_PER_SEC = 100_000.0
 #: requests/sec on the 8,000-request 24-board replay (910-1,050 with a
 #: grant hop per free resource unit).
 MIN_EVENT_FLEET_REQUESTS_PER_SEC = 1_250.0
-
-#: Maximum relative error of the streaming sketch vs exact percentiles.
-MAX_SKETCH_RELATIVE_ERROR = 0.01
 
 
 def bench_engine(n_processes: int, hops: int) -> float:
@@ -166,7 +163,7 @@ def bench_saturation(rates, replicas_list, n_requests: int) -> None:
 
 
 def bench_fleet(quick: bool) -> int:
-    """Day-length fleet run: events/sec floor + sketch-vs-exact differential."""
+    """Day-length fleet run: events/sec floor + exact-percentile identity."""
 
     from repro.fleet import BoardGroup, FleetScenario, TrafficClass, simulate_fleet
 
@@ -196,8 +193,7 @@ def bench_fleet(quick: bool) -> int:
     print(
         f"       completed {report.requests['completed']:,}, "
         f"rejected {report.requests['rejected']:,}, "
-        f"p99 {report.latency.percentiles[99] * 1e3:.1f} ms, "
-        f"sketch bins {report.latency_sketch.bins_used}"
+        f"p99 {report.latency.percentiles[99] * 1e3:.1f} ms"
     )
     ok = True
     if not quick and offered < 1_000_000:
@@ -207,21 +203,17 @@ def bench_fleet(quick: bool) -> int:
         print(f"FAIL: fleet kernel below {floor:,.0f} events/sec", file=sys.stderr)
         ok = False
 
-    # Differential: the same scenario with exact (stored-sample) percentiles.
-    exact = simulate_fleet(scenario.replace(exact=True))
-    print("sketch vs exact percentiles:")
-    for q in (50, 90, 95, 99):
-        approx = report.latency.percentiles[q]
-        truth = exact.latency.percentiles[q]
-        rel = abs(approx - truth) / truth if truth else 0.0
-        print(f"  p{q:<3}: sketch {approx:.6g} s, exact {truth:.6g} s, rel err {rel:.4%}")
-        if rel > MAX_SKETCH_RELATIVE_ERROR:
-            print(
-                f"FAIL: sketch p{q} off by {rel:.4%} "
-                f"(> {MAX_SKETCH_RELATIVE_ERROR:.0%})",
-                file=sys.stderr,
-            )
-            ok = False
+    # Identity: the percentiles are np.percentile over every stored latency.
+    samples = report.latency_sketch.samples
+    if len(samples) != report.requests["completed"] or report.latency != latency_stats(samples):
+        print(
+            f"FAIL: report latency is not latency_stats over its {len(samples):,} "
+            f"stored samples ({report.requests['completed']:,} completed)",
+            file=sys.stderr,
+        )
+        ok = False
+    else:
+        print(f"percentiles exact over all {len(samples):,} stored latencies")
 
     # Event fidelity: every board's admitted arrivals replayed through
     # repro.sim.simulate.
@@ -254,7 +246,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="CI smoke (small runs, no floor)")
     parser.add_argument(
         "--fleet", action="store_true",
-        help="run the fleet benchmark (events/sec floor + sketch differential)",
+        help="run the fleet benchmark (events/sec floor + exact-percentile identity)",
     )
     args = parser.parse_args(argv)
 

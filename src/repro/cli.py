@@ -179,7 +179,6 @@ FLAGS: Dict[str, Dict[str, object]] = {
                      help="worker processes executing the cells (never changes the numbers)"),
     "--fidelity": dict(choices=("fast", "event"), default="fast", help="'fast' = analytic "
                        "balancer kernel; 'event' = replay through the transaction-level sim"),
-    "--exact": dict(action="store_true", help="keep exact per-request latencies (no sketches)"),
     # -- optimizer ------------------------------------------------------------
     "--objective": dict(default=None, metavar="[min:|max:]METRIC",
                         help="metric to optimize (required), e.g. 'min:p99_ms'"),
@@ -643,7 +642,7 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> Report:
         "--boards", "--classes", "--model", "--depth", "--n-units", "--arrivals", "--rate",
         "--requests", "--duration", "--replicas", "--routing", "--admission", "--slo-ms",
         "--autoscale", "--autoscale-interval", "--cells", "--shards", "--seed", "--fidelity",
-        "--exact", "--format",
+        "--format",
         boards=dict(
             nargs=None, default="pynq-z2:4", metavar="NAME[:COUNT],...",
             help="fleet inventory, e.g. 'pynq-z2:8,zcu104:4' (case-insensitive names)",

@@ -12,8 +12,8 @@ racks of low-cost FPGA boards serving classed traffic:
   ``cells``;
 * :func:`simulate_fleet` — runs the cells (optionally sharded over a
   process pool — shard count never changes the numbers) and merges their
-  streaming :class:`~repro.sim.metrics.QuantileSketch` distributions and
-  counters into one :class:`FleetReport`.
+  per-request latency samples (:class:`~repro.sim.metrics.QuantileSketch`)
+  and counters into one :class:`FleetReport` with exact percentiles.
 
 >>> from repro.fleet import FleetScenario, BoardGroup, simulate_fleet
 >>> report = simulate_fleet(FleetScenario(

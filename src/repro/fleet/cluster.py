@@ -158,8 +158,6 @@ class FleetScenario:
     cells: int = 1
     seed: int = 0
     fidelity: str = "fast"
-    #: Keep exact per-request latencies (never spill the sketches).
-    exact: bool = False
 
     def __post_init__(self) -> None:
         if not self.boards:
@@ -221,8 +219,6 @@ class FleetScenario:
                     "fidelity='event' requires exactly one traffic class (per-class "
                     "latency cannot be recovered from a board-level SimReport)"
                 )
-        if not isinstance(self.exact, bool):
-            raise ValueError("exact must be a boolean")
 
         # Fail fast on invalid design points: every board must run the
         # design as a constructible Scenario (unknown models/depths/boards

@@ -1,10 +1,11 @@
 """Fleet run outcomes: per-cell raw results and the merged :class:`FleetReport`.
 
 :class:`CellResult` is the picklable unit a shard process returns — counters,
-per-class latency/wait :class:`~repro.sim.metrics.QuantileSketch` objects and
-per-board ledgers.  :func:`merge_cells` folds them (in ascending cell order,
-so float sums are bit-identical for any shard count) into the
-:class:`FleetReport` the CLI, benchmarks and tests consume.
+per-class latency/wait samples (:class:`~repro.sim.metrics.QuantileSketch`
+stores) and per-board ledgers.  :func:`merge_cells` folds them (in ascending
+cell order, so float sums and sample order are bit-identical for any shard
+count) into the :class:`FleetReport` the CLI, benchmarks and tests consume;
+its percentiles are exact.
 """
 
 from __future__ import annotations
@@ -134,19 +135,15 @@ def merge_cells(
     scenario_dict: Dict[str, object],
     results: List[CellResult],
     shards: int,
-    exact: bool,
 ) -> FleetReport:
     """Fold per-cell results (ascending cell order) into one report.
 
-    Sketch merging is commutative; the float counters are folded in a fixed
-    order anyway, so the merged report is bit-identical for any shard count.
+    Samples are concatenated and float counters summed in that fixed order,
+    so the merged report is bit-identical for any shard count.
     """
 
     results = sorted(results, key=lambda r: r.cell)
     n_classes = len(results[0].classes)
-
-    def fresh() -> QuantileSketch:
-        return QuantileSketch(exact=exact)
 
     offered = sum(r.offered for r in results)
     rejected = sum(r.rejected for r in results)
@@ -154,13 +151,13 @@ def merge_cells(
     horizon = max(r.horizon_s for r in results)
     events = sum(r.events for r in results)
 
-    latency_sketch = fresh()
-    wait_sketch = fresh()
+    latency_sketch = QuantileSketch()
+    wait_sketch = QuantileSketch()
     classes: List[Dict[str, object]] = []
     for ci in range(n_classes):
         first = results[0].classes[ci]
-        cls_latency = fresh()
-        cls_wait = fresh()
+        cls_latency = QuantileSketch()
+        cls_wait = QuantileSketch()
         for r in results:
             cls_latency.merge(r.classes[ci].latency)
             cls_wait.merge(r.classes[ci].wait)

@@ -201,9 +201,8 @@ def run_cell(
         next_tick = interval
 
     check_slo = scenario.admission == "slo"
-    exact = scenario.exact
-    cls_latency = [QuantileSketch(exact=exact) for _ in range(n_classes)]
-    cls_wait = [QuantileSketch(exact=exact) for _ in range(n_classes)]
+    cls_latency = [QuantileSketch() for _ in range(n_classes)]
+    cls_wait = [QuantileSketch() for _ in range(n_classes)]
     offered = [0] * n_classes
     rejected = [0] * n_classes
     violations = [0] * n_classes
@@ -328,8 +327,8 @@ def _event_fidelity_result(
     ]
     replayed = [r for r in reports if r is not None]
     horizon = max([last_arrival] + [float(r.horizon_s) for r in replayed])
-    latency = QuantileSketch(exact=scenario.exact)
-    wait = QuantileSketch(exact=scenario.exact)
+    latency = QuantileSketch()
+    wait = QuantileSketch()
     for report in replayed:
         latency.merge(report.latency_sketch)
         wait.merge(report.wait_sketch)

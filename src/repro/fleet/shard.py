@@ -45,4 +45,4 @@ def simulate_fleet(
     # ``run_cell`` is looked up here, at call time, so a wrapper patched onto
     # this module's global is what runs.
     results = ordered_map(partial(run_cell, scenario, evaluator=ev), range(scenario.cells), shards)
-    return merge_cells(scenario.as_dict(), results, shards, scenario.exact)
+    return merge_cells(scenario.as_dict(), results, shards)

@@ -69,7 +69,6 @@ FIXED_KEYS: Tuple[str, ...] = (
     "warmup_s",
     "ps_cores",
     "dma_channels",
-    "exact",
     "count",
     "routing",
     "admission",

@@ -19,6 +19,7 @@ time-weighted occupancy integrals — and this module condenses it into the
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -104,227 +105,53 @@ def latency_stats(samples: Sequence[float]) -> LatencyStats:
     )
 
 
-#: Guaranteed relative error of a spilled sketch (0.5 %, well inside the 1 %
-#: conformance bar pinned by ``tests/sim/test_sketch.py``).
-RELATIVE_ERROR = 0.005
-
-#: Samples buffered exactly before a sketch (not pinned exact) spills to
-#: log-spaced bins.
-DEFAULT_EXACT_THRESHOLD = 4096
-
-#: Values below this land in bin 0 and are reported as 0.
-MIN_POSITIVE = 1e-12
-
-#: Log of the bin growth factor ``gamma = (1 + RELATIVE_ERROR)**2``, and of
-#: the lower edge of bin 1.
-_LOG_GAMMA = math.log((1.0 + RELATIVE_ERROR) ** 2)
-_LOG_MIN = math.log(MIN_POSITIVE)
-
-
 class QuantileSketch:
-    """A mergeable streaming quantile sketch with bounded memory.
+    """Every sample of a latency (or wait) stream, kept verbatim.
 
-    The P²-style estimator the fleet simulator needs: day-length traces at
-    millions of requests cannot store every latency, so the sketch keeps
-    log-spaced bins (DDSketch-style) once the stream outgrows a small exact
-    buffer.  Three properties make it safe to put on the nominal path:
+    Samples go into an ``array('d')`` buffer, 8 bytes each: a report keeps a
+    latency and a wait stream, so storage costs 16 bytes per measured
+    request.  :meth:`stats` is :func:`latency_stats` over the buffer, so every
+    percentile is exact, and :meth:`merge` concatenates buffers; shard
+    results merged in a fixed (ascending cell) order therefore give the
+    same report for any shard count.
 
-    * **Exact until it matters.**  The first :data:`DEFAULT_EXACT_THRESHOLD`
-      samples are buffered verbatim and quantiles delegate to :func:`latency_stats`
-      (``np.percentile``) — small runs, i.e. every existing test and every
-      interactive ``sim`` invocation, are *bit-identical* to the stored-array
-      path.  ``exact=True`` pins this mode forever (the escape hatch).
-    * **Guaranteed error when spilled.**  Bins grow geometrically by
-      ``gamma = (1 + RELATIVE_ERROR)**2`` and report their geometric
-      midpoint, so every sample's representative is within a factor
-      ``sqrt(gamma) = 1 + RELATIVE_ERROR`` of its true value.  Quantiles
-      replicate ``np.percentile``'s linear interpolation over the binned
-      order statistics: with rank ``r = q/100 * (n - 1)``, the estimate
-      interpolates the representatives of order statistics ``floor(r)`` and
-      ``ceil(r)`` — a convex combination of two values each within
-      ``RELATIVE_ERROR`` of the truth stays within ``RELATIVE_ERROR`` of the
-      interpolated truth (all samples are non-negative).
-    * **Merge-order invariance.**  Merging adds integer bin counts
-      (commutative and associative) or concatenates exact buffers, so shard
-      sketches merged in any order yield identical quantiles — the property
-      the shared-nothing fleet shards rely on.
-
-    Memory is O(:data:`DEFAULT_EXACT_THRESHOLD` + bins actually touched); a
-    spilled sketch covering twelve decades of seconds uses ~2800 bins.
+    The class keeps its historical name, from when it spilled into
+    log-spaced bins past a small exact buffer, because the perfbench serve
+    workload times :meth:`insert` and :meth:`stats` under this name; a
+    rename has to change those patch targets in the same commit.
     """
 
-    __slots__ = ("exact_threshold", "count", "_sum", "_min", "_max", "_samples", "_bins")
+    __slots__ = ("_sum", "samples")
 
-    def __init__(self, exact: bool = False) -> None:
-        # None: never spill.
-        self.exact_threshold: Optional[int] = None if exact else DEFAULT_EXACT_THRESHOLD
-        self.count = 0
+    def __init__(self) -> None:
         self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._samples: Optional[List[float]] = []
-        self._bins: Optional[Dict[int, int]] = None
-
-    # -- ingest ------------------------------------------------------------------------
-
-    @property
-    def bins_used(self) -> int:
-        return len(self._bins) if self._bins is not None else 0
+        self.samples = array("d")
 
     def insert(self, value: float) -> None:
         v = float(value)
         if not (v >= 0.0) or math.isinf(v):  # rejects NaN, negatives and inf
             raise ValueError(f"sketch values must be finite and non-negative (got {value!r})")
-        self.count += 1
         self._sum += v
-        if v < self._min:
-            self._min = v
-        if v > self._max:
-            self._max = v
-        if self._samples is not None:
-            self._samples.append(v)
-            if self.exact_threshold is not None and len(self._samples) > self.exact_threshold:
-                self._spill()
-        else:
-            key = self._key(v)
-            self._bins[key] = self._bins.get(key, 0) + 1
-
-    # -- binning -----------------------------------------------------------------------
-
-    def _key(self, v: float) -> int:
-        """Bin index: 0 collects values below :data:`MIN_POSITIVE` (reported as 0)."""
-
-        if v < MIN_POSITIVE:
-            return 0
-        return max(1, int((math.log(v) - _LOG_MIN) / _LOG_GAMMA) + 1)
-
-    def _representative(self, key: int) -> float:
-        if key == 0:
-            return 0.0
-        # Geometric midpoint of [MIN_POSITIVE * gamma^(k-1), * gamma^k),
-        # computed in log space so huge keys cannot overflow.
-        return math.exp(_LOG_MIN + (key - 0.5) * _LOG_GAMMA)
-
-    def _spill(self) -> None:
-        bins: Dict[int, int] = {}
-        for v in self._samples or ():
-            key = self._key(v)
-            bins[key] = bins.get(key, 0) + 1
-        self._samples = None
-        self._bins = bins
-
-    # -- merge -------------------------------------------------------------------------
+        self.samples.append(v)
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch (``other`` is left untouched).
+        """Append ``other``'s samples to this sketch (``other`` is left untouched)."""
 
-        Spilled ⊕ anything is spilled; two exact sketches stay exact unless
-        the combined buffer exceeds this sketch's threshold.  Bin counts are
-        integers, so the merged quantiles are identical for any merge order.
-        """
-
-        self.count += other.count
         self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        other_samples = other._samples
-        if self._samples is not None and other_samples is not None:
-            self._samples.extend(other_samples)
-            if self.exact_threshold is not None and len(self._samples) > self.exact_threshold:
-                self._spill()
-            return self
-        if self._samples is not None:
-            self._spill()
-        if other_samples is not None:
-            for v in other_samples:
-                key = self._key(v)
-                self._bins[key] = self._bins.get(key, 0) + 1
-        else:
-            for key, n in other._bins.items():
-                self._bins[key] = self._bins.get(key, 0) + n
+        self.samples.extend(other.samples)
         return self
-
-    # -- quantiles ---------------------------------------------------------------------
-
-    def percentiles(self, qs: Sequence[float]) -> List[float]:
-        """Estimates of ``np.percentile(values, qs)`` (NaN when empty)."""
-
-        if self.count == 0:
-            return [float("nan")] * len(qs)
-        if self._samples is not None:
-            arr = np.asarray(self._samples, dtype=np.float64)
-            return [float(v) for v in np.percentile(arr, list(qs))]
-        if self._min == self._max:
-            return [self._min] * len(qs)
-        n = self.count
-        ranks: List[Tuple[int, float]] = []
-        wanted: List[int] = []
-        for q in qs:
-            if not 0.0 <= q <= 100.0:
-                raise ValueError(f"percentile must be in [0, 100] (got {q})")
-            r = (q / 100.0) * (n - 1)
-            lo, hi = int(math.floor(r)), int(math.ceil(r))
-            ranks.append((lo, r - lo))
-            wanted.extend((lo, hi))
-        order_stats = self._order_statistics(sorted(set(wanted)))
-        out: List[float] = []
-        for lo, frac in ranks:
-            a = order_stats[lo]
-            b = order_stats[lo + 1] if frac else a
-            est = a + frac * (b - a)
-            # Clamping to the tracked extremes only moves the estimate
-            # toward the truth (every true order statistic lies in
-            # [min, max]) and makes p0/p100 exact.
-            out.append(min(max(est, self._min), self._max))
-        return out
-
-    def _order_statistics(self, indices: Sequence[int]) -> Dict[int, float]:
-        """Representatives of the given 0-based order statistics (one bin walk)."""
-
-        out: Dict[int, float] = {}
-        it = iter(indices)
-        target = next(it, None)
-        seen = 0
-        for key in sorted(self._bins):
-            seen += self._bins[key]
-            while target is not None and target < seen:
-                out[target] = self._representative(key)
-                target = next(it, None)
-            if target is None:
-                break
-        # The extremes are tracked exactly; substituting them makes p0 and
-        # p100 error-free (and tightens every interpolation touching them).
-        if 0 in out:
-            out[0] = self._min
-        if self.count - 1 in out:
-            out[self.count - 1] = self._max
-        return out
-
-    # -- summary -----------------------------------------------------------------------
 
     @property
     def mean(self) -> float:
-        return self._sum / self.count if self.count else float("nan")
+        """The running Python sum over the sample count (NaN when empty)."""
+
+        n = len(self.samples)
+        return self._sum / n if n else float("nan")
 
     def stats(self) -> LatencyStats:
-        """The :class:`LatencyStats` view of the stream.
+        """The :class:`LatencyStats` view of the stream."""
 
-        On the exact path this delegates to :func:`latency_stats` over the
-        verbatim buffer — bit-identical to the stored-array code it replaces.
-        """
-
-        if self.count == 0:
-            return latency_stats([])
-        if self._samples is not None:
-            return latency_stats(self._samples)
-        pct = self.percentiles(list(PERCENTILES))
-        return LatencyStats(
-            count=self.count,
-            mean=self.mean,
-            minimum=self._min,
-            maximum=self._max,
-            percentiles=dict(zip(PERCENTILES, pct)),
-        )
+        return latency_stats(self.samples)
 
 
 def ps_energy_j(
@@ -435,8 +262,8 @@ class ServingReport(Report):
     wait: LatencyStats
     energy: Dict[str, Optional[float]]
     events_processed: int
-    #: The streaming sketches behind ``latency``/``wait`` — carried so the
-    #: fleet layer can merge distributions without re-simulating.
+    #: The sample stores behind ``latency``/``wait``, carried so the fleet
+    #: layer can merge distributions without re-simulating.
     #: Excluded from serialisation and from report equality.
     latency_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
     wait_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)

@@ -370,11 +370,8 @@ def simulate(
     window_start = min(warmup, horizon)
     window = horizon - window_start
     measured = [r for r in completed if r.arrival >= window_start]
-    # Streaming percentile sketches on the nominal path: bounded memory on
-    # big runs, bit-identical to the stored-array np.percentile path while
-    # the exact buffer holds (always, with ``exact=True``).
-    latency_sketch = QuantileSketch(exact=sim_scenario.exact)
-    wait_sketch = QuantileSketch(exact=sim_scenario.exact)
+    latency_sketch = QuantileSketch()
+    wait_sketch = QuantileSketch()
     for r in measured:
         latency_sketch.insert(r.latency)
         wait_sketch.insert(r.total_wait)

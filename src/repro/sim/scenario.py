@@ -116,12 +116,6 @@ class SimScenario(Scenario):
     #: it.  The FMEA tabulator defaults a missing SLO to
     #: :data:`DEFAULT_SLO_FACTOR` times the no-load service time.
     slo_s: Optional[float] = None
-    #: Keep every per-request latency verbatim (``np.percentile`` over the
-    #: full array) instead of letting the streaming
-    #: :class:`~repro.sim.metrics.QuantileSketch` spill to bounded-memory
-    #: bins on runs beyond its exact buffer.  Small runs are bit-identical
-    #: either way; this is the escape hatch for big runs that must be.
-    exact: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -137,8 +131,6 @@ class SimScenario(Scenario):
             ("dma_channels", 1, ""),
         ):
             object.__setattr__(self, name, check_count(name, getattr(self, name), minimum, note))
-        if not isinstance(self.exact, bool):
-            raise ValueError("exact must be a boolean")
         if not 0 <= self.warmup_s < math.inf:
             raise ValueError(f"warmup_s must be non-negative and finite (got {self.warmup_s!r})")
 

@@ -86,7 +86,7 @@ class TestFleetCommand:
         assert [r["scenario"]["board"] for r in reports] == ["PYNQ-Z2", "PYNQ-Z2", "ZCU104"]
         for report in reports:
             scenario = report["scenario"]
-            assert scenario["exact"] == fleet["exact"]
+            assert scenario["seed"] == fleet["seed"]
             # Every board serves with all its PS cores; the report carries
             # the resolved count.
             assert scenario["ps_cores"] == get_board(scenario["board"]).ps_cores
@@ -102,12 +102,12 @@ class TestFleetCommand:
     def test_event_board_scenario_copies_every_serving_knob(self):
         fleet = FleetScenario(
             boards=(BoardGroup("PYNQ-Z2", 2),), arrival_rate_hz=3.0, n_requests=9,
-            duration_s=50.0, n_units=8, exact=True, seed=5, fidelity="event",
+            duration_s=50.0, n_units=8, seed=5, fidelity="event",
         )
         board = fleet.board_sim_scenario("PYNQ-Z2", (0.0, 0.5), replicas=1, slo_s=0.4)
         assert board == SimScenario(
             model=fleet.model, depth=fleet.depth, n_units=8, board="PYNQ-Z2", arrival="trace",
-            trace=(0.0, 0.5), replicas=1, seed=5, ps_cores=0, exact=True, slo_s=0.4,
+            trace=(0.0, 0.5), replicas=1, seed=5, ps_cores=0, slo_s=0.4,
         )
 
 

@@ -24,6 +24,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.sim import SimScenario, simulate
+from repro.sim.metrics import latency_stats
 
 
 def _trace(seed: int = 5, n: int = 120, span: float = 15.0) -> tuple:
@@ -42,7 +43,6 @@ class TestFleetOfOneIdentity:
             seed=11,
             fidelity="event",
             admission="none",
-            exact=True,
             replicas=2,
         )
         fleet_report = simulate_fleet(fleet)
@@ -52,7 +52,6 @@ class TestFleetOfOneIdentity:
             trace=trace,
             seed=11,
             replicas=2,
-            exact=True,
             ps_cores=0,
         )
         sim_report = simulate(single)
@@ -83,7 +82,6 @@ class TestFleetOfOneIdentity:
             fidelity="event",
             admission="none",
             slo_s=0.001,  # impossible SLO: every completion violates
-            exact=True,
         )
         report = simulate_fleet(fleet)
         assert report.classes[0]["violations"] == report.requests["completed"]
@@ -143,6 +141,51 @@ class TestShardInvariance:
     def test_excess_shards_are_harmless(self, scenario):
         r = simulate_fleet(scenario, shards=16)
         assert r.requests["offered"] == 1200
+
+
+class TestPastTheOldBuffer:
+    """5,000 requests: more than the 4,096 samples the latency store once
+    buffered before it binned them, so percentiles here are exact only
+    because every sample is kept."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self) -> FleetScenario:
+        return FleetScenario(
+            boards=(BoardGroup("PYNQ-Z2", 2), BoardGroup("ZCU104", 2)),
+            classes=(
+                TrafficClass("interactive", weight=0.7),
+                TrafficClass("bulk", weight=0.3, kind="batch"),
+            ),
+            arrival_rate_hz=6.0,
+            n_requests=5_000,
+            admission="none",
+            cells=2,
+            seed=13,
+        )
+
+    def test_percentiles_are_exact_over_the_stored_samples(self, scenario):
+        report = simulate_fleet(scenario)
+        latency = report.latency_sketch.samples
+        wait = report.wait_sketch.samples
+        assert len(latency) == len(wait) == report.requests["completed"] == 5_000
+        assert report.latency == latency_stats(latency)
+        assert report.wait == latency_stats(wait)
+
+    def test_samples_merge_class_by_class_in_cell_order(self, scenario):
+        # A fixed concatenation order keeps the float64 mean bit-identical.
+        cells = [run_cell(scenario, c) for c in range(scenario.cells)]
+        expected = [
+            v for ci in range(len(scenario.classes)) for r in cells
+            for v in r.classes[ci].latency.samples
+        ]
+        assert list(simulate_fleet(scenario).latency_sketch.samples) == expected
+
+    def test_shards_never_change_the_numbers(self, scenario):
+        d1 = simulate_fleet(scenario, shards=1).as_dict()
+        d2 = simulate_fleet(scenario, shards=2).as_dict()
+        assert d1.pop("shards") == 1
+        assert d2.pop("shards") == 2
+        assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
 class TestRequestConservation:

@@ -173,7 +173,7 @@ class TestFleetAndFaults:
         space = SearchSpace(
             axes={"qformat": ["16:8"], "board": ["PYNQ-Z2"], "replicas": [1, 2], "cells": [1]},
             fixed={"count": 2, "routing": "round_robin", "admission": "none",
-                   "exact": True, "n_requests": 20},
+                   "n_requests": 20},
         )
         report = optimize(space, "min:p99_ms", fidelity="fleet", budget=1.0, seed=3)
         assert report.best is not None

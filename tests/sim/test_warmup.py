@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import Evaluator, SimScenario, simulate
 from repro.platform import get_board
-from repro.sim.metrics import windowed_mean
+from repro.sim.metrics import latency_stats, windowed_mean
 
 
 def poisson_scenario(**overrides) -> SimScenario:
@@ -121,23 +121,29 @@ class TestWarmupTrimming:
 
 
 class TestSketchRouting:
-    """The nominal latency path now flows through the streaming sketch."""
+    """The nominal latency path flows through the exact sample store."""
 
-    def test_report_carries_exact_sketches_on_small_runs(self):
+    def test_report_carries_its_samples(self):
         ev = Evaluator()
         report = simulate(poisson_scenario(), evaluator=ev)
-        assert report.latency_sketch is not None and report.latency_sketch.bins_used == 0
+        assert report.latency_sketch is not None
         assert report.latency_sketch.stats() == report.latency
         assert report.wait_sketch is not None
         assert report.wait_sketch.stats() == report.wait
 
-    def test_exact_scenario_is_identical_and_never_spills(self):
+    def test_percentiles_stay_exact_past_the_old_buffer(self):
+        # 5,000 requests: past the 4,096 samples the store once buffered
+        # before it binned them, the report still gives np.percentile over
+        # every measured request.
         ev = Evaluator()
-        default = simulate(poisson_scenario(), evaluator=ev)
-        pinned = simulate(poisson_scenario(exact=True), evaluator=ev)
-        assert pinned.latency == default.latency
-        assert pinned.wait == default.wait
-        assert pinned.latency_sketch.exact_threshold is None
+        report = simulate(
+            poisson_scenario(n_requests=5_000, arrival_rate_hz=2.0, replicas=2), evaluator=ev
+        )
+        latency = report.latency_sketch.samples
+        wait = report.wait_sketch.samples
+        assert len(latency) == len(wait) == report.requests["completed"] == 5_000
+        assert report.latency == latency_stats(latency)
+        assert report.wait == latency_stats(wait)
 
     def test_empty_window_keeps_nan_note_and_json_null(self):
         # Regression: PR 6's NaN-not-zero empty-window semantics survive the
@@ -147,7 +153,7 @@ class TestSketchRouting:
         report = simulate(
             poisson_scenario(warmup_s=float(full.horizon_s) + 50.0), evaluator=ev
         )
-        assert report.latency_sketch.count == 0
+        assert report.latency.count == 0
         assert np.isnan(report.latency.mean)
         assert report.as_dict()["latency"]["mean_s"] is None
         assert report.note is not None and "[note]" in report.render()

@@ -30,13 +30,12 @@ SCENARIO_KEYS = [
 SIM_KEYS = SCENARIO_KEYS + [
     "arrival", "arrival_rate_hz", "n_requests", "duration_s", "trace", "replicas",
     "policy", "batch_size", "seed", "ps_cores", "dma_channels", "warmup_s", "slo_s",
-    "exact",
 ]
 FLEET_KEYS = [
     "boards", "classes", "model", "depth", "n_units", "word_length", "fraction_bits",
     "arrival", "arrival_rate_hz", "n_requests", "duration_s", "trace",
     "replicas", "routing", "admission", "slo_s", "autoscale", "autoscale_interval_s",
-    "cells", "seed", "fidelity", "exact",
+    "cells", "seed", "fidelity",
 ]
 
 
