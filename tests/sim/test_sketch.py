@@ -3,9 +3,10 @@
 :class:`~repro.sim.metrics.QuantileSketch` keeps every latency (or wait)
 sample in a float64 buffer, so its percentiles are exact.  Three pillars:
 
-* **Bit-identity with :func:`latency_stats`**: ``stats()`` over any stream,
-  short or long, equals :func:`latency_stats` over the same values,
-  including the NaN-not-zero semantics of an empty stream.
+* **Exact percentiles**: p50/p90/p95/p99 equal ``np.percentile`` over the
+  inserted values across adversarial streams (bimodal, heavy-tail,
+  constant, tiny), and ``stats()`` equals :func:`latency_stats` over the
+  same values, including the NaN-not-zero semantics of an empty stream.
 * **Merge-order invariance**: shard stores merged in any order yield
   identical quantiles (the shared-nothing fleet merge depends on this).
 * **Compact storage**: 8 bytes per sample, no per-sample Python objects.
@@ -21,15 +22,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import QuantileSketch, latency_stats
+from repro.sim.metrics import PERCENTILES, QuantileSketch, latency_stats
 
 positive_values = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
+value_lists = st.lists(positive_values, min_size=1, max_size=400)
 
 
 def fill(sketch: QuantileSketch, values) -> QuantileSketch:
     for value in values:
         sketch.insert(value)
     return sketch
+
+
+def assert_exact(sketch: QuantileSketch, values) -> None:
+    truth = np.percentile(np.asarray(values, dtype=np.float64), list(PERCENTILES))
+    reported = sketch.stats().percentiles
+    for q, exact in zip(PERCENTILES, truth):
+        assert reported[q] == exact, (
+            f"p{q}: store {reported[q]} vs numpy {exact} over {len(values)} samples"
+        )
+
+
+class TestAccuracy:
+    """Percentiles equal the ``np.percentile`` oracle, not an estimate of it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_lists)
+    def test_arbitrary_streams(self, values):
+        assert_exact(fill(QuantileSketch(), values), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=1e-4, max_value=2e-4), min_size=1, max_size=100),
+        st.lists(st.floats(min_value=5.0, max_value=6.0), min_size=1, max_size=100),
+    )
+    def test_bimodal(self, low_mode, high_mode):
+        values = low_mode + high_mode
+        assert_exact(fill(QuantileSketch(), values), values)
+
+    def test_pareto_tail_spanning_six_decades(self):
+        rng = np.random.default_rng(11)
+        values = 1e-4 * (1.0 + rng.pareto(0.6, size=10_000))
+        assert_exact(fill(QuantileSketch(), values), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(positive_values, st.integers(min_value=1, max_value=500))
+    def test_constant_stream_is_exact(self, value, n):
+        stats = fill(QuantileSketch(), [value] * n).stats()
+        assert all(v == value for v in stats.percentiles.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(positive_values, min_size=1, max_size=4))
+    def test_tiny_streams(self, values):
+        # n < 5: every percentile interpolates between just-inserted samples.
+        assert_exact(fill(QuantileSketch(), values), values)
+
+    def test_interpolation_matches_numpy_semantics(self):
+        # p90 of [1,1,1,1000] is a linear interpolation (700.3), not a sample.
+        values = [1.0, 1.0, 1.0, 1000.0]
+        assert fill(QuantileSketch(), values).stats().percentiles[90] == pytest.approx(700.3)
+        assert_exact(fill(QuantileSketch(), values), values)
+
+    def test_extremes_are_exact(self):
+        values = [3.7, 0.002, 81.0, 0.5]
+        sketch = fill(QuantileSketch(), values)
+        stats = sketch.stats()
+        assert stats.minimum == min(values)
+        assert stats.maximum == max(values)
+        assert stats.mean == pytest.approx(np.mean(values), rel=1e-12)
+        assert sketch.mean == pytest.approx(np.mean(values), rel=1e-12)
+
+    def test_zeros_are_representable(self):
+        values = [0.0] * 10 + [1.0] * 10
+        stats = fill(QuantileSketch(), values).stats()
+        assert stats.minimum == 0.0
+        assert stats.percentiles[50] == 0.5
+        assert stats.percentiles[95] == 1.0
 
 
 class TestMergeInvariance:
@@ -51,6 +119,16 @@ class TestMergeInvariance:
         a = list(merged(forward).values())
         b = list(merged(shuffled).values())
         assert a == b or (all(math.isnan(x) for x in a) and all(math.isnan(x) for x in b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(positive_values, min_size=1, max_size=50), min_size=2, max_size=5))
+    def test_merged_sketch_tracks_the_concatenated_stream(self, shards):
+        values = [v for shard in shards for v in shard]
+        total = QuantileSketch()
+        for shard in shards:
+            total.merge(fill(QuantileSketch(), shard))
+        assert list(total.samples) == values
+        assert_exact(total, values)
 
     def test_shards_merge_exactly(self):
         a = fill(QuantileSketch(), [1.0, 5.0])
