@@ -5,8 +5,11 @@ contract's reference (``repro.sim.engine``) only when every report field
 other than ``events_processed`` stays bit-identical.  This module pins that
 on a spread of runs: the three policies under Poisson and deterministic
 arrivals at a light (2 req/s), a knee (8 req/s) and a past-capacity
-(12 req/s) rate, one run per fault mode, one warm-up run and a two-board
-event-fidelity fleet.  ``tests/golden/report_identity.json`` holds each
+(12 req/s) rate, one run per fault mode, one warm-up run, a two-board
+event-fidelity fleet and fast-fidelity fleets over every balancer path:
+least-loaded and batch routing (with spill), round-robin, weighted, SLO
+admission and none, three cells, and autoscaling that powers boards both
+up and down.  ``tests/golden/report_identity.json`` holds each
 run's full ``as_dict()`` minus the event counts, and names the commit it
 was generated at.
 
@@ -25,7 +28,7 @@ from typing import Callable, Dict
 import pytest
 
 from repro.faults.modes import FAULT_MODE_KINDS, make_fault_mode
-from repro.fleet import BoardGroup, FleetScenario, simulate_fleet
+from repro.fleet import BoardGroup, FleetScenario, TrafficClass, simulate_fleet
 from repro.sim import SimScenario, simulate
 
 FIXTURE = Path(__file__).resolve().parents[1] / "golden" / "report_identity.json"
@@ -43,6 +46,59 @@ BASE = SimScenario(
 )
 
 RATES = {"light": 2.0, "knee": 8.0, "past_capacity": 12.0}
+
+_TWO_CLASSES = (
+    TrafficClass("interactive", 0.8, "latency"),
+    TrafficClass("nightly", 0.2, "batch"),
+)
+_MIXED = FleetScenario(
+    boards=(BoardGroup("PYNQ-Z2", 3), BoardGroup("ZCU104", 2)),
+    classes=_TWO_CLASSES,
+    arrival_rate_hz=10.0,
+    n_requests=1500,
+    seed=1,
+)
+
+#: Fast-fidelity fleets, one per balancer path.
+FAST_FLEETS = {
+    # The serve op2 fleet (perfbench), at a tenth of its requests.
+    "serve_op2_4000": FleetScenario(
+        boards=(BoardGroup("PYNQ-Z2", 16), BoardGroup("ZCU104", 8)),
+        classes=(
+            TrafficClass("interactive", 0.9, "latency"),
+            TrafficClass("batch", 0.1, "batch"),
+        ),
+        arrival_rate_hz=30.0,
+        n_requests=4000,
+        seed=1,
+    ),
+    # Powers boards up and down (test_autoscale_fires_both_ways).
+    "autoscale": FleetScenario(
+        boards=(BoardGroup("PYNQ-Z2", 3), BoardGroup("ZCU104", 1)),
+        classes=_TWO_CLASSES,
+        arrival_rate_hz=3.0,
+        n_requests=2000,
+        replicas=1,
+        autoscale=True,
+        autoscale_interval_s=2.0,
+        seed=1,
+    ),
+    "cells3": _MIXED.replace(
+        boards=(BoardGroup("PYNQ-Z2", 4), BoardGroup("ZCU104", 2)), arrival_rate_hz=20.0, cells=3
+    ),
+    "admission_none": _MIXED.replace(admission="none"),
+    # One batch class: the cheapest board backs up and spills
+    # (test_batch_class_spills).
+    "batch_spill": FleetScenario(
+        boards=(BoardGroup("PYNQ-Z2", 4), BoardGroup("ZCU104", 2)),
+        classes=(TrafficClass("bulk", kind="batch"),),
+        arrival_rate_hz=5.0,
+        n_requests=2000,
+        seed=1,
+    ),
+    "round_robin": _MIXED.replace(routing="round_robin"),
+    "weighted": _MIXED.replace(routing="weighted"),
+}
 
 
 def _runs() -> Dict[str, Callable[[], object]]:
@@ -66,6 +122,8 @@ def _runs() -> Dict[str, Callable[[], object]]:
         seed=1,
     )
     runs["fleet/2x_pynq_z2_event"] = lambda: simulate_fleet(fleet)
+    for name, scenario in FAST_FLEETS.items():
+        runs[f"fleet/{name}"] = lambda s=scenario: simulate_fleet(s)
     return runs
 
 
@@ -92,6 +150,18 @@ def _fixture() -> Dict[str, object]:
 
 def test_fixture_covers_every_run():
     assert sorted(_fixture()["reports"]) == sorted(RUNS)
+
+
+def test_autoscale_fires_both_ways():
+    autoscale = _fixture()["reports"]["fleet/autoscale"]["autoscale"]
+    assert autoscale["power_ups"] > 0
+    assert autoscale["power_downs"] > 0
+
+
+def test_batch_class_spills():
+    # Every board type serves: the cheapest board's backlog spilled over.
+    boards = _fixture()["reports"]["fleet/batch_spill"]["boards"]
+    assert all(group["served"] > 0 for group in boards)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
