@@ -66,8 +66,10 @@ MIN_EVENTS_PER_SEC = 100_000.0
 MIN_SERVING_EVENTS_PER_SEC = 250_000.0
 MIN_SERVING_REQUESTS_PER_SEC = 3_500.0
 
-#: The fleet kernel's asserted floor (full run; --quick uses half).  The
-#: reference container sustains ~350k events/sec on the day-length trace.
+#: The fleet kernel's asserted floor (full run; --quick uses half).  On the
+#: day-length trace (1,035,655 requests) a shared 2-CPU host ran 255-280k
+#: events/sec (3.7-4.1 s) with a least-loaded scan of every board, and
+#: 325-390k (2.6-3.2 s) with the balancer's heap index.
 MIN_FLEET_EVENTS_PER_SEC = 100_000.0
 
 #: The event-fidelity fleet's requests/sec floor (full run; --quick uses

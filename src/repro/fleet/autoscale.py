@@ -7,7 +7,9 @@ capacity) and
 
 * powers **up** the first unpowered board in inventory order when the
   window runs hot (``util >`` :data:`HIGH`) — the board draws power
-  immediately and starts serving after :data:`BOOT_S` (cold-start penalty);
+  immediately and starts serving after :data:`BOOT_S` (cold-start penalty),
+  through :meth:`~repro.fleet.balancer.Balancer.power_up` so the
+  balancer's routing index sees the board come back;
 * powers **down** the last powered board in inventory order when the window
   runs cold (``util <`` :data:`LOW`) and more than :data:`MIN_POWERED`
   boards are up — the board stops accepting work, drains its in-flight
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .balancer import BoardServer
+from .balancer import Balancer
 
 __all__ = ["HIGH", "LOW", "BOOT_S", "MIN_POWERED", "AutoscaleController"]
 
@@ -44,10 +46,11 @@ MIN_POWERED = 1
 class AutoscaleController:
     """One cell's reactive power controller, deciding every ``interval_s``."""
 
-    __slots__ = ("boards", "interval_s", "events", "_last_busy")
+    __slots__ = ("balancer", "boards", "interval_s", "events", "_last_busy")
 
-    def __init__(self, boards: List[BoardServer], interval_s: float) -> None:
-        self.boards = boards
+    def __init__(self, balancer: Balancer, interval_s: float) -> None:
+        self.balancer = balancer
+        self.boards = balancer.boards
         self.interval_s = interval_s
         self.events: List[Dict[str, object]] = []
         self._last_busy = 0.0
@@ -75,7 +78,7 @@ class AutoscaleController:
     def _power_up(self, now: float, util: float) -> None:
         for board in self.boards:  # first unpowered, inventory order
             if not board.powered:
-                board.power_up(now, BOOT_S)
+                self.balancer.power_up(board, now, BOOT_S)
                 self.events.append(
                     {"t": now, "action": "up", "board": board.index, "util": util}
                 )

@@ -5,8 +5,9 @@ The fast fleet kernel does not replay every DMA burst — that is what
 (:class:`BoardServer`): ``replicas`` slots, each serving one request at a
 time at the board's *analytic* service time (the same
 ``build_service_plan().total_seconds`` the transaction-level simulator is
-differentially pinned to).  A request costs one heap operation, so
-million-request day traces run in seconds.
+differentially pinned to).  A request costs an O(log B) routing decision
+over a cell's B boards plus one slot-heap commit, so million-request day
+traces run in seconds.
 
 Routing is per-class (the tentpole requirement):
 
@@ -22,11 +23,25 @@ Routing is per-class (the tentpole requirement):
 
 ``round_robin`` and ``weighted`` (capacity-proportional, driven by
 presampled uniforms so runs stay deterministic) are the classic baselines.
+
+Least-loaded routing does not scan the boards.  A board's key is its
+``ready_at`` (its first slot to free, ``inf`` while unpowered), and its
+predicted start at ``t`` is ``max(ready_at, t)``.  The :class:`Balancer` keeps
+every board in one of two heaps: *ready* (boards whose key was at most some
+routed ``t``, ordered by inventory position, so the lowest position wins as
+the scan's tie-break did) and *busy* (``(key, position)``).  Keys only rise
+under ``assign`` and ``power_down``, so entries are checked lazily: one is
+compared with its board's live key only when it reaches the top of its
+heap, and moves or is re-pushed if the key moved.  A request therefore
+costs O(log B) amortised, for any order of ``t`` (a ready entry is checked
+against the ``t`` being routed).  Powering a board up lowers its key, so it
+goes through :meth:`Balancer.power_up`, which rebuilds the index.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.metrics import energy_section, ps_energy_j
@@ -50,7 +65,7 @@ class BoardServer:
         "ps_s",
         "free",
         "powered",
-        "available_from",
+        "ready_at",
         "powered_since",
         "powered_seconds",
         "busy_seconds",
@@ -85,7 +100,9 @@ class BoardServer:
         self.ps_s = ps_s
         self.free = [0.0] * replicas  # a heap of per-slot next-free instants
         self.powered = True
-        self.available_from = 0.0
+        # When a request could start here at the earliest: the first slot
+        # to free (``inf`` while unpowered).  The balancer's routing key.
+        self.ready_at = 0.0
         self.powered_since = 0.0
         self.powered_seconds = 0.0
         self.busy_seconds = 0.0
@@ -106,12 +123,8 @@ class BoardServer:
     def predicted_start(self, t: float) -> float:
         """When a request arriving at ``t`` would begin service here."""
 
-        earliest = self.free[0]
-        if earliest < t:
-            earliest = t
-        if earliest < self.available_from:
-            earliest = self.available_from
-        return earliest
+        ready_at = self.ready_at
+        return ready_at if ready_at > t else t
 
     def assign(self, t: float) -> Tuple[float, float]:
         """Commit a request arriving at ``t``; return (start, finish)."""
@@ -119,7 +132,10 @@ class BoardServer:
         start = self.predicted_start(t)
         service = self.svc_s
         finish = start + service
-        heapq.heapreplace(self.free, finish)
+        free = self.free
+        heapq.heapreplace(free, finish)
+        if self.powered:
+            self.ready_at = free[0]
         self.busy_seconds += service
         self.ps_busy_seconds += self.ps_s
         self.served += 1
@@ -139,7 +155,7 @@ class BoardServer:
         drain_end = max(t, max(self.free))
         self.powered = False
         self.powered_seconds += drain_end - self.powered_since
-        self.available_from = float("inf")
+        self.ready_at = math.inf
         if drain_end > self.last_finish:
             self.last_finish = drain_end
         return drain_end
@@ -149,8 +165,8 @@ class BoardServer:
 
         self.powered = True
         self.powered_since = t
-        self.available_from = t + boot_s
-        self.free = [self.available_from] * self.replicas
+        self.ready_at = t + boot_s
+        self.free = [self.ready_at] * self.replicas
 
     def finalize(self, horizon: float) -> None:
         """Close the power ledger at the end of the run."""
@@ -177,12 +193,16 @@ class BoardServer:
 class Balancer:
     """Per-class routing over one cell's boards."""
 
-    __slots__ = ("boards", "routing", "_rr")
+    __slots__ = ("boards", "routing", "_rr", "_by_energy", "_ready", "_busy")
 
     def __init__(self, boards: List[BoardServer], routing: str) -> None:
         self.boards = boards
         self.routing = routing
         self._rr = 0
+        # Batch routing's order: cheapest joules per request first, ties on
+        # inventory order (the sort is stable).
+        self._by_energy = sorted(boards, key=lambda b: b.energy_per_request)
+        self._reindex()
 
     def route(self, t: float, kind: str, u: Optional[float] = None) -> Optional[BoardServer]:
         """Pick the serving board for one request (``None`` if none is powered)."""
@@ -195,27 +215,53 @@ class Balancer:
             return self._cheapest(t)
         return self._least_loaded(t)
 
+    def power_up(self, board: BoardServer, t: float, boot_s: float) -> None:
+        """Power ``board`` up at ``t`` (see :meth:`BoardServer.power_up`).
+
+        Its key falls, which the lazy index cannot see, so the index is
+        rebuilt.
+        """
+
+        board.power_up(t, boot_s)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the index: every board in the busy heap at its live key."""
+
+        self._ready = []
+        self._busy = sorted((b.ready_at, pos) for pos, b in enumerate(self.boards))
+
     def _least_loaded(self, t: float) -> Optional[BoardServer]:
-        best = None
-        best_start = float("inf")
-        for board in self.boards:
-            if not board.powered:
-                continue
-            start = board.predicted_start(t)
-            if start < best_start:
-                best, best_start = board, start
-        return best
+        boards = self.boards
+        ready = self._ready
+        busy = self._busy
+        # A stored busy key is never above the live one, so every board due
+        # at ``t`` is in the ready heap after this.
+        while busy and busy[0][0] <= t:
+            heapq.heappush(ready, heapq.heappop(busy)[1])
+        # The lowest ready position whose live key is due starts at ``t``;
+        # one that is no longer due goes back to the busy heap.
+        while ready:
+            pos = ready[0]
+            live = boards[pos].ready_at
+            if live <= t:
+                return boards[pos]
+            heapq.heappop(ready)
+            heapq.heappush(busy, (live, pos))
+        # Nothing is ready: the earliest busy key (lowest position on ties).
+        while busy:
+            key, pos = busy[0]
+            live = boards[pos].ready_at
+            if live == key:
+                return boards[pos] if key < math.inf else None
+            heapq.heapreplace(busy, (live, pos))
+        return None
 
     def _cheapest(self, t: float) -> Optional[BoardServer]:
-        best = None
-        best_cost = float("inf")
-        for board in self.boards:
-            if not board.powered:
-                continue
-            cost = board.energy_per_request
-            if cost < best_cost:
-                best, best_cost = board, cost
-        if best is None:
+        for best in self._by_energy:
+            if best.powered:
+                break
+        else:
             return None
         # Spill: bulk work must not starve behind itself on the one
         # efficient board while the rest of the fleet idles.

@@ -7,7 +7,8 @@ index, never of the shard layout).  Two serving fidelities:
 
 * ``fast`` — the single-pass analytic kernel: each request is routed by the
   :class:`~repro.fleet.balancer.Balancer` and committed to a board slot heap
-  at the board's analytic service time.  One heap operation per request;
+  at the board's analytic service time.  A request costs an O(log B)
+  routing decision over the cell's B boards plus one slot-heap commit;
   autoscale ticks interleave between arrivals.  This is what makes
   million-request day traces take seconds.
 * ``event`` — the routing pass runs identically (the balancer always works
@@ -20,6 +21,7 @@ index, never of the shard layout).  Two serving fidelities:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +40,8 @@ from .report import BoardCell, CellResult, ClassCell
 
 __all__ = ["run_cell", "resolve_slos", "resolve_board_replicas"]
 
-#: Rate-driven fleets with no explicit bound default to this many requests.
+#: Rate-driven fleets with no explicit bound default to this many requests
+#: (a trace is bounded by its own length).
 DEFAULT_FLEET_REQUESTS = 1000
 
 
@@ -100,29 +103,32 @@ def resolve_slos(
 
 def _cell_arrivals(
     scenario: FleetScenario, cell: int, rng: np.random.Generator
-) -> np.ndarray:
-    """This cell's share of the offered traffic (1/cells of the stream)."""
+) -> array:
+    """This cell's share of the offered traffic (1/cells of the stream).
+
+    A trace (always one cell) stops at ``n_requests`` and ``duration_s`` as
+    it does in ``repro.sim.simulate``.  The times come back as a float64
+    ``array``: indexing it yields plain floats, at 8 bytes per request.
+    """
 
     cells = scenario.cells
-    if scenario.arrival == "trace":
-        return np.asarray(scenario.trace, dtype=np.float64)  # cells == 1, validated
     n_total = scenario.n_requests
-    if n_total is None and scenario.duration_s is None:
+    if n_total is None and scenario.duration_s is None and scenario.arrival != "trace":
         n_total = DEFAULT_FLEET_REQUESTS
     n_cell = None
     if n_total is not None:
         n_cell = n_total // cells + (1 if cell < n_total % cells else 0)
         if n_cell == 0:
-            return np.empty(0, dtype=np.float64)
+            return array("d")
     times = arrival_times(
         scenario.arrival,
         rate_hz=scenario.arrival_rate_hz / cells,
         n_requests=n_cell,
         duration_s=scenario.duration_s,
         rng=rng,
-        trace=None,
+        trace=scenario.trace,
     )
-    return np.asarray(times, dtype=np.float64)
+    return array("d", np.asarray(times, dtype=np.float64).tobytes())
 
 
 def _build_boards(
@@ -186,10 +192,10 @@ def run_cell(
     n = len(arrivals)
     if n_classes > 1:
         weights = np.asarray([c.weight for c in classes], dtype=np.float64)
-        labels = rng.choice(n_classes, size=n, p=weights / weights.sum())
+        labels = rng.choice(n_classes, size=n, p=weights / weights.sum()).tolist()
     else:
-        labels = np.zeros(n, dtype=np.intp)
-    route_u = rng.random(n) if scenario.routing == "weighted" else None
+        labels = [0] * n
+    route_u = rng.random(n).tolist() if scenario.routing == "weighted" else None
 
     boards = _build_boards(scenario, cell, ev, replicas, times)
     balancer = Balancer(boards, scenario.routing)
@@ -197,7 +203,7 @@ def run_cell(
     next_tick = np.inf
     interval = scenario.autoscale_interval_s
     if scenario.autoscale:
-        controller = AutoscaleController(boards, interval)
+        controller = AutoscaleController(balancer, interval)
         next_tick = interval
 
     check_slo = scenario.admission == "slo"
@@ -208,7 +214,7 @@ def run_cell(
     violations = [0] * n_classes
     kinds = [c.kind for c in classes]
     events = 0
-    last_arrival = float(arrivals[-1]) if n else 0.0
+    last_arrival = arrivals[-1] if n else 0.0
 
     # Event fidelity: the routing pass assigns, the transaction-level
     # simulator serves.  Collect each board's admitted arrivals here.
@@ -217,12 +223,12 @@ def run_cell(
     board_pos = {b.index: i for i, b in enumerate(boards)}
 
     for i in range(n):
-        t = float(arrivals[i])
+        t = arrivals[i]
         while t >= next_tick:
             controller.tick(next_tick)
             next_tick += interval
             events += 1
-        c = int(labels[i])
+        c = labels[i]
         offered[c] += 1
         board = balancer.route(t, kinds[c], route_u[i] if route_u is not None else None)
         if board is None:

@@ -44,7 +44,8 @@ def check_traffic(scenario) -> None:
     Rates, horizons and SLOs must be positive and finite (NaN and inf fail
     too), ``n_requests`` a positive integer and the seed a non-negative
     integer, both stored as plain ints.  A trace is stored as a tuple of
-    floats.
+    floats, which must be finite, sorted and non-negative (requests are
+    served in trace order); this is the one check of a trace.
     """
 
     object.__setattr__(scenario, "seed", check_seed("seed", scenario.seed))
@@ -56,7 +57,10 @@ def check_traffic(scenario) -> None:
     if scenario.arrival == "trace":
         if not scenario.trace:
             raise ValueError("arrival='trace' needs at least one trace timestamp")
-        object.__setattr__(scenario, "trace", tuple(float(t) for t in scenario.trace))
+        trace = tuple(float(t) for t in scenario.trace)
+        if not all(0 <= t < math.inf for t in trace) or list(trace) != sorted(trace):
+            raise ValueError("trace timestamps must be finite, sorted and non-negative")
+        object.__setattr__(scenario, "trace", trace)
     else:
         if scenario.trace is not None:
             raise ValueError(

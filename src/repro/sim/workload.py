@@ -22,7 +22,6 @@ Three concerns live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -188,8 +187,9 @@ def arrival_times(
 
     ``deterministic`` and ``poisson`` need ``rate_hz`` plus at least one stop
     condition (``n_requests`` and/or ``duration_s``; both apply when both are
-    given).  ``trace`` replays the given timestamps (which must be sorted and
-    non-negative), optionally truncated by the same stop conditions.
+    given).  ``trace`` replays the given timestamps (a scenario's, checked
+    by ``repro.sim.scenario.check_traffic``), optionally truncated by the
+    same stop conditions.
     """
 
     if kind not in ARRIVAL_KINDS:
@@ -198,8 +198,6 @@ def arrival_times(
         if trace is None:
             raise ValueError("trace arrivals need an explicit list of timestamps")
         times = [float(t) for t in trace]
-        if not all(0 <= t < math.inf for t in times) or times != sorted(times):
-            raise ValueError("trace timestamps must be finite, sorted and non-negative")
     else:
         if rate_hz is None or rate_hz <= 0:
             raise ValueError(f"{kind} arrivals need a positive rate_hz")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.fleet import (
     AutoscaleController,
+    Balancer,
     BoardGroup,
     BoardServer,
     FleetScenario,
@@ -24,7 +25,7 @@ def make_board(index: int = 0) -> BoardServer:
 
 def controller(n_boards: int = 3) -> AutoscaleController:
     boards = [make_board(index=i) for i in range(n_boards)]
-    return AutoscaleController(boards, 10.0)
+    return AutoscaleController(Balancer(boards, "least_loaded"), 10.0)
 
 
 class TestPolicyValidation:

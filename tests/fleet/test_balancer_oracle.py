@@ -1,0 +1,93 @@
+"""Differential test of the indexed balancer against the linear-scan oracle.
+
+``reference_balancer.py`` routes by scanning every board; the
+:class:`~repro.fleet.Balancer` keeps a lazily checked heap index instead.
+Random programs of routes, direct slot commits, power-downs and power-ups
+run against one set of boards, and at every route both must pick the same
+board (or ``None``).  A small grid of service times, arrival gaps (0
+included) and boot delays makes equal keys common, so the inventory-order
+tie-break is exercised; multi-replica boards, mixed service times and
+fleets with every board unpowered are in the draw.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fleet import Balancer, BoardServer
+
+import reference_balancer
+
+BOARD = st.tuples(
+    st.integers(min_value=1, max_value=3),  # replicas
+    st.sampled_from((0.25, 0.5, 1.0)),  # service seconds
+    st.sampled_from((1.0, 2.0)),  # PL watts: equal energy costs tie
+    st.booleans(),  # powered at the start
+)
+INDEX = st.integers(min_value=0, max_value=5)
+FORWARD = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 3.0))
+BACKWARD = st.sampled_from((0.0, 0.25, 1.0, -0.25, -1.0, -3.0))
+
+
+def op(gap):
+    route = st.tuples(st.just("route"), st.sampled_from(("latency", "latency", "batch")))
+    return st.one_of(
+        st.tuples(st.just("advance"), gap),
+        route,
+        route,
+        route,
+        st.tuples(st.just("assign"), INDEX),
+        st.tuples(st.just("down"), INDEX),
+        st.tuples(st.just("up"), INDEX, st.sampled_from((0.0, 0.5, 5.0))),
+    )
+
+
+def make_board(index: int, replicas: int, svc_s: float, pl_w: float) -> BoardServer:
+    return BoardServer(
+        index=index, group=0, name="PYNQ-Z2", replicas=replicas, svc_s=svc_s, ps_s=0.1,
+        pl_w=pl_w, ps_active_w=1.0, ps_idle_w=0.2, ps_cores=1,
+    )
+
+
+def run_program(specs, program) -> None:
+    """Run ``program`` against both balancers on one set of boards."""
+
+    boards = [make_board(i, *spec[:3]) for i, spec in enumerate(specs)]
+    for board, spec in zip(boards, specs):
+        if not spec[3]:
+            board.power_down(0.0)
+    indexed = Balancer(boards, "least_loaded")
+    oracle = reference_balancer.ReferenceBalancer(boards)
+    t = 0.0
+    for step in program:
+        kind = step[0]
+        if kind == "advance":
+            t += step[1]
+        elif kind == "route":
+            picked = indexed.route(t, step[1])
+            assert picked is oracle.route(t, step[1]), (t, step)
+            if picked is not None:
+                picked.assign(t)
+        else:
+            board = boards[step[1] % len(boards)]
+            if kind == "assign" and board.powered:
+                board.assign(t)
+            elif kind == "down" and board.powered:
+                board.power_down(t)
+            elif kind == "up" and not board.powered:
+                indexed.power_up(board, t, step[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BOARD, min_size=1, max_size=6), st.lists(op(FORWARD), max_size=60))
+def test_indexed_balancer_matches_the_scan(specs, program):
+    run_program(specs, program)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BOARD, min_size=1, max_size=6), st.lists(op(BACKWARD), max_size=60))
+def test_routing_stays_right_when_time_goes_backwards(specs, program):
+    # Direct API users may route at an earlier t than the last one.
+    run_program(specs, program)
+

@@ -73,6 +73,35 @@ class TestFleetOfOneIdentity:
         assert board["energy"] == expected["energy"]
         assert board["requests"] == expected["requests"]
 
+    @pytest.mark.parametrize(
+        "bound", [dict(n_requests=70), dict(duration_s=9.0)], ids=["n_requests", "duration_s"]
+    )
+    def test_truncated_trace_reproduces_simulate(self, bound):
+        # A trace stops at n_requests / duration_s in the fleet as in simulate.
+        trace = _trace()
+        fleet = FleetScenario(
+            boards=(BoardGroup("PYNQ-Z2", 1),),
+            arrival="trace",
+            trace=trace,
+            seed=11,
+            fidelity="event",
+            admission="none",
+            replicas=2,
+            **bound,
+        )
+        single = SimScenario(
+            board="PYNQ-Z2", arrival="trace", trace=trace, seed=11, replicas=2, ps_cores=0, **bound
+        )
+        fleet_report = simulate_fleet(fleet)
+        sim_report = simulate(single)
+        offered = sim_report.requests["offered"]
+        assert offered < len(trace)
+        assert fleet_report.requests["offered"] == offered
+        assert fleet_report.latency == sim_report.latency
+        assert fleet_report.wait == sim_report.wait
+        assert fleet_report.energy == sim_report.energy
+        assert simulate_fleet(fleet.replace(fidelity="fast")).requests["offered"] == offered
+
     def test_event_fidelity_carries_slo_through(self):
         trace = _trace(seed=9, n=60, span=5.0)
         fleet = FleetScenario(

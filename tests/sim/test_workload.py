@@ -43,10 +43,6 @@ class TestArrivals:
         times = arrival_times("trace", trace=[0.0, 0.5, 2.0, 9.0], duration_s=3.0)
         assert times == [0.0, 0.5, 2.0]
 
-    def test_trace_must_be_sorted(self):
-        with pytest.raises(ValueError, match="sorted"):
-            arrival_times("trace", trace=[1.0, 0.5])
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
             arrival_times("bursty", rate_hz=1.0, n_requests=1)

@@ -3,7 +3,9 @@
 Integer counts go through :func:`repro._checks.check_count` (Python and NumPy
 integers pass and are stored as plain ints, anything else is a named
 ``ValueError``), and the Table-5 row "ODENet-3" maps to its Table-4 variant in
-one function (no other code maps the names, in either direction).  Each
+one function (no other code maps the names, in either direction).  An
+arrival trace is checked once, by ``repro.sim.scenario.check_traffic``, so
+``SimScenario`` and ``FleetScenario`` both refuse a bad one when built.  Each
 calibration constant and board value has one source: no ``*Config`` twin of
 the models' constants and no ``for_board`` copy of a board rule.  The source
 scan keeps copies of these rules from growing back.
@@ -21,7 +23,7 @@ import pytest
 from repro.faults.sample import injection_times
 from repro.fleet import BoardGroup, FleetScenario, simulate_fleet
 from repro.opt import SearchSpace, optimize
-from repro.sim import Simulator
+from repro.sim import SimScenario, Simulator
 from repro.sim.resources import Resource
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,6 +75,25 @@ def test_count_messages_live_in_checks_only():
     rule = re.compile(r"must be a (positive|non-negative) integer")
     owners = [name for name, text in _sources().items() if rule.search(text)]
     assert owners == ["repro/_checks.py"]
+
+
+TRACE_RULE = "trace timestamps must be finite, sorted and non-negative"
+
+
+@pytest.mark.parametrize("build", [SimScenario, FleetScenario], ids=["sim", "fleet"])
+@pytest.mark.parametrize(
+    "trace",
+    [(3.0, 1.0, 2.0), (-3.0, 1.0, 2.0), (0.0, float("nan")), (0.0, float("inf"))],
+    ids=["unsorted", "negative", "nan", "inf"],
+)
+def test_bad_trace_rejected_at_construction(build, trace):
+    with pytest.raises(ValueError, match=re.escape(TRACE_RULE)):
+        build(arrival="trace", trace=trace)
+
+
+def test_trace_rule_lives_in_check_traffic():
+    owners = [name for name, text in _sources().items() if TRACE_RULE in text]
+    assert owners == ["repro/sim/scenario.py"]
 
 
 def _compares_odenet3(node: ast.AST) -> bool:
