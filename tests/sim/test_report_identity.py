@@ -5,11 +5,13 @@ contract's reference (``repro.sim.engine``) only when every report field
 other than ``events_processed`` stays bit-identical.  This module pins that
 on a spread of runs: the three policies under Poisson and deterministic
 arrivals at a light (2 req/s), a knee (8 req/s) and a past-capacity
-(12 req/s) rate, one run per fault mode, one warm-up run, a two-board
-event-fidelity fleet and fast-fidelity fleets over every balancer path:
-least-loaded and batch routing (with spill), round-robin, weighted, SLO
-admission and none, three cells, and autoscaling that powers boards both
-up and down.  ``tests/golden/report_identity.json`` holds each
+(12 req/s) rate, one run per fault mode under ``batched``, replica death
+and PS-core loss under ``fifo`` and ``round_robin`` too (round-robin
+re-dispatches the dead replica's pinned queue), one warm-up run, a
+two-board event-fidelity fleet and fast-fidelity fleets over every
+balancer path: least-loaded and batch routing (with spill), round-robin,
+weighted, SLO admission and none, three cells, and autoscaling that powers
+boards both up and down under least-loaded and weighted routing.  ``tests/golden/report_identity.json`` holds each
 run's full ``as_dict()`` minus the event counts, and names the commit it
 was generated at.
 
@@ -99,6 +101,14 @@ FAST_FLEETS = {
     "round_robin": _MIXED.replace(routing="round_robin"),
     "weighted": _MIXED.replace(routing="weighted"),
 }
+# Weighted routing over a powered set that shrinks and grows.
+FAST_FLEETS["weighted_autoscale"] = FAST_FLEETS["autoscale"].replace(routing="weighted")
+
+#: Fault modes also pinned under the unbatched policies, past capacity and
+#: injected when round-robin's first replica has a pinned queue behind its
+#: in-flight invocation (both are re-dispatched).
+POLICY_FAULTS = ("replica_death", "ps_core_loss")
+POLICY_FAULT_AT = 6.5
 
 
 def _runs() -> Dict[str, Callable[[], object]]:
@@ -113,6 +123,12 @@ def _runs() -> Dict[str, Callable[[], object]]:
         runs[f"fault/{kind}"] = lambda k=kind: simulate(
             knee, faults=[(make_fault_mode(k), 2.0)], fault_seed=3
         )
+    for policy in ("fifo", "round_robin"):
+        loaded = BASE.replace(policy=policy, arrival_rate_hz=RATES["past_capacity"])
+        for kind in POLICY_FAULTS:
+            runs[f"fault/{kind}/{policy}"] = lambda s=loaded, k=kind: simulate(
+                s, faults=[(make_fault_mode(k), POLICY_FAULT_AT)], fault_seed=3
+            )
     runs["warmup"] = lambda: simulate(knee.replace(warmup_s=3.0, slo_s=0.9))
     fleet = FleetScenario(
         boards=(BoardGroup("PYNQ-Z2", 2),),
@@ -153,9 +169,15 @@ def test_fixture_covers_every_run():
 
 
 def test_autoscale_fires_both_ways():
-    autoscale = _fixture()["reports"]["fleet/autoscale"]["autoscale"]
-    assert autoscale["power_ups"] > 0
-    assert autoscale["power_downs"] > 0
+    for name in ("fleet/autoscale", "fleet/weighted_autoscale"):
+        autoscale = _fixture()["reports"][name]["autoscale"]
+        assert autoscale["power_ups"] > 0, name
+        assert autoscale["power_downs"] > 0, name
+
+
+def test_round_robin_replica_death_redispatches():
+    faults = _fixture()["reports"]["fault/replica_death/round_robin"]["faults"]
+    assert faults["redispatched"] > 1
 
 
 def test_batch_class_spills():
