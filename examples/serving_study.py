@@ -23,7 +23,7 @@ import argparse
 
 from repro.analysis import format_records
 from repro.api import Evaluator
-from repro.sim import SimScenario, max_replicas, simulate
+from repro.sim import SimScenario, simulate, size_replicas
 
 EVALUATOR = Evaluator()
 
@@ -44,7 +44,7 @@ def study(model: str, depth: int, rates, systems, n_requests: int) -> None:
     service = simulate(
         base.replace(arrival="deterministic", n_requests=1), evaluator=EVALUATOR
     ).latency.mean
-    budget = max_replicas(base.design_point, evaluator=EVALUATOR)
+    budget, _ = size_replicas(base.design_point, 0, EVALUATOR)
     print(f"=== {model}-{depth}: no-load latency {service * 1e3:.1f} ms, "
           f"device budget {budget} replica(s) ===")
 

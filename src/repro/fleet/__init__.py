@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FleetScenario", "TrafficClass", "parse_board_groups", "parse_traffic_classes",
         ),
         ".report": ("BoardCell", "CellResult", "ClassCell", "FleetReport", "merge_cells"),
-        ".runner": ("resolve_board_replicas", "resolve_slos", "run_cell"),
+        ".runner": ("resolve_slos", "run_cell"),
         ".shard": ("simulate_fleet",),
     },
 )

@@ -13,7 +13,9 @@ capacity) and
 * powers **down** the last powered board in inventory order when the window
   runs cold (``util <`` :data:`LOW`) and more than :data:`MIN_POWERED`
   boards are up — the board stops accepting work, drains its in-flight
-  slots, and its power ledger closes at the drain instant.
+  slots, and its power ledger closes at the drain instant (through
+  :meth:`~repro.fleet.balancer.Balancer.power_down`, so weighted routing
+  sees the board go).
 
 Energy is priced per board from its :class:`~repro.platform.device.PowerProfile`
 over exactly its powered seconds, so the report shows what the policy
@@ -87,7 +89,7 @@ class AutoscaleController:
     def _power_down(self, now: float, util: float) -> None:
         for board in reversed(self.boards):  # last powered, inventory order
             if board.powered:
-                drained = board.power_down(now)
+                drained = self.balancer.power_down(board, now)
                 self.events.append(
                     {
                         "t": now,

@@ -23,6 +23,9 @@ Routing is per-class (the tentpole requirement):
 
 ``round_robin`` and ``weighted`` (capacity-proportional, driven by
 presampled uniforms so runs stay deterministic) are the classic baselines.
+Weighted routing keeps the cumulative weights of the powered boards and
+bisects them, so a request costs O(log B); the weights are rebuilt only
+when the powered set changes.
 
 Least-loaded routing does not scan the boards.  A board's key is its
 ``ready_at`` (its first slot to free, ``inf`` while unpowered), and its
@@ -35,13 +38,17 @@ compared with its board's live key only when it reaches the top of its
 heap, and moves or is re-pushed if the key moved.  A request therefore
 costs O(log B) amortised, for any order of ``t`` (a ready entry is checked
 against the ``t`` being routed).  Powering a board up lowers its key, so it
-goes through :meth:`Balancer.power_up`, which rebuilds the index.
+goes through :meth:`Balancer.power_up`, which rebuilds the index;
+power-downs go through :meth:`Balancer.power_down`, so the weighted table
+sees every change of the powered set.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.metrics import energy_section, ps_energy_j
@@ -193,7 +200,7 @@ class BoardServer:
 class Balancer:
     """Per-class routing over one cell's boards."""
 
-    __slots__ = ("boards", "routing", "_rr", "_by_energy", "_ready", "_busy")
+    __slots__ = ("boards", "routing", "_rr", "_by_energy", "_ready", "_busy", "_weights")
 
     def __init__(self, boards: List[BoardServer], routing: str) -> None:
         self.boards = boards
@@ -225,11 +232,23 @@ class Balancer:
         board.power_up(t, boot_s)
         self._reindex()
 
+    def power_down(self, board: BoardServer, t: float) -> float:
+        """Power ``board`` down at ``t``; return its drain instant (see
+        :meth:`BoardServer.power_down`).
+
+        Its key rises, which the lazy index checks on its own; the powered
+        set shrinks, so the weighted table is rebuilt on its next use.
+        """
+
+        self._weights = None
+        return board.power_down(t)
+
     def _reindex(self) -> None:
         """Rebuild the index: every board in the busy heap at its live key."""
 
         self._ready = []
         self._busy = sorted((b.ready_at, pos) for pos, b in enumerate(self.boards))
+        self._weights = None
 
     def _least_loaded(self, t: float) -> Optional[BoardServer]:
         boards = self.boards
@@ -280,24 +299,19 @@ class Balancer:
         return None
 
     def _weighted(self, u: Optional[float]) -> Optional[BoardServer]:
-        """Capacity-proportional choice: weight = replicas / service time."""
+        """Capacity-proportional choice: weight = replicas / service time.
 
-        weights = []
-        candidates = []
-        for board in self.boards:
-            if not board.powered:
-                continue
-            candidates.append(board)
-            weights.append(board.replicas / board.svc_s)
+        The first powered board (inventory order) whose running sum of
+        weights exceeds ``u`` times ``sum(weights)``: the sums a per-request
+        scan would add up, so the choice is bit-identical to one.
+        """
+
+        if self._weights is None:
+            candidates = [b for b in self.boards if b.powered]
+            weights = [b.replicas / b.svc_s for b in candidates]
+            self._weights = (candidates, list(accumulate(weights)), sum(weights))
+        candidates, cumulative, total = self._weights
         if not candidates:
             return None
-        if u is None:
-            u = 0.0
-        total = sum(weights)
-        threshold = u * total
-        acc = 0.0
-        for board, w in zip(candidates, weights):
-            acc += w
-            if threshold < acc:
-                return board
-        return candidates[-1]
+        pick = bisect_right(cumulative, (0.0 if u is None else u) * total)
+        return candidates[min(pick, len(candidates) - 1)]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Optional, Sequence, Tuple, Union
 
 from ..api.scenario import (
     Scenario,
@@ -113,6 +113,10 @@ class TrafficClass:
 @dataclass(frozen=True)
 class FleetScenario:
     """A heterogeneous multi-board cluster under classed traffic."""
+
+    #: Requests a rate-driven fleet offers when no stop condition is set
+    #: (see :func:`repro.sim.scenario.request_cap`).
+    DEFAULT_REQUESTS: ClassVar[int] = 1000
 
     #: The inventory, in deterministic order (autoscaling powers boards up in
     #: this order and down in reverse).

@@ -3,7 +3,12 @@
 One cell = the boards dealt to it from the inventory plus ``1/cells`` of the
 offered traffic, with its own deterministic RNG stream
 (``np.random.default_rng((seed, cell))`` — a pure function of the cell
-index, never of the shard layout).  Two serving fidelities:
+index, never of the shard layout).  Each board *type* in the inventory is
+sized and priced once per cell (:func:`_board_types`): its replicas through
+the simulator's own rule (:func:`repro.sim.policies.size_replicas`), its
+service and PS seconds from its service plan, its PL watts from one
+replica's footprint.  The SLOs and every board of the cell read that table.
+Two serving fidelities:
 
 * ``fast`` — the single-pass analytic kernel: each request is routed by the
   :class:`~repro.fleet.balancer.Balancer` and committed to a board slot heap
@@ -30,64 +35,51 @@ from ..api.evaluator import Evaluator
 from ..fpga.power import pl_power_kernel
 from ..platform import get_board
 from ..sim.metrics import QuantileSketch, energy_section, ps_energy_j
-from ..sim.policies import max_replicas
-from ..sim.scenario import DEFAULT_SLO_FACTOR
+from ..sim.policies import size_replicas
+from ..sim.scenario import DEFAULT_SLO_FACTOR, request_cap
 from ..sim.workload import arrival_times, build_service_plan
 from .autoscale import AutoscaleController
 from .balancer import Balancer, BoardServer
 from .cluster import FleetScenario
 from .report import BoardCell, CellResult, ClassCell
 
-__all__ = ["run_cell", "resolve_slos", "resolve_board_replicas"]
+__all__ = ["run_cell", "resolve_slos"]
 
-#: Rate-driven fleets with no explicit bound default to this many requests
-#: (a trace is bounded by its own length).
-DEFAULT_FLEET_REQUESTS = 1000
+#: Per board type: (replicas, service s, PS s, PL W) of one board.
+BoardTypes = Dict[str, Tuple[int, float, float, float]]
 
 
-def resolve_board_replicas(
-    scenario: FleetScenario, evaluator: Evaluator
-) -> Dict[str, int]:
-    """Replicas per board *type* (``replicas=0`` packs each board's fabric)."""
+def _board_types(scenario: FleetScenario, evaluator: Evaluator) -> BoardTypes:
+    """Size and price each board *type* of the inventory once.
 
-    out: Dict[str, int] = {}
+    The PL draw is the whole board's while powered: every instantiated
+    replica burns static + dynamic watts (its clock never gates), the same
+    pricing as ``repro.sim``'s energy summary.
+    """
+
+    out: BoardTypes = {}
     for group in scenario.boards:
         if group.board in out:
             continue
-        if scenario.replicas:
-            out[group.board] = scenario.replicas
-        else:
-            out[group.board] = max_replicas(
-                scenario.design_point(board=group.board), evaluator=evaluator
-            )
+        design = scenario.design_point(group.board)
+        replicas, per_replica = size_replicas(design, scenario.replicas, evaluator)
+        plan = build_service_plan(design, evaluator=evaluator)
+        power = design.board_spec.power
+        pl_w = replicas * float(pl_power_kernel(per_replica.dsp, per_replica.bram, power))
+        out[group.board] = (replicas, plan.total_seconds, plan.ps_seconds, pl_w)
     return out
 
 
-def _service_times(
-    scenario: FleetScenario, evaluator: Evaluator
-) -> Dict[str, Tuple[float, float]]:
-    """Per board type: (service seconds, PS seconds) of one request."""
-
-    out: Dict[str, Tuple[float, float]] = {}
-    for group in scenario.boards:
-        if group.board not in out:
-            plan = build_service_plan(scenario.design_point(group.board), evaluator=evaluator)
-            out[group.board] = (plan.total_seconds, plan.ps_seconds)
-    return out
-
-
-def resolve_slos(
-    scenario: FleetScenario, evaluator: Optional[Evaluator] = None
-) -> Tuple[Optional[float], ...]:
+def resolve_slos(scenario: FleetScenario, types: BoardTypes) -> Tuple[Optional[float], ...]:
     """The SLO each class is admitted/accounted against.
 
     Latency classes fall back to the scenario default, then to
     ``DEFAULT_SLO_FACTOR`` times the no-load service on the fastest board of
-    the fleet.  Batch classes have no implicit SLO.
+    the fleet (``types`` as :func:`_board_types` builds it).  Batch classes
+    have no implicit SLO.
     """
 
-    ev = evaluator if evaluator is not None else Evaluator()
-    fastest = min(svc for svc, _ in _service_times(scenario, ev).values())
+    fastest = min(svc for _, svc, _, _ in types.values())
     resolved: List[Optional[float]] = []
     for cls in scenario.classes:
         if cls.slo_s is not None:
@@ -112,9 +104,7 @@ def _cell_arrivals(
     """
 
     cells = scenario.cells
-    n_total = scenario.n_requests
-    if n_total is None and scenario.duration_s is None and scenario.arrival != "trace":
-        n_total = DEFAULT_FLEET_REQUESTS
+    n_total = request_cap(scenario)
     n_cell = None
     if n_total is not None:
         n_cell = n_total // cells + (1 if cell < n_total % cells else 0)
@@ -131,24 +121,12 @@ def _cell_arrivals(
     return array("d", np.asarray(times, dtype=np.float64).tobytes())
 
 
-def _build_boards(
-    scenario: FleetScenario,
-    cell: int,
-    evaluator: Evaluator,
-    replicas: Dict[str, int],
-    times: Dict[str, Tuple[float, float]],
-) -> List[BoardServer]:
+def _build_boards(scenario: FleetScenario, cell: int, types: BoardTypes) -> List[BoardServer]:
     boards: List[BoardServer] = []
     for index, group_index, name in scenario.cell_inventory(cell):
         spec = get_board(name)
         power = spec.power
-        svc, ps = times[name]
-        n_rep = replicas[name]
-        # The whole board's PL draw while powered: every instantiated
-        # replica burns static + dynamic watts (its clock never gates) —
-        # the same pricing as repro.sim's energy summary.
-        resources = _replica_resources(scenario, name, evaluator)
-        pl_w = n_rep * float(pl_power_kernel(resources.dsp, resources.bram, power))
+        n_rep, svc, ps, pl_w = types[name]
         boards.append(
             BoardServer(
                 index=index,
@@ -166,15 +144,6 @@ def _build_boards(
     return boards
 
 
-def _replica_resources(scenario: FleetScenario, board: str, evaluator: Evaluator):
-    """Fabric resources of one replica's datapath (zero when nothing offloads)."""
-
-    from ..platform import ResourceVector
-
-    decision = evaluator.offload_decision(scenario.design_point(board=board))
-    return decision.resources if decision.targets else ResourceVector()
-
-
 def run_cell(
     scenario: FleetScenario, cell: int, evaluator: Optional[Evaluator] = None
 ) -> CellResult:
@@ -183,9 +152,8 @@ def run_cell(
     ev = evaluator if evaluator is not None else Evaluator()
     classes = scenario.classes
     n_classes = len(classes)
-    replicas = resolve_board_replicas(scenario, ev)
-    times = _service_times(scenario, ev)
-    slos = resolve_slos(scenario, ev)
+    types = _board_types(scenario, ev)
+    slos = resolve_slos(scenario, types)
 
     rng = np.random.default_rng((scenario.seed, cell))
     arrivals = _cell_arrivals(scenario, cell, rng)
@@ -197,7 +165,7 @@ def run_cell(
         labels = [0] * n
     route_u = rng.random(n).tolist() if scenario.routing == "weighted" else None
 
-    boards = _build_boards(scenario, cell, ev, replicas, times)
+    boards = _build_boards(scenario, cell, types)
     balancer = Balancer(boards, scenario.routing)
     controller: Optional[AutoscaleController] = None
     next_tick = np.inf
@@ -253,7 +221,7 @@ def run_cell(
 
     if collect:
         return _event_fidelity_result(
-            scenario, cell, ev, boards, per_board_trace, replicas,
+            scenario, cell, ev, boards, per_board_trace,
             offered, rejected, slos, events, last_arrival,
         )
 
@@ -305,7 +273,6 @@ def _event_fidelity_result(
     ev: Evaluator,
     boards: List[BoardServer],
     per_board_trace: List[List[float]],
-    replicas: Dict[str, int],
     offered: List[int],
     rejected: List[int],
     slos: Tuple[Optional[float], ...],
@@ -325,7 +292,7 @@ def _event_fidelity_result(
     slo = slos[0]
     reports = [
         simulate(
-            scenario.board_sim_scenario(b.name, trace, replicas[b.name], slo_s=slo), evaluator=ev
+            scenario.board_sim_scenario(b.name, trace, b.replicas, slo_s=slo), evaluator=ev
         )
         if trace
         else None

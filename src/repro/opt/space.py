@@ -274,33 +274,32 @@ class SearchSpace:
 
         return Scenario(**self._kwargs(candidate, Scenario))
 
-    def _scale_stop(self, kwargs: Dict[str, object], fraction: float, default_n: int) -> None:
-        """Scale the run's stop condition by ``fraction`` (halving rungs)."""
+    def _scale_stop(self, kwargs: Dict[str, object], fraction: float, cls: type) -> None:
+        """Scale every stop condition that is set by ``fraction`` (halving
+        rungs); with none set, the scenario type's ``DEFAULT_REQUESTS``."""
 
-        if fraction >= 1.0:
-            if "n_requests" not in kwargs and "duration_s" not in kwargs:
-                kwargs["n_requests"] = default_n
-            return
-        if "n_requests" in kwargs and kwargs["n_requests"] is not None:
-            kwargs["n_requests"] = max(1, int(round(kwargs["n_requests"] * fraction)))
-        elif "duration_s" in kwargs and kwargs["duration_s"] is not None:
-            kwargs["duration_s"] = kwargs["duration_s"] * fraction
-        else:
-            kwargs["n_requests"] = max(1, int(round(default_n * fraction)))
+        stops = [name for name in ("n_requests", "duration_s") if kwargs.get(name) is not None]
+        if not stops:
+            kwargs["n_requests"] = max(1, int(round(cls.DEFAULT_REQUESTS * fraction)))
+        elif fraction < 1.0:
+            if "n_requests" in stops:
+                kwargs["n_requests"] = max(1, int(round(kwargs["n_requests"] * fraction)))
+            if "duration_s" in stops:
+                kwargs["duration_s"] = kwargs["duration_s"] * fraction
 
     def sim_scenario(
         self, candidate: Candidate, seed: int = 0, fraction: float = 1.0
     ) -> SimScenario:
         """The candidate under the space's traffic, on one board.
 
-        ``fraction`` scales the stop condition (``n_requests`` or
-        ``duration_s``) — the successive-halving rung lengths.  ``seed`` is
+        ``fraction`` scales every stop condition that is set (``n_requests``
+        and ``duration_s``) — the successive-halving rung lengths.  ``seed`` is
         the per-candidate stream the optimizer derives; it never comes from
         the fixed knobs.
         """
 
         kwargs = self._kwargs(candidate, SimScenario)
-        self._scale_stop(kwargs, fraction, default_n=100)
+        self._scale_stop(kwargs, fraction, SimScenario)
         return SimScenario(seed=seed, **kwargs)
 
     def fleet_scenario(
@@ -314,7 +313,7 @@ class SearchSpace:
         """
 
         kwargs = self._kwargs(candidate, FleetScenario)
-        self._scale_stop(kwargs, fraction, default_n=1000)
+        self._scale_stop(kwargs, fraction, FleetScenario)
         group = BoardGroup(candidate.get("board", PYNQ_Z2.name), int(self.fixed.get("count", 1)))
         return FleetScenario(boards=(group,), seed=seed, **kwargs)
 

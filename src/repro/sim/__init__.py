@@ -30,10 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LatencyStats", "QuantileSketch", "SimReport", "energy_summary", "latency_stats",
             "slo_summary", "windowed_mean",
         ),
-        ".policies": (
-            "POLICY_NAMES", "BatchedPolicy", "Dispatcher", "DispatchPolicy", "FifoPolicy",
-            "RoundRobinPolicy", "make_policy", "max_replicas",
-        ),
+        ".policies": ("POLICY_NAMES", "Dispatcher", "size_replicas"),
         ".resources": ("Accelerator", "AxiBus", "LevelMonitor", "Resource"),
         ".runner": ("SimSystem", "as_sim_scenario", "simulate"),
         ".scenario": ("DEFAULT_SLO_FACTOR", "SimScenario"),

@@ -1,13 +1,15 @@
 """Serving policies: how PL block invocations are dispatched onto replicas.
 
 The :class:`Dispatcher` owns the replicated PL accelerators and the queues in
-front of them; a :class:`DispatchPolicy` decides which queue an invocation
-joins and how much work an idle replica grabs at once:
+front of them.  A policy is two values of its state: whether an invocation
+is *pinned* to one replica's queue or joins the shared one, and how many
+invocations an idle replica *drains* at once:
 
 * ``fifo`` — one shared queue, any free replica serves the oldest waiting
   invocation (work-conserving, the baseline discipline).
 * ``batched`` — the shared queue again, but a free replica drains up to
-  ``batch_size`` invocations in one go and pipelines them: while invocation
+  ``batch_size`` invocations in one go (greedily: it never waits for a
+  batch to fill) and pipelines them: while invocation
   *i* computes, the bus writes back *i−1*'s output and prefetches *i+1*'s
   input (double-buffered BRAM).  A batch of one degenerates to ``fifo``
   exactly, so the policy costs nothing at low load and amortises DMA
@@ -16,35 +18,30 @@ joins and how much work an idle replica grabs at once:
   (request-independent, cache/BRAM-friendly, but not work-conserving: a
   pinned invocation waits for *its* replica even if another is idle).
 
-Replica counts can be sized from the chip budget with :func:`max_replicas`:
-the largest number of copies of the scenario's offload-target datapath
+The policy name and ``batch_size`` are checked once, by
+:class:`~repro.sim.scenario.SimScenario`.
+
+:func:`size_replicas` resolves a ``replicas`` knob on a board and prices one
+replica's fabric: ``replicas=0`` packs the largest number of copies of the
+scenario's offload-target datapath
 (:class:`~repro.fpga.resources.ResourceEstimator` footprint) that fit the
-board's FPGA alongside each other.
+board's FPGA alongside each other.  ``simulate`` and the fleet size their
+replicas through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Iterable, List, Optional, Sequence
+from typing import Deque, Generator, Iterable, List, Optional, Sequence, Tuple
 
-from .._checks import check_count
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
+from ..platform import ResourceVector
 from .engine import Event, Process, Simulator, Timeout
 from .resources import Accelerator, AxiBus, LevelMonitor
 from .workload import PlExecution, Request
 
-__all__ = [
-    "POLICY_NAMES",
-    "Execution",
-    "DispatchPolicy",
-    "FifoPolicy",
-    "BatchedPolicy",
-    "RoundRobinPolicy",
-    "Dispatcher",
-    "make_policy",
-    "max_replicas",
-]
+__all__ = ["POLICY_NAMES", "Execution", "Dispatcher", "size_replicas"]
 
 #: Supported dispatch-policy names.
 POLICY_NAMES = ("fifo", "batched", "round_robin")
@@ -62,93 +59,6 @@ class Execution:
         self.submitted = 0.0
 
 
-class DispatchPolicy:
-    """Queue-placement and batch-formation strategy (stateless base)."""
-
-    name = "base"
-    batch_size = 1
-
-    def put(self, dispatcher: "Dispatcher", execution: Execution) -> None:
-        dispatcher.shared.append(execution)
-
-    def take(self, dispatcher: "Dispatcher", accelerator: Accelerator) -> List[Execution]:
-        queue = dispatcher.shared
-        batch: List[Execution] = []
-        while queue and len(batch) < self.batch_size:
-            batch.append(queue.popleft())
-        return batch
-
-    def wake_candidates(
-        self, dispatcher: "Dispatcher", execution: Execution
-    ) -> Sequence[Accelerator]:
-        return dispatcher.accelerators
-
-
-class FifoPolicy(DispatchPolicy):
-    """Shared queue, one invocation at a time, any free replica."""
-
-    name = "fifo"
-
-
-class BatchedPolicy(DispatchPolicy):
-    """Shared queue; a free replica drains up to ``batch_size`` invocations.
-
-    Greedy batching: a replica never waits for a batch to fill — it takes
-    whatever is queued (up to the cap), so a lone request is served exactly
-    like ``fifo`` and batches only form when load makes them form.
-    """
-
-    name = "batched"
-
-    def __init__(self, batch_size: int = 4) -> None:
-        self.batch_size = check_count("batch_size", batch_size, 1)
-
-
-class RoundRobinPolicy(DispatchPolicy):
-    """Invocations pinned to replicas in rotation (per-replica queues)."""
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def put(self, dispatcher: "Dispatcher", execution: Execution) -> None:
-        n = len(dispatcher.accelerators)
-        for _ in range(n):
-            index = self._next % n
-            self._next += 1
-            if dispatcher.alive[index]:
-                dispatcher.per_replica[index].append(execution)
-                return
-        # Callers guarantee alive_count > 0 (submit() and fail_replica()
-        # route to the PS fallback before calling put on a dead fleet).
-        raise RuntimeError("round_robin put with no live replica")
-
-    def take(self, dispatcher: "Dispatcher", accelerator: Accelerator) -> List[Execution]:
-        queue = dispatcher.per_replica[accelerator.index]
-        return [queue.popleft()] if queue else []
-
-    def wake_candidates(
-        self, dispatcher: "Dispatcher", execution: Execution
-    ) -> Sequence[Accelerator]:
-        # put() already advanced the counter, so the execution sits in the
-        # previous slot's queue.
-        index = (self._next - 1) % len(dispatcher.accelerators)
-        return (dispatcher.accelerators[index],)
-
-
-def make_policy(name: str, batch_size: int = 4) -> DispatchPolicy:
-    """Construct a policy by name (the CLI/SimScenario entry point)."""
-
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "batched":
-        return BatchedPolicy(batch_size=batch_size)
-    if name == "round_robin":
-        return RoundRobinPolicy()
-    raise ValueError(f"unknown policy '{name}'; expected one of {POLICY_NAMES}")
-
-
 class Dispatcher:
     """Routes PL invocations to replicas and runs each replica's service loop."""
 
@@ -157,14 +67,19 @@ class Dispatcher:
         sim: Simulator,
         bus: AxiBus,
         accelerators: Sequence[Accelerator],
-        policy: DispatchPolicy,
+        policy: str,
+        batch_size: int,
     ) -> None:
         if not accelerators:
             raise ValueError("dispatcher needs at least one accelerator replica")
         self.sim = sim
         self.bus = bus
         self.accelerators = list(accelerators)
-        self.policy = policy
+        #: ``round_robin`` pins each invocation to a replica's own queue.
+        self.pinned = policy == "round_robin"
+        #: Invocations an idle replica drains at once (fifo is a batch of one).
+        self.drain = batch_size if policy == "batched" else 1
+        self._next = 0
         self.shared: Deque[Execution] = deque()
         self.per_replica: List[Deque[Execution]] = [deque() for _ in self.accelerators]
         self.pending = LevelMonitor(sim)
@@ -204,20 +119,39 @@ class Dispatcher:
         if self.alive_count == 0:
             self._fallback(execution)
             return execution.done
-        self.policy.put(self, execution)
+        self._put(execution)
         self.pending.set(self.queued)
-        self._wake(execution)
         return execution.done
 
-    def _wake(self, execution: Execution) -> None:
-        for acc in self.policy.wake_candidates(self, execution):
-            if not self.alive[acc.index]:
-                continue
-            wake = self._idle[acc.index]
-            if wake is not None:
-                self._idle[acc.index] = None
+    def _put(self, execution: Execution) -> None:
+        """Queue one invocation and wake an idle live replica that can serve it.
+
+        A pinned invocation joins the next live replica's queue in rotation
+        (:meth:`submit` and :meth:`fail_replica` route to the PS fallback
+        before a dead fleet gets here).
+        """
+
+        alive = self.alive
+        if self.pinned:
+            n = len(alive)
+            for _ in range(n):
+                index = self._next % n
+                self._next += 1
+                if alive[index]:
+                    break
+            else:
+                raise RuntimeError("round_robin put with no live replica")
+            self.per_replica[index].append(execution)
+            candidates: Iterable[int] = (index,)
+        else:
+            self.shared.append(execution)
+            candidates = range(len(alive))
+        for index in candidates:
+            wake = self._idle[index]
+            if wake is not None and alive[index]:
+                self._idle[index] = None
                 wake.succeed(None)
-                break
+                return
 
     # -- fault hooks -------------------------------------------------------------------
 
@@ -253,8 +187,7 @@ class Dispatcher:
             if self.alive_count == 0:
                 self._fallback(execution)
             else:
-                self.policy.put(self, execution)
-                self._wake(execution)
+                self._put(execution)
         self.pending.set(self.queued)
 
     def revive_replica(self, index: int) -> None:
@@ -305,8 +238,12 @@ class Dispatcher:
         sim = self.sim
         alive = self.alive
         index = acc.index
+        queue = self.per_replica[index] if self.pinned else self.shared
+        drain = self.drain
         while alive[index]:
-            batch = self.policy.take(self, acc)
+            batch: List[Execution] = []
+            while queue and len(batch) < drain:
+                batch.append(queue.popleft())
             if not batch:
                 wake = Event(sim)
                 self._idle[index] = wake
@@ -373,23 +310,25 @@ class Dispatcher:
             yield from self._transfer_in(upcoming)
 
 
-def max_replicas(scenario: Scenario, evaluator: Optional[Evaluator] = None) -> int:
-    """How many copies (at most 64) of the scenario's PL datapath fit the
-    board's FPGA.
+def size_replicas(
+    design: Scenario, replicas: int, evaluator: Evaluator
+) -> Tuple[int, ResourceVector]:
+    """Resolve ``replicas`` on the design point's board: (replica count,
+    one replica's fabric footprint).
 
-    Uses the same per-instance :class:`~repro.platform.ResourceVector`
+    The footprint is the per-instance :class:`~repro.platform.ResourceVector`
     the offload planner prices (all offload targets at the scenario's
-    ``n_units`` and Q-format) and packs copies until the device overflows.
-    Scenarios with no offload target get one (idle) replica.
+    ``n_units`` and Q-format), zero when nothing offloads.  ``replicas=0``
+    packs copies (at most 64) until the device overflows; a scenario with
+    no offload target gets one (idle) replica.
     """
 
-    ev = evaluator if evaluator is not None else Evaluator()
-    decision = ev.offload_decision(scenario)
+    decision = evaluator.offload_decision(design)
     if not decision.targets:
-        return 1
-    device = scenario.board_spec.fpga
+        return replicas or 1, ResourceVector()
     per_replica = decision.resources
-    fit = 0
-    while fit < 64 and per_replica.scale(fit + 1).fits(device):
-        fit += 1
-    return max(1, fit)
+    if replicas == 0:
+        device = design.board_spec.fpga
+        while replicas < 64 and per_replica.scale(replicas + 1).fits(device):
+            replicas += 1
+    return max(1, replicas), per_replica

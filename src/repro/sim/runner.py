@@ -33,7 +33,6 @@ import numpy as np
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
-from ..platform import ResourceVector
 from .engine import Simulator, Timeout
 from .metrics import (
     QuantileSketch,
@@ -42,9 +41,9 @@ from .metrics import (
     slo_summary,
     windowed_mean,
 )
-from .policies import Dispatcher, Execution, make_policy, max_replicas
+from .policies import Dispatcher, Execution, size_replicas
 from .resources import Accelerator, AxiBus, Resource
-from .scenario import SimScenario
+from .scenario import SimScenario, request_cap
 from .workload import (
     PsSegment,
     Request,
@@ -215,26 +214,15 @@ def simulate(
     # same SimScenario compares boards under identical traffic.
     design = sim_scenario.design_point
     board = sim_scenario.board_spec
-    decision = ev.offload_decision(design)
-    n_replicas = sim_scenario.replicas
-    if n_replicas == 0:
-        n_replicas = max_replicas(design, evaluator=ev)
+    n_replicas, replica_resources = size_replicas(design, sim_scenario.replicas, ev)
     ps_cores = sim_scenario.ps_cores or board.ps_cores
-    replica_resources: ResourceVector = (
-        decision.resources if decision.targets else ResourceVector()
-    )
 
     # -- workload ---------------------------------------------------------------------
-    # Rate-driven arrivals with no explicit bound default to 100 requests;
-    # trace- and duration-bounded runs are never silently capped.
-    n_requests = sim_scenario.n_requests
-    if n_requests is None and sim_scenario.arrival != "trace" and sim_scenario.duration_s is None:
-        n_requests = 100
     rng = np.random.default_rng(sim_scenario.seed)
     arrivals = arrival_times(
         sim_scenario.arrival,
         rate_hz=sim_scenario.arrival_rate_hz,
-        n_requests=n_requests,
+        n_requests=request_cap(sim_scenario),
         duration_s=sim_scenario.duration_s,
         rng=rng,
         trace=sim_scenario.trace,
@@ -259,7 +247,7 @@ def simulate(
     bus = AxiBus(sim, channels=sim_scenario.dma_channels)
     accelerators = [Accelerator(sim, i, replica_resources) for i in range(n_replicas)]
     dispatcher = Dispatcher(
-        sim, bus, accelerators, make_policy(sim_scenario.policy, sim_scenario.batch_size)
+        sim, bus, accelerators, sim_scenario.policy, sim_scenario.batch_size
     )
 
     # Degraded-mode escape hatch: when every replica is dead, an offloaded

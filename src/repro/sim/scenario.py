@@ -16,20 +16,22 @@ Being a Scenario subclass, it flows through the existing machinery: the
 evaluator memoizes its analytic report, the batch engine evaluates it from
 its :class:`Scenario` fields, and ``as_dict`` serialises it by field name.
 ``replicas=0`` means "size from the resource budget" (resolved by
-:func:`repro.sim.runner.simulate` via :func:`repro.sim.policies.max_replicas`).
+:func:`repro.sim.runner.simulate` via :func:`repro.sim.policies.size_replicas`).
+A rate-driven run with neither stop condition offers
+:attr:`SimScenario.DEFAULT_REQUESTS` requests (:func:`request_cap`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from ..api.scenario import Scenario, check_count, check_seed, shared_fields
 from .policies import POLICY_NAMES
 from .workload import ARRIVAL_KINDS
 
-__all__ = ["DEFAULT_SLO_FACTOR", "SimScenario", "check_traffic"]
+__all__ = ["DEFAULT_SLO_FACTOR", "SimScenario", "check_traffic", "request_cap"]
 
 #: A run with no explicit SLO is judged against this multiple of its no-load
 #: service time (the latency-knee convention of ``examples/serving_study.py``);
@@ -80,9 +82,24 @@ def check_traffic(scenario) -> None:
             raise ValueError(f"{name} must be positive and finite, or None (got {value!r})")
 
 
+def request_cap(scenario) -> Optional[int]:
+    """How many requests a :class:`SimScenario` or ``FleetScenario`` offers
+    at most: ``n_requests``, else the type's ``DEFAULT_REQUESTS`` for a
+    rate-driven run with no ``duration_s``.  Trace- and duration-bounded
+    runs are never silently capped (``None``).
+    """
+
+    if scenario.n_requests is None and scenario.arrival != "trace" and scenario.duration_s is None:
+        return scenario.DEFAULT_REQUESTS
+    return scenario.n_requests
+
+
 @dataclass(frozen=True)
 class SimScenario(Scenario):
     """One serving scenario: a design point under a request workload."""
+
+    #: Requests a rate-driven run offers when no stop condition is set.
+    DEFAULT_REQUESTS: ClassVar[int] = 100
 
     #: Arrival process: "deterministic", "poisson" or "trace".
     arrival: str = "poisson"
@@ -90,9 +107,10 @@ class SimScenario(Scenario):
     arrival_rate_hz: float = 1.0
     #: Number of requests to offer.  ``None`` means "bounded by something
     #: else": the full trace for ``arrival="trace"``, ``duration_s`` when
-    #: given, and otherwise a default of 100 (resolved by ``simulate()`` —
-    #: not stored here, so ``replace(duration_s=...)`` on a defaulted
-    #: scenario is duration-bound rather than silently capped).
+    #: given, and otherwise :attr:`DEFAULT_REQUESTS` (resolved at run time
+    #: by :func:`request_cap` — not stored here, so
+    #: ``replace(duration_s=...)`` on a defaulted scenario is duration-bound
+    #: rather than silently capped).
     n_requests: Optional[int] = None
     #: Stop offering new arrivals after this much simulated time (optional).
     duration_s: Optional[float] = None

@@ -1,8 +1,10 @@
 """The balancer's routing as a linear scan over every board: a test oracle.
 
 This is ``repro.fleet.balancer.Balancer`` as it stood before least-loaded
-routing got its heap index: every request scans every board, and batch
-routing re-ranks the boards by energy each time.  It reads only the
+routing got its heap index and weighted routing its cached cumulative
+weights: every request scans every board, batch routing re-ranks the
+boards by energy each time, and weighted routing re-weighs the powered
+boards each time.  It reads only the
 boards' ground truth (``powered`` and the slot heap ``free``), never the
 ``ready_at`` key the index is built on, so the two stay independent.
 ``test_balancer_oracle.py`` requires both to pick the same board.
@@ -24,19 +26,43 @@ def predicted_start(board: BoardServer, t: float) -> float:
 
 
 class ReferenceBalancer:
-    """``least_loaded`` routing (latency and batch kinds) by scanning every board.
+    """``least_loaded`` (latency and batch kinds) and ``weighted`` routing
+    by scanning every board.
 
-    Round-robin and weighted routing never used the scan; they are not
-    part of the oracle.
+    Round-robin routing never used a scan; it is not part of the oracle.
     """
 
-    def __init__(self, boards: List[BoardServer]) -> None:
+    def __init__(self, boards: List[BoardServer], routing: str = "least_loaded") -> None:
         self.boards = boards
+        self.routing = routing
 
-    def route(self, t: float, kind: str) -> Optional[BoardServer]:
+    def route(self, t: float, kind: str, u: Optional[float] = None) -> Optional[BoardServer]:
+        if self.routing == "weighted":
+            return self._weighted(u)
         if kind == "batch":
             return self._cheapest(t)
         return self._least_loaded(t)
+
+    def _weighted(self, u: Optional[float]) -> Optional[BoardServer]:
+        weights = []
+        candidates = []
+        for board in self.boards:
+            if not board.powered:
+                continue
+            candidates.append(board)
+            weights.append(board.replicas / board.svc_s)
+        if not candidates:
+            return None
+        if u is None:
+            u = 0.0
+        total = sum(weights)
+        threshold = u * total
+        acc = 0.0
+        for board, w in zip(candidates, weights):
+            acc += w
+            if threshold < acc:
+                return board
+        return candidates[-1]
 
     def _least_loaded(self, t: float) -> Optional[BoardServer]:
         best = None

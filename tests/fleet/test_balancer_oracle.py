@@ -1,13 +1,16 @@
 """Differential test of the indexed balancer against the linear-scan oracle.
 
 ``reference_balancer.py`` routes by scanning every board; the
-:class:`~repro.fleet.Balancer` keeps a lazily checked heap index instead.
-Random programs of routes, direct slot commits, power-downs and power-ups
-run against one set of boards, and at every route both must pick the same
-board (or ``None``).  A small grid of service times, arrival gaps (0
-included) and boot delays makes equal keys common, so the inventory-order
-tie-break is exercised; multi-replica boards, mixed service times and
-fleets with every board unpowered are in the draw.
+:class:`~repro.fleet.Balancer` keeps a lazily checked heap index for
+least-loaded routing and cached cumulative weights for weighted routing
+instead.  Random programs of routes, direct slot commits, power-downs and
+power-ups run against one set of boards, and at every route both must pick
+the same board (or ``None``).  A small grid of service times, arrival gaps
+(0 included) and boot delays makes equal keys common, so the
+inventory-order tie-break is exercised; multi-replica boards, mixed
+service times and fleets with every board unpowered are in the draw.
+Weighted programs draw service times whose weights do not sum exactly and
+uniforms that land on cumulative-weight boundaries.
 """
 
 from __future__ import annotations
@@ -19,11 +22,16 @@ from repro.fleet import Balancer, BoardServer
 
 import reference_balancer
 
-BOARD = st.tuples(
-    st.integers(min_value=1, max_value=3),  # replicas
-    st.sampled_from((0.25, 0.5, 1.0)),  # service seconds
-    st.sampled_from((1.0, 2.0)),  # PL watts: equal energy costs tie
-    st.booleans(),  # powered at the start
+REPLICAS = st.integers(min_value=1, max_value=3)
+PL_W = st.sampled_from((1.0, 2.0))  # equal energy costs tie
+BOARD = st.tuples(REPLICAS, st.sampled_from((0.25, 0.5, 1.0)), PL_W, st.booleans())
+#: Weighted routing: 1/0.3 and 1/0.7 are inexact, so running sums round.
+WEIGHTED_BOARD = st.tuples(REPLICAS, st.sampled_from((0.25, 0.3, 0.7, 1.0)), PL_W, st.booleans())
+#: Route uniforms: ``None`` reads as 0, and 0.25 / 0.5 hit boundaries.
+UNIFORM = st.one_of(
+    st.none(),
+    st.sampled_from((0.0, 0.25, 0.5)),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 INDEX = st.integers(min_value=0, max_value=5)
 FORWARD = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 3.0))
@@ -31,7 +39,7 @@ BACKWARD = st.sampled_from((0.0, 0.25, 1.0, -0.25, -1.0, -3.0))
 
 
 def op(gap):
-    route = st.tuples(st.just("route"), st.sampled_from(("latency", "latency", "batch")))
+    route = st.tuples(st.just("route"), st.sampled_from(("latency", "latency", "batch")), UNIFORM)
     return st.one_of(
         st.tuples(st.just("advance"), gap),
         route,
@@ -50,23 +58,23 @@ def make_board(index: int, replicas: int, svc_s: float, pl_w: float) -> BoardSer
     )
 
 
-def run_program(specs, program) -> None:
+def run_program(specs, program, routing="least_loaded") -> None:
     """Run ``program`` against both balancers on one set of boards."""
 
     boards = [make_board(i, *spec[:3]) for i, spec in enumerate(specs)]
     for board, spec in zip(boards, specs):
         if not spec[3]:
             board.power_down(0.0)
-    indexed = Balancer(boards, "least_loaded")
-    oracle = reference_balancer.ReferenceBalancer(boards)
+    indexed = Balancer(boards, routing)
+    oracle = reference_balancer.ReferenceBalancer(boards, routing)
     t = 0.0
     for step in program:
         kind = step[0]
         if kind == "advance":
             t += step[1]
         elif kind == "route":
-            picked = indexed.route(t, step[1])
-            assert picked is oracle.route(t, step[1]), (t, step)
+            picked = indexed.route(t, step[1], step[2])
+            assert picked is oracle.route(t, step[1], step[2]), (t, step)
             if picked is not None:
                 picked.assign(t)
         else:
@@ -74,7 +82,7 @@ def run_program(specs, program) -> None:
             if kind == "assign" and board.powered:
                 board.assign(t)
             elif kind == "down" and board.powered:
-                board.power_down(t)
+                indexed.power_down(board, t)
             elif kind == "up" and not board.powered:
                 indexed.power_up(board, t, step[2])
 
@@ -91,3 +99,10 @@ def test_routing_stays_right_when_time_goes_backwards(specs, program):
     # Direct API users may route at an earlier t than the last one.
     run_program(specs, program)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WEIGHTED_BOARD, min_size=1, max_size=6), st.lists(op(FORWARD), max_size=60))
+def test_weighted_table_matches_the_scan(specs, program):
+    # Power-downs and power-ups change the powered set mid-program.
+    run_program(specs, program, "weighted")

@@ -5,7 +5,7 @@ import pytest
 from repro.fleet import FleetScenario
 from repro.opt import Candidate, SearchSpace
 from repro.opt.space import AXIS_ORDER
-from repro.sim import SimScenario
+from repro.sim import SimScenario, simulate
 
 
 class TestConstruction:
@@ -109,9 +109,32 @@ class TestBuilders:
         assert space.sim_scenario(c, fraction=0.25).n_requests == 10
         assert space.sim_scenario(c, seed=7).seed == 7
 
+    def test_fraction_scales_both_stop_conditions(self):
+        # A rung of a run bounded by both requests and time is shorter on
+        # both: 10 req/s for 10 s offers 101 requests, a quarter rung 26.
+        space = SearchSpace(
+            axes={"n_units": [16]},
+            fixed={"arrival": "deterministic", "arrival_rate_hz": 10,
+                   "n_requests": 1000, "duration_s": 10},
+        )
+        c = space.candidates()[0]
+        for build in (space.sim_scenario, space.fleet_scenario):
+            rung = build(c, fraction=0.25)
+            assert (rung.n_requests, rung.duration_s) == (250, 2.5)
+            full = build(c, fraction=1.0)
+            assert (full.n_requests, full.duration_s) == (1000, 10)
+        offered = [
+            simulate(space.sim_scenario(c, fraction=f)).requests["offered"]
+            for f in (0.25, 0.5, 1.0)
+        ]
+        assert offered == [26, 51, 101]
+
     def test_sim_scenario_defaults_requests_when_unbounded(self):
         space = SearchSpace(axes={"n_units": [16]})
-        assert space.sim_scenario(space.candidates()[0]).n_requests == 100
+        c = space.candidates()[0]
+        assert space.sim_scenario(c).n_requests == SimScenario.DEFAULT_REQUESTS == 100
+        assert space.fleet_scenario(c).n_requests == FleetScenario.DEFAULT_REQUESTS == 1000
+        assert space.sim_scenario(c, fraction=0.25).n_requests == 25
 
     def test_fleet_scenario_uses_count_and_board_axis(self):
         space = SearchSpace(

@@ -5,18 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Evaluator, Scenario
+from repro.platform import ResourceVector
 from repro.sim import (
     Accelerator,
     AxiBus,
     Dispatcher,
-    FifoPolicy,
     PlExecution,
     Request,
     SimScenario,
     Simulator,
-    make_policy,
-    max_replicas,
     simulate,
+    size_replicas,
 )
 
 
@@ -25,26 +24,11 @@ def evaluator():
     return Evaluator()
 
 
-class TestMakePolicy:
-    def test_names(self):
-        assert make_policy("fifo").name == "fifo"
-        assert make_policy("batched", batch_size=8).batch_size == 8
-        assert make_policy("round_robin").name == "round_robin"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("lifo")
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            make_policy("batched", batch_size=0)
-
-
-class TestMaxReplicas:
+class TestSizeReplicas:
     def test_sized_by_device_budget(self, evaluator):
         scenario = Scenario(model="rODENet-3", depth=56, n_units=16)
-        fit = max_replicas(scenario, evaluator=evaluator)
-        per = evaluator.offload_decision(scenario).resources
+        fit, per = size_replicas(scenario, 0, evaluator)
+        assert per == evaluator.offload_decision(scenario).resources
         device = scenario.board_spec.fpga
         assert fit >= 1
         assert per.scale(fit).fits(device)
@@ -53,13 +37,22 @@ class TestMaxReplicas:
     def test_smaller_datapath_fits_more(self, evaluator):
         # layer3_2's BRAM demand caps rODENet-3 at one copy; layer1's much
         # smaller feature maps leave room for several replicas.
-        big = max_replicas(Scenario(model="rODENet-3", depth=56, n_units=16), evaluator=evaluator)
-        small = max_replicas(Scenario(model="rODENet-1", depth=56, n_units=1), evaluator=evaluator)
+        big, _ = size_replicas(Scenario(model="rODENet-3", depth=56, n_units=16), 0, evaluator)
+        small, _ = size_replicas(Scenario(model="rODENet-1", depth=56, n_units=1), 0, evaluator)
         assert big == 1
         assert small > big
 
-    def test_no_offload_target_gets_one(self, evaluator):
-        assert max_replicas(Scenario(model="ResNet", depth=20), evaluator=evaluator) == 1
+    def test_explicit_count_is_kept(self, evaluator):
+        scenario = Scenario(model="rODENet-1", depth=20)
+        count, per = size_replicas(scenario, 3, evaluator)
+        assert count == 3
+        assert per == evaluator.offload_decision(scenario).resources
+
+    def test_no_offload_target_gets_one_idle_replica(self, evaluator):
+        count, per = size_replicas(Scenario(model="ResNet", depth=20), 0, evaluator)
+        assert count == 1
+        assert per == ResourceVector()
+        assert size_replicas(Scenario(model="ResNet", depth=20), 2, evaluator)[0] == 2
 
 
 def _sim(evaluator, **kw):
@@ -114,6 +107,16 @@ class TestPolicies:
         # Double-buffered DMA hides transfer time inside compute time.
         assert batched.horizon_s < fifo.horizon_s
 
+    @pytest.mark.parametrize(
+        "policy, pinned, drain",
+        [("fifo", False, 1), ("batched", False, 4), ("round_robin", True, 1)],
+    )
+    def test_policy_is_dispatcher_state(self, policy, pinned, drain):
+        sim = Simulator()
+        accelerators = [Accelerator(sim, 0), Accelerator(sim, 1)]
+        dispatcher = Dispatcher(sim, AxiBus(sim, channels=1), accelerators, policy, 4)
+        assert (dispatcher.pinned, dispatcher.drain) == (pinned, drain)
+
     def test_dispatcher_prices_transfers_from_the_plan(self):
         """DMA bursts use the execution's *stored* times, not the bus model.
 
@@ -124,7 +127,7 @@ class TestPolicies:
 
         sim = Simulator()
         bus = AxiBus(sim, channels=1)  # default model would price these differently
-        dispatcher = Dispatcher(sim, bus, [Accelerator(sim, 0)], FifoPolicy())
+        dispatcher = Dispatcher(sim, bus, [Accelerator(sim, 0)], "fifo", 1)
         plx = PlExecution(
             layer="layer1",
             words_in=100,
