@@ -7,7 +7,11 @@ on a spread of runs: the three policies under Poisson and deterministic
 arrivals at a light (2 req/s), a knee (8 req/s) and a past-capacity
 (12 req/s) rate, one run per fault mode under ``batched``, replica death
 and PS-core loss under ``fifo`` and ``round_robin`` too (round-robin
-re-dispatches the dead replica's pinned queue), one warm-up run, a
+re-dispatches the dead replica's pinned queue), the death of a lone
+replica under each policy (everything after it runs on the PS software
+fallback), two ``batched`` kills that land while a batch of two is in
+flight (before and after its first invocation finishes; the replica
+revives a second later), one warm-up run, a
 two-board event-fidelity fleet and fast-fidelity fleets over every
 balancer path: least-loaded and batch routing (with spill), round-robin,
 weighted, SLO admission and none, three cells, and autoscaling that powers
@@ -110,6 +114,11 @@ FAST_FLEETS["weighted_autoscale"] = FAST_FLEETS["autoscale"].replace(routing="we
 POLICY_FAULTS = ("replica_death", "ps_core_loss")
 POLICY_FAULT_AT = 6.5
 
+#: Kill instants of replica 0 past capacity under ``batched``: both land
+#: while it serves a batch of two, first with neither invocation finished,
+#: then with the first one finished.
+MID_BATCH_AT = {"mid_batch": 1.94, "mid_batch_half_done": 1.95}
+
 
 def _runs() -> Dict[str, Callable[[], object]]:
     runs: Dict[str, Callable[[], object]] = {}
@@ -129,6 +138,17 @@ def _runs() -> Dict[str, Callable[[], object]]:
             runs[f"fault/{kind}/{policy}"] = lambda s=loaded, k=kind: simulate(
                 s, faults=[(make_fault_mode(k), POLICY_FAULT_AT)], fault_seed=3
             )
+    for policy in ("fifo", "batched", "round_robin"):
+        lone = BASE.replace(policy=policy, replicas=1, arrival_rate_hz=RATES["knee"])
+        runs[f"fault/replica_death/ps_fallback/{policy}"] = lambda s=lone: simulate(
+            s, faults=[(make_fault_mode("replica_death"), 2.0)], fault_seed=3
+        )
+    batched = BASE.replace(policy="batched", arrival_rate_hz=RATES["past_capacity"])
+    transient = make_fault_mode("replica_death", duration_s=1.0)
+    for name, t in MID_BATCH_AT.items():
+        runs[f"fault/replica_death/{name}"] = lambda t=t: simulate(
+            batched, faults=[(transient, t)], fault_seed=3
+        )
     runs["warmup"] = lambda: simulate(knee.replace(warmup_s=3.0, slo_s=0.9))
     fleet = FleetScenario(
         boards=(BoardGroup("PYNQ-Z2", 2),),
@@ -178,6 +198,21 @@ def test_autoscale_fires_both_ways():
 def test_round_robin_replica_death_redispatches():
     faults = _fixture()["reports"]["fault/replica_death/round_robin"]["faults"]
     assert faults["redispatched"] > 1
+
+
+@pytest.mark.parametrize("policy", ("fifo", "batched", "round_robin"))
+def test_lone_replica_death_reaches_the_ps_fallback(policy):
+    faults = _fixture()["reports"][f"fault/replica_death/ps_fallback/{policy}"]["faults"]
+    assert faults["ps_fallback_served"] > 0
+    assert faults["redispatched"] > 0
+
+
+def test_mid_batch_kill_redispatches():
+    # Survivors share the queue, so only in-flight invocations re-dispatch:
+    # two means the kill caught both of a batch unfinished.
+    reports = _fixture()["reports"]
+    assert reports["fault/replica_death/mid_batch"]["faults"]["redispatched"] > 1
+    assert reports["fault/replica_death/mid_batch_half_done"]["faults"]["redispatched"] > 0
 
 
 def test_batch_class_spills():
