@@ -13,8 +13,11 @@ models need:
 * :class:`Process` — a Python generator driven by the simulator.  Each
   ``yield`` hands back an event to wait for (a :class:`Timeout`, a resource
   grant, another process); the generator resumes with the event's value when
-  it fires.  A process is itself an event that succeeds with the generator's
-  return value, so processes can wait on each other.
+  it fires.  It may also yield a bare delay (a ``float`` ``d``, checked like
+  a timeout's: sleep ``d`` seconds) or :data:`PARK` (sleep until some other
+  party calls :meth:`Simulator.wake` on it); both resume it with ``None``.
+  A process is itself an event that succeeds with the generator's return
+  value, so processes can wait on each other.
 * :class:`Simulator` — the clock and the event queue.  Events are ordered by
   ``(time, insertion sequence)``: the clock never moves backwards, and ties
   fire in FIFO order, which is what makes runs bit-reproducible (the
@@ -29,7 +32,11 @@ kernel is a fast one (see ``benchmarks/bench_sim_throughput.py``).
 cheaper, but for a given model the heap must receive the same entries at
 the same times in the same insertion order — none fused, dropped or added,
 zero-delay hops included.  Ties fire FIFO by insertion sequence, so a moved
-entry can reorder same-instant events and change a report.
+entry can reorder same-instant events and change a report.  An entry may be
+the process itself rather than an event object: a bare delay and a wake
+push the process at the same ``(time, seq)`` a :class:`Timeout` or an
+:class:`Event`'s :meth:`~Event.succeed` would have taken, and the popped
+process resumes where the event's callback would have resumed it.
 ``tests/sim/test_kernel_oracle.py`` checks this against a reference copy
 of the kernel.
 
@@ -53,10 +60,13 @@ from functools import partial
 from itertools import count
 from typing import Callable, Generator, List, Optional, Sequence
 
-__all__ = ["Event", "Timeout", "Process", "Simulator"]
+__all__ = ["PARK", "Event", "Timeout", "Process", "Simulator"]
 
 _heappush = heapq.heappush
 _INF = float("inf")
+
+#: Yielded by a process to sleep until :meth:`Simulator.wake` is called on it.
+PARK = object()
 
 
 class Event:
@@ -125,10 +135,11 @@ class Process(Event):
 
     The process itself is its start entry on the queue: :meth:`Simulator.run`
     resumes a popped, untriggered process instead of firing it (a triggered
-    one is its completion).  ``delay`` schedules that first resume at
-    ``now + delay`` instead of "now" — one queue entry where a start entry
-    and a first-yield timeout would cost two (the request-spawning fast
-    path).  ``_sink``, when given, collects the start entry instead of
+    one is its completion), and so is every later wake-up entry of a
+    bare-delay yield or a :meth:`Simulator.wake`.  ``delay`` schedules that
+    first resume at ``now + delay`` instead of "now" — one queue entry where
+    a start entry and a first-yield timeout would cost two (the
+    request-spawning fast path).  ``_sink``, when given, collects the start entry instead of
     pushing it (the bulk scheduling hook of :meth:`Simulator.process_batch`).
     """
 
@@ -157,14 +168,29 @@ class Process(Event):
             _sink.append(entry)
 
     def _resume(self, value: object) -> None:
+        sim = self.sim
+        sim.active_process = self
         try:
             target = self.generator.send(value)
         except StopIteration as stop:
+            sim.active_process = None
             self.succeed(stop.value)
             return
+        sim.active_process = None
+        if isinstance(target, float):
+            # A bare delay: the process is its own wake-up entry.
+            if not 0.0 <= target < _INF:
+                raise ValueError(
+                    f"process slept {target!r} s; a delay must be non-negative and finite"
+                )
+            _heappush(sim._heap, (sim.now + target, next(sim._seq), self))
+            return
         if not isinstance(target, Event):
+            if target is PARK:
+                return
             raise TypeError(
-                f"process yielded {target!r}; processes must yield Event objects"
+                f"process yielded {target!r}; processes must yield Event objects, "
+                "float delays or PARK"
             )
         callbacks = target.callbacks
         if callbacks is None:
@@ -193,6 +219,8 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.events_processed: int = 0
+        #: The process whose generator is running; ``None`` between steps.
+        self.active_process: Optional[Process] = None
         self._heap: List = []
         self._seq = count()
 
@@ -221,6 +249,17 @@ class Simulator:
             self._heap.extend(entries)
             heapq.heapify(self._heap)
         return procs
+
+    def wake(self, process: Process) -> None:
+        """Resume a process parked on :data:`PARK` at the current time.
+
+        One queue entry, the process itself, where a single-waiter
+        :class:`Event` would have been succeeded: it fires FIFO after
+        everything already queued for this instant.  Wake a parked process
+        once; a second wake before it parks again resumes it early.
+        """
+
+        _heappush(self._heap, (self.now, next(self._seq), process))
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Timeout:
         """Run ``fn()`` at ``now + delay`` (a one-shot timed callback).
@@ -261,8 +300,8 @@ class Simulator:
 
         Popping an entry advances the clock to it.  A triggered event is
         marked processed and its callbacks run in registration order; an
-        untriggered one is a process's start entry and resumes it.  Local
-        bindings throughout: this is the hottest code in the whole package
+        untriggered one is a process's start or wake-up entry and resumes
+        it.  Local bindings throughout: this is the hottest code in the whole package
         (see ``benchmarks/bench_sim_throughput.py``), and the heap invariant
         guarantees the clock never moves backwards.
         """

@@ -37,7 +37,7 @@ from typing import Deque, Generator, Iterable, List, Optional, Sequence, Tuple
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
 from ..platform import ResourceVector
-from .engine import Event, Process, Simulator, Timeout
+from .engine import PARK, Event, Process, Simulator, Timeout
 from .resources import Accelerator, AxiBus, LevelMonitor
 from .workload import PlExecution, Request
 
@@ -48,15 +48,30 @@ POLICY_NAMES = ("fifo", "batched", "round_robin")
 
 
 class Execution:
-    """One queued PL block invocation (a request's offloaded segment)."""
+    """One queued PL block invocation (a request's offloaded segment).
 
-    __slots__ = ("request", "plx", "done", "submitted")
+    ``waiter`` is the process parked on it; :meth:`finish` wakes it once.
+    """
 
-    def __init__(self, request: Request, plx: PlExecution, done: Event) -> None:
+    __slots__ = ("request", "plx", "waiter", "finished", "submitted")
+
+    def __init__(self, request: Request, plx: PlExecution, waiter: Process) -> None:
         self.request = request
         self.plx = plx
-        self.done = done
+        self.waiter = waiter
+        self.finished = False
         self.submitted = 0.0
+
+    def finish(self) -> None:
+        """Wake the waiter: the invocation's output is back in PS memory.
+
+        A no-op once finished, so a PS fallback and an orphaned replica
+        service cannot both complete it.
+        """
+
+        if not self.finished:
+            self.finished = True
+            self.waiter.sim.wake(self.waiter)
 
 
 class Dispatcher:
@@ -82,9 +97,12 @@ class Dispatcher:
         self._next = 0
         self.shared: Deque[Execution] = deque()
         self.per_replica: List[Deque[Execution]] = [deque() for _ in self.accelerators]
+        #: Invocations waiting in any queue (the ``pending`` level).
+        self.queued = 0
         self.pending = LevelMonitor(sim)
         self.batch_sizes: List[int] = []
-        self._idle: List[Optional[Event]] = [None] * len(self.accelerators)
+        #: Each replica's parked worker process, ``None`` while it serves.
+        self._idle: List[Optional[Process]] = [None] * len(self.accelerators)
         # -- degraded-mode state (inert in nominal runs) -------------------------------
         #: Liveness of each replica; fail_replica()/revive_replica() flip it.
         self.alive: List[bool] = [True] * len(self.accelerators)
@@ -106,22 +124,25 @@ class Dispatcher:
 
     # -- submission --------------------------------------------------------------------
 
-    @property
-    def queued(self) -> int:
-        return len(self.shared) + sum(map(len, self.per_replica))
+    def submit(self, request: Request, plx: PlExecution) -> Execution:
+        """Queue one block invocation for the running process.
 
-    def submit(self, request: Request, plx: PlExecution) -> Event:
-        """Queue one block invocation; the returned event fires when its
-        output feature map is back in PS memory."""
+        The caller then yields :data:`~repro.sim.engine.PARK`; it is woken
+        when the invocation's output feature map is back in PS memory.
+        """
 
-        execution = Execution(request, plx, Event(self.sim))
-        execution.submitted = self.sim.now
+        sim = self.sim
+        waiter = sim.active_process
+        if waiter is None:
+            raise RuntimeError("Dispatcher.submit must be called from inside a process")
+        execution = Execution(request, plx, waiter)
+        execution.submitted = sim.now
         if self.alive_count == 0:
             self._fallback(execution)
-            return execution.done
+            return execution
         self._put(execution)
         self.pending.set(self.queued)
-        return execution.done
+        return execution
 
     def _put(self, execution: Execution) -> None:
         """Queue one invocation and wake an idle live replica that can serve it.
@@ -146,11 +167,12 @@ class Dispatcher:
         else:
             self.shared.append(execution)
             candidates = range(len(alive))
+        self.queued += 1
         for index in candidates:
-            wake = self._idle[index]
-            if wake is not None and alive[index]:
+            worker = self._idle[index]
+            if worker is not None and alive[index]:
                 self._idle[index] = None
-                wake.succeed(None)
+                self.sim.wake(worker)
                 return
 
     # -- fault hooks -------------------------------------------------------------------
@@ -174,11 +196,13 @@ class Dispatcher:
         acc.busy.set(0)
         acc.down.set(1)
         self._idle[index] = None
-        victims = [e for e in self._inflight[index] if not e.done.triggered]
+        victims = [e for e in self._inflight[index] if not e.finished]
         self._inflight[index] = []
+        self.queued -= len(self.per_replica[index])
         victims.extend(self.per_replica[index])
         self.per_replica[index].clear()
         if self.alive_count == 0:
+            self.queued -= len(self.shared)
             victims.extend(self.shared)
             self.shared.clear()
         self.redispatched += len(victims)
@@ -220,16 +244,18 @@ class Dispatcher:
         A batch of one reduces to the strictly sequential
         (DMA in, compute, DMA out) transaction of the analytic model.
 
-        Compute is a bare timeout, and the DMA process with its ``all_of``
+        Compute is a bare delay, and the DMA process with its ``all_of``
         join is only created when there is an output to write back or an
-        input to prefetch.  With free bus grants booked in line
+        input to prefetch.  An idle worker parks and :meth:`_put` wakes it.
+        With free bus grants booked in line
         (:meth:`~repro.sim.resources.Resource.try_acquire`), a lone
-        invocation costs five queue entries: the wake, the DMA-in, compute
-        and DMA-out timeouts, and its ``done`` event.
+        invocation costs five queue entries and no event object: the
+        worker's wake, its DMA-in, compute and DMA-out delays, and the
+        wake of the request parked on it.
 
         Every completion is routed through :meth:`_finish`, which is a no-op
         once the replica died (the invocation was re-dispatched; letting the
-        orphaned service finish it would double-fire its ``done`` event), and
+        orphaned service finish it would wake its request twice), and
         the loop ends at the first resume point after a kill (fail_replica()
         already zeroed the busy monitor and re-dispatched the unfinished
         invocations).
@@ -245,10 +271,10 @@ class Dispatcher:
             while queue and len(batch) < drain:
                 batch.append(queue.popleft())
             if not batch:
-                wake = Event(sim)
-                self._idle[index] = wake
-                yield wake
+                self._idle[index] = sim.active_process
+                yield PARK
                 continue
+            self.queued -= len(batch)
             self.pending.set(self.queued)
             self.batch_sizes.append(len(batch))
             for execution in batch:
@@ -261,10 +287,10 @@ class Dispatcher:
                 if not alive[index]:
                     return
                 upcoming = batch[i + 1] if i + 1 < len(batch) else None
-                compute = Timeout(sim, execution.plx.compute_seconds)
                 if previous is None and upcoming is None:
-                    yield compute
+                    yield execution.plx.compute_seconds
                 else:
+                    compute = Timeout(sim, execution.plx.compute_seconds)
                     overlap = Process(sim, self._overlap_dma(acc, previous, upcoming))
                     yield sim.all_of((compute, overlap))
                 previous = execution
@@ -279,8 +305,8 @@ class Dispatcher:
             acc.served += len(batch)
 
     def _finish(self, acc: Accelerator, execution: Execution) -> None:
-        if self.alive[acc.index] and not execution.done.triggered:
-            execution.done.succeed(None)
+        if self.alive[acc.index]:
+            execution.finish()
 
     # Bursts are priced with the execution's *stored* transfer times (from
     # the model that built the service plan), so the simulated DMA always

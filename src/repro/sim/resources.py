@@ -28,7 +28,7 @@ from typing import Deque, Dict, Generator, Iterable, Optional
 
 from .._checks import check_count
 from ..platform import ResourceVector
-from .engine import Event, Simulator, Timeout
+from .engine import Event, Simulator
 
 __all__ = ["LevelMonitor", "Resource", "AxiBus", "Accelerator"]
 
@@ -151,11 +151,14 @@ class Resource:
             self.busy.set(self.users)
 
     def use(self, seconds: float) -> Generator:
-        """Process fragment: acquire one unit, hold it, release it."""
+        """Process fragment: acquire one unit, hold it, release it.
+
+        The hold is a bare delay (the process is its own wake-up entry).
+        """
 
         if not self.try_acquire():
             yield self.request()
-        yield Timeout(self.sim, seconds)
+        yield seconds
         self.release()
 
 

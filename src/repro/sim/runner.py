@@ -33,7 +33,7 @@ import numpy as np
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
-from .engine import Simulator, Timeout
+from .engine import PARK, Simulator
 from .metrics import (
     QuantileSketch,
     SimReport,
@@ -105,7 +105,9 @@ def _request_process(
     (:meth:`Simulator.process_batch`), so no leading arrival timeout is
     needed — one queue entry per request instead of three.  A PS segment
     books a free core in line (:meth:`Resource.try_acquire`), so only a
-    contended one waits on a grant event and accrues ``ps_wait``.
+    contended one waits on a grant event and accrues ``ps_wait``; its
+    compute is a bare delay.  An offloaded invocation parks the process
+    until the dispatcher wakes it.
     """
 
     for segment in plan.segments:
@@ -114,10 +116,11 @@ def _request_process(
                 asked = sim.now
                 yield ps.request()
                 request.ps_wait += sim.now - asked
-            yield Timeout(sim, segment.seconds)
+            yield segment.seconds
             ps.release()
         else:
-            yield dispatcher.submit(request, segment)
+            dispatcher.submit(request, segment)
+            yield PARK
     request.completed = sim.now
     completed.append(request)
 
@@ -257,10 +260,9 @@ def simulate(
     def _fallback_process(execution: Execution) -> Generator:
         yield ps.request()
         execution.request.pl_wait += sim.now - execution.submitted
-        yield sim.timeout(execution.plx.ps_fallback_seconds)
+        yield execution.plx.ps_fallback_seconds
         ps.release()
-        if not execution.done.triggered:
-            execution.done.succeed(None)
+        execution.finish()
 
     dispatcher.ps_fallback = lambda execution: sim.process(_fallback_process(execution))
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.engine import Event, Process, Timeout
+from repro.sim.engine import PARK, Event, Process, Timeout
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -126,15 +126,109 @@ class TestEvents:
         sim.run()
         assert late == ["early"]
 
-    def test_yielding_non_event_is_a_type_error(self):
+    @pytest.mark.parametrize("target", [3, "x", None])
+    def test_yielding_non_event_is_a_type_error(self, target):
+        # Only a float is a delay: an int is not silently a sleep.
         sim = Simulator()
 
         def bad():
-            yield 3.0
+            yield target
 
         sim.process(bad())
         with pytest.raises(TypeError, match="must yield Event"):
             sim.run()
+
+    @pytest.mark.parametrize("delay", [-1.0, math.inf, math.nan])
+    def test_yielding_a_bad_delay_is_a_value_error(self, delay):
+        sim = Simulator()
+
+        def bad():
+            yield delay
+
+        sim.process(bad())
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            sim.run()
+
+
+class TestSleepAndPark:
+    def test_bare_delay_sleeps_in_one_entry(self):
+        sim = Simulator()
+        trace = []
+
+        def sleeper():
+            value = yield 1.5
+            trace.append((sim.now, value))
+            yield 0.0
+            trace.append((sim.now, None))
+
+        sim.process(sleeper())
+        sim.run()
+        assert trace == [(1.5, None), (1.5, None)]
+        # start, two wake-ups and the completion
+        assert sim.events_processed == 4
+
+    def test_sleep_ties_fire_fifo_with_timeouts(self):
+        sim = Simulator()
+        order = []
+
+        def sleeper(tag, delay):
+            yield delay
+            order.append(tag)
+
+        def waiter(tag, delay):
+            yield sim.timeout(delay)
+            order.append(tag)
+
+        sim.process(sleeper("a", 1.0))
+        sim.process(waiter("b", 1.0))
+        sim.process(sleeper("c", 1.0))
+        sim.run()
+        assert order == ["a", "b", "c"]
+
+    def test_parked_process_resumes_when_woken(self):
+        sim = Simulator()
+        parked = []
+        trace = []
+
+        def sleeper():
+            parked.append(sim.active_process)
+            value = yield PARK
+            trace.append((sim.now, value))
+
+        def waker():
+            yield 2.0
+            sim.wake(parked.pop())
+
+        sim.process(sleeper())
+        sim.process(waker())
+        sim.run()
+        assert trace == [(2.0, None)]
+
+    def test_never_woken_process_stays_parked(self):
+        sim = Simulator()
+
+        def sleeper():
+            yield PARK
+
+        proc = sim.process(sleeper())
+        sim.run()
+        assert not proc.triggered
+        assert sim.events_processed == 1
+
+    def test_active_process_is_the_resumed_one(self):
+        sim = Simulator()
+        seen = []
+
+        def body():
+            seen.append(sim.active_process)
+            yield 1.0
+            seen.append(sim.active_process)
+
+        procs = [sim.process(body()), sim.process(body())]
+        sim.schedule(0.5, lambda: seen.append(sim.active_process))
+        sim.run()
+        assert seen == [procs[0], procs[1], None, procs[0], procs[1]]
+        assert sim.active_process is None
 
 
 class TestProcesses:

@@ -2,9 +2,9 @@
 
 A lone request on one replica under ``fifo`` never contends, so every entry
 it posts is structural.  Each offloaded ODEBlock invocation costs five:
-the worker's wake, the DMA-in, compute and DMA-out timeouts, and the
-``done`` event that resumes the request.  Each PS segment costs one timeout
-(a free core is booked in line, with no grant event).  Three more open and
+the parked worker's wake, its DMA-in, compute and DMA-out delays, and the
+wake of the request parked on the invocation.  Each PS segment costs one
+delay (a free core is booked in line, with no grant event).  Three more open and
 close the run: the replica worker's start, the request's start and its
 completion.  A zero-delay hop added back anywhere on that path breaks the
 equality below.
@@ -17,8 +17,8 @@ import pytest
 from repro.sim import PlExecution, Resource, SimScenario, build_service_plan, simulate
 
 FIXED_ENTRIES = 3  # worker start, request start, request completion
-PER_INVOCATION = 5  # wake, DMA in, compute, DMA out, done
-PER_PS_SEGMENT = 1  # the segment's timeout
+PER_INVOCATION = 5  # worker wake, DMA in, compute, DMA out, request wake
+PER_PS_SEGMENT = 1  # the segment's delay
 
 
 @pytest.mark.parametrize("depth", [20, 56])
@@ -30,7 +30,7 @@ def test_lone_fifo_request_costs_the_closed_form(depth):
     offloaded = [s for s in plan.segments if isinstance(s, PlExecution)]
     k, m = len(offloaded), len(plan.segments) - len(offloaded)
     assert k > 0 and m > 0
-    # Every invocation moves data both ways, so both DMA timeouts are posted.
+    # Every invocation moves data both ways, so both DMA delays are posted.
     assert all(x.words_in > 0 and x.words_out > 0 for x in offloaded)
 
     report = simulate(scenario)

@@ -8,6 +8,11 @@ Random programs force ties (a small delay grid with 0 and repeats) and mix
 every kernel feature: timeouts, bare events, processes waiting on
 processes, ``all_of`` joins (some over already-processed events),
 ``schedule`` and ``add_callback`` on already-processed events.
+
+The reference kernel has no sleep or park: a process that yields a bare
+delay runs there as ``yield sim.timeout(d)``, and one that parks waits on
+a fresh :class:`Event` that its waker succeeds.  Those are the entries the
+optimised kernel must post in their place, at the same ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ LEAF = st.one_of(
     st.tuples(st.just("history"), INDEX),
     st.tuples(st.just("callback"), INDEX),
     st.tuples(st.just("schedule"), DELAYS),
+    st.tuples(st.just("sleep"), DELAYS),
+    st.tuples(st.just("park"), st.just(0.0)),
+    # Wake the longest-parked process now, or from a timed callback.
+    st.tuples(st.just("wake"), st.just(0.0)),
+    st.tuples(st.just("wake_later"), DELAYS),
 )
 PART = st.one_of(st.tuples(st.just("timeout"), DELAYS), st.tuples(st.just("history"), INDEX))
 STEP = st.one_of(
@@ -55,6 +65,15 @@ def run_program(kernel, program):
     sim = kernel.Simulator()
     trace = []
     history = []
+    parked = []
+    native = hasattr(kernel, "PARK")
+
+    def wake_one():
+        if parked:
+            if native:
+                sim.wake(parked.pop(0))
+            else:
+                parked.pop(0).succeed()
 
     def record(tag):
         return lambda value=None: trace.append((sim.now, tag, repr(value)))
@@ -93,6 +112,26 @@ def run_program(kernel, program):
                 continue
             if kind == "schedule":
                 sim.schedule(arg, record(name))
+                continue
+            if kind == "wake":
+                wake_one()
+                continue
+            if kind == "wake_later":
+                sim.schedule(arg, wake_one)
+                continue
+            if kind in ("sleep", "park"):
+                # Neither joins ``history``: both kernels index it alike.
+                if native:
+                    if kind == "park":
+                        parked.append(sim.active_process)
+                    value = yield arg if kind == "sleep" else kernel.PARK
+                elif kind == "sleep":
+                    value = yield sim.timeout(arg)
+                else:
+                    event = kernel.Event(sim)
+                    parked.append(event)
+                    value = yield event
+                trace.append((sim.now, name, repr(value)))
                 continue
             event = wait_for(step, name)
             if event is None:

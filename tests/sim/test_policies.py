@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Evaluator, Scenario
 from repro.platform import ResourceVector
+from repro.sim.engine import PARK
 from repro.sim import (
     Accelerator,
     AxiBus,
@@ -137,10 +138,32 @@ class TestPolicies:
             compute_seconds=1.0,
         )
         request = Request(index=0, arrival=0.0, scenario=Scenario())
-        done = dispatcher.submit(request, plx)
+        woken = []
+
+        def requester():
+            execution = dispatcher.submit(request, plx)
+            yield PARK
+            woken.append((sim.now, execution.finished))
+
+        sim.process(requester())
         sim.run()
-        assert done.callbacks is None
-        assert sim.now == pytest.approx(0.25 + 1.0 + 0.5)
+        assert woken == [(pytest.approx(0.25 + 1.0 + 0.5), True)]
+
+    def test_submit_outside_a_process_is_rejected(self):
+        # Nobody would be parked on the invocation to wake.
+        sim = Simulator()
+        dispatcher = Dispatcher(sim, AxiBus(sim), [Accelerator(sim, 0)], "fifo", 1)
+        plx = PlExecution(
+            layer="layer1",
+            words_in=1,
+            words_out=1,
+            transfer_in_seconds=0.1,
+            transfer_out_seconds=0.1,
+            compute_seconds=0.1,
+        )
+        request = Request(index=0, arrival=0.0, scenario=Scenario())
+        with pytest.raises(RuntimeError, match="inside a process"):
+            dispatcher.submit(request, plx)
 
     def test_two_replicas_beat_one_under_load(self, evaluator):
         one = _sim(evaluator, replicas=1, arrival_rate_hz=50.0, n_requests=30, ps_cores=4)
