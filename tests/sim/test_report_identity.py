@@ -11,8 +11,8 @@ re-dispatches the dead replica's pinned queue), the death of a lone
 replica under each policy (everything after it runs on the PS software
 fallback), two ``batched`` kills that land while a batch of two is in
 flight (before and after its first invocation finishes; the replica
-revives a second later), one warm-up run, a
-two-board event-fidelity fleet and fast-fidelity fleets over every
+revives a second later, or a millisecond later in a third run), one
+warm-up run, a two-board event-fidelity fleet and fast-fidelity fleets over every
 balancer path: least-loaded and batch routing (with spill), round-robin,
 weighted, SLO admission and none, three cells, and autoscaling that powers
 boards both up and down under least-loaded and weighted routing.  ``tests/golden/report_identity.json`` holds each
@@ -118,6 +118,8 @@ POLICY_FAULT_AT = 6.5
 #: while it serves a batch of two, first with neither invocation finished,
 #: then with the first one finished.
 MID_BATCH_AT = {"mid_batch": 1.94, "mid_batch_half_done": 1.95}
+#: Repair time of the ``mid_batch`` kill's fast-repair twin.
+FAST_REPAIR_S = 0.001
 
 
 def _runs() -> Dict[str, Callable[[], object]]:
@@ -149,6 +151,12 @@ def _runs() -> Dict[str, Callable[[], object]]:
         runs[f"fault/replica_death/{name}"] = lambda t=t: simulate(
             batched, faults=[(transient, t)], fault_seed=3
         )
+    # The same kill, repaired 1 ms later: the replica revives before its
+    # killed service loop reaches a resume point.
+    fast_repair = make_fault_mode("replica_death", duration_s=FAST_REPAIR_S)
+    runs["fault/replica_death/mid_batch_fast_repair"] = lambda: simulate(
+        batched, faults=[(fast_repair, MID_BATCH_AT["mid_batch"])], fault_seed=3
+    )
     runs["warmup"] = lambda: simulate(knee.replace(warmup_s=3.0, slo_s=0.9))
     fleet = FleetScenario(
         boards=(BoardGroup("PYNQ-Z2", 2),),
