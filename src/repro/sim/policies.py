@@ -107,6 +107,10 @@ class Dispatcher:
         #: Liveness of each replica; fail_replica()/revive_replica() flip it.
         self.alive: List[bool] = [True] * len(self.accelerators)
         self.alive_count = len(self.accelerators)
+        #: Each replica's service-loop generation: fail_replica() bumps it,
+        #: so a killed loop stays stale even when the replica revives
+        #: before the loop reaches a resume point.
+        self._generation: List[int] = [0] * len(self.accelerators)
         #: Executions currently being served per replica (re-dispatch victims).
         self._inflight: List[List[Execution]] = [[] for _ in self.accelerators]
         #: Invocations drained off a dead replica and queued again elsewhere.
@@ -120,7 +124,7 @@ class Dispatcher:
         #: is called once per input DMA burst while the fault is active.
         self.corruptor = None
         for acc in self.accelerators:
-            sim.process(self._worker(acc))
+            sim.process(self._worker(acc, 0))
 
     # -- submission --------------------------------------------------------------------
 
@@ -193,6 +197,7 @@ class Dispatcher:
         acc = self.accelerators[index]
         self.alive[index] = False
         self.alive_count -= 1
+        self._generation[index] += 1
         acc.busy.set(0)
         acc.down.set(1)
         self._idle[index] = None
@@ -215,7 +220,8 @@ class Dispatcher:
         self.pending.set(self.queued)
 
     def revive_replica(self, index: int) -> None:
-        """Bring replica ``index`` back (a fresh worker starts immediately)."""
+        """Bring replica ``index`` back: a fresh worker of the current
+        generation starts immediately."""
 
         if self.alive[index]:
             return
@@ -223,7 +229,7 @@ class Dispatcher:
         self.alive[index] = True
         self.alive_count += 1
         acc.down.set(0)
-        self.sim.process(self._worker(acc))
+        self.sim.process(self._worker(acc, self._generation[index]))
 
     def _fallback(self, execution: Execution) -> None:
         if self.ps_fallback is None:
@@ -235,7 +241,7 @@ class Dispatcher:
 
     # -- replica service loop ----------------------------------------------------------
 
-    def _worker(self, acc: Accelerator) -> Generator:
+    def _worker(self, acc: Accelerator, generation: int) -> Generator:
         """One replica's service loop: serve each batch back-to-back.
 
         While invocation *i* computes, a concurrent DMA process writes back
@@ -253,20 +259,22 @@ class Dispatcher:
         worker's wake, its DMA-in, compute and DMA-out delays, and the
         wake of the request parked on it.
 
-        Every completion is routed through :meth:`_finish`, which is a no-op
-        once the replica died (the invocation was re-dispatched; letting the
-        orphaned service finish it would wake its request twice), and
-        the loop ends at the first resume point after a kill (fail_replica()
-        already zeroed the busy monitor and re-dispatched the unfinished
-        invocations).
+        The loop serves one ``generation`` of the replica, the one current
+        when it was started.  Every completion is routed through
+        :meth:`_finish`, which is a no-op once that generation was killed
+        (the invocation was re-dispatched; letting the orphaned service
+        finish it would wake its request twice), and the loop ends at the
+        first resume point after a kill (fail_replica() already zeroed the
+        busy monitor and re-dispatched the unfinished invocations), even if
+        the replica has revived since under a fresh loop.
         """
 
         sim = self.sim
-        alive = self.alive
+        generations = self._generation
         index = acc.index
         queue = self.per_replica[index] if self.pinned else self.shared
         drain = self.drain
-        while alive[index]:
+        while generations[index] == generation:
             batch: List[Execution] = []
             while queue and len(batch) < drain:
                 batch.append(queue.popleft())
@@ -284,28 +292,30 @@ class Dispatcher:
             yield from self._transfer_in(batch[0])
             previous: Optional[Execution] = None
             for i, execution in enumerate(batch):
-                if not alive[index]:
+                if generations[index] != generation:
                     return
                 upcoming = batch[i + 1] if i + 1 < len(batch) else None
                 if previous is None and upcoming is None:
                     yield execution.plx.compute_seconds
                 else:
                     compute = Timeout(sim, execution.plx.compute_seconds)
-                    overlap = Process(sim, self._overlap_dma(acc, previous, upcoming))
+                    overlap = Process(
+                        sim, self._overlap_dma(index, generation, previous, upcoming)
+                    )
                     yield sim.all_of((compute, overlap))
                 previous = execution
-            if not alive[index]:
+            if generations[index] != generation:
                 return
             yield from self._transfer_out(previous)
-            self._finish(acc, previous)
-            if not alive[index]:
+            self._finish(index, generation, previous)
+            if generations[index] != generation:
                 return
             self._inflight[index] = []
             acc.busy.set(0)
             acc.served += len(batch)
 
-    def _finish(self, acc: Accelerator, execution: Execution) -> None:
-        if self.alive[acc.index]:
+    def _finish(self, index: int, generation: int, execution: Execution) -> None:
+        if self._generation[index] == generation:
             execution.finish()
 
     # Bursts are priced with the execution's *stored* transfer times (from
@@ -325,13 +335,14 @@ class Dispatcher:
 
     def _overlap_dma(
         self,
-        acc: Accelerator,
+        index: int,
+        generation: int,
         finished: Optional[Execution],
         upcoming: Optional[Execution],
     ) -> Generator:
         if finished is not None:
             yield from self._transfer_out(finished)
-            self._finish(acc, finished)
+            self._finish(index, generation, finished)
         if upcoming is not None:
             yield from self._transfer_in(upcoming)
 

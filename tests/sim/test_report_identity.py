@@ -223,6 +223,15 @@ def test_mid_batch_kill_redispatches():
     assert reports["fault/replica_death/mid_batch_half_done"]["faults"]["redispatched"] > 0
 
 
+def test_fast_repair_serves_no_invocation_twice():
+    # Revived a millisecond after the kill, before the killed service loop
+    # reaches a resume point: only the revived loop serves, so the bus
+    # moves what it moves when the replica stays down for a second.
+    fast = RUNS["fault/replica_death/mid_batch_fast_repair"]()
+    slow = RUNS["fault/replica_death/mid_batch"]()
+    assert fast.bus == slow.bus
+
+
 def test_batch_class_spills():
     # Every board type serves: the cheapest board's backlog spilled over.
     boards = _fixture()["reports"]["fleet/batch_spill"]["boards"]
