@@ -3,8 +3,8 @@
 
 Four measurements:
 
-1. **Engine events/sec** — a microbenchmark of the raw kernel (timeout chains
-   through many concurrent processes, the dominant event pattern in serving
+1. **Engine events/sec** — a microbenchmark of the raw kernel (sleep chains
+   through many concurrent processes, the dominant entry pattern in serving
    runs).  The engine must sustain at least 100k events/sec (asserted unless
    ``--quick``), which keeps even million-event serving studies interactive.
 
@@ -12,7 +12,7 @@ Four measurements:
    perfbench ``serve`` op1 mix: rODENet-3-20 on a PYNQ-Z2, 2 replicas,
    batched (4), 2 PS cores, 300 Poisson requests at 2, 8 and 12 req/s.
    Every event here moves resources, monitors or the dispatcher, not just
-   a timeout chain (a batched pipeline step also joins its DMA process).
+   a sleep chain (a batched pipeline step also joins its DMA process).
    Prints ns/event and requests/sec, and asserts at least 250k events/sec
    and 3,900 requests/sec (half of each under ``--quick``), best of five
    passes so a noisy host does not fail it.  The requests/sec floor is the
@@ -57,13 +57,15 @@ from repro.sim import SimScenario, Simulator, latency_stats, simulate
 MIN_EVENTS_PER_SEC = 100_000.0
 
 #: The serving mix's floors (full run; --quick uses half).  The mix runs
-#: 37,091 events for 900 requests.  On a shared 2-CPU host, best-of-five
-#: runs measured 5,600-11,100 requests/sec and 230-460k events/sec (15
-#: runs, median 8,700 requests/sec) with processes that sleep on a bare
-#: delay and park without an event object, against 4,900-8,600
-#: requests/sec and 200-355k events/sec (9 runs, median 6,100) with a
-#: Timeout or Event per hop.  The requests/sec floor is 0.70x the new low
-#: end, as the old floor, 3,500, was of the old one.
+#: 37,091 events for 900 requests.  On a shared 2-CPU host, five
+#: alternating full runs per side (each the best of five passes) measured
+#: 5,500-8,100 requests/sec and 227-333k events/sec (median 7,400
+#: requests/sec) with every queue entry a process or a plain callable,
+#: against 4,800-8,400 requests/sec and 200-346k events/sec (median 6,700)
+#: with event objects left for contended grants and pipelined batch steps.
+#: The requests/sec floor is 0.70x the low end (5,600) first measured with
+#: processes that sleep on a bare delay, as the old floor, 3,500, was of
+#: the low end (4,900) with a Timeout or Event per hop.
 #: With a grant hop per free resource unit the mix ran 76,867 events:
 #: 2,850-2,900 requests/sec and 240-250k events/sec (320-360k on quieter
 #: days).  The events/sec floor dates from that longer mix, whose extra
@@ -85,13 +87,13 @@ MIN_EVENT_FLEET_REQUESTS_PER_SEC = 1_250.0
 
 
 def bench_engine(n_processes: int, hops: int) -> float:
-    """Events/sec of the raw kernel: ``n_processes`` timeout chains."""
+    """Events/sec of the raw kernel: ``n_processes`` sleep chains."""
 
     sim = Simulator()
 
     def chain(offset: float):
         for k in range(hops):
-            yield sim.timeout(0.001 + offset)
+            yield 0.001 + offset
 
     for i in range(n_processes):
         sim.process(chain(i * 1e-6))

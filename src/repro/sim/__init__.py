@@ -25,7 +25,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".engine": ("Event", "Process", "Simulator", "Timeout"),
+        ".engine": ("Process", "Simulator"),
         ".metrics": (
             "LatencyStats", "QuantileSketch", "SimReport", "energy_summary", "latency_stats",
             "slo_summary", "windowed_mean",

@@ -32,12 +32,12 @@ replicas through it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
 from ..platform import ResourceVector
-from .engine import PARK, Event, Process, Simulator, Timeout
+from .engine import PARK, Process, Simulator
 from .resources import Accelerator, AxiBus, LevelMonitor
 from .workload import PlExecution, Request
 
@@ -246,18 +246,20 @@ class Dispatcher:
 
         While invocation *i* computes, a concurrent DMA process writes back
         invocation *i−1*'s output and prefetches invocation *i+1*'s input; an
-        invocation's completion event fires when its *output* transfer lands.
-        A batch of one reduces to the strictly sequential
-        (DMA in, compute, DMA out) transaction of the analytic model.
+        invocation finishes when its *output* transfer lands.  A batch of
+        one reduces to the strictly sequential (DMA in, compute, DMA out)
+        transaction of the analytic model.
 
-        Compute is a bare delay, and the DMA process with its ``all_of``
-        join is only created when there is an output to write back or an
-        input to prefetch.  An idle worker parks and :meth:`_put` wakes it.
-        With free bus grants booked in line
+        Compute is a bare delay.  Only when there is an output to write back
+        or an input to prefetch does a step fork the DMA process: the
+        compute's end is then a timed :func:`_countdown` call, the DMA
+        process's ``done`` the other, and the worker parks until the second
+        wakes it.  An idle worker parks and :meth:`_put` wakes it.  With
+        free bus units booked in line
         (:meth:`~repro.sim.resources.Resource.try_acquire`), a lone
-        invocation costs five queue entries and no event object: the
-        worker's wake, its DMA-in, compute and DMA-out delays, and the
-        wake of the request parked on it.
+        invocation costs five queue entries: the worker's wake, its DMA-in,
+        compute and DMA-out delays, and the wake of the request parked on
+        it.
 
         The loop serves one ``generation`` of the replica, the one current
         when it was started.  Every completion is routed through
@@ -270,6 +272,7 @@ class Dispatcher:
         """
 
         sim = self.sim
+        worker = sim.active_process
         generations = self._generation
         index = acc.index
         queue = self.per_replica[index] if self.pinned else self.shared
@@ -279,7 +282,7 @@ class Dispatcher:
             while queue and len(batch) < drain:
                 batch.append(queue.popleft())
             if not batch:
-                self._idle[index] = sim.active_process
+                self._idle[index] = worker
                 yield PARK
                 continue
             self.queued -= len(batch)
@@ -298,11 +301,14 @@ class Dispatcher:
                 if previous is None and upcoming is None:
                     yield execution.plx.compute_seconds
                 else:
-                    compute = Timeout(sim, execution.plx.compute_seconds)
-                    overlap = Process(
-                        sim, self._overlap_dma(index, generation, previous, upcoming)
+                    arrive = _countdown(sim, worker, 2)
+                    sim.schedule(execution.plx.compute_seconds, arrive)
+                    Process(
+                        sim,
+                        self._overlap_dma(index, generation, previous, upcoming),
+                        done=arrive,
                     )
-                    yield sim.all_of((compute, overlap))
+                    yield PARK
                 previous = execution
             if generations[index] != generation:
                 return
@@ -323,13 +329,13 @@ class Dispatcher:
     # matches the analytic (DMA in + compute + DMA out) decomposition even
     # under a non-default transfer model.  Both return the bus's fragment.
 
-    def _transfer_in(self, execution: Execution) -> Iterable[Event]:
+    def _transfer_in(self, execution: Execution) -> Iterable[object]:
         if self.corruptor is not None:
             self.corruptor(execution.request)
         plx = execution.plx
         return self.bus.transfer(plx.words_in, plx.transfer_in_seconds)
 
-    def _transfer_out(self, execution: Execution) -> Iterable[Event]:
+    def _transfer_out(self, execution: Execution) -> Iterable[object]:
         plx = execution.plx
         return self.bus.transfer(plx.words_out, plx.transfer_out_seconds)
 
@@ -345,6 +351,18 @@ class Dispatcher:
             self._finish(index, generation, finished)
         if upcoming is not None:
             yield from self._transfer_in(upcoming)
+
+
+def _countdown(sim: Simulator, process: Process, parts: int) -> Callable[[], None]:
+    """A callable that wakes ``process`` on its ``parts``-th call."""
+
+    def arrive() -> None:
+        nonlocal parts
+        parts -= 1
+        if not parts:
+            sim.wake(process)
+
+    return arrive
 
 
 def size_replicas(

@@ -28,7 +28,7 @@ from typing import Deque, Dict, Generator, Iterable, Optional
 
 from .._checks import check_count
 from ..platform import ResourceVector
-from .engine import Event, Simulator
+from .engine import PARK, Process, Simulator
 
 __all__ = ["LevelMonitor", "Resource", "AxiBus", "Accelerator"]
 
@@ -84,7 +84,7 @@ class Resource:
         self.capacity = check_count("capacity", capacity, 1)
         self.name = name
         self.users = 0
-        self._waiting: Deque[Event] = deque()
+        self._waiting: Deque[Process] = deque()
         self.busy = LevelMonitor(sim)
         self.queue_depth = LevelMonitor(sim)
 
@@ -94,9 +94,9 @@ class Resource:
         A free unit means nobody waits (:meth:`release` hands a unit straight
         to the next waiter), so booking it in line keeps grants strictly
         FIFO.  The requester carries on at once instead of waiting on a
-        grant event that would fire at the same instant: the serving hot
-        paths (:meth:`use` and the runner's PS segments) call this first and
-        fall back to :meth:`request` only when contended.
+        grant that would fire at the same instant: the serving hot paths
+        (:meth:`use` and the runner's PS segments) call this first and fall
+        back to :meth:`enqueue` only when contended.
         """
 
         if self.users < self.capacity:
@@ -105,47 +105,50 @@ class Resource:
             return True
         return False
 
-    def request(self) -> Event:
-        """An event that fires when one unit of the resource is granted."""
+    def enqueue(self) -> None:
+        """Queue the running process for a unit; it then yields :data:`PARK`.
 
-        grant = Event(self.sim)
-        if self.try_acquire():
-            grant.succeed()
-        else:
-            self._waiting.append(grant)
-            self.queue_depth.set(len(self._waiting))
-        return grant
+        The contended path, after :meth:`try_acquire` failed:
+        :meth:`release` or :meth:`set_capacity` hands the process its unit
+        and wakes it.
+        """
+
+        waiter = self.sim.active_process
+        if waiter is None:
+            raise RuntimeError("Resource.enqueue must be called from inside a process")
+        self._waiting.append(waiter)
+        self.queue_depth.set(len(self._waiting))
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the unit pool mid-run (the PS-core-loss fault hook).
 
         Shrinking never preempts: current users finish their holds, and the
-        pool drains down to the new capacity as they release.  Growing grants
-        the freed units straight to the longest-waiting requests.
+        pool drains down to the new capacity as they release.  Growing hands
+        the freed units straight to the longest-waiting processes.
         """
 
         self.capacity = check_count("capacity", capacity, 1)
         while self._waiting and self.users < self.capacity:
             self.users += 1
             self.busy.set(self.users)
-            grant = self._waiting.popleft()
+            waiter = self._waiting.popleft()
             self.queue_depth.set(len(self._waiting))
-            grant.succeed(None)
+            self.sim.wake(waiter)
 
     def release(self) -> None:
-        """Return one unit; the longest-waiting request (if any) is granted."""
+        """Return one unit; the longest-waiting process (if any) gets it."""
 
         if self.users <= 0:
             raise RuntimeError(f"release of idle resource '{self.name}'")
         if self._waiting and self.users <= self.capacity:
             # Hand the unit straight to the next waiter: occupancy stays
-            # constant and the grant fires at the current time, after any
-            # event already queued "now" (FIFO tie-break).  (The users check
+            # constant and the waiter resumes at the current time, after any
+            # entry already queued "now" (FIFO tie-break).  (The users check
             # only bites after a mid-run capacity shrink, when over-capacity
             # holds must drain instead of being handed on.)
-            grant = self._waiting.popleft()
+            waiter = self._waiting.popleft()
             self.queue_depth.set(len(self._waiting))
-            grant.succeed(None)
+            self.sim.wake(waiter)
         else:
             self.users -= 1
             self.busy.set(self.users)
@@ -157,7 +160,8 @@ class Resource:
         """
 
         if not self.try_acquire():
-            yield self.request()
+            self.enqueue()
+            yield PARK
         yield seconds
         self.release()
 
@@ -187,7 +191,7 @@ class AxiBus(Resource):
         self.slowdown = slowdown
         return previous
 
-    def transfer(self, words: int, seconds: float) -> Iterable[Event]:
+    def transfer(self, words: int, seconds: float) -> Iterable[object]:
         """Process fragment: move ``words`` over the bus (one DMA burst).
 
         Books the burst when called and returns the :meth:`use` fragment

@@ -105,16 +105,17 @@ def _request_process(
     (:meth:`Simulator.process_batch`), so no leading arrival timeout is
     needed — one queue entry per request instead of three.  A PS segment
     books a free core in line (:meth:`Resource.try_acquire`), so only a
-    contended one waits on a grant event and accrues ``ps_wait``; its
-    compute is a bare delay.  An offloaded invocation parks the process
-    until the dispatcher wakes it.
+    contended one parks for its core and accrues ``ps_wait``; its compute
+    is a bare delay.  An offloaded invocation parks the process until the
+    dispatcher wakes it.
     """
 
     for segment in plan.segments:
         if isinstance(segment, PsSegment):
             if not ps.try_acquire():
                 asked = sim.now
-                yield ps.request()
+                ps.enqueue()
+                yield PARK
                 request.ps_wait += sim.now - asked
             yield segment.seconds
             ps.release()
@@ -258,7 +259,11 @@ def simulate(
     # path, priced by the same execution report).  Installed unconditionally
     # but only ever called once fail_replica() has emptied the fleet.
     def _fallback_process(execution: Execution) -> Generator:
-        yield ps.request()
+        if ps.try_acquire():
+            yield 0.0  # a free core is still granted through one zero-delay entry
+        else:
+            ps.enqueue()
+            yield PARK
         execution.request.pl_wait += sim.now - execution.submitted
         yield execution.plx.ps_fallback_seconds
         ps.release()
@@ -314,7 +319,7 @@ def simulate(
         Request(index=i, arrival=t, scenario=point)
         for i, (t, point) in enumerate(zip(arrivals, per_request))
     ]
-    # Event batching: every request process is scheduled directly at its
+    # Arrival batching: every request process is scheduled directly at its
     # arrival instant with one bulk heap rebuild (no per-request start event
     # or leading arrival timeout).
     sim.process_batch(

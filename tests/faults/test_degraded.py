@@ -7,6 +7,7 @@ import pytest
 from repro.api import Evaluator
 from repro.faults import AxiDegradation, DmaCorruption, PsCoreLoss, ReplicaDeath
 from repro.sim import AxiBus, Resource, SimScenario, Simulator, simulate
+from repro.sim.engine import PARK
 
 
 @pytest.fixture(scope="module")
@@ -33,43 +34,53 @@ class TestResourcePrimitives:
     def test_set_capacity_shrink_drains_without_preemption(self):
         sim = Simulator()
         res = Resource(sim, capacity=2)
-
-        def hold(seconds):
-            yield res.request()
-            yield sim.timeout(seconds)
-            res.release()
-
-        sim.process(hold(1.0))
-        sim.process(hold(2.0))
         seen = {}
 
-        def shrink():
+        def hold(seconds):
+            yield from res.use(seconds)
+
+        def blocked():
+            yield 0.5
             res.set_capacity(1)
             # Both holders keep running over capacity; no user is evicted.
             seen["users_at_shrink"] = res.users
-            seen["blocked"] = res.request()
+            yield from res.use(1.0)
+            seen["granted_at"] = sim.now - 1.0
 
         def probe():
             # One release only drains the over-capacity pool; the waiter holds.
             seen["users_at_probe"] = res.users
-            seen["triggered_at_probe"] = seen["blocked"].triggered
+            seen["waiting_at_probe"] = res.queue_depth.level
 
-        sim.schedule(0.5, shrink)
+        sim.process(hold(1.0))
+        sim.process(hold(2.0))
+        sim.process(blocked())
         sim.schedule(1.5, probe)
         sim.run()
         assert seen["users_at_shrink"] == 2
-        assert seen["users_at_probe"] == 1 and not seen["triggered_at_probe"]
-        assert seen["blocked"].callbacks is None
+        assert seen["users_at_probe"] == 1 and seen["waiting_at_probe"] == 1
+        # The waiter gets the unit the second holder hands on at 2 s.
+        assert seen["granted_at"] == 2.0
 
     def test_set_capacity_grow_wakes_waiters(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
-        first, second = res.request(), res.request()
+        granted = []
+
+        def user(tag):
+            if not res.try_acquire():
+                res.enqueue()
+                yield PARK
+            granted.append((tag, sim.now))
+
+        sim.process(user("first"))
+        sim.process(user("second"))
         sim.run()
-        assert first.callbacks is None and not second.triggered
-        res.set_capacity(2)
+        assert granted == [("first", 0.0)]
+        sim.schedule(1.0, lambda: res.set_capacity(2))
         sim.run()
-        assert second.callbacks is None
+        assert granted == [("first", 0.0), ("second", 1.0)]
+        assert res.users == 2
 
     def test_bus_degrade_token_protocol(self):
         sim = Simulator()

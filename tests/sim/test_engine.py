@@ -1,9 +1,9 @@
 """Property-based and unit tests of the discrete-event kernel.
 
-The three load-bearing invariants (events fire in timestamp order, FIFO
+The three load-bearing invariants (entries fire in timestamp order, FIFO
 tie-breaking, monotone clock) are pinned with hypothesis over arbitrary
-delay sets — these are what make every simulation deterministic and
-reproducible.
+delay sets, driven by :meth:`Simulator.schedule` and bare-delay sleeps —
+these are what make every simulation deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.engine import PARK, Event, Process, Timeout
+from repro.sim.engine import PARK, Process
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -30,7 +30,7 @@ def test_events_fire_in_timestamp_order(ds):
     sim = Simulator()
     fired = []
     for i, d in enumerate(ds):
-        sim.timeout(d).add_callback(lambda _v, i=i: fired.append((sim.now, i)))
+        sim.schedule(d, lambda i=i: fired.append((sim.now, i)))
     sim.run()
     assert len(fired) == len(ds)
     times = [t for t, _ in fired]
@@ -47,7 +47,7 @@ def test_fifo_ties_preserve_scheduling_order(ds):
     sim = Simulator()
     fired = []
     for i, d in enumerate(ds):
-        sim.timeout(d).add_callback(lambda _v, i=i: fired.append((sim.now, i)))
+        sim.schedule(d, lambda i=i: fired.append((sim.now, i)))
     sim.run()
     # All scheduled at t=0: within one timestamp, scheduling index ascends.
     by_time = {}
@@ -63,7 +63,7 @@ def test_clock_never_goes_backwards(ds):
     sim = Simulator()
     observed = []
     for d in ds:
-        sim.timeout(d).add_callback(lambda _v: observed.append(sim.now))
+        sim.schedule(d, lambda: observed.append(sim.now))
     last = [0.0]
 
     sim.run()
@@ -75,59 +75,23 @@ def test_clock_never_goes_backwards(ds):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=1, max_size=20))
-def test_process_timeout_chain_advances_by_sum(ds):
+def test_process_sleep_chain_advances_by_sum(ds):
     sim = Simulator()
 
     def proc():
         for d in ds:
-            yield sim.timeout(d)
-        return "done"
+            yield d
 
     finished = []
-    sim.process(proc()).add_callback(finished.append)
+    Process(sim, proc(), done=lambda: finished.append(sim.now))
     sim.run()
-    assert finished == ["done"]
+    assert finished == [sim.now]
     assert sim.now == pytest.approx(sum(ds))
 
 
-class TestEvents:
-    def test_negative_timeout_rejected(self):
-        # A NaN or infinite time would corrupt the heap order or the clock.
-        for delay in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="non-negative"):
-                Simulator().timeout(delay)
-
-    def test_event_fires_with_value(self):
-        sim = Simulator()
-        ev = Event(sim)
-        seen = []
-        ev.add_callback(seen.append)
-        ev.succeed(42)
-        sim.run()
-        assert seen == [42]
-
-    def test_double_succeed_rejected(self):
-        sim = Simulator()
-        ev = Event(sim)
-        ev.succeed()
-        with pytest.raises(RuntimeError, match="already triggered"):
-            ev.succeed()
-
-    def test_waiting_on_processed_event_still_fires(self):
-        """A callback registered after the event fired runs (no deadlock)."""
-
-        sim = Simulator()
-        ev = Event(sim)
-        ev.succeed("early")
-        sim.run()
-        assert ev.callbacks is None
-        late = []
-        ev.add_callback(late.append)
-        sim.run()
-        assert late == ["early"]
-
-    @pytest.mark.parametrize("target", [3, "x", None])
-    def test_yielding_non_event_is_a_type_error(self, target):
+class TestYields:
+    @pytest.mark.parametrize("target", [3, "x", None, object()])
+    def test_yielding_anything_else_is_a_type_error(self, target):
         # Only a float is a delay: an int is not silently a sleep.
         sim = Simulator()
 
@@ -135,7 +99,7 @@ class TestEvents:
             yield target
 
         sim.process(bad())
-        with pytest.raises(TypeError, match="must yield Event"):
+        with pytest.raises(TypeError, match="must yield float delays or PARK"):
             sim.run()
 
     @pytest.mark.parametrize("delay", [-1.0, math.inf, math.nan])
@@ -164,10 +128,10 @@ class TestSleepAndPark:
         sim.process(sleeper())
         sim.run()
         assert trace == [(1.5, None), (1.5, None)]
-        # start, two wake-ups and the completion
+        # start, two wake-ups and the (no-op) completion
         assert sim.events_processed == 4
 
-    def test_sleep_ties_fire_fifo_with_timeouts(self):
+    def test_sleep_ties_fire_fifo_with_scheduled_calls(self):
         sim = Simulator()
         order = []
 
@@ -175,12 +139,13 @@ class TestSleepAndPark:
             yield delay
             order.append(tag)
 
-        def waiter(tag, delay):
-            yield sim.timeout(delay)
-            order.append(tag)
+        def scheduler(tag, delay):
+            sim.schedule(delay, lambda: order.append(tag))
+            return
+            yield  # pragma: no cover — a generator with no waits
 
         sim.process(sleeper("a", 1.0))
-        sim.process(waiter("b", 1.0))
+        sim.process(scheduler("b", 1.0))
         sim.process(sleeper("c", 1.0))
         sim.run()
         assert order == ["a", "b", "c"]
@@ -206,13 +171,14 @@ class TestSleepAndPark:
 
     def test_never_woken_process_stays_parked(self):
         sim = Simulator()
+        finished = []
 
         def sleeper():
             yield PARK
 
-        proc = sim.process(sleeper())
+        Process(sim, sleeper(), done=lambda: finished.append(sim.now))
         sim.run()
-        assert not proc.triggered
+        assert finished == []
         assert sim.events_processed == 1
 
     def test_active_process_is_the_resumed_one(self):
@@ -231,52 +197,47 @@ class TestSleepAndPark:
         assert sim.active_process is None
 
 
-class TestProcesses:
-    def test_process_waits_on_process(self):
+class TestDone:
+    def test_done_resumes_a_parked_parent(self):
         sim = Simulator()
         trace = []
 
         def child():
-            yield sim.timeout(2.0)
+            yield 2.0
             trace.append(("child", sim.now))
-            return "payload"
 
         def parent():
-            value = yield sim.process(child())
-            trace.append(("parent", sim.now, value))
+            Process(sim, child(), done=sim.active_process)
+            yield PARK
+            trace.append(("parent", sim.now))
 
         sim.process(parent())
         sim.run()
-        assert trace == [("child", 2.0), ("parent", 2.0, "payload")]
+        assert trace == [("child", 2.0), ("parent", 2.0)]
 
-    def test_all_of_waits_for_every_event(self):
+    def test_done_fires_fifo_at_the_return_instant(self):
         sim = Simulator()
-        results = []
+        order = []
 
-        a, b = Event(sim), Event(sim)
-        sim.schedule(3.0, lambda: a.succeed("a"))
-        sim.schedule(1.0, lambda: b.succeed("b"))
+        def job(delay):
+            yield delay
 
-        def proc():
-            values = yield sim.all_of([a, b])
-            results.append((sim.now, values))
-
-        sim.process(proc())
+        Process(sim, job(1.0), done=lambda: order.append(("a", sim.now)))
+        Process(sim, job(1.0), done=lambda: order.append(("b", sim.now)))
+        sim.schedule(1.0, lambda: order.append(("scheduled", sim.now)))
+        Process(sim, job(0.5), done=lambda: order.append(("c", sim.now)))
         sim.run()
-        assert results == [(3.0, ["a", "b"])]
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-        fired = []
-        sim.all_of([]).add_callback(fired.append)
-        sim.run()
-        assert fired == [[]]
+        # The scheduled call was queued for t=1 before either job returned
+        # there; each done is queued when its job returns, in return order.
+        assert order == [("c", 0.5), ("scheduled", 1.0), ("a", 1.0), ("b", 1.0)]
+        # Three starts, three wake-ups, three dones and the scheduled call.
+        assert sim.events_processed == 10
 
 
 def process_at(sim: Simulator, delay: float, generator) -> Process:
     """Spawn a process whose first resume happens at ``now + delay``.
 
-    Equivalent to a process opening with ``yield sim.timeout(delay)`` but one
+    Equivalent to a process opening with ``yield delay`` but one
     queue entry cheaper: the start delay ``process_batch`` gives each arrival.
     """
 
@@ -315,33 +276,32 @@ class TestDelayedProcesses:
         assert batched == solo
         assert [t for t, _ in solo] == sorted(t for t, _ in solo)
 
-    def test_process_at_matches_a_leading_timeout(self):
+    def test_process_at_matches_a_leading_sleep(self):
         sim = Simulator()
         trace = []
 
         def job():
             trace.append(sim.now)
-            yield sim.timeout(2.0)
+            yield 2.0
             trace.append(sim.now)
-            return "ok"
 
         finished = []
-        process_at(sim, 3.0, job()).add_callback(finished.append)
+        Process(sim, job(), delay=3.0, done=lambda: finished.append(sim.now))
         sim.run()
         assert trace == [3.0, 5.0]
-        assert finished == ["ok"]
+        assert finished == [5.0]
 
-    def test_process_at_is_cheaper_than_a_timeout_chain(self):
+    def test_process_at_is_cheaper_than_a_leading_sleep(self):
         # Delayed start + completion: 2 events.  The equivalent
-        # `yield timeout(d)` process costs 3 (start, timeout, completion) —
-        # the saving that makes million-request arrival scheduling cheap.
+        # `yield d` process costs 3 (start, wake-up, completion) — the
+        # saving that makes million-request arrival scheduling cheap.
         fast = Simulator()
         process_at(fast, 1.0, _noop())
         fast.run()
         assert fast.events_processed == 2
 
         def waits(sim):
-            yield sim.timeout(1.0)
+            yield 1.0
 
         slow = Simulator()
         slow.process(waits(slow))
@@ -358,11 +318,11 @@ class TestDelayedProcesses:
     def test_batch_interleaves_with_existing_events(self):
         sim = Simulator()
         order = []
-        sim.timeout(1.0).add_callback(lambda _v: order.append("timeout"))
+        sim.schedule(1.0, lambda: order.append("early"))
         sim.process_batch([(1.0, _noop())])
         sim.schedule(1.0, lambda: order.append("late"))
         sim.run()
-        assert order == ["timeout", "late"]
+        assert order == ["early", "late"]
         assert sim.now == 1.0
 
 
@@ -375,14 +335,27 @@ class TestSchedule:
         assert fired == [3.0]
 
     def test_schedule_shares_the_fifo_queue(self):
-        """A scheduled callback ties with a timeout in scheduling order."""
+        """A scheduled callback ties with a sleep in scheduling order."""
 
         sim = Simulator()
         order = []
-        sim.timeout(1.0).add_callback(lambda _v: order.append("timeout"))
-        sim.schedule(1.0, lambda: order.append("callback"))
+
+        def sleeper():
+            yield 1.0
+            order.append("process")
+
+        sim.schedule(1.0, lambda: order.append("first"))
+        sim.process(sleeper())
+        sim.schedule(1.0, lambda: order.append("second"))
         sim.run()
-        assert order == ["timeout", "callback"]
+        # The sleeper's wake-up is queued when it starts, after both calls.
+        assert order == ["first", "second", "process"]
+
+    def test_schedule_rejects_a_bad_delay(self):
+        # A NaN or infinite time would corrupt the heap order or the clock.
+        for delay in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                Simulator().schedule(delay, lambda: None)
 
 
 class TestRunUntil:
@@ -391,6 +364,6 @@ class TestRunUntil:
     def test_events_processed_counter(self):
         sim = Simulator()
         for d in (1.0, 2.0):
-            sim.timeout(d)
+            sim.schedule(d, lambda: None)
         sim.run()
         assert sim.events_processed == 2

@@ -39,18 +39,18 @@ def test_lone_fifo_request_costs_the_closed_form(depth):
 
 
 class _CountingRequests:
-    """Counts contended grants: calls of ``Resource.request`` on the PS pool."""
+    """Counts contended grants: calls of ``Resource.enqueue`` on the PS pool."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        original = Resource.request
+        original = Resource.enqueue
 
-        def request(resource):
+        def enqueue(resource):
             if resource.name == "ps":
                 self.calls += 1
             return original(resource)
 
-        monkeypatch.setattr(Resource, "request", request)
+        monkeypatch.setattr(Resource, "enqueue", enqueue)
 
 
 def _software_only(**kw) -> SimScenario:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.fpga.axi import AxiTransferModel
 from repro.sim import AxiBus, Resource, Simulator
+from repro.sim.engine import PARK
 from repro.sim.metrics import windowed_mean
 
 
@@ -20,9 +21,11 @@ class TestResource:
         order = []
 
         def user(i):
-            yield res.request()
+            if not res.try_acquire():
+                res.enqueue()
+                yield PARK
             order.append(i)
-            yield sim.timeout(1.0)
+            yield 1.0
             res.release()
 
         for i in range(5):
@@ -51,8 +54,13 @@ class TestResource:
         assert (res.users, res.busy.level) == (1, 1)
         assert not res.try_acquire()
         assert (res.users, res.queue_depth.level) == (1, 0)
-        # Nothing was queued: a free booking posts no grant event.
+        # Nothing was queued: a free booking posts no grant entry.
         assert sim._heap == []
+
+    def test_enqueue_outside_a_process_is_rejected(self):
+        res = Resource(Simulator(), capacity=1)
+        with pytest.raises(RuntimeError, match="inside a process"):
+            res.enqueue()
 
     def test_uncontended_use_posts_only_its_timeout(self):
         sim = Simulator()
@@ -63,7 +71,7 @@ class TestResource:
 
         sim.process(user())
         sim.run()
-        # Start, the hold's timeout and completion: no grant hop in between.
+        # Start, the hold's wake-up and completion: no grant hop in between.
         assert sim.events_processed == 3
 
     def test_release_of_idle_resource_rejected(self):
@@ -77,7 +85,7 @@ class TestResource:
 
         def user():
             yield from res.use(3.0)
-            yield sim.timeout(3.0)  # idle tail
+            yield 3.0  # idle tail
 
         sim.process(user())
         sim.run()
