@@ -102,7 +102,7 @@ def _request_process(
     """One request's life: walk the plan, record completion.
 
     The process is spawned *at* the request's arrival instant
-    (:meth:`Simulator.process_batch`), so no leading arrival timeout is
+    (:meth:`Simulator.process_batch`), so no leading arrival sleep is
     needed — one queue entry per request instead of three.  A PS segment
     books a free core in line (:meth:`Resource.try_acquire`), so only a
     contended one parks for its core and accrues ``ps_wait``; its compute
@@ -292,7 +292,7 @@ def simulate(
 
     # Warm-up trimming: a probe snapshots every occupancy integral at
     # ``warmup_s`` so the reported metrics cover [warmup_s, horizon] only.
-    # Only spawned when asked — the probe's timeout would otherwise pin the
+    # Only spawned when asked — the probe's timed entry would otherwise pin the
     # horizon to at least warmup_s.
     warmup = sim_scenario.warmup_s
     marks: Dict[str, float] = {}
@@ -320,8 +320,8 @@ def simulate(
         for i, (t, point) in enumerate(zip(arrivals, per_request))
     ]
     # Arrival batching: every request process is scheduled directly at its
-    # arrival instant with one bulk heap rebuild (no per-request start event
-    # or leading arrival timeout).
+    # arrival instant with one bulk heap rebuild (no per-request start entry
+    # or leading arrival sleep).
     sim.process_batch(
         (
             request.arrival,
@@ -336,7 +336,7 @@ def simulate(
     # -- summary ----------------------------------------------------------------------
     horizon = sim.now
     if warmup > 0.0 or injections:
-        # The probe's timeout (and any fault scheduled past the last
+        # The probe's timed entry (and any fault scheduled past the last
         # completion) keeps the simulator alive beyond the served work; that
         # idle tail is measurement artefact, not serving activity — clamp
         # the horizon to the last real event so a too-long warm-up reads as

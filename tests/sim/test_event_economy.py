@@ -4,7 +4,7 @@ A lone request on one replica under ``fifo`` never contends, so every entry
 it posts is structural.  Each offloaded ODEBlock invocation costs five:
 the parked worker's wake, its DMA-in, compute and DMA-out delays, and the
 wake of the request parked on the invocation.  Each PS segment costs one
-delay (a free core is booked in line, with no grant event).  Three more open and
+delay (a free core is booked in line, with no grant entry).  Three more open and
 close the run: the replica worker's start, the request's start and its
 completion.  A zero-delay hop added back anywhere on that path breaks the
 equality below.
