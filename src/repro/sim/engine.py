@@ -151,7 +151,7 @@ class Simulator:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def process_batch(self, pairs: Sequence) -> List[Process]:
+    def process_batch(self, pairs: Sequence) -> None:
         """Spawn many delayed processes with one bulk heap rebuild.
 
         ``pairs`` is an iterable of ``(delay, generator)``.  Start entries
@@ -163,11 +163,11 @@ class Simulator:
         """
 
         entries: List = []
-        procs = [Process(self, gen, delay, _sink=entries) for delay, gen in pairs]
+        for delay, gen in pairs:
+            Process(self, gen, delay, _sink=entries)
         if entries:
             self._heap.extend(entries)
             heapq.heapify(self._heap)
-        return procs
 
     def wake(self, process: Process) -> None:
         """Resume a process parked on :data:`PARK` at the current time.
