@@ -181,7 +181,7 @@ EXTRA_ARGV = (
     "--budget 6",
     "optimize --objective min:p99_ms --fidelity fleet --models rODENet-3 --depths 20 56 "
     "--n-units 8 16 --boards PYNQ-Z2 ZCU104 --replicas 1 2 --count 3 --rate 5 --requests 60 "
-    "--budget 6 --workers 2",
+    "--budget 6",
     "optimize --objective min:p99_ms --fidelity faults --models rODENet-3 --depths 20 "
     "--boards PYNQ-Z2 --rate 3 --requests 12 --slo-ms 400 --json",
     "optimize --objective min:p99_ms --fidelity sim --models rODENet-3 --depths 20 --n-units 8 "

@@ -25,9 +25,12 @@ Four measurements, each value-checked before timing is trusted:
    draws the chunk's inputs from its ``default_rng((seed, chunk))``
    stream, the float reference runs once and every format is measured
    against it, and BN's square root is one vectorised floor isqrt, not a
-   per-element Newton loop).  Worker-count invariance is asserted
-   (records bit-identical across worker counts); the wall-clock curve is
-   reported.
+   per-element Newton loop).  It runs in a child process with the BLAS
+   knobs this bench pinned unset again, so the parent sweep runs at the
+   host's default BLAS threads, as a user's does (each pool worker runs
+   one).  Worker-count invariance is asserted (records bit-identical
+   across worker counts); the wall-clock curve and its ratio against
+   ``workers=1`` are reported, with no floor.
 
 4. **Bounded-memory streaming** (full mode) — ``accuracy_sweep`` over
    >= 1,024 CIFAR-scale images x 4 Q-formats under ``tracemalloc``: peak
@@ -44,14 +47,23 @@ from __future__ import annotations
 
 import argparse
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
-# Single-core discipline: pin every BLAS/threadpool knob BEFORE NumPy loads,
-# so the asserted kernel speedup is a one-core-vs-one-core comparison.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+HERE = Path(__file__).resolve().parent
+
+#: The BLAS/threadpool knobs a run of this file pins to 1: those the caller
+#: left unset.  The sharded-sweep child unsets them again.
+PINNED = [var for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                          "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+          if var not in os.environ]
+if __name__ == "__main__":
+    # Single-core discipline: pin the knobs BEFORE NumPy loads, so the
+    # asserted kernel speedup is a one-core-vs-one-core comparison.
+    for _var in PINNED:
+        os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
 
@@ -203,11 +215,27 @@ def bench_kernel(images: int, repeats: int, min_speedup: float) -> int:
 
 
 def bench_sweep_scaling(images: int, chunk_size: int, worker_counts) -> int:
+    """:func:`sweep_curve` in a child process at the host's default BLAS threads."""
+
+    env = {var: value for var, value in os.environ.items() if var not in PINNED}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(HERE), str(HERE.parent / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = (f"import sys, bench_fx_forward as b; "
+            f"sys.exit(b.sweep_curve({images}, {chunk_size}, {tuple(worker_counts)}))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    print(child.stdout, end="")
+    print(child.stderr, end="", file=sys.stderr)
+    return child.returncode
+
+
+def sweep_curve(images: int, chunk_size: int, worker_counts) -> int:
     """Sharded accuracy_sweep wall-clock curve + worker-count invariance."""
 
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "host default")
     print(f"\nsweep                   : layer3_2, {images} images x "
           f"{len(SWEEP_FORMATS)} formats, chunk_size={chunk_size} "
-          f"({os.cpu_count()} CPU(s) visible)")
+          f"({os.cpu_count()} CPU(s) visible; BLAS threads: {threads}, 1 per worker)")
     # The asserted property is worker-count *invariance* of the numbers; the
     # wall-clock curve only bends on multi-core hosts.
     baseline = None

@@ -187,8 +187,8 @@ FLAGS: Dict[str, Dict[str, object]] = {
     "--budget": dict(type=float, default=None, help="evaluation budget in full-evaluation "
                      "units (default: 20%% of the exhaustive grid)"),
     "--count": dict(type=int, default=None, help="boards per candidate at --fidelity fleet"),
-    "--workers": dict(type=int, default=1, help="worker processes (never changes the "
-                      "numbers; accuracy-sweep needs --chunk-size)"),
+    "--workers": dict(type=int, default=1, help="worker processes over --chunk-size "
+                      "chunks, one BLAS thread each (never changes the numbers)"),
     # -- outputs --------------------------------------------------------------
     "--format": dict(choices=("table", "csv", "json", "pareto"), default="table"),
     "--engine": dict(choices=("loop", "batch"), default="loop", help="per-scenario loop or "
@@ -711,8 +711,7 @@ _OPT_AXES = {
     configure=flags(
         "--objective", "--constraint", "--fidelity", "--budget", "--seed",
         *(f"--{dest.replace('_', '-')}" for dest in _OPT_AXES),
-        "--arrivals", "--rate", "--requests", "--duration", "--slo-ms", "--count", "--workers",
-        "--format",
+        "--arrivals", "--rate", "--requests", "--duration", "--slo-ms", "--count", "--format",
         fidelity=dict(
             choices=("analytic", "sim", "fleet", "faults"), default="analytic",
             help="what one evaluation is: the analytic batch row, a simulate() run, "
@@ -758,7 +757,6 @@ def _cmd_optimize(args, evaluator: Evaluator) -> Report:
         fidelity=args.fidelity,
         budget=args.budget,
         seed=args.seed,
-        workers=args.workers,
         evaluator=evaluator,
     )
 

@@ -7,7 +7,7 @@ returns a picklable :class:`~repro.fleet.report.CellResult`;
 :func:`repro._pool.ordered_map` hands them back in ascending cell order and
 :func:`~repro.fleet.report.merge_cells` folds them in that order, so the
 merged report is bit-identical for any ``shards`` value (the shard
-conformance tests pin this).
+conformance tests pin this).  Each pool worker runs one BLAS thread.
 """
 
 from __future__ import annotations

@@ -23,23 +23,21 @@ small spaces at sim fidelity.
 
 Determinism: every candidate owns an RNG stream derived as
 ``default_rng((seed, sha256(candidate.key)))`` — independent of enumeration
-order, worker count and rung — and all tie-breaking (halving ranks, best
-selection) falls back to the candidate key.  Seeded runs are bit-identical
-for any ``workers`` value: stage-2 cohorts fan out through
-:func:`repro._pool.ordered_map`, which returns results in cohort order.
+order and rung — and all tie-breaking (halving ranks, best selection)
+falls back to the candidate key, so seeded runs are bit-identical.
+Candidates run one at a time in this process: halved cohorts and a
+one-candidate walk leave a process pool too little work to pay for itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._checks import check_count, check_seed
-from .._pool import ordered_map
+from .._checks import check_seed
 from ..api.evaluator import Evaluator
 from ..fleet.cluster import FleetScenario
 from ..sim.scenario import SimScenario
@@ -76,8 +74,7 @@ def candidate_seeds(seed: int, key: str) -> Tuple[int, int]:
 
     The key is hashed into integer entropy and spawned through
     ``default_rng((seed, entropy))``, so streams are independent across
-    candidates, stable across enumeration-order changes, and identical for
-    any worker count.
+    candidates and stable across enumeration-order changes.
     """
 
     entropy = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
@@ -134,18 +131,14 @@ def _fleet_metrics(report) -> Dict[str, Optional[float]]:
 
 
 def _evaluate_scenario(
-    fidelity: str,
-    evaluator: Evaluator,
-    modes,
-    job: Tuple[object, int],
+    fidelity: str, evaluator: Evaluator, modes, scenario, fault_seed: int
 ) -> Dict[str, Optional[float]]:
-    """Metrics of one ``(scenario, fault_seed)`` job at ``fidelity``.
+    """Metrics of one run of ``scenario`` at ``fidelity``.
 
     ``simulate`` and friends are resolved at call time, so a profiler that
     wraps ``repro.sim.simulate`` sees every evaluation.
     """
 
-    scenario, fault_seed = job
     if fidelity == "fleet":
         from ..fleet import simulate_fleet
 
@@ -180,7 +173,7 @@ _PROXY_OF: Dict[str, str] = {
 
 
 class _Search:
-    """One optimize() run's mutable state (records, budget, evaluation fan-out)."""
+    """One optimize() run's mutable state (records, budget, evaluations)."""
 
     def __init__(
         self,
@@ -190,7 +183,6 @@ class _Search:
         fidelity: str,
         budget: float,
         seed: int,
-        workers: int,
         evaluator: Evaluator,
         modes,
     ) -> None:
@@ -200,7 +192,6 @@ class _Search:
         self.fidelity = fidelity
         self.budget = budget
         self.seed = seed
-        self.workers = workers
         self.evaluator = evaluator
         self.modes = modes
         self.spent = 0.0
@@ -214,28 +205,22 @@ class _Search:
     def affordable(self, cost: float) -> bool:
         return self.spent + cost <= self.budget + 1e-9
 
-    # -- evaluation fan-out ------------------------------------------------------------
-
-    def _job(self, candidate: Candidate, fraction: float):
-        sim_seed, fault_seed = candidate_seeds(self.seed, candidate.key)
-        if self.fidelity == "fleet":
-            scenario = self.space.fleet_scenario(candidate, seed=sim_seed, fraction=fraction)
-        else:
-            scenario = self.space.sim_scenario(candidate, seed=sim_seed, fraction=fraction)
-        return scenario, fault_seed
+    # -- evaluation --------------------------------------------------------------------
 
     def evaluate(
         self, cohort: Sequence[Candidate], fraction: float
     ) -> List[Dict[str, Optional[float]]]:
-        """Evaluate a cohort at one rung length, charging the budget.
+        """Evaluate a cohort at one rung length, charging the budget."""
 
-        Results come back in cohort order whether they ran inline or over a
-        process pool, so the worker count never changes the outcome.
-        """
-
-        task = partial(_evaluate_scenario, self.fidelity, self.evaluator, self.modes)
-        results = ordered_map(task, [self._job(c, fraction) for c in cohort], self.workers)
-        for candidate, metrics in zip(cohort, results):
+        build = self.space.fleet_scenario if self.fidelity == "fleet" else self.space.sim_scenario
+        results = []
+        for candidate in cohort:
+            sim_seed, fault_seed = candidate_seeds(self.seed, candidate.key)
+            scenario = build(candidate, seed=sim_seed, fraction=fraction)
+            metrics = _evaluate_scenario(
+                self.fidelity, self.evaluator, self.modes, scenario, fault_seed
+            )
+            results.append(metrics)
             record = self.records[self.index[candidate.key]]
             record.cost += fraction
             record.rungs.append(
@@ -304,7 +289,6 @@ def optimize(
     fidelity: str = "analytic",
     budget: Optional[float] = None,
     seed: int = 0,
-    workers: int = 1,
     evaluator: Optional[Evaluator] = None,
 ) -> OptReport:
     """Find the constrained optimum of a search space — search, not sweep.
@@ -338,9 +322,7 @@ def optimize(
     seed:
         Run seed.  Each candidate's runs draw from
         ``default_rng((seed, sha256(candidate.key)))`` — bit-identical
-        reruns for any worker count.
-    workers:
-        Process-pool width for stage-2 evaluations (1 = inline).
+        reruns.
     """
 
     obj = _resolve_objective(objective)
@@ -372,7 +354,6 @@ def optimize(
                 "metric 'slo_violation_fraction' needs an SLO: pass "
                 "fixed={'slo_s': ...} on the search space"
             )
-    workers = check_count("workers", workers, 1)
     seed = check_seed("seed", seed)
     if budget is None:
         budget = max(1.0, 0.2 * space.size)
@@ -388,7 +369,7 @@ def optimize(
 
         modes = list(default_fault_domain())
 
-    search = _Search(space, obj, cons, fidelity, budget, seed, workers, evaluator, modes)
+    search = _Search(space, obj, cons, fidelity, budget, seed, evaluator, modes)
     candidates = search.candidates
     table, analytic = screen_space(space, candidates)
 

@@ -52,6 +52,6 @@ def test_faults_names_match_the_extractor():
 
     scenario = SimScenario(**SERVED, n_requests=6, slo_s=1.0)
     metrics = _evaluate_scenario(
-        "faults", Evaluator(), parse_fault_specs(["replica_death"]), (scenario, 0)
+        "faults", Evaluator(), parse_fault_specs(["replica_death"]), scenario, 0
     )
     assert set(STRUCTURAL_METRICS) | set(metrics) == declared("faults")

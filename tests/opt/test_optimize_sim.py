@@ -68,15 +68,6 @@ class TestDeterminism:
         b = optimize(space, "min:p95_ms", fidelity="sim", budget=4.0, seed=7)
         assert a.to_json() == b.to_json()
 
-    def test_worker_count_never_changes_the_numbers(self):
-        space = SearchSpace(
-            axes={"board": ["PYNQ-Z2", "ZCU104"], "n_units": [16, 32]},
-            fixed=FIXED,
-        )
-        inline = optimize(space, "min:p95_ms", fidelity="sim", budget=6.0, seed=9)
-        pooled = optimize(space, "min:p95_ms", fidelity="sim", budget=6.0, seed=9, workers=2)
-        assert inline.as_dict() == pooled.as_dict()
-
     def test_candidate_seeds_are_stable_and_distinct(self):
         a = candidate_seeds(3, "n_units=16|board=PYNQ-Z2")
         assert a == candidate_seeds(3, "n_units=16|board=PYNQ-Z2")

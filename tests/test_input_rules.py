@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api.accuracy import accuracy_sweep
 from repro.faults.sample import injection_times
 from repro.fleet import BoardGroup, FleetScenario, simulate_fleet
-from repro.opt import SearchSpace, optimize
+from repro.opt import SearchSpace
 from repro.sim import SimScenario, Simulator
 from repro.sim.resources import Resource
 
@@ -31,10 +32,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ONE_BOARD = FleetScenario(boards=(BoardGroup("PYNQ-Z2", 1),), n_requests=5)
 
 
-def _optimize(workers):
-    """Analytic fidelity: ``workers`` is checked but no pool starts."""
+def _accuracy_sweep(workers):
+    """One image is one chunk: ``workers`` is checked but no pool starts."""
 
-    optimize(SearchSpace(axes={"n_units": [8, 16]}), "watts", workers=workers)
+    return accuracy_sweep("layer1", ["16:8"], images=1, chunk_size=1, workers=workers).workers
 
 
 def _injection_times(n_samples):
@@ -46,7 +47,7 @@ def _injection_times(n_samples):
 COUNT_ENTRY_POINTS = {
     "axis 'n_units' value": lambda v: SearchSpace(axes={"n_units": [v]}).axes["n_units"][0],
     "shards": lambda v: simulate_fleet(ONE_BOARD, shards=v).shards,
-    "workers": _optimize,
+    "workers": _accuracy_sweep,
     "n_samples": _injection_times,
     "capacity": lambda v: Resource(Simulator(), capacity=v).capacity,
 }
