@@ -14,7 +14,7 @@ Four measurements:
    Every event here moves resources, monitors or the dispatcher, not just
    a sleep chain (a batched pipeline step also joins its DMA process).
    Prints ns/event and requests/sec, and asserts at least 250k events/sec
-   and 3,900 requests/sec (half of each under ``--quick``), best of five
+   and 8,900 requests/sec (half of each under ``--quick``), best of five
    passes so a noisy host does not fail it.  The requests/sec floor is the
    one a user feels: it falls when a request costs more events, which the
    events/sec floor cannot see.
@@ -57,8 +57,18 @@ from repro.sim import SimScenario, Simulator, latency_stats, simulate
 MIN_EVENTS_PER_SEC = 100_000.0
 
 #: The serving mix's floors (full run; --quick uses half).  The mix runs
-#: 37,091 events for 900 requests.  On a shared 2-CPU host, five
-#: alternating full runs per side (each the best of five passes) measured
+#: 37,091 events for 900 requests.  With the arrivals read from a sorted
+#: stream and the zero-delay entries from a FIFO lane in front of the heap,
+#: five alternating full runs per side on a shared 2-CPU host (each the
+#: best of five passes) measured 12,700-14,800 requests/sec and 524-611k
+#: events/sec (median 14,100 requests/sec), against 10,200-12,700
+#: requests/sec and 421-523k events/sec (median 11,600) with every entry in
+#: the heap; the same runs' engine line read 804k-1,024k events/sec against
+#: 758k-1,130k.  The requests/sec floor is 0.70x that low end (12,700).
+#: The events/sec floor stays: the lane and the stream keep the event
+#: count, so events/sec moves with requests/sec.  That host ran the heap
+#: kernel about 1.7x faster than on the day of the next measurement, where
+#: five alternating full runs per side (each the best of five passes) measured
 #: 5,500-8,100 requests/sec and 227-333k events/sec (median 7,400
 #: requests/sec) with every queue entry a process or a plain callable,
 #: against 4,800-8,400 requests/sec and 200-346k events/sec (median 6,700)
@@ -71,7 +81,7 @@ MIN_EVENTS_PER_SEC = 100_000.0
 #: days).  The events/sec floor dates from that longer mix, whose extra
 #: events were the cheap ones.
 MIN_SERVING_EVENTS_PER_SEC = 250_000.0
-MIN_SERVING_REQUESTS_PER_SEC = 3_900.0
+MIN_SERVING_REQUESTS_PER_SEC = 8_900.0
 
 #: The fleet kernel's asserted floor (full run; --quick uses half).  On the
 #: day-length trace (1,035,655 requests) a shared 2-CPU host ran 255-280k
@@ -82,7 +92,9 @@ MIN_FLEET_EVENTS_PER_SEC = 100_000.0
 #: The event-fidelity fleet's requests/sec floor (full run; --quick uses
 #: half, on half the requests).  A shared 2-CPU host served 1,650-2,400
 #: requests/sec on the 8,000-request 24-board replay (910-1,050 with a
-#: grant hop per free resource unit).
+#: grant hop per free resource unit).  Five alternating runs per side on a
+#: quieter day read 4,260-4,860 requests/sec with the arrival stream and
+#: the zero-delay lane, against 2,910-4,030 with every entry in the heap.
 MIN_EVENT_FLEET_REQUESTS_PER_SEC = 1_250.0
 
 

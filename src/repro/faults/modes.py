@@ -25,6 +25,10 @@ flows and functions), each mode here targets one primitive of the
 Modes are frozen dataclasses — stateless, hashable, reusable across runs.
 ``inject`` returns an opaque token that ``clear`` consumes, so one instance
 can be injected at many sampled times (see :mod:`repro.faults.sample`).
+Faults of one kind may overlap and clear in any order: AXI degradation, PS
+core loss and DMA corruption set their target from its nominal value and
+the faults of their kind still in force, never from a value saved at
+injection.
 ``rate_per_hour`` is the mode's occurrence rate, used by the FMEA tabulation
 to weight observed deltas into expected losses; a rate of 0 keeps the mode
 in the registry but it never fires.
@@ -115,6 +119,31 @@ class FaultMode:
         raise NotImplementedError
 
 
+class _Overlapping(FaultMode):
+    """A mode whose faults may overlap on one target value.
+
+    ``inject`` records the fault in ``system.in_force`` under a fresh clear
+    token (dicts keep injection order) and ``clear`` removes it; both then
+    call the subclass's ``apply(system, active)`` with the faults of this
+    kind still in force, which sets the target from its nominal value and
+    those.  Once none is in force the target reads back its nominal value
+    exactly.
+    """
+
+    def inject(self, system) -> object:
+        token = object()
+        system.in_force[token] = self
+        self._update(system)
+        return token
+
+    def clear(self, system, token: object) -> None:
+        del system.in_force[token]
+        self._update(system)
+
+    def _update(self, system) -> None:
+        self.apply(system, [m for m in system.in_force.values() if m.kind == self.kind])
+
+
 @dataclass(frozen=True)
 class ReplicaDeath(FaultMode):
     """One PL accelerator replica stops serving (configuration upset)."""
@@ -152,7 +181,7 @@ _REFERENCE_WORDS = 1024
 
 
 @dataclass(frozen=True)
-class AxiDegradation(FaultMode):
+class AxiDegradation(_Overlapping):
     """The AXI link renegotiates to a narrower burst width.
 
     Nominally every beat moves a full word (``8 * BYTES_PER_WORD`` bits);
@@ -189,18 +218,21 @@ class AxiDegradation(FaultMode):
             / nominal.transfer_seconds(_REFERENCE_WORDS)
         )
 
-    def inject(self, system) -> object:
-        return system.bus.degrade(self.slowdown_factor() * system.bus.slowdown)
+    @staticmethod
+    def apply(system, active: List["AxiDegradation"]) -> None:
+        """The bus slows by the product of the factors in force (1.0: none)."""
 
-    def clear(self, system, token: object) -> None:
-        system.bus.degrade(float(token))
+        slowdown = 1.0
+        for mode in active:
+            slowdown = mode.slowdown_factor() * slowdown
+        system.bus.degrade(slowdown)
 
     def param_dict(self) -> Dict[str, object]:
         return {"burst_bits": self.burst_bits}
 
 
 @dataclass(frozen=True)
-class PsCoreLoss(FaultMode):
+class PsCoreLoss(_Overlapping):
     """The PS core pool shrinks (e.g. thermal shutdown of a core)."""
 
     #: Cores removed from the pool; the pool never drops below one core.
@@ -213,20 +245,19 @@ class PsCoreLoss(FaultMode):
         super().__post_init__()
         object.__setattr__(self, "cores_lost", check_count("cores_lost", self.cores_lost, 1))
 
-    def inject(self, system) -> object:
-        previous = system.ps.capacity
-        system.ps.set_capacity(max(1, previous - self.cores_lost))
-        return previous
+    @staticmethod
+    def apply(system, active: List["PsCoreLoss"]) -> None:
+        """The pool keeps its nominal cores less those lost, at least one."""
 
-    def clear(self, system, token: object) -> None:
-        system.ps.set_capacity(int(token))
+        lost = sum(mode.cores_lost for mode in active)
+        system.ps.set_capacity(max(1, system.ps_cores - lost))
 
     def param_dict(self) -> Dict[str, object]:
         return {"cores_lost": self.cores_lost}
 
 
 @dataclass(frozen=True)
-class DmaCorruption(FaultMode):
+class DmaCorruption(_Overlapping):
     """Bit flips in DMA'd activations while the fault is active.
 
     Every input DMA burst has one word corrupted: a sampled activation in
@@ -258,13 +289,15 @@ class DmaCorruption(FaultMode):
         if severe:
             request.corrupted = True
 
-    def inject(self, system) -> object:
-        previous = system.dispatcher.corruptor
-        system.dispatcher.corruptor = lambda request: self._corrupt(system, request)
-        return previous
+    @staticmethod
+    def apply(system, active: List["DmaCorruption"]) -> None:
+        """The latest fault in force corrupts the bursts (none: no corruptor)."""
 
-    def clear(self, system, token: object) -> None:
-        system.dispatcher.corruptor = token
+        if active:
+            mode = active[-1]
+            system.dispatcher.corruptor = lambda request: mode._corrupt(system, request)
+        else:
+            system.dispatcher.corruptor = None
 
     def param_dict(self) -> Dict[str, object]:
         return {"bit": self.bit}

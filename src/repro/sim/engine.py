@@ -21,23 +21,42 @@ models need:
 
 Every queue entry is a zero-argument callable: a process (calling it
 resumes it) or a plain function posted by :meth:`Simulator.schedule` or as
-a process's ``done``.  :meth:`Simulator.run` pops, counts and calls.  There
+a process's ``done``.  :meth:`Simulator.run` takes, counts and calls.  There
 are no event objects, interrupts, failure values or real-time pacing:
 every serving scenario in :mod:`repro.sim` is expressible with sleeps,
 parks, timed callbacks and countdowns over ``done``, and a small kernel is
 a fast one (see ``benchmarks/bench_sim_throughput.py``).
 
+The queue is three structures that share one ``(time, seq)`` order:
+
+* the **arrival stream** — the start entries of a :meth:`~Simulator.process_batch`
+  call made while :meth:`~Simulator.run` is not running and the previous
+  stream is used up, sorted once into a list that ``run()`` reads by index;
+* the **zero-delay lane** — a FIFO of every entry posted for the current
+  instant (a wake, a finished process's ``done``, a ``yield 0.0``, a
+  zero-delay schedule or start, and a positive delay the clock absorbs,
+  ``now + d == now``), which needs no sequence numbers;
+* the **heap** — every other entry, a later batch included.
+
+An entry made at the current instant for the current instant always goes
+to the lane, so every heap or stream entry at ``now`` was posted earlier
+than every lane entry.  ``run()`` therefore fires the heap and stream
+entries at ``now`` first (merged by ``(time, seq)``), drains the lane only
+when neither holds an entry at ``now``, and once the lane is empty moves
+the clock to the earlier of the heap top and the stream head.
+
 **Kernel contract:** speed work on this module may make each queue entry
-cheaper, but for a given model the heap must receive the same entries at
+cheaper, but for a given model the queue must receive the same entries at
 the same times in the same insertion order — none fused, dropped or added,
-zero-delay hops included.  Ties fire FIFO by insertion sequence, so a moved
-entry can reorder same-instant events and change a report.  The entries
-are those of the event-object kernel this one replaced, at the same
-``(time, seq)``: a sleep stands where a timeout stood, a wake where a
-single-waiter event's trigger stood, a process's ``done`` where its
-completion event stood, and a scheduled callable where its timer stood.
-``tests/sim/test_kernel_oracle.py`` checks this against a reference copy
-of that kernel.
+zero-delay hops included — and fire them in ``(time, insertion order)``
+order, whichever of the three structures holds them.  Ties fire FIFO by
+insertion order, so a moved entry can reorder same-instant events and
+change a report.  The entries are those of the event-object kernel this
+one replaced, at the same ``(time, seq)``: a sleep stands where a timeout
+stood, a wake where a single-waiter event's trigger stood, a process's
+``done`` where its completion event stood, and a scheduled callable where
+its timer stood.  ``tests/sim/test_kernel_oracle.py`` checks this against a
+reference copy of that kernel.
 
 **Model contract:** the serving model (:mod:`~repro.sim.resources`,
 :mod:`~repro.sim.policies`, :mod:`~repro.sim.runner`) may post fewer
@@ -55,6 +74,7 @@ over every input.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
 from typing import Callable, Generator, List, Optional, Sequence
 
@@ -62,6 +82,8 @@ __all__ = ["PARK", "Process", "Simulator"]
 
 _heappush = heapq.heappush
 _INF = float("inf")
+#: Stands for the stream head once the stream is used up: later than any entry.
+_END = (_INF, 0, None)
 
 #: Yielded by a process to sleep until :meth:`Simulator.wake` is called on it.
 PARK = object()
@@ -79,9 +101,9 @@ class Process:
     ``delay`` schedules that first resume at ``now + delay`` instead of
     "now" — one queue entry where a start entry and a first sleep would
     cost two (the request-spawning fast path).  ``done`` is posted at the
-    instant the generator returns.  ``_sink``, when given, collects the
-    start entry instead of pushing it (the bulk scheduling hook of
-    :meth:`Simulator.process_batch`).
+    instant the generator returns.  ``_sink``, when given, collects a
+    start entry later than ``now`` instead of posting it (the bulk
+    scheduling hook of :meth:`Simulator.process_batch`).
     """
 
     __slots__ = ("sim", "generator", "done")
@@ -101,11 +123,11 @@ class Process:
         self.done = done
         # Kick off at the scheduled time (FIFO-ordered with everything else
         # scheduled for that instant), not synchronously inside the caller.
-        entry = (sim.now + delay, next(sim._seq), self)
-        if _sink is None:
-            _heappush(sim._heap, entry)
+        time = sim.now + delay
+        if _sink is None or time == sim.now:
+            sim._post(time, self)
         else:
-            _sink.append(entry)
+            _sink.append((time, next(sim._seq), self))
 
     def __call__(self) -> None:
         sim = self.sim
@@ -114,16 +136,22 @@ class Process:
             target = next(self.generator)
         except StopIteration:
             sim.active_process = None
-            _heappush(sim._heap, (sim.now, next(sim._seq), self.done))
+            sim._lane.append(self.done)
             return
         sim.active_process = None
         if isinstance(target, float):
-            # A bare delay: the process is its own wake-up entry.
+            # A bare delay: the process is its own wake-up entry (posted as
+            # in Simulator._post, inlined on this hot path).
             if not 0.0 <= target < _INF:
                 raise ValueError(
                     f"process slept {target!r} s; a delay must be non-negative and finite"
                 )
-            _heappush(sim._heap, (sim.now + target, next(sim._seq), self))
+            now = sim.now
+            time = now + target
+            if time == now:
+                sim._lane.append(self)
+            else:
+                _heappush(sim._heap, (time, next(sim._seq), self))
         elif target is not PARK:
             raise TypeError(
                 f"process yielded {target!r}; processes must yield float delays or PARK"
@@ -144,28 +172,54 @@ class Simulator:
         #: The process whose generator is running; ``None`` between steps.
         self.active_process: Optional[Process] = None
         self._heap: List = []
+        #: Entries for the current instant, in insertion order.
+        self._lane: deque = deque()
+        #: Sorted arrival entries read from index ``_next`` on: ``[]`` once
+        #: used up, ``None`` while :meth:`run` reads it.
+        self._stream: Optional[List] = []
+        self._next = 0
         self._seq = count()
 
     # -- scheduling --------------------------------------------------------------------
+
+    def _post(self, time: float, entry: Callable[[], None]) -> None:
+        """Queue ``entry`` at ``time``: the lane if that is now, else the heap."""
+
+        if time == self.now:
+            self._lane.append(entry)
+        else:
+            _heappush(self._heap, (time, next(self._seq), entry))
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
     def process_batch(self, pairs: Sequence) -> None:
-        """Spawn many delayed processes with one bulk heap rebuild.
+        """Spawn many delayed processes with one sort.
 
-        ``pairs`` is an iterable of ``(delay, generator)``.  Start entries
-        are collected and the heap is rebuilt once (O(n + heap) instead of n
-        pushes at O(log) each) — the event-batching entry point the runner
-        uses to schedule whole arrival processes.  Sequence numbers are
-        drawn in input order, so FIFO tie-breaking is identical to spawning
-        the processes one by one.
+        ``pairs`` is an iterable of ``(delay, generator)``.  Sequence numbers
+        are drawn in input order, so FIFO tie-breaking is identical to
+        spawning the processes one by one.  A start entry at ``now`` goes to
+        the lane.  The later ones become the arrival stream, sorted once by
+        ``(time, seq)`` (O(n log n) with no heap work per entry) — the
+        event-batching entry point the runner uses to schedule whole arrival
+        processes.  While :meth:`run` is running, or while an earlier stream
+        still has entries, they join the heap in one bulk rebuild instead.
         """
 
         entries: List = []
         for delay, gen in pairs:
             Process(self, gen, delay, _sink=entries)
-        if entries:
+        if not entries:
+            return
+        if self._stream == []:
+            # The runner's arrivals come in time order, so this is one
+            # linear pass, and sorting the tuples themselves allocates no
+            # key array (one showed as +0.3 MB of peak RSS on the serve
+            # benchmark).  The unique seq settles every tie before an
+            # entry is compared.
+            entries.sort()
+            self._stream = entries
+        else:
             self._heap.extend(entries)
             heapq.heapify(self._heap)
 
@@ -177,7 +231,7 @@ class Simulator:
         second wake before it parks again resumes it early.
         """
 
-        _heappush(self._heap, (self.now, next(self._seq), process))
+        self._lane.append(process)
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at ``now + delay`` (a one-shot timed callback).
@@ -190,27 +244,59 @@ class Simulator:
 
         if not 0.0 <= delay < _INF:
             raise ValueError(f"schedule delay must be non-negative and finite (got {delay})")
-        _heappush(self._heap, (self.now + delay, next(self._seq), fn))
+        self._post(self.now + delay, fn)
 
     # -- execution ---------------------------------------------------------------------
 
     def run(self) -> None:
         """Call queue entries until the queue is empty.
 
-        Popping an entry advances the clock to it; the entry is then called
-        (a process resumes, a callable runs).  Local bindings throughout:
-        this is the hottest code in the whole package (see
-        ``benchmarks/bench_sim_throughput.py``), and the heap invariant
-        guarantees the clock never moves backwards.
+        Each step takes the earlier of the heap top and the stream head by
+        ``(time, seq)``.  If that entry is later than ``now``, the lane is
+        drained first; otherwise the clock moves to it (it never moves
+        backwards: an entry is posted no earlier than ``now``) and it is
+        called (a process resumes, a callable runs).  Each stream slot is
+        cleared as it is read, and the list is dropped once used up, so a
+        finished arrival process is not kept alive by the queue.  Local
+        bindings throughout: this is the hottest code in the whole package
+        (see ``benchmarks/bench_sim_throughput.py``).
         """
 
         heap = self._heap
+        lane = self._lane
         pop = heapq.heappop
+        take = lane.popleft
+        stream = self._stream
+        self._stream = None
+        i, n = self._next, len(stream)
+        head = stream[i] if i < n else _END
+        now = self.now
         processed = self.events_processed
         try:
-            while heap:
-                self.now, _, entry = pop(heap)
+            while True:
+                top = heap[0] if heap and heap[0] < head else head
+                if lane and top[0] != now:
+                    # Nothing timed is left at this instant: drain the lane.
+                    # Its entries post only later entries or lane entries.
+                    while lane:
+                        processed += 1
+                        take()()
+                    continue
+                if top is not head:
+                    pop(heap)
+                elif i < n:
+                    stream[i] = None
+                    i += 1
+                    head = stream[i] if i < n else _END
+                else:
+                    break
+                now, _, entry = top
+                self.now = now
                 processed += 1
                 entry()
         finally:
             self.events_processed = processed
+            if i < n:
+                self._stream, self._next = stream, i
+            else:
+                self._stream, self._next = [], 0

@@ -181,8 +181,8 @@ class AxiBus(Resource):
     def degrade(self, slowdown: float) -> float:
         """Set the burst-time multiplier; returns the previous value.
 
-        The return value is the clear token: a fault mode restores the bus by
-        passing back what :meth:`degrade` returned at injection.
+        The AXI-degradation fault mode sets the product of the slowdown
+        factors in force, so 1.0 again once none is.
         """
 
         if slowdown <= 0:

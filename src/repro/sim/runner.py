@@ -80,6 +80,8 @@ class SimSystem:
 
     sim: Simulator
     ps: Resource
+    #: The PS pool's nominal size (PS-core loss degrades from it).
+    ps_cores: int
     bus: AxiBus
     dispatcher: Dispatcher
     accelerators: List[Accelerator]
@@ -89,6 +91,9 @@ class SimSystem:
     #: injecting a fault never perturbs arrivals or mix sampling).
     rng: np.random.Generator
     counters: Dict[str, int] = field(default_factory=dict, init=False)
+    #: Faults in force by clear token, in injection order (the overlapping
+    #: modes derive their target's live value from these).
+    in_force: Dict[object, object] = field(default_factory=dict, init=False)
 
 
 def _request_process(
@@ -281,6 +286,7 @@ def simulate(
         system = SimSystem(
             sim=sim,
             ps=ps,
+            ps_cores=ps_cores,
             bus=bus,
             dispatcher=dispatcher,
             accelerators=accelerators,
@@ -320,8 +326,8 @@ def simulate(
         for i, (t, point) in enumerate(zip(arrivals, per_request))
     ]
     # Arrival batching: every request process is scheduled directly at its
-    # arrival instant with one bulk heap rebuild (no per-request start entry
-    # or leading arrival sleep).
+    # arrival instant, as the kernel's sorted arrival stream (no per-request
+    # start entry, leading arrival sleep or heap push).
     sim.process_batch(
         (
             request.arrival,

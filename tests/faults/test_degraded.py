@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api import Evaluator
@@ -89,6 +91,35 @@ class TestResourcePrimitives:
         assert token == 1.0 and bus.slowdown == 4.0
         bus.degrade(token)
         assert bus.slowdown == 1.0
+
+    def test_overlapping_faults_clear_in_any_order(self):
+        # The first fault clears while the second is in force, then the
+        # second clears: each target is degraded exactly while some fault
+        # of its kind is in force, and reads back its nominal value after.
+        sim = Simulator()
+        system = SimpleNamespace(
+            ps=Resource(sim, capacity=2),
+            ps_cores=2,
+            bus=AxiBus(sim, channels=1),
+            dispatcher=SimpleNamespace(corruptor=None),
+            in_force={},
+        )
+        cases = (
+            (PsCoreLoss(), lambda: system.ps.capacity, 2),
+            (AxiDegradation(), lambda: system.bus.slowdown, 1.0),
+            (DmaCorruption(), lambda: system.dispatcher.corruptor, None),
+        )
+        for mode, read, nominal in cases:
+            first = mode.inject(system)
+            degraded = read()
+            second = mode.inject(system)
+            mode.clear(system, first)
+            assert read() != nominal, mode.kind
+            if mode.kind == "ps_core_loss":
+                assert read() == degraded
+            mode.clear(system, second)
+            assert read() == nominal, mode.kind
+            assert system.in_force == {}
 
     def test_degraded_bus_stretches_a_burst(self):
         def timed_transfer(slowdown):

@@ -13,11 +13,15 @@ conservation on every run:
   generation), and no replica's busy level exceeds 1;
 * every busy and queue monitor ends at 0;
 * the reported replica downtime equals the kill intervals the fault modes
-  report, clipped to the horizon.
+  report, clipped to the horizon;
+* once the last transient fault has cleared, PS capacity and bus slowdown
+  are those the permanent faults alone leave (exactly the nominal values
+  when there are none), however the faults overlapped.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Dict, List, Optional
 
@@ -217,3 +221,13 @@ def test_random_fault_programs_keep_the_books(program):
     )
     downtime = report.faults["replica_downtime_s"] if faults else 0.0
     assert downtime == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    # run() drains the queue, so every transient fault has cleared by now.
+    permanent = [mode for mode, _ in faults if mode.duration_s is None]
+    lost = sum(mode.cores_lost for mode in permanent if isinstance(mode, PsCoreLoss))
+    assert books.ps.capacity == max(1, scenario.ps_cores - lost)
+    factors = [mode.slowdown_factor() for mode in permanent if isinstance(mode, AxiDegradation)]
+    if factors:
+        assert dispatcher.bus.slowdown == pytest.approx(math.prod(factors), rel=1e-12)
+    else:
+        assert dispatcher.bus.slowdown == 1.0

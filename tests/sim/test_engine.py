@@ -9,6 +9,7 @@ these are what make every simulation deterministic and reproducible.
 from __future__ import annotations
 
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -253,28 +254,49 @@ class TestDelayedProcesses:
     """Delayed starts (`process_batch`, one `Process` each): the arrival fast path."""
 
     @settings(max_examples=100, deadline=None)
-    @given(delays)
-    def test_process_batch_equals_one_by_one_spawning(self, ds):
-        def spawn(sim, out, batch):
+    @given(delays, st.integers(0, 20))
+    def test_process_batch_equals_one_by_one_spawning(self, ds, split):
+        def spawn(sim, out, batches):
             def job(i):
                 out.append((sim.now, i))
                 return i
                 yield  # pragma: no cover — a generator with no waits
 
             pairs = [(d, job(i)) for i, d in enumerate(ds)]
-            if batch:
-                sim.process_batch(pairs)
-            else:
+            if batches == 0:
                 for d, gen in pairs:
                     process_at(sim, d, gen)
+            elif batches == 1:
+                sim.process_batch(pairs)
+            else:
+                # The first batch becomes the arrival stream; the second,
+                # passed while the stream is unconsumed, joins the heap.
+                sim.process_batch(pairs[:split])
+                sim.process_batch(pairs[split:])
             sim.run()
             return out
 
-        solo = spawn(Simulator(), [], batch=False)
-        batched = spawn(Simulator(), [], batch=True)
+        solo = spawn(Simulator(), [], batches=0)
         # Identical firing instants *and* identical FIFO tie-breaking.
-        assert batched == solo
+        assert spawn(Simulator(), [], batches=1) == solo
+        assert spawn(Simulator(), [], batches=2) == solo
         assert [t for t, _ in solo] == sorted(t for t, _ in solo)
+
+    def test_finished_arrivals_are_not_kept_by_the_queue(self):
+        # A process holds the only reference to its generator, so a dead
+        # generator means a freed process.  The arrival stream clears each
+        # slot as run() reads it: a finished arrival is freed mid-run, not
+        # kept to the end of the run with the whole stream.
+        sim = Simulator()
+        pairs = [(d, _noop()) for d in (1.0, 2.0, 10.0)]
+        refs = [weakref.ref(gen) for _, gen in pairs]
+        sim.process_batch(pairs)
+        del pairs
+        seen = []
+        sim.schedule(5.0, lambda: seen.append([ref() is None for ref in refs]))
+        sim.run()
+        assert seen == [[True, True, False]]
+        assert [ref() is None for ref in refs] == [True, True, True]
 
     def test_process_at_matches_a_leading_sleep(self):
         sim = Simulator()

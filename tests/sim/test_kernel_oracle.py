@@ -4,10 +4,15 @@
 costs were cut, with event objects; it is kept here, unchanged, as the
 oracle for the order contract: the kernel must fire the same entries at
 the same simulated times in the same order, and count the same number of
-them.  Random programs force ties (a small delay grid with 0 and repeats),
-spawn processes one by one, delayed and in several ``process_batch``
-calls (some from inside a running process), and call ``run()`` again
-after the queue drained.
+them.  Random programs force ties (a small delay grid with 0 and repeats, and
+``1e-17``, a positive delay the clock absorbs once it has left 0), spawn
+processes one by one, delayed and in several ``process_batch`` calls (some
+from inside a running process, some before ``run()`` while an earlier
+batch is still unconsumed), schedule callbacks before ``run()``, and call
+``run()`` again after the queue drained.  A fixed example puts zero-delay
+batch entries and ``schedule(0, ...)`` at the instant of a pending stream
+head, so every path between the kernel's arrival stream, zero-delay lane
+and heap is taken on every run.
 
 The kernel has no event objects, so each step of a program runs on the
 two kernels as follows (the reference side keeps its events):
@@ -27,7 +32,7 @@ wait on a child process       child with ``done=parent``; the parent parks
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import engine
@@ -35,7 +40,7 @@ from repro.sim.policies import _countdown
 
 import reference_engine
 
-DELAYS = st.sampled_from((0.0, 0.0, 0.5, 1.0, 1.0, 2.5))
+DELAYS = st.sampled_from((0.0, 0.0, 1e-17, 0.5, 1.0, 1.0, 2.5))
 
 # One wait of a process, or a side effect it performs between waits.
 LEAF = st.one_of(
@@ -59,10 +64,11 @@ STEP = st.one_of(
 )
 BODY = st.lists(STEP, max_size=6)
 # What one round spawns before it calls run(): single processes (started
-# now or after a delay) and batches.
+# now or after a delay), batches and timed callbacks.
 GROUP = st.one_of(
     st.tuples(st.sampled_from(("process", "at")), DELAYS, BODY),
     st.tuples(st.just("batch"), st.lists(st.tuples(DELAYS, BODY), max_size=4)),
+    st.tuples(st.just("schedule"), DELAYS),
 )
 PROGRAM = st.lists(st.lists(GROUP, min_size=1, max_size=5), min_size=1, max_size=3)
 
@@ -148,6 +154,8 @@ def run_program(kernel, program):
             tag = f"r{r}g{g}:"
             if kind == "batch":
                 spawn_batch(spec[0], tag)
+            elif kind == "schedule":
+                sim.schedule(spec[0], record(tag))
             elif kind == "process":
                 sim.process(body(spec[1], tag))
             elif native:
@@ -159,7 +167,31 @@ def run_program(kernel, program):
     return trace, sim.events_processed
 
 
+# Round 0: a process at 1.0 (queued first, so it fires before the stream
+# entries at 1.0) posts zero-delay batch entries, a zero-delay schedule and
+# absorbed delays while the stream head at 1.0 is still pending; the first
+# batch becomes the stream (one entry at 0 goes to the lane) and the second,
+# passed while the stream is unconsumed, goes to the heap.  Round 1 builds
+# a new stream once the first is used up.
+AT_A_STREAM_HEAD = [
+    [
+        ("at", 1.0, [
+            ("spawn", [(0.0, [("sleep", 0.0)]), (1e-17, []), (0.5, [("zero", 0.0)])]),
+            ("schedule", 0.0),
+            ("sleep", 1e-17),
+            ("zero", 0.0),
+        ]),
+        ("batch", [(1.0, [("sleep", 0.0)]), (0.0, [("zero", 0.0)]), (1.0, [("park", 0.0)])]),
+        ("batch", [(1.0, [("wake", 0.0)]), (0.5, [("schedule", 0.0)]), (1e-17, [])]),
+        ("schedule", 1.0),
+        ("process", 0.0, [("sleep", 1.0), ("spawn", [(0.0, []), (1.0, [])])]),
+    ],
+    [("batch", [(0.5, []), (0.0, [("schedule", 0.0)]), (0.5, [("sleep", 1e-17)])])],
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(PROGRAM)
+@example(AT_A_STREAM_HEAD)
 def test_kernel_matches_the_reference_event_for_event(program):
     assert run_program(engine, program) == run_program(reference_engine, program)

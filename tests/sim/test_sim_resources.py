@@ -55,7 +55,8 @@ class TestResource:
         assert not res.try_acquire()
         assert (res.users, res.queue_depth.level) == (1, 0)
         # Nothing was queued: a free booking posts no grant entry.
-        assert sim._heap == []
+        sim.run()
+        assert sim.events_processed == 0
 
     def test_enqueue_outside_a_process_is_rejected(self):
         res = Resource(Simulator(), capacity=1)
