@@ -15,9 +15,13 @@ revives a second later, or a millisecond later in a third run), one
 warm-up run, a two-board event-fidelity fleet and fast-fidelity fleets over every
 balancer path: least-loaded and batch routing (with spill), round-robin,
 weighted, SLO admission and none, three cells, and autoscaling that powers
-boards both up and down under least-loaded and weighted routing.  ``tests/golden/report_identity.json`` holds each
-run's full ``as_dict()`` minus the event counts, and names the commit it
-was generated at.
+boards both up and down under least-loaded and weighted routing.  Three
+more runs resolve same-instant ties in the order dropped zero-delay hops
+left them in (two chains meeting at exactly the same float time):
+ODENet-20 under ``fifo`` and ``round_robin`` at 25 req/s and rODENet-1-56
+under ``batched(4)`` at 4 req/s.  ``tests/golden/report_identity.json``
+holds each run's full ``as_dict()`` minus the event counts, and names the
+commit it was generated at.
 
 Regenerate the fixture (only at a commit whose reports are trusted)::
 
@@ -121,6 +125,23 @@ MID_BATCH_AT = {"mid_batch": 1.94, "mid_batch_half_done": 1.95}
 #: Repair time of the ``mid_batch`` kill's fast-repair twin.
 FAST_REPAIR_S = 0.001
 
+#: Poisson traffic on 2 replicas, 2 PS cores and 1 DMA channel where a
+#: replica's compute ends at the instant another replica's DMA-out ends.
+TIE = SimScenario(
+    arrival="poisson", replicas=2, ps_cores=2, dma_channels=1, n_requests=60, seed=3
+)
+TIES = {
+    "tie/odenet20_fifo": TIE.replace(
+        model="ODENet", depth=20, policy="fifo", arrival_rate_hz=25.0
+    ),
+    "tie/odenet20_round_robin": TIE.replace(
+        model="ODENet", depth=20, policy="round_robin", arrival_rate_hz=25.0
+    ),
+    "tie/rodenet1_56_batched4": TIE.replace(
+        model="rODENet-1", depth=56, policy="batched", batch_size=4, arrival_rate_hz=4.0
+    ),
+}
+
 
 def _runs() -> Dict[str, Callable[[], object]]:
     runs: Dict[str, Callable[[], object]] = {}
@@ -158,6 +179,8 @@ def _runs() -> Dict[str, Callable[[], object]]:
         batched, faults=[(fast_repair, MID_BATCH_AT["mid_batch"])], fault_seed=3
     )
     runs["warmup"] = lambda: simulate(knee.replace(warmup_s=3.0, slo_s=0.9))
+    for name, scenario in TIES.items():
+        runs[name] = lambda s=scenario: simulate(s)
     fleet = FleetScenario(
         boards=(BoardGroup("PYNQ-Z2", 2),),
         arrival_rate_hz=4.0,
