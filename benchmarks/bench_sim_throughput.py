@@ -52,7 +52,7 @@ import time
 from typing import Tuple
 
 from repro.api import Evaluator
-from repro.sim import SimScenario, Simulator, latency_stats, simulate
+from repro.sim import Process, SimScenario, Simulator, latency_stats, simulate
 
 MIN_EVENTS_PER_SEC = 100_000.0
 
@@ -108,7 +108,7 @@ def bench_engine(n_processes: int, hops: int) -> float:
             yield 0.001 + offset
 
     for i in range(n_processes):
-        sim.process(chain(i * 1e-6))
+        Process(sim, chain(i * 1e-6))
     start = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - start

@@ -29,21 +29,24 @@ a fast one (see ``benchmarks/bench_sim_throughput.py``).
 
 The queue is three structures that share one ``(time, seq)`` order:
 
-* the **arrival stream** — the start entries of a :meth:`~Simulator.process_batch`
-  call made while :meth:`~Simulator.run` is not running and the previous
-  stream is used up, sorted once into a list that ``run()`` reads by index;
+* the **arrival stream** — the ``(time, generator)`` pairs passed to
+  :meth:`Simulator.run`, started as processes and sorted once into a list
+  that lives only for that run, which reads it by index and clears each
+  slot as it reads it;
 * the **zero-delay lane** — a FIFO of every entry posted for the current
-  instant (a wake, a finished process's ``done``, a ``yield 0.0``, a
-  zero-delay schedule or start, and a positive delay the clock absorbs,
-  ``now + d == now``), which needs no sequence numbers;
-* the **heap** — every other entry, a later batch included.
+  instant (a new process, a wake, a finished process's ``done``, a
+  ``yield 0.0``, a zero-delay schedule, an arrival at the instant ``run()``
+  starts, and a positive delay the clock absorbs, ``now + d == now``),
+  which needs no sequence numbers;
+* the **heap** — every other entry.
 
 An entry made at the current instant for the current instant always goes
-to the lane, so every heap or stream entry at ``now`` was posted earlier
-than every lane entry.  ``run()`` therefore fires the heap and stream
-entries at ``now`` first (merged by ``(time, seq)``), drains the lane only
-when neither holds an entry at ``now``, and once the lane is empty moves
-the clock to the earlier of the heap top and the stream head.
+to the lane, and the arrivals draw their sequence numbers when ``run()``
+starts, so every heap or stream entry at ``now`` was posted earlier than
+every lane entry.  ``run()`` therefore fires the heap and stream entries
+at ``now`` first (merged by ``(time, seq)``), drains the lane only when
+neither holds an entry at ``now``, and once the lane is empty moves the
+clock to the earlier of the heap top and the stream head.
 
 **Kernel contract:** speed work on this module may make each queue entry
 cheaper, but for a given model the queue must receive the same entries at
@@ -76,7 +79,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = ["PARK", "Process", "Simulator"]
 
@@ -84,6 +87,7 @@ _heappush = heapq.heappush
 _INF = float("inf")
 #: Stands for the stream head once the stream is used up: later than any entry.
 _END = (_INF, 0, None)
+_unposted = object.__new__
 
 #: Yielded by a process to sleep until :meth:`Simulator.wake` is called on it.
 PARK = object()
@@ -96,38 +100,22 @@ def _nothing() -> None:
 class Process:
     """A generator-based process; calling it resumes the generator.
 
-    The process itself is its start entry on the queue, and so is every
-    later wake-up entry of a bare-delay yield or a :meth:`Simulator.wake`.
-    ``delay`` schedules that first resume at ``now + delay`` instead of
-    "now" — one queue entry where a start entry and a first sleep would
-    cost two (the request-spawning fast path).  ``done`` is posted at the
-    instant the generator returns.  ``_sink``, when given, collects a
-    start entry later than ``now`` instead of posting it (the bulk
-    scheduling hook of :meth:`Simulator.process_batch`).
+    Constructing a process queues it at the current instant, FIFO after
+    everything already queued for that instant: the process itself is its
+    start entry, and every later wake-up entry of a bare-delay yield or a
+    :meth:`Simulator.wake`.  ``done`` is posted at the instant the
+    generator returns.
     """
 
     __slots__ = ("sim", "generator", "done")
 
     def __init__(
-        self,
-        sim: "Simulator",
-        generator: Generator,
-        delay: float = 0.0,
-        done: Callable[[], None] = _nothing,
-        _sink: Optional[List] = None,
+        self, sim: "Simulator", generator: Generator, done: Callable[[], None] = _nothing
     ) -> None:
-        if not 0.0 <= delay < _INF:
-            raise ValueError(f"process start delay must be non-negative and finite (got {delay})")
         self.sim = sim
         self.generator = generator
         self.done = done
-        # Kick off at the scheduled time (FIFO-ordered with everything else
-        # scheduled for that instant), not synchronously inside the caller.
-        time = sim.now + delay
-        if _sink is None or time == sim.now:
-            sim._post(time, self)
-        else:
-            _sink.append((time, next(sim._seq), self))
+        sim._lane.append(self)
 
     def __call__(self) -> None:
         sim = self.sim
@@ -140,8 +128,8 @@ class Process:
             return
         sim.active_process = None
         if isinstance(target, float):
-            # A bare delay: the process is its own wake-up entry (posted as
-            # in Simulator._post, inlined on this hot path).
+            # A bare delay: the process is its own wake-up entry, on the
+            # lane if the clock absorbs the delay, else on the heap.
             if not 0.0 <= target < _INF:
                 raise ValueError(
                     f"process slept {target!r} s; a delay must be non-negative and finite"
@@ -174,54 +162,9 @@ class Simulator:
         self._heap: List = []
         #: Entries for the current instant, in insertion order.
         self._lane: deque = deque()
-        #: Sorted arrival entries read from index ``_next`` on: ``[]`` once
-        #: used up, ``None`` while :meth:`run` reads it.
-        self._stream: Optional[List] = []
-        self._next = 0
         self._seq = count()
 
     # -- scheduling --------------------------------------------------------------------
-
-    def _post(self, time: float, entry: Callable[[], None]) -> None:
-        """Queue ``entry`` at ``time``: the lane if that is now, else the heap."""
-
-        if time == self.now:
-            self._lane.append(entry)
-        else:
-            _heappush(self._heap, (time, next(self._seq), entry))
-
-    def process(self, generator: Generator) -> Process:
-        return Process(self, generator)
-
-    def process_batch(self, pairs: Sequence) -> None:
-        """Spawn many delayed processes with one sort.
-
-        ``pairs`` is an iterable of ``(delay, generator)``.  Sequence numbers
-        are drawn in input order, so FIFO tie-breaking is identical to
-        spawning the processes one by one.  A start entry at ``now`` goes to
-        the lane.  The later ones become the arrival stream, sorted once by
-        ``(time, seq)`` (O(n log n) with no heap work per entry) — the
-        event-batching entry point the runner uses to schedule whole arrival
-        processes.  While :meth:`run` is running, or while an earlier stream
-        still has entries, they join the heap in one bulk rebuild instead.
-        """
-
-        entries: List = []
-        for delay, gen in pairs:
-            Process(self, gen, delay, _sink=entries)
-        if not entries:
-            return
-        if self._stream == []:
-            # The runner's arrivals come in time order, so this is one
-            # linear pass, and sorting the tuples themselves allocates no
-            # key array (one showed as +0.3 MB of peak RSS on the serve
-            # benchmark).  The unique seq settles every tie before an
-            # entry is compared.
-            entries.sort()
-            self._stream = entries
-        else:
-            self._heap.extend(entries)
-            heapq.heapify(self._heap)
 
     def wake(self, process: Process) -> None:
         """Resume a process parked on :data:`PARK` at the current time.
@@ -244,59 +187,77 @@ class Simulator:
 
         if not 0.0 <= delay < _INF:
             raise ValueError(f"schedule delay must be non-negative and finite (got {delay})")
-        self._post(self.now + delay, fn)
+        time = self.now + delay
+        if time == self.now:
+            self._lane.append(fn)
+        else:
+            _heappush(self._heap, (time, next(self._seq), fn))
 
     # -- execution ---------------------------------------------------------------------
 
-    def run(self) -> None:
-        """Call queue entries until the queue is empty.
+    def run(self, arrivals: Iterable[Tuple[float, Generator]] = ()) -> None:
+        """Start a process per arrival and call queue entries until the queue
+        is empty.
+
+        ``arrivals`` are ``(time, generator)`` pairs, each started at its
+        ``time`` (not before ``now``, finite) with no ``done``.  Sequence
+        numbers are drawn in input order, so FIFO tie-breaking is that of
+        spawning them one by one in that order; the ones at ``now`` join the
+        lane, the rest become the arrival stream, sorted once by ``(time,
+        seq)`` (the runner's arrivals come in time order, so one linear
+        pass; sorting the tuples themselves allocates no key array, and the
+        unique seq settles every tie before a process is compared).
 
         Each step takes the earlier of the heap top and the stream head by
         ``(time, seq)``.  If that entry is later than ``now``, the lane is
         drained first; otherwise the clock moves to it (it never moves
         backwards: an entry is posted no earlier than ``now``) and it is
         called (a process resumes, a callable runs).  Each stream slot is
-        cleared as it is read, and the list is dropped once used up, so a
-        finished arrival process is not kept alive by the queue.  Local
-        bindings throughout: this is the hottest code in the whole package
-        (see ``benchmarks/bench_sim_throughput.py``).
+        cleared as it is read, so a finished arrival process is not kept
+        alive by the queue.  Local bindings throughout: this is the hottest
+        code in the whole package (see ``benchmarks/bench_sim_throughput.py``).
         """
 
         heap = self._heap
         lane = self._lane
         pop = heapq.heappop
         take = lane.popleft
-        stream = self._stream
-        self._stream = None
-        i, n = self._next, len(stream)
-        head = stream[i] if i < n else _END
         now = self.now
-        processed = self.events_processed
-        try:
-            while True:
-                top = heap[0] if heap and heap[0] < head else head
-                if lane and top[0] != now:
-                    # Nothing timed is left at this instant: drain the lane.
-                    # Its entries post only later entries or lane entries.
-                    while lane:
-                        processed += 1
-                        take()()
-                    continue
-                if top is not head:
-                    pop(heap)
-                elif i < n:
-                    stream[i] = None
-                    i += 1
-                    head = stream[i] if i < n else _END
-                else:
-                    break
-                now, _, entry = top
-                self.now = now
-                processed += 1
-                entry()
-        finally:
-            self.events_processed = processed
-            if i < n:
-                self._stream, self._next = stream, i
+        seq = self._seq
+        stream: List = []
+        for time, generator in arrivals:
+            if not now <= time < _INF:
+                raise ValueError(f"arrival time {time} is not finite and at or after {now}")
+            # The stream slot (or the lane) is the start entry: no posting.
+            process = _unposted(Process)
+            process.sim, process.generator, process.done = self, generator, _nothing
+            if time == now:
+                lane.append(process)
             else:
-                self._stream, self._next = [], 0
+                stream.append((time, next(seq), process))
+        stream.sort()
+        i, n = 0, len(stream)
+        head = stream[0] if n else _END
+        processed = self.events_processed
+        while True:
+            top = heap[0] if heap and heap[0] < head else head
+            if lane and top[0] != now:
+                # Nothing timed is left at this instant: drain the lane.
+                # Its entries post only later entries or lane entries.
+                while lane:
+                    processed += 1
+                    take()()
+                continue
+            if top is not head:
+                pop(heap)
+            elif i < n:
+                stream[i] = None
+                i += 1
+                head = stream[i] if i < n else _END
+            else:
+                break
+            now, _, entry = top
+            self.now = now
+            processed += 1
+            entry()
+        self.events_processed = processed

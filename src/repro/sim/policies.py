@@ -124,7 +124,7 @@ class Dispatcher:
         #: is called once per input DMA burst while the fault is active.
         self.corruptor = None
         for acc in self.accelerators:
-            sim.process(self._worker(acc, 0))
+            Process(sim, self._worker(acc, 0))
 
     # -- submission --------------------------------------------------------------------
 
@@ -229,7 +229,7 @@ class Dispatcher:
         self.alive[index] = True
         self.alive_count += 1
         acc.down.set(0)
-        self.sim.process(self._worker(acc, self._generation[index]))
+        Process(self.sim, self._worker(acc, self._generation[index]))
 
     def _fallback(self, execution: Execution) -> None:
         if self.ps_fallback is None:

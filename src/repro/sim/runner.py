@@ -33,7 +33,7 @@ import numpy as np
 from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario, check_seed
 from ..fixedpoint.qformat import QFormat
-from .engine import PARK, Simulator
+from .engine import PARK, Process, Simulator
 from .metrics import (
     QuantileSketch,
     SimReport,
@@ -106,8 +106,8 @@ def _request_process(
 ) -> Generator:
     """One request's life: walk the plan, record completion.
 
-    The process is spawned *at* the request's arrival instant
-    (:meth:`Simulator.process_batch`), so no leading arrival sleep is
+    The process is started *at* the request's arrival instant
+    (:meth:`Simulator.run` takes the arrivals), so no leading arrival sleep is
     needed — one queue entry per request instead of three.  A PS segment
     books a free core in line (:meth:`Resource.try_acquire`), so only a
     contended one parks for its core and accrues ``ps_wait``; its compute
@@ -274,7 +274,7 @@ def simulate(
         ps.release()
         execution.finish()
 
-    dispatcher.ps_fallback = lambda execution: sim.process(_fallback_process(execution))
+    dispatcher.ps_fallback = lambda execution: Process(sim, _fallback_process(execution))
 
     # -- fault injection --------------------------------------------------------------
     # Each injection is a timed callback on the one event queue
@@ -325,10 +325,10 @@ def simulate(
         Request(index=i, arrival=t, scenario=point)
         for i, (t, point) in enumerate(zip(arrivals, per_request))
     ]
-    # Arrival batching: every request process is scheduled directly at its
-    # arrival instant, as the kernel's sorted arrival stream (no per-request
-    # start entry, leading arrival sleep or heap push).
-    sim.process_batch(
+    # Every request process starts directly at its arrival instant, from the
+    # kernel's sorted arrival stream (no start entry, leading arrival sleep
+    # or heap push per request).
+    sim.run(
         (
             request.arrival,
             _request_process(
@@ -337,7 +337,6 @@ def simulate(
         )
         for request in requests
     )
-    sim.run()
 
     # -- summary ----------------------------------------------------------------------
     horizon = sim.now

@@ -9,7 +9,7 @@ import pytest
 from repro.api import Evaluator
 from repro.faults import AxiDegradation, DmaCorruption, PsCoreLoss, ReplicaDeath
 from repro.sim import AxiBus, Resource, SimScenario, Simulator, simulate
-from repro.sim.engine import PARK
+from repro.sim.engine import PARK, Process
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +54,9 @@ class TestResourcePrimitives:
             seen["users_at_probe"] = res.users
             seen["waiting_at_probe"] = res.queue_depth.level
 
-        sim.process(hold(1.0))
-        sim.process(hold(2.0))
-        sim.process(blocked())
+        Process(sim, hold(1.0))
+        Process(sim, hold(2.0))
+        Process(sim, blocked())
         sim.schedule(1.5, probe)
         sim.run()
         assert seen["users_at_shrink"] == 2
@@ -75,8 +75,8 @@ class TestResourcePrimitives:
                 yield PARK
             granted.append((tag, sim.now))
 
-        sim.process(user("first"))
-        sim.process(user("second"))
+        Process(sim, user("first"))
+        Process(sim, user("second"))
         sim.run()
         assert granted == [("first", 0.0)]
         sim.schedule(1.0, lambda: res.set_capacity(2))
@@ -126,7 +126,7 @@ class TestResourcePrimitives:
             sim = Simulator()
             bus = AxiBus(sim, channels=1)
             bus.degrade(slowdown)
-            sim.process(bus.transfer(100, seconds=0.5))
+            Process(sim, bus.transfer(100, seconds=0.5))
             sim.run()
             return sim.now
 

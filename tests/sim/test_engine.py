@@ -99,7 +99,7 @@ class TestYields:
         def bad():
             yield target
 
-        sim.process(bad())
+        Process(sim, bad())
         with pytest.raises(TypeError, match="must yield float delays or PARK"):
             sim.run()
 
@@ -110,7 +110,7 @@ class TestYields:
         def bad():
             yield delay
 
-        sim.process(bad())
+        Process(sim, bad())
         with pytest.raises(ValueError, match="non-negative and finite"):
             sim.run()
 
@@ -126,7 +126,7 @@ class TestSleepAndPark:
             yield 0.0
             trace.append((sim.now, None))
 
-        sim.process(sleeper())
+        Process(sim, sleeper())
         sim.run()
         assert trace == [(1.5, None), (1.5, None)]
         # start, two wake-ups and the (no-op) completion
@@ -145,9 +145,9 @@ class TestSleepAndPark:
             return
             yield  # pragma: no cover — a generator with no waits
 
-        sim.process(sleeper("a", 1.0))
-        sim.process(scheduler("b", 1.0))
-        sim.process(sleeper("c", 1.0))
+        Process(sim, sleeper("a", 1.0))
+        Process(sim, scheduler("b", 1.0))
+        Process(sim, sleeper("c", 1.0))
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -165,8 +165,8 @@ class TestSleepAndPark:
             yield 2.0
             sim.wake(parked.pop())
 
-        sim.process(sleeper())
-        sim.process(waker())
+        Process(sim, sleeper())
+        Process(sim, waker())
         sim.run()
         assert trace == [(2.0, None)]
 
@@ -191,7 +191,7 @@ class TestSleepAndPark:
             yield 1.0
             seen.append(sim.active_process)
 
-        procs = [sim.process(body()), sim.process(body())]
+        procs = [Process(sim, body()), Process(sim, body())]
         sim.schedule(0.5, lambda: seen.append(sim.active_process))
         sim.run()
         assert seen == [procs[0], procs[1], None, procs[0], procs[1]]
@@ -212,7 +212,7 @@ class TestDone:
             yield PARK
             trace.append(("parent", sim.now))
 
-        sim.process(parent())
+        Process(sim, parent())
         sim.run()
         assert trace == [("child", 2.0), ("parent", 2.0)]
 
@@ -235,51 +235,32 @@ class TestDone:
         assert sim.events_processed == 10
 
 
-def process_at(sim: Simulator, delay: float, generator) -> Process:
-    """Spawn a process whose first resume happens at ``now + delay``.
-
-    Equivalent to a process opening with ``yield delay`` but one
-    queue entry cheaper: the start delay ``process_batch`` gives each arrival.
-    """
-
-    return Process(sim, generator, delay=delay)
-
-
 def _noop():
     return None
     yield  # pragma: no cover — makes this a (never-waiting) generator
 
 
-class TestDelayedProcesses:
-    """Delayed starts (`process_batch`, one `Process` each): the arrival fast path."""
+class TestArrivals:
+    """``run(arrivals)``: the arrival fast path, one queue entry per start."""
 
     @settings(max_examples=100, deadline=None)
-    @given(delays, st.integers(0, 20))
-    def test_process_batch_equals_one_by_one_spawning(self, ds, split):
-        def spawn(sim, out, batches):
-            def job(i):
-                out.append((sim.now, i))
-                return i
-                yield  # pragma: no cover — a generator with no waits
+    @given(delays)
+    def test_arrivals_equal_one_by_one_spawning(self, ds):
+        def job(sim, out, i, sleep):
+            if sleep is not None:
+                yield sleep
+            out.append((sim.now, i))
 
-            pairs = [(d, job(i)) for i, d in enumerate(ds)]
-            if batches == 0:
-                for d, gen in pairs:
-                    process_at(sim, d, gen)
-            elif batches == 1:
-                sim.process_batch(pairs)
-            else:
-                # The first batch becomes the arrival stream; the second,
-                # passed while the stream is unconsumed, joins the heap.
-                sim.process_batch(pairs[:split])
-                sim.process_batch(pairs[split:])
-            sim.run()
-            return out
-
-        solo = spawn(Simulator(), [], batches=0)
+        # The same starts as processes spawned one by one, each opening
+        # with a sleep of its arrival time.
+        solo, sim = [], Simulator()
+        for i, d in enumerate(ds):
+            Process(sim, job(sim, solo, i, d))
+        sim.run()
+        arrived, sim = [], Simulator()
+        sim.run([(d, job(sim, arrived, i, None)) for i, d in enumerate(ds)])
         # Identical firing instants *and* identical FIFO tie-breaking.
-        assert spawn(Simulator(), [], batches=1) == solo
-        assert spawn(Simulator(), [], batches=2) == solo
+        assert arrived == solo
         assert [t for t, _ in solo] == sorted(t for t, _ in solo)
 
     def test_finished_arrivals_are_not_kept_by_the_queue(self):
@@ -288,17 +269,21 @@ class TestDelayedProcesses:
         # slot as run() reads it: a finished arrival is freed mid-run, not
         # kept to the end of the run with the whole stream.
         sim = Simulator()
-        pairs = [(d, _noop()) for d in (1.0, 2.0, 10.0)]
-        refs = [weakref.ref(gen) for _, gen in pairs]
-        sim.process_batch(pairs)
-        del pairs
+        refs = []
+
+        def arrivals():
+            for d in (1.0, 2.0, 10.0):
+                gen = _noop()
+                refs.append(weakref.ref(gen))
+                yield d, gen
+
         seen = []
         sim.schedule(5.0, lambda: seen.append([ref() is None for ref in refs]))
-        sim.run()
+        sim.run(arrivals())
         assert seen == [[True, True, False]]
         assert [ref() is None for ref in refs] == [True, True, True]
 
-    def test_process_at_matches_a_leading_sleep(self):
+    def test_arrival_matches_a_leading_sleep(self):
         sim = Simulator()
         trace = []
 
@@ -307,45 +292,72 @@ class TestDelayedProcesses:
             yield 2.0
             trace.append(sim.now)
 
-        finished = []
-        Process(sim, job(), delay=3.0, done=lambda: finished.append(sim.now))
-        sim.run()
+        sim.run([(3.0, job())])
         assert trace == [3.0, 5.0]
-        assert finished == [5.0]
+        assert sim.now == 5.0
 
-    def test_process_at_is_cheaper_than_a_leading_sleep(self):
-        # Delayed start + completion: 2 events.  The equivalent
+    def test_arrival_is_cheaper_than_a_leading_sleep(self):
+        # An arrival and its completion: 2 events.  The equivalent
         # `yield d` process costs 3 (start, wake-up, completion) — the
         # saving that makes million-request arrival scheduling cheap.
         fast = Simulator()
-        process_at(fast, 1.0, _noop())
-        fast.run()
+        fast.run([(1.0, _noop())])
         assert fast.events_processed == 2
 
         def waits(sim):
             yield 1.0
 
         slow = Simulator()
-        slow.process(waits(slow))
+        Process(slow, waits(slow))
         slow.run()
         assert slow.events_processed == 3
 
-    def test_negative_delay_rejected(self):
-        for delay in (-0.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match="non-negative"):
-                process_at(Simulator(), delay, _noop())
-            with pytest.raises(ValueError, match="non-negative"):
-                Simulator().process_batch([(delay, _noop())])
+    def test_bad_arrival_time_rejected(self):
+        for time in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="arrival time"):
+                Simulator().run([(time, _noop())])
+        # Nor may an arrival precede the clock of a second run.
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError, match="arrival time"):
+            sim.run([(1.0, _noop())])
 
-    def test_batch_interleaves_with_existing_events(self):
+    def test_arrivals_draw_their_order_when_run_starts(self):
+        # Queued before run(), "early" ties ahead of the arrival; "late" is
+        # scheduled for the same instant once the run has started.
         sim = Simulator()
         order = []
+
+        def arrival():
+            order.append("arrival")
+            return
+            yield  # pragma: no cover — a generator with no waits
+
+        def scheduler():
+            sim.schedule(1.0, lambda: order.append("late"))
+            return
+            yield  # pragma: no cover — a generator with no waits
+
         sim.schedule(1.0, lambda: order.append("early"))
-        sim.process_batch([(1.0, _noop())])
-        sim.schedule(1.0, lambda: order.append("late"))
-        sim.run()
-        assert order == ["early", "late"]
+        Process(sim, scheduler())
+        sim.run([(1.0, arrival())])
+        assert order == ["early", "arrival", "late"]
         assert sim.now == 1.0
+
+    def test_arrival_at_now_follows_entries_already_queued(self):
+        sim = Simulator()
+        order = []
+
+        def job(tag):
+            order.append(tag)
+            return
+            yield  # pragma: no cover — a generator with no waits
+
+        Process(sim, job("process"))
+        sim.schedule(0.0, lambda: order.append("scheduled"))
+        sim.run([(0.0, job("arrival")), (0.0, job("second arrival"))])
+        assert order == ["process", "scheduled", "arrival", "second arrival"]
 
 
 class TestSchedule:
@@ -367,7 +379,7 @@ class TestSchedule:
             order.append("process")
 
         sim.schedule(1.0, lambda: order.append("first"))
-        sim.process(sleeper())
+        Process(sim, sleeper())
         sim.schedule(1.0, lambda: order.append("second"))
         sim.run()
         # The sleeper's wake-up is queued when it starts, after both calls.

@@ -6,28 +6,30 @@ oracle for the order contract: the kernel must fire the same entries at
 the same simulated times in the same order, and count the same number of
 them.  Random programs force ties (a small delay grid with 0 and repeats, and
 ``1e-17``, a positive delay the clock absorbs once it has left 0), spawn
-processes one by one, delayed and in several ``process_batch`` calls (some
-from inside a running process, some before ``run()`` while an earlier
-batch is still unconsumed), schedule callbacks before ``run()``, and call
-``run()`` again after the queue drained.  A fixed example puts zero-delay
-batch entries and ``schedule(0, ...)`` at the instant of a pending stream
-head, so every path between the kernel's arrival stream, zero-delay lane
-and heap is taken on every run.
+processes and schedule callbacks before ``run()``, pass one batch of
+arrivals to ``run()``, and spawn, schedule and wake during the run.  A fixed
+example puts zero-delay arrivals, spawns and ``schedule(0, ...)`` at the
+instant of a pending stream head, so every path between the kernel's
+arrival stream, zero-delay lane and heap is taken on every run.
 
 The kernel has no event objects, so each step of a program runs on the
 two kernels as follows (the reference side keeps its events):
 
-============================  ==========================================
-reference                     kernel
-============================  ==========================================
-``yield sim.timeout(d)``      ``yield d``
-succeed an event, wait on it  ``yield 0.0``
-event succeeded by a timer    park + ``schedule(d, wake)``
-wait on a parked event        park; another process wakes it
-wait on a child process       child with ``done=parent``; the parent parks
-``all_of`` over timeouts      a countdown over ``schedule`` parts that
-                              wakes the parent (none: wake it now)
-============================  ==========================================
+================================  ======================================
+reference                         kernel
+================================  ======================================
+``yield sim.timeout(d)``          ``yield d``
+succeed an event, wait on it      ``yield 0.0``
+event succeeded by a timer        park + ``schedule(d, wake)``
+wait on a parked event            park; another process wakes it
+wait on a child process           child with ``done=parent``; the
+                                  parent parks
+``all_of`` over timeouts          a countdown over ``schedule`` parts
+                                  that wakes the parent (none: wake it
+                                  now)
+``Process(sim, gen, delay=t)``    ``(t, gen)`` among the arrivals
+before ``run()``                  passed to ``run()``
+================================  ======================================
 """
 
 from __future__ import annotations
@@ -57,20 +59,20 @@ STEP = st.one_of(
     LEAF,
     st.tuples(st.just("child"), st.lists(LEAF, max_size=4)),
     st.tuples(st.just("all_of"), st.lists(DELAYS, max_size=4)),
-    # A process_batch call from inside a running process.
-    st.tuples(
-        st.just("spawn"), st.lists(st.tuples(DELAYS, st.lists(LEAF, max_size=3)), max_size=3)
-    ),
+    # Spawn processes now, or from a timed callback.
+    st.tuples(st.just("spawn"), st.lists(st.lists(LEAF, max_size=3), max_size=3)),
+    st.tuples(st.just("spawn_later"), st.tuples(DELAYS, st.lists(LEAF, max_size=3))),
 )
 BODY = st.lists(STEP, max_size=6)
-# What one round spawns before it calls run(): single processes (started
-# now or after a delay), batches and timed callbacks.
+# What a program queues before run(): processes and timed callbacks.
 GROUP = st.one_of(
-    st.tuples(st.sampled_from(("process", "at")), DELAYS, BODY),
-    st.tuples(st.just("batch"), st.lists(st.tuples(DELAYS, BODY), max_size=4)),
+    st.tuples(st.just("process"), BODY),
     st.tuples(st.just("schedule"), DELAYS),
 )
-PROGRAM = st.lists(st.lists(GROUP, min_size=1, max_size=5), min_size=1, max_size=3)
+# The queued groups and the arrivals passed to run().
+PROGRAM = st.tuples(
+    st.lists(GROUP, max_size=4), st.lists(st.tuples(DELAYS, BODY), max_size=5)
+)
 
 
 def run_program(kernel, program):
@@ -91,10 +93,8 @@ def run_program(kernel, program):
             else:
                 parked.pop(0).succeed()
 
-    def spawn_batch(pairs, tag):
-        sim.process_batch(
-            [(delay, body(steps, f"{tag}{k}:")) for k, (delay, steps) in enumerate(pairs)]
-        )
+    def spawn(steps, tag):
+        kernel.Process(sim, body(steps, tag))
 
     def wait(kind, arg, tag):
         """The reference kernel's event for one waiting step."""
@@ -104,7 +104,7 @@ def run_program(kernel, program):
         if kind == "zero":
             return kernel.Event(sim).succeed()
         if kind == "child":
-            return sim.process(body(arg, f"{tag}/"))
+            return kernel.Process(sim, body(arg, f"{tag}/"))
         if kind == "all_of":
             return sim.all_of([sim.timeout(d) for d in arg])
         event = kernel.Event(sim)
@@ -144,50 +144,59 @@ def run_program(kernel, program):
             elif kind == "wake_later":
                 sim.schedule(arg, wake_one)
             elif kind == "spawn":
-                spawn_batch(arg, f"{name}/")
+                for j, leaves in enumerate(arg):
+                    spawn(leaves, f"{name}/{j}:")
+            elif kind == "spawn_later":
+                delay, leaves = arg
+                sim.schedule(delay, lambda leaves=leaves, tag=f"{name}/": spawn(leaves, tag))
             else:
                 yield (native_wait if native else wait)(kind, arg, name)
                 trace.append((sim.now, name))
 
-    for r, groups in enumerate(program):
-        for g, (kind, *spec) in enumerate(groups):
-            tag = f"r{r}g{g}:"
-            if kind == "batch":
-                spawn_batch(spec[0], tag)
-            elif kind == "schedule":
-                sim.schedule(spec[0], record(tag))
-            elif kind == "process":
-                sim.process(body(spec[1], tag))
-            elif native:
-                engine.Process(sim, body(spec[1], tag), delay=spec[0], done=record(f"{tag}end"))
-            else:
-                proc = kernel.Process(sim, body(spec[1], tag), delay=spec[0])
-                proc.add_callback(record(f"{tag}end"))
+    groups, arrivals = program
+    for g, (kind, arg) in enumerate(groups):
+        if kind == "process":
+            spawn(arg, f"g{g}:")
+        else:
+            sim.schedule(arg, record(f"g{g}:"))
+    pairs = [(time, body(steps, f"a{k}:")) for k, (time, steps) in enumerate(arrivals)]
+    if native:
+        sim.run(pairs)
+    else:
+        for time, generator in pairs:
+            kernel.Process(sim, generator, delay=time)
         sim.run()
     return trace, sim.events_processed
 
 
-# Round 0: a process at 1.0 (queued first, so it fires before the stream
-# entries at 1.0) posts zero-delay batch entries, a zero-delay schedule and
-# absorbed delays while the stream head at 1.0 is still pending; the first
-# batch becomes the stream (one entry at 0 goes to the lane) and the second,
-# passed while the stream is unconsumed, goes to the heap.  Round 1 builds
-# a new stream once the first is used up.
-AT_A_STREAM_HEAD = [
+# A process at 1.0 (queued first, so it fires before the arrivals at 1.0)
+# spawns processes, schedules a zero-delay call and sleeps absorbed delays
+# while the arrivals at 1.0 are still pending; two arrivals at 0 go to the
+# lane behind the queued process and callback.
+AT_A_STREAM_HEAD = (
     [
-        ("at", 1.0, [
-            ("spawn", [(0.0, [("sleep", 0.0)]), (1e-17, []), (0.5, [("zero", 0.0)])]),
+        ("process", [("sleep", 1.0), ("spawn", [[("sleep", 0.0)], []])]),
+        ("schedule", 0.0),
+        ("process", [
+            ("sleep", 1.0),
+            ("spawn", [[("sleep", 0.0)], [("zero", 0.0)]]),
+            ("spawn_later", (0.0, [("sleep", 1e-17)])),
             ("schedule", 0.0),
             ("sleep", 1e-17),
             ("zero", 0.0),
         ]),
-        ("batch", [(1.0, [("sleep", 0.0)]), (0.0, [("zero", 0.0)]), (1.0, [("park", 0.0)])]),
-        ("batch", [(1.0, [("wake", 0.0)]), (0.5, [("schedule", 0.0)]), (1e-17, [])]),
         ("schedule", 1.0),
-        ("process", 0.0, [("sleep", 1.0), ("spawn", [(0.0, []), (1.0, [])])]),
     ],
-    [("batch", [(0.5, []), (0.0, [("schedule", 0.0)]), (0.5, [("sleep", 1e-17)])])],
-]
+    [
+        (1.0, [("sleep", 0.0)]),
+        (0.0, [("zero", 0.0)]),
+        (1.0, [("park", 0.0)]),
+        (1.0, [("wake", 0.0)]),
+        (0.5, [("schedule", 0.0)]),
+        (0.0, [("spawn_later", (1.0, []))]),
+        (1e-17, []),
+    ],
+)
 
 
 @settings(max_examples=300, deadline=None)

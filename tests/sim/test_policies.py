@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import Evaluator, Scenario
 from repro.platform import ResourceVector
-from repro.sim.engine import PARK
+from repro.sim.engine import PARK, Process
 from repro.sim import (
     Accelerator,
     AxiBus,
@@ -145,7 +145,7 @@ class TestPolicies:
             yield PARK
             woken.append((sim.now, execution.finished))
 
-        sim.process(requester())
+        Process(sim, requester())
         sim.run()
         assert woken == [(pytest.approx(0.25 + 1.0 + 0.5), True)]
 

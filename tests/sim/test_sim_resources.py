@@ -6,7 +6,7 @@ import pytest
 
 from repro.fpga.axi import AxiTransferModel
 from repro.sim import AxiBus, Resource, Simulator
-from repro.sim.engine import PARK
+from repro.sim.engine import PARK, Process
 from repro.sim.metrics import windowed_mean
 
 
@@ -29,7 +29,7 @@ class TestResource:
             res.release()
 
         for i in range(5):
-            sim.process(user(i))
+            Process(sim, user(i))
         sim.run()
         assert order == [0, 1, 2, 3, 4]
         assert sim.now == 5.0
@@ -42,7 +42,7 @@ class TestResource:
             yield from res.use(1.0)
 
         for _ in range(4):
-            sim.process(user())
+            Process(sim, user())
         sim.run()
         # Two at a time: 4 one-second holds finish in 2 seconds.
         assert sim.now == 2.0
@@ -70,7 +70,7 @@ class TestResource:
         def user():
             yield from res.use(1.0)
 
-        sim.process(user())
+        Process(sim, user())
         sim.run()
         # Start, the hold's wake-up and completion: no grant hop in between.
         assert sim.events_processed == 3
@@ -88,7 +88,7 @@ class TestResource:
             yield from res.use(3.0)
             yield 3.0  # idle tail
 
-        sim.process(user())
+        Process(sim, user())
         sim.run()
         assert sim.now == 6.0
         # Three busy seconds over a six-second run: half occupied.
@@ -103,7 +103,7 @@ class TestResource:
             yield from res.use(1.0)
 
         for _ in range(4):
-            sim.process(user())
+            Process(sim, user())
         sim.run()
         assert res.queue_depth.peak == 3
 
@@ -117,7 +117,7 @@ class TestAxiBus:
         def mover():
             yield from bus.transfer(16384, seconds)
 
-        sim.process(mover())
+        Process(sim, mover())
         sim.run()
         assert sim.now == pytest.approx(seconds)
         assert bus.words_moved == 16384
@@ -130,7 +130,7 @@ class TestAxiBus:
         def mover():
             yield from bus.transfer(0, 1.0)
 
-        sim.process(mover())
+        Process(sim, mover())
         sim.run()
         assert sim.now == 0.0
         assert bus.transfers == 0
@@ -144,7 +144,7 @@ class TestAxiBus:
             yield from bus.transfer(1000, seconds=per)
 
         for _ in range(3):
-            sim.process(mover())
+            Process(sim, mover())
         sim.run()
         assert sim.now == pytest.approx(3 * per)
 
@@ -157,6 +157,6 @@ class TestAxiBus:
             yield from bus.transfer(1000, seconds=per)
 
         for _ in range(4):
-            sim.process(mover())
+            Process(sim, mover())
         sim.run()
         assert sim.now == pytest.approx(2 * per)
