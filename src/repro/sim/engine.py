@@ -7,13 +7,15 @@ minimal, deterministic event-queue kernel in the style of SimPy (and of the
 propagation loop in fmdtools), with exactly the two primitives the serving
 models need:
 
-* :class:`Process` — a Python generator driven by the simulator.  Each
-  ``yield`` is a bare delay (a ``float`` ``d``: sleep ``d`` seconds) or
-  :data:`PARK` (sleep until some other party calls :meth:`Simulator.wake`
-  on it); either way the generator resumes with ``None``.  When the
-  generator returns, the process posts its ``done`` callable at the
-  current time — the one way a process hands control to whoever waits on
-  it.
+* :class:`Process` — a Python generator driven by the simulator, started
+  at the current instant by ``Process(sim, generator, done=None)`` (or at
+  its arrival time, from the arrivals passed to :meth:`Simulator.run`).
+  Each ``yield`` is a bare delay (a ``float`` ``d``: sleep ``d`` seconds)
+  or :data:`PARK` (sleep until some other party calls
+  :meth:`Simulator.wake` on it); either way the generator resumes with
+  ``None``.  When the generator returns, the process posts its ``done``
+  callable at the current time, if it has one — the one way a process
+  hands control to whoever waits on it.
 * :class:`Simulator` — the clock and the event queue.  Entries are ordered
   by ``(time, insertion sequence)``: the clock never moves backwards, and
   ties fire in FIFO order, which is what makes runs bit-reproducible (the
@@ -58,8 +60,11 @@ change a report.  The entries are those of the event-object kernel this
 one replaced, at the same ``(time, seq)``: a sleep stands where a timeout
 stood, a wake where a single-waiter event's trigger stood, a process's
 ``done`` where its completion event stood, and a scheduled callable where
-its timer stood.  ``tests/sim/test_kernel_oracle.py`` checks this against a
-reference copy of that kernel.
+its timer stood.  The one exception: a process without ``done`` posts no
+completion entry, where that kernel fired a completion event with no
+callback (nothing observed it, so dropping it moves no other entry).
+``tests/sim/test_kernel_oracle.py`` checks this against a reference copy
+of that kernel.
 
 **Model contract:** the serving model (:mod:`~repro.sim.resources`,
 :mod:`~repro.sim.policies`, :mod:`~repro.sim.runner`) may post fewer
@@ -93,24 +98,20 @@ _unposted = object.__new__
 PARK = object()
 
 
-def _nothing() -> None:
-    """The default ``done`` of a process: its completion entry does nothing."""
-
-
 class Process:
     """A generator-based process; calling it resumes the generator.
 
     Constructing a process queues it at the current instant, FIFO after
     everything already queued for that instant: the process itself is its
     start entry, and every later wake-up entry of a bare-delay yield or a
-    :meth:`Simulator.wake`.  ``done`` is posted at the instant the
-    generator returns.
+    :meth:`Simulator.wake`.  ``done``, if given, is posted at the instant
+    the generator returns; a process without one posts nothing then.
     """
 
     __slots__ = ("sim", "generator", "done")
 
     def __init__(
-        self, sim: "Simulator", generator: Generator, done: Callable[[], None] = _nothing
+        self, sim: "Simulator", generator: Generator, done: Optional[Callable[[], None]] = None
     ) -> None:
         self.sim = sim
         self.generator = generator
@@ -124,7 +125,8 @@ class Process:
             target = next(self.generator)
         except StopIteration:
             sim.active_process = None
-            sim._lane.append(self.done)
+            if self.done is not None:
+                sim._lane.append(self.done)
             return
         sim.active_process = None
         if isinstance(target, float):
@@ -230,7 +232,7 @@ class Simulator:
                 raise ValueError(f"arrival time {time} is not finite and at or after {now}")
             # The stream slot (or the lane) is the start entry: no posting.
             process = _unposted(Process)
-            process.sim, process.generator, process.done = self, generator, _nothing
+            process.sim, process.generator, process.done = self, generator, None
             if time == now:
                 lane.append(process)
             else:

@@ -129,8 +129,8 @@ class TestSleepAndPark:
         Process(sim, sleeper())
         sim.run()
         assert trace == [(1.5, None), (1.5, None)]
-        # start, two wake-ups and the (no-op) completion
-        assert sim.events_processed == 4
+        # start and two wake-ups: a process without done posts no completion
+        assert sim.events_processed == 3
 
     def test_sleep_ties_fire_fifo_with_scheduled_calls(self):
         sim = Simulator()
@@ -297,12 +297,12 @@ class TestArrivals:
         assert sim.now == 5.0
 
     def test_arrival_is_cheaper_than_a_leading_sleep(self):
-        # An arrival and its completion: 2 events.  The equivalent
-        # `yield d` process costs 3 (start, wake-up, completion) — the
-        # saving that makes million-request arrival scheduling cheap.
+        # An arrival: 1 event.  The equivalent `yield d` process costs 2
+        # (start, wake-up) — the saving that makes million-request arrival
+        # scheduling cheap.
         fast = Simulator()
         fast.run([(1.0, _noop())])
-        assert fast.events_processed == 2
+        assert fast.events_processed == 1
 
         def waits(sim):
             yield 1.0
@@ -310,7 +310,7 @@ class TestArrivals:
         slow = Simulator()
         Process(slow, waits(slow))
         slow.run()
-        assert slow.events_processed == 3
+        assert slow.events_processed == 2
 
     def test_bad_arrival_time_rejected(self):
         for time in (-0.5, math.nan, math.inf):

@@ -4,10 +4,10 @@ A lone request on one replica under ``fifo`` never contends, so every entry
 it posts is structural.  Each offloaded ODEBlock invocation costs five:
 the parked worker's wake, its DMA-in, compute and DMA-out delays, and the
 wake of the request parked on the invocation.  Each PS segment costs one
-delay (a free core is booked in line, with no grant entry).  Three more open and
-close the run: the replica worker's start, the request's start and its
-completion.  A zero-delay hop added back anywhere on that path breaks the
-equality below.
+delay (a free core is booked in line, with no grant entry).  Two more open
+the run: the replica worker's start and the request's start; the request
+process has no ``done``, so its return posts nothing.  A zero-delay hop
+added back anywhere on that path breaks the equality below.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.sim import PlExecution, Resource, SimScenario, build_service_plan, simulate
 
-FIXED_ENTRIES = 3  # worker start, request start, request completion
+FIXED_ENTRIES = 2  # worker start, request start
 PER_INVOCATION = 5  # worker wake, DMA in, compute, DMA out, request wake
 PER_PS_SEGMENT = 1  # the segment's delay
 

@@ -29,7 +29,13 @@ wait on a child process           child with ``done=parent``; the
                                   now)
 ``Process(sim, gen, delay=t)``    ``(t, gen)`` among the arrivals
 before ``run()``                  passed to ``run()``
+completion event of a process     nothing: a process without ``done``
+nothing waits on (no callback)    posts no completion entry
 ================================  ======================================
+
+The last row is the one place the entries differ: the reference count is
+compared less its callback-less completion events, so a kernel that drops
+a ``done`` entry, or posts one for a process without ``done``, fails.
 """
 
 from __future__ import annotations
@@ -93,8 +99,11 @@ def run_program(kernel, program):
             else:
                 parked.pop(0).succeed()
 
+    # Processes nothing waits on: spawned ones and the arrivals.
+    unobserved = []
+
     def spawn(steps, tag):
-        kernel.Process(sim, body(steps, tag))
+        unobserved.append(kernel.Process(sim, body(steps, tag)))
 
     def wait(kind, arg, tag):
         """The reference kernel's event for one waiting step."""
@@ -164,8 +173,10 @@ def run_program(kernel, program):
         sim.run(pairs)
     else:
         for time, generator in pairs:
-            kernel.Process(sim, generator, delay=time)
+            unobserved.append(kernel.Process(sim, generator, delay=time))
         sim.run()
+        # A process is processed once its completion event has fired.
+        return trace, sim.events_processed - sum(p.processed for p in unobserved)
     return trace, sim.events_processed
 
 

@@ -72,8 +72,8 @@ class TestResource:
 
         Process(sim, user())
         sim.run()
-        # Start, the hold's wake-up and completion: no grant hop in between.
-        assert sim.events_processed == 3
+        # Start and the hold's wake-up: no grant hop in between.
+        assert sim.events_processed == 2
 
     def test_release_of_idle_resource_rejected(self):
         res = Resource(Simulator(), capacity=1)
