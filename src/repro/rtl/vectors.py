@@ -225,23 +225,30 @@ def write_vector_files(vectors: VectorSet, out_dir: Union[str, Path]) -> Dict[st
 # -- golden cases ------------------------------------------------------------------
 
 
+#: The recipe every golden case shares, bar its Q-format: a 4-channel 4x4
+#: block, two seeded images over three Euler steps of size 1, no time
+#: channel, and weight/input scale 3.0 to drive the datapath deep into
+#: clipping.
+GOLDEN_CHANNELS = 4
+GOLDEN_SIZE = 4
+GOLDEN_IMAGES = 2
+GOLDEN_ITERATIONS = 3
+GOLDEN_SEED = 20240
+GOLDEN_WEIGHT_SEED = 99
+GOLDEN_WEIGHT_SCALE = 3.0
+GOLDEN_INPUT_SCALE = 3.0
+GOLDEN_TIME_CONCAT = False
+GOLDEN_STEP_SIZE = 1.0
+
+
 @dataclass(frozen=True)
 class GoldenCase:
-    """Full recipe of one committed golden vector set (regenerable)."""
+    """One committed golden vector set: its name and Q-format (regenerable
+    with the shared ``GOLDEN_*`` recipe)."""
 
     name: str
     word_length: int
     fraction_bits: int
-    channels: int = 4
-    size: int = 4
-    images: int = 2
-    iterations: int = 3
-    seed: int = 20240
-    weight_seed: int = 99
-    weight_scale: float = 3.0
-    input_scale: float = 3.0
-    time_concat: bool = False
-    step_size: float = 1.0
 
     @property
     def qformat(self) -> QFormat:
@@ -250,11 +257,11 @@ class GoldenCase:
     @property
     def geometry(self) -> BlockGeometry:
         return BlockGeometry(
-            name=f"golden_{self.channels}ch_{self.size}px",
-            in_channels=self.channels,
-            out_channels=self.channels,
-            height=self.size,
-            width=self.size,
+            name=f"golden_{GOLDEN_CHANNELS}ch_{GOLDEN_SIZE}px",
+            in_channels=GOLDEN_CHANNELS,
+            out_channels=GOLDEN_CHANNELS,
+            height=GOLDEN_SIZE,
+            width=GOLDEN_SIZE,
         )
 
 
@@ -273,19 +280,19 @@ def golden_vectors(case: Union[str, GoldenCase]) -> Tuple[GoldenCase, VectorSet,
         case = GOLDEN_CASES[case]
     weights = random_block_weights(
         case.geometry,
-        time_concat=case.time_concat,
-        seed=case.weight_seed,
-        scale=case.weight_scale,
+        time_concat=GOLDEN_TIME_CONCAT,
+        seed=GOLDEN_WEIGHT_SEED,
+        scale=GOLDEN_WEIGHT_SCALE,
     )
     vectors = generate_vectors(
         case.geometry,
         weights,
         qformat=case.qformat,
-        images=case.images,
-        iterations=case.iterations,
-        seed=case.seed,
-        input_scale=case.input_scale,
-        step_size=case.step_size,
-        time_concat=case.time_concat,
+        images=GOLDEN_IMAGES,
+        iterations=GOLDEN_ITERATIONS,
+        seed=GOLDEN_SEED,
+        input_scale=GOLDEN_INPUT_SCALE,
+        step_size=GOLDEN_STEP_SIZE,
+        time_concat=GOLDEN_TIME_CONCAT,
     )
     return case, vectors, weights

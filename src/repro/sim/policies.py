@@ -318,7 +318,6 @@ class Dispatcher:
                 return
             self._inflight[index] = []
             acc.busy.set(0)
-            acc.served += len(batch)
 
     def _finish(self, index: int, generation: int, execution: Execution) -> None:
         if self._generation[index] == generation:

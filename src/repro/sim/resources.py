@@ -13,8 +13,8 @@ Transaction-level models of the pieces requests contend for:
   queueing.
 * :class:`Accelerator` — one replicated PL ODEBlock instance.  It does not
   queue by itself (the :class:`~repro.sim.policies.Dispatcher` owns the
-  queues); it carries the replica's resource footprint (for the energy
-  model) and its busy-time accounting.
+  queues); it carries the replica's busy-time and downtime accounting (the
+  runner prices its fabric footprint for the energy model).
 
 Every primitive keeps a :class:`LevelMonitor` — a time-weighted integral of
 its occupancy/queue depth — which is what :mod:`repro.sim.metrics` turns into
@@ -27,7 +27,6 @@ from collections import deque
 from typing import Deque, Dict, Generator, Iterable, Optional
 
 from .._checks import check_count
-from ..platform import ResourceVector
 from .engine import PARK, Process, Simulator
 
 __all__ = ["LevelMonitor", "Resource", "AxiBus", "Accelerator"]
@@ -178,8 +177,8 @@ class AxiBus(Resource):
         #: nominal cycles-per-word (see ``repro.faults.modes.AxiDegradation``).
         self.slowdown = 1.0
 
-    def degrade(self, slowdown: float) -> float:
-        """Set the burst-time multiplier; returns the previous value.
+    def degrade(self, slowdown: float) -> None:
+        """Set the burst-time multiplier.
 
         The AXI-degradation fault mode sets the product of the slowdown
         factors in force, so 1.0 again once none is.
@@ -187,9 +186,7 @@ class AxiBus(Resource):
 
         if slowdown <= 0:
             raise ValueError(f"slowdown must be positive (got {slowdown})")
-        previous = self.slowdown
         self.slowdown = slowdown
-        return previous
 
     def transfer(self, words: int, seconds: float) -> Iterable[object]:
         """Process fragment: move ``words`` over the bus (one DMA burst).
@@ -223,21 +220,13 @@ class AxiBus(Resource):
 
 
 class Accelerator:
-    """One PL ODEBlock replica (busy accounting + resource footprint)."""
+    """One PL ODEBlock replica (busy and downtime accounting)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        index: int,
-        resources: Optional[ResourceVector] = None,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, sim: Simulator, index: int) -> None:
         self.index = index
         self.name = f"pl{index}"
-        self.resources = resources or ResourceVector()
         self.busy = LevelMonitor(sim)
         # Downtime accounting for the replica-death fault mode: level 1 while
         # the replica is dead, so the integral is seconds of downtime (the
         # energy model credits back the dead replica's PL power draw).
         self.down = LevelMonitor(sim)
-        self.served = 0

@@ -254,7 +254,7 @@ def simulate(
     sim = Simulator()
     ps = Resource(sim, capacity=ps_cores, name="ps")
     bus = AxiBus(sim, channels=sim_scenario.dma_channels)
-    accelerators = [Accelerator(sim, i, replica_resources) for i in range(n_replicas)]
+    accelerators = [Accelerator(sim, i) for i in range(n_replicas)]
     dispatcher = Dispatcher(
         sim, bus, accelerators, sim_scenario.policy, sim_scenario.batch_size
     )

@@ -84,13 +84,15 @@ class TestResourcePrimitives:
         assert granted == [("first", 0.0), ("second", 1.0)]
         assert res.users == 2
 
-    def test_bus_degrade_token_protocol(self):
+    def test_bus_degrade_sets_the_slowdown(self):
         sim = Simulator()
         bus = AxiBus(sim, channels=1)
-        token = bus.degrade(4.0)
-        assert token == 1.0 and bus.slowdown == 4.0
-        bus.degrade(token)
+        bus.degrade(4.0)
+        assert bus.slowdown == 4.0
+        bus.degrade(1.0)
         assert bus.slowdown == 1.0
+        with pytest.raises(ValueError, match="positive"):
+            bus.degrade(0.0)
 
     def test_overlapping_faults_clear_in_any_order(self):
         # The first fault clears while the second is in force, then the

@@ -7,6 +7,7 @@ import pytest
 from vector_image import read_vectors
 
 from repro.rtl import GOLDEN_CASES, golden_vectors
+from repro.rtl.vectors import GOLDEN_IMAGES, GOLDEN_ITERATIONS
 
 GOLDEN_ROOT = Path(__file__).parent / "goldens"
 
@@ -26,7 +27,7 @@ def test_golden_binary_parses_back(name):
     vec = read_vectors(data)
     case = GOLDEN_CASES[name]
     assert vec.qformat == case.qformat
-    assert len(vec.records) == case.images * case.iterations
+    assert len(vec.records) == GOLDEN_IMAGES * GOLDEN_ITERATIONS
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
