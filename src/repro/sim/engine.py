@@ -92,6 +92,8 @@ _heappush = heapq.heappush
 _INF = float("inf")
 #: Stands for the stream head once the stream is used up: later than any entry.
 _END = (_INF, 0, None)
+#: Makes a :class:`Process` without queueing it: an arrival's start entry is
+#: its stream slot (or its lane entry), placed by :meth:`Simulator.run`.
 _unposted = object.__new__
 
 #: Yielded by a process to sleep until :meth:`Simulator.wake` is called on it.
@@ -229,8 +231,7 @@ class Simulator:
         stream: List = []
         for time, generator in arrivals:
             if not now <= time < _INF:
-                raise ValueError(f"arrival time {time} is not finite and at or after {now}")
-            # The stream slot (or the lane) is the start entry: no posting.
+                raise ValueError(f"arrival time {time} must be finite and not before now ({now})")
             process = _unposted(Process)
             process.sim, process.generator, process.done = self, generator, None
             if time == now:
