@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from vector_image import read_vectors
 
-from repro.rtl import GOLDEN_CASES, golden_vectors
+from repro.rtl import GOLDEN_CASES, golden_vectors, write_vector_files
 from repro.rtl.vectors import GOLDEN_IMAGES, GOLDEN_ITERATIONS
 
 GOLDEN_ROOT = Path(__file__).parent / "goldens"
@@ -19,6 +19,15 @@ def test_golden_files_are_byte_identical_to_regeneration(name):
     assert (out / "stimulus.hex").read_text() == vec.stimulus_hex()
     assert (out / "expected.hex").read_text() == vec.expected_hex()
     assert (out / "vectors.bin").read_bytes() == vec.to_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_manifest_is_byte_identical_to_regeneration(name, tmp_path):
+    # vectors.json records the shared recipe (geometry, step size, time
+    # channel, record count) next to the Q-format of the case.
+    _, vec, _ = golden_vectors(name)
+    written = write_vector_files(vec, tmp_path)["vectors.json"].read_text()
+    assert (GOLDEN_ROOT / name / "vectors.json").read_text() == written
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

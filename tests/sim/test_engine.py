@@ -234,6 +234,19 @@ class TestDone:
         # Three starts, three wake-ups, three dones and the scheduled call.
         assert sim.events_processed == 10
 
+    def test_a_process_without_done_posts_nothing_when_it_returns(self):
+        def job():
+            yield 1.0
+
+        counts = []
+        for done in (None, lambda: None):
+            sim = Simulator()
+            Process(sim, job(), done=done)
+            sim.run()
+            counts.append(sim.events_processed)
+        # Start and wake-up; the done, when there is one, is a third entry.
+        assert counts == [2, 3]
+
 
 def _noop():
     return None
@@ -344,6 +357,22 @@ class TestArrivals:
         sim.run([(1.0, arrival())])
         assert order == ["early", "arrival", "late"]
         assert sim.now == 1.0
+
+    def test_each_run_takes_only_its_own_arrivals(self):
+        sim = Simulator()
+        order = []
+
+        def job(tag):
+            order.append((sim.now, tag))
+            return
+            yield  # pragma: no cover — a generator with no waits
+
+        sim.run([(1.0, job("a"))])
+        sim.run([(3.0, job("c")), (2.0, job("b"))])
+        # A run without arrivals starts nothing left over from earlier runs.
+        sim.run()
+        assert order == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+        assert sim.events_processed == 3
 
     def test_arrival_at_now_follows_entries_already_queued(self):
         sim = Simulator()

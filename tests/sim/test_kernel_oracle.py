@@ -40,6 +40,7 @@ a ``done`` entry, or posts one for a process without ``done``, fails.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -215,3 +216,44 @@ AT_A_STREAM_HEAD = (
 @example(AT_A_STREAM_HEAD)
 def test_kernel_matches_the_reference_event_for_event(program):
     assert run_program(engine, program) == run_program(reference_engine, program)
+
+
+# One small fixed program per row of the mapping above (and per path into
+# the lane), so each row is checked on every run whatever hypothesis draws.
+ROWS = {
+    "sleep": ([("process", [("sleep", 1.0), ("sleep", 0.0)]), ("schedule", 1.0)], []),
+    "absorbed_sleep": (
+        [("process", [("sleep", 1.0), ("sleep", 1e-17), ("zero", 0.0)]), ("schedule", 1.0)],
+        [],
+    ),
+    "zero": ([("process", [("zero", 0.0), ("zero", 0.0)]), ("process", [("zero", 0.0)])], []),
+    "timed": ([("process", [("timed", 1.0), ("timed", 0.0)]), ("schedule", 1.0)], []),
+    "park_and_wake": (
+        [("process", [("park", 0.0)]), ("process", [("wake", 0.0), ("sleep", 0.0)])],
+        [],
+    ),
+    "wake_later": ([("process", [("park", 0.0)]), ("process", [("wake_later", 1.0)])], []),
+    "child": (
+        [("process", [("child", [("sleep", 1.0), ("zero", 0.0)]), ("sleep", 0.0)])],
+        [],
+    ),
+    "all_of": ([("process", [("all_of", [1.0, 0.0, 1.0])]), ("schedule", 1.0)], []),
+    "empty_all_of": ([("process", [("all_of", [])]), ("schedule", 0.0)], []),
+    "arrivals": (
+        [("schedule", 1.0)],
+        [(1.0, [("sleep", 0.0)]), (0.0, [("zero", 0.0)]), (0.5, []), (1.0, [("zero", 0.0)])],
+    ),
+    "spawn": ([("process", [("spawn", [[("sleep", 1.0)], []]), ("sleep", 0.0)])], []),
+    "spawn_later": (
+        [("process", [("spawn_later", (1.0, [("zero", 0.0)]))]), ("schedule", 1.0)],
+        [],
+    ),
+    "schedule": ([("process", [("schedule", 0.0), ("schedule", 1.0), ("sleep", 1.0)])], []),
+}
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_each_mapping_row_matches_the_reference(row):
+    trace, count = run_program(engine, ROWS[row])
+    assert trace, f"{row}: the program recorded nothing"
+    assert (trace, count) == run_program(reference_engine, ROWS[row])
