@@ -12,11 +12,12 @@ and the word-length ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple, Union
 
 from .._checks import check_count
+
+if TYPE_CHECKING:  # the conversions import NumPy when called: the analytic models never do
+    import numpy as np
 
 __all__ = ["QFormat", "QFormatLike", "Q20", "Q16", "Q12", "Q8"]
 
@@ -116,16 +117,22 @@ class QFormat:
         """Quantise real ``values`` to their integer fixed-point representation,
         saturating at the representable range."""
 
+        import numpy as np
+
         scaled = np.round(np.asarray(values, dtype=np.float64) * self.scale)
         return np.clip(scaled, self.min_int, self.max_int).astype(np.int64)
 
     def to_float(self, fixed) -> np.ndarray:
         """Convert integer fixed-point representations back to floats."""
 
+        import numpy as np
+
         return np.asarray(fixed, dtype=np.float64) / self.scale
 
     def representable(self, values) -> np.ndarray:
         """Boolean mask of values that fit in the representable range."""
+
+        import numpy as np
 
         values = np.asarray(values, dtype=np.float64)
         return (values >= self.min_value) & (values <= self.max_value)

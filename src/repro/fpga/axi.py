@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..platform import BoardSpec, DEFAULT_BOARD
 from .geometry import BlockGeometry
 
@@ -28,15 +26,13 @@ BYTES_PER_WORD = 4
 
 
 def transfer_cycles_kernel(num_words, cycles_per_word):
-    """Array-capable kernel: cycles to move ``num_words`` words over AXI.
+    """Cycles to move ``num_words`` words over AXI.
 
-    Zero-word transfers cost nothing (no DMA descriptor is set up).  Accepts
-    scalars or NumPy arrays; the scalar model method wraps it in ``float()``
-    so both paths share one formula (see :mod:`repro.api.batch`).
+    A zero-word transfer costs nothing (no DMA descriptor is set up): with a
+    finite ``cycles_per_word`` the product is already zero.
     """
 
-    words = np.asarray(num_words)
-    return np.where(words == 0, 0.0, words * cycles_per_word)
+    return num_words * cycles_per_word
 
 
 @dataclass(frozen=True)

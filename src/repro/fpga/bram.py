@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-import numpy as np
-
 from ..fixedpoint.qformat import QFormat, Q20
 from ..platform import ZYNQ_XC7Z020
 from .geometry import NUM_CONVS, BlockGeometry
@@ -44,25 +42,25 @@ FEATURE_MAP_BUFFERS = ("input_fmap", "intermediate_fmap", "output_fmap")
 # Shared by the scalar planner below and the batch-evaluation engine
 # (:mod:`repro.api.batch`), which evaluates them over whole Q-format /
 # word-length axes at once.  Tile counts are exact integer arithmetic in both
-# paths, so scalar and array results are identical by construction
-# (pinned by ``tests/fpga/test_plan_kernels.py``).
+# paths (Python ints or int64 arrays, through the same operators), so scalar
+# and array results are identical by construction and the scalar planner
+# needs no NumPy (pinned by ``tests/fpga/test_plan_kernels.py``).
 
 
 def tiles_for_bytes_kernel(num_bytes):
     """BRAM36 tiles needed per byte count (ceil division; 0 bytes -> 0 tiles).
 
-    Accepts scalars or integer arrays; the arithmetic stays in int64.
+    Accepts a Python int or an integer array.
     """
 
-    b = np.asarray(num_bytes, dtype=np.int64)
-    return -(-b // BRAM36_BYTES)
+    return -(-num_bytes // BRAM36_BYTES)
 
 
 def bram_tiles_kernel(geometry: BlockGeometry, bytes_per_value):
     """Total BRAM36 tiles of one block's allocation plan, vectorized.
 
-    ``bytes_per_value`` may be a scalar or an integer array (e.g. one entry
-    per scenario of a word-length sweep).  Matches
+    ``bytes_per_value`` may be a Python int or an integer array (e.g. one
+    entry per scenario of a word-length sweep).  Matches
     ``plan_block_allocation(geometry, qformat=...).total_tiles`` exactly:
     one capacity-driven region per convolution's weights, one for the BN
     parameters and one per :data:`FEATURE_MAP_BUFFERS` entry.  The
@@ -70,18 +68,17 @@ def bram_tiles_kernel(geometry: BlockGeometry, bytes_per_value):
     it does not add tiles).
     """
 
-    bpv = np.asarray(bytes_per_value, dtype=np.int64)
     per_conv_weights = geometry.weight_count // NUM_CONVS
-    conv_tiles = tiles_for_bytes_kernel(per_conv_weights * bpv)
-    bn_tiles = tiles_for_bytes_kernel(geometry.bn_parameter_count * bpv)
-    fmap_tiles = tiles_for_bytes_kernel(geometry.output_elements * bpv)
+    conv_tiles = tiles_for_bytes_kernel(per_conv_weights * bytes_per_value)
+    bn_tiles = tiles_for_bytes_kernel(geometry.bn_parameter_count * bytes_per_value)
+    fmap_tiles = tiles_for_bytes_kernel(geometry.output_elements * bytes_per_value)
     return NUM_CONVS * conv_tiles + bn_tiles + len(FEATURE_MAP_BUFFERS) * fmap_tiles
 
 
 def bram_fits_kernel(total_tiles):
     """Boolean fits/overflow mask of tile counts against the PYNQ-Z2's BRAM."""
 
-    return np.asarray(total_tiles, dtype=np.int64) <= ZYNQ_XC7Z020.bram36
+    return total_tiles <= ZYNQ_XC7Z020.bram36
 
 
 def tiles_for_bytes(num_bytes: int) -> int:

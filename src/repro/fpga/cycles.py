@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from ..platform import DEFAULT_BOARD
 from .geometry import BlockGeometry
 
@@ -71,11 +69,17 @@ BN_CYCLES_PER_ELEMENT = 21.0
 # over whole scenario axes at once, so each is exposed as a kernel accepting
 # either scalars or NumPy arrays.  The scalar model methods below delegate to
 # the same kernels (wrapped in ``float()``), which keeps the two paths
-# bit-identical: every operation is an IEEE-754 double op in both cases.
+# bit-identical: every operation is an IEEE-754 double op in both cases.  A
+# Python number takes plain operators only, so the scalar models run without
+# importing NumPy.
 
 
 def effective_units_kernel(n_units, out_channels):
     """MAC units usable for a block: parallelism is capped by output channels."""
+
+    if isinstance(n_units, (int, float)):
+        return min(n_units, out_channels)
+    import numpy as np
 
     return np.minimum(n_units, out_channels)
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from ..platform import BoardSpec, DEFAULT_BOARD
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TimingReport",
@@ -45,7 +46,11 @@ PER_LEVEL_DELAY_NS = 1.2
 # The batch-evaluation engine (:mod:`repro.api.batch`) evaluates timing
 # closure over whole ``n_units`` x clock axes at once.  The scalar
 # :class:`TimingModel` methods delegate to the same kernels, so both paths
-# execute the same IEEE-754 operations and agree bit-for-bit.
+# execute the same IEEE-754 operations and agree bit-for-bit.  Python numbers
+# take plain operators and :func:`math.log2` only, so the scalar model runs
+# without importing NumPy; an array takes :func:`math.log2` too, once per
+# distinct unit count, because NumPy's ``log2`` differs from it in the last
+# bit at some counts (1621 and 3242, for example).
 
 
 def fabric_delays_ns_kernel(fabric_delay_scale):
@@ -65,29 +70,33 @@ def critical_path_ns_kernel(n_units, base_delay_ns, per_level_delay_ns):
     """Critical-path delay: fixed datapath delay plus one adder-tree level
     per doubling of the MAC-unit count (``n_units`` may be an array)."""
 
+    if isinstance(n_units, (int, float)):
+        levels = math.log2(n_units) if n_units > 1 else 0.0
+        return base_delay_ns + per_level_delay_ns * levels
+    import numpy as np
+
     units = np.asarray(n_units, dtype=np.float64)
-    levels = np.where(units > 1.0, np.log2(np.maximum(units, 1.0)), 0.0)
-    return base_delay_ns + per_level_delay_ns * levels
+    distinct, where = np.unique(units, return_inverse=True)
+    levels = np.array([math.log2(u) if u > 1.0 else 0.0 for u in distinct.tolist()])
+    return base_delay_ns + per_level_delay_ns * levels[where].reshape(units.shape)
 
 
 def fmax_hz_kernel(critical_path_ns):
     """Maximum achievable clock frequency from the critical path."""
 
-    return 1e9 / np.asarray(critical_path_ns, dtype=np.float64)
+    return 1e9 / critical_path_ns
 
 
 def slack_ns_kernel(critical_path_ns, target_hz):
     """Timing slack against a target clock (positive means closure)."""
 
-    period = 1e9 / np.asarray(target_hz, dtype=np.float64)
-    return period - np.asarray(critical_path_ns, dtype=np.float64)
+    return 1e9 / target_hz - critical_path_ns
 
 
 def meets_timing_kernel(critical_path_ns, target_hz):
     """Boolean closure mask: the critical path fits inside the target period."""
 
-    period = 1e9 / np.asarray(target_hz, dtype=np.float64)
-    return np.asarray(critical_path_ns, dtype=np.float64) <= period
+    return critical_path_ns <= 1e9 / target_hz
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,8 @@ class TimingModel:
         the batch-evaluation engine consumes.  Element-for-element identical
         to :meth:`analyze` (same kernels in both paths).
         """
+
+        import numpy as np
 
         units = np.asarray(n_units, dtype=np.int64)
         if units.size and units.min() < 1:

@@ -10,16 +10,16 @@ Use :func:`repro.ode.adjoint.odeint_adjoint` for constant-memory gradients.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from ..nn.tensor import Tensor
 from .solvers import get_solver
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["odeint"]
 
-DynamicsFn = Callable[[np.ndarray, float], np.ndarray]
+DynamicsFn = Callable[["np.ndarray", float], "np.ndarray"]
 
 
 def odeint(
@@ -51,6 +51,12 @@ def odeint(
     numpy.ndarray
         Stacked states with shape ``(len(t), *y0.shape)``.
     """
+
+    # Imported here: ``repro.ode`` binds this function eagerly (it shadows its
+    # submodule), and ``get_solver`` users such as ``eval`` must not load NumPy.
+    import numpy as np
+
+    from ..nn.tensor import Tensor
 
     if isinstance(y0, Tensor):
         raise TypeError("odeint integrates NumPy arrays; use odeint_adjoint for Tensor gradients")

@@ -16,11 +16,14 @@ backpropagation-through-the-solver (the non-adjoint training mode) works.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple, Union
 
 from .._checks import check_count
+
+if TYPE_CHECKING:  # the steppers never call NumPy; ``get_solver`` users need not import it
+    import numpy as np
+
+    from ..nn.tensor import Tensor
 
 __all__ = [
     "ButcherTableau",
@@ -34,7 +37,7 @@ __all__ = [
     "solver_order",
 ]
 
-State = Union[np.ndarray, "Tensor"]  # noqa: F821 - Tensor imported lazily
+State = Union["np.ndarray", "Tensor"]
 DynamicsFn = Callable[[State, float], State]
 
 

@@ -199,8 +199,9 @@ class AxiBus(Resource):
         :class:`PlExecution`'s stored transfer times, keeping the simulated
         DMA and the analytic decomposition consistent by construction).
         Zero-word transfers complete immediately
-        without touching the bus, mirroring
-        :func:`repro.fpga.axi.transfer_cycles_kernel`.
+        without touching the bus, as
+        :func:`repro.fpga.axi.transfer_cycles_kernel` prices them at zero
+        cycles.
         """
 
         if words == 0:

@@ -38,6 +38,7 @@ from repro.fpga import (
     tiles_for_bytes,
     tiles_for_bytes_kernel,
 )
+from repro.fpga.cycles import effective_units_kernel
 from repro.fpga.geometry import BlockGeometry
 from scheduler import DatapathScheduler, schedule_cycles_kernel
 
@@ -105,6 +106,17 @@ class TestBramKernels:
         # bytes_per_value is what matters; any format with that storage width
         # gives the same plan.
         assert tiles.tolist() == expected
+        # An int64 array and a Python int take the same operators: 0 bytes,
+        # every tile boundary +-1 and the fits verdict on both sides of the
+        # device capacity agree element for element.
+        edges = np.arange(0, 2 * ZYNQ_XC7Z020.bram36 + 1) * BRAM36_BYTES
+        num_bytes = np.unique(np.concatenate([edges - 1, edges, edges + 1]).clip(0))
+        array_tiles = tiles_for_bytes_kernel(num_bytes)
+        assert array_tiles.dtype == np.int64
+        assert array_tiles.tolist() == [tiles_for_bytes_kernel(int(b)) for b in num_bytes]
+        fits = bram_fits_kernel(array_tiles)
+        assert fits.tolist() == [bram_fits_kernel(int(t)) for t in array_tiles]
+        assert fits.any() and not fits.all()
 
     def test_tiles_monotone_in_bytes_per_value(self):
         bpv = np.arange(1, 9)
@@ -151,16 +163,24 @@ class TestTimingKernels:
         )
 
     def test_analyze_batch_matches_scalar_loop(self):
+        # Every unit count up to 4096, compared bit for bit: NumPy's ``log2``
+        # and :func:`math.log2` differ in the last bit at 1621 and 3242, so a
+        # path that took either one alone would fail here.
         model = TimingModel()
-        units = np.array([1, 2, 3, 5, 8, 13, 16, 31, 32, 64, 100])
+        units = np.arange(1, 4097)
         clocks = np.linspace(50e6, 150e6, len(units))
         batch = model.analyze_batch(units, clocks)
-        for i, (n, hz) in enumerate(zip(units, clocks)):
-            report = model.analyze(int(n), target_hz=float(hz))
-            assert batch["critical_path_ns"][i] == report.critical_path_ns
-            assert batch["fmax_hz"][i] == report.fmax_hz
-            assert batch["slack_ns"][i] == report.slack_ns
-            assert bool(batch["meets_timing"][i]) == report.meets_timing
+        reports = [model.analyze(int(n), target_hz=float(hz)) for n, hz in zip(units, clocks)]
+        for column in ("critical_path_ns", "fmax_hz", "slack_ns"):
+            scalar = np.array([getattr(r, column) for r in reports])
+            assert batch[column].view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+        assert batch["meets_timing"].tolist() == [r.meets_timing for r in reports]
+        # The MAC-unit cap shares the unit axis with the timing kernels.
+        for geometry in GEOMETRIES:
+            capped = effective_units_kernel(units, geometry.out_channels)
+            assert capped.tolist() == [
+                effective_units_kernel(int(n), geometry.out_channels) for n in units
+            ]
 
     def test_analyze_batch_rejects_non_positive_units(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,12 @@ Every package ``__init__`` declares its public names in a table that
 :func:`repro._lazy.lazy_exports` resolves on first access.  These tests pin
 what a fresh interpreter loads per CLI call, and that the lazy names are the
 same objects the eager ``from .x import y`` lines used to bind.
+
+NumPy counts as one of those subsystems: the analytic calls (``eval``, the
+tables, ``offload``, ``timing``, a bad-input exit) evaluate the scalar models
+with plain operators and :mod:`math` and must not import it, while the array
+callers (the batch engine, the simulator, the bit-accurate datapath, the
+optimizer) do.
 """
 
 from __future__ import annotations
@@ -33,21 +39,28 @@ SUBSYSTEMS = (
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
 #: CLI argv -> the subsystems that call imports (every other one, and every
-#: pool module, must stay out).
+#: pool module, must stay out) and its exit status.
 CALLS = {
-    "eval": (["eval", "rODENet-3", "--depth", "56", "--json"], set()),
-    "table1": (["table1"], set()),
+    "eval": (["eval", "rODENet-3", "--depth", "56", "--json"], set(), 0),
+    "table1": (["table1"], set(), 0),
+    "table5": (["table5"], set(), 0),
+    "offload": (["offload", "rODENet-3"], set(), 0),
+    "timing": (["timing"], set(), 0),
+    "eval-bad-depth": (["eval", "rODENet-3", "--depth", "0"], set(), 2),
     "sweep-batch": (
         ["sweep", "--depths", "20", "--n-units", "8", "--engine", "batch", "--format", "csv"],
-        {"repro.api.batch"},
+        {"numpy", "repro.api.batch"},
+        0,
     ),
     "sim": (
         ["sim", "rODENet-1", "--depth", "20", "--requests", "5", "--json"],
-        {"repro.sim"},
+        {"numpy", "repro.sim"},
+        0,
     ),
     "accuracy-sweep": (
         ["accuracy-sweep", "--images", "1", "--formats", "16:8", "--json"],
-        {"repro.api.accuracy", "repro.fpga.odeblock_hw"},
+        {"numpy", "repro.api.accuracy", "repro.fpga.odeblock_hw"},
+        0,
     ),
     "optimize-sim": (
         [
@@ -56,19 +69,21 @@ CALLS = {
             "--n-units", "16", "32", "--replicas", "1", "2",
             "--arrivals", "poisson", "--rate", "0.5", "--seed", "0", "--json",
         ],
-        {"repro.api.batch", "repro.fleet", "repro.opt", "repro.sim"},
+        {"numpy", "repro.api.batch", "repro.fleet", "repro.opt", "repro.sim"},
+        0,
     ),
 }
 
 
 def _fresh_modules(code: str) -> set:
-    """The ``repro`` and pool modules a fresh interpreter holds after running ``code``."""
+    """The ``repro`` and pool modules, and ``numpy`` if loaded, that a fresh
+    interpreter holds after running ``code``."""
 
     probe = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        f"    if m.startswith('repro') or m in {POOL_MODULES!r})))"
+        f"    if m.startswith('repro') or m in {POOL_MODULES + ('numpy',)!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -82,15 +97,19 @@ class TestFreshInterpreter:
     def test_import_repro_loads_no_subpackage(self):
         assert _fresh_modules("import repro") == {"repro", "repro._lazy"}
 
+    def test_import_cli_loads_no_numpy(self):
+        assert "numpy" not in _fresh_modules("import repro.cli")
+
     @pytest.mark.parametrize("case", sorted(CALLS))
     def test_cli_call_loads_only_what_it_runs(self, case):
-        argv, needed = CALLS[case]
+        argv, needed, status = CALLS[case]
         loaded = _fresh_modules(
             "from repro.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+            f"    assert main({argv!r}) == {status}"
         )
-        assert {m for m in SUBSYSTEMS + POOL_MODULES if m in loaded} == needed
+        assert {m for m in SUBSYSTEMS + POOL_MODULES + ("numpy",) if m in loaded} == needed
 
     def test_shadowing_names_survive_a_direct_submodule_import(self):
         # ``sweep``, ``accuracy_model`` and ``odeint`` are both a submodule and
