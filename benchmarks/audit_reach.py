@@ -513,7 +513,7 @@ def drivers(tmp: str) -> Iterator[Tuple[str, Callable[[], int]]]:
             lambda name=name, argv=argv: _run_script(ROOT / "benchmarks" / name, argv))
 
     yield "bench_sweep_engine engines/export (ratio floors waived)", _sweep_engine_sections
-    yield "bench_fx_forward gather/kernel/sweep (speed floor waived)", _fx_forward_sections
+    yield "bench_fx_forward gather/kernel/datapath/sweep (speed floors waived)", _fx_forward_sections
     yield "bench_sim_throughput engine/mix/saturation + fleet (speed floor waived)", (
         _sim_throughput_sections)
 
@@ -560,6 +560,7 @@ def _fx_forward_sections() -> int:
     return _exit_code(
         lambda: fx.bench_gather(repeats=1, min_speedup=0.0)
         or fx.bench_kernel(images=256, repeats=1, min_speedup=0.0)
+        or fx.bench_datapath(repeats=1, min_ratio=0.0)
         or fx.bench_sweep_scaling(images=64, chunk_size=16, worker_counts=(1, 2))
     )
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Benchmark: the fast bit-accurate forward path (gather, split-limb GEMM, sharding).
+"""Benchmark: the fast bit-accurate forward path (gather, split-limb GEMM, grouping, sharding).
 
-Four measurements, each value-checked before timing is trusted:
+Five measurements, each value-checked before timing is trusted:
 
 1. **im2col gather** — the layer1 conv gather (32 images x 16 channels x
    32x32, int64 -> float64 into an ``out=`` buffer), run once through
@@ -18,9 +18,17 @@ Four measurements, each value-checked before timing is trusted:
    and once through the split-limb :class:`repro.fpga.PlannedGemm`.  The
    results must be **bit-identical** and the split-limb path >= 5x faster
    single-core (asserted in every mode; BLAS threads are pinned to 1
-   before NumPy is imported).
+   before NumPy is imported).  The split-limb path runs one BLAS call per
+   layer3_2 image group, as the forward pass does.
 
-3. **Sharded accuracy_sweep scaling** — the streamed sweep at 1, 2 and 4
+3. **Grouped datapath** — the layer1 forward pass (32 images, Q20) through
+   ``HardwareODEBlock.dynamics_batch``, which runs the five-step pipeline
+   on cache-sized image groups, and through a bench-local stage-by-stage
+   pipeline that runs every stage over the whole batch.  The outputs must be bit-identical and the grouped pass no
+   slower than :data:`MIN_DATAPATH_RATIO` times the whole-batch one
+   (asserted in every mode).
+
+4. **Sharded accuracy_sweep scaling** — the streamed sweep at 1, 2 and 4
    workers over the same chunk grid (one pool task per chunk: the worker
    draws the chunk's inputs from its ``default_rng((seed, chunk))``
    stream, the float reference runs once and every format is measured
@@ -32,7 +40,7 @@ Four measurements, each value-checked before timing is trusted:
    across worker counts); the wall-clock curve and its ratio against
    ``workers=1`` are reported, with no floor.
 
-4. **Bounded-memory streaming** (full mode) — ``accuracy_sweep`` over
+5. **Bounded-memory streaming** (full mode) — ``accuracy_sweep`` over
    >= 1,024 CIFAR-scale images x 4 Q-formats under ``tracemalloc``: peak
    traced allocation must stay bounded by the chunk size, far below the
    whole-batch footprint the legacy path would need.
@@ -68,8 +76,12 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from repro.api.accuracy import accuracy_sweep  # noqa: E402
+from repro.fixedpoint import Q20, FxArray  # noqa: E402
+from repro.fpga import (  # noqa: E402
+    GROUP_ELEMENTS, LAYER1, BlockWeights, HardwareODEBlock, image_groups,
+)
 from repro.fpga.gemm import PlannedGemm, _magnitude  # noqa: E402
-from repro.fpga.ops import DEFAULT_ROW_CHUNK  # noqa: E402
+from repro.fpga.ops import hw_batch_norm, hw_conv2d, hw_relu  # noqa: E402
 from repro.nn.im2col import conv_output_size, im2col  # noqa: E402
 
 #: The layer3_2 conv GEMM shape with the time-concat channel: 64 output
@@ -86,6 +98,14 @@ GATHER_SHAPE = (32, 16, 32, 32)
 MIN_GATHER_SPEEDUP = 2.0
 #: Timed calls per gather (best-of); one call costs 3-20 ms.
 GATHER_REPEATS = 20
+
+#: The layer1 forward pass of one perfbench sweep: 32 images at Q20.
+DATAPATH_IMAGES = 32
+#: Asserted floor of the grouped datapath over the whole-batch pipeline:
+#: 0.7x the lowest of 16 ratios (1.36-1.90x) measured on a shared 2-CPU host.
+MIN_DATAPATH_RATIO = 0.95
+#: Timed calls per datapath (best-of); one call costs 50-100 ms.
+DATAPATH_REPEATS = 7
 
 
 def channel_first_im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
@@ -172,14 +192,13 @@ def bench_kernel(images: int, repeats: int, min_speedup: float) -> int:
     a_planned = a.astype(gemm.a_dtype)
     got = np.empty((m, N_CHANNELS), dtype=np.int64)
 
+    # What the forward pass does: one planned GEMM call (one BLAS call) per
+    # image group, which also keeps the working set cache-resident.
+    group_rows = ROWS_PER_IMAGE * (GROUP_ELEMENTS // (N_CHANNELS * ROWS_PER_IMAGE))
+
     def split_path() -> np.ndarray:
-        # Exactly what hw_conv2d does: stream bounded row chunks through the
-        # planned GEMM (one BLAS call each) into a preallocated accumulator.
-        # Chunking also keeps the working set cache-resident at dataset scale.
-        for start in range(0, m, DEFAULT_ROW_CHUNK):
-            got[start : start + DEFAULT_ROW_CHUNK] = gemm(
-                a_planned[start : start + DEFAULT_ROW_CHUNK]
-            )
+        for start in range(0, m, group_rows):
+            got[start : start + group_rows] = gemm(a_planned[start : start + group_rows])
         return got
 
     # Warm up both paths at full size off the clock: BLAS initialisation,
@@ -209,6 +228,55 @@ def bench_kernel(images: int, repeats: int, min_speedup: float) -> int:
         return 1
     if speedup < min_speedup:
         print(f"FAIL: speedup {speedup:.1f}x below the required {min_speedup:.0f}x",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def whole_batch_forward(weights: BlockWeights, z: np.ndarray) -> np.ndarray:
+    """The ungrouped reference: each of the five steps over the whole batch."""
+
+    q = lambda values: FxArray.from_float(values, Q20)  # noqa: E731
+    h = hw_conv2d(q(z), q(weights.conv1_weight))
+    h = hw_relu(hw_batch_norm(h, q(weights.bn1_gamma), q(weights.bn1_beta)))
+    h = hw_conv2d(h, q(weights.conv2_weight))
+    return hw_batch_norm(h, q(weights.bn2_gamma), q(weights.bn2_beta)).to_float()
+
+
+def bench_datapath(repeats: int, min_ratio: float) -> int:
+    """Grouped ``dynamics_batch`` vs the whole-batch pipeline on layer1 at Q20."""
+
+    rng = np.random.default_rng(0)
+    weights = BlockWeights.random(LAYER1, rng)
+    z = rng.normal(0.0, 0.5, size=(DATAPATH_IMAGES, LAYER1.in_channels, LAYER1.height,
+                                   LAYER1.width))
+    block = HardwareODEBlock(LAYER1, weights, qformat=Q20)
+    groups = image_groups(DATAPATH_IMAGES, LAYER1.input_elements)
+    print(f"\ndatapath                : layer1, {DATAPATH_IMAGES} images in {len(groups)} "
+          "groups, Q20")
+
+    grouped = block.dynamics_batch(z)  # warm-up off the clock
+    identical = np.array_equal(grouped, whole_batch_forward(weights, z))
+    grouped_best = whole_best = float("inf")
+    for _ in range(repeats):
+        # Alternate the two paths so host drift hits both alike.
+        t0 = time.perf_counter()
+        block.dynamics_batch(z)
+        grouped_best = min(grouped_best, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        whole_batch_forward(weights, z)
+        whole_best = min(whole_best, time.perf_counter() - t0)
+
+    ratio = whole_best / grouped_best
+    print(f"whole-batch pipeline    : {whole_best:8.4f} s")
+    print(f"grouped dynamics_batch  : {grouped_best:8.4f} s")
+    print(f"datapath ratio          : {ratio:8.2f} x")
+    print(f"bit-identical outputs   : {identical}")
+    if not identical:
+        print("FAIL: grouped datapath disagrees with the whole-batch pipeline", file=sys.stderr)
+        return 1
+    if ratio < min_ratio:
+        print(f"FAIL: datapath ratio {ratio:.2f}x below the required {min_ratio:.2f}x",
               file=sys.stderr)
         return 1
     return 0
@@ -305,8 +373,10 @@ def main(argv=None) -> int:
     print()
     if args.quick:
         rc = rc or bench_kernel(images=256, repeats=2, min_speedup=args.min_speedup)
+        rc = rc or bench_datapath(repeats=DATAPATH_REPEATS, min_ratio=MIN_DATAPATH_RATIO)
         return rc or bench_sweep_scaling(images=64, chunk_size=16, worker_counts=(1, 2))
     rc = rc or bench_kernel(images=2048, repeats=args.repeats, min_speedup=args.min_speedup)
+    rc = rc or bench_datapath(repeats=DATAPATH_REPEATS, min_ratio=MIN_DATAPATH_RATIO)
     rc = rc or bench_sweep_scaling(images=1024, chunk_size=64, worker_counts=(1, 2, 4))
     return rc or bench_bounded_memory(images=1024, chunk_size=64, budget_mb=256.0)
 

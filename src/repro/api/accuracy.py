@@ -44,7 +44,7 @@ from ..fpga.bram import bram_fits_kernel, bram_tiles_kernel
 from ..fpga.cycles import OdeBlockCycleModel
 from ..platform import PYNQ_Z2
 from ..fpga.geometry import BlockGeometry, block_geometry
-from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
+from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock, image_groups
 from ..fpga.ops import BN_EPS
 from ..fpga.timing import TimingModel
 from ..nn.im2col import conv_output_size, im2col
@@ -75,54 +75,52 @@ def _float_conv(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
 
-def _float_bn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Float64 per-image batch normalisation (the board's dynamic statistics)."""
+def _float_bn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Float64 per-image batch normalisation (the board's dynamic statistics).
 
-    mean = x.mean(axis=(2, 3), keepdims=True)
-    var = x.var(axis=(2, 3), keepdims=True)
-    normalized = (x - mean) / np.sqrt(var + BN_EPS)
-    return gamma[None, :, None, None] * normalized + beta[None, :, None, None]
+    Returns ``(output, centered, sigma)``.  The mean and the centred tensor
+    are computed once, with the ``sum / m`` operations ``np.mean`` and
+    ``np.var`` use, so every value is bit-identical to those calls.
+    """
+
+    m = x.shape[2] * x.shape[3]
+    centered = x - x.sum(axis=(2, 3), keepdims=True) / m
+    sigma = np.sqrt((centered * centered).sum(axis=(2, 3), keepdims=True) / m + BN_EPS)
+    out = gamma[None, :, None, None] * (centered / sigma) + beta[None, :, None, None]
+    return out, centered, sigma
 
 
 def _float_forward(weights: BlockWeights, z: np.ndarray) -> Dict[str, np.ndarray]:
     """The float reference pipeline, stage by stage (for the analytic bound)."""
 
-    a1 = _float_conv(z, weights.conv1_weight)
-    bn1 = _float_bn(a1, weights.bn1_gamma, weights.bn1_beta)
+    bn1, centered1, sigma1 = _float_bn(
+        _float_conv(z, weights.conv1_weight), weights.bn1_gamma, weights.bn1_beta
+    )
     hidden = np.maximum(bn1, 0.0)
-    a2 = _float_conv(hidden, weights.conv2_weight)
-    bn2 = _float_bn(a2, weights.bn2_gamma, weights.bn2_beta)
-    return {"conv1": a1, "bn1": bn1, "hidden": hidden, "conv2": a2, "output": bn2}
-
-
-def _bn_magnitudes(x: np.ndarray) -> Dict[str, np.ndarray]:
-    """Per-channel centered amplitude and sigma floor across the whole batch."""
-
-    mean = x.mean(axis=(2, 3), keepdims=True)
-    var = x.var(axis=(2, 3))
+    bn2, centered2, sigma2 = _float_bn(
+        _float_conv(hidden, weights.conv2_weight), weights.bn2_gamma, weights.bn2_beta
+    )
     return {
-        "centered_max": np.abs(x - mean).max(axis=(0, 2, 3)),
-        "sigma_min": np.sqrt(var + BN_EPS).min(axis=0),
+        "centered1": centered1, "sigma1": sigma1, "hidden": hidden,
+        "centered2": centered2, "sigma2": sigma2, "output": bn2,
     }
 
 
 def _reference_stats(z: np.ndarray, stages: Dict) -> Dict[str, object]:
-    """Reference magnitudes the analytic bound needs, from one image chunk.
+    """Reference magnitudes the analytic bound needs, from one image group.
 
-    Every entry is a per-image max (or per-image min), so chunks reduce
-    exactly: max-of-max / min-of-min over chunks equals the whole-batch
+    Every entry is a per-image max (or per-image min), so groups and chunks
+    reduce exactly: max-of-max / min-of-min equals the whole-batch
     statistic regardless of how the batch was split.
     """
 
-    bn1_mag = _bn_magnitudes(stages["conv1"])
-    bn2_mag = _bn_magnitudes(stages["conv2"])
     return {
         "input_max": float(np.max(np.abs(z))),
         "hidden_max": float(np.max(np.abs(stages["hidden"]))),
-        "centered1_max": bn1_mag["centered_max"],
-        "sigma1_min": bn1_mag["sigma_min"],
-        "centered2_max": bn2_mag["centered_max"],
-        "sigma2_min": bn2_mag["sigma_min"],
+        "centered1_max": np.abs(stages["centered1"]).max(axis=(0, 2, 3)),
+        "sigma1_min": stages["sigma1"].min(axis=(0, 2, 3)),
+        "centered2_max": np.abs(stages["centered2"]).max(axis=(0, 2, 3)),
+        "sigma2_min": stages["sigma2"].min(axis=(0, 2, 3)),
     }
 
 
@@ -206,8 +204,16 @@ def _measure_chunk(
     bounded by the chunk, not the sweep.
     """
 
-    stages = _float_forward(weights, z)
-    reference = stages["output"]
+    # The reference runs in the datapath's image groups, into one array laid
+    # out channel-last like a whole-chunk conv output, so the error sums
+    # below still reduce over the whole chunk in the same order.
+    n, _, h, w = z.shape
+    reference = np.empty((n, h, w, weights.conv2_weight.shape[0])).transpose(0, 3, 1, 2)
+    group_stats = []
+    for group in image_groups(n, z[0].size):
+        stages = _float_forward(weights, z[group])
+        reference[group] = stages["output"]
+        group_stats.append(_reference_stats(z[group], stages))
     ssr = float(np.sum(np.square(reference)))
     accumulators: List[Dict[str, object]] = []
     for fmt in formats:
@@ -226,7 +232,7 @@ def _measure_chunk(
                 "repr_count": int(np.sum(fmt.representable(reference))),
             }
         )
-    return _reference_stats(z, stages), accumulators
+    return _merge_reference_stats(group_stats), accumulators
 
 
 def _measure_seeded_chunk(

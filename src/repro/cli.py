@@ -595,7 +595,7 @@ def _parse_mix(entries, scenario) -> List:
     ),
 )
 def _cmd_sim(args, evaluator: Evaluator) -> Report:
-    from .sim import SimScenario, simulate
+    from .sim import SimScenario
 
     boards = _parse_board_names(args.board, flag="--board")
     scenario = _scenario(
@@ -615,6 +615,9 @@ def _cmd_sim(args, evaluator: Evaluator) -> Report:
     mix = _parse_mix(args.mix, scenario) if args.mix else None
     if args.faults is not None:
         return _sim_fmea(scenario, args, evaluator, mix)
+    # The simulator imports NumPy: the scenario has validated every knob.
+    from .sim import simulate
+
     return simulate(scenario, evaluator=evaluator, mix=mix, fault_seed=args.fault_seed)
 
 
@@ -654,12 +657,7 @@ def _sim_fmea(scenario, args, evaluator: Evaluator, mix) -> Report:
     ),
 )
 def _cmd_fleet(args, evaluator: Evaluator) -> Report:
-    from .fleet import (
-        FleetScenario,
-        parse_board_groups,
-        parse_traffic_classes,
-        simulate_fleet,
-    )
+    from .fleet import FleetScenario, parse_board_groups, parse_traffic_classes
 
     scenario = _scenario(
         FleetScenario,
@@ -673,6 +671,8 @@ def _cmd_fleet(args, evaluator: Evaluator) -> Report:
         replicas=_parse_auto_count(args.replicas, "--replicas"),
         slo_s=_slo_s(args.slo_ms),
     )
+    from .fleet import simulate_fleet
+
     return simulate_fleet(scenario, shards=args.shards, evaluator=evaluator)
 
 
@@ -731,7 +731,7 @@ _OPT_AXES = {
     ),
 )
 def _cmd_optimize(args, evaluator: Evaluator) -> Report:
-    from .opt import SearchSpace, optimize
+    from .opt import SearchSpace
 
     if args.objective is None:
         raise ValueError("optimize needs --objective (e.g. --objective min:p99_ms)")
@@ -750,8 +750,12 @@ def _cmd_optimize(args, evaluator: Evaluator) -> Report:
         "slo_s": _slo_s(args.slo_ms),
         "count": args.count,
     }
+    space = SearchSpace(axes=axes, fixed={k: v for k, v in fixed.items() if v is not None})
+    # The optimizer imports NumPy: the search space has validated every knob.
+    from .opt import optimize
+
     return optimize(
-        SearchSpace(axes=axes, fixed={k: v for k, v in fixed.items() if v is not None}),
+        space,
         objective=args.objective,
         constraints=args.constraint,
         fidelity=args.fidelity,

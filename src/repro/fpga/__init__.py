@@ -32,8 +32,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FLOAT_MANTISSA_BITS", "MAX_LIMBS", "GemmPlan", "PlannedGemm",
             "plan_gemm",
         ),
-        ".odeblock_hw": ("BlockWeights", "HardwareExecutionReport", "HardwareODEBlock"),
-        ".ops": ("DEFAULT_ROW_CHUNK", "hw_batch_norm", "hw_conv2d", "hw_relu", "hw_residual_add"),
+        ".odeblock_hw": (
+            "GROUP_ELEMENTS", "BlockWeights", "HardwareExecutionReport", "HardwareODEBlock",
+            "image_groups",
+        ),
+        ".ops": ("hw_batch_norm", "hw_conv2d", "hw_relu", "hw_residual_add"),
         ".power": ("EnergyEstimate", "PowerModel"),
         ".resources": (
             "PUBLISHED_TABLE3", "ResourceEstimate", "ResourceEstimator", "published_table3",

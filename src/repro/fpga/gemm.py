@@ -35,11 +35,12 @@ storage width), so e.g. Q20 weights drawn at scale 0.1 occupy ~17 bits and
 often need just one or two limbs.
 
 :class:`PlannedGemm` is the hot-loop interface: plan once against a fixed
-right-hand operand (a conv weight matrix), then run many left-hand chunks
-through it — :func:`repro.fpga.ops.hw_conv2d` feeds it channel-last
-``im2col`` chunks (columns ordered ``(KH, KW, C)``) written directly in the
+right-hand operand (a conv weight matrix), then run left-hand operands
+through it — :func:`repro.fpga.ops.hw_conv2d` plans once per call (one
+image group of the forward pass) and feeds it the group's channel-last
+``im2col`` matrix (columns ordered ``(KH, KW, C)``) written directly in the
 dtype the plan wants (float64 for the BLAS path), so the expanded patch
-matrix is materialised exactly once per chunk.
+matrix is materialised exactly once per group.
 """
 
 from __future__ import annotations

@@ -29,13 +29,7 @@ from ..fixedpoint import arithmetic as fx
 from ..nn.im2col import conv_output_size, im2col
 from .gemm import PlannedGemm, _magnitude
 
-__all__ = ["hw_conv2d", "hw_batch_norm", "hw_relu", "hw_residual_add", "DEFAULT_ROW_CHUNK"]
-
-#: im2col rows fed to one GEMM call: bounds the peak size of the expanded
-#: KH*KW*C patch matrix (at 16,384 rows the widest offloadable block,
-#: layer3_2 with K = 577, peaks at ~75 MB of float64) independently of the
-#: batch size N.
-DEFAULT_ROW_CHUNK = 16384
+__all__ = ["hw_conv2d", "hw_batch_norm", "hw_relu", "hw_residual_add"]
 
 #: Batch-normalisation epsilon, added to the variance before the square root.
 BN_EPS = 1e-5
@@ -48,12 +42,14 @@ def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:
     Lowered to channel-last im2col (columns ordered ``(KH, KW, C)``) + the
     exact split-limb GEMM of :mod:`repro.fpga.gemm`: the kernel, reordered
     to match, is decomposed once per call (planned from the operands'
-    actual magnitudes), image chunks of at most :data:`DEFAULT_ROW_CHUNK`
-    im2col rows stream through one BLAS call each, and the recombined int64
-    accumulator goes through the same ``>> fraction_bits`` renormalisation
-    and clip as a MAC unit with a wide accumulator register.  Bit-identical
-    to the plain int64 matmul lowering for every input — including
-    deliberately wrapping ones — and to per-image calls.
+    actual magnitudes), the whole patch matrix runs through one BLAS call,
+    and the recombined int64 accumulator goes through the same
+    ``>> fraction_bits`` renormalisation and clip as a MAC unit with a wide
+    accumulator register.  Bit-identical to the plain int64 matmul lowering
+    for every input — including deliberately wrapping ones — and to
+    per-image calls.  The patch matrix grows with the batch: the forward
+    pass (:class:`~repro.fpga.odeblock_hw.HardwareODEBlock`) bounds it by
+    calling this on one image group at a time.
 
     Parameters
     ----------
@@ -82,30 +78,20 @@ def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:
     k = c_in * kh * kw
 
     # Plan the exact GEMM from actual magnitudes: weights are decomposed
-    # once; every image chunk then runs as a single stacked-limb BLAS call.
+    # once and the patch matrix runs as a single stacked-limb BLAS call.
     # The kernel is reordered to im2col's channel-last (KH, KW, C) columns;
     # the GEMM is exact, so the reduction order cannot change an integer.
     w_mat = np.ascontiguousarray(weight.raw.transpose(0, 2, 3, 1).reshape(c_out, k).T)
     gemm = PlannedGemm(w_mat, a_max=_magnitude(raw))
 
-    images_per_chunk = min(n, max(1, DEFAULT_ROW_CHUNK // rows_per_image))
-
-    out_mat = np.empty((n * rows_per_image, c_out), dtype=np.int64)
-    cols_buf = np.empty((images_per_chunk * rows_per_image, k), dtype=gemm.a_dtype)
-    for start in range(0, n, images_per_chunk):
-        stop = min(start + images_per_chunk, n)
-        chunk_rows = (stop - start) * rows_per_image
-        # im2col gathers straight into the GEMM's operand dtype: the
-        # expanded patch matrix is materialised once, in one buffer reused
-        # across chunks (zero padding is exact in fixed point).
-        cols = im2col(raw[start:stop], kh, kw, 1, 1, out=cols_buf[:chunk_rows])
-        acc = gemm(cols)
-        # Wide accumulation followed by a single renormalisation, matching a
-        # MAC unit with a wide accumulator register.  Integer arithmetic is
-        # exact, so neither batching nor chunking changes any image's result.
-        renorm = acc >> fmt.fraction_bits
-        np.clip(renorm, fmt.min_int, fmt.max_int, out=renorm)
-        out_mat[start * rows_per_image : stop * rows_per_image] = renorm
+    # im2col gathers straight into the GEMM's operand dtype, so the expanded
+    # patch matrix is materialised once (zero padding is exact in fixed
+    # point).  Wide accumulation is followed by a single renormalisation,
+    # matching a MAC unit with a wide accumulator register.
+    cols = im2col(raw, kh, kw, 1, 1, out=np.empty((n * rows_per_image, k), dtype=gemm.a_dtype))
+    out_mat = gemm(cols)
+    out_mat >>= fmt.fraction_bits
+    np.clip(out_mat, fmt.min_int, fmt.max_int, out=out_mat)
 
     out = out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
     return FxArray(out if batched else out[0], fmt)

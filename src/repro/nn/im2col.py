@@ -48,8 +48,7 @@ def im2col(
         Convolution stride and symmetric zero padding.
     out:
         Preallocated ``(N * out_h * out_w, kernel_h * kernel_w * C)``
-        C-contiguous destination — lets chunked callers reuse one buffer
-        instead of allocating per chunk.  Its dtype is the column matrix's
+        C-contiguous destination.  Its dtype is the column matrix's
         (default: ``x.dtype``); the cast happens while ``x`` is copied into
         the small padded channel-last buffer, so e.g. the int64 fixed-point
         path materialises float64 GEMM input directly without an int64 copy

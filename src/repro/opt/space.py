@@ -31,8 +31,7 @@ from ..fixedpoint.qformat import QFormat
 from ..fleet.cluster import BoardGroup, FleetScenario
 from ..ode.solvers import available_methods
 from ..platform import PYNQ_Z2
-from ..sim.policies import POLICY_NAMES
-from ..sim.scenario import SimScenario
+from ..sim.scenario import POLICY_NAMES, SimScenario
 
 __all__ = ["AXIS_ORDER", "Candidate", "SearchSpace"]
 

@@ -30,12 +30,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LatencyStats", "QuantileSketch", "SimReport", "energy_summary", "latency_stats",
             "slo_summary", "windowed_mean",
         ),
-        ".policies": ("POLICY_NAMES", "Dispatcher", "size_replicas"),
+        ".policies": ("Dispatcher", "size_replicas"),
         ".resources": ("Accelerator", "AxiBus", "LevelMonitor", "Resource"),
         ".runner": ("SimSystem", "as_sim_scenario", "simulate"),
-        ".scenario": ("DEFAULT_SLO_FACTOR", "SimScenario"),
+        ".scenario": ("ARRIVAL_KINDS", "DEFAULT_SLO_FACTOR", "POLICY_NAMES", "SimScenario"),
         ".workload": (
-            "ARRIVAL_KINDS", "PlExecution", "PsSegment", "Request", "ServicePlan", "arrival_times",
+            "PlExecution", "PsSegment", "Request", "ServicePlan", "arrival_times",
             "build_service_plan", "sample_mix",
         ),
     },

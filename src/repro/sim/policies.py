@@ -41,10 +41,7 @@ from .engine import PARK, Process, Simulator
 from .resources import Accelerator, AxiBus, LevelMonitor
 from .workload import PlExecution, Request
 
-__all__ = ["POLICY_NAMES", "Execution", "Dispatcher", "size_replicas"]
-
-#: Supported dispatch-policy names.
-POLICY_NAMES = ("fifo", "batched", "round_robin")
+__all__ = ["Execution", "Dispatcher", "size_replicas"]
 
 
 class Execution:

@@ -28,10 +28,18 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional, Tuple
 
 from ..api.scenario import Scenario, check_count, check_seed, shared_fields
-from .policies import POLICY_NAMES
-from .workload import ARRIVAL_KINDS
 
-__all__ = ["DEFAULT_SLO_FACTOR", "SimScenario", "check_traffic", "request_cap"]
+__all__ = [
+    "ARRIVAL_KINDS", "DEFAULT_SLO_FACTOR", "POLICY_NAMES", "SimScenario", "check_traffic",
+    "request_cap",
+]
+
+#: Supported arrival-process names.  The names live here, not beside the
+#: NumPy-backed simulator, so a scenario is validated without NumPy.
+ARRIVAL_KINDS: Tuple[str, ...] = ("deterministic", "poisson", "trace")
+
+#: Supported dispatch-policy names.
+POLICY_NAMES: Tuple[str, ...] = ("fifo", "batched", "round_robin")
 
 #: A run with no explicit SLO is judged against this multiple of its no-load
 #: service time (the latency-knee convention of ``examples/serving_study.py``);

@@ -31,9 +31,9 @@ from ..api.evaluator import Evaluator
 from ..api.scenario import Scenario
 from ..core.network_spec import layer_geometry
 from ..fpga.axi import AxiTransferModel
+from .scenario import ARRIVAL_KINDS
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "Request",
     "PsSegment",
     "PlExecution",
@@ -42,10 +42,6 @@ __all__ = [
     "sample_mix",
     "build_service_plan",
 ]
-
-#: Supported arrival-process names.
-ARRIVAL_KINDS: Tuple[str, ...] = ("deterministic", "poisson", "trace")
-
 
 # -- requests ----------------------------------------------------------------------------
 

@@ -26,9 +26,10 @@ from repro.api.accuracy import (
     accuracy_sweep,
 )
 from repro.cli import main
-from repro.fixedpoint import Q16, QFormat
-from repro.fpga import BlockWeights, HardwareODEBlock
+from repro.fixedpoint import Q16, FxArray, QFormat
+from repro.fpga import GROUP_ELEMENTS, BlockWeights, HardwareODEBlock
 from repro.fpga.geometry import block_geometry
+from repro.fpga.ops import hw_batch_norm, hw_conv2d, hw_relu
 
 FORMATS = [(32, 20), (12, 6)]
 
@@ -67,16 +68,21 @@ class TestChunkPlumbing:
         ],
     )
     def test_streamed_accumulators_match_error_report_on_one_chunk(self, fmt, input_scale):
-        """Single-chunk streaming == the whole-batch ``error_report`` formulas, bitwise."""
+        """Single-chunk streaming == the whole-batch ``error_report`` formulas, bitwise.
+
+        The chunk is one full image group plus one image, so the grouped
+        float reference must equal one whole-chunk pass.
+        """
 
         geometry = block_geometry("layer1")
         rng = np.random.default_rng(0)
         weights = BlockWeights.random(geometry, rng, scale=0.1)
-        z = rng.normal(0.0, input_scale, size=(3, 16, 32, 32))
+        n = GROUP_ELEMENTS // geometry.input_elements + 1
+        z = rng.normal(0.0, input_scale, size=(n, 16, 32, 32))
         ref_stats, (acc,) = _measure_chunk(z, geometry, weights, [fmt])
         stats = _finalize_error_stats(_reduce_error_stats([acc]))
 
-        from repro.api.accuracy import _float_forward
+        from repro.api.accuracy import _float_forward, _reference_stats
 
         stages = _float_forward(weights, z)
         hw = HardwareODEBlock(geometry, weights, qformat=fmt)
@@ -86,6 +92,10 @@ class TestChunkPlumbing:
         assert stats["sqnr_db"] == report.sqnr_db
         assert stats["overflow_fraction"] == report.overflow_fraction
         assert ref_stats["input_max"] == float(np.max(np.abs(z)))
+        whole = _reference_stats(z, stages)
+        assert ref_stats.keys() == whole.keys()
+        for key, value in whole.items():
+            np.testing.assert_array_equal(ref_stats[key], value)
 
     def test_one_chunk_measures_every_format_against_one_reference(self):
         geometry = block_geometry("layer1")
@@ -120,6 +130,38 @@ class TestChunkPlumbing:
         assert merged["hidden_max"] == whole["hidden_max"]
         np.testing.assert_array_equal(merged["centered1_max"], whole["centered1_max"])
         np.testing.assert_array_equal(merged["sigma2_min"], whole["sigma2_min"])
+
+
+def _whole_batch_datapath(weights, z, fmt):
+    """The fixed-point pipeline with each of its five steps over the whole batch."""
+
+    q = lambda values: FxArray.from_float(values, fmt)  # noqa: E731
+    h = hw_conv2d(q(z), q(weights.conv1_weight))
+    h = hw_relu(hw_batch_norm(h, q(weights.bn1_gamma), q(weights.bn1_beta)))
+    h = hw_conv2d(h, q(weights.conv2_weight))
+    return hw_batch_norm(h, q(weights.bn2_gamma), q(weights.bn2_beta)).to_float()
+
+
+@pytest.mark.parametrize("block", ["layer1", "layer2_2"])
+def test_grouped_chunk_sums_equal_the_whole_batch_pipeline(block):
+    """Nine images span three image groups, yet the chunk's error sums are
+    bit-identical to those of one whole-batch pass of both pipelines: the
+    grouped outputs keep the whole-batch values and memory order, so the
+    sums reduce in the same order."""
+
+    from repro.api.accuracy import _float_forward
+
+    geometry = block_geometry(block)
+    rng = np.random.default_rng(0)
+    weights = BlockWeights.random(geometry, rng)
+    z = rng.normal(0.0, 0.5, size=(9, geometry.in_channels, geometry.height, geometry.width))
+    reference = _float_forward(weights, z)["output"]
+    for fmt in (QFormat(32, 20), Q16, QFormat(8, 4), QFormat(4, 2)):
+        _, (acc,) = _measure_chunk(z, geometry, weights, [fmt])
+        error = _whole_batch_datapath(weights, z, fmt) - reference
+        assert acc["sse"] == float(np.sum(np.square(error)))
+        assert acc["ssr"] == float(np.sum(np.square(reference)))
+        assert acc["max_abs"] == float(np.max(np.abs(error)))
 
 
 class TestWorkerInvariance:

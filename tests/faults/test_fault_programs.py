@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 from repro.api import Evaluator
 from repro.faults import AxiDegradation, PsCoreLoss, ReplicaDeath
 from repro.sim import SimScenario, Simulator, runner, simulate
-from repro.sim.policies import POLICY_NAMES, Dispatcher, Execution
+from repro.sim.policies import Dispatcher, Execution
+from repro.sim.scenario import POLICY_NAMES
 
 EVALUATOR = Evaluator()
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro.fixedpoint import FxArray, Q8, Q16, Q20, QFormat
-from repro.fpga import BlockWeights, HardwareODEBlock
+from repro.fpga import GROUP_ELEMENTS, BlockWeights, HardwareODEBlock, image_groups
 from repro.fpga.geometry import LAYER1, BlockGeometry
-from repro.fpga.ops import DEFAULT_ROW_CHUNK, hw_batch_norm, hw_conv2d
+from repro.fpga.ops import hw_batch_norm, hw_conv2d
 
 
 def _image(x: FxArray, i: int) -> FxArray:
@@ -184,24 +184,43 @@ class TestBatchedForward:
         assert np.array_equal(batched, singles)
 
 
-class TestChunkBoundary:
-    """A layer1 batch one image past a full GEMM chunk spans two chunks."""
+class TestGroupBoundary:
+    """A layer1 batch of one full image group plus one image runs as two
+    groups, the second partial; every image must match its own call."""
 
-    N = DEFAULT_ROW_CHUNK // (LAYER1.height * LAYER1.width) + 1
+    N = GROUP_ELEMENTS // LAYER1.input_elements + 1
 
-    def test_conv_across_the_chunk_boundary_equals_singles(self):
-        rng = np.random.default_rng(5)
-        x = FxArray.from_float(make_batch(LAYER1, self.N, scale=0.3), Q20)
-        w = FxArray.from_float(rng.normal(0, 0.1, size=(16, 16, 3, 3)), Q20)
-        batched = hw_conv2d(x, w)
-        for i in range(self.N):
-            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)
+    def test_batch_spans_a_full_and_a_partial_group(self):
+        groups = image_groups(self.N, LAYER1.input_elements)
+        assert [(g.start, g.stop) for g in groups] == [(0, 4), (4, 8)]
+        assert list(range(self.N))[groups[-1]] == [4]
 
-    def test_dynamics_across_the_chunk_boundary_equals_singles(self):
-        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16)
-        z = make_batch(LAYER1, self.N, scale=0.3)
+    @pytest.mark.parametrize("fmt,scale", [
+        pytest.param(Q20, 0.3, id="Q20"),
+        pytest.param(QFormat(4, 2), 3.0, id="Q4.2-hot"),
+    ])
+    def test_dynamics_batch_across_the_group_boundary(self, fmt, scale):
+        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16, qformat=fmt)
+        z = make_batch(LAYER1, self.N, scale=scale)
         singles = np.stack([block.dynamics(z[i]) for i in range(self.N)])
         assert np.array_equal(block.dynamics_batch(z), singles)
+
+    @pytest.mark.parametrize("fmt,scale", [
+        pytest.param(Q16, 0.3, id="Q16"),
+        pytest.param(QFormat(4, 2), 3.0, id="Q4.2-hot"),
+    ])
+    @pytest.mark.parametrize("time_concat", [False, True], ids=["plain", "time-concat"])
+    def test_execute_batch_across_the_group_boundary(self, fmt, scale, time_concat):
+        block = HardwareODEBlock(
+            LAYER1, make_weights(LAYER1, time_concat=time_concat, scale=0.1), n_units=16,
+            qformat=fmt, time_concat=time_concat,
+        )
+        z = make_batch(LAYER1, self.N, scale=scale)
+        batched, _ = block.execute_batch(z, step_size=0.5, t=0.75)
+        singles = np.concatenate(
+            [block.execute_batch(z[i:i + 1], step_size=0.5, t=0.75)[0] for i in range(self.N)]
+        )
+        assert np.array_equal(batched, singles)
 
 
 class TestSaturationEdgeCases:

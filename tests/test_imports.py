@@ -47,6 +47,20 @@ CALLS = {
     "offload": (["offload", "rODENet-3"], set(), 0),
     "timing": (["timing"], set(), 0),
     "eval-bad-depth": (["eval", "rODENet-3", "--depth", "0"], set(), 2),
+    # Bad serving input exits 2 from the scenario's own checks, before the
+    # NumPy-backed simulator, fleet runner or optimizer is imported.
+    "sim-bad-batch-size": (["sim", "rODENet-1", "--batch-size", "0"], {"repro.sim"}, 2),
+    "fleet-bad-replicas": (["fleet", "--replicas", "-1"], {"repro.fleet", "repro.sim"}, 2),
+    "optimize-no-objective": (
+        ["optimize", "--fidelity", "sim", "--requests", "0"],
+        {"repro.fleet", "repro.opt", "repro.sim"},
+        2,
+    ),
+    "optimize-bad-requests": (
+        ["optimize", "--objective", "min:p99_ms", "--fidelity", "sim", "--requests", "0"],
+        {"repro.fleet", "repro.opt", "repro.sim"},
+        2,
+    ),
     "sweep-batch": (
         ["sweep", "--depths", "20", "--n-units", "8", "--engine", "batch", "--format", "csv"],
         {"numpy", "repro.api.batch"},
