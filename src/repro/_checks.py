@@ -4,14 +4,17 @@ A count (a depth, a MAC-unit count, replicas, workers, a seed ...) must be
 an integer: Python and NumPy integers pass and are normalised to a plain
 ``int`` (so JSON output never meets ``numpy.int64``), while ``2.5`` or
 ``"4"`` is refused instead of truncated.  This module imports nothing from
-the package, so every layer can use it.
+the package, so every layer can use it, and the CLI can check an accuracy
+sweep's run (:func:`check_sweep_run`) before the NumPy-backed datapath loads.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from typing import Optional, Tuple
 
-__all__ = ["check_count", "check_seed"]
+__all__ = ["check_count", "check_seed", "check_sweep_run"]
 
 
 def check_count(name: str, value: object, minimum: int = 0, note: str = "") -> int:
@@ -37,3 +40,25 @@ def check_seed(name: str, value: object) -> int:
     """
 
     return check_count(name, value, 0)
+
+
+def check_sweep_run(
+    images: object, workers: object, seed: object, chunk_size: object, input_scale: float
+) -> Tuple[int, int, int, Optional[int]]:
+    """An accuracy sweep's ``(images, workers, seed, chunk_size)`` as plain
+    ints, else a :class:`ValueError`; ``input_scale`` must be non-negative
+    and finite, and ``workers > 1`` needs a ``chunk_size``."""
+
+    images = check_count("images", images, 1)
+    workers = check_count("workers", workers, 1)
+    seed = check_seed("seed", seed)
+    if chunk_size is not None:
+        chunk_size = check_count("chunk_size", chunk_size, 1, " (or None for the legacy path)")
+    if not 0 <= input_scale < math.inf:
+        raise ValueError(f"input_scale must be non-negative and finite (got {input_scale!r})")
+    if workers > 1 and chunk_size is None:
+        raise ValueError(
+            "workers > 1 requires chunk_size: the chunk grid defines the shards "
+            "(and keeps results worker-count-invariant)"
+        )
+    return images, workers, seed, chunk_size

@@ -27,14 +27,13 @@ method as :class:`repro.api.batch.BatchResult`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._checks import check_count, check_seed
+from .._checks import check_count, check_sweep_run
 from .._pool import ordered_map
 from ..analysis.report import Report, format_records
 from ..fixedpoint.errors import odeblock_error_bound
@@ -469,18 +468,9 @@ def accuracy_sweep(
         (NumPy integers included); anything else is a ``ValueError``.
     """
 
-    images = check_count("images", images, 1)
-    workers = check_count("workers", workers, 1)
-    seed = check_seed("seed", seed)
-    if chunk_size is not None:
-        chunk_size = check_count("chunk_size", chunk_size, 1, " (or None for the legacy path)")
-    if not 0 <= input_scale < math.inf:
-        raise ValueError(f"input_scale must be non-negative and finite (got {input_scale!r})")
-    if workers > 1 and chunk_size is None:
-        raise ValueError(
-            "workers > 1 requires chunk_size: the chunk grid defines the shards "
-            "(and keeps results worker-count-invariant)"
-        )
+    images, workers, seed, chunk_size = check_sweep_run(
+        images, workers, seed, chunk_size, input_scale
+    )
     geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
     if formats is None:
         formats = DEFAULT_FORMAT_LADDER

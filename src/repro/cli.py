@@ -61,7 +61,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
-from ._checks import check_count
+from ._checks import check_count, check_sweep_run
 from ._lazy import lazy_exports
 from .analysis import Report, format_records, format_series, json_safe
 from .api import (
@@ -751,7 +751,7 @@ def _cmd_optimize(args, evaluator: Evaluator) -> Report:
         "count": args.count,
     }
     space = SearchSpace(axes=axes, fixed={k: v for k, v in fixed.items() if v is not None})
-    # The optimizer imports NumPy: the search space has validated every knob.
+    # The optimizer checks the request before its screen loads NumPy.
     from .opt import optimize
 
     return optimize(
@@ -868,8 +868,6 @@ def _parse_formats(entries, flag: str = "--formats") -> List:
     ),
 )
 def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
-    from .api.accuracy import accuracy_sweep
-
     if args.formats is not None and args.word_lengths is not None:
         raise ValueError("pass either --formats or --wordlengths, not both")
     formats = None
@@ -877,6 +875,10 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
         formats = _parse_formats(args.formats)
     elif args.word_lengths is not None:
         formats = [(wl, fraction_bits_for(wl)) for wl in args.word_lengths]
+    # The datapath imports NumPy: check the run before it loads.
+    check_sweep_run(args.images, args.workers, args.seed, args.chunk_size, args.input_scale)
+    from .api.accuracy import accuracy_sweep
+
     result = accuracy_sweep(
         block=args.block,
         formats=formats,

@@ -5,8 +5,8 @@ answers "which point should I build?" without paying for the whole grid.  A
 declarative :class:`SearchSpace` enumerates candidates, stage 1 screens all
 of them on the vectorized batch engine (structural and latency-lower-bound
 violations are pruned for free), and stage 2 refines the survivors with
-short, seeded simulation runs — successive halving plus a local neighborhood
-walk — under an explicit budget in full-evaluation units.  The result is an
+short, seeded simulation runs — successive halving over a rung schedule —
+under an explicit budget in full-evaluation units.  The result is an
 :class:`OptReport` carrying the constrained optimum *and* the full
 provenance trace: every candidate, the stage it reached, and why it was
 pruned.  Surfaced as :func:`repro.api.optimize` and the ``optimize`` CLI

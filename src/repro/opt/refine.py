@@ -6,27 +6,30 @@ The two-stage engine over a :class:`~repro.opt.space.SearchSpace`:
    (:mod:`repro.opt.screen`): structural constraint violations and
    latency-lower-bound violations are pruned for free.
 2. **Refine** the survivors with short, seeded simulation runs —
-   successive halving (rungs at 1/4, 1/2 and the full run length; the
-   worse half dies at each rung) followed by a local neighborhood walk
-   around the incumbent at full fidelity.
+   successive halving over a rung schedule (rungs at 1/4, 1/2 and the full
+   run length; the worse half dies at each rung).
 
 The evaluation budget is denominated in **full-evaluation units**: one unit
 is one full-length run at the chosen fidelity (a ``simulate`` run, a
 ``simulate_fleet`` run, or a whole ``run_fmea`` study), and a rung at a
 quarter of the run length costs 0.25.  An exhaustive search costs
 ``space.size`` units; the default budget is 20% of that (never less than
-one full evaluation).  When the survivor
-set is small enough to evaluate exhaustively within the halving share of
-the budget, halving is skipped and every survivor runs at full length —
+one full evaluation).  Halving spends the whole budget: survivors are ranked
+by the analytic proxy of the objective and the largest cohort whose
+schedule fits is admitted.  Two budgets get a one-rung, full-length
+schedule instead: one that affords every survivor (no halving noise — the
+sim-fidelity answer is the sim-exhaustive optimum over the unpruned set,
 which is what makes ``fidelity="analytic"``-style exactness carry over to
-small spaces at sim fidelity.
+small spaces), and one below a single halving schedule (the best-ranked
+``max(1, int(budget))`` survivors run).
 
 Determinism: every candidate owns an RNG stream derived as
 ``default_rng((seed, sha256(candidate.key)))`` — independent of enumeration
 order and rung — and all tie-breaking (halving ranks, best selection)
 falls back to the candidate key, so seeded runs are bit-identical.
-Candidates run one at a time in this process: halved cohorts and a
-one-candidate walk leave a process pool too little work to pay for itself.
+Candidates run one at a time in this process: halved cohorts leave a
+process pool too little work to pay for itself.  NumPy loads with the
+screen, so a request the checks refuse exits before it is imported.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from __future__ import annotations
 import hashlib
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .._checks import check_seed
 from ..api.evaluator import Evaluator
@@ -64,9 +65,6 @@ FAULT_SAMPLES = 3
 #: Successive-halving rung lengths as fractions of the full run.
 RUNG_FRACTIONS: Tuple[float, ...] = (0.25, 0.5, 1.0)
 
-#: Share of the budget reserved for the neighborhood walk after halving.
-_NEIGHBORHOOD_SHARE = 0.2
-
 
 def candidate_seeds(seed: int, key: str) -> Tuple[int, int]:
     """The candidate's (sim seed, fault seed): a deterministic pure function
@@ -76,6 +74,8 @@ def candidate_seeds(seed: int, key: str) -> Tuple[int, int]:
     ``default_rng((seed, entropy))``, so streams are independent across
     candidates and stable across enumeration-order changes.
     """
+
+    import numpy as np
 
     entropy = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
     rng = np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, entropy))
@@ -181,7 +181,6 @@ class _Search:
         objective: Objective,
         constraints: Sequence[Constraint],
         fidelity: str,
-        budget: float,
         seed: int,
         evaluator: Evaluator,
         modes,
@@ -190,7 +189,6 @@ class _Search:
         self.objective = objective
         self.constraints = list(constraints)
         self.fidelity = fidelity
-        self.budget = budget
         self.seed = seed
         self.evaluator = evaluator
         self.modes = modes
@@ -199,11 +197,6 @@ class _Search:
         self.candidates = space.candidates()
         self.index = {c.key: i for i, c in enumerate(self.candidates)}
         self.records: List[CandidateRecord] = []
-
-    # -- budget ------------------------------------------------------------------------
-
-    def affordable(self, cost: float) -> bool:
-        return self.spent + cost <= self.budget + 1e-9
 
     # -- evaluation --------------------------------------------------------------------
 
@@ -253,7 +246,7 @@ class _Search:
         record.objective = _clean(value)
         if feasible and record.objective is None:
             feasible = False
-            record.reason = f"objective {self.objective.metric} undefined on this run"
+            record.reason = f"objective {self.objective.metric} undefined"
         record.feasible = feasible
         record.status = "feasible" if feasible else "infeasible"
 
@@ -369,17 +362,10 @@ def optimize(
 
         modes = list(default_fault_domain())
 
-    search = _Search(space, obj, cons, fidelity, budget, seed, evaluator, modes)
+    search = _Search(space, obj, cons, fidelity, seed, evaluator, modes)
     candidates = search.candidates
     table, analytic = screen_space(space, candidates)
-
-    analytic_fidelity = fidelity == "analytic"
     for candidate, metrics in zip(candidates, analytic):
-        base = (
-            dict(metrics)
-            if analytic_fidelity
-            else {k: metrics.get(k) for k in STRUCTURAL_METRICS}
-        )
         search.records.append(
             CandidateRecord(
                 key=candidate.key,
@@ -390,21 +376,15 @@ def optimize(
                 cost=0.0,
                 objective=None,
                 feasible=None,
-                metrics=base,
+                metrics={k: metrics.get(k) for k in STRUCTURAL_METRICS},
             )
         )
 
-    if analytic_fidelity:
+    if fidelity == "analytic":
         # The screen *is* the evaluation: every candidate's metrics are exact,
         # so the result is by construction the exhaustive constrained optimum.
-        for candidate, metrics, record in zip(candidates, analytic, search.records):
-            record.objective = _clean(metrics.get(obj.metric))
-            feasible = all(c.satisfied(metrics.get(c.metric)) for c in cons)
-            if feasible and record.objective is None:
-                feasible = False
-                record.reason = f"objective {obj.metric} undefined"
-            record.feasible = feasible
-            record.status = "feasible" if feasible else "infeasible"
+        for candidate, metrics in zip(candidates, analytic):
+            search.finalize(candidate, metrics, "screen")
     else:
         survivors: List[Candidate] = []
         for candidate, metrics, record in zip(candidates, analytic, search.records):
@@ -416,95 +396,57 @@ def optimize(
             else:
                 survivors.append(candidate)
 
-        halving_budget = budget * (1.0 - _NEIGHBORHOOD_SHARE)
-        if survivors and len(survivors) <= halving_budget:
-            # Small enough to evaluate exhaustively at full length — no
-            # halving noise, the sim-fidelity answer is the sim-exhaustive
-            # constrained optimum over the unpruned set.
-            for candidate, metrics in zip(
-                survivors, search.evaluate(survivors, 1.0)
-            ):
-                search.finalize(candidate, metrics, "final")
-        elif survivors:
-            # Rung-0 admission: order survivors by the analytic proxy of the
-            # objective (exact for structural objectives), then fit the
-            # largest cohort whose halving schedule the budget affords.
-            proxy_name = (
-                obj.metric if obj.metric in STRUCTURAL_METRICS else _PROXY_OF.get(obj.metric)
+        # Rung-0 admission: order survivors by the analytic proxy of the
+        # objective (exact for structural objectives), then pick a schedule.
+        proxy_name = (
+            obj.metric if obj.metric in STRUCTURAL_METRICS else _PROXY_OF.get(obj.metric)
+        )
+
+        def proxy_rank(candidate: Candidate):
+            metrics = analytic[search.index[candidate.key]]
+            value = metrics.get(proxy_name) if proxy_name else None
+            signed = obj.signed(value)
+            return (signed is None, signed if signed is not None else 0.0, candidate.key)
+
+        ordered = sorted(survivors, key=proxy_rank)
+        fits = [c for c in range(1, len(ordered) + 1) if _halving_cost(c) <= budget + 1e-9]
+        if len(ordered) <= budget or not fits:
+            # Every survivor at full length, or (below one halving schedule)
+            # as many of the best-ranked as fit.
+            schedule: Tuple[float, ...] = (1.0,)
+            cohort = ordered[: max(1, int(budget))]
+        else:
+            schedule = RUNG_FRACTIONS
+            cohort = ordered[: fits[-1]]
+        for candidate in ordered[len(cohort):]:
+            search.records[search.index[candidate.key]].reason = (
+                f"not admitted to halving (cohort {len(cohort)} of "
+                f"{len(ordered)} survivors fits the budget)"
             )
-
-            def proxy_rank(candidate: Candidate):
-                metrics = analytic[search.index[candidate.key]]
-                value = metrics.get(proxy_name) if proxy_name else None
-                signed = obj.signed(value)
-                return (signed is None, signed if signed is not None else 0.0, candidate.key)
-
-            ordered = sorted(survivors, key=proxy_rank)
-            cohort_size = 0
-            for c in range(1, len(ordered) + 1):
-                if _halving_cost(c) <= halving_budget + 1e-9:
-                    cohort_size = c
-            cohort = ordered[:cohort_size]
-            for candidate in ordered[cohort_size:]:
-                record = search.records[search.index[candidate.key]]
-                record.reason = (
-                    f"not admitted to halving (cohort {cohort_size} of "
-                    f"{len(ordered)} survivors fits the budget)"
-                )
-            if not cohort:
-                # Budget below one full halving schedule: full-length runs
-                # for as many of the best-ranked survivors as fit.
-                cohort = ordered[: max(1, int(halving_budget))]
-                for candidate, metrics in zip(cohort, search.evaluate(cohort, 1.0)):
+        for r, fraction in enumerate(schedule):
+            results = search.evaluate(cohort, fraction)
+            if fraction >= 1.0:
+                for candidate, metrics in zip(cohort, results):
                     search.finalize(candidate, metrics, "final")
-            else:
-                for r, fraction in enumerate(RUNG_FRACTIONS):
-                    results = search.evaluate(cohort, fraction)
-                    if fraction >= 1.0:
-                        for candidate, metrics in zip(cohort, results):
-                            search.finalize(candidate, metrics, "final")
-                        break
-                    ranked = sorted(
-                        zip(cohort, results),
-                        key=lambda pair: search.rank_key(
-                            all(
-                                c.satisfied(pair[1].get(c.metric)) for c in cons
-                            ),
-                            pair[1].get(obj.metric),
-                            pair[0].key,
-                        ),
-                    )
-                    keep = max(1, len(ranked) // 2)
-                    for rank, (candidate, _) in enumerate(ranked[keep:], start=keep):
-                        record = search.records[search.index[candidate.key]]
-                        record.stage = "halving"
-                        record.status = "halved"
-                        record.reason = (
-                            f"ranked {rank + 1}/{len(ranked)} at rung {r} "
-                            f"({fraction:g} of full length)"
-                        )
-                    cohort = [candidate for candidate, _ in ranked[:keep]]
-
-        # Local neighborhood walk around the incumbent at full fidelity.
-        incumbent = _best_record(search)
-        while incumbent is not None and search.affordable(1.0):
-            improved = False
-            for neighbor in space.neighbors(search.candidates[search.index[incumbent.key]]):
-                record = search.records[search.index[neighbor.key]]
-                if record.status in ("feasible", "infeasible", "pruned"):
-                    continue
-                if not search.affordable(1.0):
-                    break
-                metrics = search.evaluate([neighbor], 1.0)[0]
-                search.finalize(neighbor, metrics, "neighborhood")
-                if record.feasible and search.rank_key(
-                    True, record.objective, neighbor.key
-                ) < search.rank_key(True, incumbent.objective, incumbent.key):
-                    incumbent = record
-                    improved = True
-                    break
-            if not improved:
                 break
+            ranked = sorted(
+                zip(cohort, results),
+                key=lambda pair: search.rank_key(
+                    all(c.satisfied(pair[1].get(c.metric)) for c in cons),
+                    pair[1].get(obj.metric),
+                    pair[0].key,
+                ),
+            )
+            keep = max(1, len(ranked) // 2)
+            for rank, (candidate, _) in enumerate(ranked[keep:], start=keep):
+                record = search.records[search.index[candidate.key]]
+                record.stage = "halving"
+                record.status = "halved"
+                record.reason = (
+                    f"ranked {rank + 1}/{len(ranked)} at rung {r} "
+                    f"({fraction:g} of full length)"
+                )
+            cohort = [candidate for candidate, _ in ranked[:keep]]
 
     best_record = _best_record(search)
     best = None

@@ -40,7 +40,7 @@ class CandidateRecord:
 
     key: str
     values: Dict[str, object]
-    stage: str              # "screen" | "halving" | "final" | "neighborhood"
+    stage: str              # "screen" | "halving" | "final"
     status: str
     reason: Optional[str]   # why pruned / halved / skipped (None otherwise)
     cost: float             # budget units consumed by this candidate

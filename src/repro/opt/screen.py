@@ -24,12 +24,14 @@ the exhaustive reference runs of ``tests/opt`` and ``bench_optimize.py``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..api.batch import BatchResult, sweep_batch
 from ..platform import get_board
 from .constraints import Constraint
 from .space import Candidate, SearchSpace
+
+if TYPE_CHECKING:
+    from ..api.batch import BatchResult
 
 __all__ = [
     "STRUCTURAL_METRICS",
@@ -131,8 +133,12 @@ def screen_space(
 
     Candidates that share a design point (serving axes differ) share one
     batch row — the table holds the *unique* design points, and the second
-    return value maps each candidate to its analytic metrics.
+    return value maps each candidate to its analytic metrics.  The batch
+    engine (and NumPy) load here, after :func:`~repro.opt.refine.optimize`
+    has checked the request.
     """
+
+    from ..api.batch import sweep_batch
 
     scenarios = [space.scenario(c) for c in candidates]
     unique_index: Dict[object, int] = {}

@@ -221,26 +221,6 @@ class SearchSpace:
             for combo in itertools.product(*(self.axes[n] for n in names))
         ]
 
-    def neighbors(self, candidate: Candidate) -> List[Candidate]:
-        """Candidates one step away along exactly one axis (±1 value index).
-
-        The local-search move set: deterministic order (axes in canonical
-        order, minus-step before plus-step), so a neighborhood walk is
-        reproducible.
-        """
-
-        assignment = dict(candidate.values)
-        out: List[Candidate] = []
-        for name, values in self.axes.items():
-            idx = values.index(assignment[name])
-            for step in (-1, 1):
-                j = idx + step
-                if 0 <= j < len(values):
-                    moved = dict(assignment)
-                    moved[name] = values[j]
-                    out.append(Candidate(values=tuple((n, moved[n]) for n in self.axes)))
-        return out
-
     # -- candidate -> scenario builders ------------------------------------------------
 
     def _kwargs(self, candidate: Candidate, cls: type) -> Dict[str, object]:

@@ -5,6 +5,7 @@ import pytest
 from repro.api import Evaluator, simulate
 from repro.opt import SearchSpace, optimize
 from repro.opt.refine import candidate_seeds
+from repro.platform import list_boards
 
 FIXED = {"arrival": "deterministic", "arrival_rate_hz": 1.0, "n_requests": 30}
 
@@ -179,3 +180,60 @@ class TestFleetAndFaults:
         )
         assert report.best is not None
         assert report.best["metrics"]["expected_slo_violation"] is not None
+
+
+def explore_space():
+    """The space of the explore workload's optimize call: 16 candidates, of
+    which the latency screen leaves 4 (every n_units=32 design on the two
+    UltraScale+ boards)."""
+
+    return SearchSpace(
+        axes={"n_units": [16, 32], "board": list_boards(), "replicas": [1, 2]},
+        fixed={"arrival": "poisson", "arrival_rate_hz": 0.5, "n_requests": 100},
+    )
+
+
+def explore_search(budget=None, seed=1):
+    return optimize(
+        explore_space(), "min:energy_per_request_J", ("p95_ms<=250",),
+        fidelity="sim", budget=budget, seed=seed,
+    )
+
+
+class TestStageTwo:
+    """Stage 2 is one successive-halving loop that spends the whole budget."""
+
+    def test_default_budget_admits_every_survivor_to_rung_0(self):
+        report = explore_search()
+        assert report.budget == pytest.approx(3.2)
+        survivors = [c for c in report.candidates if c.status != "pruned"]
+        assert len(survivors) == 4
+        # 4 x 0.25 + 2 x 0.5 + 1 x 1.0 = 3.0 units in 4 + 2 + 1 runs.
+        assert all(c.rungs and c.rungs[0]["fraction"] == 0.25 for c in survivors)
+        assert report.budget_spent == pytest.approx(3.0)
+        assert report.evaluations == 7
+        assert report.best["key"] == "n_units=32|board=Ultra96-V2|replicas=2"
+
+    @pytest.mark.parametrize("budget", [1.0, 2.0, 4.0])
+    def test_every_record_ends_in_one_of_three_stages(self, budget):
+        # 36 candidates, 2 req/s: at budgets 2 and 4 a full-length run used
+        # to be left over after halving.
+        space = SearchSpace(
+            axes={"n_units": [8, 16, 32], "board": list_boards(), "replicas": [1, 2, 3]},
+            fixed={"arrival": "poisson", "arrival_rate_hz": 2.0, "n_requests": 40},
+        )
+        report = optimize(space, "min:p95_ms", fidelity="sim", budget=budget, seed=4)
+        assert {c.stage for c in report.candidates} <= {"screen", "halving", "final"}
+        assert report.budget_spent <= budget
+
+    @pytest.mark.parametrize("budget", [None, 1.0, 1.5, 2.0, 3.0, 8.0])
+    def test_only_halved_evaluations_carry_a_reason(self, budget):
+        # A candidate that ran keeps no admission reason; one that did not
+        # run names how many survivors were admitted.
+        report = explore_search(budget)
+        admitted = [c for c in report.candidates if c.cost > 0]
+        for record in admitted:
+            assert (record.reason is None) == (record.status != "halved"), record.key
+        for record in report.candidates:
+            if record.status == "skipped":
+                assert record.reason.startswith(f"not admitted to halving (cohort {len(admitted)} ")

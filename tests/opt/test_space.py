@@ -1,4 +1,4 @@
-"""SearchSpace: enumeration, validation, neighborhoods, scenario builders."""
+"""SearchSpace: enumeration, validation, scenario builders."""
 
 import pytest
 
@@ -73,24 +73,6 @@ class TestEnumeration:
     def test_board_names_canonicalised_into_keys(self):
         space = SearchSpace(axes={"board": ["pynq-z2"]})
         assert space.candidates()[0].key == "board=PYNQ-Z2"
-
-    def test_neighbors_step_one_axis_at_a_time(self):
-        space = SearchSpace(axes={"n_units": [8, 16, 32], "depth": [20, 56]})
-        middle = space.candidates()[1]
-        assert middle.key == "depth=20|n_units=16"
-        nkeys = [c.key for c in space.neighbors(middle)]
-        # Axes in canonical order, minus-step before plus-step.
-        assert nkeys == [
-            "depth=56|n_units=16",
-            "depth=20|n_units=8",
-            "depth=20|n_units=32",
-        ]
-
-    def test_neighbors_at_the_corner(self):
-        space = SearchSpace(axes={"n_units": [8, 16, 32]})
-        first, mid, last = space.candidates()
-        assert [c.key for c in space.neighbors(first)] == [mid.key]
-        assert {c.key for c in space.neighbors(mid)} == {first.key, last.key}
 
 
 class TestBuilders:

@@ -61,6 +61,17 @@ CALLS = {
         {"repro.fleet", "repro.opt", "repro.sim"},
         2,
     ),
+    # The optimizer checks its request, and the CLI an accuracy sweep's run,
+    # before the first evaluation imports NumPy.
+    "optimize-bad-objective": (
+        ["optimize", "--objective", "bogus"], {"repro.fleet", "repro.opt", "repro.sim"}, 2,
+    ),
+    "optimize-bad-budget": (
+        ["optimize", "--objective", "min:p99_ms", "--fidelity", "sim", "--budget", "-1"],
+        {"repro.fleet", "repro.opt", "repro.sim"},
+        2,
+    ),
+    "accuracy-sweep-bad-images": (["accuracy-sweep", "--images", "0"], set(), 2),
     "sweep-batch": (
         ["sweep", "--depths", "20", "--n-units", "8", "--engine", "batch", "--format", "csv"],
         {"numpy", "repro.api.batch"},
