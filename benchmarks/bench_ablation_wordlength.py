@@ -80,13 +80,13 @@ def test_wordlength_numerical_error(benchmark):
     geometry = BlockGeometry(name="layer3_2", in_channels=8, out_channels=8, height=6, width=6)
     rng = np.random.default_rng(0)
     weights = BlockWeights.random(geometry, rng, scale=0.1)
-    z = rng.normal(0, 0.3, size=(8, 6, 6))
-    reference = HardwareODEBlock(geometry, weights, qformat=Q20).dynamics(z)
+    z = rng.normal(0, 0.3, size=(1, 8, 6, 6))
+    reference = HardwareODEBlock(geometry, weights, qformat=Q20).dynamics_batch(z)
 
     def sweep():
         errors = {}
         for fmt in (Q16, Q12, Q8):
-            out = HardwareODEBlock(geometry, weights, qformat=fmt).dynamics(z)
+            out = HardwareODEBlock(geometry, weights, qformat=fmt).dynamics_batch(z)
             errors[fmt.word_length] = float(np.max(np.abs(out - reference)))
         return errors
 

@@ -60,8 +60,8 @@ def test_simulated_pl_datapath_throughput(benchmark):
     geometry = BlockGeometry(name="layer3_2", in_channels=16, out_channels=16, height=8, width=8)
     rng = np.random.default_rng(0)
     hw = HardwareODEBlock(geometry, BlockWeights.random(geometry, rng), n_units=16)
-    z = rng.normal(0, 0.3, size=(16, 8, 8))
+    z = rng.normal(0, 0.3, size=(1, 16, 8, 8))
 
-    out, report = benchmark(hw.execute, z)
+    out, report = benchmark(hw.execute_batch, z)
     assert out.shape == z.shape
     assert report.compute_seconds > 0

@@ -43,7 +43,7 @@ Five measurements, each value-checked before timing is trusted:
 5. **Bounded-memory streaming** (full mode) — ``accuracy_sweep`` over
    >= 1,024 CIFAR-scale images x 4 Q-formats under ``tracemalloc``: peak
    traced allocation must stay bounded by the chunk size, far below the
-   whole-batch footprint the legacy path would need.
+   footprint of every pipeline stage over the whole batch at once.
 
 Usage::
 
@@ -345,8 +345,8 @@ def bench_bounded_memory(images: int, chunk_size: int, budget_mb: float) -> int:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     peak_mb = peak / 2**20
-    # What the legacy path would hold at once: six pipeline stages of the
-    # whole batch, reference + fixed-point, before the im2col expansion.
+    # For scale: six pipeline stages of the whole batch at once, reference
+    # + fixed-point, before the im2col expansion.
     batch_mb = images * N_CHANNELS * 64 * 8 * 12 / 2**20
     print(f"peak traced allocation  : {peak_mb:8.1f} MB "
           f"(whole-batch stages alone would be ~{batch_mb:.0f} MB)")

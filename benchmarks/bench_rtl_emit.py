@@ -21,15 +21,17 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry, block_geometry
+from repro.fpga.odeblock_hw import BlockWeights
 from repro.rtl import (
     GOLDEN_CASES,
     check_bundle,
     emit_odeblock,
     generate_vectors,
     golden_vectors,
-    random_block_weights,
 )
 
 TINY = BlockGeometry(name="tiny", in_channels=4, out_channels=4, height=4, width=4)
@@ -64,7 +66,7 @@ def bench_emit_check(points, vector_images: int) -> int:
             n_check += 1
 
             if vector_images > 0 and geometry.height <= 8:
-                weights = random_block_weights(geometry, seed=i, scale=0.5)
+                weights = BlockWeights.random(geometry, np.random.default_rng(i), scale=0.5)
                 t0 = time.perf_counter()
                 vec = generate_vectors(
                     geometry, weights, qformat=qformat,

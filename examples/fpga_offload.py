@@ -82,8 +82,8 @@ def show_fixed_point_fidelity() -> None:
     rng = np.random.default_rng(0)
     weights = BlockWeights.random(LAYER3_2, rng, scale=0.05)
     hw = HardwareODEBlock(LAYER3_2, weights, n_units=16)
-    z = rng.normal(0, 0.4, size=(64, 8, 8))
-    out, report = hw.execute(z)
+    z = rng.normal(0, 0.4, size=(1, 64, 8, 8))  # a batch of one image
+    out, report = hw.execute_batch(z)
     print(f"  input feature map   : {z.shape}")
     print(f"  output feature map  : {out.shape}")
     print(f"  modelled PL compute : {report.compute_seconds * 1e3:.2f} ms")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["check_count", "check_seed", "check_sweep_run"]
 
@@ -44,21 +44,16 @@ def check_seed(name: str, value: object) -> int:
 
 def check_sweep_run(
     images: object, workers: object, seed: object, chunk_size: object, input_scale: float
-) -> Tuple[int, int, int, Optional[int]]:
+) -> Tuple[int, int, int, int]:
     """An accuracy sweep's ``(images, workers, seed, chunk_size)`` as plain
-    ints, else a :class:`ValueError`; ``input_scale`` must be non-negative
-    and finite, and ``workers > 1`` needs a ``chunk_size``."""
+    ints, else a :class:`ValueError`; ``chunk_size=None`` resolves to
+    ``images`` (one chunk), and ``input_scale`` must be non-negative and
+    finite."""
 
     images = check_count("images", images, 1)
     workers = check_count("workers", workers, 1)
     seed = check_seed("seed", seed)
-    if chunk_size is not None:
-        chunk_size = check_count("chunk_size", chunk_size, 1, " (or None for the legacy path)")
+    chunk_size = images if chunk_size is None else check_count("chunk_size", chunk_size, 1)
     if not 0 <= input_scale < math.inf:
         raise ValueError(f"input_scale must be non-negative and finite (got {input_scale!r})")
-    if workers > 1 and chunk_size is None:
-        raise ValueError(
-            "workers > 1 requires chunk_size: the chunk grid defines the shards "
-            "(and keeps results worker-count-invariant)"
-        )
     return images, workers, seed, chunk_size

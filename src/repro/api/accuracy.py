@@ -8,10 +8,9 @@ pipeline drift from the float mathematics at each word length?
 :func:`accuracy_sweep` answers it at batch-engine throughput.  For every
 requested Q-format it quantises one image batch **once**, runs the batched
 :class:`~repro.fpga.odeblock_hw.HardwareODEBlock` forward pass (bit-identical
-to N single-image invocations, enforced by
-``tests/fpga/test_batched_odeblock.py``) and measures the deviation against a
-float64 reference of the same mathematics.  Each row then carries the three
-axes of the trade-off:
+to batches of one, enforced by ``tests/fpga/test_batched_odeblock.py``) and
+measures the deviation against a float64 reference of the same mathematics.
+Each row then carries the three axes of the trade-off:
 
 * **fidelity** — max/RMS error, SQNR, the saturation fraction, and the
   analytic worst-case bound of :mod:`repro.fixedpoint.errors` instantiated
@@ -339,9 +338,9 @@ class AccuracySweepResult(Report):
         points: Sequence[AccuracyPoint],
         images: int,
         seed: int,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        chunks: int = 1,
+        workers: int,
+        chunk_size: int,
+        chunks: int,
     ) -> None:
         self.points: List[AccuracyPoint] = list(points)
         self.images = images
@@ -357,10 +356,10 @@ class AccuracySweepResult(Report):
     def reproducibility(self) -> Dict[str, object]:
         """What it takes to reproduce these rows bit-for-bit.
 
-        In chunked mode the inputs come from per-chunk
-        ``default_rng((seed, chunk))`` streams and the accumulators reduce
-        in ascending chunk order, so only ``seed`` and ``chunk_size``
-        matter — the worker count never does.
+        The inputs come from per-chunk ``default_rng((seed, chunk))``
+        streams and the accumulators reduce in ascending chunk order, so
+        only ``seed`` and ``chunk_size`` matter — the worker count never
+        does.
         """
 
         return {
@@ -369,11 +368,7 @@ class AccuracySweepResult(Report):
             "chunk_size": self.chunk_size,
             "chunks": self.chunks,
             "workers": self.workers,
-            "generator": (
-                "per-chunk default_rng((seed, chunk))"
-                if self.chunk_size is not None
-                else "single-stream default_rng(seed)"
-            ),
+            "generator": "per-chunk default_rng((seed, chunk))",
             "worker_count_invariant": True,
         }
 
@@ -451,21 +446,18 @@ def accuracy_sweep(
         pushes narrow formats into saturation, which is exactly the regime
         the ``overflow_fraction`` column reports on.
     workers:
-        Worker processes over the chunks (1 = inline).  ``workers > 1``
-        requires ``chunk_size`` (chunking defines the work items); each
-        worker draws its chunk's inputs from the chunk's seeded stream, so
-        the numbers are **worker-count-invariant** — workers only move
-        wall-clock time.
+        Worker processes over the chunks (1 = inline; never more than the
+        chunk count).  Each worker draws its chunk's inputs from the chunk's
+        seeded stream, so the numbers are **worker-count-invariant** —
+        workers only move wall-clock time.
     chunk_size:
-        Images per streamed chunk.  ``None`` (the default) keeps the legacy
-        single-stream inputs, bit-identical to earlier releases: weights and
-        the whole batch come from one ``default_rng(seed)`` stream and are
-        measured as one chunk.  Setting it switches to streaming
-        accumulation: inputs come from per-chunk ``default_rng((seed,
-        chunk))`` streams, error statistics accumulate as running sums, and
-        peak memory is bounded by the chunk size — dataset-scale sweeps fit
-        in RAM.  ``images``, ``workers`` and ``chunk_size`` must be integers
-        (NumPy integers included); anything else is a ``ValueError``.
+        Images per streamed chunk (``None``, the default: one chunk of all
+        ``images``).  The weights come from ``default_rng(seed)``, the inputs
+        of chunk ``c`` from ``default_rng((seed, c))``; error statistics
+        accumulate as running sums, so peak memory is bounded by the chunk
+        size — dataset-scale sweeps fit in RAM.  ``images``, ``workers`` and
+        ``chunk_size`` must be integers (NumPy integers included); anything
+        else is a ``ValueError``.
     """
 
     images, workers, seed, chunk_size = check_sweep_run(
@@ -481,22 +473,12 @@ def accuracy_sweep(
     if not unit_list:
         raise ValueError("n_units must be a non-empty sequence of positive integers")
 
-    if chunk_size is None:
-        # Legacy single-stream inputs: weights, then the whole batch, from
-        # one ``default_rng(seed)`` stream, measured as a single chunk.
-        rng = np.random.default_rng(seed)
-        weights = BlockWeights.random(geometry, rng)
-        z = rng.normal(
-            0.0, input_scale, size=(images, geometry.in_channels, geometry.height, geometry.width)
-        )
-        chunks = [_measure_chunk(z, geometry, weights, format_list)]
-    else:
-        weights = BlockWeights.random(geometry, np.random.default_rng(seed))
-        task = partial(_measure_seeded_chunk, seed, input_scale, geometry, weights, format_list)
-        items = [(c, hi - lo) for c, (lo, hi) in enumerate(_chunk_bounds(images, chunk_size))]
-        # Results come back in ascending chunk order — the order the
-        # accumulators reduce in — for any worker count.
-        chunks = ordered_map(task, items, workers)
+    weights = BlockWeights.random(geometry, np.random.default_rng(seed))
+    task = partial(_measure_seeded_chunk, seed, input_scale, geometry, weights, format_list)
+    items = [(c, hi - lo) for c, (lo, hi) in enumerate(_chunk_bounds(images, chunk_size))]
+    # Results come back in ascending chunk order — the order the
+    # accumulators reduce in — for any worker count.
+    chunks = ordered_map(task, items, workers)
     n_chunks = len(chunks)
     ref_stats = _merge_reference_stats([ref for ref, _ in chunks])
     fmt_stats = [

@@ -13,12 +13,15 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+import numpy as np
+
 from .._checks import check_count
 from ..fixedpoint.qformat import Q20, QFormat, QFormatLike
 from ..fpga.geometry import BlockGeometry, block_geometry
+from ..fpga.odeblock_hw import BlockWeights
 from ..platform import BoardSpec
 from ..rtl.check import check_bundle
-from ..rtl.emit import TB_FILE, emit_odeblock, emit_testbench, random_block_weights
+from ..rtl.emit import TB_FILE, emit_odeblock, emit_testbench
 from ..rtl.simrun import iverilog_available, run_conformance
 from ..rtl.vectors import generate_vectors, write_vector_files
 from .scenario import check_board
@@ -57,7 +60,7 @@ def export_rtl(
     out = Path(out_dir)
 
     geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
-    weights = random_block_weights(geometry, time_concat=time_concat, seed=seed)
+    weights = BlockWeights.random(geometry, np.random.default_rng(seed), time_concat=time_concat)
     bundle = emit_odeblock(
         geometry,
         weights,

@@ -71,12 +71,18 @@ class BlockWeights:
     bn2_var: Optional[np.ndarray] = None
 
     @classmethod
-    def random(cls, geometry: BlockGeometry, rng: Optional[np.random.Generator] = None, scale: float = 0.1) -> "BlockWeights":
-        """Random weights with a sensible magnitude for Q20 (for tests/benches)."""
+    def random(
+        cls,
+        geometry: BlockGeometry,
+        rng: np.random.Generator,
+        scale: float = 0.1,
+        time_concat: bool = False,
+    ) -> "BlockWeights":
+        """Random weights with a sensible magnitude for Q20, both kernels
+        with the extra time-concat input channel when ``time_concat``."""
 
-        rng = rng or np.random.default_rng(0)
         c = geometry.out_channels
-        shape = (c, geometry.in_channels, KERNEL, KERNEL)
+        shape = (c, geometry.in_channels + (1 if time_concat else 0), KERNEL, KERNEL)
         return cls(
             conv1_weight=rng.normal(0.0, scale, size=shape),
             bn1_gamma=np.ones(c),
@@ -175,16 +181,6 @@ class HardwareODEBlock:
 
     # -- execution -------------------------------------------------------------------
 
-    def dynamics(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate ``f(z, 0, θ)`` (the five-step pipeline) in fixed point.
-
-        Accepts and returns float arrays of shape ``(C, H, W)``; the
-        quantisation to/from Q20 happens at the boundary, mirroring the DMA
-        transfer of float32 feature maps described by the paper.
-        """
-
-        return self.dynamics_batch(np.asarray(z, dtype=np.float64)[None])[0]
-
     def _with_time_channel(self, x: FxArray, t: float) -> FxArray:
         """Append the constant integration-time channel (time-concat mode).
 
@@ -233,12 +229,14 @@ class HardwareODEBlock:
         return FxArray(out, x.fmt)
 
     def dynamics_batch(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate ``f(z, 0, θ)`` for a whole ``(N, C, H, W)`` batch at once.
+        """Evaluate ``f(z, 0, θ)`` (the five-step pipeline) in fixed point
+        for an ``(N, C, H, W)`` batch.
 
-        The batch is quantised once and flows through the datapath in image
-        groups; the result is bit-identical to calling
-        :meth:`dynamics` on each image (the board evaluates images serially,
-        so a batch is a throughput construct, not a semantic one).
+        Float feature maps are quantised at the boundary, mirroring the DMA
+        transfer of float32 feature maps described by the paper, and flow
+        through the datapath in image groups; the result is bit-identical
+        to batches of one (the board evaluates images serially, so a batch
+        is a throughput construct, not a semantic one).
         """
 
         z = np.asarray(z, dtype=np.float64)
@@ -246,17 +244,6 @@ class HardwareODEBlock:
             raise ValueError("dynamics_batch expects an (N, C, H, W) batch")
         x = FxArray.from_float(z, self.qformat)
         return self._forward_fixed(x, 0.0).to_float()
-
-    def execute(self, z: np.ndarray) -> tuple:
-        """Run one ODEBlock invocation: compute and account for its cost.
-
-        Returns ``(z_next, HardwareExecutionReport)`` where ``z_next`` is
-        ``z + f(z, 0)``, one Euler step of size 1.
-        """
-
-        z = np.asarray(z, dtype=np.float64)
-        out, report = self.execute_batch(z[None])
-        return out[0], report
 
     def execute_batch(self, z: np.ndarray, step_size: float = 1.0, t: float = 0.0) -> tuple:
         """Run one Euler step ``z + h·f(z, t)`` per image of an ``(N, C, H, W)`` batch.
@@ -286,11 +273,13 @@ class HardwareODEBlock:
         return out.to_float(), report
 
     def run_iterations_batch(self, z: np.ndarray, iterations: int) -> tuple:
-        """Euler-iterate a whole batch: ``z <- z + f(z, i)`` per image (step 1).
+        """Euler-iterate a batch: ``z <- z + f(z, i)`` per image (step 1),
+        the ODENet's repeated use of one block.
 
         Returns ``(z_final, total_seconds, reports)`` where ``total_seconds``
-        covers all ``N * iterations`` serial invocations.  Bit-identical to
-        :meth:`run_iterations` applied per image.
+        covers all ``N * iterations`` serial invocations and ``reports``
+        holds one per-image report per iteration.  Bit-identical to batches
+        of one.
         """
 
         reports = []
@@ -302,14 +291,3 @@ class HardwareODEBlock:
             reports.append(report)
             total += n * report.total_seconds
         return state, total, reports
-
-    def run_iterations(self, z: np.ndarray, iterations: int) -> tuple:
-        """Execute the block ``iterations`` times (the ODENet repeated use).
-
-        Each iteration is one Euler step ``z <- z + f(z, i)`` of size 1.
-        Returns ``(z_final, total_seconds, reports)``.
-        """
-
-        z = np.asarray(z, dtype=np.float64)
-        state, total, reports = self.run_iterations_batch(z[None], iterations)
-        return state[0], total, reports

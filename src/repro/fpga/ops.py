@@ -4,12 +4,11 @@ These functions model the arithmetic performed by the Verilog ODEBlock
 described in Section 3.1: 3x3 convolution and ReLU executed by multiply-add
 units, and batch normalisation executed by multiply-add, division and
 square-root units, all in 32-bit Q20 fixed point.  They operate on
-:class:`~repro.fixedpoint.fxarray.FxArray` data, either a single image
-(``(C, H, W)``, the board's one-image-at-a-time prediction flow) or a batch
-(``(N, C, H, W)``).  A batch is **bit-identical** to N single-image calls:
-every integer operation is exact and the batch-normalisation statistics are
-reduced per image, never across the batch (enforced by
-``tests/fpga/test_batched_odeblock.py``).
+:class:`~repro.fixedpoint.fxarray.FxArray` batches of shape ``(N, C, H, W)``;
+the board's one-image-at-a-time prediction flow is a batch of one.  A batch
+is **bit-identical** to N batches of one: every integer operation is exact
+and the batch-normalisation statistics are reduced per image, never across
+the batch (enforced by ``tests/fpga/test_batched_odeblock.py``).
 
 The integer arithmetic follows the hardware conventions: products are
 computed at double width and renormalised by an arithmetic right shift,
@@ -36,8 +35,7 @@ BN_EPS = 1e-5
 
 
 def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:
-    """Fixed-point 3x3 convolution (stride 1, zero padding 1) of a single
-    image or a batch.
+    """Fixed-point 3x3 convolution (stride 1, zero padding 1) of a batch.
 
     Lowered to channel-last im2col (columns ordered ``(KH, KW, C)``) + the
     exact split-limb GEMM of :mod:`repro.fpga.gemm`: the kernel, reordered
@@ -47,26 +45,24 @@ def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:
     ``>> fraction_bits`` renormalisation and clip as a MAC unit with a wide
     accumulator register.  Bit-identical to the plain int64 matmul lowering
     for every input — including deliberately wrapping ones — and to
-    per-image calls.  The patch matrix grows with the batch: the forward
+    batches of one.  The patch matrix grows with the batch: the forward
     pass (:class:`~repro.fpga.odeblock_hw.HardwareODEBlock`) bounds it by
     calling this on one image group at a time.
 
     Parameters
     ----------
     x:
-        Input feature map of shape ``(C_in, H, W)`` or a batch
-        ``(N, C_in, H, W)``.
+        Input feature maps of shape ``(N, C_in, H, W)``.
     weight:
         Kernel of shape ``(C_out, C_in, KH, KW)``.
     """
 
-    if x.ndim not in (3, 4):
-        raise ValueError("hw_conv2d expects a (C, H, W) image or an (N, C, H, W) batch")
+    if x.ndim != 4:
+        raise ValueError("hw_conv2d expects an (N, C, H, W) batch")
     if x.fmt != weight.fmt:
         raise ValueError("input and weight formats must match")
     fmt = x.fmt
-    batched = x.ndim == 4
-    raw = x.raw if batched else x.raw[None, ...]
+    raw = x.raw
     n, c_in, h, w = raw.shape
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
@@ -93,8 +89,7 @@ def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:
     out_mat >>= fmt.fraction_bits
     np.clip(out_mat, fmt.min_int, fmt.max_int, out=out_mat)
 
-    out = out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-    return FxArray(out if batched else out[0], fmt)
+    return FxArray(out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2), fmt)
 
 
 def hw_batch_norm(
@@ -105,7 +100,7 @@ def hw_batch_norm(
     running_var: Optional[FxArray] = None,
     dynamic_stats: bool = True,
 ) -> FxArray:
-    """Fixed-point batch normalisation of a single image or a batch.
+    """Fixed-point batch normalisation of an ``(N, C, H, W)`` batch.
 
     The paper's hardware computes the mean, variance and standard deviation
     on the fly with multiply-add, divide and square-root units
@@ -113,16 +108,15 @@ def hw_batch_norm(
     statistics can be applied (``dynamic_stats=False``), which is the
     standard inference-time behaviour of software BN.
 
-    A batched input ``(N, C, H, W)`` reduces the statistics **per image**
-    (the board normalises one prediction at a time), so the result is
-    bit-identical to N single-image calls.
+    The statistics reduce **per image** (the board normalises one
+    prediction at a time), so the result is bit-identical to N batches of
+    one.
     """
 
-    if x.ndim not in (3, 4):
-        raise ValueError("hw_batch_norm expects a (C, H, W) image or an (N, C, H, W) batch")
+    if x.ndim != 4:
+        raise ValueError("hw_batch_norm expects an (N, C, H, W) batch")
     fmt = x.fmt
-    batched = x.ndim == 4
-    raw = x.raw if batched else x.raw[None, ...]
+    raw = x.raw
     n, c = raw.shape[:2]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError("gamma/beta must have shape (C,)")
@@ -151,7 +145,7 @@ def hw_batch_norm(
     normalized = fx.fx_div(centered, std.reshape(n, c, 1, 1), fmt)
     scaled = fx.fx_mul(normalized, gamma.raw.reshape(1, c, 1, 1), fmt)
     shifted = fx.fx_add(scaled, beta.raw.reshape(1, c, 1, 1), fmt)
-    return FxArray(shifted if batched else shifted[0], fmt)
+    return FxArray(shifted, fmt)
 
 
 def hw_relu(x: FxArray) -> FxArray:

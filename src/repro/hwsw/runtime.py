@@ -18,7 +18,7 @@ cost?" (the modelled wall-clock of Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -152,16 +152,16 @@ class HwSwRuntime:
         if layer not in self.hardware_blocks:
             _, _, height, width = h.shape
             self.hardware_blocks[layer] = self._hardware_block_from(module, layer, height, width)
-        hw_block = self.hardware_blocks[layer]
         ode: ODEBlock = module  # type: ignore[assignment]
-        outputs: List[np.ndarray] = []
-        for image in h.data:
-            state, seconds, reports = hw_block.run_iterations(image, iterations=ode.num_steps)
-            outputs.append(np.maximum(state, 0.0))  # trailing ReLU stays on the PS part
-            report.pl_invocations[layer] = report.pl_invocations.get(layer, 0) + len(reports)
-            report.pl_compute_seconds += sum(r.compute_seconds for r in reports)
-            report.pl_transfer_seconds += sum(r.transfer_seconds for r in reports)
-        return Tensor(np.stack(outputs, axis=0))
+        state, _, reports = self.hardware_blocks[layer].run_iterations_batch(
+            h.data, iterations=ode.num_steps
+        )
+        # Each report accounts for one image of the serial PL invocations.
+        n = len(state)
+        report.pl_invocations[layer] = n * len(reports)
+        report.pl_compute_seconds += n * sum(r.compute_seconds for r in reports)
+        report.pl_transfer_seconds += n * sum(r.transfer_seconds for r in reports)
+        return Tensor(np.maximum(state, 0.0))  # trailing ReLU stays on the PS part
 
     # -- fidelity ---------------------------------------------------------------------
 

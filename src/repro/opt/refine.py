@@ -388,7 +388,7 @@ def optimize(
     else:
         survivors: List[Candidate] = []
         for candidate, metrics, record in zip(candidates, analytic, search.records):
-            reason = prune_reason(candidate, metrics, cons, fidelity)
+            reason = prune_reason(candidate, metrics, cons)
             if reason is not None:
                 record.status = "pruned"
                 record.reason = reason
@@ -409,10 +409,11 @@ def optimize(
             return (signed is None, signed if signed is not None else 0.0, candidate.key)
 
         ordered = sorted(survivors, key=proxy_rank)
-        fits = [c for c in range(1, len(ordered) + 1) if _halving_cost(c) <= budget + 1e-9]
+        # Halving a cohort of one would only re-run its candidate at every rung.
+        fits = [c for c in range(2, len(ordered) + 1) if _halving_cost(c) <= budget + 1e-9]
         if len(ordered) <= budget or not fits:
-            # Every survivor at full length, or (below one halving schedule)
-            # as many of the best-ranked as fit.
+            # Every survivor at full length, or (below a two-candidate
+            # halving schedule) as many of the best-ranked as fit.
             schedule: Tuple[float, ...] = (1.0,)
             cohort = ordered[: max(1, int(budget))]
         else:
@@ -462,10 +463,16 @@ def optimize(
     else:
         pruned = len([r for r in search.records if r.status == "pruned"])
         infeasible = len([r for r in search.records if r.status == "infeasible"])
-        note = (
-            f"no candidate satisfies the constraints at fidelity={fidelity} "
-            f"({pruned} pruned at screening, {infeasible} infeasible when evaluated)"
-        )
+        skipped = len([r for r in search.records if r.status == "skipped"])
+        counts = f"{pruned} pruned at screening, {infeasible} infeasible when evaluated"
+        if skipped:
+            # The budget left survivors unmeasured: they may be feasible.
+            note = (
+                f"no evaluated candidate satisfies the constraints at fidelity={fidelity} "
+                f"({counts}, {skipped} not evaluated within the budget)"
+            )
+        else:
+            note = f"no candidate satisfies the constraints at fidelity={fidelity} ({counts})"
 
     return OptReport(
         fidelity=fidelity,

@@ -160,7 +160,6 @@ def prune_reason(
     candidate: Candidate,
     analytic: Dict[str, Optional[float]],
     constraints: Sequence[Constraint],
-    fidelity: str,
 ) -> Optional[str]:
     """Why the screen can already rule a candidate out (``None`` = keep).
 
@@ -175,9 +174,6 @@ def prune_reason(
         if metric in STRUCTURAL_METRICS:
             if not constraint.satisfied(analytic.get(metric)):
                 return f"structural constraint {constraint.spec} (value {analytic.get(metric)})"
-        elif fidelity == "analytic":
-            if not constraint.satisfied(analytic.get(metric)):
-                return f"constraint {constraint.spec} (value {analytic.get(metric)})"
         elif metric in LATENCY_METRICS and constraint.op in ("<=", "<"):
             if candidate.get("policy", "fifo") == "batched":
                 continue

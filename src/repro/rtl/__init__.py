@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".emit": (
             "BN_ROM_FILE", "MANIFEST_FILE", "MANIFEST_VERSION", "SOURCE_FILES", "TB_FILE",
             "TOP_FILE", "RtlBundle", "default_n_units", "emit_odeblock", "emit_testbench",
-            "random_block_weights",
         ),
         ".simrun": ("SimulationResult", "iverilog_available", "run_conformance"),
         ".vectors": (

@@ -49,7 +49,6 @@ __all__ = [
     "emit_odeblock",
     "emit_testbench",
     "default_n_units",
-    "random_block_weights",
     "SOURCE_FILES",
     "TOP_FILE",
     "TB_FILE",
@@ -95,29 +94,6 @@ def _owned_channels(out_channels: int, n_units: int, unit: int) -> List[int]:
     """Output channels computed by PE ``unit`` (interleaved modulo n_units)."""
 
     return list(range(unit, out_channels, n_units))
-
-
-def random_block_weights(
-    geometry: BlockGeometry,
-    *,
-    time_concat: bool = False,
-    seed: int = 0,
-    scale: float = 0.1,
-) -> BlockWeights:
-    """Seeded random weights, with the extra time-concat input channel."""
-
-    rng = np.random.default_rng(seed)
-    c = geometry.out_channels
-    c_in = geometry.in_channels + (1 if time_concat else 0)
-    shape = (c, c_in, KERNEL, KERNEL)
-    return BlockWeights(
-        conv1_weight=rng.normal(0.0, scale, size=shape),
-        bn1_gamma=np.ones(c),
-        bn1_beta=np.zeros(c),
-        conv2_weight=rng.normal(0.0, scale, size=shape),
-        bn2_gamma=np.ones(c),
-        bn2_beta=np.zeros(c),
-    )
 
 
 def default_n_units(
@@ -260,7 +236,7 @@ def emit_odeblock(
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite (got {step_size!r})")
     if weights is None:
-        weights = random_block_weights(geometry, time_concat=time_concat, seed=seed)
+        weights = BlockWeights.random(geometry, np.random.default_rng(seed), time_concat=time_concat)
 
     c = geometry.out_channels
     k = KERNEL

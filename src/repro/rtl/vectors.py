@@ -35,7 +35,7 @@ from .._checks import check_count
 from ..fixedpoint import QFormat
 from ..fpga.geometry import BlockGeometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock
-from .emit import _hex_lines, random_block_weights
+from .emit import _hex_lines
 
 __all__ = [
     "VectorRecord",
@@ -278,11 +278,11 @@ def golden_vectors(case: Union[str, GoldenCase]) -> Tuple[GoldenCase, VectorSet,
 
     if isinstance(case, str):
         case = GOLDEN_CASES[case]
-    weights = random_block_weights(
+    weights = BlockWeights.random(
         case.geometry,
-        time_concat=GOLDEN_TIME_CONCAT,
-        seed=GOLDEN_WEIGHT_SEED,
+        np.random.default_rng(GOLDEN_WEIGHT_SEED),
         scale=GOLDEN_WEIGHT_SCALE,
+        time_concat=GOLDEN_TIME_CONCAT,
     )
     vectors = generate_vectors(
         case.geometry,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import accuracy_sweep
-from repro.api.accuracy import COLUMNS, DEFAULT_FORMAT_LADDER, _float_conv
+from repro.api.accuracy import COLUMNS, DEFAULT_FORMAT_LADDER, _float_conv, _float_forward
 from repro.cli import main
 from repro.fixedpoint import Q16, Q20, QFormat
 from repro.fpga import HardwareODEBlock, BlockWeights
@@ -53,16 +53,13 @@ class TestAccuracySweepApi:
         fmt = Q16
         result = small_sweep(formats=[fmt], images=3, seed=5)
         geometry = block_geometry("layer3_2")
-        rng = np.random.default_rng(5)
-        weights = BlockWeights.random(geometry, rng, scale=0.1)
-        z = rng.normal(0.0, 0.5, size=(3, 64, 8, 8))
+        # Weights from default_rng(seed), the one chunk's inputs from
+        # default_rng((seed, 0)).
+        weights = BlockWeights.random(geometry, np.random.default_rng(5), scale=0.1)
+        z = np.random.default_rng((5, 0)).normal(0.0, 0.5, size=(3, 64, 8, 8))
         hw = HardwareODEBlock(geometry, weights, n_units=16, qformat=fmt)
-        out = hw.dynamics_batch(z)
-        # The sweep's max error is measured against the float reference, so
-        # replaying the quantised forward must reproduce a deviation of the
-        # same magnitude (spot check the plumbing, not the exact value).
-        assert result.records()[0]["max_abs_error"] > 0.0
-        assert out.shape == z.shape
+        error = hw.dynamics_batch(z) - _float_forward(weights, z)["output"]
+        assert result.records()[0]["max_abs_error"] == float(np.max(np.abs(error)))
 
     def test_same_seed_is_reproducible(self):
         a = small_sweep(seed=3).records()
@@ -128,7 +125,7 @@ class TestAccuracySweepCli:
         assert set(data) == {"reproducibility", "points"}
         assert len(data["points"]) == 1
         assert set(data["points"][0]) == set(COLUMNS)
-        assert data["reproducibility"]["chunk_size"] is None
+        assert data["reproducibility"]["chunk_size"] == 2  # one chunk of every image
 
     def test_table_echoes_reproducibility(self, capsys):
         out = self.run(capsys, "accuracy-sweep", "--images", "2", "--formats", "16:8")

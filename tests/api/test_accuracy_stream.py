@@ -213,10 +213,6 @@ class TestWorkerInvariance:
 
 
 class TestValidationAndEcho:
-    def test_workers_require_chunk_size(self):
-        with pytest.raises(ValueError, match="requires chunk_size"):
-            accuracy_sweep(block="layer1", images=4, workers=2)
-
     @pytest.mark.parametrize(
         "bad, name",
         [
@@ -253,11 +249,15 @@ class TestValidationAndEcho:
         assert echo["worker_count_invariant"] is True
         assert "per-chunk" in echo["generator"]
 
-    def test_legacy_mode_reports_single_stream(self):
-        result = accuracy_sweep(block="layer1", formats=FORMATS, images=2)
-        echo = result.reproducibility
-        assert echo["chunk_size"] is None and echo["chunks"] == 1
-        assert "single-stream" in echo["generator"]
+    def test_default_chunk_is_the_whole_batch(self):
+        """``chunk_size=None`` is one chunk of all images: the same records
+        and echo as ``chunk_size=images``, bit for bit."""
+
+        default = chunked_sweep(images=3, chunk_size=None)
+        whole = chunked_sweep(images=3, chunk_size=3)
+        assert default.records() == whole.records()
+        assert default.reproducibility == whole.reproducibility
+        assert default.reproducibility["chunks"] == 1
 
     def test_pareto_front_carries_the_echo(self):
         front = chunked_sweep().pareto_front()
@@ -293,6 +293,9 @@ class TestStreamingCli:
         assert "reproducibility:" in out
         assert "chunk_size=2" in out and "chunks=2" in out
 
-    def test_workers_without_chunk_size_is_clean_error(self, capsys):
-        assert main(["accuracy-sweep", "--images", "4", "--workers", "2"]) == 2
-        assert "requires chunk_size" in capsys.readouterr().err
+    def test_workers_without_chunk_size_run_one_chunk(self, capsys):
+        base = ("accuracy-sweep", "--block", "layer1", "--formats", "16:8", "--images", "2")
+        serial = json.loads(self.run(capsys, *base, "--json"))
+        pooled = json.loads(self.run(capsys, *base, "--workers", "2", "--json"))
+        assert pooled["points"] == serial["points"]
+        assert pooled["reproducibility"]["chunks"] == 1

@@ -3,7 +3,7 @@
 The batched path exists purely for throughput (accuracy-vs-format sweeps run
 N images per quantise-once call); semantically the board processes images one
 at a time.  Every test here therefore asserts **bitwise** equality between
-one batched call and N single-image calls — including the regimes where
+one batched call and N calls on batches of one — including the regimes where
 fixed-point arithmetic is most fragile: saturating inputs at extreme
 Q-formats, truncating renormalisation of negative products, and the
 per-image dynamic batch-normalisation statistics.
@@ -21,9 +21,15 @@ from repro.fpga.ops import hw_batch_norm, hw_conv2d
 
 
 def _image(x: FxArray, i: int) -> FxArray:
-    """Image ``i`` of a batched FxArray."""
+    """Image ``i`` of a batched FxArray, as a batch of one."""
 
-    return FxArray(x.raw[i], x.fmt)
+    return FxArray(x.raw[i:i + 1], x.fmt)
+
+
+def batches_of_one(fn, z: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each image of ``z`` as a batch of one, restacked."""
+
+    return np.concatenate([fn(z[i:i + 1]) for i in range(len(z))])
 
 
 def small_geometry(channels: int = 8, size: int = 4) -> BlockGeometry:
@@ -33,16 +39,8 @@ def small_geometry(channels: int = 8, size: int = 4) -> BlockGeometry:
 
 
 def make_weights(geometry: BlockGeometry, seed: int = 1, time_concat: bool = False, scale: float = 0.2):
-    rng = np.random.default_rng(seed)
-    c = geometry.out_channels
-    cin = geometry.in_channels + (1 if time_concat else 0)
-    return BlockWeights(
-        conv1_weight=rng.normal(0, scale, size=(c, cin, 3, 3)),
-        bn1_gamma=np.ones(c),
-        bn1_beta=np.zeros(c),
-        conv2_weight=rng.normal(0, scale, size=(c, cin, 3, 3)),
-        bn2_gamma=np.ones(c),
-        bn2_beta=np.zeros(c),
+    return BlockWeights.random(
+        geometry, np.random.default_rng(seed), scale=scale, time_concat=time_concat
     )
 
 
@@ -72,7 +70,7 @@ class TestBatchedOps:
         w = FxArray.from_float(rng.normal(0, 0.3, size=(8, 8, 3, 3)), fmt)
         batched = hw_conv2d(x, w)
         for i in range(4):
-            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)
+            assert np.array_equal(batched.raw[i:i + 1], hw_conv2d(_image(x, i), w).raw)
 
     @pytest.mark.parametrize("fmt,scale", EXTREME_FORMATS)
     def test_batch_norm_dynamic_stats_are_per_image(self, fmt, scale):
@@ -82,7 +80,7 @@ class TestBatchedOps:
         beta = FxArray.from_float(np.linspace(-0.2, 0.2, 8), fmt)
         batched = hw_batch_norm(x, gamma, beta)
         for i in range(4):
-            assert np.array_equal(batched.raw[i], hw_batch_norm(_image(x, i), gamma, beta).raw)
+            assert np.array_equal(batched.raw[i:i + 1], hw_batch_norm(_image(x, i), gamma, beta).raw)
 
     def test_batch_norm_running_stats_broadcast(self):
         geometry = small_geometry()
@@ -96,7 +94,7 @@ class TestBatchedOps:
             single = hw_batch_norm(
                 _image(x, i), gamma, beta, running_mean=mean, running_var=var, dynamic_stats=False
             )
-            assert np.array_equal(batched.raw[i], single.raw)
+            assert np.array_equal(batched.raw[i:i + 1], single.raw)
 
 
 class TestBatchedForward:
@@ -107,9 +105,7 @@ class TestBatchedForward:
         geometry = small_geometry()
         block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=fmt)
         z = make_batch(geometry, 5, scale)
-        batched = block.dynamics_batch(z)
-        singles = np.stack([block.dynamics(z[i]) for i in range(5)])
-        assert np.array_equal(batched, singles)
+        assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
     @pytest.mark.parametrize("fmt,scale", EXTREME_FORMATS)
     def test_execute_batch_residual_path(self, fmt, scale):
@@ -117,13 +113,13 @@ class TestBatchedForward:
         block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=fmt)
         z = make_batch(geometry, 4, scale)
         out_batch, report = block.execute_batch(z, step_size=0.5, t=0.25)
-        out_single = np.concatenate(
-            [block.execute_batch(z[i:i + 1], step_size=0.5, t=0.25)[0] for i in range(4)]
+        out_single = batches_of_one(
+            lambda one: block.execute_batch(one, step_size=0.5, t=0.25)[0], z
         )
         assert np.array_equal(out_batch, out_single)
-        # The report accounts for one image; the per-image cost is the same
-        # object the single-image path reports.
-        single_report = block.execute(z[0])[1]
+        # The report accounts for one image: a batch of one reports the
+        # same per-image cost.
+        single_report = block.execute_batch(z[:1])[1]
         assert report.total_seconds == single_report.total_seconds
 
     def test_time_concat_mode_bitwise(self):
@@ -134,7 +130,7 @@ class TestBatchedForward:
         )
         z = make_batch(geometry, 4)
         batched, _ = block.execute_batch(z, t=0.75)
-        singles = np.concatenate([block.execute_batch(z[i:i + 1], t=0.75)[0] for i in range(4)])
+        singles = batches_of_one(lambda one: block.execute_batch(one, t=0.75)[0], z)
         assert np.array_equal(batched, singles)
 
     def test_run_iterations_batch_matches_per_image(self):
@@ -144,8 +140,8 @@ class TestBatchedForward:
         final_batch, total_batch, reports = block.run_iterations_batch(z, iterations=3)
         totals = []
         for i in range(3):
-            final_i, total_i, _ = block.run_iterations(z[i], iterations=3)
-            assert np.array_equal(final_batch[i], final_i)
+            final_i, total_i, _ = block.run_iterations_batch(z[i:i + 1], iterations=3)
+            assert np.array_equal(final_batch[i:i + 1], final_i)
             totals.append(total_i)
         assert total_batch == pytest.approx(sum(totals))
         assert len(reports) == 3
@@ -163,8 +159,8 @@ class TestBatchedForward:
     def test_batch_of_one_equals_single(self):
         geometry = small_geometry()
         block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=Q8)
-        z = make_batch(geometry, 1, scale=1.5)
-        assert np.array_equal(block.dynamics_batch(z)[0], block.dynamics(z[0]))
+        z = make_batch(geometry, 3, scale=1.5)
+        assert np.array_equal(block.dynamics_batch(z[:1]), block.dynamics_batch(z)[:1])
 
     def test_dynamics_batch_rejects_single_image(self):
         geometry = small_geometry()
@@ -179,9 +175,7 @@ class TestBatchedForward:
 
         block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16)
         z = make_batch(LAYER1, 2, scale=0.3)
-        batched = block.dynamics_batch(z)
-        singles = np.stack([block.dynamics(z[i]) for i in range(2)])
-        assert np.array_equal(batched, singles)
+        assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
 
 class TestGroupBoundary:
@@ -202,8 +196,7 @@ class TestGroupBoundary:
     def test_dynamics_batch_across_the_group_boundary(self, fmt, scale):
         block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16, qformat=fmt)
         z = make_batch(LAYER1, self.N, scale=scale)
-        singles = np.stack([block.dynamics(z[i]) for i in range(self.N)])
-        assert np.array_equal(block.dynamics_batch(z), singles)
+        assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
     @pytest.mark.parametrize("fmt,scale", [
         pytest.param(Q16, 0.3, id="Q16"),
@@ -217,8 +210,8 @@ class TestGroupBoundary:
         )
         z = make_batch(LAYER1, self.N, scale=scale)
         batched, _ = block.execute_batch(z, step_size=0.5, t=0.75)
-        singles = np.concatenate(
-            [block.execute_batch(z[i:i + 1], step_size=0.5, t=0.75)[0] for i in range(self.N)]
+        singles = batches_of_one(
+            lambda one: block.execute_batch(one, step_size=0.5, t=0.75)[0], z
         )
         assert np.array_equal(batched, singles)
 
@@ -235,9 +228,7 @@ class TestSaturationEdgeCases:
         z[1] = fmt.min_value
         z[2] = 10.0 * fmt.max_value  # far out of range: quantises to the rails
         z[3] = fmt.resolution / 3.0  # rounds to zero or one LSB
-        batched = block.dynamics_batch(z)
-        singles = np.stack([block.dynamics(z[i]) for i in range(4)])
-        assert np.array_equal(batched, singles)
+        assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
     def test_mixed_saturating_and_tame_images_do_not_interact(self):
         """A saturating image must not perturb its tame neighbours."""
@@ -249,5 +240,5 @@ class TestSaturationEdgeCases:
         hot = np.full((1, 8, 4, 4), 100.0)
         mixed = np.concatenate([tame[:1], hot, tame[1:]])
         batched = block.dynamics_batch(mixed)
-        assert np.array_equal(batched[0], block.dynamics(tame[0]))
-        assert np.array_equal(batched[2], block.dynamics(tame[1]))
+        assert np.array_equal(batched[0:1], block.dynamics_batch(tame[0:1]))
+        assert np.array_equal(batched[2:3], block.dynamics_batch(tame[1:2]))

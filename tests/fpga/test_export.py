@@ -96,5 +96,7 @@ class TestIntegrationWithHardwareBlock:
         original_hw = HardwareODEBlock(small_geometry, weights, n_units=4)
         restored, _ = import_block_weights(export_block_weights(weights, Q20))
         restored_hw = HardwareODEBlock(small_geometry, restored, n_units=4)
-        z = rng.normal(0, 0.3, size=(8, 4, 4))
-        np.testing.assert_allclose(original_hw.dynamics(z), restored_hw.dynamics(z), atol=1e-5)
+        z = rng.normal(0, 0.3, size=(1, 8, 4, 4))
+        np.testing.assert_allclose(
+            original_hw.dynamics_batch(z), restored_hw.dynamics_batch(z), atol=1e-5
+        )

@@ -113,8 +113,10 @@ class TestStageBounds:
     def test_conv_stage_within_bound(self, fmt, seed):
         _, weights, z = make_case(seed)
         reference = float_conv(z, weights.conv1_weight)
-        fixed = hw_conv2d(FxArray.from_float(z, fmt), FxArray.from_float(weights.conv1_weight, fmt))
-        error = float(np.max(np.abs(fixed.to_float() - reference)))
+        fixed = hw_conv2d(
+            FxArray.from_float(z[None], fmt), FxArray.from_float(weights.conv1_weight, fmt)
+        )
+        error = float(np.max(np.abs(fixed.to_float()[0] - reference)))
         bound = conv_error_bound(
             fmt,
             fan_in=weights.conv1_weight.shape[1] * 9,
@@ -132,11 +134,11 @@ class TestStageBounds:
         a1 = float_conv(z, weights.conv1_weight)
         reference = float_bn(a1, weights.bn1_gamma, weights.bn1_beta)
         fixed = hw_batch_norm(
-            FxArray.from_float(a1, Q20),
+            FxArray.from_float(a1[None], Q20),
             FxArray.from_float(weights.bn1_gamma, Q20),
             FxArray.from_float(weights.bn1_beta, Q20),
         )
-        error = float(np.max(np.abs(fixed.to_float() - reference)))
+        error = float(np.max(np.abs(fixed.to_float()[0] - reference)))
         mag = bn_magnitudes(a1)
         bound = batch_norm_error_bound(
             Q20,
@@ -156,7 +158,7 @@ class TestEndToEnd:
         stages = float_reference_stages(weights, z)
         bound = composed_bound(fmt, weights, z, stages)
         hw = HardwareODEBlock(geometry, weights, n_units=4, qformat=fmt)
-        error = float(np.max(np.abs(hw.dynamics(z) - stages["output"])))
+        error = float(np.max(np.abs(hw.dynamics_batch(z[None])[0] - stages["output"])))
         assert error <= bound.total
         if fmt is Q20:
             # The paper's format tracks float to a few 1e-5 on this block.
@@ -169,7 +171,7 @@ class TestEndToEnd:
         stages = float_reference_stages(weights, z)
         bound = composed_bound(Q20, weights, z, stages)
         hw = HardwareODEBlock(LAYER3_2, weights, n_units=16)
-        error = float(np.max(np.abs(hw.dynamics(z) - stages["output"])))
+        error = float(np.max(np.abs(hw.dynamics_batch(z[None])[0] - stages["output"])))
         assert error <= bound.total
         assert error < 5e-4
 
@@ -180,11 +182,11 @@ class TestEndToEnd:
         stages = float_reference_stages(weights, z)
         bound = composed_bound(Q20, weights, z, stages)
         hw = HardwareODEBlock(geometry, weights, n_units=4)
-        out, _ = hw.execute(z)
+        out, _ = hw.execute_batch(z[None])
         float_step = z + stages["output"]
         # Residual add: input quantisation + dynamics error + one truncation.
         step_bound = bound.input_error + bound.total + Q20.resolution
-        assert float(np.max(np.abs(out - float_step))) <= step_bound
+        assert float(np.max(np.abs(out[0] - float_step))) <= step_bound
 
 
 class TestBoundStructure:

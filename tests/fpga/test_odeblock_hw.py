@@ -40,8 +40,8 @@ class TestConfigurationReports:
 
 class TestExecution:
     def test_execute_shapes_and_report(self, small_hw_block, rng):
-        z = rng.normal(0, 0.3, size=(8, 4, 4))
-        out, report = small_hw_block.execute(z)
+        z = rng.normal(0, 0.3, size=(1, 8, 4, 4))
+        out, report = small_hw_block.execute_batch(z)
         assert out.shape == z.shape
         assert report.compute_seconds > 0
         assert report.transfer_seconds > 0
@@ -49,25 +49,25 @@ class TestExecution:
         assert small_hw_block.invocations == 1
 
     def test_execute_without_residual_returns_dynamics(self, small_hw_block, rng):
-        z = rng.normal(0, 0.3, size=(8, 4, 4))
-        f_only = small_hw_block.dynamics(z)
-        with_res, _ = small_hw_block.execute(z)
+        z = rng.normal(0, 0.3, size=(1, 8, 4, 4))
+        f_only = small_hw_block.dynamics_batch(z)
+        with_res, _ = small_hw_block.execute_batch(z)
         np.testing.assert_allclose(with_res, z + f_only, atol=1e-4)
 
     def test_run_iterations_accumulates_time(self, small_hw_block, rng):
-        z = rng.normal(0, 0.3, size=(8, 4, 4))
-        _, total, reports = small_hw_block.run_iterations(z, iterations=3)
+        z = rng.normal(0, 0.3, size=(1, 8, 4, 4))
+        _, total, reports = small_hw_block.run_iterations_batch(z, iterations=3)
         assert len(reports) == 3
         assert total == pytest.approx(sum(r.total_seconds for r in reports))
 
     def test_iterations_equal_euler_unroll(self, small_hw_block, rng):
         """Repeated execution equals manually chaining Euler steps."""
 
-        z = rng.normal(0, 0.2, size=(8, 4, 4))
+        z = rng.normal(0, 0.2, size=(1, 8, 4, 4))
         manual = z.copy()
         for i in range(3):
-            manual = small_hw_block.execute_batch(manual[None], t=float(i))[0][0]
-        chained, _, _ = small_hw_block.run_iterations(z, iterations=3)
+            manual = small_hw_block.execute_batch(manual, t=float(i))[0]
+        chained, _, _ = small_hw_block.run_iterations_batch(z, iterations=3)
         np.testing.assert_allclose(chained, manual, atol=1e-9)
 
     def test_dynamic_bn_is_default(self, small_geometry, rng):
@@ -86,7 +86,7 @@ class TestExecution:
             from repro.nn import functional as F
             from repro.nn.layers import Parameter
 
-            h = F.conv2d(Tensor(z[None]), Parameter(weights.conv1_weight), padding=1)
+            h = F.conv2d(Tensor(z), Parameter(weights.conv1_weight), padding=1)
             h = F.batch_norm2d(
                 h, Parameter(weights.bn1_gamma), Parameter(weights.bn1_beta),
                 np.zeros(8), np.ones(8), training=True,
@@ -96,17 +96,17 @@ class TestExecution:
                 h, Parameter(weights.bn2_gamma), Parameter(weights.bn2_beta),
                 np.zeros(8), np.ones(8), training=True,
             )
-            return h.data[0]
+            return h.data
 
-        z = rng.normal(0, 0.3, size=(8, 4, 4))
-        error = float(np.max(np.abs(hw.dynamics(z) - float_reference(z))))
+        z = rng.normal(0, 0.3, size=(1, 8, 4, 4))
+        error = float(np.max(np.abs(hw.dynamics_batch(z) - float_reference(z))))
         assert error < 0.05
 
     def test_q16_increases_error_vs_q20(self, small_geometry, rng):
         weights = BlockWeights.random(small_geometry, rng, scale=0.1)
-        z = rng.normal(0, 0.3, size=(8, 4, 4))
-        out20 = HardwareODEBlock(small_geometry, weights, qformat=Q20).dynamics(z)
-        out16 = HardwareODEBlock(small_geometry, weights, qformat=Q16).dynamics(z)
+        z = rng.normal(0, 0.3, size=(1, 8, 4, 4))
+        out20 = HardwareODEBlock(small_geometry, weights, qformat=Q20).dynamics_batch(z)
+        out16 = HardwareODEBlock(small_geometry, weights, qformat=Q16).dynamics_batch(z)
         assert np.max(np.abs(out20 - out16)) > 0
 
 

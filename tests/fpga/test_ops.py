@@ -15,22 +15,17 @@ from repro.nn.layers import Parameter
 
 
 def _image(x: FxArray, i: int) -> FxArray:
-    """Image ``i`` of a batched FxArray."""
+    """Image ``i`` of a batched FxArray, as a batch of one."""
 
-    return FxArray(x.raw[i], x.fmt)
-
-
-def _float_conv_single_image(x, w, stride=1, padding=1):
-    out = F.conv2d(Tensor(x[None, ...]), Tensor(w), stride=stride, padding=padding)
-    return out.data[0]
+    return FxArray(x.raw[i:i + 1], x.fmt)
 
 
 class TestHwConv2d:
     def test_matches_float_reference_within_quantization(self, rng):
-        x = rng.normal(0, 0.5, size=(4, 6, 6))
+        x = rng.normal(0, 0.5, size=(1, 4, 6, 6))
         w = rng.normal(0, 0.2, size=(4, 4, 3, 3))
         hw_out = hw_conv2d(FxArray.from_float(x), FxArray.from_float(w)).to_float()
-        ref = _float_conv_single_image(x, w)
+        ref = F.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         np.testing.assert_allclose(hw_out, ref, atol=1e-3)
 
     def test_batch_accepted_and_matches_per_image(self, rng):
@@ -39,15 +34,21 @@ class TestHwConv2d:
         batched = hw_conv2d(x, w)
         assert batched.shape == (3, 2, 4, 4)
         for i in range(3):
-            assert np.array_equal(batched.raw[i], hw_conv2d(_image(x, i), w).raw)
+            assert np.array_equal(batched.raw[i:i + 1], hw_conv2d(_image(x, i), w).raw)
 
     def test_rejects_non_image_rank(self, rng):
         w = FxArray.from_float(rng.normal(size=(2, 2, 3, 3)))
         with pytest.raises(ValueError, match="batch"):
             hw_conv2d(FxArray.from_float(rng.normal(size=(4, 4))), w)
 
+    def test_rejects_a_single_image(self, rng):
+        # One image is a batch of one: a (C, H, W) map is refused, not promoted.
+        w = FxArray.from_float(rng.normal(size=(2, 2, 3, 3)))
+        with pytest.raises(ValueError, match=r"\(N, C, H, W\) batch"):
+            hw_conv2d(FxArray.from_float(rng.normal(size=(2, 4, 4))), w)
+
     def test_channel_mismatch(self, rng):
-        x = FxArray.from_float(rng.normal(size=(3, 4, 4)))
+        x = FxArray.from_float(rng.normal(size=(1, 3, 4, 4)))
         w = FxArray.from_float(rng.normal(size=(2, 2, 3, 3)))
         with pytest.raises(ValueError, match="channel mismatch"):
             hw_conv2d(x, w)
@@ -55,7 +56,7 @@ class TestHwConv2d:
     def test_format_mismatch(self, rng):
         from repro.fixedpoint import Q16
 
-        x = FxArray.from_float(rng.normal(size=(2, 4, 4)), Q20)
+        x = FxArray.from_float(rng.normal(size=(1, 2, 4, 4)), Q20)
         w = FxArray.from_float(rng.normal(size=(2, 2, 3, 3)), Q16)
         with pytest.raises(ValueError, match="formats must match"):
             hw_conv2d(x, w)
@@ -112,7 +113,7 @@ class TestHwConv2dConformance:
 
 class TestHwBatchNorm:
     def test_dynamic_stats_normalise_per_channel(self, rng):
-        x = rng.normal(3.0, 2.0, size=(4, 16, 16))
+        x = rng.normal(3.0, 2.0, size=(1, 4, 16, 16))
         out = hw_batch_norm(
             FxArray.from_float(x),
             FxArray.from_float(np.ones(4)),
@@ -123,7 +124,7 @@ class TestHwBatchNorm:
         assert out.std() == pytest.approx(1.0, abs=0.1)
 
     def test_running_stats_affine(self, rng):
-        x = rng.normal(size=(2, 4, 4))
+        x = rng.normal(size=(1, 2, 4, 4))
         out = hw_batch_norm(
             FxArray.from_float(x),
             FxArray.from_float(np.full(2, 2.0)),
@@ -134,8 +135,16 @@ class TestHwBatchNorm:
         ).to_float()
         np.testing.assert_allclose(out, 2.0 * x + 0.5, atol=1e-2)
 
+    def test_rejects_a_single_image(self, rng):
+        with pytest.raises(ValueError, match=r"\(N, C, H, W\) batch"):
+            hw_batch_norm(
+                FxArray.from_float(rng.normal(size=(2, 4, 4))),
+                FxArray.from_float(np.ones(2)),
+                FxArray.from_float(np.zeros(2)),
+            )
+
     def test_missing_running_stats_rejected(self, rng):
-        x = FxArray.from_float(rng.normal(size=(2, 4, 4)))
+        x = FxArray.from_float(rng.normal(size=(1, 2, 4, 4)))
         with pytest.raises(ValueError, match="running statistics"):
             hw_batch_norm(
                 x,
@@ -147,7 +156,7 @@ class TestHwBatchNorm:
     def test_matches_software_eval_batchnorm(self, rng):
         """Fixed-point BN with running stats tracks the float eval-mode BN."""
 
-        x = rng.normal(size=(3, 8, 8))
+        x = rng.normal(size=(1, 3, 8, 8))
         gamma, beta = rng.normal(1, 0.1, 3), rng.normal(0, 0.1, 3)
         mean, var = rng.normal(0, 0.2, 3), rng.uniform(0.5, 1.5, 3)
         hw = hw_batch_norm(
@@ -159,8 +168,8 @@ class TestHwBatchNorm:
             dynamic_stats=False,
         ).to_float()
         sw = F.batch_norm2d(
-            Tensor(x[None]), Parameter(gamma), Parameter(beta), mean.copy(), var.copy(), training=False
-        ).data[0]
+            Tensor(x), Parameter(gamma), Parameter(beta), mean.copy(), var.copy(), training=False
+        ).data
         np.testing.assert_allclose(hw, sw, atol=5e-3)
 
 
@@ -168,7 +177,7 @@ def legacy_dynamic_batch_norm(x: FxArray, gamma: FxArray, beta: FxArray, eps: fl
     """The original composition: fx_mean -> fx_var -> fx_sub -> fx_div -> fx_mul -> fx_add."""
 
     fmt = x.fmt
-    raw = x.raw if x.ndim == 4 else x.raw[None, ...]
+    raw = x.raw
     n, c = raw.shape[:2]
     flat = raw.reshape(n, c, -1)
     mean = fx.fx_mean(flat, fmt, axis=2)
@@ -178,7 +187,7 @@ def legacy_dynamic_batch_norm(x: FxArray, gamma: FxArray, beta: FxArray, eps: fl
     normalized = fx.fx_div(centered, std.reshape(n, c, 1, 1), fmt)
     scaled = fx.fx_mul(normalized, gamma.raw.reshape(1, c, 1, 1), fmt)
     shifted = fx.fx_add(scaled, beta.raw.reshape(1, c, 1, 1), fmt)
-    return shifted if x.ndim == 4 else shifted[0]
+    return shifted
 
 
 class TestHwBatchNormBitIdentity:
@@ -189,7 +198,7 @@ class TestHwBatchNormBitIdentity:
         [(Q20, 2.0), (QFormat(16, 8), 4.0), (QFormat(6, 4), 3.0), (QFormat(4, 2), 3.0)],
         ids=["Q20", "Q8-16bit", "Q6.4-saturating", "Q4.2-saturating"],
     )
-    @pytest.mark.parametrize("shape", [(5, 6, 6), (3, 5, 4, 4)], ids=["image", "batch"])
+    @pytest.mark.parametrize("shape", [(1, 5, 6, 6), (3, 5, 4, 4)], ids=["image", "batch"])
     def test_matches_legacy_composition(self, rng, fmt, scale, shape):
         x = FxArray.from_float(rng.normal(0.5, scale, size=shape), fmt)
         c = shape[-3]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import build_network
-from repro.hwsw import HwSwRuntime, Partition
+from repro.hwsw import HwSwRuntime, Partition, PredictionReport
+from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,41 @@ class TestPrediction:
         assert report.pl_invocations["layer3_2"] == 2 * 6
         assert report.pl_compute_seconds > 0
         assert report.pl_transfer_seconds > 0
+
+    def test_batch_equals_stacked_single_image_predictions(self, small_model, batch):
+        """One PL call per offloaded stage: its output is bit-identical to
+        running each image as a batch of one, and the report accounts for
+        every image the single-image predictions account for.
+
+        The logits match to rounding only: the PS part's float layers
+        (``layer1``'s ODE, ``fc``) round differently for a batch of one.
+        """
+
+        runtime = HwSwRuntime(small_model, Partition.offload("layer3_2"))
+        state = np.random.default_rng(3).normal(0, 0.5, size=(3, 16, 4, 4))
+        stage = runtime._run_stage("layer3_2", Tensor(state), PredictionReport(3, ("layer3_2",)))
+        one_by_one = [
+            runtime._run_stage("layer3_2", Tensor(state[i:i + 1]), PredictionReport(1, ("layer3_2",)))
+            for i in range(3)
+        ]
+        assert np.array_equal(stage.data, np.concatenate([one.data for one in one_by_one]))
+
+        logits, report = runtime.predict(batch)
+        singles = [runtime.predict(batch[i:i + 1]) for i in range(len(batch))]
+        np.testing.assert_allclose(
+            logits, np.concatenate([one for one, _ in singles]), rtol=0, atol=1e-12
+        )
+        reports = [one for _, one in singles]
+        assert report.batch_size == sum(r.batch_size for r in reports)
+        assert report.pl_layers == reports[0].pl_layers
+        assert report.pl_invocations == {
+            "layer3_2": sum(r.pl_invocations["layer3_2"] for r in reports)
+        }
+        for name in (
+            "pl_compute_seconds", "pl_transfer_seconds",
+            "modeled_total_without_pl", "modeled_total_with_pl",
+        ):
+            assert getattr(report, name) == pytest.approx(sum(getattr(r, name) for r in reports))
 
     def test_software_only_partition_matches_model(self, small_model, batch):
         runtime = HwSwRuntime(small_model, Partition())

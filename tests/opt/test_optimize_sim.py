@@ -214,6 +214,29 @@ class TestStageTwo:
         assert report.evaluations == 7
         assert report.best["key"] == "n_units=32|board=Ultra96-V2|replicas=2"
 
+    def test_a_cohort_of_one_is_not_halved(self):
+        # Budget 1.9 fits the three-rung schedule of one candidate (1.75
+        # units) but not of two: the one admitted survivor runs once, at
+        # full length.
+        report = explore_search(1.9)
+        assert report.evaluations == 1
+        assert report.budget_spent == pytest.approx(1.0)
+        (evaluated,) = [c for c in report.candidates if c.cost > 0]
+        assert [rung["fraction"] for rung in evaluated.rungs] == [1.0]
+        assert evaluated.stage == "final"
+
+    def test_no_winner_note_counts_unevaluated_survivors(self):
+        # Budget 1.5 evaluates one of four survivors, which is infeasible:
+        # the other three may be feasible, so the note does not claim that
+        # no candidate is.
+        report = explore_search(1.5)
+        assert report.best is None
+        assert report.note == (
+            "no evaluated candidate satisfies the constraints at fidelity=sim "
+            "(12 pruned at screening, 1 infeasible when evaluated, "
+            "3 not evaluated within the budget)"
+        )
+
     @pytest.mark.parametrize("budget", [1.0, 2.0, 4.0])
     def test_every_record_ends_in_one_of_three_stages(self, budget):
         # 36 candidates, 2 req/s: at budgets 2 and 4 a full-length run used

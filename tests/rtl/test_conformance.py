@@ -2,10 +2,12 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry
+from repro.fpga.odeblock_hw import BlockWeights
 from repro.rtl import (
     GOLDEN_CASES,
     emit_odeblock,
@@ -13,7 +15,6 @@ from repro.rtl import (
     generate_vectors,
     golden_vectors,
     iverilog_available,
-    random_block_weights,
     run_conformance,
     write_vector_files,
 )
@@ -39,7 +40,7 @@ def _prepare(tmp_path, geometry, weights, qformat, vectors, n_units, time_concat
 @pytest.mark.parametrize("word,frac", [(16, 8), (12, 6), (8, 4)])
 def test_simulated_outputs_bit_identical_to_fxarray(tmp_path, word, frac):
     qf = QFormat(word, frac)
-    weights = random_block_weights(TINY, seed=21, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(21), scale=0.5)
     vec = generate_vectors(
         TINY, weights, qformat=qf, images=2, iterations=2, seed=13, input_scale=0.6
     )
@@ -61,7 +62,7 @@ def test_golden_saturation_cases_conform(tmp_path, name):
 
 def test_time_concat_design_conforms(tmp_path):
     qf = QFormat(16, 8)
-    weights = random_block_weights(TINY, time_concat=True, seed=5, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(5), scale=0.5, time_concat=True)
     vec = generate_vectors(
         TINY, weights, qformat=qf, images=1, iterations=3, seed=8, time_concat=True
     )
@@ -73,7 +74,7 @@ def test_time_concat_design_conforms(tmp_path):
 def test_idle_pe_design_conforms(tmp_path):
     # More units than channels: idle PEs must not corrupt the datapath.
     qf = QFormat(16, 8)
-    weights = random_block_weights(TINY, seed=6, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(6), scale=0.5)
     vec = generate_vectors(TINY, weights, qformat=qf, images=1, iterations=1, seed=3)
     _prepare(tmp_path, TINY, weights, qf, vec, n_units=8)
     result = run_conformance(tmp_path)
@@ -84,7 +85,7 @@ def test_tampered_expected_vector_fails(tmp_path):
     # Sanity check that the testbench actually compares: flip one expected
     # word and the run must FAIL.
     qf = QFormat(16, 8)
-    weights = random_block_weights(TINY, seed=21, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(21), scale=0.5)
     vec = generate_vectors(TINY, weights, qformat=qf, images=1, iterations=1, seed=13)
     _prepare(tmp_path, TINY, weights, qf, vec, n_units=2)
     exp = tmp_path / "expected.hex"

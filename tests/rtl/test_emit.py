@@ -8,6 +8,7 @@ import pytest
 from repro.fixedpoint import Q20, QFormat
 from repro.fpga.bram import plan_block_allocation
 from repro.fpga.geometry import KERNEL, OFFLOADABLE_BLOCKS, BlockGeometry, block_geometry
+from repro.fpga.odeblock_hw import BlockWeights
 from repro.fpga.resources import ResourceEstimator
 from repro.platform import PYNQ_Z2, get_board
 from repro.rtl import (
@@ -19,7 +20,6 @@ from repro.rtl import (
     default_n_units,
     emit_odeblock,
     emit_testbench,
-    random_block_weights,
 )
 
 TINY = BlockGeometry(name="tiny", in_channels=4, out_channels=4, height=4, width=4)
@@ -54,7 +54,7 @@ def test_manifest_schema_and_consistency():
 def test_rom_words_match_weight_image_exactly():
     # ROM hex contents must equal the quantised export image words, not a
     # re-quantisation of the float weights.
-    weights = random_block_weights(TINY, seed=11, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(11), scale=0.5)
     bundle = emit_odeblock(TINY, weights, qformat=Q16, n_units=1)
     raw1 = Q16.to_fixed(weights.conv1_weight)
     lines = bundle.files["wbank_0.hex"].strip().splitlines()
@@ -135,7 +135,7 @@ def test_two_board_qformat_points_pass_structural_check(tmp_path):
 
 
 def test_time_concat_adds_input_channel_words(tmp_path):
-    w = random_block_weights(TINY, time_concat=True, seed=1)
+    w = BlockWeights.random(TINY, np.random.default_rng(1), time_concat=True)
     bundle = emit_odeblock(TINY, w, qformat=Q16, n_units=2, time_concat=True)
     c, k = TINY.out_channels, KERNEL
     total = sum(
@@ -177,7 +177,7 @@ def test_emit_rejects_strided_blocks():
 
 
 def test_emit_rejects_weight_shape_mismatch():
-    w = random_block_weights(TINY, time_concat=True, seed=0)  # 5 input channels
+    w = BlockWeights.random(TINY, np.random.default_rng(0), time_concat=True)  # 5 input channels
     with pytest.raises(ValueError, match="shape"):
         emit_odeblock(TINY, w, qformat=Q16, n_units=1, time_concat=False)
 

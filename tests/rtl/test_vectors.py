@@ -6,10 +6,9 @@ from vector_image import read_vectors
 
 from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry
-from repro.fpga.odeblock_hw import HardwareODEBlock
+from repro.fpga.odeblock_hw import BlockWeights, HardwareODEBlock
 from repro.rtl import (
     generate_vectors,
-    random_block_weights,
     write_vector_files,
 )
 
@@ -20,7 +19,7 @@ Q16 = QFormat(16, 8)
 def _vectors(**kw):
     args = dict(qformat=Q16, images=2, iterations=3, seed=9, input_scale=0.5)
     args.update(kw)
-    weights = random_block_weights(TINY, seed=4, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(4), scale=0.5)
     return generate_vectors(TINY, weights, **args)
 
 
@@ -42,7 +41,7 @@ def test_generation_is_deterministic():
 def test_chain_consistency_with_run_iterations_batch():
     # Record i's expected state is record i+images' stimulus, and the final
     # expected state equals what run_iterations_batch produces end-to-end.
-    weights = random_block_weights(TINY, seed=4, scale=0.5)
+    weights = BlockWeights.random(TINY, np.random.default_rng(4), scale=0.5)
     vec = generate_vectors(
         TINY, weights, qformat=Q16, images=2, iterations=3, seed=9, input_scale=0.5
     )
