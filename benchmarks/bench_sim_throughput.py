@@ -32,10 +32,11 @@ Four measurements:
    kernel's events/sec floor (the tentpole claim: million-request day
    traces in seconds of wall clock) and that the report's latency
    statistics are exactly :func:`~repro.sim.metrics.latency_stats` over
-   its stored samples, one per completed request.  It then replays a mixed 16x PYNQ-Z2 +
-   8x ZCU104 fleet at ``fidelity="event"`` (30 req/s, one class, 8,000
-   requests; 4,000 under ``--quick``) and asserts at least 1,250
-   requests/sec (half under ``--quick``).
+   its stored samples, one per completed request.  It then serves a mixed 16x
+   PYNQ-Z2 + 8x ZCU104 fleet at ``fidelity="event"`` (one transaction-level
+   simulation of all 24 boards; 30 req/s, one class, 8,000 requests; 4,000
+   under ``--quick``) and asserts at least 1,250 requests/sec (half under
+   ``--quick``).
 
 Usage::
 
@@ -226,8 +227,8 @@ def bench_fleet(quick: bool) -> int:
     else:
         print(f"percentiles exact over all {len(samples):,} stored latencies")
 
-    # Event fidelity: every board's admitted arrivals replayed through
-    # repro.sim.simulate.
+    # Event fidelity: the whole cell as one transaction-level simulation,
+    # each request routed on live board state.
     n_requests = 4_000 if quick else 8_000
     floor = MIN_EVENT_FLEET_REQUESTS_PER_SEC / 2 if quick else MIN_EVENT_FLEET_REQUESTS_PER_SEC
     event_scenario = FleetScenario(
@@ -238,12 +239,12 @@ def bench_fleet(quick: bool) -> int:
         seed=1,
     )
     start = time.perf_counter()
-    replay = simulate_fleet(event_scenario)
+    event = simulate_fleet(event_scenario)
     elapsed = time.perf_counter() - start
     rps = n_requests / elapsed
     print(
         f"event fleet: {n_requests:,} requests on 16x PYNQ-Z2 + 8x ZCU104 -> "
-        f"{elapsed:.2f} s wall, {replay.events_processed / n_requests:,.1f} events/request, "
+        f"{elapsed:.2f} s wall, {event.events_processed / n_requests:,.1f} events/request, "
         f"{rps:,.0f} requests/sec"
     )
     if rps < floor:

@@ -187,10 +187,10 @@ def field_dict(obj: object) -> Dict[str, object]:
     return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
-def shared_fields(source: object, cls: type, exclude: Sequence[str] = ()) -> Dict[str, object]:
+def shared_fields(source: object, cls: type) -> Dict[str, object]:
     """``source``'s values for the fields dataclass ``cls`` also declares."""
 
-    names = {f.name for f in dataclasses.fields(cls)}.difference(exclude)
+    names = {f.name for f in dataclasses.fields(cls)}
     return {f.name: getattr(source, f.name) for f in dataclasses.fields(source) if f.name in names}
 
 

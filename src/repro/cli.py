@@ -178,7 +178,8 @@ FLAGS: Dict[str, Dict[str, object]] = {
     "--shards": dict(type=int, default=1,
                      help="worker processes executing the cells (never changes the numbers)"),
     "--fidelity": dict(choices=("fast", "event"), default="fast", help="'fast' = analytic "
-                       "balancer kernel; 'event' = replay through the transaction-level sim"),
+                       "balancer kernel; 'event' = each cell as one transaction-level "
+                       "simulation, routed on live board state"),
     # -- optimizer ------------------------------------------------------------
     "--objective": dict(default=None, metavar="[min:|max:]METRIC",
                         help="metric to optimize (required), e.g. 'min:p99_ms'"),

@@ -41,6 +41,10 @@ against the ``t`` being routed).  Powering a board up lowers its key, so it
 goes through :meth:`Balancer.power_up`, which rebuilds the index;
 power-downs go through :meth:`Balancer.power_down`, so the weighted table
 sees every change of the powered set.
+
+At event fidelity a board's predicted start is live state that falls when
+a request completes, so :class:`ScanBalancer` applies the same rules with
+least-loaded routing as a scan of every powered board.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.metrics import energy_section, ps_energy_j
 
-__all__ = ["BATCH_SPILL_FACTOR", "BoardServer", "Balancer"]
+__all__ = ["BATCH_SPILL_FACTOR", "BoardServer", "Balancer", "ScanBalancer"]
 
 #: A batch request spills off the cheapest board when its backlog exceeds
 #: this many of its own service times.
@@ -315,3 +319,29 @@ class Balancer:
             return None
         pick = bisect_right(cumulative, (0.0 if u is None else u) * total)
         return candidates[min(pick, len(candidates) - 1)]
+
+
+class ScanBalancer(Balancer):
+    """The :class:`Balancer`'s rules over boards whose predicted start can fall.
+
+    An event-fidelity board's :meth:`~BoardServer.predicted_start` reads
+    live state that falls when a request completes, which the lazy index
+    cannot see, so least-loaded routing scans every powered board for the
+    earliest predicted start (the lowest inventory position on ties, as the
+    index picks).  The other rules are the base class's.
+    """
+
+    __slots__ = ()
+
+    def _reindex(self) -> None:
+        self._weights = None
+
+    def _least_loaded(self, t: float) -> Optional[BoardServer]:
+        best: Optional[BoardServer] = None
+        best_start = math.inf
+        for board in self.boards:
+            if board.powered:
+                start = board.predicted_start(t)
+                if start < best_start:
+                    best, best_start = board, start
+        return best

@@ -14,7 +14,10 @@ a :class:`FleetScenario` describes a heterogeneous *cluster* drawn from the
   round-robin into ``cells`` independent sub-clusters, each serving
   ``1/cells`` of the traffic with its own RNG stream.  Cells (not shards!)
   define the results; shards only decide how many worker processes execute
-  them, so any ``--shards`` value yields bit-identical merged metrics.
+  them, so any ``--shards`` value yields bit-identical merged metrics;
+* ``fidelity`` — ``fast`` (the analytic balancer kernel) or ``event``
+  (each cell one transaction-level simulation of all its boards, routed
+  on live board state; any class mix, but no autoscaling).
 
 Everything follows the frozen/validated contract of the rest of the API:
 construction fails fast with a helpful ``ValueError``, and ``as_dict``
@@ -35,7 +38,7 @@ from ..api.scenario import (
     field_dict,
     shared_fields,
 )
-from ..sim.scenario import SimScenario, check_traffic
+from ..sim.scenario import check_traffic
 
 __all__ = [
     "ROUTING_NAMES",
@@ -59,14 +62,10 @@ ADMISSION_NAMES: Tuple[str, ...] = ("none", "slo")
 CLASS_KINDS: Tuple[str, ...] = ("latency", "batch")
 
 #: Serving fidelities: ``fast`` is the analytic multi-server kernel (one
-#: event per request — million-request fleets in seconds); ``event`` routes
-#: each board's assigned trace through the full transaction-level
-#: :func:`repro.sim.simulate` (the identity-test and deep-dive path).
+#: event per request — million-request fleets in seconds); ``event`` serves
+#: each cell as one transaction-level simulation of every board, routed on
+#: live board state (the identity-test and deep-dive path).
 FIDELITY_NAMES: Tuple[str, ...] = ("fast", "event")
-
-#: Fleet traffic knobs a board's event-fidelity SimScenario does not inherit:
-#: it replays the trace the balancer assigned it, whole.
-_FLEET_TRAFFIC: Tuple[str, ...] = ("arrival_rate_hz", "n_requests", "duration_s")
 
 
 @dataclass(frozen=True)
@@ -211,18 +210,12 @@ class FleetScenario:
             raise ValueError(
                 f"unknown fidelity '{self.fidelity}'; expected one of {FIDELITY_NAMES}"
             )
-        if self.fidelity == "event":
-            if self.autoscale:
-                raise ValueError(
-                    "autoscale requires fidelity='fast' (the event-fidelity path "
-                    "replays each board's assigned trace through repro.sim, which "
-                    "has no mid-run power state)"
-                )
-            if len(classes) != 1:
-                raise ValueError(
-                    "fidelity='event' requires exactly one traffic class (per-class "
-                    "latency cannot be recovered from a board-level SimReport)"
-                )
+        if self.fidelity == "event" and self.autoscale:
+            raise ValueError(
+                "autoscale requires fidelity='fast' (the event-fidelity cell "
+                "simulates every board powered for the whole run: its simulator "
+                "has no power states)"
+            )
 
         # Fail fast on invalid design points: every board must run the
         # design as a constructible Scenario (unknown models/depths/boards
@@ -264,20 +257,6 @@ class FleetScenario:
 
         board = board if board is not None else self.boards[0].board
         return Scenario(board=board, **shared_fields(self, Scenario))
-
-    def board_sim_scenario(
-        self, board: str, trace: Sequence[float], replicas: int,
-        slo_s: Optional[float] = None,
-    ) -> SimScenario:
-        """The per-board :class:`SimScenario` of the event-fidelity path.
-
-        The board serves with every PS core it has (``ps_cores=0``) and the
-        simulator's default dispatch, as the fast kernel prices it.
-        """
-
-        knobs = shared_fields(self, SimScenario, exclude=_FLEET_TRAFFIC)
-        knobs.update(arrival="trace", trace=tuple(trace), replicas=replicas, slo_s=slo_s)
-        return SimScenario(board=board, ps_cores=0, **knobs)
 
     def replace(self, **changes: object) -> "FleetScenario":
         return dataclasses.replace(self, **changes)

@@ -10,7 +10,7 @@ its percentiles are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -22,17 +22,26 @@ __all__ = ["ClassCell", "BoardCell", "CellResult", "FleetReport", "merge_cells"]
 
 @dataclass
 class ClassCell:
-    """One traffic class's tally within one cell."""
+    """One traffic class's tally within one cell, filled by either fidelity."""
 
     name: str
     kind: str
-    offered: int
-    rejected: int
-    completed: int
-    violations: int
     slo_s: Optional[float]
-    latency: QuantileSketch
-    wait: QuantileSketch
+    offered: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
+    completed: int = field(default=0, init=False)
+    violations: int = field(default=0, init=False)
+    latency: QuantileSketch = field(default_factory=QuantileSketch, init=False)
+    wait: QuantileSketch = field(default_factory=QuantileSketch, init=False)
+
+    def served(self, latency: float, wait: float) -> None:
+        """Record one completed request."""
+
+        self.completed += 1
+        self.latency.insert(latency)
+        self.wait.insert(wait)
+        if self.slo_s is not None and latency > self.slo_s:
+            self.violations += 1
 
 
 @dataclass
@@ -62,8 +71,6 @@ class CellResult:
     horizon_s: float
     events: int
     autoscale: Optional[Dict[str, object]] = None
-    #: Event-fidelity only: the per-board ``SimReport.as_dict()`` payloads.
-    board_reports: Optional[List[Dict[str, object]]] = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -72,7 +79,7 @@ class FleetReport(ServingReport):
 
     JSON_KEYS = (
         "scenario", "requests", "horizon_s", "throughput_rps", "latency", "wait", "classes",
-        "boards", "energy", "cells", "shards", "events_processed", "autoscale", "board_reports",
+        "boards", "energy", "cells", "shards", "events_processed", "autoscale",
     )
     COUNTED = ("offered", "rejected", "completed")
 
@@ -81,7 +88,6 @@ class FleetReport(ServingReport):
     cells: int
     shards: int
     autoscale: Optional[Dict[str, object]] = None
-    board_reports: Optional[List[Dict[str, object]]] = None
 
     def render(self) -> str:
         """Multi-section plain-text report (the ``fleet`` subcommand output)."""
@@ -233,10 +239,6 @@ def merge_cells(
             "final_powered": sum((r.autoscale or {}).get("final_powered", 0) for r in results),
         }
 
-    board_reports: Optional[List[Dict[str, object]]] = None
-    if any(r.board_reports is not None for r in results):
-        board_reports = [rep for r in results for rep in (r.board_reports or [])]
-
     return FleetReport(
         scenario=scenario_dict,
         requests={
@@ -256,7 +258,6 @@ def merge_cells(
         shards=shards,
         events_processed=events,
         autoscale=autoscale,
-        board_reports=board_reports,
         latency_sketch=latency_sketch,
         wait_sketch=wait_sketch,
     )

@@ -6,7 +6,7 @@ offered traffic, with its own deterministic RNG stream
 index, never of the shard layout).  Each board *type* in the inventory is
 sized and priced once per cell (:func:`_board_types`): its replicas through
 the simulator's own rule (:func:`repro.sim.policies.size_replicas`), its
-service and PS seconds from its service plan, its PL watts from one
+service plan, its PL watts from one
 replica's footprint.  The SLOs and every board of the cell read that table.
 Two serving fidelities:
 
@@ -16,37 +16,40 @@ Two serving fidelities:
   routing decision over the cell's B boards plus one slot-heap commit;
   autoscale ticks interleave between arrivals.  This is what makes
   million-request day traces take seconds.
-* ``event`` — the routing pass runs identically (the balancer always works
-  on analytic predictions, as a real load balancer would), then each
-  board's assigned arrivals replay through the full transaction-level
-  :func:`repro.sim.simulate` as a trace.  A fleet of one board with no
-  admission is then *exactly* a ``repro.sim`` run — the identity the fleet
-  conformance tests pin.
+* ``event`` — the whole cell is one transaction-level simulation: every
+  board's serving system (the one :func:`repro.sim.simulate` builds for
+  its single board) on one simulator, and each request routed and admitted
+  at its arrival instant by the same balancer rules, reading live board
+  state (:class:`EventBoard`).  A fleet of one board with no admission is
+  then *exactly* a ``repro.sim`` run — the identity the fleet conformance
+  tests pin.
+
+Both fidelities fill one per-class tally and assemble the same
+:class:`~repro.fleet.report.CellResult`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..api.evaluator import Evaluator
 from ..fpga.power import pl_power_kernel
 from ..platform import get_board
-from ..sim.metrics import QuantileSketch, energy_section, ps_energy_j
 from ..sim.policies import size_replicas
 from ..sim.scenario import DEFAULT_SLO_FACTOR, request_cap
-from ..sim.workload import arrival_times, build_service_plan
+from ..sim.workload import Request, ServicePlan, arrival_times, build_service_plan
 from .autoscale import AutoscaleController
-from .balancer import Balancer, BoardServer
+from .balancer import Balancer, BoardServer, ScanBalancer
 from .cluster import FleetScenario
 from .report import BoardCell, CellResult, ClassCell
 
-__all__ = ["run_cell", "resolve_slos"]
+__all__ = ["EventBoard", "run_cell", "resolve_slos"]
 
-#: Per board type: (replicas, service s, PS s, PL W) of one board.
-BoardTypes = Dict[str, Tuple[int, float, float, float]]
+#: Per board type: (replicas, service plan, PL W) of one board.
+BoardTypes = Dict[str, Tuple[int, ServicePlan, float]]
 
 
 def _board_types(scenario: FleetScenario, evaluator: Evaluator) -> BoardTypes:
@@ -66,7 +69,7 @@ def _board_types(scenario: FleetScenario, evaluator: Evaluator) -> BoardTypes:
         plan = build_service_plan(design, evaluator=evaluator)
         power = design.board_spec.power
         pl_w = replicas * float(pl_power_kernel(per_replica.dsp, per_replica.bram, power))
-        out[group.board] = (replicas, plan.total_seconds, plan.ps_seconds, pl_w)
+        out[group.board] = (replicas, plan, pl_w)
     return out
 
 
@@ -79,7 +82,7 @@ def resolve_slos(scenario: FleetScenario, types: BoardTypes) -> Tuple[Optional[f
     have no implicit SLO.
     """
 
-    fastest = min(svc for _, svc, _, _ in types.values())
+    fastest = min(plan.total_seconds for _, plan, _ in types.values())
     resolved: List[Optional[float]] = []
     for cls in scenario.classes:
         if cls.slo_s is not None:
@@ -121,20 +124,39 @@ def _cell_arrivals(
     return array("d", np.asarray(times, dtype=np.float64).tobytes())
 
 
-def _build_boards(scenario: FleetScenario, cell: int, types: BoardTypes) -> List[BoardServer]:
+class EventBoard(BoardServer):
+    """A board of an event-fidelity cell, served inside the cell's simulator
+    by the system :func:`repro.sim.runner.build_board` builds.
+
+    The balancer reads it through :meth:`predicted_start`, on live state:
+    ``outstanding`` counts the requests routed here and not yet completed.
+    """
+
+    __slots__ = ("plan", "outstanding", "ps", "accelerators", "dispatcher")
+
+    def predicted_start(self, t: float) -> float:
+        """When a request arriving at ``t`` would begin service here: after
+        one service time per full round of the ``replicas`` ahead of it."""
+
+        return t + self.svc_s * (self.outstanding // self.replicas)
+
+
+def _build_boards(
+    scenario: FleetScenario, cell: int, types: BoardTypes, kind: type
+) -> List[BoardServer]:
     boards: List[BoardServer] = []
     for index, group_index, name in scenario.cell_inventory(cell):
         spec = get_board(name)
         power = spec.power
-        n_rep, svc, ps, pl_w = types[name]
+        n_rep, plan, pl_w = types[name]
         boards.append(
-            BoardServer(
+            kind(
                 index=index,
                 group=group_index,
                 name=name,
                 replicas=n_rep,
-                svc_s=svc,
-                ps_s=ps,
+                svc_s=plan.total_seconds,
+                ps_s=plan.ps_seconds,
                 pl_w=pl_w,
                 ps_active_w=power.ps_active_w,
                 ps_idle_w=power.ps_idle_w,
@@ -144,6 +166,26 @@ def _build_boards(scenario: FleetScenario, cell: int, types: BoardTypes) -> List
     return boards
 
 
+def _admit(
+    balancer: Balancer, t: float, cls: ClassCell, u: Optional[float], slo_admission: bool
+) -> Optional[BoardServer]:
+    """Count one request of ``cls`` arriving at ``t`` and route it.
+
+    Returns its board, or ``None`` (counted as rejected) when no board is
+    powered or, under SLO admission, when a latency request's predicted
+    sojourn on its board breaks the class SLO.
+    """
+
+    cls.offered += 1
+    board = balancer.route(t, cls.kind, u)
+    if board is not None and slo_admission and cls.kind == "latency" and cls.slo_s is not None:
+        if (board.predicted_start(t) - t) + board.svc_s > cls.slo_s:
+            board = None
+    if board is None:
+        cls.rejected += 1
+    return board
+
+
 def run_cell(
     scenario: FleetScenario, cell: int, evaluator: Optional[Evaluator] = None
 ) -> CellResult:
@@ -151,103 +193,62 @@ def run_cell(
 
     ev = evaluator if evaluator is not None else Evaluator()
     classes = scenario.classes
-    n_classes = len(classes)
     types = _board_types(scenario, ev)
-    slos = resolve_slos(scenario, types)
+    tally = [
+        ClassCell(name=c.name, kind=c.kind, slo_s=slo)
+        for c, slo in zip(classes, resolve_slos(scenario, types))
+    ]
 
     rng = np.random.default_rng((scenario.seed, cell))
     arrivals = _cell_arrivals(scenario, cell, rng)
     n = len(arrivals)
-    if n_classes > 1:
+    if len(classes) > 1:
         weights = np.asarray([c.weight for c in classes], dtype=np.float64)
-        labels = rng.choice(n_classes, size=n, p=weights / weights.sum()).tolist()
+        labels = rng.choice(len(classes), size=n, p=weights / weights.sum()).tolist()
     else:
         labels = [0] * n
-    route_u = rng.random(n).tolist() if scenario.routing == "weighted" else None
+    route_u = rng.random(n).tolist() if scenario.routing == "weighted" else [None] * n
+    # Per request: arrival time, class tally, routing uniform (weighted only).
+    requests = zip(arrivals, [tally[c] for c in labels], route_u)
 
-    boards = _build_boards(scenario, cell, types)
-    balancer = Balancer(boards, scenario.routing)
-    controller: Optional[AutoscaleController] = None
-    next_tick = np.inf
-    interval = scenario.autoscale_interval_s
-    if scenario.autoscale:
-        controller = AutoscaleController(balancer, interval)
-        next_tick = interval
+    autoscale = None
+    if scenario.fidelity == "event":
+        boards = _build_boards(scenario, cell, types, EventBoard)
+        horizon, events = _serve_events(scenario, boards, types, requests)
+    else:
+        boards = _build_boards(scenario, cell, types, BoardServer)
+        balancer = Balancer(boards, scenario.routing)
+        slo_admission = scenario.admission == "slo"
+        controller: Optional[AutoscaleController] = None
+        next_tick = np.inf
+        interval = scenario.autoscale_interval_s
+        if scenario.autoscale:
+            controller = AutoscaleController(balancer, interval)
+            next_tick = interval
+        events = 0
+        for t, cls, u in requests:
+            while t >= next_tick:
+                controller.tick(next_tick)
+                next_tick += interval
+                events += 1
+            board = _admit(balancer, t, cls, u, slo_admission)
+            if board is not None:
+                start, finish = board.assign(t)
+                events += 1
+                cls.served(finish - t, start - t)
+        horizon = max([arrivals[-1] if n else 0.0] + [b.last_finish for b in boards])
+        for b in boards:
+            b.finalize(horizon)
+        if controller is not None:
+            autoscale = controller.summary()
 
-    check_slo = scenario.admission == "slo"
-    cls_latency = [QuantileSketch() for _ in range(n_classes)]
-    cls_wait = [QuantileSketch() for _ in range(n_classes)]
-    offered = [0] * n_classes
-    rejected = [0] * n_classes
-    violations = [0] * n_classes
-    kinds = [c.kind for c in classes]
-    events = 0
-    last_arrival = arrivals[-1] if n else 0.0
-
-    # Event fidelity: the routing pass assigns, the transaction-level
-    # simulator serves.  Collect each board's admitted arrivals here.
-    collect = scenario.fidelity == "event"
-    per_board_trace: Optional[List[List[float]]] = [[] for _ in boards] if collect else None
-    board_pos = {b.index: i for i, b in enumerate(boards)}
-
-    for i in range(n):
-        t = arrivals[i]
-        while t >= next_tick:
-            controller.tick(next_tick)
-            next_tick += interval
-            events += 1
-        c = labels[i]
-        offered[c] += 1
-        board = balancer.route(t, kinds[c], route_u[i] if route_u is not None else None)
-        if board is None:
-            rejected[c] += 1
-            continue
-        if check_slo and kinds[c] == "latency":
-            slo = slos[c]
-            if slo is not None and (board.predicted_start(t) - t) + board.svc_s > slo:
-                rejected[c] += 1
-                continue
-        start, finish = board.assign(t)
-        events += 1
-        if collect:
-            per_board_trace[board_pos[board.index]].append(t)
-            continue
-        latency = finish - t
-        cls_latency[c].insert(latency)
-        cls_wait[c].insert(start - t)
-        slo = slos[c]
-        if slo is not None and latency > slo:
-            violations[c] += 1
-
-    if collect:
-        return _event_fidelity_result(
-            scenario, cell, ev, boards, per_board_trace,
-            offered, rejected, slos, events, last_arrival,
-        )
-
-    horizon = max([last_arrival] + [b.last_finish for b in boards])
-    for b in boards:
-        b.finalize(horizon)
-    completed = [offered[c] - rejected[c] for c in range(n_classes)]
+    completed = sum(c.completed for c in tally)
     return CellResult(
         cell=cell,
-        offered=sum(offered),
-        rejected=sum(rejected),
-        completed=sum(completed),
-        classes=[
-            ClassCell(
-                name=classes[c].name,
-                kind=kinds[c],
-                offered=offered[c],
-                rejected=rejected[c],
-                completed=completed[c],
-                violations=violations[c],
-                slo_s=slos[c],
-                latency=cls_latency[c],
-                wait=cls_wait[c],
-            )
-            for c in range(n_classes)
-        ],
+        offered=n,
+        rejected=n - completed,
+        completed=completed,
+        classes=tally,
         boards=[
             BoardCell(
                 index=b.index,
@@ -263,100 +264,57 @@ def run_cell(
         ],
         horizon_s=horizon,
         events=events,
-        autoscale=controller.summary() if controller is not None else None,
+        autoscale=autoscale,
     )
 
 
-def _event_fidelity_result(
+def _serve_events(
     scenario: FleetScenario,
-    cell: int,
-    ev: Evaluator,
-    boards: List[BoardServer],
-    per_board_trace: List[List[float]],
-    offered: List[int],
-    rejected: List[int],
-    slos: Tuple[Optional[float], ...],
-    events: int,
-    last_arrival: float,
-) -> CellResult:
-    """Replay each board's admitted arrivals through ``repro.sim.simulate``.
+    boards: List[EventBoard],
+    types: BoardTypes,
+    requests: Iterable[Tuple[float, ClassCell, Optional[float]]],
+) -> Tuple[float, int]:
+    """Serve the cell's requests in one transaction-level simulation.
 
-    Event fidelity rejects autoscale, so every board is powered for the
-    whole run: each is charged its replayed energy plus idle power from its
-    own horizon (0 without traffic) up to the fleet horizon.
+    Each board gets the serving system ``simulate`` builds for its single
+    board: all its PS cores and the simulator's default dispatch.  Each
+    request's process routes and admits itself at its arrival instant
+    (:func:`_admit`, on live board state), then walks its board's service
+    plan.  Every board is powered for the whole run (autoscale is rejected
+    at this fidelity).  Returns the horizon and the event count: one per
+    admitted request plus the simulator's events.
     """
 
-    from ..sim.runner import simulate  # deferred: repro.sim is the heavy path
+    # Deferred: repro.sim's serving model is the heavy path.
+    from ..sim.engine import Simulator
+    from ..sim.runner import _request_process, as_sim_scenario, build_board
 
-    cls = scenario.classes[0]  # event fidelity is single-class (validated)
-    slo = slos[0]
-    reports = [
-        simulate(
-            scenario.board_sim_scenario(b.name, trace, b.replicas, slo_s=slo), evaluator=ev
+    sim = Simulator()
+    for board in boards:
+        board.plan = types[board.name][1]
+        board.outstanding = 0
+        board.ps, _, board.accelerators, board.dispatcher = build_board(
+            sim, as_sim_scenario(board.plan.scenario), board.replicas, board.ps_cores
         )
-        if trace
-        else None
-        for b, trace in zip(boards, per_board_trace)
-    ]
-    replayed = [r for r in reports if r is not None]
-    horizon = max([last_arrival] + [float(r.horizon_s) for r in replayed])
-    latency = QuantileSketch()
-    wait = QuantileSketch()
-    for report in replayed:
-        latency.merge(report.latency_sketch)
-        wait.merge(report.wait_sketch)
-    completed = sum(r.requests["completed"] for r in replayed)
-    violations = sum(int(r.slo["violations"]) for r in replayed if r.slo is not None)
-    events += sum(r.events_processed for r in replayed)
-    board_cells: List[BoardCell] = []
-    for b, report in zip(boards, reports):
-        served, busy, own_horizon, ps_j, pl_j = 0, 0.0, 0.0, 0.0, 0.0
-        if report is not None:
-            served = report.requests["completed"]
-            own_horizon = float(report.horizon_s)
-            busy = float(report.utilization["accelerator_mean"]) * b.replicas * own_horizon
-            ps_j, pl_j = report.energy["ps_energy_J"], report.energy["pl_energy_J"]
-        idle = horizon - own_horizon
-        board_cells.append(
-            BoardCell(
-                index=b.index,
-                group=b.group,
-                name=b.name,
-                replicas=b.replicas,
-                served=served,
-                busy_seconds=busy,
-                powered_seconds=horizon,
-                energy=energy_section(
-                    ps_j + ps_energy_j(b.ps_active_w, b.ps_idle_w, 0.0, b.ps_cores, idle),
-                    pl_j + b.pl_w * idle,
-                    served,
-                    horizon,
-                ),
-            )
-        )
-    total_offered = sum(offered)
-    total_rejected = sum(rejected)
-    return CellResult(
-        cell=cell,
-        offered=total_offered,
-        rejected=total_rejected,
-        completed=completed,
-        classes=[
-            ClassCell(
-                name=cls.name,
-                kind=cls.kind,
-                offered=total_offered,
-                rejected=total_rejected,
-                completed=completed,
-                violations=violations,
-                slo_s=slo,
-                latency=latency,
-                wait=wait,
-            )
-        ],
-        boards=board_cells,
-        horizon_s=horizon,
-        events=events,
-        autoscale=None,
-        board_reports=[r.as_dict() for r in replayed],
-    )
+    balancer = ScanBalancer(boards, scenario.routing)
+    slo_admission = scenario.admission == "slo"
+    completed: List[Request] = []
+
+    def serve(i: int, t: float, cls: ClassCell, u: Optional[float]) -> Generator:
+        board = _admit(balancer, t, cls, u, slo_admission)
+        if board is None:
+            return
+        board.outstanding += 1
+        plan = board.plan
+        request = Request(index=i, arrival=t, scenario=plan.scenario)
+        yield from _request_process(sim, request, plan, board.ps, board.dispatcher, completed)
+        board.outstanding -= 1
+        board.served += 1
+        cls.served(request.latency, request.total_wait)
+
+    sim.run((t, serve(i, t, cls, u)) for i, (t, cls, u) in enumerate(requests))
+    for board in boards:
+        board.ps_busy_seconds = board.ps.busy.finalize(sim.now)
+        board.busy_seconds = sum(acc.busy.finalize(sim.now) for acc in board.accelerators)
+        board.finalize(sim.now)
+    return sim.now, len(completed) + sim.events_processed

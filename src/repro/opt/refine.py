@@ -419,9 +419,10 @@ def optimize(
         else:
             schedule = RUNG_FRACTIONS
             cohort = ordered[: fits[-1]]
+        admitted_to = "halving" if len(schedule) > 1 else "the full-length run"
         for candidate in ordered[len(cohort):]:
             search.records[search.index[candidate.key]].reason = (
-                f"not admitted to halving (cohort {len(cohort)} of "
+                f"not admitted to {admitted_to} (cohort {len(cohort)} of "
                 f"{len(ordered)} survivors fits the budget)"
             )
         for r, fraction in enumerate(schedule):

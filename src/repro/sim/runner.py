@@ -53,7 +53,7 @@ from .workload import (
     sample_mix,
 )
 
-__all__ = ["SimSystem", "as_sim_scenario", "simulate"]
+__all__ = ["SimSystem", "as_sim_scenario", "build_board", "simulate"]
 
 
 def as_sim_scenario(scenario: Scenario) -> SimScenario:
@@ -179,6 +179,43 @@ def _arm_fault(
     sim.schedule(t_inject, fire)
 
 
+def build_board(
+    sim: Simulator, scenario: SimScenario, n_replicas: int, ps_cores: int
+) -> Tuple[Resource, AxiBus, List[Accelerator], Dispatcher]:
+    """One board's serving system on ``sim``.
+
+    A pool of ``ps_cores`` PS cores, the AXI bus, ``n_replicas`` PL
+    accelerators behind a :class:`Dispatcher` running ``scenario``'s
+    policy, batch size and DMA channels, and the dispatcher's PS software
+    fallback.  :func:`simulate` builds its one board with it; an
+    event-fidelity fleet cell builds every board of the cell on one
+    simulator.
+    """
+
+    ps = Resource(sim, capacity=ps_cores, name="ps")
+    bus = AxiBus(sim, channels=scenario.dma_channels)
+    accelerators = [Accelerator(sim, i) for i in range(n_replicas)]
+    dispatcher = Dispatcher(sim, bus, accelerators, scenario.policy, scenario.batch_size)
+
+    # Degraded-mode escape hatch: when every replica is dead, an offloaded
+    # invocation runs as software on a PS core (the paper's all-software
+    # path, priced by the same execution report).  Installed unconditionally
+    # but only ever called once fail_replica() has emptied the fleet.
+    def _fallback_process(execution: Execution) -> Generator:
+        if ps.try_acquire():
+            yield 0.0  # a free core is still granted through one zero-delay entry
+        else:
+            ps.enqueue()
+            yield PARK
+        execution.request.pl_wait += sim.now - execution.submitted
+        yield execution.plx.ps_fallback_seconds
+        ps.release()
+        execution.finish()
+
+    dispatcher.ps_fallback = lambda execution: Process(sim, _fallback_process(execution))
+    return ps, bus, accelerators, dispatcher
+
+
 def simulate(
     scenario: Scenario,
     evaluator: Optional[Evaluator] = None,
@@ -252,29 +289,7 @@ def simulate(
 
     # -- system -----------------------------------------------------------------------
     sim = Simulator()
-    ps = Resource(sim, capacity=ps_cores, name="ps")
-    bus = AxiBus(sim, channels=sim_scenario.dma_channels)
-    accelerators = [Accelerator(sim, i) for i in range(n_replicas)]
-    dispatcher = Dispatcher(
-        sim, bus, accelerators, sim_scenario.policy, sim_scenario.batch_size
-    )
-
-    # Degraded-mode escape hatch: when every replica is dead, an offloaded
-    # invocation runs as software on a PS core (the paper's all-software
-    # path, priced by the same execution report).  Installed unconditionally
-    # but only ever called once fail_replica() has emptied the fleet.
-    def _fallback_process(execution: Execution) -> Generator:
-        if ps.try_acquire():
-            yield 0.0  # a free core is still granted through one zero-delay entry
-        else:
-            ps.enqueue()
-            yield PARK
-        execution.request.pl_wait += sim.now - execution.submitted
-        yield execution.plx.ps_fallback_seconds
-        ps.release()
-        execution.finish()
-
-    dispatcher.ps_fallback = lambda execution: Process(sim, _fallback_process(execution))
+    ps, bus, accelerators, dispatcher = build_board(sim, sim_scenario, n_replicas, ps_cores)
 
     # -- fault injection --------------------------------------------------------------
     # Each injection is a timed callback on the one event queue

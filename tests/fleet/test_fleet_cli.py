@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.fleet import BoardGroup, FleetScenario, parse_board_groups, parse_traffic_classes
+from repro.fleet import (
+    BoardGroup,
+    FleetScenario,
+    parse_board_groups,
+    parse_traffic_classes,
+    simulate_fleet,
+)
 from repro.platform import get_board
-from repro.sim import SimScenario
+from repro.sim import SimScenario, simulate
 
 
 def run_cli(capsys, *argv) -> str:
@@ -76,39 +83,68 @@ class TestFleetCommand:
         assert "[autoscale]" in out
         assert "power-ups" in out
 
-    def test_event_board_scenarios_inherit_serving_knobs_not_traffic(self, capsys):
+    def test_event_fleet_serves_every_request_on_its_boards(self, capsys):
         payload = json.loads(run_cli(
             capsys, "fleet", "--boards", "pynq-z2:2,zcu104:1", "--rate", "5",
-            "--requests", "40", "--fidelity", "event", "--json",
+            "--requests", "40", "--fidelity", "event", "--admission", "none", "--json",
         ))
-        fleet = payload["scenario"]
-        reports = payload["board_reports"]
-        assert [r["scenario"]["board"] for r in reports] == ["PYNQ-Z2", "PYNQ-Z2", "ZCU104"]
-        for report in reports:
-            scenario = report["scenario"]
-            assert scenario["seed"] == fleet["seed"]
-            # Every board serves with all its PS cores; the report carries
-            # the resolved count.
-            assert scenario["ps_cores"] == get_board(scenario["board"]).ps_cores
-            # Each board replays its assigned trace whole: the fleet's
-            # offered-traffic knobs must not leak into it.
-            assert scenario["arrival"] == "trace"
-            assert scenario["n_requests"] is None
-            assert scenario["duration_s"] is None
-            assert scenario["arrival_rate_hz"] == SimScenario().arrival_rate_hz
-            assert report["requests"]["offered"] == len(scenario["trace"])
-        assert sum(r["requests"]["offered"] for r in reports) == 40
+        assert "board_reports" not in payload
+        assert [(b["board"], b["count"]) for b in payload["boards"]] == [
+            ("PYNQ-Z2", 2), ("ZCU104", 1)
+        ]
+        assert payload["requests"]["completed"] == 40
+        assert sum(b["served"] for b in payload["boards"]) == 40
 
-    def test_event_board_scenario_copies_every_serving_knob(self):
-        fleet = FleetScenario(
-            boards=(BoardGroup("PYNQ-Z2", 2),), arrival_rate_hz=3.0, n_requests=9,
-            duration_s=50.0, n_units=8, seed=5, fidelity="event",
-        )
-        board = fleet.board_sim_scenario("PYNQ-Z2", (0.0, 0.5), replicas=1, slo_s=0.4)
-        assert board == SimScenario(
-            model=fleet.model, depth=fleet.depth, n_units=8, board="PYNQ-Z2", arrival="trace",
-            trace=(0.0, 0.5), replicas=1, seed=5, ps_cores=0, slo_s=0.4,
-        )
+
+def _event_board_and_simulate(board: str, **knobs):
+    """A one-board event fleet and the ``simulate`` run it must equal: the
+    board's PS cores (``ps_cores=0``) and every other serving knob at the
+    simulator's default."""
+
+    trace = tuple(float(t) for t in np.sort(np.random.default_rng(3).uniform(0.0, 6.0, 40)))
+    fleet = FleetScenario(
+        boards=(BoardGroup(board, 1),), arrival="trace", trace=trace, admission="none",
+        fidelity="event", **knobs,
+    )
+    single = SimScenario(board=board, arrival="trace", trace=trace, ps_cores=0, **knobs)
+    return simulate_fleet(fleet), simulate(single)
+
+
+class TestEventBoardKnobs:
+    @pytest.mark.parametrize("board", ["PYNQ-Z2", "ZCU104"])
+    def test_event_board_serves_as_simulate_with_default_dispatch(self, board):
+        # ``ps_cores=0`` is every core of the board; policy, batch size and
+        # DMA channels are SimScenario's defaults.
+        fleet, single = _event_board_and_simulate(board, replicas=1)
+        defaults = SimScenario()
+        assert single.scenario["policy"] == defaults.policy
+        assert single.scenario["batch_size"] == defaults.batch_size
+        assert single.scenario["dma_channels"] == defaults.dma_channels
+        assert single.scenario["ps_cores"] == get_board(board).ps_cores
+        assert fleet.latency == single.latency
+        assert fleet.wait == single.wait
+        assert fleet.energy == single.energy
+        # One routing decision per admitted request plus the simulator's events.
+        assert fleet.events_processed == 40 + single.events_processed
+
+    def test_event_board_copies_the_fleet_design(self):
+        # The served architecture and seed are the fleet's own knobs.
+        knobs = dict(model="rODENet-1", depth=20, n_units=8, seed=5, replicas=2)
+        fleet, single = _event_board_and_simulate("PYNQ-Z2", **knobs)
+        assert fleet.latency == single.latency
+        assert fleet.energy == single.energy
+        default, _ = _event_board_and_simulate("PYNQ-Z2", replicas=2)
+        assert default.latency != fleet.latency
+
+    def test_one_core_is_not_the_board_default(self):
+        # The ZCU104's four PS cores matter under this load: with one core
+        # simulate serves differently, so the identity above pins all four.
+        fleet, _ = _event_board_and_simulate("ZCU104", replicas=1)
+        trace = fleet.scenario["trace"]
+        one_core = simulate(SimScenario(
+            board="ZCU104", arrival="trace", trace=tuple(trace), replicas=1, ps_cores=1
+        ))
+        assert one_core.latency != fleet.latency
 
 
 class TestFastFidelityKnobs:
@@ -121,15 +157,6 @@ class TestFastFidelityKnobs:
         (name,) = knob
         with pytest.raises(TypeError, match=name):
             FleetScenario(**knob)
-
-    def test_defaults_and_event_fidelity_accept_them(self):
-        # An event-fidelity board serves with the simulator's defaults for
-        # them and every PS core it has, the board the fast kernel prices.
-        board = FleetScenario(fidelity="event").board_sim_scenario("PYNQ-Z2", (0.0,), 1)
-        defaults = SimScenario()
-        assert (board.policy, board.batch_size, board.dma_channels, board.ps_cores) == (
-            defaults.policy, defaults.batch_size, defaults.dma_channels, 0
-        )
 
 
 class TestFleetCliErrors:

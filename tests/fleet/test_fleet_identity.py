@@ -64,14 +64,16 @@ class TestFleetOfOneIdentity:
         assert fleet_report.requests["completed"] == sim_report.requests["completed"]
         assert fleet_report.requests["rejected"] == 0
 
-        # And the embedded board report is the SimReport itself.
-        assert fleet_report.board_reports is not None
-        assert len(fleet_report.board_reports) == 1
-        board = fleet_report.board_reports[0]
-        expected = sim_report.as_dict()
-        assert board["latency"] == expected["latency"]
-        assert board["energy"] == expected["energy"]
-        assert board["requests"] == expected["requests"]
+        # And the one board's ledger is the SimReport's.
+        (board,) = fleet_report.boards
+        assert board["served"] == sim_report.requests["completed"]
+        assert board["replicas_per_board"] == sim_report.scenario["replicas"]
+        for key in ("ps_energy_J", "pl_energy_J", "total_energy_J"):
+            assert board[key] == sim_report.energy[key]
+        assert board["utilization"] == pytest.approx(
+            sim_report.utilization["accelerator_mean"], rel=1e-12
+        )
+        assert board["powered_fraction"] == 1.0
 
     @pytest.mark.parametrize(
         "bound", [dict(n_requests=70), dict(duration_s=9.0)], ids=["n_requests", "duration_s"]
@@ -114,13 +116,6 @@ class TestFleetOfOneIdentity:
         )
         report = simulate_fleet(fleet)
         assert report.classes[0]["violations"] == report.requests["completed"]
-
-    def test_event_fidelity_requires_single_class(self):
-        with pytest.raises(ValueError, match="exactly one traffic class"):
-            FleetScenario(
-                classes=(TrafficClass("a"), TrafficClass("b")),
-                fidelity="event",
-            )
 
 
 class TestShardInvariance:

@@ -249,14 +249,28 @@ class TestStageTwo:
         assert {c.stage for c in report.candidates} <= {"screen", "halving", "final"}
         assert report.budget_spent <= budget
 
-    @pytest.mark.parametrize("budget", [None, 1.0, 1.5, 2.0, 3.0, 8.0])
-    def test_only_halved_evaluations_carry_a_reason(self, budget):
+    @pytest.mark.parametrize(
+        "budget, schedule",
+        [
+            (None, "halving"),
+            (1.0, "the full-length run"),
+            (1.5, "the full-length run"),
+            (2.0, "halving"),
+            (3.0, "halving"),
+            (8.0, "the full-length run"),
+        ],
+    )
+    def test_only_halved_evaluations_carry_a_reason(self, budget, schedule):
         # A candidate that ran keeps no admission reason; one that did not
-        # run names how many survivors were admitted.
+        # run names the schedule that ran and how many survivors it admitted.
         report = explore_search(budget)
         admitted = [c for c in report.candidates if c.cost > 0]
         for record in admitted:
             assert (record.reason is None) == (record.status != "halved"), record.key
+        halved = any(len(c.rungs) > 1 or c.status == "halved" for c in admitted)
+        assert halved == (schedule == "halving")
         for record in report.candidates:
             if record.status == "skipped":
-                assert record.reason.startswith(f"not admitted to halving (cohort {len(admitted)} ")
+                assert record.reason.startswith(
+                    f"not admitted to {schedule} (cohort {len(admitted)} "
+                ), record.reason
