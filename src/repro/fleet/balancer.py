@@ -40,11 +40,9 @@ costs O(log B) amortised, for any order of ``t`` (a ready entry is checked
 against the ``t`` being routed).  Powering a board up lowers its key, so it
 goes through :meth:`Balancer.power_up`, which rebuilds the index;
 power-downs go through :meth:`Balancer.power_down`, so the weighted table
-sees every change of the powered set.
-
-At event fidelity a board's predicted start is live state that falls when
-a request completes, so :class:`ScanBalancer` applies the same rules with
-least-loaded routing as a scan of every powered board.
+sees every change of the powered set.  Event fidelity's boards, whose
+predicted start falls when a request completes, route through
+:class:`ScanBalancer` instead.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ offered traffic, with its own deterministic RNG stream
 index, never of the shard layout).  Each board *type* in the inventory is
 sized and priced once per cell (:func:`_board_types`): its replicas through
 the simulator's own rule (:func:`repro.sim.policies.size_replicas`), its
-service plan, its PL watts from one
-replica's footprint.  The SLOs and every board of the cell read that table.
+service plan, its PL watts from one replica's footprint.  The SLOs and
+every board of the cell read that table.
 Two serving fidelities:
 
 * ``fast`` — the single-pass analytic kernel: each request is routed by the
