@@ -51,17 +51,63 @@ def test_manifest_schema_and_consistency():
     assert "replica_scheduling_fsm" in m["not_emitted"]
 
 
-def test_rom_words_match_weight_image_exactly():
-    # ROM hex contents must equal the quantised export image words, not a
-    # re-quantisation of the float weights.
-    weights = BlockWeights.random(TINY, np.random.default_rng(11), scale=0.5)
-    bundle = emit_odeblock(TINY, weights, qformat=Q16, n_units=1)
-    raw1 = Q16.to_fixed(weights.conv1_weight)
-    lines = bundle.files["wbank_0.hex"].strip().splitlines()
-    conv1_words = [int(ln, 16) - (1 << 16 if int(ln, 16) >= 1 << 15 else 0) for ln in lines]
-    np.testing.assert_array_equal(
-        np.asarray(conv1_words[: raw1.size]), raw1.ravel()
-    )
+def _rom_words(text, word_length):
+    """Signed words of a ``$readmemh`` hex dump."""
+
+    raw = np.array([int(ln, 16) for ln in text.split()], dtype=np.int64)
+    return np.where(raw >= 1 << (word_length - 1), raw - (1 << word_length), raw)
+
+
+def test_rom_files_equal_fixed_weights_in_bank_order():
+    # Every ROM file holds to_fixed of the float weights: each bank its
+    # owned channels' conv1 words then their conv2 words, the BN ROM the
+    # eight BN vectors (missing running statistics read as mean 0, var 1).
+    c = TINY.out_channels
+    cases = [
+        (Q20, 0.5), (Q16, 0.5), (QFormat(8, 4), 0.5),
+        (QFormat(4, 2), 3.0),  # saturates most words
+    ]
+    for qf, scale in cases:
+        for time_concat in (False, True):
+            for running_stats in (False, True):
+                rng = np.random.default_rng(11)
+                weights = BlockWeights.random(TINY, rng, scale=scale, time_concat=time_concat)
+                weights.bn1_gamma = rng.normal(1.0, scale, size=c)
+                weights.bn2_beta = rng.normal(0.0, scale, size=c)
+                if running_stats:
+                    weights.bn1_mean = rng.normal(0.0, scale, size=c)
+                    weights.bn1_var = rng.uniform(0.5, 2.0, size=c)
+                    weights.bn2_mean = rng.normal(0.0, scale, size=c)
+                    weights.bn2_var = rng.uniform(0.5, 2.0, size=c)
+                conv1 = qf.to_fixed(weights.conv1_weight)
+                conv2 = qf.to_fixed(weights.conv2_weight)
+                zeros, ones = np.zeros(c), np.ones(c)
+                bn = qf.to_fixed(np.concatenate([
+                    weights.bn1_gamma, weights.bn1_beta,
+                    weights.bn1_mean if running_stats else zeros,
+                    weights.bn1_var if running_stats else ones,
+                    weights.bn2_gamma, weights.bn2_beta,
+                    weights.bn2_mean if running_stats else zeros,
+                    weights.bn2_var if running_stats else ones,
+                ]))
+                for n_units in (1, 3, 2 * c):
+                    bundle = emit_odeblock(
+                        TINY, weights, qformat=qf, n_units=n_units, time_concat=time_concat
+                    )
+                    roms = sorted(n for n in bundle.files if n.endswith(".hex"))
+                    n_banks = min(n_units, c)
+                    assert roms == sorted([BN_ROM_FILE] + [f"wbank_{u}.hex" for u in range(n_banks)])
+                    for u in range(n_banks):
+                        owned = list(range(u, c, n_units))
+                        expected = np.concatenate(
+                            [conv1[owned].ravel(), conv2[owned].ravel()]
+                        )
+                        np.testing.assert_array_equal(
+                            _rom_words(bundle.files[f"wbank_{u}.hex"], qf.word_length), expected
+                        )
+                    np.testing.assert_array_equal(
+                        _rom_words(bundle.files[BN_ROM_FILE], qf.word_length), bn
+                    )
 
 
 def test_port_widths_track_qformat():
