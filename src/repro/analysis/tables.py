@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 from ..core.execution_model import TABLE5_MODELS
 from ..core.parameter_model import table2_structure
 from ..core.variants import SUPPORTED_DEPTHS, table4_rows
-from ..platform import PYNQ_Z2, ZYNQ_XC7Z020
+from ..platform import PYNQ_Z2
 from ..fpga.resources import ResourceEstimator, published_table3
 
 __all__ = [
@@ -51,7 +51,7 @@ def table3_records(include_estimates: bool = True) -> List[Dict[str, object]]:
     by side.
     """
 
-    estimator = ResourceEstimator(ZYNQ_XC7Z020)
+    estimator = ResourceEstimator()
     published = published_table3()
     records: List[Dict[str, object]] = []
     for (layer, n_units), entry in published.items():

@@ -683,13 +683,12 @@ def _cmd_faults(args, evaluator: Evaluator) -> CommandOutput:
 
     records = []
     for mode in default_fault_domain():
-        params = mode.param_dict()
-        value = next(iter(params.values())) if params else None
+        value = getattr(mode, mode.param)
         records.append(
             {
                 "kind": mode.kind,
                 "default_rate_per_hour": mode.rate_per_hour,
-                "parameter": next(iter(params)) if params else "-",
+                "parameter": mode.param,
                 "default": "auto" if value is None else value,
                 "effect": mode.summary,
             }

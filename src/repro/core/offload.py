@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..fixedpoint.qformat import QFormat
+from ..fixedpoint.qformat import Q20, QFormat
 from ..platform import PYNQ_Z2, BoardSpec, ResourceVector
 from ..fpga.resources import ResourceEstimator
 from ..fpga.timing import TimingModel
@@ -52,10 +52,7 @@ class OffloadPlanner:
     ) -> None:
         self.board = board
         self.n_units = n_units
-        if qformat is not None:
-            self.resource_estimator = ResourceEstimator(board.fpga, qformat=qformat)
-        else:
-            self.resource_estimator = ResourceEstimator(board.fpga)
+        self.resource_estimator = ResourceEstimator(Q20 if qformat is None else qformat)
         self.timing_model = TimingModel(board)
         self.execution_model = execution_model or ExecutionTimeModel(board, n_units=n_units)
 

@@ -94,6 +94,8 @@ class FaultMode:
 
     kind = "base"
     summary = "abstract base mode"
+    #: Name of the field holding the mode's one knob (the PARAM of a spec).
+    param = ""
 
     def __post_init__(self) -> None:
         if not 0 <= self.rate_per_hour < math.inf:
@@ -111,11 +113,6 @@ class FaultMode:
         raise NotImplementedError
 
     def clear(self, system, token: object) -> None:
-        raise NotImplementedError
-
-    def param_dict(self) -> Dict[str, object]:
-        """Mode-specific parameters (``repro faults`` lists them per mode)."""
-
         raise NotImplementedError
 
 
@@ -152,6 +149,7 @@ class ReplicaDeath(FaultMode):
     replica: Optional[int] = None
 
     kind = "replica_death"
+    param = "replica"
     summary = "a PL replica dies; its queue re-dispatches to survivors"
 
     def inject(self, system) -> object:
@@ -171,9 +169,6 @@ class ReplicaDeath(FaultMode):
     def clear(self, system, token: object) -> None:
         if token is not None:
             system.dispatcher.revive_replica(token)
-
-    def param_dict(self) -> Dict[str, object]:
-        return {"replica": self.replica}
 
 
 #: Reference burst length (words) for the degraded/nominal transfer-time ratio.
@@ -195,6 +190,7 @@ class AxiDegradation(_Overlapping):
     burst_bits: int = 8
 
     kind = "axi_degraded"
+    param = "burst_bits"
     summary = "AXI bursts narrow; every DMA transfer slows down"
 
     def __post_init__(self) -> None:
@@ -227,9 +223,6 @@ class AxiDegradation(_Overlapping):
             slowdown = mode.slowdown_factor() * slowdown
         system.bus.degrade(slowdown)
 
-    def param_dict(self) -> Dict[str, object]:
-        return {"burst_bits": self.burst_bits}
-
 
 @dataclass(frozen=True)
 class PsCoreLoss(_Overlapping):
@@ -239,6 +232,7 @@ class PsCoreLoss(_Overlapping):
     cores_lost: int = 1
 
     kind = "ps_core_loss"
+    param = "cores_lost"
     summary = "PS cores drop out; software phases contend for fewer cores"
 
     def __post_init__(self) -> None:
@@ -251,9 +245,6 @@ class PsCoreLoss(_Overlapping):
 
         lost = sum(mode.cores_lost for mode in active)
         system.ps.set_capacity(max(1, system.ps_cores - lost))
-
-    def param_dict(self) -> Dict[str, object]:
-        return {"cores_lost": self.cores_lost}
 
 
 @dataclass(frozen=True)
@@ -275,6 +266,7 @@ class DmaCorruption(_Overlapping):
     bit: Optional[int] = None
 
     kind = "dma_corruption"
+    param = "bit"
     summary = "DMA bit flips; severe ones corrupt the request's output"
 
     def _corrupt(self, system, request) -> None:
@@ -298,9 +290,6 @@ class DmaCorruption(_Overlapping):
             system.dispatcher.corruptor = lambda request: mode._corrupt(system, request)
         else:
             system.dispatcher.corruptor = None
-
-    def param_dict(self) -> Dict[str, object]:
-        return {"bit": self.bit}
 
 
 # -- registry ----------------------------------------------------------------------------
@@ -340,9 +329,8 @@ def make_fault_mode(
 ) -> FaultMode:
     """Construct a mode by kind name (the CLI entry point).
 
-    ``param`` maps to the mode's single knob: the replica index for
-    ``replica_death``, ``burst_bits`` for ``axi_degraded``, ``cores_lost``
-    for ``ps_core_loss`` and the bit position for ``dma_corruption``.
+    ``param`` sets the mode's single knob, the field its class names in
+    ``param``.
     """
 
     by_kind = {cls.kind: cls for cls in _MODE_CLASSES}
@@ -354,15 +342,10 @@ def make_fault_mode(
         "rate_per_hour": _DEFAULT_RATES[kind] if rate_per_hour is None else rate_per_hour,
         "duration_s": duration_s,
     }
+    cls = by_kind[kind]
     if param is not None:
-        field_name = {
-            "replica_death": "replica",
-            "axi_degraded": "burst_bits",
-            "ps_core_loss": "cores_lost",
-            "dma_corruption": "bit",
-        }[kind]
-        kwargs[field_name] = int(param)
-    return by_kind[kind](**kwargs)
+        kwargs[cls.param] = int(param)
+    return cls(**kwargs)
 
 
 def parse_fault_specs(

@@ -24,10 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LAYER1", "LAYER2_2", "LAYER3_2", "OFFLOADABLE_BLOCKS", "BlockGeometry",
             "block_geometry",
         ),
-        ".export": (
-            "WeightImageError", "WeightImageHeader", "WeightImageMagicError",
-            "WeightImageVersionError", "export_block_weights",
-        ),
         ".gemm": (
             "FLOAT_MANTISSA_BITS", "MAX_LIMBS", "GemmPlan", "PlannedGemm",
             "plan_gemm",

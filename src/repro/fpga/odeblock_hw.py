@@ -138,7 +138,7 @@ class HardwareODEBlock:
 
         self.cycle_model = OdeBlockCycleModel()
         self.transfer_model = AxiTransferModel(PYNQ_Z2)
-        self.resource_estimator = ResourceEstimator(PYNQ_Z2.fpga, qformat)
+        self.resource_estimator = ResourceEstimator(qformat)
         self.timing_model = TimingModel(PYNQ_Z2)
 
         # Quantise and "store" the weights in BRAM.
@@ -167,7 +167,6 @@ class HardwareODEBlock:
 
     def _load_weights(self, weights: BlockWeights) -> None:
         q = self.qformat
-        self.weights = weights
         self._conv1_w = FxArray.from_float(weights.conv1_weight, q)
         self._conv2_w = FxArray.from_float(weights.conv2_weight, q)
         self._bn1_gamma = FxArray.from_float(weights.bn1_gamma, q)

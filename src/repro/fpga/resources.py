@@ -125,8 +125,7 @@ class ResourceEstimate:
 class ResourceEstimator:
     """Analytical resource model for a PL ODEBlock instance."""
 
-    def __init__(self, device: FpgaDevice = ZYNQ_XC7Z020, qformat: QFormat = Q20) -> None:
-        self.device = device
+    def __init__(self, qformat: QFormat = Q20) -> None:
         self.qformat = qformat
 
     def dsp_count(self, n_units: int) -> int:

@@ -364,7 +364,7 @@ def optimize(
 
     search = _Search(space, obj, cons, fidelity, seed, evaluator, modes)
     candidates = search.candidates
-    table, analytic = screen_space(space, candidates)
+    _, analytic = screen_space(space, candidates)
     for candidate, metrics in zip(candidates, analytic):
         search.records.append(
             CandidateRecord(
@@ -487,7 +487,6 @@ def optimize(
         candidates=search.records,
         best=best,
         note=note,
-        screen=table,
     )
 
 

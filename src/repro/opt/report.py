@@ -13,12 +13,9 @@ exception), and Pareto fronts over the fully-evaluated candidates reuse
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.report import Report, format_records, json_safe, pareto_indices
-
-if TYPE_CHECKING:
-    from ..api.batch import BatchResult
 
 __all__ = ["CandidateRecord", "OptReport"]
 
@@ -79,9 +76,6 @@ class OptReport(Report):
     candidates: List[CandidateRecord]
     best: Optional[Dict[str, object]]
     note: Optional[str] = None
-    #: The screening table over the unique design points (not serialised) —
-    #: ``pareto_fronts`` and any column math stay available downstream.
-    screen: Optional[BatchResult] = field(default=None, repr=False, compare=False)
 
     # -- views -------------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ Every failure mode raises its own named exception (all subclasses of
 * :class:`PortWidthError` — a top-level data port is not
   ``QFormat.word_length`` bits wide;
 * :class:`RomDepthError` — a ROM init image does not hold exactly the words
-  the BRAM plan (and the weight-image layout) requires;
+  the BRAM plan (plus the time-concat input channel) requires;
 * :class:`InstanceCountError` — the PE/ROM/BN instance counts disagree with
   the resource model.
 """
@@ -25,15 +25,13 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from ..fixedpoint import QFormat
 from ..fpga.bram import plan_block_allocation
 from ..fpga.geometry import KERNEL, STRIDE, BlockGeometry
 from ..fpga.resources import ResourceEstimator
-from ..platform import PYNQ_Z2
-from ..platform.registry import BOARDS
-from .emit import BN_ROM_FILE, MANIFEST_FILE, MANIFEST_VERSION, TOP_FILE
+from .emit import BN_ROM_FILE, MANIFEST_FILE, MANIFEST_VERSION
 
 __all__ = [
     "StructuralCheckError",
@@ -172,7 +170,7 @@ def check_bundle(bundle_dir: Union[str, Path]) -> Dict:
             )
     checks.append({"check": "port_widths", "word_length": word, "ports": list(_DATA_PORTS)})
 
-    # -- 3. ROM depths match the BRAM plan and the weight-image layout ---------
+    # -- 3. ROM depths match the BRAM plan (plus the time-concat channel) ------
     plan = plan_block_allocation(geometry, n_units=n_units, qformat=qformat)
     bpv = qformat.bytes_per_value
     plan_conv_words = (
@@ -243,9 +241,7 @@ def check_bundle(bundle_dir: Union[str, Path]) -> Dict:
             f"{manifest['top']} instantiates {n_conv_pe} conv_pe units, "
             f"manifest n_units is {n_units}"
         )
-    board_name = manifest.get("board", {}).get("name")
-    board = BOARDS.get(board_name, PYNQ_Z2)
-    estimate = ResourceEstimator(board.fpga, qformat).estimate(geometry, n_units=n_units)
+    estimate = ResourceEstimator(qformat).estimate(geometry, n_units=n_units)
     model_units = (int(estimate.resources.dsp) - 4) // 4
     if n_conv_pe != model_units:
         raise InstanceCountError(

@@ -9,9 +9,9 @@ self-contained RTL bundle:
 * ``odeblock_top.v`` + ``conv_pe.v`` + ``bn_unit.v`` + ``weight_rom.v`` +
   ``fx_ops.vh`` — the datapath (one conv PE instance per MAC unit, weight
   words interleaved across the banks of the BRAM plan);
-* ``wbank_<u>.hex`` / ``bn_params.hex`` — ROM images sliced from the
-  :func:`repro.fpga.export.export_block_weights` byte image, so the RTL and
-  the deployment format share one source of truth;
+* ``wbank_<u>.hex`` / ``bn_params.hex`` — ROM images of the weights
+  quantised with :meth:`~repro.fixedpoint.qformat.QFormat.to_fixed`, the
+  BRAM initialisation of the offloaded block;
 * ``rtl_manifest.json`` — machine-readable description of the bundle that
   the structural checker (:mod:`repro.rtl.check`) verifies against the BRAM
   plan and the resource estimator.
@@ -35,7 +35,6 @@ import numpy as np
 from .._checks import check_count
 from ..fixedpoint import Q20, QFormat
 from ..fpga.bram import plan_block_allocation
-from ..fpga.export import WeightImageHeader, _dtype_for, export_block_weights
 from ..fpga.geometry import KERNEL, STRIDE, BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights
 from ..fpga.ops import BN_EPS
@@ -110,7 +109,7 @@ def default_n_units(
     """
 
     geometry = geometry if isinstance(geometry, BlockGeometry) else block_geometry(geometry)
-    estimator = ResourceEstimator(board.fpga, qformat)
+    estimator = ResourceEstimator(qformat)
     timing = TimingModel(board)
     for n in _UNIT_CANDIDATES:
         fits = estimator.estimate(geometry, n_units=n).fits(board.fpga)
@@ -146,36 +145,41 @@ class RtlBundle:
 
 def _rom_images(
     weights: BlockWeights, qformat: QFormat, n_units: int
-) -> Tuple[Dict[str, str], Dict[str, Dict], WeightImageHeader, int]:
-    """Slice the export image into per-bank weight ROMs and the BN ROM.
+) -> Tuple[Dict[str, str], Dict[str, Dict], int]:
+    """Quantise the weights into per-bank weight ROMs and the BN ROM.
 
-    Returns ``(hex_files, rom_manifest, header, n_banks)``.  The ROM words
-    are read back from the :func:`export_block_weights` byte image — not
-    re-quantised from the float weights — so the RTL initialisation and the
-    deployment format cannot drift apart.
+    Returns ``(hex_files, rom_manifest, n_banks)``.  Each bank holds its
+    owned channels' conv1 words, then their conv2 words; the BN ROM holds
+    gamma1, beta1, mean1, var1, gamma2, beta2, mean2, var2 (running
+    statistics the bundle does not carry read as mean 0, variance 1).
     """
 
-    image = export_block_weights(weights, qformat)
-    header = WeightImageHeader.unpack(image)
-    dtype = _dtype_for(qformat)
-    words = np.frombuffer(image, dtype=dtype, offset=header.size).astype(np.int64)
-
-    c = header.out_channels
-    c_inc = header.in_channels + (1 if header.time_concat else 0)
-    k = header.kernel
-    conv_count = c * c_inc * k * k
-    conv1 = words[:conv_count].reshape(c, c_inc, k, k)
-    conv2 = words[conv_count : 2 * conv_count].reshape(c, c_inc, k, k)
-    bn = words[2 * conv_count : 2 * conv_count + 8 * c]
+    conv1 = qformat.to_fixed(weights.conv1_weight)
+    conv2 = qformat.to_fixed(weights.conv2_weight)
+    c = conv1.shape[0]
+    zeros, ones = np.zeros(c), np.ones(c)
+    bn = qformat.to_fixed(
+        np.concatenate(
+            [
+                weights.bn1_gamma,
+                weights.bn1_beta,
+                zeros if weights.bn1_mean is None else weights.bn1_mean,
+                ones if weights.bn1_var is None else weights.bn1_var,
+                weights.bn2_gamma,
+                weights.bn2_beta,
+                zeros if weights.bn2_mean is None else weights.bn2_mean,
+                ones if weights.bn2_var is None else weights.bn2_var,
+            ]
+        )
+    )
 
     n_banks = max(1, min(n_units, c))
     hex_files: Dict[str, str] = {}
     rom_manifest: Dict[str, Dict] = {}
     for u in range(n_banks):
         owned = _owned_channels(c, n_units, u)
-        bank = np.concatenate(
-            [conv1[co].ravel() for co in owned] + [conv2[co].ravel() for co in owned]
-        )
+        w1, w2 = conv1[owned].ravel(), conv2[owned].ravel()
+        bank = np.concatenate([w1, w2])
         name = f"wbank_{u}.hex"
         hex_files[name] = _hex_lines(bank, qformat.word_length)
         rom_manifest[name] = {
@@ -183,12 +187,12 @@ def _rom_images(
             "bank": u,
             "channels": owned,
             "words": int(bank.size),
-            "conv1_words": int(len(owned) * c_inc * k * k),
-            "conv2_words": int(len(owned) * c_inc * k * k),
+            "conv1_words": int(w1.size),
+            "conv2_words": int(w2.size),
         }
     hex_files[BN_ROM_FILE] = _hex_lines(bn, qformat.word_length)
     rom_manifest[BN_ROM_FILE] = {"kind": "bn_parameters", "words": int(bn.size)}
-    return hex_files, rom_manifest, header, n_banks
+    return hex_files, rom_manifest, n_banks
 
 
 def _cycle_guess(geometry: BlockGeometry, n_units: int, time_concat: bool) -> int:
@@ -252,9 +256,9 @@ def emit_odeblock(
             f"the emitted datapath {expected_shape} (time_concat={time_concat})"
         )
 
-    hex_files, rom_manifest, header, n_banks = _rom_images(weights, qformat, n_units)
+    hex_files, rom_manifest, n_banks = _rom_images(weights, qformat, n_units)
     plan = plan_block_allocation(geometry, n_units=n_units, qformat=qformat)
-    estimate = ResourceEstimator(board.fpga, qformat).estimate(geometry, n_units=n_units)
+    estimate = ResourceEstimator(qformat).estimate(geometry, n_units=n_units)
 
     word = qformat.word_length
     frac = qformat.fraction_bits
@@ -369,12 +373,6 @@ def emit_odeblock(
         "sources": list(SOURCE_FILES),
         "top": TOP_FILE,
         "roms": rom_manifest,
-        "weight_image": {
-            "magic": "ODEW",
-            "word_length": header.word_length,
-            "fraction_bits": header.fraction_bits,
-            "time_concat": header.time_concat,
-        },
         "resources": {
             "dsp": int(estimate.resources.dsp),
             "bram_tiles": int(plan.total_tiles),

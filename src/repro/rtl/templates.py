@@ -106,8 +106,8 @@ WEIGHT_ROM_V = """\
 // weight_rom.v - BRAM-backed parameter ROM (generated by repro.rtl).
 //
 // One instance per weight bank plus one for the batch-norm parameters.
-// The init files are hex dumps of the export_block_weights() image, so
-// the ROM contents and the deployment byte image share one source of
+// The init files are hex dumps of the QFormat.to_fixed() weight words, so
+// the ROM contents and the bit-accurate model share one source of
 // truth.  Reads are combinational (behavioural BRAM model).
 
 module weight_rom #(
@@ -251,7 +251,7 @@ BN_UNIT_V = """\
 // integer square root of (var + eps) << FRAC (fx_sqrt), clamped to one LSB,
 // then (x - mean) / sigma * gamma + beta per element (fx_div / fx_mul /
 // fx_add).  gamma and beta come from the parameter ROM laid out exactly
-// like the export_block_weights image (gamma, beta, mean, var per BN step).
+// as the emitter writes bn_params.hex (gamma, beta, mean, var per BN step).
 
 module bn_unit #(
     parameter WORD = 32,

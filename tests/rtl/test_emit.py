@@ -144,7 +144,7 @@ def test_bank_count_matches_bram_plan():
 
 def test_dsp_model_agrees_with_instance_count():
     bundle = emit_odeblock(TINY, qformat=Q16, n_units=4)
-    est = ResourceEstimator(PYNQ_Z2.fpga, Q16).estimate(TINY, n_units=4)
+    est = ResourceEstimator(Q16).estimate(TINY, n_units=4)
     assert (int(est.resources.dsp) - 4) // 4 == 4
     assert bundle.manifest["resources"]["dsp"] == int(est.resources.dsp)
 
@@ -152,7 +152,7 @@ def test_dsp_model_agrees_with_instance_count():
 def test_default_n_units_is_board_derived():
     n = default_n_units(PYNQ_Z2)
     assert n >= 1
-    est = ResourceEstimator(PYNQ_Z2.fpga, Q20).estimate(block_geometry("layer3_2"), n_units=n)
+    est = ResourceEstimator(Q20).estimate(block_geometry("layer3_2"), n_units=n)
     assert est.fits(PYNQ_Z2.fpga)
     # A board with a bigger FPGA can host at least as many units.
     zcu104 = get_board("ZCU104")
