@@ -59,7 +59,7 @@ def test_simulated_pl_datapath_throughput(benchmark):
 
     geometry = BlockGeometry(name="layer3_2", in_channels=16, out_channels=16, height=8, width=8)
     rng = np.random.default_rng(0)
-    hw = HardwareODEBlock(geometry, BlockWeights.random(geometry, rng), n_units=16)
+    hw = HardwareODEBlock(geometry, BlockWeights.random(geometry, rng))
     z = rng.normal(0, 0.3, size=(1, 16, 8, 8))
 
     out, report = benchmark(hw.execute_batch, z)

@@ -4,8 +4,9 @@
 Value-checked before timing is trusted: every emitted bundle must pass the
 structural checker, emission must be deterministic (identical bundles for
 identical inputs), and the golden saturation vectors must regenerate
-byte-identically.  The timing rows then report emit / check / vector rates
-over the (block x qformat x n_units) axis.
+byte-identically to the files committed under ``tests/rtl/goldens``.  The
+timing rows then report emit / check / vector rates over the
+(block x qformat x n_units) axis.
 
 Usage::
 
@@ -27,17 +28,22 @@ from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry, block_geometry
 from repro.fpga.odeblock_hw import BlockWeights
 from repro.rtl import (
+    EXPECTED_HEX,
     GOLDEN_CASES,
+    STIMULUS_HEX,
+    VECTORS_MANIFEST,
     check_bundle,
     emit_odeblock,
     generate_vectors,
     golden_vectors,
+    write_vector_files,
 )
 
 TINY = BlockGeometry(name="tiny", in_channels=4, out_channels=4, height=4, width=4)
+GOLDEN_ROOT = Path(__file__).resolve().parent.parent / "tests" / "rtl" / "goldens"
 
 
-def bench_emit_check(points, vector_images: int) -> int:
+def bench_emit_check(points, n_images: int) -> int:
     """Emit + check every design point; report rates; fail on any check error."""
 
     n_emit = n_check = 0
@@ -46,9 +52,10 @@ def bench_emit_check(points, vector_images: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, (block, qformat, n_units) in enumerate(points):
             geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
+            weights = BlockWeights.random(geometry, np.random.default_rng(i))
             t0 = time.perf_counter()
-            bundle = emit_odeblock(geometry, qformat=qformat, n_units=n_units, seed=i)
-            again = emit_odeblock(geometry, qformat=qformat, n_units=n_units, seed=i)
+            bundle = emit_odeblock(geometry, weights, qformat=qformat, n_units=n_units)
+            again = emit_odeblock(geometry, weights, qformat=qformat, n_units=n_units)
             t_emit += time.perf_counter() - t0
             if bundle.files != again.files:
                 print("FAIL: emission is not deterministic", file=sys.stderr)
@@ -65,12 +72,12 @@ def bench_emit_check(points, vector_images: int) -> int:
                 return 1
             n_check += 1
 
-            if vector_images > 0 and geometry.height <= 8:
+            if n_images > 0 and geometry.height <= 8:
                 weights = BlockWeights.random(geometry, np.random.default_rng(i), scale=0.5)
                 t0 = time.perf_counter()
                 vec = generate_vectors(
                     geometry, weights, qformat=qformat,
-                    images=vector_images, iterations=2, seed=i,
+                    images=n_images, iterations=2, seed=i,
                 )
                 t_vec += time.perf_counter() - t0
                 vec_words += len(vec.records) * vec.words_per_map
@@ -84,15 +91,18 @@ def bench_emit_check(points, vector_images: int) -> int:
 
 
 def bench_goldens() -> int:
-    """Golden saturation vectors must regenerate byte-identically."""
+    """Golden saturation vectors must regenerate byte-identically to the
+    committed ``stimulus.hex``, ``expected.hex`` and ``vectors.json``."""
 
     t0 = time.perf_counter()
-    for name in sorted(GOLDEN_CASES):
-        first = golden_vectors(name)[1].to_bytes()
-        second = golden_vectors(name)[1].to_bytes()
-        if first != second:
-            print(f"FAIL: golden case {name} is not reproducible", file=sys.stderr)
-            return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(GOLDEN_CASES):
+            written = write_vector_files(golden_vectors(name)[0], Path(tmp) / name)
+            for file in (STIMULUS_HEX, EXPECTED_HEX, VECTORS_MANIFEST):
+                if written[file].read_bytes() != (GOLDEN_ROOT / name / file).read_bytes():
+                    print(f"FAIL: golden case {name}: {file} differs from the committed file",
+                          file=sys.stderr)
+                    return 1
     dt = time.perf_counter() - t0
     print(f"golden regeneration     : {dt:8.4f} s  ({len(GOLDEN_CASES)} cases, byte-identical)")
     return 0
@@ -110,12 +120,12 @@ def main(argv=None) -> int:
             (TINY, QFormat(16, 8), 2),
             (TINY, QFormat(8, 4), 4),
         ]
-        rc = bench_emit_check(points, vector_images=1)
+        rc = bench_emit_check(points, n_images=1)
     else:
         blocks = ["layer1", "layer2_2", "layer3_2", TINY]
         formats = [QFormat(32, 20), QFormat(16, 8), QFormat(8, 4)]
         points = [(b, f, n) for b in blocks for f in formats for n in (1, 4, 16)]
-        rc = bench_emit_check(points, vector_images=2)
+        rc = bench_emit_check(points, n_images=2)
     return rc or bench_goldens()
 
 

@@ -81,7 +81,7 @@ def show_fixed_point_fidelity() -> None:
     print("\n=== Q20 fixed-point ODEBlock vs float reference (functional check) ===")
     rng = np.random.default_rng(0)
     weights = BlockWeights.random(LAYER3_2, rng, scale=0.05)
-    hw = HardwareODEBlock(LAYER3_2, weights, n_units=16)
+    hw = HardwareODEBlock(LAYER3_2, weights)
     z = rng.normal(0, 0.4, size=(1, 64, 8, 8))  # a batch of one image
     out, report = hw.execute_batch(z)
     print(f"  input feature map   : {z.shape}")

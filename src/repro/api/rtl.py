@@ -98,7 +98,6 @@ def export_rtl(
             seed=seed + 1,
             step_size=step_size,
             time_concat=time_concat,
-            n_units=bundle.n_units,
         )
         vec_paths = write_vector_files(vset, out)
         tb = emit_testbench(bundle, len(vset.records), "stimulus.hex", "expected.hex")

@@ -18,7 +18,7 @@ offloaded layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -55,6 +55,12 @@ def image_groups(n: int, image_elements: int) -> List[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def _conv_shape(geometry: BlockGeometry, time_concat: bool) -> tuple:
+    """Shape of both kernels: ``(C, C_in + 1, 3, 3)`` with the time channel."""
+
+    return (geometry.out_channels, geometry.in_channels + (1 if time_concat else 0), KERNEL, KERNEL)
+
+
 @dataclass
 class BlockWeights:
     """Floating-point weights of one building block (before quantisation)."""
@@ -82,7 +88,7 @@ class BlockWeights:
         with the extra time-concat input channel when ``time_concat``."""
 
         c = geometry.out_channels
-        shape = (c, geometry.in_channels + (1 if time_concat else 0), KERNEL, KERNEL)
+        shape = _conv_shape(geometry, time_concat)
         return cls(
             conv1_weight=rng.normal(0.0, scale, size=shape),
             bn1_gamma=np.ones(c),
@@ -91,6 +97,21 @@ class BlockWeights:
             bn2_gamma=np.ones(c),
             bn2_beta=np.zeros(c),
         )
+
+    def check_shapes(self, geometry: BlockGeometry, time_concat: bool) -> None:
+        """Raise :class:`ValueError` naming the first tensor that does not fit
+        ``geometry``: both kernels are ``(C, C_in + time_concat, 3, 3)`` and
+        every BN vector, running statistics included when present, ``(C,)``."""
+
+        conv = _conv_shape(geometry, time_concat)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            expected = conv if f.name.startswith("conv") else (geometry.out_channels,)
+            if value is not None and np.shape(value) != expected:
+                raise ValueError(
+                    f"{f.name} shape {np.shape(value)} does not match {expected} "
+                    f"(block {geometry.name}, time_concat={time_concat})"
+                )
 
 
 @dataclass(frozen=True)
@@ -108,14 +129,18 @@ class HardwareExecutionReport:
 
 
 class HardwareODEBlock:
-    """Simulated PL implementation of one ODEBlock (conv_xN configuration)
-    on the PYNQ-Z2."""
+    """Simulated PL implementation of one ODEBlock (the paper's conv_x16
+    configuration) on the PYNQ-Z2."""
+
+    #: MAC units of the modelled configuration: conv_x16, the largest that
+    #: closes timing at 100 MHz (Section 3.1).  Only the cycle, resource,
+    #: timing and BRAM reports read it; the datapath's numbers do not.
+    n_units = 16
 
     def __init__(
         self,
         block: str | BlockGeometry,
         weights: BlockWeights,
-        n_units: int = 16,
         qformat: QFormat = Q20,
         dynamic_bn_stats: bool = True,
         time_concat: bool = False,
@@ -128,7 +153,6 @@ class HardwareODEBlock:
                 f"(got {qformat.word_length}): its double-width products are int64"
             )
         self.geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
-        self.n_units = n_units
         self.qformat = qformat
         self.dynamic_bn_stats = dynamic_bn_stats
         #: When True the block implements ODE dynamics with the integration
@@ -142,8 +166,9 @@ class HardwareODEBlock:
         self.timing_model = TimingModel(PYNQ_Z2)
 
         # Quantise and "store" the weights in BRAM.
+        weights.check_shapes(self.geometry, time_concat)
         self._load_weights(weights)
-        self.bram_plan: BramPlan = plan_block_allocation(self.geometry, n_units, qformat)
+        self.bram_plan: BramPlan = plan_block_allocation(self.geometry, self.n_units, qformat)
         self.invocations = 0
 
     # -- configuration reports ----------------------------------------------------

@@ -120,6 +120,12 @@ class HwSwRuntime:
         (logits, report):
             ``logits`` is an ``(N, num_classes)`` array; ``report`` carries
             the PL invocation counts and the modelled execution times.
+
+        Batch ≡ loop holds bit for bit only in the offloaded stages: each
+        is one fixed-point ``run_iterations_batch`` call, bit-identical to
+        batches of one.  The PS part's float layers (``layer1``'s ODE,
+        ``fc``) go through BLAS, which rounds by batch shape, so a batch's
+        logits agree with batches of one to within 1e-12, not bitwise.
         """
 
         model = self.model

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".simrun": ("SimulationResult", "iverilog_available", "run_conformance"),
         ".vectors": (
-            "EXPECTED_HEX", "GOLDEN_CASES", "STIMULUS_HEX", "VECTORS_MANIFEST", "GoldenCase",
+            "EXPECTED_HEX", "GOLDEN_CASES", "GOLDEN_GEOMETRY", "STIMULUS_HEX", "VECTORS_MANIFEST",
             "VectorRecord", "VectorSet", "generate_vectors", "golden_vectors", "write_vector_files",
         ),
     },

@@ -126,7 +126,6 @@ class RtlBundle:
     geometry: BlockGeometry
     qformat: QFormat
     n_units: int
-    board_name: str
     files: Mapping[str, str] = field(default_factory=dict)
     manifest: Dict = field(default_factory=dict)
 
@@ -209,21 +208,24 @@ def _cycle_guess(geometry: BlockGeometry, n_units: int, time_concat: bool) -> in
 
 def emit_odeblock(
     block: Union[str, BlockGeometry],
-    weights: Optional[BlockWeights] = None,
+    weights: BlockWeights,
     *,
     qformat: QFormat = Q20,
     n_units: Optional[int] = None,
     board: BoardSpec = PYNQ_Z2,
     time_concat: bool = False,
     step_size: float = 1.0,
-    seed: int = 0,
 ) -> RtlBundle:
     """Emit the Verilog bundle of one ODEBlock configuration.
 
-    Parameters mirror :class:`~repro.fpga.odeblock_hw.HardwareODEBlock`;
-    ``weights=None`` draws seeded random weights (tests/benches).  Raises
+    ``weights``, ``qformat`` and ``time_concat`` mean what they mean for
+    :class:`~repro.fpga.odeblock_hw.HardwareODEBlock`; random weights come
+    from the caller's ``BlockWeights.random(geometry, default_rng(seed))``.
+    ``n_units`` defaults to :func:`default_n_units` of ``board``.  Raises
     :class:`ValueError` for configurations the emitter does not model
-    (``in_channels != out_channels``, word lengths above 32 bits).
+    (``in_channels != out_channels``, word lengths above 32 bits) and for
+    weights whose shapes do not fit the block
+    (:meth:`~repro.fpga.odeblock_hw.BlockWeights.check_shapes`).
     """
 
     geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
@@ -239,8 +241,7 @@ def emit_odeblock(
     n_units = check_count("n_units", n_units, 1)
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite (got {step_size!r})")
-    if weights is None:
-        weights = BlockWeights.random(geometry, np.random.default_rng(seed), time_concat=time_concat)
+    weights.check_shapes(geometry, time_concat)
 
     c = geometry.out_channels
     k = KERNEL
@@ -249,12 +250,6 @@ def emit_odeblock(
     hw = h * w
     chw = c * hw
     c_inc = geometry.in_channels + (1 if time_concat else 0)
-    expected_shape = (c, c_inc, k, k)
-    if weights.conv1_weight.shape != expected_shape:
-        raise ValueError(
-            f"conv1 weight shape {weights.conv1_weight.shape} does not match "
-            f"the emitted datapath {expected_shape} (time_concat={time_concat})"
-        )
 
     hex_files, rom_manifest, n_banks = _rom_images(weights, qformat, n_units)
     plan = plan_block_allocation(geometry, n_units=n_units, qformat=qformat)
@@ -389,7 +384,6 @@ def emit_odeblock(
         geometry=geometry,
         qformat=qformat,
         n_units=n_units,
-        board_name=board.name,
         files=files,
         manifest=manifest,
     )

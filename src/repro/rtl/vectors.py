@@ -8,23 +8,21 @@ iteration.  Each record is an independent single-step check: record *i*'s
 expected state is record *i+1*'s stimulus (exactly, in integers), so
 verifying every record verifies the whole iterated trajectory.
 
-All serialisations are integer-only and platform-pinned:
-
-* the ``.hex`` files hold two's-complement words at the Q-format's width
-  (the ``$readmemh`` input of the emitted testbench);
-* :meth:`VectorSet.to_bytes` is a little-endian ``<i8`` byte image with a
-  self-describing header (magic ``ODEV``) — **no float round-trip**, so the
-  dump is byte-identical across runs and platforms for a given seed.
+The vectors have one serialisation, written by :func:`write_vector_files`:
+``stimulus.hex`` / ``expected.hex`` hold two's-complement words at the
+Q-format's width (the ``$readmemh`` input of the emitted testbench), and
+``vectors.json`` describes them.  Both are integer-only (no float
+round-trip), so they are byte-identical across runs and platforms for a
+given seed.
 
 The saturation-heavy Q4.2 / Q6.4 golden cases of ``tests/rtl/goldens`` are
-described by :data:`GOLDEN_CASES` and regenerated bit-for-bit by
+named in :data:`GOLDEN_CASES` and regenerated bit-for-bit by
 :func:`golden_vectors`.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
@@ -40,8 +38,8 @@ from .emit import _hex_lines
 __all__ = [
     "VectorRecord",
     "VectorSet",
-    "GoldenCase",
     "GOLDEN_CASES",
+    "GOLDEN_GEOMETRY",
     "generate_vectors",
     "golden_vectors",
     "write_vector_files",
@@ -54,11 +52,7 @@ STIMULUS_HEX = "stimulus.hex"
 EXPECTED_HEX = "expected.hex"
 VECTORS_MANIFEST = "vectors.json"
 
-_VECTOR_MAGIC = b"ODEV"
 _VECTOR_VERSION = 1
-#: Little-endian header: magic, version, word, frac, C, H, W, time_concat,
-#: then the record count as a 32-bit field.
-_VECTOR_HEADER = struct.Struct("<4sHHHHHHHI")
 
 
 @dataclass(frozen=True)
@@ -102,27 +96,6 @@ class VectorSet:
             _hex_lines(rec.expected, self.qformat.word_length) for rec in self.records
         )
 
-    def to_bytes(self) -> bytes:
-        """Canonical little-endian byte image (fixed endianness, ints only)."""
-
-        head = _VECTOR_HEADER.pack(
-            _VECTOR_MAGIC,
-            _VECTOR_VERSION,
-            self.qformat.word_length,
-            self.qformat.fraction_bits,
-            self.channels,
-            self.height,
-            self.width,
-            1 if self.time_concat else 0,
-            len(self.records),
-        )
-        pieces = [head]
-        for rec in self.records:
-            pieces.append(np.asarray([rec.t_fx], dtype="<i8").tobytes())
-            pieces.append(np.asarray(rec.stimulus, dtype="<i8").tobytes())
-            pieces.append(np.asarray(rec.expected, dtype="<i8").tobytes())
-        return b"".join(pieces)
-
     def manifest(self) -> Dict:
         """Deterministic JSON-able description of the vector set."""
 
@@ -154,26 +127,19 @@ def generate_vectors(
     input_scale: float = 0.5,
     step_size: float = 1.0,
     time_concat: bool = False,
-    n_units: int = 4,
 ) -> VectorSet:
     """Dump stimulus/expected pairs from the batched FxArray engine.
 
     The batch flows through :meth:`HardwareODEBlock.execute_batch` once per
     step (``t_i = i*h``, residual Euler update); the recorded raws are the
-    quantised states at each step boundary.  ``n_units`` never changes the
-    numbers (the batch engine is bit-exact in the unit count) — any emitted
-    design point can be checked against the same vectors.
+    quantised states at each step boundary.  The vectors do not depend on
+    a unit count, so any emitted design point of the block is checked
+    against the same vectors.
     """
 
     images = check_count("images", images, 1)
     iterations = check_count("iterations", iterations, 1)
-    hw_block = HardwareODEBlock(
-        block,
-        weights,
-        n_units=n_units,
-        qformat=qformat,
-        time_concat=time_concat,
-    )
+    hw_block = HardwareODEBlock(block, weights, qformat=qformat, time_concat=time_concat)
     rng = np.random.default_rng(seed)
     shape = (images, block.out_channels, block.height, block.width)
     state = np.asarray(rng.normal(0.0, input_scale, size=shape), dtype=np.float64)
@@ -229,8 +195,9 @@ def write_vector_files(vectors: VectorSet, out_dir: Union[str, Path]) -> Dict[st
 #: block, two seeded images over three Euler steps of size 1, no time
 #: channel, and weight/input scale 3.0 to drive the datapath deep into
 #: clipping.
-GOLDEN_CHANNELS = 4
-GOLDEN_SIZE = 4
+GOLDEN_GEOMETRY = BlockGeometry(
+    name="golden_4ch_4px", in_channels=4, out_channels=4, height=4, width=4
+)
 GOLDEN_IMAGES = 2
 GOLDEN_ITERATIONS = 3
 GOLDEN_SEED = 20240
@@ -240,54 +207,27 @@ GOLDEN_INPUT_SCALE = 3.0
 GOLDEN_TIME_CONCAT = False
 GOLDEN_STEP_SIZE = 1.0
 
-
-@dataclass(frozen=True)
-class GoldenCase:
-    """One committed golden vector set: its name and Q-format (regenerable
-    with the shared ``GOLDEN_*`` recipe)."""
-
-    name: str
-    word_length: int
-    fraction_bits: int
-
-    @property
-    def qformat(self) -> QFormat:
-        return QFormat(self.word_length, self.fraction_bits)
-
-    @property
-    def geometry(self) -> BlockGeometry:
-        return BlockGeometry(
-            name=f"golden_{GOLDEN_CHANNELS}ch_{GOLDEN_SIZE}px",
-            in_channels=GOLDEN_CHANNELS,
-            out_channels=GOLDEN_CHANNELS,
-            height=GOLDEN_SIZE,
-            width=GOLDEN_SIZE,
-        )
-
-
-#: The PR 4 saturation edge cases: pathological Q4.2 and hard-saturating
-#: Q6.4 (weight/input scale 3.0 drives the datapath deep into clipping).
-GOLDEN_CASES: Dict[str, GoldenCase] = {
-    "q4_2_saturation": GoldenCase(name="q4_2_saturation", word_length=4, fraction_bits=2),
-    "q6_4_saturation": GoldenCase(name="q6_4_saturation", word_length=6, fraction_bits=4),
+#: The saturation edge cases, by name: pathological Q4.2 and hard-saturating
+#: Q6.4.
+GOLDEN_CASES: Dict[str, QFormat] = {
+    "q4_2_saturation": QFormat(4, 2),
+    "q6_4_saturation": QFormat(6, 4),
 }
 
 
-def golden_vectors(case: Union[str, GoldenCase]) -> Tuple[GoldenCase, VectorSet, BlockWeights]:
+def golden_vectors(name: str) -> Tuple[VectorSet, BlockWeights]:
     """Regenerate one golden vector set bit-for-bit from its recipe."""
 
-    if isinstance(case, str):
-        case = GOLDEN_CASES[case]
     weights = BlockWeights.random(
-        case.geometry,
+        GOLDEN_GEOMETRY,
         np.random.default_rng(GOLDEN_WEIGHT_SEED),
         scale=GOLDEN_WEIGHT_SCALE,
         time_concat=GOLDEN_TIME_CONCAT,
     )
     vectors = generate_vectors(
-        case.geometry,
+        GOLDEN_GEOMETRY,
         weights,
-        qformat=case.qformat,
+        qformat=GOLDEN_CASES[name],
         images=GOLDEN_IMAGES,
         iterations=GOLDEN_ITERATIONS,
         seed=GOLDEN_SEED,
@@ -295,4 +235,4 @@ def golden_vectors(case: Union[str, GoldenCase]) -> Tuple[GoldenCase, VectorSet,
         step_size=GOLDEN_STEP_SIZE,
         time_concat=GOLDEN_TIME_CONCAT,
     )
-    return case, vectors, weights
+    return vectors, weights

@@ -57,7 +57,7 @@ class TestAccuracySweepApi:
         # default_rng((seed, 0)).
         weights = BlockWeights.random(geometry, np.random.default_rng(5), scale=0.1)
         z = np.random.default_rng((5, 0)).normal(0.0, 0.5, size=(3, 64, 8, 8))
-        hw = HardwareODEBlock(geometry, weights, n_units=16, qformat=fmt)
+        hw = HardwareODEBlock(geometry, weights, qformat=fmt)
         error = hw.dynamics_batch(z) - _float_forward(weights, z)["output"]
         assert result.records()[0]["max_abs_error"] == float(np.max(np.abs(error)))
 

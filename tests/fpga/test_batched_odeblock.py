@@ -103,14 +103,14 @@ class TestBatchedForward:
     @pytest.mark.parametrize("fmt,scale", EXTREME_FORMATS)
     def test_dynamics_batch_bitwise_equals_singles(self, fmt, scale):
         geometry = small_geometry()
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=fmt)
+        block = HardwareODEBlock(geometry, make_weights(geometry), qformat=fmt)
         z = make_batch(geometry, 5, scale)
         assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
     @pytest.mark.parametrize("fmt,scale", EXTREME_FORMATS)
     def test_execute_batch_residual_path(self, fmt, scale):
         geometry = small_geometry()
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=fmt)
+        block = HardwareODEBlock(geometry, make_weights(geometry), qformat=fmt)
         z = make_batch(geometry, 4, scale)
         out_batch, report = block.execute_batch(z, step_size=0.5, t=0.25)
         out_single = batches_of_one(
@@ -125,7 +125,7 @@ class TestBatchedForward:
     def test_time_concat_mode_bitwise(self):
         geometry = small_geometry()
         block = HardwareODEBlock(
-            geometry, make_weights(geometry, time_concat=True), n_units=8,
+            geometry, make_weights(geometry, time_concat=True),
             qformat=Q16, time_concat=True,
         )
         z = make_batch(geometry, 4)
@@ -135,7 +135,7 @@ class TestBatchedForward:
 
     def test_run_iterations_batch_matches_per_image(self):
         geometry = small_geometry()
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=Q16)
+        block = HardwareODEBlock(geometry, make_weights(geometry), qformat=Q16)
         z = make_batch(geometry, 3)
         final_batch, total_batch, reports = block.run_iterations_batch(z, iterations=3)
         totals = []
@@ -148,7 +148,7 @@ class TestBatchedForward:
 
     def test_invocation_counter_advances_by_batch_size(self):
         geometry = small_geometry()
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8)
+        block = HardwareODEBlock(geometry, make_weights(geometry))
         z = make_batch(geometry, 6)
         assert block.invocations == 0
         block.execute_batch(z)
@@ -158,7 +158,7 @@ class TestBatchedForward:
 
     def test_batch_of_one_equals_single(self):
         geometry = small_geometry()
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=Q8)
+        block = HardwareODEBlock(geometry, make_weights(geometry), qformat=Q8)
         z = make_batch(geometry, 3, scale=1.5)
         assert np.array_equal(block.dynamics_batch(z[:1]), block.dynamics_batch(z)[:1])
 
@@ -173,7 +173,7 @@ class TestBatchedForward:
     def test_full_layer1_geometry_spot_check(self):
         """One real paper geometry (16ch 32x32), small batch, Q20."""
 
-        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16)
+        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1))
         z = make_batch(LAYER1, 2, scale=0.3)
         assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
@@ -194,7 +194,7 @@ class TestGroupBoundary:
         pytest.param(QFormat(4, 2), 3.0, id="Q4.2-hot"),
     ])
     def test_dynamics_batch_across_the_group_boundary(self, fmt, scale):
-        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), n_units=16, qformat=fmt)
+        block = HardwareODEBlock(LAYER1, make_weights(LAYER1, scale=0.1), qformat=fmt)
         z = make_batch(LAYER1, self.N, scale=scale)
         assert np.array_equal(block.dynamics_batch(z), batches_of_one(block.dynamics_batch, z))
 
@@ -205,7 +205,7 @@ class TestGroupBoundary:
     @pytest.mark.parametrize("time_concat", [False, True], ids=["plain", "time-concat"])
     def test_execute_batch_across_the_group_boundary(self, fmt, scale, time_concat):
         block = HardwareODEBlock(
-            LAYER1, make_weights(LAYER1, time_concat=time_concat, scale=0.1), n_units=16,
+            LAYER1, make_weights(LAYER1, time_concat=time_concat, scale=0.1),
             qformat=fmt, time_concat=time_concat,
         )
         z = make_batch(LAYER1, self.N, scale=scale)
@@ -222,7 +222,7 @@ class TestSaturationEdgeCases:
     def test_all_inputs_at_format_limits(self):
         geometry = small_geometry()
         fmt = QFormat(8, 5)
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=fmt)
+        block = HardwareODEBlock(geometry, make_weights(geometry), qformat=fmt)
         z = np.empty((4, 8, 4, 4))
         z[0] = fmt.max_value
         z[1] = fmt.min_value
@@ -235,7 +235,7 @@ class TestSaturationEdgeCases:
 
         geometry = small_geometry()
         fmt = QFormat(8, 4)
-        block = HardwareODEBlock(geometry, make_weights(geometry), n_units=8, qformat=fmt)
+        block = HardwareODEBlock(geometry, make_weights(geometry), qformat=fmt)
         tame = make_batch(geometry, 2, scale=0.3)
         hot = np.full((1, 8, 4, 4), 100.0)
         mixed = np.concatenate([tame[:1], hot, tame[1:]])

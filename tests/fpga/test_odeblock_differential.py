@@ -157,7 +157,7 @@ class TestEndToEnd:
         geometry, weights, z = make_case(seed)
         stages = float_reference_stages(weights, z)
         bound = composed_bound(fmt, weights, z, stages)
-        hw = HardwareODEBlock(geometry, weights, n_units=4, qformat=fmt)
+        hw = HardwareODEBlock(geometry, weights, qformat=fmt)
         error = float(np.max(np.abs(hw.dynamics_batch(z[None])[0] - stages["output"])))
         assert error <= bound.total
         if fmt is Q20:
@@ -170,7 +170,7 @@ class TestEndToEnd:
         z = rng.normal(0.0, 0.3, size=(64, 8, 8))
         stages = float_reference_stages(weights, z)
         bound = composed_bound(Q20, weights, z, stages)
-        hw = HardwareODEBlock(LAYER3_2, weights, n_units=16)
+        hw = HardwareODEBlock(LAYER3_2, weights)
         error = float(np.max(np.abs(hw.dynamics_batch(z[None])[0] - stages["output"])))
         assert error <= bound.total
         assert error < 5e-4
@@ -181,7 +181,7 @@ class TestEndToEnd:
         geometry, weights, z = make_case(11)
         stages = float_reference_stages(weights, z)
         bound = composed_bound(Q20, weights, z, stages)
-        hw = HardwareODEBlock(geometry, weights, n_units=4)
+        hw = HardwareODEBlock(geometry, weights)
         out, _ = hw.execute_batch(z[None])
         float_step = z + stages["output"]
         # Residual add: input quantisation + dynamics error + one truncation.

@@ -20,22 +20,17 @@ def small_geometry():
 @pytest.fixture
 def small_hw_block(small_geometry, rng):
     weights = BlockWeights.random(small_geometry, rng, scale=0.1)
-    return HardwareODEBlock(small_geometry, weights, n_units=4)
+    return HardwareODEBlock(small_geometry, weights)
 
 
 class TestConfigurationReports:
     def test_full_size_reports(self, rng):
         weights = BlockWeights.random(LAYER3_2, rng)
-        hw = HardwareODEBlock(LAYER3_2, weights, n_units=16)
+        hw = HardwareODEBlock(LAYER3_2, weights)
         assert hw.cycle_breakdown().total == pytest.approx(1.64e6, rel=0.02)
         assert hw.timing_report().meets_timing
         assert hw.resource_estimate().fits()
         assert hw.bram_plan.total_tiles > 0
-
-    def test_conv_x32_fails_timing(self, rng):
-        weights = BlockWeights.random(LAYER3_2, rng)
-        hw = HardwareODEBlock(LAYER3_2, weights, n_units=32)
-        assert not hw.timing_report().meets_timing
 
 
 class TestExecution:
@@ -79,7 +74,7 @@ class TestExecution:
         """The Q20 datapath tracks a float implementation of the same maths."""
 
         weights = BlockWeights.random(small_geometry, rng, scale=0.1)
-        hw = HardwareODEBlock(small_geometry, weights, n_units=4, dynamic_bn_stats=True)
+        hw = HardwareODEBlock(small_geometry, weights, dynamic_bn_stats=True)
 
         def float_reference(z):
             from repro.nn import Tensor
@@ -116,6 +111,27 @@ class TestWordLengthLimit:
         weights = BlockWeights.random(small_geometry, rng)
         with pytest.raises(ValueError, match="word_length must be at most 32 bits"):
             HardwareODEBlock(small_geometry, weights, qformat=QFormat(word_length, 16))
+
+
+@pytest.mark.parametrize(
+    "name, shape, time_concat",
+    [
+        ("conv1_weight", (8, 9, 3, 3), False),  # time-concat kernels, plain block
+        ("conv1_weight", (8, 8, 3, 3), True),
+        ("conv2_weight", (8, 9, 3, 3), False),
+        ("conv2_weight", (8, 8, 1, 1), False),
+        ("bn1_gamma", (7,), False),
+        ("bn2_beta", (9,), False),
+        ("bn1_mean", (7,), False),
+        ("bn2_var", (8, 1), False),
+    ],
+)
+def test_misshapen_weights_are_rejected_at_construction(small_geometry, rng, name, shape, time_concat):
+    # The shape check runs before the first forward call and names the tensor.
+    weights = BlockWeights.random(small_geometry, rng, time_concat=time_concat)
+    setattr(weights, name, np.zeros(shape))
+    with pytest.raises(ValueError, match=f"{name} shape"):
+        HardwareODEBlock(small_geometry, weights, time_concat=time_concat)
 
 
 def test_strided_blocks_are_rejected():

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry
+from repro.fpga.odeblock_hw import BlockWeights
 from repro.rtl import (
     InstanceCountError,
     ManifestError,
@@ -22,7 +24,8 @@ Q16 = QFormat(16, 8)
 
 @pytest.fixture()
 def bundle_dir(tmp_path):
-    emit_odeblock(TINY, qformat=Q16, n_units=2, seed=3).write(tmp_path)
+    weights = BlockWeights.random(TINY, np.random.default_rng(3))
+    emit_odeblock(TINY, weights, qformat=Q16, n_units=2).write(tmp_path)
     return tmp_path
 
 

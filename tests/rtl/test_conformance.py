@@ -10,6 +10,7 @@ from repro.fpga.geometry import BlockGeometry
 from repro.fpga.odeblock_hw import BlockWeights
 from repro.rtl import (
     GOLDEN_CASES,
+    GOLDEN_GEOMETRY,
     emit_odeblock,
     emit_testbench,
     generate_vectors,
@@ -54,8 +55,8 @@ def test_simulated_outputs_bit_identical_to_fxarray(tmp_path, word, frac):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_saturation_cases_conform(tmp_path, name):
-    case, vec, weights = golden_vectors(name)
-    _prepare(tmp_path, case.geometry, weights, case.qformat, vec, n_units=2)
+    vec, weights = golden_vectors(name)
+    _prepare(tmp_path, GOLDEN_GEOMETRY, weights, GOLDEN_CASES[name], vec, n_units=2)
     result = run_conformance(tmp_path)
     assert result.passed, result.stdout
 

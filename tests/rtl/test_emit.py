@@ -28,8 +28,15 @@ TINY = BlockGeometry(name="tiny", in_channels=4, out_channels=4, height=4, width
 Q16 = QFormat(16, 8)
 
 
+def _emit(block, seed=0, **kwargs):
+    """Emit ``block`` with ``BlockWeights.random`` weights drawn from ``seed``."""
+
+    geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
+    return emit_odeblock(block, BlockWeights.random(geometry, np.random.default_rng(seed)), **kwargs)
+
+
 def test_bundle_contains_all_sources_and_roms():
-    bundle = emit_odeblock(TINY, qformat=Q16, n_units=2)
+    bundle = _emit(TINY, qformat=Q16, n_units=2)
     for name in SOURCE_FILES:
         assert name in bundle.files
     assert MANIFEST_FILE in bundle.files
@@ -38,7 +45,7 @@ def test_bundle_contains_all_sources_and_roms():
 
 
 def test_manifest_schema_and_consistency():
-    bundle = emit_odeblock(TINY, qformat=Q16, n_units=2)
+    bundle = _emit(TINY, qformat=Q16, n_units=2)
     m = json.loads(bundle.files[MANIFEST_FILE])
     for key in (
         "generator", "version", "block", "qformat", "board", "n_units", "n_banks",
@@ -236,7 +243,7 @@ def test_rom_words_fill_the_bram_weight_regions(name):
     # the two convolutions and the eight BN vectors.
     geometry = block_geometry(name)
     c = geometry.out_channels
-    bundle = emit_odeblock(name, qformat=Q20, n_units=4)
+    bundle = _emit(name, qformat=Q20, n_units=4)
     roms = bundle.manifest["roms"].values()
     conv_words = sum(info["words"] for info in roms if info["kind"] == "conv_weights")
     bn_words = sum(info["words"] for info in roms if info["kind"] == "bn_parameters")
@@ -267,7 +274,7 @@ def test_rom_weights_reproduce_hardware_output(time_concat, dynamic_bn_stats):
     restored = _weights_from_roms(bundle, Q20)
     blocks = [
         HardwareODEBlock(
-            TINY, w, n_units=4, dynamic_bn_stats=dynamic_bn_stats, time_concat=time_concat
+            TINY, w, dynamic_bn_stats=dynamic_bn_stats, time_concat=time_concat
         )
         for w in (weights, restored)
     ]
@@ -278,7 +285,7 @@ def test_rom_weights_reproduce_hardware_output(time_concat, dynamic_bn_stats):
 
 def test_port_widths_track_qformat():
     for qf in (QFormat(8, 4), Q16, Q20):
-        bundle = emit_odeblock(TINY, qformat=qf, n_units=1)
+        bundle = _emit(TINY, qformat=qf, n_units=1)
         top = bundle.files[TOP_FILE]
         assert f"input signed [{qf.word_length - 1}:0] in_data" in top
         assert f"input signed [{qf.word_length - 1}:0] t_fx" in top
@@ -287,12 +294,12 @@ def test_port_widths_track_qformat():
 
 def test_pe_instances_match_unit_count():
     for n in (1, 2, 4, 8):
-        bundle = emit_odeblock(TINY, qformat=Q16, n_units=n)
+        bundle = _emit(TINY, qformat=Q16, n_units=n)
         assert bundle.files[TOP_FILE].count("conv_pe #(") == n
 
 
 def test_idle_pes_emitted_when_units_exceed_channels():
-    bundle = emit_odeblock(TINY, qformat=Q16, n_units=8)
+    bundle = _emit(TINY, qformat=Q16, n_units=8)
     top = bundle.files[TOP_FILE]
     assert top.count("conv_pe #(") == 8
     # Only 4 channels -> only 4 weight banks (+1 BN ROM).
@@ -302,14 +309,14 @@ def test_idle_pes_emitted_when_units_exceed_channels():
 
 def test_bank_count_matches_bram_plan():
     for n in (1, 2, 3, 4, 8):
-        bundle = emit_odeblock(TINY, qformat=Q16, n_units=n)
+        bundle = _emit(TINY, qformat=Q16, n_units=n)
         plan = plan_block_allocation(TINY, n_units=n, qformat=Q16)
         expected_banks = plan.region("conv1_weights").banks
         assert bundle.manifest["n_banks"] == expected_banks
 
 
 def test_dsp_model_agrees_with_instance_count():
-    bundle = emit_odeblock(TINY, qformat=Q16, n_units=4)
+    bundle = _emit(TINY, qformat=Q16, n_units=4)
     est = ResourceEstimator(Q16).estimate(TINY, n_units=4)
     assert (int(est.resources.dsp) - 4) // 4 == 4
     assert bundle.manifest["resources"]["dsp"] == int(est.resources.dsp)
@@ -327,7 +334,7 @@ def test_default_n_units_is_board_derived():
 
 @pytest.mark.parametrize("name", sorted(OFFLOADABLE_BLOCKS))
 def test_every_offloadable_block_emits_and_checks(tmp_path, name):
-    bundle = emit_odeblock(name, qformat=Q16, n_units=4)
+    bundle = _emit(name, qformat=Q16, n_units=4)
     out = tmp_path / name
     bundle.write(out)
     assert check_bundle(out)["ok"]
@@ -338,7 +345,7 @@ def test_two_board_qformat_points_pass_structural_check(tmp_path):
     points = [("PYNQ-Z2", Q20), ("ZCU104", QFormat(16, 8))]
     for board_name, qf in points:
         board = get_board(board_name)
-        bundle = emit_odeblock(TINY, qformat=qf, board=board, n_units=2)
+        bundle = _emit(TINY, qformat=qf, board=board, n_units=2)
         out = tmp_path / f"{board_name}_{qf.word_length}"
         bundle.write(out)
         report = check_bundle(out)
@@ -361,7 +368,7 @@ def test_time_concat_adds_input_channel_words(tmp_path):
 
 
 def test_testbench_references_vector_files():
-    bundle = emit_odeblock(TINY, qformat=Q16, n_units=2)
+    bundle = _emit(TINY, qformat=Q16, n_units=2)
     tb = emit_testbench(bundle, 6, "stimulus.hex", "expected.hex")
     assert '"stimulus.hex"' in tb and '"expected.hex"' in tb
     assert "CONFORMANCE" in tb
@@ -376,7 +383,7 @@ def test_testbench_references_vector_files():
 )
 def test_emit_rejects_unsupported_configs(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        emit_odeblock(TINY, **kwargs)
+        _emit(TINY, **kwargs)
 
 
 def test_emit_rejects_strided_blocks():
@@ -384,19 +391,35 @@ def test_emit_rejects_strided_blocks():
     # set, and every manifest records the fixed one.
     with pytest.raises(TypeError, match="stride"):
         BlockGeometry(name="strided", in_channels=4, out_channels=4, height=4, width=4, stride=2)
-    block = emit_odeblock(TINY, qformat=Q16, n_units=1).manifest["block"]
+    block = _emit(TINY, qformat=Q16, n_units=1).manifest["block"]
     assert (block["kernel"], block["stride"]) == (3, 1)
 
 
-def test_emit_rejects_weight_shape_mismatch():
-    w = BlockWeights.random(TINY, np.random.default_rng(0), time_concat=True)  # 5 input channels
-    with pytest.raises(ValueError, match="shape"):
-        emit_odeblock(TINY, w, qformat=Q16, n_units=1, time_concat=False)
+@pytest.mark.parametrize(
+    "name, shape, time_concat",
+    [
+        ("conv1_weight", (4, 5, 3, 3), False),  # time-concat kernels, plain block
+        ("conv1_weight", (4, 4, 3, 3), True),
+        ("conv2_weight", (4, 5, 3, 3), False),
+        ("conv2_weight", (4, 4, 1, 1), False),
+        ("bn1_gamma", (3,), False),
+        ("bn2_beta", (5,), False),
+        ("bn1_mean", (3,), False),
+        ("bn2_var", (4, 1), False),
+    ],
+)
+def test_emit_rejects_weight_shape_mismatch(name, shape, time_concat):
+    # Every tensor is checked against the block before anything is emitted,
+    # and the error names the tensor.
+    weights = BlockWeights.random(TINY, np.random.default_rng(0), time_concat=time_concat)
+    setattr(weights, name, np.zeros(shape))
+    with pytest.raises(ValueError, match=f"{name} shape"):
+        emit_odeblock(TINY, weights, qformat=Q16, n_units=1, time_concat=time_concat)
 
 
 def test_write_is_idempotent_and_deterministic(tmp_path):
-    a = emit_odeblock(TINY, qformat=Q16, n_units=2, seed=5)
-    b = emit_odeblock(TINY, qformat=Q16, n_units=2, seed=5)
+    a = _emit(TINY, qformat=Q16, n_units=2, seed=5)
+    b = _emit(TINY, qformat=Q16, n_units=2, seed=5)
     assert a.files == b.files
     out = tmp_path / "x"
     first = {p.name: p.read_text() for p in a.write(out)}

@@ -1,8 +1,6 @@
 """Vector generation: determinism, chain consistency, integer encoding."""
 
 import numpy as np
-import pytest
-from vector_image import read_vectors
 
 from repro.fixedpoint import QFormat
 from repro.fpga.geometry import BlockGeometry
@@ -33,9 +31,9 @@ def test_record_count_and_shapes():
 
 def test_generation_is_deterministic():
     a, b = _vectors(), _vectors()
-    assert a.to_bytes() == b.to_bytes()
     assert a.stimulus_hex() == b.stimulus_hex()
     assert a.expected_hex() == b.expected_hex()
+    assert a.manifest() == b.manifest()
 
 
 def test_chain_consistency_with_run_iterations_batch():
@@ -48,17 +46,13 @@ def test_chain_consistency_with_run_iterations_batch():
     for i in range(len(vec.records) - 2):
         np.testing.assert_array_equal(vec.records[i].expected, vec.records[i + 2].stimulus)
 
-    hw = HardwareODEBlock(TINY, weights, n_units=4, qformat=Q16)
+    hw = HardwareODEBlock(TINY, weights, qformat=Q16)
     rng = np.random.default_rng(9)
     state = rng.normal(0.0, 0.5, size=(2, 4, 4, 4))
     final, _, _ = hw.run_iterations_batch(state, iterations=3)
     final_raw = Q16.to_fixed(final)
     np.testing.assert_array_equal(vec.records[-2].expected, final_raw[0].ravel())
     np.testing.assert_array_equal(vec.records[-1].expected, final_raw[1].ravel())
-
-
-def test_n_units_does_not_change_vectors():
-    assert _vectors(n_units=1).to_bytes() == _vectors(n_units=8).to_bytes()
 
 
 def test_hex_encoding_is_twos_complement():
@@ -73,34 +67,6 @@ def test_hex_encoding_is_twos_complement():
     value = int(neg.stimulus[idx])
     line = lines[rec_pos * (vec.words_per_map + 1) + idx]
     assert int(line, 16) == value + (1 << 16)
-
-
-def test_binary_round_trip_is_bit_exact():
-    vec = _vectors()
-    back = read_vectors(vec.to_bytes())
-    assert back.qformat == vec.qformat
-    assert len(back.records) == len(vec.records)
-    for a, b in zip(vec.records, back.records):
-        assert a.t_fx == b.t_fx
-        np.testing.assert_array_equal(a.stimulus, b.stimulus)
-        np.testing.assert_array_equal(a.expected, b.expected)
-
-
-def test_binary_header_is_little_endian_and_int_only():
-    data = _vectors().to_bytes()
-    assert data[:4] == b"ODEV"
-    # word_length 16 at offset 6, little-endian.
-    assert data[6] == 16 and data[7] == 0
-
-
-def test_from_bytes_rejects_bad_magic_and_version():
-    data = bytearray(_vectors().to_bytes())
-    bad = b"XXXX" + bytes(data[4:])
-    with pytest.raises(ValueError, match="magic"):
-        read_vectors(bad)
-    data[4] = 99
-    with pytest.raises(ValueError, match="version"):
-        read_vectors(bytes(data))
 
 
 def test_t_fx_advances_with_iterations():
