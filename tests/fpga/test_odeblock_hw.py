@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from repro.fixedpoint import Q16, Q20, QFormat
-from repro.fpga import BlockWeights, HardwareODEBlock, LAYER3_2
+from repro.fpga import BlockWeights, HardwareODEBlock, LAYER3_2, TimingModel
+from repro.fpga.bram import plan_block_allocation
+from repro.fpga.cycles import OdeBlockCycleModel
 from repro.fpga.geometry import BlockGeometry
+from repro.fpga.resources import ResourceEstimator
+from repro.platform import PYNQ_Z2
 
 
 @pytest.fixture
@@ -31,6 +35,19 @@ class TestConfigurationReports:
         assert hw.timing_report().meets_timing
         assert hw.resource_estimate().fits()
         assert hw.bram_plan.total_tiles > 0
+
+    def test_reports_come_from_conv_x16_which_closes_timing_where_conv_x32_fails(self, rng):
+        # The block is fixed at the paper's conv_x16, the largest configuration
+        # that closes timing at the PL clock (Section 3.1).
+        hw = HardwareODEBlock(LAYER3_2, BlockWeights.random(LAYER3_2, rng))
+        assert hw.n_units == 16
+        timing = TimingModel(PYNQ_Z2)
+        assert hw.timing_report() == timing.analyze(16, target_hz=PYNQ_Z2.pl_clock_hz)
+        assert hw.timing_report().meets_timing
+        assert not timing.analyze(32, target_hz=PYNQ_Z2.pl_clock_hz).meets_timing
+        assert hw.cycle_breakdown() == OdeBlockCycleModel().block_cycles(LAYER3_2, 16)
+        assert hw.resource_estimate() == ResourceEstimator(Q20).estimate(LAYER3_2, n_units=16)
+        assert hw.bram_plan == plan_block_allocation(LAYER3_2, 16, Q20)
 
 
 class TestExecution:
