@@ -9,8 +9,9 @@ Five measurements, each value-checked before timing is trusted:
    then runs of KW*C contiguous elements) and once through a bench-local
    copy of the former channel-first gather (runs of KW elements).  The
    columns must be equal up to the ``(C, KH, KW)`` -> ``(KH, KW, C)``
-   permutation and the channel-last gather >= 2x faster (asserted in every
-   mode).
+   permutation and the channel-last gather >= 2x faster on the median of
+   per-round ratios, the two paths timed in each round in alternating order
+   (asserted in every mode).
 
 2. **Exact GEMM kernel** — the Q20 32-bit CIFAR-scale conv GEMM of the
    layer3_2 datapath (K = KH*KW*C + 1 = 577, N = 64 channels), run once
@@ -94,10 +95,15 @@ SWEEP_FORMATS = [(32, 20), (24, 12), (16, 8), (12, 6)]
 
 #: The layer1 conv input of one forward chunk: 32 images x 16 channels x 32x32.
 GATHER_SHAPE = (32, 16, 32, 32)
-#: Asserted floor of the channel-last gather over the channel-first one.
+#: Asserted floor of the channel-last gather over the channel-first one, on
+#: the median per-round ratio.  Ten runs on a shared 2-CPU host read
+#: medians of 1.96-2.33x, three of them below the floor: the floor sits
+#: inside the measured spread, so this check can still fail on noise.
 MIN_GATHER_SPEEDUP = 2.0
-#: Timed calls per gather (best-of); one call costs 3-20 ms.
-GATHER_REPEATS = 20
+#: Rounds of the gather pair, and timed calls per path per round (best-of,
+#: after one warm-up call); one call costs 3-20 ms.
+GATHER_REPEATS = 8
+GATHER_BURST = 5
 
 #: The layer1 forward pass of one perfbench sweep: 32 images at Q20.
 DATAPATH_IMAGES = 32
@@ -136,36 +142,51 @@ def bench_gather(repeats: int, min_speedup: float) -> int:
     old_out = np.empty_like(new_out)
     print(f"gather shape            : {GATHER_SHAPE} int64 -> ({rows} x {9 * c}) float64")
 
-    def best_of(gather) -> float:
-        # Each path runs back to back into its own buffer, so both are timed
-        # with their 37.7 MB destination equally warm: interleaving them
-        # makes each evict the other's buffer and measures the memory bus
-        # (about 2x on a contended host) instead of the gather.
+    def new_gather() -> None:
+        im2col(x, 3, 3, 1, 1, out=new_out)
+
+    def old_gather() -> None:
+        channel_first_im2col(x, 3, 3, 1, 1, old_out)
+
+    def best_of_burst(gather) -> float:
+        # A burst runs one path back to back into its own buffer, so it is
+        # timed with its 37.7 MB destination as warm as the other path's:
+        # single calls interleaved make each evict the other's buffer and
+        # measure the memory bus (1.8-2.0x on a shared 2-CPU host) instead
+        # of the gather.
         gather()  # warm-up off the clock: first-touch page faults land here
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(GATHER_BURST):
             t0 = time.perf_counter()
             gather()
             best = min(best, time.perf_counter() - t0)
         return best
 
-    new_best = best_of(lambda: im2col(x, 3, 3, 1, 1, out=new_out))
-    old_best = best_of(lambda: channel_first_im2col(x, 3, 3, 1, 1, old_out))
+    # Both paths run in every round and the first of the pair swaps each
+    # round, so a slow host episode lands on both sides of a round alike;
+    # the floor is on the median of the per-round ratios.
+    new_times: list = []
+    old_times: list = []
+    sides = [(new_gather, new_times), (old_gather, old_times)]
+    for round_ in range(repeats):
+        for gather, times in sides if round_ % 2 == 0 else sides[::-1]:
+            times.append(best_of_burst(gather))
+    q1, speedup, q3 = np.percentile(np.divide(old_times, new_times), [25, 50, 75])
 
     permuted = old_out.reshape(rows, c, 3, 3).transpose(0, 2, 3, 1).reshape(rows, -1)
     identical = np.array_equal(new_out, permuted)
-    speedup = old_best / new_best
-    print(f"channel-first gather    : {old_best:8.4f} s")
-    print(f"channel-last gather     : {new_best:8.4f} s")
-    print(f"gather speedup          : {speedup:8.1f} x")
+    print(f"channel-first gather    : {np.median(old_times):8.4f} s (median of {repeats} rounds)")
+    print(f"channel-last gather     : {np.median(new_times):8.4f} s (median of {repeats} rounds)")
+    print(f"gather speedup          : {speedup:8.2f} x (per-round median; quartiles "
+          f"{q1:.2f}-{q3:.2f} x)")
     print(f"same columns, permuted  : {identical}")
     if not identical:
         print("FAIL: channel-last columns are not a permutation of the channel-first ones",
               file=sys.stderr)
         return 1
     if speedup < min_speedup:
-        print(f"FAIL: gather speedup {speedup:.1f}x below the required {min_speedup:.0f}x",
-              file=sys.stderr)
+        print(f"FAIL: median gather speedup {speedup:.2f}x below the required "
+              f"{min_speedup:.0f}x", file=sys.stderr)
         return 1
     return 0
 

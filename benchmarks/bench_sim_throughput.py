@@ -75,9 +75,9 @@ MIN_EVENTS_PER_SEC = 100_000.0
 MIN_SERVING_REQUESTS_PER_SEC = 8_900.0
 
 #: The fleet kernel's asserted floor (full run; --quick uses half).  On the
-#: day-length trace (1,035,655 requests) a shared 2-CPU host ran 255-280k
-#: events/sec (3.7-4.1 s) with a least-loaded scan of every board, and
-#: 325-390k (2.6-3.2 s) with the balancer's heap index.
+#: day-length trace (1,035,655 requests, four cells of three boards) a
+#: shared 2-CPU host ran 439-603k events/sec (1.71-2.36 s, five runs), with
+#: least-loaded routing a scan of the boards' ``ready_at`` keys.
 MIN_FLEET_EVENTS_PER_SEC = 100_000.0
 
 #: The event-fidelity fleet's requests/sec floor (full run; --quick uses

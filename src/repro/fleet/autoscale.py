@@ -8,8 +8,8 @@ capacity) and
 * powers **up** the first unpowered board in inventory order when the
   window runs hot (``util >`` :data:`HIGH`) — the board draws power
   immediately and starts serving after :data:`BOOT_S` (cold-start penalty),
-  through :meth:`~repro.fleet.balancer.Balancer.power_up` so the
-  balancer's routing index sees the board come back;
+  through :meth:`~repro.fleet.balancer.Balancer.power_up` so weighted
+  routing sees the board come back;
 * powers **down** the last powered board in inventory order when the window
   runs cold (``util <`` :data:`LOW`) and more than :data:`MIN_POWERED`
   boards are up — the board stops accepting work, drains its in-flight

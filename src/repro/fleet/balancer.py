@@ -5,9 +5,9 @@ The fast fleet kernel does not replay every DMA burst — that is what
 (:class:`BoardServer`): ``replicas`` slots, each serving one request at a
 time at the board's *analytic* service time (the same
 ``build_service_plan().total_seconds`` the transaction-level simulator is
-differentially pinned to).  A request costs an O(log B) routing decision
-over a cell's B boards plus one slot-heap commit, so million-request day
-traces run in seconds.
+differentially pinned to).  A request costs one routing decision over a
+cell's B boards plus one slot-heap commit, so million-request day traces
+run in seconds.
 
 Routing is per-class (the tentpole requirement):
 
@@ -25,24 +25,14 @@ Routing is per-class (the tentpole requirement):
 presampled uniforms so runs stay deterministic) are the classic baselines.
 Weighted routing keeps the cumulative weights of the powered boards and
 bisects them, so a request costs O(log B); the weights are rebuilt only
-when the powered set changes.
+when the powered set changes, so every power change goes through
+:meth:`Balancer.power_up` / :meth:`Balancer.power_down`.
 
-Least-loaded routing does not scan the boards.  A board's key is its
-``ready_at`` (its first slot to free, ``inf`` while unpowered), and its
-predicted start at ``t`` is ``max(ready_at, t)``.  The :class:`Balancer` keeps
-every board in one of two heaps: *ready* (boards whose key was at most some
-routed ``t``, ordered by inventory position, so the lowest position wins as
-the scan's tie-break did) and *busy* (``(key, position)``).  Keys only rise
-under ``assign`` and ``power_down``, so entries are checked lazily: one is
-compared with its board's live key only when it reaches the top of its
-heap, and moves or is re-pushed if the key moved.  A request therefore
-costs O(log B) amortised, for any order of ``t`` (a ready entry is checked
-against the ``t`` being routed).  Powering a board up lowers its key, so it
-goes through :meth:`Balancer.power_up`, which rebuilds the index;
-power-downs go through :meth:`Balancer.power_down`, so the weighted table
-sees every change of the powered set.  Event fidelity's boards, whose
-predicted start falls when a request completes, route through
-:class:`ScanBalancer` instead.
+Least-loaded routing scans the boards' ``ready_at`` keys in inventory
+order and stops at the first board that is ready at ``t``; otherwise the
+earliest key wins.  Both fidelities route through the one
+:class:`Balancer`: an event-fidelity cell writes each board's live
+predicted start into ``ready_at`` at every arrival instant.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.metrics import energy_section, ps_energy_j
 
-__all__ = ["BATCH_SPILL_FACTOR", "BoardServer", "Balancer", "ScanBalancer"]
+__all__ = ["BATCH_SPILL_FACTOR", "BoardServer", "Balancer"]
 
 #: A batch request spills off the cheapest board when its backlog exceeds
 #: this many of its own service times.
@@ -63,7 +53,18 @@ BATCH_SPILL_FACTOR = 10.0
 
 
 class BoardServer:
-    """Analytic serving state of one physical board in a cell."""
+    """Analytic serving state of one physical board in a cell.
+
+    ``ready_at`` is the balancer's least-loaded key: when the first slot
+    frees (a request arriving at ``t`` starts at the later of the two).  It
+    is ``inf`` exactly when the board is unpowered (:meth:`power_down`
+    writes ``inf``, :meth:`power_up` and :meth:`assign` a finite instant),
+    so the balancer's scan reads this one slot and never ``powered``.  An
+    event-fidelity cell writes each board's live :meth:`predicted_start`
+    into it at every arrival instant; its boards are always powered
+    (autoscale is rejected at event fidelity), and autoscaling there would
+    have to write ``inf`` for a powered-down board.
+    """
 
     __slots__ = (
         "index",
@@ -109,9 +110,7 @@ class BoardServer:
         self.ps_s = ps_s
         self.free = [0.0] * replicas  # a heap of per-slot next-free instants
         self.powered = True
-        # When a request could start here at the earliest: the first slot
-        # to free (``inf`` while unpowered).  The balancer's routing key.
-        self.ready_at = 0.0
+        self.ready_at = 0.0  # the first slot to free (see the class docstring)
         self.powered_since = 0.0
         self.powered_seconds = 0.0
         self.busy_seconds = 0.0
@@ -202,7 +201,7 @@ class BoardServer:
 class Balancer:
     """Per-class routing over one cell's boards."""
 
-    __slots__ = ("boards", "routing", "_rr", "_by_energy", "_ready", "_busy", "_weights")
+    __slots__ = ("boards", "routing", "_rr", "_by_energy", "_weights")
 
     def __init__(self, boards: List[BoardServer], routing: str) -> None:
         self.boards = boards
@@ -211,7 +210,7 @@ class Balancer:
         # Batch routing's order: cheapest joules per request first, ties on
         # inventory order (the sort is stable).
         self._by_energy = sorted(boards, key=lambda b: b.energy_per_request)
-        self._reindex()
+        self._weights: Optional[Tuple[List[BoardServer], List[float], float]] = None
 
     def route(self, t: float, kind: str, u: Optional[float] = None) -> Optional[BoardServer]:
         """Pick the serving board for one request (``None`` if none is powered)."""
@@ -225,58 +224,35 @@ class Balancer:
         return self._least_loaded(t)
 
     def power_up(self, board: BoardServer, t: float, boot_s: float) -> None:
-        """Power ``board`` up at ``t`` (see :meth:`BoardServer.power_up`).
+        """Power ``board`` up at ``t`` (see :meth:`BoardServer.power_up`);
+        the powered set grows, so the weighted table is rebuilt on its next
+        use."""
 
-        Its key falls, which the lazy index cannot see, so the index is
-        rebuilt.
-        """
-
+        self._weights = None
         board.power_up(t, boot_s)
-        self._reindex()
 
     def power_down(self, board: BoardServer, t: float) -> float:
         """Power ``board`` down at ``t``; return its drain instant (see
-        :meth:`BoardServer.power_down`).
-
-        Its key rises, which the lazy index checks on its own; the powered
-        set shrinks, so the weighted table is rebuilt on its next use.
-        """
+        :meth:`BoardServer.power_down`).  The powered set shrinks, so the
+        weighted table is rebuilt on its next use."""
 
         self._weights = None
         return board.power_down(t)
 
-    def _reindex(self) -> None:
-        """Rebuild the index: every board in the busy heap at its live key."""
-
-        self._ready = []
-        self._busy = sorted((b.ready_at, pos) for pos, b in enumerate(self.boards))
-        self._weights = None
-
     def _least_loaded(self, t: float) -> Optional[BoardServer]:
-        boards = self.boards
-        ready = self._ready
-        busy = self._busy
-        # A stored busy key is never above the live one, so every board due
-        # at ``t`` is in the ready heap after this.
-        while busy and busy[0][0] <= t:
-            heapq.heappush(ready, heapq.heappop(busy)[1])
-        # The lowest ready position whose live key is due starts at ``t``;
-        # one that is no longer due goes back to the busy heap.
-        while ready:
-            pos = ready[0]
-            live = boards[pos].ready_at
-            if live <= t:
-                return boards[pos]
-            heapq.heappop(ready)
-            heapq.heappush(busy, (live, pos))
-        # Nothing is ready: the earliest busy key (lowest position on ties).
-        while busy:
-            key, pos = busy[0]
-            live = boards[pos].ready_at
-            if live == key:
-                return boards[pos] if key < math.inf else None
-            heapq.heapreplace(busy, (live, pos))
-        return None
+        """The first board in inventory order that is ready at ``t``, else
+        the earliest ``ready_at`` (the lowest position on ties); ``None``
+        when every key is ``inf`` (no board powered)."""
+
+        best: Optional[BoardServer] = None
+        best_key = math.inf
+        for board in self.boards:
+            key = board.ready_at
+            if key <= t:
+                return board
+            if key < best_key:
+                best, best_key = board, key
+        return best
 
     def _cheapest(self, t: float) -> Optional[BoardServer]:
         for best in self._by_energy:
@@ -318,28 +294,3 @@ class Balancer:
         pick = bisect_right(cumulative, (0.0 if u is None else u) * total)
         return candidates[min(pick, len(candidates) - 1)]
 
-
-class ScanBalancer(Balancer):
-    """The :class:`Balancer`'s rules over boards whose predicted start can fall.
-
-    An event-fidelity board's :meth:`~BoardServer.predicted_start` reads
-    live state that falls when a request completes, which the lazy index
-    cannot see, so least-loaded routing scans every powered board for the
-    earliest predicted start (the lowest inventory position on ties, as the
-    index picks).  The other rules are the base class's.
-    """
-
-    __slots__ = ()
-
-    def _reindex(self) -> None:
-        self._weights = None
-
-    def _least_loaded(self, t: float) -> Optional[BoardServer]:
-        best: Optional[BoardServer] = None
-        best_start = math.inf
-        for board in self.boards:
-            if board.powered:
-                start = board.predicted_start(t)
-                if start < best_start:
-                    best, best_start = board, start
-        return best

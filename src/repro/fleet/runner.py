@@ -12,8 +12,8 @@ Two serving fidelities:
 
 * ``fast`` — the single-pass analytic kernel: each request is routed by the
   :class:`~repro.fleet.balancer.Balancer` and committed to a board slot heap
-  at the board's analytic service time.  A request costs an O(log B)
-  routing decision over the cell's B boards plus one slot-heap commit;
+  at the board's analytic service time.  A request costs one routing
+  decision over the cell's B boards plus one slot-heap commit;
   autoscale ticks interleave between arrivals.  This is what makes
   million-request day traces take seconds.
 * ``event`` — the whole cell is one transaction-level simulation: every
@@ -42,7 +42,7 @@ from ..sim.policies import size_replicas
 from ..sim.scenario import DEFAULT_SLO_FACTOR, request_cap
 from ..sim.workload import Request, ServicePlan, arrival_times, build_service_plan
 from .autoscale import AutoscaleController
-from .balancer import Balancer, BoardServer, ScanBalancer
+from .balancer import Balancer, BoardServer
 from .cluster import FleetScenario
 from .report import BoardCell, CellResult, ClassCell
 
@@ -128,8 +128,9 @@ class EventBoard(BoardServer):
     """A board of an event-fidelity cell, served inside the cell's simulator
     by the system :func:`repro.sim.runner.build_board` builds.
 
-    The balancer reads it through :meth:`predicted_start`, on live state:
-    ``outstanding`` counts the requests routed here and not yet completed.
+    Its :meth:`predicted_start` reads live state: ``outstanding`` counts the
+    requests routed here and not yet completed.  The cell writes it into
+    ``ready_at`` for every board at each arrival instant, before routing.
     """
 
     __slots__ = ("plan", "outstanding", "ps", "accelerators", "dispatcher")
@@ -279,9 +280,10 @@ def _serve_events(
     Each board gets the serving system ``simulate`` builds for its single
     board: all its PS cores and the simulator's default dispatch.  Each
     request's process routes and admits itself at its arrival instant
-    (:func:`_admit`, on live board state), then walks its board's service
-    plan.  Every board is powered for the whole run (autoscale is rejected
-    at this fidelity).  Returns the horizon and the event count: one per
+    (:func:`_admit`, on each board's live :meth:`EventBoard.predicted_start`
+    written into ``ready_at``), then walks its board's service plan.  Every
+    board is powered for the whole run (autoscale is rejected at this
+    fidelity).  Returns the horizon and the event count: one per
     admitted request plus the simulator's events.
     """
 
@@ -296,11 +298,13 @@ def _serve_events(
         board.ps, _, board.accelerators, board.dispatcher = build_board(
             sim, as_sim_scenario(board.plan.scenario), board.replicas, board.ps_cores
         )
-    balancer = ScanBalancer(boards, scenario.routing)
+    balancer = Balancer(boards, scenario.routing)
     slo_admission = scenario.admission == "slo"
     completed: List[Request] = []
 
     def serve(i: int, t: float, cls: ClassCell, u: Optional[float]) -> Generator:
+        for b in boards:
+            b.ready_at = b.predicted_start(t)
         board = _admit(balancer, t, cls, u, slo_admission)
         if board is None:
             return

@@ -1,18 +1,20 @@
 """The balancer's routing as a linear scan over every board: a test oracle.
 
 This is ``repro.fleet.balancer.Balancer`` as it stood before least-loaded
-routing got its heap index and weighted routing its cached cumulative
-weights: every request scans every board, batch routing re-ranks the
-boards by energy each time, and weighted routing re-weighs the powered
-boards each time.  It reads only the
-boards' ground truth (``powered`` and the slot heap ``free``), never the
-``ready_at`` key the index is built on, so the two stay independent.
-``test_balancer_oracle.py`` requires both to pick the same board.
+routing read one ``ready_at`` key per board and weighted routing cached
+its cumulative weights: every request computes every powered board's
+predicted start, batch routing re-ranks the boards by energy each time,
+and weighted routing re-weighs the powered boards each time.  It reads
+only the boards' ground truth, never the ``ready_at`` key the balancer
+routes on, so the two stay independent: a fast board's ``powered`` flag
+and slot heap ``free``, or an event board's ``outstanding`` count
+(:func:`event_predicted_start`).  ``test_balancer_oracle.py`` requires
+both to pick the same board.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.fleet import BATCH_SPILL_FACTOR, BoardServer
 
@@ -25,6 +27,13 @@ def predicted_start(board: BoardServer, t: float) -> float:
     return max(min(board.free), t)
 
 
+def event_predicted_start(board: BoardServer, t: float) -> float:
+    """When a request arriving at ``t`` would start on an event-fidelity
+    ``board``: one service time per full round of its replicas ahead."""
+
+    return t + board.svc_s * (board.outstanding // board.replicas)
+
+
 class ReferenceBalancer:
     """``least_loaded`` (latency and batch kinds) and ``weighted`` routing
     by scanning every board.
@@ -32,9 +41,15 @@ class ReferenceBalancer:
     Round-robin routing never used a scan; it is not part of the oracle.
     """
 
-    def __init__(self, boards: List[BoardServer], routing: str = "least_loaded") -> None:
+    def __init__(
+        self,
+        boards: List[BoardServer],
+        routing: str = "least_loaded",
+        predicted_start: Callable[[BoardServer, float], float] = predicted_start,
+    ) -> None:
         self.boards = boards
         self.routing = routing
+        self.predicted_start = predicted_start
 
     def route(self, t: float, kind: str, u: Optional[float] = None) -> Optional[BoardServer]:
         if self.routing == "weighted":
@@ -70,7 +85,7 @@ class ReferenceBalancer:
         for board in self.boards:
             if not board.powered:
                 continue
-            start = predicted_start(board, t)
+            start = self.predicted_start(board, t)
             if start < best_start:
                 best, best_start = board, start
         return best
@@ -86,7 +101,7 @@ class ReferenceBalancer:
                 best, best_cost = board, cost
         if best is None:
             return None
-        wait = predicted_start(best, t) - t
+        wait = self.predicted_start(best, t) - t
         if wait > BATCH_SPILL_FACTOR * best.svc_s:
             return self._least_loaded(t)
         return best
