@@ -546,12 +546,22 @@ class TestSweepCommand:
 
 
 #: The design-space export a user runs (3,584 rows: 7 models x 2 depths x
-#: 32 unit counts x 2 word lengths x 4 boards).
+#: 32 unit counts x 2 word lengths x 4 boards), the exact argv of the
+#: explore benchmark's sweep call.
 EXPLORE_SWEEP_ARGV = [
     "sweep", "--depths", "20", "56", "--n-units", *map(str, range(1, 33)),
     "--wordlengths", "16", "32", "--boards", "PYNQ-Z2", "Zybo-Z7-20", "Ultra96-V2", "ZCU104",
     "--engine", "batch", "--format", "csv",
 ]
+EXPLORE_SWEEP_HEADER = (
+    "model,depth,n_units,word_length,fraction_bits,solver,board,pl_clock_hz,variant,qformat,"
+    "param_count,param_bytes,accuracy_pct,accuracy_stable,bram,dsp,lut,ff,bram_pct,dsp_pct,"
+    "lut_pct,ff_pct,targets,fits_device,meets_timing,offload_target,total_wo_pl_s,"
+    "target_wo_pl_s,ratio_of_target_pct,target_w_pl_s,total_w_pl_s,overall_speedup,"
+    "speedup_vs_resnet,solver_stages,energy_without_pl_J,energy_with_pl_J,energy_ratio,"
+    "time_speedup,offload,train_step_sw_s,train_step_offloaded_s,target_share_pct,step_speedup,"
+    "epoch_hours_software,epoch_hours_offloaded,full_run_days_software,full_run_days_offloaded"
+)
 SMALL_SWEEP_JSON_ARGV = [
     "sweep", "--depths", "20", "56", "--n-units", "8", "16", "--boards", "PYNQ-Z2", "ZCU104",
     "--format", "json",
@@ -569,6 +579,7 @@ class TestSweepBytes:
     def test_explore_sweep_csv(self, capsys):
         out = run_cli(capsys, *EXPLORE_SWEEP_ARGV)
         assert out.count("\n") == 3585
+        assert out[:out.index("\n")] == EXPLORE_SWEEP_HEADER
         assert _sha256(out) == "dbf27cc9388b28b1054bd2e3705ce2138b2012da71c16aaf7f68f57d947af8ad"
 
     @pytest.mark.parametrize("engine", ["batch", "loop"])
