@@ -527,6 +527,13 @@ def _cmd_eval(args, evaluator: Evaluator) -> Report:
     ),
 )
 def _cmd_sweep(args, evaluator: Evaluator) -> Report:
+    for flag, values in (
+        ("--models", args.models), ("--depths", args.depths), ("--n-units", args.n_units),
+        ("--wordlengths", args.word_lengths), ("--solvers", args.solvers),
+        ("--qformats", args.qformats),
+    ):
+        if values == []:
+            raise ValueError(f"{flag} needs at least one value")
     axes = dict(
         depths=args.depths,
         n_units=args.n_units,

@@ -530,6 +530,15 @@ class TestSweepCommand:
         assert "error:" in err and "numeric" in err
 
     @pytest.mark.parametrize(
+        "flag", ["--models", "--depths", "--n-units", "--wordlengths", "--solvers", "--qformats"]
+    )
+    def test_empty_axis_is_refused(self, capsys, flag):
+        assert main(["sweep", flag, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} needs at least one value" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "--workers", "4"],
