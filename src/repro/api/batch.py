@@ -131,21 +131,45 @@ def _py(value):
 _CSV_QUOTED = re.compile('[,"\r\n]')
 
 
-def _distinct_texts(col, is_list: bool) -> Tuple[List[str], Sequence[int]]:
-    """A column's distinct cell texts (``csv.writer``'s, unquoted), each row's index into them."""
+class _Coded:
+    """A column as integer codes into its distinct cell values (the
+    dictionary-encoded column of a column store).
 
-    if isinstance(col, np.ndarray) and col.dtype != object:
-        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
-        uniq, index = np.unique(keys, return_inverse=True)
-        values: List = uniq.view(col.dtype).tolist()
-    else:
-        # -0.0 == 0.0 and True == 1 == 1.0 hash alike: a key adds types and a zero's text.
-        keys = ([(tuple(map(type, v)), tuple(v), 0 in v and repr(v)) for v in col] if is_list
-                else [(v.__class__, v, v == 0 and repr(v)) for v in col])
-        positions: Dict[tuple, int] = {}
-        index = [positions.setdefault(key, len(positions)) for key in keys]
-        values = [_flatten_value(key[1]) if is_list else _py(key[1]) for key in positions]
-    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values], index
+    Rows that share a code share its value object; views that hand cells
+    out copy list values.
+    """
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: np.ndarray, values: List) -> None:
+        self.codes = codes
+        self.values = values
+
+    def __getitem__(self, i: int):
+        return self.values[self.codes[i]]
+
+    def cells(self) -> List:
+        """One cell per row."""
+
+        return list(map(self.values.__getitem__, self.codes.tolist()))
+
+
+def _factorize(cells: Sequence, is_list: bool) -> _Coded:
+    """Code Python cells by a key that also tells apart equal values that
+    print differently (``-0.0`` and ``0.0``; ``True``, ``1`` and ``1.0``)."""
+
+    keys = ([(tuple(map(type, v)), tuple(v), 0 in v and repr(v)) for v in cells] if is_list
+            else [(v.__class__, v, v == 0 and repr(v)) for v in cells])
+    codes, uniques = _codes(keys)
+    return _Coded(codes, [list(key[1]) if is_list else key[1] for key in uniques])
+
+
+def _by_bits(col: np.ndarray) -> _Coded:
+    """A NumPy column coded by bit pattern, so ``-0.0`` and ``0.0`` stay apart."""
+
+    keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+    uniq, codes = np.unique(keys, return_inverse=True)
+    return _Coded(codes, uniq.view(col.dtype).tolist())
 
 
 # -- per-unique-key facts ----------------------------------------------------------------
@@ -222,16 +246,8 @@ def _codes(keys: Sequence) -> Tuple[np.ndarray, List]:
     """Factorize a sequence of hashables into integer codes + unique values."""
 
     index: Dict = {}
-    uniques: List = []
-    codes = np.empty(len(keys), dtype=np.intp)
-    for i, key in enumerate(keys):
-        code = index.get(key)
-        if code is None:
-            code = len(uniques)
-            index[key] = code
-            uniques.append(key)
-        codes[i] = code
-    return codes, uniques
+    codes = np.fromiter((index.setdefault(key, len(index)) for key in keys), np.intp, len(keys))
+    return codes, list(index)
 
 
 # -- the vector computation --------------------------------------------------------------
@@ -408,40 +424,38 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     qnames = [QFormat(wl, fb).name for wl, fb in qf_keys]
     param_bytes = param_count * bpv
 
-    # -- per-target list columns -------------------------------------------------------
-    targets_lists: List[List[str]] = [None] * n  # type: ignore[list-item]
-    t_wo: List[List[float]] = [None] * n  # type: ignore[list-item]
-    t_ratio: List[List[float]] = [None] * n  # type: ignore[list-item]
-    t_w: List[List[float]] = [None] * n  # type: ignore[list-item]
-    ratio_cols = {
-        layer: 100.0 * sw_cols[layer] / total_wo for layer in OFFLOADABLE_LAYER_NAMES
-    }
-    for code, fact in enumerate(facts):
-        rows = np.nonzero(md_codes == code)[0]
-        layers = fact["targets"]
-        for i in rows:
-            targets_lists[i] = list(layers)
-            t_wo[i] = [float(sw_cols[l][i]) for l in layers]
-            t_ratio[i] = [float(ratio_cols[l][i]) for l in layers]
-            t_w[i] = [float(acc_cols[l][i]) for l in layers]
+    # -- per-target columns: each row's target cells, coded by their bit patterns ------
+    target_layers = [[LAYER_ORDER.index(layer) for layer in f["targets"]] for f in facts]
+    target_rows = target_table[md_codes]
+
+    def per_target(cols: Dict[str, np.ndarray]) -> _Coded:
+        block = np.column_stack([cols[layer] for layer in LAYER_ORDER])
+        keys = np.column_stack([md_codes, np.where(target_rows, block, 0.0).view(np.int64)])
+        rows = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel()
+        _, first, codes = np.unique(rows, return_index=True, return_inverse=True)
+        cells = zip(block[first].tolist(), md_codes[first].tolist())
+        return _Coded(codes, [[row[j] for j in target_layers[code]] for row, code in cells])
+
+    def by_model(values: List) -> _Coded:
+        return _Coded(md_codes, values)
 
     return {
         # scenario knobs
-        "model": [s.model for s in scenarios],
-        "depth": [s.depth for s in scenarios],
+        "model": by_model([m for m, _ in md_keys]),
+        "depth": by_model([d for _, d in md_keys]),
         "n_units": units,
-        "word_length": [s.word_length for s in scenarios],
-        "fraction_bits": [s.fraction_bits for s in scenarios],
-        "solver": [s.solver for s in scenarios],
-        "board": [s.board for s in scenarios],
+        "word_length": _Coded(qf_codes, [wl for wl, _ in qf_keys]),
+        "fraction_bits": _Coded(qf_codes, [fb for _, fb in qf_keys]),
+        "solver": _Coded(sv_codes, sv_keys),
+        "board": _Coded(bd_codes, bd_keys),
         "pl_clock_hz": clock,
         # parameters
-        "variant": [facts[c]["variant"] for c in md_codes],
-        "qformat": [qnames[c] for c in qf_codes],
+        "variant": by_model([f["variant"] for f in facts]),
+        "qformat": _Coded(qf_codes, qnames),
         "param_count": param_count,
         "param_bytes": param_bytes,
-        "accuracy_pct": [facts[c]["accuracy"][0] for c in md_codes],
-        "accuracy_stable": [facts[c]["accuracy"][1] for c in md_codes],
+        "accuracy_pct": by_model([f["accuracy"][0] for f in facts]),
+        "accuracy_stable": by_model([f["accuracy"][1] for f in facts]),
         # resources
         "bram": res["bram"],
         "dsp": res["dsp"],
@@ -451,15 +465,17 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
         "dsp_pct": pct["dsp"],
         "lut_pct": pct["lut"],
         "ff_pct": pct["ff"],
-        "targets": targets_lists,
+        "targets": by_model([list(f["targets"]) for f in facts]),
         "fits_device": fits,
         "meets_timing": meets,
         # timing
-        "offload_target": [facts[c]["offload_target_str"] for c in md_codes],
+        "offload_target": by_model([f["offload_target_str"] for f in facts]),
         "total_wo_pl_s": total_wo,
-        "target_wo_pl_s": t_wo,
-        "ratio_of_target_pct": t_ratio,
-        "target_w_pl_s": t_w,
+        "target_wo_pl_s": per_target(sw_cols),
+        "ratio_of_target_pct": per_target(
+            {layer: 100.0 * sw_cols[layer] / total_wo for layer in LAYER_ORDER}
+        ),
+        "target_w_pl_s": per_target(acc_cols),
         "total_w_pl_s": total_w,
         "overall_speedup": overall_speedup,
         "speedup_vs_resnet": speedup_vs_resnet,
@@ -470,7 +486,7 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
         "energy_ratio": energy_ratio,
         "time_speedup": overall_speedup,
         # training
-        "offload": [facts[c]["train_offload_str"] for c in md_codes],
+        "offload": by_model([f["train_offload_str"] for f in facts]),
         "train_step_sw_s": train_sw,
         "train_step_offloaded_s": train_off,
         "target_share_pct": target_share,
@@ -489,9 +505,14 @@ class BatchResult(Report):
     """Columnar result table of a batch-evaluated design-space sweep.
 
     One row per scenario, in input order.  Columns follow the flat schema of
-    :meth:`repro.api.result.Result.flat_dict`; per-target cells
-    (``targets``, ``target_wo_pl_s``, ...) are Python lists and are joined
-    with ``" / "`` in the flat/CSV views, exactly like the loop engine.
+    :meth:`repro.api.result.Result.flat_dict`.  A column is either a NumPy
+    array or coded: integer codes into the column's distinct values.  The
+    batch engine codes every column that is a function of one key (the
+    model and depth, the Q-format, the solver, the board) by that key, and
+    the per-target cells (``target_wo_pl_s``, ...) by their distinct
+    per-target lists; :meth:`from_rows` codes every column.  Per-target
+    cells are lists in the nested views and are joined with ``" / "`` in
+    the flat/CSV views, exactly like the loop engine.
     """
 
     __slots__ = ("scenarios", "_columns")
@@ -518,15 +539,14 @@ class BatchResult(Report):
         rows = list(rows)
         if len(rows) != len(scenarios):
             raise ValueError(f"got {len(rows)} rows for {len(scenarios)} scenarios")
-        columns: Dict[str, List] = {key: [] for key in FLAT_COLUMNS}
+        cells: Dict[str, List] = {key: [] for key in FLAT_COLUMNS}
         for row in rows:
             scenario = row["scenario"]
             for key in SCENARIO_KEYS:
-                columns[key].append(scenario[key])
+                cells[key].append(scenario[key])
             for key, section in _SECTION_OF.items():
-                value = row[section][key]
-                columns[key].append(list(value) if key in LIST_COLUMNS else value)
-        return cls(list(scenarios), columns)
+                cells[key].append(row[section][key])
+        return cls(scenarios, {key: _factorize(col, key in LIST_COLUMNS) for key, col in cells.items()})
 
     # -- basic views --------------------------------------------------------------------
 
@@ -540,11 +560,13 @@ class BatchResult(Report):
             col = self._columns[name]
         except KeyError as exc:
             raise KeyError(f"unknown column '{name}'; known: {FLAT_COLUMNS}") from exc
+        if isinstance(col, np.ndarray):
+            return col
         if name in LIST_COLUMNS:
             out = np.empty(len(self), dtype=object)
-            out[:] = col
+            out[:] = [list(v) for v in col.cells()]
             return out
-        return np.asarray(col)
+        return np.asarray(col.cells())
 
     def record(self, i: int) -> Dict[str, object]:
         """Row ``i`` as a flat dictionary (list cells joined, CSV-shaped)."""
@@ -555,14 +577,22 @@ class BatchResult(Report):
             row[key] = _flatten_value(value) if key in LIST_COLUMNS else value
         return row
 
+    def _flat_values(self, key: str) -> _Coded:
+        """Column ``key`` as codes into its distinct flat-view cells (lists joined)."""
+
+        col = self._columns[key]
+        if isinstance(col, np.ndarray):
+            return _by_bits(col)
+        values = list(map(_py, col.values))
+        return _Coded(col.codes, list(map(_flatten_value, values)) if key in LIST_COLUMNS else values)
+
     def records(self) -> List[Dict[str, object]]:
         """Flat one-row-per-scenario dictionaries (table/CSV shaped), built column-wise."""
 
         columns = []
         for key in FLAT_COLUMNS:
             col = self._columns[key]
-            values = col.tolist() if isinstance(col, np.ndarray) else [_py(v) for v in col]
-            columns.append([_flatten_value(v) for v in values] if key in LIST_COLUMNS else values)
+            columns.append(col.tolist() if isinstance(col, np.ndarray) else self._flat_values(key).cells())
         return [dict(zip(FLAT_COLUMNS, row)) for row in zip(*columns)]
 
     # -- nested views -------------------------------------------------------------------
@@ -626,19 +656,26 @@ class BatchResult(Report):
         """CSV document (header + one row per scenario, loop-engine layout).
 
         Byte-identical to :meth:`Report.to_csv`'s row dicts, but each
-        column's distinct values are formatted once (a NumPy column's by bit
-        pattern, so ``-0.0`` and ``0.0`` stay apart) and quoted through
-        ``csv_text`` only where the csv module would quote them.
+        column's distinct values are formatted once: a coded column's value
+        list as it stands, a NumPy column's distinct bit patterns.  The texts
+        are quoted through ``csv_text`` only where the csv module would quote
+        them, gathered by code and joined row by row.
         """
 
         if not len(self):
             return ""
-        columns = []
+        cells: Dict[int, List[str]] = {}  # by column object: one column may serve two keys
         for key in FLAT_COLUMNS:
-            texts, index = _distinct_texts(self._columns[key], key in LIST_COLUMNS)
-            if _CSV_QUOTED.search("".join(texts)):
+            raw = self._columns[key]
+            if id(raw) in cells:
+                continue
+            col = self._flat_values(key)
+            texts = ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in col.values]
+            # A number's text never needs quoting.
+            if not isinstance(raw, np.ndarray) and _CSV_QUOTED.search("".join(texts)):
                 texts = [csv_text([[t]]) if _CSV_QUOTED.search(t) else t for t in texts]
-            columns.append(np.array(texts, dtype=object)[index].tolist())
+            cells[id(raw)] = np.array(texts, dtype=object)[col.codes].tolist()
+        columns = [cells[id(self._columns[key])] for key in FLAT_COLUMNS]
         return "\n".join([csv_text([FLAT_COLUMNS]), *map(",".join, zip(*columns))])
 
     # -- selection ----------------------------------------------------------------------
@@ -647,12 +684,10 @@ class BatchResult(Report):
         """A new table holding the given rows (in the given order)."""
 
         idx = [int(i) for i in indices]
-        columns: Dict[str, object] = {}
-        for key, col in self._columns.items():
-            if isinstance(col, np.ndarray):
-                columns[key] = col[idx]
-            else:
-                columns[key] = [col[i] for i in idx]
+        columns: Dict[str, object] = {
+            key: col[idx] if isinstance(col, np.ndarray) else _Coded(col.codes[idx], col.values)
+            for key, col in self._columns.items()
+        }
         return BatchResult([self.scenarios[i] for i in idx], columns)
 
     def pareto_fronts(self, x: str, y: str) -> Dict[object, "BatchResult"]:
@@ -683,5 +718,5 @@ def sweep_batch(scenarios: Iterable[Scenario]) -> BatchResult:
 
     points = list(scenarios)
     if not points:
-        return BatchResult([], {key: [] for key in FLAT_COLUMNS})
+        return BatchResult.from_rows([], [])
     return BatchResult(points, _compute_columns(points))

@@ -116,6 +116,66 @@ class TestEquivalence:
         assert [r["model"] for r in batch.records()] == [s.model for s in grid]
 
 
+def _engine_pair():
+    """The batch engine's table, the loop engine's (``from_rows``) and the
+    loop results, over every Table-5 model (ResNet rows have no offload
+    target), two boards, two Q-formats and one SimScenario row."""
+
+    from repro.sim import SimScenario
+
+    grid = scenario_grid(models=TABLE5_MODELS, depths=(20,), n_units=(8,),
+                         qformats=((16, 8), (32, 20)), boards=("PYNQ-Z2", "ZCU104"))
+    grid.append(SimScenario(model="rODENet-1", depth=56, n_units=16, board="ZCU104"))
+    results = sweep(grid)
+    return sweep_batch(grid), BatchResult.from_rows(grid, [r.as_dict() for r in results]), results
+
+
+def _assert_same_views(batch: BatchResult, loop: BatchResult, results: list) -> None:
+    """Every view of both tables agrees, and with the rows' own Results."""
+
+    # A SimScenario row's flat_dict also holds its serving knobs.
+    flat = [{name: r.flat_dict()[name] for name in FLAT_COLUMNS} for r in results]
+    for name in FLAT_COLUMNS:
+        b, l = batch.column(name), loop.column(name)
+        if isinstance(flat[0][name], str) and isinstance(b[0], list):  # a per-target column
+            assert [" / ".join(map(str, v)) or "-" for v in b.tolist()] == [row[name] for row in flat]
+            reference = b  # the row path keeps only the joined text
+        else:
+            reference = np.asarray([row[name] for row in flat])
+        assert b.dtype == l.dtype == reference.dtype, name
+        assert b.tolist() == l.tolist() == reference.tolist(), name
+    for i in range(len(batch)):
+        assert batch.record(i) == loop.record(i) == flat[i]
+    assert batch.records() == loop.records() == flat
+    assert batch.as_dicts() == loop.as_dicts() == [r.as_dict() for r in results]
+    assert batch.to_results() == loop.to_results() == results
+    assert batch.to_json() == loop.to_json()
+    assert batch.to_csv() == loop.to_csv() == Report.to_csv(loop)
+
+
+class TestEngineViews:
+    """Every view of a batch-engine table equals the loop engine's."""
+
+    def test_every_view(self):
+        batch, loop, results = _engine_pair()
+        assert "-" in batch.column("offload_target").tolist()
+        _assert_same_views(batch, loop, results)
+
+    def test_every_view_after_take(self):
+        batch, loop, results = _engine_pair()
+        idx = [3, 0, 3, 9]
+        _assert_same_views(batch.take(idx), loop.take(idx), [results[i] for i in idx])
+
+    def test_pareto_fronts(self):
+        batch, loop, _ = _engine_pair()
+        fronts = batch.pareto_fronts("total_w_pl_s", "energy_with_pl_J")
+        loop_fronts = loop.pareto_fronts("total_w_pl_s", "energy_with_pl_J")
+        assert list(fronts) == list(loop_fronts) == ["PYNQ-Z2", "ZCU104"]
+        for board, front in fronts.items():
+            assert front.scenarios == loop_fronts[board].scenarios
+            _assert_same_views(front, loop_fronts[board], sweep(front.scenarios))
+
+
 class TestBatchResult:
     def test_len_and_columns(self):
         batch = sweep_batch(scenario_grid(models=("rODENet-3",), depths=(20, 56)))
