@@ -328,7 +328,8 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
     total_wo = total_wo + overhead
     total_w = total_w + overhead
 
-    has_targets = target_table[md_codes].any(axis=1)
+    target_rows = target_table[md_codes]
+    has_targets = target_rows.any(axis=1)
     overall_speedup = np.where(has_targets, total_wo / total_w, 1.0)
     # ResNet-N software baseline per scenario: per-depth execution counts
     # over this row's board clock (the scalar evaluator's _resnet_baseline).
@@ -426,7 +427,6 @@ def _compute_columns(scenarios: Sequence[Scenario]) -> Dict[str, object]:
 
     # -- per-target columns: each row's target cells, coded by their bit patterns ------
     target_layers = [[LAYER_ORDER.index(layer) for layer in f["targets"]] for f in facts]
-    target_rows = target_table[md_codes]
 
     def per_target(cols: Dict[str, np.ndarray]) -> _Coded:
         block = np.column_stack([cols[layer] for layer in LAYER_ORDER])
