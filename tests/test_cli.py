@@ -498,24 +498,11 @@ class TestSweepCommand:
         assert [d["scenario"]["word_length"] for d in data] == [32, 16]
         assert data[1]["resources"]["bram"] < data[0]["resources"]["bram"]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
-    def test_batch_engine_output_identical_to_loop(self, capsys, fmt):
-        argv = ["sweep", "--models", "rODENet-3", "Hybrid-3", "--depths", "20", "56",
-                "--n-units", "8", "16", "--format", fmt]
-        loop = run_cli(capsys, *argv)
-        batch = run_cli(capsys, *argv, "--engine", "batch")
-        assert batch == loop
-
     def test_pareto_format(self, capsys):
         out = run_cli(capsys, "sweep", "--models", "rODENet-3", "--depths", "20", "56",
                       "--n-units", "1", "4", "16", "--engine", "batch", "--format", "pareto",
                       "--pareto-x", "bram", "--pareto-y", "overall_speedup", "--maximize-y")
         assert "Pareto front over (bram, overall_speedup)" in out
-
-    def test_pareto_works_with_loop_engine_too(self, capsys):
-        out = run_cli(capsys, "sweep", "--models", "rODENet-3", "--depths", "20", "56",
-                      "--format", "pareto")
-        assert "Pareto front" in out
 
     def test_unknown_pareto_metric_is_a_clean_error(self, capsys):
         assert main(["sweep", "--models", "rODENet-3", "--depths", "56",
@@ -577,6 +564,25 @@ SMALL_SWEEP_JSON_ARGV = [
 ]
 
 
+_TWO_MODEL_SWEEP_ARGV = [
+    "sweep", "--models", "rODENet-3", "Hybrid-3", "--depths", "20", "56", "--n-units", "8", "16",
+]
+#: ``sweep`` argv without ``--engine`` -> (stdout line count, SHA-256), as the
+#: loop engine printed them.
+DEFAULT_SWEEP_PINS = {
+    "csv": ([*_TWO_MODEL_SWEEP_ARGV, "--format", "csv"], 9,
+            "bc1e4e214dece25bf2564cd06b4b6eb550b8b4022e8a38414e9bf1883d3557ae"),
+    "json": ([*_TWO_MODEL_SWEEP_ARGV, "--format", "json"], 602,
+             "702d73fefa78b943789edc1c2c9a3cef8e758444e67fd2a1a78e5a3e4176a1fd"),
+    "table": ([*_TWO_MODEL_SWEEP_ARGV, "--format", "table"], 12,
+              "4b3b0ff1ceaa77f718b91c0868cd3f2bc279a42532cc12fca58c9260aeb9004d"),
+    "pareto": (["sweep", "--models", "rODENet-3", "--depths", "20", "56", "--format", "pareto"], 5,
+               "cdda2c926785be59320eda2df60c784abb4e718431c0c9909faab42fda0ca1cb"),
+    "explore": ([a for a in EXPLORE_SWEEP_ARGV if a not in ("--engine", "batch")], 3585,
+                "dbf27cc9388b28b1054bd2e3705ce2138b2012da71c16aaf7f68f57d947af8ad"),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -590,6 +596,13 @@ class TestSweepBytes:
         assert out.count("\n") == 3585
         assert out[:out.index("\n")] == EXPLORE_SWEEP_HEADER
         assert _sha256(out) == "dbf27cc9388b28b1054bd2e3705ce2138b2012da71c16aaf7f68f57d947af8ad"
+
+    @pytest.mark.parametrize("case", sorted(DEFAULT_SWEEP_PINS))
+    def test_default_sweep(self, capsys, case):
+        argv, lines, digest = DEFAULT_SWEEP_PINS[case]
+        out = run_cli(capsys, *argv)
+        assert out.count("\n") == lines
+        assert _sha256(out) == digest
 
     @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_small_sweep_json(self, capsys, engine):
