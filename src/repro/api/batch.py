@@ -30,6 +30,8 @@ by ``tests/api/test_batch.py``).
 The result is a :class:`BatchResult` — a columnar table with ``to_csv`` /
 ``to_json`` export, flat ``records()``, lossless ``to_results()``
 reconstruction and Pareto-front extraction over any two metric columns.
+:func:`sweep_batch` is the one engine behind the ``repro-odenet sweep``
+subcommand; the loop engine stays as its conformance oracle.
 """
 
 from __future__ import annotations
@@ -108,19 +110,6 @@ LIST_COLUMNS: Tuple[str, ...] = (
 )
 
 
-#: Section each flat (non-scenario) column lives in, for nested-dict I/O.
-_SECTION_OF: Dict[str, str] = {}
-for _section, _keys in (
-    ("parameters", PARAMETER_KEYS),
-    ("resources", RESOURCE_KEYS),
-    ("timing", TIMING_KEYS),
-    ("energy", ENERGY_KEYS),
-    ("training", TRAINING_KEYS),
-):
-    for _key in _keys:
-        _SECTION_OF[_key] = _section
-
-
 def _py(value):
     """NumPy scalar -> native Python scalar (no-op for everything else)."""
 
@@ -152,16 +141,6 @@ class _Coded:
         """One cell per row."""
 
         return list(map(self.values.__getitem__, self.codes.tolist()))
-
-
-def _factorize(cells: Sequence, is_list: bool) -> _Coded:
-    """Code Python cells by a key that also tells apart equal values that
-    print differently (``-0.0`` and ``0.0``; ``True``, ``1`` and ``1.0``)."""
-
-    keys = ([(tuple(map(type, v)), tuple(v), 0 in v and repr(v)) for v in cells] if is_list
-            else [(v.__class__, v, v == 0 and repr(v)) for v in cells])
-    codes, uniques = _codes(keys)
-    return _Coded(codes, [list(key[1]) if is_list else key[1] for key in uniques])
 
 
 def _by_bits(col: np.ndarray) -> _Coded:
@@ -506,13 +485,14 @@ class BatchResult(Report):
 
     One row per scenario, in input order.  Columns follow the flat schema of
     :meth:`repro.api.result.Result.flat_dict`.  A column is either a NumPy
-    array or coded: integer codes into the column's distinct values.  The
-    batch engine codes every column that is a function of one key (the
-    model and depth, the Q-format, the solver, the board) by that key, and
-    the per-target cells (``target_wo_pl_s``, ...) by their distinct
-    per-target lists; :meth:`from_rows` codes every column.  Per-target
-    cells are lists in the nested views and are joined with ``" / "`` in
-    the flat/CSV views, exactly like the loop engine.
+    array or coded: integer codes into the column's distinct values.
+    :func:`sweep_batch` codes every column that is a function of one key
+    (the model and depth, the Q-format, the solver, the board) by that key,
+    and the per-target cells (``target_wo_pl_s``, ...) by their distinct
+    per-target lists.  Per-target cells are lists in the nested views and
+    are joined with ``" / "`` in the flat/CSV views, exactly like
+    :meth:`repro.api.result.Result.flat_dict`.  It is the table the
+    ``repro-odenet sweep`` subcommand prints.
     """
 
     __slots__ = ("scenarios", "_columns")
@@ -523,30 +503,6 @@ class BatchResult(Report):
         if missing:
             raise ValueError(f"missing batch columns: {missing}")
         self._columns = columns
-
-    # -- construction ------------------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, scenarios: Sequence[Scenario], rows: Sequence[Dict]) -> "BatchResult":
-        """Assemble a table from nested per-scenario result dictionaries.
-
-        Accepts exactly the :meth:`repro.api.result.Result.as_dict` /
-        :meth:`row_dict` structure — the interchange format shared with the
-        loop engine.
-        """
-
-        scenarios = list(scenarios)
-        rows = list(rows)
-        if len(rows) != len(scenarios):
-            raise ValueError(f"got {len(rows)} rows for {len(scenarios)} scenarios")
-        cells: Dict[str, List] = {key: [] for key in FLAT_COLUMNS}
-        for row in rows:
-            scenario = row["scenario"]
-            for key in SCENARIO_KEYS:
-                cells[key].append(scenario[key])
-            for key, section in _SECTION_OF.items():
-                cells[key].append(row[section][key])
-        return cls(scenarios, {key: _factorize(col, key in LIST_COLUMNS) for key, col in cells.items()})
 
     # -- basic views --------------------------------------------------------------------
 
@@ -718,5 +674,5 @@ def sweep_batch(scenarios: Iterable[Scenario]) -> BatchResult:
 
     points = list(scenarios)
     if not points:
-        return BatchResult.from_rows([], [])
+        return BatchResult([], {key: np.empty(0) for key in FLAT_COLUMNS})
     return BatchResult(points, _compute_columns(points))

@@ -1,19 +1,17 @@
 """Design-space sweeps: the per-scenario loop engine.
 
-:func:`sweep` is the grid engine behind the ``repro-odenet sweep``
-subcommand, ``examples/design_space.py`` and the ablation benchmarks.  It
-takes any iterable of scenarios (usually from
-:func:`repro.api.scenario.scenario_grid`) and evaluates them one by one with
-a shared, memoizing :class:`~repro.api.evaluator.Evaluator`; results come
-back in input order.
+:func:`sweep` runs ``examples/design_space.py`` and the ablation, board-sweep,
+plan-kernel and sweep-engine benchmarks.  It takes any iterable of scenarios
+(usually from :func:`repro.api.scenario.scenario_grid`) and evaluates them one
+by one with a shared, memoizing :class:`~repro.api.evaluator.Evaluator`;
+results come back in input order.
 
-This loop engine is also the *conformance oracle* for the vectorized paths:
+This loop engine is the *conformance oracle* for the vectorized paths:
 :mod:`repro.api.batch` (and, since phase 2, the closed-form BRAM/timing
 plan kernels inside it) is pinned field-for-field against ``sweep`` by
-``tests/api/test_batch.py`` and ``tests/api/test_batch_plans.py``.  Prefer
-:func:`repro.api.batch.sweep_batch` for large grids; prefer ``sweep`` when
-debugging a single design point end to end.  Its results tabulate through
-:meth:`repro.api.batch.BatchResult.from_rows`, the engine's own table.
+``tests/api/test_batch.py`` and ``tests/api/test_batch_plans.py``.  The
+``repro-odenet sweep`` subcommand runs :func:`repro.api.batch.sweep_batch`
+only; prefer ``sweep`` when debugging a single design point end to end.
 """
 
 from __future__ import annotations

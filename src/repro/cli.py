@@ -72,15 +72,13 @@ from .api import (
     fraction_bits_for,
     scenario_grid,
 )
-from .api import sweep as run_sweep
-from .api.sweep import SweepError
 from .core import OFFLOADABLE_LAYER_NAMES, SUPPORTED_DEPTHS
 from .ode.solvers import available_methods
 from .platform import BOARDS, PYNQ_Z2
 
 # The batch engine loads on first use; handlers reach it through this module
 # (``_cli.sweep_batch``), so a patched ``repro.cli.sweep_batch`` is the one run.
-__getattr__ = lazy_exports(__name__, {".api.batch": ("BatchResult", "sweep_batch")})[0]
+__getattr__ = lazy_exports(__name__, {".api.batch": ("sweep_batch",)})[0]
 _cli = sys.modules[__name__]
 
 __all__ = ["FLAGS", "build_parser", "command", "flags", "main", "registered_commands"]
@@ -192,8 +190,8 @@ FLAGS: Dict[str, Dict[str, object]] = {
                       "chunks, one BLAS thread each (never changes the numbers)"),
     # -- outputs --------------------------------------------------------------
     "--format": dict(choices=("table", "csv", "json", "pareto"), default="table"),
-    "--engine": dict(choices=("loop", "batch"), default="loop", help="per-scenario loop or "
-                     "the vectorized batch engine (identical results)"),
+    "--engine": dict(choices=("batch",), default="batch", help="the vectorized batch engine "
+                     "(the only one; accepted for scripts that pass it)"),
     "--pareto-x": dict(default="total_w_pl_s",
                       help="x metric of --format pareto (default: %(default)s)"),
     "--pareto-y": dict(default="energy_with_pl_J",
@@ -551,13 +549,7 @@ def _cmd_sweep(args, evaluator: Evaluator) -> Report:
     if args.boards is not None:
         axes["boards"] = _parse_board_names(args.boards, flag="--boards")
     grid = scenario_grid(**axes)
-    if args.engine == "batch":
-        table = _cli.sweep_batch(grid)
-    else:
-        # The engines are field-for-field identical, so the loop results feed
-        # the same columnar table and share one output path.
-        results = run_sweep(grid, evaluator=evaluator)
-        table = _cli.BatchResult.from_rows(grid, [r.as_dict() for r in results])
+    table = _cli.sweep_batch(grid)
     if args.format != "pareto":
         return table
     front = _pareto_front_or_error(
@@ -1031,10 +1023,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             text = report.to_csv()
         else:
             text = report.render()
-    except (SweepError, ValueError) as exc:
-        # Validation errors (bad depth, n_units, workers, ...) and a design
-        # point that blew up mid-grid (named with its index) surface as clean
-        # CLI errors rather than tracebacks.
+    except ValueError as exc:
+        # Validation errors (bad depth, n_units, workers, ...) surface as
+        # clean CLI errors rather than tracebacks.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -18,7 +18,7 @@ from repro.api import (
     sweep_batch,
 )
 from repro.analysis import Report, csv_text, strict_json
-from repro.api.batch import FLAT_COLUMNS
+from repro.api.batch import FLAT_COLUMNS, _Coded
 from repro.core import SUPPORTED_DEPTHS
 from repro.core.execution_model import TABLE5_MODELS
 
@@ -98,7 +98,10 @@ class TestEquivalence:
             timing={**result.timing, "overall_speedup": float("inf")},
             energy={**result.energy, "energy_ratio": float("nan")},
         )
-        table = BatchResult.from_rows(grid, [degenerate.as_dict()])
+        table = sweep_batch(grid)
+        table._columns["overall_speedup"] = np.array([float("inf")])
+        table._columns["energy_ratio"] = np.array([float("nan")])
+        assert table.to_json() == strict_json([degenerate.as_dict()])
 
         def reject(token):
             raise ValueError(token)
@@ -117,63 +120,64 @@ class TestEquivalence:
 
 
 def _engine_pair():
-    """The batch engine's table, the loop engine's (``from_rows``) and the
-    loop results, over every Table-5 model (ResNet rows have no offload
-    target), two boards, two Q-formats and one SimScenario row."""
+    """The batch engine's table and the loop engine's results, over every
+    Table-5 model (ResNet rows have no offload target), two boards, two
+    Q-formats and one SimScenario row."""
 
     from repro.sim import SimScenario
 
     grid = scenario_grid(models=TABLE5_MODELS, depths=(20,), n_units=(8,),
                          qformats=((16, 8), (32, 20)), boards=("PYNQ-Z2", "ZCU104"))
     grid.append(SimScenario(model="rODENet-1", depth=56, n_units=16, board="ZCU104"))
-    results = sweep(grid)
-    return sweep_batch(grid), BatchResult.from_rows(grid, [r.as_dict() for r in results]), results
+    return sweep_batch(grid), sweep(grid)
 
 
-def _assert_same_views(batch: BatchResult, loop: BatchResult, results: list) -> None:
-    """Every view of both tables agrees, and with the rows' own Results."""
+def _assert_same_views(batch: BatchResult, results: list) -> None:
+    """Every view of the table agrees with the rows' own Results."""
 
     # A SimScenario row's flat_dict also holds its serving knobs.
     flat = [{name: r.flat_dict()[name] for name in FLAT_COLUMNS} for r in results]
     for name in FLAT_COLUMNS:
-        b, l = batch.column(name), loop.column(name)
+        b = batch.column(name)
         if isinstance(flat[0][name], str) and isinstance(b[0], list):  # a per-target column
             assert [" / ".join(map(str, v)) or "-" for v in b.tolist()] == [row[name] for row in flat]
             reference = b  # the row path keeps only the joined text
         else:
             reference = np.asarray([row[name] for row in flat])
-        assert b.dtype == l.dtype == reference.dtype, name
-        assert b.tolist() == l.tolist() == reference.tolist(), name
+        assert b.dtype == reference.dtype, name
+        assert b.tolist() == reference.tolist(), name
     for i in range(len(batch)):
-        assert batch.record(i) == loop.record(i) == flat[i]
-    assert batch.records() == loop.records() == flat
-    assert batch.as_dicts() == loop.as_dicts() == [r.as_dict() for r in results]
-    assert batch.to_results() == loop.to_results() == results
-    assert batch.to_json() == loop.to_json()
-    assert batch.to_csv() == loop.to_csv() == Report.to_csv(loop)
+        assert batch.record(i) == flat[i]
+    assert batch.records() == flat
+    assert batch.as_dicts() == [r.as_dict() for r in results]
+    assert batch.to_results() == results
+    assert batch.to_json() == strict_json([r.as_dict() for r in results])
+    assert batch.to_csv() == Report.to_csv(batch)
 
 
 class TestEngineViews:
-    """Every view of a batch-engine table equals the loop engine's."""
+    """Every view of a batch-engine table equals the loop engine's Results."""
 
     def test_every_view(self):
-        batch, loop, results = _engine_pair()
+        batch, results = _engine_pair()
         assert "-" in batch.column("offload_target").tolist()
-        _assert_same_views(batch, loop, results)
+        _assert_same_views(batch, results)
 
     def test_every_view_after_take(self):
-        batch, loop, results = _engine_pair()
+        batch, results = _engine_pair()
         idx = [3, 0, 3, 9]
-        _assert_same_views(batch.take(idx), loop.take(idx), [results[i] for i in idx])
+        _assert_same_views(batch.take(idx), [results[i] for i in idx])
 
     def test_pareto_fronts(self):
-        batch, loop, _ = _engine_pair()
+        batch, results = _engine_pair()
         fronts = batch.pareto_fronts("total_w_pl_s", "energy_with_pl_J")
-        loop_fronts = loop.pareto_fronts("total_w_pl_s", "energy_with_pl_J")
-        assert list(fronts) == list(loop_fronts) == ["PYNQ-Z2", "ZCU104"]
+        assert list(fronts) == ["PYNQ-Z2", "ZCU104"]
         for board, front in fronts.items():
-            assert front.scenarios == loop_fronts[board].scenarios
-            _assert_same_views(front, loop_fronts[board], sweep(front.scenarios))
+            rows = [r for r in results if r.scenario.board == board]
+            kept = pareto_indices([r.timing["total_w_pl_s"] for r in rows],
+                                  [r.energy["energy_with_pl_J"] for r in rows])
+            assert front.scenarios == [rows[i].scenario for i in kept]
+            _assert_same_views(front, sweep(front.scenarios))
 
 
 class TestBatchResult:
@@ -209,12 +213,6 @@ class TestBatchResult:
         assert data[0]["scenario"]["model"] == "rODENet-3"
         assert data[0]["timing"]["overall_speedup"] == pytest.approx(2.66, abs=0.01)
 
-    def test_from_rows_round_trip(self):
-        grid = random_grid(10, seed=3)
-        batch = sweep_batch(grid)
-        rebuilt = BatchResult.from_rows(grid, batch.as_dicts())
-        assert rebuilt.to_results() == batch.to_results()
-
 
 def _first_equal_value(table: BatchResult) -> str:
     """CSV through a cache keyed by value alone: each cell is printed as the
@@ -227,15 +225,13 @@ def _first_equal_value(table: BatchResult) -> str:
 
 
 def _crafted_table(**cells) -> BatchResult:
-    """A from_rows table of three rows; ``cells`` maps a column to its three values."""
+    """A batch table of three rows; ``cells`` maps a column to its three
+    values, coded one value per row."""
 
-    grid = scenario_grid(models=("rODENet-3",), depths=(20, 32, 56))
-    rows = sweep_batch(grid).as_dicts()
-    section = {key: name for row in rows[:1] for name, part in row.items() for key in part}
+    table = sweep_batch(scenario_grid(models=("rODENet-3",), depths=(20, 32, 56)))
     for key, values in cells.items():
-        for row, value in zip(rows, values):
-            row[section[key]][key] = value
-    return BatchResult.from_rows(grid, rows)
+        table._columns[key] = _Coded(np.arange(3), list(values))
+    return table
 
 
 class TestCsvExport:
@@ -250,11 +246,6 @@ class TestCsvExport:
             sweep_batch(random_grid(10, seed=1)).take([3, 0, 3, 9]),
         ):
             assert table.to_csv() == Report.to_csv(table)
-
-    def test_from_rows_tables_match_the_row_path(self):
-        grid = random_grid(40, seed=9)
-        table = BatchResult.from_rows(grid, [r.as_dict() for r in sweep(grid, Evaluator())])
-        assert table.to_csv() == Report.to_csv(table) == sweep_batch(grid).to_csv()
 
     def test_signed_zero_in_a_numpy_column(self):
         table = sweep_batch(random_grid(4, seed=2))

@@ -9,10 +9,10 @@ import pytest
 from repro.api import (
     Evaluator,
     Scenario,
-    BatchResult,
     SweepError,
     scenario_grid,
     sweep,
+    sweep_batch,
 )
 
 GRID = dict(models=("rODENet-3", "Hybrid-3"), depths=(20, 56), n_units=(8, 16))
@@ -77,9 +77,9 @@ def test_sweep_error_pickles_with_index():
 
 
 def _table(grid):
-    """Loop results tabulated the way the CLI's loop engine does."""
+    """The table the ``sweep`` subcommand prints for ``grid``."""
 
-    return BatchResult.from_rows(grid, [r.as_dict() for r in sweep(grid)])
+    return sweep_batch(grid)
 
 
 def test_csv_output_one_row_per_scenario():

@@ -281,7 +281,6 @@ STRICT_JSON_INVOCATIONS = {
 #: Every subcommand offering ``--format json``; it must print what ``--json`` prints.
 FORMAT_JSON_INVOCATIONS = {
     "sweep": STRICT_JSON_INVOCATIONS["sweep"] + ["--engine", "batch"],
-    "sweep-loop": STRICT_JSON_INVOCATIONS["sweep"] + ["--engine", "loop"],
     "sim": STRICT_JSON_INVOCATIONS["sim"],
     "sim-fmea-degenerate": STRICT_JSON_INVOCATIONS["sim-fmea-degenerate"],
     "sim-boards": STRICT_JSON_INVOCATIONS["sim-boards"],
@@ -525,6 +524,12 @@ class TestSweepCommand:
         assert captured.out == ""
         assert f"error: {flag} needs at least one value" in captured.err
 
+    def test_engine_loop_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--engine", "loop"])
+        assert excinfo.value.code == 2
+        assert "argument --engine: invalid choice: 'loop'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -604,7 +609,7 @@ class TestSweepBytes:
         assert out.count("\n") == lines
         assert _sha256(out) == digest
 
-    @pytest.mark.parametrize("engine", ["batch", "loop"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_small_sweep_json(self, capsys, engine):
         out = run_cli(capsys, *SMALL_SWEEP_JSON_ARGV, "--engine", engine)
         assert _sha256(out) == "3eef4c55195b6ee5d0d49990ddd73bd59db4edb7f51934fd8960d18dc4a9ee72"
@@ -631,14 +636,10 @@ class TestBoardsCommand:
 
 
 class TestBoardAxis:
-    def test_sweep_boards_batch_matches_loop_bit_for_bit(self, capsys):
-        argv = ["sweep", "--models", "rODENet-3", "--depths", "20", "56",
-                "--n-units", "8", "16", "--boards", "PYNQ-Z2,Zybo-Z7-20,Ultra96-V2",
-                "--format", "csv"]
-        batch = run_cli(capsys, *argv, "--engine", "batch")
-        loop = run_cli(capsys, *argv, "--engine", "loop")
-        assert batch == loop
-        rows = batch.splitlines()
+    def test_sweep_boards_one_row_per_board(self, capsys):
+        rows = run_cli(capsys, "sweep", "--models", "rODENet-3", "--depths", "20", "56",
+                       "--n-units", "8", "16", "--boards", "PYNQ-Z2,Zybo-Z7-20,Ultra96-V2",
+                       "--format", "csv").splitlines()
         assert len(rows) == 1 + 2 * 2 * 3  # header + models x units x boards
         assert sum("Ultra96-V2" in row for row in rows) == 4
 

@@ -192,7 +192,10 @@ class TestCliEngineHooks:
             return engine(grid)
 
         monkeypatch.setattr(cli, "sweep_batch", wrapped)
-        argv = ["sweep", "--depths", "20", "--n-units", "8", "16", "--engine", "batch"]
-        assert cli.main([*argv, "--format", "csv"]) == 0
-        assert calls == [14]
-        assert len(capsys.readouterr().out.splitlines()) == 15
+        argv = ["sweep", "--depths", "20", "--n-units", "8", "16", "--format", "csv"]
+        # With or without ``--engine batch``: the CLI has no other engine.
+        for flag in ([], ["--engine", "batch"]):
+            calls.clear()
+            assert cli.main([*argv, *flag]) == 0
+            assert calls == [14]
+            assert len(capsys.readouterr().out.splitlines()) == 15
