@@ -447,7 +447,12 @@ def _cmd_offload(args, evaluator: Evaluator) -> CommandOutput:
         lines.append(f"  PL resources     : {result.resource_vector()}")
         lines.append(f"  fits XC7Z020     : {result.resources['fits_device']}")
         lines.append(f"  meets 100 MHz    : {result.resources['meets_timing']}")
-        lines.append(f"  expected speedup : {result.timing['overall_speedup']:.2f}x")
+        failed = [check for check, ok in (
+            ("does not fit XC7Z020", result.resources["fits_device"]),
+            ("misses 100 MHz", result.resources["meets_timing"]),
+        ) if not ok]
+        verdict = f" (infeasible: {', '.join(failed)})" if failed else ""
+        lines.append(f"  expected speedup : {result.timing['overall_speedup']:.2f}x{verdict}")
         return "\n".join(lines)
 
     return CommandOutput(text, result.as_dict)
