@@ -126,13 +126,13 @@ EXTRA_ARGV = (
     "training --depth 20 --models ResNet ODENet",
     "eval rODENet-3 --depth 20 --n-units 8",
     "sweep --models rODENet-3 --depths 20 56 --n-units 8 16 --format csv",
-    "sweep --models rODENet-3 ODENet --depths 20 --boards PYNQ-Z2 ZCU104 --engine batch --format csv",
+    "sweep --models rODENet-3 ODENet --depths 20 --boards PYNQ-Z2 ZCU104 --format csv",
     "sweep --models rODENet-3 --depths 20 56 --qformats 16:8 32:20 --solvers euler rk4 --format pareto",
     "sweep --depths 20 --wordlengths 16 --fraction-bits 8 --maximize-y --format pareto",
     "sweep --models rODENet-3 --depths 20 56 --n-units 8 16 --maximize-x --format pareto",
     "sweep --models rODENet-3 --depths 20 --pareto-x bram --pareto-y overall_speedup "
     "--maximize-y --format pareto",
-    "sweep --models rODENet-3 --depths 20 --engine batch",
+    "sweep --models rODENet-3 --depths 20",
     "eval rODENet-1 --depth 20 --solver rk4 --wordlength 16 --fraction-bits 8 --board ZCU104",
     "sim rODENet-1 --depth 20 --rate 3 --requests 40 --replicas auto --policy batched --json",
     "sim rODENet-3 --depth 20 --rate 3 --requests 12 --ps-cores 2 --slo-ms 400 --faults "

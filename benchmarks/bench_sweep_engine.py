@@ -7,8 +7,8 @@ both engines, verifies the results are field-for-field identical, and prints
 the throughput of each.  The batch engine must be at least 10x faster on the
 full grid (asserted unless ``--quick``).
 
-The export section times what ``sweep --engine batch --format csv`` does on
-a 3,584-row grid (7 models x 2 depths x 32 MAC-unit counts x 2 word lengths
+The export section times what ``sweep --format csv`` (the CLI's one engine)
+does on a 3,584-row grid (7 models x 2 depths x 32 MAC-unit counts x 2 word lengths
 x 4 boards): grid, batch evaluation, CSV.  It asserts that ``scenario_grid``
 equals a per-point ``Scenario(...)`` loop and that ``BatchResult.to_csv`` is
 byte-identical to the report base's row-dict CSV, and, in both modes, that
