@@ -149,19 +149,13 @@ class TestDesignCommands:
                          id="does-not-fit"),
             pytest.param(["rODENet-3", "--n-units", "32"], "3.82x (infeasible: misses 100 MHz)",
                          id="misses-timing"),
+            pytest.param(["rODENet-3", "--n-units", "100000"],
+                         "4.88x (infeasible: does not fit XC7Z020, misses 100 MHz)", id="both"),
         ],
     )
     def test_offload_labels_an_infeasible_speedup(self, capsys, argv, label):
         out = run_cli(capsys, "offload", *argv)
         assert out.splitlines()[-1] == f"  expected speedup : {label}"
-
-    def test_offload_labels_every_failed_check(self, capsys):
-        out = run_cli(capsys, "offload", "rODENet-3", "--n-units", "100000")
-        assert out.splitlines()[-1].endswith(
-            "4.88x (infeasible: does not fit XC7Z020, misses 100 MHz)"
-        )
-        data = json.loads(run_cli(capsys, "offload", "rODENet-3", "--n-units", "100000", "--json"))
-        assert data["resources"]["fits_device"] is data["resources"]["meets_timing"] is False
 
     def test_energy(self, capsys):
         out = run_cli(capsys, "energy", "rODENet-3", "--depth", "56")
