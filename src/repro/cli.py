@@ -602,6 +602,13 @@ def _parse_mix(entries, scenario) -> List:
 def _cmd_sim(args, evaluator: Evaluator) -> Report:
     from .sim import SimScenario
 
+    # The fault knobs are checked with or without --faults, as --faults does.
+    check_count("n_samples", args.fault_samples, 1)
+    if args.fault_duration is not None:
+        from .faults.modes import check_duration
+
+        check_duration(args.fault_duration)
+
     boards = _parse_board_names(args.board, flag="--board")
     scenario = _scenario(
         SimScenario,

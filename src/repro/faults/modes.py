@@ -81,6 +81,15 @@ def flip_bit(qformat: QFormat, fixed: int, bit: int) -> int:
     return unsigned - span if unsigned >= (1 << (qformat.word_length - 1)) else unsigned
 
 
+def check_duration(duration_s: Optional[float]) -> Optional[float]:
+    """A fault's self-clearing time: positive and finite, or ``None``
+    (permanent); anything else is a :class:`ValueError`."""
+
+    if duration_s is not None and not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, or None (got {duration_s})")
+    return duration_s
+
+
 @dataclass(frozen=True)
 class FaultMode:
     """Base fault mode: a rate, an optional duration, and hook methods."""
@@ -102,10 +111,7 @@ class FaultMode:
             raise ValueError(
                 f"rate_per_hour must be non-negative and finite (got {self.rate_per_hour})"
             )
-        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
-            raise ValueError(
-                f"duration_s must be positive and finite, or None (got {self.duration_s})"
-            )
+        check_duration(self.duration_s)
 
     # -- protocol ----------------------------------------------------------------------
 

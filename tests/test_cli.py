@@ -351,6 +351,10 @@ class TestNamedErrors:
             ("optimize --objective min:bram --budget nan", "budget"),
             ("sim --duration nan", "duration_s"),
             ("sim --faults --fault-duration nan", "duration_s"),
+            # Without --faults the fault knobs are checked all the same.
+            ("sim rODENet-3 --fault-samples -3", "n_samples"),
+            ("sim rODENet-3 --fault-duration -1", "duration_s"),
+            ("sim rODENet-3 --fault-duration nan", "duration_s"),
             ("sim --arrivals trace --trace nan 1", "trace timestamps"),
             ("accuracy-sweep --input-scale nan", "input_scale"),
             ("accuracy-sweep --input-scale -1", "input_scale"),

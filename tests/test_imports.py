@@ -50,6 +50,9 @@ CALLS = {
     # Bad serving input exits 2 from the scenario's own checks, before the
     # NumPy-backed simulator, fleet runner or optimizer is imported.
     "sim-bad-batch-size": (["sim", "rODENet-1", "--batch-size", "0"], {"repro.sim"}, 2),
+    "sim-bad-fault-duration": (
+        ["sim", "rODENet-3", "--fault-duration", "nan"], {"repro.faults", "repro.sim"}, 2,
+    ),
     "fleet-bad-replicas": (["fleet", "--replicas", "-1"], {"repro.fleet", "repro.sim"}, 2),
     "optimize-no-objective": (
         ["optimize", "--fidelity", "sim", "--requests", "0"],
