@@ -57,8 +57,15 @@ from repro.sim import Process, SimScenario, Simulator, latency_stats, simulate
 MIN_EVENTS_PER_SEC = 100_000.0
 
 #: The serving mix's floor (full run; --quick uses half).  The mix runs
-#: 36,191 events for 900 requests, now that a finished request posts no
-#: completion entry; five alternating full runs per side on a shared 2-CPU
+#: 36,191 events for 900 requests.  With processes resumed in the run loop
+#: and DMA bursts booked in line (no call frame per entry, no generator per
+#: burst), five alternating runs per side on a shared 2-CPU host measured
+#: 19,000-20,200 requests/sec and 765-811k events/sec (median 19,300)
+#: against 15,300-18,000 requests/sec and 616-726k events/sec (median
+#: 16,100) with ``Process.__call__`` and a ``Resource.use`` generator per
+#: burst; the engine line read 1,211k-1,372k events/sec against
+#: 1,127k-1,275k.  Earlier, with a finished request's completion entry
+#: dropped, five alternating full runs per side on a shared 2-CPU
 #: host (each the best of five passes) measured 13,800-16,000 requests/sec
 #: and 554-642k events/sec (median 14,800 requests/sec), against
 #: 11,600-14,200 requests/sec and 480-584k events/sec (median 13,600) with
@@ -86,6 +93,9 @@ MIN_FLEET_EVENTS_PER_SEC = 100_000.0
 #: grant hop per free resource unit).  Five alternating runs per side on a
 #: quieter day read 4,260-4,860 requests/sec with the arrival stream and
 #: the zero-delay lane, against 2,910-4,030 with every entry in the heap.
+#: Five alternating runs per side, with processes resumed in the run loop
+#: and DMA bursts booked in line: 6,170-6,580 requests/sec (median 6,390),
+#: against 4,970-5,670 (median 5,350) before.
 MIN_EVENT_FLEET_REQUESTS_PER_SEC = 1_250.0
 
 

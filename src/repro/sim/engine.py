@@ -21,10 +21,11 @@ models need:
   ties fire in FIFO order, which is what makes runs bit-reproducible (the
   hypothesis suite in ``tests/sim/test_engine.py`` pins both properties).
 
-Every queue entry is a zero-argument callable: a process (calling it
-resumes it) or a plain function posted by :meth:`Simulator.schedule` or as
-a process's ``done``.  :meth:`Simulator.run` takes, counts and calls.  There
-are no event objects, interrupts, failure values or real-time pacing:
+Every queue entry is a process or a zero-argument callable (a plain
+function posted by :meth:`Simulator.schedule` or as a process's ``done``).
+:meth:`Simulator.run` takes and counts each entry, resumes a process
+itself (``next`` on its generator, with no call frame per entry) and calls
+anything else.  There are no event objects, interrupts, failure values or real-time pacing:
 every serving scenario in :mod:`repro.sim` is expressible with sleeps,
 parks, timed callbacks and countdowns over ``done``, and a small kernel is
 a fast one (see ``benchmarks/bench_sim_throughput.py``).
@@ -101,7 +102,7 @@ PARK = object()
 
 
 class Process:
-    """A generator-based process; calling it resumes the generator.
+    """A generator-based process, resumed by :meth:`Simulator.run`.
 
     Constructing a process queues it at the current instant, FIFO after
     everything already queued for that instant: the process itself is its
@@ -119,35 +120,6 @@ class Process:
         self.generator = generator
         self.done = done
         sim._lane.append(self)
-
-    def __call__(self) -> None:
-        sim = self.sim
-        sim.active_process = self
-        try:
-            target = next(self.generator)
-        except StopIteration:
-            sim.active_process = None
-            if self.done is not None:
-                sim._lane.append(self.done)
-            return
-        sim.active_process = None
-        if isinstance(target, float):
-            # A bare delay: the process is its own wake-up entry, on the
-            # lane if the clock absorbs the delay, else on the heap.
-            if not 0.0 <= target < _INF:
-                raise ValueError(
-                    f"process slept {target!r} s; a delay must be non-negative and finite"
-                )
-            now = sim.now
-            time = now + target
-            if time == now:
-                sim._lane.append(self)
-            else:
-                _heappush(sim._heap, (time, next(sim._seq), self))
-        elif target is not PARK:
-            raise TypeError(
-                f"process yielded {target!r}; processes must yield float delays or PARK"
-            )
 
 
 class Simulator:
@@ -215,11 +187,16 @@ class Simulator:
         Each step takes the earlier of the heap top and the stream head by
         ``(time, seq)``.  If that entry is later than ``now``, the lane is
         drained first; otherwise the clock moves to it (it never moves
-        backwards: an entry is posted no earlier than ``now``) and it is
-        called (a process resumes, a callable runs).  Each stream slot is
-        cleared as it is read, so a finished arrival process is not kept
-        alive by the queue.  Local bindings throughout: this is the hottest
-        code in the whole package (see ``benchmarks/bench_sim_throughput.py``).
+        backwards: an entry is posted no earlier than ``now``) and it fires.
+        Lane, heap and stream entries fire at one site: a :class:`Process`
+        is resumed in the loop itself (``next`` on its generator, with
+        :attr:`active_process` set around it) and its yield is booked there,
+        :data:`PARK` first, then a float delay (a ``float`` subclass such as
+        ``np.float64`` included); any other entry is called.  Each stream
+        slot is cleared as it is read, so a finished arrival process is not
+        kept alive by the queue.  Local bindings throughout: this is the
+        hottest code in the whole package (see
+        ``benchmarks/bench_sim_throughput.py``).
         """
 
         heap = self._heap
@@ -242,25 +219,59 @@ class Simulator:
         i, n = 0, len(stream)
         head = stream[0] if n else _END
         processed = self.events_processed
+        draining = False
         while True:
-            top = heap[0] if heap and heap[0] < head else head
-            if lane and top[0] != now:
-                # Nothing timed is left at this instant: drain the lane.
-                # Its entries post only later entries or lane entries.
-                while lane:
-                    processed += 1
-                    take()()
-                continue
-            if top is not head:
-                pop(heap)
-            elif i < n:
-                stream[i] = None
-                i += 1
-                head = stream[i] if i < n else _END
+            if draining and lane:
+                entry = take()
             else:
-                break
-            now, _, entry = top
-            self.now = now
+                top = heap[0] if heap and heap[0] < head else head
+                if lane and top[0] != now:
+                    # Nothing timed is left at this instant: drain the lane.
+                    # Its entries post only later entries or lane entries,
+                    # so ``top`` stays later than ``now`` until it is empty.
+                    draining = True
+                    entry = take()
+                else:
+                    draining = False
+                    if top is not head:
+                        pop(heap)
+                    elif i < n:
+                        stream[i] = None
+                        i += 1
+                        head = stream[i] if i < n else _END
+                    else:
+                        break
+                    now, _, entry = top
+                    self.now = now
             processed += 1
-            entry()
+            if type(entry) is not Process:
+                entry()
+                continue
+            # Resume the process.  A bare delay makes it its own wake-up
+            # entry: on the lane if the clock absorbs the delay, else on
+            # the heap.
+            self.active_process = entry
+            try:
+                target = next(entry.generator)
+            except StopIteration:
+                self.active_process = None
+                if entry.done is not None:
+                    lane.append(entry.done)
+                continue
+            self.active_process = None
+            if target is PARK:
+                continue
+            if not isinstance(target, float):
+                raise TypeError(
+                    f"process yielded {target!r}; processes must yield float delays or PARK"
+                )
+            if not 0.0 <= target < _INF:
+                raise ValueError(
+                    f"process slept {target!r} s; a delay must be non-negative and finite"
+                )
+            time = now + target
+            if time == now:
+                lane.append(entry)
+            else:
+                _heappush(heap, (time, next(seq), entry))
         self.events_processed = processed

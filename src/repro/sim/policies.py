@@ -251,9 +251,18 @@ class Dispatcher:
         or an input to prefetch does a step fork the DMA process: the
         compute's end is then a timed :func:`_countdown` call, the DMA
         process's ``done`` the other, and the worker parks until the second
-        wakes it.  An idle worker parks and :meth:`_put` wakes it.  With
-        free bus units booked in line
-        (:meth:`~repro.sim.resources.Resource.try_acquire`), a lone
+        wakes it.  An idle worker parks and :meth:`_put` wakes it.
+
+        Each DMA burst is booked in line, with no fragment generator:
+        :meth:`~repro.sim.resources.AxiBus.book_burst` counts it (a
+        zero-word burst is none), then a free channel is taken
+        (:meth:`~repro.sim.resources.Resource.try_acquire`, else ``enqueue``
+        and :data:`PARK`), held as a bare delay and released.  Bursts are
+        priced with the execution's *stored* transfer times (from the model
+        that built the service plan), so the simulated DMA always matches
+        the analytic (DMA in + compute + DMA out) decomposition, even under
+        a non-default transfer model.  The corruptor, when one is
+        installed, sees every input burst before it is booked.  A lone
         invocation costs five queue entries: the worker's wake, its DMA-in,
         compute and DMA-out delays, and the wake of the request parked on
         it.
@@ -269,6 +278,7 @@ class Dispatcher:
         """
 
         sim = self.sim
+        bus = self.bus
         worker = sim.active_process
         generations = self._generation
         index = acc.index
@@ -287,9 +297,18 @@ class Dispatcher:
             self.batch_sizes.append(len(batch))
             for execution in batch:
                 execution.request.pl_wait += sim.now - execution.submitted
-            self._inflight[index] = list(batch)
+            self._inflight[index] = batch
             acc.busy.set(1)
-            yield from self._transfer_in(batch[0])
+            first = batch[0]
+            if self.corruptor is not None:
+                self.corruptor(first.request)
+            hold = bus.book_burst(first.plx.words_in, first.plx.transfer_in_seconds)
+            if hold is not None:
+                if not bus.try_acquire():
+                    bus.enqueue()
+                    yield PARK
+                yield hold
+                bus.release()
             previous: Optional[Execution] = None
             for i, execution in enumerate(batch):
                 if generations[index] != generation:
@@ -309,7 +328,13 @@ class Dispatcher:
                 previous = execution
             if generations[index] != generation:
                 return
-            yield from self._transfer_out(previous)
+            hold = bus.book_burst(previous.plx.words_out, previous.plx.transfer_out_seconds)
+            if hold is not None:
+                if not bus.try_acquire():
+                    bus.enqueue()
+                    yield PARK
+                yield hold
+                bus.release()
             self._finish(index, generation, previous)
             if generations[index] != generation:
                 return
@@ -320,21 +345,6 @@ class Dispatcher:
         if self._generation[index] == generation:
             execution.finish()
 
-    # Bursts are priced with the execution's *stored* transfer times (from
-    # the model that built the service plan), so the simulated DMA always
-    # matches the analytic (DMA in + compute + DMA out) decomposition even
-    # under a non-default transfer model.  Both return the bus's fragment.
-
-    def _transfer_in(self, execution: Execution) -> Iterable[object]:
-        if self.corruptor is not None:
-            self.corruptor(execution.request)
-        plx = execution.plx
-        return self.bus.transfer(plx.words_in, plx.transfer_in_seconds)
-
-    def _transfer_out(self, execution: Execution) -> Iterable[object]:
-        plx = execution.plx
-        return self.bus.transfer(plx.words_out, plx.transfer_out_seconds)
-
     def _overlap_dma(
         self,
         index: int,
@@ -342,11 +352,29 @@ class Dispatcher:
         finished: Optional[Execution],
         upcoming: Optional[Execution],
     ) -> Generator:
+        """A batch step's DMA: write ``finished``'s output back, then
+        prefetch ``upcoming``'s input, each burst booked in line."""
+
+        bus = self.bus
         if finished is not None:
-            yield from self._transfer_out(finished)
+            hold = bus.book_burst(finished.plx.words_out, finished.plx.transfer_out_seconds)
+            if hold is not None:
+                if not bus.try_acquire():
+                    bus.enqueue()
+                    yield PARK
+                yield hold
+                bus.release()
             self._finish(index, generation, finished)
         if upcoming is not None:
-            yield from self._transfer_in(upcoming)
+            if self.corruptor is not None:
+                self.corruptor(upcoming.request)
+            hold = bus.book_burst(upcoming.plx.words_in, upcoming.plx.transfer_in_seconds)
+            if hold is not None:
+                if not bus.try_acquire():
+                    bus.enqueue()
+                    yield PARK
+                yield hold
+                bus.release()
 
 
 def _countdown(sim: Simulator, process: Process, parts: int) -> Callable[[], None]:

@@ -10,7 +10,9 @@ Transaction-level models of the pieces requests contend for:
   :class:`~repro.fpga.axi.AxiTransferModel` the analytic latency model uses
   priced into the service plan, so a contention-free simulation reproduces
   the analytic numbers exactly and a loaded one shows genuine burst-level
-  queueing.
+  queueing.  The bus does its own bookkeeping
+  (:meth:`AxiBus.book_burst`); the process making a burst holds the channel
+  in line, as for any :class:`Resource`.
 * :class:`Accelerator` — one replicated PL ODEBlock instance.  It does not
   queue by itself (the :class:`~repro.sim.policies.Dispatcher` owns the
   queues); it carries the replica's busy-time and downtime accounting (the
@@ -24,10 +26,10 @@ utilisation and queue-depth statistics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, Iterable, Optional
+from typing import Deque, Dict, Optional
 
 from .._checks import check_count
-from .engine import PARK, Process, Simulator
+from .engine import Process, Simulator
 
 __all__ = ["LevelMonitor", "Resource", "AxiBus", "Accelerator"]
 
@@ -76,7 +78,12 @@ class LevelMonitor:
 
 
 class Resource:
-    """A counted resource with a strict-FIFO wait queue."""
+    """A counted resource with a strict-FIFO wait queue.
+
+    A process holds a unit in line, with no fragment generator:
+    :meth:`try_acquire`, else :meth:`enqueue` and ``yield PARK``; then the
+    hold as a bare delay; then :meth:`release`.
+    """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
         self.sim = sim
@@ -94,8 +101,8 @@ class Resource:
         to the next waiter), so booking it in line keeps grants strictly
         FIFO.  The requester carries on at once instead of waiting on a
         grant that would fire at the same instant: the serving hot paths
-        (:meth:`use` and the runner's PS segments) call this first and fall
-        back to :meth:`enqueue` only when contended.
+        (the dispatcher's DMA bursts and the runner's PS segments) call this
+        first and fall back to :meth:`enqueue` only when contended.
         """
 
         if self.users < self.capacity:
@@ -105,7 +112,8 @@ class Resource:
         return False
 
     def enqueue(self) -> None:
-        """Queue the running process for a unit; it then yields :data:`PARK`.
+        """Queue the running process for a unit; it then yields
+        :data:`~repro.sim.engine.PARK`.
 
         The contended path, after :meth:`try_acquire` failed:
         :meth:`release` or :meth:`set_capacity` hands the process its unit
@@ -152,21 +160,14 @@ class Resource:
             self.users -= 1
             self.busy.set(self.users)
 
-    def use(self, seconds: float) -> Generator:
-        """Process fragment: acquire one unit, hold it, release it.
-
-        The hold is a bare delay (the process is its own wake-up entry).
-        """
-
-        if not self.try_acquire():
-            self.enqueue()
-            yield PARK
-        yield seconds
-        self.release()
-
 
 class AxiBus(Resource):
-    """The PS<->PL AXI interconnect: ``channels`` concurrent DMA bursts."""
+    """The PS<->PL AXI interconnect: ``channels`` concurrent DMA bursts.
+
+    A burst is :meth:`book_burst` (counts it, applies the degradation
+    slowdown, and says whether there is one at all) followed by holding a
+    channel for the time it returns.
+    """
 
     def __init__(self, sim: Simulator, channels: int = 1) -> None:
         super().__init__(sim, capacity=channels, name="axi")
@@ -188,29 +189,29 @@ class AxiBus(Resource):
             raise ValueError(f"slowdown must be positive (got {slowdown})")
         self.slowdown = slowdown
 
-    def transfer(self, words: int, seconds: float) -> Iterable[object]:
-        """Process fragment: move ``words`` over the bus (one DMA burst).
-
-        Books the burst when called and returns the :meth:`use` fragment
-        holding a channel for it; callers ``yield from`` it at once.
+    def book_burst(self, words: int, seconds: float) -> Optional[float]:
+        """Count one DMA burst of ``words`` and return its hold time.
 
         ``seconds`` is the burst's nominal time, priced by the model that
         built the service plan (the dispatcher passes the
         :class:`PlExecution`'s stored transfer times, keeping the simulated
-        DMA and the analytic decomposition consistent by construction).
-        Zero-word transfers complete immediately
-        without touching the bus, as
-        :func:`repro.fpga.axi.transfer_cycles_kernel` prices them at zero
-        cycles.
+        DMA and the analytic decomposition consistent by construction); the
+        hold is that time stretched by :attr:`slowdown` as it stands now.
+        A zero-word burst returns ``None``: it completes immediately without
+        touching the bus, as :func:`repro.fpga.axi.transfer_cycles_kernel`
+        prices it at zero cycles.  The caller holds a channel for the
+        returned time: :meth:`try_acquire` (else :meth:`enqueue` and
+        :data:`~repro.sim.engine.PARK`), then a bare delay, then
+        :meth:`release`.
         """
 
         if words == 0:
-            return ()
+            return None
         self.words_moved += words
         self.transfers += 1
         if self.slowdown != 1.0:
             seconds = seconds * self.slowdown
-        return self.use(seconds)
+        return seconds
 
     def as_dict(self) -> Dict[str, float]:
         return {

@@ -32,6 +32,16 @@ def scenario(**overrides) -> SimScenario:
     return SimScenario(**base)
 
 
+def _hold(res, seconds):
+    """Process fragment: hold one unit of ``res`` in line, as the model does."""
+
+    if not res.try_acquire():
+        res.enqueue()
+        yield PARK
+    yield seconds
+    res.release()
+
+
 class TestResourcePrimitives:
     def test_set_capacity_shrink_drains_without_preemption(self):
         sim = Simulator()
@@ -39,14 +49,14 @@ class TestResourcePrimitives:
         seen = {}
 
         def hold(seconds):
-            yield from res.use(seconds)
+            yield from _hold(res, seconds)
 
         def blocked():
             yield 0.5
             res.set_capacity(1)
             # Both holders keep running over capacity; no user is evicted.
             seen["users_at_shrink"] = res.users
-            yield from res.use(1.0)
+            yield from _hold(res, 1.0)
             seen["granted_at"] = sim.now - 1.0
 
         def probe():
@@ -128,7 +138,11 @@ class TestResourcePrimitives:
             sim = Simulator()
             bus = AxiBus(sim, channels=1)
             bus.degrade(slowdown)
-            Process(sim, bus.transfer(100, seconds=0.5))
+
+            def mover():
+                yield from _hold(bus, bus.book_burst(100, seconds=0.5))
+
+            Process(sim, mover())
             sim.run()
             return sim.now
 

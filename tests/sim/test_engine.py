@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,29 +91,57 @@ def test_process_sleep_chain_advances_by_sum(ds):
     assert sim.now == pytest.approx(sum(ds))
 
 
+#: Where a process is resumed: spawned at ``now`` (the lane), after a sleep
+#: (the heap), as an arrival later than ``now`` (the stream), and woken from
+#: a park (the lane again, after a timed entry).
+RESUME_SITES = ("lane", "heap", "stream", "woken")
+
+
+def _yield_at(site, target):
+    """Run one process that yields ``target`` at ``site``; return the
+    simulator and the time of that resume."""
+
+    sim = Simulator()
+    resumed = []
+
+    def process():
+        if site == "heap":
+            yield 1.0
+        elif site == "woken":
+            parked = sim.active_process
+            sim.schedule(1.5, lambda: sim.wake(parked))
+            yield PARK
+        resumed.append(sim.now)
+        yield target
+
+    if site == "stream":
+        sim.run([(2.0, process())])
+    else:
+        Process(sim, process())
+        sim.run()
+    return sim, resumed
+
+
 class TestYields:
+    @pytest.mark.parametrize("site", RESUME_SITES)
     @pytest.mark.parametrize("target", [3, "x", None, object()])
-    def test_yielding_anything_else_is_a_type_error(self, target):
+    def test_yielding_anything_else_is_a_type_error(self, target, site):
         # Only a float is a delay: an int is not silently a sleep.
-        sim = Simulator()
-
-        def bad():
-            yield target
-
-        Process(sim, bad())
         with pytest.raises(TypeError, match="must yield float delays or PARK"):
-            sim.run()
+            _yield_at(site, target)
 
+    @pytest.mark.parametrize("site", RESUME_SITES)
     @pytest.mark.parametrize("delay", [-1.0, math.inf, math.nan])
-    def test_yielding_a_bad_delay_is_a_value_error(self, delay):
-        sim = Simulator()
-
-        def bad():
-            yield delay
-
-        Process(sim, bad())
+    def test_yielding_a_bad_delay_is_a_value_error(self, delay, site):
         with pytest.raises(ValueError, match="non-negative and finite"):
-            sim.run()
+            _yield_at(site, delay)
+
+    @pytest.mark.parametrize("site", RESUME_SITES)
+    def test_a_float_subclass_is_a_delay(self, site):
+        # NumPy scalars are float subclasses: np.float64 sleeps like a float.
+        sim, (at,) = _yield_at(site, np.float64(0.25))
+        assert sim.now == at + 0.25
+        assert at == {"lane": 0.0, "heap": 1.0, "stream": 2.0, "woken": 1.5}[site]
 
 
 class TestSleepAndPark:

@@ -10,6 +10,27 @@ from repro.sim.engine import PARK, Process
 from repro.sim.metrics import windowed_mean
 
 
+def _hold(res, seconds):
+    """Process fragment: hold one unit of ``res`` in line, as the model does.
+
+    Book a free unit, else queue and park; hold it as a bare delay; release.
+    """
+
+    if not res.try_acquire():
+        res.enqueue()
+        yield PARK
+    yield seconds
+    res.release()
+
+
+def _burst(bus, words, seconds):
+    """Process fragment: one DMA burst, booked and held as the dispatcher does."""
+
+    hold = bus.book_burst(words, seconds)
+    if hold is not None:
+        yield from _hold(bus, hold)
+
+
 class TestResource:
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -39,7 +60,7 @@ class TestResource:
         res = Resource(sim, capacity=2)
 
         def user():
-            yield from res.use(1.0)
+            yield from _hold(res, 1.0)
 
         for _ in range(4):
             Process(sim, user())
@@ -63,12 +84,12 @@ class TestResource:
         with pytest.raises(RuntimeError, match="inside a process"):
             res.enqueue()
 
-    def test_uncontended_use_posts_only_its_timeout(self):
+    def test_uncontended_hold_posts_only_its_timeout(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
 
         def user():
-            yield from res.use(1.0)
+            yield from _hold(res, 1.0)
 
         Process(sim, user())
         sim.run()
@@ -85,7 +106,7 @@ class TestResource:
         res = Resource(sim, capacity=1)
 
         def user():
-            yield from res.use(3.0)
+            yield from _hold(res, 3.0)
             yield 3.0  # idle tail
 
         Process(sim, user())
@@ -100,7 +121,7 @@ class TestResource:
         res = Resource(sim, capacity=1)
 
         def user():
-            yield from res.use(1.0)
+            yield from _hold(res, 1.0)
 
         for _ in range(4):
             Process(sim, user())
@@ -115,7 +136,7 @@ class TestAxiBus:
         seconds = AxiTransferModel().transfer_seconds(16384)
 
         def mover():
-            yield from bus.transfer(16384, seconds)
+            yield from _burst(bus, 16384, seconds)
 
         Process(sim, mover())
         sim.run()
@@ -128,12 +149,27 @@ class TestAxiBus:
         bus = AxiBus(sim)
 
         def mover():
-            yield from bus.transfer(0, 1.0)
+            yield from _burst(bus, 0, 1.0)
 
         Process(sim, mover())
         sim.run()
         assert sim.now == 0.0
-        assert bus.transfers == 0
+        assert (bus.transfers, bus.words_moved) == (0, 0)
+        # No burst at all: the process's start is the only entry.
+        assert sim.events_processed == 1
+        assert bus.busy.peak == 0
+
+    def test_uncontended_burst_posts_only_its_timeout(self):
+        sim = Simulator()
+        bus = AxiBus(sim, channels=1)
+
+        def mover():
+            yield from _burst(bus, 1000, 1.0)
+
+        Process(sim, mover())
+        sim.run()
+        # Start and the burst's wake-up: no grant hop in between.
+        assert sim.events_processed == 2
 
     def test_bursts_serialize_on_one_channel(self):
         sim = Simulator()
@@ -141,7 +177,7 @@ class TestAxiBus:
         per = AxiTransferModel().transfer_seconds(1000)
 
         def mover():
-            yield from bus.transfer(1000, seconds=per)
+            yield from _burst(bus, 1000, seconds=per)
 
         for _ in range(3):
             Process(sim, mover())
@@ -154,7 +190,7 @@ class TestAxiBus:
         per = AxiTransferModel().transfer_seconds(1000)
 
         def mover():
-            yield from bus.transfer(1000, seconds=per)
+            yield from _burst(bus, 1000, seconds=per)
 
         for _ in range(4):
             Process(sim, mover())
