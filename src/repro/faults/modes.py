@@ -81,13 +81,12 @@ def flip_bit(qformat: QFormat, fixed: int, bit: int) -> int:
     return unsigned - span if unsigned >= (1 << (qformat.word_length - 1)) else unsigned
 
 
-def check_duration(duration_s: Optional[float]) -> Optional[float]:
+def check_duration(duration_s: Optional[float]) -> None:
     """A fault's self-clearing time: positive and finite, or ``None``
     (permanent); anything else is a :class:`ValueError`."""
 
     if duration_s is not None and not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be positive and finite, or None (got {duration_s})")
-    return duration_s
 
 
 @dataclass(frozen=True)
