@@ -2,14 +2,16 @@
 
 :class:`CellResult` is the picklable unit a shard process returns — counters,
 per-class latency/wait samples (:class:`~repro.sim.metrics.QuantileSketch`
-stores) and per-board ledgers.  :func:`merge_cells` folds them (in ascending
-cell order, so float sums and sample order are bit-identical for any shard
-count) into the :class:`FleetReport` the CLI, benchmarks and tests consume;
-its percentiles are exact.
+stores; :meth:`ClassCell.served` is one range check and two appends) and
+per-board ledgers.  :func:`merge_cells` folds them (in ascending cell order,
+so float sums and sample order are bit-identical for any shard count) into
+the :class:`FleetReport` the CLI, benchmarks and tests consume; its
+percentiles are exact, and each class's ``wait_mean_s`` is summed then.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -35,11 +37,14 @@ class ClassCell:
     wait: QuantileSketch = field(default_factory=QuantileSketch, init=False)
 
     def served(self, latency: float, wait: float) -> None:
-        """Record one completed request."""
+        """Record one completed request (both values in ``[0, inf)``)."""
 
+        if not 0.0 <= latency < math.inf > wait >= 0.0:  # one chain: NaN fails it too
+            bad = wait if 0.0 <= latency < math.inf else latency
+            raise ValueError(QuantileSketch.RULE.format(bad))
         self.completed += 1
-        self.latency.insert(latency)
-        self.wait.insert(wait)
+        self.latency.samples.append(latency)
+        self.wait.samples.append(wait)
         if self.slo_s is not None and latency > self.slo_s:
             self.violations += 1
 
@@ -164,24 +169,25 @@ def merge_cells(
         first = results[0].classes[ci]
         cls_latency = QuantileSketch()
         cls_wait = QuantileSketch()
+        wait_sum = 0.0  # each cell's waits left to right, then the cell sums in order
         for r in results:
             cls_latency.merge(r.classes[ci].latency)
             cls_wait.merge(r.classes[ci].wait)
+            if r.classes[ci].wait.samples:
+                wait_sum += float(np.add.accumulate(r.classes[ci].wait.samples)[-1])
         latency_sketch.merge(cls_latency)
         wait_sketch.merge(cls_wait)
-        cls_offered = sum(r.classes[ci].offered for r in results)
-        cls_rejected = sum(r.classes[ci].rejected for r in results)
         classes.append(
             {
                 "name": first.name,
                 "kind": first.kind,
                 "slo_s": first.slo_s,
-                "offered": cls_offered,
-                "rejected": cls_rejected,
+                "offered": sum(r.classes[ci].offered for r in results),
+                "rejected": sum(r.classes[ci].rejected for r in results),
                 "completed": sum(r.classes[ci].completed for r in results),
                 "violations": sum(r.classes[ci].violations for r in results),
                 "latency": cls_latency.stats().as_dict(),
-                "wait_mean_s": cls_wait.mean,
+                "wait_mean_s": wait_sum / len(cls_wait.samples) if cls_wait.samples else math.nan,
             }
         )
 

@@ -113,40 +113,32 @@ class QuantileSketch:
     request.  :meth:`stats` is :func:`latency_stats` over the buffer, so every
     percentile is exact, and :meth:`merge` concatenates buffers; shard
     results merged in a fixed (ascending cell) order therefore give the
-    same report for any shard count.
+    same report for any shard count.  It keeps no running sum (a reader
+    sums :attr:`samples`); the fleet's ``ClassCell.served`` checks values
+    against :attr:`RULE` itself and appends to :attr:`samples` directly.
 
-    The class keeps its historical name, from when it spilled into
-    log-spaced bins past a small exact buffer, because the perfbench serve
-    workload times :meth:`insert` and :meth:`stats` under this name; a
+    The class keeps its historical name (it once spilled into log-spaced
+    bins past a small exact buffer), :meth:`insert` and :meth:`stats`,
+    because perfbench's serve workload times those two under this name; a
     rename has to change those patch targets in the same commit.
     """
 
-    __slots__ = ("_sum", "samples")
+    __slots__ = ("samples",)
+    RULE = "sketch values must be finite and non-negative (got {!r})"
 
     def __init__(self) -> None:
-        self._sum = 0.0
         self.samples = array("d")
 
     def insert(self, value: float) -> None:
-        v = float(value)
-        if not (v >= 0.0) or math.isinf(v):  # rejects NaN, negatives and inf
-            raise ValueError(f"sketch values must be finite and non-negative (got {value!r})")
-        self._sum += v
-        self.samples.append(v)
+        if not 0.0 <= value < math.inf:  # rejects NaN, negatives and inf
+            raise ValueError(self.RULE.format(value))
+        self.samples.append(value)
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Append ``other``'s samples to this sketch (``other`` is left untouched)."""
 
-        self._sum += other._sum
         self.samples.extend(other.samples)
         return self
-
-    @property
-    def mean(self) -> float:
-        """The running Python sum over the sample count (NaN when empty)."""
-
-        n = len(self.samples)
-        return self._sum / n if n else float("nan")
 
     def stats(self) -> LatencyStats:
         """The :class:`LatencyStats` view of the stream."""
