@@ -84,7 +84,11 @@ MIN_SERVING_REQUESTS_PER_SEC = 8_900.0
 #: The fleet kernel's asserted floor (full run; --quick uses half).  On the
 #: day-length trace (1,035,655 requests, four cells of three boards) a
 #: shared 2-CPU host ran 439-603k events/sec (1.71-2.36 s, five runs), with
-#: least-loaded routing a scan of the boards' ``ready_at`` keys.
+#: least-loaded routing a scan of the boards' ``ready_at`` keys.  With a
+#: served request recorded as two buffer appends (no running sum), five
+#: alternating runs per side read 1.74-2.90 s (356-595k events/sec) against
+#: 1.75-2.54 s (407-591k) before: single runs on that host spread too
+#: widely to show a change either way.
 MIN_FLEET_EVENTS_PER_SEC = 100_000.0
 
 #: The event-fidelity fleet's requests/sec floor (full run; --quick uses
