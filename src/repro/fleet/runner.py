@@ -103,7 +103,8 @@ def _cell_arrivals(
 
     A trace (always one cell) stops at ``n_requests`` and ``duration_s`` as
     it does in ``repro.sim.simulate``.  The times come back as a float64
-    ``array``: indexing it yields plain floats, at 8 bytes per request.
+    ``array`` built from ``arrival_times``' Python floats: indexing it
+    yields plain floats, at 8 bytes per request.
     """
 
     cells = scenario.cells
@@ -121,7 +122,7 @@ def _cell_arrivals(
         rng=rng,
         trace=scenario.trace,
     )
-    return array("d", np.asarray(times, dtype=np.float64).tobytes())
+    return array("d", times)
 
 
 class EventBoard(BoardServer):

@@ -158,12 +158,13 @@ class Simulator:
         The hook the fault injector uses: a fault mode's injection and
         clearing are ordinary entries on the one queue, so they interleave
         deterministically with every other entry (FIFO tie-break included)
-        and keep fault runs bit-reproducible.
+        and keep fault runs bit-reproducible.  ``delay`` is converted with
+        ``float()``, so a NumPy scalar never reaches the clock.
         """
 
         if not 0.0 <= delay < _INF:
             raise ValueError(f"schedule delay must be non-negative and finite (got {delay})")
-        time = self.now + delay
+        time = self.now + float(delay)
         if time == self.now:
             self._lane.append(fn)
         else:
@@ -176,13 +177,14 @@ class Simulator:
         is empty.
 
         ``arrivals`` are ``(time, generator)`` pairs, each started at its
-        ``time`` (not before ``now``, finite) with no ``done``.  Sequence
-        numbers are drawn in input order, so FIFO tie-breaking is that of
-        spawning them one by one in that order; the ones at ``now`` join the
-        lane, the rest become the arrival stream, sorted once by ``(time,
-        seq)`` (the runner's arrivals come in time order, so one linear
-        pass; sorting the tuples themselves allocates no key array, and the
-        unique seq settles every tie before a process is compared).
+        ``time`` (not before ``now``, finite; converted with ``float()``)
+        with no ``done``.  Sequence numbers are drawn in input order, so FIFO
+        tie-breaking is that of spawning them one by one in that order; the
+        ones at ``now`` join the lane, the rest become the arrival stream,
+        sorted once by ``(time, seq)`` (the runner's arrivals come in time
+        order, so one linear pass; sorting the tuples themselves allocates
+        no key array, and the unique seq settles every tie before a process
+        is compared).
 
         Each step takes the earlier of the heap top and the stream head by
         ``(time, seq)``.  If that entry is later than ``now``, the lane is
@@ -192,9 +194,13 @@ class Simulator:
         is resumed in the loop itself (``next`` on its generator, with
         :attr:`active_process` set around it) and its yield is booked there,
         :data:`PARK` first, then a float delay (a ``float`` subclass such as
-        ``np.float64`` included); any other entry is called.  Each stream
-        slot is cleared as it is read, so a finished arrival process is not
-        kept alive by the queue.  Local bindings throughout: this is the
+        ``np.float64`` is converted with ``float()``); any other entry is
+        called.  With :meth:`schedule` converting its delay too, ``now`` is
+        a Python ``float`` whatever scalar types the caller passes, because
+        NumPy scalar arithmetic in this loop and in every monitor integral
+        reading ``now`` costs several times a float's.  Each stream slot is
+        cleared as it is read, so a finished arrival process is not kept
+        alive by the queue.  Local bindings throughout: this is the
         hottest code in the whole package (see
         ``benchmarks/bench_sim_throughput.py``).
         """
@@ -209,6 +215,7 @@ class Simulator:
         for time, generator in arrivals:
             if not now <= time < _INF:
                 raise ValueError(f"arrival time {time} must be finite and not before now ({now})")
+            time = float(time)
             process = _unposted(Process)
             process.sim, process.generator, process.done = self, generator, None
             if time == now:
@@ -261,10 +268,12 @@ class Simulator:
             self.active_process = None
             if target is PARK:
                 continue
-            if not isinstance(target, float):
-                raise TypeError(
-                    f"process yielded {target!r}; processes must yield float delays or PARK"
-                )
+            if type(target) is not float:
+                if not isinstance(target, float):
+                    raise TypeError(
+                        f"process yielded {target!r}; processes must yield float delays or PARK"
+                    )
+                target = float(target)
             if not 0.0 <= target < _INF:
                 raise ValueError(
                     f"process slept {target!r} s; a delay must be non-negative and finite"

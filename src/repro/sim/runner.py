@@ -363,7 +363,7 @@ def simulate(
         # an empty window over the true run, not as a 0-throughput run of
         # length warmup_s.  Fault injection/clear instants count as real
         # events (a dead replica's downtime is genuine system state).
-        last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
+        last_arrival = arrivals[-1] if arrivals else 0.0
         last_completion = max((r.completed for r in completed), default=0.0)
         last_fault = max(fault_times, default=0.0)
         horizon = min(horizon, max(last_arrival, last_completion, last_fault))

@@ -185,7 +185,9 @@ def arrival_times(
     condition (``n_requests`` and/or ``duration_s``; both apply when both are
     given).  ``trace`` replays the given timestamps (a scenario's, checked
     by ``repro.sim.scenario.check_traffic``), optionally truncated by the
-    same stop conditions.
+    same stop conditions.  The Poisson draws leave NumPy as Python floats
+    (``tolist``), so the simulator's clock, which these times start, never
+    runs on NumPy scalars.
     """
 
     if kind not in ARRIVAL_KINDS:
@@ -210,7 +212,7 @@ def arrival_times(
             if rng is None:
                 rng = np.random.default_rng(0)
             if n_requests is not None:
-                times = list(np.cumsum(rng.exponential(1.0 / rate_hz, size=n_requests)))
+                times = np.cumsum(rng.exponential(1.0 / rate_hz, size=n_requests)).tolist()
             else:
                 # Unbounded count: draw inter-arrival gaps in chunks until the
                 # horizon is passed (a fixed-size draw would bias the tail).
@@ -218,7 +220,7 @@ def arrival_times(
                 t = 0.0
                 chunk = max(16, int(np.ceil(rate_hz * duration_s)))
                 while t <= duration_s:
-                    for gap in rng.exponential(1.0 / rate_hz, size=chunk):
+                    for gap in rng.exponential(1.0 / rate_hz, size=chunk).tolist():
                         t += gap
                         if t > duration_s:
                             break

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SimScenario, simulate
 from repro.sim import Simulator
 from repro.sim.engine import PARK, Process
 
@@ -138,10 +139,47 @@ class TestYields:
 
     @pytest.mark.parametrize("site", RESUME_SITES)
     def test_a_float_subclass_is_a_delay(self, site):
-        # NumPy scalars are float subclasses: np.float64 sleeps like a float.
+        # NumPy scalars are float subclasses: np.float64 sleeps like a float,
+        # converted so the clock stays a Python float.
         sim, (at,) = _yield_at(site, np.float64(0.25))
         assert sim.now == at + 0.25
+        assert type(sim.now) is float
         assert at == {"lane": 0.0, "heap": 1.0, "stream": 2.0, "woken": 1.5}[site]
+
+
+class TestClockType:
+    """``now`` is a Python float after any run, whatever scalars came in
+    (a yielded ``np.float64`` is :class:`TestYields`' float-subclass case)."""
+
+    def test_numpy_arrival_time(self):
+        sim = Simulator()
+        sim.run([(np.float64(1.5), _noop()), (np.float64(0.0), _noop())])
+        assert sim.now == 1.5
+        assert type(sim.now) is float
+
+    def test_numpy_schedule_delay(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(np.float64(2.0), lambda: seen.append(type(sim.now)))
+        sim.schedule(np.float64(0.0), lambda: seen.append(type(sim.now)))
+        sim.run()
+        assert sim.now == 2.0
+        assert seen == [float, float]
+        assert type(sim.now) is float
+
+    def test_simulate_horizon_is_a_float(self):
+        report = simulate(
+            SimScenario(
+                model="rODENet-1",
+                depth=20,
+                arrival="poisson",
+                arrival_rate_hz=4.0,
+                n_requests=12,
+                replicas=1,
+                seed=3,
+            )
+        )
+        assert type(report.horizon_s) is float
 
 
 class TestSleepAndPark:

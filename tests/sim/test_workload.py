@@ -43,6 +43,25 @@ class TestArrivals:
         times = arrival_times("trace", trace=[0.0, 0.5, 2.0, 9.0], duration_s=3.0)
         assert times == [0.0, 0.5, 2.0]
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(kind="deterministic", rate_hz=4.0, n_requests=9),
+            dict(kind="poisson", rate_hz=3.0, n_requests=50),
+            # No count: the chunked gap loop runs until the horizon.
+            dict(kind="poisson", rate_hz=5.0, duration_s=20.0),
+            dict(kind="trace", trace=np.array([0.0, 0.5, 2.0, 9.0])),
+        ],
+        ids=["deterministic", "poisson-count", "poisson-duration", "trace-array"],
+    )
+    def test_times_are_python_floats(self, kwargs):
+        # Each time becomes a request's ``arrival``: a np.float64 here makes
+        # every latency and wait a NumPy scalar operation.
+        kwargs = dict(kwargs)
+        times = arrival_times(kwargs.pop("kind"), rng=np.random.default_rng(3), **kwargs)
+        assert times
+        assert all(type(t) is float for t in times)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
             arrival_times("bursty", rate_hz=1.0, n_requests=1)
