@@ -57,28 +57,33 @@ from repro.sim import Process, SimScenario, Simulator, latency_stats, simulate
 MIN_EVENTS_PER_SEC = 100_000.0
 
 #: The serving mix's floor (full run; --quick uses half).  The mix runs
-#: 36,191 events for 900 requests.  With processes resumed in the run loop
-#: and DMA bursts booked in line (no call frame per entry, no generator per
-#: burst), five alternating runs per side on a shared 2-CPU host measured
-#: 19,000-20,200 requests/sec and 765-811k events/sec (median 19,300)
-#: against 15,300-18,000 requests/sec and 616-726k events/sec (median
-#: 16,100) with ``Process.__call__`` and a ``Resource.use`` generator per
-#: burst; the engine line read 1,211k-1,372k events/sec against
-#: 1,127k-1,275k.  Earlier, with a finished request's completion entry
-#: dropped, five alternating full runs per side on a shared 2-CPU
-#: host (each the best of five passes) measured 13,800-16,000 requests/sec
-#: and 554-642k events/sec (median 14,800 requests/sec), against
-#: 11,600-14,200 requests/sec and 480-584k events/sec (median 13,600) with
-#: that entry; the engine line read 699k-1,142k events/sec against
-#: 909k-1,151k.  The floor stays at 8,900, 0.70x the low end (12,700)
-#: first measured with the arrival stream and the zero-delay lane.  There
-#: is no events/sec floor: the events a change removes are the cheap ones,
-#: so events/sec falls when requests/sec holds or rises, and a mix at
-#: about 40 events per request meets 8,900 requests/sec only at about 360k
+#: 36,191 events for 900 requests.  With the clock a Python float (Poisson
+#: arrival times leave NumPy through ``tolist``; the kernel converts any
+#: ``float`` subclass), five alternating runs per side on a shared 2-CPU
+#: host measured 20,100-21,600 requests/sec and 808-868k events/sec (median
+#: 20,500) against 16,400-18,200 requests/sec and 659-733k events/sec
+#: (median 17,400) with a ``np.float64`` clock.  Before that, with processes
+#: resumed in the run loop and DMA bursts booked in line (no call frame per
+#: entry, no generator per burst), five alternating runs per side on a
+#: shared 2-CPU host measured 19,000-20,200 requests/sec and 765-811k
+#: events/sec (median 19,300) against 15,300-18,000 requests/sec and
+#: 616-726k events/sec (median 16,100) with ``Process.__call__`` and a
+#: ``Resource.use`` generator per burst; the engine line read 1,211k-1,372k
+#: events/sec against 1,127k-1,275k.  Earlier, with a finished request's
+#: completion entry dropped, five alternating full runs per side on a shared
+#: 2-CPU host (each the best of five passes) measured 13,800-16,000
+#: requests/sec and 554-642k events/sec (median 14,800 requests/sec),
+#: against 11,600-14,200 requests/sec and 480-584k events/sec (median
+#: 13,600) with that entry; the engine line read 699k-1,142k events/sec
+#: against 909k-1,151k.  The floor stays at 8,900, 0.70x the low end (12,700)
+#: first measured with the arrival stream and the zero-delay lane.  There is
+#: no events/sec floor: the events a change removes are the cheap ones, so
+#: events/sec falls when requests/sec holds or rises, and a mix at about 40
+#: events per request meets 8,900 requests/sec only at about 360k
 #: events/sec, stricter than the old 250k floor.  Earlier mixes: with a
-#: Timeout or Event per hop the requests/sec floor was 3,500, 0.70x the
-#: low end then (4,900); with a grant hop per free resource unit the mix
-#: ran 76,867 events at 2,850-2,900 requests/sec.
+#: Timeout or Event per hop the requests/sec floor was 3,500, 0.70x the low
+#: end then (4,900); with a grant hop per free resource unit the mix ran
+#: 76,867 events at 2,850-2,900 requests/sec.
 MIN_SERVING_REQUESTS_PER_SEC = 8_900.0
 
 #: The fleet kernel's asserted floor (full run; --quick uses half).  On the
