@@ -33,7 +33,27 @@ IntArray = Union[int, np.ndarray]
 
 
 def _saturate(values: np.ndarray, fmt: QFormat) -> np.ndarray:
-    return np.clip(values, fmt.min_int, fmt.max_int)
+    """Clip a freshly computed result to ``fmt``'s range, in place.
+
+    Every caller hands over an array it allocated itself, never an input.
+    Operators on 0-d operands yield a NumPy scalar, which is immutable, so
+    it is clipped by value.
+    """
+
+    out = values if isinstance(values, np.ndarray) else None
+    return np.clip(values, fmt.min_int, fmt.max_int, out=out)
+
+
+def _magnitude(x: np.ndarray) -> int:
+    """Largest absolute value of an int64 array, as an exact Python int.
+
+    ``np.abs`` wraps on ``-2**63``; taking the two extrema separately and
+    negating in Python-int arithmetic is exact for the whole int64 range.
+    """
+
+    if x.size == 0:
+        return 0
+    return max(int(x.max()), -int(x.min()))
 
 
 def fx_add(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
@@ -60,20 +80,38 @@ def fx_mul(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
     """
 
     product = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    result = product >> fmt.fraction_bits
-    return _saturate(result, fmt)
+    product >>= fmt.fraction_bits
+    return _saturate(product, fmt)
 
 
 def fx_div(a: IntArray, b: IntArray, fmt: QFormat) -> np.ndarray:
-    """Fixed-point division (used to normalise by the standard deviation)."""
+    """Fixed-point division (used to normalise by the standard deviation).
+
+    The quotient is ``(a << fraction_bits) / b`` truncated toward zero, as a
+    restoring divider (and the RTL's signed ``/``) computes it.
+
+    When ``|a << fraction_bits| < 2**53`` and ``|b| <= 2**53`` (checked on
+    the operands' actual extrema), both convert to float64 exactly and IEEE
+    division is correctly rounded, so the float quotient errs by at most
+    ``|q| * 2**-53 < 1 / |b|``.  An integer quotient (below 2**53) comes out
+    exactly; any other lies at least ``1 / |b|`` from every integer, so the
+    rounded quotient never reaches or crosses one, and the cast's truncation
+    toward zero gives the exact integer quotient bit for bit.  Wider operands (large fraction
+    lengths, out-of-range inputs whose shift wraps) fall back to the integer
+    sign-trick formula, as :mod:`repro.fpga.gemm` falls back to ``int64``.
+    """
 
     a64 = np.asarray(a, dtype=np.int64)
     b64 = np.asarray(b, dtype=np.int64)
     if np.any(b64 == 0):
         raise ZeroDivisionError("fixed-point division by zero")
-    numerator = a64 << fmt.fraction_bits
-    # Truncating integer division toward zero, like a restoring divider.
-    result = (np.sign(numerator) * np.sign(b64)) * (np.abs(numerator) // np.abs(b64))
+    shift = fmt.fraction_bits
+    numerator = a64 << shift
+    if _magnitude(a64) << shift < 1 << 53 and _magnitude(b64) <= 1 << 53:
+        result = np.divide(numerator, b64, dtype=np.float64).astype(np.int64)
+    else:
+        # Truncating integer division toward zero, like a restoring divider.
+        result = (np.sign(numerator) * np.sign(b64)) * (np.abs(numerator) // np.abs(b64))
     return _saturate(result, fmt)
 
 

@@ -50,6 +50,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..fixedpoint.arithmetic import _magnitude
+
 __all__ = [
     "FLOAT_MANTISSA_BITS",
     "MAX_LIMBS",
@@ -64,18 +66,6 @@ FLOAT_MANTISSA_BITS = 53
 #: Largest number of limb GEMMs worth running before the BLAS advantage is
 #: eaten by the decomposition; beyond this the int64 fallback wins.
 MAX_LIMBS = 4
-
-
-def _magnitude(x: np.ndarray) -> int:
-    """Largest absolute value of an int64 array, as an exact Python int.
-
-    ``np.abs`` wraps on ``-2**63``; taking the two extrema separately and
-    negating in Python-int arithmetic is exact for the whole int64 range.
-    """
-
-    if x.size == 0:
-        return 0
-    return max(int(x.max()), -int(x.min()))
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,15 @@ def im2col(
             raise ValueError("out must be C-contiguous")
 
     # One cast+transpose into a zero-padded NHWC buffer, 1/(KH*KW) the size
-    # of the column matrix (zero padding is exact in fixed point too).
+    # of the column matrix (zero padding is exact in fixed point too).  Only
+    # the four border slabs are zeroed; the copy fills the interior.
     # ``copyto`` keeps NumPy's same-kind casting rule, so e.g. float input
     # into an integer ``out`` still raises instead of truncating.
-    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=out.dtype)
+    padded = np.empty((n, h + 2 * padding, w + 2 * padding, c), dtype=out.dtype)
+    padded[:, :padding] = 0
+    padded[:, padding + h :] = 0
+    padded[:, :, :padding] = 0
+    padded[:, :, padding + w :] = 0
     interior = padded[:, padding : padding + h, padding : padding + w]
     np.copyto(interior, x.transpose(0, 2, 3, 1))
 

@@ -9,8 +9,9 @@ operation, so the emitted RTL computes bit-for-bit what
   fraction bits (truncates toward -inf, like numpy's ``>>`` on int64),
   then saturation;
 * ``fx_div``  — numerator shifted left by the fraction bits, then Verilog's
-  signed ``/`` (truncates toward zero, exactly the restoring-divider
-  sign-trick of :func:`repro.fixedpoint.arithmetic.fx_div`);
+  signed ``/``: its truncation toward zero is the semantics
+  :func:`repro.fixedpoint.arithmetic.fx_div` models (through a float64
+  quotient where that is exact, else the integer sign-trick);
 * ``fx_mean`` — wide wrapping accumulator, one truncating division by the
   element count;
 * ``fx_sqrt`` — floor integer square root of ``value << fraction_bits`` via

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.accuracy import DEFAULT_FORMAT_LADDER
 from repro.fixedpoint import Q8, Q20, QFormat
 from repro.fixedpoint.arithmetic import (
     fx_add,
@@ -182,6 +183,136 @@ class TestSqrtConformance:
             fx_sqrt(np.array([4, -1]), F)
         with pytest.raises(ValueError):
             fx_sqrt(np.array([1 << 50, -1]), QFormat(64, 40))
+
+
+def sign_trick_div(a, b, fmt):
+    """The integer divider ``fx_div`` computes without its float64 path."""
+
+    a64 = np.asarray(a, dtype=np.int64)
+    b64 = np.asarray(b, dtype=np.int64)
+    numerator = a64 << fmt.fraction_bits
+    result = (np.sign(numerator) * np.sign(b64)) * (np.abs(numerator) // np.abs(b64))
+    return np.clip(result, fmt.min_int, fmt.max_int)
+
+
+#: The default ladder, (32, 21) at the float path's edge (wl - 1 + fb = 52)
+#: and (32, 22) / (32, 31), whose extreme dividends must fall back.
+DIV_FORMATS = [QFormat(*pair) for pair in DEFAULT_FORMAT_LADDER] + [
+    QFormat(32, 21),
+    QFormat(32, 22),
+    QFormat(32, 31),
+]
+
+
+@st.composite
+def dividends(draw, fmt):
+    """A word-range dividend, an edge value, or one whose shift passes 2**53."""
+
+    # |a| < limit is exactly the float path's dividend condition.
+    limit = 1 << max(53 - fmt.fraction_bits, 0)
+    edges = [fmt.min_int, fmt.max_int, 0, limit - 1, 1 - limit, limit, -limit]
+    return draw(
+        st.sampled_from(edges)
+        | st.integers(fmt.min_int, fmt.max_int)
+        | st.integers(limit, 2**63 - 1)
+        | st.integers(-(2**63), -limit)
+    )
+
+
+#: Divisors at the BN edges and either side of the float path's 2**53 bound.
+DIVISOR_EDGES = [1, -1, 2**31, -(2**31), 2**53, -(2**53), 2**53 + 1, -(2**53) - 1, -(2**63)]
+divisors = (
+    st.sampled_from(DIVISOR_EDGES)
+    | st.integers(1, 2**31)
+    | st.integers(-(2**31), -1)
+    | st.integers(1, 2**63 - 1)
+    | st.integers(-(2**63), -1)
+)
+
+
+def assert_same_quotient(got, want):
+    assert type(got) is type(want)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestDivConformance:
+    """fx_div's float64 quotient equals the integer sign-trick divider."""
+
+    @given(st.sampled_from(DIV_FORMATS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_elementwise(self, fmt, data):
+        size = data.draw(st.integers(1, 16))
+        a = data.draw(st.lists(dividends(fmt), min_size=size, max_size=size))
+        b = data.draw(st.lists(divisors, min_size=size, max_size=size))
+        assert_same_quotient(fx_div(np.array(a), np.array(b), fmt), sign_trick_div(a, b, fmt))
+
+    @given(st.sampled_from(DIV_FORMATS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_norm_broadcast(self, fmt, data):
+        """An (n, c, h, w) dividend over an (n, c, 1, 1) divisor, as BN divides."""
+
+        n, c, hw = (data.draw(st.integers(1, 3)) for _ in range(3))
+        a = np.array(data.draw(st.lists(dividends(fmt), min_size=n * c * hw * hw,
+                                        max_size=n * c * hw * hw))).reshape(n, c, hw, hw)
+        b = np.array(data.draw(st.lists(divisors, min_size=n * c, max_size=n * c)))
+        b = b.reshape(n, c, 1, 1)
+        assert_same_quotient(fx_div(a, b, fmt), sign_trick_div(a, b, fmt))
+
+    @given(st.sampled_from(DIV_FORMATS), st.data(),
+           st.sampled_from([int, np.int64, np.array]), st.sampled_from([int, np.int64, np.array]))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_0d(self, fmt, data, wrap_a, wrap_b):
+        a = wrap_a(data.draw(dividends(fmt)))
+        b = wrap_b(data.draw(divisors))
+        assert_same_quotient(fx_div(a, b, fmt), sign_trick_div(a, b, fmt))
+
+    @pytest.mark.parametrize("fmt", [QFormat(32, 20), QFormat(32, 16)])
+    def test_quotients_just_below_an_integer_past_2_53(self, fmt):
+        """``a << fb`` = k*b - r just past 2**53 with k in [2**29, 2**30):
+        float64 rounds the quotient up to k, the divider truncates to k - 1."""
+
+        modulus = 1 << fmt.fraction_bits
+        for b, r in [(2**24 + 1, 1), (2**24 + 3, 1), (2**25 + 1, 1), (2**25 + 3, 2)]:
+            # k*b - r is a multiple of 2**fb: the shift of some integer a.
+            k = 2**29 + (r * pow(b, -1, modulus) - 2**29) % modulus
+            a = np.array([(k * b - r) >> fmt.fraction_bits])
+            assert 2**53 < int(a[0]) << fmt.fraction_bits < 2**55
+            # One call per row: the float path is chosen per call.
+            assert fx_div(a, np.array([b]), fmt).tolist() == [k - 1]
+            assert fx_div(-a, np.array([b]), fmt).tolist() == [1 - k]
+            assert_same_quotient(fx_div(a, -b, fmt), sign_trick_div(a, -b, fmt))
+
+    def test_zero_divisor_checked_on_both_paths(self):
+        with pytest.raises(ZeroDivisionError):
+            fx_div(np.array([1, 2]), np.array([3, 0]), F)
+        with pytest.raises(ZeroDivisionError):
+            fx_div(np.array([1, 2**62]), np.array([3, 0]), F)
+
+
+class TestOperatorsLeaveInputsAlone:
+    """Each operator clips a result of its own, never an operand."""
+
+    @pytest.mark.parametrize("op", [fx_add, fx_sub, fx_mul, fx_div])
+    @pytest.mark.parametrize("scale", [2**20, 2**40], ids=["in_range", "saturating"])
+    def test_inputs_unchanged(self, op, scale):
+        rng = np.random.default_rng(0)
+        array = rng.integers(1, scale, size=(3, 4)) * rng.choice([-1, 1], size=(3, 4))
+        parent = rng.integers(1, scale, size=(4, 8)) * rng.choice([-1, 1], size=(4, 8))
+        view = parent[1:, ::2]
+        zero_d = np.array(-scale + 1)
+        snapshots = [(x, x.copy()) for x in (array, parent, zero_d)]
+        for a, b in [(array, view), (view, array), (zero_d, array), (view, zero_d),
+                     (zero_d, zero_d), (view, view)]:
+            op(a, b, F)
+        for operand, before in snapshots:
+            np.testing.assert_array_equal(operand, before)
+
+    @pytest.mark.parametrize("op", [fx_add, fx_sub, fx_mul, fx_div])
+    def test_scalars_return_int64(self, op):
+        for a, b in [(3 << 20, 5 << 19), (np.int64(3 << 20), np.int64(-5 << 19)),
+                     (np.array(F.max_int), np.array(-1))]:
+            assert type(op(a, b, F)) is np.int64
 
 
 class TestStatistics:

@@ -118,6 +118,28 @@ class TestIm2ColDtypeOut:
         assert cols.dtype == np.float32
 
 
+class TestPaddedBufferReuse:
+    """The padded copy is allocated uninitialised; its border must be zeroed."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_border_is_zero_after_a_dirty_free(self, padding):
+        rng = np.random.default_rng(padding)
+        n, c, h, w = 1, 2, 3, 3
+        x = rng.normal(size=(n, c, h, w))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        out_h = conv_output_size(h, 3, 1, padding)
+        out_w = conv_output_size(w, 3, 1, padding)
+        want = np.array([
+            padded[i, :, r : r + 3, s : s + 3].transpose(1, 2, 0).ravel()
+            for i in range(n) for r in range(out_h) for s in range(out_w)
+        ])
+        # NumPy caches freed blocks this small and hands the same block to
+        # the next allocation of its size: im2col's padded NHWC buffer.
+        junk = np.full((n, h + 2 * padding, w + 2 * padding, c), np.nan)
+        del junk
+        np.testing.assert_array_equal(im2col(x, 3, 3, stride=1, padding=padding), want)
+
+
 class TestCol2Im:
     def test_roundtrip_counts_overlaps(self):
         # col2im(im2col(x)) multiplies each pixel by the number of windows
