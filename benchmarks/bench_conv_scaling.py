@@ -62,6 +62,5 @@ def test_simulated_pl_datapath_throughput(benchmark):
     hw = HardwareODEBlock(geometry, BlockWeights.random(geometry, rng))
     z = rng.normal(0, 0.3, size=(1, 16, 8, 8))
 
-    out, report = benchmark(hw.execute_batch, z)
+    out = benchmark(hw.execute_batch, z)
     assert out.shape == z.shape
-    assert report.compute_seconds > 0

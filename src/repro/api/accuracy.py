@@ -43,8 +43,8 @@ from ..fpga.cycles import OdeBlockCycleModel
 from ..platform import PYNQ_Z2
 from ..fpga.geometry import BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights, HardwareODEBlock, image_groups
-from ..fpga.ops import BN_EPS
 from ..fpga.timing import TimingModel
+from ..nn.functional import BN_EPS
 from ..nn.im2col import conv_output_size, im2col
 
 __all__ = ["AccuracyPoint", "AccuracySweepResult", "accuracy_sweep", "DEFAULT_FORMAT_LADDER"]
@@ -468,7 +468,7 @@ def accuracy_sweep(
         formats = DEFAULT_FORMAT_LADDER
     elif not formats:
         raise ValueError("formats must be a non-empty sequence (or None for the default ladder)")
-    format_list = [QFormat.parse(f) for f in formats]
+    format_list = [QFormat.parse(f).check_datapath() for f in formats]
     unit_list = [check_count("n_units", u, 1) for u in n_units]
     if not unit_list:
         raise ValueError("n_units must be a non-empty sequence of positive integers")

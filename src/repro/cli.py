@@ -885,9 +885,11 @@ def _cmd_accuracy_sweep(args, evaluator: Evaluator) -> CommandOutput:
     if args.formats is not None:
         formats = _parse_formats(args.formats)
     elif args.word_lengths is not None:
-        formats = [(wl, fraction_bits_for(wl)) for wl in args.word_lengths]
-    # The datapath imports NumPy: check the run before it loads.
+        formats = _parse_formats([(wl, fraction_bits_for(wl)) for wl in args.word_lengths])
+    # The datapath imports NumPy: check the run and its word lengths before it loads.
     check_sweep_run(args.images, args.workers, args.seed, args.chunk_size, args.input_scale)
+    for fmt in formats or ():
+        fmt.check_datapath()
     from .api.accuracy import accuracy_sweep
 
     result = accuracy_sweep(

@@ -67,6 +67,21 @@ class QFormat:
         except ValueError as exc:
             raise ValueError(f"bad Q-format {spec!r}: {exc}") from None
 
+    def check_datapath(self) -> QFormat:
+        """This format if the PL datapath runs it, else a :class:`ValueError`.
+
+        The datapath, its RTL and the accuracy sweep compute double-width
+        products (``fx_mul``, the conv accumulators) in int64, so a word
+        past 32 bits would wrap silently instead of saturating.
+        """
+
+        if self.word_length > 32:
+            raise ValueError(
+                "word_length must be at most 32 bits for the PL datapath "
+                f"(got {self.word_length}): its double-width products are int64"
+            )
+        return self
+
     # -- derived quantities ----------------------------------------------------
 
     @property

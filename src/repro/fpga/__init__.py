@@ -28,10 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FLOAT_MANTISSA_BITS", "MAX_LIMBS", "GemmPlan", "PlannedGemm",
             "plan_gemm",
         ),
-        ".odeblock_hw": (
-            "GROUP_ELEMENTS", "BlockWeights", "HardwareExecutionReport", "HardwareODEBlock",
-            "image_groups",
-        ),
+        ".odeblock_hw": ("GROUP_ELEMENTS", "BlockWeights", "HardwareODEBlock", "image_groups"),
         ".ops": ("hw_batch_norm", "hw_conv2d", "hw_relu", "hw_residual_add"),
         ".power": ("EnergyEstimate", "PowerModel"),
         ".resources": (

@@ -1,15 +1,18 @@
-"""The PL-part ODEBlock engine: functional + performance model in one object.
+"""The PL-part ODEBlock datapath: the bit-accurate forward pass, nothing else.
 
 :class:`HardwareODEBlock` is the simulated counterpart of the Verilog module
-the paper implements on the PYNQ-Z2's programmable logic.  It bundles:
+the paper implements on the PYNQ-Z2's programmable logic.  It holds the
+quantised weights of the two convolutions and two batch-normalisation steps
+and runs the bit-accurate fixed-point forward pass (conv → BN → ReLU → conv
+→ BN) on cache-sized image groups of :data:`GROUP_ELEMENTS` elements.
 
-* the quantised weights of the two convolutions and two batch-normalisation
-  steps (stored in the simulated BRAM plan),
-* the bit-accurate fixed-point forward pass (conv → BN → ReLU → conv → BN),
-  run on cache-sized image groups of :data:`GROUP_ELEMENTS` elements,
-* the cycle/time model of one invocation (:mod:`repro.fpga.cycles`),
-* the PS↔PL transfer cost (:mod:`repro.fpga.axi`), and
-* the resource estimate and timing check of the chosen conv_xN configuration.
+It computes and does not price: the cost of an invocation (conv_x16
+cycles at the PL clock, the AXI round trip) comes from the analytic models
+(:mod:`repro.fpga.cycles`, :mod:`repro.fpga.axi`) through
+:class:`~repro.core.execution_model.ExecutionTimeModel`, and the resource,
+timing and BRAM reports of a configuration from
+:mod:`repro.fpga.resources`, :mod:`repro.fpga.timing` and
+:mod:`repro.fpga.bram`.
 
 It is used by the hardware/software co-execution runtime
 (:mod:`repro.hwsw.runtime`) to replace the software building block of an
@@ -24,19 +27,10 @@ from typing import List, Optional
 import numpy as np
 
 from ..fixedpoint import FxArray, QFormat, Q20
-from .axi import AxiTransferModel, TransferEstimate
-from .bram import BramPlan, plan_block_allocation
-from .cycles import CycleBreakdown, OdeBlockCycleModel
-from ..platform import PYNQ_Z2
 from .geometry import KERNEL, BlockGeometry, block_geometry
 from .ops import hw_batch_norm, hw_conv2d, hw_relu, hw_residual_add
-from .resources import ResourceEstimate, ResourceEstimator
-from .timing import TimingModel, TimingReport
 
-__all__ = [
-    "GROUP_ELEMENTS", "BlockWeights", "HardwareExecutionReport", "HardwareODEBlock",
-    "image_groups",
-]
+__all__ = ["GROUP_ELEMENTS", "BlockWeights", "HardwareODEBlock", "image_groups"]
 
 #: Feature-map elements per image group of the forward pass: each int64
 #: stage tensor of a group (4 layer1, 8 layer2_2 or 16 layer3_2 images)
@@ -114,28 +108,9 @@ class BlockWeights:
                 )
 
 
-@dataclass(frozen=True)
-class HardwareExecutionReport:
-    """Performance accounting of one HardwareODEBlock invocation."""
-
-    cycles: CycleBreakdown
-    transfer: TransferEstimate
-    compute_seconds: float
-    transfer_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.compute_seconds + self.transfer_seconds
-
-
 class HardwareODEBlock:
-    """Simulated PL implementation of one ODEBlock (the paper's conv_x16
-    configuration) on the PYNQ-Z2."""
-
-    #: MAC units of the modelled configuration: conv_x16, the largest that
-    #: closes timing at 100 MHz (Section 3.1).  Only the cycle, resource,
-    #: timing and BRAM reports read it; the datapath's numbers do not.
-    n_units = 16
+    """Simulated PL datapath of one ODEBlock (the Verilog module of
+    Section 3.1), bit-accurate in ``qformat``."""
 
     def __init__(
         self,
@@ -145,48 +120,15 @@ class HardwareODEBlock:
         dynamic_bn_stats: bool = True,
         time_concat: bool = False,
     ) -> None:
-        # Double-width products (fx_mul, the conv accumulators) are computed
-        # in int64, so a wider word would wrap silently instead of saturating.
-        if qformat.word_length > 32:
-            raise ValueError(
-                "word_length must be at most 32 bits for the PL datapath "
-                f"(got {qformat.word_length}): its double-width products are int64"
-            )
         self.geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
-        self.qformat = qformat
+        self.qformat = qformat.check_datapath()
         self.dynamic_bn_stats = dynamic_bn_stats
         #: When True the block implements ODE dynamics with the integration
         #: time concatenated as one extra (constant) input channel to both
         #: convolutions, matching the software ODEBlockFunction.
         self.time_concat = time_concat
-
-        self.cycle_model = OdeBlockCycleModel()
-        self.transfer_model = AxiTransferModel(PYNQ_Z2)
-        self.resource_estimator = ResourceEstimator(qformat)
-        self.timing_model = TimingModel(PYNQ_Z2)
-
-        # Quantise and "store" the weights in BRAM.
         weights.check_shapes(self.geometry, time_concat)
         self._load_weights(weights)
-        self.bram_plan: BramPlan = plan_block_allocation(self.geometry, self.n_units, qformat)
-        self.invocations = 0
-
-    # -- configuration reports ----------------------------------------------------
-
-    def resource_estimate(self) -> ResourceEstimate:
-        """Analytical resource estimate of this configuration."""
-
-        return self.resource_estimator.estimate(self.geometry, n_units=self.n_units)
-
-    def timing_report(self) -> TimingReport:
-        """Timing closure report at the board's PL clock."""
-
-        return self.timing_model.analyze(self.n_units, target_hz=PYNQ_Z2.pl_clock_hz)
-
-    def cycle_breakdown(self) -> CycleBreakdown:
-        """Cycles of one invocation (independent of the data)."""
-
-        return self.cycle_model.block_cycles(self.geometry, self.n_units)
 
     # -- weights -------------------------------------------------------------------
 
@@ -269,49 +211,22 @@ class HardwareODEBlock:
         x = FxArray.from_float(z, self.qformat)
         return self._forward_fixed(x, 0.0).to_float()
 
-    def execute_batch(self, z: np.ndarray, step_size: float = 1.0, t: float = 0.0) -> tuple:
-        """Run one Euler step ``z + h·f(z, t)`` per image of an ``(N, C, H, W)`` batch.
-
-        Returns ``(z_next, report)`` where ``report`` accounts for **one**
-        image (the PL processes images serially, so a batch of N costs
-        ``N * report.total_seconds``).  The outputs are bit-identical to
-        running each image as its own batch; ``invocations`` advances by N.
-        """
+    def execute_batch(self, z: np.ndarray, step_size: float = 1.0, t: float = 0.0) -> np.ndarray:
+        """Run one Euler step ``z + h·f(z, t)`` per image of an ``(N, C, H, W)``
+        batch; bit-identical to running each image as its own batch."""
 
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 4:
             raise ValueError("execute_batch expects an (N, C, H, W) batch")
         x = FxArray.from_float(z, self.qformat)
-        f_out = self._forward_fixed(x, t)
-        out = hw_residual_add(x, f_out, step_size)
+        return hw_residual_add(x, self._forward_fixed(x, t), step_size).to_float()
 
-        cycles = self.cycle_breakdown()
-        transfer = self.transfer_model.block_round_trip(self.geometry)
-        report = HardwareExecutionReport(
-            cycles=cycles,
-            transfer=transfer,
-            compute_seconds=cycles.time_seconds(PYNQ_Z2.pl_clock_hz),
-            transfer_seconds=transfer.seconds,
-        )
-        self.invocations += len(z)
-        return out.to_float(), report
-
-    def run_iterations_batch(self, z: np.ndarray, iterations: int) -> tuple:
+    def run_iterations_batch(self, z: np.ndarray, iterations: int) -> np.ndarray:
         """Euler-iterate a batch: ``z <- z + f(z, i)`` per image (step 1),
-        the ODENet's repeated use of one block.
+        the ODENet's repeated use of one block.  Bit-identical to batches
+        of one."""
 
-        Returns ``(z_final, total_seconds, reports)`` where ``total_seconds``
-        covers all ``N * iterations`` serial invocations and ``reports``
-        holds one per-image report per iteration.  Bit-identical to batches
-        of one.
-        """
-
-        reports = []
-        total = 0.0
         state = np.asarray(z, dtype=np.float64)
-        n = len(state)
         for i in range(iterations):
-            state, report = self.execute_batch(state, t=float(i))
-            reports.append(report)
-            total += n * report.total_seconds
-        return state, total, reports
+            state = self.execute_batch(state, t=float(i))
+        return state

@@ -25,13 +25,11 @@ import numpy as np
 
 from ..fixedpoint import FxArray, QFormat, Q20
 from ..fixedpoint import arithmetic as fx
+from ..nn.functional import BN_EPS
 from ..nn.im2col import conv_output_size, im2col
 from .gemm import PlannedGemm, _magnitude
 
 __all__ = ["hw_conv2d", "hw_batch_norm", "hw_relu", "hw_residual_add"]
-
-#: Batch-normalisation epsilon, added to the variance before the square root.
-BN_EPS = 1e-5
 
 
 def hw_conv2d(x: FxArray, weight: FxArray) -> FxArray:

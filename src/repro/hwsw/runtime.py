@@ -8,11 +8,14 @@ some layer groups offloaded to the simulated PL part:
 * offloaded ODEBlock layer groups execute through a
   :class:`~repro.fpga.odeblock_hw.HardwareODEBlock` built from the *same*
   trained weights, quantised to Q20 — i.e. the identical computation, but in
-  fixed point and with cycle/transfer accounting.
+  fixed point.
 
 The runtime therefore answers two questions at once: "does offloading change
 the prediction?" (functional fidelity) and "what does the offloaded execution
-cost?" (the modelled wall-clock of Table 5).
+cost?".  The datapath only computes; the runtime prices each invocation from
+its :class:`~repro.core.execution_model.ExecutionTimeModel` (the conv_x16
+cycle count at the PL clock plus the AXI round trip of the block's observed
+geometry) and the whole prediction from the same model's Table-5 report.
 """
 
 from __future__ import annotations
@@ -159,14 +162,25 @@ class HwSwRuntime:
             _, _, height, width = h.shape
             self.hardware_blocks[layer] = self._hardware_block_from(module, layer, height, width)
         ode: ODEBlock = module  # type: ignore[assignment]
-        state, _, reports = self.hardware_blocks[layer].run_iterations_batch(
-            h.data, iterations=ode.num_steps
+        block = self.hardware_blocks[layer]
+        state = block.run_iterations_batch(h.data, iterations=ode.num_steps)
+        # The PL runs images serially: each of the n images pays one
+        # invocation's cycles and AXI round trip per Euler step.  The steps
+        # are added one at a time, as the PL runs them; a product by the
+        # step count can round differently.
+        model = self.execution_model
+        compute = model.cycle_model.block_cycles(block.geometry, model.n_units).time_seconds(
+            model.board.pl_clock_hz
         )
-        # Each report accounts for one image of the serial PL invocations.
+        transfer = model.transfer_model.block_round_trip(block.geometry).seconds
+        compute_s = transfer_s = 0.0
+        for _ in range(ode.num_steps):
+            compute_s += compute
+            transfer_s += transfer
         n = len(state)
-        report.pl_invocations[layer] = n * len(reports)
-        report.pl_compute_seconds += n * sum(r.compute_seconds for r in reports)
-        report.pl_transfer_seconds += n * sum(r.transfer_seconds for r in reports)
+        report.pl_invocations[layer] = n * ode.num_steps
+        report.pl_compute_seconds += n * compute_s
+        report.pl_transfer_seconds += n * transfer_s
         return Tensor(np.maximum(state, 0.0))  # trailing ReLU stays on the PS part
 
     # -- fidelity ---------------------------------------------------------------------

@@ -90,7 +90,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 #: Weight of the newest batch in the running-statistics moving average.
 BN_MOMENTUM = 0.1
 
-#: Added to the variance before the square root.
+#: Added to the variance before the square root, by this software BN and
+#: by the PL datapath's (:func:`repro.fpga.ops.hw_batch_norm`, its RTL and
+#: the accuracy sweep's float reference) alike.
 BN_EPS = 1e-5
 
 

@@ -37,9 +37,9 @@ from ..fixedpoint import Q20, QFormat
 from ..fpga.bram import plan_block_allocation
 from ..fpga.geometry import KERNEL, STRIDE, BlockGeometry, block_geometry
 from ..fpga.odeblock_hw import BlockWeights
-from ..fpga.ops import BN_EPS
 from ..fpga.resources import ResourceEstimator
 from ..fpga.timing import TimingModel
+from ..nn.functional import BN_EPS
 from ..platform import PYNQ_Z2, BoardSpec
 from . import templates
 
@@ -231,11 +231,7 @@ def emit_odeblock(
     geometry = block if isinstance(block, BlockGeometry) else block_geometry(block)
     if geometry.in_channels != geometry.out_channels:
         raise ValueError("RTL emission requires in_channels == out_channels (residual block)")
-    if qformat.word_length > 32:
-        raise ValueError(
-            "RTL emission supports word lengths up to 32 bits "
-            "(the datapath accumulates in 64-bit registers)"
-        )
+    qformat.check_datapath()
     if n_units is None:
         n_units = default_n_units(board, geometry, qformat)
     n_units = check_count("n_units", n_units, 1)

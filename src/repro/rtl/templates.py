@@ -443,7 +443,7 @@ TOP_TEMPLATE = """\
 //
 // One invocation computes z' = z + h * f(z, t) where f is the five-step
 // pipeline conv1 -> BN1 -> ReLU -> conv2 -> BN2 of the paper's PL ODEBlock,
-// bit-identical to HardwareODEBlock.execute (verified by the testbench
+// bit-identical to HardwareODEBlock.execute_batch (verified by the testbench
 // vectors).  Protocol: stream the quantised feature map in with in_valid
 // (C*H*W words, channel-major), hold t_fx, pulse start, then collect
 // C*H*W output words flagged by out_valid.

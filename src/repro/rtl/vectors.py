@@ -1,10 +1,11 @@
 """Testbench-vector generation from the batched ``FxArray`` engine.
 
 :func:`generate_vectors` Euler-iterates a seeded batch through
-:meth:`~repro.fpga.odeblock_hw.HardwareODEBlock.execute_batch` — the same
-loop :meth:`~repro.fpga.odeblock_hw.HardwareODEBlock.run_iterations_batch`
-runs — and records one (stimulus, t, expected) triple per image per
-iteration.  Each record is an independent single-step check: record *i*'s
+:meth:`~repro.fpga.odeblock_hw.HardwareODEBlock.execute_batch`, which
+returns the next state and nothing else — the same loop
+:meth:`~repro.fpga.odeblock_hw.HardwareODEBlock.run_iterations_batch`
+runs, here with a step size — and records one (stimulus, t, expected)
+triple per image per iteration.  Each record is an independent single-step check: record *i*'s
 expected state is record *i+1*'s stimulus (exactly, in integers), so
 verifying every record verifies the whole iterated trajectory.
 
@@ -149,7 +150,7 @@ def generate_vectors(
         t = i * step_size
         t_fx = int(qformat.to_fixed(float(t)))
         stim_raw = qformat.to_fixed(state)
-        state, _ = hw_block.execute_batch(state, step_size=step_size, t=t)
+        state = hw_block.execute_batch(state, step_size=step_size, t=t)
         exp_raw = qformat.to_fixed(state)
         for n in range(images):
             records.append(

@@ -254,8 +254,10 @@ class ServingReport(Report):
     wait: LatencyStats
     energy: Dict[str, Optional[float]]
     events_processed: int
-    #: The sample stores behind ``latency``/``wait``, carried so the fleet
-    #: layer can merge distributions without re-simulating.
+    #: The sample stores behind ``latency``/``wait``.  The fleet merges its
+    #: cells' per-class buffers, not these; only tests read them back
+    #: (``tests/sim/test_warmup.py``, ``tests/fleet/test_fleet_identity.py``)
+    #: to check a report's stats and sample order.
     #: Excluded from serialisation and from report equality.
     latency_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)
     wait_sketch: Optional[QuantileSketch] = field(default=None, repr=False, compare=False)

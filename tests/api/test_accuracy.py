@@ -94,6 +94,14 @@ class TestAccuracySweepApi:
         with pytest.raises(ValueError, match="non-empty"):
             small_sweep(formats=[])
 
+    def test_wide_words_are_refused_before_any_chunk_runs(self, monkeypatch):
+        def no_chunks(*args):
+            raise AssertionError("a chunk ran before the word length was checked")
+
+        monkeypatch.setattr("repro.api.accuracy._measure_seeded_chunk", no_chunks)
+        with pytest.raises(ValueError, match="word_length must be at most 32 bits"):
+            small_sweep(formats=[(16, 8), (40, 20)])
+
     def test_qformat_instances_accepted(self):
         result = small_sweep(formats=[Q20, QFormat(10, 7)])
         assert [r["qformat"] for r in result.records()] == [Q20.name, QFormat(10, 7).name]

@@ -112,15 +112,11 @@ class TestBatchedForward:
         geometry = small_geometry()
         block = HardwareODEBlock(geometry, make_weights(geometry), qformat=fmt)
         z = make_batch(geometry, 4, scale)
-        out_batch, report = block.execute_batch(z, step_size=0.5, t=0.25)
+        out_batch = block.execute_batch(z, step_size=0.5, t=0.25)
         out_single = batches_of_one(
-            lambda one: block.execute_batch(one, step_size=0.5, t=0.25)[0], z
+            lambda one: block.execute_batch(one, step_size=0.5, t=0.25), z
         )
         assert np.array_equal(out_batch, out_single)
-        # The report accounts for one image: a batch of one reports the
-        # same per-image cost.
-        single_report = block.execute_batch(z[:1])[1]
-        assert report.total_seconds == single_report.total_seconds
 
     def test_time_concat_mode_bitwise(self):
         geometry = small_geometry()
@@ -129,32 +125,17 @@ class TestBatchedForward:
             qformat=Q16, time_concat=True,
         )
         z = make_batch(geometry, 4)
-        batched, _ = block.execute_batch(z, t=0.75)
-        singles = batches_of_one(lambda one: block.execute_batch(one, t=0.75)[0], z)
+        batched = block.execute_batch(z, t=0.75)
+        singles = batches_of_one(lambda one: block.execute_batch(one, t=0.75), z)
         assert np.array_equal(batched, singles)
 
     def test_run_iterations_batch_matches_per_image(self):
         geometry = small_geometry()
         block = HardwareODEBlock(geometry, make_weights(geometry), qformat=Q16)
         z = make_batch(geometry, 3)
-        final_batch, total_batch, reports = block.run_iterations_batch(z, iterations=3)
-        totals = []
-        for i in range(3):
-            final_i, total_i, _ = block.run_iterations_batch(z[i:i + 1], iterations=3)
-            assert np.array_equal(final_batch[i:i + 1], final_i)
-            totals.append(total_i)
-        assert total_batch == pytest.approx(sum(totals))
-        assert len(reports) == 3
-
-    def test_invocation_counter_advances_by_batch_size(self):
-        geometry = small_geometry()
-        block = HardwareODEBlock(geometry, make_weights(geometry))
-        z = make_batch(geometry, 6)
-        assert block.invocations == 0
-        block.execute_batch(z)
-        assert block.invocations == 6
-        block.run_iterations_batch(z, iterations=2)
-        assert block.invocations == 6 + 12
+        final_batch = block.run_iterations_batch(z, iterations=3)
+        singles = batches_of_one(lambda one: block.run_iterations_batch(one, iterations=3), z)
+        assert np.array_equal(final_batch, singles)
 
     def test_batch_of_one_equals_single(self):
         geometry = small_geometry()
@@ -209,9 +190,9 @@ class TestGroupBoundary:
             qformat=fmt, time_concat=time_concat,
         )
         z = make_batch(LAYER1, self.N, scale=scale)
-        batched, _ = block.execute_batch(z, step_size=0.5, t=0.75)
+        batched = block.execute_batch(z, step_size=0.5, t=0.75)
         singles = batches_of_one(
-            lambda one: block.execute_batch(one, step_size=0.5, t=0.75)[0], z
+            lambda one: block.execute_batch(one, step_size=0.5, t=0.75), z
         )
         assert np.array_equal(batched, singles)
 

@@ -59,21 +59,13 @@ class TestPlanGemm:
     def test_fallback_boundary_is_exactly_the_limb_budget(self):
         # Symmetric widths, k_bits = 6: w bits split into limbs of
         # (53 - w - 6) bits is feasible iff ceil(w / (47 - w)) <= MAX_LIMBS,
-        # i.e. w <= 37.  One more bit on both sides and neither candidate
-        # fits the limb budget -> the plan must fall back.
+        # i.e. w <= 37.  One more bit on both sides and the weight split
+        # exceeds the limb budget -> the plan must fall back.
         k = 64  # k_bits = 6
         feasible = plan_gemm(2**37 - 1, 2**37 - 1, k)
         infeasible = plan_gemm(2**38 - 1, 2**38 - 1, k)
-        assert feasible.split != "int64" and feasible.n_limbs == MAX_LIMBS
-        assert feasible.split == "b"  # the tie-break side
+        assert feasible.split == "b" and feasible.n_limbs == MAX_LIMBS
         assert infeasible.split == "int64"
-
-    def test_splits_the_wide_left_operand_when_cheaper(self):
-        # a wide (46 bits), b narrow (8 bits), k_bits = 4: splitting b only
-        # gets 3-bit limbs (3 of them); splitting a gets 41-bit limbs (2).
-        plan = plan_gemm(a_max=2**45, b_max=2**7, k=16)
-        assert plan.split == "a"
-        assert plan.n_limbs == 2
 
     @given(
         a_bits=st.integers(1, 63),
@@ -83,10 +75,11 @@ class TestPlanGemm:
     @settings(max_examples=200, deadline=None)
     def test_every_plan_respects_the_mantissa_bound(self, a_bits, b_bits, k):
         plan = plan_gemm(2**a_bits - 1, 2**b_bits - 1, k)
+        # Every plan splits the weight operand or falls back.
+        assert plan.split in ("b", "int64")
         if plan.split == "int64":
             return
-        fixed_bits = plan.a_bits if plan.split == "b" else plan.b_bits
-        assert fixed_bits + plan.limb_bits + plan.k_bits <= FLOAT_MANTISSA_BITS
+        assert plan.a_bits + plan.limb_bits + plan.k_bits <= FLOAT_MANTISSA_BITS
         assert 1 <= plan.n_limbs <= MAX_LIMBS
 
 
@@ -139,6 +132,28 @@ class TestGemmExactBitIdentity:
         b = rng.choice(np.array([lo, hi], dtype=np.int64), size=(129, 8))
         # At wide word lengths the int64 accumulator wraps; NumPy's matmul
         # wraps modulo 2**64 and so must the recombination.
+        np.testing.assert_array_equal(gemm_exact(a, b), a @ b)
+
+    @pytest.mark.parametrize("operands", ["random", "rails"])
+    def test_wide_left_operand_splits_the_weights(self, operands):
+        """32-bit activations against 24-bit weights, K = 585 (k_bits 10):
+        the weight split gets 11-bit limbs, three of them, and stays exact
+        (the rails wrap the int64 accumulator)."""
+
+        k = 585
+        rng = np.random.default_rng(585)
+        if operands == "random":
+            a = rand_ints(rng, 32, (12, k))
+            b = rand_ints(rng, 24, (k, 6))
+        else:
+            a = rng.choice(np.array([-(2**31), 2**31 - 1], dtype=np.int64), size=(12, k))
+            b = rng.choice(np.array([-(2**23), 2**23 - 1], dtype=np.int64), size=(k, 6))
+        # Pin both magnitudes at the rails so the plan is the 32 x 24 bit one.
+        a[0, 0], b[0, 0] = -(2**31), -(2**23)
+        planned = PlannedGemm(b, a_max=_magnitude(a))
+        assert planned.plan == plan_gemm(2**31, 2**23, k)
+        assert (planned.plan.split, planned.plan.limb_bits, planned.plan.n_limbs) == ("b", 11, 3)
+        assert planned.plan.n_limbs <= MAX_LIMBS
         np.testing.assert_array_equal(gemm_exact(a, b), a @ b)
 
     def test_zero_and_empty_operands(self):

@@ -32,9 +32,8 @@ from repro.fpga.geometry import BlockGeometry, LAYER3_2
 from repro.fpga.ops import hw_batch_norm, hw_conv2d
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.functional import BN_EPS
 from repro.nn.layers import Parameter
-
-BN_EPS = 1e-5
 
 
 def small_geometry() -> BlockGeometry:
@@ -182,7 +181,7 @@ class TestEndToEnd:
         stages = float_reference_stages(weights, z)
         bound = composed_bound(Q20, weights, z, stages)
         hw = HardwareODEBlock(geometry, weights)
-        out, _ = hw.execute_batch(z[None])
+        out = hw.execute_batch(z[None])
         float_step = z + stages["output"]
         # Residual add: input quantisation + dynamics error + one truncation.
         step_bound = bound.input_error + bound.total + Q20.resolution

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import build_network
+from repro.fpga import AxiTransferModel, OdeBlockCycleModel
 from repro.hwsw import HwSwRuntime, Partition, PredictionReport
 from repro.nn import Tensor
+from repro.platform import PYNQ_Z2
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,26 @@ class TestPrediction:
         assert report.pl_invocations["layer3_2"] == 2 * 6
         assert report.pl_compute_seconds > 0
         assert report.pl_transfer_seconds > 0
+
+    def test_pl_seconds_are_the_models_per_invocation_values(self, small_model, batch):
+        """Each serial invocation (one image, one Euler step) costs the
+        conv_x16 cycle model's time at the PL clock plus the AXI round trip
+        of the block's observed geometry, summed one term per step."""
+
+        runtime = HwSwRuntime(small_model, Partition.offload("layer3_2"))
+        _, report = runtime.predict(batch)
+        geometry = runtime.hardware_blocks["layer3_2"].geometry
+        compute = OdeBlockCycleModel().block_cycles(geometry, 16).time_seconds(
+            PYNQ_Z2.pl_clock_hz
+        )
+        transfer = AxiTransferModel(PYNQ_Z2).block_round_trip(geometry).seconds
+        steps = 6  # rODENet-3-20's layer3_2 Euler steps
+        expected_compute = expected_transfer = 0.0
+        for _ in range(steps):
+            expected_compute += compute
+            expected_transfer += transfer
+        assert report.pl_compute_seconds == len(batch) * expected_compute
+        assert report.pl_transfer_seconds == len(batch) * expected_transfer
 
     def test_batch_equals_stacked_single_image_predictions(self, small_model, batch):
         """One PL call per offloaded stage: its output is bit-identical to

@@ -279,7 +279,7 @@ def test_rom_weights_reproduce_hardware_output(time_concat, dynamic_bn_stats):
         for w in (weights, restored)
     ]
     z = rng.normal(0.0, 0.3, size=(2, c, TINY.height, TINY.width))
-    outputs = [block.execute_batch(z, step_size=0.5, t=0.25)[0] for block in blocks]
+    outputs = [block.execute_batch(z, step_size=0.5, t=0.25) for block in blocks]
     np.testing.assert_array_equal(outputs[0], outputs[1])
 
 
@@ -377,7 +377,7 @@ def test_testbench_references_vector_files():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        (dict(qformat=QFormat(48, 24)), "word lengths up to 32"),
+        (dict(qformat=QFormat(48, 24)), "word_length must be at most 32 bits"),
         (dict(qformat=Q16, n_units=0), "n_units"),
     ],
 )

@@ -49,7 +49,7 @@ def test_chain_consistency_with_run_iterations_batch():
     hw = HardwareODEBlock(TINY, weights, qformat=Q16)
     rng = np.random.default_rng(9)
     state = rng.normal(0.0, 0.5, size=(2, 4, 4, 4))
-    final, _, _ = hw.run_iterations_batch(state, iterations=3)
+    final = hw.run_iterations_batch(state, iterations=3)
     final_raw = Q16.to_fixed(final)
     np.testing.assert_array_equal(vec.records[-2].expected, final_raw[0].ravel())
     np.testing.assert_array_equal(vec.records[-1].expected, final_raw[1].ravel())

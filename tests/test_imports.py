@@ -64,8 +64,8 @@ CALLS = {
         {"repro.fleet", "repro.opt", "repro.sim"},
         2,
     ),
-    # The optimizer checks its request, and the CLI an accuracy sweep's run,
-    # before the first evaluation imports NumPy.
+    # The optimizer checks its request, and the CLI an accuracy sweep's run
+    # and word lengths, before the first evaluation imports NumPy.
     "optimize-bad-objective": (
         ["optimize", "--objective", "bogus"], {"repro.fleet", "repro.opt", "repro.sim"}, 2,
     ),
@@ -75,6 +75,7 @@ CALLS = {
         2,
     ),
     "accuracy-sweep-bad-images": (["accuracy-sweep", "--images", "0"], set(), 2),
+    "accuracy-sweep-wide-word": (["accuracy-sweep", "--formats", "40:20"], set(), 2),
     "sweep-batch": (
         ["sweep", "--depths", "20", "--n-units", "8", "--engine", "batch", "--format", "csv"],
         {"numpy", "repro.api.batch"},
